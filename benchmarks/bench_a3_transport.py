@@ -14,7 +14,7 @@ from repro.core.controller import NerpaController
 from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
 from repro.mgmt.server import ManagementServer
-from repro.p4runtime.client import P4RuntimeClient
+from repro.p4runtime import P4RuntimeClient
 from repro.p4runtime.server import P4RuntimeServer
 
 N_PORTS = 200

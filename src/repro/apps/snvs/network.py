@@ -164,7 +164,7 @@ class SnvsNetwork:
         """
         frame = ethernet(dst, src, vlan=vlan, payload=payload)
         outputs = self.switch.inject(port, frame)
-        # Digest feedback rides the asynchronous pipeline; drain it so
+        # Digest feedback rides the staged pipeline; drain it so
         # learning is visible before the next frame.
         self.controller.drain()
         return outputs

@@ -18,19 +18,18 @@ a **staged pipeline** (see ``docs/ARCHITECTURE.md``):
 * **apply** (stage 3, the fan-out plane) — batches merge on each
   device's own coalescing queue and go out as a single batched
   P4Runtime write (deletes before inserts, atomic per batch, in
-  engine-transaction order).  By default (``apply_plane="aio"``) one
-  shared :class:`~repro.net.aio.Reactor` drives a lightweight
-  :class:`~repro.core.fanout.DeviceChannel` state machine per device —
-  reactor-backed devices write non-blocking, local/classic devices run
-  on a small pool — so thousands of devices cost one loop thread, not
-  thousands of writer threads; ``apply_plane="threads"`` keeps the
-  PR 3 one-thread-per-device plane.  Either way device I/O holds
-  **no** controller-wide lock, so a slow or broken device backs up
-  only its own queue — never the engine or its peers.
+  engine-transaction order).  One shared
+  :class:`~repro.net.aio.Reactor` — the device clients' own — drives
+  a lightweight :class:`~repro.core.fanout.DeviceChannel` state
+  machine per device: remote devices write non-blocking through their
+  P4Runtime client, in-process simulators run on a small pool, so
+  thousands of devices cost one loop thread.  Device I/O holds **no**
+  controller-wide lock, so a slow or broken device backs up only its
+  own queue — never the engine or its peers.
 
 :meth:`NerpaController.drain` waits for end-to-end quiescence and
 surfaces semantic errors (``WriteError`` etc.) deferred by the
-asynchronous stages; ``start()`` and ``stop()`` drain internally, so
+pipeline's later stages; ``start()`` and ``stop()`` drain internally, so
 synchronous callers keep their old contract.
 
 **Fault tolerance.**  The control plane is the authoritative copy of
@@ -42,11 +41,11 @@ from the engine* — as pipeline work items, never under a global lock:
   engine's input relations (``runtime.dump``); because the task runs
   on the engine thread, monitor updates racing the reconnect are
   ordered strictly after the reconcile;
-* device reconnect → a resync task on that device's writer queue
+* device reconnect → a resync task on that device's channel queue
   replays the engine's output relations as a read-diff full sync,
   superseding any queued incremental batches;
 * a device that fails ``breaker_threshold`` consecutive syncs with a
-  transport error is **quarantined**: its writer drops batches without
+  transport error is **quarantined**: its channel drops batches without
   touching the wire until the connection recovers and the resync
   repairs everything it missed.
 
@@ -79,9 +78,11 @@ from repro.dlog.values import StructValue
 from repro.errors import ProtocolError, ReproError, TypeCheckError
 from repro.mgmt.database import Database
 from repro.mgmt.monitor import MonitorSpec, TableUpdates
+from repro.net.aio import Reactor
 from repro.obs.trace import current_update_id, use_update_id
 from repro.p4.simulator import Simulator
 from repro.p4.tables import TableEntry
+from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import DeviceService, TableWrite
 
 #: Exceptions treated as *transport* failures by the circuit breaker.
@@ -162,7 +163,7 @@ class _LocalDevice:
     def apply_batch(
         self, updates, mcast=None, update_ids=None, fence=None
     ) -> None:
-        # The caller (writer thread) binds the batch's update-id on the
+        # The caller (a pool thread) binds the batch's update-id on the
         # context, which is how the service stamps the config epoch.
         self.service.fenced_apply_batch(updates, mcast, fence)
 
@@ -174,9 +175,6 @@ class _LocalDevice:
 
     def set_multicast_group(self, group_id, ports) -> None:
         self.service.set_multicast_group(group_id, ports)
-
-    def delete_multicast_group(self, group_id) -> None:
-        self.service.delete_multicast_group(group_id)
 
     def get_config_epoch(self):
         return self.service.get_config_epoch()
@@ -221,41 +219,20 @@ class _LocalDevice:
 
 
 class _RemoteDevice:
-    def __init__(self, client):
+    """A device behind a P4Runtime client.  The client's own surface is
+    used as is — its blocking calls by resync tasks on the fan-out
+    plane's pool, ``client.apply_batch_async`` by batches on the loop
+    thread; only what :class:`_LocalDevice` spells differently is
+    adapted here."""
+
+    def __init__(self, client: AioP4RuntimeClient):
         self.client = client
 
-    #: Channels route batches through ``apply_batch_async`` when the
-    #: backing client supports it (see :class:`_AioRemoteDevice`).
-    asynchronous = False
-
-    def write(self, updates, fence=None) -> None:
-        self.client.write(updates, fence=fence)
-
-    def apply_batch(
-        self, updates, mcast=None, update_ids=None, fence=None
-    ) -> None:
-        self.client.apply_batch(updates, mcast, update_ids, fence=fence)
-
-    def read_table(self, table: str):
-        return self.client.read_table(table)
-
-    def set_multicast_group(self, group_id, ports) -> None:
-        self.client.set_multicast_group(group_id, ports)
-
-    def delete_multicast_group(self, group_id) -> None:
-        self.client.delete_multicast_group(group_id)
-
-    def get_config_epoch(self):
-        return self.client.get_config_epoch()
-
-    def set_config_epoch(self, epoch, fence=None) -> None:
-        self.client.set_config_epoch(epoch, fence=fence)
+    def __getattr__(self, name: str):
+        return getattr(self.client, name)
 
     def attach_digests(self, callback) -> None:
         self.client.subscribe_digests(callback)
-
-    def on_reconnect(self, hook) -> None:
-        self.client.on_reconnect(hook)
 
     def wait_ready(self, timeout: float) -> bool:
         # Backpressure awareness: park until the transport is usable
@@ -264,36 +241,6 @@ class _RemoteDevice:
 
     def note_event(self, tag: str) -> None:
         self.client.conn.note_event(tag)
-
-    def health(self) -> Dict[str, object]:
-        return self.client.health()
-
-
-class _AioRemoteDevice(_RemoteDevice):
-    """A device on the shared reactor: everything `_RemoteDevice` does
-    (the blocking surface serves resync tasks, which run on the fan-out
-    plane's pool) plus the non-blocking batched-write path the
-    :class:`~repro.core.fanout.DeviceChannel` hot loop uses."""
-
-    asynchronous = True
-
-    def apply_batch_async(
-        self, updates, mcast, update_ids, callback, seq=None, fence=None
-    ) -> None:
-        self.client.apply_batch_async(
-            updates, mcast, update_ids, callback, seq=seq, fence=fence
-        )
-
-    @property
-    def writable(self) -> bool:
-        return self.client.writable
-
-    @property
-    def send_buffer_bytes(self) -> int:
-        return self.client.send_buffer_bytes
-
-    def on_drain(self, callback) -> None:
-        self.client.on_drain(callback)
 
 
 class _ManagedDevice:
@@ -379,7 +326,8 @@ class _EngineTask:
 
 
 class _WriterTask:
-    """A control item for one device's writer thread (resyncs)."""
+    """A control item on one device's channel queue (resyncs); runs on
+    the fan-out plane's pool."""
 
     __slots__ = ("fn", "event", "error")
 
@@ -397,33 +345,8 @@ class _WriterTask:
             self.event.set()
 
 
-class _DeviceWriter:
-    """Stage 3: one device's coalescing queue plus its writer thread."""
-
-    def __init__(self, controller: "NerpaController", device: _ManagedDevice):
-        self.controller = controller
-        self.device = device
-        self.queue = CoalescingQueue(
-            name=device.name, maxlen=512, merge=controller.coalesce
-        )
-        self.thread = threading.Thread(
-            target=controller._writer_loop,
-            args=(self,),
-            name=f"nerpa-writer-{device.name}",
-            daemon=True,
-        )
-
-    def start(self) -> None:
-        self.thread.start()
-
-
 def _wrap_device(target):
-    from repro.p4runtime.aio_client import AioP4RuntimeClient
-    from repro.p4runtime.client import P4RuntimeClient
-
     if isinstance(target, AioP4RuntimeClient):
-        return _AioRemoteDevice(target)
-    if isinstance(target, P4RuntimeClient):
         return _RemoteDevice(target)
     if isinstance(target, (Simulator, DeviceService)):
         return _LocalDevice(target)
@@ -454,24 +377,33 @@ class NerpaController:
         shards: int = 1,
         shard_workers: str = "process",
         apply_plane: str = "aio",
-        reactor=None,
+        reactor: Optional[Reactor] = None,
         checkpoint_every: int = 8,
         checkpoint_interval_s: Optional[float] = None,
         fencing_epoch: Optional[int] = None,
         warm_source: Optional[tuple] = None,
     ):
         self.project = project
-        #: ``"aio"`` (default) drives stage 3 through one shared
-        #: reactor + per-device channels; ``"threads"`` keeps PR 3's
-        #: one-writer-thread-per-device plane (the bench baseline and
-        #: the differential-test reference).
-        if apply_plane not in ("aio", "threads"):
+        # One plane exists; the keyword stays (validated) only because
+        # benchmarks/e2e, which this tree may not edit, still passes it.
+        if apply_plane != "aio":
             raise ReproError(f"unknown apply plane {apply_plane!r}")
-        self.apply_plane = apply_plane
-        #: Optional shared :class:`~repro.net.aio.Reactor` — pass the
-        #: one the devices' ``AioP4RuntimeClient``s run on so channel
-        #: and connection callbacks share a loop thread.
-        self._reactor = reactor
+        devices = list(devices)
+        # Channel and connection callbacks must share one loop thread,
+        # so stage 3 runs on the device clients' own reactor; an
+        # explicit ``reactor`` has to be that same one.  ``None`` (only
+        # in-process devices) falls back to the process-wide default.
+        reactors = {
+            d.reactor for d in devices if isinstance(d, AioP4RuntimeClient)
+        }
+        if reactor is not None:
+            reactors.add(reactor)
+        if len(reactors) > 1:
+            raise ReproError(
+                "controller and device clients must share one reactor "
+                f"(got {sorted(r.name for r in reactors)})"
+            )
+        self._reactor = reactors.pop() if reactors else None
         self.bindings = project.bindings
         #: Directory for the controller checkpoint (engine state +
         #: per-device config epochs), typically beside the mgmt
@@ -601,10 +533,8 @@ class NerpaController:
         # idempotent and is always applied directly.
         self._buffer: Optional[List[TableWrite]] = None
 
-        # Pipeline plumbing (built in start()).  ``_writers`` holds
-        # either `_DeviceWriter`s (threads plane) or `DeviceChannel`s
-        # (aio plane) — both expose ``.queue``/``.device``/``.start()``,
-        # which is all drain/resync/health/metrics touch.
+        # Pipeline plumbing (built in start()).  ``_writers`` holds one
+        # `DeviceChannel` per device.
         self._engine_queue: Optional[CoalescingQueue] = None
         self._engine_thread: Optional[threading.Thread] = None
         self._writers: List = []
@@ -708,28 +638,21 @@ class NerpaController:
             target=self._engine_loop, name="nerpa-engine", daemon=True
         )
         self._engine_thread.start()
-        if self.apply_plane == "aio":
-            self._fanout_plane = FanoutPlane(
-                reactor=self._reactor,
-                max_blocking_workers=min(64, max(8, len(self.devices))),
-                on_error=self._defer_error,
+        self._fanout_plane = FanoutPlane(
+            reactor=self._reactor,
+            max_blocking_workers=min(64, max(8, len(self.devices))),
+            on_error=self._defer_error,
+        )
+        self._writers = [
+            self._fanout_plane.channel(
+                device,
+                self._channel_runner,
+                name=device.name,
+                maxlen=512,
+                merge=self.coalesce,
             )
-            self._writers = [
-                self._fanout_plane.channel(
-                    device,
-                    self._channel_runner,
-                    name=device.name,
-                    maxlen=512,
-                    merge=self.coalesce,
-                )
-                for device in self.devices
-            ]
-        else:
-            self._writers = [
-                _DeviceWriter(self, device) for device in self.devices
-            ]
-        for writer in self._writers:
-            writer.start()
+            for device in self.devices
+        ]
         for device in self.devices:
             device.io.attach_digests(self._on_digest)
             device.io.on_reconnect(self._device_reconnect_hook(device))
@@ -747,7 +670,7 @@ class NerpaController:
         elif reconcile:
             self.restart_mode = "cold"
             # Compute desired state silently (buffer the writes), then
-            # read-diff every device in parallel on its own writer.
+            # read-diff every device in parallel on its own channel.
             self._buffer = []
             self._submit_engine(self._push_initial, wait=False)
             initial = self.mgmt.subscribe(self._ovsdb_tables, self._on_updates)
@@ -812,7 +735,7 @@ class NerpaController:
 
         Every ingested changeset has been evaluated and every resulting
         device batch applied (or skipped by a quarantined device's
-        breaker).  Semantic errors deferred by the asynchronous stages
+        breaker).  Semantic errors deferred by the later stages
         — a rejected write, an ill-typed action row — are re-raised
         here; transport failures are *not* errors (the breaker and
         resync machinery own those).
@@ -893,10 +816,6 @@ class NerpaController:
             if not on_engine:
                 self._engine_thread.join(timeout=2.0)
             self._engine_thread = None
-        for writer in self._writers:
-            thread = getattr(writer, "thread", None)
-            if thread is not None and thread is not current:
-                thread.join(timeout=2.0)
         if self._fanout_plane is not None:
             self._fanout_plane.stop()
             self._fanout_plane = None
@@ -1086,7 +1005,7 @@ class NerpaController:
         # fast-failover case — the O(state) desired-writes dump below
         # is never taken, which is what keeps takeover latency
         # independent of the derived-state size.  The probe is only an
-        # optimization: `_warm_sync` re-checks on the writer thread and
+        # optimization: `_warm_sync` re-checks as a channel task and
         # falls back to a full `resync_device` if a device moved in
         # between (e.g. a deposed leader wrote before being fenced).
         need_dump = False
@@ -1144,7 +1063,7 @@ class NerpaController:
         desired: Optional[List[TableWrite]],
         mcast: Dict[int, List[int]],
     ) -> None:
-        """Writer-thread warm-start decision for one device: skip the
+        """Channel-task warm-start decision for one device: skip the
         full resync when the device's reported config epoch proves its
         tables already hold the checkpointed desired state.
 
@@ -1489,23 +1408,6 @@ class NerpaController:
 
     # -- stage 3: apply ----------------------------------------------------------
 
-    def _writer_loop(self, writer: _DeviceWriter) -> None:
-        device, queue = writer.device, writer.queue
-        while True:
-            item = queue.pop()
-            if item is None:
-                return
-            self._gauge_depth(device.name, queue)
-            try:
-                if isinstance(item, _WriterTask):
-                    item.run(device)
-                else:
-                    self._apply_device_batch(device, item)
-            except Exception as exc:  # noqa: BLE001 - surfaced at drain()
-                self._defer_error(exc)
-            finally:
-                queue.task_done()
-
     def _prepare_batch(
         self, device: _ManagedDevice, batch: DeviceBatch
     ) -> Optional[List[TableWrite]]:
@@ -1571,8 +1473,8 @@ class NerpaController:
         self, device: _ManagedDevice, batch: DeviceBatch
     ) -> None:
         """Issue one (possibly merged) batch through the breaker —
-        the blocking path (writer threads, or the fan-out plane's pool
-        for local and classic-client devices).
+        the blocking path in-process devices take on the fan-out
+        plane's pool.
 
         Runs with no controller-wide lock held — device I/O never
         blocks the engine or its peers.
@@ -1610,16 +1512,16 @@ class NerpaController:
             return
         self._finish_batch(device, batch, writes, started, issued_at)
 
-    # -- stage 3, aio plane ------------------------------------------------------
+    # -- stage 3, the loop side --------------------------------------------------
 
     def _channel_runner(self, channel, item, done) -> None:
         """Execute one queue item for a :class:`DeviceChannel`.
 
-        Loop thread.  Batches for reactor-backed devices go out
-        non-blocking; everything else (local simulators, classic
-        blocking clients, resync/warm-sync ``_WriterTask``s) runs on
-        the plane's pool — with the channel holding the slot either
-        way, so per-device FIFO is preserved across both paths.
+        Loop thread.  Batches for remote devices go out non-blocking;
+        everything else (in-process simulators, resync/warm-sync
+        ``_WriterTask``s) runs on the plane's pool — with the channel
+        holding the slot either way, so per-device FIFO is preserved
+        across both paths.
         """
         device = channel.device
         self._gauge_depth(device.name, channel.queue)
@@ -1631,7 +1533,7 @@ class NerpaController:
 
             self._fanout_plane.run_blocking(run_task)
             return
-        if getattr(device.io, "asynchronous", False):
+        if isinstance(device.io, _RemoteDevice):
             self._apply_batch_async(channel, item, done)
             return
 
@@ -1654,7 +1556,7 @@ class NerpaController:
         the backlog, exactly as it does for a slow blocking device.
         """
         device = channel.device
-        io = device.io
+        io = device.io.client
         started = time.perf_counter()
 
         def issue() -> None:
@@ -1780,8 +1682,8 @@ class NerpaController:
         other devices or the engine.  Clears quarantine on success.
 
         ``wait=False`` only enqueues the resync — required when the
-        caller itself runs on this device's writer thread (waiting for
-        a task queued behind the current one would deadlock).
+        caller itself runs as a task on this device's channel (waiting
+        for a task queued behind the current one would deadlock).
         """
         if isinstance(device, int):
             device = self.devices[device]
@@ -1834,7 +1736,7 @@ class NerpaController:
         count: bool,
         epoch: Optional[str] = None,
     ) -> bool:
-        """Writer-thread body of a full device sync (read-diff repair)."""
+        """Channel-task body of a full device sync (read-diff repair)."""
         io = device.io
         io.wait_ready(2.0)
         fixes = []
@@ -2029,13 +1931,12 @@ class NerpaController:
             for chan in self._fanout_plane.channels:
                 states[chan.state] = states.get(chan.state, 0) + 1
             out["pipeline"]["fanout"] = {
-                "plane": self.apply_plane,
                 "inflight": self._fanout_plane.inflight,
                 "channel_states": states,
                 "send_buffer_bytes": {
-                    d.name: d.io.send_buffer_bytes
+                    d.name: d.io.client.send_buffer_bytes
                     for d in self.devices
-                    if getattr(d.io, "asynchronous", False)
+                    if isinstance(d.io, _RemoteDevice)
                 },
             }
         if obs.enabled():

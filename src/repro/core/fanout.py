@@ -1,11 +1,9 @@
 """Stage 3 as an event-loop plane: one reactor, N device state machines.
 
-PR 3's apply stage spent one OS thread + one blocking socket per
-device, capping the fleet at a few hundred switches.  This module keeps
-every *semantic* of that design — per-device FIFO, tail coalescing,
+The apply stage's semantics — per-device FIFO, tail coalescing,
 barrier/supersede on the :class:`~repro.core.pipeline.queues.
-CoalescingQueue`, the circuit breaker, ``drain()`` accounting — but
-replaces the thread-per-device execution with:
+CoalescingQueue`, the circuit breaker, ``drain()`` accounting — run
+without a thread or a blocking socket per device, on:
 
 * a shared :class:`~repro.net.aio.Reactor` multiplexing every device
   connection, and
@@ -22,10 +20,10 @@ Two execution paths per channel:
   a channel whose connection is past its high watermark parks on
   ``on_drain`` instead of buffering unboundedly) and complete on the
   ack.  Thousands of such devices cost zero threads.
-* **blocking** — local simulators and classic blocking clients run
-  each operation on a small shared pool.  At most one operation per
-  device is ever in flight (that is what preserves FIFO), so the pool
-  serves as a concurrency cap, not a correctness mechanism.
+* **blocking** — in-process simulators run each operation on a small
+  shared pool.  At most one operation per device is ever in flight
+  (that is what preserves FIFO), so the pool serves as a concurrency
+  cap, not a correctness mechanism.
 
 Control items (:class:`_WriterTask` resyncs, warm syncs) always take
 the blocking path — they perform read-diff round trips and must never
@@ -44,7 +42,7 @@ from typing import Callable, List, Optional
 
 from repro import obs
 from repro.core.pipeline.queues import CoalescingQueue
-from repro.net.aio import Reactor
+from repro.net.aio import Reactor, default_reactor
 
 #: Channel states (``quarantined`` is the breaker's view, reported
 #: alongside rather than replacing the I/O state).
@@ -56,11 +54,11 @@ AWAITING_ACK = "awaiting-ack"
 class FanoutPlane:
     """The shared machinery behind every :class:`DeviceChannel`.
 
-    ``reactor=None`` creates (and owns) a private reactor; passing one
-    in shares it — e.g. with the
-    :class:`~repro.p4runtime.aio_client.AioP4RuntimeClient` connections
-    the channels drive, which *must* be on the same reactor so channel
-    callbacks and connection callbacks never race.
+    ``reactor`` is the one the channels' device clients
+    (:class:`~repro.p4runtime.aio_client.AioP4RuntimeClient`) run on —
+    it *must* be the same so channel callbacks and connection callbacks
+    never race; ``None`` (no remote devices) uses the process-wide
+    :func:`~repro.net.aio.default_reactor`.  The plane never stops it.
     """
 
     def __init__(
@@ -69,8 +67,7 @@ class FanoutPlane:
         max_blocking_workers: int = 8,
         on_error: Optional[Callable[[BaseException], None]] = None,
     ):
-        self._owns_reactor = reactor is None
-        self.reactor = reactor if reactor is not None else Reactor("fanout")
+        self.reactor = reactor if reactor is not None else default_reactor()
         #: Receives exceptions a runner reported through ``done(exc)``
         #: (the controller defers them to ``drain()``).
         self.on_error = on_error
@@ -113,25 +110,22 @@ class FanoutPlane:
         self._pool.submit(fn)
 
     def stop(self) -> None:
-        """Idempotent: close queues, stop the pool (and the reactor if
-        this plane created it)."""
+        """Idempotent: close queues, stop the pool."""
         if self._stopped:
             return
         self._stopped = True
         for chan in self.channels:
             chan.queue.close()
         self._pool.shutdown(wait=False)
-        if self._owns_reactor:
-            self.reactor.stop()
 
 
 class DeviceChannel:
     """One device's queue→reactor bridge.
 
-    Replaces :class:`_DeviceWriter`'s thread with a state machine the
-    reactor runs on demand.  Exposes the same surface the controller's
-    drain/resync/health code relies on (``.queue``, ``.device``,
-    ``.start()``), so the two apply planes are interchangeable.
+    A state machine the reactor runs on demand — every ``queue.put``
+    schedules a pump, so there is nothing to start; the controller's
+    drain/resync/health code reaches it through ``.queue`` and
+    ``.device``.
 
     ``runner(channel, item, done)`` executes one queue item; it must
     arrange for ``done(exc_or_none)`` to be called exactly once, from
@@ -160,11 +154,6 @@ class DeviceChannel:
             merge=merge,
             on_ready=self._notify,
         )
-
-    def start(self) -> None:
-        """Interchangeability shim with ``_DeviceWriter`` (nothing to
-        start — the reactor is already running)."""
-        self._notify()
 
     def _notify(self) -> None:
         self.plane.reactor.submit(self._pump)

@@ -3,16 +3,16 @@
 ``repro.net`` packages the robustness mechanics the paper's
 "full-stack" pitch presumes but the original prototype leaves to the
 operator: retry policies with exponential backoff
-(:class:`~repro.net.retry.RetryPolicy`), reconnecting RPC transport
-(:class:`~repro.net.resilient.ResilientConnection`), and controlled
-fault injection for tests and benchmarks
-(:class:`~repro.net.faults.FaultInjector`), plus the event-loop
-transport (:class:`~repro.net.aio.Reactor` /
-:class:`~repro.net.aio.AioConnection`) that multiplexes thousands of
-peer connections on one thread for fleet-scale fan-out.
+(:class:`~repro.net.retry.RetryPolicy`), the event-loop transport
+(:class:`~repro.net.aio.Reactor` / :class:`~repro.net.aio.AioConnection`)
+that carries every P4Runtime client and multiplexes thousands of device
+connections on one thread, the thread-per-connection transport
+(:class:`~repro.net.resilient.ResilientConnection`) that only the
+management client still runs on, and controlled fault injection for
+tests and benchmarks (:class:`~repro.net.faults.FaultInjector`).
 """
 
-from repro.net.aio import AioConnection, Reactor
+from repro.net.aio import AioConnection, Reactor, default_reactor
 from repro.net.faults import FaultInjector
 from repro.net.resilient import (
     BROKEN,
@@ -34,4 +34,5 @@ __all__ = [
     "Reactor",
     "ResilientConnection",
     "RetryPolicy",
+    "default_reactor",
 ]

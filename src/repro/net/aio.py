@@ -257,12 +257,10 @@ class Reactor:
             try:
                 events = self._selector.select(timeout)
             except OSError:
-                if self._closed:
-                    return
                 continue
             self.loops += 1
             if self._closed:
-                return
+                break
             for key, mask in events:
                 try:
                     key.data(mask)
@@ -270,6 +268,11 @@ class Reactor:
                     self._note_callback_error(exc)
             self._run_timers()
             self._run_pending()
+        # ``submit`` refuses work once ``_closed`` is set, so this last
+        # pass is bounded: callbacks accepted before ``stop()`` (above
+        # all connection closes) still run and close their sockets
+        # instead of leaving them to the garbage collector.
+        self._run_pending()
 
     def _run_timers(self) -> None:
         now = time.monotonic()
@@ -312,6 +315,24 @@ class Reactor:
                 "reactor_callback_errors_total", reactor=self.name
             ).inc()
         self.last_callback_error = exc
+
+
+_default_reactor: Optional[Reactor] = None
+_default_reactor_lock = threading.Lock()
+
+
+def default_reactor() -> Reactor:
+    """The process-wide reactor for callers that bring none of their own.
+
+    Created and started on first use (never at import), shared by every
+    later caller, and replaced if someone stopped it — so any number of
+    stand-alone clients cost one loop thread between them.
+    """
+    global _default_reactor
+    with _default_reactor_lock:
+        if _default_reactor is None or _default_reactor.closed:
+            _default_reactor = Reactor("default").start()
+        return _default_reactor
 
 
 class _AsyncCall:
@@ -519,7 +540,15 @@ class AioConnection:
         """Blocking wrapper over :meth:`call_async` with the resilient
         transport's contract: waits out reconnects up to the call
         timeout, auto-reissues ``retryable`` (idempotent) methods whose
-        transport died mid-call, never auto-retries mutations."""
+        transport died mid-call, never auto-retries mutations.
+
+        Off-loop threads only: the loop thread is the one that reads
+        the response, so blocking it here could never return."""
+        if self.reactor.in_loop():
+            raise ReproError(
+                f"blocking call to {method} from the reactor loop thread "
+                "(use call_async)"
+            )
         deadline = time.monotonic() + (
             timeout if timeout is not None else self.policy.call_timeout
         )

@@ -138,14 +138,6 @@ class ResilientConnection:
     def connected(self) -> bool:
         return self._state == CONNECTED
 
-    def wait_connected(self, timeout: Optional[float] = None) -> bool:
-        """Block until the transport is usable (or ``timeout`` passes).
-
-        Lets backpressure-aware producers (the controller's per-device
-        writer threads) park on a reconnecting transport instead of
-        burning a full call timeout per queued batch."""
-        return self._connected_event.wait(timeout)
-
     def _set_state(self, state: str) -> None:
         if state != self._state:
             self._state = state
@@ -154,11 +146,6 @@ class ResilientConnection:
                 obs.REGISTRY.counter(
                     "net_transitions_total", conn=self.name, state=state
                 ).inc()
-
-    def note_event(self, tag: str) -> None:
-        """Record a caller-level event (e.g. ``quarantined``) in the
-        transition history, chronologically merged with state changes."""
-        self.transitions.append(tag)
 
     def health(self) -> Dict[str, object]:
         return {

@@ -9,18 +9,19 @@ contract over the same framed-JSON transport the management plane uses:
   :class:`~repro.p4runtime.api.DeviceService` that applies them to a
   :class:`~repro.p4.simulator.Simulator` (usable in-process, which is
   how a Nerpa *local control plane* embeds into a device);
-* :mod:`repro.p4runtime.server` / :mod:`repro.p4runtime.client` — the
-  remote transport, digest subscriptions included;
-* :mod:`repro.p4runtime.aio_client` — the non-blocking client used by
-  the controller's event-loop apply plane (thousands of devices on one
-  shared :class:`~repro.net.aio.Reactor`);
+* :mod:`repro.p4runtime.server` — the remote transport's device side,
+  digest and packet-in subscriptions included;
+* :mod:`repro.p4runtime.aio_client` — the one client: a blocking API
+  for scripts and resyncs plus the non-blocking batched write the
+  controller's apply plane uses, both over a shared
+  :class:`~repro.net.aio.Reactor` (``P4RuntimeClient`` and
+  ``AioP4RuntimeClient`` name the same class);
 * :mod:`repro.p4runtime.farm` — a reactor-driven fleet of lightweight
   devices behind one listener, for fleet-scale tests and benchmarks.
 """
 
-from repro.p4runtime.aio_client import AioP4RuntimeClient
+from repro.p4runtime.aio_client import AioP4RuntimeClient, P4RuntimeClient
 from repro.p4runtime.api import DeviceService, TableWrite, WriteError
-from repro.p4runtime.client import P4RuntimeClient
 from repro.p4runtime.farm import DeviceFarm
 from repro.p4runtime.server import P4RuntimeServer
 

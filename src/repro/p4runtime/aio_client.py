@@ -1,15 +1,16 @@
-"""Non-blocking client for the P4Runtime-style API.
+"""The P4Runtime client: one protocol layer over one reactor transport.
 
-The async sibling of :class:`~repro.p4runtime.client.P4RuntimeClient`:
-the same protocol over an :class:`~repro.net.aio.AioConnection`, so a
-thousand of these cost a thousand selector registrations on one shared
-:class:`~repro.net.aio.Reactor` — not a thousand reader threads.
+The protocol rides an :class:`~repro.net.aio.AioConnection`, so a
+thousand clients cost a thousand selector registrations on one shared
+:class:`~repro.net.aio.Reactor` — not a thousand reader threads.  Pass
+the fleet's reactor explicitly; a client built without one runs on the
+process-wide :func:`~repro.net.aio.default_reactor`.
 
-Two call surfaces:
+Two call surfaces on the same object:
 
-* the full blocking API of the classic client (``write``,
-  ``read_table``, config epochs, multicast, digest subscriptions) for
-  code that runs off the loop thread — resync tasks, tests;
+* the blocking API (``write``, ``read_table``, config epochs,
+  multicast, packet I/O, digest and packet-in subscriptions) for code
+  that runs off the loop thread — resync tasks, scripts, tests;
 * :meth:`apply_batch_async`, the apply plane's hot path: issues one
   coalesced batch and hands the ack to a callback on the loop thread.
   The optional ``seq`` pair ``(first, last)`` of the coalesced batch
@@ -17,8 +18,14 @@ Two call surfaces:
   the :class:`~repro.p4runtime.farm.DeviceFarm` uses it to verify
   per-device FIFO at fleet scale.
 
-Never issue a blocking method from a reactor callback — it would park
-the loop waiting for a response only the loop can read.
+Digest and packet-in subscriptions are session state on the server:
+every (re)connect re-issues them as the first frames on the fresh
+connection, before any registered ``on_reconnect`` hook replays table
+state (see :class:`~repro.core.controller.NerpaController`).
+
+A blocking method issued from a reactor callback raises
+:class:`~repro.errors.ReproError` — it would park the loop waiting for
+a response only the loop can read.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RuntimeApiError
-from repro.net.aio import AioConnection, Reactor
+from repro.net.aio import AioConnection, Reactor, default_reactor
 from repro.net.retry import RetryPolicy
 from repro.obs.trace import current_update_id, use_update_id
 from repro.p4runtime.api import TableWrite
@@ -34,20 +41,37 @@ from repro.p4runtime.api import TableWrite
 _DEFAULT_TIMEOUT = 30.0
 
 
+def _batch_envelope(updates, mcast, update_ids, fence) -> dict:
+    envelope = {
+        "updates": [u.to_wire() for u in updates],
+        "mcast": [
+            [group, list(ports) if ports is not None else None]
+            for group, ports in sorted((mcast or {}).items())
+        ],
+        "update_ids": list(update_ids or ()),
+    }
+    if fence is not None:
+        envelope["fence"] = fence
+    return envelope
+
+
 class AioP4RuntimeClient:
-    """Talks to a P4Runtime-style server through a shared reactor."""
+    """Talks to a :class:`~repro.p4runtime.server.P4RuntimeServer` (or
+    a :class:`~repro.p4runtime.farm.DeviceFarm`) through a reactor."""
 
     def __init__(
         self,
         host: str,
         port: int,
-        reactor: Reactor,
+        reactor: Optional[Reactor] = None,
         timeout: float = _DEFAULT_TIMEOUT,
         policy: Optional[RetryPolicy] = None,
         device_hint: Optional[int] = None,
     ):
         if policy is None:
             policy = RetryPolicy(call_timeout=timeout)
+        if reactor is None:
+            reactor = default_reactor()
         self.timeout = policy.call_timeout
         self.reactor = reactor
         #: When talking to a :class:`~repro.p4runtime.farm.DeviceFarm`
@@ -56,6 +80,9 @@ class AioP4RuntimeClient:
         self.device_hint = device_hint
         self._digest_callback: Optional[
             Callable[[str, Tuple[int, ...]], None]
+        ] = None
+        self._packet_in_callback: Optional[
+            Callable[[int, bytes], None]
         ] = None
         self._reconnect_hooks: List[Callable[[], None]] = []
         self.conn = AioConnection(
@@ -76,19 +103,27 @@ class AioP4RuntimeClient:
         return self.conn.call(method, params, retryable=retryable)
 
     def _handle_notification(self, message: dict) -> None:
-        if message.get("method") != "digest":
-            return
-        callback = self._digest_callback
-        if callback is None:
-            return
-        params = message["params"]
-        name, values = params[0], params[1]
-        uid = params[2] if len(params) > 2 else None
-        if uid is not None:
-            with use_update_id(uid):
+        method = message.get("method")
+        if method == "digest":
+            callback = self._digest_callback
+            if callback is None:
+                return
+            params = message["params"]
+            name, values = params[0], params[1]
+            # An optional third param is the update-id of the config
+            # change whose entries produced this digest; rebind it so
+            # the controller can link the feedback trace.
+            uid = params[2] if len(params) > 2 else None
+            if uid is not None:
+                with use_update_id(uid):
+                    callback(name, tuple(values))
+            else:
                 callback(name, tuple(values))
-        else:
-            callback(name, tuple(values))
+        elif method == "packet_in":
+            callback = self._packet_in_callback
+            if callback is not None:
+                port, hex_data = message["params"]
+                callback(port, bytes.fromhex(hex_data))
 
     def _on_transport_connect(self, conn: AioConnection) -> None:
         # Loop thread, on every successful connect: session setup must
@@ -104,13 +139,14 @@ class AioP4RuntimeClient:
                 lambda _r, _e: None,
                 timeout=self.timeout,
             )
-        if self._digest_callback is not None:
-            conn.call_now(
-                "subscribe_digests",
-                [],
-                lambda _r, _e: None,
-                timeout=self.timeout,
-            )
+        for callback, method in (
+            (self._digest_callback, "subscribe_digests"),
+            (self._packet_in_callback, "subscribe_packet_ins"),
+        ):
+            if callback is not None:
+                conn.call_now(
+                    method, [], lambda _r, _e: None, timeout=self.timeout
+                )
 
     def _on_transport_reconnect(self) -> None:
         # Runs on the reactor's hook pool — blocking calls are fine.
@@ -118,6 +154,8 @@ class AioP4RuntimeClient:
             hook()
 
     def on_reconnect(self, hook: Callable[[], None]) -> None:
+        """Run ``hook`` after each reconnect (subscriptions already
+        re-issued); use it to resynchronize device state."""
         self._reconnect_hooks.append(hook)
 
     def health(self) -> Dict[str, object]:
@@ -158,18 +196,9 @@ class AioP4RuntimeClient:
         applied-update count or the failure (transport loss, per-call
         timeout, or a semantic rejection as ``error_type``).
         """
-        envelope = {
-            "updates": [u.to_wire() for u in updates],
-            "mcast": [
-                [group, list(ports) if ports is not None else None]
-                for group, ports in sorted((mcast or {}).items())
-            ],
-            "update_ids": list(update_ids or ()),
-        }
+        envelope = _batch_envelope(updates, mcast, update_ids, fence)
         if seq is not None:
             envelope["seq"] = list(seq)
-        if fence is not None:
-            envelope["fence"] = fence
 
         def on_response(result, error):
             if callback is None:
@@ -188,6 +217,9 @@ class AioP4RuntimeClient:
 
     # -- blocking API (off-loop threads only) --------------------------------
 
+    def get_p4info(self) -> dict:
+        return self.call("get_p4info", [], retryable=True)
+
     def echo(self, payload) -> object:
         return self.call("echo", payload, retryable=True)
 
@@ -199,6 +231,9 @@ class AioP4RuntimeClient:
         wires = [u.to_wire() for u in updates]
         uid = current_update_id()
         if uid is not None or fence is not None:
+            # Envelope form carries the update-id and fencing epoch to
+            # the device side; the legacy bare list stays the wire
+            # format otherwise.
             envelope = {"updates": wires}
             if uid is not None:
                 envelope["update_id"] = uid
@@ -216,16 +251,10 @@ class AioP4RuntimeClient:
         update_ids: Optional[Sequence[str]] = None,
         fence: Optional[int] = None,
     ) -> int:
-        envelope = {
-            "updates": [u.to_wire() for u in updates],
-            "mcast": [
-                [group, list(ports) if ports is not None else None]
-                for group, ports in sorted((mcast or {}).items())
-            ],
-            "update_ids": list(update_ids or ()),
-        }
-        if fence is not None:
-            envelope["fence"] = fence
+        """Ship a coalesced pipeline batch — table writes plus
+        multicast config plus every merged update-id — in one round
+        trip."""
+        envelope = _batch_envelope(updates, mcast, update_ids, fence)
         result = self.call("apply_batch", [envelope])
         return result["applied"]
 
@@ -245,6 +274,11 @@ class AioP4RuntimeClient:
         result = self.call("read_table", [table], retryable=True)
         return [TableWrite.from_wire(e) for e in result["entries"]]
 
+    def set_default_action(
+        self, table: str, action: str, params: Sequence[int]
+    ) -> None:
+        self.call("set_default_action", [table, action, list(params)])
+
     def set_multicast_group(self, group_id: int, ports: Sequence[int]) -> None:
         self.call("set_multicast_group", [group_id, list(ports)])
 
@@ -257,6 +291,20 @@ class AioP4RuntimeClient:
         self._digest_callback = callback
         self.call("subscribe_digests", [])
 
+    def subscribe_packet_ins(
+        self, callback: Callable[[int, bytes], None]
+    ) -> None:
+        self._packet_in_callback = callback
+        self.call("subscribe_packet_ins", [])
+
+    def inject(self, port: int, data: bytes) -> List[Tuple[int, bytes]]:
+        result = self.call("inject", [port, data.hex()])
+        return [(p, bytes.fromhex(h)) for p, h in result["outputs"]]
+
+    def packet_out(self, port: int, data: bytes) -> List[Tuple[int, bytes]]:
+        result = self.call("packet_out", [port, data.hex()])
+        return [(p, bytes.fromhex(h)) for p, h in result["outputs"]]
+
     def close(self) -> None:
         self.conn.close()
 
@@ -265,3 +313,7 @@ class AioP4RuntimeClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+#: The historical name of the blocking client — the same class.
+P4RuntimeClient = AioP4RuntimeClient

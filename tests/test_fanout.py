@@ -1,7 +1,6 @@
 """The event-loop apply plane: reactor, aio transport, fan-out channels.
 
-Covers the multiplexed stage-3 plane that replaces per-device writer
-threads:
+Covers the multiplexed stage-3 plane:
 
 * :class:`~repro.net.aio.Reactor` — cross-thread ``submit``,
   ``call_later`` timers, callback-error survival;
@@ -11,33 +10,36 @@ threads:
   drain callbacks fire when the transport dies);
 * :class:`~repro.core.fanout.DeviceChannel` — per-device FIFO with at
   most one operation in flight, error deferral, idempotent completion;
-* the controller on the aio plane — plane selection, fan-out metrics,
+* the controller on the plane — reactor selection, fan-out metrics,
   resync barrier/supersede semantics;
-* **differential threads-vs-aio**: the same churn through both apply
-  planes must produce identical per-device write order (uncoalesced)
-  and identical final tables, including the quarantine and
-  resync/supersede paths;
+* **golden reference**: the same churn the deleted thread-per-device
+  plane was recorded on (``fixtures/fanout_golden.json``) must produce
+  identical per-device write order (uncoalesced) and identical final
+  tables, including the quarantine and resync/supersede paths;
 * :class:`~repro.p4runtime.farm.DeviceFarm` +
   :class:`~repro.p4runtime.aio_client.AioP4RuntimeClient` — device
   routing, receiver-side FIFO verification via batch ``seq`` ranges,
   and non-blocking slow-device ack delays.
 """
 
+import gc
 import json
+import os
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
 from repro.core.controller import NerpaController
-from repro.core.fanout import IDLE, DeviceChannel, FanoutPlane
+from repro.core.fanout import IDLE, FanoutPlane
 from repro.core.pipeline import nerpa_build
 from repro.errors import ConnectionLostError, ProtocolError, ReproError
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
 from repro.net import RetryPolicy
-from repro.net.aio import AioConnection, Reactor
+from repro.net.aio import AioConnection, Reactor, default_reactor
 from repro.net.resilient import BROKEN, CONNECTED, RETRYING
 from repro.p4.tables import FieldMatch, TableEntry
 from repro.p4runtime.aio_client import AioP4RuntimeClient
@@ -257,6 +259,39 @@ class TestReactor:
             reactor.stop()
 
 
+    def test_stop_runs_queued_closes(self):
+        """``close()`` then ``reactor.stop()``: the queued teardown
+        still runs — every peer sees EOF and no socket is left for the
+        garbage collector to warn about."""
+        peer = _SilentPeer()
+        reactor = Reactor("t-stop-drain").start()
+        conns = [
+            AioConnection("127.0.0.1", peer.address[1], reactor, policy=FAST)
+            for _ in range(8)
+        ]
+        try:
+            assert all(conn.wait_connected(5.0) for conn in conns)
+            wait_for(lambda: len(peer.conns) == 8, what="accepts")
+            # Hold the loop so the closes are still queued at stop().
+            held = threading.Event()
+            reactor.submit(lambda: (held.set(), time.sleep(0.2)))
+            assert held.wait(5.0)
+            for conn in conns:
+                conn.close()
+            reactor.stop()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                del conns[:], conn
+                gc.collect()
+            assert not [w for w in caught if w.category is ResourceWarning]
+            for sock in peer.conns:
+                sock.settimeout(5.0)
+                assert sock.recv(1) == b""
+        finally:
+            reactor.stop()
+            peer.stop()
+
+
 # ---------------------------------------------------------------------------
 # AioConnection.
 # ---------------------------------------------------------------------------
@@ -307,6 +342,35 @@ class TestAioConnection:
             assert box["in_loop"] is True
         finally:
             conn.close()
+            server.stop()
+            reactor.stop()
+
+    def test_blocking_call_from_loop_thread_raises(self):
+        """A blocking method from a reactor callback used to wedge the
+        loop (it waits for a response only the loop can read); now the
+        caller gets an error and the loop keeps serving."""
+        reactor = Reactor("t-inloop").start()
+        sim, server, port = sim_and_server()
+        client = AioP4RuntimeClient("127.0.0.1", port, reactor, policy=FAST)
+        try:
+            assert client.echo(["up"]) == ["up"]
+            raised = []
+            done = threading.Event()
+
+            def cb(result, error):
+                try:
+                    client.read_table("patch")
+                except ReproError as exc:
+                    raised.append(exc)
+                done.set()
+
+            client.conn.call_async("echo", [1], cb)
+            assert done.wait(5.0)
+            assert "loop thread" in str(raised[0])
+            served = threading.Event()
+            assert reactor.submit(served.set) and served.wait(5.0)
+        finally:
+            client.close()
             server.stop()
             reactor.stop()
 
@@ -494,7 +558,6 @@ class TestDeviceChannel:
 
         try:
             channel = plane.channel(None, runner, name="dev")
-            channel.start()
             for n in range(20):
                 channel.queue.put(_Op(n))
             channel.queue.join(time.monotonic() + 10.0)
@@ -518,7 +581,6 @@ class TestDeviceChannel:
 
         try:
             channel = plane.channel(None, runner, name="dev")
-            channel.start()
             channel.queue.put(_Op(0))
             channel.queue.put(_Op(1))
             channel.queue.join(time.monotonic() + 10.0)
@@ -539,7 +601,6 @@ class TestDeviceChannel:
 
         try:
             channel = plane.channel(None, runner, name="dev")
-            channel.start()
             channel.queue.put(_Op(0))
             channel.queue.put(_Op(1))
             channel.queue.join(time.monotonic() + 10.0)
@@ -562,10 +623,45 @@ def build():
 
 
 class TestControllerAioPlane:
-    def test_unknown_plane_rejected(self):
+    @pytest.mark.parametrize("plane", ["fibers", "threads"])
+    def test_unknown_plane_rejected(self, plane):
         project, db, switch = build()
         with pytest.raises(ReproError, match="unknown apply plane"):
-            NerpaController(project, db, [switch], apply_plane="fibers")
+            NerpaController(project, db, [switch], apply_plane=plane)
+
+    def test_reactor_comes_from_the_clients_and_mismatch_is_rejected(self):
+        project, db, switch = build()
+        ours, theirs = Reactor("t-ours").start(), Reactor("t-theirs").start()
+        # Never started, so no peer is needed: construction decides.
+        client = AioP4RuntimeClient("127.0.0.1", free_port(), ours, policy=FAST)
+        try:
+            with pytest.raises(ReproError, match="share one reactor"):
+                NerpaController(project, db, [client], reactor=theirs)
+            controller = NerpaController(project, db, [client])
+            assert controller._reactor is ours
+            controller.runtime.close()
+        finally:
+            client.close()
+            ours.stop()
+            theirs.stop()
+
+    def test_reactorless_clients_share_the_default_reactor(self):
+        sim, server, port = sim_and_server()
+        clients = [
+            AioP4RuntimeClient("127.0.0.1", port, policy=FAST)
+            for _ in range(50)
+        ]
+        try:
+            assert all(c.echo(["hi"]) == ["hi"] for c in clients)
+            assert {c.reactor for c in clients} == {default_reactor()}
+            # Client-side threads: the loop and its dispatcher (plus a
+            # hook pool once something reconnects) — not 50 of each.
+            names = [t.name for t in threading.enumerate()]
+            assert sum(n.startswith("default-") for n in names) <= 6, names
+        finally:
+            for client in clients:
+                client.close()
+            server.stop()
 
     def test_aio_plane_metrics_and_quiescence(self):
         project, db, switch = build()
@@ -576,23 +672,8 @@ class TestControllerAioPlane:
             controller.drain()
             assert len(switch.table("patch")) == 4
             fanout = controller.metrics()["pipeline"]["fanout"]
-            assert fanout["plane"] == "aio"
             assert fanout["inflight"] == 0
             assert fanout["channel_states"] == {IDLE: 1}
-        finally:
-            controller.stop()
-
-    def test_threads_plane_still_available(self):
-        project, db, switch = build()
-        controller = NerpaController(
-            project, db, [switch], apply_plane="threads"
-        ).start()
-        try:
-            for port in range(4):
-                add_port(db, port, port + 1)
-            controller.drain()
-            assert len(switch.table("patch")) == 4
-            assert "fanout" not in controller.metrics()["pipeline"]
         finally:
             controller.stop()
 
@@ -616,8 +697,13 @@ class TestControllerAioPlane:
 
 
 # ---------------------------------------------------------------------------
-# Differential: threads plane vs aio plane.
+# Differential: the plane vs the recorded thread-per-device reference.
 # ---------------------------------------------------------------------------
+
+with open(
+    os.path.join(os.path.dirname(__file__), "fixtures", "fanout_golden.json")
+) as _golden_file:
+    GOLDEN = json.load(_golden_file)
 
 
 class _RecordingService(DeviceService):
@@ -670,36 +756,32 @@ def churn(db):
 
 
 class TestDifferentialPlanes:
-    def run_uncoalesced(self, plane):
+    def test_same_write_order_and_final_tables(self):
+        """With coalescing off every engine transaction is its own wire
+        write, so the plane must agree with the reference *batch for
+        batch* — not just on the final tables."""
         project = nerpa_build(SCHEMA, RULES, P4)
         db = Database(project.schema)
         sims = [project.new_simulator(n_ports=16) for _ in range(2)]
         services = [_RecordingService(sim) for sim in sims]
         controller = NerpaController(
-            project, db, services, coalesce=False, apply_plane=plane
+            project, db, services, coalesce=False
         ).start()
         try:
             churn(db)
             controller.drain()
         finally:
             controller.stop()
-        return (
-            [svc.log for svc in services],
-            [table_state(sim) for sim in sims],
-        )
-
-    def test_same_write_order_and_final_tables(self):
-        """With coalescing off every engine transaction is its own wire
-        write, so the two planes must agree *batch for batch* — not
-        just on the final tables."""
-        logs_threads, tables_threads = self.run_uncoalesced("threads")
-        logs_aio, tables_aio = self.run_uncoalesced("aio")
-        assert logs_aio == logs_threads
-        assert tables_aio == tables_threads
+        golden = GOLDEN["uncoalesced"]
+        # Through JSON, as the reference was: tuples become lists.
+        logs = json.loads(json.dumps([svc.log for svc in services]))
+        assert logs == golden["logs"]
+        assert [table_state(sim) for sim in sims] == golden["tables"]
         # And the order is non-trivial: writes actually happened.
-        assert sum(len(log) for log in logs_aio) > 0
+        assert sum(len(log) for log in logs) > 0
 
-    def run_quarantine(self, plane):
+    @pytest.mark.slow
+    def test_quarantine_and_recovery_match_the_reference(self):
         project = nerpa_build(SCHEMA, RULES, P4)
         db = Database(project.schema)
         healthy_sim = project.new_simulator(n_ports=16)
@@ -711,14 +793,13 @@ class TestDifferentialPlanes:
             [healthy_sim, flaky],
             breaker_threshold=2,
             coalesce=False,
-            apply_plane=plane,
         ).start()
         try:
             flaky_dev = controller.devices[1]
             for n in range(1, 7):
                 add_port(db, n, n + 1)
                 # Pace the churn so each failed batch is its own
-                # breaker strike on both planes.
+                # breaker strike, as in the reference run.
                 wait_for(
                     lambda n=n: flaky_dev.quarantined
                     or flaky_dev.consecutive_failures >= min(n, 2)
@@ -733,7 +814,7 @@ class TestDifferentialPlanes:
             flaky.failing = False
             controller.resync_device(1)
             controller.drain()
-            return {
+            outcome = {
                 "quarantined_during": quarantined_during,
                 "missed_some": missed > 0,
                 "recovered": not flaky_dev.quarantined,
@@ -742,16 +823,10 @@ class TestDifferentialPlanes:
             }
         finally:
             controller.stop()
-
-    @pytest.mark.slow
-    def test_quarantine_and_recovery_identical_across_planes(self):
-        threads = self.run_quarantine("threads")
-        aio = self.run_quarantine("aio")
-        assert aio == threads
-        assert aio["quarantined_during"] is True
-        assert aio["recovered"] is True
+        assert outcome == GOLDEN["quarantine"]
+        assert outcome["quarantined_during"] and outcome["recovered"]
         # After recovery both devices converged to the same state.
-        assert aio["flaky_table"] == aio["healthy_table"]
+        assert outcome["flaky_table"] == outcome["healthy_table"]
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +963,6 @@ class TestControllerAgainstFarm:
             assert farm.total_fifo_violations() == 0
             assert farm.total_batches() >= n_devices
             fanout = controller.metrics()["pipeline"]["fanout"]
-            assert fanout["plane"] == "aio"
             assert fanout["inflight"] == 0
             assert set(fanout["send_buffer_bytes"]) == {
                 f"device-{i}" for i in range(n_devices)

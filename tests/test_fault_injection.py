@@ -32,7 +32,7 @@ from repro.mgmt.schema import simple_schema
 from repro.mgmt.server import ManagementServer
 from repro.net import RetryPolicy
 from repro.p4runtime.api import DeviceService
-from repro.p4runtime.client import P4RuntimeClient
+from repro.p4runtime import P4RuntimeClient
 from repro.p4runtime.server import P4RuntimeServer
 from repro.workloads.churn import robotron_churn
 

@@ -21,7 +21,7 @@ from repro.mgmt.database import Database
 from repro.mgmt.server import ManagementServer
 from repro.net import RetryPolicy
 from repro.p4.headers import ethernet
-from repro.p4runtime.client import P4RuntimeClient
+from repro.p4runtime import P4RuntimeClient
 from repro.p4runtime.server import P4RuntimeServer
 
 pytestmark = pytest.mark.serial  # resets the global obs registry

@@ -1,16 +1,18 @@
 """Tests for the P4Runtime-style API, in-process and over TCP."""
 
 import threading
+import time
 
 import pytest
 
 from repro.errors import RuntimeApiError
+from repro.net import FAST_TEST_POLICY
 from repro.p4.headers import ethernet, mac_to_int
 from repro.p4.ir import compile_p4
 from repro.p4.simulator import Simulator
 from repro.p4.tables import FieldMatch, TableEntry
+from repro.p4runtime import P4RuntimeClient
 from repro.p4runtime.api import DeviceService, TableWrite, WriteError
-from repro.p4runtime.client import P4RuntimeClient
 from repro.p4runtime.server import P4RuntimeServer
 
 from tests.test_p4_program import SWITCH_P4
@@ -232,3 +234,27 @@ class TestPacketIO:
                 )
                 outputs = client.packet_out(2, frame)
                 assert [p for p, _ in outputs] == [3]
+
+    @pytest.mark.parametrize("kind", ["digest", "packet_in"])
+    def test_subscription_survives_server_restart(self, kind, sim):
+        """Session state on the server: re-issued on every reconnect."""
+        if kind == "packet_in":
+            sim = Simulator(compile_p4(self.PUNT_P4), n_ports=8, cpu_port=510)
+        server = P4RuntimeServer(sim).start()
+        port = server.address[1]
+        event = threading.Event()
+        with P4RuntimeClient("127.0.0.1", port, policy=FAST_TEST_POLICY) as c:
+            getattr(c, f"subscribe_{kind}s")(lambda *args: event.set())
+            server.stop()
+            server = P4RuntimeServer(sim, port=port).start()
+            try:
+                deadline = time.monotonic() + 5.0
+                while c.conn.reconnects < 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                if kind == "digest":
+                    c.write([vlan_write(1)])
+                # Learns a MAC (digest) / hits the punting default.
+                c.inject(1, ethernet("aa:00:00:00:00:02", "aa:00:00:00:00:01"))
+                assert event.wait(5.0), f"{kind} subscription not re-issued"
+            finally:
+                server.stop()

@@ -200,7 +200,7 @@ class TestRemoteTransports:
         from repro.mgmt.client import ManagementClient
         from repro.mgmt.database import Database
         from repro.mgmt.server import ManagementServer
-        from repro.p4runtime.client import P4RuntimeClient
+        from repro.p4runtime import P4RuntimeClient
         from repro.p4runtime.server import P4RuntimeServer
 
         project = build_snvs()
