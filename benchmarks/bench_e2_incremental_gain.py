@@ -14,7 +14,7 @@ incremental work is O(change) while recompute is O(network).
 
 import time
 
-from benchmarks.conftest import emit, report
+from benchmarks.conftest import emit, emit_hot_operators, report
 from repro.baselines.full_recompute import FullRecomputeController
 from repro.dlog import compile_program
 
@@ -70,7 +70,7 @@ def run_incremental():
             inserts={"Port": [(port, new_vlan)]},
         )
         latencies.append(time.perf_counter() - started)
-    return latencies
+    return latencies, runtime
 
 
 def run_recompute():
@@ -93,7 +93,7 @@ def run_recompute():
 
 
 def test_e2_incremental_vs_recompute(benchmark):
-    inc = benchmark.pedantic(run_incremental, rounds=1, iterations=1)
+    inc, _ = benchmark.pedantic(run_incremental, rounds=1, iterations=1)
     full = run_recompute()
 
     inc_mean = sum(inc) / len(inc)
@@ -120,6 +120,15 @@ def test_e2_incremental_vs_recompute(benchmark):
     # CPU gain equals latency gain for serial execution; the paper's
     # 20x came from a 10x larger deployment — require at least 3x here.
     assert cpu_gain >= 3.0
+
+
+def test_e2_hot_operators(benchmark):
+    """Name where the engine's time goes on this workload (cold load
+    plus the steady-state change stream)."""
+    hot = benchmark.pedantic(
+        emit_hot_operators, args=("e2", lambda: run_incremental()[1]), rounds=1, iterations=1
+    )
+    assert hot and hot[0]["seconds"] > 0
 
 
 def test_e2_gain_grows_with_network_size(benchmark):

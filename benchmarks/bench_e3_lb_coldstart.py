@@ -15,7 +15,7 @@ honest negative result the paper reports about its own approach.
 import time
 import tracemalloc
 
-from benchmarks.conftest import emit, report
+from benchmarks.conftest import emit, emit_hot_operators, report
 from repro.baselines.lb_controller import HandWrittenLbController
 from repro.dlog import compile_program
 from repro.workloads.loadbalancer import LB_DLOG_PROGRAM, LoadBalancerWorkload
@@ -105,48 +105,67 @@ def test_e3_lb_cold_start_worst_case(benchmark):
     assert mem_ratio >= 2.0
 
 
-def _cold_start_once(bulk_load: bool):
-    """One cold start (compile excluded): the initial bulk transaction
-    that derives every NAT entry, on the requested engine path."""
-    workload = LoadBalancerWorkload(**WORKLOAD)
-    vips, attach = workload.cold_start_rows()
-    runtime = compile_program(LB_DLOG_PROGRAM).start(bulk_load=bulk_load)
+def _engine_cold_transaction():
+    """One cold transaction (compile and start excluded): the batch
+    that derives every NAT entry from empty engine state."""
+    vips, attach = LoadBalancerWorkload(**WORKLOAD).cold_start_rows()
+    runtime = compile_program(LB_DLOG_PROGRAM).start()
     started = time.perf_counter()
     runtime.transaction(inserts={"LbVip": vips, "LbSwitch": attach})
-    return time.perf_counter() - started, runtime
+    return time.perf_counter() - started, runtime.dump("NatEntry")
 
 
-def test_e3_bulk_load_cold_start_speedup(benchmark):
-    """The bulk-load path must beat the per-delta reference path by
-    >= 3x on the worst-case cold start — and be observationally
-    identical to it."""
+def _hand_written_cold_start():
+    vips, attach = LoadBalancerWorkload(**WORKLOAD).cold_start_rows()
+    controller = HandWrittenLbController()
+    started = time.perf_counter()
+    controller.cold_start(vips, attach)
+    return time.perf_counter() - started, controller.entries
+
+
+def test_e3_cold_transaction_vs_handwritten(benchmark):
+    """The cold transaction runs through the same operator bodies as
+    every other one; it must stay within 6x of the hand-written
+    controller's cold start on the same rows (measured in-run and
+    interleaved, so neither the box nor a drift in its speed decides
+    the gate)."""
 
     def measure():
-        bulk = min(_cold_start_once(True)[0] for _ in range(3))
-        classic = min(_cold_start_once(False)[0] for _ in range(3))
-        return bulk, classic
+        rounds = [
+            (_engine_cold_transaction()[0], _hand_written_cold_start()[0])
+            for _ in range(7)
+        ]
+        return min(e for e, _ in rounds), min(h for _, h in rounds)
 
-    bulk_seconds, classic_seconds = benchmark.pedantic(
+    engine_seconds, hand_seconds = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
-    _, bulk_rt = _cold_start_once(True)
-    _, classic_rt = _cold_start_once(False)
-    assert bulk_rt.dump("NatEntry") == classic_rt.dump("NatEntry")
-    assert bulk_rt.state_size() == classic_rt.state_size()
+    _, derived = _engine_cold_transaction()
+    assert derived == _hand_written_cold_start()[1]
 
-    speedup = classic_seconds / max(bulk_seconds, 1e-9)
+    ratio = engine_seconds / max(hand_seconds, 1e-9)
     report(
-        "E3: bulk-load vs per-delta cold start "
-        f"({len(bulk_rt.dump('NatEntry'))} derived entries)",
+        f"E3: cold transaction vs hand-written ({len(derived)} derived entries)",
         [
-            ("per-delta path", f"{classic_seconds * 1e3:.1f} ms", ""),
-            ("bulk-load path", f"{bulk_seconds * 1e3:.1f} ms", ""),
-            ("speedup", f"{speedup:.1f}x", "gate: >= 3x"),
+            ("engine cold transaction", f"{engine_seconds * 1e3:.1f} ms", ""),
+            ("hand-written cold start", f"{hand_seconds * 1e3:.1f} ms", ""),
+            ("ratio", f"{ratio:.1f}x", "gate: <= 6x"),
         ],
         ["metric", "measured", "reference"],
     )
     emit(
-        "e3", "bulk_load_cold_start", "speedup_x",
-        round(speedup, 2), threshold=3.0,
+        "e3", "cold_txn_vs_handwritten", "ratio_x", round(ratio, 2),
+        threshold=6.0,
+        engine_ms=round(engine_seconds * 1e3, 2),
+        hand_ms=round(hand_seconds * 1e3, 2),
     )
-    assert speedup >= 3.0
+    assert ratio <= 6.0
+
+
+def test_e3_hot_operators(benchmark):
+    """Name where the engine's time goes on this workload (cold start
+    plus per-LB deletes), for the next engine change to start from."""
+    hot = benchmark.pedantic(
+        emit_hot_operators, args=("e3", lambda: run_engine()[2]), rounds=1, iterations=1
+    )
+    assert hot and hot[0]["seconds"] > 0

@@ -39,7 +39,7 @@ ROUNDS = 6
 
 
 def _mean_change_latency() -> float:
-    latencies = run_incremental()
+    latencies, _ = run_incremental()
     return sum(latencies) / len(latencies)
 
 

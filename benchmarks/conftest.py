@@ -123,6 +123,43 @@ def emit(
     return path
 
 
+def emit_hot_operators(bench_id: str, run, top: int = 5) -> list:
+    """Name the hot operators: drive ``run()`` (which returns the
+    ``Runtime`` it used) once under the detail obs tier, print and
+    ``emit()`` the ``top`` dataflow operators by seconds.  A separate
+    pass, so per-operator timing never pollutes the gated numbers."""
+    from repro import obs
+
+    with obs.enabled_scope(detail=True):
+        try:
+            runtime = run()
+        finally:
+            obs.reset()
+    hot = [
+        {
+            "operator": name,
+            "seconds": round(stats["seconds"], 6),
+            "calls": int(stats["calls"]),
+            "in_tuples": int(stats["in_tuples"]),
+            "out_tuples": int(stats["out_tuples"]),
+        }
+        for name, stats in sorted(
+            runtime.operator_totals.items(), key=lambda kv: -kv[1]["seconds"]
+        )[:top]
+    ]
+    report(
+        f"{bench_id.upper()}: hot operators (detail tier, one pass)",
+        [
+            (h["operator"], f"{h['seconds'] * 1e3:.2f} ms", h["calls"],
+             h["in_tuples"], h["out_tuples"])
+            for h in hot
+        ],
+        ["operator", "seconds", "calls", "in", "out"],
+    )
+    emit(bench_id, "hot_operators", "top_by_seconds", hot)
+    return hot
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--bench-seed",

@@ -50,7 +50,9 @@ import pickle
 import tempfile
 from typing import Callable, List, Optional, Tuple
 
-CHECKPOINT_FORMAT = 1
+#: 2: operator state is keyed by graph node index, and the planner no
+#: longer emits a node for identity scans — older snapshots would misalign.
+CHECKPOINT_FORMAT = 2
 SEGMENT_FORMAT = 1
 
 

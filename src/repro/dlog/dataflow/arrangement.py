@@ -53,28 +53,6 @@ class Arrangement:
         for record, weight in delta.data.items():
             add(key_fn(record), record, weight)
 
-    def build(self, delta: ZSet, key_fn) -> None:
-        """Bulk-build from a delta in one grouped pass.
-
-        Only valid when ``self`` is empty and the delta is free of zero
-        weights (the ZSet invariant): groups are formed with plain dict
-        writes, skipping the per-record transition bookkeeping of
-        :meth:`add`.  Negative weights are fine — they are stored as-is,
-        matching what repeated ``add`` calls would leave behind.
-        """
-        if self.data:
-            self.update(delta, key_fn)
-            return
-        data = self.data
-        for record, weight in delta.data.items():
-            key = key_fn(record)
-            group = data.get(key)
-            if group is None:
-                data[key] = {record: weight}
-            else:
-                group[record] = weight
-        self.records = len(delta.data)
-
     def group(self, key) -> Dict[object, int]:
         """The records under ``key`` (empty mapping if none). Do not mutate."""
         return self.data.get(key, _EMPTY)

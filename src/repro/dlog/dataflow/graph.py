@@ -59,7 +59,6 @@ class Graph:
         self,
         source_deltas: Dict[int, ZSet],
         profile: Optional[List[Tuple[Node, float, int, int]]] = None,
-        bulk: bool = False,
     ) -> Dict[int, ZSet]:
         """Propagate deltas; returns ``id(node) -> output delta``.
 
@@ -68,12 +67,6 @@ class Graph:
         empty transaction does no work, and a small one touches only the
         paths it reaches.
 
-        With ``bulk=True`` each node is first offered the batch via
-        :meth:`Node.process_bulk`; a node that cannot take the bulk path
-        (stateful node with existing state, recursive SCC evaluator)
-        returns ``None`` and is run through its incremental ``process``
-        instead, so the two paths are freely interleavable.
-
         When ``profile`` is a list, every processed node appends a
         ``(node, seconds, in_tuples, out_tuples)`` sample to it.
 
@@ -81,8 +74,8 @@ class Graph:
         downstream input slot *borrows* the producer's delta on first
         assignment and only copies it if a second producer has to merge
         into the same slot.  Operators must therefore never mutate their
-        input deltas (they don't — they read inputs and build fresh
-        outputs).
+        input deltas (they don't — an output is either freshly built
+        or the input delta itself, forwarded unchanged).
         """
         pending: Dict[int, List[Optional[ZSet]]] = {}
         for node_id, delta in source_deltas.items():
@@ -97,15 +90,11 @@ class Graph:
             while len(inputs) < node.n_ports:
                 inputs.append(None)
             if profile is None:
-                result = node.process_bulk(inputs) if bulk else None
-                if result is None:
-                    result = node.process(inputs)
+                result = node.process(inputs)
             else:
                 n_in = sum(len(d) for d in inputs if d is not None)
                 started = time.perf_counter()
-                result = node.process_bulk(inputs) if bulk else None
-                if result is None:
-                    result = node.process(inputs)
+                result = node.process(inputs)
                 elapsed = time.perf_counter() - started
                 if isinstance(result, dict):
                     n_out = sum(len(z) for z in result.values())

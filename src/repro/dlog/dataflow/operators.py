@@ -13,6 +13,13 @@ arrangements and implement the standard incremental update rules:
 The update rules are the entire point of the system: a transaction that
 touches *k* records costs time proportional to *k* (times the matching
 group sizes), never to the size of the relations.
+
+There is one contract: ``process(deltas)`` takes any Z-set per port — a
+single row or a whole relation loaded into empty state — reads it
+without mutating it, and returns the output delta.  Where starting
+from nothing allows a cheaper route (``DistinctNode`` with no support
+counts yet), the operator takes it because of what it sees in its own
+state, never because a caller said so.
 """
 
 from __future__ import annotations
@@ -50,19 +57,6 @@ class Node:
     def process(self, deltas: List[Optional[ZSet]]) -> ZSet:
         raise NotImplementedError  # pragma: no cover
 
-    def process_bulk(self, deltas: List[Optional[ZSet]]) -> Optional[ZSet]:
-        """Batch-process a bulk load; ``None`` means "no bulk path".
-
-        Called by ``Graph.run(bulk=True)`` before :meth:`process`.  A
-        node may take the bulk path only when the result is identical to
-        what the incremental path would produce — stateful nodes accept
-        it only from empty state (the cold-start / restore case), and
-        the recursive SCC evaluator never does.  Returning ``None``
-        falls the node back to the incremental path, so bulk and
-        per-delta processing interleave freely within one transaction.
-        """
-        return None
-
     def state_size(self) -> int:
         """Number of records held in this node's state (0 if stateless)."""
         return 0
@@ -76,50 +70,38 @@ def _port(deltas: List[Optional[ZSet]], i: int) -> ZSet:
     return d if d is not None else ZSet()
 
 
+def _sum_ports(deltas: List[Optional[ZSet]]) -> ZSet:
+    """Sum of the input ports; a lone live port is returned as-is
+    (borrowed — callers only read it, and ``Graph.run`` copies a
+    borrowed delta before merging into it)."""
+    live = [d for d in deltas if d]
+    if len(live) == 1:
+        return live[0]
+    out = ZSet()
+    for d in live:
+        out.merge(d)
+    return out
+
+
 class SourceNode(Node):
     """Entry point: the engine injects a relation's input delta here."""
 
     def process(self, deltas):
         return _port(deltas, 0)
 
-    process_bulk = process
-
 
 class MapNode(Node):
-    """Apply ``fn`` to every record; weights pass through (linear).
-
-    The planner may attach ``fast_fn`` — a compiled positional selector
-    (``operator.itemgetter``-based) proven equivalent to ``fn`` — which
-    the bulk path uses to skip the generic expression interpreter.
-    """
-
-    fast_fn: Optional[Callable[[object], object]] = None
+    """Apply ``fn`` to every record; weights pass through (linear)."""
 
     def __init__(self, fn: Callable[[object], object], name: str = ""):
         super().__init__(name)
         self.fn = fn
 
     def process(self, deltas):
-        out = ZSet()
         fn = self.fn
-        for record, weight in _port(deltas, 0).items():
-            out.add(fn(record), weight)
-        return out
-
-    def process_bulk(self, deltas):
-        data = _port(deltas, 0).data
-        fn = self.fast_fn or self.fn
-        if all(w == 1 for w in data.values()):
-            # Common cold-start shape: a unit-weight batch.  Build the
-            # output in one comprehension; a length mismatch reveals a
-            # collision (fn not injective on this batch) and we redo it
-            # with full weight accumulation.
-            out = {fn(record): 1 for record in data}
-            if len(out) == len(data):
-                return ZSet(out)
-        out = {}
+        out: Dict[object, int] = {}
         get = out.get
-        for record, weight in data.items():
+        for record, weight in _port(deltas, 0).data.items():
             produced = fn(record)
             new = get(produced, 0) + weight
             if new:
@@ -137,70 +119,22 @@ class FilterNode(Node):
         self.pred = pred
 
     def process(self, deltas):
-        out = ZSet()
-        pred = self.pred
-        for record, weight in _port(deltas, 0).items():
-            if pred(record):
-                out.add(record, weight)
-        return out
-
-    def process_bulk(self, deltas):
         pred = self.pred
         return ZSet({r: w for r, w in _port(deltas, 0).data.items() if pred(r)})
 
 
 class FlatMapNode(Node):
-    """Expand each record into zero or more records (linear).
-
-    ``bulk_identity`` is set by the planner when ``fn`` provably maps
-    every record to ``[record]`` (a scan over all-distinct variables):
-    the bulk path then forwards the input delta unchanged.  That is safe
-    because ``Graph.run`` treats emitted deltas as immutable (borrowed
-    slots are copied before any merge).  ``bulk_map`` is the
-    one-record-per-record analogue: a compiled projection proven
-    equivalent to ``fn`` returning exactly one record.
-    """
-
-    bulk_identity = False
-    bulk_map: Optional[Callable[[object], object]] = None
+    """Expand each record into zero or more records (linear)."""
 
     def __init__(self, fn: Callable[[object], Iterable[object]], name: str = ""):
         super().__init__(name)
         self.fn = fn
 
     def process(self, deltas):
-        out = ZSet()
         fn = self.fn
-        for record, weight in _port(deltas, 0).items():
-            for produced in fn(record):
-                out.add(produced, weight)
-        return out
-
-    def process_bulk(self, deltas):
-        delta = _port(deltas, 0)
-        if self.bulk_identity:
-            return delta
         out: Dict[object, int] = {}
         get = out.get
-        project = self.bulk_map
-        if project is not None:
-            data = delta.data
-            if all(w == 1 for w in data.values()):
-                out = {project(record): 1 for record in data}
-                if len(out) == len(data):
-                    return ZSet(out)
-                out = {}
-                get = out.get
-            for record, weight in data.items():
-                produced = project(record)
-                new = get(produced, 0) + weight
-                if new:
-                    out[produced] = new
-                else:
-                    del out[produced]
-            return ZSet(out)
-        fn = self.fn
-        for record, weight in delta.data.items():
+        for record, weight in _port(deltas, 0).data.items():
             for produced in fn(record):
                 new = get(produced, 0) + weight
                 if new:
@@ -218,19 +152,7 @@ class UnionNode(Node):
         self.n_ports = n_ports
 
     def process(self, deltas):
-        out = ZSet()
-        for i in range(self.n_ports):
-            out.merge(_port(deltas, i))
-        return out
-
-    def process_bulk(self, deltas):
-        live = [d for d in deltas if d]
-        if len(live) == 1:
-            return live[0]  # borrowed; Graph.run copies before merging
-        out = ZSet()
-        for d in live:
-            out.merge(d)
-        return out
+        return _sum_ports(deltas)
 
 
 class DistinctNode(Node):
@@ -249,16 +171,17 @@ class DistinctNode(Node):
         self.counts = ZSet()
 
     def process(self, deltas):
-        combined = ZSet()
-        for i in range(self.n_ports):
-            combined.merge(_port(deltas, i))
-        out = ZSet()
+        combined = _sum_ports(deltas).data
+        counts = self.counts.data
+        if not counts:
+            # No support yet: the summed delta *is* the new count table.
+            counts.update(combined)
+            return ZSet({r: 1 for r, w in combined.items() if w > 0})
+        out: Dict[object, int] = {}
         # Inlined count maintenance: one dict walk per batched delta
         # instead of per-record weight()/add() call pairs.
-        counts = self.counts.data
         get = counts.get
-        out_add = out.add
-        for record, weight in combined.data.items():
+        for record, weight in combined.items():
             old = get(record, 0)
             new = old + weight
             if new == 0:
@@ -267,31 +190,10 @@ class DistinctNode(Node):
                 counts[record] = new
             if new > 0:
                 if old <= 0:
-                    out_add(record, 1)
+                    out[record] = 1
             elif old > 0:
-                out_add(record, -1)
-        return out
-
-    def process_bulk(self, deltas):
-        if self.counts:
-            return None  # existing support counts: incremental path
-        live = [d for d in deltas if d]
-        if not live:
-            return ZSet()
-        if len(live) == 1:
-            combined = dict(live[0].data)
-        else:
-            combined = {}
-            get = combined.get
-            for d in live:
-                for record, weight in d.data.items():
-                    new = get(record, 0) + weight
-                    if new:
-                        combined[record] = new
-                    else:
-                        del combined[record]
-        self.counts.data = combined
-        return ZSet({r: 1 for r, w in combined.items() if w > 0})
+                out[record] = -1
+        return ZSet(out)
 
     def state_size(self) -> int:
         return len(self.counts)
@@ -306,15 +208,9 @@ class JoinNode(Node):
     ``merge(left_record, right_record)`` builds the output record and
     may return ``None`` to drop the pair (used for residual pattern
     constraints that are not part of the equality key).
-
-    ``fast_merge``, when attached by the planner, is a compiled
-    positional concatenation (never ``None``-returning, proven
-    equivalent to ``merge``) that the bulk path uses to bypass the
-    generic pattern-match interpreter.
     """
 
     n_ports = 2
-    fast_merge: Optional[Callable[[object, object], object]] = None
 
     def __init__(
         self,
@@ -332,89 +228,44 @@ class JoinNode(Node):
 
     def process(self, deltas):
         dl, dr = _port(deltas, 0), _port(deltas, 1)
-        out = ZSet()
-        merge = self.merge
         # δL ⋈ R_post  +  L_pre ⋈ δR  — update right first, left last.
         self.right.update(dr, self.right_key)
-        if dl:
-            # Group the delta by key first so each key's matching group
-            # is fetched once per batch, not once per record.
-            lk = self.left_key
-            rdata = self.right.data
-            grouped: Dict[object, List[Tuple[object, int]]] = {}
-            for lrec, lw in dl.data.items():
-                key = lk(lrec)
-                bucket = grouped.get(key)
-                if bucket is None:
-                    grouped[key] = [(lrec, lw)]
-                else:
-                    bucket.append((lrec, lw))
-            for key, bucket in grouped.items():
-                rgroup = rdata.get(key)
-                if not rgroup:
-                    continue
-                for lrec, lw in bucket:
-                    for rrec, rw in rgroup.items():
-                        merged = merge(lrec, rrec)
-                        if merged is not None:
-                            out.add(merged, lw * rw)
-        if dr:
-            rk = self.right_key
-            ldata = self.left.data
-            grouped = {}
-            for rrec, rw in dr.data.items():
-                key = rk(rrec)
-                bucket = grouped.get(key)
-                if bucket is None:
-                    grouped[key] = [(rrec, rw)]
-                else:
-                    bucket.append((rrec, rw))
-            for key, bucket in grouped.items():
-                lgroup = ldata.get(key)
-                if not lgroup:
-                    continue
-                for rrec, rw in bucket:
-                    for lrec, lw in lgroup.items():
-                        merged = merge(lrec, rrec)
-                        if merged is not None:
-                            out.add(merged, lw * rw)
-        self.left.update(dl, self.left_key)
-        return out
-
-    def process_bulk(self, deltas):
-        if self.left.data or self.right.data:
-            return None  # existing arranged state: incremental path
-        dl, dr = _port(deltas, 0), _port(deltas, 1)
-        self.left.build(dl, self.left_key)
-        self.right.build(dr, self.right_key)
-        ldata, rdata = self.left.data, self.right.data
-        if not ldata or not rdata:
-            return ZSet()
-        # From empty state the join is bilinear: out = δL ⋈ δR.  Probe
-        # the smaller key set against the larger.
-        merge = self.fast_merge or self.merge
         out: Dict[object, int] = {}
+        if dl and self.right.data:
+            self._probe(dl, self.left_key, self.right.data, True, out)
+        if dr and self.left.data:
+            self._probe(dr, self.right_key, self.left.data, False, out)
+        self.left.update(dl, self.left_key)
+        return ZSet(out)
+
+    def _probe(self, delta, key_fn, index, delta_is_left, out) -> None:
+        """Accumulate ``delta ⋈ index`` into ``out``.  The delta is
+        grouped by key first so each key's matching group is fetched
+        once per batch, not once per record."""
+        merge = self.merge
         get = out.get
-        if len(ldata) <= len(rdata):
-            small, big, small_is_left = ldata, rdata, True
-        else:
-            small, big, small_is_left = rdata, ldata, False
-        for key, sgroup in small.items():
-            bgroup = big.get(key)
-            if bgroup is None:
+        grouped: Dict[object, List[Tuple[object, int]]] = {}
+        for rec, w in delta.data.items():
+            key = key_fn(rec)
+            bucket = grouped.get(key)
+            if bucket is None:
+                grouped[key] = [(rec, w)]
+            else:
+                bucket.append((rec, w))
+        for key, bucket in grouped.items():
+            group = index.get(key)
+            if not group:
                 continue
-            lgroup, rgroup = (sgroup, bgroup) if small_is_left else (bgroup, sgroup)
-            for lrec, lw in lgroup.items():
-                for rrec, rw in rgroup.items():
-                    merged = merge(lrec, rrec)
+            for rec, w in bucket:
+                for other, ow in group.items():
+                    merged = merge(rec, other) if delta_is_left else merge(other, rec)
                     if merged is None:
                         continue
-                    new = get(merged, 0) + lw * rw
+                    new = get(merged, 0) + w * ow
                     if new:
                         out[merged] = new
                     else:
                         del out[merged]
-        return ZSet(out)
 
     def state_size(self) -> int:
         return self.left.total_records() + self.right.total_records()
@@ -478,25 +329,6 @@ class AntiJoinNode(Node):
                     out.add(rec, -w)
         return out
 
-    def process_bulk(self, deltas):
-        if self.left.data or self.right_counts:
-            return None  # existing state: incremental path
-        dl, dr = _port(deltas, 0), _port(deltas, 1)
-        self.left.build(dl, self.left_key)
-        counts = self.right_counts
-        counts.update(dr.data)
-        # From empty pre-state the output is exactly the left groups
-        # whose key has no positive right support.  Records are unique
-        # across groups (one key per record), so plain dict updates
-        # suffice.
-        out: Dict[object, int] = {}
-        get = counts.get
-        for key, group in self.left.data.items():
-            if get(key, 0) > 0:
-                continue
-            out.update(group)
-        return ZSet(out)
-
     def state_size(self) -> int:
         return self.left.total_records() + len(self.right_counts)
 
@@ -559,36 +391,6 @@ class AggregateNode(Node):
                 out.add(key + (old_value,), -1)
             if new_value is not None:
                 out.add(key + (new_value,), 1)
-        return out
-
-    def process_bulk(self, deltas):
-        if self.groups.data:
-            return None  # existing groups: incremental path
-        delta = _port(deltas, 0)
-        key_fn, args_fn = self.key_fn, self.args_fn
-        data: Dict[object, Dict[object, int]] = {}
-        for record, weight in delta.data.items():
-            key = key_fn(record)
-            args = args_fn(record)
-            group = data.get(key)
-            if group is None:
-                data[key] = {args: weight}
-            else:
-                new = group.get(args, 0) + weight
-                if new:
-                    group[args] = new
-                else:
-                    del group[args]
-        if any(not g for g in data.values()):
-            data = {k: g for k, g in data.items() if g}
-        self.groups.data = data
-        self.groups.records = sum(len(g) for g in data.values())
-        out = ZSet()
-        aggregate = self._aggregate
-        for key, group in data.items():
-            value = aggregate(group)
-            if value is not None:
-                out.add(key + (value,), 1)
         return out
 
     def state_size(self) -> int:

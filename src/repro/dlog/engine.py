@@ -116,7 +116,6 @@ class CompiledProgram:
         checkpoint: Optional[dict] = None,
         shards: int = 1,
         shard_workers: str = "process",
-        bulk_load: bool = True,
     ):
         """Create a runtime; with ``checkpoint`` (from
         :meth:`Runtime.checkpoint`), restore its state in O(state)
@@ -130,14 +129,6 @@ class CompiledProgram:
         full snapshot is restored first and the journaled segments are
         replayed on top.
 
-        ``bulk_load`` (default on) lets transactions hitting empty
-        engine state — the initial static-fact load, the first cold
-        transaction, restore replays — build operator state in one
-        grouped pass per arrangement instead of threading every row
-        through the per-delta machinery.  ``bulk_load=False`` keeps
-        every transaction on the reference incremental path (used by
-        the differential oracle).
-
         ``shards > 1`` returns a :class:`~repro.dlog.shard.ShardedRuntime`
         — the same API over N per-shard engines (``shard_workers`` picks
         ``"process"`` or ``"inline"`` evaluation); checkpoints are then
@@ -149,10 +140,7 @@ class CompiledProgram:
             segments = checkpoint.get("segments") or []
             full = checkpoint.get("full")
             runtime = self.start(
-                checkpoint=full,
-                shards=shards,
-                shard_workers=shard_workers,
-                bulk_load=bulk_load,
+                checkpoint=full, shards=shards, shard_workers=shard_workers
             )
             # Only replay on top of the state the segments were cut
             # against; if the full snapshot fell back to a cold start,
@@ -169,9 +157,8 @@ class CompiledProgram:
                 workers=shard_workers,
                 checkpoint=checkpoint,
                 plan=self.shard_plan(),
-                bulk_load=bulk_load,
             )
-        return Runtime(self, checkpoint=checkpoint, bulk_load=bulk_load)
+        return Runtime(self, checkpoint=checkpoint)
 
     def shard_plan(self):
         """The program's partition analysis (cached); see
@@ -288,14 +275,10 @@ class Runtime:
     """A running instance of a compiled program."""
 
     def __init__(
-        self,
-        program: CompiledProgram,
-        checkpoint: Optional[dict] = None,
-        bulk_load: bool = True,
+        self, program: CompiledProgram, checkpoint: Optional[dict] = None
     ):
         self.program = program
         self.checked = program.checked
-        self.bulk_load = bulk_load
         self.graph = Graph()
         self.relation_nodes: Dict[str, Node] = {}
         self.scc_evaluators: Dict[int, SccEvaluator] = {}
@@ -306,8 +289,8 @@ class Runtime:
             rel.name: _row_validator(rel, self.checked.tenv)
             for rel in self.checked.ast.relations
         }
-        self._bulk_validators = {
-            rel.name: _bulk_row_validator(rel, self._validators[rel.name])
+        self._batch_validators = {
+            rel.name: _batch_row_validator(rel, self._validators[rel.name])
             for rel in self.checked.ast.relations
         }
         self._journal: Optional[List[dict]] = None
@@ -456,31 +439,18 @@ class Runtime:
         self,
         inserts: Optional[Mapping[str, Iterable[Sequence]]] = None,
         deletes: Optional[Mapping[str, Iterable[Sequence]]] = None,
-        initial: bool = False,
     ) -> TxnResult:
         """Apply input changes; return the deltas of all derived relations.
 
         Duplicate inserts and deletes of absent rows are ignored with a
         warning (input relations are sets).  Rows are validated against
         the relation's declared column types.
-
-        ``initial=True`` marks the call as a bulk initial load,
-        requesting the bulk path even when the runtime was started with
-        ``bulk_load=False``.  It is a hint, not an unsafe switch: the
-        bulk path only engages from empty engine state and each
-        operator falls back to the incremental path otherwise, so the
-        result is always identical.
         """
-        return self._apply(
-            {"inserts": inserts or {}, "deletes": deletes or {}},
-            bulk_hint=initial,
-        )
+        return self._apply({"inserts": inserts or {}, "deletes": deletes or {}})
 
-    def _apply(
-        self, changes, initial: bool = False, bulk_hint: bool = False
-    ) -> TxnResult:
+    def _apply(self, changes, initial: bool = False) -> TxnResult:
         if not obs.enabled():
-            return self._apply_inner(changes, initial, None, bulk_hint)
+            return self._apply_inner(changes, initial, None)
         # Per-operator profiling (detail tier) costs on the order of the
         # transaction itself for tiny incremental updates, so the
         # standard tier records only the span and the registry metrics —
@@ -492,7 +462,7 @@ class Runtime:
         if detail:
             with obs.TRACER.span("engine.transaction") as span:
                 profile: List[Tuple[Node, float, int, int]] = []
-                result = self._apply_inner(changes, initial, profile, bulk_hint)
+                result = self._apply_inner(changes, initial, profile)
                 operators, strata = self._summarize_profile(profile)
                 span.set(
                     initial=initial,
@@ -505,9 +475,9 @@ class Runtime:
             or obs.current_update_id() is not None
         ):
             with obs.TRACER.span("engine.transaction"):
-                result = self._apply_inner(changes, initial, None, bulk_hint)
+                result = self._apply_inner(changes, initial, None)
         else:
-            result = self._apply_inner(changes, initial, None, bulk_hint)
+            result = self._apply_inner(changes, initial, None)
         # One registry update per transaction: the histogram's exact
         # ``count`` doubles as the transaction counter, so no separate
         # Counter (and its lock) is paid on this path.
@@ -521,17 +491,10 @@ class Runtime:
         handles[1].observe(result.duration)
         return result
 
-    def _apply_inner(self, changes, initial, profile, bulk_hint=False) -> TxnResult:
+    def _apply_inner(self, changes, initial, profile) -> TxnResult:
         started = time.perf_counter()
         warnings: List[str] = []
         source_deltas: Dict[int, ZSet] = {}
-
-        # The bulk path is only observationally equal from empty engine
-        # state (each stateful operator additionally re-checks and falls
-        # back on its own), so decide before any state is touched.
-        bulk = (self.bulk_load or bulk_hint) and not any(
-            self._input_state.values()
-        ) and self.graph.total_state() == 0
 
         journal = self._journal
         entry: Optional[dict] = None
@@ -564,7 +527,7 @@ class Runtime:
                         entry["deletes"][rel_name] = list(delta.data)
             for rel_name, rows in inserts.items():
                 delta = self._normalize(
-                    rel_name, rows, insert=True, warnings=warnings, bulk=bulk
+                    rel_name, rows, insert=True, warnings=warnings
                 )
                 if delta:
                     node = self.relation_nodes[rel_name]
@@ -572,7 +535,7 @@ class Runtime:
                     if entry is not None:
                         entry["inserts"][rel_name] = list(delta.data)
 
-        outputs = self.graph.run(source_deltas, profile=profile, bulk=bulk)
+        outputs = self.graph.run(source_deltas, profile=profile)
 
         if entry is not None and (entry["inserts"] or entry["deletes"]):
             journal.append(entry)
@@ -633,18 +596,17 @@ class Runtime:
         return operators, strata
 
     def _normalize(
-        self, rel_name: str, rows, insert: bool, warnings: List[str],
-        bulk: bool = False,
+        self, rel_name: str, rows, insert: bool, warnings: List[str]
     ) -> ZSet:
         state = self._input_state[rel_name]
         validate = self._validators[rel_name]
-        if bulk and insert and not state:
-            # Cold-load fast path: one column-wise validation sweep and
-            # a wholesale set/dict build.  Falls through to the
-            # per-row loop when the batch has internal duplicates so
-            # the warnings match the incremental path exactly.
+        if insert and not state:
+            # First rows of this relation: one column-wise validation
+            # sweep and a wholesale set/dict build.  Falls through to
+            # the per-row loop when the batch has internal duplicates
+            # so the warnings match it exactly.
             rows = [row if type(row) is tuple else tuple(row) for row in rows]
-            self._bulk_validators[rel_name](rows)
+            self._batch_validators[rel_name](rows)
             if len(set(rows)) == len(rows):
                 state.update(rows)
                 return ZSet(dict.fromkeys(rows, 1))
@@ -883,58 +845,54 @@ def _row_validator(decl: A.RelationDecl, tenv: T.TypeEnv):
     return validate
 
 
-def _fast_type_check(ty: T.Type):
-    """An exact-type predicate implying :func:`_shallow_check`, or None.
+def _exact_type(ty: T.Type) -> Optional[type]:
+    """The Python type whose exact instances pass :func:`_shallow_check`
+    for ``ty``, or None when any value does.
 
-    ``type(v) is X`` is both faster than the isinstance chain and
-    strictly stronger (it also rejects subclasses, e.g. bool-as-int),
-    so a batch passing the fast sweep needs no per-row revalidation;
-    a batch failing it is re-run through the precise per-row validator
-    to either accept the subclass case or raise the exact error.
+    ``type(v) is X`` is strictly stronger than the isinstance chain (it
+    also rejects subclasses, e.g. bool-as-int), so a batch passing the
+    exact-type sweep needs no per-row revalidation; a batch failing it
+    is re-run through the precise per-row validator to either accept
+    the subclass case or raise the exact error.
     """
     if isinstance(ty, T.TBool):
-        return lambda v: type(v) is bool
+        return bool
     if isinstance(ty, (T.TBit, T.TSigned, T.TBigInt)):
-        return lambda v: type(v) is int
+        return int
     if isinstance(ty, T.TFloat):
-        return lambda v: type(v) is float
+        return float
     if isinstance(ty, T.TString):
-        return lambda v: type(v) is str
+        return str
     if isinstance(ty, (T.TTuple, T.TVec)):
-        return lambda v: type(v) is tuple
+        return tuple
     if isinstance(ty, T.TMap):
-        return lambda v: isinstance(v, MapValue)
+        return MapValue
     if isinstance(ty, T.TUser):
-        return lambda v: isinstance(v, StructValue)
+        return StructValue
     return None
 
 
-def _bulk_row_validator(decl: A.RelationDecl, validate):
+def _batch_row_validator(decl: A.RelationDecl, validate):
     """Batch validator: a column-wise fast sweep with per-row fallback.
 
     Raises exactly what the per-row ``validate`` would raise on the
     first offending row (in batch order); accepts everything it would
     accept.
     """
-    arity = decl.arity
-    checks = [
-        (i, check)
-        for i, check in enumerate(
-            _fast_type_check(ty) for ty in decl.column_types()
-        )
-        if check is not None
+    arities = {decl.arity}
+    columns = [
+        (i, {exact})
+        for i, exact in enumerate(_exact_type(ty) for ty in decl.column_types())
+        if exact is not None
     ]
 
     def validate_rows(rows: List[tuple]) -> None:
-        ok = all(len(row) == arity for row in rows)
-        if ok:
-            for i, check in checks:
-                if not all(check(row[i]) for row in rows):
-                    ok = False
-                    break
-        if not ok:
-            for row in rows:
-                validate(row)
+        if {len(row) for row in rows} <= arities and all(
+            {type(row[i]) for row in rows} <= exact for i, exact in columns
+        ):
+            return
+        for row in rows:
+            validate(row)
 
     return validate_rows
 

@@ -7,7 +7,9 @@ dataflow node:
 =====================  =========================================
 body item              node
 =====================  =========================================
-first atom             FlatMap (pattern match over relation rows)
+first atom             FlatMap (pattern match over relation rows);
+                       Map when the match is a pure projection,
+                       nothing when it is the identity
 later atom             Join (keyed on the shared/bound positions)
 ``not R(...)``         AntiJoin (right side projected to the key)
 guard                  Filter
@@ -18,6 +20,11 @@ guard                  Filter
 
 The head becomes a Map computing the head expressions, feeding the head
 relation's Distinct node.
+
+Wherever a scan, join merge or head is provably a positional
+selection (plain distinct variables, so the pattern match cannot
+fail), the node gets a compiled ``itemgetter`` closure in place of the
+generic pattern-match/expression interpreter.
 
 The classification helpers (:func:`pattern_vars`, :func:`classify_args`)
 are shared with the recursive-stratum evaluator, which plans the same
@@ -279,12 +286,6 @@ class Planner:
             return lambda row: ()
         return lambda row: tuple(fn(row) for fn in fns)
 
-    @staticmethod
-    def _row_key(positions: List[int]) -> Callable[[tuple], tuple]:
-        if not positions:
-            return lambda row: ()
-        return lambda row: tuple(row[p] for p in positions)
-
     # -- rule planning --------------------------------------------------------
 
     def plan_rule(self, rule: A.Rule) -> RuleChain:
@@ -325,20 +326,30 @@ class Planner:
             else:  # pragma: no cover
                 raise TypeCheckError(f"rule {rule.name}: unsupported item {item!r}")
 
-        head_fns = [self.compile_expr(e, schema) for e in head_exprs]
-        head_node = MapNode(
-            lambda row, fns=tuple(head_fns): tuple(fn(row) for fn in fns),
-            name=f"{rule.name}:head",
-        )
         if all(isinstance(e, A.Var) and e.name in schema for e in head_exprs):
-            head_node.fast_fn = _tuple_getter(
-                [schema.index[e.name] for e in head_exprs]
-            )
-        assert current is not None
-        current.connect_to(head_node, 0)
-        chain.nodes.append(head_node)
-        chain.exit = head_node
+            head_fn = _tuple_getter([schema.index[e.name] for e in head_exprs])
+        else:
+            head_fns = tuple(self.compile_expr(e, schema) for e in head_exprs)
+
+            def head_fn(row):
+                return tuple(fn(row) for fn in head_fns)
+
+        chain.exit = self._chain(
+            chain, current, MapNode(head_fn, name=f"{rule.name}:head")
+        )
         return chain
+
+    @staticmethod
+    def _chain(chain: RuleChain, current: Optional[Node], node: Node) -> Node:
+        """Append ``node`` to the chain, fed on port 0 by ``current`` —
+        or straight by the rule's first relation when ``current`` is
+        ``None`` (no node has been planned yet: an identity scan)."""
+        if current is None:
+            chain.entry = (chain.entry[0], node)
+        else:
+            current.connect_to(node, 0)
+        chain.nodes.append(node)
+        return node
 
     def _evaluate_static(self, rule, items, head_exprs) -> List[tuple]:
         """Evaluate a body with no atoms (a fact) at plan time."""
@@ -396,74 +407,66 @@ class Planner:
     def _plan_first_atom(self, chain: RuleChain, atom: A.Atom, rule: A.Rule):
         new_vars = _dedup(pattern_vars_of_atom(atom))
         schema = Schema(new_vars)
-        match = self._match_row_fn(atom.args, schema.vars, ())
-
-        def expand(row, match=match):
-            out = match({}, row)
-            return (out,) if out is not None else ()
-
-        node = FlatMapNode(expand, name=f"{rule.name}:scan({atom.relation})")
+        chain.entry = (atom.relation, None)
+        name = f"{rule.name}:scan({atom.relation})"
         # Simple scans (all-distinct plain variables, maybe wildcards)
-        # are pure projections: give the bulk path a compiled selector,
-        # or forward the delta untouched when it is the full row.
+        # are pure projections — and need no node at all when the
+        # projection is the full row.
         positions = _simple_pvar_positions(atom.args)
-        if positions is not None:
-            if len(positions) == len(atom.args):
-                node.bulk_identity = True
-            else:
-                node.bulk_map = _tuple_getter(positions)
-        chain.entry = (atom.relation, node)
-        chain.nodes.append(node)
-        return node, schema
+        if positions is None:
+            match = self._match_row_fn(atom.args, schema.vars, ())
+
+            def expand(row, match=match):
+                out = match({}, row)
+                return (out,) if out is not None else ()
+
+            node: Node = FlatMapNode(expand, name=name)
+        elif len(positions) < len(atom.args):
+            node = MapNode(_tuple_getter(positions), name=name)
+        else:
+            return None, schema
+        return self._chain(chain, None, node), schema
 
     def _plan_join(
-        self, chain: RuleChain, current: Node, schema: Schema, atom: A.Atom, rule: A.Rule
+        self, chain: RuleChain, current: Optional[Node], schema: Schema, atom: A.Atom, rule: A.Rule
     ):
         bound = set(schema.vars)
-        keys, _residual = classify_args(atom.args, bound)
+        keys, residual = classify_args(atom.args, bound)
         left_key = self._compile_key(keys, schema)
-        right_key = self._row_key([pos for pos, _ in keys])
+        right_key = _tuple_getter([pos for pos, _ in keys])
 
         new_vars = [v for v in _dedup(pattern_vars_of_atom(atom)) if v not in bound]
         out_schema = schema.extended(new_vars)
-        match = self._match_row_fn(atom.args, out_schema.vars, schema.vars)
-        lvars = schema.vars
+        # When every residual argument is a fresh, distinct plain
+        # variable, the pattern match can never fail (key equality
+        # already covers the keyable positions) and the merged row is a
+        # pure concatenation.
+        if _simple_pvar_positions([atom.args[pos] for pos in residual]) is None:
+            match = self._match_row_fn(atom.args, out_schema.vars, schema.vars)
+            lvars = schema.vars
 
-        def merge(l_row, r_row, lvars=lvars, match=match):
-            return match(dict(zip(lvars, l_row)), r_row)
+            def merge(l_row, r_row):
+                return match(dict(zip(lvars, l_row)), r_row)
+
+        elif residual:
+            sel = _tuple_getter(residual)
+
+            def merge(l_row, r_row):
+                return l_row + sel(r_row)
+
+        else:
+
+            def merge(l_row, r_row):
+                return l_row
 
         node = JoinNode(
             left_key, right_key, merge, name=f"{rule.name}:join({atom.relation})"
         )
-        # When every residual argument is a fresh, distinct plain
-        # variable, the pattern match can never fail (key equality
-        # already covers the keyable positions) and the merged row is a
-        # pure concatenation — compile it for the bulk path.
-        fresh: Set[str] = set()
-        simple_residual = True
-        for pos in _residual:
-            pat = atom.args[pos]
-            if (
-                not isinstance(pat, A.PVar)
-                or pat.name in fresh
-                or pat.name in bound
-            ):
-                simple_residual = False
-                break
-            fresh.add(pat.name)
-        if simple_residual:
-            if _residual:
-                sel = _tuple_getter(list(_residual))
-                node.fast_merge = lambda l_row, r_row, sel=sel: l_row + sel(r_row)
-            else:
-                node.fast_merge = lambda l_row, r_row: l_row
-        current.connect_to(node, 0)
         chain.taps.append((atom.relation, node, 1))
-        chain.nodes.append(node)
-        return node, out_schema
+        return self._chain(chain, current, node), out_schema
 
     def _plan_antijoin(
-        self, chain: RuleChain, current: Node, schema: Schema, atom: A.Atom, rule: A.Rule
+        self, chain: RuleChain, current: Optional[Node], schema: Schema, atom: A.Atom, rule: A.Rule
     ):
         bound = set(schema.vars)
         keys, residual = classify_args(atom.args, bound)
@@ -481,38 +484,34 @@ class Planner:
                 )
             checks.append((pos, pat))
 
-        key_positions = [pos for pos, _ in keys]
-        evaluator = self.evaluator
+        key_of = _tuple_getter([pos for pos, _ in keys])
+        name = f"{rule.name}:negkey({atom.relation})"
+        if checks:
+            evaluator = self.evaluator
 
-        def project(row, checks=tuple(checks), positions=tuple(key_positions)):
-            for pos, pat in checks:
-                if not evaluator.match(pat, row[pos], {}, bind_always=False):
-                    return ()
-            return (tuple(row[p] for p in positions),)
+            def project(row):
+                for pos, pat in checks:
+                    if not evaluator.match(pat, row[pos], {}, bind_always=False):
+                        return ()
+                return (key_of(row),)
 
-        projector = FlatMapNode(
-            project, name=f"{rule.name}:negkey({atom.relation})"
-        )
-        if not checks:
-            projector.bulk_map = _tuple_getter(list(key_positions))
+            projector: Node = FlatMapNode(project, name=name)
+        else:
+            projector = MapNode(key_of, name=name)
         left_key = self._compile_key(keys, schema)
         node = AntiJoinNode(left_key, name=f"{rule.name}:antijoin({atom.relation})")
-        current.connect_to(node, 0)
         projector.connect_to(node, 1)
         chain.taps.append((atom.relation, projector, 0))
         chain.nodes.append(projector)
-        chain.nodes.append(node)
-        return node
+        return self._chain(chain, current, node)
 
-    def _plan_guard(self, chain: RuleChain, current: Node, schema: Schema, item: A.Guard):
+    def _plan_guard(self, chain: RuleChain, current: Optional[Node], schema: Schema, item: A.Guard):
         fn = self.compile_expr(item.expr, schema)
         node = FilterNode(lambda row, fn=fn: bool(fn(row)), name="guard")
-        current.connect_to(node, 0)
-        chain.nodes.append(node)
-        return node
+        return self._chain(chain, current, node)
 
     def _plan_assignment(
-        self, chain: RuleChain, current: Node, schema: Schema, item: A.Assignment
+        self, chain: RuleChain, current: Optional[Node], schema: Schema, item: A.Assignment
     ):
         new_vars = _dedup(pattern_vars(item.pattern))
         out_schema = schema.extended(new_vars)
@@ -529,12 +528,10 @@ class Planner:
             return ()
 
         node = FlatMapNode(expand, name="assign")
-        current.connect_to(node, 0)
-        chain.nodes.append(node)
-        return node, out_schema
+        return self._chain(chain, current, node), out_schema
 
     def _plan_flatmap(
-        self, chain: RuleChain, current: Node, schema: Schema, item: A.FlatMapItem
+        self, chain: RuleChain, current: Optional[Node], schema: Schema, item: A.FlatMapItem
     ):
         out_schema = schema.extended([item.var])
         fn = self.compile_expr(item.expr, schema)
@@ -545,15 +542,13 @@ class Planner:
             return tuple(row + (elem,) for elem in elems)
 
         node = FlatMapNode(expand, name=f"flatmap({item.var})")
-        current.connect_to(node, 0)
-        chain.nodes.append(node)
-        return node, out_schema
+        return self._chain(chain, current, node), out_schema
 
     def _plan_aggregate(
-        self, chain: RuleChain, current: Node, schema: Schema, item: A.AggregateItem
+        self, chain: RuleChain, current: Optional[Node], schema: Schema, item: A.AggregateItem
     ):
         positions = [schema.index[k] for k in item.group_by]
-        key_fn = self._row_key(positions)
+        key_fn = _tuple_getter(positions)
         arg_fns = [self.compile_expr(a, schema) for a in item.args]
 
         def args_fn(row, fns=tuple(arg_fns)):
@@ -563,10 +558,8 @@ class Planner:
         node = AggregateNode(
             key_fn, args_fn, agg.fn, name=f"aggregate({item.func})"
         )
-        current.connect_to(node, 0)
-        chain.nodes.append(node)
         out_schema = Schema(list(item.group_by) + [item.var])
-        return node, out_schema
+        return self._chain(chain, current, node), out_schema
 
 
 def pattern_vars_of_atom(atom: A.Atom) -> List[str]:

@@ -81,13 +81,11 @@ class ShardedRuntime:
         workers: str = "process",
         checkpoint: Optional[dict] = None,
         plan: Optional[ShardPlan] = None,
-        bulk_load: bool = True,
     ):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.program = program
         self.shards = shards
-        self.bulk_load = bulk_load
         self._journal: Optional[List[dict]] = None
         self.plan = plan if plan is not None else analyze(program)
         self._input_state: Dict[str, Set[tuple]] = {
@@ -147,9 +145,7 @@ class ShardedRuntime:
     def _start_workers(self, kind: str, checkpoints: Sequence) -> None:
         self._workers = []
         for shard_id, ckpt in enumerate(checkpoints):
-            used_kind, worker = make_worker(
-                kind, self.program, shard_id, ckpt, bulk_load=self.bulk_load
-            )
+            used_kind, worker = make_worker(kind, self.program, shard_id, ckpt)
             self.worker_kind = used_kind
             self._workers.append(worker)
 

@@ -56,10 +56,9 @@ class InlineWorker:
         program,
         shard_id: int,
         checkpoint: Optional[dict],
-        bulk_load: bool = True,
     ):
         self.shard_id = shard_id
-        self._runtime = program.start(checkpoint=checkpoint, bulk_load=bulk_load)
+        self._runtime = program.start(checkpoint=checkpoint)
         self._pending = None
         self.ready = {
             "restored": self._runtime.restored,
@@ -93,14 +92,14 @@ class InlineWorker:
         self._pending = None
 
 
-def _worker_main(conn, source_text, recursive_mode, checkpoint, bulk_load=True) -> None:
+def _worker_main(conn, source_text, recursive_mode, checkpoint) -> None:
     """Child-process entry: compile, start, then serve the pipe."""
     from repro.dlog.engine import compile_program
 
     try:
         runtime = compile_program(
             source_text, recursive_mode=recursive_mode
-        ).start(checkpoint=checkpoint, bulk_load=bulk_load)
+        ).start(checkpoint=checkpoint)
         conn.send(
             (
                 "ready",
@@ -172,7 +171,6 @@ class ProcessWorker:
         program,
         shard_id: int,
         checkpoint: Optional[dict],
-        bulk_load: bool = True,
     ):
         if program.source_text is None:
             raise ShardWorkerError(
@@ -188,7 +186,6 @@ class ProcessWorker:
                 program.source_text,
                 program.recursive_mode,
                 checkpoint,
-                bulk_load,
             ),
             name=f"dlog-shard-{shard_id}",
             daemon=True,
@@ -245,7 +242,6 @@ def make_worker(
     program,
     shard_id: int,
     checkpoint: Optional[dict],
-    bulk_load: bool = True,
 ) -> Tuple[str, object]:
     """Build one worker, degrading ``process`` to ``inline`` when the
     program cannot be shipped to a child (no source text)."""
@@ -258,4 +254,4 @@ def make_worker(
             f"unknown shard_workers {kind!r}; expected one of "
             f"{sorted(WORKER_KINDS)}"
         ) from None
-    return kind, cls(program, shard_id, checkpoint, bulk_load=bulk_load)
+    return kind, cls(program, shard_id, checkpoint)

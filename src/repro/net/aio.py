@@ -68,18 +68,26 @@ LOW_WATERMARK = 64 * 1024
 _EINPROGRESS = {errno.EINPROGRESS, errno.EWOULDBLOCK, errno.EALREADY}
 
 
+#: Below this many cancelled timers the heap is never rebuilt
+#: (asyncio's ``_MIN_SCHEDULED_TIMER_HANDLES``).
+_MIN_CANCELLED_TIMERS = 100
+
+
 class Timer:
     """A cancellable ``call_later`` handle."""
 
-    __slots__ = ("when", "fn", "cancelled")
+    __slots__ = ("when", "fn", "cancelled", "_reactor")
 
-    def __init__(self, when: float, fn: Callable[[], None]):
+    def __init__(self, when: float, fn: Callable[[], None], reactor: "Reactor"):
         self.when = when
         self.fn = fn
         self.cancelled = False
+        self._reactor = reactor
 
     def cancel(self) -> None:
-        self.cancelled = True
+        if not self.cancelled:
+            self.cancelled = True
+            self._reactor._timer_cancelled()
 
 
 class Reactor:
@@ -111,6 +119,10 @@ class Reactor:
         self._pending: deque = deque()  # (fn, args, enqueued_at)
         self._lock = threading.Lock()
         self._timers: list = []  # heap of (when, tiebreak, Timer)
+        #: cancel() calls not yet matched by a pop: an upper bound on
+        #: the cancelled entries still in the heap (a timer cancelled
+        #: after it fired is counted too, and costs one early rebuild).
+        self._cancelled_timers = 0
         self._timer_seq = itertools.count()
         self._closed = False
         self._started = False
@@ -186,7 +198,7 @@ class Reactor:
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> Timer:
         """Schedule ``fn()`` on the loop thread after ``delay`` seconds."""
-        timer = Timer(time.monotonic() + max(0.0, delay), fn)
+        timer = Timer(time.monotonic() + max(0.0, delay), fn, self)
         with self._lock:
             if self._closed:
                 timer.cancelled = True
@@ -245,11 +257,28 @@ class Reactor:
         with self._lock:
             if self._pending:
                 return 0.0
+            # A cancelled timer is only ever popped at the head, so a
+            # per-call deadline that never fires would sit here for its
+            # whole timeout.  Rebuild without them once they are more
+            # than half of the heap (the asyncio rule): amortised O(1)
+            # per cancel, heap size O(live timers).
+            if (
+                self._cancelled_timers > _MIN_CANCELLED_TIMERS
+                and self._cancelled_timers * 2 > len(self._timers)
+            ):
+                self._timers = [e for e in self._timers if not e[2].cancelled]
+                heapq.heapify(self._timers)
+                self._cancelled_timers = 0
             while self._timers and self._timers[0][2].cancelled:
                 heapq.heappop(self._timers)
+                self._cancelled_timers -= 1
             if self._timers:
                 return max(0.0, self._timers[0][0] - time.monotonic())
         return None
+
+    def _timer_cancelled(self) -> None:
+        with self._lock:
+            self._cancelled_timers += 1
 
     def _run(self) -> None:
         while not self._closed:
@@ -280,7 +309,9 @@ class Reactor:
         with self._lock:
             while self._timers and self._timers[0][0] <= now:
                 _, _, timer = heapq.heappop(self._timers)
-                if not timer.cancelled:
+                if timer.cancelled:
+                    self._cancelled_timers -= 1
+                else:
                     due.append(timer)
         record = obs.enabled()
         for timer in due:

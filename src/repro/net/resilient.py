@@ -355,8 +355,15 @@ class ResilientConnection:
                 if self._closed_event.wait(delay):
                     return False
                 continue
+            # Decide under the lock ``close()``'s ``_abort_socket`` takes:
+            # either it sees (and closes) the fresh socket, or we see
+            # ``_closed`` and close it here — never neither.
             with self._sock_lock:
-                self.sock = sock
+                if self._closed:
+                    sock.close()
+                    return False
+                stale, self.sock = self.sock, sock
+            stale.close()  # the reader is done with it; nobody else will
             self.reconnects += 1
             if obs.enabled():
                 obs.REGISTRY.counter(

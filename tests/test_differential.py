@@ -198,6 +198,7 @@ class TestPersistedRestart:
 from hypothesis import HealthCheck  # noqa: E402
 
 from repro.baselines.full_recompute import FullRecomputeController  # noqa: E402
+from repro.dlog.dataflow.operators import Node  # noqa: E402
 from repro.dlog.engine import compile_program  # noqa: E402
 
 
@@ -561,8 +562,8 @@ class TestShardingOracle:
             sharded.close()
 
 # ---------------------------------------------------------------------------
-# Bulk-load oracle: the grouped cold-start path vs the per-delta
-# reference path must be observationally identical.
+# Cold-vs-primed oracle: the from-empty shortcuts inside the operators
+# must be unobservable.
 # ---------------------------------------------------------------------------
 
 AGG_PROGRAM = """
@@ -571,13 +572,44 @@ output relation Sum(k: bigint, s: bigint)
 Sum(k, s) :- Item(k, v), var s = Aggregate((k), sum(v)).
 """
 
+#: Sentinel values lie outside every generator's domain (0..4, -5..5).
+SENTINEL = 100
 
-class TestBulkLoadOracle:
-    """`start(bulk_load=True)` (the default) builds operator state in
-    one grouped pass on cold transactions; `bulk_load=False` keeps the
-    per-delta reference path.  The two must produce byte-identical
-    deltas and identical warnings on the cold transaction AND stay
-    identical for every incremental transaction after it."""
+
+def _cold_and_primed(program, sentinels):
+    """Two runtimes of one program: ``cold`` takes the scenario from
+    empty state (operators may shortcut), ``primed`` first loads
+    ``sentinels`` so every input set and stateful operator is non-empty
+    and takes its general branch from then on."""
+    cold, primed = program.start(), program.start()
+    primed.transaction(inserts=sentinels)
+    assert all(
+        node.state_size() > 0
+        for node in primed.graph.nodes
+        if type(node).state_size is not Node.state_size
+    )
+    return cold, primed
+
+
+def _without_sentinels(rows):
+    return {row for row in rows if max(row) < SENTINEL}
+
+
+def _join_sentinels(r_arity, s_arity):
+    """R and S rows sharing join key 100 (a J row; both join and
+    antijoin sides populated) plus an unmatched R row (an OnlyR row)."""
+    return {
+        "R": [(SENTINEL,) * r_arity, (SENTINEL + 1,) * r_arity],
+        "S": [(SENTINEL,) * s_arity],
+    }
+
+
+class TestColdVsPrimedOracle:
+    """Operators pick a from-empty shortcut from their own state (no
+    support counts, empty arrangement, empty input set).  A runtime
+    whose operators were all primed with disjoint sentinel records never
+    takes one, so the two must emit byte-identical deltas and identical
+    warnings on the cold transaction AND on every transaction after."""
 
     @settings(
         max_examples=20,
@@ -585,19 +617,20 @@ class TestBulkLoadOracle:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(scenario=_join_scenarios())
-    def test_join_negation_bulk_vs_classic(self, scenario):
+    def test_join_negation(self, scenario):
         r_arity, s_arity, jr, js, batches = scenario
         program = compile_program(_join_program(r_arity, s_arity, jr, js))
-        bulk = program.start(bulk_load=True)
-        classic = program.start(bulk_load=False)
+        cold, primed = _cold_and_primed(
+            program, _join_sentinels(r_arity, s_arity)
+        )
         for batch in batches:
             changes = _batch_changes(batch)
-            got = bulk.transaction(**changes)
-            want = classic.transaction(**changes)
+            got = cold.transaction(**changes)
+            want = primed.transaction(**changes)
             assert _delta_bytes(got) == _delta_bytes(want)
             assert got.warnings == want.warnings
         for rel in ("R", "S", "J", "OnlyR"):
-            assert bulk.dump(rel) == classic.dump(rel)
+            assert cold.dump(rel) == _without_sentinels(primed.dump(rel))
 
     @settings(
         max_examples=15,
@@ -622,21 +655,23 @@ class TestBulkLoadOracle:
             max_size=4,
         )
     )
-    def test_recursion_bulk_vs_classic(self, batches):
-        """Recursive SCCs never take the bulk path themselves, but they
-        consume bulk-built upstream deltas — the seam must be exact."""
-        program = compile_program(REACH_PROGRAM)
-        bulk = program.start(bulk_load=True)
-        classic = program.start(bulk_load=False)
+    def test_recursion_seam(self, batches):
+        """Recursive SCCs have no shortcut themselves, but they consume
+        the deltas of upstream operators that do — the seam must be
+        exact.  The sentinel edge is its own graph component."""
+        cold, primed = _cold_and_primed(
+            compile_program(REACH_PROGRAM),
+            {"Edge": [(SENTINEL, SENTINEL + 1)]},
+        )
         for batch in batches:
             changes = {
                 "inserts": {"Edge": batch["Edge+"]},
                 "deletes": {"Edge": batch["Edge-"]},
             }
-            got = bulk.transaction(**changes)
-            want = classic.transaction(**changes)
+            got = cold.transaction(**changes)
+            want = primed.transaction(**changes)
             assert _delta_bytes(got) == _delta_bytes(want)
-        assert bulk.dump("Reach") == classic.dump("Reach")
+        assert cold.dump("Reach") == _without_sentinels(primed.dump("Reach"))
 
     @settings(
         max_examples=15,
@@ -651,35 +686,34 @@ class TestBulkLoadOracle:
             st.tuples(st.integers(0, 3), st.integers(-5, 5)), max_size=6
         ),
     )
-    def test_aggregate_bulk_vs_classic(self, rows, extra):
-        program = compile_program(AGG_PROGRAM)
-        bulk = program.start(bulk_load=True)
-        classic = program.start(bulk_load=False)
-        got = bulk.transaction(inserts={"Item": rows})
-        want = classic.transaction(inserts={"Item": rows})
-        assert _delta_bytes(got) == _delta_bytes(want)
-        assert got.warnings == want.warnings
-        got = bulk.transaction(inserts={"Item": extra})
-        want = classic.transaction(inserts={"Item": extra})
-        assert _delta_bytes(got) == _delta_bytes(want)
-        assert bulk.dump("Sum") == classic.dump("Sum")
+    def test_aggregate(self, rows, extra):
+        cold, primed = _cold_and_primed(
+            compile_program(AGG_PROGRAM), {"Item": [(SENTINEL, 1)]}
+        )
+        for batch in (rows, extra):
+            got = cold.transaction(inserts={"Item": batch})
+            want = primed.transaction(inserts={"Item": batch})
+            assert _delta_bytes(got) == _delta_bytes(want)
+            assert got.warnings == want.warnings
+        assert cold.dump("Sum") == _without_sentinels(primed.dump("Sum"))
 
-    def test_initial_hint_forces_bulk_on_classic_runtime(self):
-        """`transaction(initial=True)` takes the bulk path even with
-        bulk_load=False — and must still match the reference."""
-        program = compile_program(_join_program(2, 2, 0, 1))
-        hinted = program.start(bulk_load=False)
-        classic = program.start(bulk_load=False)
+    def test_duplicates_in_cold_batch_warn_identically(self):
+        """A cold batch with internal duplicates must fall back to the
+        per-row input path and report the same warnings."""
+        cold, primed = _cold_and_primed(
+            compile_program(_join_program(2, 2, 0, 1)), _join_sentinels(2, 2)
+        )
         changes = {
             "inserts": {"R": [(1, 2), (3, 2), (1, 2)], "S": [(2, 9)]},
-            "deletes": {},
+            "deletes": {"S": [(7, 7)]},
         }
-        got = hinted.transaction(initial=True, **changes)
-        want = classic.transaction(**changes)
+        got = cold.transaction(**changes)
+        want = primed.transaction(**changes)
         assert _delta_bytes(got) == _delta_bytes(want)
         assert got.warnings == want.warnings
+        assert len(got.warnings) == 2
         for rel in ("R", "S", "J", "OnlyR"):
-            assert hinted.dump(rel) == classic.dump(rel)
+            assert cold.dump(rel) == _without_sentinels(primed.dump(rel))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ same accumulated output as feeding their sum at once, and both equal
 the non-incremental recomputation over the accumulated input.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -305,3 +306,87 @@ class TestAggregate:
             if values:
                 expected.add(((key,) + (sum(values),)), 1)
         assert acc_out == expected
+
+
+# -- from-empty shortcuts are unobservable -----------------------------------
+
+SENTINEL = 99  # a key outside the generated domain (0..3)
+
+_keyed = st.lists(
+    st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-2, 2)),
+    max_size=6,
+)
+_keys = st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), max_size=4)
+
+#: operator -> (factory, per-port delta strategies, sentinel primer deltas)
+STATEFUL = {
+    "distinct": (DistinctNode, [_keyed], [[((SENTINEL, 0), 1)]]),
+    "join": (
+        lambda: JoinNode(lambda l: l[0], lambda r: r[0], lambda l, r: (l, r)),
+        [_keyed, _keyed],
+        [[((SENTINEL, 0), 1)], [((SENTINEL, 1), 1)]],
+    ),
+    "antijoin": (
+        lambda: AntiJoinNode(lambda l: l[0]),
+        [_keyed, _keys],
+        [[((SENTINEL, 0), 1)], [(SENTINEL, 1)]],
+    ),
+    "aggregate": (
+        lambda: AggregateNode(
+            lambda r: (r[0],), lambda r: (r[1],), lambda rows: sum(a[0] for a in rows)
+        ),
+        [_keyed],
+        [[((SENTINEL, 0), 1)]],
+    ),
+}
+
+
+def _mentions_sentinel(x):
+    return x == SENTINEL or (
+        isinstance(x, tuple) and any(_mentions_sentinel(e) for e in x)
+    )
+
+
+def _state(node):
+    """The operator's state tables with sentinel entries dropped."""
+    if isinstance(node, DistinctNode):
+        tables = [node.counts.data]
+    elif isinstance(node, JoinNode):
+        tables = [node.left.data, node.right.data]
+    elif isinstance(node, AntiJoinNode):
+        tables = [node.left.data, node.right_counts]
+    else:
+        tables = [node.groups.data]
+    return [
+        {k: v for k, v in table.items() if not _mentions_sentinel(k)}
+        for table in tables
+    ]
+
+
+def _outcome(node, deltas):
+    try:
+        return node.process(deltas)
+    except ValueError as exc:  # aggregate: negative multiplicity
+        return str(exc)
+
+
+class TestFromEmptyShortcuts:
+    """Stateful operators may shortcut when their own state is empty.
+    A node primed with a record under a disjoint key never does, so for
+    any delta sequence — negative weights included — both must emit the
+    same outputs and end in the same state."""
+
+    @pytest.mark.parametrize("kind", sorted(STATEFUL))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fresh_equals_primed(self, kind, data):
+        factory, ports, primer = STATEFUL[kind]
+        fresh, primed = factory(), factory()
+        primed.process([z(*port) for port in primer])
+        sentinel_size = primed.state_size()
+        assert sentinel_size > 0
+        for _ in range(data.draw(st.integers(1, 3))):
+            batch = [z(*data.draw(port)) for port in ports]
+            assert _outcome(fresh, batch) == _outcome(primed, batch)
+            assert _state(fresh) == _state(primed)
+            assert fresh.state_size() == primed.state_size() - sentinel_size

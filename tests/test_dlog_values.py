@@ -120,8 +120,3 @@ class TestArrangementCounter:
         # Weight changes on a surviving record don't change the count.
         arr.update(ZSet({(2, "y"): 3}), lambda r: r[0])
         assert arr.total_records() == self._recount(arr) == 2
-
-    def test_counter_after_bulk_build(self):
-        arr = Arrangement()
-        arr.build(ZSet({(k % 3, k): 1 for k in range(10)}), lambda r: r[0])
-        assert arr.total_records() == self._recount(arr) == 10

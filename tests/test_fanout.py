@@ -235,6 +235,30 @@ class TestReactor:
         finally:
             reactor.stop()
 
+    def test_cancelled_timers_do_not_pile_up(self):
+        """Per-call deadlines are cancelled long before they are due.
+        Behind any live timer that is due sooner (here: ``guard``) they
+        are never at the head of the heap, and must be dropped anyway."""
+        reactor = Reactor("t-timer-heap").start()
+        try:
+            fired = []
+            done = threading.Event()
+            guard = reactor.call_later(10.0, lambda: fired.append("guard"))
+            for i in range(5):
+                reactor.call_later(0.1 + 0.01 * i, lambda i=i: fired.append(i))
+            for _ in range(10_000):
+                reactor.call_later(30.0, lambda: None).cancel()
+            reactor.call_later(0.2, done.set)
+            assert done.wait(5.0)
+            assert fired == [0, 1, 2, 3, 4]
+            # Every call_later woke the loop, which compacts as it goes.
+            wait_for(
+                lambda: len(reactor._timers) < 300, timeout=3.0, what="heap compacted"
+            )
+            assert not guard.cancelled
+        finally:
+            reactor.stop()
+
     def test_submit_after_stop_returns_false(self):
         reactor = Reactor("t-stopped").start()
         reactor.stop()

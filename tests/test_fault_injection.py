@@ -183,6 +183,10 @@ def clean_run():
 
 @pytest.mark.slow
 class TestManagementPlaneRestart:
+    # The reconnect used to drop the dead socket unclosed (and could
+    # leak the fresh one when close() raced the dial).
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_controller_reconciles_after_mgmt_restart_mid_churn(self):
         project = build_project()
         db = Database(project.schema)

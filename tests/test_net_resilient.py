@@ -181,6 +181,38 @@ class TestReconnect:
         srv.stop()
 
     @pytest.mark.slow
+    def test_close_racing_the_redial_leaks_no_socket(self):
+        """``close()`` landing between the reconnect's dial and its
+        socket swap has already aborted the *old* socket; the fresh one
+        must be closed by the reconnect, not stored and forgotten."""
+        db = make_db()
+        port = free_port()
+        srv = ManagementServer(db, port=port).start()
+        client = ManagementClient("127.0.0.1", port, policy=FAST)
+        conn = client.conn
+        first, dial, fresh = conn.sock, conn._connect, []
+
+        def dial_then_lose_the_race():
+            sock = dial()
+            fresh.append(sock)
+            conn.close()
+            return sock
+
+        conn._connect = dial_then_lose_the_race
+        srv.stop()
+        srv = ManagementServer(db, port=port).start()
+        try:
+            wait_for(lambda: fresh, what="redial")
+            conn._reader.join(5.0)
+            assert not conn._reader.is_alive()
+            assert fresh[0].fileno() == -1, "fresh socket left open"
+            assert first.fileno() == -1
+            assert conn.reconnects == 0
+        finally:
+            client.close()
+            srv.stop()
+
+    @pytest.mark.slow
     def test_monitors_cleared_and_hook_fires_on_reconnect(self):
         db = make_db()
         port = free_port()

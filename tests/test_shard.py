@@ -15,7 +15,6 @@ from repro import obs
 from repro.dlog import compile_program
 from repro.dlog.shard import (
     PARTITIONED,
-    REPLICATED,
     ShardedRuntime,
     analyze,
     shard_for,
