@@ -37,9 +37,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import typebridge as TB
+from repro.dlog.values import StructValue
 from repro.errors import TypeCheckError
-from repro.mgmt.schema import DatabaseSchema
+from repro.mgmt.schema import ColumnSchema, DatabaseSchema
 from repro.p4.p4info import DigestInfo, P4Info, TableInfo
+from repro.p4.tables import TableEntry
 
 
 class TableBinding:
@@ -53,23 +55,56 @@ class TableBinding:
         # constructor name -> (action name, param count)
         self.actions_by_constructor: Dict[str, Tuple[str, int]] = {}
 
-    @property
-    def arity(self) -> int:
-        return len(self.key_columns) + 1 + (1 if self.has_priority else 0)
+    def entry_for(self, row: tuple) -> TableEntry:
+        """One row of the output relation as the table entry it denotes."""
+        n_keys = len(self.key_columns)
+        matches = [
+            TB.dlog_value_to_match(field, value)
+            for (_, field), value in zip(self.key_columns, row[:n_keys])
+        ]
+        action_value = row[n_keys]
+        if not isinstance(action_value, StructValue):
+            raise TypeCheckError(
+                f"{self.relation}: action column must be a constructor "
+                f"of {self.info.name}'s action union, got {action_value!r}"
+            )
+        resolved = self.actions_by_constructor.get(action_value.constructor)
+        if resolved is None:
+            raise TypeCheckError(
+                f"{self.relation}: {action_value.constructor} is not an "
+                f"action of table {self.info.name}"
+            )
+        action_name, param_count = resolved
+        if len(action_value.fields) != param_count:
+            raise TypeCheckError(
+                f"{self.relation}: action {action_name} expects "
+                f"{param_count} parameter(s)"
+            )
+        priority = row[n_keys + 1] if self.has_priority else 0
+        return TableEntry(
+            matches, action_name, list(action_value.fields), priority
+        )
 
 
 class GeneratedBindings:
     """Everything the controller needs to convert values at runtime."""
 
     def __init__(self):
-        # relation name -> OVSDB table name
-        self.ovsdb_relations: Dict[str, str] = {}
         # OVSDB table name -> relation name
         self.relation_for_ovsdb: Dict[str, str] = {}
+        # OVSDB table name -> its columns, in the relation's column order
+        self.ovsdb_columns: Dict[str, List[ColumnSchema]] = {}
         # relation name -> TableBinding
         self.table_relations: Dict[str, TableBinding] = {}
         # digest struct name -> relation name
         self.digest_relations: Dict[str, str] = {}
+
+    def input_row(self, table: str, uuid: str, row: dict) -> tuple:
+        """A committed OVSDB row as a row of its input relation."""
+        values = [uuid]
+        for column in self.ovsdb_columns[table]:
+            values.append(TB.ovsdb_value_to_dlog(column.type, row[column.name]))
+        return tuple(values)
 
 
 def generate_declarations(
@@ -106,15 +141,15 @@ def generate_declarations(
 
 def _ovsdb_relation(table, bindings: GeneratedBindings) -> str:
     relation = table.name
-    if relation in bindings.ovsdb_relations:
+    if table.name in bindings.relation_for_ovsdb:
         raise TypeCheckError(f"duplicate generated relation {relation}")
     columns = ["uuid: string"]
     for column in table.columns.values():
         columns.append(
             f"{column.name}: {TB.ovsdb_column_to_dlog_text(column.type)}"
         )
-    bindings.ovsdb_relations[relation] = table.name
     bindings.relation_for_ovsdb[table.name] = relation
+    bindings.ovsdb_columns[table.name] = list(table.columns.values())
     return f"input relation {relation}({', '.join(columns)})"
 
 

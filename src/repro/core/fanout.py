@@ -25,9 +25,14 @@ Two execution paths per channel:
   (that is what preserves FIFO), so the pool serves as a concurrency
   cap, not a correctness mechanism.
 
-Control items (:class:`_WriterTask` resyncs, warm syncs) always take
-the blocking path — they perform read-diff round trips and must never
-run on the loop thread.
+Control items (:class:`~repro.core.pipeline.queues.Task` resyncs, warm
+syncs) always take the blocking path — they perform read-diff round
+trips and must never run on the loop thread.
+
+:class:`FanoutPlane` and :class:`DeviceChannel` are the machinery;
+:class:`BatchApplier` is the runner the controller plugs into every
+channel — both paths, the breaker gate in front of them and the
+per-device bookkeeping behind them.
 
 Obs: ``fanout_inflight`` (operations between pop and completion),
 ``fanout_send_buffer_bytes{device=}`` (async channels' outbound
@@ -37,12 +42,17 @@ backlog), plus the reactor's own ``reactor_loop_lag_seconds``.
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional
 
 from repro import obs
-from repro.core.pipeline.queues import CoalescingQueue
+from repro.core.pipeline.changeset import DeviceBatch
+from repro.core.pipeline.queues import CoalescingQueue, Task
+from repro.core.planes import TRANSPORT_ERRORS, ManagedDevice, RemoteDevice
 from repro.net.aio import Reactor, default_reactor
+from repro.obs.trace import use_update_id
+from repro.p4runtime.api import TableWrite
 
 #: Channel states (``quarantined`` is the breaker's view, reported
 #: alongside rather than replacing the I/O state).
@@ -205,3 +215,215 @@ class DeviceChannel:
         if exc is not None and self.plane.on_error is not None:
             self.plane.on_error(exc)
         self._pump()
+
+
+class BatchApplier:
+    """The channel runner of the controller's apply stage: one queue
+    item → one device, through the circuit breaker.
+
+    ``fence`` is the fencing epoch stamped on every write;
+    ``on_applied(device, n_writes, latency, io_latency, apply_seconds)``
+    receives every successful batch for the controller's own
+    statistics.  Everything here runs with no controller-wide lock
+    held — device I/O never blocks the engine or a device's peers.
+    """
+
+    def __init__(
+        self,
+        plane: FanoutPlane,
+        breaker_threshold: int,
+        fence: Optional[int],
+        on_applied: Callable,
+    ):
+        self.plane = plane
+        self.breaker_threshold = breaker_threshold
+        self._fence = fence
+        self._on_applied = on_applied
+
+    def __call__(self, channel: DeviceChannel, item, done) -> None:
+        """Execute one queue item (loop thread).  Batches for remote
+        devices go out non-blocking; everything else (in-process
+        simulators, resync/warm-sync tasks) runs on the plane's pool —
+        with the channel holding the slot either way, so per-device
+        FIFO is preserved across both paths."""
+        device = channel.device
+        channel.queue.gauge_depth()
+        if isinstance(item, Task):
+
+            def run_task() -> None:
+                item.run(device)
+                done(None)
+
+            self.plane.run_blocking(run_task)
+        elif isinstance(device.io, RemoteDevice):
+            self._apply_async(channel, item, done)
+        else:
+
+            def run_batch() -> None:
+                try:
+                    self._apply_blocking(device, item)
+                except Exception as exc:  # noqa: BLE001 - surfaced at drain()
+                    done(exc)
+                    return
+                done(None)
+
+            self.plane.run_blocking(run_batch)
+
+    def _prepare(
+        self, device: ManagedDevice, batch: DeviceBatch
+    ) -> Optional[List[TableWrite]]:
+        """Breaker gate shared by both paths: emit the batch's writes,
+        or return ``None`` when there is nothing to do (empty after
+        coalescing, or the device is quarantined — counted as a missed
+        sync either way the breaker requires)."""
+        writes = batch.emit_writes()
+        if not writes and not batch.mcast:
+            return None
+        if device.quarantined:
+            device.syncs_missed += 1
+            if obs.enabled():
+                obs.REGISTRY.counter(
+                    "controller_syncs_skipped_total", device=device.name
+                ).inc()
+            return None
+        return writes
+
+    def _finish(
+        self,
+        device: ManagedDevice,
+        batch: DeviceBatch,
+        writes: List[TableWrite],
+        started: float,
+        issued_at: float,
+    ) -> None:
+        """Success bookkeeping shared by both paths."""
+        device.record_success()
+        device.writes_issued += 1
+        if writes:
+            # Mirror the device side exactly: only table writes advance
+            # the on-device epoch (a multicast-only batch never reaches
+            # ``DeviceService.write``), and warm start's skip decision
+            # relies on the two staying equal.
+            device.config_epoch = batch.update_id
+        applied = time.perf_counter()
+        self._on_applied(
+            device,
+            len(writes),
+            applied - batch.first_enqueued,
+            applied - issued_at,
+            applied - started,
+        )
+
+    def _failed(self, device: ManagedDevice, exc: BaseException) -> None:
+        """Transport-failure bookkeeping shared by both paths."""
+        tripped = device.record_failure(exc, self.breaker_threshold)
+        device.syncs_missed += 1
+        if obs.enabled():
+            obs.REGISTRY.counter(
+                "controller_breaker_failures_total", device=device.name
+            ).inc()
+            if tripped:
+                obs.REGISTRY.counter(
+                    "controller_breaker_trips_total", device=device.name
+                ).inc()
+
+    @staticmethod
+    def _write_span(device: ManagedDevice, batch: DeviceBatch, writes):
+        return obs.span(
+            "device.write",
+            update_id=batch.update_id,
+            device=device.name,
+            writes=len(writes),
+            txns=batch.txns,
+        )
+
+    def _apply_blocking(
+        self, device: ManagedDevice, batch: DeviceBatch
+    ) -> None:
+        """Issue one (possibly merged) batch on the pool — the path
+        in-process devices take."""
+        started = time.perf_counter()
+        writes = self._prepare(device, batch)
+        if writes is None:
+            return
+        issued_at = time.perf_counter()
+        try:
+            with obs.TRACER.adopt(batch.parent), use_update_id(
+                batch.update_id
+            ), self._write_span(device, batch, writes) as span:
+                device.io.apply_batch(
+                    writes, batch.mcast, batch.update_ids, fence=self._fence
+                )
+                span.set(applied=True)
+        except TRANSPORT_ERRORS as exc:
+            self._failed(device, exc)
+            return
+        self._finish(device, batch, writes, started, issued_at)
+
+    def _apply_async(
+        self, channel: DeviceChannel, batch: DeviceBatch, done
+    ) -> None:
+        """Non-blocking apply for one batch (loop thread).
+
+        Watermark-aware: a connection whose send buffer is past its
+        high watermark parks the channel on ``on_drain`` instead of
+        buffering without bound — the device's queue then coalesces
+        the backlog, exactly as it does for a slow blocking device.
+        """
+        device = channel.device
+        io = device.io.client
+        started = time.perf_counter()
+
+        def gauge_send_buffer() -> None:
+            if obs.enabled():
+                obs.REGISTRY.gauge(
+                    "fanout_send_buffer_bytes", device=device.name
+                ).set(io.send_buffer_bytes)
+
+        def issue() -> None:
+            # Re-gated after a potential drain wait: the breaker may
+            # have tripped while this channel was parked.
+            writes = self._prepare(device, batch)
+            if writes is None:
+                done(None)
+                return
+            channel.mark_awaiting_ack()
+            issued_at = time.perf_counter()
+            gauge_send_buffer()
+
+            def on_ack(applied, error) -> None:
+                gauge_send_buffer()
+                if error is not None:
+                    if isinstance(error, TRANSPORT_ERRORS):
+                        self._failed(device, error)
+                        done(None)
+                    else:
+                        # Semantic rejection — a controller bug, not a
+                        # flaky peer: surfaced at drain() like the
+                        # blocking path's WriteError.
+                        done(error)
+                    return
+                if obs.enabled():
+                    with obs.TRACER.adopt(batch.parent), use_update_id(
+                        batch.update_id
+                    ), self._write_span(device, batch, writes) as span:
+                        span.set(applied=True, ack=True)
+                    # The span records at ack time; its duration is the
+                    # send→ack interval, not the (instant) body above.
+                    span.duration = time.perf_counter() - issued_at
+                self._finish(device, batch, writes, started, issued_at)
+                done(None)
+
+            io.apply_batch_async(
+                writes,
+                batch.mcast,
+                batch.update_ids,
+                on_ack,
+                seq=(batch.seq, batch.last_seq),
+                fence=self._fence,
+            )
+
+        if io.writable:
+            issue()
+        else:
+            io.on_drain(issue)

@@ -47,18 +47,16 @@ import os
 import threading
 import time
 import uuid
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import obs
+from repro.core import warmstate
 from repro.core.controller import NerpaController
 from repro.core.pipeline import NerpaProject
+from repro.core.planes import wrap_mgmt
 from repro.dlog import checkpoint as ckpt
 from repro.errors import ReproError, TransactionError
 from repro.mgmt.lease import LEASE_TABLE
-from repro.mgmt.monitor import MonitorSpec
-
-_CKPT_NAME = "controller.ckpt"
-
 
 class CheckpointFollower:
     """Keeps a runtime warm by tailing a shared checkpoint chain.
@@ -83,16 +81,14 @@ class CheckpointFollower:
         self.shards = shards
         self.shard_workers = shard_workers
         # Read-only view of the chain: a follower must never heal.
-        self.store = ckpt.CheckpointStore(
-            state_dir, _CKPT_NAME, project.program.program_hash, heal=False
+        self.store = warmstate.open_store(
+            state_dir, project.program.program_hash, heal=False
         )
         self.runtime = None
         #: Controller bookkeeping (mcast/seq/device_epochs) as of the
         #: newest absorbed checkpoint — what a warm takeover restores.
         self.warm_state: Optional[dict] = None
         self._full_sig: Optional[Tuple[int, int, int]] = None
-        self._applied_txns = 0
-        self._next_segment = 1
         # Metrics.
         self.polls = 0
         self.full_reloads = 0
@@ -126,77 +122,38 @@ class CheckpointFollower:
         return self._tail_segments()
 
     def _reload_full(self, sig: Tuple[int, int, int]) -> bool:
-        try:
-            full, segments = self.store.load_chain(
-                lambda data: int(data.get("engine_txns", 0))
-            )
-        except ckpt.CheckpointError:
-            return False
-        if full is None:
-            return False
-        engine_ckpt = full.get("engine")
-        if segments:
-            engine_ckpt = {
-                "delta_chain": True,
-                "full": engine_ckpt,
-                "segments": segments,
-            }
-        runtime = self.project.program.start(
-            checkpoint=engine_ckpt,
-            shards=self.shards,
-            shard_workers=self.shard_workers,
+        runtime, warm = warmstate.restore(
+            self.store, self.project.program, self.shards, self.shard_workers
         )
-        if not runtime.restored:
-            # Hash mismatch (program changed under us): keep whatever
-            # we had; a takeover will cold-start and still be correct.
+        if warm is None:
+            # Unreadable, or a hash mismatch (program changed under
+            # us): keep whatever we had; a takeover will cold-start and
+            # still be correct.
             self._close_runtime(runtime)
             return False
         self._close_runtime(self.runtime)
         self.runtime = runtime
+        self.warm_state = warm
         self._full_sig = sig
         self.full_reloads += 1
-        warm = {
-            key: full[key]
-            for key in ("mcast", "seq", "device_epochs")
-            if key in full
-        }
-        self._absorb_meta(warm, segments)
-        self.warm_state = warm
-        # load_chain anchored the store at the chain's end; remember
-        # where the tail continues.
-        self._applied_txns = self.store._anchor or 0
-        self._next_segment = self.store._next_index
         if obs.enabled():
             obs.REGISTRY.counter("ha_follower_full_reloads_total").inc()
         return True
 
     def _tail_segments(self) -> bool:
-        segments = self.store.load_segments(
-            self._applied_txns, start_index=self._next_segment
-        )
+        segments = self.store.tail()
         if not segments:
             return False
         ckpt.replay_segments(
             self.runtime, segments, self.store.program_hash
         )
         self.segments_replayed += len(segments)
-        self._absorb_meta(self.warm_state, segments)
-        self._applied_txns = self.store._anchor or self._applied_txns
-        self._next_segment = self.store._next_index
+        warmstate.absorb_meta(self.warm_state, segments)
         if obs.enabled():
             obs.REGISTRY.counter("ha_follower_segments_total").inc(
                 len(segments)
             )
         return True
-
-    @staticmethod
-    def _absorb_meta(warm: Optional[dict], segments: List[dict]) -> None:
-        if warm is None or not segments:
-            return
-        meta = segments[-1].get("meta") or {}
-        for key in ("mcast", "seq", "device_epochs"):
-            if key in meta:
-                warm[key] = meta[key]
 
     def detach(self) -> Tuple[object, dict]:
         """Hand over ``(runtime, warm_state)`` for a promotion and
@@ -210,12 +167,9 @@ class CheckpointFollower:
 
     @staticmethod
     def _close_runtime(runtime) -> None:
-        if runtime is None:
-            return
-        close = getattr(runtime, "close", None)
-        if close is not None:
+        if runtime is not None:
             try:
-                close()
+                runtime.close()
             except Exception:  # noqa: BLE001 - teardown must not raise
                 pass
 
@@ -272,11 +226,6 @@ class HAController:
         )
         self.clock = clock
         self.controller_kwargs = dict(controller_kwargs or {})
-        shards = self.controller_kwargs.get("shards", 1)
-        shard_workers = self.controller_kwargs.get(
-            "shard_workers", "process"
-        )
-        self._follower_args = (shards, shard_workers)
 
         self.controller: Optional[NerpaController] = None
         self.follower: Optional[CheckpointFollower] = None
@@ -295,7 +244,7 @@ class HAController:
             "leader": threading.Event(),
         }
         self._thread: Optional[threading.Thread] = None
-        self._lease_monitor: Optional[Tuple[str, object]] = None
+        self._lease_watch = None  # plane adapter holding the lease monitor
         self._release_on_stop = True
 
     # -- lifecycle -----------------------------------------------------------
@@ -332,12 +281,7 @@ class HAController:
             thread.join(timeout=10.0)
         self._thread = None
         self._unwatch_lease()
-        controller, self.controller = self.controller, None
-        if controller is not None:
-            try:
-                controller.stop()  # runs the lease-release hook
-            except Exception:  # noqa: BLE001 - teardown must not raise
-                pass
+        self._stop_controller()  # runs the lease-release hook
         if self.follower is not None:
             self.follower.close()
             self.follower = None
@@ -389,7 +333,6 @@ class HAController:
                 follower.poll()
             except Exception:  # noqa: BLE001 - keep following
                 pass
-        lease = None
         try:
             lease = self.mgmt.lease_acquire(
                 self.lease_name, self.owner, self.ttl, now=self.clock()
@@ -409,7 +352,6 @@ class HAController:
         self._wake.wait(self.renew_interval)
         if self._stop_event.is_set():
             return
-        renewed = False
         try:
             renewed = self.mgmt.lease_renew(
                 self.lease_name,
@@ -446,10 +388,7 @@ class HAController:
         except Exception:
             # A failed takeover must not wedge the replica as a
             # half-leader: drop the lease and resume following.
-            try:
-                controller.stop()
-            except Exception:  # noqa: BLE001
-                pass
+            self._stop_controller(controller)
             self._release_lease()
             self.epoch = None
             self.follower = self._make_follower()
@@ -476,26 +415,33 @@ class HAController:
         if obs.enabled():
             obs.REGISTRY.counter("ha_lease_losses_total").inc()
             obs.REGISTRY.gauge("ha_is_leader", owner=self.owner).set(0)
-        controller, self.controller = self.controller, None
+        self._stop_controller()
         self.epoch = None
-        if controller is not None:
-            try:
-                controller.stop()
-            except Exception:  # noqa: BLE001 - must reach standby
-                pass
         self.follower = self._make_follower()
         self._set_role("standby")
 
     # -- plumbing ------------------------------------------------------------
 
+    def _stop_controller(self, controller=None) -> None:
+        """Stop ``controller`` (default: the running one, which is
+        forgotten first).  Never raises: shutdown, a failed takeover and
+        a demotion must all reach their next state."""
+        if controller is None:
+            controller, self.controller = self.controller, None
+        if controller is not None:
+            try:
+                controller.stop()
+            except Exception:  # noqa: BLE001
+                pass
+
     def _make_follower(self) -> CheckpointFollower:
-        shards, shard_workers = self._follower_args
-        return CheckpointFollower(
-            self.project,
-            self.state_dir,
-            shards=shards,
-            shard_workers=shard_workers,
-        )
+        # The standby's engine must be sharded like the controller's.
+        sharding = {
+            key: self.controller_kwargs[key]
+            for key in ("shards", "shard_workers")
+            if key in self.controller_kwargs
+        }
+        return CheckpointFollower(self.project, self.state_dir, **sharding)
 
     def _release_lease(self) -> None:
         if not self._release_on_stop:
@@ -522,29 +468,16 @@ class HAController:
             self._wake.set()
 
     def _watch_lease(self) -> None:
-        if hasattr(self.mgmt, "add_monitor"):  # local Database
-            monitor, _ = self.mgmt.add_monitor(
-                MonitorSpec({LEASE_TABLE: None}), self._on_lease_update
-            )
-            self._lease_monitor = ("local", monitor)
-        else:  # ManagementClient
-            monitor_id, _ = self.mgmt.monitor(
-                {LEASE_TABLE: None}, self._on_lease_update
-            )
-            self._lease_monitor = ("remote", monitor_id)
+        self._lease_watch = wrap_mgmt(self.mgmt)
+        self._lease_watch.subscribe([LEASE_TABLE], self._on_lease_update)
 
     def _unwatch_lease(self) -> None:
-        watch, self._lease_monitor = self._lease_monitor, None
-        if watch is None:
-            return
-        kind, handle = watch
-        try:
-            if kind == "local":
-                self.mgmt.remove_monitor(handle)
-            else:
-                self.mgmt.monitor_cancel(handle)
-        except (ReproError, TransactionError, OSError):
-            pass
+        watch, self._lease_watch = self._lease_watch, None
+        if watch is not None:
+            try:
+                watch.unsubscribe()
+            except (ReproError, TransactionError, OSError):
+                pass
 
     def __enter__(self) -> "HAController":
         return self.start()

@@ -1,0 +1,88 @@
+"""What :meth:`NerpaController.metrics` reports, and the bounded sample
+series behind it.
+
+The controller owns the counters and the lock; this module owns how a
+series is kept (a sliding window, so a long-running controller's
+bookkeeping cannot grow without limit) and the shape of the reports
+built from them.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional
+
+from repro.analysis.stats import percentile
+from repro.core.fanout import FanoutPlane
+from repro.core.pipeline.queues import CoalescingQueue
+from repro.core.planes import ManagedDevice, RemoteDevice
+
+#: Samples retained per latency/stage-timing series.
+STATS_WINDOW = 8192
+
+
+def append_sample(samples: List[float], value: float) -> None:
+    """Append to a bounded series (caller holds the stats lock)."""
+    samples.append(value)
+    if len(samples) > STATS_WINDOW:
+        del samples[: len(samples) - STATS_WINDOW]
+
+
+def summarize(samples: List[float]) -> Dict[str, float]:
+    if not samples:
+        return {"count": 0, "mean": 0.0, "p95": 0.0}
+    return {
+        "count": len(samples),
+        "mean": sum(samples) / len(samples),
+        "p95": percentile(samples, 95),
+    }
+
+
+def latency_report(latencies: List[float]) -> Dict[str, float]:
+    """The end-to-end (ingest enqueue → device apply) latency keys."""
+    if not latencies:
+        latencies = [0.0]
+    return {
+        "mean_sync_latency": sum(latencies) / len(latencies),
+        "last_sync_latency": latencies[-1],
+        "sync_latency_p50": percentile(latencies, 50),
+        "sync_latency_p95": percentile(latencies, 95),
+    }
+
+
+def pipeline_report(
+    engine_queue: Optional[CoalescingQueue],
+    channels: list,
+    devices: List[ManagedDevice],
+    stage_seconds: Dict[str, List[float]],
+    plane: Optional[FanoutPlane],
+) -> Dict[str, object]:
+    """Queue depths, coalesce counts, per-stage timings and — while
+    the pipeline runs — the fan-out plane's channel states."""
+    started = engine_queue is not None
+    out: Dict[str, object] = {
+        "engine_queue_depth": len(engine_queue) if started else 0,
+        "engine_coalesced": engine_queue.coalesced if started else 0,
+        "device_queue_depths": {c.device.name: len(c.queue) for c in channels},
+        "device_coalesced": {
+            c.device.name: c.queue.coalesced for c in channels
+        },
+        "device_writes_issued": {d.name: d.writes_issued for d in devices},
+        "stage_seconds": {
+            stage: summarize(samples)
+            for stage, samples in stage_seconds.items()
+        },
+    }
+    if plane is not None:
+        states: Dict[str, int] = {}
+        for chan in plane.channels:
+            states[chan.state] = states.get(chan.state, 0) + 1
+        out["fanout"] = {
+            "inflight": plane.inflight,
+            "channel_states": states,
+            "send_buffer_bytes": {
+                d.name: d.io.client.send_buffer_bytes
+                for d in devices
+                if isinstance(d.io, RemoteDevice)
+            },
+        }
+    return out

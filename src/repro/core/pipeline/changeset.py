@@ -284,3 +284,43 @@ class DeviceBatch:
         self.last_seq = other.last_seq
         self.txns += other.txns
         return True
+
+
+class MulticastState:
+    """Group membership folded from the reserved ``MulticastGroup(group,
+    port)`` output relation.  Engine-thread state: only the evaluate
+    stage (and engine tasks) read or mutate it."""
+
+    def __init__(self, groups: Optional[Dict[int, List[int]]] = None):
+        self.members: Dict[int, set] = {
+            int(group): set(ports) for group, ports in (groups or {}).items()
+        }
+
+    def fold(self, delta) -> Dict[int, Optional[List[int]]]:
+        """Apply a relation delta; returns the net config ops for a
+        :class:`DeviceBatch` (``None`` = delete the group)."""
+        changed = set()
+        for row, weight in delta.items():
+            group, port = int(row[0]), int(row[1])
+            members = self.members.setdefault(group, set())
+            if weight > 0:
+                members.add(port)
+            else:
+                members.discard(port)
+            changed.add(group)
+        ops: Dict[int, Optional[List[int]]] = {}
+        for group in sorted(changed):
+            if self.members[group]:
+                ops[group] = sorted(self.members[group])
+            else:
+                ops[group] = None
+                del self.members[group]
+        return ops
+
+    def snapshot(self) -> Dict[int, List[int]]:
+        """``group -> sorted ports`` for every non-empty group."""
+        return {
+            group: sorted(members)
+            for group, members in self.members.items()
+            if members
+        }

@@ -16,8 +16,8 @@ A :class:`CoalescingQueue` is a FIFO with three twists:
   so :meth:`NerpaController.drain` can wait for quiescence stage by
   stage.
 
-Control items (engine tasks, device resyncs) simply return ``False``
-from ``coalesce`` and act as barriers: later write batches never merge
+Control items (:class:`Task` — engine tasks, device resyncs) have no
+``coalesce`` and act as barriers: later write batches never merge
 across them, preserving order.
 """
 
@@ -26,13 +26,44 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
+from repro import obs
 from repro.errors import ReproError
 
 
 class PipelineStalledError(ReproError):
     """A drain deadline expired with work still in flight."""
+
+
+class Task:
+    """A control item: ``fn`` runs on the queue's consumer (the engine
+    thread, or a device channel's pool slot, which passes the device),
+    and any thread may wait for its result."""
+
+    __slots__ = ("fn", "event", "result", "error")
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.event = threading.Event()
+        self.result = None
+        self.error: Optional[BaseException] = None
+
+    def run(self, *args) -> None:
+        try:
+            self.result = self.fn(*args)
+        except BaseException as exc:  # noqa: BLE001 - handed to waiter
+            self.error = exc
+        finally:
+            self.event.set()
+
+    def wait(self, what: str, timeout: float = 30.0):
+        """The task's result; re-raises what ``fn`` raised."""
+        if not self.event.wait(timeout):
+            raise ReproError(f"{what} timed out")
+        if self.error is not None:
+            raise self.error
+        return self.result
 
 
 class CoalescingQueue:
@@ -70,6 +101,13 @@ class CoalescingQueue:
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def gauge_depth(self) -> None:
+        """Publish the current depth as ``pipeline_queue_depth{queue=}``."""
+        if obs.enabled():
+            obs.REGISTRY.gauge("pipeline_queue_depth", queue=self.name).set(
+                len(self._items)
+            )
 
     @property
     def unfinished(self) -> int:
@@ -157,6 +195,10 @@ class CoalescingQueue:
 
     def task_done(self) -> None:
         with self._lock:
+            if self._closed:
+                # close() already wrote off the item still in its
+                # consumer's hands; counting it again would go negative.
+                return
             self._unfinished -= 1
             if self._unfinished <= 0:
                 self._all_done.notify_all()
@@ -186,7 +228,3 @@ class CoalescingQueue:
             self._not_empty.notify_all()
             self._not_full.notify_all()
             self._all_done.notify_all()
-
-    def snapshot(self) -> List[object]:
-        with self._lock:
-            return list(self._items)

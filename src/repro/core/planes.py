@@ -1,0 +1,263 @@
+"""Plane adapters: one calling convention per kind of neighbour.
+
+The controller talks to a management plane and to devices; each comes
+in an in-process and a remote flavour.  This module decides which is
+which (:func:`wrap_mgmt`, :func:`wrap_device`) and gives the pipeline
+one surface per plane, plus :class:`ManagedDevice` — a device together
+with the circuit-breaker state and latency series kept about it.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional
+
+from repro.errors import ProtocolError, ReproError
+from repro.mgmt.client import ManagementClient
+from repro.mgmt.database import Database
+from repro.mgmt.monitor import MonitorSpec, TableUpdates
+from repro.net.aio import Reactor
+from repro.obs.trace import use_update_id
+from repro.p4.simulator import Simulator
+from repro.p4runtime.aio_client import AioP4RuntimeClient
+from repro.p4runtime.api import DeviceService, TableWrite
+
+#: Exceptions treated as *transport* failures by the circuit breaker.
+#: Semantic rejections (``WriteError`` etc.) are deferred to
+#: :meth:`NerpaController.drain` — they indicate a controller bug, not
+#: a flaky peer.
+TRANSPORT_ERRORS = (ProtocolError, OSError)
+
+
+class LocalMgmt:
+    def __init__(self, db: Database):
+        self.db = db
+        self.monitor = None
+
+    def subscribe(self, tables, callback) -> TableUpdates:
+        spec = MonitorSpec({t: None for t in tables})
+        self.monitor, initial = self.db.add_monitor(spec, callback)
+        return initial
+
+    def unsubscribe(self) -> None:
+        if self.monitor is not None:
+            self.db.remove_monitor(self.monitor)
+            self.monitor = None
+
+    def on_reconnect(self, hook) -> None:
+        pass  # in-process databases do not disconnect
+
+    def health(self) -> Dict[str, object]:
+        return {"peer": "local-db", "state": "connected", "transitions": []}
+
+
+class RemoteMgmt:
+    def __init__(self, client):
+        self.client = client
+        self.monitor_id = None
+
+    def subscribe(self, tables, callback) -> TableUpdates:
+        self.monitor_id, initial = self.client.monitor(
+            {t: None for t in tables}, callback
+        )
+        return initial
+
+    def unsubscribe(self) -> None:
+        if self.monitor_id is not None:
+            self.client.monitor_cancel(self.monitor_id)
+            self.monitor_id = None
+
+    def on_reconnect(self, hook) -> None:
+        self.client.on_reconnect(hook)
+
+    def health(self) -> Dict[str, object]:
+        return self.client.health()
+
+
+class LocalDevice:
+    def __init__(self, target):
+        if isinstance(target, Simulator):
+            self.service = DeviceService(target)
+        else:
+            self.service = target
+        self._event_log: List[str] = []
+
+    def write(self, updates, fence=None) -> None:
+        self.service.fenced_write(updates, fence)
+
+    def apply_batch(
+        self, updates, mcast=None, update_ids=None, fence=None
+    ) -> None:
+        # The caller (a pool thread) binds the batch's update-id on the
+        # context, which is how the service stamps the config epoch.
+        self.service.fenced_apply_batch(updates, mcast, fence)
+
+    def read_table(self, table: str):
+        return [
+            TableWrite("INSERT", table, e)
+            for e in self.service.read_table(table)
+        ]
+
+    def set_multicast_group(self, group_id, ports) -> None:
+        self.service.set_multicast_group(group_id, ports)
+
+    def get_config_epoch(self):
+        return self.service.get_config_epoch()
+
+    def set_config_epoch(self, epoch, fence=None) -> None:
+        self.service.fenced_set_config_epoch(epoch, fence)
+
+    def attach_digests(self, callback) -> None:
+        sim = self.service.sim
+        previous = sim.digest_callback
+
+        def chained(message):
+            if previous is not None:
+                previous(message)
+            # Bind the update-id of the config change that installed
+            # the digest-producing entries, so the feedback transaction
+            # can link back to it without a signature change.
+            uid = getattr(message, "update_id", None)
+            if uid is not None:
+                with use_update_id(uid):
+                    callback(message.name, message.values)
+            else:
+                callback(message.name, message.values)
+
+        sim.digest_callback = chained
+
+    def on_reconnect(self, hook) -> None:
+        pass  # in-process devices do not disconnect
+
+    def wait_ready(self, timeout: float) -> bool:
+        return True
+
+    def note_event(self, tag: str) -> None:
+        self._event_log.append(tag)
+
+    def health(self) -> Dict[str, object]:
+        return {
+            "peer": "local-device",
+            "state": "connected",
+            "transitions": list(self._event_log),
+        }
+
+
+class RemoteDevice:
+    """A device behind a P4Runtime client.  The client's own surface is
+    used as is — its blocking calls by resync tasks on the fan-out
+    plane's pool, ``client.apply_batch_async`` by batches on the loop
+    thread; only what :class:`LocalDevice` spells differently is
+    adapted here."""
+
+    def __init__(self, client: AioP4RuntimeClient):
+        self.client = client
+
+    def __getattr__(self, name: str):
+        return getattr(self.client, name)
+
+    def attach_digests(self, callback) -> None:
+        self.client.subscribe_digests(callback)
+
+    def wait_ready(self, timeout: float) -> bool:
+        # Backpressure awareness: park until the transport is usable
+        # instead of burning a call timeout per queued batch.
+        return self.client.conn.wait_connected(timeout)
+
+    def note_event(self, tag: str) -> None:
+        self.client.conn.note_event(tag)
+
+
+class ManagedDevice:
+    """A device plus its circuit-breaker state."""
+
+    def __init__(self, io, name: str):
+        self.io = io
+        self.name = name
+        self.consecutive_failures = 0
+        self.quarantined = False
+        self.syncs_missed = 0
+        self.resyncs = 0
+        self.last_error: Optional[str] = None
+        #: Round trips issued by this device's writer (a coalesced
+        #: batch counts once — the batching win is visible here).
+        self.writes_issued = 0
+        #: End-to-end latencies (ingest enqueue → applied) per batch.
+        self.latencies: List[float] = []
+        #: Wire round-trip latencies (issue → ack) per batch — the
+        #: device's own service time, excluding queue wait.  A slow
+        #: peer shows up here *and* in ``latencies``; fleet-wide queue
+        #: pressure only in ``latencies``.
+        self.io_latencies: List[float] = []
+        #: The update-id of the last batch/resync this controller saw
+        #: applied to the device — the device's config epoch as the
+        #: controller believes it.  Checkpointed for warm restarts.
+        self.config_epoch: Optional[str] = None
+
+    def record_success(self) -> None:
+        self.consecutive_failures = 0
+
+    def record_failure(self, exc: BaseException, threshold: int) -> bool:
+        """Returns True if this failure tripped the breaker."""
+        self.consecutive_failures += 1
+        self.last_error = str(exc) or type(exc).__name__
+        if not self.quarantined and self.consecutive_failures >= threshold:
+            self.quarantined = True
+            self.io.note_event("quarantined")
+            return True
+        return False
+
+    def recover(self) -> None:
+        if self.quarantined:
+            self.io.note_event("recovered")
+        self.quarantined = False
+        self.consecutive_failures = 0
+        self.resyncs += 1
+
+    def health(self) -> Dict[str, object]:
+        report = dict(self.io.health())
+        report.update(
+            {
+                "name": self.name,
+                "quarantined": self.quarantined,
+                "consecutive_failures": self.consecutive_failures,
+                "syncs_missed": self.syncs_missed,
+                "resyncs": self.resyncs,
+            }
+        )
+        if self.last_error is not None:
+            report["last_device_error"] = self.last_error
+        return report
+
+
+def wrap_device(target):
+    if isinstance(target, AioP4RuntimeClient):
+        return RemoteDevice(target)
+    if isinstance(target, (Simulator, DeviceService)):
+        return LocalDevice(target)
+    raise TypeError(f"cannot manage device {target!r}")
+
+
+def wrap_mgmt(target):
+    if isinstance(target, Database):
+        return LocalMgmt(target)
+    if isinstance(target, ManagementClient):
+        return RemoteMgmt(target)
+    raise TypeError(f"cannot use {target!r} as a management plane")
+
+
+def shared_reactor(devices, reactor: Optional[Reactor]) -> Optional[Reactor]:
+    """The one reactor the remote ``devices`` run on.  Channel and
+    connection callbacks must share one loop thread, so the apply stage
+    runs on the device clients' own reactor and an explicit ``reactor``
+    has to be that same one; ``None`` means there is no remote device."""
+    reactors = {
+        d.reactor for d in devices if isinstance(d, AioP4RuntimeClient)
+    }
+    if reactor is not None:
+        reactors.add(reactor)
+    if len(reactors) > 1:
+        raise ReproError(
+            "controller and device clients must share one reactor "
+            f"(got {sorted(r.name for r in reactors)})"
+        )
+    return reactors.pop() if reactors else None

@@ -26,20 +26,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.dlog import types as T
 from repro.dlog.values import MapValue, StructValue
 from repro.errors import TypeCheckError
 from repro.mgmt.schema import ColumnType
 from repro.p4.p4info import MatchField, TableInfo
 from repro.p4.tables import FieldMatch
-
-_ATOM_TO_DLOG: Dict[str, T.Type] = {
-    "integer": T.BIGINT,
-    "real": T.FLOAT,
-    "boolean": T.BOOL,
-    "string": T.STRING,
-    "uuid": T.STRING,
-}
 
 _ATOM_TO_DLOG_TEXT: Dict[str, str] = {
     "integer": "bigint",
@@ -50,20 +41,9 @@ _ATOM_TO_DLOG_TEXT: Dict[str, str] = {
 }
 
 
-def ovsdb_column_to_dlog(ctype: ColumnType) -> T.Type:
-    """The dlog type of an OVSDB column."""
-    key = _ATOM_TO_DLOG[ctype.key]
-    if ctype.is_scalar:
-        return key
-    if ctype.is_optional:
-        return T.TUser("Option", [key])
-    if ctype.is_map:
-        return T.TMap(key, _ATOM_TO_DLOG[ctype.value])
-    return T.TVec(key)
-
-
 def ovsdb_column_to_dlog_text(ctype: ColumnType) -> str:
-    """Same mapping, as dlog source text (for generated declarations)."""
+    """The dlog type of an OVSDB column, as source text (for generated
+    declarations)."""
     key = _ATOM_TO_DLOG_TEXT[ctype.key]
     if ctype.is_scalar:
         return key
@@ -85,16 +65,6 @@ def ovsdb_value_to_dlog(ctype: ColumnType, value) -> object:
     if ctype.is_map:
         return MapValue(value.items())
     return tuple(sorted(value, key=repr))
-
-
-def match_field_to_dlog(field: MatchField) -> T.Type:
-    """The dlog type of one P4 table key column."""
-    value = T.TBit(field.width)
-    if field.match_kind == "exact":
-        return value
-    if field.match_kind == "lpm":
-        return T.TTuple([value, T.BIGINT])
-    return T.TTuple([value, T.TBit(field.width)])
 
 
 def match_field_to_dlog_text(field: MatchField) -> str:
@@ -163,10 +133,3 @@ def table_key_columns(table: TableInfo) -> List[Tuple[str, MatchField]]:
         used[base] = count + 1
         out.append((base if count == 0 else f"{base}_{count}", field))
     return out
-
-
-def dlog_action_value(
-    table: TableInfo, action_name: str, params: Tuple[int, ...]
-) -> StructValue:
-    """Build the action-union runtime value for a table entry."""
-    return StructValue(action_constructor_name(table, action_name), params)

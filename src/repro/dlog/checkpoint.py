@@ -144,8 +144,11 @@ class CheckpointStore:
         #: segment.
         self.heal = heal
         self.full_path = os.path.join(directory, name)
-        self._next_index = 1
-        self._anchor: Optional[int] = None  # txn_count the chain has reached
+        #: Index the next delta segment will be written (or read) at.
+        self.next_index = 1
+        #: Transaction count the chain has reached; ``None`` until a
+        #: ``save_full`` or a load anchors it.
+        self.anchor: Optional[int] = None
         self.segments_since_full = 0
 
     # -- write side --------------------------------------------------------
@@ -159,8 +162,8 @@ class CheckpointStore:
                 os.unlink(path)
             except OSError:
                 pass
-        self._next_index = 1
-        self._anchor = txn_count
+        self.next_index = 1
+        self.anchor = txn_count
         self.segments_since_full = 0
         return size
 
@@ -171,7 +174,7 @@ class CheckpointStore:
         ending at transaction counter ``txn_count``.  Returns bytes
         written.  Requires an anchored chain (a prior :meth:`save_full`
         or a validated :meth:`load_segments`)."""
-        if self._anchor is None:
+        if self.anchor is None:
             raise CheckpointError(
                 "delta segment without an anchored full snapshot; "
                 "call save_full first"
@@ -179,22 +182,22 @@ class CheckpointStore:
         segment = {
             "format": SEGMENT_FORMAT,
             "program_hash": self.program_hash,
-            "segment": self._next_index,
-            "base_txn": self._anchor,
+            "segment": self.next_index,
+            "base_txn": self.anchor,
             "txn_count": txn_count,
             "txns": list(txns),
             "meta": meta or {},
         }
-        size = save_checkpoint(self._segment_path(self._next_index), segment)
-        self._next_index += 1
-        self._anchor = txn_count
+        size = save_checkpoint(self.segment_path(self.next_index), segment)
+        self.next_index += 1
+        self.anchor = txn_count
         self.segments_since_full += 1
         return size
 
     def should_full(self, every: int) -> bool:
         """True when the chain holds >= ``every`` segments (or has no
         anchor yet) — the caller's cue to cut a fresh full snapshot."""
-        return self._anchor is None or self.segments_since_full >= every
+        return self.anchor is None or self.segments_since_full >= every
 
     # -- read side ---------------------------------------------------------
 
@@ -257,8 +260,8 @@ class CheckpointStore:
                     os.unlink(path)
                 except OSError:
                     pass
-        self._next_index = expected
-        self._anchor = anchor
+        self.next_index = expected
+        self.anchor = anchor
         self.segments_since_full = len(chain)
         return chain
 
@@ -272,12 +275,19 @@ class CheckpointStore:
             return None, []
         return full, self.load_segments(anchor_of(full))
 
-    # -- internals ---------------------------------------------------------
+    def tail(self) -> List[dict]:
+        """The segments appended since this store's last load — how a
+        follower that already replayed up to :attr:`anchor` continues."""
+        return self.load_segments(self.anchor, start_index=self.next_index)
 
-    def _segment_path(self, index: int) -> str:
+    def segment_path(self, index: int) -> str:
+        """Where segment ``index`` lives (``segment_path(next_index)``
+        is the file the next :meth:`save_delta` writes)."""
         return os.path.join(
             self.directory, f"{self.name}.delta-{index:06d}.seg"
         )
+
+    # -- internals ---------------------------------------------------------
 
     def _segment_paths(self) -> List[str]:
         prefix = f"{self.name}.delta-"

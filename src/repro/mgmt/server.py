@@ -13,30 +13,22 @@ Methods (mirroring OVSDB's protocol surface):
 Update notifications: ``{"method": "update", "params": [monitor_id,
 {table: {uuid: {"old": {...}?, "new": {...}?}}}], "id": null}``.
 
-The server is threaded (one reader thread per connection) so it can run
-alongside the synchronous controller without an event loop;
-``ManagementServer.start()`` returns once the listening socket is bound.
+Accepting, framing and teardown are :mod:`repro.net.server`'s; this
+module is the method table and the monitor subscriptions.
 """
 
 from __future__ import annotations
 
 import socket
-import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError
 from repro.mgmt.database import Database
-from repro.obs.trace import current_update_id
-from repro.mgmt.jsonrpc import (
-    classify,
-    make_error,
-    make_notification,
-    make_response,
-    recv_message,
-    send_message,
-)
+from repro.mgmt.jsonrpc import make_notification
 from repro.mgmt.monitor import Monitor, MonitorSpec, TableUpdates
 from repro.mgmt.values import row_to_wire
+from repro.net.server import RpcConnection, ThreadedServer
+from repro.obs.trace import current_update_id
 
 
 def updates_to_wire(db: Database, updates: TableUpdates) -> dict:
@@ -54,66 +46,17 @@ def updates_to_wire(db: Database, updates: TableUpdates) -> dict:
     return out
 
 
-class _Connection:
+class _Connection(RpcConnection):
     def __init__(self, server: "ManagementServer", sock: socket.socket, peer):
-        self.server = server
-        self.sock = sock
-        self.peer = peer
+        super().__init__(server, sock, peer)
         self.monitors: Dict[str, Monitor] = {}
-        self.send_lock = threading.Lock()
-        self.alive = True
-
-    def send(self, message: dict) -> None:
-        with self.send_lock:
-            try:
-                send_message(self.sock, message)
-            except OSError:
-                self.alive = False
 
     def close(self) -> None:
-        self.alive = False
+        self.alive = False  # stop pushing before the monitors go
         for monitor in self.monitors.values():
             self.server.db.remove_monitor(monitor)
         self.monitors.clear()
-        # shutdown() both wakes this connection's reader thread out of
-        # recv() and sends the peer a FIN; close() alone does neither
-        # while the reader holds the fd in a blocked syscall.
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-    def serve(self) -> None:
-        try:
-            while self.alive:
-                message = recv_message(self.sock)
-                if message is None:
-                    break
-                self._dispatch(message)
-        except (ProtocolError, OSError):
-            pass
-        finally:
-            self.close()
-            self.server._forget(self)
-
-    def _dispatch(self, message: dict) -> None:
-        kind = classify(message)
-        if kind != "request":
-            return  # this server sends but never awaits notifications
-        method = message["method"]
-        params = message.get("params", [])
-        request_id = message["id"]
-        try:
-            result = self._handle(method, params)
-            self.send(make_response(result, request_id))
-        except ReproError as exc:
-            self.send(make_error({"error": str(exc)}, request_id))
-        except Exception as exc:  # noqa: BLE001 - report, don't kill conn
-            self.send(make_error({"error": f"internal: {exc}"}, request_id))
+        super().close()
 
     def _handle(self, method: str, params):
         db = self.server.db
@@ -122,8 +65,7 @@ class _Connection:
         if method == "get_schema":
             return db.schema.to_json()
         if method == "transact":
-            results = db.transact(params)
-            return [self._encode_result(r) for r in results]
+            return db.transact(params)  # select rows are already plain
         if method == "monitor":
             if len(params) != 1 or not isinstance(params[0], dict):
                 raise ProtocolError("monitor expects [spec]")
@@ -165,17 +107,6 @@ class _Connection:
             return {"lease": db.lease_get(name)}
         raise ProtocolError(f"unknown method {method!r}")
 
-    def _encode_result(self, result: dict) -> dict:
-        if "rows" in result:
-            encoded = []
-            for row in result["rows"]:
-                out = {}
-                for col, value in row.items():
-                    out[col] = value  # rows from select are already plain
-                encoded.append(out)
-            return {"rows": encoded}
-        return result
-
     def _push_updates_factory(self, id_cell: List[Optional[str]]):
         def push(updates: TableUpdates) -> None:
             if not self.alive:
@@ -192,87 +123,12 @@ class _Connection:
         return push
 
 
-class ManagementServer:
+class ManagementServer(ThreadedServer):
     """Serves one :class:`Database` over TCP."""
 
+    connection_class = _Connection
+    thread_name = "mgmt"
+
     def __init__(self, db: Database, host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host, port)
         self.db = db
-        self.host = host
-        self.port = port
-        self._listener: Optional[socket.socket] = None
-        self._thread: Optional[threading.Thread] = None
-        self._connections: List[_Connection] = []
-        self._conn_lock = threading.Lock()
-        self._running = False
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._listener is None:
-            raise RuntimeError("server not started")
-        return self._listener.getsockname()[:2]
-
-    def start(self) -> "ManagementServer":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(32)
-        self._listener = listener
-        self._running = True
-        self._thread = threading.Thread(
-            target=self._accept_loop, name="mgmt-server", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while self._running:
-            try:
-                sock, peer = self._listener.accept()
-            except OSError:
-                break
-            if not self._running:  # raced with stop()
-                sock.close()
-                break
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # Accepted sockets must carry SO_REUSEADDR themselves: their
-            # lingering close states (FIN_WAIT, TIME_WAIT) would
-            # otherwise block an immediate restart of this server on
-            # the same port.
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            conn = _Connection(self, sock, peer)
-            with self._conn_lock:
-                self._connections.append(conn)
-            threading.Thread(
-                target=conn.serve, name=f"mgmt-conn-{peer}", daemon=True
-            ).start()
-
-    def _forget(self, conn: _Connection) -> None:
-        with self._conn_lock:
-            if conn in self._connections:
-                self._connections.remove(conn)
-
-    def stop(self) -> None:
-        self._running = False
-        if self._listener is not None:
-            # shutdown() wakes a thread blocked in accept(); close()
-            # alone leaves the kernel LISTEN socket alive (held by the
-            # in-flight accept) and the port unbindable.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._conn_lock:
-            conns = list(self._connections)
-        for conn in conns:
-            conn.close()
-
-    def __enter__(self) -> "ManagementServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -8,8 +8,10 @@ operator: retry policies with exponential backoff
 that carries every P4Runtime client and multiplexes thousands of device
 connections on one thread, the thread-per-connection transport
 (:class:`~repro.net.resilient.ResilientConnection`) that only the
-management client still runs on, and controlled fault injection for
-tests and benchmarks (:class:`~repro.net.faults.FaultInjector`).
+management client still runs on, the threaded listener scaffolding
+every server in the tree shares (:mod:`repro.net.server`), and
+controlled fault injection for tests and benchmarks
+(:class:`~repro.net.faults.FaultInjector`).
 """
 
 from repro.net.aio import AioConnection, Reactor, default_reactor

@@ -26,7 +26,9 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import List, Optional, Tuple
+from typing import Optional
+
+from repro.net.server import ThreadedServer, shutdown_and_close
 
 _CHUNK = 65536
 
@@ -87,20 +89,15 @@ class _Pipe:
 
     def close(self) -> None:
         self.alive = False
-        for sock in (self.client, self.upstream):
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+        shutdown_and_close(self.client)
+        shutdown_and_close(self.upstream)
         self.injector._forget(self)
 
 
-class FaultInjector:
+class FaultInjector(ThreadedServer):
     """TCP proxy with switchable faults; see module docstring."""
+
+    thread_name = "fault-injector"
 
     def __init__(
         self,
@@ -109,13 +106,9 @@ class FaultInjector:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
+        super().__init__(host, port)
         self.upstream = (upstream_host, upstream_port)
-        self.host = host
-        self.port = port
-        self._listener: Optional[socket.socket] = None
-        self._pipes: List[_Pipe] = []
         self._lock = threading.Lock()
-        self._running = False
 
         self._latency = 0.0
         self._blackhole = False
@@ -127,68 +120,15 @@ class FaultInjector:
         self.bytes_up = 0
         self.bytes_down = 0
 
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._listener is None:
-            raise RuntimeError("injector not started")
-        return self._listener.getsockname()[:2]
-
-    def start(self) -> "FaultInjector":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(32)
-        self._listener = listener
-        self._running = True
-        threading.Thread(
-            target=self._accept_loop, name="fault-injector", daemon=True
-        ).start()
-        return self
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while self._running:
-            try:
-                client, _ = self._listener.accept()
-            except OSError:
-                break
-            try:
-                upstream = socket.create_connection(self.upstream, timeout=5.0)
-            except OSError:
-                client.close()
-                continue
-            for sock in (client, upstream):
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            pipe = _Pipe(self, client, upstream)
-            with self._lock:
-                self._pipes.append(pipe)
-                self.connections_accepted += 1
-            pipe.start()
-
-    def stop(self) -> None:
-        self._running = False
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            pipes = list(self._pipes)
-        for pipe in pipes:
-            pipe.close()
-
-    def _forget(self, pipe: _Pipe) -> None:
-        with self._lock:
-            if pipe in self._pipes:
-                self._pipes.remove(pipe)
-
-    def __enter__(self) -> "FaultInjector":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    def _open(self, client: socket.socket, peer) -> Optional[_Pipe]:
+        try:
+            upstream = socket.create_connection(self.upstream, timeout=5.0)
+        except OSError:
+            client.close()
+            return None
+        upstream.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.connections_accepted += 1
+        return _Pipe(self, client, upstream)
 
     # -- fault controls ------------------------------------------------------
 
@@ -207,8 +147,7 @@ class FaultInjector:
 
     def sever(self) -> int:
         """Abruptly close every live proxied connection; returns count."""
-        with self._lock:
-            pipes = list(self._pipes)
+        pipes = self.connections()
         for pipe in pipes:
             pipe.close()
         return len(pipes)

@@ -24,78 +24,20 @@ Methods:
 from __future__ import annotations
 
 import socket
-import threading
-from typing import List, Optional, Tuple
 
-from repro.errors import ProtocolError, ReproError
-from repro.mgmt.jsonrpc import (
-    classify,
-    make_error,
-    make_notification,
-    make_response,
-    recv_message,
-    send_message,
-)
+from repro.errors import ProtocolError
+from repro.mgmt.jsonrpc import make_notification
+from repro.net.server import RpcConnection, ThreadedServer
 from repro.obs.trace import use_update_id
 from repro.p4.simulator import DigestMessage, Simulator
 from repro.p4runtime.api import DeviceService, TableWrite
 
 
-class _Connection:
-    def __init__(self, server: "P4RuntimeServer", sock: socket.socket):
-        self.server = server
-        self.sock = sock
-        self.send_lock = threading.Lock()
+class _Connection(RpcConnection):
+    def __init__(self, server: "P4RuntimeServer", sock: socket.socket, peer):
+        super().__init__(server, sock, peer)
         self.wants_digests = False
         self.wants_packet_ins = False
-        self.alive = True
-
-    def send(self, message: dict) -> None:
-        with self.send_lock:
-            try:
-                send_message(self.sock, message)
-            except OSError:
-                self.alive = False
-
-    def close(self) -> None:
-        self.alive = False
-        # shutdown() both wakes this connection's reader thread out of
-        # recv() and sends the peer a FIN; close() alone does neither
-        # while the reader holds the fd in a blocked syscall.
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-    def serve(self) -> None:
-        try:
-            while self.alive:
-                message = recv_message(self.sock)
-                if message is None:
-                    break
-                if classify(message) != "request":
-                    continue
-                method = message["method"]
-                params = message.get("params", [])
-                request_id = message["id"]
-                try:
-                    result = self._handle(method, params)
-                    self.send(make_response(result, request_id))
-                except ReproError as exc:
-                    self.send(make_error({"error": str(exc)}, request_id))
-                except Exception as exc:  # noqa: BLE001
-                    self.send(
-                        make_error({"error": f"internal: {exc}"}, request_id)
-                    )
-        except (ProtocolError, OSError):
-            pass
-        finally:
-            self.close()
-            self.server._forget(self)
 
     def _handle(self, method: str, params):
         service = self.server.service
@@ -115,14 +57,9 @@ class _Connection:
                 updates = [
                     TableWrite.from_wire(u) for u in params[0]["updates"]
                 ]
-                uid = params[0].get("update_id")
                 fence = params[0].get("fence")
-                if uid is not None:
-                    with use_update_id(uid):
-                        return {
-                            "applied": service.fenced_write(updates, fence)
-                        }
-                return {"applied": service.fenced_write(updates, fence)}
+                with use_update_id(params[0].get("update_id")):
+                    return {"applied": service.fenced_write(updates, fence)}
             updates = [TableWrite.from_wire(u) for u in params]
             return {"applied": service.write(updates)}
         if method == "apply_batch":
@@ -137,15 +74,10 @@ class _Connection:
             }
             update_ids = envelope.get("update_ids") or []
             fence = envelope.get("fence")
-            uid = update_ids[-1] if update_ids else None
-            if uid is not None:
-                with use_update_id(uid):
-                    return {
-                        "applied": service.fenced_apply_batch(
-                            updates, mcast, fence
-                        )
-                    }
-            return {"applied": service.fenced_apply_batch(updates, mcast, fence)}
+            with use_update_id(update_ids[-1] if update_ids else None):
+                return {
+                    "applied": service.fenced_apply_batch(updates, mcast, fence)
+                }
         if method == "get_config_epoch":
             return {"epoch": service.get_config_epoch()}
         if method == "set_config_epoch":
@@ -194,67 +126,21 @@ class _Connection:
         raise ProtocolError(f"unknown method {method!r}")
 
 
-class P4RuntimeServer:
+class P4RuntimeServer(ThreadedServer):
     """Serves one simulator over TCP."""
 
+    connection_class = _Connection
+    thread_name = "p4rt"
+
     def __init__(self, sim: Simulator, host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host, port)
         self.sim = sim
         self.service = DeviceService(sim)
-        self.host = host
-        self.port = port
-        self._listener: Optional[socket.socket] = None
-        self._connections: List[_Connection] = []
-        self._conn_lock = threading.Lock()
-        self._running = False
         # Route digests emitted by direct (in-process) inject calls too.
         self._prev_callback = sim.digest_callback
         sim.digest_callback = self._on_digest
         self._prev_packet_in = sim.packet_in_callback
         sim.packet_in_callback = self._on_packet_in
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._listener is None:
-            raise RuntimeError("server not started")
-        return self._listener.getsockname()[:2]
-
-    def start(self) -> "P4RuntimeServer":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(32)
-        self._listener = listener
-        self._running = True
-        threading.Thread(
-            target=self._accept_loop, name="p4rt-server", daemon=True
-        ).start()
-        return self
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while self._running:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                break
-            if not self._running:  # raced with stop()
-                sock.close()
-                break
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # Accepted sockets must carry SO_REUSEADDR themselves: their
-            # lingering close states (FIN_WAIT, TIME_WAIT) would
-            # otherwise block an immediate restart of this server on
-            # the same port.
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            conn = _Connection(self, sock)
-            with self._conn_lock:
-                self._connections.append(conn)
-            threading.Thread(target=conn.serve, daemon=True).start()
-
-    def _forget(self, conn: _Connection) -> None:
-        with self._conn_lock:
-            if conn in self._connections:
-                self._connections.remove(conn)
 
     def _on_digest(self, digest: DigestMessage) -> None:
         if self._prev_callback is not None:
@@ -262,22 +148,18 @@ class P4RuntimeServer:
         self._broadcast_digest(digest)
 
     def _broadcast_digest(self, digest: DigestMessage) -> None:
-        with self._conn_lock:
-            conns = list(self._connections)
         params = [digest.name, list(digest.values)]
         uid = getattr(digest, "update_id", None)
         if uid is not None:
             params.append(uid)
-        for conn in conns:
+        for conn in self.connections():
             if conn.wants_digests:
                 conn.send(make_notification("digest", params))
 
     def _on_packet_in(self, port: int, data: bytes) -> None:
         if self._prev_packet_in is not None:
             self._prev_packet_in(port, data)
-        with self._conn_lock:
-            conns = list(self._connections)
-        for conn in conns:
+        for conn in self.connections():
             if conn.wants_packet_ins:
                 conn.send(
                     make_notification("packet_in", [port, data.hex()])
@@ -287,28 +169,3 @@ class P4RuntimeServer:
         """Deliver any digests queued in the simulator."""
         for digest in self.sim.drain_digests():
             self._broadcast_digest(digest)
-
-    def stop(self) -> None:
-        self._running = False
-        if self._listener is not None:
-            # shutdown() wakes a thread blocked in accept(); close()
-            # alone leaves the kernel LISTEN socket alive (held by the
-            # in-flight accept) and the port unbindable.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._conn_lock:
-            conns = list(self._connections)
-        for conn in conns:
-            conn.close()
-
-    def __enter__(self) -> "P4RuntimeServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

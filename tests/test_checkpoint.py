@@ -265,7 +265,7 @@ class TestCheckpointStore:
         store = self._store(tmp_path)
         store.save_full({"format": CHECKPOINT_FORMAT}, 1)
         store.save_delta([], 2)
-        bad = store._segment_path(2)
+        bad = store.segment_path(2)
         (tmp_path / bad.split("/")[-1]).write_bytes(b"torn write")
         fresh = self._store(tmp_path)
         segments = fresh.load_segments(1)
@@ -722,7 +722,7 @@ class TestBackgroundCheckpointTimer:
             lambda: controller.auto_checkpoints >= 2,
             what="background checkpoints",
         )
-        timer = controller._ckpt_timer_thread
+        timer = controller.checkpoints.timer_thread
         assert timer is not None and timer.is_alive()
         controller.stop()
         assert not timer.is_alive()

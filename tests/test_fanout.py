@@ -662,7 +662,7 @@ class TestControllerAioPlane:
             with pytest.raises(ReproError, match="share one reactor"):
                 NerpaController(project, db, [client], reactor=theirs)
             controller = NerpaController(project, db, [client])
-            assert controller._reactor is ours
+            assert controller.reactor is ours
             controller.runtime.close()
         finally:
             client.close()

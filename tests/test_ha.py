@@ -26,6 +26,7 @@ import time
 import pytest
 
 from repro.apps.snvs import build_snvs
+from repro.core import reconcile, warmstate
 from repro.core.controller import NerpaController
 from repro.core.ha import CheckpointFollower, HAController
 from repro.errors import TransactionError
@@ -354,9 +355,32 @@ class TestCheckpointFollower:
             assert _engine_state(follower.runtime, project.bindings) == (
                 _engine_state(leader.runtime, project.bindings)
             )
-            follower.close()
+            _add_port(db, 3)
+            leader.drain()
+            leader.save_checkpoint("delta")
+            tailed_warm = dict(follower.warm_state)
+            assert follower.poll()
         finally:
             leader.stop()
+        # Hand-off oracle: tailing the chain cut by cut and restoring
+        # it from disk in one go are the same fold — equal warm state
+        # (each delta moved mcast membership and the device epoch) and
+        # equal contents of every relation.
+        tailed, warm = follower.detach()
+        restored, disk_warm = warmstate.restore(
+            warmstate.open_store(str(tmp_path), project.program.program_hash),
+            project.program, 1, "process",
+        )
+        try:
+            assert warm == disk_warm
+            assert set(warm) == {"mcast", "seq", "device_epochs"}
+            assert all(warm[key] != tailed_warm[key] for key in warm)
+            program = project.program
+            for rel in program.input_relations + program.output_relations:
+                assert tailed.dump(rel) == restored.dump(rel), rel
+        finally:
+            tailed.close()
+            restored.close()
 
     def test_detects_compaction_and_reloads(self, tmp_path):
         project = build_snvs()
@@ -671,8 +695,8 @@ class TestFailoverOracle:
         a.controller.drain()
         a.controller.save_checkpoint()
         # The crash happens mid-write of the next delta segment.
-        store = a.controller._ckpt_store
-        torn = store._segment_path(store._next_index)
+        store = a.controller.checkpoints.store
+        torn = store.segment_path(store.next_index)
         with open(torn, "wb") as handle:
             handle.write(b"\x80torn delta segment")
 
@@ -739,7 +763,9 @@ class TestFailoverOracle:
         finally:
             old.stop()
 
-    def test_epoch_matched_takeover_never_dumps_desired_state(self, tmp_path):
+    def test_epoch_matched_takeover_never_dumps_desired_state(
+        self, tmp_path, monkeypatch
+    ):
         """When every device already reports its checkpointed epoch,
         the takeover must not take the O(state) desired-writes dump —
         that skip is what makes failover latency independent of the
@@ -761,13 +787,13 @@ class TestFailoverOracle:
         assert follower.poll()
 
         dumps = []
-
-        class Counting(NerpaController):
-            def _desired_writes(self):
-                dumps.append(1)
-                return super()._desired_writes()
-
-        successor = Counting(
+        inner = reconcile.desired_writes
+        monkeypatch.setattr(
+            reconcile,
+            "desired_writes",
+            lambda *args: dumps.append(1) or inner(*args),
+        )
+        successor = NerpaController(
             project,
             db,
             [switch],
@@ -921,7 +947,7 @@ class TestStopOrdering:
             timeout=15.0,
             what="background checkpoints",
         )
-        timer = controller._ckpt_timer_thread
+        timer = controller.checkpoints.timer_thread
         controller.stop()
         assert timer is not None and not timer.is_alive()
         # The chain the timer wrote is a valid warm-start source.

@@ -19,6 +19,9 @@ decomposition of the controller:
   queue.
 """
 
+import inspect
+import json
+import os
 import threading
 import time
 
@@ -66,6 +69,10 @@ control Ing(inout headers_t hdr, inout meta_t m,
 """
 
 RULES = "Patch(p as bit<16>, PatchActionForward{o as bit<16>}) :- PortCfg(_, p, o)."
+
+SURFACE_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "controller_surface.json"
+)
 
 FAST = RetryPolicy(
     connect_timeout=2.0,
@@ -437,8 +444,8 @@ class TestEndToEndOrdering:
             # way the device saw fewer round trips than transactions.
             assert issued < 12
             merged = (
-                controller._engine_queue.coalesced
-                + controller._writers[0].queue.coalesced
+                controller.engine_queue.coalesced
+                + controller.channels[0].queue.coalesced
             )
             assert merged > 0
         finally:
@@ -456,6 +463,40 @@ class TestEndToEndOrdering:
             assert controller.devices[0].writes_issued >= 5
         finally:
             controller.stop()
+
+
+class TestDrainDeadline:
+    def test_drain_after_stop_from_the_engine_thread_returns(self):
+        """stop() run as an engine task (the lease-loss path) closes the
+        engine queue under its own consumer; a later drain() must come
+        back instead of spinning on a negative in-flight count."""
+        project, db, switch = build()
+        controller = NerpaController(project, db, [switch]).start()
+        engine = controller._engine_thread
+        controller._submit_engine(controller.stop, wait=False)
+        engine.join(10.0)
+        assert not engine.is_alive()
+        assert controller.engine_queue.unfinished == 0
+        controller.drain(timeout=1.0)
+
+    def test_drain_honours_its_deadline_when_nothing_blocks(self):
+        """join() returning at once with work still counted in flight
+        must end in PipelineStalledError, not a busy loop."""
+
+        class NeverQuiet:
+            unfinished = 1
+
+            def join(self, deadline):
+                pass
+
+        project, db, switch = build()
+        controller = NerpaController(project, db, [switch])
+        controller.engine_queue = NeverQuiet()
+        try:
+            with pytest.raises(PipelineStalledError):
+                controller.drain(timeout=0.05)
+        finally:
+            controller.runtime.close()
 
 
 class TestOvsdbModifyPath:
@@ -667,6 +708,50 @@ class TestPipelineObservability:
         finally:
             obs.disable()
             obs.reset()
+
+
+    def test_public_surface_matches_the_recording(self, tmp_path):
+        """Constructor/start() signatures, metrics()/health() key sets
+        and the obs metric names of a start → commit → resync →
+        checkpoint → stop run equal what 4eec714 (the commit before the
+        controller was split) produced."""
+        with open(SURFACE_FIXTURE) as handle:
+            assert controller_surface(str(tmp_path)) == json.load(handle)
+
+
+def controller_surface(state_dir):
+    """The controller's promised-stable surface as plain data."""
+    from repro import obs
+
+    project, db, switch = build()
+    obs.reset()
+    with obs.enabled_scope(), NerpaController(
+        project, db, [switch], state_dir=state_dir
+    ) as controller:
+        for port in (1, 2):  # a full checkpoint, then a delta
+            add_port(db, port, port + 4)
+            controller.drain()
+            controller.resync_device(0)
+            controller.save_checkpoint()
+        metrics, health = controller.metrics(), controller.health()
+    obs.reset()
+    registry = metrics.pop("registry")
+    return {
+        "init": str(inspect.signature(NerpaController.__init__)),
+        "start": str(inspect.signature(NerpaController.start)),
+        "metrics": sorted(metrics),
+        "pipeline": sorted(metrics["pipeline"]),
+        "fanout": sorted(metrics["pipeline"]["fanout"]),
+        "restart": sorted(metrics["restart"]),
+        "health": sorted(health),
+        "device_health": sorted(health["devices"][0]),
+        "obs": sorted(
+            key
+            for kind in registry.values()
+            for key in kind
+            if key.startswith(("controller_", "pipeline_", "fanout_"))
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
