@@ -218,7 +218,7 @@ def test_h1_failover_vs_cold_restart(benchmark, tmp_path):
     # and no warm engine — compile, recompute, reconcile the device.
     cold_started = time.perf_counter()
     cold_project = nerpa_build(SCHEMA, RULES, P4)
-    cold = NerpaController(cold_project, db, [sim]).start(reconcile=True)
+    cold = NerpaController(cold_project, db, [sim]).start()
     cold.drain()
     cold_seconds = time.perf_counter() - cold_started
     assert table_state(sim) == expected

@@ -64,9 +64,9 @@ class SlowService(DeviceService):
         super().__init__(sim)
         self.delay = delay
 
-    def apply_batch(self, updates, mcast=None):
+    def apply_batch(self, updates, mcast=None, fence=None):
         time.sleep(self.delay)
-        return super().apply_batch(updates, mcast)
+        return super().apply_batch(updates, mcast, fence)
 
 
 def churn(transact) -> None:

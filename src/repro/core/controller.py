@@ -72,6 +72,7 @@ from repro.core.pipeline.queues import (
     Task,
 )
 from repro.core.planes import (
+    LocalDevice,
     ManagedDevice,
     shared_reactor,
     wrap_device,
@@ -157,8 +158,8 @@ class NerpaController:
         runtime, warm = None, None
         if warm_source is not None:
             runtime, handed_state = warm_source
-            if runtime is not None:
-                warm = dict(handed_state or {})
+            if runtime is not None and handed_state:
+                warm = dict(handed_state)
         elif state_dir is not None:
             runtime, warm = warmstate.restore(
                 self.checkpoints.store, program, shards, shard_workers
@@ -181,9 +182,10 @@ class NerpaController:
         # engine tasks).
         self._seq, groups, epochs = warmstate.unpack(warm or {})
         self._mcast = MulticastState(groups)
-        #: Checkpointed per-device config epochs, until start() uses
-        #: them; ``None`` = nothing to warm-start from.
-        self._warm_epochs = epochs if warm is not None else None
+        #: The config epoch each device held when the engine state this
+        #: controller was built with was checkpointed; ``None`` = the
+        #: engine is fresh (no chain, no hand-off warm state).
+        self._restored = epochs if warm is not None else None
         self.mgmt = wrap_mgmt(mgmt)
         self.devices = [
             ManagedDevice(wrap_device(d), f"device-{i}")
@@ -195,9 +197,6 @@ class NerpaController:
         #: pipeline benchmark compares against.
         self.coalesce = coalesce
         self._started = False
-        # True while a reconciling start holds table writes back (see
-        # start()); engine-thread state like ``_seq``.
-        self._hold_table_writes = False
 
         # Pipeline plumbing (built in start()).
         self.engine_queue: Optional[CoalescingQueue] = None
@@ -240,42 +239,31 @@ class NerpaController:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def start(
-        self, reconcile: bool = False, warm: bool = False
-    ) -> "NerpaController":
-        """Start the pipeline, subscribe to both ends, sync initial state.
+    def start(self) -> "NerpaController":
+        """Start the pipeline, subscribe to both ends, and repair
+        whatever differs — worked out from what can be observed:
 
-        With ``reconcile=True`` the controller assumes it may be
-        restarting against devices that already hold entries (e.g. the
-        previous controller instance crashed): instead of blindly
-        inserting, it computes the desired state from the initial
-        snapshot, reads each device's tables, and issues only the
-        difference — stale entries are deleted, missing ones inserted,
-        already-correct ones left untouched.
-
-        With ``warm=True`` (requires ``state_dir``) the controller
-        restarts from the checkpoint written by :meth:`save_checkpoint`:
-        the engine state is restored without recompute, only the
-        management-DB delta accumulated since the checkpoint runs
-        through the pipeline, and devices whose reported config epoch
-        matches the checkpointed one skip the full read-diff resync.
-        Missing or incompatible checkpoints (and epoch-mismatched
-        devices) fall back to the cold ``reconcile`` path, which is
-        always correct.
+        * the engine is **fresh**: the management snapshot is evaluated
+          first, with nothing fanned out, then every device is brought
+          to the result — a device reporting no config epoch (nothing
+          was ever written to it through this stack) is simply sent
+          the desired state, any other is read and diffed: stale
+          entries deleted, missing ones inserted, correct ones left
+          untouched;
+        * the engine was **restored** (a checkpoint chain under
+          ``state_dir``, or a standby's hand-off): a device still
+          reporting the epoch it was checkpointed with provably holds
+          the checkpointed state and is skipped, any other is repaired
+          to it; only then does the management delta accumulated since
+          the checkpoint — inserts *and* deletes — run through the
+          pipeline, queued behind those syncs.
 
         Blocks until the initial state is applied; semantic write
-        failures (e.g. colliding entries without ``reconcile``) are
-        raised here.
+        failures are raised here.
         """
         if self._started:
             raise ReproError("controller already started")
         started_at = time.perf_counter()
-        epochs = self._warm_epochs if warm else None
-        self._warm_epochs = None
-        if warm and epochs is None:
-            # Asked for warm but there is nothing compatible to restore:
-            # behave like a crash restart against possibly-stale devices.
-            reconcile = True
         self._started = True
         self.engine_queue = CoalescingQueue(
             name="engine", maxlen=1024, merge=self.coalesce
@@ -284,9 +272,15 @@ class NerpaController:
             target=self._engine_loop, name="nerpa-engine", daemon=True
         )
         self._engine_thread.start()
+        # The pool's size caps how many in-process devices apply batches
+        # at once; remote devices borrow it only for full-sync tasks,
+        # and a fleet of them must not cost a thread each at start.
+        in_process = sum(
+            isinstance(device.io, LocalDevice) for device in self.devices
+        )
         self._fanout_plane = FanoutPlane(
             reactor=self.reactor,
-            max_blocking_workers=min(64, max(8, len(self.devices))),
+            max_blocking_workers=min(64, max(8, in_process)),
             on_error=self._defer_error,
         )
         applier = BatchApplier(
@@ -310,25 +304,8 @@ class NerpaController:
             device.io.on_reconnect(
                 lambda device=device: self.resync_device(device)
             )
-        if epochs is not None:
-            self.restart_mode = "warm"
-            tasks = self._submit_engine(lambda: self._warm_restore(epochs))
-        else:
-            self.restart_mode = "cold"
-            # A reconciling start holds table writes back while the
-            # initial state is evaluated (only idempotent multicast
-            # config goes out), then read-diffs every device against
-            # the engine's output relations, in parallel, each on its
-            # own channel.
-            self._hold_table_writes = reconcile
-            self._submit_engine(self._push_initial, wait=False)
-            initial = self.mgmt.subscribe(self._ovsdb_tables, self._on_updates)
-            self._on_updates(initial)
-            tasks = []
-            if reconcile:
-                self.drain()
-                tasks = self._submit_engine(self._release_table_writes)
-        for task in tasks:
+        self.restart_mode = "cold" if self._restored is None else "warm"
+        for task in self._submit_engine(self._recover):
             task.wait("initial device sync")
         self.mgmt.on_reconnect(self._on_mgmt_reconnect)
         self.drain()
@@ -347,18 +324,26 @@ class NerpaController:
                 ).observe(self.start_seconds)
         return self
 
-    def _push_initial(self) -> None:
-        """Engine task: fan out the program's initial output state."""
-        self._fan_out(self.runtime.initial_result)
+    def _recover(self) -> List[Task]:
+        """Engine task behind :meth:`start`; returns the per-device sync
+        tasks.  One task on purpose: nothing can fan out between the
+        snapshot the syncs repair to and the syncs being queued.
 
-    def _release_table_writes(self) -> List[Task]:
-        """Engine task ending a reconciling start's hold: everything
-        evaluated so far is in the snapshot the full syncs repair to,
-        everything later fans out normally, queued behind them."""
-        self._hold_table_writes = False
-        return self._queue_full_syncs(
-            self.channels, "reconcile", {}, recover=False, count=False
-        )
+        Order matters for a restored engine: the syncs are enqueued
+        *before* the post-checkpoint delta fans out, so each channel's
+        FIFO queue sees (1) the sync decision against exactly the
+        checkpointed state, then (2) the delta batches.  A fresh engine
+        has no such state on any device, so it evaluates first and
+        syncs to the result.
+        """
+        inserts, deletes = self._mgmt_delta()
+        if self._restored is None:
+            self._fold_mcast(self.runtime.initial_result)
+            self._replay(inserts, deletes, fan_out=False)
+            return self._queue_full_syncs(self.channels)
+        tasks = self._queue_full_syncs(self.channels, expected=self._restored)
+        self._replay(inserts, deletes)
+        return tasks
 
     def drain(self, timeout: float = 30.0) -> "NerpaController":
         """Block until the pipeline is quiescent end to end.
@@ -515,77 +500,6 @@ class NerpaController:
         """Checkpoints cut by the background timer."""
         return self.checkpoints.auto_saves
 
-    def _warm_restore(self, epochs: Dict[str, Optional[str]]) -> List[Task]:
-        """Engine task for a warm start; returns the per-device tasks.
-
-        Order matters: the per-device warm-sync tasks are enqueued
-        *before* the post-checkpoint delta fans out, so each channel's
-        FIFO queue sees (1) the sync decision against exactly the
-        checkpointed state, then (2) the delta batches.  An
-        epoch-matched device therefore skips its resync and simply
-        applies the delta; a mismatched one is repaired to the
-        checkpointed state first and converges the same way.
-        """
-        # (1) Everything missed while down, computed before anything is
-        # transacted so the desired-writes snapshot below still equals
-        # the checkpointed state.
-        inserts, deletes = self._mgmt_delta()
-        # (2) When every reachable device already reports its
-        # checkpointed epoch — the common fast-failover case — the
-        # O(state) desired-writes dump is never taken, which is what
-        # keeps takeover latency independent of the derived-state size.
-        desired = (
-            reconcile.desired_writes(self.bindings, self.runtime)
-            if reconcile.any_epoch_stale(self.devices, epochs)
-            else None
-        )
-        mcast = self._mcast.snapshot()
-        tasks = []
-        for channel in self.channels:
-            expected = epochs.get(channel.device.name)
-            task = Task(
-                lambda device, e=expected: self._warm_sync(
-                    device, e, desired, mcast
-                )
-            )
-            channel.queue.put(task)
-            tasks.append(task)
-        # (3) Replay the missed delta through the normal pipeline.
-        self._replay(inserts, deletes)
-        return tasks
-
-    def _warm_sync(
-        self,
-        device: ManagedDevice,
-        expected: Optional[str],
-        desired: Optional[List[TableWrite]],
-        mcast: Dict[int, List[int]],
-    ) -> None:
-        """Channel-task warm-start step for one device: skip, or repair.
-
-        ``desired`` is ``None`` when the engine-thread probe saw every
-        device epoch-matched and skipped the desired-state dump; a
-        mismatch discovered here anyway (something wrote to the device
-        in between) is repaired through :meth:`resync_device`, whose
-        fresh snapshot — by now including the replayed delta —
-        supersedes the delta batches queued behind this task, so
-        nothing is applied twice.  ``wait=False``: that resync lands on
-        *this* channel's queue, behind the task executing right now."""
-        if reconcile.epoch_matches(device, expected, self.fencing_epoch):
-            with self._stats_lock:
-                self.warm_skips += 1
-            if obs.enabled():
-                obs.REGISTRY.counter(
-                    "controller_warm_resync_skips_total", device=device.name
-                ).inc()
-        elif desired is None:
-            self.resync_device(device, wait=False)
-        else:
-            self._full_sync(
-                device, desired, mcast, self._mint_epoch("warmsync"),
-                recover=False, count=True,
-            )
-
     # -- stage 1: ingest ---------------------------------------------------------
 
     def _on_updates(self, updates: TableUpdates) -> None:
@@ -622,10 +536,10 @@ class NerpaController:
         span = obs.NULL_SPAN
         if obs.enabled():
             # Inherit the transact's update-id (bound by the mgmt plane
-            # around this callback); the initial snapshot has none, so
-            # mint one for it.  The parent span (``mgmt.transact``) is
-            # captured so the evaluation can nest under it across the
-            # thread hop.
+            # around this callback); a peer that binds none (tracing
+            # off on its side) gets a fresh one.  The parent span
+            # (``mgmt.transact``) is captured so the evaluation can
+            # nest under it across the thread hop.
             uid = current_update_id() or obs.mint_update_id()
             changeset.update_ids.append(uid)
             changeset.parent = obs.TRACER.active()
@@ -770,8 +684,6 @@ class NerpaController:
         for relation, delta in result.deltas.items():
             binding = self.bindings.table_relations.get(relation)
             if binding is not None:
-                if self._hold_table_writes:
-                    continue
                 table = binding.info.name
                 for row, weight in delta.items():
                     entry = binding.entry_for(row)
@@ -830,15 +742,22 @@ class NerpaController:
         fresh = self.mgmt.subscribe(self._ovsdb_tables, self._on_updates)
         return reconcile.mgmt_delta(fresh, self.bindings, self.runtime)
 
-    def _replay(self, inserts, deletes) -> None:
+    def _replay(self, inserts, deletes, fan_out: bool = True) -> None:
         """Engine task step: run a reconciled delta through the normal
-        evaluate → apply path."""
+        evaluate → apply path.  ``fan_out=False`` only evaluates it: the
+        caller queues full syncs next, and those carry the result."""
         if not inserts and not deletes:
             return
         result = self.runtime.transaction(inserts=inserts, deletes=deletes)
-        self._fan_out(result)
+        if fan_out:
+            self._fan_out(result)
+        else:
+            self._fold_mcast(result)
         self.sync_count += 1
         self.last_result = result
+
+    def _fold_mcast(self, result) -> None:
+        self._mcast.fold(result.deltas.get(MULTICAST_RELATION, {}))
 
     def resync_device(self, device, wait: bool = True) -> None:
         """Full-sync one device from the engine's output relations.
@@ -866,72 +785,108 @@ class NerpaController:
         if channel is None:
             raise ReproError(f"unknown device {device.name}")
         (task,) = self._submit_engine(
-            lambda: self._queue_full_syncs(
-                [channel],
-                "resync",
-                self._mcast.snapshot(),
-                recover=True,
-                count=True,
-                # The full sync subsumes every queued incremental batch.
-                supersedes=lambda item: isinstance(item, DeviceBatch),
-            )
+            lambda: self._queue_full_syncs([channel], supersede=True)
         )
         if wait:
             task.wait(f"resync of {device.name}")
 
     def _queue_full_syncs(
-        self, channels, tag: str, mcast, recover, count, supersedes=None
+        self,
+        channels,
+        expected: Optional[Dict[str, Optional[str]]] = None,
+        supersede: bool = False,
     ) -> List[Task]:
         """Snapshot the desired state and queue one full-sync task per
         channel.  Engine thread only: fan-out only ever happens here,
         so taking the snapshot and (for a resync) superseding the
         queued batches in one task is atomic w.r.t. fan-out — no batch
         can land on a channel queue after the snapshot yet be dropped
-        by the supersede without its changes being in the snapshot."""
-        desired = reconcile.desired_writes(self.bindings, self.runtime)
-        epoch = self._mint_epoch(tag)
+        by the supersede without its changes being in the snapshot.
+
+        ``expected`` maps device names to the epochs a restored engine's
+        state was checkpointed with.  When every reachable device
+        already reports its own — the common fast-failover case — the
+        O(state) desired-writes dump is never taken, which is what
+        keeps takeover latency independent of the derived-state size.
+        """
+        desired = (
+            reconcile.desired_writes(self.bindings, self.runtime)
+            if expected is None
+            or reconcile.any_epoch_stale(
+                [channel.device for channel in channels], expected
+            )
+            else None
+        )
+        mcast = self._mcast.snapshot()
+        epoch = self._mint_epoch()
+        # A fresh engine's first sync is the initial push, not a repair
+        # of state this controller (or its checkpoint) had put there.
+        resync = supersede or expected is not None
+        # A resync subsumes every queued incremental batch.
+        supersedes = (
+            (lambda item: isinstance(item, DeviceBatch)) if supersede else None
+        )
         tasks = []
         for channel in channels:
             task = Task(
-                lambda device: self._full_sync(
-                    device, desired, mcast, epoch, recover, count
+                lambda device: self._sync_device(
+                    device,
+                    (expected or {}).get(device.name),
+                    desired,
+                    mcast,
+                    epoch,
+                    resync,
                 )
             )
             channel.queue.put(task, supersedes=supersedes)
             tasks.append(task)
         return tasks
 
-    def _full_sync(
+    def _sync_device(
         self,
         device: ManagedDevice,
-        desired: List[TableWrite],
+        expected: Optional[str],
+        desired: Optional[List[TableWrite]],
         mcast: Dict[int, List[int]],
         epoch: str,
-        recover: bool,
-        count: bool,
+        resync: bool,
     ) -> None:
         """Channel-task body of a full device sync, plus its counters."""
         fixed = reconcile.full_sync(
-            device, self.bindings, desired, mcast, epoch,
+            device, self.bindings, expected, desired, mcast, epoch,
             self.fencing_epoch, self.breaker_threshold,
         )
-        if fixed is None:
-            return
-        if recover:
-            device.recover()
-        with self._stats_lock:
-            self.entries_written += fixed
-            if count:
-                self.device_resyncs += 1
+        if fixed is reconcile.MATCHED:
+            with self._stats_lock:
+                self.warm_skips += 1
+            if obs.enabled():
+                obs.REGISTRY.counter(
+                    "controller_warm_resync_skips_total", device=device.name
+                ).inc()
+        elif fixed is reconcile.STALE:
+            # The engine-thread probe saw every device epoch-matched and
+            # skipped the desired-state dump, but something wrote to
+            # this one in between.  The resync's fresh snapshot — by
+            # now including the replayed delta — supersedes the delta
+            # batches queued behind this task, so nothing is applied
+            # twice.  ``wait=False``: it lands on *this* channel's
+            # queue, behind the task executing right now.
+            self.resync_device(device, wait=False)
+        elif fixed is not None:
+            if resync:
+                device.recover()
+            with self._stats_lock:
+                self.entries_written += fixed
+                if resync:
+                    self.device_resyncs += 1
 
     # -- shared plumbing ---------------------------------------------------------
 
-    def _mint_epoch(self, tag: str = "") -> str:
+    def _mint_epoch(self) -> str:
         """A process-unique config-epoch id.  The run-id prefix keeps a
         restarted controller from ever reusing a previous run's ids —
         epoch equality must imply identical device state."""
-        suffix = f"-{tag}" if tag else ""
-        return f"ep-{self._run_id}-{next(self._epoch_counter):08d}{suffix}"
+        return f"ep-{self._run_id}-{next(self._epoch_counter):08d}"
 
     def _defer_error(self, exc: BaseException) -> None:
         with self._stats_lock:

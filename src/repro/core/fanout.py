@@ -25,8 +25,8 @@ Two execution paths per channel:
   (that is what preserves FIFO), so the pool serves as a concurrency
   cap, not a correctness mechanism.
 
-Control items (:class:`~repro.core.pipeline.queues.Task` resyncs, warm
-syncs) always take the blocking path — they perform read-diff round
+Control items (:class:`~repro.core.pipeline.queues.Task` full syncs)
+always take the blocking path — they perform read-diff round
 trips and must never run on the loop thread.
 
 :class:`FanoutPlane` and :class:`DeviceChannel` are the machinery;
@@ -243,7 +243,7 @@ class BatchApplier:
     def __call__(self, channel: DeviceChannel, item, done) -> None:
         """Execute one queue item (loop thread).  Batches for remote
         devices go out non-blocking; everything else (in-process
-        simulators, resync/warm-sync tasks) runs on the plane's pool —
+        simulators, full-sync tasks) runs on the plane's pool —
         with the channel holding the slot either way, so per-device
         FIFO is preserved across both paths."""
         device = channel.device

@@ -159,7 +159,7 @@ class CheckpointFollower:
         """Hand over ``(runtime, warm_state)`` for a promotion and
         forget them (the controller owns the runtime's lifecycle now).
         ``(None, {})`` when nothing was absorbed — the promotion then
-        cold-starts with reconcile, which is always correct."""
+        starts from a fresh engine and repairs every device to it."""
         runtime, warm = self.runtime, self.warm_state
         self.runtime = None
         self.warm_state = None
@@ -188,8 +188,8 @@ class HAController:
     ``renew_interval`` behind a running
     :class:`~repro.core.controller.NerpaController`.  A failed renewal
     demotes immediately (stop the controller, resume following); a
-    successful acquisition promotes via the controller's warm-start
-    path with the follower's runtime as ``warm_source``.
+    successful acquisition promotes a controller built on the
+    follower's runtime (``warm_source``).
 
     ``mgmt`` is a :class:`~repro.mgmt.database.Database` or
     :class:`~repro.mgmt.client.ManagementClient` — both expose the
@@ -384,7 +384,7 @@ class HAController:
         )
         controller.on_stop(self._release_lease)
         try:
-            controller.start(warm=True)
+            controller.start()
         except Exception:
             # A failed takeover must not wedge the replica as a
             # half-leader: drop the lease and resume following.

@@ -81,15 +81,12 @@ class LocalDevice:
             self.service = target
         self._event_log: List[str] = []
 
-    def write(self, updates, fence=None) -> None:
-        self.service.fenced_write(updates, fence)
-
     def apply_batch(
         self, updates, mcast=None, update_ids=None, fence=None
     ) -> None:
         # The caller (a pool thread) binds the batch's update-id on the
         # context, which is how the service stamps the config epoch.
-        self.service.fenced_apply_batch(updates, mcast, fence)
+        self.service.apply_batch(updates, mcast, fence=fence)
 
     def read_table(self, table: str):
         return [
@@ -97,14 +94,11 @@ class LocalDevice:
             for e in self.service.read_table(table)
         ]
 
-    def set_multicast_group(self, group_id, ports) -> None:
-        self.service.set_multicast_group(group_id, ports)
-
     def get_config_epoch(self):
         return self.service.get_config_epoch()
 
     def set_config_epoch(self, epoch, fence=None) -> None:
-        self.service.fenced_set_config_epoch(epoch, fence)
+        self.service.set_config_epoch(epoch, fence=fence)
 
     def attach_digests(self, callback) -> None:
         sim = self.service.sim

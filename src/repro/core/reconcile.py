@@ -9,11 +9,13 @@ repaired by *diffing a neighbour against the engine*:
   input relations: what changed while the controller was deaf or down;
 * :func:`desired_writes` / :func:`compute_fixes` / :func:`full_sync` —
   the engine's output relations against one device's tables, repaired
-  by a read-diff full sync that leaves the device stamped with a config
-  epoch naming exactly the state it now holds;
-* :func:`any_epoch_stale` / :func:`epoch_matches` — the warm-start
-  shortcut: a device still reporting its checkpointed epoch provably
-  holds the checkpointed state and needs no sync at all.
+  by one atomic batch that leaves the device stamped with a config
+  epoch naming exactly the state it now holds.  What the device
+  reports decides what is read: its checkpointed epoch proves it holds
+  the checkpointed state (no sync at all), no epoch proves it is
+  blank (nothing to read), anything else is read and diffed;
+* :func:`any_epoch_stale` — the engine-thread probe that lets a
+  restart whose devices all match skip the desired-state dump.
 
 These are plain functions over a runtime, the generated bindings and
 :class:`~repro.core.planes.ManagedDevice` objects; *when* they run (an
@@ -23,11 +25,12 @@ counted is the controller's business.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.codegen import GeneratedBindings
 from repro.core.planes import TRANSPORT_ERRORS, ManagedDevice
 from repro.mgmt.monitor import TableUpdates
+from repro.obs.trace import use_update_id
 from repro.p4runtime.api import TableWrite
 
 
@@ -93,45 +96,79 @@ def compute_fixes(
     return fixes
 
 
+#: :func:`full_sync` outcomes that are not a repair count.
+MATCHED = "matched"  # the expected epoch was reported: nothing read or written
+STALE = "stale"  # it was not, and no desired state was supplied to repair to
+
+
 def full_sync(
     device: ManagedDevice,
     bindings: GeneratedBindings,
-    desired: List[TableWrite],
+    expected: Optional[str],
+    desired: Optional[List[TableWrite]],
     mcast: Dict[int, List[int]],
     epoch: str,
     fence: Optional[int],
     breaker_threshold: int,
-) -> Optional[int]:
-    """Repair ``device`` to ``desired`` + ``mcast`` and stamp ``epoch``
-    on it, so a later warm restart can recognise the state.  Returns
-    the number of repairs written, or ``None`` on a transport failure
-    (charged to the device's breaker; racing a second failure is
-    normal — the next successful reconnect triggers the resync again).
-    Blocking: runs as a task on the device's own channel."""
+) -> Union[int, str, None]:
+    """Bring ``device`` to ``desired`` + ``mcast``, reading only what
+    its reported config epoch does not already prove:
+
+    * it reports ``expected`` (the epoch a restored engine's state was
+      checkpointed with): its tables provably hold that state —
+      :data:`MATCHED`, no table read, no write;
+    * it reports no epoch at all: nothing was ever written to it
+      through this stack, so its tables are empty and ``desired`` goes
+      out as is, unread;
+    * anything else: read-diff (:func:`compute_fixes`).
+
+    The repairs, the multicast config and ``epoch`` travel as **one**
+    atomic batch — the device never reports an epoch naming a state it
+    does not hold, whichever call fails.  With nothing to repair the
+    device keeps the epoch it reported.  Returns the number of repairs
+    written, :data:`MATCHED`, :data:`STALE` (mismatch, ``desired`` is
+    ``None``), or ``None`` on a transport failure (charged to the
+    device's breaker; racing a second failure is normal — the next
+    successful reconnect triggers the resync again).  Blocking: runs
+    as a task on the device's own channel."""
     io = device.io
     io.wait_ready(2.0)
     try:
-        fixes = compute_fixes(io, bindings, desired)
-        if fixes:
-            io.write(fixes, fence=fence)
-        for group in sorted(mcast):
-            io.set_multicast_group(group, mcast[group])
-        io.set_config_epoch(epoch, fence=fence)
+        reported = io.get_config_epoch()
+        matched = expected is not None and reported == expected
+        if matched:
+            fixes, mcast = [], {}  # nothing to send, whatever was passed
+        elif desired is None:
+            return STALE
+        elif reported is None:
+            fixes = desired
+        else:
+            fixes = compute_fixes(io, bindings, desired)
+        if fixes or mcast:
+            with use_update_id(epoch):
+                io.apply_batch(fixes, mcast, [epoch], fence=fence)
+        elif fence is not None:
+            # Nothing to send, but the device must still learn this
+            # leader's fencing epoch *during* takeover — otherwise the
+            # deposed leader's writes (stamped with the old epoch) would
+            # keep passing until our first batch happened to arrive.
+            io.set_config_epoch(reported, fence=fence)
     except TRANSPORT_ERRORS as exc:
         device.record_failure(exc, breaker_threshold)
         return None
     device.record_success()
-    device.config_epoch = epoch
-    return len(fixes)
+    # Only table writes advance the on-device epoch (see BatchApplier).
+    device.config_epoch = epoch if fixes else reported
+    return MATCHED if matched else len(fixes)
 
 
 def any_epoch_stale(
     devices: Iterable[ManagedDevice], epochs: Dict[str, Optional[str]]
 ) -> bool:
-    """Engine-thread probe before a warm start: does any device lack a
-    checkpointed epoch, sit unreachable (it will need a resync once
-    back), or report a different one?  Only an optimisation —
-    :func:`epoch_matches` re-checks as a channel task."""
+    """Engine-thread probe before a restored engine's syncs: does any
+    device lack a checkpointed epoch, sit unreachable (it will need a
+    resync once back), or report a different one?  Only an
+    optimisation — :func:`full_sync` re-checks as a channel task."""
     for device in devices:
         expected = epochs.get(device.name)
         if expected is None or not device.io.wait_ready(0.0):
@@ -142,31 +179,3 @@ def any_epoch_stale(
         except TRANSPORT_ERRORS:
             return True
     return False
-
-
-def epoch_matches(
-    device: ManagedDevice, expected: Optional[str], fence: Optional[int]
-) -> bool:
-    """Channel-task warm-start decision: ``True`` when the device's
-    reported config epoch proves its tables already hold the
-    checkpointed desired state, so its full sync can be skipped."""
-    io = device.io
-    io.wait_ready(2.0)
-    try:
-        reported = io.get_config_epoch()
-    except TRANSPORT_ERRORS:
-        return False
-    if expected is None or reported != expected:
-        return False
-    device.record_success()
-    device.config_epoch = reported
-    if fence is not None:
-        # The resync is skipped, but the device must still learn this
-        # leader's fencing epoch *during* takeover — otherwise the
-        # deposed leader's writes (stamped with the old epoch) would
-        # keep passing until our first batch happened to arrive.
-        try:
-            io.set_config_epoch(reported, fence=fence)
-        except TRANSPORT_ERRORS:
-            pass
-    return True

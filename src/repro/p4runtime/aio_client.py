@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import RuntimeApiError
 from repro.net.aio import AioConnection, Reactor, default_reactor
 from repro.net.retry import RetryPolicy
-from repro.obs.trace import current_update_id, use_update_id
+from repro.obs.trace import use_update_id
 from repro.p4runtime.api import TableWrite
 
 _DEFAULT_TIMEOUT = 30.0
@@ -223,25 +223,8 @@ class AioP4RuntimeClient:
     def echo(self, payload) -> object:
         return self.call("echo", payload, retryable=True)
 
-    def write(
-        self,
-        updates: Sequence[TableWrite],
-        fence: Optional[int] = None,
-    ) -> int:
-        wires = [u.to_wire() for u in updates]
-        uid = current_update_id()
-        if uid is not None or fence is not None:
-            # Envelope form carries the update-id and fencing epoch to
-            # the device side; the legacy bare list stays the wire
-            # format otherwise.
-            envelope = {"updates": wires}
-            if uid is not None:
-                envelope["update_id"] = uid
-            if fence is not None:
-                envelope["fence"] = fence
-            result = self.call("write", [envelope])
-        else:
-            result = self.call("write", wires)
+    def write(self, updates: Sequence[TableWrite]) -> int:
+        result = self.call("write", [u.to_wire() for u in updates])
         return result["applied"]
 
     def apply_batch(

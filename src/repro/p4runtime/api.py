@@ -21,6 +21,7 @@ on to keep data-plane state transactional like the rest of the stack.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -156,37 +157,66 @@ class DeviceService:
             # digests emitted by matching packets carry it back so the
             # feedback loop links to its originating trace.
             self.sim.config_epoch = uid
+        with obs.span(
+            "device.apply",
+            update_id=uid,
+            device=self.device_id,
+            writes=len(updates),
+        ):
+            count = self._apply_batch(updates)
         if obs.enabled():
-            return self._traced_write(updates, uid)
-        return self._apply_batch(updates)
+            obs.REGISTRY.counter(
+                "device_writes_total", device=self.device_id
+            ).inc(len(updates))
+        return count
 
     def apply_batch(
         self,
         updates: Sequence[TableWrite],
         mcast: Optional[dict] = None,
+        fence: Optional[int] = None,
     ) -> int:
         """One round trip for a coalesced pipeline batch: multicast
         group config (``group -> ports``, ``None`` deletes the group)
-        plus an atomic table-write batch.
+        plus an atomic table-write batch, behind the ``fence`` check.
 
         Multicast config is applied first (so a flood entry never
         references a group that does not exist yet) and is idempotent;
         only the table writes carry rollback semantics.
         """
-        if mcast:
-            for group_id in sorted(mcast):
-                ports = mcast[group_id]
-                if ports:
-                    self.sim.set_multicast_group(group_id, list(ports))
-                else:
-                    self.sim.delete_multicast_group(group_id)
-        if not updates:
-            return 0
-        return self.write(updates)
+        with self._fenced(fence):
+            if mcast:
+                for group_id in sorted(mcast):
+                    ports = mcast[group_id]
+                    if ports:
+                        self.sim.set_multicast_group(group_id, list(ports))
+                    else:
+                        self.sim.delete_multicast_group(group_id)
+            if not updates:
+                return 0
+            return self.write(updates)
 
     # -- write fencing ------------------------------------------------------
 
-    def _fence_lock(self) -> threading.Lock:
+    def fencing_epoch(self) -> Optional[int]:
+        """The highest fencing epoch any writer has presented (``None``
+        until a fenced write arrives)."""
+        return getattr(self.sim, "fencing_epoch", None)
+
+    @contextmanager
+    def _fenced(self, fence: Optional[int]):
+        """Validate-and-advance the device's fencing epoch, then hold
+        the fence lock around the caller's apply (check-then-apply must
+        be atomic across writers).
+
+        A write stamped with an epoch *older* than the highest seen is
+        from a deposed leader: reject it before it touches any state.
+        Unfenced writes (``fence=None``) pass, lock-free —
+        single-controller deployments never mint an epoch.
+        """
+        if fence is None:
+            yield
+            return
         # The lock (like the fence itself) lives on the *simulator*:
         # each controller wraps a shared device in its own
         # DeviceService/server, and fencing only means anything if all
@@ -194,76 +224,16 @@ class DeviceService:
         lock = getattr(self.sim, "fence_lock", None)
         if lock is None:
             lock = self.sim.fence_lock = threading.Lock()
-        return lock
-
-    def fencing_epoch(self) -> Optional[int]:
-        """The highest fencing epoch any writer has presented (``None``
-        until a fenced write arrives)."""
-        return getattr(self.sim, "fencing_epoch", None)
-
-    def check_fence(self, fence: Optional[int]) -> None:
-        """Validate-and-advance the device's fencing epoch.
-
-        A write stamped with an epoch *older* than the highest seen is
-        from a deposed leader: reject it before it touches any state.
-        Unfenced writes (``fence=None``) pass — single-controller
-        deployments never mint an epoch.  Caller holds ``_fence_lock``
-        (or is otherwise serialized) for check-then-apply atomicity.
-        """
-        if fence is None:
-            return
-        current = getattr(self.sim, "fencing_epoch", None)
-        if current is not None and fence < current:
-            if obs.enabled():
-                obs.REGISTRY.counter(
-                    "device_fenced_writes_total", device=self.device_id
-                ).inc()
-            raise FencedWriteError(fence, current)
-        self.sim.fencing_epoch = fence
-
-    def fenced_write(
-        self, updates: Sequence[TableWrite], fence: Optional[int] = None
-    ) -> int:
-        if fence is None:
-            return self.write(updates)
-        with self._fence_lock():
-            self.check_fence(fence)
-            return self.write(updates)
-
-    def fenced_apply_batch(
-        self,
-        updates: Sequence[TableWrite],
-        mcast: Optional[dict] = None,
-        fence: Optional[int] = None,
-    ) -> int:
-        if fence is None:
-            return self.apply_batch(updates, mcast)
-        with self._fence_lock():
-            self.check_fence(fence)
-            return self.apply_batch(updates, mcast)
-
-    def fenced_set_config_epoch(
-        self, epoch: Optional[str], fence: Optional[int] = None
-    ) -> None:
-        if fence is None:
-            self.set_config_epoch(epoch)
-            return
-        with self._fence_lock():
-            self.check_fence(fence)
-            self.set_config_epoch(epoch)
-
-    def _traced_write(self, updates: Sequence[TableWrite], uid) -> int:
-        with obs.TRACER.span(
-            "device.apply",
-            update_id=uid,
-            device=self.device_id,
-            writes=len(updates),
-        ):
-            count = self._apply_batch(updates)
-        obs.REGISTRY.counter(
-            "device_writes_total", device=self.device_id
-        ).inc(len(updates))
-        return count
+        with lock:
+            current = self.fencing_epoch()
+            if current is not None and fence < current:
+                if obs.enabled():
+                    obs.REGISTRY.counter(
+                        "device_fenced_writes_total", device=self.device_id
+                    ).inc()
+                raise FencedWriteError(fence, current)
+            self.sim.fencing_epoch = fence
+            yield
 
     def _apply_batch(self, updates: Sequence[TableWrite]) -> int:
         applied: List[Tuple[TableWrite, Optional[TableEntry]]] = []
@@ -314,10 +284,14 @@ class DeviceService:
         full resync is needed."""
         return getattr(self.sim, "config_epoch", None)
 
-    def set_config_epoch(self, epoch: Optional[str]) -> None:
-        """Stamp the device's config epoch explicitly (used after a
-        full resync, which bypasses the per-batch update-id path)."""
-        self.sim.config_epoch = epoch
+    def set_config_epoch(
+        self, epoch: Optional[str], fence: Optional[int] = None
+    ) -> None:
+        """Stamp the device's config epoch explicitly, behind the
+        ``fence`` check (how a takeover teaches an epoch-matched device
+        the new leader's fencing epoch without writing to it)."""
+        with self._fenced(fence):
+            self.sim.config_epoch = epoch
 
     def read_table(self, table: str) -> List[TableEntry]:
         return self.sim.table(table).entries()

@@ -90,8 +90,8 @@ class FarmDevice:
 
     def check_fence(self, fence: Optional[int]) -> None:
         """Reject writes stamped with a deposed leader's fencing epoch
-        (mirrors :meth:`repro.p4runtime.api.DeviceService.check_fence`;
-        the farm's loop serializes access, so no lock)."""
+        (mirrors :class:`repro.p4runtime.api.DeviceService`'s check; the
+        farm's loop serializes access, so no lock)."""
         if fence is None:
             return
         if self.fence is not None and fence < self.fence:
@@ -414,19 +414,7 @@ class DeviceFarm:
             device.batches_applied += 1
             return {"applied": applied}
         if method == "write":
-            if (
-                len(params) == 1
-                and isinstance(params[0], dict)
-                and "updates" in params[0]
-            ):
-                device.check_fence(params[0].get("fence"))
-                updates = params[0]["updates"]
-                uid = params[0].get("update_id")
-                if uid is not None:
-                    device.epoch = uid
-            else:
-                updates = params
-            return {"applied": device.apply_updates(list(updates))}
+            return {"applied": device.apply_updates(list(params))}
         if method == "read_table":
             (table,) = params
             return {

@@ -46,20 +46,6 @@ class _Connection(RpcConnection):
         if method == "get_p4info":
             return service.p4info()
         if method == "write":
-            # Envelope form ({"updates": [...], "update_id": ...})
-            # carries the client's update-id; bare lists are the legacy
-            # wire format.
-            if (
-                len(params) == 1
-                and isinstance(params[0], dict)
-                and "updates" in params[0]
-            ):
-                updates = [
-                    TableWrite.from_wire(u) for u in params[0]["updates"]
-                ]
-                fence = params[0].get("fence")
-                with use_update_id(params[0].get("update_id")):
-                    return {"applied": service.fenced_write(updates, fence)}
             updates = [TableWrite.from_wire(u) for u in params]
             return {"applied": service.write(updates)}
         if method == "apply_batch":
@@ -75,9 +61,7 @@ class _Connection(RpcConnection):
             update_ids = envelope.get("update_ids") or []
             fence = envelope.get("fence")
             with use_update_id(update_ids[-1] if update_ids else None):
-                return {
-                    "applied": service.fenced_apply_batch(updates, mcast, fence)
-                }
+                return {"applied": service.apply_batch(updates, mcast, fence)}
         if method == "get_config_epoch":
             return {"epoch": service.get_config_epoch()}
         if method == "set_config_epoch":
@@ -85,7 +69,7 @@ class _Connection(RpcConnection):
             # epoch; a deposed leader's resync must not stamp devices.
             epoch = params[0]
             fence = params[1] if len(params) > 1 else None
-            service.fenced_set_config_epoch(epoch, fence)
+            service.set_config_epoch(epoch, fence)
             return {}
         if method == "read_table":
             (table,) = params

@@ -384,7 +384,7 @@ class TestControllerWarmStart:
         second = NerpaController(
             project, db, [switch], state_dir=str(tmp_path)
         )
-        second.start(warm=True)
+        second.start()
         second.drain()
         assert second.restart_mode == "warm"
         assert second.warm_skips == 1
@@ -424,7 +424,7 @@ class TestControllerWarmStart:
         second = NerpaController(
             project, db, [switch], state_dir=str(tmp_path)
         )
-        second.start(warm=True)
+        second.start()
         second.drain()
         assert second.restart_mode == "warm"
         assert second.warm_skips == 1
@@ -450,7 +450,7 @@ class TestControllerWarmStart:
         second = NerpaController(
             project, db, [switch], state_dir=str(tmp_path)
         )
-        second.start(warm=True)
+        second.start()
         second.drain()
         assert second.restart_mode == "warm"
         assert second.warm_skips == 0
@@ -466,7 +466,7 @@ class TestControllerWarmStart:
         controller = NerpaController(
             project, db, [switch], state_dir=str(tmp_path)
         )
-        controller.start(warm=True)
+        controller.start()
         controller.drain()
         assert controller.restart_mode == "cold"
         assert len(switch.table("in_vlan")) == 2
@@ -481,7 +481,7 @@ class TestControllerWarmStart:
         controller = NerpaController(
             project, db, [switch], state_dir=str(tmp_path)
         )
-        controller.start(warm=True)
+        controller.start()
         controller.drain()
         assert controller.restart_mode == "cold"
         assert len(switch.table("in_vlan")) == 2
@@ -512,7 +512,7 @@ class TestControllerWarmStart:
         second = NerpaController(
             project, db, [switch], state_dir=str(tmp_path)
         )
-        second.start(warm=True)
+        second.start()
         restart = second.metrics()["restart"]
         assert restart["mode"] == "warm"
         assert restart["start_seconds"] > 0.0
@@ -558,7 +558,7 @@ class TestControllerDeltaCheckpoint:
         second = NerpaController(
             project, db, [switch], state_dir=str(tmp_path)
         )
-        second.start(warm=True)
+        second.start()
         second.drain()
         assert second.restart_mode == "warm"
         assert second.warm_skips == 1
@@ -647,7 +647,7 @@ class TestControllerDeltaCheckpoint:
         second = NerpaController(
             project, db, [switch], state_dir=str(tmp_path)
         )
-        second.start(warm=True)
+        second.start()
         second.drain()
         assert second.restart_mode == "warm"
         assert len(switch.table("in_vlan")) == 3
@@ -736,7 +736,7 @@ class TestBackgroundCheckpointTimer:
             [project.new_simulator(n_ports=8)],
             state_dir=str(tmp_path),
         )
-        second.start(warm=True)
+        second.start()
         second.drain()
         assert second.restart_mode == "warm"
         assert len(second.devices[0].io.service.sim.table("in_vlan")) == 2
@@ -814,7 +814,7 @@ class TestBackgroundCheckpointTimer:
             [project.new_simulator(n_ports=16)],
             state_dir=str(tmp_path),
         )
-        second.start(warm=True)
+        second.start()
         second.drain()
         assert second.restart_mode == "warm"
         assert len(second.devices[0].io.service.sim.table("in_vlan")) == 1

@@ -1,13 +1,11 @@
 """Controller restart & reconciliation tests.
 
 A controller that crashes and restarts faces a device that already
-holds entries from its previous life — possibly stale ones.  With
-``start(reconcile=True)`` the new controller must converge the device
+holds entries from its previous life — possibly stale ones.  ``start()``
+sees that from the config epoch the device reports and must converge it
 to exactly the state the current configuration derives, without
 duplicate-insert failures and without touching correct entries.
 """
-
-import pytest
 
 from repro.core.controller import NerpaController
 from repro.core.pipeline import nerpa_build
@@ -63,20 +61,21 @@ def add_port(db, port, out_port):
 
 
 class TestReconcile:
-    def test_fresh_start_against_populated_device_fails_without_reconcile(self):
+    def test_fresh_start_against_populated_device_converges(self):
         project, db, switch = build()
         add_port(db, 1, 5)
         NerpaController(project, db, [switch]).start().stop()
         assert len(switch.table("patch")) == 1
 
-        # Second controller, same device, no reconciliation: the blind
-        # initial insert collides.
+        # Second controller, same device: the epoch the first one left
+        # says the device is populated, so it is read and diffed — there
+        # is no blind initial insert left to collide.
         db2 = Database(project.schema)
         add_port(db2, 1, 5)
-        from repro.p4runtime.api import WriteError
-
-        with pytest.raises(WriteError):
-            NerpaController(project, db2, [switch]).start()
+        add_port(db2, 2, 6)
+        NerpaController(project, db2, [switch]).start().stop()
+        assert switch.table("patch").lookup([1]) == ("forward", (5,), True)
+        assert switch.table("patch").lookup([2]) == ("forward", (6,), True)
 
     def test_reconcile_preserves_correct_entries(self):
         project, db, switch = build()
@@ -88,7 +87,7 @@ class TestReconcile:
         add_port(db2, 1, 5)
         add_port(db2, 2, 6)
         controller = NerpaController(project, db2, [switch])
-        controller.start(reconcile=True)
+        controller.start()
         assert len(switch.table("patch")) == 2
         assert switch.table("patch").lookup([1]) == ("forward", (5,), True)
         # Nothing needed fixing: no reconciliation writes.
@@ -105,7 +104,7 @@ class TestReconcile:
 
         db2 = Database(project.schema)
         add_port(db2, 1, 5)
-        NerpaController(project, db2, [switch]).start(reconcile=True)
+        NerpaController(project, db2, [switch]).start()
         assert len(switch.table("patch")) == 1
         # Port 9 falls back to the default action (miss).
         assert switch.table("patch").lookup([9])[2] is False
@@ -118,7 +117,7 @@ class TestReconcile:
         # New config says port 1 -> 7; the device still says -> 5.
         db2 = Database(project.schema)
         add_port(db2, 1, 7)
-        NerpaController(project, db2, [switch]).start(reconcile=True)
+        NerpaController(project, db2, [switch]).start()
         assert switch.table("patch").lookup([1]) == ("forward", (7,), True)
         assert len(switch.table("patch")) == 1
 
@@ -126,7 +125,7 @@ class TestReconcile:
         project, db, switch = build()  # device starts empty
         add_port(db, 3, 4)
         controller = NerpaController(project, db, [switch])
-        controller.start(reconcile=True)
+        controller.start()
         assert switch.table("patch").lookup([3]) == ("forward", (4,), True)
 
     def test_reconciled_controller_stays_incremental(self):
@@ -137,7 +136,7 @@ class TestReconcile:
         db2 = Database(project.schema)
         add_port(db2, 1, 5)
         controller = NerpaController(project, db2, [switch])
-        controller.start(reconcile=True)
+        controller.start()
         add_port(db2, 2, 6)  # post-restart change flows normally
         controller.drain()
         assert switch.table("patch").lookup([2]) == ("forward", (6,), True)

@@ -737,11 +737,11 @@ class _RecordingService(DeviceService):
         super().__init__(sim)
         self.log = []
 
-    def apply_batch(self, updates, mcast=None):
+    def apply_batch(self, updates, mcast=None, fence=None):
         self.log.append(
             [(u.kind, tuple(u.entry.action_params)) for u in updates]
         )
-        return super().apply_batch(updates, mcast)
+        return super().apply_batch(updates, mcast, fence)
 
 
 class _SlowService(DeviceService):
@@ -749,9 +749,9 @@ class _SlowService(DeviceService):
         super().__init__(sim)
         self.delay = delay
 
-    def apply_batch(self, updates, mcast=None):
+    def apply_batch(self, updates, mcast=None, fence=None):
         time.sleep(self.delay)
-        return super().apply_batch(updates, mcast)
+        return super().apply_batch(updates, mcast, fence)
 
 
 class _FlakyService(DeviceService):
@@ -762,11 +762,11 @@ class _FlakyService(DeviceService):
         self.failing = True
         self.failures = 0
 
-    def apply_batch(self, updates, mcast=None):
+    def apply_batch(self, updates, mcast=None, fence=None):
         if self.failing:
             self.failures += 1
             raise OSError("injected device transport failure")
-        return super().apply_batch(updates, mcast)
+        return super().apply_batch(updates, mcast, fence)
 
 
 def churn(db):

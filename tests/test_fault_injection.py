@@ -311,7 +311,17 @@ class TestDevicePlaneRestart:
         controller.start()
         try:
             seed_model(db.transact)
+            # Nothing in flight when the server goes, and the transport
+            # has noticed before the next sync is issued: a call pending
+            # at the drop is failed (→ quarantined at threshold 1)
+            # *before* the transport notes "retrying".
+            controller.drain()
             server.stop()
+            wait_for(
+                lambda: "retrying"
+                in controller.health()["devices"][0]["transitions"],
+                what="transport noticing the drop",
+            )
             # One failed sync is enough at threshold 1.
             apply_event(
                 db.transact,

@@ -206,40 +206,42 @@ class TestDeviceFencing:
 
     def test_unfenced_writes_always_pass(self):
         _, svc = self._service()
-        assert svc.fenced_write([], fence=None) == 0
-        svc.fenced_apply_batch([], fence=5)
-        assert svc.fenced_write([], fence=None) == 0  # still unfenced path
+        assert svc.write([]) == 0
+        svc.apply_batch([], fence=5)
+        assert svc.apply_batch([], fence=None) == 0  # still unfenced path
 
     def test_stale_epoch_rejected_and_state_preserved(self):
         sim, svc = self._service()
-        svc.fenced_apply_batch([], fence=2)
+        svc.apply_batch([], fence=2)
         assert svc.fencing_epoch() == 2
         with pytest.raises(FencedWriteError) as exc:
-            svc.fenced_write([], fence=1)
+            svc.apply_batch([], {1: [0, 1]}, fence=1)
         assert exc.value.stale == 1
         assert exc.value.current == 2
+        assert sim.multicast_groups == {}  # rejected before any effect
         # A rejection must not regress the high-water mark.
         assert svc.fencing_epoch() == 2
 
     def test_equal_epoch_accepted(self):
         _, svc = self._service()
-        svc.fenced_apply_batch([], fence=3)
-        assert svc.fenced_write([], fence=3) == 0
+        svc.apply_batch([], fence=3)
+        assert svc.apply_batch([], fence=3) == 0
 
     def test_fence_is_device_state_not_session_state(self):
         # Two controllers reach the *same* switch through independent
         # DeviceService sessions; the fence must still hold.
         sim, svc = self._service()
         other = DeviceService(sim)
-        other.fenced_apply_batch([], fence=7)
+        other.apply_batch([], fence=7)
         with pytest.raises(FencedWriteError):
-            svc.fenced_write([], fence=6)
+            svc.apply_batch([], fence=6)
 
     def test_set_config_epoch_is_fenced_too(self):
         _, svc = self._service()
-        svc.fenced_apply_batch([], fence=4)
+        svc.apply_batch([], fence=4)
         with pytest.raises(FencedWriteError):
-            svc.fenced_set_config_epoch("stale-epoch", fence=3)
+            svc.set_config_epoch("stale-epoch", fence=3)
+        assert svc.get_config_epoch() is None  # rejected before the stamp
 
 
 # -- the checkpoint follower -------------------------------------------------
@@ -733,7 +735,7 @@ class TestFailoverOracle:
             before = _device_state(switch)
             # A successor acquires epoch 2 and stamps it on the device
             # (what HAController does during its takeover).
-            DeviceService(switch).fenced_apply_batch([], fence=2)
+            DeviceService(switch).apply_batch([], fence=2)
             # The old leader, unaware, keeps driving its pipeline.
             _add_port(db, 2)
             with pytest.raises(FencedWriteError):
@@ -754,7 +756,7 @@ class TestFailoverOracle:
         try:
             _snvs_config(db, (0,))
             old.drain()
-            DeviceService(switch).fenced_apply_batch([], fence=2)
+            DeviceService(switch).apply_batch([], fence=2)
             _add_port(db, 1)
             with pytest.raises(FencedWriteError):
                 old.drain()
@@ -800,7 +802,7 @@ class TestFailoverOracle:
             state_dir=str(tmp_path),
             fencing_epoch=2,
             warm_source=follower.detach(),
-        ).start(warm=True)
+        ).start()
         try:
             successor.drain()
             assert successor.restart_mode == "warm"
@@ -811,7 +813,9 @@ class TestFailoverOracle:
         finally:
             successor.stop()
 
-    def test_device_written_between_probe_and_sync_is_repaired(self, tmp_path):
+    def test_device_written_between_probe_and_sync_is_repaired(
+        self, tmp_path, monkeypatch
+    ):
         """The engine-thread epoch probe is only an optimization: if a
         device moves between the probe and the writer-thread check
         (e.g. a deposed leader wrote before being fenced), the takeover
@@ -833,25 +837,28 @@ class TestFailoverOracle:
         follower = CheckpointFollower(project, str(tmp_path))
         assert follower.poll()
 
-        class Raced(NerpaController):
-            def _warm_sync(self, device, expected, desired, mcast):
-                # Rogue write landing after the engine-thread probe but
-                # before the writer-thread epoch check: corrupts a
-                # table entry and advances the device's config epoch.
-                service = DeviceService(switch)
-                entry = service.read_table("in_vlan")[0]
-                service.write([TableWrite.delete("in_vlan", entry)])
-                service.set_config_epoch("rogue-write")
-                return super()._warm_sync(device, expected, desired, mcast)
+        inner = reconcile.full_sync
 
-        successor = Raced(
+        def raced(device, *args):
+            # Rogue write landing after the engine-thread probe but
+            # before the channel-task epoch check: corrupts a table
+            # entry and advances the device's config epoch.
+            monkeypatch.setattr(reconcile, "full_sync", inner)
+            service = DeviceService(switch)
+            entry = service.read_table("in_vlan")[0]
+            service.write([TableWrite.delete("in_vlan", entry)])
+            service.set_config_epoch("rogue-write")
+            return inner(device, *args)
+
+        monkeypatch.setattr(reconcile, "full_sync", raced)
+        successor = NerpaController(
             project,
             db,
             [switch],
             state_dir=str(tmp_path),
             fencing_epoch=2,
             warm_source=follower.detach(),
-        ).start(warm=True)
+        ).start()
         try:
             successor.drain()
             assert successor.warm_skips == 0

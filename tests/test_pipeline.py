@@ -383,10 +383,10 @@ class _RecordingService(DeviceService):
         super().__init__(sim)
         self.log = []
 
-    def apply_batch(self, updates, mcast=None):
+    def apply_batch(self, updates, mcast=None, fence=None):
         self.log.append([(u.kind, tuple(u.entry.action_params))
                          for u in updates])
-        return super().apply_batch(updates, mcast)
+        return super().apply_batch(updates, mcast, fence)
 
 
 class _SlowService(DeviceService):
@@ -396,9 +396,9 @@ class _SlowService(DeviceService):
         super().__init__(sim)
         self.delay = delay
 
-    def apply_batch(self, updates, mcast=None):
+    def apply_batch(self, updates, mcast=None, fence=None):
         time.sleep(self.delay)
-        return super().apply_batch(updates, mcast)
+        return super().apply_batch(updates, mcast, fence)
 
 
 class TestEndToEndOrdering:
