@@ -80,7 +80,7 @@ from repro.core.planes import (
 )
 from repro.errors import ProtocolError, ReproError
 from repro.mgmt.monitor import TableUpdates
-from repro.net.aio import Reactor
+from repro.net.reactor import Reactor
 from repro.obs.trace import current_update_id, use_update_id
 from repro.p4runtime.api import TableWrite
 
@@ -670,8 +670,9 @@ class NerpaController:
         first_enqueued: Optional[float] = None,
         txns: int = 1,
     ) -> None:
-        """Output deltas → one coalescible batch per device queue.  The
-        defaults are an untraced transaction enqueued just now."""
+        """Output deltas → one coalescible batch, the same object on
+        every device queue (copied by the queue that merges into it).
+        The defaults are an untraced transaction enqueued just now."""
         self._seq += 1
         template = DeviceBatch(self._seq)
         # With tracing off no update-id was minted upstream, but the
@@ -695,8 +696,9 @@ class NerpaController:
                 template.mcast.update(self._mcast.fold(delta))
         if template.is_empty():
             return
+        template.shared = True
         for channel in self.channels:
-            channel.queue.put(template.copy_for_device())
+            channel.queue.put(template)
             channel.queue.gauge_depth()
 
     # -- stage 3: apply ----------------------------------------------------------

@@ -5,7 +5,7 @@ barrier/supersede on the :class:`~repro.core.pipeline.queues.
 CoalescingQueue`, the circuit breaker, ``drain()`` accounting — run
 without a thread or a blocking socket per device, on:
 
-* a shared :class:`~repro.net.aio.Reactor` multiplexing every device
+* a shared :class:`~repro.net.reactor.Reactor` multiplexing every device
   connection, and
 * one :class:`DeviceChannel` per device — a lightweight state machine
   (``idle → batch-in-flight → awaiting-ack``, with the breaker's
@@ -19,7 +19,10 @@ Two execution paths per channel:
   batched write through the reactor (non-blocking, watermark-aware:
   a channel whose connection is past its high watermark parks on
   ``on_drain`` instead of buffering unboundedly) and complete on the
-  ack.  Thousands of such devices cost zero threads.
+  ack.  Thousands of such devices cost zero threads.  A fan-out's
+  devices all pop the *same* batch object, so its write list is built
+  and encoded once and each device pays one frame splice and one
+  ``send`` (``docs/ARCHITECTURE.md``, "One encode per changeset").
 * **blocking** — in-process simulators run each operation on a small
   shared pool.  At most one operation per device is ever in flight
   (that is what preserves FIFO), so the pool serves as a concurrency
@@ -50,7 +53,7 @@ from repro import obs
 from repro.core.pipeline.changeset import DeviceBatch
 from repro.core.pipeline.queues import CoalescingQueue, Task
 from repro.core.planes import TRANSPORT_ERRORS, ManagedDevice, RemoteDevice
-from repro.net.aio import Reactor, default_reactor
+from repro.net.reactor import Reactor, default_reactor
 from repro.obs.trace import use_update_id
 from repro.p4runtime.api import TableWrite
 
@@ -68,7 +71,7 @@ class FanoutPlane:
     (:class:`~repro.p4runtime.aio_client.AioP4RuntimeClient`) run on —
     it *must* be the same so channel callbacks and connection callbacks
     never race; ``None`` (no remote devices) uses the process-wide
-    :func:`~repro.net.aio.default_reactor`.  The plane never stops it.
+    :func:`~repro.net.reactor.default_reactor`.  The plane never stops it.
     """
 
     def __init__(
@@ -158,6 +161,12 @@ class DeviceChannel:
         self._runner = runner
         self.state = IDLE
         self._busy = False
+        # The once-guard of the in-flight item's ``done``: the ticket
+        # it must present, 0 once it has (one item per channel at a
+        # time, so one slot serves them all).
+        self._ticket = 0
+        self._open_ticket = 0
+        self._done_lock = threading.Lock()
         self.queue = CoalescingQueue(
             name=name,
             maxlen=maxlen,
@@ -195,12 +204,16 @@ class DeviceChannel:
         self.state = AWAITING_ACK
 
     def _completion(self) -> Callable:
-        fired = threading.Event()
+        self._ticket += 1
+        ticket = self._open_ticket = self._ticket
 
         def done(exc: Optional[BaseException] = None) -> None:
-            if fired.is_set():
-                return
-            fired.set()
+            # Runners may race two calls (a pool thread against the
+            # reactor); exactly one may finish the item.
+            with self._done_lock:
+                if self._open_ticket != ticket:
+                    return
+                self._open_ticket = 0
             # Trampoline onto the loop thread: completion mutates
             # channel state and may pop the next item.
             if not self.plane.reactor.submit(self._finish, exc):

@@ -9,9 +9,10 @@ The controller's update path is a three-stage pipeline (see
    coalesce;
 2. **evaluate** (single engine thread) turns a changeset into an
    engine transaction and fans the output deltas out as one
-   :class:`DeviceBatch` per device;
-3. **apply** (one writer thread per device) merges queued batches and
-   issues them as a single batched P4Runtime write.
+   :class:`DeviceBatch`, shared by every device's queue;
+3. **apply** (one event-loop channel per device, :mod:`repro.core.fanout`)
+   merges queued batches and issues them as a single batched P4Runtime
+   write.
 
 Both IRs share the same *coalescing algebra*.  Per key (a row uuid at
 the changeset level, a ``(table, match key)`` pair at the device
@@ -150,15 +151,16 @@ class Changeset:
                     inserts.setdefault(relation, []).append(live)
         return inserts, deletes
 
-    def coalesce(self, other: "Changeset") -> bool:
-        """Fold a newer changeset into this one (queue-tail merge).
+    def coalesce(self, other: "Changeset") -> Optional["Changeset"]:
+        """Fold a newer changeset into this one (queue-tail merge) and
+        return it, or ``None`` when ``other`` cannot be merged.
 
         Only changesets from the same source merge — mixing digest
         feedback into a management changeset would blur the digest
         trace-link bookkeeping.
         """
         if not isinstance(other, Changeset) or other.source != self.source:
-            return False
+            return None
         for relation, keys in other.ops.items():
             for key, (dead, live) in keys.items():
                 if dead is not None:
@@ -174,7 +176,7 @@ class Changeset:
             self.digest_name = other.digest_name
         self.txns += other.txns
         self.digests += other.digests
-        return True
+        return self
 
 
 class DeviceBatch:
@@ -186,6 +188,13 @@ class DeviceBatch:
     wins.  ``seq``/``last_seq`` are the engine-transaction range the
     batch covers — merge only ever extends it forward, which is what
     keeps per-device application in engine-transaction order.
+
+    A fan-out puts *one* batch object on every device's queue and marks
+    it ``shared``: nothing may change it any more, and the first queue
+    that wants to merge into it does so in a private copy
+    (:meth:`coalesce`).  What every device has in common — the write
+    list, and through it the encoded request — is thereby computed
+    once per changeset.
     """
 
     __slots__ = (
@@ -197,6 +206,8 @@ class DeviceBatch:
         "parent",
         "txns",
         "first_enqueued",
+        "shared",
+        "_writes",
     )
 
     def __init__(self, seq: int):
@@ -208,22 +219,25 @@ class DeviceBatch:
         self.parent = None
         self.txns = 1
         self.first_enqueued = time.perf_counter()
+        #: More than one queue holds this object: copy before merging.
+        self.shared = False
+        self._writes = None  # emit_writes() memo; any record drops it
 
     def record_insert(self, table: str, match_key: tuple, entry) -> None:
         cell = self.ops.setdefault((table, match_key), [None, None])
         _record_insert(cell, entry)
+        self._writes = None
 
     def record_delete(self, table: str, match_key: tuple, entry) -> None:
         cell = self.ops.setdefault((table, match_key), [None, None])
         _record_delete(cell, entry)
+        self._writes = None
 
     @property
     def update_id(self) -> Optional[str]:
         return self.update_ids[-1] if self.update_ids else None
 
-    def copy_for_device(self) -> "DeviceBatch":
-        """Per-device instance of an evaluation's fan-out template
-        (merging mutates, so queues must not share one object)."""
+    def _private_copy(self) -> "DeviceBatch":
         clone = DeviceBatch(self.seq)
         clone.last_seq = self.last_seq
         clone.ops = {key: cell[:] for key, cell in self.ops.items()}
@@ -238,18 +252,22 @@ class DeviceBatch:
         """The batch as one write list: deletes first, then inserts.
 
         An entry deleted and re-inserted unchanged (same action,
-        params, and priority) is a round trip and is dropped.
+        params, and priority) is a round trip and is dropped.  The
+        list is built once per batch state, so every device of a shared
+        batch gets the same :class:`~repro.p4runtime.api.WriteList`.
         """
-        from repro.p4runtime.api import TableWrite
+        from repro.p4runtime.api import TableWrite, WriteList
 
-        deletes = []
+        if self._writes is not None:
+            return self._writes
+        deletes = WriteList()
         inserts = []
         for (table, _), (dead, live) in self.ops.items():
             if (
                 dead is not None
                 and live is not None
                 and dead.action == live.action
-                and list(dead.action_params) == list(live.action_params)
+                and dead.action_params == live.action_params
                 and dead.priority == live.priority
             ):
                 continue
@@ -257,33 +275,41 @@ class DeviceBatch:
                 deletes.append(TableWrite.delete(table, dead))
             if live is not None:
                 inserts.append(TableWrite.insert(table, live))
-        return deletes + inserts
+        deletes.extend(inserts)
+        self._writes = deletes
+        return deletes
 
     def is_empty(self) -> bool:
         return not self.mcast and all(
             cell[0] is None and cell[1] is None for cell in self.ops.values()
         )
 
-    def coalesce(self, other: "DeviceBatch") -> bool:
+    def coalesce(self, other: "DeviceBatch") -> Optional["DeviceBatch"]:
         """Fold a strictly newer batch in, so the merged batch covers
         a forward, in-order span of engine transactions (gaps are
-        transactions that produced no writes for this device)."""
+        transactions that produced no writes for this device).
+
+        Returns the batch that now holds the merge — ``self``, or for
+        a ``shared`` batch a private copy that the queue puts in its
+        place — or ``None`` when ``other`` cannot be merged.  ``other``
+        is only read: it may be shared too."""
         if not isinstance(other, DeviceBatch):
-            return False
+            return None
         if other.seq <= self.last_seq:
-            return False
+            return None
+        merged = self._private_copy() if self.shared else self
         for (table, match_key), (dead, live) in other.ops.items():
             if dead is not None:
-                self.record_delete(table, match_key, dead)
+                merged.record_delete(table, match_key, dead)
             if live is not None:
-                self.record_insert(table, match_key, live)
-        self.mcast.update(other.mcast)
-        _merge_update_ids(self.update_ids, other.update_ids)
+                merged.record_insert(table, match_key, live)
+        merged.mcast.update(other.mcast)
+        _merge_update_ids(merged.update_ids, other.update_ids)
         if other.parent is not None:
-            self.parent = other.parent
-        self.last_seq = other.last_seq
-        self.txns += other.txns
-        return True
+            merged.parent = other.parent
+        merged.last_seq = other.last_seq
+        merged.txns += other.txns
+        return merged
 
 
 class MulticastState:

@@ -3,8 +3,10 @@
 A :class:`CoalescingQueue` is a FIFO with three twists:
 
 * **tail coalescing** — if the newest queued item can absorb an
-  incoming one (``tail.coalesce(item)`` returns True), the put merges
-  instead of appending.  While a consumer is busy, every burst
+  incoming one (``tail.coalesce(item)`` returns the item that now
+  holds the merge — the tail itself, or the private copy a shared,
+  copy-on-write tail merged into — rather than ``None``), the put
+  merges instead of appending.  While a consumer is busy, every burst
   collapses into the single pending tail item, which is where the
   pipeline's batching win comes from: a slow device accumulates *one*
   merged batch, not an unbounded backlog.
@@ -152,7 +154,9 @@ class CoalescingQueue:
                 if self.merge and self._items:
                     tail = self._items[-1]
                     fold = getattr(tail, "coalesce", None)
-                    if fold is not None and fold(item):
+                    merged = fold(item) if fold is not None else None
+                    if merged is not None:
+                        self._items[-1] = merged
                         self.coalesced += 1
                         return
                 if len(self._items) < self.maxlen or self._closed:

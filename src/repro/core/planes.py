@@ -15,7 +15,7 @@ from repro.errors import ProtocolError, ReproError
 from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
 from repro.mgmt.monitor import MonitorSpec, TableUpdates
-from repro.net.aio import Reactor
+from repro.net.reactor import Reactor
 from repro.obs.trace import use_update_id
 from repro.p4.simulator import Simulator
 from repro.p4runtime.aio_client import AioP4RuntimeClient

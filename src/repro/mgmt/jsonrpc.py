@@ -16,6 +16,7 @@ Message shapes (JSON-RPC 1.0 flavor, like OVSDB):
 
 from __future__ import annotations
 
+import functools
 import json
 import socket
 import struct
@@ -27,12 +28,35 @@ MAX_FRAME = 64 * 1024 * 1024  # defensive bound against corrupt lengths
 _HEADER = struct.Struct(">I")
 
 
+def dumps(value) -> bytes:
+    """The wire serialisation of one JSON value (compact, UTF-8)."""
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+
+
 def encode_frame(message: dict) -> bytes:
     """Serialize a message into one wire frame."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    payload = dumps(message)
     if len(payload) > MAX_FRAME:
         raise ProtocolError(f"frame too large ({len(payload)} bytes)")
     return _HEADER.pack(len(payload)) + payload
+
+
+@functools.lru_cache(maxsize=64)
+def _request_head(method: str) -> bytes:
+    return b'{"method":' + dumps(method) + b',"params":'
+
+
+def frame_request(method: str, params: bytes, request_id: int) -> bytes:
+    """One request frame around already serialised ``params``
+    (:func:`dumps`): a payload going to many peers is encoded once and
+    only the id differs per frame.  Decodes to exactly
+    ``make_request(method, params, request_id)``."""
+    head = _request_head(method)
+    tail = b',"id":%d}' % request_id
+    length = len(head) + len(params) + len(tail)
+    if length > MAX_FRAME:
+        raise ProtocolError(f"frame too large ({length} bytes)")
+    return b"".join((_HEADER.pack(length), head, params, tail))
 
 
 def decode_frames(buffer: bytes) -> Tuple[list, bytes]:

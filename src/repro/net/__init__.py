@@ -4,7 +4,8 @@
 "full-stack" pitch presumes but the original prototype leaves to the
 operator: retry policies with exponential backoff
 (:class:`~repro.net.retry.RetryPolicy`), the event-loop transport
-(:class:`~repro.net.aio.Reactor` / :class:`~repro.net.aio.AioConnection`)
+(:class:`~repro.net.reactor.Reactor` /
+:class:`~repro.net.aio.AioConnection`)
 that carries every P4Runtime client and multiplexes thousands of device
 connections on one thread, the thread-per-connection transport
 (:class:`~repro.net.resilient.ResilientConnection`) that only the
@@ -14,7 +15,8 @@ controlled fault injection for tests and benchmarks
 (:class:`~repro.net.faults.FaultInjector`).
 """
 
-from repro.net.aio import AioConnection, Reactor, default_reactor
+from repro.net.aio import AioConnection
+from repro.net.reactor import Reactor, default_reactor
 from repro.net.faults import FaultInjector
 from repro.net.resilient import (
     BROKEN,

@@ -1,23 +1,16 @@
-"""Event-loop transport: one reactor multiplexing thousands of peers.
-
-:class:`Reactor` is a selector-based event loop on a single thread —
-readiness callbacks, cross-thread ``submit``, and ``call_later`` timers
-— sized so that *connections are cheap*: an :class:`AioConnection`
-costs two buffers and a selector registration, not the reader thread +
-heartbeat thread + dispatcher thread a
-:class:`~repro.net.resilient.ResilientConnection` spends.  That is the
-difference between a fleet of hundreds of devices (one OS thread each)
-and thousands (one loop for all of them).
+"""Event-loop transport: framed JSON-RPC peers on a shared reactor.
 
 :class:`AioConnection` ports the resilient transport's semantics onto
-the loop:
+a :class:`~repro.net.reactor.Reactor`:
 
 * the same framed JSON-RPC protocol (``repro.mgmt.jsonrpc``);
-* **write buffering with high/low watermarks** — sends append to an
-  outbound buffer flushed on socket writability; past the high
-  watermark the connection reports itself unwritable and fires
-  ``on_drain`` callbacks once the buffer falls under the low one, so
-  producers can flow-control instead of ballooning memory;
+* **write-through sends with high/low watermarks**
+  (:class:`SocketWriter`, shared with the device farm's server side) —
+  a frame goes straight to the socket and only what the kernel did not
+  take is buffered; past the high watermark the connection reports
+  itself unwritable and fires ``on_drain`` callbacks once the remainder
+  falls under the low one, so producers can flow-control instead of
+  ballooning memory;
 * **pending-call correlation** — requests carry ids; responses resolve
   callbacks on the loop thread, per-call deadlines fire as timers;
 * **reconnect with backoff, heartbeat, and state history** ported from
@@ -36,24 +29,16 @@ The public surface (``call``, ``call_async``, ``close``, ``health``,
 from __future__ import annotations
 
 import errno
-import itertools
-import heapq
 import selectors
 import socket
 import threading
 import time
-from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from repro import obs
 from repro.errors import ConnectionLostError, ProtocolError, ReproError
-from repro.mgmt.jsonrpc import (
-    NotificationDispatcher,
-    classify,
-    decode_frames,
-    encode_frame,
-    make_request,
-)
+from repro.mgmt.jsonrpc import classify, decode_frames, dumps, frame_request
+from repro.net.reactor import Reactor, Timer
 from repro.net.resilient import BROKEN, CLOSED, CONNECTED, RETRYING
 from repro.net.retry import RetryPolicy
 
@@ -68,302 +53,109 @@ LOW_WATERMARK = 64 * 1024
 _EINPROGRESS = {errno.EINPROGRESS, errno.EWOULDBLOCK, errno.EALREADY}
 
 
-#: Below this many cancelled timers the heap is never rebuilt
-#: (asyncio's ``_MIN_SCHEDULED_TIMER_HANDLES``).
-_MIN_CANCELLED_TIMERS = 100
+class SocketWriter:
+    """Write-through sender for one connected non-blocking socket.
 
+    :meth:`send` writes straight to the socket; only what the kernel
+    did not take is buffered, and the selector is armed for
+    ``EVENT_WRITE`` only while such a remainder exists — the common
+    frame costs one ``send`` and no ``epoll_ctl``.  At ``high``
+    buffered bytes the writer stops reporting itself writable; once
+    :meth:`flush` has the remainder under ``low`` the parked
+    :meth:`on_drain` callbacks fire.
 
-class Timer:
-    """A cancellable ``call_later`` handle."""
-
-    __slots__ = ("when", "fn", "cancelled", "_reactor")
-
-    def __init__(self, when: float, fn: Callable[[], None], reactor: "Reactor"):
-        self.when = when
-        self.fn = fn
-        self.cancelled = False
-        self._reactor = reactor
-
-    def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            self._reactor._timer_cancelled()
-
-
-class Reactor:
-    """A selector event loop plus its helper executors.
-
-    One reactor serves any number of connections and fan-out channels.
-    It owns three things callbacks must never do on the loop thread:
-
-    * ``dispatcher`` — a single FIFO thread for notification callbacks
-      (digests, packet-ins), mirroring the resilient transport's
-      per-connection dispatcher but shared loop-wide;
-    * ``run_hook`` — a small pool for reconnect hooks, which block for
-      whole resync round trips and must not serialize behind each
-      other during a fleet-wide reconnect storm;
-    * the loop-lag histogram ``reactor_loop_lag_seconds`` — how late
-      submitted callbacks and timers run versus when they were due,
-      the canonical "is the loop overloaded" signal.
+    Loop thread only.  ``on_io`` is the socket's readiness callback
+    (the selector wants it again on every interest change) and must
+    call :meth:`flush` on ``EVENT_WRITE``; ``on_error`` receives the
+    ``OSError`` of a failed write; the owner tears the socket down,
+    drops the writer and calls :meth:`release`.
     """
 
-    def __init__(self, name: str = "aio"):
-        self.name = name
-        self._selector = selectors.DefaultSelector()
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._wake_w.setblocking(False)
-        self._selector.register(
-            self._wake_r, selectors.EVENT_READ, self._drain_wakeup
-        )
-        self._pending: deque = deque()  # (fn, args, enqueued_at)
-        self._lock = threading.Lock()
-        self._timers: list = []  # heap of (when, tiebreak, Timer)
-        #: cancel() calls not yet matched by a pop: an upper bound on
-        #: the cancelled entries still in the heap (a timer cancelled
-        #: after it fired is counted too, and costs one early rebuild).
-        self._cancelled_timers = 0
-        self._timer_seq = itertools.count()
-        self._closed = False
-        self._started = False
-        self._thread = threading.Thread(
-            target=self._run, name=f"{name}-reactor", daemon=True
-        )
-        self.dispatcher = NotificationDispatcher(f"{name}-dispatch")
-        self._hook_pool = None
-        self._hook_pool_lock = threading.Lock()
-        #: Loop iterations served (coarse liveness counter for tests).
-        self.loops = 0
-        #: Last exception raised by a readiness/timer/submitted
-        #: callback (callbacks must not kill the loop; this is the
-        #: debugging breadcrumb when one misbehaves).
-        self.last_callback_error: Optional[BaseException] = None
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> "Reactor":
-        with self._lock:
-            if self._started or self._closed:
-                return self
-            self._started = True
-        self._thread.start()
-        return self
+    def __init__(
+        self,
+        reactor: Reactor,
+        sock: socket.socket,
+        on_io: Callable[[int], None],
+        on_error: Callable[[OSError], None],
+        high: int = HIGH_WATERMARK,
+        low: int = LOW_WATERMARK,
+    ):
+        self._reactor = reactor
+        self._sock = sock
+        self._on_io = on_io
+        self._on_error = on_error
+        self.high = high
+        self.low = low
+        self._buf = bytearray()
+        self._paused = False
+        self._drain_cbs: List[Callable[[], None]] = []
 
     @property
-    def closed(self) -> bool:
-        return self._closed
+    def pending(self) -> int:
+        """Bytes accepted by :meth:`send` and not yet by the kernel."""
+        return len(self._buf)
 
-    def in_loop(self) -> bool:
-        return threading.current_thread() is self._thread
+    @property
+    def writable(self) -> bool:
+        return len(self._buf) < self.high
 
-    def stop(self) -> None:
-        """Stop the loop and its executors; idempotent."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._wakeup()
-        if self._started and not self.in_loop():
-            self._thread.join(timeout=5.0)
-        self.dispatcher.close()
-        with self._hook_pool_lock:
-            pool = self._hook_pool
-            self._hook_pool = None
-        if pool is not None:
-            pool.shutdown(wait=False)
-        try:
-            self._selector.close()
-        except OSError:
-            pass
-        for sock in (self._wake_r, self._wake_w):
+    def send(self, data: bytes) -> None:
+        if self._buf:
+            self._buf += data  # in order, behind the remainder
+        else:
             try:
-                sock.close()
-            except OSError:
-                pass
-
-    # -- scheduling ----------------------------------------------------------
-
-    def submit(self, fn: Callable, *args) -> bool:
-        """Schedule ``fn(*args)`` on the loop thread.
-
-        Returns False (and does nothing) once the reactor is stopped —
-        shutdown is best-effort, like a closed queue's ``put``.
-        """
-        with self._lock:
-            if self._closed:
-                return False
-            self._pending.append((fn, args, time.perf_counter()))
-        self._wakeup()
-        return True
-
-    def call_later(self, delay: float, fn: Callable[[], None]) -> Timer:
-        """Schedule ``fn()`` on the loop thread after ``delay`` seconds."""
-        timer = Timer(time.monotonic() + max(0.0, delay), fn, self)
-        with self._lock:
-            if self._closed:
-                timer.cancelled = True
-                return timer
-            heapq.heappush(
-                self._timers, (timer.when, next(self._timer_seq), timer)
+                sent = self._sock.send(data)
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError as exc:
+                self._on_error(exc)
+                return
+            if sent == len(data):
+                return
+            self._buf += memoryview(data)[sent:]
+            self._reactor.modify(
+                self._sock,
+                selectors.EVENT_READ | selectors.EVENT_WRITE,
+                self._on_io,
             )
-        self._wakeup()
-        return timer
+        if len(self._buf) >= self.high:
+            self._paused = True
 
-    def run_hook(self, fn: Callable, *args) -> None:
-        """Run a potentially-blocking callback on the hook pool."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        with self._hook_pool_lock:
-            if self._closed:
+    def flush(self) -> None:
+        """The socket is writable again: push the remainder."""
+        if self._buf:
+            try:
+                sent = self._sock.send(self._buf)
+            except (BlockingIOError, InterruptedError):
                 return
-            if self._hook_pool is None:
-                self._hook_pool = ThreadPoolExecutor(
-                    max_workers=4, thread_name_prefix=f"{self.name}-hook"
-                )
-            self._hook_pool.submit(fn, *args)
+            except OSError as exc:
+                self._on_error(exc)
+                return
+            del self._buf[:sent]
+        if not self._buf:
+            self._reactor.modify(
+                self._sock, selectors.EVENT_READ, self._on_io
+            )
+        if self._paused and len(self._buf) <= self.low:
+            self.release()
 
-    # -- fd registration (loop thread only) ----------------------------------
+    def on_drain(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once the remainder is under the low
+        watermark — now, unless the high one was reached since."""
+        if self._paused:
+            self._drain_cbs.append(callback)
+        else:
+            callback()
 
-    def register(self, sock, events: int, callback) -> None:
-        self._selector.register(sock, events, callback)
-
-    def modify(self, sock, events: int, callback) -> None:
-        self._selector.modify(sock, events, callback)
-
-    def unregister(self, sock) -> None:
-        try:
-            self._selector.unregister(sock)
-        except (KeyError, ValueError):
-            pass
-
-    # -- the loop ------------------------------------------------------------
-
-    def _wakeup(self) -> None:
-        try:
-            self._wake_w.send(b"\0")
-        except (OSError, ValueError):
-            pass
-
-    def _drain_wakeup(self, mask: int) -> None:
-        try:
-            while self._wake_r.recv(4096):
-                pass
-        except (BlockingIOError, InterruptedError):
-            pass
-        except OSError:
-            pass
-
-    def _next_timeout(self) -> Optional[float]:
-        with self._lock:
-            if self._pending:
-                return 0.0
-            # A cancelled timer is only ever popped at the head, so a
-            # per-call deadline that never fires would sit here for its
-            # whole timeout.  Rebuild without them once they are more
-            # than half of the heap (the asyncio rule): amortised O(1)
-            # per cancel, heap size O(live timers).
-            if (
-                self._cancelled_timers > _MIN_CANCELLED_TIMERS
-                and self._cancelled_timers * 2 > len(self._timers)
-            ):
-                self._timers = [e for e in self._timers if not e[2].cancelled]
-                heapq.heapify(self._timers)
-                self._cancelled_timers = 0
-            while self._timers and self._timers[0][2].cancelled:
-                heapq.heappop(self._timers)
-                self._cancelled_timers -= 1
-            if self._timers:
-                return max(0.0, self._timers[0][0] - time.monotonic())
-        return None
-
-    def _timer_cancelled(self) -> None:
-        with self._lock:
-            self._cancelled_timers += 1
-
-    def _run(self) -> None:
-        while not self._closed:
-            timeout = self._next_timeout()
-            try:
-                events = self._selector.select(timeout)
-            except OSError:
-                continue
-            self.loops += 1
-            if self._closed:
-                break
-            for key, mask in events:
-                try:
-                    key.data(mask)
-                except Exception as exc:  # noqa: BLE001 - loop must survive
-                    self._note_callback_error(exc)
-            self._run_timers()
-            self._run_pending()
-        # ``submit`` refuses work once ``_closed`` is set, so this last
-        # pass is bounded: callbacks accepted before ``stop()`` (above
-        # all connection closes) still run and close their sockets
-        # instead of leaving them to the garbage collector.
-        self._run_pending()
-
-    def _run_timers(self) -> None:
-        now = time.monotonic()
-        due: List[Timer] = []
-        with self._lock:
-            while self._timers and self._timers[0][0] <= now:
-                _, _, timer = heapq.heappop(self._timers)
-                if timer.cancelled:
-                    self._cancelled_timers -= 1
-                else:
-                    due.append(timer)
-        record = obs.enabled()
-        for timer in due:
-            if record:
-                obs.REGISTRY.histogram("reactor_loop_lag_seconds").observe(
-                    max(0.0, now - timer.when)
-                )
-            try:
-                timer.fn()
-            except Exception as exc:  # noqa: BLE001 - loop must survive
-                self._note_callback_error(exc)
-
-    def _run_pending(self) -> None:
-        with self._lock:
-            batch = list(self._pending)
-            self._pending.clear()
-        record = obs.enabled()
-        started = time.perf_counter()
-        for fn, args, enqueued in batch:
-            if record:
-                obs.REGISTRY.histogram("reactor_loop_lag_seconds").observe(
-                    max(0.0, started - enqueued)
-                )
-            try:
-                fn(*args)
-            except Exception as exc:  # noqa: BLE001 - loop must survive
-                self._note_callback_error(exc)
-
-    def _note_callback_error(self, exc: BaseException) -> None:
-        if obs.enabled():
-            obs.REGISTRY.counter(
-                "reactor_callback_errors_total", reactor=self.name
-            ).inc()
-        self.last_callback_error = exc
-
-
-_default_reactor: Optional[Reactor] = None
-_default_reactor_lock = threading.Lock()
-
-
-def default_reactor() -> Reactor:
-    """The process-wide reactor for callers that bring none of their own.
-
-    Created and started on first use (never at import), shared by every
-    later caller, and replaced if someone stopped it — so any number of
-    stand-alone clients cost one loop thread between them.
-    """
-    global _default_reactor
-    with _default_reactor_lock:
-        if _default_reactor is None or _default_reactor.closed:
-            _default_reactor = Reactor("default").start()
-        return _default_reactor
+    def release(self) -> None:
+        """Un-park the ``on_drain`` producers: the remainder drained —
+        or the owner is tearing the socket down and the remainder died
+        with it, so their next send fails fast into the owner's error
+        path instead of wedging."""
+        self._paused = False
+        drains, self._drain_cbs = self._drain_cbs, []
+        for callback in drains:
+            callback()
 
 
 class _AsyncCall:
@@ -408,7 +200,7 @@ class AioConnection:
         #: ``on_connect(conn)`` runs on the **loop thread** immediately
         #: after every successful connect (first and re-), before any
         #: queued producer calls are dispatched — session setup issued
-        #: here via :meth:`call_now` is guaranteed to be the first
+        #: here via :meth:`call_async` is guaranteed to be the first
         #: frames on the fresh connection (e.g. the farm's
         #: ``bind_device``).  It receives the connection because the
         #: first connect can complete before the constructor returns.
@@ -422,9 +214,8 @@ class AioConnection:
         self._connecting = False
         self._connect_timer: Optional[Timer] = None
         self._inbuf = b""
-        self._outbuf = bytearray()
-        self._paused = False
-        self._drain_cbs: List[Callable[[], None]] = []
+        #: The connected socket's sender (``None`` while not connected).
+        self._writer: Optional[SocketWriter] = None
         self._pending: Dict[int, _AsyncCall] = {}
         self._next_id = 0
         self._delays = None
@@ -462,13 +253,16 @@ class AioConnection:
 
     @property
     def send_buffer_bytes(self) -> int:
-        """Unsent outbound bytes (the per-device backlog gauge)."""
-        return len(self._outbuf)
+        """Outbound bytes the kernel has not taken yet (the per-device
+        backlog gauge) — 0 unless the peer reads slower than we send."""
+        writer = self._writer
+        return writer.pending if writer is not None else 0
 
     @property
     def writable(self) -> bool:
         """False while the outbound buffer is past the high watermark."""
-        return len(self._outbuf) < self.high_watermark
+        writer = self._writer
+        return writer is None or writer.writable
 
     def wait_connected(self, timeout: Optional[float] = None) -> bool:
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -494,7 +288,7 @@ class AioConnection:
             "reconnects": self.reconnects,
             "retry_count": self.retry_count,
             "last_error": self.last_error,
-            "send_buffer_bytes": len(self._outbuf),
+            "send_buffer_bytes": self.send_buffer_bytes,
         }
 
     def on_reconnect(self, callback: Callable[[], None]) -> None:
@@ -508,10 +302,10 @@ class AioConnection:
         there)."""
 
         def arm():
-            if self.writable and not self._paused:
+            if self._writer is None:
                 callback()
             else:
-                self._drain_cbs.append(callback)
+                self._writer.on_drain(callback)
 
         self.reactor.submit(arm)
 
@@ -544,22 +338,22 @@ class AioConnection:
         transport loss resolves it.  A connection that is not currently
         usable fails the call immediately with
         :class:`ConnectionLostError` — backpressure-aware callers park
-        on :meth:`wait_connected` or a reconnect hook instead."""
-        self.reactor.submit(
-            self._start_call_on_loop, method, params, callback, timeout
-        )
+        on :meth:`wait_connected` or a reconnect hook instead.
 
-    def call_now(
-        self,
-        method: str,
-        params,
-        callback: Callable,
-        timeout: Optional[float] = None,
-    ) -> None:
-        """:meth:`call_async` without the cross-thread hop — **loop
-        thread only**.  From an ``on_connect`` hook this puts the
-        request on the wire ahead of anything queued via ``submit``."""
-        self._start_call_on_loop(method, params, callback, timeout)
+        ``params`` is a JSON-able value or, as ``bytes``, its
+        serialisation (:func:`~repro.mgmt.jsonrpc.dumps`) — a payload
+        fanned out to many connections is encoded once.  On the loop
+        thread the request goes out before this returns (from an
+        ``on_connect`` hook: ahead of anything queued via ``submit``);
+        any other thread encodes here and hops to the loop."""
+        if not isinstance(params, bytes):
+            params = dumps(params)
+        if self.reactor.in_loop():
+            self._start_call_on_loop(method, params, callback, timeout)
+        else:
+            self.reactor.submit(
+                self._start_call_on_loop, method, params, callback, timeout
+            )
 
     def call(
         self,
@@ -623,14 +417,16 @@ class AioConnection:
 
     # -- loop-side call machinery --------------------------------------------
 
-    def _start_call_on_loop(self, method, params, callback, timeout) -> None:
+    def _start_call_on_loop(
+        self, method: str, params: bytes, callback, timeout
+    ) -> None:
         if self._closed or self._state in (BROKEN, CLOSED):
             callback(
                 None,
                 ConnectionLostError(f"connection closed (calling {method})"),
             )
             return
-        if self._state != CONNECTED or self._sock is None:
+        if self._state != CONNECTED or self._writer is None:
             callback(
                 None,
                 ConnectionLostError(
@@ -647,14 +443,15 @@ class AioConnection:
             )
         self._pending[request_id] = _AsyncCall(method, callback, timer)
         try:
-            self._send_on_loop(make_request(method, params, request_id))
+            frame = frame_request(method, params, request_id)
         except ProtocolError as exc:
             # Frame too large — a caller bug, not a transport fault.
-            call = self._pending.pop(request_id, None)
-            if call is not None:
-                if call.timer is not None:
-                    call.timer.cancel()
-                callback(None, exc)
+            del self._pending[request_id]
+            if timer is not None:
+                timer.cancel()
+            callback(None, exc)
+            return
+        self._writer.send(frame)
 
     def _call_timed_out(self, request_id: int) -> None:
         call = self._pending.pop(request_id, None)
@@ -744,11 +541,19 @@ class AioConnection:
                 obs.REGISTRY.counter(
                     "net_reconnects_total", conn=self.name
                 ).inc()
-        self._update_interest()
+        self.reactor.modify(sock, selectors.EVENT_READ, self._on_io)
+        self._writer = SocketWriter(
+            self.reactor,
+            sock,
+            self._on_io,
+            self._transport_error,
+            self.high_watermark,
+            self.low_watermark,
+        )
         self._set_state(CONNECTED)
         if self._on_connect is not None:
-            # Synchronous, on the loop thread: frames issued here (via
-            # call_now) precede every call queued behind the reconnect.
+            # Synchronous, on the loop thread: frames issued here
+            # precede every call queued behind the reconnect.
             self._on_connect(self)
         if was_reconnect:
             for callback in list(self._on_reconnect):
@@ -762,14 +567,6 @@ class AioConnection:
             # reconnect runs the hook again.
             self._note_error(exc)
 
-    def _update_interest(self) -> None:
-        if self._sock is None:
-            return
-        events = selectors.EVENT_READ
-        if self._outbuf or self._connecting:
-            events |= selectors.EVENT_WRITE
-        self.reactor.modify(self._sock, events, self._on_io)
-
     def _on_io(self, mask: int) -> None:
         if self._sock is None:
             return
@@ -779,8 +576,8 @@ class AioConnection:
             return
         if mask & selectors.EVENT_READ:
             self._do_read()
-        if self._sock is not None and (mask & selectors.EVENT_WRITE):
-            self._do_write()
+        if self._writer is not None and (mask & selectors.EVENT_WRITE):
+            self._writer.flush()
 
     def _do_read(self) -> None:
         try:
@@ -816,35 +613,6 @@ class AioConnection:
                     self._on_notification, message
                 )
 
-    def _do_write(self) -> None:
-        if not self._outbuf:
-            self._update_interest()
-            return
-        try:
-            sent = self._sock.send(memoryview(self._outbuf))
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError as exc:
-            self._transport_error(exc)
-            return
-        del self._outbuf[:sent]
-        if not self._outbuf:
-            self._update_interest()
-        if self._paused and len(self._outbuf) <= self.low_watermark:
-            self._paused = False
-            drains, self._drain_cbs = self._drain_cbs, []
-            for cb in drains:
-                cb()
-
-    def _send_on_loop(self, message: dict) -> None:
-        frame = encode_frame(message)
-        was_empty = not self._outbuf
-        self._outbuf.extend(frame)
-        if len(self._outbuf) >= self.high_watermark:
-            self._paused = True
-        if was_empty:
-            self._update_interest()
-
     def _transport_error(self, exc: BaseException) -> None:
         self._note_error(exc)
         self._teardown_socket()
@@ -868,10 +636,8 @@ class AioConnection:
             self._connect_timer = None
         self._connecting = False
         sock, self._sock = self._sock, None
+        writer, self._writer = self._writer, None
         self._inbuf = b""
-        self._outbuf = bytearray()
-        self._paused = False
-        drains, self._drain_cbs = self._drain_cbs, []
         if sock is not None:
             self.reactor.unregister(sock)
             try:
@@ -879,10 +645,10 @@ class AioConnection:
             except OSError:
                 pass
         # Producers parked on the watermark must not wedge when the
-        # transport dies: the buffer is gone, so they are "drained" —
-        # their next send fails fast into the reconnect/breaker path.
-        for cb in drains:
-            cb()
+        # transport dies: their next send fails fast into the
+        # reconnect/breaker path.
+        if writer is not None:
+            writer.release()
 
     # -- heartbeat (loop thread only) ----------------------------------------
 
@@ -898,7 +664,7 @@ class AioConnection:
                     self._note_error(error)
                     self._transport_error(error)
 
-            self._start_call_on_loop(
+            self.call_async(
                 "echo",
                 ["heartbeat"],
                 done,

@@ -14,7 +14,7 @@ contract over the same framed-JSON transport the management plane uses:
 * :mod:`repro.p4runtime.aio_client` — the one client: a blocking API
   for scripts and resyncs plus the non-blocking batched write the
   controller's apply plane uses, both over a shared
-  :class:`~repro.net.aio.Reactor` (``P4RuntimeClient`` and
+  :class:`~repro.net.reactor.Reactor` (``P4RuntimeClient`` and
   ``AioP4RuntimeClient`` name the same class);
 * :mod:`repro.p4runtime.farm` — a reactor-driven fleet of lightweight
   devices behind one listener, for fleet-scale tests and benchmarks.

@@ -2,9 +2,9 @@
 
 The protocol rides an :class:`~repro.net.aio.AioConnection`, so a
 thousand clients cost a thousand selector registrations on one shared
-:class:`~repro.net.aio.Reactor` — not a thousand reader threads.  Pass
+:class:`~repro.net.reactor.Reactor` — not a thousand reader threads.  Pass
 the fleet's reactor explicitly; a client built without one runs on the
-process-wide :func:`~repro.net.aio.default_reactor`.
+process-wide :func:`~repro.net.reactor.default_reactor`.
 
 Two call surfaces on the same object:
 
@@ -16,7 +16,9 @@ Two call surfaces on the same object:
   The optional ``seq`` pair ``(first, last)`` of the coalesced batch
   range rides the envelope — existing servers ignore unknown keys, and
   the :class:`~repro.p4runtime.farm.DeviceFarm` uses it to verify
-  per-device FIFO at fleet scale.
+  per-device FIFO at fleet scale.  Nothing in the request but its id
+  is per device: clients handed the same
+  :class:`~repro.p4runtime.api.WriteList` share one encoding of it.
 
 Digest and packet-in subscriptions are session state on the server:
 every (re)connect re-issues them as the first frames on the fresh
@@ -33,26 +35,47 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RuntimeApiError
-from repro.net.aio import AioConnection, Reactor, default_reactor
+from repro.mgmt.jsonrpc import dumps
+from repro.net.aio import AioConnection
+from repro.net.reactor import Reactor, default_reactor
 from repro.net.retry import RetryPolicy
 from repro.obs.trace import use_update_id
-from repro.p4runtime.api import TableWrite
+from repro.p4runtime.api import TableWrite, WriteList
 
 _DEFAULT_TIMEOUT = 30.0
 
 
-def _batch_envelope(updates, mcast, update_ids, fence) -> dict:
+def _encode_batch(updates, mcast, update_ids, fence, seq=None) -> bytes:
+    """The serialised parameters of one ``apply_batch`` request.
+
+    Nothing in them is per device, so a
+    :class:`~repro.p4runtime.api.WriteList` — the one list a fan-out
+    hands every device's client — keeps what it was last encoded to:
+    the fleet's first client pays ``to_wire`` and JSON, the rest splice
+    the same bytes into their own frame.  The other arguments are
+    compared by value, so a caller that re-uses a list with different
+    ones simply encodes again."""
+    mcast, update_ids = dict(mcast or ()), list(update_ids or ())
+    key = (mcast, update_ids, fence, seq)
+    memo = isinstance(updates, WriteList)
+    if memo and updates.encoded is not None and updates.encoded[0] == key:
+        return updates.encoded[1]
     envelope = {
         "updates": [u.to_wire() for u in updates],
         "mcast": [
             [group, list(ports) if ports is not None else None]
-            for group, ports in sorted((mcast or {}).items())
+            for group, ports in sorted(mcast.items())
         ],
-        "update_ids": list(update_ids or ()),
+        "update_ids": update_ids,
     }
     if fence is not None:
         envelope["fence"] = fence
-    return envelope
+    if seq is not None:
+        envelope["seq"] = list(seq)
+    params = dumps([envelope])
+    if memo:
+        updates.encoded = (key, params)
+    return params
 
 
 class AioP4RuntimeClient:
@@ -133,7 +156,7 @@ class AioP4RuntimeClient:
         # ``conn`` comes from the hook (not ``self.conn``): the first
         # connect can win the race with the constructor's assignment.
         if self.device_hint is not None:
-            conn.call_now(
+            conn.call_async(
                 "bind_device",
                 [self.device_hint],
                 lambda _r, _e: None,
@@ -144,7 +167,7 @@ class AioP4RuntimeClient:
             (self._packet_in_callback, "subscribe_packet_ins"),
         ):
             if callback is not None:
-                conn.call_now(
+                conn.call_async(
                     method, [], lambda _r, _e: None, timeout=self.timeout
                 )
 
@@ -196,9 +219,6 @@ class AioP4RuntimeClient:
         applied-update count or the failure (transport loss, per-call
         timeout, or a semantic rejection as ``error_type``).
         """
-        envelope = _batch_envelope(updates, mcast, update_ids, fence)
-        if seq is not None:
-            envelope["seq"] = list(seq)
 
         def on_response(result, error):
             if callback is None:
@@ -210,7 +230,7 @@ class AioP4RuntimeClient:
 
         self.conn.call_async(
             "apply_batch",
-            [envelope],
+            _encode_batch(updates, mcast, update_ids, fence, seq),
             on_response,
             timeout=timeout if timeout is not None else self.timeout,
         )
@@ -237,8 +257,9 @@ class AioP4RuntimeClient:
         """Ship a coalesced pipeline batch — table writes plus
         multicast config plus every merged update-id — in one round
         trip."""
-        envelope = _batch_envelope(updates, mcast, update_ids, fence)
-        result = self.call("apply_batch", [envelope])
+        result = self.call(
+            "apply_batch", _encode_batch(updates, mcast, update_ids, fence)
+        )
         return result["applied"]
 
     def get_config_epoch(self) -> Optional[str]:

@@ -111,6 +111,19 @@ class TableWrite:
         return f"TableWrite({self.kind} {self.table} {self.entry!r})"
 
 
+class WriteList(list):
+    """The table writes of one batch, with room for the
+    request parameters they serialise to: a batch fanned out to a
+    fleet — one list object handed to every device's client — is
+    encoded by the first client and spliced into the others' frames
+    (:meth:`AioP4RuntimeClient.apply_batch_async`).  Treat as frozen
+    once handed to a client."""
+
+    #: ``(key, params)`` of the last ``apply_batch`` encoded from this
+    #: list — private to :mod:`repro.p4runtime.aio_client`.
+    encoded = None
+
+
 def _match_to_wire(match: FieldMatch) -> dict:
     if match.kind == "exact":
         return {"exact": match.value}

@@ -6,7 +6,7 @@ full :class:`~repro.p4.simulator.Simulator` + thread-per-connection
 the bench machine before the plane under test broke a sweat.
 :class:`DeviceFarm` is the counterpart built the same way as the apply
 plane itself: one TCP listener, a small pool of
-:class:`~repro.net.aio.Reactor` loops (``n_reactors`` — real switches
+:class:`~repro.net.reactor.Reactor` loops (``n_reactors`` — real switches
 are parallel hardware, so fleet-scale benches shouldn't serialize on a
 single simulated farm loop), and N dict-table devices that speak
 enough of the P4Runtime wire
@@ -47,7 +47,8 @@ from repro.mgmt.jsonrpc import (
     make_error,
     make_response,
 )
-from repro.net.aio import Reactor
+from repro.net.aio import SocketWriter
+from repro.net.reactor import Reactor
 
 _RECV_CHUNK = 1 << 18
 
@@ -170,7 +171,9 @@ class _FarmConnection:
         #: the farm's reactors — see ``DeviceFarm`` on ``n_reactors``).
         self.reactor = reactor
         self.inbuf = b""
-        self.outbuf = bytearray()
+        self.writer = SocketWriter(
+            reactor, sock, self.on_io, lambda _exc: self.close()
+        )
         self.device_index = 0
         self.closed = False
 
@@ -182,7 +185,7 @@ class _FarmConnection:
         if mask & selectors.EVENT_READ:
             self._read()
         if not self.closed and (mask & selectors.EVENT_WRITE):
-            self._flush()
+            self.writer.flush()
 
     def _read(self) -> None:
         try:
@@ -225,33 +228,8 @@ class _FarmConnection:
             self._send(reply)
 
     def _send(self, message: dict) -> None:
-        if self.closed:
-            return
-        was_empty = not self.outbuf
-        self.outbuf.extend(encode_frame(message))
-        if was_empty:
-            self._update_interest()
-        self._flush()
-
-    def _flush(self) -> None:
-        if not self.outbuf or self.closed:
-            return
-        try:
-            sent = self.sock.send(memoryview(self.outbuf))
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self.close()
-            return
-        del self.outbuf[:sent]
-        if not self.outbuf:
-            self._update_interest()
-
-    def _update_interest(self) -> None:
-        events = selectors.EVENT_READ
-        if self.outbuf:
-            events |= selectors.EVENT_WRITE
-        self.reactor.modify(self.sock, events, self.on_io)
+        if not self.closed:
+            self.writer.send(encode_frame(message))
 
     def close(self) -> None:
         if not self.reactor.in_loop():

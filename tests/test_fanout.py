@@ -26,6 +26,7 @@ import gc
 import json
 import os
 import socket
+import sys
 import threading
 import time
 import warnings
@@ -38,8 +39,9 @@ from repro.core.pipeline import nerpa_build
 from repro.errors import ConnectionLostError, ProtocolError, ReproError
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
-from repro.net import RetryPolicy
-from repro.net.aio import AioConnection, Reactor, default_reactor
+from repro.net import FaultInjector, RetryPolicy
+from repro.net.aio import AioConnection, Reactor
+from repro.net.reactor import default_reactor
 from repro.net.resilient import BROKEN, CONNECTED, RETRYING
 from repro.p4.tables import FieldMatch, TableEntry
 from repro.p4runtime.aio_client import AioP4RuntimeClient
@@ -282,6 +284,66 @@ class TestReactor:
         finally:
             reactor.stop()
 
+
+    def test_no_submit_is_lost_and_wakes_are_shared(self):
+        """4 producers x 10k cross-thread submits: every one runs, and
+        they share wake bytes (one per loop turn, not one each)."""
+        reactor = Reactor("t-wakes").start()
+        wakes = []
+        real_wakeup = reactor._wakeup
+        reactor._wakeup = lambda: (wakes.append(1), real_wakeup())
+        ran = []  # appended on the loop thread only
+        try:
+            def produce(k):
+                for i in range(10_000):
+                    assert reactor.submit(ran.append, (k, i))
+
+            producers = [
+                threading.Thread(target=produce, args=(k,)) for k in range(4)
+            ]
+            for thread in producers:
+                thread.start()
+            for thread in producers:
+                thread.join(30.0)
+                assert not thread.is_alive()
+            wait_for(lambda: len(ran) == 40_000, what="all submits to run")
+            for k in range(4):  # per-producer FIFO, nothing twice
+                assert [i for j, i in ran if j == k] == list(range(10_000))
+            assert 1 <= len(wakes) < 40_000
+            # The loop went back to sleep with the flag clear: one more
+            # submit from outside still wakes it.
+            time.sleep(0.05)
+            late = threading.Event()
+            assert reactor.submit(late.set) and late.wait(5.0)
+        finally:
+            reactor.stop()
+
+    def test_work_scheduled_from_the_loop_costs_no_wake_and_runs(self):
+        reactor = Reactor("t-inloop-sched").start()
+        wakes = []
+        real_wakeup = reactor._wakeup
+        reactor._wakeup = lambda: (
+            wakes.append(threading.current_thread().name), real_wakeup()
+        )
+        try:
+            chained, fired = threading.Event(), threading.Event()
+            box = {}
+
+            def on_loop():
+                box["scheduled"] = time.monotonic()
+                reactor.submit(chained.set)
+                reactor.call_later(
+                    0.05,
+                    lambda: (box.setdefault("fired", time.monotonic()),
+                             fired.set()),
+                )
+
+            reactor.submit(on_loop)
+            assert chained.wait(5.0) and fired.wait(5.0)
+            assert 0.045 <= box["fired"] - box["scheduled"] < 1.0
+            assert "t-inloop-sched-reactor" not in wakes
+        finally:
+            reactor.stop()
 
     def test_stop_runs_queued_closes(self):
         """``close()`` then ``reactor.stop()``: the queued teardown
@@ -547,6 +609,115 @@ class TestAioConnection:
             peer.stop()
 
 
+    def test_short_write_keeps_frames_whole_and_in_order(self):
+        """A frame the kernel takes only part of: the remainder is
+        buffered, a later frame queues behind it, the watermarks and
+        ``on_drain`` work as before, and the peer decodes all three
+        requests intact, in the order they were issued."""
+        reactor = Reactor("t-short").start()
+        sim, server, port = sim_and_server()
+        conn = AioConnection(
+            "127.0.0.1", port, reactor, policy=FAST,
+            high_watermark=64 * 1024, low_watermark=16 * 1024,
+        )
+        try:
+            assert conn.wait_connected(5.0)
+            big = "x" * (2 * 1024 * 1024)
+            results, box = [], {}
+            drained, done = threading.Event(), threading.Event()
+
+            def collect(result, error):
+                assert error is None
+                results.append(result)
+                if len(results) == 3:
+                    done.set()
+
+            def on_loop():
+                conn._sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                conn.call_async("echo", ["ahead"], collect)
+                box["idle"] = conn.send_buffer_bytes
+                conn.call_async("echo", [big], collect)
+                box["backlog"] = conn.send_buffer_bytes
+                box["writable"] = conn.writable
+                conn.call_async("echo", ["behind"], collect)
+                box["grew"] = conn.send_buffer_bytes - box["backlog"]
+                conn.on_drain(lambda: (
+                    box.setdefault("at_drain", conn.send_buffer_bytes),
+                    drained.set(),
+                ))
+
+            reactor.submit(on_loop)
+            assert done.wait(10.0)
+            assert results == [["ahead"], [big], ["behind"]]
+            assert box["idle"] == 0  # a small frame never touches the buffer
+            assert 0 < box["backlog"] < len(big) + 64  # part went straight out
+            assert box["writable"] is False
+            assert box["grew"] > 0  # queued behind the remainder, not sent
+            assert drained.wait(5.0)
+            assert box["at_drain"] <= 16 * 1024
+            wait_for(lambda: conn.send_buffer_bytes == 0, what="drain")
+            assert conn.writable
+            assert conn.call("echo", ["after"], retryable=True) == ["after"]
+        finally:
+            conn.close()
+            server.stop()
+            reactor.stop()
+
+    @pytest.mark.slow
+    def test_transport_error_mid_remainder_fails_the_call_and_reconnects(self):
+        """The connection dies while part of a frame is still buffered:
+        the call fails (never half-sent on the next connection), the
+        parked producer is released, and the reconnect starts clean."""
+        reactor = Reactor("t-midframe").start()
+        sim, server, port = sim_and_server()
+        proxy = FaultInjector("127.0.0.1", port).start()
+        conn = AioConnection(
+            "127.0.0.1", proxy.address[1], reactor, policy=FAST,
+            high_watermark=64 * 1024, low_watermark=16 * 1024,
+        )
+        try:
+            assert conn.wait_connected(5.0)
+            assert conn.call("echo", ["up"], retryable=True) == ["up"]
+            proxy.set_stall(True)  # the peer stops reading
+            outcome, released = [], threading.Event()
+            failed = threading.Event()
+
+            def cb(result, error):
+                outcome.append(error)
+                failed.set()
+
+            conn.call_async("echo", ["x" * (16 * 1024 * 1024)], cb)
+            def stuck():
+                before = conn.send_buffer_bytes
+                time.sleep(0.05)
+                return 64 * 1024 < before == conn.send_buffer_bytes
+
+            wait_for(stuck, what="a remainder nobody reads")
+            conn.on_drain(released.set)
+            time.sleep(0.05)
+            assert not conn.writable and not released.is_set()
+
+            proxy.sever()
+            proxy.set_stall(False)
+            assert failed.wait(5.0) and released.wait(5.0)
+            assert isinstance(outcome[0], ConnectionLostError)
+            wait_for(
+                lambda: conn.state == CONNECTED and conn.reconnects >= 1,
+                what="reconnect",
+            )
+            assert conn.send_buffer_bytes == 0 and conn.writable
+            # Nothing of the dead frame leaked onto the new connection:
+            # the server decodes the next request.
+            assert conn.call("echo", ["clean"], retryable=True) == ["clean"]
+        finally:
+            conn.close()
+            proxy.stop()
+            server.stop()
+            reactor.stop()
+
+
 # ---------------------------------------------------------------------------
 # DeviceChannel.
 # ---------------------------------------------------------------------------
@@ -629,6 +800,70 @@ class TestDeviceChannel:
             channel.queue.put(_Op(1))
             channel.queue.join(time.monotonic() + 10.0)
             assert runs == [0, 1]
+            assert plane.inflight == 0
+        finally:
+            plane.stop()
+
+
+    def test_racing_completions_finish_an_item_exactly_once(self):
+        """A pool thread and the reactor can both call one item's
+        ``done``.  Two threads leave a barrier into it while a trace
+        function pauses each of them before every line of ``done`` —
+        whatever the once-guard is made of, the other thread gets to
+        run between any two of its steps.  A guard that is not atomic
+        finishes the item twice: ``task_done()`` then drives the
+        queue's unfinished count negative and ``drain()`` returns with
+        work in flight."""
+        plane = FanoutPlane(max_blocking_workers=2)
+        n_items = 4
+        barrier = threading.Barrier(2)
+        finishes, taken, current = [], threading.Semaphore(0), {}
+
+        def runner(channel, item, done):
+            current["done"] = done
+            taken.release()
+
+        def pause_in_done(frame, event, arg):
+            if frame.f_code.co_name != "done":
+                return None
+
+            def before_each_line(frame, event, arg):
+                if event == "line":
+                    time.sleep(0.003)
+                return before_each_line
+
+            return before_each_line
+
+        def race():
+            sys.settrace(pause_in_done)
+            try:
+                for _ in range(n_items):
+                    barrier.wait(10.0)
+                    current["done"](None)
+                    barrier.wait(10.0)  # both calls made
+            finally:
+                sys.settrace(None)
+
+        try:
+            channel = plane.channel(None, runner, name="dev")
+            real_finish = channel._finish
+            channel._finish = lambda exc: (finishes.append(1), real_finish(exc))
+            for n in range(n_items + 1):
+                channel.queue.put(_Op(n))
+            assert taken.acquire(timeout=10.0)
+            racers = [threading.Thread(target=race) for _ in range(2)]
+            for racer in racers:
+                racer.start()
+            for racer in racers:
+                racer.join(30.0)
+                assert not racer.is_alive()
+            # n_items finished by the races, the last one still held.
+            wait_for(lambda: len(finishes) >= n_items, what="finishes")
+            time.sleep(0.05)
+            assert len(finishes) == n_items
+            assert channel.queue.unfinished == 1
+            current["done"](None)
+            channel.queue.join(time.monotonic() + 10.0)
             assert plane.inflight == 0
         finally:
             plane.stop()

@@ -1,0 +1,409 @@
+"""Encode once, send many: what a fan-out shares and what it must not.
+
+* **wire equivalence** — the frame spliced from a batch's shared bytes
+  and a request id decodes to exactly the request the dict-building
+  path produced before it was deleted.  ``fixtures/
+  apply_batch_frames.json`` holds that path's output, recorded at
+  17d8fed; :func:`reference_request` is its body, kept as the oracle
+  for generated batches, and is itself checked against the recording.
+  The same frames are decoded by the two receivers the stack has
+  (:class:`P4RuntimeServer`, :class:`DeviceFarm`) over real sockets;
+* **aliasing** — one batch object sits on every device queue; a queue
+  that merges into it (or supersedes it) must leave every other
+  device's batch, the cells and the update-ids untouched;
+* **counts** — fanning one changeset to N devices runs ``to_wire`` once
+  per update and ``json.dumps`` once, and costs the engine thread one
+  wake byte.  Counts, not timings: they repeat exactly.
+"""
+
+import json
+import threading
+import time
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.controller import NerpaController
+from repro.core.pipeline import nerpa_build
+from repro.core.pipeline.changeset import DeviceBatch
+from repro.core.pipeline.queues import CoalescingQueue, Task
+from repro.mgmt.database import Database
+from repro.mgmt.jsonrpc import decode_frames, frame_request, make_request
+from repro.net.aio import Reactor
+from repro.p4.tables import FieldMatch, TableEntry
+from repro.p4runtime import aio_client
+from repro.p4runtime.aio_client import AioP4RuntimeClient
+from repro.p4runtime.api import TableWrite, WriteList
+from repro.p4runtime.farm import DeviceFarm
+from repro.p4runtime.server import P4RuntimeServer
+from repro.p4runtime.server import _Connection as ServerConnection
+from tests.test_fanout import (
+    FAST,
+    P4,
+    RULES,
+    SCHEMA,
+    add_port,
+    del_port,
+    entry,
+    set_out_port,
+    wait_for,
+)
+
+FIXTURE = Path(__file__).parent / "fixtures" / "apply_batch_frames.json"
+
+
+# ---------------------------------------------------------------------------
+# Wire equivalence.
+# ---------------------------------------------------------------------------
+
+
+def reference_request(updates, mcast, update_ids, fence, seq, request_id):
+    """The ``apply_batch`` request as 17d8fed built it: a dict envelope
+    (``_batch_envelope`` + the ``seq`` key) inside ``make_request``."""
+    envelope = {
+        "updates": [u.to_wire() for u in updates],
+        "mcast": [
+            [group, list(ports) if ports is not None else None]
+            for group, ports in sorted((mcast or {}).items())
+        ],
+        "update_ids": list(update_ids or ()),
+    }
+    if fence is not None:
+        envelope["fence"] = fence
+    if seq is not None:
+        envelope["seq"] = list(seq)
+    return make_request("apply_batch", [envelope], request_id)
+
+
+def spliced_request(updates, mcast, update_ids, fence, seq, request_id):
+    """What the client puts on the wire, decoded back."""
+    params = aio_client._encode_batch(updates, mcast, update_ids, fence, seq)
+    frame = frame_request("apply_batch", params, request_id)
+    (message,), rest = decode_frames(frame)
+    assert rest == b""
+    return message
+
+
+def fixture_cases():
+    for case in json.loads(FIXTURE.read_text()):
+        yield (
+            [TableWrite.from_wire(u) for u in case["updates"]],
+            None if case["mcast"] is None else dict(map(tuple, case["mcast"])),
+            case["update_ids"],
+            case["fence"],
+            None if case["seq"] is None else tuple(case["seq"]),
+            case["id"],
+            case["request"],
+        )
+
+
+def test_recorded_parent_frames_match_reference_and_spliced_frames():
+    cases = list(fixture_cases())
+    assert len(cases) >= 20
+    for *args, recorded in cases:
+        assert reference_request(*args) == recorded
+        assert spliced_request(*args) == recorded
+        # ... and from the memo a shared write list keeps.
+        shared = WriteList(args[0])
+        assert spliced_request(shared, *args[1:]) == recorded
+        assert shared.encoded is not None
+        assert spliced_request(shared, *args[1:]) == recorded
+
+
+_matches = st.one_of(
+    st.builds(FieldMatch.exact, st.integers(0, 2**48 - 1)),
+    st.builds(FieldMatch.lpm, st.integers(0, 2**32 - 1), st.integers(0, 32)),
+    st.builds(
+        FieldMatch.ternary, st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1)
+    ),
+)
+_writes = st.builds(
+    TableWrite,
+    st.sampled_from(["INSERT", "MODIFY", "DELETE"]),
+    st.text(min_size=1, max_size=8),
+    st.builds(
+        TableEntry,
+        st.lists(_matches, max_size=3),
+        st.text(min_size=1, max_size=8),
+        st.lists(st.integers(0, 2**16 - 1), max_size=3),
+        st.integers(0, 7),
+    ),
+)
+_mcast = st.one_of(
+    st.none(),
+    st.dictionaries(
+        st.integers(0, 64),
+        st.one_of(st.none(), st.lists(st.integers(0, 255), max_size=4)),
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=150)
+@given(
+    updates=st.lists(_writes, max_size=6),
+    mcast=_mcast,
+    update_ids=st.one_of(
+        st.none(), st.lists(st.text(max_size=12), max_size=128)
+    ),
+    fence=st.one_of(st.none(), st.integers(0, 2**31)),
+    seq=st.one_of(
+        st.none(), st.tuples(st.integers(0, 2**40), st.integers(0, 2**40))
+    ),
+    request_id=st.integers(1, 2**40),
+    shared=st.booleans(),
+)
+def test_spliced_frame_equals_the_dict_built_request(
+    updates, mcast, update_ids, fence, seq, request_id, shared
+):
+    expected = reference_request(
+        updates, mcast, update_ids, fence, seq, request_id
+    )
+    if shared:
+        updates = WriteList(updates)
+        # A list encoded before under other arguments encodes again.
+        aio_client._encode_batch(updates, {9: [9]}, ["other"], 1, (1, 1))
+    for _ in range(2):  # the second pass is served from the memo
+        assert (
+            spliced_request(updates, mcast, update_ids, fence, seq, request_id)
+            == expected
+        )
+
+
+def test_both_receivers_decode_the_spliced_frames(monkeypatch):
+    """Real sockets, the receivers' own framing code: only what they
+    do with a decoded ``apply_batch`` is replaced by a recorder."""
+    seen = {"server": [], "farm": []}
+    real_server_handle = ServerConnection._handle
+    real_farm_handle = DeviceFarm._handle
+
+    def server_handle(self, method, params):
+        if method != "apply_batch":
+            return real_server_handle(self, method, params)
+        seen["server"].append(params)
+        return {"applied": 0}
+
+    def farm_handle(self, conn, method, params):
+        if method != "apply_batch":
+            return real_farm_handle(self, conn, method, params)
+        seen["farm"].append(params)
+        return {"applied": 0}
+
+    monkeypatch.setattr(ServerConnection, "_handle", server_handle)
+    monkeypatch.setattr(DeviceFarm, "_handle", farm_handle)
+
+    project = nerpa_build(SCHEMA, RULES, P4)
+    server = P4RuntimeServer(project.new_simulator(n_ports=4)).start()
+    farm = DeviceFarm(1).start()
+    reactor = Reactor("t-decode").start()
+    clients = {
+        "server": AioP4RuntimeClient(*server.address, reactor, policy=FAST),
+        "farm": AioP4RuntimeClient(
+            *farm.address, reactor, policy=FAST, device_hint=0
+        ),
+    }
+    try:
+        cases = list(fixture_cases())
+        acked = {name: [] for name in clients}
+        for updates, mcast, update_ids, fence, seq, _id, _ in cases:
+            shared = WriteList(updates)  # one encode, both receivers
+            for name, client in clients.items():
+                assert client.conn.wait_connected(5.0)
+                client.apply_batch_async(
+                    shared, mcast, update_ids,
+                    lambda applied, error, name=name: acked[name].append(error),
+                    seq=seq, fence=fence,
+                )
+        for name in clients:
+            wait_for(lambda: len(acked[name]) == len(cases), what=name)
+            assert acked[name] == [None] * len(cases)
+            assert seen[name] == [case[-1]["params"] for case in cases]
+    finally:
+        for client in clients.values():
+            client.close()
+        farm.stop()
+        server.stop()
+        reactor.stop()
+
+
+# ---------------------------------------------------------------------------
+# Aliasing.
+# ---------------------------------------------------------------------------
+
+
+def snapshot(batch):
+    return (
+        batch.seq,
+        batch.last_seq,
+        {key: list(cell) for key, cell in batch.ops.items()},
+        dict(batch.mcast),
+        list(batch.update_ids),
+        batch.txns,
+    )
+
+
+def fanned_batch(seq, port, out_port, update_id):
+    batch = DeviceBatch(seq)
+    e = entry(port, out_port)
+    batch.record_insert("patch", e.match_key(), e)
+    batch.mcast[seq] = [port]
+    batch.update_ids = [update_id]
+    batch.shared = True
+    return batch
+
+
+def test_merge_into_a_shared_batch_copies_and_leaves_the_rest_alone():
+    first = fanned_batch(1, 1, 10, "u-1")
+    second = fanned_batch(2, 1, 11, "u-2")
+    before = snapshot(first), snapshot(second)
+    queues = [CoalescingQueue(name=f"dev-{i}") for i in range(3)]
+    for queue in queues:
+        queue.put(first)
+    writes = first.emit_writes()  # device 0 is already sending it
+
+    queues[1].put(second)  # device 1 has fallen behind: merges
+    queues[2].put(Task(lambda device: None), supersedes=lambda i: True)
+
+    assert (snapshot(first), snapshot(second)) == before
+    assert first.emit_writes() is writes
+    assert queues[0].pop_nowait() is first
+    merged = queues[1].pop_nowait()
+    assert merged is not first and not merged.shared
+    assert (merged.seq, merged.last_seq, merged.txns) == (1, 2, 2)
+    assert merged.update_ids == ["u-1", "u-2"]
+    assert merged.mcast == {1: [1], 2: [1]}
+    assert [(w.kind, w.entry.action_params) for w in merged.emit_writes()] == [
+        ("INSERT", (11,))
+    ]
+    # The copy owns its cells: a third commit merges in place, and
+    # still touches neither shared batch.
+    third = fanned_batch(3, 2, 20, "u-3")
+    assert merged.coalesce(third) is merged
+    assert len(merged.emit_writes()) == 2
+    assert (snapshot(first), snapshot(second)) == before
+    assert isinstance(queues[2].pop_nowait(), Task)
+    assert queues[2].pop_nowait() is None
+
+
+def farm_fleet(n_devices, reactor_name):
+    project = nerpa_build(SCHEMA, RULES, P4)
+    db = Database(project.schema)
+    farm = DeviceFarm(n_devices).start()
+    reactor = Reactor(reactor_name).start()
+    clients = [
+        AioP4RuntimeClient(*farm.address, reactor, policy=FAST, device_hint=i)
+        for i in range(n_devices)
+    ]
+    controller = NerpaController(project, db, clients).start()
+
+    def close():
+        controller.stop()
+        for client in clients:
+            client.close()
+        farm.stop()
+        reactor.stop()
+
+    return db, farm, controller, close
+
+
+def installed(device):
+    """A farm device's entries, whichever write kind installed them (a
+    resync repairs with MODIFY what the others got as INSERT)."""
+    return {
+        table: {
+            key: {k: v for k, v in update.items() if k != "type"}
+            for key, update in entries.items()
+        }
+        for table, entries in device.table_snapshot().items()
+    }
+
+
+def test_one_slow_device_coalesces_alone_and_the_fleet_converges():
+    db, farm, controller, close = farm_fleet(6, "t-slow")
+    try:
+        farm.set_ack_delay(2, 0.05)
+
+        def paced(op, *args):
+            op(db, *args)
+            time.sleep(0.003)  # the fast devices keep up commit by commit
+
+        for port in range(12):
+            paced(add_port, port, port + 100)
+        for port in range(0, 12, 2):
+            paced(set_out_port, port, port + 200)
+        for port in range(0, 12, 3):
+            paced(del_port, port)
+        controller.resync_device(2)  # supersedes its queued batches
+        for port in range(12, 16):
+            paced(add_port, port, port + 100)
+        controller.drain()
+        tables = [installed(device) for device in farm.devices]
+        assert len(tables[0]["patch"]) == 12
+        assert all(table == tables[0] for table in tables)
+        assert farm.total_fifo_violations() == 0
+        batches = [device.batches_applied for device in farm.devices]
+        # The slow device merged (fewer round trips); nobody else paid.
+        assert batches[2] < min(batches[:2] + batches[3:])
+        assert controller.channels[2].queue.coalesced > 0
+    finally:
+        close()
+
+
+# ---------------------------------------------------------------------------
+# Counts.
+# ---------------------------------------------------------------------------
+
+
+def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
+    n_devices = 32
+    db, farm, controller, close = farm_fleet(n_devices, "t-counts")
+    try:
+        add_port(db, 1, 101)
+        controller.drain()  # connections, bindings and start syncs done
+
+        counts = {"to_wire": 0, "dumps": 0, "wakes": 0}
+        real_to_wire, real_dumps = TableWrite.to_wire, json.dumps
+        reactor = controller.reactor
+        real_wakeup = reactor._wakeup
+        engine = controller._engine_thread
+
+        def to_wire(self):
+            counts["to_wire"] += 1
+            return real_to_wire(self)
+
+        def dumps(*args, **kwargs):
+            if threading.current_thread().name == "t-counts-reactor":
+                counts["dumps"] += 1
+            return real_dumps(*args, **kwargs)
+
+        def wakeup():
+            if threading.current_thread() is engine:
+                counts["wakes"] += 1
+            real_wakeup()
+
+        # Hold the loop while the engine fans out, so that how many
+        # wake bytes it writes does not depend on thread scheduling.
+        held, release = threading.Event(), threading.Event()
+        reactor.submit(lambda: (held.set(), release.wait(5.0)))
+        assert held.wait(5.0)
+        monkeypatch.setattr(TableWrite, "to_wire", to_wire)
+        monkeypatch.setattr(json, "dumps", dumps)
+        monkeypatch.setattr(reactor, "_wakeup", wakeup)
+        before = [device.batches_applied for device in farm.devices]
+        set_out_port(db, 1, 202)  # one delete + one insert per device
+        wait_for(
+            lambda: all(len(c.queue) == 1 for c in controller.channels),
+            what="fan-out queued",
+        )
+        release.set()
+        controller.drain()
+
+        assert [d.batches_applied for d in farm.devices] == [
+            n + 1 for n in before
+        ]
+        assert counts["to_wire"] == 2  # once per update, not x32
+        assert counts["dumps"] == 1  # one envelope for the whole fleet
+        assert counts["wakes"] <= 1
+    finally:
+        close()

@@ -251,14 +251,14 @@ class _Item:
 
     def coalesce(self, other):
         if not isinstance(other, _Item):
-            return False
+            return None
         self.values.extend(other.values)
-        return True
+        return self
 
 
 class _Barrier:
     def coalesce(self, other):
-        return False
+        return None
 
 
 class TestCoalescingQueue:
