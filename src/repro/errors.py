@@ -68,8 +68,8 @@ class ProtocolError(ReproError):
 
 
 class ConnectionLostError(ProtocolError):
-    """The transport under a wire protocol died (and, for a resilient
-    connection, could not be re-established in time)."""
+    """The transport under a wire protocol died (and could not be
+    re-established in time)."""
 
 
 class DataPlaneError(ReproError):

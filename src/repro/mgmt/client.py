@@ -1,9 +1,12 @@
 """Blocking client for the management protocol.
 
-Transport (sockets, reader thread, reconnection) is delegated to a
-:class:`~repro.net.resilient.ResilientConnection`; this layer keeps
-only protocol knowledge: monitor bookkeeping, schema caching, and
+Transport (socket, reconnection, heartbeat, call deadlines) is an
+:class:`~repro.net.aio.AioConnection` on a :class:`~repro.net.reactor.Reactor`
+the client owns and stops in :meth:`ManagementClient.close`; this layer
+keeps only protocol knowledge: monitor bookkeeping, schema caching, and
 decoding wire rows into :class:`~repro.mgmt.monitor.TableUpdates`.
+Like every client here it dials in the background: an unreachable
+address fails the first call, not the constructor.
 
 When the underlying connection is lost and re-established, all monitor
 subscriptions are invalid — the server (possibly a fresh process) has
@@ -22,7 +25,8 @@ from repro.errors import TransactionError
 from repro.mgmt.monitor import RowUpdate, TableUpdates
 from repro.mgmt.schema import DatabaseSchema
 from repro.mgmt.values import row_from_wire
-from repro.net.resilient import ResilientConnection
+from repro.net.aio import AioConnection
+from repro.net.reactor import Reactor
 from repro.net.retry import RetryPolicy
 from repro.obs.trace import use_update_id
 
@@ -51,7 +55,7 @@ class ManagementClient:
         self._monitor_callbacks: Dict[str, Callable[[TableUpdates], None]] = {}
         # Guards callback registration/dispatch: the server starts
         # streaming a monitor's updates the instant it registers it, so
-        # a notification can reach our reader thread before monitor()
+        # a notification can reach the dispatcher thread before monitor()
         # has seen the response and stored the callback.  Updates for
         # unknown monitor ids are buffered while a subscribe is in
         # flight and replayed on registration — dropping them would
@@ -61,9 +65,13 @@ class ManagementClient:
         self._undelivered: Dict[str, List[Tuple[dict, Optional[str]]]] = {}
         self._schema: Optional[DatabaseSchema] = None
         self._reconnect_hooks: List[Callable[[], None]] = []
-        self.conn = ResilientConnection(
+        # A loop of its own, not the fleet's: decoding a 100-row monitor
+        # update must not sit between a device batch and its send, and
+        # ``close()`` has a thread it may stop.
+        self.conn = AioConnection(
             host,
             port,
+            Reactor("mgmt-client"),
             policy=policy,
             name="mgmt-client",
             on_notification=self._handle_notification,
@@ -148,9 +156,10 @@ class ManagementClient:
 
         ``callback`` runs on the connection's dispatcher thread — it may
         call back into this client.  Updates the server streamed between
-        registering the monitor and this call returning are replayed to
-        ``callback`` (in arrival order) before the snapshot is returned;
-        they always post-date it.
+        registering the monitor and this call returning reach
+        ``callback`` in arrival order (those dispatched while the call
+        was in flight are replayed here, before the snapshot is
+        returned); they always post-date it.
         """
         self.get_schema()  # cache now: dispatch must not block on the wire
         with self._dispatch_lock:
@@ -232,6 +241,7 @@ class ManagementClient:
 
     def close(self) -> None:
         self.conn.close()
+        self.conn.reactor.stop()  # runs the queued close, joins the loop
 
     def __enter__(self) -> "ManagementClient":
         return self

@@ -106,12 +106,16 @@ def send_message(sock: socket.socket, message: dict) -> None:
 
 
 def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
+    """``count`` bytes, or None when the peer closed before the first
+    of them; a close part-way through is not an orderly EOF."""
     chunks = []
     remaining = count
     while remaining:
         chunk = sock.recv(remaining)
         if not chunk:
-            return None if remaining == count and not chunks else None
+            if remaining == count:
+                return None
+            raise ProtocolError("connection closed mid-frame")
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
@@ -134,19 +138,21 @@ def make_notification(method: str, params) -> dict:
 
 
 class NotificationDispatcher:
-    """Runs notification callbacks off the reader thread.
+    """Runs notification callbacks off the thread that reads the socket.
 
-    A client's reader thread must never execute user callbacks directly:
-    a callback that issues a blocking call on the same client would
-    deadlock waiting for a response only the reader can receive.  Both
-    protocol clients push notifications through one of these instead.
+    That thread must never execute user callbacks directly: a callback
+    that issues a blocking call on the same client would deadlock
+    waiting for a response only the reading thread can receive.  A
+    callback that raises is reported to ``on_error(exc)`` and the next
+    one still runs.
     """
 
-    def __init__(self, name: str = "rpc-dispatch"):
+    def __init__(self, name: str, on_error):
         import queue
         import threading
 
         self._queue: "queue.Queue" = queue.Queue()
+        self._on_error = on_error
         self._closed = False
         self._thread = threading.Thread(
             target=self._run, name=name, daemon=True
@@ -165,8 +171,8 @@ class NotificationDispatcher:
             fn, args = item
             try:
                 fn(*args)
-            except Exception:  # noqa: BLE001 - callbacks must not kill us
-                pass
+            except Exception as exc:  # noqa: BLE001 - callbacks must not kill us
+                self._on_error(exc)
 
     def close(self) -> None:
         self._closed = True

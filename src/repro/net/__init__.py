@@ -3,28 +3,19 @@
 ``repro.net`` packages the robustness mechanics the paper's
 "full-stack" pitch presumes but the original prototype leaves to the
 operator: retry policies with exponential backoff
-(:class:`~repro.net.retry.RetryPolicy`), the event-loop transport
+(:class:`~repro.net.retry.RetryPolicy`), the one reconnecting transport
 (:class:`~repro.net.reactor.Reactor` /
-:class:`~repro.net.aio.AioConnection`)
-that carries every P4Runtime client and multiplexes thousands of device
-connections on one thread, the thread-per-connection transport
-(:class:`~repro.net.resilient.ResilientConnection`) that only the
-management client still runs on, the threaded listener scaffolding
-every server in the tree shares (:mod:`repro.net.server`), and
-controlled fault injection for tests and benchmarks
+:class:`~repro.net.aio.AioConnection`) that carries the management
+client and every P4Runtime client and multiplexes thousands of device
+connections on one thread, the threaded listener scaffolding every
+server in the tree shares (:mod:`repro.net.server`), and controlled
+fault injection for tests and benchmarks
 (:class:`~repro.net.faults.FaultInjector`).
 """
 
-from repro.net.aio import AioConnection
+from repro.net.aio import BROKEN, CLOSED, CONNECTED, RETRYING, AioConnection
 from repro.net.reactor import Reactor, default_reactor
 from repro.net.faults import FaultInjector
-from repro.net.resilient import (
-    BROKEN,
-    CLOSED,
-    CONNECTED,
-    RETRYING,
-    ResilientConnection,
-)
 from repro.net.retry import FAST_TEST_POLICY, RetryPolicy
 
 __all__ = [
@@ -36,7 +27,6 @@ __all__ = [
     "AioConnection",
     "FaultInjector",
     "Reactor",
-    "ResilientConnection",
     "RetryPolicy",
     "default_reactor",
 ]

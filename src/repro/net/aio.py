@@ -1,9 +1,10 @@
 """Event-loop transport: framed JSON-RPC peers on a shared reactor.
 
-:class:`AioConnection` ports the resilient transport's semantics onto
-a :class:`~repro.net.reactor.Reactor`:
+:class:`AioConnection` is the one reconnecting transport — every
+P4Runtime client and the management client ride it — on a
+:class:`~repro.net.reactor.Reactor`:
 
-* the same framed JSON-RPC protocol (``repro.mgmt.jsonrpc``);
+* framed JSON-RPC (``repro.mgmt.jsonrpc``);
 * **write-through sends with high/low watermarks**
   (:class:`SocketWriter`, shared with the device farm's server side) —
   a frame goes straight to the socket and only what the kernel did not
@@ -13,10 +14,17 @@ a :class:`~repro.net.reactor.Reactor`:
   ballooning memory;
 * **pending-call correlation** — requests carry ids; responses resolve
   callbacks on the loop thread, per-call deadlines fire as timers;
-* **reconnect with backoff, heartbeat, and state history** ported from
-  ``ResilientConnection`` (same ``connected → retrying → broken``
-  lattice, same :class:`~repro.net.retry.RetryPolicy` knobs), all
-  implemented as timers instead of threads.
+* **reconnect with backoff, heartbeat, and state history** per a
+  :class:`~repro.net.retry.RetryPolicy`, all timers, no threads::
+
+      connected --transport error--> retrying --success--> connected
+           |                            |
+           |                            +--attempts exhausted--> broken
+           +----------- close() from any state ----------------> closed
+
+  Liveness is probed with the wire protocol's ``echo`` when the policy
+  enables a heartbeat; a failed probe tears the socket down into
+  ``retrying`` instead of waiting for TCP timeouts.
 
 Loop discipline: everything suffixed ``_on_loop`` (and every readiness
 or timer callback) runs on the reactor thread and must not block.
@@ -39,10 +47,12 @@ from repro import obs
 from repro.errors import ConnectionLostError, ProtocolError, ReproError
 from repro.mgmt.jsonrpc import classify, decode_frames, dumps, frame_request
 from repro.net.reactor import Reactor, Timer
-from repro.net.resilient import BROKEN, CLOSED, CONNECTED, RETRYING
 from repro.net.retry import RetryPolicy
 
-_RECV_CHUNK = 1 << 18
+CONNECTED = "connected"
+RETRYING = "retrying"
+BROKEN = "broken"
+CLOSED = "closed"
 
 #: Default write-buffer watermarks: past ``HIGH`` the connection stops
 #: reporting itself writable; ``on_drain`` callbacks fire once the
@@ -227,7 +237,7 @@ class AioConnection:
         self._state = RETRYING
         self._closed = False
 
-        # Health history, mirroring ResilientConnection.
+        # Health history.
         self.transitions: List[str] = []
         self.connect_attempts = 0
         self.reconnects = 0
@@ -362,10 +372,12 @@ class AioConnection:
         retryable: bool = False,
         timeout: Optional[float] = None,
     ) -> object:
-        """Blocking wrapper over :meth:`call_async` with the resilient
-        transport's contract: waits out reconnects up to the call
-        timeout, auto-reissues ``retryable`` (idempotent) methods whose
-        transport died mid-call, never auto-retries mutations.
+        """Blocking wrapper over :meth:`call_async`: waits out
+        reconnects up to the call timeout and re-issues ``retryable``
+        (idempotent reads, echo) methods whose transport died mid-call.
+        Mutations are never auto-retried — a lost response leaves it
+        unknown whether they applied, and recovery for those is the
+        controller's reconcile path, not blind resend.
 
         Off-loop threads only: the loop thread is the one that reads
         the response, so blocking it here could never return."""
@@ -522,7 +534,10 @@ class AioConnection:
             )
             return
         if sock.getsockname() == sock.getpeername():
-            # TCP self-connection (see ResilientConnection._connect).
+            # TCP self-connection: rapidly retrying an ephemeral-range
+            # port with no listener can simultaneous-open onto itself.
+            # The "connection" would echo our own bytes back AND hold
+            # the port hostage against the real server's bind.
             self._transport_error(
                 ConnectionError("refusing TCP self-connection")
             )
@@ -556,8 +571,14 @@ class AioConnection:
             # precede every call queued behind the reconnect.
             self._on_connect(self)
         if was_reconnect:
+            # Launched from the dispatcher, i.e. behind the dead
+            # session's notifications still queued there: a hook that
+            # rebuilds session state never races an update addressed to
+            # the state it replaces.
             for callback in list(self._on_reconnect):
-                self.reactor.run_hook(self._run_reconnect_hook, callback)
+                self.reactor.dispatcher.submit(
+                    self.reactor.run_hook, self._run_reconnect_hook, callback
+                )
 
     def _run_reconnect_hook(self, callback: Callable[[], None]) -> None:
         try:
@@ -581,11 +602,11 @@ class AioConnection:
 
     def _do_read(self) -> None:
         try:
-            data = self._sock.recv(_RECV_CHUNK)
-        except (BlockingIOError, InterruptedError):
-            return
+            data = self.reactor.recv(self._sock)
         except OSError as exc:
             self._transport_error(exc)
+            return
+        if data is None:
             return
         if not data:
             self._transport_error(

@@ -16,9 +16,9 @@ real server and misbehaves on command:
 * ``garble_next`` — overwrite the next 4 bytes of a stream, corrupting
   a frame's length prefix so the receiver sees a framing error.
 
-Tests point a :class:`~repro.net.resilient.ResilientConnection` at the
-injector's address instead of the server's; benchmarks use it to
-measure recovery latency under controlled failures.
+Tests point a client at the injector's address instead of the
+server's; benchmarks use it to measure recovery latency under
+controlled failures.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ class FaultInjector(ThreadedServer):
     def set_stall(self, enabled: bool) -> None:
         """Freeze the proxy: stop reading from both ends (connections
         stay open).  Peers' sends back up into their kernel buffers and
-        eventually wedge — the failure mode a bounded send timeout
-        exists to catch."""
+        a blocking ``sendall`` would wedge — the failure mode
+        non-blocking sends and the per-call deadline exist to catch."""
         self._stalled = enabled
 
     def sever(self) -> int:

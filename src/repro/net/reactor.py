@@ -4,10 +4,9 @@
 readiness callbacks, cross-thread ``submit``, and ``call_later`` timers
 — sized so that *connections are cheap*: a
 :class:`~repro.net.aio.AioConnection` costs a buffer and a selector
-registration, not the reader thread + heartbeat thread + dispatcher
-thread a :class:`~repro.net.resilient.ResilientConnection` spends.
-That is the difference between a fleet of hundreds of devices (one OS
-thread each) and thousands (one loop for all of them).
+registration, not a reader, a heartbeat and a dispatcher thread of its
+own.  That is the difference between a fleet of hundreds of devices
+(one OS thread each) and thousands (one loop for all of them).
 
 Loop discipline: every readiness, timer or submitted callback runs on
 the reactor thread and must not block.  Blocking work — notification
@@ -62,8 +61,7 @@ class Reactor:
     It owns three things callbacks must never do on the loop thread:
 
     * ``dispatcher`` — a single FIFO thread for notification callbacks
-      (digests, packet-ins), mirroring the resilient transport's
-      per-connection dispatcher but shared loop-wide;
+      (digests, packet-ins, monitor updates), shared loop-wide;
     * ``run_hook`` — a small pool for reconnect hooks, which block for
       whole resync round trips and must not serialize behind each
       other during a fleet-wide reconnect storm;
@@ -81,6 +79,7 @@ class Reactor:
         self._selector.register(
             self._wake_r, selectors.EVENT_READ, self._drain_wakeup
         )
+        self._recv_buffer = memoryview(bytearray(1 << 18))
         self._pending: deque = deque()  # (fn, args, enqueued_at)
         self._lock = threading.Lock()
         #: A wake byte is in the socket pair and the loop has not yet
@@ -97,14 +96,16 @@ class Reactor:
         self._thread = threading.Thread(
             target=self._run, name=f"{name}-reactor", daemon=True
         )
-        self.dispatcher = NotificationDispatcher(f"{name}-dispatch")
+        self.dispatcher = NotificationDispatcher(
+            f"{name}-dispatch", self._note_callback_error
+        )
         self._hook_pool = None
         self._hook_pool_lock = threading.Lock()
         #: Loop iterations served (coarse liveness counter for tests).
         self.loops = 0
-        #: Last exception raised by a readiness/timer/submitted
-        #: callback (callbacks must not kill the loop; this is the
-        #: debugging breadcrumb when one misbehaves).
+        #: Last exception raised by a readiness/timer/submitted or
+        #: dispatcher callback (callbacks must not kill the loop; this
+        #: is the debugging breadcrumb when one misbehaves).
         self.last_callback_error: Optional[BaseException] = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -208,6 +209,18 @@ class Reactor:
         except (KeyError, ValueError):
             pass
 
+    def recv(self, sock) -> Optional[bytes]:
+        """What a readable non-blocking socket holds, up to 256 KiB:
+        ``b""`` at end of stream, ``None`` if nothing was there after
+        all.  Read into the loop's one scratch buffer — a fresh buffer
+        of that size per read is an mmap/munmap pair, ten times the
+        cost of the read itself."""
+        try:
+            n = sock.recv_into(self._recv_buffer)
+        except (BlockingIOError, InterruptedError):
+            return None
+        return bytes(self._recv_buffer[:n])
+
     # -- the loop ------------------------------------------------------------
 
     def _wakeup(self) -> None:
@@ -228,10 +241,7 @@ class Reactor:
 
     def _drain_wakeup(self, mask: int) -> None:
         try:
-            while self._wake_r.recv(4096):
-                pass
-        except (BlockingIOError, InterruptedError):
-            pass
+            self._wake_r.recv(64)  # one byte per turn: one read empties it
         except OSError:
             pass
         # Only after the byte is gone: work queued from here on writes

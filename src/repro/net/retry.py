@@ -1,9 +1,9 @@
 """Retry policy: how hard to try before declaring a peer dead.
 
-One :class:`RetryPolicy` value parameterizes every transport decision a
-:class:`~repro.net.resilient.ResilientConnection` makes — connect
-timeout, per-call timeout, reconnect attempts, and the exponential
-backoff curve between them.  Keeping it a frozen dataclass means a
+One :class:`RetryPolicy` value parameterizes every transport decision
+an :class:`~repro.net.aio.AioConnection` makes — connect timeout,
+per-call timeout, reconnect attempts, and the exponential backoff
+curve between them.  Keeping it a frozen dataclass means a
 policy can be shared between clients and compared in tests.
 """
 
@@ -16,10 +16,12 @@ from typing import Iterator, Optional
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Connect/call retry behavior for a resilient connection.
+    """Connect/call retry behavior for a reconnecting connection.
 
     ``connect_timeout``     seconds allowed for one TCP connect attempt;
-    ``call_timeout``        seconds a blocked caller waits for a response;
+    ``call_timeout``        seconds a blocked caller waits for a response
+                            (sends never block, so this also bounds a
+                            peer that stopped reading);
     ``max_reconnect_attempts``  consecutive failed reconnects before the
                             connection gives up and turns ``broken``
                             (``None`` = retry forever);
@@ -28,19 +30,11 @@ class RetryPolicy:
     ``jitter``              fraction of each delay randomized away to
                             avoid thundering-herd reconnects;
     ``heartbeat_interval``  seconds between liveness ``echo`` probes
-                            (0 disables the heartbeat thread);
-    ``send_timeout``        seconds a single outbound send may stall
-                            before the socket is aborted into reconnect
-                            (``None`` = fall back to ``call_timeout``).
-                            A peer that accepts the connection but stops
-                            reading lets the kernel send buffer fill;
-                            without this bound ``sendall`` wedges the
-                            caller indefinitely.
+                            (0 disables the heartbeat).
     """
 
     connect_timeout: float = 10.0
     call_timeout: float = 30.0
-    send_timeout: Optional[float] = None
     max_reconnect_attempts: Optional[int] = 8
     base_delay: float = 0.05
     max_delay: float = 2.0

@@ -50,8 +50,6 @@ from repro.mgmt.jsonrpc import (
 from repro.net.aio import SocketWriter
 from repro.net.reactor import Reactor
 
-_RECV_CHUNK = 1 << 18
-
 
 def _match_key(update: dict) -> str:
     return json.dumps(update.get("match", []), sort_keys=True)
@@ -189,11 +187,11 @@ class _FarmConnection:
 
     def _read(self) -> None:
         try:
-            data = self.sock.recv(_RECV_CHUNK)
-        except (BlockingIOError, InterruptedError):
-            return
+            data = self.reactor.recv(self.sock)
         except OSError:
             self.close()
+            return
+        if data is None:
             return
         if not data:
             self.close()

@@ -39,10 +39,9 @@ from repro.core.pipeline import nerpa_build
 from repro.errors import ConnectionLostError, ProtocolError, ReproError
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
-from repro.net import FaultInjector, RetryPolicy
+from repro.net import BROKEN, CONNECTED, RETRYING, FaultInjector, RetryPolicy
 from repro.net.aio import AioConnection, Reactor
 from repro.net.reactor import default_reactor
-from repro.net.resilient import BROKEN, CONNECTED, RETRYING
 from repro.p4.tables import FieldMatch, TableEntry
 from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import DeviceService, TableWrite

@@ -1,6 +1,7 @@
 """Tests for the management wire protocol: framing, server/client,
 monitors over TCP, and persistence."""
 
+import socket
 import threading
 
 import pytest
@@ -10,7 +11,12 @@ from hypothesis import strategies as st
 from repro.errors import ProtocolError, TransactionError
 from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
-from repro.mgmt.jsonrpc import classify, decode_frames, encode_frame
+from repro.mgmt.jsonrpc import (
+    classify,
+    decode_frames,
+    encode_frame,
+    recv_message,
+)
 from repro.mgmt.persist import Persister, restore
 from repro.mgmt.schema import simple_schema
 from repro.mgmt.server import ManagementServer
@@ -73,6 +79,21 @@ class TestFraming:
             messages, buffer = decode_frames(buffer)
             got.extend(m["id"] for m in messages)
         assert got == ids
+
+    @pytest.mark.parametrize("sent", [0, 2, 4 + 3])
+    def test_blocking_read_tells_eof_from_a_peer_dying_mid_frame(self, sent):
+        """Only a close on a frame boundary is an orderly EOF; one
+        inside the header or the payload is a protocol error."""
+        frame = encode_frame({"id": 1})
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            theirs.sendall(frame[:sent])
+            theirs.close()
+            if sent == 0:
+                assert recv_message(ours) is None
+            else:
+                with pytest.raises(ProtocolError, match="mid-frame"):
+                    recv_message(ours)
 
     def test_classify(self):
         assert classify({"method": "m", "params": [], "id": 1}) == "request"
