@@ -13,7 +13,8 @@ here, is **delete–rederive (DRed)** with semi-naive evaluation:
    deleted fact, over the pre-transaction state.
 2. **Rederive**: overdeleted facts that still have an alternative
    derivation over the remaining state are put back (top-down head
-   binding makes this cheap for the common all-variable heads).
+   binding makes this cheap for every head: a computed column such as
+   ``n + 1`` is bound to the row's value and checked as a guard).
 3. **Insert**: semi-naive fixpoint seeded from the inserted facts.
 
 The SCC is wrapped in a :class:`SccNode` so it composes with the
@@ -32,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.dlog import ast as A
+from repro.dlog import types as T
 from repro.dlog.dataflow.operators import Node
 from repro.dlog.dataflow.zset import ZSet
 from repro.dlog.interp import Evaluator
@@ -47,33 +49,39 @@ from repro.dlog.values import MapValue
 from repro.errors import StratificationError
 
 
-_ADAPTIVE_THRESHOLD = 16
+#: Inverse of ``v op literal``, for solving a computed head column.
+_INVERSE = {"+": "-", "-": "+"}
 
 
 class IndexStore:
     """Row sets per relation with lazily built, incrementally maintained
-    hash indexes on position subsets."""
+    hash indexes on position subsets.
+
+    A key on every column is a membership test on the row set, never an
+    index (it would be a second copy of the relation)."""
 
     def __init__(self):
         self.sets: Dict[str, Set[tuple]] = {}
-        self.indexes: Dict[Tuple[str, Tuple[int, ...]], Dict[tuple, Set[tuple]]] = {}
+        self.arity: Dict[str, int] = {}
+        # relation -> positions -> key -> rows
+        self.indexes: Dict[str, Dict[Tuple[int, ...], Dict[tuple, Set[tuple]]]] = {}
 
-    def ensure(self, rel: str) -> Set[tuple]:
-        return self.sets.setdefault(rel, set())
+    def ensure(self, rel: str, arity: int) -> None:
+        self.sets.setdefault(rel, set())
+        self.arity[rel] = arity
 
     def contains(self, rel: str, row: tuple) -> bool:
         rows = self.sets.get(rel)
         return rows is not None and row in rows
 
     def add(self, rel: str, row: tuple) -> bool:
-        rows = self.ensure(rel)
+        rows = self.sets.setdefault(rel, set())
         if row in rows:
             return False
         rows.add(row)
-        for (irel, positions), index in self.indexes.items():
-            if irel == rel:
-                key = tuple(row[p] for p in positions)
-                index.setdefault(key, set()).add(row)
+        for positions, index in self.indexes.get(rel, {}).items():
+            key = tuple(row[p] for p in positions)
+            index.setdefault(key, set()).add(row)
         return True
 
     def remove(self, rel: str, row: tuple) -> bool:
@@ -81,26 +89,29 @@ class IndexStore:
         if rows is None or row not in rows:
             return False
         rows.discard(row)
-        for (irel, positions), index in self.indexes.items():
-            if irel == rel:
-                key = tuple(row[p] for p in positions)
-                bucket = index.get(key)
-                if bucket is not None:
-                    bucket.discard(row)
-                    if not bucket:
-                        del index[key]
+        for positions, index in self.indexes.get(rel, {}).items():
+            key = tuple(row[p] for p in positions)
+            bucket = index.get(key)
+            if bucket is not None:
+                bucket.discard(row)
+                if not bucket:
+                    del index[key]
         return True
 
     def lookup(self, rel: str, positions: Tuple[int, ...], key: tuple) -> Iterable[tuple]:
+        rows = self.sets.get(rel, ())
         if not positions:
-            return self.sets.get(rel, ())
-        index = self.indexes.get((rel, positions))
+            return rows
+        if len(positions) == self.arity[rel]:
+            # Planned positions are ascending, so the key is the row.
+            return (key,) if key in rows else ()
+        indexes = self.indexes.setdefault(rel, {})
+        index = indexes.get(positions)
         if index is None:
-            index = {}
-            for row in self.sets.get(rel, ()):
+            index = indexes[positions] = {}
+            for row in rows:
                 k = tuple(row[p] for p in positions)
                 index.setdefault(k, set()).add(row)
-            self.indexes[(rel, positions)] = index
         return index.get(key, ())
 
     def total_rows(self) -> int:
@@ -108,7 +119,10 @@ class IndexStore:
 
     def total_index_entries(self) -> int:
         return sum(
-            sum(len(b) for b in idx.values()) for idx in self.indexes.values()
+            len(bucket)
+            for by_positions in self.indexes.values()
+            for index in by_positions.values()
+            for bucket in index.values()
         )
 
 
@@ -116,19 +130,13 @@ class IndexStore:
 
 
 class _JoinStep:
-    __slots__ = ("atom", "positions", "key_exprs", "new_vars", "key_vars")
+    __slots__ = ("atom", "positions", "key_exprs", "new_vars")
 
     def __init__(self, atom, positions, key_exprs, new_vars):
         self.atom = atom
         self.positions = positions
         self.key_exprs = key_exprs
         self.new_vars = new_vars
-        # Variables the key needs: if they are all bound, this step can
-        # be pulled forward by the adaptive reordering below.
-        vars_needed: Set[str] = set()
-        for e in key_exprs:
-            vars_needed.update(expr_vars(e))
-        self.key_vars = frozenset(vars_needed)
 
 
 class _NegStep:
@@ -157,10 +165,10 @@ class _AssignStep:
 
 
 class _FlatMapStep:
-    __slots__ = ("var", "expr")
+    __slots__ = ("pattern", "expr")
 
     def __init__(self, var, expr):
-        self.var = var
+        self.pattern = A.PVar(var)
         self.expr = expr
 
 
@@ -169,10 +177,10 @@ class _CompiledRule:
 
     ``variants[v]`` is the step list to use when the seed is:
 
-    * ``None`` — no seed (full evaluation, body order as written);
+    * ``None`` — no seed (full evaluation; only the recompute ablation);
     * an integer — the body index of the seed atom, whose rows come from
       a delta; the seed atom's pattern match runs first, then the rest;
-    * ``"head"`` — top-down rederivation with head variables pre-bound.
+    * ``"head"`` — top-down rederivation with the head row pre-bound.
     """
 
     def __init__(self, rule: A.Rule, head_exprs: List[A.Expr]):
@@ -180,21 +188,18 @@ class _CompiledRule:
         self.head_rel = rule.head.relation
         self.head_exprs = head_exprs
         self.variants: Dict[object, List[object]] = {}
-        # Top-down head binding: var name per column, or None if the
-        # head column is a computed expression (forces fallback).
-        self.head_vars: Optional[List[Tuple[int, str]]] = None
+        # Top-down head binding: a variable column binds its variable; a
+        # computed column binds a fresh name (``$i`` cannot clash with a
+        # program variable) that the "head" variant checks with a guard.
         self.head_consts: List[Tuple[int, object]] = []
-        bindable: List[Tuple[int, str]] = []
-        ok = True
+        self.head_binds: List[Tuple[int, str]] = []
         for i, e in enumerate(head_exprs):
-            if isinstance(e, A.Var):
-                bindable.append((i, e.name))
-            elif isinstance(e, A.Lit):
+            if isinstance(e, A.Lit):
                 self.head_consts.append((i, e.value))
+            elif isinstance(e, A.Var):
+                self.head_binds.append((i, e.name))
             else:
-                ok = False
-        if ok:
-            self.head_vars = bindable
+                self.head_binds.append((i, f"${i}"))
 
 
 class SccEvaluator:
@@ -216,8 +221,6 @@ class SccEvaluator:
         self.checked = checked
         self.evaluator = evaluator or Evaluator(checked)
         self.state = IndexStore()
-        for member in self.members:
-            self.state.ensure(member)
 
         self.rules: List[_CompiledRule] = []
         self.rules_by_head: Dict[str, List[_CompiledRule]] = {m: [] for m in members}
@@ -231,19 +234,20 @@ class SccEvaluator:
         for rule in rules:
             self._compile_rule(rule)
         self.externals = sorted(self.ext_watch.keys())
-        for ext in self.externals:
-            self.state.ensure(ext)
 
     # -- compilation -------------------------------------------------------------
 
     def _compile_rule(self, rule: A.Rule) -> None:
         compiled = _CompiledRule(rule, self.checked.head_exprs[id(rule)])
+        self.state.ensure(compiled.head_rel, len(compiled.head_exprs))
         for idx, item in enumerate(rule.body):
             if isinstance(item, A.AggregateItem):
                 raise StratificationError(
                     f"rule {rule.name}: aggregation inside recursive SCC "
                     f"({', '.join(self.members)}) is not stratifiable"
                 )
+            if isinstance(item, (A.AtomItem, A.NegAtom)):
+                self.state.ensure(item.atom.relation, len(item.atom.args))
             if isinstance(item, A.AtomItem):
                 rel = item.atom.relation
                 if rel in self.member_set:
@@ -274,14 +278,51 @@ class SccEvaluator:
                 # state, so it is NOT skipped from the step list.
                 seed_bound = set(pattern_vars_of_atom(item.atom))
                 compiled.variants[idx] = self._compile_variant(rule, None, seed_bound)
-        if compiled.head_vars is not None:
-            bound = {v for _, v in compiled.head_vars}
-            compiled.variants["head"] = self._compile_variant(rule, None, bound)
+        compiled.variants["head"] = self._compile_head_variant(compiled)
         self.rules.append(compiled)
         self.rules_by_head[rule.head.relation].append(compiled)
 
+    def _compile_head_variant(self, compiled: _CompiledRule) -> List[object]:
+        """The top-down order: every head column is bound up front.
+
+        A computed column ``e`` bound to ``$i`` becomes the guard
+        ``e == $i``, scheduled as soon as the body binds ``e``'s
+        variables.  A bigint ``v ± literal`` column whose ``v`` is bound
+        nowhere else is also solved for ``v`` before the body, so that
+        the body's joins can be keyed on ``v`` (the guard stays).  Only
+        bigint: the inverse is computed without wrapping, which is exact
+        only where the arithmetic cannot wrap.
+        """
+        bound = {name for _, name in compiled.head_binds}
+        solved: List[object] = []
+        guards: List[A.Guard] = []
+        for pos, name in compiled.head_binds:
+            expr = compiled.head_exprs[pos]
+            if isinstance(expr, A.Var):
+                continue
+            value = A.Var(name)
+            guards.append(A.Guard(A.BinOp("==", expr, value)))
+            if not (
+                isinstance(expr, A.BinOp)
+                and expr.op in _INVERSE
+                and isinstance(self.checked.type_of(expr), T.TBigInt)
+            ):
+                continue
+            var, lit = expr.left, expr.right
+            if expr.op == "+" and isinstance(var, A.Lit):
+                var, lit = lit, var
+            if isinstance(var, A.Var) and isinstance(lit, A.Lit) and var.name not in bound:
+                inverse = A.BinOp(_INVERSE[expr.op], value, lit)
+                solved.append(_AssignStep(A.PVar(var.name), inverse))
+                bound.add(var.name)
+        return solved + self._compile_variant(compiled.rule, None, bound, guards)
+
     def _compile_variant(
-        self, rule: A.Rule, skip_idx: Optional[int], bound0: Set[str]
+        self,
+        rule: A.Rule,
+        skip_idx: Optional[int],
+        bound0: Set[str],
+        extra: Sequence[A.Guard] = (),
     ) -> List[object]:
         """Compile one evaluation order, greedily most-bound-first.
 
@@ -289,9 +330,10 @@ class SccEvaluator:
         preserving; choosing the next atom by how many of its argument
         positions are already determined turns e.g. top-down
         rederivation (head variables pre-bound) into index probes
-        instead of relation scans.  Guards, assignments, FlatMaps, and
-        negations are emitted as soon as their variables are available,
-        preserving their relative order.
+        instead of relation scans.  Guards (including the ``extra``
+        ones), assignments, FlatMaps, and negations are emitted as soon
+        as their variables are available, preserving their relative
+        order.
         """
         steps: List[object] = []
         bound = set(bound0)
@@ -300,6 +342,7 @@ class SccEvaluator:
             for idx, item in enumerate(rule.body)
             if idx != skip_idx
         ]
+        remaining.extend((None, guard) for guard in extra)
         while remaining:
             emitted = self._emit_ready_non_atoms(rule, remaining, bound, steps)
             if emitted:
@@ -403,17 +446,7 @@ class SccEvaluator:
         ev = self.evaluator
         if isinstance(step, _JoinStep):
             key = tuple(ev.eval(e, env) for e in step.key_exprs)
-            bucket = self.state.lookup(step.atom.relation, step.positions, key)
-            # Adaptive ordering: static planning cannot know bucket
-            # sizes (e.g. "all labels ell" vs "in-edges of node b").
-            # If this bucket is large, pull forward a later join whose
-            # key is already computable and whose bucket is smaller.
-            if len(bucket) > _ADAPTIVE_THRESHOLD:
-                swapped = self._try_pull_forward(steps, i, env, len(bucket))
-                if swapped is not None:
-                    yield from self._eval_steps(swapped, env, i)
-                    return
-            for row in bucket:
+            for row in self.state.lookup(step.atom.relation, step.positions, key):
                 env2 = dict(env)
                 if self._match_atom(step.atom, row, env2):
                     yield from self._eval_steps(steps, env2, i + 1)
@@ -433,49 +466,21 @@ class SccEvaluator:
             if ev.eval(step.expr, env):
                 yield from self._eval_steps(steps, env, i + 1)
         elif isinstance(step, _AssignStep):
+            # Here and for FlatMap: a variable the head pre-bound (top-
+            # down rederivation) is an equality constraint, not a binding.
             value = ev.eval(step.expr, env)
             env2 = dict(env)
-            if ev.match(step.pattern, value, env2, bind_always=True):
+            if ev.match(step.pattern, value, env2, bind_always=False):
                 yield from self._eval_steps(steps, env2, i + 1)
         elif isinstance(step, _FlatMapStep):
             value = ev.eval(step.expr, env)
             elems = value.pairs if isinstance(value, MapValue) else value
             for elem in elems:
                 env2 = dict(env)
-                env2[step.var] = elem
-                yield from self._eval_steps(steps, env2, i + 1)
+                if ev.match(step.pattern, elem, env2, bind_always=False):
+                    yield from self._eval_steps(steps, env2, i + 1)
         else:  # pragma: no cover
             raise AssertionError(f"unknown step {step!r}")
-
-    def _try_pull_forward(
-        self, steps: List[object], i: int, env: Dict[str, object], current: int
-    ) -> Optional[List[object]]:
-        """Find a later, already-computable join with a much smaller
-        bucket; return the reordered step list, or None.
-
-        Moving a conjunctive step earlier is semantics-preserving: its
-        pattern match re-validates every argument, intermediate steps
-        never depend on variables it binds (they were planned without
-        them), and negations consult the full state regardless of
-        position.
-        """
-        ev = self.evaluator
-        bound = env.keys()
-        for j in range(i + 1, len(steps)):
-            candidate = steps[j]
-            if not isinstance(candidate, _JoinStep):
-                continue
-            if not candidate.positions or not candidate.key_vars <= bound:
-                continue
-            key = tuple(ev.eval(e, env) for e in candidate.key_exprs)
-            size = len(
-                self.state.lookup(
-                    candidate.atom.relation, candidate.positions, key
-                )
-            )
-            if size * 4 <= current:
-                return steps[:i] + [candidate] + steps[i:j] + steps[j + 1 :]
-        return None
 
     def _match_atom(self, atom: A.Atom, row: tuple, env: Dict[str, object]) -> bool:
         ev = self.evaluator
@@ -486,40 +491,39 @@ class SccEvaluator:
 
     def _heads_from_seed(
         self, compiled: _CompiledRule, seed_idx: int, seed_rows: Iterable[tuple]
-    ) -> Iterator[tuple]:
-        """Evaluate a rule with body atom ``seed_idx`` restricted to rows."""
+    ) -> Set[tuple]:
+        """Evaluate a rule with body atom ``seed_idx`` restricted to rows.
+
+        The heads are collected before the caller adds any: a rule may
+        read the relation it writes, and a bucket must not change while
+        it is being scanned."""
         steps = compiled.variants[seed_idx]
         atom = compiled.rule.body[seed_idx].atom
         ev = self.evaluator
+        heads = set()
         for row in seed_rows:
             env = {}
             if not self._match_atom(atom, row, env):
                 continue
             for final_env in self._eval_steps(steps, env):
-                yield tuple(ev.eval(e, final_env) for e in compiled.head_exprs)
+                heads.add(tuple(ev.eval(e, final_env) for e in compiled.head_exprs))
+        return heads
 
     def _full_heads(self, compiled: _CompiledRule) -> Iterator[tuple]:
+        """Every head the rule derives now (the recompute ablation)."""
         ev = self.evaluator
         for env in self._eval_steps(compiled.variants[None], {}):
             yield tuple(ev.eval(e, env) for e in compiled.head_exprs)
 
-    def _derivable(self, compiled: _CompiledRule, row: tuple) -> Optional[bool]:
-        """Top-down: is ``row`` derivable by this rule right now?
-
-        Returns None when the head is not invertible (caller falls back
-        to full evaluation)."""
-        if compiled.head_vars is None:
-            return None
+    def _derivable(self, compiled: _CompiledRule, row: tuple) -> bool:
+        """Top-down: is ``row`` derivable by this rule right now?"""
         for pos, const in compiled.head_consts:
             if row[pos] != const:
                 return False
-        env = {}
-        for pos, var in compiled.head_vars:
-            if var in env:
-                if env[var] != row[pos]:
-                    return False
-            else:
-                env[var] = row[pos]
+        env: Dict[str, object] = {}
+        for pos, name in compiled.head_binds:
+            if env.setdefault(name, row[pos]) != row[pos]:
+                return False  # a repeated head variable, unequal values
         for _ in self._eval_steps(compiled.variants["head"], env):
             return True
         return False
@@ -586,20 +590,11 @@ class SccEvaluator:
         remaining = {m: set(rows) for m, rows in overdeleted.items()}
         worklist: List[Tuple[str, tuple]] = []
         for member in self.members:
-            fallback_heads: Dict[int, Set[tuple]] = {}
             for row in list(remaining[member]):
-                ok = False
-                for compiled in self.rules_by_head[member]:
-                    verdict = self._derivable(compiled, row)
-                    if verdict is None:
-                        key = id(compiled)
-                        if key not in fallback_heads:
-                            fallback_heads[key] = set(self._full_heads(compiled))
-                        verdict = row in fallback_heads[key]
-                    if verdict:
-                        ok = True
-                        break
-                if ok:
+                if any(
+                    self._derivable(compiled, row)
+                    for compiled in self.rules_by_head[member]
+                ):
                     remaining[member].discard(row)
                     if self.state.add(member, row):
                         out[member].add(row, 1)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.dlog import compile_program
+from repro.dlog.recursive import IndexStore
 from repro.dlog.values import MapValue, StructValue
 from repro.errors import StratificationError, TransactionError
+from repro.workloads.topology import fat_tree
 
 
 def rows(runtime, relation):
@@ -482,6 +484,73 @@ class TestRecursion:
         assert set(result.deleted("Reach")) == {(2, 3), (1, 3)}
         result = rt.transaction(deletes={"Down": [(2, 3)]})
         assert set(result.inserted("Reach")) == {(2, 3), (1, 3)}
+
+    @pytest.mark.parametrize("binding", ["var m = k", "var m = FlatMap([k])"])
+    def test_bound_head_variable_is_checked_on_rederive(self, binding):
+        # Rederiving R(3) pre-binds m = 3; binding m in the body must
+        # compare against it, not overwrite it with E(1, 2)'s k = 2.
+        prog = f"""
+        input relation S(n: bigint)
+        input relation E(a: bigint, b: bigint)
+        output relation R(n: bigint)
+        R(n) :- S(n).
+        R(m) :- R(n), E(n, k), {binding}.
+        """
+        rt = compile_program(prog).start()
+        rt.transaction(inserts={"S": [(1,)], "E": [(1, 2), (1, 3)]})
+        result = rt.transaction(deletes={"E": [(1, 3)]})
+        assert result.deleted("R") == [(3,)]
+        assert rows(rt, "R") == {(1,), (2,)}
+
+    def test_rule_reading_its_own_head_relation(self):
+        # The new H(1, 1, 3) lands in the very H bucket the join is
+        # scanning for B(1, 1).
+        prog = """
+        input relation A(x: bigint, y: bigint)
+        input relation B(y: bigint, z: bigint)
+        output relation H(x: bigint, z: bigint, n: bigint)
+        H(x, y, 1) :- A(x, y).
+        H(x, x, n + 2) :- H(x, y, n), n < 2, B(y, x).
+        """
+        rt = compile_program(prog).start()
+        rt.transaction(inserts={"A": [(1, 1)]})
+        result = rt.transaction(inserts={"B": [(1, 1)]})
+        assert result.inserted("H") == [(1, 1, 3)]
+        result = rt.transaction(deletes={"B": [(1, 1)]})
+        assert result.deleted("H") == [(1, 1, 3)]
+
+    HOPS = """
+    input relation Link(id: bigint, src: bigint, dst: bigint)
+    output relation Hop(src: bigint, dst: bigint, first: bigint, n: bigint)
+    Hop(a, b, b, 1) :- Link(_, a, b).
+    Hop(a, c, f, n + 1) :- Hop(a, b, f, n), n < 4, Link(_, b, c), a != c.
+    """
+
+    def test_link_flap_rederives_without_scanning(self, monkeypatch):
+        """Work bound, not a timing: rederiving ``Hop`` rows (computed
+        column ``n + 1``) probes indexes only; no unkeyed lookup scans
+        a whole relation."""
+        links = [(i, a, b) for i, (a, b) in enumerate(fat_tree(4))]
+        rt = compile_program(self.HOPS).start()
+        rt.transaction(inserts={"Link": links})
+        unkeyed = []
+        lookup = IndexStore.lookup
+
+        def counting_lookup(store, rel, positions, key):
+            if not positions:
+                unkeyed.append(rel)
+            return lookup(store, rel, positions, key)
+
+        monkeypatch.setattr(IndexStore, "lookup", counting_lookup)
+        a, b = links[0][1:], links[1][1:]
+        assert a == b[::-1]  # one physical link, both directions
+        down = rt.transaction(deletes={"Link": links[:2]})
+        up = rt.transaction(inserts={"Link": links[:2]})
+        assert unkeyed == []
+        assert down.deleted("Hop") and up.inserted("Hop")
+        full = compile_program(self.HOPS, recursive_mode="recompute").start()
+        full.transaction(inserts={"Link": links})
+        assert rows(rt, "Hop") == rows(full, "Hop")
 
     def test_unstratified_negation_rejected(self):
         prog = """

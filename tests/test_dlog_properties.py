@@ -46,11 +46,30 @@ output relation Labeled(x: bigint)
 Labeled(x) :- Reach(x, _), not B(x, _).
 """
 
+# Recursion through computed head columns: a hop count (``n + 1``), a
+# repeated head variable, a bit<8> cast that wraps around, a head
+# variable bound by an assignment, and an aggregate downstream.
+HOP_PROG = """
+input relation A(x: bigint, y: bigint)
+input relation B(y: bigint, z: bigint)
+output relation H(x: bigint, z: bigint, n: bigint)
+H(x, y, 1) :- A(x, y).
+H(x, z, n + 1) :- H(x, y, n), n < 3, A(y, z), x != z.
+H(x, x, n + 2) :- H(x, y, n), n < 2, B(y, x).
+output relation Best(x: bigint, z: bigint, d: bigint)
+Best(x, z, d) :- H(x, z, n), var d = Aggregate((x, z), min(n)).
+output relation Tag(x: bigint, t: bit<8>)
+Tag(x, (y * 100) as bit<8>) :- A(x, y).
+Tag(z, ((t as bigint) + 100) as bit<8>) :- Tag(y, t), t >= 100, A(y, z).
+Tag(z, u) :- Tag(y, t), B(y, z), var u = t & 15.
+"""
+
 PROGRAMS = {
     "join": JOIN_PROG,
     "negation": NEG_PROG,
     "aggregation": AGG_PROG,
     "recursion": REACH_PROG,
+    "bounded_hops": HOP_PROG,
 }
 
 pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -130,11 +149,9 @@ class TestIncrementalEqualsFromScratch:
             assert set(acc) == rt.dump(rel)
 
     @settings(max_examples=25, deadline=None)
-    @given(script=scripts)
-    def test_dred_equals_recompute_mode(self, script):
-        rt_dred, _, _, _ = run_script(REACH_PROG, script)
-        rt_full, _, _, _ = run_script(
-            REACH_PROG, script, recursive_mode="recompute"
-        )
-        assert rt_dred.dump("Reach") == rt_full.dump("Reach")
-        assert rt_dred.dump("Labeled") == rt_full.dump("Labeled")
+    @given(script=scripts, text=st.sampled_from([REACH_PROG, HOP_PROG]))
+    def test_dred_equals_recompute_mode(self, script, text):
+        rt_dred, _, _, _ = run_script(text, script)
+        rt_full, _, _, _ = run_script(text, script, recursive_mode="recompute")
+        for rel in compile_program(text).output_relations:
+            assert rt_dred.dump(rel) == rt_full.dump(rel), rel
