@@ -11,10 +11,11 @@ reproduce:
   state*: on topologies where a change affects a bounded region (trees:
   the affected subtree), per-update latency stays near-flat while full
   recomputation scales with the graph;
-* the honest caveat: on densely redundant graphs, DRed's overdeletion
-  explores far beyond the net change (a known weakness; Differential
-  Datalog's timestamped differential dataflow addresses it).  We
-  measure and report that worst case rather than hiding it.
+* densely redundant graphs, where classical DRed overdeletes far
+  beyond the net change, are no longer a worst case: rank-checked
+  deletion keeps every label that still has a lower-ranked support,
+  so an edge flap costs a fraction of one full recompute.  The case
+  is still measured and gated.
 """
 
 import inspect
@@ -122,13 +123,13 @@ def test_e4_localized_changes_scale(benchmark):
 
 
 def test_e4_dense_worst_case_reported(benchmark):
-    """DRed's documented worst case: highly redundant graphs.
+    """Classical DRed's worst case: a highly redundant graph.
 
-    Overdeletion cascades through the whole reachable region even when
-    the net change is empty, so per-update cost approaches recompute
-    scale.  We verify the engine stays correct and within a constant
-    factor of a full recompute (rather than diverging), and record the
-    numbers for EXPERIMENTS.md.
+    Overdeletion would cascade through the whole reachable region even
+    when the net change is empty.  Rank-checked deletion only deletes
+    labels that lost every lower-ranked support, so the interpreted
+    engine stays within a small factor of a tight full-recompute loop
+    (in practice below it); the numbers go to EXPERIMENTS.md.
     """
     edges = random_graph(400, 1200, seed=7)
     inc = benchmark.pedantic(_engine_latency, args=(edges,), rounds=1, iterations=1)
@@ -136,11 +137,13 @@ def test_e4_dense_worst_case_reported(benchmark):
     print(
         f"\ndense 1200-edge graph: incremental {inc * 1e3:.2f} ms/update, "
         f"recompute {naive * 1e3:.2f} ms/update "
-        f"(ratio {inc / naive:.1f}x - DRed over-deletion, see EXPERIMENTS.md)"
+        f"(ratio {inc / naive:.2f}x, see EXPERIMENTS.md)"
     )
-    # Same order of magnitude as recompute (interpreted engine vs tight
-    # loop): bounded degradation, not divergence.
-    assert inc / naive < 100
+    emit(
+        "e4", "dense_vs_recompute", "ratio_x",
+        round(inc / naive, 3), threshold=5.0,
+    )
+    assert inc / naive <= 5
 
 
 def test_e4_loc_comparison(benchmark):

@@ -2,9 +2,9 @@
 
 A checkpoint captures the full state of a :class:`~repro.dlog.engine.Runtime`
 — input relation contents, every stateful operator's arrangement, and
-recursive-SCC (DRed) support sets — keyed by a hash of the compiled
-program source.  Restoring into a runtime compiled from the *same*
-source skips the cold-start fixpoint entirely; a hash mismatch (the
+each recursive SCC's member rows with their ranks — keyed by a hash of
+the compiled program source.  Restoring into a runtime compiled from
+the *same* source skips the cold-start fixpoint entirely; a hash mismatch (the
 program changed) falls back to cold start, which is always correct.
 
 The on-disk format is a pickled dict written atomically: temp file in
@@ -52,7 +52,9 @@ from typing import Callable, List, Optional, Tuple
 
 #: 2: operator state is keyed by graph node index, and the planner no
 #: longer emits a node for identity scans — older snapshots would misalign.
-CHECKPOINT_FORMAT = 2
+#: 3: a recursive SCC's rows map to their ranks; a v2 snapshot has no
+#: ranks, so it cold-starts.
+CHECKPOINT_FORMAT = 3
 SEGMENT_FORMAT = 1
 
 

@@ -18,8 +18,8 @@ One dataflow graph covers the whole program:
 * every non-recursive rule is a chain of operators from
   :mod:`repro.dlog.plan`;
 * every recursive SCC is a single :class:`~repro.dlog.recursive.SccNode`
-  (DRed); its *base rules* (no recursion in the body) are planned as
-  ordinary dataflow feeding a synthetic ``__base_<rel>`` relation that
+  (rank-checked deletion); its *base rules* (no recursion in the body)
+  are planned as ordinary dataflow feeding a synthetic ``__base_<rel>`` relation that
   enters the SCC like any other external input.
 
 Facts (rules with no body atoms) are evaluated at compile time and
@@ -216,8 +216,9 @@ def compile_program(
     """Parse, typecheck, stratify, and plan a program.
 
     ``recursive_mode`` selects how recursive SCCs handle deletions:
-    ``"dred"`` (default, incremental delete–rederive) or ``"recompute"``
-    (full fixpoint per transaction; kept as an ablation baseline).
+    ``"dred"`` (default, incremental rank-checked deletion — see
+    :mod:`repro.dlog.recursive`) or ``"recompute"`` (full fixpoint per
+    transaction; kept as an ablation baseline).
     """
     ast = parse_program(text, source)
     checked = check_program(ast)
@@ -655,10 +656,11 @@ class Runtime:
 
         Captures input relation contents, every stateful operator's
         arrangement (keyed by node index in the deterministically built
-        graph), and each recursive SCC's DRed support sets, stamped with
-        the program hash.  The result is picklable and independent of
-        this runtime (one-level copies throughout), so the runtime may
-        keep transacting after the snapshot.
+        graph), and each recursive SCC's member and external rows with
+        their ranks, stamped with the program hash.  The result is
+        picklable and independent of this runtime (one-level copies
+        throughout), so the runtime may keep transacting after the
+        snapshot.
         """
         phash = self.program.program_hash
         if phash is None:
@@ -674,8 +676,8 @@ class Runtime:
             nodes.append((index, kind, _node_state(node, kind)))
         sccs = {
             scc_idx: {
-                rel: set(rows)
-                for rel, rows in evaluator.state.sets.items()
+                rel: dict(rows)
+                for rel, rows in evaluator.state.rows.items()
             }
             for scc_idx, evaluator in self.scc_evaluators.items()
         }
@@ -744,8 +746,8 @@ class Runtime:
                 node.groups = _arrangement_from(state)
         for scc_idx, rels in sccs.items():
             evaluator = self.scc_evaluators[scc_idx]
-            evaluator.state.sets = {
-                rel: set(rows) for rel, rows in rels.items()
+            evaluator.state.rows = {
+                rel: dict(rows) for rel, rows in rels.items()
             }
             evaluator.state.indexes = {}
         self.txn_count = data.get("txn_count", 0)

@@ -1,4 +1,4 @@
-"""Incremental evaluation of recursive rule sets (DRed).
+"""Incremental evaluation of recursive rule sets (rank-checked deletion).
 
 A recursive SCC — e.g. the paper's network-labeling program::
 
@@ -6,16 +6,36 @@ A recursive SCC — e.g. the paper's network-labeling program::
     Label(n2, l) :- Label(n1, l), Edge(n1, n2).
 
 cannot be maintained by the counting/delta operators alone: a fact can
-support itself through a cycle.  The classical solution, implemented
-here, is **delete–rederive (DRed)** with semi-naive evaluation:
+support itself through a cycle.  Classical delete–rederive (DRed)
+deletes everything derivable from a lost fact and then re-derives most
+of it.  Here every member fact carries a **rank** instead (external
+rows rank 0), with one invariant: *every member fact has a derivation
+whose member rows all rank strictly below it*.  Such a derivation is
+well-founded, so it cannot run through the fact itself.  A transaction
+runs:
 
-1. **Overdelete**: compute everything transitively derivable *using* a
-   deleted fact, over the pre-transaction state.
-2. **Rederive**: overdeleted facts that still have an alternative
-   derivation over the remaining state are put back (top-down head
-   binding makes this cheap for every head: a computed column such as
-   ``n + 1`` is bound to the row's value and checked as a guard).
-3. **Insert**: semi-naive fixpoint seeded from the inserted facts.
+1. **Suspect**: a suspect is a head of a derivation that uses a lost
+   fact — a deleted external row, an inserted row of a negated external
+   relation, or a member deleted in phase 2 — found with the seed
+   variants while the lost fact is still in the state.  Only heads
+   ranked above the lost fact are suspects; a lower one's ranked
+   derivation cannot use it.
+2. **Check in rank order**: a suspect survives, keeping its rank, if
+   top-down head binding finds a derivation whose member rows all rank
+   below it (a computed column such as ``n + 1`` is bound to the row's
+   value and checked as a guard).  Every lower-ranked fact is settled
+   by then.  Otherwise it is deleted, and its dependents become
+   suspects.
+3. **Rederive**: a deleted fact whose check skipped a row only because
+   of its rank (a cycle or a longer path) gets an unrestricted top-down
+   check; forward propagation from each rederived fact restores the
+   deleted facts it supports.  Any other deleted fact has no
+   derivation left.
+4. **Insert**: semi-naive fixpoint seeded from the inserted facts.
+
+A fact derived in phase 3 or 4 ranks 1 + the highest member rank of
+the derivation that produced it.  Ranks need not be minimal; only the
+invariant matters.
 
 The SCC is wrapped in a :class:`SccNode` so it composes with the
 delta-dataflow graph: external relations (lower strata) feed its input
@@ -30,6 +50,7 @@ in base rules.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.dlog import ast as A
@@ -54,41 +75,39 @@ _INVERSE = {"+": "-", "-": "+"}
 
 
 class IndexStore:
-    """Row sets per relation with lazily built, incrementally maintained
-    hash indexes on position subsets.
+    """Rows per relation, each mapped to its rank, with lazily built,
+    incrementally maintained hash indexes on position subsets.
 
-    A key on every column is a membership test on the row set, never an
-    index (it would be a second copy of the relation)."""
+    The row map is the relation: ``rows[rel][row]`` is the row's rank
+    (0 for external rows), so a rank costs no second hash table.  A key
+    on every column is a membership test on the row map, never an index
+    (it would be a second copy of the relation)."""
 
     def __init__(self):
-        self.sets: Dict[str, Set[tuple]] = {}
+        self.rows: Dict[str, Dict[tuple, int]] = {}
         self.arity: Dict[str, int] = {}
         # relation -> positions -> key -> rows
         self.indexes: Dict[str, Dict[Tuple[int, ...], Dict[tuple, Set[tuple]]]] = {}
 
     def ensure(self, rel: str, arity: int) -> None:
-        self.sets.setdefault(rel, set())
+        self.rows.setdefault(rel, {})
         self.arity[rel] = arity
 
-    def contains(self, rel: str, row: tuple) -> bool:
-        rows = self.sets.get(rel)
-        return rows is not None and row in rows
-
-    def add(self, rel: str, row: tuple) -> bool:
-        rows = self.sets.setdefault(rel, set())
+    def add(self, rel: str, row: tuple, rank: int = 0) -> bool:
+        rows = self.rows.setdefault(rel, {})
         if row in rows:
             return False
-        rows.add(row)
+        rows[row] = rank
         for positions, index in self.indexes.get(rel, {}).items():
             key = tuple(row[p] for p in positions)
             index.setdefault(key, set()).add(row)
         return True
 
     def remove(self, rel: str, row: tuple) -> bool:
-        rows = self.sets.get(rel)
+        rows = self.rows.get(rel)
         if rows is None or row not in rows:
             return False
-        rows.discard(row)
+        del rows[row]
         for positions, index in self.indexes.get(rel, {}).items():
             key = tuple(row[p] for p in positions)
             bucket = index.get(key)
@@ -99,7 +118,7 @@ class IndexStore:
         return True
 
     def lookup(self, rel: str, positions: Tuple[int, ...], key: tuple) -> Iterable[tuple]:
-        rows = self.sets.get(rel, ())
+        rows = self.rows.get(rel, ())
         if not positions:
             return rows
         if len(positions) == self.arity[rel]:
@@ -115,7 +134,7 @@ class IndexStore:
         return index.get(key, ())
 
     def total_rows(self) -> int:
-        return sum(len(s) for s in self.sets.values())
+        return sum(len(rows) for rows in self.rows.values())
 
     def total_index_entries(self) -> int:
         return sum(
@@ -130,13 +149,14 @@ class IndexStore:
 
 
 class _JoinStep:
-    __slots__ = ("atom", "positions", "key_exprs", "new_vars")
+    __slots__ = ("atom", "positions", "key_exprs", "new_vars", "member")
 
-    def __init__(self, atom, positions, key_exprs, new_vars):
+    def __init__(self, atom, positions, key_exprs, new_vars, member):
         self.atom = atom
         self.positions = positions
         self.key_exprs = key_exprs
         self.new_vars = new_vars
+        self.member = member  # joins an SCC member: its rows carry ranks
 
 
 class _NegStep:
@@ -203,7 +223,10 @@ class _CompiledRule:
 
 
 class SccEvaluator:
-    """DRed-based incremental evaluator for one recursive SCC."""
+    """Incremental evaluator for one recursive SCC.
+
+    Mode ``"dred"`` (the name predates the algorithm) is rank-checked
+    deletion; ``"recompute"`` is the full-fixpoint ablation."""
 
     def __init__(
         self,
@@ -221,6 +244,8 @@ class SccEvaluator:
         self.checked = checked
         self.evaluator = evaluator or Evaluator(checked)
         self.state = IndexStore()
+        #: Set when a ranked check skipped a row for its rank.
+        self.capped = False
 
         self.rules: List[_CompiledRule] = []
         self.rules_by_head: Dict[str, List[_CompiledRule]] = {m: [] for m in members}
@@ -381,6 +406,7 @@ class SccEvaluator:
                     tuple(
                         v for v in pattern_vars_of_atom(atom) if v not in bound
                     ),
+                    atom.relation in self.member_set,
                 )
             )
             bound.update(pattern_vars_of_atom(atom))
@@ -437,19 +463,38 @@ class SccEvaluator:
     # -- step evaluation -----------------------------------------------------------
 
     def _eval_steps(
-        self, steps: List[object], env: Dict[str, object], i: int = 0
-    ) -> Iterator[Dict[str, object]]:
+        self,
+        steps: List[object],
+        env: Dict[str, object],
+        rank: int,
+        ceiling: Optional[int] = None,
+        i: int = 0,
+    ) -> Iterator[Tuple[Dict[str, object], int]]:
+        """Yield ``(env, rank)`` for each way to finish ``steps`` from
+        step ``i``, where ``rank`` is the highest member-row rank used.
+        With a ``ceiling``, member rows ranked at or above it are
+        skipped and :attr:`capped` records that one was."""
         if i == len(steps):
-            yield env
+            yield env, rank
             return
         step = steps[i]
         ev = self.evaluator
         if isinstance(step, _JoinStep):
             key = tuple(ev.eval(e, env) for e in step.key_exprs)
-            for row in self.state.lookup(step.atom.relation, step.positions, key):
+            rel = step.atom.relation
+            ranks = self.state.rows[rel] if step.member else None
+            for row in self.state.lookup(rel, step.positions, key):
+                row_rank = rank
+                if ranks is not None:
+                    row_rank = ranks[row]
+                    if ceiling is not None and row_rank >= ceiling:
+                        self.capped = True
+                        continue
+                    if row_rank < rank:
+                        row_rank = rank
                 env2 = dict(env)
                 if self._match_atom(step.atom, row, env2):
-                    yield from self._eval_steps(steps, env2, i + 1)
+                    yield from self._eval_steps(steps, env2, row_rank, ceiling, i + 1)
         elif isinstance(step, _NegStep):
             key = tuple(ev.eval(e, env) for e in step.key_exprs)
             blocked = False
@@ -461,24 +506,24 @@ class SccEvaluator:
                     blocked = True
                     break
             if not blocked:
-                yield from self._eval_steps(steps, env, i + 1)
+                yield from self._eval_steps(steps, env, rank, ceiling, i + 1)
         elif isinstance(step, _GuardStep):
             if ev.eval(step.expr, env):
-                yield from self._eval_steps(steps, env, i + 1)
+                yield from self._eval_steps(steps, env, rank, ceiling, i + 1)
         elif isinstance(step, _AssignStep):
             # Here and for FlatMap: a variable the head pre-bound (top-
             # down rederivation) is an equality constraint, not a binding.
             value = ev.eval(step.expr, env)
             env2 = dict(env)
             if ev.match(step.pattern, value, env2, bind_always=False):
-                yield from self._eval_steps(steps, env2, i + 1)
+                yield from self._eval_steps(steps, env2, rank, ceiling, i + 1)
         elif isinstance(step, _FlatMapStep):
             value = ev.eval(step.expr, env)
             elems = value.pairs if isinstance(value, MapValue) else value
             for elem in elems:
                 env2 = dict(env)
                 if ev.match(step.pattern, elem, env2, bind_always=False):
-                    yield from self._eval_steps(steps, env2, i + 1)
+                    yield from self._eval_steps(steps, env2, rank, ceiling, i + 1)
         else:  # pragma: no cover
             raise AssertionError(f"unknown step {step!r}")
 
@@ -491,42 +536,53 @@ class SccEvaluator:
 
     def _heads_from_seed(
         self, compiled: _CompiledRule, seed_idx: int, seed_rows: Iterable[tuple]
-    ) -> Set[tuple]:
-        """Evaluate a rule with body atom ``seed_idx`` restricted to rows.
+    ) -> Dict[tuple, int]:
+        """Evaluate a rule with body atom ``seed_idx`` restricted to rows;
+        map each head to the lowest rank a derivation gives it.
 
         The heads are collected before the caller adds any: a rule may
         read the relation it writes, and a bucket must not change while
         it is being scanned."""
         steps = compiled.variants[seed_idx]
         atom = compiled.rule.body[seed_idx].atom
+        ranks = self.state.rows[atom.relation] if atom.relation in self.member_set else None
         ev = self.evaluator
-        heads = set()
+        heads: Dict[tuple, int] = {}
         for row in seed_rows:
             env = {}
             if not self._match_atom(atom, row, env):
                 continue
-            for final_env in self._eval_steps(steps, env):
-                heads.add(tuple(ev.eval(e, final_env) for e in compiled.head_exprs))
+            seed_rank = ranks[row] if ranks is not None else 0
+            for final_env, rank in self._eval_steps(steps, env, seed_rank):
+                head = tuple(ev.eval(e, final_env) for e in compiled.head_exprs)
+                best = heads.get(head)
+                if best is None or rank + 1 < best:
+                    heads[head] = rank + 1
         return heads
 
     def _full_heads(self, compiled: _CompiledRule) -> Iterator[tuple]:
-        """Every head the rule derives now (the recompute ablation)."""
+        """Every head the rule derives now (the recompute ablation,
+        which keeps no ranks)."""
         ev = self.evaluator
-        for env in self._eval_steps(compiled.variants[None], {}):
+        for env, _ in self._eval_steps(compiled.variants[None], {}, 0):
             yield tuple(ev.eval(e, env) for e in compiled.head_exprs)
 
-    def _derivable(self, compiled: _CompiledRule, row: tuple) -> bool:
-        """Top-down: is ``row`` derivable by this rule right now?"""
+    def _derive(
+        self, compiled: _CompiledRule, row: tuple, ceiling: Optional[int] = None
+    ) -> Optional[int]:
+        """Top-down: the rank of a derivation of ``row`` by this rule
+        right now, using only member rows ranked below ``ceiling``;
+        ``None`` if there is none."""
         for pos, const in compiled.head_consts:
             if row[pos] != const:
-                return False
+                return None
         env: Dict[str, object] = {}
         for pos, name in compiled.head_binds:
             if env.setdefault(name, row[pos]) != row[pos]:
-                return False  # a repeated head variable, unequal values
-        for _ in self._eval_steps(compiled.variants["head"], env):
-            return True
-        return False
+                return None  # a repeated head variable, unequal values
+        for _, rank in self._eval_steps(compiled.variants["head"], env, 0, ceiling):
+            return rank + 1
+        return None
 
     # -- transaction processing -------------------------------------------------------
 
@@ -546,35 +602,12 @@ class SccEvaluator:
 
         out: Dict[str, ZSet] = {m: ZSet() for m in self.members}
 
-        # Phase 1: overdelete (over the pre-transaction state).
-        overdeleted: Dict[str, Set[tuple]] = {m: set() for m in self.members}
-        frontier: Dict[str, Set[tuple]] = {m: set() for m in self.members}
-        for rel, rows in dels.items():
-            for compiled, idx, pol in self.ext_watch.get(rel, ()):
-                if pol != "positive":
-                    continue
-                self._overdelete_from(compiled, idx, rows, overdeleted, frontier)
-        for rel, rows in ins.items():
-            for compiled, idx, pol in self.ext_watch.get(rel, ()):
-                if pol != "negative":
-                    continue
-                self._overdelete_from(compiled, idx, rows, overdeleted, frontier)
-        while any(frontier.values()):
-            new_frontier: Dict[str, Set[tuple]] = {m: set() for m in self.members}
-            for member, rows in frontier.items():
-                if not rows:
-                    continue
-                for compiled, idx in self.member_watch[member]:
-                    self._overdelete_from(
-                        compiled, idx, rows, overdeleted, new_frontier
-                    )
-            frontier = new_frontier
-
-        # Apply deletions and external changes.
-        for member, rows in overdeleted.items():
-            for row in rows:
-                if self.state.remove(member, row):
-                    out[member].add(row, -1)
+        # Phase 1: suspects of the lost external facts, found over the
+        # pre-transaction state; then the external changes land.
+        suspects: Dict[int, Set[Tuple[str, tuple]]] = {}
+        order: List[int] = []  # heap of the ranks in ``suspects``
+        for compiled, idx, rows in self._ext_seeds(dels, ins):
+            self._suspect_from(compiled, idx, rows, 0, suspects, order)
         for rel, rows in dels.items():
             for row in rows:
                 self.state.remove(rel, row)
@@ -582,46 +615,59 @@ class SccEvaluator:
             for row in rows:
                 self.state.add(rel, row)
 
-        # Phase 2: rederive overdeleted facts that survive.  One
-        # top-down pass checks each candidate against the remaining
-        # state; a worklist then propagates forward from every
-        # rederived fact (a rederived fact can only re-enable
-        # derivations it participates in, so propagation is complete).
-        remaining = {m: set(rows) for m, rows in overdeleted.items()}
-        worklist: List[Tuple[str, tuple]] = []
-        for member in self.members:
-            for row in list(remaining[member]):
+        # Phase 2: check suspects in rank order.  Every fact ranked
+        # below the suspect is settled, so a derivation under its rank
+        # is well-founded.  A deleted fact's dependents rank above it,
+        # so the heap only grows upward.
+        deleted: Dict[str, Set[tuple]] = {m: set() for m in self.members}
+        recheck: List[Tuple[str, tuple]] = []
+        while order:
+            rank = heapq.heappop(order)
+            for member, row in suspects.pop(rank):
+                self.capped = False
                 if any(
-                    self._derivable(compiled, row)
+                    self._derive(compiled, row, rank) is not None
                     for compiled in self.rules_by_head[member]
                 ):
-                    remaining[member].discard(row)
-                    if self.state.add(member, row):
-                        out[member].add(row, 1)
-                        worklist.append((member, row))
+                    continue
+                if self.capped:
+                    recheck.append((member, row))
+                for compiled, idx in self.member_watch[member]:
+                    self._suspect_from(compiled, idx, (row,), rank, suspects, order)
+                self.state.remove(member, row)
+                out[member].add(row, -1)
+                deleted[member].add(row)
+
+        # Phase 3: rederive.  Only a fact whose check was capped may
+        # still have a derivation over the settled state; a worklist
+        # then propagates forward from every rederived fact (a rederived
+        # fact can only re-enable derivations it participates in, so
+        # propagation is complete).
+        worklist: List[Tuple[str, tuple]] = []
+        for member, row in recheck:
+            for compiled in self.rules_by_head[member]:
+                rank = self._derive(compiled, row)
+                if rank is not None:
+                    deleted[member].discard(row)
+                    self.state.add(member, row, rank)
+                    out[member].add(row, 1)
+                    worklist.append((member, row))
+                    break
         while worklist:
             member, row = worklist.pop()
             for compiled, idx in self.member_watch[member]:
                 head_rel = compiled.head_rel
-                for head in self._heads_from_seed(compiled, idx, [row]):
-                    if head in remaining[head_rel]:
-                        remaining[head_rel].discard(head)
-                        if self.state.add(head_rel, head):
-                            out[head_rel].add(head, 1)
-                            worklist.append((head_rel, head))
+                for head, rank in self._heads_from_seed(compiled, idx, [row]).items():
+                    if head in deleted[head_rel]:
+                        deleted[head_rel].discard(head)
+                        self.state.add(head_rel, head, rank)
+                        out[head_rel].add(head, 1)
+                        worklist.append((head_rel, head))
 
-        # Phase 3: semi-naive insertion.
+        # Phase 4: semi-naive insertion.
         delta: Dict[str, Set[tuple]] = {m: set() for m in self.members}
-        for rel, rows in ins.items():
-            for compiled, idx, pol in self.ext_watch.get(rel, ()):
-                if pol != "positive":
-                    continue
-                self._insert_from(compiled, idx, rows, out, delta)
-        for rel, rows in dels.items():
-            for compiled, idx, pol in self.ext_watch.get(rel, ()):
-                if pol != "negative":
-                    continue
-                self._insert_from(compiled, idx, rows, out, delta)
+        for compiled, idx, rows in self._ext_seeds(ins, dels):
+            self._insert_from(compiled, idx, rows, out, delta)
         while any(delta.values()):
             new_delta: Dict[str, Set[tuple]] = {m: set() for m in self.members}
             for member, rows in delta.items():
@@ -633,27 +679,43 @@ class SccEvaluator:
 
         return out
 
-    def _overdelete_from(self, compiled, idx, rows, overdeleted, frontier) -> None:
+    def _ext_seeds(self, positive, negative):
+        """``(rule, body index, rows)`` seeding every rule that reads the
+        ``positive`` rows through a positive atom or the ``negative``
+        rows through a negated one."""
+        for changed, polarity in ((positive, "positive"), (negative, "negative")):
+            for rel, rows in changed.items():
+                for compiled, idx, pol in self.ext_watch.get(rel, ()):
+                    if pol == polarity:
+                        yield compiled, idx, rows
+
+    def _suspect_from(self, compiled, idx, rows, lost_rank, suspects, order) -> None:
+        """Queue the heads ``rows`` (lost facts of rank ``lost_rank``,
+        still in the state) derive by rule ``compiled`` through body
+        item ``idx``, if they are members ranked above the lost facts."""
         member = compiled.head_rel
+        ranks = self.state.rows[member]
         for head in self._heads_from_seed(compiled, idx, rows):
-            if head in overdeleted[member]:
+            rank = ranks.get(head)
+            if rank is None or rank <= lost_rank:
                 continue
-            if not self.state.contains(member, head):
-                continue
-            overdeleted[member].add(head)
-            frontier[member].add(head)
+            bucket = suspects.get(rank)
+            if bucket is None:
+                bucket = suspects[rank] = set()
+                heapq.heappush(order, rank)
+            bucket.add((member, head))
 
     def _insert_from(self, compiled, idx, rows, out, delta) -> None:
         member = compiled.head_rel
-        for head in self._heads_from_seed(compiled, idx, rows):
-            if self.state.add(member, head):
+        for head, rank in self._heads_from_seed(compiled, idx, rows).items():
+            if self.state.add(member, head, rank):
                 out[member].add(head, 1)
                 delta[member].add(head)
 
     # -- full recomputation (ablation baseline) ------------------------------------------
 
     def _apply_recompute(self, ins, dels) -> Dict[str, ZSet]:
-        old = {m: set(self.state.sets.get(m, ())) for m in self.members}
+        old = {m: self.extent(m) for m in self.members}
         for rel, rows in dels.items():
             for row in rows:
                 self.state.remove(rel, row)
@@ -661,7 +723,7 @@ class SccEvaluator:
             for row in rows:
                 self.state.add(rel, row)
         for member in self.members:
-            for row in list(self.state.sets.get(member, ())):
+            for row in list(self.state.rows.get(member, ())):
                 self.state.remove(member, row)
         # Naive fixpoint: run every rule until nothing new appears.
         changed = True
@@ -674,7 +736,7 @@ class SccEvaluator:
         out: Dict[str, ZSet] = {}
         for member in self.members:
             delta = ZSet()
-            new = self.state.sets.get(member, set())
+            new = self.extent(member)
             for row in new - old[member]:
                 delta.add(row, 1)
             for row in old[member] - new:
@@ -685,7 +747,7 @@ class SccEvaluator:
     # -- introspection ------------------------------------------------------------------
 
     def extent(self, member: str) -> Set[tuple]:
-        return set(self.state.sets.get(member, ()))
+        return set(self.state.rows.get(member, ()))
 
     def state_size(self) -> int:
         return self.state.total_rows() + self.state.total_index_entries()

@@ -398,6 +398,26 @@ class TestRecursion:
         # Node 3 still reachable via the direct edge: no change.
         assert result.deltas.get("Label") is None
 
+    def test_same_rank_path_survives_losing_lower_support(self):
+        # Label(3) is first derived over 1 -> 3, so it ranks with
+        # Label(2).  Once 1 -> 3 goes, its one remaining path runs
+        # through that equal-ranked fact: the ranked check cannot see
+        # it and the unrestricted check must.
+        rt = compile_program(self.LABEL).start()
+        rt.transaction(
+            inserts={
+                "GivenLabel": [(1, "x")],
+                "Edge": [(1, 2), (1, 3), (2, 3)],
+            }
+        )
+        result = rt.transaction(deletes={"Edge": [(1, 3)]})
+        assert result.deltas.get("Label") is None
+        assert rows(rt, "Label") == {(1, "x"), (2, "x"), (3, "x")}
+        # The rederived fact ranks above its new support, so losing
+        # that support deletes it.
+        result = rt.transaction(deletes={"Edge": [(2, 3)]})
+        assert result.deleted("Label") == [(3, "x")]
+
     def test_cycle_deletion(self):
         rt = compile_program(self.LABEL).start()
         rt.transaction(
@@ -527,24 +547,35 @@ class TestRecursion:
     """
 
     def test_link_flap_rederives_without_scanning(self, monkeypatch):
-        """Work bound, not a timing: rederiving ``Hop`` rows (computed
-        column ``n + 1``) probes indexes only; no unkeyed lookup scans
-        a whole relation."""
+        """Work bound, not a timing: checking ``Hop`` rows (computed
+        column ``n + 1``) probes indexes only — no unkeyed lookup scans
+        a whole relation — and a link failure removes exactly the
+        ``Hop`` rows it deletes, none that a check puts back."""
         links = [(i, a, b) for i, (a, b) in enumerate(fat_tree(4))]
         rt = compile_program(self.HOPS).start()
         rt.transaction(inserts={"Link": links})
         unkeyed = []
+        removed = []
         lookup = IndexStore.lookup
+        remove = IndexStore.remove
 
         def counting_lookup(store, rel, positions, key):
             if not positions:
                 unkeyed.append(rel)
             return lookup(store, rel, positions, key)
 
+        def counting_remove(store, rel, row):
+            done = remove(store, rel, row)
+            if done and rel == "Hop":
+                removed.append(row)
+            return done
+
         monkeypatch.setattr(IndexStore, "lookup", counting_lookup)
+        monkeypatch.setattr(IndexStore, "remove", counting_remove)
         a, b = links[0][1:], links[1][1:]
         assert a == b[::-1]  # one physical link, both directions
         down = rt.transaction(deletes={"Link": links[:2]})
+        assert len(removed) == len(down.deleted("Hop"))
         up = rt.transaction(inserts={"Link": links[:2]})
         assert unkeyed == []
         assert down.deleted("Hop") and up.inserted("Hop")

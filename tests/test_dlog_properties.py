@@ -64,12 +64,28 @@ Tag(z, ((t as bigint) + 100) as bit<8>) :- Tag(y, t), t >= 100, A(y, z).
 Tag(z, u) :- Tag(y, t), B(y, z), var u = t & 15.
 """
 
+# Nonlinear recursion (a derivation joins two facts of the relation it
+# derives) and mutual recursion with negation inside the SCC.  ``U(y,
+# x)`` implies ``B(x, _)``, so the back edge negates ``B(y, _)``, not
+# ``B(x, _)`` — the latter could never hold.
+NONLINEAR_PROG = """
+input relation A(x: bigint, y: bigint)
+input relation B(y: bigint, z: bigint)
+output relation T(x: bigint, y: bigint)
+output relation U(x: bigint, y: bigint)
+T(x, y) :- A(x, y).
+T(x, z) :- T(x, y), T(y, z).
+U(x, y) :- T(x, y), B(y, _).
+T(x, y) :- U(y, x), not B(y, _).
+"""
+
 PROGRAMS = {
     "join": JOIN_PROG,
     "negation": NEG_PROG,
     "aggregation": AGG_PROG,
     "recursion": REACH_PROG,
     "bounded_hops": HOP_PROG,
+    "nonlinear_mutual": NONLINEAR_PROG,
 }
 
 pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -149,7 +165,10 @@ class TestIncrementalEqualsFromScratch:
             assert set(acc) == rt.dump(rel)
 
     @settings(max_examples=25, deadline=None)
-    @given(script=scripts, text=st.sampled_from([REACH_PROG, HOP_PROG]))
+    @given(
+        script=scripts,
+        text=st.sampled_from([REACH_PROG, HOP_PROG, NONLINEAR_PROG]),
+    )
     def test_dred_equals_recompute_mode(self, script, text):
         rt_dred, _, _, _ = run_script(text, script)
         rt_full, _, _, _ = run_script(text, script, recursive_mode="recompute")
