@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import functools
 import json
-import socket
 import struct
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import ProtocolError
 
@@ -82,43 +81,6 @@ def decode_frames(buffer: bytes) -> Tuple[list, bytes]:
             raise ProtocolError(f"bad JSON frame: {exc}") from exc
         offset = start + length
     return messages, buffer[offset:]
-
-
-def recv_message(sock: socket.socket) -> Optional[dict]:
-    """Blocking read of exactly one frame; None on orderly EOF."""
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame length {length} exceeds maximum")
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        raise ProtocolError("connection closed mid-frame")
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"bad JSON frame: {exc}") from exc
-
-
-def send_message(sock: socket.socket, message: dict) -> None:
-    sock.sendall(encode_frame(message))
-
-
-def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-    """``count`` bytes, or None when the peer closed before the first
-    of them; a close part-way through is not an orderly EOF."""
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if remaining == count:
-                return None
-            raise ProtocolError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 def make_request(method: str, params, request_id: int) -> dict:

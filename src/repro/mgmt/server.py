@@ -13,21 +13,21 @@ Methods (mirroring OVSDB's protocol surface):
 Update notifications: ``{"method": "update", "params": [monitor_id,
 {table: {uuid: {"old": {...}?, "new": {...}?}}}], "id": null}``.
 
-Accepting, framing and teardown are :mod:`repro.net.server`'s; this
-module is the method table and the monitor subscriptions.
+Accepting, framing and teardown are :mod:`repro.net.server`'s, on the
+server's own reactor; this module is the method table and the monitor
+subscriptions.
 """
 
 from __future__ import annotations
 
-import socket
 from typing import Dict, List, Optional
 
 from repro.errors import ProtocolError
 from repro.mgmt.database import Database
 from repro.mgmt.jsonrpc import make_notification
-from repro.mgmt.monitor import Monitor, MonitorSpec, TableUpdates
+from repro.mgmt.monitor import MonitorSpec, TableUpdates
 from repro.mgmt.values import row_to_wire
-from repro.net.server import RpcConnection, ThreadedServer
+from repro.net.server import RpcConnection, RpcServer
 from repro.obs.trace import current_update_id
 
 
@@ -46,20 +46,22 @@ def updates_to_wire(db: Database, updates: TableUpdates) -> dict:
     return out
 
 
-class _Connection(RpcConnection):
-    def __init__(self, server: "ManagementServer", sock: socket.socket, peer):
-        super().__init__(server, sock, peer)
-        self.monitors: Dict[str, Monitor] = {}
+class ManagementServer(RpcServer):
+    """Serves one :class:`Database` over TCP.  A connection's session
+    is its monitors by id."""
 
-    def close(self) -> None:
-        self.alive = False  # stop pushing before the monitors go
-        for monitor in self.monitors.values():
-            self.server.db.remove_monitor(monitor)
-        self.monitors.clear()
-        super().close()
+    name = "mgmt"
 
-    def _handle(self, method: str, params):
-        db = self.server.db
+    def __init__(self, db: Database, host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host, port)
+        self.db = db
+
+    def on_close(self, conn: RpcConnection) -> None:
+        for monitor in (conn.session or {}).values():
+            self.db.remove_monitor(monitor)
+
+    def handle(self, conn: RpcConnection, method: str, params):
+        db = self.db
         if method == "echo":
             return params
         if method == "get_schema":
@@ -76,17 +78,19 @@ class _Connection(RpcConnection):
             # notification closure reads it through a cell.
             id_cell: List[Optional[str]] = [None]
             monitor, initial = db.add_monitor(
-                spec, self._push_updates_factory(id_cell)
+                spec, self._push_updates_factory(conn, id_cell)
             )
             id_cell[0] = monitor.monitor_id
-            self.monitors[monitor.monitor_id] = monitor
+            if conn.session is None:
+                conn.session = {}
+            conn.session[monitor.monitor_id] = monitor
             return {
                 "monitor_id": monitor.monitor_id,
                 "initial": updates_to_wire(db, initial),
             }
         if method == "monitor_cancel":
             (monitor_id,) = params
-            monitor = self.monitors.pop(monitor_id, None)
+            monitor = (conn.session or {}).pop(monitor_id, None)
             if monitor is not None:
                 db.remove_monitor(monitor)
             return {}
@@ -107,28 +111,20 @@ class _Connection(RpcConnection):
             return {"lease": db.lease_get(name)}
         raise ProtocolError(f"unknown method {method!r}")
 
-    def _push_updates_factory(self, id_cell: List[Optional[str]]):
+    def _push_updates_factory(
+        self, conn: RpcConnection, id_cell: List[Optional[str]]
+    ):
         def push(updates: TableUpdates) -> None:
-            if not self.alive:
+            if conn.closed:
                 return
-            params = [id_cell[0], updates_to_wire(self.server.db, updates)]
+            params = [id_cell[0], updates_to_wire(self.db, updates)]
             # push runs inside Database._notify, i.e. inside the
             # transact's update-id scope; forward the id on the wire so
             # remote controllers keep the trace.
             uid = current_update_id()
             if uid is not None:
                 params.append(uid)
-            self.send(make_notification("update", params))
+            # On whichever thread committed: commit order is send order.
+            conn.send(make_notification("update", params))
 
         return push
-
-
-class ManagementServer(ThreadedServer):
-    """Serves one :class:`Database` over TCP."""
-
-    connection_class = _Connection
-    thread_name = "mgmt"
-
-    def __init__(self, db: Database, host: str = "127.0.0.1", port: int = 0):
-        super().__init__(host, port)
-        self.db = db

@@ -7,10 +7,11 @@ operator: retry policies with exponential backoff
 (:class:`~repro.net.reactor.Reactor` /
 :class:`~repro.net.aio.AioConnection`) that carries the management
 client and every P4Runtime client and multiplexes thousands of device
-connections on one thread, the threaded listener scaffolding every
-server in the tree shares (:mod:`repro.net.server`), and controlled
+connections on one thread, the one server shape every listener in the
+tree shares — a non-blocking listener whose connections are callbacks
+on the server's own reactor (:mod:`repro.net.server`) — and controlled
 fault injection for tests and benchmarks
-(:class:`~repro.net.faults.FaultInjector`).
+(:class:`~repro.net.faults.FaultInjector`), itself such a server.
 """
 
 from repro.net.aio import BROKEN, CLOSED, CONNECTED, RETRYING, AioConnection

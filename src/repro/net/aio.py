@@ -6,7 +6,7 @@ P4Runtime client and the management client ride it — on a
 
 * framed JSON-RPC (``repro.mgmt.jsonrpc``);
 * **write-through sends with high/low watermarks**
-  (:class:`SocketWriter`, shared with the device farm's server side) —
+  (:class:`SocketWriter`, shared with every server's connections) —
   a frame goes straight to the socket and only what the kernel did not
   take is buffered; past the high watermark the connection reports
   itself unwritable and fires ``on_drain`` callbacks once the remainder

@@ -1,127 +1,69 @@
-"""Threaded TCP server scaffolding shared by every listener in the tree.
+"""One server shape: every listener in the tree is callbacks on a loop.
 
-:class:`ThreadedServer` is the listener, the accept loop and the
-connection registry — what the management server, the P4Runtime device
-server and the fault-injecting proxy all need.  One accept thread plus
-whatever threads a connection starts for itself, so a server runs
-alongside the controller without an event loop; ``start()`` returns
-once the listening socket is bound.
+:class:`Server` is a non-blocking listener on reactors the server owns
+— never :func:`~repro.net.reactor.default_reactor`, so a slow handler
+can never stall a client's loop.  ``start()`` binds and listens;
+accepted sockets are spread round-robin over ``reactors`` and each one
+becomes whatever :meth:`Server.open` makes of it; ``stop()`` closes
+them on their loops and stops the reactors.  The fault-injecting
+proxy is such a server.
 
-The two JSON-RPC servers differ only in the methods they answer and
-the notifications they push; framing, per-connection send
-serialisation and teardown are :class:`RpcConnection`'s.  A protocol
-subclasses it with ``_handle(method, params)`` (and extends ``close()``
-if it holds subscriptions), then names it as its server's
-``connection_class``.
+:class:`RpcServer` is the JSON-RPC one, and the management server, the
+P4Runtime device server and the device farm are its method tables::
+
+    listen → accept → Reactor.recv → decode_frames
+           → handle(conn, method, params) → SocketWriter
+
+A protocol implements :meth:`RpcServer.handle` and, if it holds
+subscriptions, :meth:`Server.on_close`.  Handlers run on the loop and
+must not block; a notification sent from another thread (a monitor
+update from ``Database.transact``, a digest from an in-process
+``Simulator.inject``) hops to the loop in the order it was sent.
 """
 
 from __future__ import annotations
 
+import selectors
 import socket
 import threading
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ProtocolError, ReproError
 from repro.mgmt.jsonrpc import (
     classify,
+    decode_frames,
+    encode_frame,
     make_error,
     make_response,
-    recv_message,
-    send_message,
 )
+from repro.net.aio import SocketWriter
+from repro.net.reactor import Reactor
 
 
-def shutdown_and_close(sock: socket.socket) -> None:
-    """``shutdown()`` wakes a thread blocked in ``recv()``/``accept()``
-    on the socket and sends the peer a FIN; ``close()`` alone does
-    neither while that thread holds the fd in a blocked syscall (a
-    LISTEN socket would stay alive and its port unbindable)."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
+class Server:
+    """Listener, accept and connection registry on the server's own
+    reactors.  A connection is what :meth:`open` returns: it is
+    ``start()``-ed on its reactor's loop, ``close()``-d (from any
+    thread) by :meth:`stop`, and calls :meth:`forget` once closed."""
 
-
-class RpcConnection:
-    """One accepted socket and the reader thread's loop over it."""
-
-    def __init__(self, server: "ThreadedServer", sock: socket.socket, peer):
-        self.server = server
-        self.sock = sock
-        self.peer = peer
-        self.send_lock = threading.Lock()
-        self.alive = True
-
-    def start(self) -> None:
-        threading.Thread(
-            target=self.serve,
-            name=f"{self.server.thread_name}-conn-{self.peer}",
-            daemon=True,
-        ).start()
-
-    def send(self, message: dict) -> None:
-        with self.send_lock:
-            try:
-                send_message(self.sock, message)
-            except OSError:
-                self.alive = False
-
-    def close(self) -> None:
-        self.alive = False
-        shutdown_and_close(self.sock)
-
-    def serve(self) -> None:
-        try:
-            while self.alive:
-                message = recv_message(self.sock)
-                if message is None:
-                    break
-                if classify(message) != "request":
-                    continue  # servers send but never await notifications
-                request_id = message["id"]
-                try:
-                    result = self._handle(
-                        message["method"], message.get("params", [])
-                    )
-                    self.send(make_response(result, request_id))
-                except ReproError as exc:
-                    self.send(make_error({"error": str(exc)}, request_id))
-                except Exception as exc:  # noqa: BLE001 - report, don't kill conn
-                    self.send(
-                        make_error({"error": f"internal: {exc}"}, request_id)
-                    )
-        except (ProtocolError, OSError):
-            pass
-        finally:
-            self.close()
-            self.server._forget(self)
-
-    def _handle(self, method: str, params):
-        raise NotImplementedError
-
-
-class ThreadedServer:
-    """Listener, accept loop and connection registry.  ``_open(sock,
-    peer)`` makes the connection object for an accepted socket (``None``
-    to refuse it) — by default a ``connection_class`` instance — which
-    the loop registers and then ``start()``s; connections ``close()``
-    on :meth:`stop` and call :meth:`_forget` when they end."""
-
-    connection_class = RpcConnection
-    #: Prefix of the accept (and connection) thread names.
-    thread_name = "tcp"
+    #: Name of the server's reactor (and so of its threads).
+    name = "server"
+    #: Loops the accepted connections are spread over.
+    n_reactors = 1
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self.host = host
         self.port = port
+        self.reactors: List[Reactor] = []
         self._listener: Optional[socket.socket] = None
-        self._connections: list = []
+        self._connections: set = set()
         self._conn_lock = threading.Lock()
-        self._running = False
+        self.connections_accepted = 0
+
+    @property
+    def reactor(self) -> Reactor:
+        """The accepting loop — the only one unless ``n_reactors > 1``."""
+        return self.reactors[0]
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -132,61 +74,224 @@ class ThreadedServer:
     def start(self):
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(32)
+        try:
+            listener.bind((self.host, self.port))
+            listener.listen(1024)
+        except OSError:
+            listener.close()
+            raise
+        listener.setblocking(False)
         self._listener = listener
-        self._running = True
-        threading.Thread(
-            target=self._accept_loop,
-            name=f"{self.thread_name}-server",
-            daemon=True,
-        ).start()
+        n = self.n_reactors
+        self.reactors = [
+            Reactor(self.name if n == 1 else f"{self.name}-{i}").start()
+            for i in range(n)
+        ]
+        self.reactor.submit(
+            self.reactor.register, listener, selectors.EVENT_READ,
+            self._accept,
+        )
         return self
 
-    def _accept_loop(self) -> None:
-        while self._running:
+    def _accept(self, mask: int) -> None:
+        listener = self._listener
+        while listener is not None:
             try:
-                sock, peer = self._listener.accept()
-            except OSError:
-                break
-            if not self._running:  # raced with stop()
-                sock.close()
-                break
+                sock, _ = listener.accept()
+            except OSError:  # drained (BlockingIOError) or closed
+                return
+            sock.setblocking(False)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             # Accepted sockets must carry SO_REUSEADDR themselves: their
             # lingering close states (FIN_WAIT, TIME_WAIT) would
-            # otherwise block an immediate restart of this server on
-            # the same port.
+            # otherwise block an immediate restart on the same port.
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            conn = self._open(sock, peer)
-            if conn is None:
-                continue
+            reactor = self.reactors[
+                self.connections_accepted % len(self.reactors)
+            ]
+            self.connections_accepted += 1
+            conn = self.open(sock, reactor)
             with self._conn_lock:
-                self._connections.append(conn)
-            conn.start()
+                self._connections.add(conn)
+            if reactor is self.reactor:
+                conn.start()
+            else:
+                reactor.submit(conn.start)
 
-    def _open(self, sock: socket.socket, peer):
-        return self.connection_class(self, sock, peer)
+    def open(self, sock: socket.socket, reactor: Reactor):
+        """The connection object for an accepted socket."""
+        raise NotImplementedError
 
     def connections(self) -> list:
         """A snapshot of the live connections."""
         with self._conn_lock:
             return list(self._connections)
 
-    def _forget(self, conn) -> None:
+    def forget(self, conn) -> None:
+        """``conn`` closed (on its loop): drop it and run the close hook."""
         with self._conn_lock:
-            if conn in self._connections:
-                self._connections.remove(conn)
+            self._connections.discard(conn)
+        self.on_close(conn)
+
+    def on_close(self, conn) -> None:
+        """Release what ``conn`` held (monitors, subscriptions)."""
 
     def stop(self) -> None:
-        self._running = False
-        if self._listener is not None:
-            shutdown_and_close(self._listener)
-        for conn in self.connections():
-            conn.close()
+        """Close the listener and every connection, then the reactors;
+        idempotent."""
+        listener, self._listener = self._listener, None
+        if listener is None:
+            return
+
+        def teardown():
+            # On the accepting loop: no accept is half done.
+            _close_registered(self.reactor, listener)
+            for conn in self.connections():
+                conn.close()
+
+        if not self.reactor.submit(teardown):
+            teardown()
+        # Each reactor runs the closes queued on it before it exits; the
+        # accepting one goes first, as it queues closes on the others.
+        for reactor in self.reactors:
+            reactor.stop()
 
     def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+
+def _close_registered(reactor: Reactor, sock: socket.socket) -> None:
+    reactor.unregister(sock)
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
+class RpcConnection:
+    """One accepted JSON-RPC peer.  Its reads, handlers and writes run
+    on ``reactor``'s loop; :meth:`send` and :meth:`close` are
+    thread-safe."""
+
+    def __init__(self, server: "RpcServer", sock: socket.socket,
+                 reactor: Reactor):
+        self.server = server
+        self.sock = sock
+        self.reactor = reactor
+        #: Whatever the method table keeps per peer (monitors, the
+        #: bound device, subscriptions); ``None`` until it sets one.
+        self.session = None
+        self.closed = False
+        self._inbuf = b""
+        self._writer = SocketWriter(
+            reactor, sock, self._on_io, lambda _exc: self.close()
+        )
+        #: Frames sent from other threads, not yet handed to the writer.
+        self._outbox: List[bytes] = []
+        self._outbox_lock = threading.Lock()
+
+    def start(self) -> None:
+        self.reactor.register(self.sock, selectors.EVENT_READ, self._on_io)
+
+    def _on_io(self, mask: int) -> None:
+        if self.closed:
+            return
+        if mask & selectors.EVENT_READ:
+            self._read()
+        if not self.closed and mask & selectors.EVENT_WRITE:
+            self._writer.flush()
+
+    def _read(self) -> None:
+        try:
+            data = self.reactor.recv(self.sock)
+        except OSError:
+            self.close()
+            return
+        if data is None:
+            return
+        if not data:
+            # A frame cut short by the close is never executed.
+            self.close()
+            return
+        try:
+            messages, self._inbuf = decode_frames(self._inbuf + data)
+        except ProtocolError:
+            self.close()
+            return
+        for message in messages:
+            if self.closed:
+                return
+            self.server.serve(self, message)
+
+    def send(self, message: dict) -> None:
+        """Frames reach the peer in the order ``send`` returned, whatever
+        thread called it: on the loop the frame is written at once,
+        behind anything queued from elsewhere; off it, queued for the
+        loop."""
+        frame = encode_frame(message)
+        if self.reactor.in_loop():
+            if self._outbox:
+                self._flush_outbox()
+            if not self.closed:
+                self._writer.send(frame)
+            return
+        with self._outbox_lock:
+            self._outbox.append(frame)
+            if len(self._outbox) > 1:
+                return  # a flush is already on its way
+        self.reactor.submit(self._flush_outbox)
+
+    def _flush_outbox(self) -> None:
+        with self._outbox_lock:
+            frames, self._outbox = self._outbox, []
+        for frame in frames:
+            if self.closed:
+                return
+            self._writer.send(frame)
+
+    def close(self) -> None:
+        if not self.reactor.in_loop() and self.reactor.submit(self.close):
+            return
+        if self.closed:
+            return
+        self.closed = True
+        _close_registered(self.reactor, self.sock)
+        self.server.forget(self)
+
+
+class RpcServer(Server):
+    """A JSON-RPC server: subclasses implement :meth:`handle`."""
+
+    def open(self, sock: socket.socket, reactor: Reactor) -> RpcConnection:
+        return RpcConnection(self, sock, reactor)
+
+    def handle(self, conn: RpcConnection, method: str, params):
+        """Answer one request (on ``conn``'s loop): the result, or raise
+        — a :class:`~repro.errors.ReproError` is the peer's error, any
+        other exception an internal one."""
+        raise NotImplementedError
+
+    def reply(self, conn: RpcConnection, message: dict) -> None:
+        """Send a request's response (the farm defers some)."""
+        conn.send(message)
+
+    def serve(self, conn: RpcConnection, message: dict) -> None:
+        try:
+            if classify(message) != "request":
+                return  # servers send but never await notifications
+        except ProtocolError:
+            conn.close()
+            return
+        request_id = message["id"]
+        try:
+            result = self.handle(conn, message["method"],
+                                 message.get("params", []))
+            reply = make_response(result, request_id)
+        except ReproError as exc:
+            reply = make_error({"error": str(exc)}, request_id)
+        except Exception as exc:  # noqa: BLE001 - report, don't kill conn
+            reply = make_error({"error": f"internal: {exc}"}, request_id)
+        self.reply(conn, reply)

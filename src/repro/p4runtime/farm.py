@@ -1,17 +1,17 @@
 """A fleet of lightweight simulated devices behind one listener.
 
 Benchmarking a 1000-device apply plane needs 1000 *servers*; running a
-full :class:`~repro.p4.simulator.Simulator` + thread-per-connection
-:class:`~repro.p4runtime.server.P4RuntimeServer` per device would melt
-the bench machine before the plane under test broke a sweat.
-:class:`DeviceFarm` is the counterpart built the same way as the apply
-plane itself: one TCP listener, a small pool of
-:class:`~repro.net.reactor.Reactor` loops (``n_reactors`` — real switches
-are parallel hardware, so fleet-scale benches shouldn't serialize on a
-single simulated farm loop), and N dict-table devices that speak
-enough of the P4Runtime wire
-protocol for the controller's hot path (``apply_batch``, ``write``,
-``read_table``, config epochs, multicast) plus verification hooks:
+full :class:`~repro.p4.simulator.Simulator` behind a
+:class:`~repro.p4runtime.server.P4RuntimeServer` (a reactor of its own)
+per device would melt the bench machine before the plane under test
+broke a sweat.  :class:`DeviceFarm` is the same reactor-hosted server
+(:mod:`repro.net.server`) with one listener, a small pool of loops
+(``n_reactors`` — real switches are parallel hardware, so fleet-scale
+benches shouldn't serialize on a single simulated farm loop), and a
+method table over N dict-table devices that speaks enough of the
+P4Runtime wire protocol for the controller's hot path
+(``apply_batch``, ``write``, ``read_table``, config epochs, multicast)
+plus verification hooks:
 
 * clients address a device with ``bind_device [index]`` (the
   :class:`~repro.p4runtime.aio_client.AioP4RuntimeClient`'s
@@ -35,20 +35,10 @@ are rejections).
 from __future__ import annotations
 
 import json
-import selectors
-import socket
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.errors import ProtocolError, ReproError
-from repro.mgmt.jsonrpc import (
-    classify,
-    decode_frames,
-    encode_frame,
-    make_error,
-    make_response,
-)
-from repro.net.aio import SocketWriter
-from repro.net.reactor import Reactor
+from repro.errors import ProtocolError
+from repro.net.server import RpcConnection, RpcServer
 
 
 def _match_key(update: dict) -> str:
@@ -158,95 +148,7 @@ class FarmDevice:
         return {name: dict(entries) for name, entries in self.tables.items()}
 
 
-class _FarmConnection:
-    """One accepted socket: framed request/response on the loop thread."""
-
-    def __init__(self, farm: "DeviceFarm", sock: socket.socket,
-                 reactor: Reactor):
-        self.farm = farm
-        self.sock = sock
-        #: The reactor this connection is pinned to (round-robin across
-        #: the farm's reactors — see ``DeviceFarm`` on ``n_reactors``).
-        self.reactor = reactor
-        self.inbuf = b""
-        self.writer = SocketWriter(
-            reactor, sock, self.on_io, lambda _exc: self.close()
-        )
-        self.device_index = 0
-        self.closed = False
-
-    # All methods below run on this connection's reactor loop thread.
-
-    def on_io(self, mask: int) -> None:
-        if self.closed:
-            return
-        if mask & selectors.EVENT_READ:
-            self._read()
-        if not self.closed and (mask & selectors.EVENT_WRITE):
-            self.writer.flush()
-
-    def _read(self) -> None:
-        try:
-            data = self.reactor.recv(self.sock)
-        except OSError:
-            self.close()
-            return
-        if data is None:
-            return
-        if not data:
-            self.close()
-            return
-        try:
-            messages, self.inbuf = decode_frames(self.inbuf + data)
-        except ProtocolError:
-            self.close()
-            return
-        for message in messages:
-            try:
-                if classify(message) != "request":
-                    continue
-            except ProtocolError:
-                continue
-            self._serve(message)
-
-    def _serve(self, message: dict) -> None:
-        request_id = message["id"]
-        try:
-            result = self.farm._handle(self, message["method"],
-                                       message.get("params", []))
-            reply = make_response(result, request_id)
-        except ReproError as exc:
-            reply = make_error({"error": str(exc)}, request_id)
-        except Exception as exc:  # noqa: BLE001 - farm must survive
-            reply = make_error({"error": f"internal: {exc}"}, request_id)
-        delay = self.farm.devices[self.device_index].ack_delay
-        if delay > 0:
-            self.reactor.call_later(delay, lambda: self._send(reply))
-        else:
-            self._send(reply)
-
-    def _send(self, message: dict) -> None:
-        if not self.closed:
-            self.writer.send(encode_frame(message))
-
-    def close(self) -> None:
-        if not self.reactor.in_loop():
-            # Shutdown path: hop to the owning loop (best-effort once
-            # the reactor is gone — the socket still gets closed).
-            if self.reactor.submit(self.close):
-                return
-        if self.closed:
-            return
-        self.closed = True
-        self.reactor.unregister(self.sock)
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-        self.farm._connections.discard(self)
-
-
-class DeviceFarm:
+class DeviceFarm(RpcServer):
     """N lightweight P4Runtime-ish devices behind one listener.
 
     ``n_reactors`` spreads accepted connections round-robin over that
@@ -255,100 +157,22 @@ class DeviceFarm:
     measure the farm's serialization, not the apply plane's.  Each
     connection is pinned to one reactor for its lifetime, and in the
     one-connection-per-device usage every :class:`FarmDevice` is only
-    ever touched from its connection's loop thread.
+    ever touched from its connection's loop thread.  A connection's
+    session is the index of the device it is bound to (``None``: 0).
     """
+
+    name = "farm"
 
     def __init__(
         self,
         n_devices: int,
         host: str = "127.0.0.1",
         port: int = 0,
-        reactor: Optional[Reactor] = None,
         n_reactors: int = 1,
     ):
+        super().__init__(host, port)
         self.devices = [FarmDevice(i) for i in range(n_devices)]
-        self.host = host
-        self.port = port
-        self._owns_reactors = reactor is None
-        if reactor is not None:
-            self.reactors = [reactor]
-        else:
-            self.reactors = [
-                Reactor(f"farm-{i}") for i in range(max(1, n_reactors))
-            ]
-        #: The accept loop (and sole loop when ``n_reactors == 1``).
-        self.reactor = self.reactors[0]
-        self._listener: Optional[socket.socket] = None
-        self._connections: set = set()
-        self.connections_accepted = 0
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._listener is None:
-            raise RuntimeError("farm not started")
-        return self._listener.getsockname()[:2]
-
-    def start(self) -> "DeviceFarm":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(1024)
-        listener.setblocking(False)
-        self._listener = listener
-        for reactor in self.reactors:
-            reactor.start()
-        self.reactor.submit(
-            self.reactor.register, listener, selectors.EVENT_READ,
-            self._accept,
-        )
-        return self
-
-    def _accept(self, mask: int) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
-            sock.setblocking(False)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            target = self.reactors[
-                self.connections_accepted % len(self.reactors)
-            ]
-            conn = _FarmConnection(self, sock, target)
-            self._connections.add(conn)
-            self.connections_accepted += 1
-            if target is self.reactor:
-                target.register(sock, selectors.EVENT_READ, conn.on_io)
-            else:
-                target.submit(
-                    target.register, sock, selectors.EVENT_READ, conn.on_io
-                )
-
-    def stop(self) -> None:
-        listener = self._listener
-        def teardown():
-            if listener is not None:
-                self.reactor.unregister(listener)
-            for conn in list(self._connections):
-                conn.close()  # hops to each connection's own loop
-        if not self.reactor.submit(teardown):
-            pass  # reactor already stopped; sockets close below
-        if self._owns_reactors:
-            for reactor in self.reactors:
-                reactor.stop()
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
-
-    def __enter__(self) -> "DeviceFarm":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        self.n_reactors = max(1, n_reactors)
 
     # -- verification --------------------------------------------------------
 
@@ -363,14 +187,21 @@ class DeviceFarm:
 
     # -- protocol ------------------------------------------------------------
 
-    def _handle(self, conn: _FarmConnection, method: str, params):
+    def reply(self, conn: RpcConnection, message: dict) -> None:
+        delay = self.devices[conn.session or 0].ack_delay
+        if delay > 0:
+            conn.reactor.call_later(delay, lambda: conn.send(message))
+        else:
+            conn.send(message)
+
+    def handle(self, conn: RpcConnection, method: str, params):
         if method == "bind_device":
             (index,) = params
             if not 0 <= int(index) < len(self.devices):
                 raise ProtocolError(f"no device {index}")
-            conn.device_index = int(index)
+            conn.session = int(index)
             return {}
-        device = self.devices[conn.device_index]
+        device = self.devices[conn.session or 0]
         if method == "echo":
             return params
         if method == "apply_batch":

@@ -23,24 +23,53 @@ Methods:
 
 from __future__ import annotations
 
-import socket
-
 from repro.errors import ProtocolError
 from repro.mgmt.jsonrpc import make_notification
-from repro.net.server import RpcConnection, ThreadedServer
+from repro.net.server import RpcConnection, RpcServer
 from repro.obs.trace import use_update_id
 from repro.p4.simulator import DigestMessage, Simulator
 from repro.p4runtime.api import DeviceService, TableWrite
 
 
-class _Connection(RpcConnection):
-    def __init__(self, server: "P4RuntimeServer", sock: socket.socket, peer):
-        super().__init__(server, sock, peer)
-        self.wants_digests = False
-        self.wants_packet_ins = False
+class P4RuntimeServer(RpcServer):
+    """Serves one simulator over TCP.  A connection's session is the
+    set of notification streams it subscribed to.
 
-    def _handle(self, method: str, params):
-        service = self.server.service
+    While started, the server is chained onto the simulator's digest
+    and packet-in callbacks — so digests of in-process ``inject`` calls
+    reach subscribers too — and ``stop()`` restores the callbacks it
+    found."""
+
+    name = "p4rt"
+
+    def __init__(self, sim: Simulator, host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host, port)
+        self.sim = sim
+        self.service = DeviceService(sim)
+        self._prev_digest = None
+        self._prev_packet_in = None
+
+    def start(self) -> "P4RuntimeServer":
+        super().start()
+        sim = self.sim
+        self._prev_digest = sim.digest_callback
+        sim.digest_callback = self._on_digest
+        self._prev_packet_in = sim.packet_in_callback
+        sim.packet_in_callback = self._on_packet_in
+        return self
+
+    def stop(self) -> None:
+        sim = self.sim
+        # Only while still the head of the chain: a hook chained on top
+        # of ours since keeps calling us (we pass on to the previous).
+        if sim.digest_callback == self._on_digest:
+            sim.digest_callback = self._prev_digest
+        if sim.packet_in_callback == self._on_packet_in:
+            sim.packet_in_callback = self._prev_packet_in
+        super().stop()
+
+    def handle(self, conn: RpcConnection, method: str, params):
+        service = self.service
         if method == "echo":
             return params
         if method == "get_p4info":
@@ -93,42 +122,30 @@ class _Connection(RpcConnection):
             return {}
         if method == "inject":
             port, hex_data = params
-            outputs = self.server.sim.inject(port, bytes.fromhex(hex_data))
-            self.server.flush_digests()
+            outputs = self.sim.inject(port, bytes.fromhex(hex_data))
+            self.flush_digests()
             return {"outputs": [[p, data.hex()] for p, data in outputs]}
-        if method == "subscribe_digests":
-            self.wants_digests = True
-            return {}
-        if method == "subscribe_packet_ins":
-            self.wants_packet_ins = True
+        if method in ("subscribe_digests", "subscribe_packet_ins"):
+            if conn.session is None:
+                conn.session = set()
+            conn.session.add(method)
             return {}
         if method == "packet_out":
             port, hex_data = params
             outputs = service.packet_out(port, bytes.fromhex(hex_data))
-            self.server.flush_digests()
+            self.flush_digests()
             return {"outputs": [[p, data.hex()] for p, data in outputs]}
         raise ProtocolError(f"unknown method {method!r}")
 
-
-class P4RuntimeServer(ThreadedServer):
-    """Serves one simulator over TCP."""
-
-    connection_class = _Connection
-    thread_name = "p4rt"
-
-    def __init__(self, sim: Simulator, host: str = "127.0.0.1", port: int = 0):
-        super().__init__(host, port)
-        self.sim = sim
-        self.service = DeviceService(sim)
-        # Route digests emitted by direct (in-process) inject calls too.
-        self._prev_callback = sim.digest_callback
-        sim.digest_callback = self._on_digest
-        self._prev_packet_in = sim.packet_in_callback
-        sim.packet_in_callback = self._on_packet_in
+    def _subscribers(self, stream: str) -> list:
+        return [
+            conn for conn in self.connections()
+            if conn.session is not None and stream in conn.session
+        ]
 
     def _on_digest(self, digest: DigestMessage) -> None:
-        if self._prev_callback is not None:
-            self._prev_callback(digest)
+        if self._prev_digest is not None:
+            self._prev_digest(digest)
         self._broadcast_digest(digest)
 
     def _broadcast_digest(self, digest: DigestMessage) -> None:
@@ -136,18 +153,14 @@ class P4RuntimeServer(ThreadedServer):
         uid = getattr(digest, "update_id", None)
         if uid is not None:
             params.append(uid)
-        for conn in self.connections():
-            if conn.wants_digests:
-                conn.send(make_notification("digest", params))
+        for conn in self._subscribers("subscribe_digests"):
+            conn.send(make_notification("digest", params))
 
     def _on_packet_in(self, port: int, data: bytes) -> None:
         if self._prev_packet_in is not None:
             self._prev_packet_in(port, data)
-        for conn in self.connections():
-            if conn.wants_packet_ins:
-                conn.send(
-                    make_notification("packet_in", [port, data.hex()])
-                )
+        for conn in self._subscribers("subscribe_packet_ins"):
+            conn.send(make_notification("packet_in", [port, data.hex()]))
 
     def flush_digests(self) -> None:
         """Deliver any digests queued in the simulator."""

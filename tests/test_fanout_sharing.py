@@ -37,7 +37,6 @@ from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import TableWrite, WriteList
 from repro.p4runtime.farm import DeviceFarm
 from repro.p4runtime.server import P4RuntimeServer
-from repro.p4runtime.server import _Connection as ServerConnection
 from tests.test_fanout import (
     FAST,
     P4,
@@ -175,23 +174,21 @@ def test_both_receivers_decode_the_spliced_frames(monkeypatch):
     """Real sockets, the receivers' own framing code: only what they
     do with a decoded ``apply_batch`` is replaced by a recorder."""
     seen = {"server": [], "farm": []}
-    real_server_handle = ServerConnection._handle
-    real_farm_handle = DeviceFarm._handle
+    real_handles = {
+        "server": P4RuntimeServer.handle, "farm": DeviceFarm.handle,
+    }
 
-    def server_handle(self, method, params):
-        if method != "apply_batch":
-            return real_server_handle(self, method, params)
-        seen["server"].append(params)
-        return {"applied": 0}
+    def recorder(name):
+        def handle(self, conn, method, params):
+            if method != "apply_batch":
+                return real_handles[name](self, conn, method, params)
+            seen[name].append(params)
+            return {"applied": 0}
 
-    def farm_handle(self, conn, method, params):
-        if method != "apply_batch":
-            return real_farm_handle(self, conn, method, params)
-        seen["farm"].append(params)
-        return {"applied": 0}
+        return handle
 
-    monkeypatch.setattr(ServerConnection, "_handle", server_handle)
-    monkeypatch.setattr(DeviceFarm, "_handle", farm_handle)
+    monkeypatch.setattr(P4RuntimeServer, "handle", recorder("server"))
+    monkeypatch.setattr(DeviceFarm, "handle", recorder("farm"))
 
     project = nerpa_build(SCHEMA, RULES, P4)
     server = P4RuntimeServer(project.new_simulator(n_ports=4)).start()

@@ -2,7 +2,9 @@
 monitors over TCP, and persistence."""
 
 import socket
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -15,11 +17,29 @@ from repro.mgmt.jsonrpc import (
     classify,
     decode_frames,
     encode_frame,
-    recv_message,
+    make_request,
 )
+from repro.mgmt.monitor import MonitorSpec
 from repro.mgmt.persist import Persister, restore
 from repro.mgmt.schema import simple_schema
 from repro.mgmt.server import ManagementServer
+
+
+def wait_for(predicate, timeout=10.0, what="condition"):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"timed out waiting for {what}")
+
+
+def port_names(updates):
+    return [u.new["name"] for u in updates.table("Port").values()]
+
+
+def insert_port_op(name):
+    return {"op": "insert", "table": "Port", "row": {"name": name, "vlan": 0}}
 
 
 def make_db():
@@ -79,21 +99,6 @@ class TestFraming:
             messages, buffer = decode_frames(buffer)
             got.extend(m["id"] for m in messages)
         assert got == ids
-
-    @pytest.mark.parametrize("sent", [0, 2, 4 + 3])
-    def test_blocking_read_tells_eof_from_a_peer_dying_mid_frame(self, sent):
-        """Only a close on a frame boundary is an orderly EOF; one
-        inside the header or the payload is a protocol error."""
-        frame = encode_frame({"id": 1})
-        ours, theirs = socket.socketpair()
-        with ours, theirs:
-            theirs.sendall(frame[:sent])
-            theirs.close()
-            if sent == 0:
-                assert recv_message(ours) is None
-            else:
-                with pytest.raises(ProtocolError, match="mid-frame"):
-                    recv_message(ours)
 
     def test_classify(self):
         assert classify({"method": "m", "params": [], "id": 1}) == "request"
@@ -211,6 +216,91 @@ class TestClientServer:
         for t in threads:
             t.join()
         assert server.db.count("Port") == 40
+
+
+    def test_updates_sent_on_and_off_the_loop_arrive_in_commit_order(
+        self, server, client
+    ):
+        """A commit over the wire notifies from the server's loop, one
+        on another thread (``db.transact`` in process) from there: the
+        monitor stream is the database's commit order all the same."""
+        committed = []
+        server.db.add_monitor(
+            MonitorSpec({"Port": None}),
+            lambda updates: committed.extend(port_names(updates)),
+        )
+        seen = []
+        client.monitor({"Port": None}, lambda u: seen.extend(port_names(u)))
+        host, port = server.address
+
+        def remote():
+            with ManagementClient(host, port) as other:
+                for i in range(30):
+                    other.transact([insert_port_op(f"remote-{i}")])
+
+        def local(n):
+            for i in range(30):
+                server.db.transact([insert_port_op(f"local-{n}-{i}")])
+
+        writers = [threading.Thread(target=remote)] + [
+            threading.Thread(target=local, args=(n,)) for n in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(30.0)
+                assert not writer.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        wait_for(lambda: len(seen) == 90, what="all 90 updates")
+        assert seen == committed
+
+    def test_server_threads_do_not_grow_with_clients(self, server):
+        """One loop serves every peer: 32 connected clients cost the
+        server no more threads than one."""
+        host, port = server.address
+        echo = encode_frame(make_request("echo", ["hi"], 1))
+
+        def connect(n):
+            socks = [socket.create_connection((host, port)) for _ in range(n)]
+            for sock in socks:
+                sock.sendall(echo)
+            for sock in socks:
+                sock.settimeout(5.0)
+                assert sock.recv(4096)  # answered: the peer is being served
+            return socks
+
+        socks = connect(1)
+        try:
+            one = threading.active_count()
+            socks += connect(31)
+            wait_for(lambda: len(server.connections()) == 32, what="accepts")
+            assert threading.active_count() <= one
+        finally:
+            for sock in socks:
+                sock.close()
+
+    @pytest.mark.parametrize("sent", [0, 2, 4 + 3])
+    def test_peer_dying_mid_frame_is_dropped_unexecuted(
+        self, server, client, sent
+    ):
+        """Only a whole frame is a request: a peer that closes inside
+        the header or the payload leaves nothing executed, is dropped
+        from the server's connections, and other clients carry on."""
+        assert client.echo(["before"]) == ["before"]
+        frame = encode_frame(
+            make_request("transact", [insert_port_op("torn")], 1)
+        )
+        peer = socket.create_connection(server.address)
+        with peer:
+            wait_for(lambda: len(server.connections()) == 2, what="accept")
+            peer.sendall(frame[:sent])
+        wait_for(lambda: len(server.connections()) == 1, what="the drop")
+        assert server.db.count("Port") == 0
+        assert client.echo(["after"]) == ["after"]
 
 
 class TestPersistence:

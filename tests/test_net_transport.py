@@ -15,6 +15,7 @@ from repro import obs
 from repro.errors import ConnectionLostError, ProtocolError
 from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
+from repro.mgmt.jsonrpc import decode_frames, encode_frame, make_request
 from repro.mgmt.schema import simple_schema
 from repro.mgmt.server import ManagementServer
 from repro.net import BROKEN, CONNECTED, RETRYING, FaultInjector, RetryPolicy
@@ -282,21 +283,17 @@ class TestReconnect:
             injector.stop()
 
 
-class _EagerConnection(ManagementServer.connection_class):
+class _EagerServer(ManagementServer):
     """Commits two rows between registering a monitor and answering
     the ``monitor`` request, so their updates precede the response on
     the wire."""
 
-    def _handle(self, method, params):
-        result = super()._handle(method, params)
+    def handle(self, conn, method, params):
+        result = super().handle(conn, method, params)
         if method == "monitor":
-            insert_port(self.server.db, "early-1")
-            insert_port(self.server.db, "early-2")
+            insert_port(self.db, "early-1")
+            insert_port(self.db, "early-2")
         return result
-
-
-class _EagerServer(ManagementServer):
-    connection_class = _EagerConnection
 
 
 class TestClientOnItsLoop:
@@ -306,10 +303,7 @@ class TestClientOnItsLoop:
             before = set(threading.enumerate())
 
             def added():
-                return [
-                    t for t in set(threading.enumerate()) - before
-                    if not t.name.startswith("mgmt-conn-")  # the server's
-                ]
+                return list(set(threading.enumerate()) - before)
 
             client = ManagementClient(*srv.address, policy=FAST)
             client.monitor({"Port": None}, lambda updates: None)
@@ -438,6 +432,36 @@ class TestFaultInjector:
             assert injector.bytes_up > 0 and injector.bytes_down > 0
             client.close()
             injector.stop()
+
+    def test_proxied_connections_cost_no_threads(self):
+        """Both sockets of every pipe are callbacks on the injector's
+        loop: 8 proxied connections add no thread to its reactor's."""
+        db = make_db()
+        with ManagementServer(db) as srv:
+            before = set(threading.enumerate())
+            injector = FaultInjector(*srv.address).start()
+            socks = []
+            try:
+                started = set(threading.enumerate()) - before
+                assert {t.name for t in started} <= {
+                    f"{injector.reactor.name}-reactor",
+                    f"{injector.reactor.name}-dispatch",
+                }
+                echo = encode_frame(make_request("echo", ["via"], 1))
+                for _ in range(8):
+                    sock = socket.create_connection(injector.address)
+                    sock.settimeout(5.0)
+                    socks.append(sock)
+                    sock.sendall(echo)
+                for sock in socks:
+                    messages, _ = decode_frames(sock.recv(4096))
+                    assert messages[0]["result"] == ["via"]
+                assert len(injector.connections()) == 8
+                assert set(threading.enumerate()) - before == started
+            finally:
+                for sock in socks:
+                    sock.close()
+                injector.stop()
 
     def test_latency_fault_delays_calls(self):
         db = make_db()

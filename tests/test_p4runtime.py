@@ -172,6 +172,44 @@ class TestRemote:
         assert values[0] == mac_to_int("aa:00:00:00:00:01")
         assert values[1] == 1
 
+    def test_digests_of_in_process_injects_arrive_in_order(
+        self, rt_client, sim
+    ):
+        """Packets injected on another thread notify subscribers through
+        the server's loop, in the order the simulator emitted them."""
+        received = []
+        rt_client.subscribe_digests(
+            lambda name, values: received.append(values[0])
+        )
+        rt_client.write([vlan_write(1)])
+        sources = [f"aa:00:00:00:01:{i:02x}" for i in range(40)]
+        injector = threading.Thread(
+            target=lambda: [
+                sim.inject(1, ethernet("aa:00:00:00:00:02", src))
+                for src in sources
+            ]
+        )
+        injector.start()
+        injector.join()
+        deadline = time.monotonic() + 5.0
+        while len(received) < len(sources) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert received == [mac_to_int(src) for src in sources]
+
+    def test_stop_unhooks_the_server_from_the_simulator(self, sim):
+        def on_digest(digest):
+            pass
+
+        def on_packet_in(port, data):
+            pass
+
+        sim.digest_callback = on_digest
+        sim.packet_in_callback = on_packet_in
+        for _ in range(2):  # a restart must not stack a dead server
+            P4RuntimeServer(sim).start().stop()
+        assert sim.digest_callback is on_digest
+        assert sim.packet_in_callback is on_packet_in
+
     def test_multicast_group_config(self, rt_client, sim):
         rt_client.set_multicast_group(2, [1, 2, 3])
         assert sim.multicast_groups[2] == [1, 2, 3]
