@@ -745,11 +745,7 @@ class Runtime:
             elif kind == "aggregate":
                 node.groups = _arrangement_from(state)
         for scc_idx, rels in sccs.items():
-            evaluator = self.scc_evaluators[scc_idx]
-            evaluator.state.rows = {
-                rel: dict(rows) for rel, rows in rels.items()
-            }
-            evaluator.state.indexes = {}
+            self.scc_evaluators[scc_idx].state.restore(rels)
         self.txn_count = data.get("txn_count", 0)
         self.total_txn_time = data.get("total_txn_time", 0.0)
         return True

@@ -1,15 +1,32 @@
-"""Expression evaluation for the control-plane language.
+"""Expression and pattern compilation for the control-plane language.
 
-The :class:`Evaluator` executes typechecked expressions.  It consults
-the checker's node-type table so fixed-width arithmetic wraps exactly
-like the declared type says (``bit<8>`` addition wraps at 256, signed
-types wrap two's-complement), which matters when control-plane rules
-compute values destined for P4 table entries of a fixed width.
+Every expression and pattern a rule uses is compiled once, at plan
+time, into a Python closure over a *frame*: a flat sequence holding the
+rule's variables at slot indices the compiler fixes (:class:`Slots`).
+``compile_expr(expr, slots)`` returns ``fn(frame) -> value`` and
+``compile_pattern(pat, slots)`` returns ``fn(value, frame) -> bool``,
+which binds the pattern's variables into the frame on success.  A
+dataflow record is a frame as it stands (its schema's variables are
+slots ``0..n-1``), so a compiled expression reads a row with no dict in
+between.
+
+The compiler consults the checker's node-type table so fixed-width
+arithmetic wraps exactly like the declared type says (``bit<8>``
+addition wraps at 256, signed types wrap two's-complement), which
+matters when control-plane rules compute values destined for P4 table
+entries of a fixed width.
+
+:class:`Evaluator` owns the compiler; its :meth:`~Evaluator.eval` and
+:meth:`~Evaluator.match` run an expression or pattern against a
+variable dict by compiling it (cached per node) — for plan-time use and
+tests, not for rule bodies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import operator
+from itertools import repeat
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.dlog import ast as A
 from repro.dlog import types as T
@@ -19,6 +36,10 @@ from repro.dlog.typecheck import CheckedProgram
 from repro.errors import EvalError
 
 _MAX_CALL_DEPTH = 200
+
+Frame = Sequence[object]
+ExprFn = Callable[[Frame], object]
+PatternFn = Callable[[object, List[object]], bool]
 
 
 def _int_div(a: int, b: int) -> int:
@@ -35,20 +56,99 @@ def _int_mod(a: int, b: int) -> int:
     return a - _int_div(a, b) * b
 
 
+def _divide(a, b):
+    if isinstance(a, float):
+        if b == 0.0:
+            raise EvalError("division by zero")
+        return a / b
+    return _int_div(a, b)
+
+
+#: Operators whose result is wrapped to the expression's fixed width.
+_ARITH = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": _int_mod,
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
+    "<<": operator.lshift,
+    ">>": operator.rshift,
+}
+_PLAIN = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "++": operator.add,
+}
+
+
+def _always(value, frame) -> bool:
+    return True
+
+
+class Slots:
+    """Variable name -> frame index for one compiled scope.
+
+    Binding a name allocates the next free index, so variables land in
+    binding order.  A match arm compiles in a :meth:`scope` that shares
+    the frame's index counter, so its bindings get their own slots and
+    shadow outer variables without copying anything at run time.
+    ``len(slots)`` is the frame size the compiled code needs."""
+
+    __slots__ = ("index", "_size")
+
+    def __init__(self, names: Iterable[str] = ()):
+        self.index: Dict[str, int] = {}
+        self._size = [0]
+        for name in names:
+            self.bind(name)
+
+    def bind(self, name: str) -> int:
+        i = self._size[0]
+        self._size[0] = i + 1
+        self.index[name] = i
+        return i
+
+    def scope(self) -> "Slots":
+        child = Slots()
+        child.index = dict(self.index)
+        child._size = self._size
+        return child
+
+    def bound(self):
+        """The names bound so far, as a set-like view."""
+        return self.index.keys()
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.index
+
+    def __len__(self) -> int:
+        return self._size[0]
+
+
 class Evaluator:
-    """Evaluates expressions of one :class:`CheckedProgram`."""
+    """Compiles (and, for plan-time use, runs) the expressions of one
+    :class:`CheckedProgram`."""
 
     def __init__(self, checked: CheckedProgram):
         self.checked = checked
         self.tenv = checked.tenv
         self._ctor_index_cache: Dict[str, Dict[str, int]] = {}
+        self._functions: Dict[str, Callable[[List[object]], object]] = {}
+        self._cache: Dict[tuple, tuple] = {}
         self._depth = 0
 
-    # -- public API ---------------------------------------------------------
+    # -- compile-and-run wrappers ------------------------------------------
 
     def eval(self, expr: A.Expr, env: Dict[str, object]) -> object:
-        method = self._DISPATCH[type(expr)]
-        return method(self, expr, env)
+        fn, slots = self._compiled(expr, env, False)
+        return fn(self._frame(env, slots))
 
     def match(
         self,
@@ -62,74 +162,145 @@ class Evaluator:
         ``bind_always=True`` (match arms) always (re)binds variables;
         ``bind_always=False`` (atom arguments) treats an already-bound
         variable as an equality constraint.
-
-        On failure ``env`` may contain partial bindings; callers pass a
-        scratch copy.
         """
-        if isinstance(pat, A.PWildcard):
-            return True
-        if isinstance(pat, A.PVar):
-            if not bind_always and pat.name in env:
-                return env[pat.name] == value
-            env[pat.name] = value
-            return True
-        if isinstance(pat, A.PLit):
-            return value == pat.value
-        if isinstance(pat, A.PTuple):
-            if not isinstance(value, tuple) or len(value) != len(pat.elems):
-                return False
-            return all(
-                self.match(p, v, env, bind_always)
-                for p, v in zip(pat.elems, value)
-            )
-        if isinstance(pat, A.PStruct):
-            if (
-                not isinstance(value, V.StructValue)
-                or value.constructor != pat.ctor
-            ):
-                return False
-            return all(
-                self.match(p, v, env, bind_always)
-                for (_, p), v in zip(pat.fields, value.fields)
-            )
-        if isinstance(pat, A.PExpr):
-            return value == self.eval(pat.expr, env)
-        raise EvalError(f"unsupported pattern {pat!r}")  # pragma: no cover
+        fn, slots = self._compiled(pat, env, bind_always)
+        frame = self._frame(env, slots)
+        if not fn(value, frame):
+            return False
+        for name, i in slots.index.items():
+            env[name] = frame[i]
+        return True
+
+    def _compiled(self, node, env, rebind):
+        """``(fn, slots)`` for ``node`` over a frame holding ``env``'s
+        variables in order; compiled once per node and variable list."""
+        key = (id(node), tuple(env), rebind)
+        entry = self._cache.get(key)
+        if entry is None or entry[0] is not node:
+            slots = Slots(env)
+            if isinstance(node, A.Pattern):
+                fn = self.compile_pattern(node, slots, rebind)
+            else:
+                fn = self.compile_expr(node, slots)
+            entry = self._cache[key] = (node, fn, slots)
+        return entry[1], entry[2]
+
+    @staticmethod
+    def _frame(env, slots) -> List[object]:
+        return [*env.values(), *repeat(None, len(slots) - len(env))]
 
     def call(self, name: str, args: List[object]) -> object:
         """Call a user function or builtin with already-evaluated args."""
-        fn = self.checked.functions.get(name)
-        if fn is not None:
-            if self._depth >= _MAX_CALL_DEPTH:
-                raise EvalError(f"call depth exceeded in function {name}")
-            env = {p: a for (p, _), a in zip(fn.params, args)}
-            self._depth += 1
-            try:
-                result = self.eval(fn.body, env)
-            finally:
-                self._depth -= 1
-            return self._coerce(result, fn.return_type)
+        decl = self.checked.functions.get(name)
+        if decl is not None:
+            return self._user_function(decl)(list(args))
         builtin = BUILTINS.get(name)
         if builtin is None:
             raise EvalError(f"unknown function {name!r}")
-        try:
-            return builtin.fn(*args)
-        except EvalError:
-            raise
-        except Exception as exc:
-            raise EvalError(f"{name}(): {exc}") from exc
+        return _call_builtin(name, builtin.fn, args)
+
+    # -- compilation ---------------------------------------------------------
+
+    def compile_expr(self, expr: A.Expr, slots: Slots) -> ExprFn:
+        """``fn(frame) -> value`` computing ``expr`` over ``slots``."""
+        return self._COMPILE[type(expr)](self, expr, slots)
+
+    def compile_tuple(self, exprs: Sequence[A.Expr], slots: Slots) -> ExprFn:
+        """``fn(frame) -> tuple`` of ``exprs``; a plain selection when
+        every element is a bound variable."""
+        idx = [
+            slots.index.get(e.name) if isinstance(e, A.Var) else None
+            for e in exprs
+        ]
+        if None not in idx:
+            if not idx:
+                return lambda f: ()
+            if len(idx) == 1:
+                i = idx[0]
+                return lambda f: (f[i],)
+            return operator.itemgetter(*idx)
+        fns = [self.compile_expr(e, slots) for e in exprs]
+        if len(fns) == 1:
+            (a,) = fns
+            return lambda f: (a(f),)
+        if len(fns) == 2:
+            a, b = fns
+            return lambda f: (a(f), b(f))
+        if len(fns) == 3:
+            a, b, c = fns
+            return lambda f: (a(f), b(f), c(f))
+        if len(fns) == 4:
+            a, b, c, d = fns
+            return lambda f: (a(f), b(f), c(f), d(f))
+        return lambda f: tuple([fn(f) for fn in fns])
+
+    def compile_pattern(
+        self, pat: A.Pattern, slots: Slots, rebind: bool = False
+    ) -> PatternFn:
+        """``fn(value, frame) -> bool`` matching ``pat``.
+
+        A variable not yet in ``slots`` binds (it gets the next slot); a
+        bound one is an equality constraint — unless ``rebind`` (match
+        arms), where every variable binds a fresh slot."""
+        if isinstance(pat, A.PWildcard):
+            return _always
+        if isinstance(pat, A.PVar):
+            i = slots.index.get(pat.name)
+            if i is not None and not rebind:
+                return lambda v, f: f[i] == v
+            i = slots.bind(pat.name)
+
+            def bind(v, f):
+                f[i] = v
+                return True
+
+            return bind
+        if isinstance(pat, A.PLit):
+            const = pat.value
+            return lambda v, f: v == const
+        if isinstance(pat, A.PExpr):
+            expected = self.compile_expr(pat.expr, slots)
+            return lambda v, f: v == expected(f)
+        if isinstance(pat, A.PTuple):
+            n = len(pat.elems)
+            subs = self._sub_patterns(pat.elems, slots, rebind)
+
+            def match_tuple(v, f):
+                if not isinstance(v, tuple) or len(v) != n:
+                    return False
+                for i, sub in subs:
+                    if not sub(v[i], f):
+                        return False
+                return True
+
+            return match_tuple
+        if isinstance(pat, A.PStruct):
+            ctor = pat.ctor
+            subs = self._sub_patterns([p for _, p in pat.fields], slots, rebind)
+
+            def match_struct(v, f):
+                if not isinstance(v, V.StructValue) or v.constructor != ctor:
+                    return False
+                fields = v.fields
+                for i, sub in subs:
+                    if not sub(fields[i], f):
+                        return False
+                return True
+
+            return match_struct
+        raise EvalError(f"unsupported pattern {pat!r}")  # pragma: no cover
+
+    def _sub_patterns(self, pats, slots, rebind):
+        return [
+            (i, self.compile_pattern(p, slots, rebind))
+            for i, p in enumerate(pats)
+            if not isinstance(p, A.PWildcard)
+        ]
 
     # -- helpers --------------------------------------------------------------
 
     def _result_type(self, expr: A.Expr) -> Optional[T.Type]:
         return self.checked.node_types.get(id(expr))
-
-    def _coerce(self, value: object, ty: Optional[T.Type]) -> object:
-        if isinstance(ty, T.TBit) and isinstance(value, int):
-            return V.wrap_bit(value, ty.width)
-        if isinstance(ty, T.TSigned) and isinstance(value, int):
-            return V.wrap_signed(value, ty.width)
-        return value
 
     def _field_index(self, ctor_name: str, field_name: str) -> int:
         cache = self._ctor_index_cache.get(ctor_name)
@@ -147,152 +318,202 @@ class Evaluator:
                 f"constructor {ctor_name} has no field {field_name!r}"
             ) from None
 
-    # -- node evaluators ---------------------------------------------------------
+    def _user_function(self, decl: A.FunctionDecl):
+        """The compiled ``args list -> result`` of a user function.
 
-    def _eval_lit(self, expr: A.Lit, env):
-        return expr.value
+        It is registered before its body compiles, so a recursive call
+        compiles to a call of the very function being built."""
+        invoke = self._functions.get(decl.name)
+        if invoke is not None:
+            return invoke
+        name = decl.name
 
-    def _eval_var(self, expr: A.Var, env):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {expr.name}") from None
+        def invoke(args):
+            if self._depth >= _MAX_CALL_DEPTH:
+                raise EvalError(f"call depth exceeded in function {name}")
+            if pad:
+                args.extend(pad)
+            self._depth += 1
+            try:
+                return body(args)
+            finally:
+                self._depth -= 1
 
-    def _eval_binop(self, expr: A.BinOp, env):
-        op = expr.op
-        if op == "and":
-            return bool(self.eval(expr.left, env)) and bool(
-                self.eval(expr.right, env)
-            )
-        if op == "or":
-            return bool(self.eval(expr.left, env)) or bool(
-                self.eval(expr.right, env)
-            )
-        left = self.eval(expr.left, env)
-        right = self.eval(expr.right, env)
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "++":
-            return left + right
-        if op == "+":
-            result = left + right
-        elif op == "-":
-            result = left - right
-        elif op == "*":
-            result = left * right
-        elif op == "/":
-            if isinstance(left, float):
-                if right == 0.0:
-                    raise EvalError("division by zero")
-                result = left / right
-            else:
-                result = _int_div(left, right)
-        elif op == "%":
-            result = _int_mod(left, right)
-        elif op == "&":
-            result = left & right
-        elif op == "|":
-            result = left | right
-        elif op == "^":
-            result = left ^ right
-        elif op == "<<":
-            result = left << right
-        elif op == ">>":
-            result = left >> right
-        else:  # pragma: no cover
-            raise EvalError(f"unknown operator {op}")
-        return self._coerce(result, self._result_type(expr))
+        self._functions[name] = invoke
+        slots = Slots(p for p, _ in decl.params)
+        # The checker gave the body the declared return type; wrap it.
+        body = _wrapped(self.compile_expr(decl.body, slots), decl.return_type)
+        pad = [None] * (len(slots) - len(decl.params))
+        return invoke
 
-    def _eval_unary(self, expr: A.UnaryOp, env):
-        value = self.eval(expr.operand, env)
+    # -- node compilers (run once per node, at plan time) -----------------------
+
+    def _c_lit(self, expr: A.Lit, slots):
+        value = expr.value
+        return lambda f: value
+
+    def _c_var(self, expr: A.Var, slots):
+        i = slots.index.get(expr.name)
+        if i is not None:
+            return operator.itemgetter(i)
+        name = expr.name
+
+        def unbound(f):
+            raise EvalError(f"unbound variable {name}")
+
+        return unbound
+
+    def _c_binop(self, expr: A.BinOp, slots):
+        left = self.compile_expr(expr.left, slots)
+        right = self.compile_expr(expr.right, slots)
+        if expr.op == "and":
+            return lambda f: bool(left(f)) and bool(right(f))
+        if expr.op == "or":
+            return lambda f: bool(left(f)) or bool(right(f))
+        op = _PLAIN.get(expr.op)
+        if op is not None:
+            return _apply2(op, expr, left, right)
+        op = _ARITH.get(expr.op)
+        if op is None:  # pragma: no cover
+            raise EvalError(f"unknown operator {expr.op}")
+        return _wrapped(_apply2(op, expr, left, right), self._result_type(expr))
+
+    def _c_unary(self, expr: A.UnaryOp, slots):
+        operand = self.compile_expr(expr.operand, slots)
         if expr.op == "not":
-            return not value
+            return lambda f: not operand(f)
         if expr.op == "-":
-            return self._coerce(-value, self._result_type(expr))
+            return _wrapped(lambda f: -operand(f), self._result_type(expr))
         if expr.op == "~":
-            ty = self._result_type(expr)
-            if isinstance(ty, T.TBit):
-                return V.wrap_bit(~value, ty.width)
-            if isinstance(ty, T.TSigned):
-                return V.wrap_signed(~value, ty.width)
-            return ~value
+            return _wrapped(lambda f: ~operand(f), self._result_type(expr))
         raise EvalError(f"unknown unary operator {expr.op}")  # pragma: no cover
 
-    def _eval_field(self, expr: A.Field, env):
-        base = self.eval(expr.expr, env)
-        if isinstance(base, tuple):
-            idx = int(expr.name)
-            if idx >= len(base):
-                raise EvalError(f"tuple index {idx} out of range")
-            return base[idx]
-        if isinstance(base, V.StructValue):
-            return base.fields[self._field_index(base.constructor, expr.name)]
-        raise EvalError(f"cannot access field {expr.name!r} of {base!r}")
+    def _c_field(self, expr: A.Field, slots):
+        base_of = self.compile_expr(expr.expr, slots)
+        name = expr.name
+        idx = int(name) if name.isdigit() else None
+        field_index = self._field_index
 
-    def _eval_call(self, expr: A.Call, env):
-        args = [self.eval(a, env) for a in expr.args]
-        return self.call(expr.func, args)
+        def field(f):
+            base = base_of(f)
+            if isinstance(base, tuple):
+                if idx is None or idx >= len(base):
+                    raise EvalError(f"tuple index {name} out of range")
+                return base[idx]
+            if isinstance(base, V.StructValue):
+                return base.fields[field_index(base.constructor, name)]
+            raise EvalError(f"cannot access field {name!r} of {base!r}")
 
-    def _eval_tuple(self, expr: A.TupleExpr, env):
-        return tuple(self.eval(e, env) for e in expr.elems)
+        return field
 
-    def _eval_vec(self, expr: A.VecExpr, env):
-        return tuple(self.eval(e, env) for e in expr.elems)
+    def _c_call(self, expr: A.Call, slots):
+        args = self.compile_tuple(expr.args, slots)
+        name = expr.func
+        decl = self.checked.functions.get(name)
+        if decl is not None:
+            invoke = self._user_function(decl)
+            return lambda f: invoke(list(args(f)))
+        builtin = BUILTINS.get(name)
+        if builtin is None:
 
-    def _eval_struct(self, expr: A.StructExpr, env):
-        return V.StructValue(
-            expr.ctor, (self.eval(e, env) for _, e in expr.fields)
-        )
+            def unknown(f):
+                raise EvalError(f"unknown function {name!r}")
 
-    def _eval_if(self, expr: A.IfExpr, env):
-        if self.eval(expr.cond, env):
-            return self.eval(expr.then, env)
-        return self.eval(expr.els, env)
+            return unknown
+        fn = builtin.fn
+        return lambda f: _call_builtin(name, fn, args(f))
 
-    def _eval_match(self, expr: A.MatchExpr, env):
-        subject = self.eval(expr.subject, env)
+    def _c_tuple(self, expr, slots):
+        return self.compile_tuple(expr.elems, slots)
+
+    def _c_struct(self, expr: A.StructExpr, slots):
+        fields = self.compile_tuple([e for _, e in expr.fields], slots)
+        ctor = expr.ctor
+        make = V.StructValue
+        return lambda f: make(ctor, fields(f))
+
+    def _c_if(self, expr: A.IfExpr, slots):
+        cond = self.compile_expr(expr.cond, slots)
+        then = self.compile_expr(expr.then, slots)
+        els = self.compile_expr(expr.els, slots)
+        return lambda f: then(f) if cond(f) else els(f)
+
+    def _c_match(self, expr: A.MatchExpr, slots):
+        subject = self.compile_expr(expr.subject, slots)
+        arms = []
         for pat, arm in expr.arms:
-            arm_env = dict(env)
-            if self.match(pat, subject, arm_env, bind_always=True):
-                return self.eval(arm, arm_env)
-        raise EvalError(
-            f"no match arm matched value {V.format_value(subject)}"
-        )
+            scope = slots.scope()
+            test = self.compile_pattern(pat, scope, rebind=True)
+            arms.append((test, self.compile_expr(arm, scope)))
 
-    def _eval_cast(self, expr: A.Cast, env):
-        value = self.eval(expr.expr, env)
+        def match(f):
+            value = subject(f)
+            for test, arm in arms:
+                if test(value, f):
+                    return arm(f)
+            raise EvalError(
+                f"no match arm matched value {V.format_value(value)}"
+            )
+
+        return match
+
+    def _c_cast(self, expr: A.Cast, slots):
+        value = self.compile_expr(expr.expr, slots)
         ty = expr.type
         if isinstance(ty, T.TBit):
-            return V.wrap_bit(int(value), ty.width)
+            mask = (1 << ty.width) - 1
+            return lambda f: int(value(f)) & mask
         if isinstance(ty, T.TSigned):
-            return V.wrap_signed(int(value), ty.width)
+            width = ty.width
+            return lambda f: V.wrap_signed(int(value(f)), width)
         if isinstance(ty, T.TBigInt):
-            return int(value)
+            return lambda f: int(value(f))
         if isinstance(ty, T.TFloat):
-            return float(value)
+            return lambda f: float(value(f))
         raise EvalError(f"unsupported cast target {ty}")  # pragma: no cover
 
-    _DISPATCH = {
-        A.Lit: _eval_lit,
-        A.Var: _eval_var,
-        A.BinOp: _eval_binop,
-        A.UnaryOp: _eval_unary,
-        A.Field: _eval_field,
-        A.Call: _eval_call,
-        A.TupleExpr: _eval_tuple,
-        A.VecExpr: _eval_vec,
-        A.StructExpr: _eval_struct,
-        A.IfExpr: _eval_if,
-        A.MatchExpr: _eval_match,
-        A.Cast: _eval_cast,
+    _COMPILE = {
+        A.Lit: _c_lit,
+        A.Var: _c_var,
+        A.BinOp: _c_binop,
+        A.UnaryOp: _c_unary,
+        A.Field: _c_field,
+        A.Call: _c_call,
+        A.TupleExpr: _c_tuple,
+        A.VecExpr: _c_tuple,
+        A.StructExpr: _c_struct,
+        A.IfExpr: _c_if,
+        A.MatchExpr: _c_match,
+        A.Cast: _c_cast,
     }
+
+
+def _apply2(op, expr: A.BinOp, left: ExprFn, right: ExprFn) -> ExprFn:
+    """``op(left, right)``, reading a literal operand as a constant."""
+    if isinstance(expr.right, A.Lit):
+        const = expr.right.value
+        return lambda f: op(left(f), const)
+    if isinstance(expr.left, A.Lit):
+        const = expr.left.value
+        return lambda f: op(const, right(f))
+    return lambda f: op(left(f), right(f))
+
+
+def _wrapped(fn: ExprFn, ty: Optional[T.Type]) -> ExprFn:
+    """``fn`` with its integer result wrapped to ``ty``'s width."""
+    if isinstance(ty, T.TBit):
+        mask = (1 << ty.width) - 1
+        return lambda f: fn(f) & mask
+    if isinstance(ty, T.TSigned):
+        width = ty.width
+        return lambda f: V.wrap_signed(fn(f), width)
+    return fn
+
+
+def _call_builtin(name: str, fn, args) -> object:
+    try:
+        return fn(*args)
+    except EvalError:
+        raise
+    except Exception as exc:
+        raise EvalError(f"{name}(): {exc}") from exc

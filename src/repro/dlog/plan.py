@@ -21,10 +21,17 @@ guard                  Filter
 The head becomes a Map computing the head expressions, feeding the head
 relation's Distinct node.
 
-Wherever a scan, join merge or head is provably a positional
+Every expression and pattern is compiled once (:mod:`repro.dlog.interp`)
+over the record's schema: a record is the frame its compiled code reads
+by slot.  Wherever a scan, join merge or head is provably a positional
 selection (plain distinct variables, so the pattern match cannot
-fail), the node gets a compiled ``itemgetter`` closure in place of the
-generic pattern-match/expression interpreter.
+fail), the node gets an ``itemgetter`` selection instead.
+
+Rules that run without a dataflow — the recursive-stratum evaluator's
+bodies and body-less facts — run as *step chains*: each compiled step
+``step(frame, rank, ctx)`` calls the next one once per way its body
+item holds, and a non-``None`` return stops the chain early and is
+passed back up (see :func:`compile_body_step`).
 
 The classification helpers (:func:`pattern_vars`, :func:`classify_args`)
 are shared with the recursive-stratum evaluator, which plans the same
@@ -34,10 +41,10 @@ information for its semi-naive join orders.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.dlog import ast as A
-from repro.dlog.interp import Evaluator
+from repro.dlog.interp import Evaluator, Slots
 from repro.dlog.typecheck import CheckedProgram, pattern_to_expr
 from repro.dlog.dataflow.operators import (
     AggregateNode,
@@ -61,6 +68,104 @@ def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
         p = positions[0]
         return lambda row: (row[p],)
     return itemgetter(*positions)
+
+
+def compile_row_match(
+    evaluator: Evaluator,
+    args: Sequence[A.Pattern],
+    positions: Sequence[int],
+    slots: Slots,
+) -> Callable[[tuple, List[object]], bool]:
+    """``fn(row, frame) -> bool`` matching ``row[p]`` against ``args[p]``
+    for each of ``positions`` in order, binding new variables into the
+    frame (a variable bound earlier — in ``slots`` or at an earlier
+    position — is compared).  When every argument is a fresh, distinct
+    plain variable the match cannot fail and is one slice assignment."""
+    pats = [(p, args[p]) for p in positions if not isinstance(args[p], A.PWildcard)]
+    names = {
+        pat.name
+        for _, pat in pats
+        if isinstance(pat, A.PVar) and pat.name not in slots
+    }
+    if len(names) == len(pats):
+        start = len(slots)
+        for _, pat in pats:
+            slots.bind(pat.name)
+        if len(pats) == 1:
+            ((p, _),) = pats
+
+            def bind_one(row, frame):
+                frame[start] = row[p]
+                return True
+
+            return bind_one
+        stop = len(slots)
+        get = _tuple_getter([p for p, _ in pats])
+
+        def bind(row, frame):
+            frame[start:stop] = get(row)
+            return True
+
+        return bind
+    tests = [(p, evaluator.compile_pattern(pat, slots)) for p, pat in pats]
+
+    def match(row, frame):
+        for p, test in tests:
+            if not test(row[p], frame):
+                return False
+        return True
+
+    return match
+
+
+def compile_body_step(evaluator: Evaluator, item: A.BodyItem, slots: Slots):
+    """Compile a guard, assignment or FlatMap over ``slots`` (binding
+    the variables it introduces) into a step-chain link: ``link(next)``
+    returns the step, which runs ``next`` once per way the item holds
+    and returns the first non-``None`` result of ``next``."""
+    value = evaluator.compile_expr(item.expr, slots)
+    if isinstance(item, A.Guard):
+
+        def link_guard(nxt):
+            def guard(frame, rank, ctx):
+                if value(frame):
+                    return nxt(frame, rank, ctx)
+                return None
+
+            return guard
+
+        return link_guard
+    if isinstance(item, A.Assignment):
+        test = evaluator.compile_pattern(item.pattern, slots)
+
+        def link_assign(nxt):
+            def assign(frame, rank, ctx):
+                if test(value(frame), frame):
+                    return nxt(frame, rank, ctx)
+                return None
+
+            return assign
+
+        return link_assign
+    # A FlatMap: a variable bound already (a head variable, top-down) is
+    # an equality constraint, like any pattern variable.
+    test = evaluator.compile_pattern(A.PVar(item.var), slots)
+
+    def link_flatmap(nxt):
+        def flatmap(frame, rank, ctx):
+            elems = value(frame)
+            if isinstance(elems, MapValue):
+                elems = elems.pairs
+            for elem in elems:
+                if test(elem, frame):
+                    found = nxt(frame, rank, ctx)
+                    if found is not None:
+                        return found
+            return None
+
+        return flatmap
+
+    return link_flatmap
 
 
 def _simple_pvar_positions(args: Sequence[A.Pattern]) -> Optional[List[int]]:
@@ -95,9 +200,6 @@ class Schema:
 
     def __contains__(self, var: str) -> bool:
         return var in self.index
-
-    def env(self, row: tuple) -> Dict[str, object]:
-        return dict(zip(self.vars, row))
 
     def extended(self, new_vars: Sequence[str]) -> "Schema":
         return Schema(self.vars + tuple(new_vars))
@@ -267,24 +369,27 @@ class Planner:
     # -- expression compilation helpers ------------------------------------
 
     def compile_expr(self, expr: A.Expr, schema: Schema) -> Callable[[tuple], object]:
-        """Compile an expression to a row function (fast path for vars)."""
-        if isinstance(expr, A.Var) and expr.name in schema:
-            idx = schema.index[expr.name]
-            return lambda row: row[idx]
-        if isinstance(expr, A.Lit):
-            value = expr.value
-            return lambda row: value
-        evaluator = self.evaluator
-        env_of = schema.env
-        return lambda row: evaluator.eval(expr, env_of(row))
+        """Compile an expression to a function of a ``schema`` record."""
+        return self._over_record(self.evaluator.compile_expr, expr, schema)
 
-    def _compile_key(
-        self, keys: List[Tuple[int, A.Expr]], schema: Schema
+    def compile_tuple(
+        self, exprs: Sequence[A.Expr], schema: Schema
     ) -> Callable[[tuple], tuple]:
-        fns = [self.compile_expr(expr, schema) for _, expr in keys]
-        if not fns:
-            return lambda row: ()
-        return lambda row: tuple(fn(row) for fn in fns)
+        """Compile expressions to a ``record -> tuple`` function (an
+        ``itemgetter`` when they are all variables)."""
+        return self._over_record(self.evaluator.compile_tuple, exprs, schema)
+
+    @staticmethod
+    def _over_record(compile, node, schema: Schema):
+        """``compile(node, slots)`` with the record as the frame; when
+        the code needs a bigger one (match-arm bindings) the record is
+        copied into it."""
+        slots = Slots(schema.vars)
+        fn = compile(node, slots)
+        if len(slots) == len(schema.vars):
+            return fn
+        pad = [None] * (len(slots) - len(schema.vars))
+        return lambda row: fn([*row, *pad])
 
     # -- rule planning --------------------------------------------------------
 
@@ -326,14 +431,7 @@ class Planner:
             else:  # pragma: no cover
                 raise TypeCheckError(f"rule {rule.name}: unsupported item {item!r}")
 
-        if all(isinstance(e, A.Var) and e.name in schema for e in head_exprs):
-            head_fn = _tuple_getter([schema.index[e.name] for e in head_exprs])
-        else:
-            head_fns = tuple(self.compile_expr(e, schema) for e in head_exprs)
-
-            def head_fn(row):
-                return tuple(fn(row) for fn in head_fns)
-
+        head_fn = self.compile_tuple(head_exprs, schema)
         chain.exit = self._chain(
             chain, current, MapNode(head_fn, name=f"{rule.name}:head")
         )
@@ -352,57 +450,43 @@ class Planner:
         return node
 
     def _evaluate_static(self, rule, items, head_exprs) -> List[tuple]:
-        """Evaluate a body with no atoms (a fact) at plan time."""
-        evaluator = self.evaluator
-        envs: List[Dict[str, object]] = [{}]
+        """Evaluate a body with no atoms (a fact) at plan time, as a
+        step chain ending in the head."""
+        slots = Slots()
+        links = []
         for item in items:
-            if isinstance(item, A.Guard):
-                envs = [e for e in envs if evaluator.eval(item.expr, e)]
-            elif isinstance(item, A.Assignment):
-                kept = []
-                for env in envs:
-                    value = evaluator.eval(item.expr, env)
-                    env2 = dict(env)
-                    if evaluator.match(item.pattern, value, env2, bind_always=True):
-                        kept.append(env2)
-                envs = kept
-            elif isinstance(item, A.FlatMapItem):
-                expanded = []
-                for env in envs:
-                    value = evaluator.eval(item.expr, env)
-                    elems = value.pairs if isinstance(value, MapValue) else value
-                    for elem in elems:
-                        env2 = dict(env)
-                        env2[item.var] = elem
-                        expanded.append(env2)
-                envs = expanded
-            else:
+            if not isinstance(item, (A.Guard, A.Assignment, A.FlatMapItem)):
                 raise TypeCheckError(
                     f"rule {rule.name}: {type(item).__name__} requires at "
                     "least one preceding relation atom"
                 )
-        return [
-            tuple(evaluator.eval(e, env) for e in head_exprs) for env in envs
-        ]
+            links.append(compile_body_step(self.evaluator, item, slots))
+        head_of = self.evaluator.compile_tuple(head_exprs, slots)
 
-    def _match_row_fn(
-        self,
-        args: Sequence[A.Pattern],
-        out_vars: Sequence[str],
-        schema_vars: Sequence[str],
-    ):
-        """Build fn(base_env_pairs, row) used by first-atom and join merges."""
-        evaluator = self.evaluator
-        args = tuple(args)
-        out_vars = tuple(out_vars)
+        def emit(frame, rank, rows):
+            rows.append(head_of(frame))
 
-        def match(env: Dict[str, object], row: tuple) -> Optional[tuple]:
-            for pat, value in zip(args, row):
-                if not evaluator.match(pat, value, env, bind_always=False):
-                    return None
-            return tuple(env[v] for v in out_vars)
+        step = emit
+        for link in reversed(links):
+            step = link(step)
+        rows: List[tuple] = []
+        step([None] * len(slots), 0, rows)
+        return rows
 
-        return match
+    def _frame_matcher(self, args, positions, schema: Schema, out_vars):
+        """``fn(record, row) -> out tuple or None``: match ``row[p]``
+        against ``args[p]`` (for ``positions``) over a frame holding the
+        ``schema`` record, and select ``out_vars`` on success."""
+        slots = Slots(schema.vars)
+        match = compile_row_match(self.evaluator, args, positions, slots)
+        out = _tuple_getter([slots.index[v] for v in out_vars])
+        pad = [None] * (len(slots) - len(schema.vars))
+
+        def match_row(record, row):
+            frame = [*record, *pad]
+            return out(frame) if match(row, frame) else None
+
+        return match_row
 
     def _plan_first_atom(self, chain: RuleChain, atom: A.Atom, rule: A.Rule):
         new_vars = _dedup(pattern_vars_of_atom(atom))
@@ -414,10 +498,12 @@ class Planner:
         # projection is the full row.
         positions = _simple_pvar_positions(atom.args)
         if positions is None:
-            match = self._match_row_fn(atom.args, schema.vars, ())
+            match = self._frame_matcher(
+                atom.args, range(len(atom.args)), Schema(()), schema.vars
+            )
 
-            def expand(row, match=match):
-                out = match({}, row)
+            def expand(row):
+                out = match((), row)
                 return (out,) if out is not None else ()
 
             node: Node = FlatMapNode(expand, name=name)
@@ -432,21 +518,21 @@ class Planner:
     ):
         bound = set(schema.vars)
         keys, residual = classify_args(atom.args, bound)
-        left_key = self._compile_key(keys, schema)
+        left_key = self.compile_tuple([e for _, e in keys], schema)
         right_key = _tuple_getter([pos for pos, _ in keys])
 
         new_vars = [v for v in _dedup(pattern_vars_of_atom(atom)) if v not in bound]
         out_schema = schema.extended(new_vars)
-        # When every residual argument is a fresh, distinct plain
-        # variable, the pattern match can never fail (key equality
-        # already covers the keyable positions) and the merged row is a
-        # pure concatenation.
+        # Key equality already covers the keyable positions, so only the
+        # residual ones are matched.  When every residual argument is a
+        # fresh, distinct plain variable the match can never fail and
+        # the merged row is a pure concatenation.
         if _simple_pvar_positions([atom.args[pos] for pos in residual]) is None:
-            match = self._match_row_fn(atom.args, out_schema.vars, schema.vars)
-            lvars = schema.vars
+            match = self._frame_matcher(atom.args, residual, schema, new_vars)
 
             def merge(l_row, r_row):
-                return match(dict(zip(lvars, l_row)), r_row)
+                new = match(l_row, r_row)
+                return None if new is None else l_row + new
 
         elif residual:
             sel = _tuple_getter(residual)
@@ -473,32 +559,26 @@ class Planner:
         # Residual positions must be checkable on the right side alone
         # (closed patterns, possibly with wildcards); the typechecker has
         # already rejected new variables under negation.
-        checks: List[Tuple[int, A.Pattern]] = []
         for pos in residual:
-            pat = atom.args[pos]
-            if _pattern_free_vars(pat):
+            if _pattern_free_vars(atom.args[pos]):
                 raise TypeCheckError(
                     f"rule {rule.name}: negated atom {atom.relation} mixes "
                     f"bound variables and wildcards in one argument; "
                     "rewrite the argument as separate conditions"
                 )
-            checks.append((pos, pat))
 
         key_of = _tuple_getter([pos for pos, _ in keys])
         name = f"{rule.name}:negkey({atom.relation})"
-        if checks:
-            evaluator = self.evaluator
+        if residual:
+            match = self._frame_matcher(atom.args, residual, Schema(()), ())
 
             def project(row):
-                for pos, pat in checks:
-                    if not evaluator.match(pat, row[pos], {}, bind_always=False):
-                        return ()
-                return (key_of(row),)
+                return () if match((), row) is None else (key_of(row),)
 
             projector: Node = FlatMapNode(project, name=name)
         else:
             projector = MapNode(key_of, name=name)
-        left_key = self._compile_key(keys, schema)
+        left_key = self.compile_tuple([e for _, e in keys], schema)
         node = AntiJoinNode(left_key, name=f"{rule.name}:antijoin({atom.relation})")
         projector.connect_to(node, 1)
         chain.taps.append((atom.relation, projector, 0))
@@ -515,16 +595,16 @@ class Planner:
     ):
         new_vars = _dedup(pattern_vars(item.pattern))
         out_schema = schema.extended(new_vars)
-        fn = self.compile_expr(item.expr, schema)
-        evaluator = self.evaluator
-        pattern = item.pattern
-        svars = schema.vars
-        ovars = out_schema.vars
+        slots = Slots(schema.vars)
+        value = self.evaluator.compile_expr(item.expr, slots)
+        test = self.evaluator.compile_pattern(item.pattern, slots)
+        new = _tuple_getter([slots.index[v] for v in new_vars])
+        pad = [None] * (len(slots) - len(schema.vars))
 
         def expand(row):
-            env = dict(zip(svars, row))
-            if evaluator.match(pattern, fn(row), env, bind_always=True):
-                return (tuple(env[v] for v in ovars),)
+            frame = [*row, *pad]
+            if test(value(frame), frame):
+                return (row + new(frame),)
             return ()
 
         node = FlatMapNode(expand, name="assign")
@@ -549,11 +629,7 @@ class Planner:
     ):
         positions = [schema.index[k] for k in item.group_by]
         key_fn = _tuple_getter(positions)
-        arg_fns = [self.compile_expr(a, schema) for a in item.args]
-
-        def args_fn(row, fns=tuple(arg_fns)):
-            return tuple(fn(row) for fn in fns)
-
+        args_fn = self.compile_tuple(item.args, schema)
         agg = AGGREGATES[item.func]
         node = AggregateNode(
             key_fn, args_fn, agg.fn, name=f"aggregate({item.func})"

@@ -37,6 +37,12 @@ A fact derived in phase 3 or 4 ranks 1 + the highest member rank of
 the derivation that produced it.  Ranks need not be minimal; only the
 invariant matters.
 
+Each rule is compiled once per evaluation order (one per seed body
+item, one top-down) into a chain of closures over a flat slot frame
+(:mod:`repro.dlog.interp` compiles its expressions and patterns).  The
+binding order is static, so each pattern variable compiles to a bind
+or to a compare, and a top-down chain returns at its first derivation.
+
 The SCC is wrapped in a :class:`SccNode` so it composes with the
 delta-dataflow graph: external relations (lower strata) feed its input
 ports, and each member relation's output delta flows onward.
@@ -51,22 +57,23 @@ in base rules.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+import math
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.dlog import ast as A
 from repro.dlog import types as T
 from repro.dlog.dataflow.operators import Node
 from repro.dlog.dataflow.zset import ZSet
-from repro.dlog.interp import Evaluator
+from repro.dlog.interp import Evaluator, Slots
 from repro.dlog.plan import (
     _pattern_free_vars,
+    _tuple_getter,
     classify_args,
+    compile_body_step,
+    compile_row_match,
     expr_vars,
-    pattern_vars,
-    pattern_vars_of_atom,
 )
 from repro.dlog.typecheck import CheckedProgram
-from repro.dlog.values import MapValue
 from repro.errors import StratificationError
 
 
@@ -91,7 +98,20 @@ class IndexStore:
 
     def ensure(self, rel: str, arity: int) -> None:
         self.rows.setdefault(rel, {})
+        self.indexes.setdefault(rel, {})
         self.arity[rel] = arity
+
+    def restore(self, rows: Dict[str, Dict[tuple, int]]) -> None:
+        """Replace every relation's rows with ``rows`` (relation -> row
+        -> rank; a checkpoint of the same program, so the same
+        relations).  Each relation's row map is refilled in place —
+        compiled rules hold those maps — and the indexes are dropped, to
+        be rebuilt on the next lookup."""
+        for rel, ranks in self.rows.items():
+            ranks.clear()
+            ranks.update(rows.get(rel, ()))
+        for by_positions in self.indexes.values():
+            by_positions.clear()
 
     def add(self, rel: str, row: tuple, rank: int = 0) -> bool:
         rows = self.rows.setdefault(rel, {})
@@ -118,19 +138,21 @@ class IndexStore:
         return True
 
     def lookup(self, rel: str, positions: Tuple[int, ...], key: tuple) -> Iterable[tuple]:
-        rows = self.rows.get(rel, ())
+        """Rows of an :meth:`ensure`-d relation whose ``positions`` hold
+        ``key``."""
+        index = self.indexes[rel].get(positions)
+        if index is not None:
+            return index.get(key, ())
+        rows = self.rows[rel]
         if not positions:
             return rows
         if len(positions) == self.arity[rel]:
             # Planned positions are ascending, so the key is the row.
             return (key,) if key in rows else ()
-        indexes = self.indexes.setdefault(rel, {})
-        index = indexes.get(positions)
-        if index is None:
-            index = indexes[positions] = {}
-            for row in rows:
-                k = tuple(row[p] for p in positions)
-                index.setdefault(k, set()).add(row)
+        index = self.indexes[rel][positions] = {}
+        for row in rows:
+            k = tuple(row[p] for p in positions)
+            index.setdefault(k, set()).add(row)
         return index.get(key, ())
 
     def total_rows(self) -> int:
@@ -145,69 +167,48 @@ class IndexStore:
         )
 
 
-# -- compiled rule steps ---------------------------------------------------------
+# -- compiled rules --------------------------------------------------------------
 
 
-class _JoinStep:
-    __slots__ = ("atom", "positions", "key_exprs", "new_vars", "member")
+class _Check:
+    """One ranked top-down check: member rows ranked at or above
+    ``ceiling`` are skipped, and ``capped`` records that one was."""
 
-    def __init__(self, atom, positions, key_exprs, new_vars, member):
-        self.atom = atom
-        self.positions = positions
-        self.key_exprs = key_exprs
-        self.new_vars = new_vars
-        self.member = member  # joins an SCC member: its rows carry ranks
+    __slots__ = ("ceiling", "capped")
 
-
-class _NegStep:
-    __slots__ = ("atom", "positions", "key_exprs", "residual")
-
-    def __init__(self, atom, positions, key_exprs, residual):
-        self.atom = atom
-        self.positions = positions
-        self.key_exprs = key_exprs
-        self.residual = residual
+    def __init__(self, ceiling: float = math.inf):
+        self.ceiling = ceiling
+        self.capped = False
 
 
-class _GuardStep:
-    __slots__ = ("expr",)
-
-    def __init__(self, expr):
-        self.expr = expr
-
-
-class _AssignStep:
-    __slots__ = ("pattern", "expr")
-
-    def __init__(self, pattern, expr):
-        self.pattern = pattern
-        self.expr = expr
-
-
-class _FlatMapStep:
-    __slots__ = ("pattern", "expr")
-
-    def __init__(self, var, expr):
-        self.pattern = A.PVar(var)
-        self.expr = expr
+def _found(frame, rank, check):
+    """End of a top-down chain: the derivation's rank."""
+    return rank + 1
 
 
 class _CompiledRule:
-    """One rule with precompiled evaluation orders.
+    """One rule compiled once per evaluation order, into an entry
+    function over a chain of steps (see :mod:`repro.dlog.plan`: each
+    step is ``step(frame, rank, ctx)``, with ``rank`` the highest member
+    rank used so far).  ``variants[v]`` for seed ``v``:
 
-    ``variants[v]`` is the step list to use when the seed is:
-
-    * ``None`` — no seed (full evaluation; only the recompute ablation);
     * an integer — the body index of the seed atom, whose rows come from
-      a delta; the seed atom's pattern match runs first, then the rest;
-    * ``"head"`` — top-down rederivation with the head row pre-bound.
+      a delta: ``variants[i](rows, heads)`` matches each row against
+      that atom first, runs the rest of the body, and maps each head it
+      derives to the lowest rank a derivation gives it (``heads`` is the
+      chain's ``ctx``);
+    * ``"head"`` — top-down: ``variants["head"](row, check)`` returns
+      the rank of a derivation of the head ``row`` within the
+      :class:`_Check`'s ceiling (the ``ctx``), or ``None``;
+    * ``None`` — no seed, ``variants[None](heads)`` (only the recompute
+      ablation, which compiles nothing else).
     """
 
     def __init__(self, rule: A.Rule, head_exprs: List[A.Expr]):
         self.rule = rule
         self.head_rel = rule.head.relation
         self.head_exprs = head_exprs
-        self.variants: Dict[object, List[object]] = {}
+        self.variants: Dict[object, Callable] = {}
         # Top-down head binding: a variable column binds its variable; a
         # computed column binds a fresh name (``$i`` cannot clash with a
         # program variable) that the "head" variant checks with a guard.
@@ -244,8 +245,6 @@ class SccEvaluator:
         self.checked = checked
         self.evaluator = evaluator or Evaluator(checked)
         self.state = IndexStore()
-        #: Set when a ranked check skipped a row for its rank.
-        self.capped = False
 
         self.rules: List[_CompiledRule] = []
         self.rules_by_head: Dict[str, List[_CompiledRule]] = {m: [] for m in members}
@@ -291,35 +290,91 @@ class SccEvaluator:
                 self.ext_watch.setdefault(rel, []).append(
                     (compiled, idx, "negative")
                 )
-        compiled.variants[None] = self._compile_variant(rule, None, set())
-        for idx, item in enumerate(rule.body):
-            if isinstance(item, A.AtomItem):
-                seed_bound = set(pattern_vars_of_atom(item.atom))
-                compiled.variants[idx] = self._compile_variant(rule, idx, seed_bound)
-            elif isinstance(item, A.NegAtom):
-                # A negated atom's variables are bound by other atoms;
-                # matching the seed row pre-binds them, but the negation
-                # itself must still be (re-)checked against the current
-                # state, so it is NOT skipped from the step list.
-                seed_bound = set(pattern_vars_of_atom(item.atom))
-                compiled.variants[idx] = self._compile_variant(rule, None, seed_bound)
-        compiled.variants["head"] = self._compile_head_variant(compiled)
+        # Every relation the rule reads has its row map now, so the
+        # compiled chains can hold them.
+        if self.mode == "recompute":
+            compiled.variants[None] = self._compile_full(compiled)
+        else:
+            for idx, item in enumerate(rule.body):
+                if isinstance(item, (A.AtomItem, A.NegAtom)):
+                    compiled.variants[idx] = self._compile_seed(compiled, idx)
+            compiled.variants["head"] = self._compile_head(compiled)
         self.rules.append(compiled)
         self.rules_by_head[rule.head.relation].append(compiled)
 
-    def _compile_head_variant(self, compiled: _CompiledRule) -> List[object]:
+    def _compile_seed(self, compiled: _CompiledRule, idx: int) -> Callable:
+        item = compiled.rule.body[idx]
+        atom = item.atom
+        slots = Slots()
+        match = compile_row_match(
+            self.evaluator, atom.args, range(len(atom.args)), slots
+        )
+        # A negated atom's variables are bound by other atoms; matching
+        # the seed row pre-binds them, but the negation itself must
+        # still be (re-)checked against the current state, so it stays
+        # in the chain.
+        skip = idx if isinstance(item, A.AtomItem) else None
+        chain = self._compile_chain(compiled, skip, slots, self._emit(compiled))
+        size = len(slots)
+        ranks = self.state.rows[atom.relation] if atom.relation in self.member_set else None
+
+        def seed(rows, heads):
+            frame = [None] * size
+            for row in rows:
+                if match(row, frame):
+                    chain(frame, 0 if ranks is None else ranks[row], heads)
+
+        return seed
+
+    def _compile_full(self, compiled: _CompiledRule) -> Callable:
+        slots = Slots()
+        chain = self._compile_chain(compiled, None, slots, self._emit(compiled))
+        size = len(slots)
+        return lambda heads: chain([None] * size, 0, heads)
+
+    def _emit(self, compiled: _CompiledRule):
+        """End of a seeded chain: record the head under the lowest rank
+        a derivation gives it."""
+
+        def terminal(slots):
+            head_of = self.evaluator.compile_tuple(compiled.head_exprs, slots)
+
+            def emit(frame, rank, heads):
+                head = head_of(frame)
+                rank += 1
+                best = heads.get(head)
+                if best is None or rank < best:
+                    heads[head] = rank
+
+            return emit
+
+        return terminal
+
+    def _compile_head(self, compiled: _CompiledRule) -> Callable:
         """The top-down order: every head column is bound up front.
 
-        A computed column ``e`` bound to ``$i`` becomes the guard
+        A repeated head variable is checked on the row before the chain
+        runs.  A computed column ``e`` bound to ``$i`` becomes the guard
         ``e == $i``, scheduled as soon as the body binds ``e``'s
         variables.  A bigint ``v ± literal`` column whose ``v`` is bound
         nowhere else is also solved for ``v`` before the body, so that
         the body's joins can be keyed on ``v`` (the guard stays).  Only
         bigint: the inverse is computed without wrapping, which is exact
-        only where the arithmetic cannot wrap.
+        only where the arithmetic cannot wrap.  Member rows are checked
+        against the :class:`_Check`'s ceiling.
         """
-        bound = {name for _, name in compiled.head_binds}
-        solved: List[object] = []
+        slots = Slots()
+        stores: List[int] = []
+        same: List[Tuple[int, int]] = []
+        first: Dict[str, int] = {}
+        for pos, name in compiled.head_binds:
+            if name in first:
+                same.append((pos, first[name]))
+            else:
+                first[name] = pos
+                slots.bind(name)
+                stores.append(pos)
+        solved = []
         guards: List[A.Guard] = []
         for pos, name in compiled.head_binds:
             expr = compiled.head_exprs[pos]
@@ -336,20 +391,42 @@ class SccEvaluator:
             var, lit = expr.left, expr.right
             if expr.op == "+" and isinstance(var, A.Lit):
                 var, lit = lit, var
-            if isinstance(var, A.Var) and isinstance(lit, A.Lit) and var.name not in bound:
+            if isinstance(var, A.Var) and isinstance(lit, A.Lit) and var.name not in slots:
                 inverse = A.BinOp(_INVERSE[expr.op], value, lit)
-                solved.append(_AssignStep(A.PVar(var.name), inverse))
-                bound.add(var.name)
-        return solved + self._compile_variant(compiled.rule, None, bound, guards)
+                solved.append(compile_body_step(
+                    self.evaluator, A.Assignment(A.PVar(var.name), inverse), slots
+                ))
+        chain = self._compile_chain(
+            compiled, None, slots, lambda _: _found, guards, True, solved
+        )
+        get = _tuple_getter(stores)
+        pad = [None] * (len(slots) - len(stores))
+        consts = compiled.head_consts
 
-    def _compile_variant(
+        def derive(row, check):
+            for pos, const in consts:
+                if row[pos] != const:
+                    return None
+            for pos, other in same:
+                if row[pos] != row[other]:
+                    return None  # a repeated head variable, unequal values
+            return chain([*get(row), *pad], 0, check)
+
+        return derive
+
+    def _compile_chain(
         self,
-        rule: A.Rule,
+        compiled: _CompiledRule,
         skip_idx: Optional[int],
-        bound0: Set[str],
+        slots: Slots,
+        terminal,
         extra: Sequence[A.Guard] = (),
-    ) -> List[object]:
-        """Compile one evaluation order, greedily most-bound-first.
+        ranked: bool = False,
+        links: Sequence[Callable] = (),
+    ) -> Callable:
+        """Compile one evaluation order into a step chain after
+        ``links``, ending in ``terminal(slots)``; greedily
+        most-bound-first.
 
         Body items are conjunctive, so reordering is semantics-
         preserving; choosing the next atom by how many of its argument
@@ -358,10 +435,11 @@ class SccEvaluator:
         instead of relation scans.  Guards (including the ``extra``
         ones), assignments, FlatMaps, and negations are emitted as soon
         as their variables are available, preserving their relative
-        order.
+        order.  The binding order is static, so each pattern variable
+        is compiled either to bind its slot or to compare with it.
         """
-        steps: List[object] = []
-        bound = set(bound0)
+        rule = compiled.rule
+        links = list(links)
         remaining: List[Tuple[int, object]] = [
             (idx, item)
             for idx, item in enumerate(rule.body)
@@ -369,8 +447,7 @@ class SccEvaluator:
         ]
         remaining.extend((None, guard) for guard in extra)
         while remaining:
-            emitted = self._emit_ready_non_atoms(rule, remaining, bound, steps)
-            if emitted:
+            if self._link_ready_non_atom(rule, remaining, slots, links):
                 continue
             atom_choices = [
                 (i, idx, item.atom)
@@ -388,6 +465,7 @@ class SccEvaluator:
             # external (input) relations over SCC members — the member
             # is the derived closure and is usually the largest
             # relation in the stratum.
+            bound = slots.bound()
             best = max(
                 atom_choices,
                 key=lambda c: (
@@ -397,142 +475,125 @@ class SccEvaluator:
                 ),
             )
             i, _, atom = best
-            keys, _res = classify_args(atom.args, bound)
-            steps.append(
-                _JoinStep(
-                    atom,
-                    tuple(pos for pos, _ in keys),
-                    tuple(e for _, e in keys),
-                    tuple(
-                        v for v in pattern_vars_of_atom(atom) if v not in bound
-                    ),
-                    atom.relation in self.member_set,
-                )
-            )
-            bound.update(pattern_vars_of_atom(atom))
+            links.append(self._join(atom, slots, ranked))
             del remaining[i]
-        return steps
+        step = terminal(slots)
+        for link in reversed(links):
+            step = link(step)
+        return step
 
-    def _emit_ready_non_atoms(self, rule, remaining, bound, steps) -> bool:
-        """Emit the first non-atom item whose variables are bound."""
+    def _link_ready_non_atom(self, rule, remaining, slots, links) -> bool:
+        """Compile the first non-atom item whose variables are bound."""
+        bound = slots.bound()
         for i, (_, item) in enumerate(remaining):
-            if isinstance(item, A.Guard):
+            if isinstance(item, (A.Guard, A.Assignment, A.FlatMapItem)):
                 if expr_vars(item.expr) <= bound:
-                    steps.append(_GuardStep(item.expr))
-                    del remaining[i]
-                    return True
-            elif isinstance(item, A.Assignment):
-                if expr_vars(item.expr) <= bound:
-                    steps.append(_AssignStep(item.pattern, item.expr))
-                    bound.update(pattern_vars(item.pattern))
-                    del remaining[i]
-                    return True
-            elif isinstance(item, A.FlatMapItem):
-                if expr_vars(item.expr) <= bound:
-                    steps.append(_FlatMapStep(item.var, item.expr))
-                    bound.add(item.var)
+                    links.append(compile_body_step(self.evaluator, item, slots))
                     del remaining[i]
                     return True
             elif isinstance(item, A.NegAtom):
-                atom = item.atom
                 deps = set()
-                for arg in atom.args:
+                for arg in item.atom.args:
                     deps.update(_pattern_free_vars(arg))
                 if deps <= bound:
-                    keys, residual = classify_args(atom.args, bound)
-                    for pos in residual:
-                        if _pattern_free_vars(atom.args[pos]):
-                            raise StratificationError(
-                                f"rule {rule.name}: negated atom "
-                                f"{atom.relation} mixes bound variables and "
-                                "wildcards in one argument; rewrite as "
-                                "separate conditions"
-                            )
-                    steps.append(
-                        _NegStep(
-                            atom,
-                            tuple(pos for pos, _ in keys),
-                            tuple(e for _, e in keys),
-                            tuple((pos, atom.args[pos]) for pos in residual),
-                        )
-                    )
+                    links.append(self._negation(rule, item.atom, slots))
                     del remaining[i]
                     return True
         return False
 
-    # -- step evaluation -----------------------------------------------------------
+    def _join(self, atom: A.Atom, slots: Slots, ranked: bool) -> Callable:
+        """A join step: probe ``atom``'s relation on its bound positions
+        and bind the rest (key positions are not re-matched).  A member
+        row's rank raises the chain's rank; with ``ranked`` (top-down
+        checks), member rows at or above the check's ceiling are
+        skipped and recorded as capped."""
+        keys, residual = classify_args(atom.args, slots.bound())
+        positions = tuple(pos for pos, _ in keys)
+        key_of = self.evaluator.compile_tuple([e for _, e in keys], slots)
+        bind = (
+            compile_row_match(self.evaluator, atom.args, residual, slots)
+            if residual else None
+        )
+        rel = atom.relation
+        store = self.state
+        ranks = store.rows[rel] if rel in self.member_set else None
 
-    def _eval_steps(
-        self,
-        steps: List[object],
-        env: Dict[str, object],
-        rank: int,
-        ceiling: Optional[int] = None,
-        i: int = 0,
-    ) -> Iterator[Tuple[Dict[str, object], int]]:
-        """Yield ``(env, rank)`` for each way to finish ``steps`` from
-        step ``i``, where ``rank`` is the highest member-row rank used.
-        With a ``ceiling``, member rows ranked at or above it are
-        skipped and :attr:`capped` records that one was."""
-        if i == len(steps):
-            yield env, rank
-            return
-        step = steps[i]
-        ev = self.evaluator
-        if isinstance(step, _JoinStep):
-            key = tuple(ev.eval(e, env) for e in step.key_exprs)
-            rel = step.atom.relation
-            ranks = self.state.rows[rel] if step.member else None
-            for row in self.state.lookup(rel, step.positions, key):
-                row_rank = rank
-                if ranks is not None:
-                    row_rank = ranks[row]
-                    if ceiling is not None and row_rank >= ceiling:
-                        self.capped = True
-                        continue
-                    if row_rank < rank:
-                        row_rank = rank
-                env2 = dict(env)
-                if self._match_atom(step.atom, row, env2):
-                    yield from self._eval_steps(steps, env2, row_rank, ceiling, i + 1)
-        elif isinstance(step, _NegStep):
-            key = tuple(ev.eval(e, env) for e in step.key_exprs)
-            blocked = False
-            for row in self.state.lookup(step.atom.relation, step.positions, key):
-                if all(
-                    ev.match(pat, row[pos], {}, bind_always=False)
-                    for pos, pat in step.residual
-                ):
-                    blocked = True
-                    break
-            if not blocked:
-                yield from self._eval_steps(steps, env, rank, ceiling, i + 1)
-        elif isinstance(step, _GuardStep):
-            if ev.eval(step.expr, env):
-                yield from self._eval_steps(steps, env, rank, ceiling, i + 1)
-        elif isinstance(step, _AssignStep):
-            # Here and for FlatMap: a variable the head pre-bound (top-
-            # down rederivation) is an equality constraint, not a binding.
-            value = ev.eval(step.expr, env)
-            env2 = dict(env)
-            if ev.match(step.pattern, value, env2, bind_always=False):
-                yield from self._eval_steps(steps, env2, rank, ceiling, i + 1)
-        elif isinstance(step, _FlatMapStep):
-            value = ev.eval(step.expr, env)
-            elems = value.pairs if isinstance(value, MapValue) else value
-            for elem in elems:
-                env2 = dict(env)
-                if ev.match(step.pattern, elem, env2, bind_always=False):
-                    yield from self._eval_steps(steps, env2, rank, ceiling, i + 1)
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown step {step!r}")
+        def link(nxt):
+            if ranks is None:
 
-    def _match_atom(self, atom: A.Atom, row: tuple, env: Dict[str, object]) -> bool:
-        ev = self.evaluator
-        for pat, value in zip(atom.args, row):
-            if not ev.match(pat, value, env, bind_always=False):
-                return False
-        return True
+                def join(frame, rank, ctx):
+                    for row in store.lookup(rel, positions, key_of(frame)):
+                        if bind is None or bind(row, frame):
+                            found = nxt(frame, rank, ctx)
+                            if found is not None:
+                                return found
+                    return None
+
+            elif not ranked:
+
+                def join(frame, rank, ctx):
+                    for row in store.lookup(rel, positions, key_of(frame)):
+                        if bind is None or bind(row, frame):
+                            row_rank = ranks[row]
+                            found = nxt(frame, rank if rank > row_rank else row_rank, ctx)
+                            if found is not None:
+                                return found
+                    return None
+
+            else:
+
+                def join(frame, rank, check):
+                    ceiling = check.ceiling
+                    for row in store.lookup(rel, positions, key_of(frame)):
+                        row_rank = ranks[row]
+                        if row_rank >= ceiling:
+                            check.capped = True
+                            continue
+                        if bind is None or bind(row, frame):
+                            found = nxt(frame, rank if rank > row_rank else row_rank, check)
+                            if found is not None:
+                                return found
+                    return None
+
+            return join
+
+        return link
+
+    def _negation(self, rule: A.Rule, atom: A.Atom, slots: Slots) -> Callable:
+        """A negation step: the chain goes on only if no row of
+        ``atom``'s relation matches its bound positions and its closed
+        residual patterns."""
+        keys, residual = classify_args(atom.args, slots.bound())
+        for pos in residual:
+            if _pattern_free_vars(atom.args[pos]):
+                raise StratificationError(
+                    f"rule {rule.name}: negated atom "
+                    f"{atom.relation} mixes bound variables and "
+                    "wildcards in one argument; rewrite as "
+                    "separate conditions"
+                )
+        positions = tuple(pos for pos, _ in keys)
+        key_of = self.evaluator.compile_tuple([e for _, e in keys], slots)
+        checks = [
+            (pos, self.evaluator.compile_pattern(atom.args[pos], slots))
+            for pos in residual
+        ]
+        rel = atom.relation
+        store = self.state
+
+        def link(nxt):
+            def negation(frame, rank, ctx):
+                for row in store.lookup(rel, positions, key_of(frame)):
+                    for pos, check in checks:
+                        if not check(row[pos], frame):
+                            break
+                    else:
+                        return None  # a matching row blocks the chain
+                return nxt(frame, rank, ctx)
+
+            return negation
+
+        return link
 
     def _heads_from_seed(
         self, compiled: _CompiledRule, seed_idx: int, seed_rows: Iterable[tuple]
@@ -543,46 +604,9 @@ class SccEvaluator:
         The heads are collected before the caller adds any: a rule may
         read the relation it writes, and a bucket must not change while
         it is being scanned."""
-        steps = compiled.variants[seed_idx]
-        atom = compiled.rule.body[seed_idx].atom
-        ranks = self.state.rows[atom.relation] if atom.relation in self.member_set else None
-        ev = self.evaluator
         heads: Dict[tuple, int] = {}
-        for row in seed_rows:
-            env = {}
-            if not self._match_atom(atom, row, env):
-                continue
-            seed_rank = ranks[row] if ranks is not None else 0
-            for final_env, rank in self._eval_steps(steps, env, seed_rank):
-                head = tuple(ev.eval(e, final_env) for e in compiled.head_exprs)
-                best = heads.get(head)
-                if best is None or rank + 1 < best:
-                    heads[head] = rank + 1
+        compiled.variants[seed_idx](seed_rows, heads)
         return heads
-
-    def _full_heads(self, compiled: _CompiledRule) -> Iterator[tuple]:
-        """Every head the rule derives now (the recompute ablation,
-        which keeps no ranks)."""
-        ev = self.evaluator
-        for env, _ in self._eval_steps(compiled.variants[None], {}, 0):
-            yield tuple(ev.eval(e, env) for e in compiled.head_exprs)
-
-    def _derive(
-        self, compiled: _CompiledRule, row: tuple, ceiling: Optional[int] = None
-    ) -> Optional[int]:
-        """Top-down: the rank of a derivation of ``row`` by this rule
-        right now, using only member rows ranked below ``ceiling``;
-        ``None`` if there is none."""
-        for pos, const in compiled.head_consts:
-            if row[pos] != const:
-                return None
-        env: Dict[str, object] = {}
-        for pos, name in compiled.head_binds:
-            if env.setdefault(name, row[pos]) != row[pos]:
-                return None  # a repeated head variable, unequal values
-        for _, rank in self._eval_steps(compiled.variants["head"], env, 0, ceiling):
-            return rank + 1
-        return None
 
     # -- transaction processing -------------------------------------------------------
 
@@ -624,13 +648,13 @@ class SccEvaluator:
         while order:
             rank = heapq.heappop(order)
             for member, row in suspects.pop(rank):
-                self.capped = False
+                check = _Check(rank)
                 if any(
-                    self._derive(compiled, row, rank) is not None
+                    compiled.variants["head"](row, check) is not None
                     for compiled in self.rules_by_head[member]
                 ):
                     continue
-                if self.capped:
+                if check.capped:
                     recheck.append((member, row))
                 for compiled, idx in self.member_watch[member]:
                     self._suspect_from(compiled, idx, (row,), rank, suspects, order)
@@ -646,7 +670,7 @@ class SccEvaluator:
         worklist: List[Tuple[str, tuple]] = []
         for member, row in recheck:
             for compiled in self.rules_by_head[member]:
-                rank = self._derive(compiled, row)
+                rank = compiled.variants["head"](row, _Check())
                 if rank is not None:
                     deleted[member].discard(row)
                     self.state.add(member, row, rank)
@@ -730,7 +754,9 @@ class SccEvaluator:
         while changed:
             changed = False
             for compiled in self.rules:
-                for head in list(self._full_heads(compiled)):
+                heads: Dict[tuple, int] = {}
+                compiled.variants[None](heads)
+                for head in heads:
                     if self.state.add(compiled.head_rel, head):
                         changed = True
         out: Dict[str, ZSet] = {}

@@ -1,9 +1,14 @@
-"""Unit tests for the expression interpreter (semantics details)."""
+"""Unit tests for the expression compiler (semantics details).
+
+Most cases run through :meth:`Evaluator.eval` / :meth:`Evaluator.match`,
+which compile the node and run it; :class:`TestCompiledCode` drives the
+compiled closures and whole rules directly."""
 
 import pytest
 
 from repro.dlog import ast as A
-from repro.dlog.interp import Evaluator, _int_div, _int_mod
+from repro.dlog import compile_program
+from repro.dlog.interp import Evaluator, Slots, _int_div, _int_mod
 from repro.dlog.parser import parse_program
 from repro.dlog.typecheck import check_program
 from repro.dlog.values import MapValue, StructValue
@@ -15,8 +20,8 @@ def make_evaluator(prelude=""):
     return Evaluator(checked), checked
 
 
-def eval_in_rule(expr_text, env, prelude="", var_decls=""):
-    """Typecheck an expression inside a rule context and evaluate it."""
+def checked_expr(expr_text, prelude="", var_decls=()):
+    """Typecheck an expression inside a rule context."""
     # Build a tiny program binding variables via a relation.
     cols = ", ".join(f"{name}: {ty}" for name, ty in var_decls)
     text = f"""
@@ -27,10 +32,23 @@ def eval_in_rule(expr_text, env, prelude="", var_decls=""):
         var result = {expr_text}, result == result.
     """
     checked = check_program(parse_program(text))
-    rule = checked.ast.rules[0]
-    assignment = rule.body[1]
-    evaluator = Evaluator(checked)
-    return evaluator.eval(assignment.expr, env)
+    assignment = checked.ast.rules[0].body[1]
+    return checked, assignment.expr
+
+
+def eval_in_rule(expr_text, env, prelude="", var_decls=""):
+    """Typecheck an expression inside a rule context and evaluate it."""
+    checked, expr = checked_expr(expr_text, prelude, var_decls)
+    return Evaluator(checked).eval(expr, env)
+
+
+def compile_in_rule(expr_text, prelude="", var_decls=()):
+    """Typecheck an expression inside a rule context and compile it over
+    a frame holding the declared variables in order."""
+    checked, expr = checked_expr(expr_text, prelude, var_decls)
+    slots = Slots(name for name, _ in var_decls)
+    fn = Evaluator(checked).compile_expr(expr, slots)
+    return lambda *values: fn([*values, *[None] * (len(slots) - len(values))])
 
 
 class TestIntegerSemantics:
@@ -175,3 +193,81 @@ class TestPatternMatching:
     def test_wildcard_always_matches(self):
         evaluator, _ = make_evaluator()
         assert evaluator.match(A.PWildcard(), object(), {}, bind_always=False)
+
+
+class TestCompiledCode:
+    def test_fixed_width_wraps_in_guard_and_head(self):
+        prog = """
+        input relation In(x: bit<8>, s: signed<8>)
+        output relation Out(y: bit<8>, t: signed<8>)
+        Out(x + 1, s + 1) :- In(x, s), x + 1 == 0, s + 1 < 0.
+        """
+        rt = compile_program(prog).start()
+        rt.transaction(inserts={"In": [(255, 127), (254, 127), (255, 126)]})
+        assert rt.dump("Out") == {(0, -128)}
+
+    def test_fixed_width_wraps_inside_a_recursive_stratum(self):
+        # Computed heads and guards of an SCC: the walk wraps past the
+        # type's top and stops at the guard, and deleting the seed
+        # takes every wrapped row with it (top-down checks compute the
+        # same wrapped values).
+        prog = """
+        input relation Seed(x: bit<8>, s: signed<8>)
+        output relation Ring(x: bit<8>)
+        output relation SRing(s: signed<8>)
+        Ring(x) :- Seed(x, _).
+        Ring(x + 1) :- Ring(x), x + 1 != 3.
+        SRing(s) :- Seed(_, s).
+        SRing(s + 1) :- SRing(s), s != -126.
+        """
+        rt = compile_program(prog).start()
+        rt.transaction(inserts={"Seed": [(250, 126)]})
+        assert rt.dump("Ring") == {(x % 256,) for x in range(250, 259)}
+        assert rt.dump("SRing") == {(126,), (127,), (-128,), (-127,), (-126,)}
+        rt.transaction(deletes={"Seed": [(250, 126)]})
+        assert rt.dump("Ring") == rt.dump("SRing") == set()
+
+    def test_division_and_modulo_by_zero_raise_from_compiled_code(self):
+        decls = [("x", "bigint"), ("y", "bigint")]
+        divide = compile_in_rule("x / y", var_decls=decls)
+        modulo = compile_in_rule("x % y", var_decls=decls)
+        assert divide(-7, 2) == -3 and modulo(-7, 2) == -1
+        with pytest.raises(EvalError, match="division by zero"):
+            divide(1, 0)
+        with pytest.raises(EvalError, match="modulo by zero"):
+            modulo(1, 0)
+        rt = compile_program("""
+        input relation In(x: bigint, y: bigint)
+        output relation Out(q: bigint)
+        Out(x / y) :- In(x, y).
+        """).start()
+        with pytest.raises(EvalError, match="division by zero"):
+            rt.transaction(inserts={"In": [(1, 0)]})
+
+    def test_recursive_user_function_hits_the_call_depth_limit(self):
+        prelude = """
+        function down(n: bigint): bigint { if (n == 0) { 0 } else { down(n - 1) } }
+        """
+        down = compile_in_rule("down(x)", prelude, [("x", "bigint")])
+        assert down(150) == 0
+        with pytest.raises(EvalError, match="call depth exceeded in function down"):
+            down(500)
+        assert down(5) == 0  # the depth counter unwound with the error
+
+    def test_match_arm_bindings_shadow_outer_variables(self):
+        decls = [("x", "bigint"), ("t", "(bigint, bigint)")]
+        # The arm's x is the tuple's first element; the outer x, read
+        # after the match, is untouched.
+        expr = compile_in_rule("match (t) { (x, _) -> x } * 10 + x", var_decls=decls)
+        assert expr(1, (5, 6)) == 51
+        assert eval_in_rule(
+            "match (t) { (x, _) -> x } * 10 + x", {"x": 1, "t": (5, 6)},
+            var_decls=decls,
+        ) == 51
+        rt = compile_program("""
+        input relation In(x: bigint, t: (bigint, bigint))
+        output relation Out(a: bigint, b: bigint)
+        Out(match (t) { (x, _) -> x }, x) :- In(x, t).
+        """).start()
+        rt.transaction(inserts={"In": [(1, (5, 6))]})
+        assert rt.dump("Out") == {(5, 1)}

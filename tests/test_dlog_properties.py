@@ -79,6 +79,30 @@ U(x, y) :- T(x, y), B(y, _).
 T(x, y) :- U(y, x), not B(y, _).
 """
 
+# Every kind of compiled step inside one SCC (``R`` and ``S``): a
+# constructor pattern and literals in atom arguments, a user function
+# (whose body is a ``match``) and a ``match`` in computed heads, a
+# negated external atom whose residual is a literal under a wildcard, a
+# repeated variable in one atom, a FlatMap over a Vec (its variable is a
+# head variable, so top-down it is a check), and a refutable
+# constructor ``var`` pattern.
+STEPS_PROG = """
+typedef tag_t = Hop{n: bigint} | Stop
+function bump(n: bigint): bigint { match (n) { 0 -> 1, 1 -> 2, _ -> 0 } }
+input relation A(x: bigint, y: bigint)
+input relation B(y: bigint, z: bigint)
+relation Par(y: bigint, p: (bigint, bigint))
+Par(y, (z, z % 2)) :- B(y, z).
+output relation R(x: bigint, t: tag_t, y: bigint)
+output relation S(x: bigint, m: bigint)
+R(x, Hop{0}, y) :- A(x, y).
+R(x, Hop{bump(n)}, z) :- R(x, Hop{n}, y), A(y, z), not Par(z, (_, 0)).
+R(w, Stop, x) :- R(x, _, x), var w = FlatMap([x + 1, x + 2]), w < 5.
+S(x, m) :- R(x, t, y), var Hop{m} = t, B(y, x).
+R(y, match (m) { 2 -> Stop, _ -> Hop{m} }, x) :- S(x, m), A(x, y).
+R(x, Stop, 0) :- S(x, 2), A(0, x).
+"""
+
 PROGRAMS = {
     "join": JOIN_PROG,
     "negation": NEG_PROG,
@@ -86,6 +110,7 @@ PROGRAMS = {
     "recursion": REACH_PROG,
     "bounded_hops": HOP_PROG,
     "nonlinear_mutual": NONLINEAR_PROG,
+    "compiled_steps": STEPS_PROG,
 }
 
 pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -164,10 +189,10 @@ class TestIncrementalEqualsFromScratch:
             )
             assert set(acc) == rt.dump(rel)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=35, deadline=None)
     @given(
         script=scripts,
-        text=st.sampled_from([REACH_PROG, HOP_PROG, NONLINEAR_PROG]),
+        text=st.sampled_from([REACH_PROG, HOP_PROG, NONLINEAR_PROG, STEPS_PROG]),
     )
     def test_dred_equals_recompute_mode(self, script, text):
         rt_dred, _, _, _ = run_script(text, script)
