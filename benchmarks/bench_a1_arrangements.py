@@ -11,6 +11,7 @@ import time
 from typing import List, Optional
 
 from benchmarks.conftest import emit, report
+from repro.dlog.dataflow import operators
 from repro.dlog.dataflow.operators import JoinNode, Node, _port
 from repro.dlog.dataflow.zset import ZSet
 
@@ -23,34 +24,30 @@ class RescanJoinNode(Node):
 
     n_ports = 2
 
-    def __init__(self, left_key, right_key, merge):
+    def __init__(self, left_key, right_key, step):
         super().__init__("rescan-join")
         self.left_key = left_key
         self.right_key = right_key
-        self.merge = merge
+        self.step = step
         self.left = ZSet()
         self.right = ZSet()
 
     def process(self, deltas: List[Optional[ZSet]]) -> ZSet:
         dl, dr = _port(deltas, 0), _port(deltas, 1)
-        out = ZSet()
+        out = {}
         self.right.merge(dr)
         for lrec, lw in dl.items():
             key = self.left_key(lrec)
             for rrec, rw in self.right.items():  # full scan
                 if self.right_key(rrec) == key:
-                    merged = self.merge(lrec, rrec)
-                    if merged is not None:
-                        out.add(merged, lw * rw)
+                    self.step(lrec, rrec, lw * rw, out)
         for rrec, rw in dr.items():
             key = self.right_key(rrec)
             for lrec, lw in self.left.items():  # full scan
                 if self.left_key(lrec) == key:
-                    merged = self.merge(lrec, rrec)
-                    if merged is not None:
-                        out.add(merged, lw * rw)
+                    self.step(lrec, rrec, lw * rw, out)
         self.left.merge(dl)
-        return out
+        return ZSet(out)
 
 
 def _drive(node, n_rows):
@@ -68,12 +65,16 @@ def _drive(node, n_rows):
     return (time.perf_counter() - started) / N_DELTAS
 
 
+def _pair(a, b, weight, out):
+    operators.emit((a[0], b[1]), weight, out)
+
+
 def make_arranged():
-    return JoinNode(lambda a: a[1], lambda b: b[0], lambda a, b: (a[0], b[1]))
+    return JoinNode(lambda a: a[1], lambda b: b[0], _pair)
 
 
 def make_rescan():
-    return RescanJoinNode(lambda a: a[1], lambda b: b[0], lambda a, b: (a[0], b[1]))
+    return RescanJoinNode(lambda a: a[1], lambda b: b[0], _pair)
 
 
 def run_ablation():

@@ -22,6 +22,7 @@ from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
 from repro.p4runtime.api import DeviceService
 from repro.workloads.churn import robotron_churn
+from tests.doubles import uncoalesce
 
 N_PORTS = 8
 N_VLANS = 50
@@ -104,7 +105,7 @@ def churn(transact) -> None:
             )
 
 
-def run_churn(slow: bool, coalesce: bool = True):
+def run_churn(slow: bool):
     """One churn run; returns (healthy mean latency, elapsed, metrics)."""
     project = nerpa_build(SCHEMA, RULES, P4)
     db = Database(project.schema)
@@ -113,7 +114,7 @@ def run_churn(slow: bool, coalesce: bool = True):
         devices.append(SlowService(project.new_simulator(n_ports=64)))
     else:
         devices.append(project.new_simulator(n_ports=64))
-    controller = NerpaController(project, db, devices, coalesce=coalesce)
+    controller = NerpaController(project, db, devices)
     controller.start()
     try:
         started = time.perf_counter()
@@ -132,12 +133,13 @@ def run_churn(slow: bool, coalesce: bool = True):
     )
 
 
-def test_p1_pipeline_isolation_and_batching(benchmark):
+def test_p1_pipeline_isolation_and_batching(benchmark, monkeypatch):
     clean_latency, _, _ = benchmark.pedantic(
         lambda: run_churn(slow=False), rounds=1, iterations=1
     )
     faulty_latency, batched_elapsed, batched = run_churn(slow=True)
-    _, unbatched_elapsed, unbatched = run_churn(slow=True, coalesce=False)
+    uncoalesce(monkeypatch)  # the one-write-per-transaction baseline
+    _, unbatched_elapsed, unbatched = run_churn(slow=True)
 
     batched_tput = N_EVENTS / batched_elapsed
     unbatched_tput = N_EVENTS / unbatched_elapsed

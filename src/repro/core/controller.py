@@ -94,7 +94,6 @@ class NerpaController:
         mgmt,
         devices,
         breaker_threshold: int = 3,
-        coalesce: bool = True,
         state_dir: Optional[str] = None,
         shards: int = 1,
         shard_workers: str = "process",
@@ -192,10 +191,6 @@ class NerpaController:
             for i, d in enumerate(devices)
         ]
         self.breaker_threshold = breaker_threshold
-        #: ``coalesce=False`` disables queue-tail merging (one wire
-        #: write per engine transaction) — the unbatched baseline the
-        #: pipeline benchmark compares against.
-        self.coalesce = coalesce
         self._started = False
 
         # Pipeline plumbing (built in start()).
@@ -265,9 +260,7 @@ class NerpaController:
             raise ReproError("controller already started")
         started_at = time.perf_counter()
         self._started = True
-        self.engine_queue = CoalescingQueue(
-            name="engine", maxlen=1024, merge=self.coalesce
-        )
+        self.engine_queue = CoalescingQueue(name="engine", maxlen=1024)
         self._engine_thread = threading.Thread(
             target=self._engine_loop, name="nerpa-engine", daemon=True
         )
@@ -291,11 +284,7 @@ class NerpaController:
         )
         self.channels = [
             self._fanout_plane.channel(
-                device,
-                applier,
-                name=device.name,
-                maxlen=512,
-                merge=self.coalesce,
+                device, applier, name=device.name, maxlen=512
             )
             for device in self.devices
         ]

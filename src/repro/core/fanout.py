@@ -112,9 +112,8 @@ class FanoutPlane:
         runner: Callable,
         name: str,
         maxlen: int = 512,
-        merge: bool = True,
     ) -> "DeviceChannel":
-        chan = DeviceChannel(self, device, runner, name, maxlen, merge)
+        chan = DeviceChannel(self, device, runner, name, maxlen)
         self.channels.append(chan)
         return chan
 
@@ -154,7 +153,6 @@ class DeviceChannel:
         runner: Callable,
         name: str,
         maxlen: int = 512,
-        merge: bool = True,
     ):
         self.plane = plane
         self.device = device
@@ -168,10 +166,7 @@ class DeviceChannel:
         self._open_ticket = 0
         self._done_lock = threading.Lock()
         self.queue = CoalescingQueue(
-            name=name,
-            maxlen=maxlen,
-            merge=merge,
-            on_ready=self._notify,
+            name=name, maxlen=maxlen, on_ready=self._notify
         )
 
     def _notify(self) -> None:

@@ -75,14 +75,10 @@ class CoalescingQueue:
         self,
         name: str = "queue",
         maxlen: int = 512,
-        merge: bool = True,
         on_ready: Optional[Callable[[], None]] = None,
     ):
         self.name = name
         self.maxlen = maxlen
-        #: ``merge=False`` turns tail coalescing off (every put appends)
-        #: — the unbatched baseline for the pipeline benchmark.
-        self.merge = merge
         #: Called (outside the queue lock) after a put appends a new
         #: distinct item.  The async apply plane uses this to schedule
         #: the device's state machine on the reactor instead of parking
@@ -151,7 +147,7 @@ class CoalescingQueue:
             # after the wait would give a mergeable batch a distinct
             # slot (and a spurious extra wire write).
             while True:
-                if self.merge and self._items:
+                if self._items:
                     tail = self._items[-1]
                     fold = getattr(tail, "coalesce", None)
                     merged = fold(item) if fold is not None else None

@@ -54,7 +54,9 @@ from typing import Callable, List, Optional, Tuple
 #: longer emits a node for identity scans — older snapshots would misalign.
 #: 3: a recursive SCC's rows map to their ranks; a v2 snapshot has no
 #: ranks, so it cold-starts.
-CHECKPOINT_FORMAT = 3
+#: 4: a rule's linear items run inside the stateful node that feeds
+#: them, which has no node of its own any more — v3 indices misalign.
+CHECKPOINT_FORMAT = 4
 SEGMENT_FORMAT = 1
 
 

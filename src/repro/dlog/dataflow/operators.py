@@ -1,9 +1,8 @@
 """Incremental dataflow operators.
 
 Every operator consumes per-port input deltas (Z-sets) and emits an
-output delta.  Stateless operators (map, filter, flatmap, union) are
-linear: they apply to the delta directly.  Stateful operators maintain
-arrangements and implement the standard incremental update rules:
+output delta.  Stateful operators maintain arrangements and implement
+the standard incremental update rules:
 
 * **join**:      ``δ(L ⋈ R) = δL ⋈ R' + L ⋈ δR``  (R' is R after δR)
 * **antijoin**:  recomputed exactly per affected key from pre/post state
@@ -13,6 +12,17 @@ arrangements and implement the standard incremental update rules:
 The update rules are the entire point of the system: a transaction that
 touches *k* records costs time proportional to *k* (times the matching
 group sizes), never to the size of the relations.
+
+A rule's linear work — pattern matches, guards, assignments, FlatMaps,
+the head — is no operator of its own.  The planner compiles each run of
+it into a *step* that the node producing its input calls once per
+record it produces, ``step(record, weight, out)`` (a join's step takes
+both records: ``step(left, right, weight, out)``); the step adds what it
+derives to the ``out`` dict that becomes the node's output Z-set,
+dropping zero weights (:func:`emit` is the identity step).  Linear work
+distributes over a delta, so running it inside the producer is exact.
+The one stateless operator, :class:`ScanNode`, runs a step over a
+relation's delta — where no stateful node produces the input.
 
 There is one contract: ``process(deltas)`` takes any Z-set per port — a
 single row or a whole relation loaded into empty state — reads it
@@ -24,10 +34,13 @@ state, never because a caller said so.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dlog.dataflow.arrangement import Arrangement
 from repro.dlog.dataflow.zset import ZSet
+
+#: ``step(record, weight, out)``: a linear stretch run on one record.
+Step = Callable[[object, int, Dict[object, int]], None]
 
 
 class Node:
@@ -90,69 +103,30 @@ class SourceNode(Node):
         return _port(deltas, 0)
 
 
-class MapNode(Node):
-    """Apply ``fn`` to every record; weights pass through (linear)."""
+def emit(record, weight: int, out: Dict[object, int]) -> None:
+    """The identity step: add ``weight`` to ``record`` in ``out``,
+    dropping the entry when the sum is zero."""
+    new = out.get(record, 0) + weight
+    if new:
+        out[record] = new
+    else:
+        del out[record]
 
-    def __init__(self, fn: Callable[[object], object], name: str = ""):
+
+class ScanNode(Node):
+    """A linear stretch over a relation's delta: ``step(record, weight,
+    out)`` once per record (stateless)."""
+
+    def __init__(self, step: Step, name: str = ""):
         super().__init__(name)
-        self.fn = fn
+        self.step = step
 
     def process(self, deltas):
-        fn = self.fn
+        step = self.step
         out: Dict[object, int] = {}
-        get = out.get
         for record, weight in _port(deltas, 0).data.items():
-            produced = fn(record)
-            new = get(produced, 0) + weight
-            if new:
-                out[produced] = new
-            else:
-                del out[produced]
+            step(record, weight, out)
         return ZSet(out)
-
-
-class FilterNode(Node):
-    """Keep records satisfying ``pred`` (linear)."""
-
-    def __init__(self, pred: Callable[[object], bool], name: str = ""):
-        super().__init__(name)
-        self.pred = pred
-
-    def process(self, deltas):
-        pred = self.pred
-        return ZSet({r: w for r, w in _port(deltas, 0).data.items() if pred(r)})
-
-
-class FlatMapNode(Node):
-    """Expand each record into zero or more records (linear)."""
-
-    def __init__(self, fn: Callable[[object], Iterable[object]], name: str = ""):
-        super().__init__(name)
-        self.fn = fn
-
-    def process(self, deltas):
-        fn = self.fn
-        out: Dict[object, int] = {}
-        get = out.get
-        for record, weight in _port(deltas, 0).data.items():
-            for produced in fn(record):
-                new = get(produced, 0) + weight
-                if new:
-                    out[produced] = new
-                else:
-                    del out[produced]
-        return ZSet(out)
-
-
-class UnionNode(Node):
-    """Sum of all input ports (linear)."""
-
-    def __init__(self, n_ports: int, name: str = ""):
-        super().__init__(name)
-        self.n_ports = n_ports
-
-    def process(self, deltas):
-        return _sum_ports(deltas)
 
 
 class DistinctNode(Node):
@@ -205,9 +179,10 @@ class DistinctNode(Node):
 class JoinNode(Node):
     """Binary equi-join with arranged inputs.
 
-    ``merge(left_record, right_record)`` builds the output record and
-    may return ``None`` to drop the pair (used for residual pattern
-    constraints that are not part of the equality key).
+    Every pair of records with equal keys calls ``step(left, right,
+    weight, out)``, which adds what the pair derives to ``out`` — the
+    planner's compiled residual match and linear stretch, so a pair may
+    derive nothing (a residual pattern that fails) or several records.
     """
 
     n_ports = 2
@@ -216,13 +191,13 @@ class JoinNode(Node):
         self,
         left_key: Callable[[object], object],
         right_key: Callable[[object], object],
-        merge: Callable[[object, object], Optional[object]],
+        step: Callable[[object, object, int, Dict[object, int]], None],
         name: str = "",
     ):
         super().__init__(name)
         self.left_key = left_key
         self.right_key = right_key
-        self.merge = merge
+        self.step = step
         self.left = Arrangement()
         self.right = Arrangement()
 
@@ -242,8 +217,7 @@ class JoinNode(Node):
         """Accumulate ``delta ⋈ index`` into ``out``.  The delta is
         grouped by key first so each key's matching group is fetched
         once per batch, not once per record."""
-        merge = self.merge
-        get = out.get
+        step = self.step
         grouped: Dict[object, List[Tuple[object, int]]] = {}
         for rec, w in delta.data.items():
             key = key_fn(rec)
@@ -257,15 +231,12 @@ class JoinNode(Node):
             if not group:
                 continue
             for rec, w in bucket:
-                for other, ow in group.items():
-                    merged = merge(rec, other) if delta_is_left else merge(other, rec)
-                    if merged is None:
-                        continue
-                    new = get(merged, 0) + w * ow
-                    if new:
-                        out[merged] = new
-                    else:
-                        del out[merged]
+                if delta_is_left:
+                    for other, ow in group.items():
+                        step(rec, other, w * ow, out)
+                else:
+                    for other, ow in group.items():
+                        step(other, rec, w * ow, out)
 
     def state_size(self) -> int:
         return self.left.total_records() + self.right.total_records()
@@ -278,14 +249,18 @@ class AntiJoinNode(Node):
     projects the negated relation down to the join key first).  The
     output delta is computed exactly as the difference between the
     post- and pre-state of each affected key, which handles same-
-    transaction changes to both sides.
+    transaction changes to both sides; ``step(record, weight, out)``
+    runs on each output record.
     """
 
     n_ports = 2
 
-    def __init__(self, left_key: Callable[[object], object], name: str = ""):
+    def __init__(
+        self, left_key: Callable[[object], object], step: Step, name: str = ""
+    ):
         super().__init__(name)
         self.left_key = left_key
+        self.step = step
         self.left = Arrangement()
         self.right_counts: Dict[object, int] = {}
 
@@ -316,18 +291,19 @@ class AntiJoinNode(Node):
             else:
                 counts[key] = new
 
-        out = ZSet()
+        step = self.step
+        out: Dict[object, int] = {}
         for key in affected:
             pre_group, pre_present = pre[key]
             post_group = self.left.group(key)
             post_present = self._right_present(key)
             if not post_present:
                 for rec, w in post_group.items():
-                    out.add(rec, w)
+                    step(rec, w, out)
             if not pre_present:
                 for rec, w in pre_group.items():
-                    out.add(rec, -w)
-        return out
+                    step(rec, -w, out)
+        return ZSet(out)
 
     def state_size(self) -> int:
         return self.left.total_records() + len(self.right_counts)
@@ -339,8 +315,9 @@ class AggregateNode(Node):
     ``key_fn(record)`` extracts the group key (a tuple of group-by
     variable values); ``args_fn(record)`` evaluates the aggregate's
     argument expressions.  On each delta, only the groups whose key
-    occurs in the delta are re-aggregated; the old aggregate row is
-    retracted and the new one inserted.
+    occurs in the delta are re-aggregated; the old aggregate row
+    ``key + (value,)`` is retracted and the new one inserted, each
+    through ``step(row, ±1, out)``.
     """
 
     def __init__(
@@ -348,12 +325,14 @@ class AggregateNode(Node):
         key_fn: Callable[[object], tuple],
         args_fn: Callable[[object], tuple],
         fold: Callable[[List[tuple]], object],
+        step: Step,
         name: str = "",
     ):
         super().__init__(name)
         self.key_fn = key_fn
         self.args_fn = args_fn
         self.fold = fold
+        self.step = step
         self.groups = Arrangement()  # key -> {args_tuple -> count}
 
     def _aggregate(self, group: Dict[object, int]) -> Optional[object]:
@@ -382,16 +361,17 @@ class AggregateNode(Node):
             keyed.append((key, args_fn(record), weight))
         for key, args, weight in keyed:
             self.groups.add(key, args, weight)
-        out = ZSet()
+        step = self.step
+        out: Dict[object, int] = {}
         for key, old_value in pre.items():
             new_value = self._aggregate(self.groups.group(key))
             if old_value == new_value:
                 continue
             if old_value is not None:
-                out.add(key + (old_value,), -1)
+                step(key + (old_value,), -1, out)
             if new_value is not None:
-                out.add(key + (new_value,), 1)
-        return out
+                step(key + (new_value,), 1, out)
+        return ZSet(out)
 
     def state_size(self) -> int:
         return self.groups.total_records()

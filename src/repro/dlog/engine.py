@@ -15,12 +15,15 @@ One dataflow graph covers the whole program:
   non-recursive derived relations a Distinct (set semantics over the
   union of their rules), recursive relations a pass-through fed by
   their SCC's evaluator node;
-* every non-recursive rule is a chain of operators from
-  :mod:`repro.dlog.plan`;
+* every non-recursive rule is its stateful operators (join, antijoin,
+  aggregate) wired between relation nodes by :mod:`repro.dlog.plan`,
+  its linear items and head running inside them;
 * every recursive SCC is a single :class:`~repro.dlog.recursive.SccNode`
   (rank-checked deletion); its *base rules* (no recursion in the body)
-  are planned as ordinary dataflow feeding a synthetic ``__base_<rel>`` relation that
-  enters the SCC like any other external input.
+  are planned as ordinary dataflow feeding a synthetic ``__base_<rel>``
+  relation that enters the SCC like any other external input.  Every
+  relation node, synthetic ones included, exists before any rule is
+  planned.
 
 Facts (rules with no body atoms) are evaluated at compile time and
 injected as an initial transaction by :meth:`CompiledProgram.start`.
@@ -295,8 +298,7 @@ class Runtime:
             for rel in self.checked.ast.relations
         }
         self._journal: Optional[List[dict]] = None
-        self._static_rows: Dict[str, List[tuple]] = {}
-        self._deferred_exits: List[Tuple[str, List[Node]]] = []
+        self._static_rows: Dict[str, ZSet] = {}
         self._node_stratum: Dict[int, int] = {}
         self.operator_totals: Dict[str, Dict[str, float]] = {}
         self._obs_handles: Optional[Tuple[int, object]] = None
@@ -340,40 +342,35 @@ class Runtime:
 
         # Partition rules: non-recursive ones are planned as dataflow;
         # recursive SCC rules go to their SCC evaluator, with their base
-        # rules planned as dataflow into a synthetic base relation.
+        # rules planned as dataflow into a synthetic base relation — a
+        # Distinct over their outputs, built here so that every relation
+        # node exists before any rule is planned.
         scc_rules: Dict[int, List[A.Rule]] = {}
-        base_needed: Dict[str, A.RelationDecl] = {}
+        planned: List[Tuple[A.Rule, str]] = []
         for rule in checked.ast.rules:
             head = rule.head.relation
             scc_idx = strat.scc_of[head]
             if not strat.recursive[scc_idx]:
-                self._plan_into(rule, head)
+                planned.append((rule, head))
                 continue
             members = set(strat.order[scc_idx])
             if _is_recursive_rule(rule, members):
                 scc_rules.setdefault(scc_idx, []).append(rule)
-            else:
-                base_name = BASE_PREFIX + head
-                decl = checked.relations[head]
-                base_needed.setdefault(
+                continue
+            base_name = BASE_PREFIX + head
+            if base_name not in self.relation_nodes:
+                node = DistinctNode(name=f"relation({base_name})")
+                self.relation_nodes[base_name] = graph.add(node)
+                self._node_stratum[id(node)] = scc_idx
+                checked.relations.setdefault(
                     base_name,
-                    A.RelationDecl(base_name, list(decl.columns), "internal"),
+                    A.RelationDecl(
+                        base_name, list(checked.relations[head].columns), "internal"
+                    ),
                 )
-                self._plan_into(rule, base_name)
-
-        # Base relation nodes (Distinct over the base rules' outputs).
-        for base_name, decl in base_needed.items():
-            node = DistinctNode(name=f"relation({base_name})")
-            self.relation_nodes[base_name] = graph.add(node)
-            member = base_name[len(BASE_PREFIX):]
-            self._node_stratum[id(node)] = strat.scc_of[member]
-            checked.relations.setdefault(base_name, decl)
-
-        # Re-wire planned chains that targeted base relations before the
-        # node existed (handled inside _plan_into via deferred list).
-        for base_name, exits in self._deferred_exits:
-            for exit_node in exits:
-                exit_node.connect_to(self.relation_nodes[base_name], 0)
+            planned.append((rule, base_name))
+        for rule, target in planned:
+            self._plan_into(rule, target)
 
         # SCC evaluator nodes.
         for scc_idx, rules in sorted(scc_rules.items()):
@@ -409,30 +406,21 @@ class Runtime:
                 )
 
     def _plan_into(self, rule: A.Rule, target_relation: str) -> None:
-        chain = self.program.planner.plan_rule(rule)
-        if chain.static_rows is not None:
-            self._static_rows.setdefault(target_relation, []).extend(
-                chain.static_rows
-            )
+        planner = self.program.planner
+        rows = planner.fact_rows(rule)
+        if rows is not None:
+            self._static_rows.setdefault(target_relation, ZSet()).merge(ZSet(rows))
             return
-        strat = self.program.stratification
         head = target_relation
         if head.startswith(BASE_PREFIX):
             head = head[len(BASE_PREFIX):]
-        stratum = strat.scc_of.get(head)
-        for node in chain.nodes:
+        stratum = self.program.stratification.scc_of.get(head)
+        for node in planner.plan_rule(
+            rule, self.relation_nodes, self.relation_nodes[target_relation]
+        ):
             self.graph.add(node)
             if stratum is not None:
                 self._node_stratum[id(node)] = stratum
-        entry_rel, entry_node = chain.entry
-        self.relation_nodes[entry_rel].connect_to(entry_node, 0)
-        for rel, node, port in chain.taps:
-            self.relation_nodes[rel].connect_to(node, port)
-        target = self.relation_nodes.get(target_relation)
-        if target is None:
-            self._deferred_exits.append((target_relation, [chain.exit]))
-        else:
-            chain.exit.connect_to(target, 0)
 
     # -- transactions -----------------------------------------------------------------
 
@@ -503,10 +491,7 @@ class Runtime:
             entry = {"inserts": {}, "deletes": {}}
 
         if initial:
-            for rel_name, rows in self._static_rows.items():
-                delta = ZSet()
-                for row in rows:
-                    delta.add(row, 1)
+            for rel_name, delta in self._static_rows.items():
                 node = self.relation_nodes[rel_name]
                 source_deltas.setdefault(id(node), ZSet()).merge(delta)
         else:

@@ -6,9 +6,9 @@ rule's variables at slot indices the compiler fixes (:class:`Slots`).
 ``compile_expr(expr, slots)`` returns ``fn(frame) -> value`` and
 ``compile_pattern(pat, slots)`` returns ``fn(value, frame) -> bool``,
 which binds the pattern's variables into the frame on success.  A
-dataflow record is a frame as it stands (its schema's variables are
-slots ``0..n-1``), so a compiled expression reads a row with no dict in
-between.
+dataflow record or relation row is a frame as it stands (its
+variables, or columns, are slots ``0..n-1``), so a compiled expression
+reads a row with no dict in between.
 
 The compiler consults the checker's node-type table so fixed-width
 arithmetic wraps exactly like the declared type says (``bit<8>``
@@ -16,16 +16,13 @@ addition wraps at 256, signed types wrap two's-complement), which
 matters when control-plane rules compute values destined for P4 table
 entries of a fixed width.
 
-:class:`Evaluator` owns the compiler; its :meth:`~Evaluator.eval` and
-:meth:`~Evaluator.match` run an expression or pattern against a
-variable dict by compiling it (cached per node) — for plan-time use and
-tests, not for rule bodies.
+:class:`Evaluator` owns the compiler (and user functions' compiled
+bodies); nothing evaluates an expression without compiling it first.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.dlog import ast as A
@@ -133,7 +130,7 @@ class Slots:
 
 
 class Evaluator:
-    """Compiles (and, for plan-time use, runs) the expressions of one
+    """Compiles the expressions and patterns of one
     :class:`CheckedProgram`."""
 
     def __init__(self, checked: CheckedProgram):
@@ -141,53 +138,7 @@ class Evaluator:
         self.tenv = checked.tenv
         self._ctor_index_cache: Dict[str, Dict[str, int]] = {}
         self._functions: Dict[str, Callable[[List[object]], object]] = {}
-        self._cache: Dict[tuple, tuple] = {}
         self._depth = 0
-
-    # -- compile-and-run wrappers ------------------------------------------
-
-    def eval(self, expr: A.Expr, env: Dict[str, object]) -> object:
-        fn, slots = self._compiled(expr, env, False)
-        return fn(self._frame(env, slots))
-
-    def match(
-        self,
-        pat: A.Pattern,
-        value: object,
-        env: Dict[str, object],
-        bind_always: bool = True,
-    ) -> bool:
-        """Match ``value`` against ``pat``; on success, bind its variables.
-
-        ``bind_always=True`` (match arms) always (re)binds variables;
-        ``bind_always=False`` (atom arguments) treats an already-bound
-        variable as an equality constraint.
-        """
-        fn, slots = self._compiled(pat, env, bind_always)
-        frame = self._frame(env, slots)
-        if not fn(value, frame):
-            return False
-        for name, i in slots.index.items():
-            env[name] = frame[i]
-        return True
-
-    def _compiled(self, node, env, rebind):
-        """``(fn, slots)`` for ``node`` over a frame holding ``env``'s
-        variables in order; compiled once per node and variable list."""
-        key = (id(node), tuple(env), rebind)
-        entry = self._cache.get(key)
-        if entry is None or entry[0] is not node:
-            slots = Slots(env)
-            if isinstance(node, A.Pattern):
-                fn = self.compile_pattern(node, slots, rebind)
-            else:
-                fn = self.compile_expr(node, slots)
-            entry = self._cache[key] = (node, fn, slots)
-        return entry[1], entry[2]
-
-    @staticmethod
-    def _frame(env, slots) -> List[object]:
-        return [*env.values(), *repeat(None, len(slots) - len(env))]
 
     def call(self, name: str, args: List[object]) -> object:
         """Call a user function or builtin with already-evaluated args."""

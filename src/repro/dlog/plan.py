@@ -1,37 +1,44 @@
-"""Compilation of rules into incremental dataflow chains.
+"""Compilation of rules into incremental dataflow.
 
-A rule body is processed left to right, maintaining a *schema* — the
-ordered tuple of variables bound so far.  Each body item becomes one
-dataflow node:
+Every body item compiles to code over a *frame* — a flat sequence
+holding the rule's variables at the slot indices a :class:`Slots` fixes
+in binding order (:mod:`repro.dlog.interp`) — and the code runs as a
+*step chain*: a step ``step(frame, rank, ctx)`` calls the next one once
+per way its item holds (:func:`compile_row_match` for an atom's
+pattern, :func:`compile_body_step` for a guard, assignment or FlatMap).
+A non-``None`` return stops a chain early and is passed back up; the
+recursive-stratum evaluator uses that to stop at a first derivation.
 
-=====================  =========================================
-body item              node
-=====================  =========================================
-first atom             FlatMap (pattern match over relation rows);
-                       Map when the match is a pure projection,
-                       nothing when it is the identity
-later atom             Join (keyed on the shared/bound positions)
-``not R(...)``         AntiJoin (right side projected to the key)
-guard                  Filter
-``var x = e``          FlatMap (pattern may be refutable)
-``var x = FlatMap(e)`` FlatMap
-``var x = Aggregate``  Aggregate
-=====================  =========================================
+A rule that runs as dataflow is its *stateful* items, each a node,
+joined by *linear stretches* — the items between them — that run
+inside the node producing their input:
 
-The head becomes a Map computing the head expressions, feeding the head
-relation's Distinct node.
+=======================  ==============================================
+body item                where it runs
+=======================  ==============================================
+first atom               a Scan of its relation (pattern match), or
+                         nothing when the stretch after it passes the
+                         rows through unchanged
+later atom               a Join keyed on its bound positions; the
+                         residual positions match inside it
+``not R(...)``           an AntiJoin; the negated relation is projected
+                         to the key by a Scan (nothing when the key is
+                         the whole row)
+``var x = Aggregate``    an Aggregate
+guard, ``var p = e``,    the node of the nearest stateful item before
+``var x = FlatMap(e)``   it (or the first atom's Scan)
+head                     the last node's stretch, which adds head rows
+                         to the head relation's Distinct node
+=======================  ==============================================
 
-Every expression and pattern is compiled once (:mod:`repro.dlog.interp`)
-over the record's schema: a record is the frame its compiled code reads
-by slot.  Wherever a scan, join merge or head is provably a positional
-selection (plain distinct variables, so the pattern match cannot
-fail), the node gets an ``itemgetter`` selection instead.
-
-Rules that run without a dataflow — the recursive-stratum evaluator's
-bodies and body-less facts — run as *step chains*: each compiled step
-``step(frame, rank, ctx)`` calls the next one once per way its body
-item holds, and a non-``None`` return stops the chain early and is
-passed back up (see :func:`compile_body_step`).
+For dataflow, a chain's ``rank`` is the Z-set weight and ``ctx`` the
+node's output dict; its last step adds the head row, or the record the
+next node reads (the variables bound so far), to that dict.  Where a
+scan's arguments or a join's residual ones are plain distinct variables
+(so the match cannot fail) the frame is the row itself, or the left
+record followed by the right row, with no match step; a stretch that
+would only copy its frame adds the frame itself.  Body-less rules
+(facts) run the same chains once, at plan time.
 
 The classification helpers (:func:`pattern_vars`, :func:`classify_args`)
 are shared with the recursive-stratum evaluator, which plans the same
@@ -41,7 +48,7 @@ information for its semi-naive join orders.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.dlog import ast as A
 from repro.dlog.interp import Evaluator, Slots
@@ -49,11 +56,10 @@ from repro.dlog.typecheck import CheckedProgram, pattern_to_expr
 from repro.dlog.dataflow.operators import (
     AggregateNode,
     AntiJoinNode,
-    FilterNode,
-    FlatMapNode,
     JoinNode,
-    MapNode,
     Node,
+    ScanNode,
+    emit,
 )
 from repro.dlog.stdlib import AGGREGATES
 from repro.errors import TypeCheckError
@@ -189,25 +195,6 @@ def _simple_pvar_positions(args: Sequence[A.Pattern]) -> Optional[List[int]]:
     return positions
 
 
-class Schema:
-    """Ordered variables of an intermediate dataflow record."""
-
-    __slots__ = ("vars", "index")
-
-    def __init__(self, vars: Sequence[str]):
-        self.vars = tuple(vars)
-        self.index = {v: i for i, v in enumerate(self.vars)}
-
-    def __contains__(self, var: str) -> bool:
-        return var in self.index
-
-    def extended(self, new_vars: Sequence[str]) -> "Schema":
-        return Schema(self.vars + tuple(new_vars))
-
-    def __repr__(self):
-        return f"Schema{self.vars}"
-
-
 def pattern_vars(pat: A.Pattern) -> List[str]:
     """Variables bound by a pattern, in left-to-right order."""
     out: List[str] = []
@@ -338,224 +325,247 @@ def _keyable_expr(pat: A.Pattern, bound: Set[str]) -> Optional[A.Expr]:
     return None
 
 
-class RuleChain:
-    """The planned dataflow for one rule.
+_LINEAR = (A.Guard, A.Assignment, A.FlatMapItem)
 
-    ``entry`` is ``(relation_name, node)`` for the first node fed by a
-    relation; ``taps`` lists additional ``(relation_name, node, port)``
-    edges (join/antijoin right inputs); ``nodes`` is every node created
-    (in upstream-to-downstream order); ``exit`` is the final node whose
-    output rows are the head relation's rows.
 
-    ``static_rows`` is set instead for body-less rules (facts): the rows
-    to inject once at startup.
-    """
+def _stages(rule: A.Rule) -> List[Tuple[A.BodyItem, List[A.BodyItem]]]:
+    """A body as its stages: each relation atom, negated atom or
+    aggregate with the linear items that follow it, the first stage
+    being the first atom's."""
+    stages: List[Tuple[A.BodyItem, List[A.BodyItem]]] = []
+    for item in rule.body:
+        if stages and isinstance(item, _LINEAR):
+            stages[-1][1].append(item)
+        elif stages or isinstance(item, A.AtomItem):
+            stages.append((item, []))
+        else:
+            raise TypeCheckError(
+                f"rule {rule.name}: body must start with a relation atom"
+            )
+    return stages
 
-    def __init__(self):
-        self.entry: Optional[Tuple[str, Node]] = None
-        self.taps: List[Tuple[str, Node, int]] = []
-        self.nodes: List[Node] = []
-        self.exit: Optional[Node] = None
-        self.static_rows: Optional[List[tuple]] = None
+
+#: Prefix of the slot names given to a row's columns that bind no new
+#: variable (a join key, a wildcard): no rule variable can be named so,
+#: and records between stages leave them out.
+_COLUMN = "#"
+
+
+def _bind_row(slots: Slots, args: Sequence[A.Pattern], bound) -> None:
+    """Give each column of a row appended to the frame a slot: a fresh
+    variable's own, any other column an anonymous one."""
+    for pat in args:
+        if isinstance(pat, A.PVar) and pat.name not in bound:
+            slots.bind(pat.name)
+        else:
+            slots.bind(f"{_COLUMN}{len(slots)}")
+
+
+def _frame_of(pad: int):
+    """``fn(record) -> frame``: a list holding the record followed by
+    ``pad`` free slots, for the variables the code after it binds."""
+    fill = [None] * pad
+    return lambda record: [*record, *fill]
+
+
+def _framed(step, pad: int):
+    """``fn(record, weight, out)`` running ``step`` on the record's
+    frame with ``pad`` free slots (on the record itself with none)."""
+    if not pad:
+        return step
+    frame_of = _frame_of(pad)
+    return lambda record, weight, out: step(frame_of(record), weight, out)
 
 
 class Planner:
-    """Compiles the non-recursive rules of a checked program."""
+    """Compiles the rules of a checked program that run as dataflow.
+
+    A rule is planned as its stateful nodes joined by *linear
+    stretches*: each relation atom after the first is a
+    :class:`JoinNode`, each negated atom an :class:`AntiJoinNode`, each
+    aggregate an :class:`AggregateNode`, and the linear items after one
+    of them — with the head after the last — run inside it as a compiled
+    step (see :mod:`repro.dlog.dataflow.operators`).  The first atom's
+    stretch, and a negated atom's key projection, read a relation
+    directly: a :class:`ScanNode`, or no node at all when it passes the
+    relation's rows through unchanged.  Records between stages hold the
+    variables bound so far, in binding order."""
 
     def __init__(self, checked: CheckedProgram, evaluator: Optional[Evaluator] = None):
         self.checked = checked
         self.evaluator = evaluator or Evaluator(checked)
 
-    # -- expression compilation helpers ------------------------------------
-
-    def compile_expr(self, expr: A.Expr, schema: Schema) -> Callable[[tuple], object]:
-        """Compile an expression to a function of a ``schema`` record."""
-        return self._over_record(self.evaluator.compile_expr, expr, schema)
-
-    def compile_tuple(
-        self, exprs: Sequence[A.Expr], schema: Schema
-    ) -> Callable[[tuple], tuple]:
-        """Compile expressions to a ``record -> tuple`` function (an
-        ``itemgetter`` when they are all variables)."""
-        return self._over_record(self.evaluator.compile_tuple, exprs, schema)
-
-    @staticmethod
-    def _over_record(compile, node, schema: Schema):
-        """``compile(node, slots)`` with the record as the frame; when
-        the code needs a bigger one (match-arm bindings) the record is
-        copied into it."""
-        slots = Slots(schema.vars)
-        fn = compile(node, slots)
-        if len(slots) == len(schema.vars):
-            return fn
-        pad = [None] * (len(slots) - len(schema.vars))
-        return lambda row: fn([*row, *pad])
-
-    # -- rule planning --------------------------------------------------------
-
-    def plan_rule(self, rule: A.Rule) -> RuleChain:
-        chain = RuleChain()
-        items = rule.body
-        head_exprs = self.checked.head_exprs[id(rule)]
-
-        if not any(isinstance(i, (A.AtomItem,)) for i in items):
-            chain.static_rows = self._evaluate_static(rule, items, head_exprs)
-            return chain
-
-        schema = Schema([])
-        current: Optional[Node] = None
-        first = True
-        for item in items:
-            if isinstance(item, A.AtomItem):
-                if first:
-                    current, schema = self._plan_first_atom(chain, item.atom, rule)
-                    first = False
-                else:
-                    current, schema = self._plan_join(
-                        chain, current, schema, item.atom, rule
-                    )
-            elif isinstance(item, A.NegAtom):
-                if first:
-                    raise TypeCheckError(
-                        f"rule {rule.name}: body cannot start with a negated atom"
-                    )
-                current = self._plan_antijoin(chain, current, schema, item.atom, rule)
-            elif isinstance(item, A.Guard):
-                current = self._plan_guard(chain, current, schema, item)
-            elif isinstance(item, A.Assignment):
-                current, schema = self._plan_assignment(chain, current, schema, item)
-            elif isinstance(item, A.FlatMapItem):
-                current, schema = self._plan_flatmap(chain, current, schema, item)
-            elif isinstance(item, A.AggregateItem):
-                current, schema = self._plan_aggregate(chain, current, schema, item)
-            else:  # pragma: no cover
-                raise TypeCheckError(f"rule {rule.name}: unsupported item {item!r}")
-
-        head_fn = self.compile_tuple(head_exprs, schema)
-        chain.exit = self._chain(
-            chain, current, MapNode(head_fn, name=f"{rule.name}:head")
-        )
-        return chain
-
-    @staticmethod
-    def _chain(chain: RuleChain, current: Optional[Node], node: Node) -> Node:
-        """Append ``node`` to the chain, fed on port 0 by ``current`` —
-        or straight by the rule's first relation when ``current`` is
-        ``None`` (no node has been planned yet: an identity scan)."""
-        if current is None:
-            chain.entry = (chain.entry[0], node)
-        else:
-            current.connect_to(node, 0)
-        chain.nodes.append(node)
-        return node
-
-    def _evaluate_static(self, rule, items, head_exprs) -> List[tuple]:
-        """Evaluate a body with no atoms (a fact) at plan time, as a
-        step chain ending in the head."""
-        slots = Slots()
-        links = []
-        for item in items:
-            if not isinstance(item, (A.Guard, A.Assignment, A.FlatMapItem)):
+    def fact_rows(self, rule: A.Rule) -> Optional[Dict[tuple, int]]:
+        """A rule without body atoms (a fact), evaluated now as a step
+        chain ending in its head: its rows, each with the number of
+        ways the body holds; ``None`` for a rule with a body atom."""
+        if any(isinstance(item, A.AtomItem) for item in rule.body):
+            return None
+        for item in rule.body:
+            if not isinstance(item, _LINEAR):
                 raise TypeCheckError(
                     f"rule {rule.name}: {type(item).__name__} requires at "
                     "least one preceding relation atom"
                 )
-            links.append(compile_body_step(self.evaluator, item, slots))
-        head_of = self.evaluator.compile_tuple(head_exprs, slots)
-
-        def emit(frame, rank, rows):
-            rows.append(head_of(frame))
-
-        step = emit
-        for link in reversed(links):
-            step = link(step)
-        rows: List[tuple] = []
-        step([None] * len(slots), 0, rows)
+        slots = Slots()
+        step, _ = self._stretch(slots, rule.body, self._head(rule), None)
+        rows: Dict[tuple, int] = {}
+        step([None] * len(slots), 1, rows)
         return rows
 
-    def _frame_matcher(self, args, positions, schema: Schema, out_vars):
-        """``fn(record, row) -> out tuple or None``: match ``row[p]``
-        against ``args[p]`` (for ``positions``) over a frame holding the
-        ``schema`` record, and select ``out_vars`` on success."""
-        slots = Slots(schema.vars)
-        match = compile_row_match(self.evaluator, args, positions, slots)
-        out = _tuple_getter([slots.index[v] for v in out_vars])
-        pad = [None] * (len(slots) - len(schema.vars))
+    def plan_rule(
+        self, rule: A.Rule, relations: Mapping[str, Node], target: Node
+    ) -> List[Node]:
+        """Plan a rule with body atoms, wired from the ``relations``
+        nodes it reads into ``target`` (port 0); returns the nodes it
+        created, upstream first."""
+        stages = _stages(rule)
+        nodes: List[Node] = []
+        source: Optional[Node] = None
+        record: Optional[List[str]] = None
+        for i, (item, linear) in enumerate(stages):
+            head = self._head(rule) if i == len(stages) - 1 else None
+            if source is None:
+                source, record = self._plan_scan(
+                    rule, item.atom, linear, head, relations, nodes
+                )
+                continue
+            if isinstance(item, A.AtomItem):
+                node, record = self._plan_join(rule, item.atom, record, linear, head)
+                relations[item.atom.relation].connect_to(node, 1)
+            elif isinstance(item, A.NegAtom):
+                node, record = self._plan_antijoin(
+                    rule, item.atom, record, linear, head, relations, nodes
+                )
+            else:
+                node, record = self._plan_aggregate(rule, item, record, linear, head)
+            source.connect_to(node, 0)
+            nodes.append(node)
+            source = node
+        source.connect_to(target, 0)
+        return nodes
 
-        def match_row(record, row):
-            frame = [*record, *pad]
-            return out(frame) if match(row, frame) else None
+    def _head(self, rule: A.Rule) -> List[A.Expr]:
+        return self.checked.head_exprs[id(rule)]
 
-        return match_row
+    def _stretch(self, slots: Slots, items, head, width: Optional[int]):
+        """Compile the linear ``items`` over ``slots`` (the stage's
+        input already bound) into ``(step, record)``.
 
-    def _plan_first_atom(self, chain: RuleChain, atom: A.Atom, rule: A.Rule):
-        new_vars = _dedup(pattern_vars_of_atom(atom))
-        schema = Schema(new_vars)
-        chain.entry = (atom.relation, None)
-        name = f"{rule.name}:scan({atom.relation})"
-        # Simple scans (all-distinct plain variables, maybe wildcards)
-        # are pure projections — and need no node at all when the
-        # projection is the full row.
-        positions = _simple_pvar_positions(atom.args)
-        if positions is None:
-            match = self._frame_matcher(
-                atom.args, range(len(atom.args)), Schema(()), schema.vars
+        ``step(frame, weight, out)`` runs the items and then adds to
+        ``out`` the head row (``head``, its expressions) or, with
+        ``head`` None, the record of every variable bound so far —
+        ``record`` names them.  When the frame is the stage's input
+        tuple as it stands (``width`` is its length, ``None`` if the
+        stage always builds a list) and would be added unchanged, the
+        terminal is :func:`emit` — and with no items, so is the step."""
+        links = [compile_body_step(self.evaluator, item, slots) for item in items]
+        record = None
+        if head is None:
+            record = [
+                name
+                for name in sorted(slots.bound(), key=slots.index.__getitem__)
+                if not name.startswith(_COLUMN)
+            ]
+            head = [A.Var(name) for name in record]
+        project = self.evaluator.compile_tuple(head, slots)
+        if width == len(slots) and [
+            slots.index.get(e.name) if isinstance(e, A.Var) else None
+            for e in head
+        ] == list(range(width)):
+            step = emit
+        else:
+
+            def step(frame, weight, out):
+                row = project(frame)
+                new = out.get(row, 0) + weight
+                if new:
+                    out[row] = new
+                else:
+                    del out[row]
+
+        for link in reversed(links):
+            step = link(step)
+        return step, record
+
+    def _record_fn(self, exprs: Sequence[A.Expr], record: Sequence[str]):
+        """``fn(record) -> tuple`` of ``exprs`` over a record holding
+        the ``record`` variables — copied into a bigger frame only when
+        the code needs one (match-arm bindings)."""
+        slots = Slots(record)
+        fn = self.evaluator.compile_tuple(exprs, slots)
+        if len(slots) == len(record):
+            return fn
+        frame_of = _frame_of(len(slots) - len(record))
+        return lambda row: fn(frame_of(row))
+
+    def _plan_scan(self, rule, atom: A.Atom, linear, head, relations, nodes):
+        """The first atom's stretch, read from its relation: no node
+        when it passes every row through unchanged."""
+        relation = relations[atom.relation]
+        slots = Slots()
+        if _simple_pvar_positions(atom.args) is None:
+            # Literals, repeated variables, structured patterns: the
+            # match can fail and binds into a list frame.
+            match = compile_row_match(
+                self.evaluator, atom.args, range(len(atom.args)), slots
             )
+            step, record = self._stretch(slots, linear, head, None)
+            frame_of = _frame_of(len(slots))
 
-            def expand(row):
-                out = match((), row)
-                return (out,) if out is not None else ()
+            def scan(row, weight, out):
+                frame = frame_of(())
+                if match(row, frame):
+                    step(frame, weight, out)
 
-            node: Node = FlatMapNode(expand, name=name)
-        elif len(positions) < len(atom.args):
-            node = MapNode(_tuple_getter(positions), name=name)
         else:
-            return None, schema
-        return self._chain(chain, None, node), schema
+            # The row is the frame.
+            _bind_row(slots, atom.args, ())
+            width = len(slots)
+            step, record = self._stretch(slots, linear, head, width)
+            if step is emit:
+                return relation, record
+            scan = _framed(step, len(slots) - width)
+        node = ScanNode(scan, name=f"{rule.name}:scan({atom.relation})")
+        relation.connect_to(node, 0)
+        nodes.append(node)
+        return node, record
 
-    def _plan_join(
-        self, chain: RuleChain, current: Optional[Node], schema: Schema, atom: A.Atom, rule: A.Rule
-    ):
-        bound = set(schema.vars)
-        keys, residual = classify_args(atom.args, bound)
-        left_key = self.compile_tuple([e for _, e in keys], schema)
+    def _plan_join(self, rule, atom: A.Atom, record, linear, head):
+        keys, residual = classify_args(atom.args, set(record))
+        left_key = self._record_fn([e for _, e in keys], record)
         right_key = _tuple_getter([pos for pos, _ in keys])
+        slots = Slots(record)
+        # Key equality already covers the keyable positions, so only
+        # the residual ones are matched.  When they are fresh, distinct
+        # plain variables the match cannot fail: the frame is the left
+        # record followed by the right one.
+        if _simple_pvar_positions([atom.args[p] for p in residual]) is None:
+            match = compile_row_match(self.evaluator, atom.args, residual, slots)
+            step, out_record = self._stretch(slots, linear, head, None)
+            frame_of = _frame_of(len(slots) - len(record))
 
-        new_vars = [v for v in _dedup(pattern_vars_of_atom(atom)) if v not in bound]
-        out_schema = schema.extended(new_vars)
-        # Key equality already covers the keyable positions, so only the
-        # residual ones are matched.  When every residual argument is a
-        # fresh, distinct plain variable the match can never fail and
-        # the merged row is a pure concatenation.
-        if _simple_pvar_positions([atom.args[pos] for pos in residual]) is None:
-            match = self._frame_matcher(atom.args, residual, schema, new_vars)
-
-            def merge(l_row, r_row):
-                new = match(l_row, r_row)
-                return None if new is None else l_row + new
-
-        elif residual:
-            sel = _tuple_getter(residual)
-
-            def merge(l_row, r_row):
-                return l_row + sel(r_row)
+            def pair(left, right, weight, out):
+                frame = frame_of(left)
+                if match(right, frame):
+                    step(frame, weight, out)
 
         else:
+            _bind_row(slots, atom.args, set(record))
+            width = len(slots)
+            step, out_record = self._stretch(slots, linear, head, width)
+            step = _framed(step, len(slots) - width)
 
-            def merge(l_row, r_row):
-                return l_row
+            def pair(left, right, weight, out):
+                step(left + right, weight, out)
 
         node = JoinNode(
-            left_key, right_key, merge, name=f"{rule.name}:join({atom.relation})"
+            left_key, right_key, pair, name=f"{rule.name}:join({atom.relation})"
         )
-        chain.taps.append((atom.relation, node, 1))
-        return self._chain(chain, current, node), out_schema
+        return node, out_record
 
-    def _plan_antijoin(
-        self, chain: RuleChain, current: Optional[Node], schema: Schema, atom: A.Atom, rule: A.Rule
-    ):
-        bound = set(schema.vars)
-        keys, residual = classify_args(atom.args, bound)
+    def _plan_antijoin(self, rule, atom: A.Atom, record, linear, head, relations, nodes):
+        keys, residual = classify_args(atom.args, set(record))
         # Residual positions must be checkable on the right side alone
         # (closed patterns, possibly with wildcards); the typechecker has
         # already rejected new variables under negation.
@@ -566,90 +576,52 @@ class Planner:
                     f"bound variables and wildcards in one argument; "
                     "rewrite the argument as separate conditions"
                 )
-
-        key_of = _tuple_getter([pos for pos, _ in keys])
-        name = f"{rule.name}:negkey({atom.relation})"
+        positions = [pos for pos, _ in keys]
+        key_of = _tuple_getter(positions)
+        relation = relations[atom.relation]
         if residual:
-            match = self._frame_matcher(atom.args, residual, Schema(()), ())
+            slots = Slots()
+            match = compile_row_match(self.evaluator, atom.args, residual, slots)
+            frame_of = _frame_of(len(slots))
 
-            def project(row):
-                return () if match((), row) is None else (key_of(row),)
+            def key_step(row, weight, out):
+                if match(row, frame_of(())):
+                    emit(key_of(row), weight, out)
 
-            projector: Node = FlatMapNode(project, name=name)
+        elif positions != list(range(len(atom.args))):
+
+            def key_step(row, weight, out):
+                emit(key_of(row), weight, out)
+
         else:
-            projector = MapNode(key_of, name=name)
-        left_key = self.compile_tuple([e for _, e in keys], schema)
-        node = AntiJoinNode(left_key, name=f"{rule.name}:antijoin({atom.relation})")
-        projector.connect_to(node, 1)
-        chain.taps.append((atom.relation, projector, 0))
-        chain.nodes.append(projector)
-        return self._chain(chain, current, node)
-
-    def _plan_guard(self, chain: RuleChain, current: Optional[Node], schema: Schema, item: A.Guard):
-        fn = self.compile_expr(item.expr, schema)
-        node = FilterNode(lambda row, fn=fn: bool(fn(row)), name="guard")
-        return self._chain(chain, current, node)
-
-    def _plan_assignment(
-        self, chain: RuleChain, current: Optional[Node], schema: Schema, item: A.Assignment
-    ):
-        new_vars = _dedup(pattern_vars(item.pattern))
-        out_schema = schema.extended(new_vars)
-        slots = Slots(schema.vars)
-        value = self.evaluator.compile_expr(item.expr, slots)
-        test = self.evaluator.compile_pattern(item.pattern, slots)
-        new = _tuple_getter([slots.index[v] for v in new_vars])
-        pad = [None] * (len(slots) - len(schema.vars))
-
-        def expand(row):
-            frame = [*row, *pad]
-            if test(value(frame), frame):
-                return (row + new(frame),)
-            return ()
-
-        node = FlatMapNode(expand, name="assign")
-        return self._chain(chain, current, node), out_schema
-
-    def _plan_flatmap(
-        self, chain: RuleChain, current: Optional[Node], schema: Schema, item: A.FlatMapItem
-    ):
-        out_schema = schema.extended([item.var])
-        fn = self.compile_expr(item.expr, schema)
-
-        def expand(row):
-            value = fn(row)
-            elems = value.pairs if isinstance(value, MapValue) else value
-            return tuple(row + (elem,) for elem in elems)
-
-        node = FlatMapNode(expand, name=f"flatmap({item.var})")
-        return self._chain(chain, current, node), out_schema
-
-    def _plan_aggregate(
-        self, chain: RuleChain, current: Optional[Node], schema: Schema, item: A.AggregateItem
-    ):
-        positions = [schema.index[k] for k in item.group_by]
-        key_fn = _tuple_getter(positions)
-        args_fn = self.compile_tuple(item.args, schema)
-        agg = AGGREGATES[item.func]
-        node = AggregateNode(
-            key_fn, args_fn, agg.fn, name=f"aggregate({item.func})"
+            key_step = None  # the key is the whole row
+        if key_step is not None:
+            projector = ScanNode(key_step, name=f"{rule.name}:negkey({atom.relation})")
+            relation.connect_to(projector, 0)
+            nodes.append(projector)
+            relation = projector
+        left_key = self._record_fn([e for _, e in keys], record)
+        slots = Slots(record)
+        step, out_record = self._stretch(slots, linear, head, len(record))
+        node = AntiJoinNode(
+            left_key,
+            _framed(step, len(slots) - len(record)),
+            name=f"{rule.name}:antijoin({atom.relation})",
         )
-        out_schema = Schema(list(item.group_by) + [item.var])
-        return self._chain(chain, current, node), out_schema
+        relation.connect_to(node, 1)
+        return node, out_record
 
-
-def pattern_vars_of_atom(atom: A.Atom) -> List[str]:
-    out: List[str] = []
-    for arg in atom.args:
-        out.extend(pattern_vars(arg))
-    return out
-
-
-def _dedup(names: Sequence[str]) -> List[str]:
-    seen: Set[str] = set()
-    out: List[str] = []
-    for n in names:
-        if n not in seen:
-            seen.add(n)
-            out.append(n)
-    return out
+    def _plan_aggregate(self, rule, item: A.AggregateItem, record, linear, head):
+        key_fn = _tuple_getter([record.index(k) for k in item.group_by])
+        args_fn = self._record_fn(item.args, record)
+        slots = Slots([*item.group_by, item.var])
+        width = len(slots)
+        step, out_record = self._stretch(slots, linear, head, width)
+        node = AggregateNode(
+            key_fn,
+            args_fn,
+            AGGREGATES[item.func].fn,
+            _framed(step, len(slots) - width),
+            name=f"aggregate({item.func})",
+        )
+        return node, out_record

@@ -39,6 +39,7 @@ from repro.dlog.engine import compile_program
 from repro.errors import ReproError
 from repro.mgmt.database import Database
 from repro.mgmt.persist import Persister, restore
+from tests.test_dlog_properties import LINEAR_PROG
 
 # A join plus a negation: both arrangement kinds and distinct counts
 # carry state across the checkpoint.
@@ -147,6 +148,33 @@ class TestEngineCheckpointDifferential:
             assert _canonical(got) == _canonical(want)
         assert restored.dump("Reach") == reference.dump("Reach")
 
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(batches=_batches(("A", "B")), data=st.data())
+    def test_linear_stretches_deltas_identical(self, batches, data):
+        """Join, antijoin and aggregate state whose steps run guards,
+        assignments and FlatMaps survives the round trip."""
+        cut = data.draw(st.integers(0, len(batches)), label="cut")
+        reference = compile_program(LINEAR_PROG).start()
+        subject = compile_program(LINEAR_PROG).start()
+        for batch in batches[:cut]:
+            changes = _changes(batch, ("A", "B"))
+            reference.transaction(**changes)
+            subject.transaction(**changes)
+        snapshot = pickle.loads(pickle.dumps(subject.checkpoint()))
+        restored = compile_program(LINEAR_PROG).start(checkpoint=snapshot)
+        assert restored.restored
+        for batch in batches[cut:]:
+            changes = _changes(batch, ("A", "B"))
+            want = reference.transaction(**changes)
+            got = restored.transaction(**changes)
+            assert _canonical(got) == _canonical(want)
+        for rel in ("J", "G", "N", "C"):
+            assert restored.dump(rel) == reference.dump(rel)
+
     def test_checkpoint_then_delete_inside_cycle(self):
         """Deterministic regression: break a cycle after restoring —
         over-retained DRed state would keep the unreachable pairs."""
@@ -179,6 +207,26 @@ class TestCheckpointValidation:
         assert not compile_program(JOIN_NEG_PROGRAM).start(
             checkpoint=snapshot
         ).restored
+
+    def test_format_3_checkpoint_cold_starts(self):
+        """Format 3 keyed operator state by the index of a graph with a
+        node per linear item; those indices now name other nodes (here
+        the antijoin moved from 7 to 6), so a v3 snapshot — bare or as a
+        chain's anchor — must cold-start, not restore."""
+        runtime = compile_program(JOIN_NEG_PROGRAM).start()
+        runtime.transaction(inserts={"R": [(1, 2), (3, 4)], "S": [(2, 5)]})
+        snapshot = runtime.checkpoint()
+        snapshot["format"] = 3
+        for checkpoint in (
+            snapshot,
+            {"delta_chain": True, "full": snapshot, "segments": []},
+        ):
+            cold = compile_program(JOIN_NEG_PROGRAM).start(checkpoint=checkpoint)
+            assert not cold.restored
+            assert cold.dump("R") == cold.dump("J") == set()
+            cold.transaction(inserts={"R": [(1, 2)], "S": [(2, 5)]})
+            assert cold.dump("J") == {(1, 2, 5)}
+            assert cold.dump("OnlyR") == set()
 
     def test_garbage_checkpoint_falls_back_cold(self):
         runtime = compile_program(JOIN_NEG_PROGRAM).start(

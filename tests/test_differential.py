@@ -396,6 +396,8 @@ class TestEngineVsFullRecompute:
 
 from repro.dlog.shard import ShardedRuntime  # noqa: E402
 
+from tests.test_dlog_properties import LINEAR_PROG  # noqa: E402
+
 
 def _delta_bytes(result):
     """Canonical serialization of a TxnResult's deltas — the comparison
@@ -414,6 +416,30 @@ def _batch_changes(batch):
     return {
         "inserts": {"R": batch["R+"], "S": batch["S+"]},
         "deletes": {"R": batch["R-"], "S": batch["S-"]},
+    }
+
+
+#: Batches over ``LINEAR_PROG``'s inputs ``A`` and ``B`` (both
+#: ``(bigint, bigint)``): duplicate inserts and absent deletes included.
+_ab_batches = st.lists(
+    st.fixed_dictionaries(
+        {
+            f"{rel}{sign}": st.lists(
+                st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4
+            )
+            for rel in "AB"
+            for sign in "+-"
+        }
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _ab_changes(batch):
+    return {
+        "inserts": {"A": batch["A+"], "B": batch["B+"]},
+        "deletes": {"A": batch["A-"], "B": batch["B-"]},
     }
 
 
@@ -536,6 +562,34 @@ class TestShardingOracle:
                 assert resumed.dump(rel) == single.dump(rel)
         finally:
             resumed.close()
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(batches=_ab_batches, shards=st.sampled_from([1, 2, 4]))
+    def test_linear_stretches_deltas_byte_identical(self, batches, shards):
+        """Every linear item kind in every stretch position
+        (``LINEAR_PROG``): guards, assignments and FlatMaps running
+        inside scans, joins, an antijoin and an aggregate."""
+        program = compile_program(LINEAR_PROG)
+        single = program.start()
+        sharded = ShardedRuntime(program, shards=shards, workers="inline")
+        try:
+            assert _delta_bytes(single.initial_result) == _delta_bytes(
+                sharded.initial_result
+            )
+            for batch in batches:
+                changes = _ab_changes(batch)
+                expect = single.transaction(**changes)
+                got = sharded.transaction(**changes)
+                assert _delta_bytes(expect) == _delta_bytes(got)
+                assert expect.warnings == got.warnings
+            for rel in program.output_relations:
+                assert sharded.dump(rel) == single.dump(rel)
+        finally:
+            sharded.close()
 
     def test_process_workers_agree_with_inline(self):
         """One deterministic pass over the IPC path: process workers
@@ -741,57 +795,86 @@ class TestDeltaCheckpointOracle:
         fresh runtime (same shard count), and replay the tail: deltas
         stay byte-identical to an uninterrupted single-shard engine."""
         r_arity, s_arity, jr, js, batches = scenario
-        anchor = data.draw(st.integers(0, len(batches)), label="anchor")
-        cut = data.draw(st.integers(anchor, len(batches)), label="cut")
-        directory = str(tmp_path_factory.mktemp("chain"))
-        program = compile_program(_join_program(r_arity, s_arity, jr, js))
-        reference = program.start()
-        subject = program.start(shards=shards, shard_workers="inline")
-        store = CheckpointStore(directory, "engine.ckpt", program.program_hash)
-        try:
-            for batch in batches[:anchor]:
-                changes = _batch_changes(batch)
-                reference.transaction(**changes)
-                subject.transaction(**changes)
-            subject.enable_journal()
-            store.save_full(subject.checkpoint(), subject.txn_count)
-            for batch in batches[anchor:cut]:
-                changes = _batch_changes(batch)
-                reference.transaction(**changes)
-                subject.transaction(**changes)
-                store.save_delta(
-                    subject.drain_journal(), subject.txn_count
-                )
-            subject_txns = subject.txn_count
-        finally:
-            close = getattr(subject, "close", None)
-            if close:
-                close()
-
-        full, segments = store.load_chain(lambda f: f["txn_count"])
-        restored = program.start(
-            checkpoint={
-                "delta_chain": True,
-                "full": full,
-                "segments": segments,
-            },
-            shards=shards,
-            shard_workers="inline",
+        _chain_restore(
+            compile_program(_join_program(r_arity, s_arity, jr, js)),
+            [_batch_changes(batch) for batch in batches],
+            ("R", "S", "J", "OnlyR"),
+            shards,
+            data,
+            str(tmp_path_factory.mktemp("chain")),
         )
-        try:
-            assert restored.restored
-            # Runtime and ShardedRuntime count their initial static-load
-            # transactions differently, so compare against the subject's
-            # own counter at the cut point, not the reference's.
-            assert restored.txn_count == subject_txns
-            for batch in batches[cut:]:
-                changes = _batch_changes(batch)
-                want = reference.transaction(**changes)
-                got = restored.transaction(**changes)
-                assert _delta_bytes(want) == _delta_bytes(got)
-            for rel in ("R", "S", "J", "OnlyR"):
-                assert restored.dump(rel) == reference.dump(rel)
-        finally:
-            close = getattr(restored, "close", None)
-            if close:
-                close()
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        batches=_ab_batches,
+        shards=st.sampled_from([1, 2, 4]),
+        data=st.data(),
+    )
+    def test_linear_chain_restore_mid_sequence(
+        self, batches, shards, data, tmp_path_factory
+    ):
+        """The same over ``LINEAR_PROG``: stateful nodes whose steps run
+        guards, assignments and FlatMaps restore by graph index."""
+        program = compile_program(LINEAR_PROG)
+        _chain_restore(
+            program,
+            [_ab_changes(batch) for batch in batches],
+            ["A", "B", *program.output_relations],
+            shards,
+            data,
+            str(tmp_path_factory.mktemp("chain")),
+        )
+
+
+def _chain_restore(program, changes_list, relations, shards, data, directory):
+    """Run ``changes_list`` through a reference engine and a journaling
+    subject (anchor and cut drawn from ``data``), restore the subject's
+    chain into a fresh runtime and replay the tail against the
+    reference."""
+    anchor = data.draw(st.integers(0, len(changes_list)), label="anchor")
+    cut = data.draw(st.integers(anchor, len(changes_list)), label="cut")
+    reference = program.start()
+    subject = program.start(shards=shards, shard_workers="inline")
+    store = CheckpointStore(directory, "engine.ckpt", program.program_hash)
+    try:
+        for changes in changes_list[:anchor]:
+            reference.transaction(**changes)
+            subject.transaction(**changes)
+        subject.enable_journal()
+        store.save_full(subject.checkpoint(), subject.txn_count)
+        for changes in changes_list[anchor:cut]:
+            reference.transaction(**changes)
+            subject.transaction(**changes)
+            store.save_delta(subject.drain_journal(), subject.txn_count)
+        subject_txns = subject.txn_count
+    finally:
+        close = getattr(subject, "close", None)
+        if close:
+            close()
+
+    full, segments = store.load_chain(lambda f: f["txn_count"])
+    restored = program.start(
+        checkpoint={"delta_chain": True, "full": full, "segments": segments},
+        shards=shards,
+        shard_workers="inline",
+    )
+    try:
+        assert restored.restored
+        # Runtime and ShardedRuntime count their initial static-load
+        # transactions differently, so compare against the subject's
+        # own counter at the cut point, not the reference's.
+        assert restored.txn_count == subject_txns
+        for changes in changes_list[cut:]:
+            want = reference.transaction(**changes)
+            got = restored.transaction(**changes)
+            assert _delta_bytes(want) == _delta_bytes(got)
+        for rel in relations:
+            assert restored.dump(rel) == reference.dump(rel)
+    finally:
+        close = getattr(restored, "close", None)
+        if close:
+            close()

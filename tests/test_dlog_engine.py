@@ -5,7 +5,7 @@ import pytest
 from repro.dlog import compile_program
 from repro.dlog.recursive import IndexStore
 from repro.dlog.values import MapValue, StructValue
-from repro.errors import StratificationError, TransactionError
+from repro.errors import StratificationError, TransactionError, TypeCheckError
 from repro.workloads.topology import fat_tree
 
 
@@ -631,6 +631,33 @@ class TestFacts:
         assert rows(rt, "Out") == {(99,)}
         rt.transaction(inserts={"In": [(1,)]})
         assert rows(rt, "Out") == {(99,), (1,)}
+
+
+class TestBodyShape:
+    PROG = """
+    input relation A(x: bigint)
+    input relation B(x: bigint)
+    output relation R(x: bigint)
+    R(x) :- {body}.
+    """
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1 < 2, A(x)",
+            "var x = 1, A(x)",
+            "var x = FlatMap([1, 2]), A(x)",
+            "not B(1), A(x)",
+            "var n = Aggregate((), count()), A(x)",
+        ],
+    )
+    def test_body_with_atoms_must_start_with_one(self, body):
+        """A rule with relation atoms is planned from its first item, so
+        a guard, assignment, FlatMap, negated atom or aggregate ahead of
+        every atom is a planning error, not a crash."""
+        program = compile_program(self.PROG.format(body=body))
+        with pytest.raises(TypeCheckError, match="must start with a relation atom"):
+            program.start()
 
 
 class TestMultiRuleRelations:

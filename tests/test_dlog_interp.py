@@ -1,8 +1,8 @@
 """Unit tests for the expression compiler (semantics details).
 
-Most cases run through :meth:`Evaluator.eval` / :meth:`Evaluator.match`,
-which compile the node and run it; :class:`TestCompiledCode` drives the
-compiled closures and whole rules directly."""
+Most cases compile one expression or pattern over a frame holding a
+variable dict's values (:func:`run_expr`, :func:`run_match`) and run it;
+:class:`TestCompiledCode` also drives whole rules."""
 
 import pytest
 
@@ -13,6 +13,30 @@ from repro.dlog.parser import parse_program
 from repro.dlog.typecheck import check_program
 from repro.dlog.values import MapValue, StructValue
 from repro.errors import EvalError
+
+
+def _frame(env, slots):
+    return [*env.values(), *[None] * (len(slots) - len(env))]
+
+
+def run_expr(evaluator, expr, env):
+    """Compile ``expr`` over a frame holding ``env``'s variables, in
+    order, and run it."""
+    slots = Slots(env)
+    fn = evaluator.compile_expr(expr, slots)
+    return fn(_frame(env, slots))
+
+
+def run_match(evaluator, pat, value, env, rebind):
+    """Compile ``pat`` the same way and match ``value``; on success the
+    bindings are copied back into ``env``."""
+    slots = Slots(env)
+    test = evaluator.compile_pattern(pat, slots, rebind)
+    frame = _frame(env, slots)
+    if not test(value, frame):
+        return False
+    env.update((name, frame[i]) for name, i in slots.index.items())
+    return True
 
 
 def make_evaluator(prelude=""):
@@ -39,7 +63,7 @@ def checked_expr(expr_text, prelude="", var_decls=()):
 def eval_in_rule(expr_text, env, prelude="", var_decls=""):
     """Typecheck an expression inside a rule context and evaluate it."""
     checked, expr = checked_expr(expr_text, prelude, var_decls)
-    return Evaluator(checked).eval(expr, env)
+    return run_expr(Evaluator(checked), expr, env)
 
 
 def compile_in_rule(expr_text, prelude="", var_decls=()):
@@ -105,7 +129,7 @@ class TestValuesAndCalls:
         evaluator, _ = make_evaluator()
         expr = A.MatchExpr(A.Var("x"), [(A.PLit(1), A.Lit(10))])
         with pytest.raises(EvalError, match="no match arm"):
-            evaluator.eval(expr, {"x": 2})
+            run_expr(evaluator, expr, {"x": 2})
 
     def test_user_function_recursion_guard(self):
         prelude = "function boom(x: bigint): bigint { boom(x) }"
@@ -169,30 +193,30 @@ class TestPatternMatching:
     def test_bind_always_rebinds(self):
         evaluator, _ = make_evaluator()
         env = {"x": 1}
-        assert evaluator.match(A.PVar("x"), 2, env, bind_always=True)
+        assert run_match(evaluator, A.PVar("x"), 2, env, rebind=True)
         assert env["x"] == 2
 
     def test_bind_check_mode_compares(self):
         evaluator, _ = make_evaluator()
         env = {"x": 1}
-        assert not evaluator.match(A.PVar("x"), 2, env, bind_always=False)
-        assert evaluator.match(A.PVar("x"), 1, env, bind_always=False)
+        assert not run_match(evaluator, A.PVar("x"), 2, env, rebind=False)
+        assert run_match(evaluator, A.PVar("x"), 1, env, rebind=False)
 
     def test_tuple_pattern_arity_mismatch(self):
         evaluator, _ = make_evaluator()
         pat = A.PTuple([A.PVar("a"), A.PVar("b")])
-        assert not evaluator.match(pat, (1, 2, 3), {}, bind_always=True)
+        assert not run_match(evaluator, pat, (1, 2, 3), {}, rebind=True)
 
     def test_struct_pattern_wrong_ctor(self):
         evaluator, _ = make_evaluator()
         pat = A.PStruct("Some", [(None, A.PVar("v"))])
-        assert not evaluator.match(
-            pat, StructValue("None", ()), {}, bind_always=True
+        assert not run_match(
+            evaluator, pat, StructValue("None", ()), {}, rebind=True
         )
 
     def test_wildcard_always_matches(self):
         evaluator, _ = make_evaluator()
-        assert evaluator.match(A.PWildcard(), object(), {}, bind_always=False)
+        assert run_match(evaluator, A.PWildcard(), object(), {}, rebind=False)
 
 
 class TestCompiledCode:

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dlog.dataflow.graph import Graph
 from repro.dlog.dataflow.operators import (
     AggregateNode,
     AntiJoinNode,
     DistinctNode,
-    FilterNode,
-    FlatMapNode,
     JoinNode,
-    MapNode,
-    UnionNode,
+    ScanNode,
+    SourceNode,
+    emit,
 )
 from repro.dlog.dataflow.zset import ZSet
 
@@ -30,28 +30,50 @@ def z(*pairs):
 
 
 class TestLinearOperators:
+    """A linear stretch is a step run once per record; a ScanNode runs
+    one over a relation's delta, in any of the shapes a rule compiles
+    to."""
+
     def test_map(self):
-        node = MapNode(lambda r: r * 10)
+        node = ScanNode(lambda r, w, out: emit(r * 10, w, out))
         out = node.process([z((1, 1), (2, -2))])
         assert out == z((10, 1), (20, -2))
 
     def test_filter(self):
-        node = FilterNode(lambda r: r % 2 == 0)
+        def evens(r, w, out):
+            if r % 2 == 0:
+                emit(r, w, out)
+
+        node = ScanNode(evens)
         out = node.process([z((1, 1), (2, 1), (4, -1))])
         assert out == z((2, 1), (4, -1))
 
     def test_flatmap(self):
-        node = FlatMapNode(lambda r: range(r))
+        def expand(r, w, out):
+            for elem in range(r):
+                emit(elem, w, out)
+
+        node = ScanNode(expand)
         out = node.process([z((2, 1), (3, -1))])
         assert out == z((0, 1), (1, 1), (0, -1), (1, -1), (2, -1))
 
     def test_union(self):
-        node = UnionNode(3)
-        out = node.process([z(("a", 1)), z(("a", 1), ("b", -1)), None])
-        assert out == z(("a", 2), ("b", -1))
+        """Producers feeding one port are summed by the graph (there is
+        no union operator); the first producer's delta is not mutated."""
+        graph = Graph()
+        sources = [graph.add(SourceNode()) for _ in range(3)]
+        sink = graph.add(ScanNode(emit))
+        for source in sources:
+            source.connect_to(sink, 0)
+        first = z(("a", 1))
+        outputs = graph.run(
+            {id(sources[0]): first, id(sources[1]): z(("a", 1), ("b", -1))}
+        )
+        assert outputs[id(sink)] == z(("a", 2), ("b", -1))
+        assert first == z(("a", 1))
 
     def test_map_merges_collisions(self):
-        node = MapNode(lambda r: r % 2)
+        node = ScanNode(lambda r, w, out: emit(r % 2, w, out))
         out = node.process([z((1, 1), (3, 1), (5, -2))])
         assert out == z((1, 0)) == ZSet()
 
@@ -115,7 +137,7 @@ class TestJoin:
         return JoinNode(
             left_key=lambda row: row[0],
             right_key=lambda row: row[0],
-            merge=lambda a, b: (a, b),
+            step=lambda a, b, w, out: emit((a, b), w, out),
         )
 
     def test_simple_join(self):
@@ -141,10 +163,15 @@ class TestJoin:
         assert out == z((((1, "l"), (1, "r")), -1))
 
     def test_merge_returning_none_drops_pair(self):
+        """A pair whose step derives nothing (a failed residual match)
+        leaves no trace in the output."""
+
+        def pair(a, b, w, out):
+            if b[1] != "skip":
+                emit((a, b), w, out)
+
         node = JoinNode(
-            left_key=lambda row: row[0],
-            right_key=lambda row: row[0],
-            merge=lambda a, b: None if b[1] == "skip" else (a, b),
+            left_key=lambda row: row[0], right_key=lambda row: row[0], step=pair
         )
         out = node.process([z(((1, "l"), 1)), z(((1, "skip"), 1), ((1, "ok"), 1))])
         assert out == z((((1, "l"), (1, "ok")), 1))
@@ -164,7 +191,7 @@ class TestJoin:
 
 class TestAntiJoin:
     def _node(self):
-        return AntiJoinNode(left_key=lambda row: row[0])
+        return AntiJoinNode(left_key=lambda row: row[0], step=emit)
 
     def test_passes_when_right_absent(self):
         node = self._node()
@@ -225,6 +252,7 @@ class TestAggregate:
             key_fn=lambda r: (r[0],),
             args_fn=lambda r: (r[1],),
             fold=fold,
+            step=emit,
         )
 
     def test_count(self):
@@ -322,18 +350,23 @@ _keys = st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), max_size=4)
 STATEFUL = {
     "distinct": (DistinctNode, [_keyed], [[((SENTINEL, 0), 1)]]),
     "join": (
-        lambda: JoinNode(lambda l: l[0], lambda r: r[0], lambda l, r: (l, r)),
+        lambda: JoinNode(
+            lambda l: l[0], lambda r: r[0], lambda l, r, w, out: emit((l, r), w, out)
+        ),
         [_keyed, _keyed],
         [[((SENTINEL, 0), 1)], [((SENTINEL, 1), 1)]],
     ),
     "antijoin": (
-        lambda: AntiJoinNode(lambda l: l[0]),
+        lambda: AntiJoinNode(lambda l: l[0], emit),
         [_keyed, _keys],
         [[((SENTINEL, 0), 1)], [(SENTINEL, 1)]],
     ),
     "aggregate": (
         lambda: AggregateNode(
-            lambda r: (r[0],), lambda r: (r[1],), lambda rows: sum(a[0] for a in rows)
+            lambda r: (r[0],),
+            lambda r: (r[1],),
+            lambda rows: sum(a[0] for a in rows),
+            emit,
         ),
         [_keyed],
         [[((SENTINEL, 0), 1)]],

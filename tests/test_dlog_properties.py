@@ -103,6 +103,35 @@ R(y, match (m) { 2 -> Stop, _ -> Hop{m} }, x) :- S(x, m), A(x, y).
 R(x, Stop, 0) :- S(x, 2), A(0, x).
 """
 
+# Every linear item kind — guard, assignment, FlatMap — in every
+# position a stretch can run: after the first atom (before the first
+# join), between joins, after an antijoin and after an aggregate; a
+# refutable constructor assignment, a FlatMap over a Map (from
+# ``group_to_map``) and one over a Vec with a repeated element (weight
+# 2), a ``match`` in a head, negated atoms keyed on a literal and on the
+# whole row, a scan with a literal, and two rules of one head whose
+# outputs can collide and cancel in one transaction (``C``).
+LINEAR_PROG = """
+typedef half_t = Half{h: bigint} | Odd
+function half(n: bigint): half_t { if (n % 2 == 0) { Half{n / 2} } else { Odd } }
+input relation A(x: bigint, y: bigint)
+input relation B(y: bigint, z: bigint)
+output relation J(x: bigint, k: bigint, t: bigint)
+J(x, k, match (e) { 0 -> 10, 1 -> 11, _ -> e }) :-
+    A(x, y), y != 3, var s = x + y, var w = FlatMap([s, s % 3]),
+    B(y, z), z != w, var Half{h} = half(z + w), var k = FlatMap([h, 0]),
+    A(z, v), not B(v, 2), v < 4, var d = (k + v) % 3, var e = FlatMap([d, d]).
+output relation G(x: bigint, k: bigint, n: bigint)
+G(x, k, n) :- A(x, y), var m = Aggregate((x), group_to_map(y, x + y)),
+    var kv = FlatMap(m), var (k, v) = kv, v != 5, var n = k * 10 + v.
+output relation N(x: bigint, y: bigint, c: bigint)
+N(x, y, c) :- B(x, y), not A(y, x), x < y, var c = x * y,
+    var q = FlatMap([c]), q != 4.
+output relation C(a: bigint)
+C(y) :- A(_, y).
+C(y) :- B(y, 1).
+"""
+
 PROGRAMS = {
     "join": JOIN_PROG,
     "negation": NEG_PROG,
@@ -111,6 +140,7 @@ PROGRAMS = {
     "bounded_hops": HOP_PROG,
     "nonlinear_mutual": NONLINEAR_PROG,
     "compiled_steps": STEPS_PROG,
+    "linear_stretches": LINEAR_PROG,
 }
 
 pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -199,3 +229,26 @@ class TestIncrementalEqualsFromScratch:
         rt_full, _, _, _ = run_script(text, script, recursive_mode="recompute")
         for rel in compile_program(text).output_relations:
             assert rt_dred.dump(rel) == rt_full.dump(rel), rel
+
+
+class TestLinearStretches:
+    def test_colliding_rules_cancel(self):
+        """``C(1)`` loses its ``A`` support and gains a ``B`` one in one
+        transaction: the two rules' deltas meet at ``C`` and cancel."""
+        rt = compile_program(LINEAR_PROG).start()
+        rt.transaction(inserts={"A": [(0, 1)]})
+        assert rt.dump("C") == {(1,)}
+        result = rt.transaction(deletes={"A": [(0, 1)]}, inserts={"B": [(1, 1)]})
+        assert "C" not in result.deltas
+        assert rt.dump("C") == {(1,)}
+        result = rt.transaction(deletes={"B": [(1, 1)]})
+        assert result.deltas["C"].data == {(1,): -1}
+
+    def test_fact_body_holding_twice_counts_twice(self):
+        """A fact runs the same step chain, once, at plan time."""
+        rt = compile_program("""
+        output relation F(n: bigint)
+        F(n) :- var n = FlatMap([1, 2, 2]), n > 1.
+        """).start()
+        assert rt.dump("F") == {(2,)}
+        assert rt.relation_nodes["F"].counts.data == {(2,): 2}

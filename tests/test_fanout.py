@@ -47,6 +47,7 @@ from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import DeviceService, TableWrite
 from repro.p4runtime.farm import DeviceFarm
 from repro.p4runtime.server import P4RuntimeServer
+from tests.doubles import uncoalesce
 
 FAST = RetryPolicy(
     connect_timeout=2.0,
@@ -1014,17 +1015,16 @@ def churn(db):
 
 
 class TestDifferentialPlanes:
-    def test_same_write_order_and_final_tables(self):
+    def test_same_write_order_and_final_tables(self, monkeypatch):
         """With coalescing off every engine transaction is its own wire
         write, so the plane must agree with the reference *batch for
         batch* — not just on the final tables."""
+        uncoalesce(monkeypatch)
         project = nerpa_build(SCHEMA, RULES, P4)
         db = Database(project.schema)
         sims = [project.new_simulator(n_ports=16) for _ in range(2)]
         services = [_RecordingService(sim) for sim in sims]
-        controller = NerpaController(
-            project, db, services, coalesce=False
-        ).start()
+        controller = NerpaController(project, db, services).start()
         try:
             churn(db)
             controller.drain()
@@ -1039,7 +1039,8 @@ class TestDifferentialPlanes:
         assert sum(len(log) for log in logs) > 0
 
     @pytest.mark.slow
-    def test_quarantine_and_recovery_match_the_reference(self):
+    def test_quarantine_and_recovery_match_the_reference(self, monkeypatch):
+        uncoalesce(monkeypatch)
         project = nerpa_build(SCHEMA, RULES, P4)
         db = Database(project.schema)
         healthy_sim = project.new_simulator(n_ports=16)
@@ -1050,7 +1051,6 @@ class TestDifferentialPlanes:
             db,
             [healthy_sim, flaky],
             breaker_threshold=2,
-            coalesce=False,
         ).start()
         try:
             flaky_dev = controller.devices[1]

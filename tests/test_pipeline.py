@@ -42,6 +42,7 @@ from repro.mgmt.server import ManagementServer
 from repro.net import RetryPolicy
 from repro.p4.tables import FieldMatch, TableEntry
 from repro.p4runtime.api import DeviceService
+from tests.doubles import uncoalesce
 
 SCHEMA = simple_schema(
     "net", {"PortCfg": {"port": "integer", "out_port": "integer"}}
@@ -451,11 +452,10 @@ class TestEndToEndOrdering:
         finally:
             controller.stop()
 
-    def test_unbatched_mode_issues_one_write_per_transaction(self):
+    def test_unbatched_mode_issues_one_write_per_transaction(self, monkeypatch):
+        uncoalesce(monkeypatch)
         project, db, switch = build()
-        controller = NerpaController(
-            project, db, [switch], coalesce=False
-        ).start()
+        controller = NerpaController(project, db, [switch]).start()
         try:
             for port in range(5):
                 add_port(db, port, port + 1)
