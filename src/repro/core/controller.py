@@ -10,18 +10,18 @@ a **staged pipeline** (see ``docs/ARCHITECTURE.md``):
   burst of transactions collapses into one net changeset while the
   engine is busy (modify = delete+insert pairs cancel, last writer
   wins per row key);
-* **evaluate** (stage 2, the engine thread) — one engine transaction
-  per changeset; the control program's *output deltas* fan out as one
+* **evaluate** (stage 2, callbacks on the reactor stage 3 and the
+  checkpoint timer share) — one engine transaction per changeset per
+  loop turn; the control program's *output deltas* fan out as one
   :class:`~repro.core.pipeline.DeviceBatch` per device.  Rows of the
   reserved ``MulticastGroup(group, port)`` output relation are folded
   into per-group port lists and ride the same batch;
 * **apply** (stage 3, :mod:`repro.core.fanout`) — batches merge on
   each device's own coalescing queue and go out as a single batched
   P4Runtime write (deletes before inserts, atomic per batch, in
-  engine-transaction order), driven by one shared reactor — the device
-  clients' own.  Device I/O holds **no** controller-wide lock, so a
-  slow or broken device backs up only its own queue — never the engine
-  or its peers.
+  engine-transaction order).  Device I/O holds **no** controller-wide
+  lock, so a slow or broken device backs up only its own queue — never
+  the engine or its peers.
 
 :class:`NerpaController` is the wiring of those three stages plus
 their lifecycle.  The decisions around them live beside it, one owner
@@ -110,8 +110,8 @@ class NerpaController:
         if apply_plane != "aio":
             raise ReproError(f"unknown apply plane {apply_plane!r}")
         devices = list(devices)
-        #: The reactor stage 3 runs on — the device clients' own
-        #: (``None`` = only in-process devices: the process default).
+        #: The loop stages 2 and 3 run on: the device clients' own, or
+        #: (set by :meth:`start`) the process default.
         self.reactor: Optional[Reactor] = shared_reactor(devices, reactor)
         self.bindings = project.bindings
         #: Directory for the controller checkpoint (engine state +
@@ -127,9 +127,9 @@ class NerpaController:
         self.checkpoint_every = checkpoint_every
         #: Background checkpoint cadence in seconds; ``None`` (default)
         #: disables the timer.  When set (and ``state_dir`` is too), a
-        #: daemon thread calls ``save_checkpoint(mode="auto")`` every
-        #: interval while the pipeline runs; :meth:`stop` cancels it
-        #: before closing anything it depends on.
+        #: reactor timer hands ``save_checkpoint(mode="auto")`` to the
+        #: reactor's hook pool every interval while the pipeline runs;
+        #: :meth:`stop` cancels it before closing anything it depends on.
         self.checkpoint_interval_s = checkpoint_interval_s
         #: Fencing epoch stamped on every device write this controller
         #: issues (``None`` = unfenced, the single-controller default).
@@ -176,9 +176,8 @@ class NerpaController:
             # save.  Enabled only after any chain replay above, so
             # replayed transactions are not re-journaled.
             self.runtime.enable_journal()
-        # ``_seq`` and multicast membership are engine-thread state:
-        # only stage 2 reads or mutates them (snapshots are taken via
-        # engine tasks).
+        # ``_seq`` and multicast membership are engine state: only stage
+        # 2 reads or mutates them (snapshots are taken via engine tasks).
         self._seq, groups, epochs = warmstate.unpack(warm or {})
         self._mcast = MulticastState(groups)
         #: The config epoch each device held when the engine state this
@@ -195,7 +194,8 @@ class NerpaController:
 
         # Pipeline plumbing (built in start()).
         self.engine_queue: Optional[CoalescingQueue] = None
-        self._engine_thread: Optional[threading.Thread] = None
+        # A pump is submitted and not yet started (a spare one is harmless).
+        self._engine_due = False
         #: One `DeviceChannel` per device, in ``devices`` order.
         self.channels: List = []
         self._fanout_plane: Optional[FanoutPlane] = None
@@ -260,11 +260,6 @@ class NerpaController:
             raise ReproError("controller already started")
         started_at = time.perf_counter()
         self._started = True
-        self.engine_queue = CoalescingQueue(name="engine", maxlen=1024)
-        self._engine_thread = threading.Thread(
-            target=self._engine_loop, name="nerpa-engine", daemon=True
-        )
-        self._engine_thread.start()
         # The pool's size caps how many in-process devices apply batches
         # at once; remote devices borrow it only for full-sync tasks,
         # and a fleet of them must not cost a thread each at start.
@@ -276,6 +271,12 @@ class NerpaController:
             max_blocking_workers=min(64, max(8, in_process)),
             on_error=self._defer_error,
         )
+        self.reactor = self._fanout_plane.reactor
+        # Bounded, unlike the channel queues: all its producers are off
+        # the loop, so backpressure never parks the loop.
+        self.engine_queue = CoalescingQueue(
+            name="engine", maxlen=1024, on_ready=self._wake_engine
+        )
         applier = BatchApplier(
             self._fanout_plane,
             self.breaker_threshold,
@@ -283,9 +284,7 @@ class NerpaController:
             self._record_apply,
         )
         self.channels = [
-            self._fanout_plane.channel(
-                device, applier, name=device.name, maxlen=512
-            )
+            self._fanout_plane.channel(device, applier, name=device.name)
             for device in self.devices
         ]
         for device in self.devices:
@@ -300,7 +299,7 @@ class NerpaController:
         self.drain()
         if self.state_dir is not None and self.checkpoint_interval_s:
             self.checkpoints.start_timer(
-                self.checkpoint_interval_s, self.save_checkpoint
+                self.reactor, self.checkpoint_interval_s, self.save_checkpoint
             )
         self.start_seconds = time.perf_counter() - started_at
         if obs.enabled():
@@ -344,8 +343,9 @@ class NerpaController:
         here; transport failures are *not* errors (the breaker and
         resync machinery own those).  Raises
         :class:`~repro.core.pipeline.PipelineStalledError` when
-        ``timeout`` passes first.
+        ``timeout`` passes first (``ReproError`` on the reactor).
         """
+        self._refuse_on_loop("drain()")
         deadline = time.monotonic() + timeout
         queues = [channel.queue for channel in self.channels]
         if self.engine_queue is not None:
@@ -379,16 +379,14 @@ class NerpaController:
            engine tasks, which must not race the queue close below;
         2. run the registered stop hooks (lease release, etc.) while
            the transports are still up;
-        3. drain, unsubscribe, close queues, join threads, stop the
-           fan-out plane, close the runtime.
+        3. drain, unsubscribe, close the queues, wait out a transaction
+           running on the loop, stop the fan-out plane, close the runtime.
 
-        Re-entrancy: stop() may be invoked from a pipeline thread (an
-        engine task or a monitor callback reacting to a lease-table
-        update).  Joining the calling thread would deadlock, so joins
-        of the current thread are skipped — the daemon thread exits on
-        its own once its closed queue drains.  Stopping a stack whose
-        management plane is already down must not raise out of
-        teardown.
+        Re-entrancy: stop() may be invoked from an engine task or a
+        monitor callback reacting to a lease-table update.  On the
+        reactor it skips the drain and the wait, which would wait for
+        itself.  Stopping a stack whose management plane is already
+        down must not raise out of teardown.
         """
         self.checkpoints.stop_timer()
         for hook in list(self._stop_hooks):
@@ -397,8 +395,8 @@ class NerpaController:
             except Exception:  # noqa: BLE001 - teardown must not raise
                 pass
         self._stop_hooks = []
-        on_engine = threading.current_thread() is self._engine_thread
-        if self._started and not on_engine:
+        on_loop = self.reactor is not None and self.reactor.in_loop()
+        if self._started and not on_loop:
             try:
                 self.drain(timeout=10.0)
             except ReproError:
@@ -412,11 +410,11 @@ class NerpaController:
             self.engine_queue.close()
         for channel in self.channels:
             channel.queue.close()
-        if self._engine_thread is not None:
-            if not on_engine:
-                self._engine_thread.join(timeout=2.0)
-            self._engine_thread = None
         if self._fanout_plane is not None:
+            if not on_loop:  # the runtime must not close mid-transaction
+                idle = threading.Event()
+                if self.reactor.submit(idle.set):
+                    idle.wait(2.0)
             self._fanout_plane.stop()
             self._fanout_plane = None
         self.runtime.close()
@@ -528,7 +526,7 @@ class NerpaController:
             # around this callback); a peer that binds none (tracing
             # off on its side) gets a fresh one.  The parent span
             # (``mgmt.transact``) is captured so the evaluation can
-            # nest under it across the thread hop.
+            # nest under it across the hop to the reactor.
             uid = current_update_id() or obs.mint_update_id()
             changeset.update_ids.append(uid)
             changeset.parent = obs.TRACER.active()
@@ -567,31 +565,49 @@ class NerpaController:
 
     # -- stage 2: evaluate -------------------------------------------------------
 
-    def _engine_loop(self) -> None:
+    def _wake_engine(self) -> None:
+        """``engine_queue.on_ready`` (any thread): schedule the pump."""
+        if not self._engine_due:
+            self._engine_due = True
+            self.reactor.submit(self._engine_pump)
+
+    def _engine_pump(self) -> None:
+        """One changeset or engine task per loop turn, so I/O and timers
+        interleave with a backlog; re-submits itself while items remain."""
+        self._engine_due = False
         queue = self.engine_queue
-        while True:
-            item = queue.pop()
-            if item is None:
-                return
-            queue.gauge_depth()
-            try:
-                if isinstance(item, Task):
-                    item.run()
-                else:
-                    self._evaluate(item)
-            except Exception as exc:  # noqa: BLE001 - surfaced at drain()
-                self._defer_error(exc)
-            finally:
-                queue.task_done()
+        item = queue.pop_nowait()
+        if item is None:
+            return
+        queue.gauge_depth()
+        try:
+            if isinstance(item, Task):
+                item.run()
+            else:
+                self._evaluate(item)
+        except Exception as exc:  # noqa: BLE001 - surfaced at drain()
+            self._defer_error(exc)
+        finally:
+            queue.task_done()
+        if len(queue):
+            self._wake_engine()
 
     def _submit_engine(self, fn, wait: bool = True):
-        """Run ``fn`` on the engine thread (it owns runtime + mcast)."""
+        """Run ``fn`` as an engine task (it owns runtime + mcast)."""
         queue = self.engine_queue
         if queue is None or queue.closed:
             raise ReproError("controller not started")
+        if wait:
+            self._refuse_on_loop("waiting for an engine task")
         task = Task(fn)
         queue.put(task)
         return task.wait("engine task") if wait else None
+
+    def _refuse_on_loop(self, what: str) -> None:
+        if self.reactor is not None and self.reactor.in_loop():
+            raise ReproError(
+                f"{what} on the controller's reactor would wait on itself"
+            )
 
     def _evaluate(self, changeset: Changeset) -> None:
         """One engine transaction for one (possibly coalesced) changeset."""
@@ -716,9 +732,8 @@ class NerpaController:
 
     def _on_mgmt_reconnect(self) -> None:
         """The management channel came back (possibly to a restarted
-        server).  Running subscribe + diff *on the engine thread*
-        orders the reconcile strictly before any monitor update racing
-        it."""
+        server).  Running subscribe + diff *as an engine task* orders
+        the reconcile strictly before any monitor update racing it."""
         if self._started:
             self._submit_engine(self._reconcile_mgmt, wait=False)
 
@@ -755,8 +770,8 @@ class NerpaController:
 
         ``device`` may be a :class:`~repro.core.planes.ManagedDevice` or
         an index into :attr:`devices`.  The engine is authoritative: a
-        consistent snapshot of the desired writes is taken on the engine
-        thread, then a resync task on the device's *own* channel queue
+        consistent snapshot of the desired writes is taken as an engine
+        task, then a resync task on the device's *own* channel queue
         performs the read-diff repair — superseding any queued
         incremental batches, holding no controller-wide lock, and never
         blocking other devices or the engine.  Clears quarantine on
@@ -788,24 +803,21 @@ class NerpaController:
         supersede: bool = False,
     ) -> List[Task]:
         """Snapshot the desired state and queue one full-sync task per
-        channel.  Engine thread only: fan-out only ever happens here,
+        channel.  Engine tasks only: fan-out only ever happens there,
         so taking the snapshot and (for a resync) superseding the
         queued batches in one task is atomic w.r.t. fan-out — no batch
         can land on a channel queue after the snapshot yet be dropped
         by the supersede without its changes being in the snapshot.
 
         ``expected`` maps device names to the epochs a restored engine's
-        state was checkpointed with.  When every reachable device
-        already reports its own — the common fast-failover case — the
-        O(state) desired-writes dump is never taken, which is what
-        keeps takeover latency independent of the derived-state size.
+        state was checkpointed with.  Those syncs carry no desired
+        state — a device reporting its own needs none, which keeps
+        takeover latency independent of the derived-state size; any
+        other comes back ``STALE`` and is resynced.
         """
         desired = (
             reconcile.desired_writes(self.bindings, self.runtime)
             if expected is None
-            or reconcile.any_epoch_stale(
-                [channel.device for channel in channels], expected
-            )
             else None
         )
         mcast = self._mcast.snapshot()
@@ -855,13 +867,12 @@ class NerpaController:
                     "controller_warm_resync_skips_total", device=device.name
                 ).inc()
         elif fixed is reconcile.STALE:
-            # The engine-thread probe saw every device epoch-matched and
-            # skipped the desired-state dump, but something wrote to
-            # this one in between.  The resync's fresh snapshot — by
-            # now including the replayed delta — supersedes the delta
-            # batches queued behind this task, so nothing is applied
-            # twice.  ``wait=False``: it lands on *this* channel's
-            # queue, behind the task executing right now.
+            # A restored engine's sync carried no desired state, and the
+            # device did not report its checkpointed epoch.  The
+            # resync's fresh snapshot — by now including the replayed
+            # delta — supersedes the delta batches queued behind this
+            # task, so nothing is applied twice.  ``wait=False``: it
+            # lands on *this* channel's queue, behind this very task.
             self.resync_device(device, wait=False)
         elif fixed is not None:
             if resync:

@@ -6,11 +6,12 @@ CoalescingQueue`, the circuit breaker, ``drain()`` accounting — run
 without a thread or a blocking socket per device, on:
 
 * a shared :class:`~repro.net.reactor.Reactor` multiplexing every device
-  connection, and
+  connection — the controller's one loop, which runs stage 2's engine
+  transactions too, so every batch and sync task is queued from the
+  loop and channel queues have no bound to wait on — and
 * one :class:`DeviceChannel` per device — a lightweight state machine
   (``idle → batch-in-flight → awaiting-ack``, with the breaker's
-  quarantine visible alongside) driven by the queue's ``on_ready``
-  callback instead of a thread parked in ``pop()``.
+  quarantine visible alongside) driven by the queue's ``on_ready``.
 
 Two execution paths per channel:
 
@@ -106,14 +107,8 @@ class FanoutPlane:
         if obs.enabled():
             obs.REGISTRY.gauge("fanout_inflight").set(value)
 
-    def channel(
-        self,
-        device,
-        runner: Callable,
-        name: str,
-        maxlen: int = 512,
-    ) -> "DeviceChannel":
-        chan = DeviceChannel(self, device, runner, name, maxlen)
+    def channel(self, device, runner: Callable, name: str) -> "DeviceChannel":
+        chan = DeviceChannel(self, device, runner, name)
         self.channels.append(chan)
         return chan
 
@@ -146,14 +141,7 @@ class DeviceChannel:
     per-device FIFO holds no matter where the runner does its work.
     """
 
-    def __init__(
-        self,
-        plane: FanoutPlane,
-        device,
-        runner: Callable,
-        name: str,
-        maxlen: int = 512,
-    ):
+    def __init__(self, plane: FanoutPlane, device, runner: Callable, name: str):
         self.plane = plane
         self.device = device
         self._runner = runner
@@ -165,9 +153,7 @@ class DeviceChannel:
         self._ticket = 0
         self._open_ticket = 0
         self._done_lock = threading.Lock()
-        self.queue = CoalescingQueue(
-            name=name, maxlen=maxlen, on_ready=self._notify
-        )
+        self.queue = CoalescingQueue(name=name, on_ready=self._notify)
 
     def _notify(self) -> None:
         self.plane.reactor.submit(self._pump)

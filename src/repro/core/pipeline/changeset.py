@@ -7,7 +7,7 @@ The controller's update path is a three-stage pipeline (see
    :class:`Changeset` — the net row-level effect of one or more
    management-plane transactions, keyed per row so that bursts
    coalesce;
-2. **evaluate** (single engine thread) turns a changeset into an
+2. **evaluate** (engine callbacks on the reactor) turns a changeset into an
    engine transaction and fans the output deltas out as one
    :class:`DeviceBatch`, shared by every device's queue;
 3. **apply** (one event-loop channel per device, :mod:`repro.core.fanout`)

@@ -1,4 +1,4 @@
-"""Bounded coalescing queues connecting the pipeline stages.
+"""Coalescing queues connecting the pipeline stages.
 
 A :class:`CoalescingQueue` is a FIFO with three twists:
 
@@ -10,10 +10,12 @@ A :class:`CoalescingQueue` is a FIFO with three twists:
   collapses into the single pending tail item, which is where the
   pipeline's batching win comes from: a slow device accumulates *one*
   merged batch, not an unbounded backlog.
-* **bounded with backpressure** — non-mergeable items block the
-  producer once ``maxlen`` distinct items are pending (coalescible
-  traffic effectively never fills the queue, so in practice only a
-  flood of control items can push back).
+* **optional backpressure** — with a ``maxlen``, non-mergeable items
+  block the producer once that many distinct items are pending
+  (coalescible traffic effectively never fills the queue, so in
+  practice only a flood of control items can push back).  Consumers
+  are reactor callbacks that ``pop_nowait``, so only a queue fed from
+  off that reactor may be bounded;
 * **join accounting** — ``queue.Queue``-style ``task_done``/``join``
   so :meth:`NerpaController.drain` can wait for quiescence stage by
   stage.
@@ -40,8 +42,8 @@ class PipelineStalledError(ReproError):
 
 class Task:
     """A control item: ``fn`` runs on the queue's consumer (the engine
-    thread, or a device channel's pool slot, which passes the device),
-    and any thread may wait for its result."""
+    pump, or a device channel's pool slot, which passes the device),
+    and any thread off the reactor may wait for its result."""
 
     __slots__ = ("fn", "event", "result", "error")
 
@@ -59,6 +61,11 @@ class Task:
         finally:
             self.event.set()
 
+    def abandon(self) -> None:
+        """Release the waiter of a task that will never run."""
+        self.error = ReproError("task abandoned: its queue was closed")
+        self.event.set()
+
     def wait(self, what: str, timeout: float = 30.0):
         """The task's result; re-raises what ``fn`` raised."""
         if not self.event.wait(timeout):
@@ -69,26 +76,24 @@ class Task:
 
 
 class CoalescingQueue:
-    """Bounded FIFO with tail coalescing and join accounting."""
+    """FIFO with tail coalescing, join accounting and an optional bound."""
 
     def __init__(
         self,
         name: str = "queue",
-        maxlen: int = 512,
+        maxlen: Optional[int] = None,
         on_ready: Optional[Callable[[], None]] = None,
     ):
         self.name = name
         self.maxlen = maxlen
         #: Called (outside the queue lock) after a put appends a new
-        #: distinct item.  The async apply plane uses this to schedule
-        #: the device's state machine on the reactor instead of parking
-        #: a writer thread in :meth:`pop`.  A merge into the queued
-        #: tail does not notify: the tail's own append already did, and
-        #: its consumer has not popped it yet.
+        #: distinct item: it schedules the consumer — the engine pump or
+        #: a device's state machine — on the reactor.  A merge into the
+        #: queued tail does not notify: the tail's own append already
+        #: did, and its consumer has not popped it yet.
         self.on_ready = on_ready
         self._items: deque = deque()
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         self._all_done = threading.Condition(self._lock)
         self._unfinished = 0
@@ -121,8 +126,8 @@ class CoalescingQueue:
         ``supersedes`` (a predicate over queued items) drops every
         pending item it matches before enqueueing — used by resync
         tasks, whose full-sync subsumes any queued incremental batches.
-        Blocks while the queue holds ``maxlen`` distinct items; puts on
-        a closed queue are dropped (shutdown is best-effort).
+        Blocks while a bounded queue holds ``maxlen`` distinct items;
+        puts on a closed queue are dropped (shutdown is best-effort).
         """
         with self._lock:
             if self._closed:
@@ -155,37 +160,23 @@ class CoalescingQueue:
                         self._items[-1] = merged
                         self.coalesced += 1
                         return
-                if len(self._items) < self.maxlen or self._closed:
+                if (
+                    self.maxlen is None
+                    or len(self._items) < self.maxlen
+                    or self._closed
+                ):
                     break
                 self._not_full.wait()
             if self._closed:
                 return
             self._items.append(item)
             self._unfinished += 1
-            self._not_empty.notify()
         ready = self.on_ready
         if ready is not None:
             ready()
 
-    def pop(self, timeout: Optional[float] = None):
-        """Dequeue the head; blocks. Returns ``None`` once the queue is
-        closed and empty (or on timeout)."""
-        with self._lock:
-            while not self._items and not self._closed:
-                if not self._not_empty.wait(timeout):
-                    return None
-            if not self._items:
-                return None
-            item = self._items.popleft()
-            self._not_full.notify()
-            return item
-
     def pop_nowait(self):
-        """Dequeue the head without blocking; ``None`` when empty.
-
-        The async apply plane's per-device state machines use this from
-        the reactor thread — they must never park the event loop.
-        """
+        """Dequeue the head without blocking; ``None`` when empty."""
         with self._lock:
             if not self._items:
                 return None
@@ -220,11 +211,14 @@ class CoalescingQueue:
                 self._all_done.wait(remaining)
 
     def close(self) -> None:
-        """Wake all waiters; pending items are abandoned."""
+        """Wake all waiters; pending items are abandoned (a pending
+        :class:`Task`'s waiter gets a ``ReproError``, not its timeout)."""
         with self._lock:
             self._closed = True
-            self._items.clear()
+            abandoned, self._items = self._items, deque()
             self._unfinished = 0
-            self._not_empty.notify_all()
             self._not_full.notify_all()
             self._all_done.notify_all()
+        for item in abandoned:
+            if isinstance(item, Task):
+                item.abandon()

@@ -13,19 +13,21 @@ repaired by *diffing a neighbour against the engine*:
   epoch naming exactly the state it now holds.  What the device
   reports decides what is read: its checkpointed epoch proves it holds
   the checkpointed state (no sync at all), no epoch proves it is
-  blank (nothing to read), anything else is read and diffed;
-* :func:`any_epoch_stale` — the engine-thread probe that lets a
-  restart whose devices all match skip the desired-state dump.
+  blank (nothing to read), anything else is read and diffed.  A
+  restored engine sends its syncs no desired state at all, so a
+  restart whose devices all match never dumps it; a device that
+  moved comes back :data:`STALE` and is resynced.
 
 These are plain functions over a runtime, the generated bindings and
 :class:`~repro.core.planes.ManagedDevice` objects; *when* they run (an
-engine task, a task on the device's own channel queue) and what is
+engine task on the controller's reactor, or — for everything that does
+device I/O — a task on the device's own channel queue) and what is
 counted is the controller's business.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.codegen import GeneratedBindings
 from repro.core.planes import TRANSPORT_ERRORS, ManagedDevice
@@ -61,7 +63,7 @@ def mgmt_delta(
 def desired_writes(bindings: GeneratedBindings, runtime) -> List[TableWrite]:
     """The engine's current output relations replayed as inserts — the
     authoritative desired state of every device table.  O(derived
-    state); engine thread only."""
+    state); an engine task only."""
     return [
         TableWrite.insert(binding.info.name, binding.entry_for(row))
         for relation, binding in bindings.table_relations.items()
@@ -161,21 +163,3 @@ def full_sync(
     device.config_epoch = epoch if fixes else reported
     return MATCHED if matched else len(fixes)
 
-
-def any_epoch_stale(
-    devices: Iterable[ManagedDevice], epochs: Dict[str, Optional[str]]
-) -> bool:
-    """Engine-thread probe before a restored engine's syncs: does any
-    device lack a checkpointed epoch, sit unreachable (it will need a
-    resync once back), or report a different one?  Only an
-    optimisation — :func:`full_sync` re-checks as a channel task."""
-    for device in devices:
-        expected = epochs.get(device.name)
-        if expected is None or not device.io.wait_ready(0.0):
-            return True
-        try:
-            if device.io.get_config_epoch() != expected:
-                return True
-        except TRANSPORT_ERRORS:
-            return True
-    return False

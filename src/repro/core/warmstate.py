@@ -12,7 +12,7 @@ that knows the chain's file name or the bookkeeping keys is here:
   agree on what a chain means;
 * :func:`unpack` turns warm state back into the controller's fields;
 * :class:`Checkpointer` is the writer: full-vs-delta policy, the save
-  itself, and the optional background timer.
+  itself, and the optional background timer on the controller's reactor.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class Checkpointer:
         self.last_mode: Optional[str] = None
         #: Saves cut by the background timer.
         self.auto_saves = 0
-        self.timer_thread: Optional[threading.Thread] = None
-        self._timer_stop: Optional[threading.Event] = None
+        self._timer = self._reactor = None
+        self._stopped = False  # set by stop_timer, checked under ``lock``
 
     def reset(self) -> None:
         """Forget the chain on disk: an unanchored store, so the next
@@ -142,7 +142,7 @@ class Checkpointer:
         """Cut one checkpoint; returns the path written.
 
         ``on_engine(fn)`` runs ``fn`` where the engine state may be
-        read consistently (the engine thread while the pipeline runs);
+        read consistently (an engine task while the pipeline runs);
         ``engine_state()`` is called there and returns ``(multicast
         snapshot, seq)``.  ``"auto"`` writes a delta while the chain
         holds fewer than ``every`` segments, a full snapshot otherwise.
@@ -194,34 +194,47 @@ class Checkpointer:
 
     # -- background timer ----------------------------------------------------
 
-    def start_timer(self, interval_s: float, save: Callable) -> None:
-        """Call ``save(mode="auto")`` every ``interval_s`` seconds on a
-        daemon thread until :meth:`stop_timer`."""
-        stop = self._timer_stop = threading.Event()
+    def start_timer(self, reactor, interval_s: float, save: Callable) -> None:
+        """Call ``save(mode="auto")`` every ``interval_s`` seconds until
+        :meth:`stop_timer`: a ``reactor`` timer hands each save (which
+        waits on an engine task and fsyncs) to the reactor's hook pool
+        and re-arms once it is done."""
+        self._reactor, self._stopped = reactor, False
 
-        def loop() -> None:
-            while not stop.wait(interval_s):
+        def tick() -> None:
+            with self.lock:
+                if self._stopped:
+                    return
                 try:
                     save(mode="auto")
                 except ReproError:
-                    # Racing teardown (engine queue closed): a no-op.
-                    continue
-                self.auto_saves += 1
-                if obs.enabled():
-                    obs.REGISTRY.counter(
-                        "controller_auto_checkpoints_total"
-                    ).inc()
+                    pass  # racing teardown (engine queue closed): a no-op
+                else:
+                    self.auto_saves += 1
+                    if obs.enabled():
+                        obs.REGISTRY.counter(
+                            "controller_auto_checkpoints_total"
+                        ).inc()
+            arm()
 
-        self.timer_thread = threading.Thread(
-            target=loop, name="nerpa-ckpt-timer", daemon=True
-        )
-        self.timer_thread.start()
+        def arm() -> None:
+            # A stop_timer racing this re-arm leaves at most one timer
+            # behind, and its tick sees ``_stopped``.
+            if not self._stopped:
+                self._timer = reactor.call_later(
+                    interval_s, lambda: reactor.run_hook(tick)
+                )
+
+        arm()
 
     def stop_timer(self) -> None:
-        """Idempotent; joins the timer unless called from it."""
-        if self._timer_stop is not None:
-            self._timer_stop.set()
-        thread, self.timer_thread = self.timer_thread, None
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=5.0)
-        self._timer_stop = None
+        """Idempotent.  No timer save starts after this returns; off the
+        reactor it also waits out a save in flight (one called on the
+        loop must not: that save is waiting for an engine task)."""
+        self._stopped = True
+        timer, self._timer = self._timer, None
+        if timer is not None:
+            timer.cancel()
+        if self._reactor is not None and not self._reactor.in_loop():
+            with self.lock:
+                pass

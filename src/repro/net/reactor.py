@@ -10,9 +10,12 @@ own.  That is the difference between a fleet of hundreds of devices
 
 Loop discipline: every readiness, timer or submitted callback runs on
 the reactor thread and must not block.  Blocking work — notification
-fan-out, reconnect hooks that resync a device — is handed to the
-reactor's dispatcher thread or hook pool.  ``submit`` and
-``call_later`` are thread-safe.  Work scheduled *from* the loop thread
+fan-out, reconnect hooks that resync a device, checkpoint saves — is
+handed to the reactor's dispatcher thread or hook pool.  A controller's
+engine transactions are the one long CPU-bound callback, and its
+management ``subscribe`` on reconnect the one blocking call (allowed: a
+``ManagementClient`` always runs on a reactor of its own).  ``submit``
+and ``call_later`` are thread-safe.  Work scheduled *from* the loop thread
 costs no syscall (the loop re-reads its queue and timer heap before it
 sleeps), and cross-thread calls share one wake byte per loop turn.
 """

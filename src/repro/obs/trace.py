@@ -182,11 +182,11 @@ class _AdoptScope:
     """Make a span opened on another thread the current parent here.
 
     The staged pipeline hops threads between stages (transact thread →
-    engine thread → device writer threads); contextvars don't follow,
-    so each stage re-adopts the span its work should nest under.  The
-    adopted span is *not* re-recorded on exit — it was (or will be)
-    recorded by the thread that opened it.  ``adopt(None)`` explicitly
-    clears any inherited parent.
+    the controller's reactor → a pool thread for an in-process device);
+    contextvars don't follow, so each stage re-adopts the span its work
+    should nest under.  The adopted span is *not* re-recorded on exit —
+    it was (or will be) recorded by the thread that opened it.
+    ``adopt(None)`` explicitly clears any inherited parent.
     """
 
     __slots__ = ("_tracer", "_span", "_token")

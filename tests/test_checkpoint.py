@@ -770,10 +770,7 @@ class TestBackgroundCheckpointTimer:
             lambda: controller.auto_checkpoints >= 2,
             what="background checkpoints",
         )
-        timer = controller.checkpoints.timer_thread
-        assert timer is not None and timer.is_alive()
         controller.stop()
-        assert not timer.is_alive()
         saves = controller.auto_checkpoints
         time.sleep(0.05)
         assert controller.auto_checkpoints == saves  # really cancelled

@@ -12,8 +12,10 @@
   that merges into it (or supersedes it) must leave every other
   device's batch, the cells and the update-ids untouched;
 * **counts** — fanning one changeset to N devices runs ``to_wire`` once
-  per update and ``json.dumps`` once, and costs the engine thread one
-  wake byte.  Counts, not timings: they repeat exactly.
+  per update and ``json.dumps`` once, and a whole commit costs the
+  controller's reactor one wake byte (the ingest's: evaluation and
+  fan-out run on the loop itself).  Counts, not timings: they repeat
+  exactly.
 """
 
 import json
@@ -363,7 +365,6 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
         real_to_wire, real_dumps = TableWrite.to_wire, json.dumps
         reactor = controller.reactor
         real_wakeup = reactor._wakeup
-        engine = controller._engine_thread
 
         def to_wire(self):
             counts["to_wire"] += 1
@@ -374,26 +375,15 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
                 counts["dumps"] += 1
             return real_dumps(*args, **kwargs)
 
-        def wakeup():
-            if threading.current_thread() is engine:
-                counts["wakes"] += 1
+        def wakeup():  # from any thread
+            counts["wakes"] += 1
             real_wakeup()
 
-        # Hold the loop while the engine fans out, so that how many
-        # wake bytes it writes does not depend on thread scheduling.
-        held, release = threading.Event(), threading.Event()
-        reactor.submit(lambda: (held.set(), release.wait(5.0)))
-        assert held.wait(5.0)
         monkeypatch.setattr(TableWrite, "to_wire", to_wire)
         monkeypatch.setattr(json, "dumps", dumps)
         monkeypatch.setattr(reactor, "_wakeup", wakeup)
         before = [device.batches_applied for device in farm.devices]
         set_out_port(db, 1, 202)  # one delete + one insert per device
-        wait_for(
-            lambda: all(len(c.queue) == 1 for c in controller.channels),
-            what="fan-out queued",
-        )
-        release.set()
         controller.drain()
 
         assert [d.batches_applied for d in farm.devices] == [
@@ -401,6 +391,6 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
         ]
         assert counts["to_wire"] == 2  # once per update, not x32
         assert counts["dumps"] == 1  # one envelope for the whole fleet
-        assert counts["wakes"] <= 1
+        assert counts["wakes"] <= 1  # the ingest's; the rest is on the loop
     finally:
         close()

@@ -35,6 +35,8 @@ from repro.core.pipeline import (
     PipelineStalledError,
     nerpa_build,
 )
+from repro.core.pipeline.queues import Task
+from repro.errors import ReproError
 from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
@@ -269,15 +271,15 @@ class TestCoalescingQueue:
             q.put(_Item(n))
         assert len(q) == 1
         assert q.coalesced == 4
-        assert q.pop().values == [0, 1, 2, 3, 4]
+        assert q.pop_nowait().values == [0, 1, 2, 3, 4]
 
     def test_consumed_head_never_merges(self):
         q = CoalescingQueue()
         q.put(_Item(0))
-        head = q.pop()
+        head = q.pop_nowait()
         q.put(_Item(1))
         assert head.values == [0]
-        assert q.pop().values == [1]
+        assert q.pop_nowait().values == [1]
 
     def test_control_items_are_barriers(self):
         q = CoalescingQueue()
@@ -291,7 +293,7 @@ class TestCoalescingQueue:
         q.put(_Item(0))
         q.put(_Barrier())
         q.put(_Barrier(), supersedes=lambda item: isinstance(item, _Item))
-        items = [q.pop(timeout=0.1) for _ in range(2)]
+        items = [q.pop_nowait() for _ in range(2)]
         assert all(isinstance(i, _Barrier) for i in items)
         # Join accounting followed the drop: 2 items remain unfinished.
         assert q.unfinished == 2
@@ -308,7 +310,7 @@ class TestCoalescingQueue:
         done = threading.Event()
 
         def consume():
-            q.pop()
+            q.pop_nowait()
             q.task_done()
             done.set()
 
@@ -353,23 +355,19 @@ class TestCoalescingQueue:
         assert not t.is_alive()
         assert len(q) == 1
         assert q.coalesced == 1
-        assert q.pop().values == [0, 1]
+        assert q.pop_nowait().values == [0, 1]
 
-    def test_close_unblocks_consumer(self):
+    def test_close_releases_the_waiters_of_abandoned_tasks(self):
         q = CoalescingQueue()
-        result = []
-
-        def consume():
-            result.append(q.pop())
-
-        t = threading.Thread(target=consume, daemon=True)
-        t.start()
+        task = Task(lambda: "never")
+        q.put(task)
+        started = time.monotonic()
         q.close()
-        t.join(timeout=2.0)
-        assert not t.is_alive()
-        assert result == [None]
+        with pytest.raises(ReproError, match="abandoned"):
+            task.wait("abandoned task", timeout=5.0)
+        assert time.monotonic() - started < 1.0
         q.put(_Item(1))  # dropped, not raised
-        assert len(q) == 0
+        assert len(q) == 0 and q.pop_nowait() is None
 
 
 # ---------------------------------------------------------------------------
@@ -467,15 +465,16 @@ class TestEndToEndOrdering:
 
 class TestDrainDeadline:
     def test_drain_after_stop_from_the_engine_thread_returns(self):
-        """stop() run as an engine task (the lease-loss path) closes the
+        """stop() run as an engine task (on the reactor) closes the
         engine queue under its own consumer; a later drain() must come
         back instead of spinning on a negative in-flight count."""
         project, db, switch = build()
         controller = NerpaController(project, db, [switch]).start()
-        engine = controller._engine_thread
-        controller._submit_engine(controller.stop, wait=False)
-        engine.join(10.0)
-        assert not engine.is_alive()
+        stopped = threading.Event()
+        controller._submit_engine(
+            lambda: (controller.stop(), stopped.set()), wait=False
+        )
+        assert stopped.wait(10.0)
         assert controller.engine_queue.unfinished == 0
         controller.drain(timeout=1.0)
 
@@ -569,7 +568,7 @@ class TestSlowDeviceIsolation:
 class TestReconnectReconcileRace:
     def test_update_racing_reconcile_is_not_lost(self):
         """A monitor update landing while the reconnect-reconcile runs
-        must be ordered after it (both execute on the engine thread),
+        must be ordered after it (both execute as engine work),
         ending converged — nothing lost, nothing double-applied.
 
         Synchronization is by pipeline stage events, never timing: the
@@ -858,7 +857,7 @@ class TestQueueBarrierSupersedeJoin:
         done = threading.Event()
 
         def consume():
-            while q.pop(timeout=1.0) is not None:
+            while q.pop_nowait() is not None:
                 q.task_done()
                 if q.unfinished == 0:
                     break
@@ -899,7 +898,7 @@ class TestQueueBarrierSupersedeJoin:
         q.put(_Item(1), supersedes=lambda item: isinstance(item, _Barrier))
         assert len(q) == 1
         assert q.coalesced == 1
-        assert q.pop().values == [0, 1]
+        assert q.pop_nowait().values == [0, 1]
         assert q.unfinished == 1
 
     def test_barrier_blocks_merge_but_join_sees_all_three(self):
@@ -909,7 +908,7 @@ class TestQueueBarrierSupersedeJoin:
         q.put(_Item(1))
         assert len(q) == 3
         for _ in range(3):
-            q.pop(timeout=1.0)
+            q.pop_nowait()
             q.task_done()
         q.join(time.monotonic() + 1.0)
 
