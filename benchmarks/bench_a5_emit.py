@@ -1,0 +1,148 @@
+"""A5 — the emit and encode layers of ``lb_replace`` alone.
+
+The end-to-end ``lb_replace`` workload (``benchmarks/e2e``) writes
+about 800 table entries per commit to two devices, and most of its
+commit → ack latency is spent turning engine output rows into the
+bytes of one ``apply_batch`` request.  This bench runs exactly that
+path with no engine transaction and no socket in the timed region: one
+rolling-replace commit's output delta (one load balancer's ``Nat`` rows
+deleted, a fresh one's inserted, plus the probe entry) goes through the
+controller's fan-out (``NerpaController._fan_out``), the batch's write
+list (``DeviceBatch.emit_writes``) and the request encoder
+(``aio_client._encode_batch``).
+
+It reports µs per output row.  The gate is box-independent: the whole
+path must cost at most 2.2x a plain ``dumps`` of the same finished
+update list (the JSON the wire carries anyway), both timed in the same
+rounds.
+"""
+
+import gc
+import statistics
+import time
+from types import SimpleNamespace
+
+from benchmarks.conftest import emit, report
+from benchmarks.e2e import programs, workloads
+from repro.core import reconcile
+from repro.core.controller import NerpaController
+from repro.core.pipeline import nerpa_build
+from repro.core.pipeline.changeset import MulticastState
+from repro.mgmt.database import Database
+from repro.mgmt.jsonrpc import dumps
+from repro.mgmt.monitor import MonitorSpec
+from repro.p4runtime.aio_client import _encode_batch
+
+ROUNDS = 200
+GATE_X = 2.2
+
+
+def _snapshot(db, tables):
+    monitor, initial = db.add_monitor(
+        MonitorSpec({table: None for table in tables}), lambda _: None
+    )
+    db.remove_monitor(monitor)
+    return initial
+
+
+def commit_delta(seed):
+    """The engine result of the workload's first measured commit, after
+    its cold start: the output delta the controller fans out."""
+    workload = workloads.build("lb_replace", seed, workloads.RUN_SECONDS)
+    program = programs.LB
+    project = nerpa_build(program.schema(), program.rules, program.p4)
+    bindings = project.bindings
+    tables = list(bindings.relation_for_ovsdb)
+    db = Database(project.schema)
+    runtime = project.program.start()
+    beat = {"op": "insert", "table": programs.BEAT_TABLE, "row": {"seq": 0}}
+    bump = {
+        "op": "update",
+        "table": programs.BEAT_TABLE,
+        "where": [],
+        "row": {"seq": 1},
+    }
+    result = None
+    for ops in (workload.cold_start + [beat], workload.commits[0] + [bump]):
+        db.transact(ops)
+        inserts, deletes = reconcile.mgmt_delta(
+            _snapshot(db, tables), bindings, runtime
+        )
+        result = runtime.transaction(inserts=inserts, deletes=deletes)
+    runtime.close()
+    return bindings, result
+
+
+class _Capture:
+    """A channel queue that keeps the batch a fan-out puts on it."""
+
+    batch = None
+
+    def put(self, batch):
+        self.batch = batch
+
+    def gauge_depth(self):
+        pass
+
+
+def emit_path(bindings, result):
+    """Output delta → shared batch → write list → request params."""
+    queue = _Capture()
+    fan = SimpleNamespace(
+        _seq=0,
+        bindings=bindings,
+        _mcast=MulticastState(),
+        _mint_epoch=lambda: "ep-bench-00000001",
+        channels=[SimpleNamespace(queue=queue)],
+    )
+    NerpaController._fan_out(fan, result)
+    batch = queue.batch
+    writes = batch.emit_writes()
+    params = _encode_batch(
+        writes, batch.mcast, batch.update_ids, None,
+        (batch.seq, batch.last_seq),
+    )
+    return writes, params
+
+
+def measure(bindings, result, rounds):
+    """Per-round seconds of the emit path and of the plain ``dumps``,
+    interleaved so both see the same box."""
+    writes, _ = emit_path(bindings, result)
+    finished = [write.to_wire() for write in writes]
+    path, plain = [], []
+    gc.collect()
+    for _ in range(rounds):
+        started = time.perf_counter()
+        emit_path(bindings, result)
+        path.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        dumps(finished)
+        plain.append(time.perf_counter() - started)
+    return path, plain, len(writes)
+
+
+def test_a5_emit_encode(benchmark, bench_seed):
+    bindings, result = commit_delta(bench_seed)
+    rows = sum(len(delta) for delta in result.deltas.values())
+    path, plain, n_writes = benchmark.pedantic(
+        measure, args=(bindings, result, ROUNDS), rounds=1, iterations=1
+    )
+    path_s, plain_s = statistics.median(path), statistics.median(plain)
+    us_per_row = path_s / rows * 1e6
+    ratio = path_s / plain_s
+    report(
+        f"A5: lb_replace emit + encode, {rows} output rows, "
+        f"{n_writes} writes, {ROUNDS} rounds",
+        [
+            ("emit path", f"{path_s * 1e3:.2f} ms", ""),
+            ("us per output row", f"{us_per_row:.2f}", ""),
+            ("plain dumps", f"{plain_s * 1e3:.2f} ms", ""),
+            ("path / dumps", f"{ratio:.2f}x", f"gate: <= {GATE_X}x"),
+        ],
+        ["metric", "measured", "reference"],
+    )
+    emit("a5", "us_per_output_row", "us", round(us_per_row, 3),
+         rows=rows, writes=n_writes)
+    emit("a5", "path_vs_dumps", "ratio_x", round(ratio, 2), threshold=GATE_X)
+    assert ratio <= GATE_X

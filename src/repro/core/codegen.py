@@ -9,7 +9,9 @@ controller is generated for each match-action table in the P4 program."
 The generator emits *dlog source text* (so the result is ordinary code
 the same compiler consumes, and counts toward the §4.3 LoC accounting)
 plus a :class:`GeneratedBindings` structure the controller uses to move
-values between planes at runtime.
+values between planes at runtime — for each P4 table, converters
+specialised to that table's match kinds and action set
+(:class:`TableBinding`).
 
 Shapes generated:
 
@@ -34,6 +36,7 @@ Shapes generated:
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import typebridge as TB
@@ -41,49 +44,105 @@ from repro.dlog.values import StructValue
 from repro.errors import TypeCheckError
 from repro.mgmt.schema import ColumnSchema, DatabaseSchema
 from repro.p4.p4info import DigestInfo, P4Info, TableInfo
-from repro.p4.tables import TableEntry
+from repro.p4.tables import FieldMatch, TableEntry
 
 
 class TableBinding:
-    """Runtime mapping between one output relation and one P4 table."""
+    """Runtime mapping between one output relation and one P4 table.
 
-    def __init__(self, relation: str, info: TableInfo, has_priority: bool):
+    The converters are closures generated once for the table, so a row
+    pays no dispatch on match kind or action set:
+
+    * ``key_of(row)`` — the row's identity on the device: its key
+      columns, plus the priority column of a ternary table;
+    * ``wire(kind, row)`` — the P4Runtime update dict of writing the
+      row (the dict :meth:`~repro.p4runtime.api.TableWrite.to_wire`
+      builds for the same entry, key for key);
+    * ``entry_for(row)`` — the :class:`~repro.p4.tables.TableEntry` it
+      denotes, for in-process devices and read-diffs.
+
+    ``wire`` and ``entry_for`` type-check the key and action columns
+    and raise :class:`~repro.errors.TypeCheckError` for an ill-typed
+    row.
+    """
+
+    def __init__(
+        self,
+        relation: str,
+        info: TableInfo,
+        has_priority: bool,
+        actions_by_constructor: Dict[str, Tuple[str, int]],
+    ):
         self.relation = relation
         self.info = info
         self.has_priority = has_priority
         self.key_columns = TB.table_key_columns(info)
         # constructor name -> (action name, param count)
-        self.actions_by_constructor: Dict[str, Tuple[str, int]] = {}
+        self.actions_by_constructor = actions_by_constructor
+        self.key_of, self.wire, self.entry_for = self._converters()
 
-    def entry_for(self, row: tuple) -> TableEntry:
-        """One row of the output relation as the table entry it denotes."""
+    def _converters(self):
+        table, relation = self.info.name, self.relation
         n_keys = len(self.key_columns)
-        matches = [
-            TB.dlog_value_to_match(field, value)
-            for (_, field), value in zip(self.key_columns, row[:n_keys])
+        fields = [
+            (field.match_kind, TB.match_payload(field))
+            for _, field in self.key_columns
         ]
-        action_value = row[n_keys]
-        if not isinstance(action_value, StructValue):
-            raise TypeCheckError(
-                f"{self.relation}: action column must be a constructor "
-                f"of {self.info.name}'s action union, got {action_value!r}"
-            )
-        resolved = self.actions_by_constructor.get(action_value.constructor)
-        if resolved is None:
-            raise TypeCheckError(
-                f"{self.relation}: {action_value.constructor} is not an "
-                f"action of table {self.info.name}"
-            )
-        action_name, param_count = resolved
-        if len(action_value.fields) != param_count:
-            raise TypeCheckError(
-                f"{self.relation}: action {action_name} expects "
-                f"{param_count} parameter(s)"
-            )
-        priority = row[n_keys + 1] if self.has_priority else 0
-        return TableEntry(
-            matches, action_name, list(action_value.fields), priority
+        actions = self.actions_by_constructor
+        positions = list(range(n_keys))
+        priority_at = n_keys + 1 if self.has_priority else None
+        if priority_at is not None:
+            positions.append(priority_at)
+        key_of = (
+            operator.itemgetter(*positions) if positions else lambda row: ()
         )
+
+        def action_of(value) -> Tuple[str, tuple]:
+            if not isinstance(value, StructValue):
+                raise TypeCheckError(
+                    f"{relation}: action column must be a constructor "
+                    f"of {table}'s action union, got {value!r}"
+                )
+            resolved = actions.get(value.constructor)
+            if resolved is None:
+                raise TypeCheckError(
+                    f"{relation}: {value.constructor} is not an "
+                    f"action of table {table}"
+                )
+            name, param_count = resolved
+            if len(value.fields) != param_count:
+                raise TypeCheckError(
+                    f"{relation}: action {name} expects "
+                    f"{param_count} parameter(s)"
+                )
+            return name, value.fields
+
+        def wire(kind: str, row: tuple) -> dict:
+            match = [
+                {match_kind: payload(value)}
+                for (match_kind, payload), value in zip(fields, row)
+            ]
+            name, params = action_of(row[n_keys])
+            return {
+                "type": kind,
+                "table": table,
+                "match": match,
+                "action": {"name": name, "params": list(params)},
+                "priority": 0 if priority_at is None else row[priority_at],
+            }
+
+        def entry_for(row: tuple) -> TableEntry:
+            matches = [
+                FieldMatch(match_kind, payload(value))
+                if match_kind == "exact"
+                else FieldMatch(match_kind, *payload(value))
+                for (match_kind, payload), value in zip(fields, row)
+            ]
+            name, params = action_of(row[n_keys])
+            priority = 0 if priority_at is None else row[priority_at]
+            return TableEntry(matches, name, params, priority)
+
+        return key_of, wire, entry_for
 
 
 class GeneratedBindings:
@@ -164,22 +223,12 @@ def _table_relation(
     table: TableInfo, p4info: P4Info, bindings: GeneratedBindings
 ) -> List[str]:
     relation = TB.relation_name_for_table(table.name)
-    binding = TableBinding(
-        relation,
-        table,
-        has_priority=any(
-            f.match_kind == "ternary" for f in table.match_fields
-        ),
-    )
-
+    actions: Dict[str, Tuple[str, int]] = {}
     ctors: List[str] = []
     for action_name in table.action_names:
         ctor = TB.action_constructor_name(table, action_name)
         action_info = p4info.action(action_name)
-        binding.actions_by_constructor[ctor] = (
-            action_name,
-            len(action_info.params),
-        )
+        actions[ctor] = (action_name, len(action_info.params))
         if action_info.params:
             fields = ", ".join(
                 f"{p.name}: bit<{p.width}>" for p in action_info.params
@@ -190,6 +239,14 @@ def _table_relation(
 
     lines = [f"typedef {TB.action_union_name(table)} = {' | '.join(ctors)}"]
 
+    binding = TableBinding(
+        relation,
+        table,
+        has_priority=any(
+            f.match_kind == "ternary" for f in table.match_fields
+        ),
+        actions_by_constructor=actions,
+    )
     columns = [
         f"{name}: {TB.match_field_to_dlog_text(field)}"
         for name, field in binding.key_columns

@@ -82,7 +82,7 @@ from repro.errors import ProtocolError, ReproError
 from repro.mgmt.monitor import TableUpdates
 from repro.net.reactor import Reactor
 from repro.obs.trace import current_update_id, use_update_id
-from repro.p4runtime.api import TableWrite
+from repro.p4runtime.api import RowWrite
 
 
 class NerpaController:
@@ -690,13 +690,12 @@ class NerpaController:
         for relation, delta in result.deltas.items():
             binding = self.bindings.table_relations.get(relation)
             if binding is not None:
-                table = binding.info.name
+                key_of = binding.key_of
                 for row, weight in delta.items():
-                    entry = binding.entry_for(row)
                     if weight > 0:
-                        template.record_insert(table, entry.match_key(), entry)
+                        template.record_insert(binding, key_of(row), row)
                     else:
-                        template.record_delete(table, entry.match_key(), entry)
+                        template.record_delete(binding, key_of(row), row)
             elif relation == MULTICAST_RELATION:
                 template.mcast.update(self._mcast.fold(delta))
         if template.is_empty():
@@ -849,7 +848,7 @@ class NerpaController:
         self,
         device: ManagedDevice,
         expected: Optional[str],
-        desired: Optional[List[TableWrite]],
+        desired: Optional[List[RowWrite]],
         mcast: Dict[int, List[int]],
         epoch: str,
         resync: bool,

@@ -56,7 +56,7 @@ from repro.core.pipeline.queues import CoalescingQueue, Task
 from repro.core.planes import TRANSPORT_ERRORS, ManagedDevice, RemoteDevice
 from repro.net.reactor import Reactor, default_reactor
 from repro.obs.trace import use_update_id
-from repro.p4runtime.api import TableWrite
+from repro.p4runtime.api import WriteList
 
 #: Channel states (``quarantined`` is the breaker's view, reported
 #: alongside rather than replacing the I/O state).
@@ -265,7 +265,7 @@ class BatchApplier:
 
     def _prepare(
         self, device: ManagedDevice, batch: DeviceBatch
-    ) -> Optional[List[TableWrite]]:
+    ) -> Optional[WriteList]:
         """Breaker gate shared by both paths: emit the batch's writes,
         or return ``None`` when there is nothing to do (empty after
         coalescing, or the device is quarantined — counted as a missed
@@ -286,7 +286,7 @@ class BatchApplier:
         self,
         device: ManagedDevice,
         batch: DeviceBatch,
-        writes: List[TableWrite],
+        writes: WriteList,
         started: float,
         issued_at: float,
     ) -> None:
@@ -375,6 +375,16 @@ class BatchApplier:
                 ).set(io.send_buffer_bytes)
 
         def issue() -> None:
+            # Parked on ``on_drain``, this runs as a bare loop callback:
+            # whatever it raises (a converter's TypeCheckError while the
+            # batch is encoded) must still complete the item, or the
+            # channel stays busy and drain() times out.
+            try:
+                send()
+            except Exception as exc:  # noqa: BLE001 - surfaced at drain()
+                done(exc)
+
+        def send() -> None:
             # Re-gated after a potential drain wait: the breaker may
             # have tripped while this channel was parked.
             writes = self._prepare(device, batch)

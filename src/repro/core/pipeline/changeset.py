@@ -15,7 +15,7 @@ The controller's update path is a three-stage pipeline (see
    write.
 
 Both IRs share the same *coalescing algebra*.  Per key (a row uuid at
-the changeset level, a ``(table, match key)`` pair at the device
+the changeset level, a table and the entry's match key at the device
 level) the net effect of any op sequence is at most "delete the
 oldest value, insert the newest":
 
@@ -182,8 +182,11 @@ class Changeset:
 class DeviceBatch:
     """Stage-3 IR: the net table writes of >= 1 engine transactions.
 
-    ``ops`` maps ``(table, match_key) -> [delete_entry, insert_entry]``
-    (:class:`~repro.p4.tables.TableEntry` values); ``mcast`` maps
+    ``ops`` maps ``(binding, key) -> [delete_row, insert_row]``: the
+    engine's output rows themselves, under their table's
+    :class:`~repro.core.codegen.TableBinding` and the device identity
+    ``binding.key_of(row)`` — nothing is converted until a device needs
+    it (:meth:`emit_writes`); ``mcast`` maps
     ``group -> port list`` (``None`` = delete the group), last writer
     wins.  ``seq``/``last_seq`` are the engine-transaction range the
     batch covers — merge only ever extends it forward, which is what
@@ -213,7 +216,7 @@ class DeviceBatch:
     def __init__(self, seq: int):
         self.seq = seq
         self.last_seq = seq
-        self.ops: Dict[Tuple[str, tuple], list] = {}
+        self.ops: Dict[Tuple[object, Hashable], list] = {}
         self.mcast: Dict[int, Optional[List[int]]] = {}
         self.update_ids: List[str] = []
         self.parent = None
@@ -223,14 +226,14 @@ class DeviceBatch:
         self.shared = False
         self._writes = None  # emit_writes() memo; any record drops it
 
-    def record_insert(self, table: str, match_key: tuple, entry) -> None:
-        cell = self.ops.setdefault((table, match_key), [None, None])
-        _record_insert(cell, entry)
+    def record_insert(self, binding, key: Hashable, row: tuple) -> None:
+        cell = self.ops.setdefault((binding, key), [None, None])
+        _record_insert(cell, row)
         self._writes = None
 
-    def record_delete(self, table: str, match_key: tuple, entry) -> None:
-        cell = self.ops.setdefault((table, match_key), [None, None])
-        _record_delete(cell, entry)
+    def record_delete(self, binding, key: Hashable, row: tuple) -> None:
+        cell = self.ops.setdefault((binding, key), [None, None])
+        _record_delete(cell, row)
         self._writes = None
 
     @property
@@ -249,32 +252,29 @@ class DeviceBatch:
         return clone
 
     def emit_writes(self) -> list:
-        """The batch as one write list: deletes first, then inserts.
+        """The batch as one write list of
+        :class:`~repro.p4runtime.api.RowWrite`: deletes first, then
+        inserts.
 
-        An entry deleted and re-inserted unchanged (same action,
-        params, and priority) is a round trip and is dropped.  The
-        list is built once per batch state, so every device of a shared
-        batch gets the same :class:`~repro.p4runtime.api.WriteList`.
+        A row deleted and re-inserted unchanged is a round trip and is
+        dropped (rows carry interned action values, so equal rows mean
+        the same action, params and priority).  The list is built once
+        per batch state, so every device of a shared batch gets the
+        same :class:`~repro.p4runtime.api.WriteList`.
         """
-        from repro.p4runtime.api import TableWrite, WriteList
+        from repro.p4runtime.api import RowWrite, WriteList
 
         if self._writes is not None:
             return self._writes
         deletes = WriteList()
         inserts = []
-        for (table, _), (dead, live) in self.ops.items():
-            if (
-                dead is not None
-                and live is not None
-                and dead.action == live.action
-                and dead.action_params == live.action_params
-                and dead.priority == live.priority
-            ):
-                continue
+        for (binding, _), (dead, live) in self.ops.items():
             if dead is not None:
-                deletes.append(TableWrite.delete(table, dead))
+                if dead == live:
+                    continue
+                deletes.append(RowWrite("DELETE", binding, dead))
             if live is not None:
-                inserts.append(TableWrite.insert(table, live))
+                inserts.append(RowWrite("INSERT", binding, live))
         deletes.extend(inserts)
         self._writes = deletes
         return deletes
@@ -298,11 +298,11 @@ class DeviceBatch:
         if other.seq <= self.last_seq:
             return None
         merged = self._private_copy() if self.shared else self
-        for (table, match_key), (dead, live) in other.ops.items():
+        for (binding, key), (dead, live) in other.ops.items():
             if dead is not None:
-                merged.record_delete(table, match_key, dead)
+                merged.record_delete(binding, key, dead)
             if live is not None:
-                merged.record_insert(table, match_key, live)
+                merged.record_insert(binding, key, live)
         merged.mcast.update(other.mcast)
         _merge_update_ids(merged.update_ids, other.update_ids)
         if other.parent is not None:

@@ -33,7 +33,7 @@ from repro.core.codegen import GeneratedBindings
 from repro.core.planes import TRANSPORT_ERRORS, ManagedDevice
 from repro.mgmt.monitor import TableUpdates
 from repro.obs.trace import use_update_id
-from repro.p4runtime.api import TableWrite
+from repro.p4runtime.api import RowWrite, TableWrite
 
 
 def mgmt_delta(
@@ -60,27 +60,29 @@ def mgmt_delta(
     return inserts, deletes
 
 
-def desired_writes(bindings: GeneratedBindings, runtime) -> List[TableWrite]:
+def desired_writes(bindings: GeneratedBindings, runtime) -> List[RowWrite]:
     """The engine's current output relations replayed as inserts — the
     authoritative desired state of every device table.  O(derived
-    state); an engine task only."""
+    state); an engine task only.  The rows are converted only by the
+    device that needs them: to the wire for a blank remote device, to
+    entries for a read-diff or an in-process device."""
     return [
-        TableWrite.insert(binding.info.name, binding.entry_for(row))
+        RowWrite("INSERT", binding, row)
         for relation, binding in bindings.table_relations.items()
         for row in runtime.dump(relation)
     ]
 
 
 def compute_fixes(
-    io, bindings: GeneratedBindings, desired: List[TableWrite]
-) -> List[TableWrite]:
+    io, bindings: GeneratedBindings, desired: List[RowWrite]
+) -> list:
     """Read-diff one device against the desired entry set: deletes for
     stale entries, modifies for wrong actions, inserts for missing
     ones — deletes first."""
-    wanted: Dict[str, Dict[tuple, TableWrite]] = {}
+    wanted: Dict[str, Dict[tuple, RowWrite]] = {}
     for write in desired:
         wanted.setdefault(write.table, {})[write.entry.match_key()] = write
-    fixes: List[TableWrite] = []
+    fixes: list = []
     for binding in bindings.table_relations.values():
         table = binding.info.name
         want = wanted.get(table, {})
@@ -107,7 +109,7 @@ def full_sync(
     device: ManagedDevice,
     bindings: GeneratedBindings,
     expected: Optional[str],
-    desired: Optional[List[TableWrite]],
+    desired: Optional[List[RowWrite]],
     mcast: Dict[int, List[int]],
     epoch: str,
     fence: Optional[int],

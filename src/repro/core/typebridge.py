@@ -24,13 +24,12 @@ between representations without hand-written glue.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.dlog.values import MapValue, StructValue
 from repro.errors import TypeCheckError
 from repro.mgmt.schema import ColumnType
 from repro.p4.p4info import MatchField, TableInfo
-from repro.p4.tables import FieldMatch
 
 _ATOM_TO_DLOG_TEXT: Dict[str, str] = {
     "integer": "bigint",
@@ -75,22 +74,31 @@ def match_field_to_dlog_text(field: MatchField) -> str:
     return f"(bit<{field.width}>, bit<{field.width}>)"
 
 
-def dlog_value_to_match(field: MatchField, value) -> FieldMatch:
-    """Convert a relation column value into a P4Runtime field match."""
-    if field.match_kind == "exact":
-        if not isinstance(value, int):
-            raise TypeCheckError(
-                f"{field.name}: exact match expects an integer, got {value!r}"
-            )
-        return FieldMatch.exact(value)
-    if not isinstance(value, tuple) or len(value) != 2:
-        raise TypeCheckError(
-            f"{field.name}: {field.match_kind} match expects a pair, "
-            f"got {value!r}"
-        )
-    if field.match_kind == "lpm":
-        return FieldMatch.lpm(value[0], value[1])
-    return FieldMatch.ternary(value[0], value[1])
+def match_payload(field: MatchField) -> Callable[[object], object]:
+    """The converter of one key column of ``field``'s match kind: the
+    column value -> its P4Runtime match payload, the integer of an
+    exact match or the ``[value, prefix_len | mask]`` of an lpm or
+    ternary one.  A value of the wrong shape raises TypeCheckError."""
+    name, kind = field.name, field.match_kind
+    if kind == "exact":
+
+        def payload(value):
+            if not isinstance(value, int):
+                raise TypeCheckError(
+                    f"{name}: exact match expects an integer, got {value!r}"
+                )
+            return value
+
+    else:
+
+        def payload(value):
+            if not isinstance(value, tuple) or len(value) != 2:
+                raise TypeCheckError(
+                    f"{name}: {kind} match expects a pair, got {value!r}"
+                )
+            return [value[0], value[1]]
+
+    return payload
 
 
 def action_constructor_name(table: TableInfo, action_name: str) -> str:

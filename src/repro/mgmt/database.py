@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 import uuid as uuidlib
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import SchemaError, TransactionError
@@ -53,14 +53,25 @@ class _Staged:
         self.changes: Dict[str, Dict[str, Optional[dict]]] = {}
         self.named_uuids: Dict[str, str] = {}
 
-    def rows(self, table: str) -> Dict[str, dict]:
-        base = dict(self.db._tables[table])
-        for uuid, row in self.changes.get(table, {}).items():
-            if row is None:
-                base.pop(uuid, None)
-            else:
-                base[uuid] = row
-        return base
+    def items(self, table: str) -> Iterator[Tuple[str, dict]]:
+        """``(uuid, row)`` of every row the transaction sees, in the
+        table's order with rows inserted by it last — read through the
+        overlay, not copied.  Callers must not stage changes while
+        iterating."""
+        base = self.db._tables[table]
+        staged = self.changes.get(table)
+        if not staged:
+            yield from base.items()
+            return
+        for uuid, row in base.items():
+            if uuid in staged:
+                row = staged[uuid]
+                if row is None:
+                    continue
+            yield uuid, row
+        for uuid, row in staged.items():
+            if row is not None and uuid not in base:
+                yield uuid, row
 
     def get(self, table: str, uuid: str) -> Optional[dict]:
         staged = self.changes.get(table, {})
@@ -202,10 +213,9 @@ class Database:
                 row is not None for row in changes.values()
             ):
                 continue
-            rows = staged.rows(table)
             for index in tschema.indexes:
                 seen: Dict[tuple, str] = {}
-                for uuid, row in rows.items():
+                for uuid, row in staged.items(table):
                     key = tuple(_freeze(row[c]) for c in index)
                     other = seen.get(key)
                     if other is not None:

@@ -22,19 +22,11 @@ may reference a row inserted earlier in the same transaction via
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import operator
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import TransactionError
 from repro.mgmt.schema import TableSchema
-
-_COMPARE = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 
 def execute_operations(db, staged, operations: Sequence[dict]) -> List[dict]:
@@ -83,64 +75,95 @@ def _resolve_uuid_refs(staged, value):
     return value
 
 
-def _match_where(tschema: TableSchema, uuid: str, row: dict, where) -> bool:
+def _compare(test):
+    def compare(actual, expected) -> bool:
+        try:
+            return test(actual, expected)
+        except TypeError:
+            raise TransactionError(
+                f"cannot compare {actual!r} with {expected!r}"
+            ) from None
+
+    return compare
+
+
+def _includes(actual, expected) -> bool:
+    if isinstance(actual, dict):
+        return all(
+            k in actual and actual[k] == v for k, v in (expected or {}).items()
+        )
+    if isinstance(actual, frozenset):
+        return expected in actual
+    return actual == expected
+
+
+def _excludes(actual, expected) -> bool:
+    if isinstance(actual, dict):
+        return not any(
+            k in actual and actual[k] == v for k, v in (expected or {}).items()
+        )
+    if isinstance(actual, frozenset):
+        return expected not in actual
+    return actual != expected
+
+
+_WHERE_FUNCTIONS = {
+    "==": _compare(operator.eq),
+    "!=": _compare(operator.ne),
+    "<": _compare(operator.lt),
+    "<=": _compare(operator.le),
+    ">": _compare(operator.gt),
+    ">=": _compare(operator.ge),
+    "includes": _includes,
+    "excludes": _excludes,
+}
+
+
+def _compile_where(tschema: TableSchema, where) -> Callable[[str, dict], bool]:
+    """One operation's ``where`` clauses as a row predicate
+    ``(uuid, row) -> bool``.  Shape, columns and function names are
+    checked here, once, so a malformed clause fails even when the table
+    holds no row to test it on."""
     if where is None:
-        return True
+        return lambda uuid, row: True
     if not isinstance(where, (list, tuple)):
         raise TransactionError(f"bad where clause {where!r}")
+    clauses = []
     for clause in where:
-        if not isinstance(clause, (list, tuple)) or len(clause) != 3:
+        if (
+            not isinstance(clause, (list, tuple))
+            or len(clause) != 3
+            or not isinstance(clause[0], str)
+        ):
             raise TransactionError(f"bad where clause {clause!r}")
         column, func, expected = clause
-        if column == "_uuid":
-            actual = uuid
-        else:
-            tschema.column(column)  # validates existence
-            actual = row[column]
-        if func in _COMPARE:
-            try:
-                if not _COMPARE[func](actual, expected):
-                    return False
-            except TypeError:
-                raise TransactionError(
-                    f"cannot compare {actual!r} with {expected!r}"
-                ) from None
-        elif func == "includes":
-            if isinstance(actual, dict):
-                ok = all(
-                    k in actual and actual[k] == v
-                    for k, v in (expected or {}).items()
-                )
-            elif isinstance(actual, frozenset):
-                ok = expected in actual
-            else:
-                ok = actual == expected
-            if not ok:
-                return False
-        elif func == "excludes":
-            if isinstance(actual, dict):
-                ok = not any(
-                    k in actual and actual[k] == v
-                    for k, v in (expected or {}).items()
-                )
-            elif isinstance(actual, frozenset):
-                ok = expected not in actual
-            else:
-                ok = actual != expected
-            if not ok:
-                return False
-        else:
+        if column != "_uuid" and column not in tschema.columns:
+            raise TransactionError(
+                f"table {tschema.name} has no column {column!r}"
+            )
+        test = _WHERE_FUNCTIONS.get(func) if isinstance(func, str) else None
+        if test is None:
             raise TransactionError(f"unknown where function {func!r}")
-    return True
+        clauses.append((column, test, expected))
+
+    def matches(uuid: str, row: dict) -> bool:
+        for column, test, expected in clauses:
+            if not test(uuid if column == "_uuid" else row[column], expected):
+                return False
+        return True
+
+    return matches
 
 
 def _select_rows(db, staged, op) -> Dict[str, dict]:
     tschema = _table_schema(db, op)
-    where = _resolve_uuid_refs(staged, op.get("where"))
+    matches = _compile_where(
+        tschema, _resolve_uuid_refs(staged, op.get("where"))
+    )
     return {
         uuid: row
-        for uuid, row in staged.rows(tschema.name).items()
-        if _match_where(tschema, uuid, row, where)
+        for uuid, row in staged.items(tschema.name)
+        if matches(uuid, row)
     }
 
 

@@ -161,11 +161,15 @@ class SocketWriter:
         """Un-park the ``on_drain`` producers: the remainder drained —
         or the owner is tearing the socket down and the remainder died
         with it, so their next send fails fast into the owner's error
-        path instead of wedging."""
+        path instead of wedging.  Every callback runs even when one
+        raises (the reactor counts each failure)."""
         self._paused = False
         drains, self._drain_cbs = self._drain_cbs, []
         for callback in drains:
-            callback()
+            try:
+                callback()
+            except Exception as exc:  # noqa: BLE001 - one producer's bug
+                self._reactor.note_callback_error(exc)
 
 
 class _AsyncCall:

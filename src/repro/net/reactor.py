@@ -100,7 +100,7 @@ class Reactor:
             target=self._run, name=f"{name}-reactor", daemon=True
         )
         self.dispatcher = NotificationDispatcher(
-            f"{name}-dispatch", self._note_callback_error
+            f"{name}-dispatch", self.note_callback_error
         )
         self._hook_pool = None
         self._hook_pool_lock = threading.Lock()
@@ -294,7 +294,7 @@ class Reactor:
                 try:
                     key.data(mask)
                 except Exception as exc:  # noqa: BLE001 - loop must survive
-                    self._note_callback_error(exc)
+                    self.note_callback_error(exc)
             self._run_timers()
             self._run_pending()
         # ``submit`` refuses work once ``_closed`` is set, so this last
@@ -322,7 +322,7 @@ class Reactor:
             try:
                 timer.fn()
             except Exception as exc:  # noqa: BLE001 - loop must survive
-                self._note_callback_error(exc)
+                self.note_callback_error(exc)
 
     def _run_pending(self) -> None:
         with self._lock:
@@ -338,9 +338,11 @@ class Reactor:
             try:
                 fn(*args)
             except Exception as exc:  # noqa: BLE001 - loop must survive
-                self._note_callback_error(exc)
+                self.note_callback_error(exc)
 
-    def _note_callback_error(self, exc: BaseException) -> None:
+    def note_callback_error(self, exc: BaseException) -> None:
+        """Count a loop callback that raised; code running several
+        callbacks in one loop turn reports each failure here."""
         if obs.enabled():
             obs.REGISTRY.counter(
                 "reactor_callback_errors_total", reactor=self.name

@@ -111,6 +111,37 @@ class TableWrite:
         return f"TableWrite({self.kind} {self.table} {self.entry!r})"
 
 
+class RowWrite:
+    """One update of a write batch, kept as the control-plane output row
+    it writes: ``binding`` (a :class:`~repro.core.codegen.TableBinding`)
+    converts the row only when asked — ``to_wire()`` straight to the
+    dict :meth:`TableWrite.to_wire` would give, ``entry`` (built once,
+    for in-process devices and read-diffs) to a :class:`TableEntry`.
+    Interchangeable with a :class:`TableWrite` wherever writes are
+    applied or encoded."""
+
+    __slots__ = ("kind", "table", "row", "binding", "_entry")
+
+    def __init__(self, kind: str, binding, row: tuple):
+        self.kind = kind
+        self.table = binding.info.name
+        self.row = row
+        self.binding = binding
+        self._entry: Optional[TableEntry] = None
+
+    @property
+    def entry(self) -> TableEntry:
+        if self._entry is None:
+            self._entry = self.binding.entry_for(self.row)
+        return self._entry
+
+    def to_wire(self) -> dict:
+        return self.binding.wire(self.kind, self.row)
+
+    def __repr__(self):
+        return f"RowWrite({self.kind} {self.table} {self.row!r})"
+
+
 class WriteList(list):
     """The table writes of one batch, with room for the
     request parameters they serialise to: a batch fanned out to a

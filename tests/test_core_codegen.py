@@ -6,7 +6,7 @@ from repro.core.codegen import generate_declarations
 from repro.core.pipeline import nerpa_build
 from repro.core.typebridge import (
     camel,
-    dlog_value_to_match,
+    match_payload,
     ovsdb_column_to_dlog_text,
     ovsdb_value_to_dlog,
 )
@@ -80,22 +80,20 @@ class TestTypeBridge:
 
     def test_exact_match_conversion(self):
         field = MatchField("f", 12, "exact")
-        assert dlog_value_to_match(field, 7).key() == ("exact", 7, None)
+        assert match_payload(field)(7) == 7
 
     def test_lpm_match_conversion(self):
         field = MatchField("f", 32, "lpm")
-        m = dlog_value_to_match(field, (0x0A000000, 8))
-        assert m.key() == ("lpm", 0x0A000000, 8)
+        assert match_payload(field)((0x0A000000, 8)) == [0x0A000000, 8]
 
     def test_ternary_match_conversion(self):
         field = MatchField("f", 12, "ternary")
-        m = dlog_value_to_match(field, (5, 4095))
-        assert m.key() == ("ternary", 5, 4095)
+        assert match_payload(field)((5, 4095)) == [5, 4095]
 
     def test_exact_match_wrong_type(self):
         field = MatchField("f", 12, "exact")
         with pytest.raises(TypeCheckError):
-            dlog_value_to_match(field, (1, 2))
+            match_payload(field)((1, 2))
 
 
 class TestCodegen:

@@ -608,6 +608,37 @@ class TestAioConnection:
             reactor.stop()
             peer.stop()
 
+    def test_a_raising_drain_callback_does_not_strand_the_others(self):
+        peer = _SilentPeer()
+        reactor = Reactor("t-drain-raise").start()
+        conn = AioConnection(
+            "127.0.0.1", peer.address[1], reactor, policy=FAST,
+            high_watermark=1024, low_watermark=256,
+        )
+        try:
+            assert conn.wait_connected(5.0)
+            conn.call_async("echo", ["x" * (4 * 1024 * 1024)], lambda r, e: None)
+            wait_for(lambda: not conn.writable, what="watermark")
+            boom = RuntimeError("one producer's bug")
+            after = threading.Event()
+
+            def raising():
+                raise boom
+
+            conn.on_drain(raising)
+            conn.on_drain(after.set)
+            time.sleep(0.05)
+            assert not after.is_set()  # both parked
+
+            conn.close()  # teardown releases the parked callbacks
+            assert after.wait(5.0)
+            wait_for(lambda: reactor.last_callback_error is boom,
+                     what="the error reported to the loop")
+        finally:
+            conn.close()
+            reactor.stop()
+            peer.stop()
+
 
     def test_short_write_keeps_frames_whole_and_in_order(self):
         """A frame the kernel takes only part of: the remainder is

@@ -36,7 +36,7 @@ from repro.net.aio import Reactor
 from repro.p4.tables import FieldMatch, TableEntry
 from repro.p4runtime import aio_client
 from repro.p4runtime.aio_client import AioP4RuntimeClient
-from repro.p4runtime.api import TableWrite, WriteList
+from repro.p4runtime.api import RowWrite, TableWrite, WriteList
 from repro.p4runtime.farm import DeviceFarm
 from repro.p4runtime.server import P4RuntimeServer
 from tests.test_fanout import (
@@ -46,10 +46,10 @@ from tests.test_fanout import (
     SCHEMA,
     add_port,
     del_port,
-    entry,
     set_out_port,
     wait_for,
 )
+from tests.test_pipeline import record
 
 FIXTURE = Path(__file__).parent / "fixtures" / "apply_batch_frames.json"
 
@@ -244,8 +244,7 @@ def snapshot(batch):
 
 def fanned_batch(seq, port, out_port, update_id):
     batch = DeviceBatch(seq)
-    e = entry(port, out_port)
-    batch.record_insert("patch", e.match_key(), e)
+    record(batch, "insert", port, out_port)
     batch.mcast[seq] = [port]
     batch.update_ids = [update_id]
     batch.shared = True
@@ -362,7 +361,7 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
         controller.drain()  # connections, bindings and start syncs done
 
         counts = {"to_wire": 0, "dumps": 0, "wakes": 0}
-        real_to_wire, real_dumps = TableWrite.to_wire, json.dumps
+        real_to_wire, real_dumps = RowWrite.to_wire, json.dumps
         reactor = controller.reactor
         real_wakeup = reactor._wakeup
 
@@ -379,7 +378,7 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
             counts["wakes"] += 1
             real_wakeup()
 
-        monkeypatch.setattr(TableWrite, "to_wire", to_wire)
+        monkeypatch.setattr(RowWrite, "to_wire", to_wire)
         monkeypatch.setattr(json, "dumps", dumps)
         monkeypatch.setattr(reactor, "_wakeup", wakeup)
         before = [device.batches_applied for device in farm.devices]

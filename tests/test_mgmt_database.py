@@ -371,6 +371,62 @@ class TestAtomicity:
         )
         assert len(results[1]["rows"]) == 1
 
+    def test_ops_see_the_overlay_in_table_order(self):
+        """Rows updated and deleted earlier in the transaction, and rows
+        it inserted, as every where-taking op sees them."""
+        db = make_db()
+        for name, vlan in (("a", 1), ("b", 2), ("c", 3)):
+            db.transact([{"op": "insert", "table": "Port",
+                          "row": {"name": name, "vlan": vlan}}])
+        everything = {"op": "select", "table": "Port", "where": [],
+                      "columns": ["name", "vlan"]}
+        results = db.transact([
+            {"op": "update", "table": "Port", "where": [["name", "==", "b"]],
+             "row": {"vlan": 20}},
+            {"op": "delete", "table": "Port", "where": [["name", "==", "a"]]},
+            {"op": "insert", "table": "Port", "row": {"name": "d", "vlan": 4}},
+            {"op": "update", "table": "Port", "where": [["vlan", ">=", 4]],
+             "row": {"up": True}},
+            {"op": "wait", "table": "Port", "where": [["up", "==", True]],
+             "columns": ["name"], "until": "==",
+             "rows": [{"name": "b"}, {"name": "d"}]},
+            {"op": "delete", "table": "Port", "where": [["name", "==", "c"]]},
+            everything,
+        ])
+        assert [r["count"] for r in results[:2]] == [1, 1]
+        assert results[3]["count"] == 2  # b (20) and d (4), not c (3)
+        assert results[5]["count"] == 1
+        assert sorted(
+            (r["name"], r["vlan"]) for r in results[-1]["rows"]
+        ) == [("b", 20), ("d", 4)]
+        assert sorted(
+            (row["name"], row["vlan"], row["up"]) for row in db.rows("Port")
+        ) == [("b", 20, True), ("d", 4, True)]
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "vlan == 1",
+            [["vlan", "=="]],
+            [[["vlan"], "==", 1]],
+            [["nope", "==", 1]],
+            [["vlan", "~=", 1]],
+            [["vlan", ["=="], 1]],
+        ],
+        ids=["text", "arity", "column", "no-column", "no-func",
+             "function"],
+    )
+    @pytest.mark.parametrize("op", ["select", "update", "delete", "wait"])
+    def test_bad_where_fails_on_empty_table(self, op, where):
+        db = make_db()
+        operation = {"op": op, "table": "Port", "where": where}
+        if op == "update":
+            operation["row"] = {"vlan": 2}
+        if op == "wait":
+            operation.update(until="==", rows=[])
+        with pytest.raises(TransactionError):
+            db.transact([operation])
+
 
 class TestMonitors:
     def test_initial_snapshot(self):

@@ -36,13 +36,13 @@ from repro.core.pipeline import (
     nerpa_build,
 )
 from repro.core.pipeline.queues import Task
+from repro.dlog.values import StructValue
 from repro.errors import ReproError
 from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
 from repro.mgmt.server import ManagementServer
 from repro.net import RetryPolicy
-from repro.p4.tables import FieldMatch, TableEntry
 from repro.p4runtime.api import DeviceService
 from tests.doubles import uncoalesce
 
@@ -127,9 +127,14 @@ def wait_for(predicate, timeout=10.0, what="condition"):
     raise AssertionError(f"timed out waiting for {what}")
 
 
-def entry(port, out_port, action="forward"):
-    params = [] if action == "drop" else [out_port]
-    return TableEntry([FieldMatch.exact(port)], action, params)
+PATCH = nerpa_build(SCHEMA, RULES, P4).bindings.table_relations["Patch"]
+
+
+def record(batch, op, port, out_port):
+    """Fold one ``Patch`` output row into a device batch (``op`` is
+    ``"insert"`` or ``"delete"``)."""
+    row = (port, StructValue("PatchActionForward", (out_port,)))
+    getattr(batch, f"record_{op}")(PATCH, PATCH.key_of(row), row)
 
 
 # ---------------------------------------------------------------------------
@@ -195,24 +200,22 @@ class TestChangesetAlgebra:
 class TestDeviceBatchOrdering:
     def test_deletes_emitted_before_inserts(self):
         batch = DeviceBatch(1)
-        batch.record_insert("patch", (("exact", 2),), entry(2, 7))
-        batch.record_delete("patch", (("exact", 1),), entry(1, 5))
+        record(batch, "insert", 2, 7)
+        record(batch, "delete", 1, 5)
         writes = batch.emit_writes()
         kinds = [w.kind for w in writes]
         assert kinds == ["DELETE", "INSERT"]
 
     def test_unchanged_round_trip_dropped(self):
         batch = DeviceBatch(1)
-        e = entry(1, 5)
-        batch.record_delete("patch", e.match_key(), e)
-        batch.record_insert("patch", e.match_key(), entry(1, 5))
+        record(batch, "delete", 1, 5)
+        record(batch, "insert", 1, 5)
         assert batch.emit_writes() == []
 
     def test_changed_entry_is_delete_then_insert(self):
         batch = DeviceBatch(1)
-        e_old, e_new = entry(1, 5), entry(1, 7)
-        batch.record_delete("patch", e_old.match_key(), e_old)
-        batch.record_insert("patch", e_new.match_key(), e_new)
+        record(batch, "delete", 1, 5)
+        record(batch, "insert", 1, 7)
         writes = batch.emit_writes()
         assert [w.kind for w in writes] == ["DELETE", "INSERT"]
         assert writes[0].entry.action_params == (5,)
@@ -230,10 +233,10 @@ class TestDeviceBatchOrdering:
 
     def test_merge_net_effect_matches_sequential_application(self):
         first = DeviceBatch(1)
-        first.record_insert("patch", (("exact", 1),), entry(1, 5))
+        record(first, "insert", 1, 5)
         second = DeviceBatch(2)
-        second.record_delete("patch", (("exact", 1),), entry(1, 5))
-        second.record_insert("patch", (("exact", 1),), entry(1, 7))
+        record(second, "delete", 1, 5)
+        record(second, "insert", 1, 7)
         assert first.coalesce(second)
         writes = first.emit_writes()
         # insert(5); delete(5)+insert(7) => net insert(7) only
@@ -828,15 +831,15 @@ Out(k, v) :- R(k, v).
 
     def test_device_batch_modify_of_missing_entry_is_plain_insert(self):
         batch = DeviceBatch(seq=1)
-        batch.record_insert("patch", (5,), entry(5, 7))
+        record(batch, "insert", 5, 7)
         writes = batch.emit_writes()
         assert [w.kind for w in writes] == ["INSERT"]
 
     def test_device_batch_delete_then_modify_emits_delete_first(self):
         batch = DeviceBatch(seq=1)
-        batch.record_delete("patch", (5,), entry(5, 7))
-        batch.record_delete("patch", (5,), entry(5, 8))
-        batch.record_insert("patch", (5,), entry(5, 9))
+        record(batch, "delete", 5, 7)
+        record(batch, "delete", 5, 8)
+        record(batch, "insert", 5, 9)
         writes = batch.emit_writes()
         assert [w.kind for w in writes] == ["DELETE", "INSERT"]
         assert tuple(writes[0].entry.action_params) == (7,)  # oldest pinned
