@@ -3,13 +3,16 @@
 The controller owns the runtime loop the paper describes in §3, run as
 a **staged pipeline** (see ``docs/ARCHITECTURE.md``):
 
-* **ingest** (stage 1, caller threads) — each committed management
-  transaction becomes a :class:`~repro.core.pipeline.Changeset`; data
-  plane **digests** (e.g. MAC learning) become digest changesets — the
-  feedback loop.  Changesets land on a bounded coalescing queue, so a
-  burst of transactions collapses into one net changeset while the
-  engine is busy (modify = delete+insert pairs cancel, last writer
-  wins per row key);
+* **ingest** (stage 1, notification callbacks — on the loop that read
+  the update or digest, or a local database's committing thread) —
+  each committed management transaction becomes a
+  :class:`~repro.core.pipeline.Changeset`; data plane **digests** (e.g.
+  MAC learning) become digest changesets — the feedback loop.
+  Changesets land on an unbounded coalescing queue, so a burst of
+  transactions collapses into one net changeset while the engine is
+  busy (modify = delete+insert pairs cancel, last writer wins per row
+  key).  The put never blocks: a remote device's digest is put by the
+  very loop that consumes the queue;
 * **evaluate** (stage 2, callbacks on the reactor stage 3 and the
   checkpoint timer share) — one engine transaction per changeset per
   loop turn; the control program's *output deltas* fan out as one
@@ -78,7 +81,7 @@ from repro.core.planes import (
     wrap_device,
     wrap_mgmt,
 )
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ReproError
 from repro.mgmt.monitor import TableUpdates
 from repro.net.reactor import Reactor
 from repro.obs.trace import current_update_id, use_update_id
@@ -272,10 +275,8 @@ class NerpaController:
             on_error=self._defer_error,
         )
         self.reactor = self._fanout_plane.reactor
-        # Bounded, unlike the channel queues: all its producers are off
-        # the loop, so backpressure never parks the loop.
         self.engine_queue = CoalescingQueue(
-            name="engine", maxlen=1024, on_ready=self._wake_engine
+            name="engine", on_ready=self._wake_engine
         )
         applier = BatchApplier(
             self._fanout_plane,
@@ -385,8 +386,12 @@ class NerpaController:
         Re-entrancy: stop() may be invoked from an engine task or a
         monitor callback reacting to a lease-table update.  On the
         reactor it skips the drain and the wait, which would wait for
-        itself.  Stopping a stack whose management plane is already
-        down must not raise out of teardown.
+        itself.  From a remote management client's monitor callback the
+        blocking unsubscribe raises (it would wait on the loop running
+        the callback) and is skipped: the client has already dropped
+        the callback, so no later update reaches this controller.
+        Stopping a stack whose management plane is already down must
+        not raise out of teardown either.
         """
         self.checkpoints.stop_timer()
         for hook in list(self._stop_hooks):
@@ -403,7 +408,7 @@ class NerpaController:
                 pass
         try:
             self.mgmt.unsubscribe()
-        except (ProtocolError, OSError):
+        except (ReproError, OSError):
             pass
         self._started = False
         if self.engine_queue is not None:
@@ -490,7 +495,8 @@ class NerpaController:
     # -- stage 1: ingest ---------------------------------------------------------
 
     def _on_updates(self, updates: TableUpdates) -> None:
-        """Monitor delivery → changeset → engine queue (caller thread)."""
+        """Monitor delivery → changeset → engine queue (notification
+        callback: must not block)."""
         started = time.perf_counter()
         changeset = Changeset("mgmt")
         changeset.txns = 1

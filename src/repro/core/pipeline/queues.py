@@ -1,6 +1,6 @@
 """Coalescing queues connecting the pipeline stages.
 
-A :class:`CoalescingQueue` is a FIFO with three twists:
+A :class:`CoalescingQueue` is a FIFO with two twists:
 
 * **tail coalescing** — if the newest queued item can absorb an
   incoming one (``tail.coalesce(item)`` returns the item that now
@@ -9,16 +9,15 @@ A :class:`CoalescingQueue` is a FIFO with three twists:
   merges instead of appending.  While a consumer is busy, every burst
   collapses into the single pending tail item, which is where the
   pipeline's batching win comes from: a slow device accumulates *one*
-  merged batch, not an unbounded backlog.
-* **optional backpressure** — with a ``maxlen``, non-mergeable items
-  block the producer once that many distinct items are pending
-  (coalescible traffic effectively never fills the queue, so in
-  practice only a flood of control items can push back).  Consumers
-  are reactor callbacks that ``pop_nowait``, so only a queue fed from
-  off that reactor may be bounded;
+  merged batch, not an unbounded backlog;
 * **join accounting** — ``queue.Queue``-style ``task_done``/``join``
   so :meth:`NerpaController.drain` can wait for quiescence stage by
   stage.
+
+A put never blocks.  Consumers are reactor callbacks that
+``pop_nowait``, and producers include callbacks on that same loop, so
+a bound would park the loop on itself; a backlog sits here, where it
+merges, and not in some queue further upstream, where it does not.
 
 Control items (:class:`Task` — engine tasks, device resyncs) have no
 ``coalesce`` and act as barriers: later write batches never merge
@@ -76,16 +75,14 @@ class Task:
 
 
 class CoalescingQueue:
-    """FIFO with tail coalescing, join accounting and an optional bound."""
+    """FIFO with tail coalescing and join accounting."""
 
     def __init__(
         self,
         name: str = "queue",
-        maxlen: Optional[int] = None,
         on_ready: Optional[Callable[[], None]] = None,
     ):
         self.name = name
-        self.maxlen = maxlen
         #: Called (outside the queue lock) after a put appends a new
         #: distinct item: it schedules the consumer — the engine pump or
         #: a device's state machine — on the reactor.  A merge into the
@@ -94,7 +91,6 @@ class CoalescingQueue:
         self.on_ready = on_ready
         self._items: deque = deque()
         self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
         self._all_done = threading.Condition(self._lock)
         self._unfinished = 0
         self._closed = False
@@ -126,8 +122,7 @@ class CoalescingQueue:
         ``supersedes`` (a predicate over queued items) drops every
         pending item it matches before enqueueing — used by resync
         tasks, whose full-sync subsumes any queued incremental batches.
-        Blocks while a bounded queue holds ``maxlen`` distinct items;
-        puts on a closed queue are dropped (shutdown is best-effort).
+        Puts on a closed queue are dropped (shutdown is best-effort).
         """
         with self._lock:
             if self._closed:
@@ -139,36 +134,14 @@ class CoalescingQueue:
                         self._unfinished -= 1
                     else:
                         kept.append(queued)
-                if len(kept) < len(self._items):
-                    self._items = kept
-                    # Freed space: wake producers blocked on a full
-                    # queue (they would otherwise sleep until the
-                    # consumer's next pop).
-                    self._not_full.notify_all()
-            # The coalesce attempt must be re-run every time the
-            # producer wakes from backpressure: the tail it saw before
-            # sleeping may have been popped, and another producer may
-            # have appended a mergeable one — appending unconditionally
-            # after the wait would give a mergeable batch a distinct
-            # slot (and a spurious extra wire write).
-            while True:
-                if self._items:
-                    tail = self._items[-1]
-                    fold = getattr(tail, "coalesce", None)
-                    merged = fold(item) if fold is not None else None
-                    if merged is not None:
-                        self._items[-1] = merged
-                        self.coalesced += 1
-                        return
-                if (
-                    self.maxlen is None
-                    or len(self._items) < self.maxlen
-                    or self._closed
-                ):
-                    break
-                self._not_full.wait()
-            if self._closed:
-                return
+                self._items = kept
+            if self._items:
+                fold = getattr(self._items[-1], "coalesce", None)
+                merged = fold(item) if fold is not None else None
+                if merged is not None:
+                    self._items[-1] = merged
+                    self.coalesced += 1
+                    return
             self._items.append(item)
             self._unfinished += 1
         ready = self.on_ready
@@ -180,9 +153,7 @@ class CoalescingQueue:
         with self._lock:
             if not self._items:
                 return None
-            item = self._items.popleft()
-            self._not_full.notify()
-            return item
+            return self._items.popleft()
 
     def task_done(self) -> None:
         with self._lock:
@@ -217,7 +188,6 @@ class CoalescingQueue:
             self._closed = True
             abandoned, self._items = self._items, deque()
             self._unfinished = 0
-            self._not_full.notify_all()
             self._all_done.notify_all()
         for item in abandoned:
             if isinstance(item, Task):

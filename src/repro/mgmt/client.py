@@ -6,7 +6,8 @@ the client owns and stops in :meth:`ManagementClient.close`; this layer
 keeps only protocol knowledge: monitor bookkeeping, schema caching, and
 decoding wire rows into :class:`~repro.mgmt.monitor.TableUpdates`.
 Like every client here it dials in the background: an unreachable
-address fails the first call, not the constructor.
+address fails the first call, not the constructor.  An open client
+costs one thread, its loop, which also runs the monitor callbacks.
 
 When the underlying connection is lost and re-established, all monitor
 subscriptions are invalid — the server (possibly a fresh process) has
@@ -55,7 +56,7 @@ class ManagementClient:
         self._monitor_callbacks: Dict[str, Callable[[TableUpdates], None]] = {}
         # Guards callback registration/dispatch: the server starts
         # streaming a monitor's updates the instant it registers it, so
-        # a notification can reach the dispatcher thread before monitor()
+        # a notification can reach the loop thread before monitor()
         # has seen the response and stored the callback.  Updates for
         # unknown monitor ids are buffered while a subscribe is in
         # flight and replayed on registration — dropping them would
@@ -154,8 +155,11 @@ class ManagementClient:
     ):
         """Subscribe; returns ``(monitor_id, initial TableUpdates)``.
 
-        ``callback`` runs on the connection's dispatcher thread — it may
-        call back into this client.  Updates the server streamed between
+        ``callback`` runs on the client's loop thread, in wire order, and
+        must not block: a blocking call back into this client raises
+        :class:`~repro.errors.ReproError` (counted as a callback error;
+        the next update is still delivered).  Hand such work to another
+        thread.  Updates the server streamed between
         registering the monitor and this call returning reach
         ``callback`` in arrival order (those dispatched while the call
         was in flight are replayed here, before the snapshot is

@@ -99,48 +99,6 @@ def make_notification(method: str, params) -> dict:
     return {"method": method, "params": params, "id": None}
 
 
-class NotificationDispatcher:
-    """Runs notification callbacks off the thread that reads the socket.
-
-    That thread must never execute user callbacks directly: a callback
-    that issues a blocking call on the same client would deadlock
-    waiting for a response only the reading thread can receive.  A
-    callback that raises is reported to ``on_error(exc)`` and the next
-    one still runs.
-    """
-
-    def __init__(self, name: str, on_error):
-        import queue
-        import threading
-
-        self._queue: "queue.Queue" = queue.Queue()
-        self._on_error = on_error
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._run, name=name, daemon=True
-        )
-        self._thread.start()
-
-    def submit(self, fn, *args) -> None:
-        if not self._closed:
-            self._queue.put((fn, args))
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            fn, args = item
-            try:
-                fn(*args)
-            except Exception as exc:  # noqa: BLE001 - callbacks must not kill us
-                self._on_error(exc)
-
-    def close(self) -> None:
-        self._closed = True
-        self._queue.put(None)
-
-
 def classify(message: dict) -> str:
     """'request' | 'notification' | 'response' (raises on junk)."""
     if not isinstance(message, dict):

@@ -28,8 +28,8 @@ P4Runtime client and the management client ride it — on a
 
 Loop discipline: everything suffixed ``_on_loop`` (and every readiness
 or timer callback) runs on the reactor thread and must not block.
-Blocking work — notification fan-out, reconnect hooks that resync a
-device — is handed to the reactor's dispatcher thread or hook pool.
+Notifications are delivered there too, inline and in wire order; only
+reconnect hooks, which resync a device, go to the reactor's hook pool.
 The public surface (``call``, ``call_async``, ``close``, ``health``,
 ``wait_connected``) is thread-safe.
 """
@@ -187,8 +187,12 @@ class AioConnection:
     Callback contract: ``call_async`` callbacks run **on the loop
     thread** as ``callback(result, error)`` with exactly one of the two
     set (``error`` is an exception instance).  ``on_notification`` runs
-    on the reactor's dispatcher thread; ``on_reconnect`` hooks run on
-    the hook pool (they may issue blocking calls on this connection).
+    on the loop thread too, once per notification in wire order, and
+    must not block: a blocking :meth:`call` from it raises
+    :class:`~repro.errors.ReproError`, which the reactor counts like
+    any callback error before the next notification is delivered.
+    ``on_reconnect`` hooks run on the hook pool (they may issue
+    blocking calls on this connection).
     """
 
     def __init__(
@@ -575,14 +579,12 @@ class AioConnection:
             # precede every call queued behind the reconnect.
             self._on_connect(self)
         if was_reconnect:
-            # Launched from the dispatcher, i.e. behind the dead
-            # session's notifications still queued there: a hook that
-            # rebuilds session state never races an update addressed to
-            # the state it replaces.
+            # The dead session's notifications were all delivered on
+            # this thread before its socket was torn down, so a hook
+            # that rebuilds session state never races an update
+            # addressed to the state it replaces.
             for callback in list(self._on_reconnect):
-                self.reactor.dispatcher.submit(
-                    self.reactor.run_hook, self._run_reconnect_hook, callback
-                )
+                self.reactor.run_hook(self._run_reconnect_hook, callback)
 
     def _run_reconnect_hook(self, callback: Callable[[], None]) -> None:
         try:
@@ -634,9 +636,12 @@ class AioConnection:
                     message.get("error"),
                 )
             elif kind == "notification" and self._on_notification is not None:
-                self.reactor.dispatcher.submit(
-                    self._on_notification, message
-                )
+                # Inline, in wire order; a callback that raises is
+                # counted and the frames behind it are still delivered.
+                try:
+                    self._on_notification(message)
+                except Exception as exc:  # noqa: BLE001 - one callback's bug
+                    self.reactor.note_callback_error(exc)
 
     def _transport_error(self, exc: BaseException) -> None:
         self._note_error(exc)

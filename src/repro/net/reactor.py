@@ -6,15 +6,16 @@ readiness callbacks, cross-thread ``submit``, and ``call_later`` timers
 :class:`~repro.net.aio.AioConnection` costs a buffer and a selector
 registration, not a reader, a heartbeat and a dispatcher thread of its
 own.  That is the difference between a fleet of hundreds of devices
-(one OS thread each) and thousands (one loop for all of them).
+(one OS thread each) and thousands (one loop for all of them).  A
+reactor is one thread, plus a hook pool once something reconnects.
 
-Loop discipline: every readiness, timer or submitted callback runs on
-the reactor thread and must not block.  Blocking work — notification
-fan-out, reconnect hooks that resync a device, checkpoint saves — is
-handed to the reactor's dispatcher thread or hook pool.  A controller's
-engine transactions are the one long CPU-bound callback, and its
-management ``subscribe`` on reconnect the one blocking call (allowed: a
-``ManagementClient`` always runs on a reactor of its own).  ``submit``
+Loop discipline: every readiness, timer, submitted or notification
+callback runs on the reactor thread and must not block.  Blocking
+work — reconnect hooks that resync a device, checkpoint saves — is
+handed to the reactor's hook pool.  A controller's engine transactions
+are the one long CPU-bound callback, and its management ``subscribe``
+on reconnect the one blocking call (allowed: a ``ManagementClient``
+always runs on a reactor of its own).  ``submit``
 and ``call_later`` are thread-safe.  Work scheduled *from* the loop thread
 costs no syscall (the loop re-reads its queue and timer heap before it
 sleeps), and cross-thread calls share one wake byte per loop turn.
@@ -32,7 +33,6 @@ from collections import deque
 from typing import Callable, List, Optional
 
 from repro import obs
-from repro.mgmt.jsonrpc import NotificationDispatcher
 
 
 #: Below this many cancelled timers the heap is never rebuilt
@@ -58,13 +58,11 @@ class Timer:
 
 
 class Reactor:
-    """A selector event loop plus its helper executors.
+    """A selector event loop plus its hook pool.
 
     One reactor serves any number of connections and fan-out channels.
-    It owns three things callbacks must never do on the loop thread:
+    Besides the loop it owns:
 
-    * ``dispatcher`` — a single FIFO thread for notification callbacks
-      (digests, packet-ins, monitor updates), shared loop-wide;
     * ``run_hook`` — a small pool for reconnect hooks, which block for
       whole resync round trips and must not serialize behind each
       other during a fleet-wide reconnect storm;
@@ -99,16 +97,13 @@ class Reactor:
         self._thread = threading.Thread(
             target=self._run, name=f"{name}-reactor", daemon=True
         )
-        self.dispatcher = NotificationDispatcher(
-            f"{name}-dispatch", self.note_callback_error
-        )
         self._hook_pool = None
         self._hook_pool_lock = threading.Lock()
         #: Loop iterations served (coarse liveness counter for tests).
         self.loops = 0
         #: Last exception raised by a readiness/timer/submitted or
-        #: dispatcher callback (callbacks must not kill the loop; this
-        #: is the debugging breadcrumb when one misbehaves).
+        #: notification callback (callbacks must not kill the loop;
+        #: this is the debugging breadcrumb when one misbehaves).
         self.last_callback_error: Optional[BaseException] = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -129,7 +124,7 @@ class Reactor:
         return threading.current_thread() is self._thread
 
     def stop(self) -> None:
-        """Stop the loop and its executors; idempotent."""
+        """Stop the loop and its hook pool; idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -137,7 +132,6 @@ class Reactor:
         self._wakeup()
         if self._started and not self.in_loop():
             self._thread.join(timeout=5.0)
-        self.dispatcher.close()
         with self._hook_pool_lock:
             pool = self._hook_pool
             self._hook_pool = None

@@ -944,8 +944,8 @@ class TestControllerAioPlane:
         try:
             assert all(c.echo(["hi"]) == ["hi"] for c in clients)
             assert {c.reactor for c in clients} == {default_reactor()}
-            # Client-side threads: the loop and its dispatcher (plus a
-            # hook pool once something reconnects) — not 50 of each.
+            # Client-side threads: the one loop (plus a hook pool once
+            # something reconnects) — not 50 of them.
             names = [t.name for t in threading.enumerate()]
             assert sum(n.startswith("default-") for n in names) <= 6, names
         finally:

@@ -936,6 +936,47 @@ class TestStopOrdering:
         assert not worker.is_alive(), "stop() from a monitor callback hung"
         assert stopped.is_set()
 
+    def test_stop_from_a_remote_monitor_callback_completes(self):
+        """The twin over a management client: its monitor callbacks run
+        on the client's loop, where the blocking ``monitor_cancel`` of
+        ``stop()`` raises.  Teardown must still run to the end."""
+        project = build_snvs()
+        db = Database(project.schema)
+        switch = project.new_simulator(n_ports=8)
+        with ManagementServer(db) as server:
+            client = ManagementClient(*server.address)
+            controller = NerpaController(project, client, [switch]).start()
+            _snvs_config(db, (0,))
+            wait_for(
+                lambda: len(switch.table("in_vlan")) == 1, what="first port"
+            )
+            returned = threading.Event()
+            errors = []
+
+            def on_update(_updates):
+                if returned.is_set() or errors:
+                    return
+                try:
+                    controller.stop()
+                except Exception as exc:  # noqa: BLE001 - the failure
+                    errors.append(exc)
+                    raise
+                returned.set()
+
+            client.monitor({"Port": None}, on_update)
+            try:
+                _add_port(db, 1)
+                wait_for(
+                    lambda: returned.is_set() or errors,
+                    timeout=30.0,
+                    what="stop() from the callback",
+                )
+                assert errors == []
+                assert controller._fanout_plane is None
+                assert client.echo(["alive"]) == ["alive"]
+            finally:
+                client.close()
+
     def test_background_timer_cancelled_before_teardown(self, tmp_path):
         project = build_snvs()
         db = Database(project.schema)

@@ -12,13 +12,20 @@ import time
 import pytest
 
 from repro import obs
-from repro.errors import ConnectionLostError, ProtocolError
+from repro.errors import ConnectionLostError, ProtocolError, ReproError
 from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
-from repro.mgmt.jsonrpc import decode_frames, encode_frame, make_request
+from repro.mgmt.jsonrpc import (
+    decode_frames,
+    encode_frame,
+    make_notification,
+    make_request,
+)
 from repro.mgmt.schema import simple_schema
 from repro.mgmt.server import ManagementServer
 from repro.net import BROKEN, CONNECTED, RETRYING, FaultInjector, RetryPolicy
+from repro.net.aio import AioConnection
+from repro.net.reactor import Reactor
 
 FAST = RetryPolicy(
     connect_timeout=2.0,
@@ -296,8 +303,20 @@ class _EagerServer(ManagementServer):
         return result
 
 
+class _DyingServer(ManagementServer):
+    """On ``echo ["die"]``, commits two rows and closes the connection:
+    their updates and the end of the stream leave in one burst."""
+
+    def handle(self, conn, method, params):
+        if method == "echo" and params == ["die"]:
+            insert_port(self.db, "a")
+            insert_port(self.db, "b")
+            conn.close()
+        return super().handle(conn, method, params)
+
+
 class TestClientOnItsLoop:
-    def test_two_threads_while_open_none_after_close(self):
+    def test_one_thread_while_open_none_after_close(self):
         db = make_db()
         with ManagementServer(db) as srv:
             before = set(threading.enumerate())
@@ -306,28 +325,103 @@ class TestClientOnItsLoop:
                 return list(set(threading.enumerate()) - before)
 
             client = ManagementClient(*srv.address, policy=FAST)
-            client.monitor({"Port": None}, lambda updates: None)
+            seen = []
+            client.monitor({"Port": None}, seen.append)
             insert_port(db, "a")
             assert client.echo([1]) == [1]
-            assert len(added()) <= 2, added()
+            wait_for(lambda: seen, what="the update")
+            assert [t.name for t in added()] == ["mgmt-client-reactor"]
             client.close()
             wait_for(lambda: not added(), timeout=1.0, what="threads to end")
 
-    def test_monitor_callback_may_call_back_into_the_client(self):
-        db = make_db()
-        with ManagementServer(db) as srv:
-            client = ManagementClient(*srv.address, policy=FAST)
-            answers = []
-            client.monitor(
-                {"Port": None},
-                lambda updates: answers.append(
-                    client.call("echo", port_names(updates))
-                ),
+    def test_notifications_run_on_the_loop_in_wire_order(self):
+        """Each notification runs on the loop thread that read it, in
+        wire order; one whose callback raises is counted, and the frame
+        decoded behind it from the same read is still delivered."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        reactor = Reactor("t-inline")
+        seen = []
+
+        def on_notification(message):
+            (n,) = message["params"]
+            seen.append((n, reactor.in_loop()))
+            if n == 1:
+                raise RuntimeError("handler bug")
+
+        conn = AioConnection(
+            *listener.getsockname(),
+            reactor,
+            policy=FAST,
+            on_notification=on_notification,
+        )
+        reads = []
+        recv = reactor.recv
+
+        def counting_recv(sock):
+            data = recv(sock)
+            if data:
+                reads.append(data)
+            return data
+
+        reactor.recv = counting_recv
+        peer = None
+        try:
+            assert conn.wait_connected(5.0)
+            peer, _ = listener.accept()
+            frames = b"".join(
+                encode_frame(make_notification("n", [n])) for n in (1, 2, 3)
             )
-            insert_port(db, "a")
-            wait_for(lambda: answers, timeout=3.0, what="the nested call")
-            assert answers == [["a"]]
-            client.close()
+            # Sent from the loop itself: all three frames are in the
+            # socket before its next read.
+            reactor.submit(peer.sendall, frames)
+            wait_for(lambda: len(seen) == 3, what="every notification")
+            assert seen == [(1, True), (2, True), (3, True)]
+            assert reads == [frames]
+            assert "handler bug" in str(reactor.last_callback_error)
+        finally:
+            conn.close()
+            reactor.stop()
+            for sock in (peer, listener):
+                if sock is not None:
+                    sock.close()
+
+    @pytest.mark.serial
+    def test_blocking_call_from_a_monitor_callback_raises(self):
+        """A monitor callback runs on the client's loop, the thread that
+        would read the reply: a blocking call from it raises at once,
+        is counted like any callback error, and the next update still
+        arrives."""
+        db = make_db()
+        obs.reset()
+        obs.enable()
+        try:
+            with ManagementServer(db) as srv:
+                client = ManagementClient(*srv.address, policy=FAST)
+                seen = []
+
+                def callback(updates):
+                    seen.extend(port_names(updates))
+                    if seen == ["a"]:
+                        client.echo(["nested"])
+
+                client.monitor({"Port": None}, callback)
+                insert_port(db, "a")
+                insert_port(db, "b")
+                wait_for(lambda: seen == ["a", "b"], what="both updates")
+                errors = obs.REGISTRY.counter(
+                    "reactor_callback_errors_total", reactor="mgmt-client"
+                )
+                assert errors.value == 1
+                error = client.conn.reactor.last_callback_error
+                assert isinstance(error, ReproError)
+                assert "reactor loop thread" in str(error)
+                assert client.echo(["after"]) == ["after"]
+                client.close()
+        finally:
+            obs.disable()
+            obs.reset()
 
     def test_updates_ahead_of_the_monitor_reply_are_replayed_in_order(self):
         db = make_db()
@@ -377,42 +471,25 @@ class TestClientOnItsLoop:
             obs.disable()
             obs.reset()
 
-    @pytest.mark.slow
     def test_reconnect_hook_waits_for_the_dead_sessions_updates(self):
-        """Updates of the lost session still queued for dispatch go to
-        the callbacks they were addressed to *before* the hook that
+        """Updates the lost session sent before it died go to the
+        callbacks they were addressed to *before* the hook that
         re-subscribes starts: a restarted server may hand out the same
         monitor id again, and a stale update must never be taken for
         one of the new subscription's."""
         db = make_db()
-        port = free_port()
-        srv = ManagementServer(db, port=port).start()
-        client = ManagementClient("127.0.0.1", port, policy=FAST)
-        order = []
-        gate = threading.Event()
-
-        def callback(updates):
-            gate.wait(10.0)
-            order.extend(port_names(updates))
-
-        client.monitor({"Port": None}, callback)
-        client.on_reconnect(lambda: order.append("hook"))
-        insert_port(db, "a")  # parks the dispatcher on the gate
-        insert_port(db, "b")  # queued behind it
-        time.sleep(0.1)  # both updates are on the client's side by now
-        srv.stop()
-        srv = ManagementServer(db, port=port).start()
-        try:
-            wait_for(lambda: client.conn.reconnects >= 1, what="reconnect")
-            time.sleep(0.2)
-            assert order == []  # the hook has not jumped the queue
-            gate.set()
-            wait_for(lambda: len(order) == 3, what="updates, then the hook")
-            assert order == ["a", "b", "hook"]
-        finally:
-            gate.set()
-            client.close()
-            srv.stop()
+        with _DyingServer(db) as srv:
+            client = ManagementClient(*srv.address, policy=FAST)
+            order = []
+            client.monitor({"Port": None}, lambda u: order.extend(port_names(u)))
+            client.on_reconnect(lambda: order.append("hook"))
+            try:
+                # Two updates, then the end of the stream, in one burst.
+                client.conn.call_async("echo", ["die"], lambda _r, _e: None)
+                wait_for(lambda: "hook" in order, what="the reconnect hook")
+                assert order == ["a", "b", "hook"]
+            finally:
+                client.close()
 
 
 def _stack(frame):
@@ -443,9 +520,8 @@ class TestFaultInjector:
             socks = []
             try:
                 started = set(threading.enumerate()) - before
-                assert {t.name for t in started} <= {
-                    f"{injector.reactor.name}-reactor",
-                    f"{injector.reactor.name}-dispatch",
+                assert {t.name for t in started} == {
+                    f"{injector.reactor.name}-reactor"
                 }
                 echo = encode_frame(make_request("echo", ["via"], 1))
                 for _ in range(8):

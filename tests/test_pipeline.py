@@ -322,44 +322,6 @@ class TestCoalescingQueue:
         assert done.is_set()
         assert q.unfinished == 0
 
-    def test_producer_woken_from_backpressure_recoalesces_tail(self):
-        """Regression: a producer blocked on a full queue must re-run
-        the tail-coalesce check when it wakes — the tail it saw before
-        sleeping may have been popped and replaced by a mergeable one.
-        Appending unconditionally gave the burst a second distinct slot
-        (= a spurious extra wire write)."""
-        q = CoalescingQueue(maxlen=2)
-        q.put(_Barrier())
-        q.put(_Barrier())  # full; neither merges with an _Item
-
-        started = threading.Event()
-
-        def blocked_put():
-            started.set()
-            q.put(_Item(1))
-
-        t = threading.Thread(target=blocked_put, daemon=True)
-        t.start()
-        started.wait(2.0)
-        wait_for(
-            lambda: q._not_full._waiters, what="producer to block on full"
-        )
-        # While the producer sleeps: the consumer drains both barriers
-        # and another producer appends a mergeable tail.  Do it all
-        # under the queue lock so the blocked producer cannot observe
-        # any intermediate state — it wakes to exactly this picture.
-        with q._lock:
-            q._items.clear()
-            q._unfinished -= 2
-            q._items.append(_Item(0))
-            q._unfinished += 1
-            q._not_full.notify_all()
-        t.join(2.0)
-        assert not t.is_alive()
-        assert len(q) == 1
-        assert q.coalesced == 1
-        assert q.pop_nowait().values == [0, 1]
-
     def test_close_releases_the_waiters_of_abandoned_tasks(self):
         q = CoalescingQueue()
         task = Task(lambda: "never")
@@ -871,26 +833,6 @@ class TestQueueBarrierSupersedeJoin:
         assert done.wait(5.0)
         assert q.unfinished == 0
 
-    def test_supersede_wakes_producer_blocked_on_full_queue(self):
-        q = CoalescingQueue(maxlen=2)
-        q.put(_Barrier())
-        q.put(_Barrier())
-        started = threading.Event()
-        finished = threading.Event()
-
-        def producer():
-            started.set()
-            q.put(_Barrier())  # blocks: queue is full
-            finished.set()
-
-        threading.Thread(target=producer, daemon=True).start()
-        assert started.wait(2.0)
-        assert not finished.wait(0.1)  # genuinely blocked
-        q.put(_Barrier(), supersedes=lambda item: True)
-        assert finished.wait(5.0)
-        assert len(q) == 2
-        assert q.unfinished == 2
-
     def test_supersede_exposes_mergeable_tail(self):
         """Removing a barrier via supersede legitimately re-enables tail
         coalescing: nothing remains between the old tail and the new
@@ -914,18 +856,3 @@ class TestQueueBarrierSupersedeJoin:
             q.pop_nowait()
             q.task_done()
         q.join(time.monotonic() + 1.0)
-
-    def test_close_unblocks_producer_stuck_on_full_queue(self):
-        q = CoalescingQueue(maxlen=1)
-        q.put(_Barrier())
-        finished = threading.Event()
-
-        def producer():
-            q.put(_Barrier())  # blocks until close drops it
-            finished.set()
-
-        threading.Thread(target=producer, daemon=True).start()
-        assert not finished.wait(0.1)
-        q.close()
-        assert finished.wait(5.0)
-        assert len(q) == 0
