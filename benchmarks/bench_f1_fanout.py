@@ -182,6 +182,7 @@ class Fleet:
         }
         return {
             "n_devices": self.n_devices,
+            "start_s": self.controller.start_seconds,
             "wall": wall,
             "events_per_s": len(events) / wall if wall else 0.0,
             "peak_threads": peak_threads,
@@ -221,6 +222,7 @@ def _row(stats: dict, label: str):
     return (
         label,
         stats["n_devices"],
+        f"{stats['start_s']:.2f}",
         f"{stats['wall']:.2f}",
         f"{stats['events_per_s']:.1f}",
         stats["peak_threads"],
@@ -234,6 +236,7 @@ def _row(stats: dict, label: str):
 _COLUMNS = (
     "run",
     "devices",
+    "start s",
     "wall s",
     "events/s",
     "peak threads",
@@ -267,12 +270,12 @@ def test_f1_thread_budget_100(benchmark, bench_seed, require_nofile):
     assert stats["fifo_violations"] == 0  # verified at the receivers
     emit(
         "f1", "multiplexed_peak_threads_100dev", "threads",
-        stats["peak_threads"], threshold=18,
+        stats["peak_threads"], threshold=10,
     )
     # The structural claim: a fixed handful of OS threads, nowhere
-    # near one per device — the main thread, one per reactor (this
-    # fleet's and the farm's 8) and the fan-out pool's 8 workers.
-    assert stats["peak_threads"] <= 18
+    # near one per device — the main thread and one per reactor (this
+    # fleet's and the farm's 8).  Stage 3 itself adds none.
+    assert stats["peak_threads"] <= 10
 
 
 def test_f1_fleet_scale_1000(benchmark, bench_seed, require_nofile):
@@ -315,9 +318,12 @@ def test_f1_fleet_scale_1000(benchmark, bench_seed, require_nofile):
     assert fleet["fifo_violations"] == 0
     emit(
         "f1", "fleet_1000_peak_threads", "threads",
-        fleet["peak_threads"], threshold=18,
+        fleet["peak_threads"], threshold=10,
     )
-    assert fleet["peak_threads"] <= 18  # not one thread per device
+    assert fleet["peak_threads"] <= 10  # not one thread per device
+    # Reported, not gated: the start's 1000 full syncs (an epoch read
+    # each, the fleet being blank) run as callbacks on the one loop.
+    emit("f1", "fleet_1000_start_seconds", "seconds", round(fleet["start_s"], 3))
 
     # ...and a slow device degrades only its own queue.  At 10 devices
     # healthy p99 stays within 2x of the 10-device baseline (10 ms

@@ -1,8 +1,8 @@
 """P1 — pipeline: slow-device isolation and write batching.
 
 Drives multi-device churn through the staged pipeline with one
-fault-injected high-latency device and measures the two properties the
-pipeline exists for:
+high-latency device and measures the two properties the pipeline
+exists for:
 
 * **isolation** — a slow device backs up only its own writer queue, so
   the healthy devices' end-to-end sync latency stays within 2x of an
@@ -11,6 +11,11 @@ pipeline exists for:
   slow device collapses into a handful of batched wire writes, so
   churn throughput is a multiple of the unbatched (one write per
   engine transaction) baseline.
+
+The slow device is a remote one — a :class:`DeviceFarm` device whose
+acks are deferred — because that is the path a real slow device takes:
+the controller's loop sends and moves on.  (An in-process device that
+slept would stall that loop: in-process services run on it.)
 """
 
 import time
@@ -20,7 +25,9 @@ from repro.core.controller import NerpaController
 from repro.core.pipeline import nerpa_build
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
-from repro.p4runtime.api import DeviceService
+from repro.net.reactor import Reactor
+from repro.p4runtime.aio_client import AioP4RuntimeClient
+from repro.p4runtime.farm import DeviceFarm
 from repro.workloads.churn import robotron_churn
 from tests.doubles import uncoalesce
 
@@ -28,7 +35,7 @@ N_PORTS = 8
 N_VLANS = 50
 N_EVENTS = 60
 CHURN_SEED = 42
-SLOW_DELAY = 0.05  # the fault-injected device's per-write latency
+SLOW_DELAY = 0.05  # the slow device's per-round-trip latency
 
 SCHEMA = simple_schema(
     "net", {"PortCfg": {"port": "integer", "out_port": "integer"}}
@@ -56,18 +63,6 @@ control Ing(inout headers_t hdr, inout meta_t m,
 """
 
 RULES = "Patch(p as bit<16>, PatchActionForward{o as bit<16>}) :- PortCfg(_, p, o)."
-
-
-class SlowService(DeviceService):
-    """Fault-injected device: fixed latency per write round trip."""
-
-    def __init__(self, sim, delay=SLOW_DELAY):
-        super().__init__(sim)
-        self.delay = delay
-
-    def apply_batch(self, updates, mcast=None, fence=None):
-        time.sleep(self.delay)
-        return super().apply_batch(updates, mcast, fence)
 
 
 def churn(transact) -> None:
@@ -109,11 +104,14 @@ def run_churn(slow: bool):
     """One churn run; returns (healthy mean latency, elapsed, metrics)."""
     project = nerpa_build(SCHEMA, RULES, P4)
     db = Database(project.schema)
-    devices = [project.new_simulator(n_ports=64) for _ in range(2)]
+    devices = [project.new_simulator(n_ports=64) for _ in range(3)]
+    closers = []
     if slow:
-        devices.append(SlowService(project.new_simulator(n_ports=64)))
-    else:
-        devices.append(project.new_simulator(n_ports=64))
+        farm = DeviceFarm(1).start()
+        farm.set_ack_delay(0, SLOW_DELAY)
+        reactor = Reactor("bench-p1").start()
+        devices[2] = AioP4RuntimeClient(*farm.address, reactor, device_hint=0)
+        closers = [devices[2].close, farm.stop, reactor.stop]
     controller = NerpaController(project, db, devices)
     controller.start()
     try:
@@ -123,6 +121,8 @@ def run_churn(slow: bool):
         elapsed = time.perf_counter() - started
     finally:
         controller.stop()
+        for close in closers:
+            close()
     healthy = [
         lat for dev in controller.devices[:2] for lat in dev.latencies
     ]

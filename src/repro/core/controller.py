@@ -24,7 +24,8 @@ a **staged pipeline** (see ``docs/ARCHITECTURE.md``):
   P4Runtime write (deletes before inserts, atomic per batch, in
   engine-transaction order).  Device I/O holds **no** controller-wide
   lock, so a slow or broken device backs up only its own queue — never
-  the engine or its peers.
+  the engine or its peers.  It runs on the same loop, as non-blocking
+  calls: an in-process device's service is a loop callback.
 
 :class:`NerpaController` is the wiring of those three stages plus
 their lifecycle.  The decisions around them live beside it, one owner
@@ -72,10 +73,10 @@ from repro.core.pipeline.changeset import (
 from repro.core.pipeline.queues import (
     CoalescingQueue,
     PipelineStalledError,
+    SyncTask,
     Task,
 )
 from repro.core.planes import (
-    LocalDevice,
     ManagedDevice,
     shared_reactor,
     wrap_device,
@@ -263,35 +264,26 @@ class NerpaController:
             raise ReproError("controller already started")
         started_at = time.perf_counter()
         self._started = True
-        # The pool's size caps how many in-process devices apply batches
-        # at once; remote devices borrow it only for full-sync tasks,
-        # and a fleet of them must not cost a thread each at start.
-        in_process = sum(
-            isinstance(device.io, LocalDevice) for device in self.devices
-        )
         self._fanout_plane = FanoutPlane(
-            reactor=self.reactor,
-            max_blocking_workers=min(64, max(8, in_process)),
-            on_error=self._defer_error,
+            reactor=self.reactor, on_error=self._defer_error
         )
         self.reactor = self._fanout_plane.reactor
         self.engine_queue = CoalescingQueue(
             name="engine", on_ready=self._wake_engine
         )
         applier = BatchApplier(
-            self._fanout_plane,
-            self.breaker_threshold,
-            self.fencing_epoch,
-            self._record_apply,
+            self.breaker_threshold, self.fencing_epoch, self._record_apply
         )
         self.channels = [
             self._fanout_plane.channel(device, applier, name=device.name)
             for device in self.devices
         ]
         for device in self.devices:
+            # Waits out a device still dialling, so the syncs below, whose
+            # calls fail fast, find it connected.
             device.io.attach_digests(self._on_digest)
             device.io.on_reconnect(
-                lambda device=device: self.resync_device(device)
+                lambda device=device: self.resync_device(device, wait=False)
             )
         self.restart_mode = "cold" if self._restored is None else "warm"
         for task in self._submit_engine(self._recover):
@@ -313,7 +305,7 @@ class NerpaController:
                 ).observe(self.start_seconds)
         return self
 
-    def _recover(self) -> List[Task]:
+    def _recover(self) -> List[SyncTask]:
         """Engine task behind :meth:`start`; returns the per-device sync
         tasks.  One task on purpose: nothing can fan out between the
         snapshot the syncs repair to and the syncs being queued.
@@ -381,7 +373,7 @@ class NerpaController:
         2. run the registered stop hooks (lease release, etc.) while
            the transports are still up;
         3. drain, unsubscribe, close the queues, wait out a transaction
-           running on the loop, stop the fan-out plane, close the runtime.
+           running on the loop, close the runtime.
 
         Re-entrancy: stop() may be invoked from an engine task or a
         monitor callback reacting to a lease-table update.  On the
@@ -420,7 +412,6 @@ class NerpaController:
                 idle = threading.Event()
                 if self.reactor.submit(idle.set):
                     idle.wait(2.0)
-            self._fanout_plane.stop()
             self._fanout_plane = None
         self.runtime.close()
 
@@ -782,9 +773,9 @@ class NerpaController:
         blocking other devices or the engine.  Clears quarantine on
         success.
 
-        ``wait=False`` only enqueues the resync — required when the
-        caller itself runs as a task on this device's channel (waiting
-        for a task queued behind the current one would deadlock).
+        ``wait=False`` only enqueues the snapshot task and returns — what
+        a reconnect hook and any callback on the controller's reactor
+        must use (waiting there would wait on the loop itself).
         """
         if isinstance(device, int):
             device = self.devices[device]
@@ -795,24 +786,27 @@ class NerpaController:
         )
         if channel is None:
             raise ReproError(f"unknown device {device.name}")
-        (task,) = self._submit_engine(
-            lambda: self._queue_full_syncs([channel], supersede=True)
+        queued = self._submit_engine(
+            lambda: self._queue_full_syncs([channel], supersede=True),
+            wait=wait,
         )
         if wait:
-            task.wait(f"resync of {device.name}")
+            queued[0].wait(f"resync of {device.name}")
 
     def _queue_full_syncs(
         self,
         channels,
         expected: Optional[Dict[str, Optional[str]]] = None,
         supersede: bool = False,
-    ) -> List[Task]:
+    ) -> List[SyncTask]:
         """Snapshot the desired state and queue one full-sync task per
-        channel.  Engine tasks only: fan-out only ever happens there,
-        so taking the snapshot and (for a resync) superseding the
-        queued batches in one task is atomic w.r.t. fan-out — no batch
-        can land on a channel queue after the snapshot yet be dropped
-        by the supersede without its changes being in the snapshot.
+        channel.  On the loop, outside an engine transaction (an engine
+        task, or a channel task's callback): fan-out only ever happens
+        inside one, so taking the snapshot and (for a resync)
+        superseding the queued batches in one callback is atomic w.r.t.
+        fan-out — no batch can land on a channel queue after the
+        snapshot yet be dropped by the supersede without its changes
+        being in the snapshot.
 
         ``expected`` maps device names to the epochs a restored engine's
         state was checkpointed with.  Those syncs carry no desired
@@ -836,10 +830,10 @@ class NerpaController:
         )
         tasks = []
         for channel in channels:
-            task = Task(
-                lambda device: self._sync_device(
-                    device,
-                    (expected or {}).get(device.name),
+            task = SyncTask(
+                self._sync_device(
+                    channel,
+                    (expected or {}).get(channel.device.name),
                     desired,
                     mcast,
                     epoch,
@@ -852,21 +846,21 @@ class NerpaController:
 
     def _sync_device(
         self,
-        device: ManagedDevice,
+        channel,
         expected: Optional[str],
         desired: Optional[List[RowWrite]],
         mcast: Dict[int, List[int]],
         epoch: str,
         resync: bool,
-    ) -> None:
-        """Channel-task body of a full device sync, plus its counters."""
-        fixed = reconcile.full_sync(
+    ):
+        """The steps of a full device sync, plus its counters."""
+        device = channel.device
+        fixed = yield from reconcile.full_sync(
             device, self.bindings, expected, desired, mcast, epoch,
             self.fencing_epoch, self.breaker_threshold,
         )
         if fixed is reconcile.MATCHED:
-            with self._stats_lock:
-                self.warm_skips += 1
+            self.warm_skips += 1
             if obs.enabled():
                 obs.REGISTRY.counter(
                     "controller_warm_resync_skips_total", device=device.name
@@ -876,16 +870,16 @@ class NerpaController:
             # device did not report its checkpointed epoch.  The
             # resync's fresh snapshot — by now including the replayed
             # delta — supersedes the delta batches queued behind this
-            # task, so nothing is applied twice.  ``wait=False``: it
-            # lands on *this* channel's queue, behind this very task.
-            self.resync_device(device, wait=False)
+            # task, cut against a state the device does not hold.
+            # Queued before this task completes, so the channel cannot
+            # pop one of them first.
+            self._queue_full_syncs([channel], supersede=True)
         elif fixed is not None:
             if resync:
                 device.recover()
-            with self._stats_lock:
-                self.entries_written += fixed
-                if resync:
-                    self.device_resyncs += 1
+                self.device_resyncs += 1
+            self.entries_written += fixed
+        return fixed
 
     # -- shared plumbing ---------------------------------------------------------
 

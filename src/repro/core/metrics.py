@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 from repro.analysis.stats import percentile
 from repro.core.fanout import FanoutPlane
 from repro.core.pipeline.queues import CoalescingQueue
-from repro.core.planes import ManagedDevice, RemoteDevice
+from repro.core.planes import ManagedDevice
 
 #: Samples retained per latency/stage-timing series.
 STATS_WINDOW = 8192
@@ -80,9 +80,9 @@ def pipeline_report(
             "inflight": plane.inflight,
             "channel_states": states,
             "send_buffer_bytes": {
-                d.name: d.io.client.send_buffer_bytes
+                d.name: d.io.send_buffer_bytes
                 for d in devices
-                if isinstance(d.io, RemoteDevice)
+                if d.io.send_buffer_bytes is not None
             },
         }
     return out

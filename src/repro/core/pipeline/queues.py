@@ -19,7 +19,7 @@ A put never blocks.  Consumers are reactor callbacks that
 a bound would park the loop on itself; a backlog sits here, where it
 merges, and not in some queue further upstream, where it does not.
 
-Control items (:class:`Task` — engine tasks, device resyncs) have no
+Control items (:class:`Task` — engine tasks, device syncs) have no
 ``coalesce`` and act as barriers: later write batches never merge
 across them, preserving order.
 """
@@ -40,9 +40,9 @@ class PipelineStalledError(ReproError):
 
 
 class Task:
-    """A control item: ``fn`` runs on the queue's consumer (the engine
-    pump, or a device channel's pool slot, which passes the device),
-    and any thread off the reactor may wait for its result."""
+    """A control item: the engine pump :meth:`run`\\ s it on the loop
+    (``fn()`` returns the result), and any thread off the reactor may
+    wait for its result."""
 
     __slots__ = ("fn", "event", "result", "error")
 
@@ -52,13 +52,17 @@ class Task:
         self.result = None
         self.error: Optional[BaseException] = None
 
-    def run(self, *args) -> None:
+    def run(self) -> None:
         try:
-            self.result = self.fn(*args)
+            self.result = self.fn()
         except BaseException as exc:  # noqa: BLE001 - handed to waiter
             self.error = exc
         finally:
             self.event.set()
+
+    def finish(self, result, error: Optional[BaseException]) -> None:
+        self.result, self.error = result, error
+        self.event.set()
 
     def abandon(self) -> None:
         """Release the waiter of a task that will never run."""
@@ -72,6 +76,19 @@ class Task:
         if self.error is not None:
             raise self.error
         return self.result
+
+
+class SyncTask(Task):
+    """A device channel's control item: ``steps`` is a generator of the
+    device's non-blocking calls, which the channel drives
+    (:func:`repro.core.reconcile.drive`) and :meth:`finish`\\ es the
+    task with."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, steps):
+        super().__init__(None)
+        self.steps = steps
 
 
 class CoalescingQueue:

@@ -5,6 +5,14 @@ in an in-process and a remote flavour.  This module decides which is
 which (:func:`wrap_mgmt`, :func:`wrap_device`) and gives the pipeline
 one surface per plane, plus :class:`ManagedDevice` — a device together
 with the circuit-breaker state and latency series kept about it.
+
+The device surface the apply stage uses is non-blocking on both
+flavours, and is the P4Runtime client's: ``apply_batch_async`` and
+``call_async(method, args)`` for the calls a full sync makes
+(``get_config_epoch``, ``read_table``, ``set_config_epoch``) each take
+a ``callback(result, error)`` that runs on the loop.  An in-process
+device answers inline, so its service is a loop callback and must not
+block; a remote one answers when its response arrives.
 """
 
 from __future__ import annotations
@@ -74,6 +82,14 @@ class RemoteMgmt:
 
 
 class LocalDevice:
+    """An in-process device: every call answers inline, on the loop,
+    with what the service returns or raises — except ``read_table``,
+    adapted to what a P4Runtime client's returns."""
+
+    #: No connection: never parked on a drain, no send buffer to report.
+    writable = True
+    send_buffer_bytes = None
+
     def __init__(self, target):
         if isinstance(target, Simulator):
             self.service = DeviceService(target)
@@ -81,24 +97,32 @@ class LocalDevice:
             self.service = target
         self._event_log: List[str] = []
 
-    def apply_batch(
-        self, updates, mcast=None, update_ids=None, fence=None
-    ) -> None:
-        # The caller (a pool thread) binds the batch's update-id on the
-        # context, which is how the service stamps the config epoch.
-        self.service.apply_batch(updates, mcast, fence=fence)
+    def __getattr__(self, name: str):
+        return getattr(self.service, name)
 
-    def read_table(self, table: str):
+    def call_async(self, method: str, args: list, callback) -> None:
+        try:
+            result = getattr(self, method)(*args)
+        except Exception as exc:  # noqa: BLE001 - handed to the callback
+            callback(None, exc)
+        else:
+            callback(result, None)
+
+    def apply_batch_async(
+        self, updates, mcast=None, update_ids=None, callback=None,
+        seq=None, fence=None,
+    ) -> None:
+        # Bound as P4RuntimeServer binds it: the newest merged update-id
+        # is the config epoch the service stamps.
+        with use_update_id(update_ids[-1] if update_ids else None):
+            self.call_async("apply_batch", [updates, mcast, fence], callback)
+
+    def read_table(self, table: str) -> List[TableWrite]:
+        """What a P4Runtime client's ``read_table`` returns."""
         return [
             TableWrite("INSERT", table, e)
             for e in self.service.read_table(table)
         ]
-
-    def get_config_epoch(self):
-        return self.service.get_config_epoch()
-
-    def set_config_epoch(self, epoch, fence=None) -> None:
-        self.service.set_config_epoch(epoch, fence=fence)
 
     def attach_digests(self, callback) -> None:
         sim = self.service.sim
@@ -122,9 +146,6 @@ class LocalDevice:
     def on_reconnect(self, hook) -> None:
         pass  # in-process devices do not disconnect
 
-    def wait_ready(self, timeout: float) -> bool:
-        return True
-
     def note_event(self, tag: str) -> None:
         self._event_log.append(tag)
 
@@ -138,24 +159,26 @@ class LocalDevice:
 
 class RemoteDevice:
     """A device behind a P4Runtime client.  The client's own surface is
-    used as is — its blocking calls by resync tasks on the fan-out
-    plane's pool, ``client.apply_batch_async`` by batches on the loop
-    thread; only what :class:`LocalDevice` spells differently is
-    adapted here."""
+    used as is — ``apply_batch_async``, ``call_async``, the watermark,
+    reconnect hooks; only what :class:`LocalDevice` spells differently
+    is adapted here."""
 
     def __init__(self, client: AioP4RuntimeClient):
         self.client = client
+        # Every batch calls it: bound once, not found through __getattr__.
+        self.apply_batch_async = client.apply_batch_async
 
     def __getattr__(self, name: str):
         return getattr(self.client, name)
 
-    def attach_digests(self, callback) -> None:
-        self.client.subscribe_digests(callback)
+    @property
+    def writable(self) -> bool:
+        return self.client.writable
 
-    def wait_ready(self, timeout: float) -> bool:
-        # Backpressure awareness: park until the transport is usable
-        # instead of burning a call timeout per queued batch.
-        return self.client.conn.wait_connected(timeout)
+    def attach_digests(self, callback) -> None:
+        # Blocking, off the loop: a client still dialling is waited for,
+        # up to its call timeout (``start()`` relies on it).
+        self.client.subscribe_digests(callback)
 
     def note_event(self, tag: str) -> None:
         self.client.conn.note_event(tag)

@@ -27,12 +27,12 @@ counted is the controller's business.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.core.codegen import GeneratedBindings
 from repro.core.planes import TRANSPORT_ERRORS, ManagedDevice
 from repro.mgmt.monitor import TableUpdates
-from repro.obs.trace import use_update_id
 from repro.p4runtime.api import RowWrite, TableWrite
 
 
@@ -74,9 +74,10 @@ def desired_writes(bindings: GeneratedBindings, runtime) -> List[RowWrite]:
 
 
 def compute_fixes(
-    io, bindings: GeneratedBindings, desired: List[RowWrite]
+    read_table, bindings: GeneratedBindings, desired: List[RowWrite]
 ) -> list:
-    """Read-diff one device against the desired entry set: deletes for
+    """Read-diff one device — ``read_table(table)`` returns what a
+    P4Runtime client's does — against the desired entry set: deletes for
     stale entries, modifies for wrong actions, inserts for missing
     ones — deletes first."""
     wanted: Dict[str, Dict[tuple, RowWrite]] = {}
@@ -86,7 +87,7 @@ def compute_fixes(
     for binding in bindings.table_relations.values():
         table = binding.info.name
         want = wanted.get(table, {})
-        for existing in io.read_table(table):
+        for existing in read_table(table):
             target = want.pop(existing.entry.match_key(), None)
             if target is None:
                 fixes.append(TableWrite.delete(table, existing.entry))
@@ -114,7 +115,7 @@ def full_sync(
     epoch: str,
     fence: Optional[int],
     breaker_threshold: int,
-) -> Union[int, str, None]:
+) -> Generator[Callable, object, Union[int, str, None]]:
     """Bring ``device`` to ``desired`` + ``mcast``, reading only what
     its reported config epoch does not already prove:
 
@@ -133,12 +134,14 @@ def full_sync(
     written, :data:`MATCHED`, :data:`STALE` (mismatch, ``desired`` is
     ``None``), or ``None`` on a transport failure (charged to the
     device's breaker; racing a second failure is normal — the next
-    successful reconnect triggers the resync again).  Blocking: runs
-    as a task on the device's own channel."""
+    successful reconnect triggers the resync again).
+
+    A generator for :func:`drive`: each ``yield`` is one of the device's
+    non-blocking calls, so a sync holds no thread — it runs as a task
+    on the device's own channel, on the loop."""
     io = device.io
-    io.wait_ready(2.0)
     try:
-        reported = io.get_config_epoch()
+        reported = yield partial(io.call_async, "get_config_epoch", [])
         matched = expected is not None and reported == expected
         if matched:
             fixes, mcast = [], {}  # nothing to send, whatever was passed
@@ -147,16 +150,23 @@ def full_sync(
         elif reported is None:
             fixes = desired
         else:
-            fixes = compute_fixes(io, bindings, desired)
+            held = {}
+            for binding in bindings.table_relations.values():
+                table = binding.info.name
+                held[table] = yield partial(io.call_async, "read_table", [table])
+            fixes = compute_fixes(held.__getitem__, bindings, desired)
         if fixes or mcast:
-            with use_update_id(epoch):
-                io.apply_batch(fixes, mcast, [epoch], fence=fence)
+            yield lambda done: io.apply_batch_async(
+                fixes, mcast, [epoch], done, fence=fence
+            )
         elif fence is not None:
             # Nothing to send, but the device must still learn this
             # leader's fencing epoch *during* takeover — otherwise the
             # deposed leader's writes (stamped with the old epoch) would
             # keep passing until our first batch happened to arrive.
-            io.set_config_epoch(reported, fence=fence)
+            yield partial(
+                io.call_async, "set_config_epoch", [reported, fence]
+            )
     except TRANSPORT_ERRORS as exc:
         device.record_failure(exc, breaker_threshold)
         return None
@@ -165,3 +175,36 @@ def full_sync(
     device.config_epoch = epoch if fixes else reported
     return MATCHED if matched else len(fixes)
 
+
+def drive(steps: Generator, done: Callable) -> None:
+    """Run ``steps`` (e.g. :func:`full_sync`) on the loop: each value it
+    yields is a call taking a ``callback(result, error)``, and the
+    generator resumes with the result or has the error raised at its
+    ``yield``.  ``done(value, error)`` receives what it returns or
+    raises."""
+
+    def resume(result, error) -> None:
+        try:
+            call = steps.send(result) if error is None else steps.throw(error)
+        except StopIteration as stop:
+            done(stop.value, None)
+        except Exception as exc:  # noqa: BLE001 - handed to done
+            done(None, exc)
+        else:
+            answered = False
+
+            def answer(result, error) -> None:
+                nonlocal answered
+                answered = True
+                resume(result, error)
+
+            try:
+                call(answer)
+            except Exception as exc:  # noqa: BLE001 - raised while encoding
+                if answered:
+                    # Raised after an inline answer resumed the
+                    # generator (by ``done``, say): it is past this step.
+                    raise
+                resume(None, exc)
+
+    resume(None, None)

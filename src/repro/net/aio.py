@@ -29,7 +29,7 @@ P4Runtime client and the management client ride it — on a
 Loop discipline: everything suffixed ``_on_loop`` (and every readiness
 or timer callback) runs on the reactor thread and must not block.
 Notifications are delivered there too, inline and in wire order; only
-reconnect hooks, which resync a device, go to the reactor's hook pool.
+reconnect hooks, which may block, go to the reactor's hook pool.
 The public surface (``call``, ``call_async``, ``close``, ``health``,
 ``wait_connected``) is thread-safe.
 """

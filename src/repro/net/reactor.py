@@ -10,12 +10,13 @@ own.  That is the difference between a fleet of hundreds of devices
 reactor is one thread, plus a hook pool once something reconnects.
 
 Loop discipline: every readiness, timer, submitted or notification
-callback runs on the reactor thread and must not block.  Blocking
-work — reconnect hooks that resync a device, checkpoint saves — is
-handed to the reactor's hook pool.  A controller's engine transactions
-are the one long CPU-bound callback, and its management ``subscribe``
-on reconnect the one blocking call (allowed: a ``ManagementClient``
-always runs on a reactor of its own).  ``submit``
+callback runs on the reactor thread and must not block.  That includes
+a controller's in-process device services, which answer its apply
+stage inline on its loop.  Blocking work — reconnect hooks, checkpoint
+saves — is handed to the reactor's hook pool.  A controller's engine
+transactions are the one long CPU-bound callback, and its management
+``subscribe`` on reconnect the one blocking call (allowed: a
+``ManagementClient`` always runs on a reactor of its own).  ``submit``
 and ``call_later`` are thread-safe.  Work scheduled *from* the loop thread
 costs no syscall (the loop re-reads its queue and timer heap before it
 sleeps), and cross-thread calls share one wake byte per loop turn.
@@ -63,9 +64,9 @@ class Reactor:
     One reactor serves any number of connections and fan-out channels.
     Besides the loop it owns:
 
-    * ``run_hook`` — a small pool for reconnect hooks, which block for
-      whole resync round trips and must not serialize behind each
-      other during a fleet-wide reconnect storm;
+    * ``run_hook`` — a small pool for callbacks that may block, such as
+      reconnect hooks and checkpoint saves, so that one of them does
+      not serialize the others behind it;
     * the loop-lag histogram ``reactor_loop_lag_seconds`` — how late
       submitted callbacks and timers run versus when they were due,
       the canonical "is the loop overloaded" signal.

@@ -11,7 +11,11 @@ signature).
 
 Spans nest via a second contextvar holding the current span, so a
 ``device.write`` opened while ``controller.sync`` is active records it
-as its parent.  The tracer keeps a bounded ring of finished spans;
+as its parent.  A ``device.write`` covers its batch's send and is
+recorded when the send returns, so write spans sit in send order; the
+ack sets ``applied=True, ack=True`` (for a remote device, later,
+stretching the span to the send→ack interval), and a batch that failed
+has no ``applied``.  The tracer keeps a bounded ring of finished spans;
 :meth:`Tracer.render` pretty-prints one update-id's tree with
 per-stage durations.
 """

@@ -10,9 +10,11 @@ Two call surfaces on the same object:
 
 * the blocking API (``write``, ``read_table``, config epochs,
   multicast, packet I/O, digest and packet-in subscriptions) for code
-  that runs off the loop thread — resync tasks, scripts, tests;
-* :meth:`apply_batch_async`, the apply plane's hot path: issues one
-  coalesced batch and hands the ack to a callback on the loop thread.
+  that runs off the loop thread — a controller's ``start()``, scripts;
+* the apply stage's non-blocking calls, answered by a callback on the
+  loop thread: :meth:`call_async` (config epochs, ``read_table``) and
+  :meth:`apply_batch_async`, the hot path, which issues one coalesced
+  batch.
   The optional ``seq`` pair ``(first, last)`` of the coalesced batch
   range rides the envelope — existing servers ignore unknown keys, and
   the :class:`~repro.p4runtime.farm.DeviceFarm` uses it to verify
@@ -43,6 +45,16 @@ from repro.obs.trace import use_update_id
 from repro.p4runtime.api import TableWrite, WriteList
 
 _DEFAULT_TIMEOUT = 30.0
+
+#: What a response becomes, per method :meth:`AioP4RuntimeClient.call_async`
+#: issues: the value the blocking method of that name returns.
+_RESULTS: Dict[str, Callable] = {
+    "get_config_epoch": lambda result: result["epoch"],
+    "set_config_epoch": lambda result: None,
+    "read_table": lambda result: [
+        TableWrite.from_wire(e) for e in result["entries"]
+    ],
+}
 
 
 def _encode_batch(updates, mcast, update_ids, fence, seq=None) -> bytes:
@@ -235,6 +247,23 @@ class AioP4RuntimeClient:
             timeout=timeout if timeout is not None else self.timeout,
         )
 
+    def call_async(self, method: str, params: list, callback: Callable) -> None:
+        """Issue ``get_config_epoch``, ``set_config_epoch`` or
+        ``read_table`` without blocking.  ``callback(value, error)``
+        fires on the loop thread with what the blocking method returns,
+        or the failure — at once when the connection is not up."""
+        convert = _RESULTS[method]
+
+        def on_response(result, error):
+            if error is None:
+                try:
+                    result = convert(result)
+                except Exception as exc:  # noqa: BLE001 - a malformed answer
+                    result, error = None, exc
+            callback(result, error)
+
+        self.conn.call_async(method, params, on_response, timeout=self.timeout)
+
     # -- blocking API (off-loop threads only) --------------------------------
 
     def get_p4info(self) -> dict:
@@ -262,21 +291,20 @@ class AioP4RuntimeClient:
         )
         return result["applied"]
 
+    def _converted(self, method: str, params, retryable: bool = False):
+        return _RESULTS[method](self.call(method, params, retryable))
+
     def get_config_epoch(self) -> Optional[str]:
-        result = self.call("get_config_epoch", [], retryable=True)
-        return result["epoch"]
+        return self._converted("get_config_epoch", [], retryable=True)
 
     def set_config_epoch(
         self, epoch: Optional[str], fence: Optional[int] = None
     ) -> None:
-        if fence is not None:
-            self.call("set_config_epoch", [epoch, fence])
-        else:
-            self.call("set_config_epoch", [epoch])
+        params = [epoch] if fence is None else [epoch, fence]
+        self._converted("set_config_epoch", params)
 
     def read_table(self, table: str) -> List[TableWrite]:
-        result = self.call("read_table", [table], retryable=True)
-        return [TableWrite.from_wire(e) for e in result["entries"]]
+        return self._converted("read_table", [table], retryable=True)
 
     def set_default_action(
         self, table: str, action: str, params: Sequence[int]

@@ -7,6 +7,9 @@ to exactly the state the current configuration derives, without
 duplicate-insert failures and without touching correct entries.
 """
 
+import pytest
+
+from repro.core import reconcile
 from repro.core.controller import NerpaController
 from repro.core.pipeline import nerpa_build
 from repro.mgmt.database import Database
@@ -140,3 +143,37 @@ class TestReconcile:
         add_port(db2, 2, 6)  # post-restart change flows normally
         controller.drain()
         assert switch.table("patch").lookup([2]) == ("forward", (6,), True)
+
+
+class TestDrive:
+    """``reconcile.drive`` runs a sync's generator of device calls."""
+
+    def test_done_runs_once_when_it_raises_under_an_inline_answer(self):
+        """An in-process device answers inside the call, so the rest of
+        the chain — ``done`` included — runs inside it too.  What
+        ``done`` raises must not be thrown back into the finished
+        generator and reach ``done`` a second time."""
+        outcomes = []
+
+        def steps():
+            value = yield lambda callback: callback(41, None)
+            return value + 1
+
+        def done(value, error):
+            outcomes.append((value, error))
+            raise RuntimeError("bookkeeping failed")
+
+        with pytest.raises(RuntimeError):
+            reconcile.drive(steps(), done)
+        assert outcomes == [(42, None)]
+
+    def test_a_call_that_raises_before_answering_is_thrown_in(self):
+        def steps():
+            try:
+                yield lambda callback: 1 / 0
+            except ZeroDivisionError:
+                return "caught"
+
+        outcomes = []
+        reconcile.drive(steps(), lambda *outcome: outcomes.append(outcome))
+        assert outcomes == [("caught", None)]

@@ -26,7 +26,6 @@ import gc
 import json
 import os
 import socket
-import sys
 import threading
 import time
 import warnings
@@ -762,142 +761,79 @@ class _Op:
 
 
 class TestDeviceChannel:
-    def test_fifo_with_at_most_one_in_flight(self):
-        plane = FanoutPlane(max_blocking_workers=4)
+    """Runners complete from loop timers, as a device's ack would."""
+
+    @pytest.fixture
+    def reactor(self):
+        reactor = Reactor("t-channel").start()
+        yield reactor
+        reactor.stop()
+
+    def test_fifo_with_at_most_one_in_flight(self, reactor):
+        plane = FanoutPlane(reactor)
         order = []
         concurrent = []
         active = [0]
-        lock = threading.Lock()
 
         def runner(channel, item, done):
-            def work():
-                with lock:
-                    active[0] += 1
-                    concurrent.append(active[0])
-                time.sleep(0.002)
+            active[0] += 1
+            concurrent.append(active[0])
+
+            def ack():
                 order.append(item.n)
-                with lock:
-                    active[0] -= 1
+                active[0] -= 1
                 done(None)
 
-            plane.run_blocking(work)
+            reactor.call_later(0.002, ack)
 
-        try:
-            channel = plane.channel(None, runner, name="dev")
-            for n in range(20):
-                channel.queue.put(_Op(n))
-            channel.queue.join(time.monotonic() + 10.0)
-            assert order == list(range(20))
-            assert max(concurrent) == 1  # FIFO's mechanism, verified
-            assert plane.inflight == 0
-            wait_for(lambda: channel.state == IDLE, what="idle state")
-        finally:
-            plane.stop()
+        channel = plane.channel(None, runner, name="dev")
+        for n in range(20):
+            channel.queue.put(_Op(n))
+        channel.queue.join(time.monotonic() + 10.0)
+        assert order == list(range(20))
+        assert max(concurrent) == 1  # FIFO's mechanism, verified
+        assert plane.inflight == 0
+        wait_for(lambda: channel.state == IDLE, what="idle state")
 
-    def test_runner_error_deferred_and_channel_continues(self):
+    def test_runner_error_deferred_and_channel_continues(self, reactor):
         errors = []
-        plane = FanoutPlane(max_blocking_workers=2, on_error=errors.append)
+        plane = FanoutPlane(reactor, on_error=errors.append)
         seen = []
 
         def runner(channel, item, done):
             if item.n == 0:
                 raise RuntimeError("injected runner failure")
             seen.append(item.n)
-            done(None)
+            reactor.call_later(0.001, done)
 
-        try:
-            channel = plane.channel(None, runner, name="dev")
-            channel.queue.put(_Op(0))
-            channel.queue.put(_Op(1))
-            channel.queue.join(time.monotonic() + 10.0)
-            assert seen == [1]
-            assert len(errors) == 1
-            assert "injected" in str(errors[0])
-        finally:
-            plane.stop()
+        channel = plane.channel(None, runner, name="dev")
+        channel.queue.put(_Op(0))
+        channel.queue.put(_Op(1))
+        channel.queue.join(time.monotonic() + 10.0)
+        assert seen == [1]
+        assert len(errors) == 1
+        assert "injected" in str(errors[0])
 
-    def test_completion_is_idempotent(self):
-        plane = FanoutPlane(max_blocking_workers=2)
+    def test_completion_is_idempotent(self, reactor):
+        plane = FanoutPlane(reactor)
         runs = []
 
         def runner(channel, item, done):
             runs.append(item.n)
-            done(None)
-            done(RuntimeError("second call must be ignored"))
 
-        try:
-            channel = plane.channel(None, runner, name="dev")
-            channel.queue.put(_Op(0))
-            channel.queue.put(_Op(1))
-            channel.queue.join(time.monotonic() + 10.0)
-            assert runs == [0, 1]
-            assert plane.inflight == 0
-        finally:
-            plane.stop()
+            def ack():
+                done(None)
+                done(RuntimeError("second call must be ignored"))
 
+            reactor.call_later(0.001, ack)
 
-    def test_racing_completions_finish_an_item_exactly_once(self):
-        """A pool thread and the reactor can both call one item's
-        ``done``.  Two threads leave a barrier into it while a trace
-        function pauses each of them before every line of ``done`` —
-        whatever the once-guard is made of, the other thread gets to
-        run between any two of its steps.  A guard that is not atomic
-        finishes the item twice: ``task_done()`` then drives the
-        queue's unfinished count negative and ``drain()`` returns with
-        work in flight."""
-        plane = FanoutPlane(max_blocking_workers=2)
-        n_items = 4
-        barrier = threading.Barrier(2)
-        finishes, taken, current = [], threading.Semaphore(0), {}
-
-        def runner(channel, item, done):
-            current["done"] = done
-            taken.release()
-
-        def pause_in_done(frame, event, arg):
-            if frame.f_code.co_name != "done":
-                return None
-
-            def before_each_line(frame, event, arg):
-                if event == "line":
-                    time.sleep(0.003)
-                return before_each_line
-
-            return before_each_line
-
-        def race():
-            sys.settrace(pause_in_done)
-            try:
-                for _ in range(n_items):
-                    barrier.wait(10.0)
-                    current["done"](None)
-                    barrier.wait(10.0)  # both calls made
-            finally:
-                sys.settrace(None)
-
-        try:
-            channel = plane.channel(None, runner, name="dev")
-            real_finish = channel._finish
-            channel._finish = lambda exc: (finishes.append(1), real_finish(exc))
-            for n in range(n_items + 1):
-                channel.queue.put(_Op(n))
-            assert taken.acquire(timeout=10.0)
-            racers = [threading.Thread(target=race) for _ in range(2)]
-            for racer in racers:
-                racer.start()
-            for racer in racers:
-                racer.join(30.0)
-                assert not racer.is_alive()
-            # n_items finished by the races, the last one still held.
-            wait_for(lambda: len(finishes) >= n_items, what="finishes")
-            time.sleep(0.05)
-            assert len(finishes) == n_items
-            assert channel.queue.unfinished == 1
-            current["done"](None)
-            channel.queue.join(time.monotonic() + 10.0)
-            assert plane.inflight == 0
-        finally:
-            plane.stop()
+        channel = plane.channel(None, runner, name="dev")
+        channel.queue.put(_Op(0))
+        channel.queue.put(_Op(1))
+        channel.queue.join(time.monotonic() + 10.0)
+        assert runs == [0, 1]
+        assert plane.inflight == 0
+        assert channel.queue.unfinished == 0
 
 
 # ---------------------------------------------------------------------------
@@ -968,22 +904,29 @@ class TestControllerAioPlane:
             controller.stop()
 
     def test_resync_supersedes_queued_batches_on_aio_plane(self):
-        project, db, switch = build()
-        slow_sim = project.new_simulator(n_ports=16)
-        slow = _SlowService(slow_sim, delay=0.15)
-        controller = NerpaController(project, db, [slow]).start()
+        project, db, _ = build()
+        farm = DeviceFarm(1).start()
+        reactor = Reactor("t-resync").start()
+        client = AioP4RuntimeClient(
+            *farm.address, reactor, policy=FAST, device_hint=0
+        )
+        controller = NerpaController(project, db, [client]).start()
         try:
             controller.drain()
+            farm.set_ack_delay(0, 0.15)
             # Burst behind the slow device, then resync: the full sync
             # is a barrier task superseding the queued batches.
             for port in range(6):
                 add_port(db, port, port + 1)
             controller.resync_device(0)
             controller.drain()
-            assert len(slow_sim.table("patch")) == 6
+            assert len(farm.devices[0].tables["patch"]) == 6
             assert controller.device_resyncs >= 1
         finally:
             controller.stop()
+            client.close()
+            farm.stop()
+            reactor.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -1007,16 +950,6 @@ class _RecordingService(DeviceService):
         self.log.append(
             [(u.kind, tuple(u.entry.action_params)) for u in updates]
         )
-        return super().apply_batch(updates, mcast, fence)
-
-
-class _SlowService(DeviceService):
-    def __init__(self, sim, delay):
-        super().__init__(sim)
-        self.delay = delay
-
-    def apply_batch(self, updates, mcast=None, fence=None):
-        time.sleep(self.delay)
         return super().apply_batch(updates, mcast, fence)
 
 

@@ -20,6 +20,7 @@ byte-identical.
 
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -296,6 +297,94 @@ class TestDevicePlaneRestart:
             controller.stop()
             device.close()
             server.stop()
+
+    def test_resync_of_a_disconnected_device_fails_fast(self):
+        """A resync's calls fail at once against a device that is not
+        connected: the attempt is charged to the breaker instead of
+        waiting out a call timeout, and the reconnect hook's own resync
+        does the repair."""
+        project = build_project()
+        db = Database(project.schema)
+        sim = project.new_simulator(n_ports=64)
+        port = free_port()
+        server = P4RuntimeServer(sim, port=port).start()
+        device = P4RuntimeClient("127.0.0.1", port, policy=FAST)
+        controller = NerpaController(project, db, [device]).start()
+        try:
+            seed_model(db.transact)
+            controller.drain()
+            server.stop()
+            wait_for(
+                lambda: "retrying"
+                in controller.health()["devices"][0]["transitions"],
+                what="transport noticing the drop",
+            )
+            started = time.monotonic()
+            controller.resync_device(0)
+            assert time.monotonic() - started < FAST.call_timeout
+            assert controller.devices[0].consecutive_failures == 1
+            assert controller.device_resyncs == 0
+
+            server = P4RuntimeServer(sim, port=port).start()
+            wait_for(
+                lambda: controller.device_resyncs == 1,
+                what="the reconnect hook's resync",
+            )
+            assert controller.devices[0].consecutive_failures == 0
+            assert len(sim.table("patch")) == N_PORTS
+        finally:
+            controller.stop()
+            device.close()
+            server.stop()
+
+    def test_a_device_first_reachable_after_start_converges(self):
+        """A device whose server comes up seconds after ``start()`` is
+        waited for (up to its call timeout), not failed fast: its first
+        connection is not a reconnect, so no hook would repair a start
+        sync that had failed."""
+        project = build_project()
+        db = Database(project.schema)
+        seed_model(db.transact)
+        sim = project.new_simulator(n_ports=64)
+        port = free_port()
+        patient = RetryPolicy(
+            connect_timeout=2.0,
+            call_timeout=15.0,
+            max_reconnect_attempts=1000,
+            base_delay=0.01,
+            max_delay=0.1,
+        )
+        device = P4RuntimeClient("127.0.0.1", port, policy=patient)
+        servers = []
+        late = threading.Timer(
+            3.0, lambda: servers.append(P4RuntimeServer(sim, port=port).start())
+        )
+        late.start()
+        try:
+            controller = NerpaController(project, db, [device]).start()
+            try:
+                assert len(sim.table("patch")) == N_PORTS
+                assert controller.devices[0].consecutive_failures == 0
+                db.transact(
+                    [
+                        {
+                            "op": "insert",
+                            "table": "PortCfg",
+                            "row": {"port": N_PORTS, "out_port": 1},
+                        }
+                    ]
+                )
+                wait_for(
+                    lambda: len(sim.table("patch")) == N_PORTS + 1,
+                    what="a later change to reach the device",
+                )
+            finally:
+                controller.stop()
+        finally:
+            late.join()
+            device.close()
+            for server in servers:
+                server.stop()
 
     def test_health_reports_full_transition_sequence(self):
         """connected → retrying → quarantined → (connected) → recovered."""

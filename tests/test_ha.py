@@ -29,13 +29,17 @@ from repro.apps.snvs import build_snvs
 from repro.core import reconcile, warmstate
 from repro.core.controller import NerpaController
 from repro.core.ha import CheckpointFollower, HAController
-from repro.errors import TransactionError
+from repro.errors import ReproError, TransactionError
 from repro.mgmt import lease as leaselib
 from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
 from repro.mgmt.server import ManagementServer
+from repro.net.reactor import Reactor
+from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import DeviceService, FencedWriteError, TableWrite
+from repro.p4runtime.farm import DeviceFarm
+from tests.test_fanout import FAST
 
 LEASE = "test-lease"
 
@@ -812,6 +816,47 @@ class TestFailoverOracle:
             assert switch.fencing_epoch == 2
         finally:
             successor.stop()
+
+    def test_epoch_matched_takeover_fences_a_remote_device(self, tmp_path):
+        """The same takeover against a device behind the wire: the
+        fence reaches it as a bare ``set_config_epoch`` call, nothing is
+        read or written, and the deposed leader's epoch is rejected."""
+        project = build_snvs()
+        db = Database(project.schema)
+        farm = DeviceFarm(1).start()
+        reactor = Reactor("t-ha-remote").start()
+        client = AioP4RuntimeClient(
+            *farm.address, reactor, policy=FAST, device_hint=0
+        )
+        try:
+            leader = NerpaController(
+                project, db, [client], state_dir=str(tmp_path), fencing_epoch=1
+            ).start()
+            try:
+                _snvs_config(db, (0, 1))
+                leader.drain()
+                leader.save_checkpoint()
+            finally:
+                leader.stop()
+            device = farm.devices[0]
+            state, batches = device.table_snapshot(), device.batches_applied
+            successor = NerpaController(
+                project, db, [client], state_dir=str(tmp_path), fencing_epoch=2
+            ).start()
+            try:
+                successor.drain()
+                assert successor.warm_skips == 1
+                assert device.fence == 2
+                assert device.batches_applied == batches
+                assert device.table_snapshot() == state
+                with pytest.raises(ReproError, match="fenced"):
+                    client.set_config_epoch("deposed", fence=1)
+            finally:
+                successor.stop()
+        finally:
+            client.close()
+            farm.stop()
+            reactor.stop()
 
     def test_device_written_between_probe_and_sync_is_repaired(
         self, tmp_path, monkeypatch

@@ -235,6 +235,61 @@ def _transact_config(transact):
 
 @pytest.mark.slow
 class TestRemoteTracePath:
+    def test_remote_write_span_is_recorded_at_the_send(self, obs_on):
+        """A remote ``device.write`` span is recorded when its send
+        returns; the ack, arriving later, marks it ``applied`` and
+        stretches it to the send→ack interval.  A batch whose send
+        fails keeps its span, without ``applied``."""
+        project = build_snvs()
+        db = Database(project.schema)
+        sim = project.new_simulator(n_ports=8)
+        p4_srv = P4RuntimeServer(sim, port=0).start()
+        device = P4RuntimeClient(*p4_srv.address, policy=FAST)
+        controller = NerpaController(project, db, [device]).start()
+
+        def write_span():
+            uid = obs.TRACER.latest_update_id(name="mgmt.transact")
+            (span,) = [
+                s for s in obs.TRACER.spans(uid) if s.name == "device.write"
+            ]
+            return span
+
+        try:
+            _transact_config(db.transact)
+            controller.drain()
+            acked = write_span()
+            assert acked.attrs["applied"] is True
+            assert acked.attrs["ack"] is True
+
+            p4_srv.stop()
+            wait_for(
+                lambda: "retrying"
+                in controller.health()["devices"][0]["transitions"],
+                what="transport noticing the drop",
+            )
+            db.transact(
+                [
+                    {
+                        "op": "insert",
+                        "table": "Port",
+                        "row": {
+                            "name": "port2",
+                            "port_num": 2,
+                            "vlan_mode": "access",
+                            "tag": 10,
+                        },
+                    }
+                ]
+            )
+            controller.drain()
+            failed = write_span()
+            assert "applied" not in failed.attrs
+            assert controller.devices[0].consecutive_failures == 1
+        finally:
+            controller.stop()
+            device.close()
+            p4_srv.stop()
+
     def test_uid_crosses_both_wire_protocols(self, obs_on):
         """mgmt server → controller → P4Runtime server, all over TCP:
         the update-id minted server-side at the transact must reach the

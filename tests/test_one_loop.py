@@ -1,11 +1,14 @@
-"""One loop for the controller: stage 2 and the checkpoint timer run on
-the reactor stage 3 already uses.
+"""One loop for the controller: stage 2, the checkpoint timer and every
+device call of stage 3 run on one reactor.
 
-* no engine or checkpoint-timer thread exists once a controller runs
-  against a device fleet, and the timer still cuts checkpoints;
-* an engine task runs on ``controller.reactor``;
+* no engine, checkpoint-timer or fan-out pool thread exists once a
+  controller runs against a device fleet, and the timer still cuts
+  checkpoints;
+* an engine task runs on ``controller.reactor``, and so does an
+  in-process device's service — its batches, epoch reads and table
+  reads alike;
 * the calls that wait for the loop refuse to run on it, at once,
-  instead of hanging;
+  instead of hanging, while ``resync_device(wait=False)`` runs there;
 * ``stop()`` run as an engine task returns promptly while a timer save
   is waiting for an engine task queued behind it.
 """
@@ -19,6 +22,7 @@ from repro.errors import ReproError
 from repro.mgmt.database import Database
 from repro.net.aio import Reactor
 from repro.p4runtime.aio_client import AioP4RuntimeClient
+from repro.p4runtime.api import DeviceService
 from repro.p4runtime.farm import DeviceFarm
 from tests.test_fanout import FAST, P4, RULES, SCHEMA, add_port, wait_for
 
@@ -58,7 +62,8 @@ def test_a_farm_fleet_runs_without_engine_or_timer_threads(tmp_path):
         checkpoint_interval_s=0.01,
     ).start()
     try:
-        add_port(db, 1, 101)
+        for port in range(1, 5):
+            add_port(db, port, 100 + port)
         controller.drain()
         wait_for(
             lambda: controller.auto_checkpoints >= 2,
@@ -67,8 +72,9 @@ def test_a_farm_fleet_runs_without_engine_or_timer_threads(tmp_path):
         names = {thread.name for thread in threading.enumerate()}
         assert "nerpa-engine" not in names
         assert "nerpa-ckpt-timer" not in names
+        assert not any(name.startswith("fanout-blocking") for name in names)
         assert controller.reactor is reactor
-        assert all(len(d.table_snapshot()["patch"]) == 1 for d in farm.devices)
+        assert all(len(d.table_snapshot()["patch"]) == 4 for d in farm.devices)
     finally:
         controller.stop()
         for client in clients:
@@ -101,6 +107,76 @@ def test_waiting_for_the_loop_from_the_loop_raises_at_once():
             assert "reactor" in str(error)
             assert seconds < 1.0
         controller.drain()  # the loop is still serving
+    finally:
+        controller.stop()
+
+
+class _LoopRecordingService(DeviceService):
+    """Records, per call, whether it ran on the controller's loop."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.controller = None
+        self.on_loop = []
+
+    def _record(self, method):
+        self.on_loop.append((method, self.controller.reactor.in_loop()))
+
+    def apply_batch(self, updates, mcast=None, fence=None):
+        self._record("apply_batch")
+        return super().apply_batch(updates, mcast, fence)
+
+    def get_config_epoch(self):
+        self._record("get_config_epoch")
+        return super().get_config_epoch()
+
+    def read_table(self, table):
+        self._record("read_table")
+        return super().read_table(table)
+
+
+def test_an_in_process_device_is_served_on_the_loop():
+    project = nerpa_build(SCHEMA, RULES, P4)
+    db = Database(project.schema)
+    switch = project.new_simulator(n_ports=16)
+    first = NerpaController(project, db, [switch]).start()
+    add_port(db, 1, 101)
+    first.drain()
+    first.stop()
+    # The switch reports an epoch now, so the next start read-diffs it.
+    service = _LoopRecordingService(switch)
+    controller = NerpaController(project, db, [service])
+    service.controller = controller
+    controller.start()
+    try:
+        add_port(db, 2, 102)
+        controller.drain()
+        controller.resync_device(0)
+        calls = {method for method, _ in service.on_loop}
+        assert calls == {"apply_batch", "get_config_epoch", "read_table"}
+        assert all(on_loop for _, on_loop in service.on_loop), service.on_loop
+    finally:
+        controller.stop()
+
+
+def test_resync_without_waiting_runs_on_the_loop():
+    project = nerpa_build(SCHEMA, RULES, P4)
+    db = Database(project.schema)
+    switch = project.new_simulator(n_ports=16)
+    controller = NerpaController(project, db, [switch]).start()
+    try:
+        for port in (1, 2):
+            add_port(db, port, 100 + port)
+        controller.drain()
+        table = switch.table("patch")
+        table.delete(table.entries()[0])  # someone else drove the switch
+        error, _ = on_loop(
+            controller.reactor, lambda: controller.resync_device(0, wait=False)
+        )
+        assert error is None
+        wait_for(lambda: len(table) == 2, what="the resync to repair it")
+        controller.drain()
+        assert controller.device_resyncs == 1
     finally:
         controller.stop()
 

@@ -24,6 +24,7 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -43,7 +44,10 @@ from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
 from repro.mgmt.server import ManagementServer
 from repro.net import RetryPolicy
+from repro.net.reactor import Reactor
+from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import DeviceService
+from repro.p4runtime.farm import DeviceFarm
 from tests.doubles import uncoalesce
 
 SCHEMA = simple_schema(
@@ -353,16 +357,32 @@ class _RecordingService(DeviceService):
         return super().apply_batch(updates, mcast, fence)
 
 
-class _SlowService(DeviceService):
-    """Fault-injected device: fixed latency per write round trip."""
+@contextmanager
+def slow_device(delay):
+    """A remote device whose every ack lags ``delay`` seconds (a
+    ``DeviceFarm`` ack delay) — slow without blocking anything, where an
+    in-process double that slept would stall the controller's loop.
+    Yields the client to hand the controller and the farm's device."""
+    farm = DeviceFarm(1).start()
+    farm.set_ack_delay(0, delay)
+    reactor = Reactor("t-slow-device").start()
+    client = AioP4RuntimeClient(
+        *farm.address, reactor, policy=FAST, device_hint=0
+    )
+    try:
+        yield client, farm.devices[0]
+    finally:
+        client.close()
+        farm.stop()
+        reactor.stop()
 
-    def __init__(self, sim, delay):
-        super().__init__(sim)
-        self.delay = delay
 
-    def apply_batch(self, updates, mcast=None, fence=None):
-        time.sleep(self.delay)
-        return super().apply_batch(updates, mcast, fence)
+def patch_actions(device):
+    """A farm device's ``patch`` table as ``{port: action params}``."""
+    return {
+        update["match"][0]["exact"]: update["action"]["params"]
+        for update in device.tables.get("patch", {}).values()
+    }
 
 
 class TestEndToEndOrdering:
@@ -391,29 +411,30 @@ class TestEndToEndOrdering:
         assert [k for k, _ in modify_batch] == ["DELETE", "INSERT"]
 
     def test_burst_coalesces_into_fewer_device_round_trips(self):
-        project, db, switch = build()
-        slow = _SlowService(switch, delay=0.03)
-        controller = NerpaController(project, db, [slow]).start()
-        try:
-            for port in range(12):
-                add_port(db, port, port + 1)
-            controller.drain()
-            assert len(switch.table("patch")) == 12
-            issued = controller.devices[0].writes_issued
-            # The burst outran the 30 ms device; queued work merged.
-            # Merging can land at either queue depending on where the
-            # burst catches the pipeline: changesets piling up behind a
-            # busy engine merge in the engine queue, batches piling up
-            # behind the slow writer merge in the device queue.  Either
-            # way the device saw fewer round trips than transactions.
-            assert issued < 12
-            merged = (
-                controller.engine_queue.coalesced
-                + controller.channels[0].queue.coalesced
-            )
-            assert merged > 0
-        finally:
-            controller.stop()
+        project, db, _ = build()
+        with slow_device(0.03) as (slow, device):
+            controller = NerpaController(project, db, [slow]).start()
+            try:
+                for port in range(12):
+                    add_port(db, port, port + 1)
+                controller.drain()
+                assert len(patch_actions(device)) == 12
+                issued = controller.devices[0].writes_issued
+                # The burst outran the 30 ms device; queued work merged.
+                # Merging can land at either queue depending on where
+                # the burst catches the pipeline: changesets piling up
+                # behind a busy engine merge in the engine queue,
+                # batches piling up behind the slow device merge in the
+                # device queue.  Either way the device saw fewer round
+                # trips than transactions.
+                assert issued < 12
+                merged = (
+                    controller.engine_queue.coalesced
+                    + controller.channels[0].queue.coalesced
+                )
+                assert merged > 0
+            finally:
+                controller.stop()
 
     def test_unbatched_mode_issues_one_write_per_transaction(self, monkeypatch):
         uncoalesce(monkeypatch)
@@ -486,47 +507,46 @@ class TestOvsdbModifyPath:
     def test_modify_coalesced_with_insert_in_one_changeset(self):
         """A burst holding an insert and a later modify of the same row
         nets out to a single insert of the final value."""
-        project, db, switch = build()
-        slow = _SlowService(switch, delay=0.05)
-        controller = NerpaController(project, db, [slow]).start()
-        try:
-            controller.drain()  # initial sync out of the way
-            add_port(db, 1, 5)
-            set_out_port(db, 1, 6)
-            set_out_port(db, 1, 7)
-            controller.drain()
-            assert switch.table("patch").lookup([1]) == ("forward", (7,), True)
-            assert len(switch.table("patch")) == 1
-        finally:
-            controller.stop()
+        project, db, _ = build()
+        with slow_device(0.05) as (slow, device):
+            controller = NerpaController(project, db, [slow]).start()
+            try:
+                controller.drain()  # initial sync out of the way
+                add_port(db, 1, 5)
+                set_out_port(db, 1, 6)
+                set_out_port(db, 1, 7)
+                controller.drain()
+                assert patch_actions(device) == {1: [7]}
+            finally:
+                controller.stop()
 
 
 class TestSlowDeviceIsolation:
     def test_slow_device_backs_up_only_its_own_queue(self):
         project, db, switch = build()
-        slow_sim = project.new_simulator(n_ports=16)
-        slow = _SlowService(slow_sim, delay=0.2)
-        controller = NerpaController(project, db, [switch, slow]).start()
-        try:
-            started = time.time()
-            for port in range(6):
-                add_port(db, port, port + 1)
-            # The healthy device converges while the slow one is still
-            # sleeping through its first round trip.
-            wait_for(
-                lambda: len(switch.table("patch")) == 6,
-                timeout=5.0,
-                what="healthy device to converge",
-            )
-            healthy_latency = time.time() - started
-            assert healthy_latency < 0.2  # under one slow round trip
-            assert len(slow_sim.table("patch")) < 6
-            controller.drain()
-            assert len(slow_sim.table("patch")) == 6
-            # The backlog merged: far fewer round trips than txns.
-            assert controller.devices[1].writes_issued < 6
-        finally:
-            controller.stop()
+        with slow_device(0.2) as (slow, device):
+            controller = NerpaController(project, db, [switch, slow]).start()
+            try:
+                started = time.time()
+                for port in range(6):
+                    add_port(db, port, port + 1)
+                # The healthy device converges while the slow one is
+                # still waiting out its first round trip.
+                wait_for(
+                    lambda: len(switch.table("patch")) == 6,
+                    timeout=5.0,
+                    what="healthy device to converge",
+                )
+                healthy_latency = time.time() - started
+                assert healthy_latency < 0.2  # under one slow round trip
+                # Its first batch has not been acked yet.
+                assert controller.channels[1].queue.unfinished > 0
+                controller.drain()
+                assert len(patch_actions(device)) == 6
+                # The backlog merged: far fewer round trips than txns.
+                assert controller.devices[1].writes_issued < 6
+            finally:
+                controller.stop()
 
 
 @pytest.mark.slow

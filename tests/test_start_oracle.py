@@ -195,7 +195,7 @@ def test_bare_start_converges(project, tmp_path, chain, device, mgmt):
         assert _engine_state(second) == _engine_state(reference)
         assert _device_state(switch) == _device_state(reference_switch)
         assert not reconcile.compute_fixes(
-            second.devices[0].io,
+            second.devices[0].io.read_table,
             second.bindings,
             reconcile.desired_writes(second.bindings, second.runtime),
         )
