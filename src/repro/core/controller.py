@@ -13,9 +13,10 @@ a **staged pipeline** (see ``docs/ARCHITECTURE.md``):
   busy (modify = delete+insert pairs cancel, last writer wins per row
   key).  The put never blocks: a remote device's digest is put by the
   very loop that consumes the queue;
-* **evaluate** (stage 2, callbacks on the reactor stage 3 and the
-  checkpoint timer share) — one engine transaction per changeset per
-  loop turn; the control program's *output deltas* fan out as one
+* **evaluate** (stage 2, callbacks on the one reactor thread that
+  stage 3, the device clients' reconnect hooks and checkpoint saves
+  share) — one engine transaction per changeset per loop turn; the
+  control program's *output deltas* fan out as one
   :class:`~repro.core.pipeline.DeviceBatch` per device.  Rows of the
   reserved ``MulticastGroup(group, port)`` output relation are folded
   into per-group port lists and ride the same batch;
@@ -131,9 +132,9 @@ class NerpaController:
         self.checkpoint_every = checkpoint_every
         #: Background checkpoint cadence in seconds; ``None`` (default)
         #: disables the timer.  When set (and ``state_dir`` is too), a
-        #: reactor timer hands ``save_checkpoint(mode="auto")`` to the
-        #: reactor's hook pool every interval while the pipeline runs;
-        #: :meth:`stop` cancels it before closing anything it depends on.
+        #: reactor timer runs ``save_checkpoint(mode="auto")`` on the
+        #: loop every interval while the pipeline runs; :meth:`stop`
+        #: cancels it before closing anything it depends on.
         self.checkpoint_interval_s = checkpoint_interval_s
         #: Fencing epoch stamped on every device write this controller
         #: issues (``None`` = unfenced, the single-controller default).
@@ -368,8 +369,9 @@ class NerpaController:
 
         Teardown ordering is load-bearing (audited for the HA path):
 
-        1. cancel the background checkpoint timer — its saves submit
-           engine tasks, which must not race the queue close below;
+        1. cancel the background checkpoint timer, on the loop — a save
+           in flight there finishes first, and none starts after it, so
+           none reads the runtime closed below;
         2. run the registered stop hooks (lease release, etc.) while
            the transports are still up;
         3. drain, unsubscribe, close the queues, wait out a transaction
@@ -446,23 +448,31 @@ class NerpaController:
           than ``checkpoint_every`` segments, ``"full"`` otherwise (and
           always for the first save, which anchors the chain).
 
-        The engine-owned state is snapshotted via an engine task when
-        the pipeline is running, so it is consistent with respect to
-        fan-out.  Call after :meth:`drain` so the device epochs reflect
-        everything the checkpointed engine state implies.
+        The whole save — snapshot, pickle, write, fsync — is one
+        callback where the engine state is consistent with respect to
+        fan-out: inline on the controller's reactor (a loop callback may
+        call this) or before :meth:`start`, otherwise as an engine task
+        this call waits for.  Call after :meth:`drain` so the device
+        epochs reflect everything the checkpointed engine state implies.
         """
         if self.state_dir is None:
             raise ReproError("controller has no state_dir to checkpoint to")
         if mode not in ("auto", "full", "delta"):
             raise ReproError(f"unknown checkpoint mode {mode!r}")
-        return self.checkpoints.save(
-            mode,
-            self.checkpoint_every,
-            self.runtime,
-            self._submit_engine if self._started else (lambda fn: fn()),
-            lambda: (self._mcast.snapshot(), self._seq),
-            {device.name: device.config_epoch for device in self.devices},
-        )
+
+        def save() -> str:
+            return self.checkpoints.save(
+                mode,
+                self.checkpoint_every,
+                self.runtime,
+                self._mcast.snapshot(),
+                self._seq,
+                {device.name: device.config_epoch for device in self.devices},
+            )
+
+        if self._started and not self.reactor.in_loop():
+            return self._submit_engine(save)
+        return save()
 
     @property
     def checkpoint_bytes(self) -> int:

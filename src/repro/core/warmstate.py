@@ -13,17 +13,17 @@ that knows the chain's file name or the bookkeeping keys is here:
 * :func:`unpack` turns warm state back into the controller's fields;
 * :class:`Checkpointer` is the writer: full-vs-delta policy, the save
   itself, and the optional background timer on the controller's reactor.
+  A save is one loop callback — snapshot, pickle, write, fsync — so saves
+  are ordered like engine transactions and need no lock.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.dlog import checkpoint as ckpt
-from repro.errors import ReproError
 
 #: The full snapshot keeps the pre-chain file name and payload, so
 #: checkpoints from older controllers restore fine.
@@ -102,10 +102,9 @@ class Checkpointer:
     """The chain's writer for one controller.
 
     ``state_dir=None`` is the disabled checkpointer: no store, and
-    :meth:`save` is never reached.  Saves are serialised by
-    :attr:`lock` — the background timer and an explicit caller may
-    race, and the store's index/anchor bookkeeping is not
-    concurrency-safe.
+    :meth:`save` is never reached.  Every save and the timer run on the
+    controller's loop (or before it starts), one callback each, so the
+    store's index/anchor bookkeeping never sees two at once.
     """
 
     def __init__(self, state_dir: Optional[str], program_hash: Optional[str]):
@@ -113,7 +112,6 @@ class Checkpointer:
         self._program_hash = program_hash
         self.store: Optional[ckpt.CheckpointStore] = None
         self.reset()
-        self.lock = threading.RLock()
         self.bytes = 0
         self.seconds = 0.0
         #: ``"full"`` or ``"delta"`` — what the last save wrote.
@@ -121,7 +119,6 @@ class Checkpointer:
         #: Saves cut by the background timer.
         self.auto_saves = 0
         self._timer = self._reactor = None
-        self._stopped = False  # set by stop_timer, checked under ``lock``
 
     def reset(self) -> None:
         """Forget the chain on disk: an unanchored store, so the next
@@ -135,106 +132,88 @@ class Checkpointer:
         mode: str,
         every: int,
         runtime,
-        on_engine: Callable,
-        engine_state: Callable[[], Tuple[dict, int]],
+        mcast: Dict[int, List[int]],
+        seq: int,
         epochs: Dict[str, Optional[str]],
     ) -> str:
         """Cut one checkpoint; returns the path written.
 
-        ``on_engine(fn)`` runs ``fn`` where the engine state may be
-        read consistently (an engine task while the pipeline runs);
-        ``engine_state()`` is called there and returns ``(multicast
-        snapshot, seq)``.  ``"auto"`` writes a delta while the chain
-        holds fewer than ``every`` segments, a full snapshot otherwise.
+        Call where the engine state is consistent — a callback on the
+        controller's loop, or before the pipeline starts — with the
+        controller's bookkeeping as of now.  ``"auto"`` writes a delta
+        while the chain holds fewer than ``every`` segments, a full
+        snapshot otherwise.
         """
-        with self.lock:
-            started = time.perf_counter()
-            store = self.store
-            if mode == "auto":
-                mode = "full" if store.should_full(every) else "delta"
-
-            def snap() -> dict:
-                # A full snapshot captures everything journaled so far
-                # (the chain restarts here); a delta *is* the journal.
-                txns = runtime.drain_journal()
-                mcast, seq = engine_state()
-                data = {
-                    "engine_txns": int(runtime.txn_count),
-                    "mcast": mcast,
-                    "seq": seq,
-                    "device_epochs": epochs,
-                }
-                if mode == "full":
-                    data["format"] = ckpt.CHECKPOINT_FORMAT
-                    data["engine"] = runtime.checkpoint()
-                else:
-                    data["txns"] = txns
-                return data
-
-            data = on_engine(snap)
-            engine_txns = data["engine_txns"]
-            if mode == "full":
-                path = store.full_path
-                size = store.save_full(data, engine_txns)
-            else:
-                path = store.segment_path(store.next_index)
-                meta = {key: data[key] for key in _WARM_KEYS}
-                size = store.save_delta(data["txns"], engine_txns, meta=meta)
-            self.bytes = size
-            self.seconds = time.perf_counter() - started
-            self.last_mode = mode
-            if obs.enabled():
-                obs.REGISTRY.gauge(
-                    "controller_checkpoint_bytes", mode=mode
-                ).set(size)
-                obs.REGISTRY.gauge("controller_checkpoint_seconds").set(
-                    self.seconds
-                )
-            return path
+        started = time.perf_counter()
+        warm = {"mcast": mcast, "seq": seq, "device_epochs": epochs}
+        store = self.store
+        if mode == "auto":
+            mode = "full" if store.should_full(every) else "delta"
+        # A full snapshot captures everything journaled so far (the
+        # chain restarts here); a delta *is* the journal.
+        txns = runtime.drain_journal()
+        engine_txns = int(runtime.txn_count)
+        if mode == "full":
+            path = store.full_path
+            data = {
+                "engine_txns": engine_txns,
+                **warm,
+                "format": ckpt.CHECKPOINT_FORMAT,
+                "engine": runtime.checkpoint(),
+            }
+            size = store.save_full(data, engine_txns)
+        else:
+            path = store.segment_path(store.next_index)
+            size = store.save_delta(txns, engine_txns, meta=warm)
+        self.bytes = size
+        self.seconds = time.perf_counter() - started
+        self.last_mode = mode
+        if obs.enabled():
+            obs.REGISTRY.gauge(
+                "controller_checkpoint_bytes", mode=mode
+            ).set(size)
+            obs.REGISTRY.gauge("controller_checkpoint_seconds").set(
+                self.seconds
+            )
+        return path
 
     # -- background timer ----------------------------------------------------
 
     def start_timer(self, reactor, interval_s: float, save: Callable) -> None:
-        """Call ``save(mode="auto")`` every ``interval_s`` seconds until
-        :meth:`stop_timer`: a ``reactor`` timer hands each save (which
-        waits on an engine task and fsyncs) to the reactor's hook pool
-        and re-arms once it is done."""
-        self._reactor, self._stopped = reactor, False
+        """Call ``save(mode="auto")`` on ``reactor``'s loop every
+        ``interval_s`` seconds until :meth:`stop_timer`.  Each tick is
+        one timer callback — the save, then the re-arm — so the timer
+        state belongs to the loop.  A save that raises is counted like
+        any callback error, and the next tick tries again."""
+        self._reactor = reactor
 
         def tick() -> None:
-            with self.lock:
-                if self._stopped:
-                    return
-                try:
-                    save(mode="auto")
-                except ReproError:
-                    pass  # racing teardown (engine queue closed): a no-op
-                else:
-                    self.auto_saves += 1
-                    if obs.enabled():
-                        obs.REGISTRY.counter(
-                            "controller_auto_checkpoints_total"
-                        ).inc()
-            arm()
+            try:
+                save(mode="auto")
+            except Exception as exc:  # noqa: BLE001 - the next tick retries
+                reactor.note_callback_error(exc)
+            else:
+                self.auto_saves += 1
+                if obs.enabled():
+                    obs.REGISTRY.counter(
+                        "controller_auto_checkpoints_total"
+                    ).inc()
+            self._timer = reactor.call_later(interval_s, tick)
 
-        def arm() -> None:
-            # A stop_timer racing this re-arm leaves at most one timer
-            # behind, and its tick sees ``_stopped``.
-            if not self._stopped:
-                self._timer = reactor.call_later(
-                    interval_s, lambda: reactor.run_hook(tick)
-                )
-
-        arm()
+        self._timer = reactor.call_later(interval_s, tick)
 
     def stop_timer(self) -> None:
-        """Idempotent.  No timer save starts after this returns; off the
-        reactor it also waits out a save in flight (one called on the
-        loop must not: that save is waiting for an engine task)."""
-        self._stopped = True
+        """Idempotent.  The cancel runs on the loop: at once from a loop
+        callback, otherwise queued there, behind any tick in flight — no
+        tick starts once the loop has reached it."""
+        if self._reactor is None:
+            return
+        if self._reactor.in_loop():
+            self._cancel_timer()
+        else:
+            self._reactor.submit(self._cancel_timer)
+
+    def _cancel_timer(self) -> None:
         timer, self._timer = self._timer, None
         if timer is not None:
             timer.cancel()
-        if self._reactor is not None and not self._reactor.in_loop():
-            with self.lock:
-                pass

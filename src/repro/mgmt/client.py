@@ -65,7 +65,6 @@ class ManagementClient:
         self._pending_subscribes = 0
         self._undelivered: Dict[str, List[Tuple[dict, Optional[str]]]] = {}
         self._schema: Optional[DatabaseSchema] = None
-        self._reconnect_hooks: List[Callable[[], None]] = []
         # A loop of its own, not the fleet's: decoding a 100-row monitor
         # update must not sit between a device batch and its send, and
         # ``close()`` has a thread it may stop.
@@ -78,7 +77,8 @@ class ManagementClient:
             on_notification=self._handle_notification,
             error_type=TransactionError,
         )
-        self.conn.on_reconnect(self._on_transport_reconnect)
+        # Registered first, so it runs before every user hook.
+        self.conn.on_reconnect(self._forget_monitors)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -116,19 +116,19 @@ class ManagementClient:
         else:
             callback(self._decode_updates(wire_updates))
 
-    def _on_transport_reconnect(self) -> None:
+    def _forget_monitors(self) -> None:
         # Server-side monitor state died with the old connection; a
         # restarted server may not even share our schema cache.
         with self._dispatch_lock:
             self._monitor_callbacks.clear()
             self._undelivered.clear()
-        for hook in list(self._reconnect_hooks):
-            hook()
 
     def on_reconnect(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` after each reconnect (monitors already cleared);
-        use it to re-subscribe and reconcile."""
-        self._reconnect_hooks.append(hook)
+        """Run ``hook`` on the client's loop after each reconnect
+        (monitors already cleared); use it to re-subscribe and
+        reconcile.  It must not block — hand the blocking work to
+        another thread, as the controller's engine task does."""
+        self.conn.on_reconnect(hook)
 
     def health(self) -> Dict[str, object]:
         return self.conn.health()

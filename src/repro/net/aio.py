@@ -28,10 +28,9 @@ P4Runtime client and the management client ride it — on a
 
 Loop discipline: everything suffixed ``_on_loop`` (and every readiness
 or timer callback) runs on the reactor thread and must not block.
-Notifications are delivered there too, inline and in wire order; only
-reconnect hooks, which may block, go to the reactor's hook pool.
-The public surface (``call``, ``call_async``, ``close``, ``health``,
-``wait_connected``) is thread-safe.
+Notifications are delivered there too, inline and in wire order, and
+so are reconnect hooks.  The public surface (``call``, ``call_async``,
+``close``, ``health``, ``wait_connected``) is thread-safe.
 """
 
 from __future__ import annotations
@@ -191,8 +190,8 @@ class AioConnection:
     must not block: a blocking :meth:`call` from it raises
     :class:`~repro.errors.ReproError`, which the reactor counts like
     any callback error before the next notification is delivered.
-    ``on_reconnect`` hooks run on the hook pool (they may issue
-    blocking calls on this connection).
+    ``on_reconnect`` hooks run the same way, each in turn right after
+    ``on_connect``: one that raises is counted and the next still runs.
     """
 
     def __init__(
@@ -310,8 +309,9 @@ class AioConnection:
         }
 
     def on_reconnect(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` (on the hook pool) after each successful
-        *re*-connect; it may issue blocking calls on this connection."""
+        """Run ``callback`` on the loop thread after each successful
+        *re*-connect, in registration order.  It must not block; one
+        that raises is counted and the next hook still runs."""
         self._on_reconnect.append(callback)
 
     def on_drain(self, callback: Callable[[], None]) -> None:
@@ -584,15 +584,10 @@ class AioConnection:
             # that rebuilds session state never races an update
             # addressed to the state it replaces.
             for callback in list(self._on_reconnect):
-                self.reactor.run_hook(self._run_reconnect_hook, callback)
-
-    def _run_reconnect_hook(self, callback: Callable[[], None]) -> None:
-        try:
-            callback()
-        except ReproError as exc:
-            # Racing a second failure is normal; the next successful
-            # reconnect runs the hook again.
-            self._note_error(exc)
+                try:
+                    callback()
+                except Exception as exc:  # noqa: BLE001 - one hook's bug
+                    self.reactor.note_callback_error(exc)
 
     def _on_io(self, mask: int) -> None:
         if self._sock is None:

@@ -7,19 +7,19 @@ readiness callbacks, cross-thread ``submit``, and ``call_later`` timers
 registration, not a reader, a heartbeat and a dispatcher thread of its
 own.  That is the difference between a fleet of hundreds of devices
 (one OS thread each) and thousands (one loop for all of them).  A
-reactor is one thread, plus a hook pool once something reconnects.
+reactor is exactly one thread.
 
-Loop discipline: every readiness, timer, submitted or notification
-callback runs on the reactor thread and must not block.  That includes
-a controller's in-process device services, which answer its apply
-stage inline on its loop.  Blocking work — reconnect hooks, checkpoint
-saves — is handed to the reactor's hook pool.  A controller's engine
-transactions are the one long CPU-bound callback, and its management
-``subscribe`` on reconnect the one blocking call (allowed: a
-``ManagementClient`` always runs on a reactor of its own).  ``submit``
-and ``call_later`` are thread-safe.  Work scheduled *from* the loop thread
-costs no syscall (the loop re-reads its queue and timer heap before it
-sleeps), and cross-thread calls share one wake byte per loop turn.
+Loop discipline: every readiness, timer, submitted, notification or
+reconnect-hook callback runs on the reactor thread and must not block.
+That includes a controller's in-process device services, which answer
+its apply stage inline on its loop.  A controller's engine
+transactions and checkpoint saves are the long CPU-bound callbacks, and
+its management ``subscribe`` on reconnect the one blocking call
+(allowed: a ``ManagementClient`` always runs on a reactor of its own).
+``submit`` and ``call_later`` are thread-safe.  Work scheduled *from*
+the loop thread costs no syscall (the loop re-reads its queue and timer
+heap before it sleeps), and cross-thread calls share one wake byte per
+loop turn.
 """
 
 from __future__ import annotations
@@ -59,17 +59,13 @@ class Timer:
 
 
 class Reactor:
-    """A selector event loop plus its hook pool.
+    """A selector event loop on one thread.
 
-    One reactor serves any number of connections and fan-out channels.
-    Besides the loop it owns:
-
-    * ``run_hook`` — a small pool for callbacks that may block, such as
-      reconnect hooks and checkpoint saves, so that one of them does
-      not serialize the others behind it;
-    * the loop-lag histogram ``reactor_loop_lag_seconds`` — how late
-      submitted callbacks and timers run versus when they were due,
-      the canonical "is the loop overloaded" signal.
+    One reactor serves any number of connections and fan-out channels,
+    and every callback it runs shares that thread.  It records the
+    loop-lag histogram ``reactor_loop_lag_seconds`` — how late submitted
+    callbacks and timers run versus when they were due, the canonical
+    "is the loop overloaded" signal.
     """
 
     def __init__(self, name: str = "aio"):
@@ -98,8 +94,6 @@ class Reactor:
         self._thread = threading.Thread(
             target=self._run, name=f"{name}-reactor", daemon=True
         )
-        self._hook_pool = None
-        self._hook_pool_lock = threading.Lock()
         #: Loop iterations served (coarse liveness counter for tests).
         self.loops = 0
         #: Last exception raised by a readiness/timer/submitted or
@@ -125,7 +119,7 @@ class Reactor:
         return threading.current_thread() is self._thread
 
     def stop(self) -> None:
-        """Stop the loop and its hook pool; idempotent."""
+        """Stop the loop; idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -133,11 +127,6 @@ class Reactor:
         self._wakeup()
         if self._started and not self.in_loop():
             self._thread.join(timeout=5.0)
-        with self._hook_pool_lock:
-            pool = self._hook_pool
-            self._hook_pool = None
-        if pool is not None:
-            pool.shutdown(wait=False)
         try:
             self._selector.close()
         except OSError:
@@ -179,19 +168,6 @@ class Reactor:
         if wake:
             self._wakeup()
         return timer
-
-    def run_hook(self, fn: Callable, *args) -> None:
-        """Run a potentially-blocking callback on the hook pool."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        with self._hook_pool_lock:
-            if self._closed:
-                return
-            if self._hook_pool is None:
-                self._hook_pool = ThreadPoolExecutor(
-                    max_workers=4, thread_name_prefix=f"{self.name}-hook"
-                )
-            self._hook_pool.submit(fn, *args)
 
     # -- fd registration (loop thread only) ----------------------------------
 

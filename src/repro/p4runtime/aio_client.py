@@ -119,7 +119,6 @@ class AioP4RuntimeClient:
         self._packet_in_callback: Optional[
             Callable[[int, bytes], None]
         ] = None
-        self._reconnect_hooks: List[Callable[[], None]] = []
         self.conn = AioConnection(
             host,
             port,
@@ -130,7 +129,6 @@ class AioP4RuntimeClient:
             on_connect=self._on_transport_connect,
             error_type=RuntimeApiError,
         )
-        self.conn.on_reconnect(self._on_transport_reconnect)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -183,15 +181,12 @@ class AioP4RuntimeClient:
                     method, [], lambda _r, _e: None, timeout=self.timeout
                 )
 
-    def _on_transport_reconnect(self) -> None:
-        # Runs on the reactor's hook pool — blocking calls are fine.
-        for hook in list(self._reconnect_hooks):
-            hook()
-
     def on_reconnect(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` after each reconnect (subscriptions already
-        re-issued); use it to resynchronize device state."""
-        self._reconnect_hooks.append(hook)
+        """Run ``hook`` on the loop thread after each reconnect
+        (subscriptions already re-issued); use it to resynchronize
+        device state.  It must not block (see
+        :meth:`~repro.net.aio.AioConnection.on_reconnect`)."""
+        self.conn.on_reconnect(hook)
 
     def health(self) -> Dict[str, object]:
         return self.conn.health()

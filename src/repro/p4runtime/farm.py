@@ -26,7 +26,8 @@ plus verification hooks:
   with a reactor timer — the farm never blocks, so a slow device
   exercises the plane's isolation, not the farm's.
 
-Table state is per-device ``{table: {match_key: wire_update}}`` with
+Table state is per-device ``{table: {match_key: wire_update}}``, keyed
+like P4Runtime by the match fields plus a nonzero priority, with
 the real service's batch semantics (atomic: a failing update rolls the
 batch back; INSERT of a present key and MODIFY/DELETE of a missing key
 are rejections).
@@ -42,7 +43,9 @@ from repro.net.server import RpcConnection, RpcServer
 
 
 def _match_key(update: dict) -> str:
-    return json.dumps(update.get("match", []), sort_keys=True)
+    key = json.dumps(update.get("match", []), sort_keys=True)
+    priority = update.get("priority", 0)
+    return f"{key}#{priority}" if priority else key
 
 
 class FarmDevice:

@@ -44,7 +44,7 @@ from repro.net.reactor import default_reactor
 from repro.p4.tables import FieldMatch, TableEntry
 from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import DeviceService, TableWrite
-from repro.p4runtime.farm import DeviceFarm
+from repro.p4runtime.farm import DeviceFarm, FarmDevice
 from repro.p4runtime.server import P4RuntimeServer
 from tests.doubles import uncoalesce
 
@@ -880,10 +880,9 @@ class TestControllerAioPlane:
         try:
             assert all(c.echo(["hi"]) == ["hi"] for c in clients)
             assert {c.reactor for c in clients} == {default_reactor()}
-            # Client-side threads: the one loop (plus a hook pool once
-            # something reconnects) — not 50 of them.
+            # Client-side threads: the one loop — not 50 of them.
             names = [t.name for t in threading.enumerate()]
-            assert sum(n.startswith("default-") for n in names) <= 6, names
+            assert sum(n.startswith("default-") for n in names) == 1, names
         finally:
             for client in clients:
                 client.close()
@@ -1057,6 +1056,23 @@ class TestDifferentialPlanes:
 
 
 class TestDeviceFarm:
+    def test_entries_differing_only_in_priority_are_two_entries(self):
+        """Like P4Runtime, the farm keys an entry by its match fields
+        and its priority; a priority-0 key is the match fields alone."""
+        device = FarmDevice(0)
+
+        def write(kind, priority):
+            acl = TableEntry([FieldMatch.ternary(5, 0xFF)], "drop", [], priority)
+            return TableWrite(kind, "acl", acl).to_wire()
+
+        device.apply_updates([write("INSERT", 10), write("INSERT", 20)])
+        device.apply_updates([write("DELETE", 10)])
+        (left,) = device.tables["acl"].values()
+        assert left["priority"] == 20
+        device.apply_updates([write("INSERT", 0)])
+        match = json.dumps(write("INSERT", 0)["match"], sort_keys=True)
+        assert device.tables["acl"][match]["priority"] == 0
+
     def test_bind_routes_calls_to_the_hinted_device(self):
         reactor = Reactor("t-farm").start()
         farm = DeviceFarm(3).start()

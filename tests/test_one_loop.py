@@ -1,26 +1,35 @@
-"""One loop for the controller: stage 2, the checkpoint timer and every
-device call of stage 3 run on one reactor.
+"""One loop for the controller: stage 2, checkpoint saves, reconnect
+hooks and every device call of stage 3 run on one reactor, and a
+reactor is one thread.
 
-* no engine, checkpoint-timer or fan-out pool thread exists once a
-  controller runs against a device fleet, and the timer still cuts
-  checkpoints;
+* no engine, checkpoint-timer, fan-out pool or hook-pool thread exists
+  once a controller runs against a device fleet, and the timer still
+  cuts checkpoints;
 * an engine task runs on ``controller.reactor``, and so does an
   in-process device's service — its batches, epoch reads and table
   reads alike;
 * the calls that wait for the loop refuse to run on it, at once,
-  instead of hanging, while ``resync_device(wait=False)`` runs there;
-* ``stop()`` run as an engine task returns promptly while a timer save
-  is waiting for an engine task queued behind it.
+  instead of hanging, while ``resync_device(wait=False)`` and
+  ``save_checkpoint()`` run there;
+* ``stop()`` run as an engine task cancels the armed timer: it returns
+  promptly and no save runs after it;
+* reconnect hooks run on the connection's loop, one after another: one
+  that raises or blocks is counted and the next still runs — on a bare
+  connection and through either client.
 """
 
+import socket
 import threading
 import time
+
+import pytest
 
 from repro.core.controller import NerpaController
 from repro.core.pipeline import nerpa_build
 from repro.errors import ReproError
+from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
-from repro.net.aio import Reactor
+from repro.net.aio import AioConnection, Reactor
 from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import DeviceService
 from repro.p4runtime.farm import DeviceFarm
@@ -73,6 +82,7 @@ def test_a_farm_fleet_runs_without_engine_or_timer_threads(tmp_path):
         assert "nerpa-engine" not in names
         assert "nerpa-ckpt-timer" not in names
         assert not any(name.startswith("fanout-blocking") for name in names)
+        assert not any("-hook" in name for name in names), names
         assert controller.reactor is reactor
         assert all(len(d.table_snapshot()["patch"]) == 4 for d in farm.devices)
     finally:
@@ -181,44 +191,123 @@ def test_resync_without_waiting_runs_on_the_loop():
         controller.stop()
 
 
+def test_a_loop_callback_saves_a_checkpoint_that_restores_warm(tmp_path):
+    project = nerpa_build(SCHEMA, RULES, P4)
+    db = Database(project.schema)
+    switch = project.new_simulator(n_ports=16)
+    controller = NerpaController(
+        project, db, [switch], state_dir=str(tmp_path)
+    ).start()
+    try:
+        for port in (1, 2):
+            add_port(db, port, 100 + port)
+        controller.drain()
+        error, _ = on_loop(controller.reactor, controller.save_checkpoint)
+        assert error is None
+        assert controller.last_checkpoint_mode == "full"
+    finally:
+        controller.stop()
+    second = NerpaController(
+        project, db, [switch], state_dir=str(tmp_path)
+    ).start()
+    try:
+        restart = second.metrics()["restart"]
+        assert (restart["mode"], restart["warm_skips"]) == ("warm", 1)
+        assert len(switch.table("patch")) == 2
+    finally:
+        second.stop()
+
+
 def test_stop_from_an_engine_task_returns_while_a_timer_save_waits(tmp_path):
-    """The timer's save holds the checkpoint lock and waits for its
-    snapshot task, queued behind the engine task that stops the
-    controller: stop() must neither wait for that save nor leave it
-    waiting out its timeout."""
+    """The timer is armed, its next save waiting to fire: stop() run as
+    an engine task cancels it there and then — it returns at once, and
+    no save runs after it."""
     controller = _controller(
         state_dir=str(tmp_path), checkpoint_interval_s=0.01
-    )
-    real_save = controller.save_checkpoint
+    ).start()
+    wait_for(lambda: controller.auto_checkpoints >= 1, what="a timer save")
     outcome, stopped = {}, threading.Event()
 
     def stop_from_engine():
-        queue = controller.engine_queue
-        deadline = time.monotonic() + 5.0
-        while not len(queue) and time.monotonic() < deadline:
-            time.sleep(0.001)  # until the save's snapshot task is queued
-        outcome["queued"] = len(queue)
         started = time.monotonic()
         controller.stop()
         outcome["stop_seconds"] = time.monotonic() - started
+        outcome["saves"] = controller.auto_checkpoints
         stopped.set()
 
-    def save_behind_a_stop(mode="auto"):
-        if "save" not in outcome:
-            outcome["save"] = mode
-            controller._submit_engine(stop_from_engine, wait=False)
-        return real_save(mode)
-
-    controller.save_checkpoint = save_behind_a_stop
-    controller.start()
+    controller._submit_engine(stop_from_engine, wait=False)
     assert stopped.wait(15.0), "stop() from an engine task hung"
-    assert outcome["save"] == "auto"
-    assert outcome["queued"] == 1
     assert outcome["stop_seconds"] < 1.0
-    # The save was released with an error, not left to its timeout.
-    lock = controller.checkpoints.lock
-    assert lock.acquire(timeout=1.0)
-    lock.release()
-    saves = controller.auto_checkpoints
     time.sleep(0.05)
-    assert controller.auto_checkpoints == saves
+    assert controller.auto_checkpoints == outcome["saves"]
+
+
+# -- reconnect hooks --------------------------------------------------------
+
+
+def _listener():
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(4)
+    return listener
+
+
+def _drop_first_connection(listener) -> None:
+    """Close the connection the client made; the kernel accepts its
+    redial on the listener's backlog — a reconnect."""
+    peer, _ = listener.accept()
+    peer.close()
+
+
+def test_reconnect_hooks_run_on_the_loop_and_a_blocking_one_is_counted():
+    listener = _listener()
+    reactor = Reactor("t-hooks")
+    conn = AioConnection(*listener.getsockname(), reactor, policy=FAST)
+    seen = []
+
+    def blocking():
+        seen.append(("blocking", conn.reactor.in_loop()))
+        conn.call("echo", ["from a hook"])
+
+    conn.on_reconnect(blocking)
+    conn.on_reconnect(lambda: seen.append(("next", conn.reactor.in_loop())))
+    try:
+        assert conn.wait_connected(5.0)
+        _drop_first_connection(listener)
+        wait_for(lambda: len(seen) == 2, what="both hooks")
+        assert seen == [("blocking", True), ("next", True)]
+        error = reactor.last_callback_error
+        assert isinstance(error, ReproError)
+        assert "reactor loop thread" in str(error)
+    finally:
+        conn.close()
+        reactor.stop()
+        listener.close()
+
+
+@pytest.mark.parametrize(
+    "connect",
+    [
+        lambda host, port: AioP4RuntimeClient(host, port, policy=FAST),
+        lambda host, port: ManagementClient(host, port, policy=FAST),
+    ],
+    ids=["p4runtime", "mgmt"],
+)
+def test_a_raising_client_hook_does_not_stop_the_next(connect):
+    listener = _listener()
+    client = connect(*listener.getsockname())
+    ran = threading.Event()
+
+    def broken():
+        raise RuntimeError("hook bug")
+
+    client.on_reconnect(broken)
+    client.on_reconnect(ran.set)
+    try:
+        assert client.conn.wait_connected(5.0)
+        _drop_first_connection(listener)
+        assert ran.wait(5.0), "the hook behind a raising one never ran"
+        assert "hook bug" in str(client.conn.reactor.last_callback_error)
+    finally:
+        client.close()
+        listener.close()
