@@ -920,9 +920,9 @@ class NerpaController:
 
     def metrics(self) -> Dict[str, object]:
         with self._stats_lock:
-            latencies = list(self.sync_latencies)
+            latencies = metrics.window(self.sync_latencies)
             stage_seconds = {
-                stage: list(samples)
+                stage: metrics.window(samples)
                 for stage, samples in self._stage_seconds.items()
             }
         out = {

@@ -13,6 +13,11 @@ without a thread or a blocking socket per device, on:
   (``idle → batch-in-flight → awaiting-ack``, with the breaker's
   quarantine visible alongside) driven by the queue's ``on_ready``.
 
+A batch costs its ``send`` and its ack read and no loop bookkeeping
+beyond them: a ``put`` on the loop pumps the channel in place, the ack
+finishes the item and pops the next in place, and the connection's one
+deadline timer is not touched (:mod:`repro.net.aio`).
+
 One execution path per channel: every item runs on the loop through
 the device's non-blocking calls (:mod:`repro.core.planes`).  A batch
 goes out through ``apply_batch_async`` — watermark-aware: a channel
@@ -99,10 +104,10 @@ class FanoutPlane:
 class DeviceChannel:
     """One device's queue→reactor bridge.
 
-    A state machine the reactor runs on demand — every ``queue.put``
-    schedules a pump, so there is nothing to start; the controller's
-    drain/resync/health code reaches it through ``.queue`` and
-    ``.device``.
+    A state machine the reactor runs on demand — a ``queue.put`` on the
+    loop pumps it in place, one from another thread submits the pump,
+    so there is nothing to start; the controller's drain/resync/health
+    code reaches it through ``.queue`` and ``.device``.
 
     ``runner(channel, item, done)`` starts one queue item on the loop;
     it must arrange for ``done(exc_or_none)`` to be called once, on the
@@ -117,18 +122,22 @@ class DeviceChannel:
         self._runner = runner
         self.state = IDLE
         self._busy = False
+        #: The runner is on the stack: a completion now must not pump.
+        self._pumping = False
         self.queue = CoalescingQueue(name=name, on_ready=self._notify)
 
     def _notify(self) -> None:
-        self.plane.reactor.submit(self._pump)
+        reactor = self.plane.reactor
+        if reactor.in_loop():
+            self._pump()
+        else:
+            reactor.submit(self._pump)
 
     # -- loop thread ---------------------------------------------------------
 
     def _pump(self) -> None:
-        """Pop-and-start the next item unless one is in flight.  The
-        item completes through a submitted :meth:`_finish`, never
-        inline, so a burst of items that complete at once (empty
-        batches, an in-process device) cannot grow the stack."""
+        """Pop-and-start the next item unless one is in flight; how it
+        finishes is :meth:`_completion`'s."""
         if self._busy:
             return
         item = self.queue.pop_nowait()
@@ -139,10 +148,13 @@ class DeviceChannel:
         self.state = IN_FLIGHT
         self.plane._inflight_delta(1)
         done = self._completion()
+        self._pumping = True
         try:
             self._runner(self, item, done)
         except Exception as exc:  # noqa: BLE001 - surfaced at drain()
             done(exc)
+        finally:
+            self._pumping = False
 
     def mark_awaiting_ack(self) -> None:
         """Runner hook: the batch is with the device; we hold only the
@@ -150,6 +162,12 @@ class DeviceChannel:
         self.state = AWAITING_ACK
 
     def _completion(self) -> Callable:
+        """The item's ``done``.  Completion mutates channel state and
+        pops the next item: in place when called from I/O (an ack, a
+        deadline, a teardown — the runner has long returned), one loop
+        turn later when the runner completes inside :meth:`_pump` (an
+        in-process device, an empty batch), so that a burst of those
+        never recurses through it."""
         completed = False
 
         def done(exc: Optional[BaseException] = None) -> None:
@@ -157,11 +175,10 @@ class DeviceChannel:
             if completed:
                 return  # a second call for the same item
             completed = True
-            # Completion mutates channel state and may pop the next
-            # item: one loop turn later, so a runner that completes
-            # inline never recurses through _pump.
-            if not self.plane.reactor.submit(self._finish, exc):
-                self._finish(exc)  # reactor stopped: finish inline
+            if not self._pumping or not self.plane.reactor.submit(
+                self._finish, exc
+            ):
+                self._finish(exc)  # from I/O, or the reactor stopped
 
         return done
 
@@ -290,18 +307,23 @@ class BatchApplier:
                 # peer: surfaced at drain().
                 done(error)
 
+        send = partial(
+            device.io.apply_batch_async,
+            writes,
+            batch.mcast,
+            batch.update_ids,
+            on_ack,
+            seq=(batch.seq, batch.last_seq),
+            fence=self._fence,
+        )
         try:
-            # Open across the send, so an in-process device's
-            # ``device.apply`` nests under it.
-            with obs.TRACER.adopt(batch.parent), span:
-                device.io.apply_batch_async(
-                    writes,
-                    batch.mcast,
-                    batch.update_ids,
-                    on_ack,
-                    seq=(batch.seq, batch.last_seq),
-                    fence=self._fence,
-                )
+            if span is obs.NULL_SPAN:
+                send()  # tracing off: no span to open, no parent to adopt
+            else:
+                # Open across the send, so an in-process device's
+                # ``device.apply`` nests under it.
+                with obs.TRACER.adopt(batch.parent), span:
+                    send()
         except Exception as exc:  # noqa: BLE001 - surfaced at drain()
             # Raised while the batch was encoded (an ill-typed row's
             # TypeCheckError); parked on ``on_drain`` this is a bare loop

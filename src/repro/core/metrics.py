@@ -18,13 +18,25 @@ from repro.core.planes import ManagedDevice
 
 #: Samples retained per latency/stage-timing series.
 STATS_WINDOW = 8192
+#: Samples a series may hold past its window before it is cut back.
+_SLACK = STATS_WINDOW // 8
 
 
 def append_sample(samples: List[float], value: float) -> None:
-    """Append to a bounded series (caller holds the stats lock)."""
+    """Append to a bounded series (caller holds the stats lock).
+
+    The series is cut back to the last ``STATS_WINDOW`` samples once
+    every ``_SLACK`` appends: dropping the oldest sample on every append
+    moves the whole window, a cost every device batch would pay.
+    Reports read :func:`window`."""
     samples.append(value)
-    if len(samples) > STATS_WINDOW:
-        del samples[: len(samples) - STATS_WINDOW]
+    if len(samples) > STATS_WINDOW + _SLACK:
+        del samples[:-STATS_WINDOW]
+
+
+def window(samples: List[float]) -> List[float]:
+    """A copy of the last ``STATS_WINDOW`` samples of a series."""
+    return samples[-STATS_WINDOW:]
 
 
 def summarize(samples: List[float]) -> Dict[str, float]:

@@ -101,14 +101,18 @@ class CoalescingQueue:
     ):
         self.name = name
         #: Called (outside the queue lock) after a put appends a new
-        #: distinct item: it schedules the consumer — the engine pump or
-        #: a device's state machine — on the reactor.  A merge into the
-        #: queued tail does not notify: the tail's own append already
-        #: did, and its consumer has not popped it yet.
+        #: distinct item: it wakes the consumer.  A device's state
+        #: machine runs in place when the put is on its loop; the engine
+        #: pump, and any consumer woken from another thread, is
+        #: submitted to the reactor.  A merge into the queued tail does
+        #: not notify: the tail's own append already did, and its
+        #: consumer has not popped it yet.
         self.on_ready = on_ready
         self._items: deque = deque()
         self._lock = threading.Lock()
         self._all_done = threading.Condition(self._lock)
+        #: Threads inside :meth:`join`: only they need a notify.
+        self._joiners = 0
         self._unfinished = 0
         self._closed = False
         #: Number of puts absorbed by a queued tail item (coalescing
@@ -179,7 +183,7 @@ class CoalescingQueue:
                 # consumer's hands; counting it again would go negative.
                 return
             self._unfinished -= 1
-            if self._unfinished <= 0:
+            if self._unfinished <= 0 and self._joiners:
                 self._all_done.notify_all()
 
     def join(self, deadline: float) -> None:
@@ -189,14 +193,18 @@ class CoalescingQueue:
         :class:`PipelineStalledError` when it passes first.
         """
         with self._lock:
-            while self._unfinished > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise PipelineStalledError(
-                        f"pipeline queue {self.name!r} did not drain "
-                        f"({self._unfinished} item(s) in flight)"
-                    )
-                self._all_done.wait(remaining)
+            self._joiners += 1
+            try:
+                while self._unfinished > 0:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise PipelineStalledError(
+                            f"pipeline queue {self.name!r} did not drain "
+                            f"({self._unfinished} item(s) in flight)"
+                        )
+                    self._all_done.wait(remaining)
+            finally:
+                self._joiners -= 1
 
     def close(self) -> None:
         """Wake all waiters; pending items are abandoned (a pending

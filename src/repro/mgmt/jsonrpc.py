@@ -25,6 +25,8 @@ from repro.errors import ProtocolError
 
 MAX_FRAME = 64 * 1024 * 1024  # defensive bound against corrupt lengths
 _HEADER = struct.Struct(">I")
+#: The scanner under ``json.loads`` (the C one where available).
+_scan_once = json.JSONDecoder().scan_once
 
 
 def dumps(value) -> bytes:
@@ -58,6 +60,20 @@ def frame_request(method: str, params: bytes, request_id: int) -> bytes:
     return b"".join((_HEADER.pack(length), head, params, tail))
 
 
+def _loads(text: str):
+    """``json.loads(text)`` without its Python-level wrappers for what
+    :func:`dumps` writes — one value, nothing around it.  Anything else
+    (surrounding whitespace, malformed JSON) goes through
+    ``json.loads``, which accepts or rejects it as it always did."""
+    try:
+        value, end = _scan_once(text, 0)
+    except StopIteration:
+        end = -1
+    if end == len(text):
+        return value
+    return json.loads(text)
+
+
 def decode_frames(buffer: bytes) -> Tuple[list, bytes]:
     """Extract all complete frames from ``buffer``.
 
@@ -76,7 +92,7 @@ def decode_frames(buffer: bytes) -> Tuple[list, bytes]:
         start = offset + _HEADER.size
         payload = buffer[start : start + length]
         try:
-            messages.append(json.loads(payload.decode("utf-8")))
+            messages.append(_loads(payload.decode("utf-8")))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"bad JSON frame: {exc}") from exc
         offset = start + length

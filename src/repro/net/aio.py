@@ -13,7 +13,11 @@ P4Runtime client and the management client ride it — on a
   falls under the low one, so producers can flow-control instead of
   ballooning memory;
 * **pending-call correlation** — requests carry ids; responses resolve
-  callbacks on the loop thread, per-call deadlines fire as timers;
+  callbacks on the loop thread.  Each call records an absolute
+  deadline, and a connection arms **one** reactor timer, at the
+  earliest of them: it re-arms when that timer fires or when a new
+  call's deadline is earlier (the heartbeat's shorter timeout), so a
+  call answered in time costs no timer work at all;
 * **reconnect with backoff, heartbeat, and state history** per a
   :class:`~repro.net.retry.RetryPolicy`, all timers, no threads::
 
@@ -172,12 +176,13 @@ class SocketWriter:
 
 
 class _AsyncCall:
-    __slots__ = ("method", "callback", "timer")
+    __slots__ = ("method", "callback", "deadline")
 
-    def __init__(self, method: str, callback, timer: Optional[Timer]):
+    def __init__(self, method: str, callback, deadline: Optional[float]):
         self.method = method
         self.callback = callback
-        self.timer = timer
+        #: Absolute ``time.monotonic`` instant, or ``None``: no timeout.
+        self.deadline = deadline
 
 
 class AioConnection:
@@ -234,6 +239,10 @@ class AioConnection:
         #: The connected socket's sender (``None`` while not connected).
         self._writer: Optional[SocketWriter] = None
         self._pending: Dict[int, _AsyncCall] = {}
+        #: The one deadline timer, armed for the instant ``_deadline_at``
+        #: (``None``: none armed).  A resolved call leaves it be.
+        self._deadline_timer: Optional[Timer] = None
+        self._deadline_at: Optional[float] = None
         self._next_id = 0
         self._delays = None
         self._ever_connected = False
@@ -456,39 +465,64 @@ class AioConnection:
             return
         self._next_id += 1
         request_id = self._next_id
-        timer = None
-        if timeout is not None:
-            timer = self.reactor.call_later(
-                timeout, lambda: self._call_timed_out(request_id)
-            )
-        self._pending[request_id] = _AsyncCall(method, callback, timer)
         try:
             frame = frame_request(method, params, request_id)
         except ProtocolError as exc:
             # Frame too large — a caller bug, not a transport fault.
-            del self._pending[request_id]
-            if timer is not None:
-                timer.cancel()
             callback(None, exc)
             return
+        deadline = None
+        if timeout is not None:
+            deadline = time.monotonic() + timeout
+            self._arm_deadline(deadline)
+        self._pending[request_id] = _AsyncCall(method, callback, deadline)
         self._writer.send(frame)
 
-    def _call_timed_out(self, request_id: int) -> None:
-        call = self._pending.pop(request_id, None)
-        if call is not None:
-            call.callback(
-                None,
-                ProtocolError(
-                    f"timeout waiting for {call.method} response"
-                ),
-            )
+    def _arm_deadline(self, deadline: float) -> None:
+        """Have the connection's one deadline timer fire by ``deadline``:
+        re-arm it unless it is armed for that instant or earlier."""
+        if self._deadline_at is not None and self._deadline_at <= deadline:
+            return
+        if self._deadline_timer is not None:
+            self._deadline_timer.cancel()
+        self._deadline_at = deadline
+        self._deadline_timer = self.reactor.call_later(
+            deadline - time.monotonic(), self._deadlines_due
+        )
+
+    def _deadlines_due(self) -> None:
+        """The deadline timer fired: fail every expired call, earliest
+        first, then re-arm for the earliest deadline still pending."""
+        self._deadline_timer = self._deadline_at = None
+        now = time.monotonic()
+        expired = sorted(
+            (call.deadline, request_id)
+            for request_id, call in self._pending.items()
+            if call.deadline is not None and call.deadline <= now
+        )
+        for _, request_id in expired:
+            # A callback may have torn the connection down, failing the
+            # rest as lost instead.
+            call = self._pending.pop(request_id, None)
+            if call is not None:
+                call.callback(
+                    None,
+                    ProtocolError(
+                        f"timeout waiting for {call.method} response"
+                    ),
+                )
+        earliest = min(
+            (c.deadline for c in self._pending.values()
+             if c.deadline is not None),
+            default=None,
+        )
+        if earliest is not None:
+            self._arm_deadline(earliest)
 
     def _resolve_call(self, request_id, result, error) -> None:
         call = self._pending.pop(request_id, None)
         if call is None:
             return
-        if call.timer is not None:
-            call.timer.cancel()
         if error is not None:
             call.callback(None, self.error_type(str(error)))
         else:
@@ -498,8 +532,6 @@ class AioConnection:
         pending = list(self._pending.items())
         self._pending.clear()
         for _, call in pending:
-            if call.timer is not None:
-                call.timer.cancel()
             call.callback(
                 None,
                 ConnectionLostError(
@@ -715,5 +747,7 @@ class AioConnection:
 
     def _close_on_loop(self) -> None:
         self._set_state(CLOSED)
+        if self._deadline_timer is not None:
+            self._deadline_timer.cancel()
         self._fail_pending("connection closed")
         self._teardown_socket()

@@ -228,9 +228,10 @@ class Reactor:
         with self._lock:
             if self._pending:
                 return 0.0
-            # A cancelled timer is only ever popped at the head, so a
-            # per-call deadline that never fires would sit here for its
-            # whole timeout.  Rebuild without them once they are more
+            # A cancelled timer is only ever popped at the head, so one
+            # cancelled long before it is due (a connection's deadline
+            # timer, re-armed earlier) would sit here for its whole
+            # timeout.  Rebuild without them once they are more
             # than half of the heap (the asyncio rule): amortised O(1)
             # per cancel, heap size O(live timers).
             if (

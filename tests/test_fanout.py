@@ -33,7 +33,7 @@ import warnings
 import pytest
 
 from repro.core.controller import NerpaController
-from repro.core.fanout import IDLE, FanoutPlane
+from repro.core.fanout import AWAITING_ACK, IDLE, FanoutPlane
 from repro.core.pipeline import nerpa_build
 from repro.errors import ConnectionLostError, ProtocolError, ReproError
 from repro.mgmt.database import Database
@@ -195,6 +195,23 @@ class _SilentPeer:
                 sock.close()
             except OSError:
                 pass
+
+
+class _CountingReactor(Reactor):
+    """A reactor that counts the loop bookkeeping it is asked for."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.submits = 0
+        self.call_laters = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        return super().submit(fn, *args)
+
+    def call_later(self, delay, fn):
+        self.call_laters += 1
+        return super().call_later(delay, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +493,74 @@ class TestAioConnection:
             conn.close()
             reactor.stop()
             peer.stop()
+
+    def test_a_short_deadline_behind_a_long_one_fires_on_time(self):
+        """The connection's one timer is armed for the pending 30 s
+        call; a 0.2 s call issued behind it must re-arm it earlier."""
+        peer = _SilentPeer()
+        reactor = Reactor("t-rearm").start()
+        conn = AioConnection(
+            "127.0.0.1", peer.address[1], reactor, policy=FAST
+        )
+        try:
+            assert conn.wait_connected(5.0)
+            outcomes = {}
+            short_failed = threading.Event()
+
+            def record(name, event=None):
+                def callback(result, error):
+                    outcomes[name] = (error, time.monotonic())
+                    if event is not None:
+                        event.set()
+
+                return callback
+
+            conn.call_async("echo", ["long"], record("long"), timeout=30.0)
+            started = time.monotonic()
+            conn.call_async(
+                "echo", ["short"], record("short", short_failed), timeout=0.2
+            )
+            assert short_failed.wait(5.0)
+            error, failed_at = outcomes["short"]
+            assert isinstance(error, ProtocolError)
+            assert "timeout waiting for echo response" in str(error)
+            assert 0.18 <= failed_at - started < 1.0
+            assert "long" not in outcomes  # still pending, still armed
+            assert conn.state == CONNECTED
+        finally:
+            conn.close()
+            reactor.stop()
+            peer.stop()
+
+    def test_answered_calls_share_one_deadline_timer(self):
+        """A call answered before its deadline costs no timer work: a
+        thousand of them on one connection arm at most one timer."""
+        reactor = _CountingReactor("t-one-timer").start()
+        sim, server, port = sim_and_server()
+        conn = AioConnection("127.0.0.1", port, reactor, policy=FAST)
+        try:
+            assert conn.wait_connected(5.0)
+            answered = []
+            done = threading.Event()
+
+            def collect(result, error):
+                answered.append(error)
+                if len(answered) == 1000:
+                    done.set()
+
+            def burst():
+                reactor.call_laters = 0
+                for i in range(1000):
+                    conn.call_async("echo", [i], collect, timeout=5.0)
+
+            reactor.submit(burst)
+            assert done.wait(10.0)
+            assert answered == [None] * 1000
+            assert reactor.call_laters <= 1
+        finally:
+            conn.close()
+            server.stop()
+            reactor.stop()
 
     def test_call_fails_fast_while_reconnecting(self):
         reactor = Reactor("t-fastfail").start()
@@ -834,6 +919,118 @@ class TestDeviceChannel:
         assert runs == [0, 1]
         assert plane.inflight == 0
         assert channel.queue.unfinished == 0
+
+    def test_a_remote_ack_finishes_its_batch_in_the_same_loop_turn(self):
+        """Put on the loop, sent by the runner, acked by a farm device:
+        the channel is idle again before the ack's callback returns, and
+        nothing along the way was submitted or timed."""
+        reactor = _CountingReactor("t-ack-turn").start()
+        farm = DeviceFarm(1).start()
+        client = AioP4RuntimeClient(
+            *farm.address, reactor, policy=FAST, device_hint=0
+        )
+        try:
+            assert client.conn.wait_connected(5.0)
+            plane = FanoutPlane(reactor)
+            box = {}
+            finished = threading.Event()
+
+            def runner(channel, item, done):
+                def on_ack(applied, error):
+                    box["ack_turn"] = reactor.loops
+                    done(error)
+                    box["idle_at_return"] = (
+                        channel.state == IDLE and channel.queue.unfinished == 0
+                    )
+                    box["counts"] = (reactor.submits, reactor.call_laters)
+                    finished.set()
+
+                client.apply_batch_async(
+                    [TableWrite.insert("patch", entry(item.n, 5))],
+                    update_ids=["epoch-1"],
+                    callback=on_ack,
+                )
+
+            channel = plane.channel(None, runner, name="dev")
+
+            def put_on_loop():
+                reactor.submits = reactor.call_laters = 0
+                box["put_turn"] = reactor.loops
+                channel.queue.put(_Op(1))
+
+            reactor.submit(put_on_loop)
+            assert finished.wait(5.0)
+            assert box["ack_turn"] > box["put_turn"]  # a real round trip
+            assert box["idle_at_return"] is True
+            assert box["counts"] == (0, 0)
+            assert farm.devices[0].updates_applied == 1
+        finally:
+            client.close()
+            farm.stop()
+            reactor.stop()
+
+    def test_a_long_run_of_inline_completions_does_not_recurse(self, reactor):
+        plane = FanoutPlane(reactor)
+        order = []
+
+        def runner(channel, item, done):
+            order.append(item.n)
+            done(None)
+
+        channel = plane.channel(None, runner, name="dev")
+        reactor.submit(
+            lambda: [channel.queue.put(_Op(n)) for n in range(5000)]
+        )
+        wait_for(lambda: channel.queue.unfinished == 0 and len(order) == 5000,
+                 what="5,000 items to drain")
+        assert order == list(range(5000))
+        assert reactor.last_callback_error is None
+        wait_for(lambda: channel.state == IDLE, what="idle state")
+
+    def test_a_dead_connection_charges_the_breaker_per_batch(self, monkeypatch):
+        """One batch awaiting its ack and three queued behind it when
+        the device's connection dies: the in-flight one fails inside
+        the teardown, each queued one fails fast on the dead connection
+        — one breaker strike apiece until it trips, skipped after — and
+        the channel ends idle."""
+        queued = 3
+        uncoalesce(monkeypatch)
+        project, db, _ = build()
+        farm = DeviceFarm(1).start()
+        reactor = Reactor("t-dead-conn").start()
+        client = AioP4RuntimeClient(
+            *farm.address, reactor, policy=FAST, device_hint=0
+        )
+        controller = NerpaController(
+            project, db, [client], breaker_threshold=3
+        ).start()
+        try:
+            controller.drain()
+            channel, device = controller.channels[0], controller.devices[0]
+            issued = device.writes_issued
+            farm.set_ack_delay(0, 4.0)
+            for port in range(queued + 1):
+                add_port(db, port, port + 1)
+            wait_for(
+                lambda: channel.state == AWAITING_ACK
+                and len(channel.queue) == queued,
+                what="one batch in flight and the rest queued",
+            )
+            farm.stop()
+            wait_for(lambda: channel.queue.unfinished == 0,
+                     what="every batch to resolve")
+            assert (
+                device.consecutive_failures,
+                device.syncs_missed,
+                device.quarantined,
+            ) == (3, queued + 1, True)
+            assert device.writes_issued == issued  # nothing was acked
+            wait_for(lambda: channel.state == IDLE, what="idle state")
+            assert controller.metrics()["pipeline"]["fanout"]["inflight"] == 0
+        finally:
+            controller.stop()
+            client.close()
+            reactor.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,28 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             decode_frames(struct.pack(">I", len(payload)) + payload)
 
+    @pytest.mark.parametrize(
+        "payload, decoded",
+        [
+            (b' {"id": 1}\n', {"id": 1}),  # whitespace around the value
+            (b'{"id": 1} {"id": 2}', ProtocolError),  # two values
+            (b'{"id": 1', ProtocolError),  # truncated
+            (b"", ProtocolError),
+            (b'"tab\there"', ProtocolError),  # a raw control character
+        ],
+    )
+    def test_frames_decode_exactly_as_json_loads(self, payload, decoded):
+        """Frames other than compact ``dumps`` output: accepted or
+        rejected exactly as ``json.loads`` would."""
+        import struct
+
+        frame = struct.pack(">I", len(payload)) + payload
+        if decoded is ProtocolError:
+            with pytest.raises(ProtocolError, match="bad JSON frame"):
+                decode_frames(frame)
+        else:
+            assert decode_frames(frame) == ([decoded], b"")
+
     @given(st.lists(st.integers(0, 100), max_size=10), st.integers(1, 50))
     def test_arbitrary_chunking(self, ids, chunk_size):
         stream = b"".join(encode_frame({"id": i}) for i in ids)

@@ -22,6 +22,7 @@ decomposition of the controller:
 import inspect
 import json
 import os
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -876,3 +877,70 @@ class TestQueueBarrierSupersedeJoin:
             q.pop_nowait()
             q.task_done()
         q.join(time.monotonic() + 1.0)
+
+    def test_a_join_waiting_on_another_thread_is_woken(self):
+        q = CoalescingQueue("q")
+        q.put(Task(lambda: None))
+        joined = threading.Event()
+
+        def join():
+            q.join(time.monotonic() + 5.0)
+            joined.set()
+
+        waiter = threading.Thread(target=join)
+        waiter.start()
+        time.sleep(0.05)
+        assert not joined.is_set()
+        q.pop_nowait()
+        q.task_done()
+        assert joined.wait(5.0)
+        waiter.join(5.0)
+        assert not waiter.is_alive()
+
+    def test_joins_racing_completions_all_return(self):
+        """Joiners on several threads while items complete: a completion
+        skips the notify only when no thread waits, so no join misses
+        its wake-up (it would run into its deadline instead)."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        failures = []
+
+        def join(q):
+            try:
+                q.join(time.monotonic() + 10.0)
+            except PipelineStalledError as exc:
+                failures.append(exc)
+
+        try:
+            for _ in range(50):
+                q = CoalescingQueue("q")
+                for _ in range(4):
+                    q.put(Task(lambda: None))
+                joiners = [
+                    threading.Thread(target=join, args=(q,)) for _ in range(4)
+                ]
+                for joiner in joiners:
+                    joiner.start()
+                for _ in range(4):
+                    q.pop_nowait()
+                    q.task_done()
+                for joiner in joiners:
+                    joiner.join(15.0)
+                    assert not joiner.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+
+def test_a_sample_series_keeps_exactly_its_window():
+    from repro.core import metrics
+
+    series, total = [], 3 * metrics.STATS_WINDOW + 7
+    for n in range(total):
+        metrics.append_sample(series, float(n))
+        assert len(series) <= metrics.STATS_WINDOW + metrics.STATS_WINDOW // 8
+        if n == 9:
+            assert metrics.window(series) == [float(i) for i in range(10)]
+    assert metrics.window(series) == [
+        float(i) for i in range(total - metrics.STATS_WINDOW, total)
+    ]
