@@ -683,8 +683,10 @@ class NerpaController:
         txns: int = 1,
     ) -> None:
         """Output deltas → one coalescible batch, the same object on
-        every device queue (copied by the queue that merges into it).
-        The defaults are an untraced transaction enqueued just now."""
+        every device queue.  Queues whose tails are one shared batch
+        share one merge of it (:meth:`DeviceBatch.coalesce`), recorded
+        on the batch until the last put.  The defaults are an untraced
+        transaction enqueued just now."""
         self._seq += 1
         template = DeviceBatch(self._seq)
         # With tracing off no update-id was minted upstream, but the
@@ -708,9 +710,12 @@ class NerpaController:
         if template.is_empty():
             return
         template.shared = True
-        for channel in self.channels:
-            channel.queue.put(template)
-            channel.queue.gauge_depth()
+        try:
+            for channel in self.channels:
+                channel.queue.put(template)
+                channel.queue.gauge_depth()
+        finally:
+            template._merges = None  # queues that merged hold their batch
 
     # -- stage 3: apply ----------------------------------------------------------
     # (the per-batch work is repro.core.fanout.BatchApplier's)

@@ -30,7 +30,10 @@ of the same calls (:func:`repro.core.reconcile.full_sync`).  Thousands of
 devices cost zero threads.  A fan-out's devices all pop the *same*
 batch object, so its write list is built and encoded once and each
 device pays one frame splice and one ``send``
-(``docs/ARCHITECTURE.md``, "One encode per changeset").
+(``docs/ARCHITECTURE.md``, "One encode per changeset").  Devices that
+fell behind together merge the next fan-out into one shared copy of
+their common tail, so a backlog, too, is built and encoded once per
+distinct queue state rather than once per device.
 
 :class:`FanoutPlane` and :class:`DeviceChannel` are the machinery;
 :class:`BatchApplier` is the runner the controller plugs into every

@@ -193,11 +193,14 @@ class DeviceBatch:
     keeps per-device application in engine-transaction order.
 
     A fan-out puts *one* batch object on every device's queue and marks
-    it ``shared``: nothing may change it any more, and the first queue
-    that wants to merge into it does so in a private copy
-    (:meth:`coalesce`).  What every device has in common — the write
-    list, and through it the encoded request — is thereby computed
-    once per changeset.
+    it ``shared``: nothing may change it any more, and a queue that
+    wants to merge into it does so in a copy (:meth:`coalesce`).
+    Devices that fell behind together hold the same shared tail, and
+    they share its merge too: the fanned-out batch records, for the
+    length of its fan-out, the merge of each shared tail it met.  What
+    every device has in common — the write list, and through it the
+    encoded request — is thereby computed once per distinct queue
+    state, not once per device.
     """
 
     __slots__ = (
@@ -211,6 +214,8 @@ class DeviceBatch:
         "first_enqueued",
         "shared",
         "_writes",
+        "_merges",
+        "__weakref__",  # a batch's lifetime can be watched
     )
 
     def __init__(self, seq: int):
@@ -225,6 +230,9 @@ class DeviceBatch:
         #: More than one queue holds this object: copy before merging.
         self.shared = False
         self._writes = None  # emit_writes() memo; any record drops it
+        #: ``shared tail -> its merge with this batch`` while this
+        #: batch is being fanned out; the fan-out drops it after.
+        self._merges = None
 
     def record_insert(self, binding, key: Hashable, row: tuple) -> None:
         cell = self.ops.setdefault((binding, key), [None, None])
@@ -290,13 +298,28 @@ class DeviceBatch:
         transactions that produced no writes for this device).
 
         Returns the batch that now holds the merge — ``self``, or for
-        a ``shared`` batch a private copy that the queue puts in its
-        place — or ``None`` when ``other`` cannot be merged.  ``other``
-        is only read: it may be shared too."""
+        a ``shared`` batch a copy that the queue puts in its place —
+        or ``None`` when ``other`` cannot be merged.  ``other``
+        may be shared too; its rows are only read.  When both are, the
+        merge is recorded on ``other``, and the next queue whose tail is
+        this same ``self`` takes the recorded batch (now shared) instead
+        of copying and merging again.  Nothing can change a recorded
+        merge in between: a fan-out puts ``other`` once per queue, a
+        merge does not pump, and the fan-out drops the record after
+        its last put."""
         if not isinstance(other, DeviceBatch):
             return None
         if other.seq <= self.last_seq:
             return None
+        memo = None
+        if self.shared and other.shared:
+            if other._merges is None:
+                other._merges = {}
+            memo = other._merges
+            merged = memo.get(self)
+            if merged is not None:
+                merged.shared = True  # a second queue holds it now
+                return merged
         merged = self._private_copy() if self.shared else self
         for (binding, key), (dead, live) in other.ops.items():
             if dead is not None:
@@ -309,6 +332,8 @@ class DeviceBatch:
             merged.parent = other.parent
         merged.last_seq = other.last_seq
         merged.txns += other.txns
+        if memo is not None:
+            memo[self] = merged
         return merged
 
 

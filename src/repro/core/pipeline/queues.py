@@ -4,12 +4,13 @@ A :class:`CoalescingQueue` is a FIFO with two twists:
 
 * **tail coalescing** — if the newest queued item can absorb an
   incoming one (``tail.coalesce(item)`` returns the item that now
-  holds the merge — the tail itself, or the private copy a shared,
-  copy-on-write tail merged into — rather than ``None``), the put
-  merges instead of appending.  While a consumer is busy, every burst
-  collapses into the single pending tail item, which is where the
-  pipeline's batching win comes from: a slow device accumulates *one*
-  merged batch, not an unbounded backlog;
+  holds the merge — the tail itself, or for a shared, copy-on-write
+  tail the copy it merged into, which other queues holding that same
+  tail may share — rather than ``None``), the put merges instead of
+  appending.  While a consumer is busy, every burst collapses into
+  the single pending tail item, which is where the pipeline's batching
+  win comes from: a slow device accumulates *one* merged batch, not an
+  unbounded backlog;
 * **join accounting** — ``queue.Queue``-style ``task_done``/``join``
   so :meth:`NerpaController.drain` can wait for quiescence stage by
   stage.

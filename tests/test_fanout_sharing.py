@@ -15,13 +15,21 @@
   per update and ``json.dumps`` once, and a whole commit costs the
   controller's reactor one wake byte (the ingest's: evaluation and
   fan-out run on the loop itself).  Counts, not timings: they repeat
-  exactly.
+  exactly;
+* **merging behind together** — queues whose tails are the same shared
+  batch share one merge of the next fan-out (one copy, one write list,
+  one encode for all of them), queues with different tails do not, the
+  record of that merge dies with the fan-out, and any schedule of
+  fan-outs, barriers and pops gives every device exactly what it would
+  get from batches of its own.
 """
 
 import json
 import threading
 import time
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,11 +38,12 @@ from repro.core.controller import NerpaController
 from repro.core.pipeline import nerpa_build
 from repro.core.pipeline.changeset import DeviceBatch
 from repro.core.pipeline.queues import CoalescingQueue, Task
+from repro.dlog.values import StructValue
 from repro.mgmt.database import Database
 from repro.mgmt.jsonrpc import decode_frames, frame_request, make_request
 from repro.net.aio import Reactor
 from repro.p4.tables import FieldMatch, TableEntry
-from repro.p4runtime import aio_client
+from repro.p4runtime import aio_client, api
 from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import RowWrite, TableWrite, WriteList
 from repro.p4runtime.farm import DeviceFarm
@@ -393,3 +402,252 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
         assert counts["wakes"] <= 1  # the ingest's; the rest is on the loop
     finally:
         close()
+
+
+# ---------------------------------------------------------------------------
+# Merging behind together.
+# ---------------------------------------------------------------------------
+
+
+def fan_out(queues, batch):
+    """What the controller's ``_fan_out`` does with a finished batch:
+    the same object on every queue, the merge record dropped after."""
+    batch.shared = True
+    try:
+        for queue in queues:
+            queue.put(batch)
+    finally:
+        batch._merges = None
+
+
+class Counting:
+    """Counts private copies, write-list builds and JSON encodes."""
+
+    def __init__(self, monkeypatch):
+        self.copies = self.lists = self.encodes = 0
+        real_copy, real_dumps = DeviceBatch._private_copy, aio_client.dumps
+        counts = self
+
+        def private_copy(batch):
+            counts.copies += 1
+            return real_copy(batch)
+
+        class CountedWriteList(WriteList):
+            def __init__(self, *args):
+                counts.lists += 1
+                super().__init__(*args)
+
+        def dumps(value):
+            counts.encodes += 1
+            return real_dumps(value)
+
+        monkeypatch.setattr(DeviceBatch, "_private_copy", private_copy)
+        monkeypatch.setattr(api, "WriteList", CountedWriteList)
+        monkeypatch.setattr(aio_client, "dumps", dumps)
+
+
+def encode_for_device(batch, request_id):
+    """A device's ``apply_batch`` request for ``batch``, as its client
+    builds it (shared write list, spliced frame), decoded back."""
+    seq = (batch.seq, batch.last_seq)
+    return spliced_request(
+        batch.emit_writes(), batch.mcast, batch.update_ids, None, seq,
+        request_id,
+    )
+
+
+def test_a_fleet_behind_together_merges_once_and_encodes_once(monkeypatch):
+    n_devices = 64
+    queues = [CoalescingQueue(name=f"dev-{i}") for i in range(n_devices)]
+    first = fanned_batch(1, 1, 10, "u-1")
+    record(first, "insert", 2, 20)
+    fan_out(queues, first)  # every device is still awaiting an ack
+    counts = Counting(monkeypatch)
+    second = fanned_batch(2, 1, 11, "u-2")
+    record(second, "delete", 2, 20)
+    fan_out(queues, second)
+
+    tails = [queue.pop_nowait() for queue in queues]
+    merged = tails[0]
+    assert all(tail is merged for tail in tails)
+    assert merged.shared and merged is not first
+    assert (merged.seq, merged.last_seq, merged.txns) == (1, 2, 2)
+    assert merged.update_ids == ["u-1", "u-2"]
+    assert [queue.coalesced for queue in queues] == [1] * n_devices
+    assert counts.copies == 1
+
+    requests = [encode_for_device(tail, i + 1) for i, tail in enumerate(tails)]
+    assert counts.lists == 1
+    assert counts.encodes == 1  # one JSON encode, 64 spliced frames
+    writes = merged.emit_writes()
+    assert [(w.kind, w.row[0]) for w in writes] == [("INSERT", 1)]
+    for i, request in enumerate(requests):
+        assert request == reference_request(
+            writes, merged.mcast, merged.update_ids, None, (1, 2), i + 1
+        )
+
+
+def test_distinct_tails_get_distinct_merges_and_a_private_tail_merges_in_place(
+    monkeypatch,
+):
+    queues = [CoalescingQueue(name=f"dev-{i}") for i in range(10)]
+    a = fanned_batch(1, 1, 10, "u-1")
+    fan_out(queues[0:4], a)  # devs 0-3 are behind on one batch ...
+    b = fanned_batch(2, 2, 20, "u-2")
+    fan_out(queues[4:7], b)  # ... devs 4-6 on another
+    private = fanned_batch(2, 3, 30, "u-2")
+    private.shared = False
+    queues[7].put(private)  # dev 7 holds a merge nobody else holds
+    lone = fanned_batch(2, 4, 40, "u-2")
+    fan_out(queues[9:], lone)  # dev 9 is the last to hold this one
+    before = [snapshot(batch) for batch in (a, b, lone)]  # dev 8 is idle
+
+    counts = Counting(monkeypatch)
+    latest = fanned_batch(3, 5, 50, "u-3")
+    fan_out(queues, latest)
+    tails = [queue.pop_nowait() for queue in queues]
+
+    behind_a, behind_b = tails[0], tails[4]
+    assert all(tail is behind_a for tail in tails[0:4])
+    assert all(tail is behind_b for tail in tails[4:7])
+    assert behind_a is not behind_b
+    assert behind_a.shared and behind_b.shared
+    assert (behind_a.seq, behind_a.last_seq) == (1, 3)
+    assert (behind_b.seq, behind_b.last_seq) == (2, 3)
+    assert tails[7] is private and not private.shared  # merged in place
+    assert private.last_seq == 3
+    assert tails[8] is latest
+    assert tails[9] is not lone and not tails[9].shared  # its own copy
+    assert tails[9].coalesce(fanned_batch(4, 6, 60, "u-4")) is tails[9]
+    assert [snapshot(batch) for batch in (a, b, lone)] == before
+    assert counts.copies == 3  # one per distinct shared tail
+
+
+def test_a_merge_dies_with_the_queues_that_held_it():
+    """Devices 0-2 are awaiting an ack when two more batches fan out,
+    so they merge them; device 3 keeps up and still holds the newer
+    batch.  The merge must not live on in that batch's record."""
+    db, farm, controller, close = farm_fleet(4, "t-memo")
+    try:
+        add_port(db, 1, 101)
+        controller.drain()
+        queues = [channel.queue for channel in controller.channels]
+        for i in range(3):
+            farm.set_ack_delay(i, 0.5)
+        set_out_port(db, 1, 102)
+        wait_for(
+            lambda: all(len(q) == 0 and q.unfinished == 1 for q in queues[:3])
+            and queues[3].unfinished == 0,
+            what="devices 0-2 awaiting their ack, device 3 idle",
+        )
+
+        def fan_out_behind():
+            for port in (50, 51):  # new keys: device 3 applies both
+                row = (port, StructValue("PatchActionForward", (port,)))
+                controller._fan_out(SimpleNamespace(deltas={"Patch": {row: 1}}))
+            merged = queues[0].pop_nowait()
+            facts = {
+                "shared": merged.shared,
+                "span": (merged.last_seq - merged.seq, merged.txns),
+                "same": [q.pop_nowait() is merged for q in queues[1:3]],
+                "device_3_holds": len(queues[3]),
+            }
+            for queue in queues[:3]:
+                queue.task_done()
+            ref = weakref.ref(merged)
+            del merged
+            facts["alive"] = ref() is not None  # device 3's batch is
+            return facts  # still queued behind its in-flight one
+
+        facts = controller._submit_engine(fan_out_behind)
+        assert facts == {
+            "shared": True, "span": (1, 2), "same": [True, True],
+            "device_3_holds": 1, "alive": False,
+        }
+        controller.drain()
+        entries = farm.devices[3].table_snapshot()["patch"]
+        assert len(entries) == 3
+    finally:
+        close()
+
+
+# A random schedule across a few queues: fan-outs of small batches over
+# a few keys, barriers (some superseding what is queued), and pops.
+_rows = st.tuples(
+    st.sampled_from(["insert", "delete"]), st.integers(0, 3),
+    st.integers(0, 3),
+)
+_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("fan"),
+            st.lists(_rows, min_size=1, max_size=3),
+            st.dictionaries(
+                st.integers(0, 2),
+                st.one_of(st.none(), st.lists(st.integers(0, 3), max_size=2)),
+                max_size=1,
+            ),
+        ),
+        st.tuples(st.just("task"), st.integers(0, 3), st.booleans()),
+        st.tuples(st.just("pop"), st.integers(0, 3)),
+    ),
+    max_size=30,
+)
+
+
+def popped_snapshot(item):
+    if isinstance(item, Task):
+        return ("task", item.fn)
+    return snapshot(item) + (
+        [(w.kind, w.binding.info.name, w.row) for w in item.emit_writes()],
+    )
+
+
+def run_schedule(steps, n_queues, shared):
+    """Every queue's popped sequence; ``shared`` fans one object out
+    the way the controller does, otherwise each queue gets a clone."""
+    queues = [CoalescingQueue(name=f"dev-{i}") for i in range(n_queues)]
+    popped = [[] for _ in queues]
+    seq = 0
+    for n, step in enumerate(steps):
+        if step[0] == "fan":
+            seq += 1
+            _, rows, mcast = step
+
+            def build(seq=seq, rows=rows, mcast=mcast):
+                batch = DeviceBatch(seq)
+                for op, port, out_port in rows:
+                    record(batch, op, port, out_port)
+                batch.mcast.update(mcast)
+                batch.update_ids = [f"u-{seq}"]
+                return batch
+
+            if shared:
+                fan_out(queues, build())
+            else:
+                for queue in queues:
+                    queue.put(build())
+        elif step[0] == "task":
+            _, index, supersede = step
+            queue = queues[index % n_queues]
+            queue.put(
+                Task(n),  # the step names the barrier in both runs
+                supersedes=(lambda item: True) if supersede else None,
+            )
+        else:
+            index = step[1] % n_queues
+            item = queues[index].pop_nowait()
+            if item is not None:
+                popped[index].append(popped_snapshot(item))
+    for queue, out in zip(queues, popped):
+        while (item := queue.pop_nowait()) is not None:
+            out.append(popped_snapshot(item))
+    return popped
+
+
+@settings(max_examples=300)
+@given(steps=_steps, n_queues=st.integers(2, 4))
+def test_shared_merges_equal_private_batches_per_device(steps, n_queues):
+    assert run_schedule(steps, n_queues, shared=True) == run_schedule(
+        steps, n_queues, shared=False
+    )
