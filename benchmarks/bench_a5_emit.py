@@ -11,10 +11,17 @@ controller's fan-out (``NerpaController._fan_out``), the batch's write
 list (``DeviceBatch.emit_writes``) and the request encoder
 (``aio_client._encode_batch``).
 
-It reports µs per output row.  The gate is box-independent: the whole
-path must cost at most 2.2x a plain ``dumps`` of the same finished
-update list (the JSON the wire carries anyway), both timed in the same
-rounds.
+It reports µs per output row.  The gates are box-independent ratios
+against a plain ``dumps`` of the same finished update list (the JSON
+the wire carries anyway), both timed in the same rounds:
+
+* the whole path must cost at most 2.2x that ``dumps`` — the bound set
+  when each row still became an update dict that ``dumps`` then walked
+  (1.88x then);
+* and at most 1.0x it: each table's generated converter writes the
+  update's JSON text itself (``TableBinding.wire``) and the encoder
+  joins those texts, so the rows cost less than encoding the finished
+  dicts would.
 """
 
 import gc
@@ -35,6 +42,7 @@ from repro.p4runtime.aio_client import _encode_batch
 
 ROUNDS = 200
 GATE_X = 2.2
+TEXT_GATE_X = 1.0
 
 
 def _snapshot(db, tables):
@@ -138,11 +146,17 @@ def test_a5_emit_encode(benchmark, bench_seed):
             ("emit path", f"{path_s * 1e3:.2f} ms", ""),
             ("us per output row", f"{us_per_row:.2f}", ""),
             ("plain dumps", f"{plain_s * 1e3:.2f} ms", ""),
-            ("path / dumps", f"{ratio:.2f}x", f"gate: <= {GATE_X}x"),
+            (
+                "path / dumps", f"{ratio:.2f}x",
+                f"gates: <= {GATE_X}x, <= {TEXT_GATE_X}x",
+            ),
         ],
         ["metric", "measured", "reference"],
     )
     emit("a5", "us_per_output_row", "us", round(us_per_row, 3),
          rows=rows, writes=n_writes)
     emit("a5", "path_vs_dumps", "ratio_x", round(ratio, 2), threshold=GATE_X)
+    emit("a5", "path_vs_dumps_text", "ratio_x", round(ratio, 2),
+         threshold=TEXT_GATE_X)
     assert ratio <= GATE_X
+    assert ratio <= TEXT_GATE_X

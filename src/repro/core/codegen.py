@@ -42,9 +42,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.core import typebridge as TB
 from repro.dlog.values import StructValue
 from repro.errors import TypeCheckError
+from repro.mgmt.jsonrpc import dumps_text
 from repro.mgmt.schema import ColumnSchema, DatabaseSchema
 from repro.p4.p4info import DigestInfo, P4Info, TableInfo
 from repro.p4.tables import FieldMatch, TableEntry
+
+_KINDS = ("INSERT", "MODIFY", "DELETE")
+#: Whether every type of an iterable of types is exactly ``int``.
+_ALL_INT = {int}.issuperset
 
 
 class TableBinding:
@@ -55,9 +60,14 @@ class TableBinding:
 
     * ``key_of(row)`` — the row's identity on the device: its key
       columns, plus the priority column of a ternary table;
-    * ``wire(kind, row)`` — the P4Runtime update dict of writing the
-      row (the dict :meth:`~repro.p4runtime.api.TableWrite.to_wire`
-      builds for the same entry, key for key);
+    * ``wire(kind, row)`` — the JSON text of the P4Runtime update
+      writing the row: byte for byte what ``dumps`` makes of the dict
+      :meth:`~repro.p4runtime.api.TableWrite.to_wire` builds for the
+      same entry.  Each (kind, action) pair has a ``%``-format made
+      when the binding is generated, holding the table's and action's
+      names and the key layout; a row whose key, parameter and priority
+      values are all exactly ``int`` is that format filled in, and any
+      other value is encoded field by field;
     * ``entry_for(row)`` — the :class:`~repro.p4.tables.TableEntry` it
       denotes, for in-process devices and read-diffs.
 
@@ -117,19 +127,63 @@ class TableBinding:
                 )
             return name, value.fields
 
-        def wire(kind: str, row: tuple) -> dict:
-            match = [
-                {match_kind: payload(value)}
-                for (match_kind, payload), value in zip(fields, row)
-            ]
+        formats = {
+            (kind, name, param_count): self._update_format(
+                kind, name, param_count
+            )
+            for kind in _KINDS
+            for name, param_count in actions.values()
+        }
+        pairs = [kind != "exact" for kind, _ in fields]
+
+        def pair_values(row: tuple) -> Optional[tuple]:
+            """The key values of a table with lpm or ternary columns,
+            flattened, or ``None`` when a pair column is not a pair."""
+            keys = ()
+            for is_pair, value in zip(pairs, row):
+                if not is_pair:
+                    keys += (value,)
+                elif type(value) is tuple and len(value) == 2:
+                    keys += value
+                else:
+                    return None
+            return keys
+
+        key_values = (
+            pair_values if any(pairs)
+            else operator.itemgetter(slice(0, n_keys))
+        )
+
+        def wire(kind: str, row: tuple) -> str:
+            keys = key_values(row)
+            action = row[n_keys]
+            if keys is not None and isinstance(action, StructValue):
+                values = keys + action.fields
+                if priority_at is not None:
+                    values += (row[priority_at],)
+                if _ALL_INT(map(type, values)):
+                    # Every key value is an int, so the key columns
+                    # pass and ``action_of`` raises what the per-field
+                    # path below would.
+                    name, params = action_of(action)
+                    fmt = formats.get((kind, name, len(params)))
+                    if fmt is not None:
+                        return fmt % values
+            values = []
+            for (match_kind, payload), value in zip(fields, row):
+                if match_kind == "exact":
+                    values.append(payload(value))
+                else:
+                    values.extend(payload(value))
             name, params = action_of(row[n_keys])
-            return {
-                "type": kind,
-                "table": table,
-                "match": match,
-                "action": {"name": name, "params": list(params)},
-                "priority": 0 if priority_at is None else row[priority_at],
-            }
+            values.extend(params)
+            if priority_at is not None:
+                values.append(row[priority_at])
+            key = (kind, name, len(params))
+            # A format is made here only for an action added to
+            # ``actions_by_constructor`` after the binding was.
+            fmt = formats.get(key) or self._update_format(*key)
+            return fmt % tuple(map(dumps_text, values))
 
         def entry_for(row: tuple) -> TableEntry:
             matches = [
@@ -143,6 +197,33 @@ class TableBinding:
             return TableEntry(matches, name, params, priority)
 
         return key_of, wire, entry_for
+
+    def _update_format(self, kind: str, name: str, param_count: int) -> str:
+        """The ``%``-format of one (kind, action) pair's update text:
+        one ``%s`` per key value (two for an lpm or ternary pair), per
+        action parameter, and for the priority of a ternary table."""
+
+        def literal(value) -> str:
+            return dumps_text(value).replace("%", "%%")
+
+        match = ",".join(
+            "{%s:%s}"
+            % (literal(field.match_kind),
+               "%s" if field.match_kind == "exact" else "[%s,%s]")
+            for _, field in self.key_columns
+        )
+        return (
+            '{"type":%s,"table":%s,"match":[%s],'
+            '"action":{"name":%s,"params":[%s]},"priority":%s}'
+            % (
+                literal(kind),
+                literal(self.info.name),
+                match,
+                literal(name),
+                ",".join(["%s"] * param_count),
+                "%s" if self.has_priority else "0",
+            )
+        )
 
 
 class GeneratedBindings:

@@ -34,6 +34,12 @@ def dumps(value) -> bytes:
     return json.dumps(value, separators=(",", ":")).encode("utf-8")
 
 
+#: :func:`dumps` as text, for a value written into a larger document
+#: (an update of a write batch): the same encoder settings, so the same
+#: characters — all ASCII.
+dumps_text = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_frame(message: dict) -> bytes:
     """Serialize a message into one wire frame."""
     payload = dumps(message)

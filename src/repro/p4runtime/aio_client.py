@@ -57,23 +57,30 @@ _RESULTS: Dict[str, Callable] = {
 }
 
 
+def _updates_json(updates) -> bytes:
+    """The JSON array of ``updates``: their ``to_json()`` texts, joined."""
+    return b"[%s]" % ",".join([u.to_json() for u in updates]).encode()
+
+
 def _encode_batch(updates, mcast, update_ids, fence, seq=None) -> bytes:
     """The serialised parameters of one ``apply_batch`` request.
 
-    Nothing in them is per device, so a
+    The updates go in as the text each one's ``to_json()`` writes (for
+    a :class:`~repro.p4runtime.api.RowWrite`, its table's generated
+    converter), joined; only the rest of the envelope goes through
+    ``dumps``, once.  Nothing in the parameters is per device, so a
     :class:`~repro.p4runtime.api.WriteList` — the one list a fan-out
     hands every device's client — keeps what it was last encoded to:
-    the fleet's first client pays ``to_wire`` and JSON, the rest splice
-    the same bytes into their own frame.  The other arguments are
-    compared by value, so a caller that re-uses a list with different
-    ones simply encodes again."""
+    the fleet's first client pays the conversion and JSON, the rest
+    splice the same bytes into their own frame.  The other arguments
+    are compared by value, so a caller that re-uses a list with
+    different ones simply encodes again."""
     mcast, update_ids = dict(mcast or ()), list(update_ids or ())
     key = (mcast, update_ids, fence, seq)
     memo = isinstance(updates, WriteList)
     if memo and updates.encoded is not None and updates.encoded[0] == key:
         return updates.encoded[1]
-    envelope = {
-        "updates": [u.to_wire() for u in updates],
+    rest = {
         "mcast": [
             [group, list(ports) if ports is not None else None]
             for group, ports in sorted(mcast.items())
@@ -81,10 +88,12 @@ def _encode_batch(updates, mcast, update_ids, fence, seq=None) -> bytes:
         "update_ids": update_ids,
     }
     if fence is not None:
-        envelope["fence"] = fence
+        rest["fence"] = fence
     if seq is not None:
-        envelope["seq"] = list(seq)
-    params = dumps([envelope])
+        rest["seq"] = list(seq)
+    # ``[{"updates":[...],`` then ``dumps(rest)`` past its ``{``: the
+    # envelope's keys in the order the receivers have always seen.
+    params = b'[{"updates":%s,%s]' % (_updates_json(updates), dumps(rest)[1:])
     if memo:
         updates.encoded = (key, params)
     return params
@@ -268,7 +277,7 @@ class AioP4RuntimeClient:
         return self.call("echo", payload, retryable=True)
 
     def write(self, updates: Sequence[TableWrite]) -> int:
-        result = self.call("write", [u.to_wire() for u in updates])
+        result = self.call("write", _updates_json(updates))
         return result["applied"]
 
     def apply_batch(

@@ -20,12 +20,14 @@ on to keep data-plane state transactional like the rest of the stack.
 
 from __future__ import annotations
 
+import json
 import threading
 from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ReproError, RuntimeApiError
+from repro.mgmt.jsonrpc import dumps_text
 from repro.obs.trace import current_update_id
 from repro.p4.simulator import Simulator
 from repro.p4.tables import FieldMatch, TableEntry
@@ -92,6 +94,10 @@ class TableWrite:
             "priority": self.entry.priority,
         }
 
+    def to_json(self) -> str:
+        """The update's JSON text, as it goes into a request."""
+        return dumps_text(self.to_wire())
+
     @classmethod
     def from_wire(cls, data: dict) -> "TableWrite":
         try:
@@ -114,11 +120,13 @@ class TableWrite:
 class RowWrite:
     """One update of a write batch, kept as the control-plane output row
     it writes: ``binding`` (a :class:`~repro.core.codegen.TableBinding`)
-    converts the row only when asked — ``to_wire()`` straight to the
-    dict :meth:`TableWrite.to_wire` would give, ``entry`` (built once,
-    for in-process devices and read-diffs) to a :class:`TableEntry`.
-    Interchangeable with a :class:`TableWrite` wherever writes are
-    applied or encoded."""
+    converts the row only when asked — ``to_json()`` straight to the
+    update's JSON text (the table's generated ``binding.wire``, byte
+    for byte what :meth:`TableWrite.to_json` gives for the same entry),
+    ``entry`` (built once, for in-process devices and read-diffs) to a
+    :class:`TableEntry`.  Interchangeable with a :class:`TableWrite`
+    wherever writes are applied or encoded; ``to_wire()``, the dict
+    form, is read back from the text."""
 
     __slots__ = ("kind", "table", "row", "binding", "_entry")
 
@@ -135,8 +143,11 @@ class RowWrite:
             self._entry = self.binding.entry_for(self.row)
         return self._entry
 
-    def to_wire(self) -> dict:
+    def to_json(self) -> str:
         return self.binding.wire(self.kind, self.row)
+
+    def to_wire(self) -> dict:
+        return json.loads(self.to_json())
 
     def __repr__(self):
         return f"RowWrite({self.kind} {self.table} {self.row!r})"
@@ -146,7 +157,8 @@ class WriteList(list):
     """The table writes of one batch, with room for the
     request parameters they serialise to: a batch fanned out to a
     fleet — one list object handed to every device's client — is
-    encoded by the first client and spliced into the others' frames
+    encoded by the first client (each write's ``to_json()`` text,
+    joined) and spliced into the others' frames
     (:meth:`AioP4RuntimeClient.apply_batch_async`).  Treat as frozen
     once handed to a client."""
 

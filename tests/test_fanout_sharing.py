@@ -11,8 +11,8 @@
 * **aliasing** — one batch object sits on every device queue; a queue
   that merges into it (or supersedes it) must leave every other
   device's batch, the cells and the update-ids untouched;
-* **counts** — fanning one changeset to N devices runs ``to_wire`` once
-  per update and ``json.dumps`` once, and a whole commit costs the
+* **counts** — fanning one changeset to N devices converts each update
+  to its JSON text once and runs ``json.dumps`` once, and a whole commit costs the
   controller's reactor one wake byte (the ingest's: evaluation and
   fan-out run on the loop itself).  Counts, not timings: they repeat
   exactly;
@@ -369,14 +369,14 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
         add_port(db, 1, 101)
         controller.drain()  # connections, bindings and start syncs done
 
-        counts = {"to_wire": 0, "dumps": 0, "wakes": 0}
-        real_to_wire, real_dumps = RowWrite.to_wire, json.dumps
+        counts = {"to_json": 0, "dumps": 0, "wakes": 0}
+        real_to_json, real_dumps = RowWrite.to_json, json.dumps
         reactor = controller.reactor
         real_wakeup = reactor._wakeup
 
-        def to_wire(self):
-            counts["to_wire"] += 1
-            return real_to_wire(self)
+        def to_json(self):
+            counts["to_json"] += 1
+            return real_to_json(self)
 
         def dumps(*args, **kwargs):
             if threading.current_thread().name == "t-counts-reactor":
@@ -387,7 +387,7 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
             counts["wakes"] += 1
             real_wakeup()
 
-        monkeypatch.setattr(RowWrite, "to_wire", to_wire)
+        monkeypatch.setattr(RowWrite, "to_json", to_json)
         monkeypatch.setattr(json, "dumps", dumps)
         monkeypatch.setattr(reactor, "_wakeup", wakeup)
         before = [device.batches_applied for device in farm.devices]
@@ -397,7 +397,7 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
         assert [d.batches_applied for d in farm.devices] == [
             n + 1 for n in before
         ]
-        assert counts["to_wire"] == 2  # once per update, not x32
+        assert counts["to_json"] == 2  # once per update, not x32
         assert counts["dumps"] == 1  # one envelope for the whole fleet
         assert counts["wakes"] <= 1  # the ingest's; the rest is on the loop
     finally:

@@ -2,8 +2,8 @@
 
 A fan-out records the engine's output rows themselves in the device
 batch, and each table's generated converters
-(:class:`~repro.core.codegen.TableBinding`) turn a row into the wire
-dict or the table entry only when a device needs it.  These tests pin
+(:class:`~repro.core.codegen.TableBinding`) turn a row into the
+update's JSON text or the table entry only when a device needs it.  These tests pin
 what that path must keep:
 
 * **bytes** — for exact, lpm and ternary (with priority) tables, the
@@ -218,16 +218,16 @@ def test_rows_encode_to_the_bytes_of_their_table_entries(ops, fence):
 
 def test_every_match_kind_and_the_priority_reach_the_wire():
     exact, lpm, acl = (_BINDINGS[r] for r in ("ExactT", "LpmT", "AclT"))
-    assert exact.wire("INSERT", (1, 2, forward("ExactT", 3))) == {
+    assert json.loads(exact.wire("INSERT", (1, 2, forward("ExactT", 3)))) == {
         "type": "INSERT", "table": "exact_t",
         "match": [{"exact": 1}, {"exact": 2}],
         "action": {"name": "forward", "params": [3]}, "priority": 0,
     }
-    assert lpm.wire("DELETE", (1, (0x0A000000, 8), forward("LpmT", 2)))[
-        "match"
-    ] == [{"exact": 1}, {"lpm": [0x0A000000, 8]}]
+    assert json.loads(
+        lpm.wire("DELETE", (1, (0x0A000000, 8), forward("LpmT", 2)))
+    )["match"] == [{"exact": 1}, {"lpm": [0x0A000000, 8]}]
     row = (1, (5, 7), StructValue("AclTActionDrop", ()), 9)
-    wired = acl.wire("INSERT", row)
+    wired = json.loads(acl.wire("INSERT", row))
     assert wired["match"] == [{"exact": 1}, {"ternary": [5, 7]}]
     assert (wired["action"], wired["priority"]) == (
         {"name": "drop", "params": []}, 9
