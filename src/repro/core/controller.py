@@ -60,6 +60,7 @@ import itertools
 import threading
 import time
 import uuid
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -76,10 +77,12 @@ from repro.core.pipeline.queues import (
     PipelineStalledError,
     SyncTask,
     Task,
+    when_all,
 )
 from repro.core.planes import (
     ManagedDevice,
     shared_reactor,
+    when_connected,
     wrap_device,
     wrap_mgmt,
 )
@@ -145,9 +148,9 @@ class NerpaController:
         #: leaderships (``repro.mgmt.lease``), and each leadership is a
         #: new controller.
         self.fencing_epoch: Optional[int] = fencing_epoch
-        # Hooks run at the top of stop(), before any transport is torn
-        # down (repro.core.ha releases its leadership lease here).
-        self._stop_hooks: List = []
+        # Hooks told how start()'s recovery ended (repro.core.ha leads
+        # only once it has succeeded).
+        self._start_hooks: List = []
         # Warm-start state: if a compatible checkpoint chain exists,
         # restore the engine from it instead of recomputing the
         # fixpoint; anything else silently degrades to a cold start.
@@ -228,7 +231,8 @@ class NerpaController:
         #: Devices whose reported config epoch matched the checkpoint,
         #: letting the warm start skip their full resync.
         self.warm_skips = 0
-        #: Wall-clock seconds of the last :meth:`start` call.
+        #: Wall-clock seconds from :meth:`start` to the end of its
+        #: recovery (every device's initial sync done).
         self.start_seconds = 0.0
         self._stage_seconds: Dict[str, List[float]] = {
             "ingest": [],
@@ -259,7 +263,10 @@ class NerpaController:
           pipeline, queued behind those syncs.
 
         Blocks until the initial state is applied; semantic write
-        failures are raised here.
+        failures are raised here.  Called on the controller's own
+        reactor (a loop callback: an HA promotion), it queues that same
+        recovery and returns, as :meth:`stop` there does not wait
+        either; :meth:`on_started` hooks learn how the recovery ended.
         """
         if self._started:
             raise ReproError("controller already started")
@@ -279,18 +286,41 @@ class NerpaController:
             self._fanout_plane.channel(device, applier, name=device.name)
             for device in self.devices
         ]
+        steps = self._start_steps(started_at)
+        if self.reactor.in_loop():
+            reconcile.drive(steps, self._run_start_hooks)
+            return self
+        recovered = Task(None)
+        self.on_started(lambda error: recovered.finish(None, error))
+        if not self.reactor.submit(
+            reconcile.drive, steps, self._run_start_hooks
+        ):
+            raise ReproError("the controller's reactor is stopped")
+        recovered.wait("initial device sync")
+        self.drain()
+        return self
+
+    def _start_steps(self, started_at: float):
+        """The body of :meth:`start`, on the loop, as a generator for
+        :func:`~repro.core.reconcile.drive`: wait out devices still
+        dialling (a sync's calls fail fast, and a first connect runs no
+        reconnect hook to repair it), subscribe to them, run
+        :meth:`_recover` as an engine task, wait for every device's
+        initial sync, then go live."""
+        yield partial(when_connected, self.devices, self.reactor)
+        if not self._started:
+            raise ReproError("controller stopped before its devices connected")
         for device in self.devices:
-            # Waits out a device still dialling, so the syncs below, whose
-            # calls fail fast, find it connected.
             device.io.attach_digests(self._on_digest)
             device.io.on_reconnect(
                 lambda device=device: self.resync_device(device, wait=False)
             )
         self.restart_mode = "cold" if self._restored is None else "warm"
-        for task in self._submit_engine(self._recover):
-            task.wait("initial device sync")
+        syncs = yield self._submit_engine(self._recover, wait=False).then
+        yield partial(when_all, syncs)
+        if not self._started:
+            raise ReproError("controller stopped before its initial sync")
         self.mgmt.on_reconnect(self._on_mgmt_reconnect)
-        self.drain()
         if self.state_dir is not None and self.checkpoint_interval_s:
             self.checkpoints.start_timer(
                 self.reactor, self.checkpoint_interval_s, self.save_checkpoint
@@ -304,7 +334,22 @@ class NerpaController:
                 obs.REGISTRY.histogram(
                     "controller_warm_start_seconds"
                 ).observe(self.start_seconds)
-        return self
+
+    def on_started(self, hook) -> None:
+        """Register ``hook(error)`` to run on the controller's reactor
+        once :meth:`start`'s recovery has ended: ``error`` is ``None``
+        when every device's initial sync succeeded, else what
+        :meth:`start` raises.  Hooks run once; one that raises is
+        counted as a loop callback error."""
+        self._start_hooks.append(hook)
+
+    def _run_start_hooks(self, _result, error: Optional[BaseException]) -> None:
+        hooks, self._start_hooks = self._start_hooks, []
+        for hook in hooks:
+            try:
+                hook(error)
+            except Exception as exc:  # noqa: BLE001 - the next still runs
+                self.reactor.note_callback_error(exc)
 
     def _recover(self) -> List[SyncTask]:
         """Engine task behind :meth:`start`; returns the per-device sync
@@ -372,28 +417,20 @@ class NerpaController:
         1. cancel the background checkpoint timer, on the loop — a save
            in flight there finishes first, and none starts after it, so
            none reads the runtime closed below;
-        2. run the registered stop hooks (lease release, etc.) while
-           the transports are still up;
-        3. drain, unsubscribe, close the queues, wait out a transaction
+        2. drain, unsubscribe, close the queues, wait out a transaction
            running on the loop, close the runtime.
 
         Re-entrancy: stop() may be invoked from an engine task or a
-        monitor callback reacting to a lease-table update.  On the
+        monitor callback reacting to a lease-table update, and an HA
+        replica calls it on the loop (a demotion, or a stop racing a
+        promotion whose recovery is still queued).  On the
         reactor it skips the drain and the wait, which would wait for
-        itself.  From a remote management client's monitor callback the
-        blocking unsubscribe raises (it would wait on the loop running
-        the callback) and is skipped: the client has already dropped
-        the callback, so no later update reaches this controller.
-        Stopping a stack whose management plane is already down must
-        not raise out of teardown either.
+        itself.  Unsubscribing never waits (a remote monitor's cancel is
+        sent, not awaited), so no loop is held, a management client's
+        own included.  Stopping a stack whose management plane is
+        already down must not raise out of teardown either.
         """
         self.checkpoints.stop_timer()
-        for hook in list(self._stop_hooks):
-            try:
-                hook()
-            except Exception:  # noqa: BLE001 - teardown must not raise
-                pass
-        self._stop_hooks = []
         on_loop = self.reactor is not None and self.reactor.in_loop()
         if self._started and not on_loop:
             try:
@@ -416,12 +453,6 @@ class NerpaController:
                     idle.wait(2.0)
             self._fanout_plane = None
         self.runtime.close()
-
-    def on_stop(self, hook) -> None:
-        """Register ``hook`` to run at the top of :meth:`stop`, before
-        any transport or thread is torn down.  Hooks run once and are
-        cleared; exceptions are swallowed (teardown must complete)."""
-        self._stop_hooks.append(hook)
 
     def __enter__(self) -> "NerpaController":
         return self.start()
@@ -600,7 +631,8 @@ class NerpaController:
             self._wake_engine()
 
     def _submit_engine(self, fn, wait: bool = True):
-        """Run ``fn`` as an engine task (it owns runtime + mcast)."""
+        """Run ``fn`` as an engine task (it owns runtime + mcast): its
+        result, or with ``wait=False`` the queued :class:`Task`."""
         queue = self.engine_queue
         if queue is None or queue.closed:
             raise ReproError("controller not started")
@@ -608,7 +640,7 @@ class NerpaController:
             self._refuse_on_loop("waiting for an engine task")
         task = Task(fn)
         queue.put(task)
-        return task.wait("engine task") if wait else None
+        return task.wait("engine task") if wait else task
 
     def _refuse_on_loop(self, what: str) -> None:
         if self.reactor is not None and self.reactor.in_loop():

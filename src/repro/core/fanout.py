@@ -225,8 +225,10 @@ class BatchApplier:
         if isinstance(item, SyncTask):
 
             def finish(result, error) -> None:
-                item.finish(result, error)
-                done(None)
+                try:
+                    item.finish(result, error)  # runs its then() callback
+                finally:
+                    done(None)
 
             drive(item.steps, finish)
             return

@@ -36,9 +36,13 @@ Roles::
         └────────────────────────── demoted
              fresh follower,  controller.stop()
 
-Timestamps for lease operations come from an injectable ``clock`` so
-tests drive expiry deterministically; all waiting is event-based
-(``poke()`` / the lease-table monitor), never bare sleeps.
+Every tick, lease answer, promotion and demotion is a callback on the
+reactor the replica's controller runs on, so a lease renew is ordered
+with the engine's transactions instead of racing them from a thread of
+its own; lease calls never block that loop.  Timestamps for lease
+operations come from an injectable ``clock`` so tests drive expiry
+deterministically; ticks are loop timers, woken early by ``poke()`` and
+the lease-table monitor, never bare sleeps.
 """
 
 from __future__ import annotations
@@ -47,16 +51,19 @@ import os
 import threading
 import time
 import uuid
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.core import warmstate
 from repro.core.controller import NerpaController
 from repro.core.pipeline import NerpaProject
-from repro.core.planes import wrap_mgmt
+from repro.core.pipeline.queues import Task
+from repro.core.planes import shared_reactor, wrap_mgmt
 from repro.dlog import checkpoint as ckpt
-from repro.errors import ReproError, TransactionError
+from repro.errors import ConnectionLostError, ReproError, TransactionError
 from repro.mgmt.lease import LEASE_TABLE
+from repro.net.reactor import Reactor, default_reactor
 
 class CheckpointFollower:
     """Keeps a runtime warm by tailing a shared checkpoint chain.
@@ -182,19 +189,26 @@ class CheckpointFollower:
 class HAController:
     """One replica of a highly-available controller pair (or fleet).
 
-    Runs a loop thread that is either **standby** — tailing the shared
-    checkpoint chain and trying to acquire the leadership lease every
-    ``poll_interval`` — or **leader** — renewing the lease every
-    ``renew_interval`` behind a running
-    :class:`~repro.core.controller.NerpaController`.  A failed renewal
-    demotes immediately (stop the controller, resume following); a
-    successful acquisition promotes a controller built on the
-    follower's runtime (``warm_source``).
+    A state machine on the reactor its controller runs on (the device
+    clients' own, else the process default).  A **standby** tails the
+    shared checkpoint chain and tries to acquire the leadership lease
+    every ``poll_interval``, and whenever the lease table changes.  A
+    won acquisition builds a
+    :class:`~repro.core.controller.NerpaController` on the follower's
+    runtime (``warm_source``) and queues its recovery; the replica is
+    **leader** once that recovery has finished, and drops the lease if
+    it failed.  The lease is renewed every ``renew_interval`` from the
+    acquisition on.  A renewal that fails, or is not answered within
+    the time left on the lease, demotes at once (stop the controller,
+    resume following); one that finds the management connection
+    re-dialling is tried again while the lease lasts.
 
     ``mgmt`` is a :class:`~repro.mgmt.database.Database` or
     :class:`~repro.mgmt.client.ManagementClient` — both expose the
     ``lease_*`` operations and a lease-table monitor, and both are
-    accepted by ``NerpaController`` directly.
+    accepted by ``NerpaController`` directly.  Lease calls go through
+    the plane adapter's non-blocking ``call_async``: inline on an
+    in-process database, over the client's connection otherwise.
     """
 
     def __init__(
@@ -230,40 +244,50 @@ class HAController:
         self.controller: Optional[NerpaController] = None
         self.follower: Optional[CheckpointFollower] = None
         self.role = "standby"
+        #: The fencing epoch of the lease this replica holds, from the
+        #: won acquisition on (``None``: it holds none).
         self.epoch: Optional[int] = None
+        #: The loop every tick runs on (set by :meth:`start`).
+        self.reactor: Optional[Reactor] = None
         # Metrics.
         self.takeovers = 0
         self.takeover_seconds: Optional[float] = None
         self.renewals = 0
         self.lost_leaderships = 0
+        #: The latest a renew tick ran after it was due, in seconds:
+        #: what the loop's longest callbacks cost the lease.
+        self.renew_lateness_max = 0.0
 
-        self._wake = threading.Event()
-        self._stop_event = threading.Event()
-        self._role_events: Dict[str, threading.Event] = {
-            "standby": threading.Event(),
-            "leader": threading.Event(),
-        }
-        self._thread: Optional[threading.Thread] = None
-        self._lease_watch = None  # plane adapter holding the lease monitor
-        self._release_on_stop = True
+        self._role_changed = threading.Condition()
+        self._lease = None  # plane adapter: lease calls and the watch
+        self._running = False
+        self._timer = None  # the armed tick
+        self._renew_due = 0.0  # time.monotonic() the armed renew is due
+        # time.monotonic() the held lease runs out: the send of the
+        # last acquire or renew the server granted, plus the TTL.
+        self._expires = 0.0
+        self._promoting: Optional[NerpaController] = None
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "HAController":
-        if self._thread is not None:
+        if self._running:
             raise ReproError("HA controller already started")
-        self.follower = self._make_follower()
-        self._watch_lease()
-        self._set_role("standby")
-        self._thread = threading.Thread(
-            target=self._loop, name=f"nerpa-ha-{self.owner}", daemon=True
+        self.reactor = (
+            shared_reactor(self.devices, self.controller_kwargs.get("reactor"))
+            or default_reactor()
         )
-        self._thread.start()
+        self.follower = self._make_follower()
+        self._running = True
+        self._set_role("standby")
+        self._lease = wrap_mgmt(self.mgmt)
+        self._lease.subscribe([LEASE_TABLE], self._on_lease_update)
+        self.reactor.submit(self._poll)
         return self
 
     def stop(self) -> None:
-        """Graceful shutdown: the controller's stop hook releases the
-        lease, so a standby takes over without waiting out the TTL."""
+        """Graceful shutdown: release any lease this replica holds, so a
+        standby takes over without waiting out the TTL."""
         self._shutdown(release=True)
 
     def kill(self) -> None:
@@ -273,29 +297,38 @@ class HAController:
         self._shutdown(release=False)
 
     def _shutdown(self, release: bool) -> None:
-        self._release_on_stop = release
-        self._stop_event.set()
-        self._wake.set()
-        thread = self._thread
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=10.0)
-        self._thread = None
+        """Halt on the loop.  A caller off it waits until the replica is
+        quiet: a graceful release answered."""
+        reactor = self.reactor
+        if reactor is None:
+            return
+        if reactor.in_loop():
+            self._halt(release, None)
+        else:
+            quiet = Task(None)
+            if not reactor.submit(self._halt, release, quiet.finish):
+                self._halt(release, quiet.finish)  # nothing runs there now
+            try:
+                quiet.wait("HA shutdown", self.ttl + 30.0)
+            except ReproError:
+                pass  # teardown must not raise
         self._unwatch_lease()
-        self._stop_controller()  # runs the lease-release hook
-        if self.follower is not None:
-            self.follower.close()
-            self.follower = None
 
     def poke(self) -> None:
-        """Wake the loop now (tests use this instead of sleeping)."""
-        self._wake.set()
+        """Run the next tick now (tests use this instead of sleeping)."""
+        if self.reactor is not None:
+            self.reactor.submit(self._tick_now)
 
     @property
     def is_leader(self) -> bool:
         return self.role == "leader"
 
     def wait_for_role(self, role: str, timeout: float = 10.0) -> bool:
-        return self._role_events[role].wait(timeout)
+        """Off the loop: wait until this replica's role is ``role``."""
+        with self._role_changed:
+            return self._role_changed.wait_for(
+                lambda: self.role == role, timeout
+            )
 
     def metrics(self) -> Dict[str, object]:
         out = {
@@ -306,6 +339,7 @@ class HAController:
             "takeover_seconds": self.takeover_seconds,
             "renewals": self.renewals,
             "lost_leaderships": self.lost_leaderships,
+            "renew_lateness_max": self.renew_lateness_max,
         }
         follower = self.follower
         if follower is not None:
@@ -317,82 +351,92 @@ class HAController:
             }
         return out
 
-    # -- the role loop -------------------------------------------------------
+    # -- the state machine (loop callbacks) ----------------------------------
 
-    def _loop(self) -> None:
-        while not self._stop_event.is_set():
-            if self.role == "standby":
-                self._standby_tick()
-            else:
-                self._leader_tick()
+    def _tick_now(self) -> None:
+        """Run the armed tick now.  None is armed while an acquire or a
+        renew is out: its answer arms the next."""
+        timer, self._timer = self._timer, None
+        if timer is not None:
+            timer.cancel()
+            timer.fn()
 
-    def _standby_tick(self) -> None:
-        follower = self.follower
-        if follower is not None:
-            try:
-                follower.poll()
-            except Exception:  # noqa: BLE001 - keep following
-                pass
-        try:
-            lease = self.mgmt.lease_acquire(
-                self.lease_name, self.owner, self.ttl, now=self.clock()
-            )
-        except (ReproError, TransactionError, OSError):
-            lease = None
-        if self._stop_event.is_set():
-            return
-        if lease is not None and lease["owner"] == self.owner:
-            self._promote(lease)
-            return
-        self._wake.clear()
-        self._wake.wait(self.poll_interval)
-
-    def _leader_tick(self) -> None:
-        self._wake.clear()
-        self._wake.wait(self.renew_interval)
-        if self._stop_event.is_set():
+    def _poll(self) -> None:
+        """Standby tick: absorb what the leader has checkpointed since.
+        The acquire is a timer of its own, never part of this callback:
+        a full reload holds the loop for a tenth of a second or more,
+        and a leader sharing the loop must get its overdue renew in
+        first — timers run in due order.  (That order holds at an
+        in-process database; two management clients are two
+        connections, which the server may read in either order.)"""
+        self._timer = None
+        if not self._running or self.epoch is not None:
             return
         try:
-            renewed = self.mgmt.lease_renew(
-                self.lease_name,
-                self.owner,
-                self.epoch,
-                self.ttl,
-                now=self.clock(),
-            )
-        except (ReproError, TransactionError, OSError):
-            renewed = False
-        if renewed:
-            self.renewals += 1
-            if obs.enabled():
-                obs.REGISTRY.counter("ha_lease_renewals_total").inc()
-        else:
-            self._demote()
+            self.follower.poll()
+        except Exception:  # noqa: BLE001 - keep following
+            pass
+        self._timer = self.reactor.call_later(0.0, self._acquire)
 
-    def _promote(self, lease: dict) -> None:
-        started = time.perf_counter()
-        self.epoch = int(lease["epoch"])
-        runtime, warm = self.follower.detach()
-        controller = NerpaController(
-            self.project,
-            self.mgmt,
-            self.devices,
-            state_dir=self.state_dir,
-            fencing_epoch=self.epoch,
-            warm_source=(runtime, warm),
-            **self.controller_kwargs,
+    def _acquire(self) -> None:
+        self._timer = None
+        if not self._running or self.epoch is not None:
+            return
+        self._call(
+            "lease_acquire",
+            [self.lease_name, self.owner, self.ttl, self.clock(), False],
+            partial(self._acquired, self._lease, time.monotonic() + self.ttl),
+            self.ttl,
         )
-        controller.on_stop(self._release_lease)
+
+    def _acquired(self, plane, expires: float, lease, error) -> None:
+        if not self._running or plane is not self._lease:
+            # Halted since (and maybe restarted): a graceful stop's
+            # release went out behind this call, a kill keeps the lease.
+            return
+        if error is None and lease is not None and lease["owner"] == self.owner:
+            self.epoch = int(lease["epoch"])
+            self._expires = expires
+            self._promote()
+        else:
+            self._arm_poll()
+
+    def _promote(self) -> None:
+        """Build the controller on the follower's runtime and queue its
+        recovery; :meth:`_promoted` makes this replica the leader once
+        that has finished.  The lease is renewed meanwhile."""
+        started = time.perf_counter()
+        runtime, warm = self.follower.detach()
+        self._arm_renew()
         try:
-            controller.start()
-        except Exception:
+            controller = NerpaController(
+                self.project,
+                self.mgmt,
+                self.devices,
+                state_dir=self.state_dir,
+                fencing_epoch=self.epoch,
+                warm_source=(runtime, warm),
+                **dict(self.controller_kwargs, reactor=self.reactor),
+            )
+        except Exception:  # noqa: BLE001 - a takeover that cannot begin
+            self._step_down()
+            return
+        self._promoting = controller
+        controller.on_started(partial(self._promoted, controller, started))
+        try:
+            controller.start()  # on its own loop: queues the recovery
+        except Exception as exc:  # noqa: BLE001
+            self._promoted(controller, started, exc)
+
+    def _promoted(self, controller, started: float, error) -> None:
+        if self._promoting is not controller:
+            return  # stopped or deposed while it recovered
+        if error is not None:
             # A failed takeover must not wedge the replica as a
             # half-leader: drop the lease and resume following.
-            self._stop_controller(controller)
-            self._release_lease()
-            self.epoch = None
-            self.follower = self._make_follower()
+            self._step_down()
             return
+        self._promoting = None
         self.controller = controller
         self.takeovers += 1
         self.takeover_seconds = time.perf_counter() - started
@@ -405,6 +449,49 @@ class HAController:
             obs.REGISTRY.gauge("ha_fencing_epoch").set(self.epoch)
         self._set_role("leader")
 
+    def _renew(self) -> None:
+        """Lease tick.  The call's deadline is the time left on the
+        lease: past it another replica may hold the lease, so a renewal
+        not answered by then demotes.  A renew that runs after the
+        expiry (a long loop callback ran first) still goes out, with
+        ``renew_interval`` to answer: the server's (owner, epoch) guard
+        decides, as it does inline for an in-process database."""
+        self._timer = None
+        if not self._running or self.epoch is None:
+            return
+        sent = time.monotonic()
+        lateness = max(0.0, sent - self._renew_due)
+        self.renew_lateness_max = max(self.renew_lateness_max, lateness)
+        if obs.enabled():
+            obs.REGISTRY.histogram("ha_renew_lateness_seconds").observe(
+                lateness
+            )
+        self._call(
+            "lease_renew",
+            [self.lease_name, self.owner, self.epoch, self.ttl, self.clock()],
+            partial(self._renewed, self.epoch, sent + self.ttl),
+            max(self._expires - sent, self.renew_interval),
+        )
+
+    def _renewed(self, epoch: int, expires: float, renewed, error) -> None:
+        if not self._running or epoch != self.epoch:
+            return  # halted, or stepped down while the call was out
+        if error is None and renewed:
+            self._expires = expires
+            self.renewals += 1
+            if obs.enabled():
+                obs.REGISTRY.counter("ha_lease_renewals_total").inc()
+            self._arm_renew()
+        elif (
+            isinstance(error, ConnectionLostError)
+            and time.monotonic() < self._expires
+        ):
+            # The connection dropped or is re-dialling: try again while
+            # the lease lasts, as a blocking call would have waited.
+            self._arm_renew()
+        else:
+            self._demote()
+
     def _demote(self) -> None:
         """The lease was lost (expired under us, or another replica's
         acquisition deposed this one): stop acting as leader *now* and
@@ -415,19 +502,81 @@ class HAController:
         if obs.enabled():
             obs.REGISTRY.counter("ha_lease_losses_total").inc()
             obs.REGISTRY.gauge("ha_is_leader", owner=self.owner).set(0)
-        self._stop_controller()
-        self.epoch = None
-        self.follower = self._make_follower()
+        self._step_down()
+
+    def _step_down(self) -> None:
+        """Leave the lease and the controller; resume following."""
         self._set_role("standby")
+        if self._timer is not None:
+            self._timer.cancel()
+        self._stop_controller()
+        self._release()
+        self.follower.close()
+        self.follower = self._make_follower()
+        self._arm_poll()
+
+    def _halt(self, release: bool, done) -> None:
+        """The shutdown itself; ``done(None, None)`` once it is quiet.
+        A graceful stop releases the lease whether or not it holds one:
+        an acquire still in flight may have won it, and the release,
+        sent behind it on the same connection, acts only for this
+        owner.  A kill keeps it, as a crash would."""
+        if not self._running:
+            if done is not None:
+                done(None, None)
+            return
+        self._running = False
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._stop_controller()
+        if self.follower is not None:
+            self.follower.close()
+            self.follower = None
+        self._set_role("standby")
+        if release:
+            self._release(done)
+        else:
+            self.epoch = None
+            if done is not None:
+                done(None, None)
 
     # -- plumbing ------------------------------------------------------------
 
-    def _stop_controller(self, controller=None) -> None:
-        """Stop ``controller`` (default: the running one, which is
-        forgotten first).  Never raises: shutdown, a failed takeover and
-        a demotion must all reach their next state."""
-        if controller is None:
-            controller, self.controller = self.controller, None
+    def _call(self, method: str, args: list, callback, timeout: float) -> None:
+        """A lease call, whose answer runs on the replica's loop (in
+        place, if that one has stopped)."""
+        reactor = self.reactor
+
+        def answered(result, error) -> None:
+            if reactor.in_loop() or not reactor.submit(callback, result, error):
+                callback(result, error)
+
+        self._lease.call_async(method, args, answered, timeout=timeout)
+
+    def _release(self, done=None) -> None:
+        """Give the lease up; if the call fails, it simply expires."""
+        self.epoch = None
+        self._call(
+            "lease_release",
+            [self.lease_name, self.owner],
+            lambda _released, _error: done and done(None, None),
+            self.ttl,
+        )
+
+    def _arm_poll(self) -> None:
+        self._timer = self.reactor.call_later(self.poll_interval, self._poll)
+
+    def _arm_renew(self) -> None:
+        self._renew_due = time.monotonic() + self.renew_interval
+        self._timer = self.reactor.call_later(self.renew_interval, self._renew)
+
+    def _stop_controller(self) -> None:
+        """Stop the running controller, or one still recovering.  Never
+        raises: a shutdown, a failed takeover and a demotion must all
+        reach their next state."""
+        controller = self.controller or self._promoting
+        self.controller = self._promoting = None
         if controller is not None:
             try:
                 controller.stop()
@@ -443,39 +592,24 @@ class HAController:
         }
         return CheckpointFollower(self.project, self.state_dir, **sharding)
 
-    def _release_lease(self) -> None:
-        if not self._release_on_stop:
-            return
-        try:
-            self.mgmt.lease_release(self.lease_name, self.owner)
-        except (ReproError, TransactionError, OSError):
-            pass
-
     def _set_role(self, role: str) -> None:
-        self.role = role
-        for name, event in self._role_events.items():
-            if name == role:
-                event.set()
-            else:
-                event.clear()
+        with self._role_changed:
+            self.role = role
+            self._role_changed.notify_all()
 
     def _on_lease_update(self, _updates) -> None:
         # A lease-table commit: a graceful release or a peer's
         # acquisition.  Wake a standby so takeover latency is bounded
-        # by delivery, not by poll_interval.  The leader's own renewals
-        # land here too — do not wake it, or renew would busy-loop.
-        if self.role != "leader":
-            self._wake.set()
-
-    def _watch_lease(self) -> None:
-        self._lease_watch = wrap_mgmt(self.mgmt)
-        self._lease_watch.subscribe([LEASE_TABLE], self._on_lease_update)
+        # by delivery, not by poll_interval.  A replica holding the
+        # lease sees its own renewals here too — do not wake it, or
+        # renew would busy-loop.
+        if self._running and self.epoch is None:
+            self.reactor.submit(self._tick_now)
 
     def _unwatch_lease(self) -> None:
-        watch, self._lease_watch = self._lease_watch, None
-        if watch is not None:
+        if self._lease is not None:
             try:
-                watch.unsubscribe()
+                self._lease.unsubscribe()
             except (ReproError, TransactionError, OSError):
                 pass
 

@@ -42,33 +42,46 @@ class PipelineStalledError(ReproError):
 
 class Task:
     """A control item: the engine pump :meth:`run`\\ s it on the loop
-    (``fn()`` returns the result), and any thread off the reactor may
-    wait for its result."""
+    (``fn()`` returns the result).  Any thread off the reactor may wait
+    for its result; a callback on the loop has :meth:`then` call it
+    back instead."""
 
-    __slots__ = ("fn", "event", "result", "error")
+    __slots__ = ("fn", "event", "result", "error", "_then")
 
     def __init__(self, fn):
         self.fn = fn
         self.event = threading.Event()
         self.result = None
         self.error: Optional[BaseException] = None
+        self._then: Optional[Callable] = None
 
     def run(self) -> None:
         try:
-            self.result = self.fn()
+            result, error = self.fn(), None
         except BaseException as exc:  # noqa: BLE001 - handed to waiter
-            self.error = exc
-        finally:
-            self.event.set()
+            result, error = None, exc
+        self.finish(result, error)
 
     def finish(self, result, error: Optional[BaseException]) -> None:
         self.result, self.error = result, error
         self.event.set()
+        self._fire()
 
     def abandon(self) -> None:
         """Release the waiter of a task that will never run."""
-        self.error = ReproError("task abandoned: its queue was closed")
-        self.event.set()
+        self.finish(None, ReproError("task abandoned: its queue was closed"))
+
+    def then(self, callback: Callable) -> None:
+        """Have ``callback(result, error)`` run once the task has
+        finished: where it finishes, or at once if it already has."""
+        self._then = callback
+        if self.event.is_set():
+            self._fire()
+
+    def _fire(self) -> None:
+        callback, self._then = self._then, None
+        if callback is not None:
+            callback(self.result, self.error)
 
     def wait(self, what: str, timeout: float = 30.0):
         """The task's result; re-raises what ``fn`` raised."""
@@ -77,6 +90,26 @@ class Task:
         if self.error is not None:
             raise self.error
         return self.result
+
+
+def when_all(tasks, callback: Callable) -> None:
+    """``callback(None, error)`` once every task in ``tasks`` has
+    finished; ``error`` is the first failed task's, in ``tasks`` order.
+    One countdown, not a chain: tasks that finished already call back
+    in turn instead of nesting."""
+    left = len(tasks)
+
+    def one(_result, _error) -> None:
+        nonlocal left
+        left -= 1
+        if left == 0:
+            errors = (task.error for task in tasks if task.error is not None)
+            callback(None, next(errors, None))
+
+    if not tasks:
+        callback(None, None)
+    for task in tasks:
+        task.then(one)
 
 
 class SyncTask(Task):

@@ -13,14 +13,20 @@ flavours, and is the P4Runtime client's: ``apply_batch_async`` and
 a ``callback(result, error)`` that runs on the loop.  An in-process
 device answers inline, so its service is a loop callback and must not
 block; a remote one answers when its response arrives.
+
+The management surface has the same call for the lease operations an
+HA replica makes (``lease_acquire``, ``lease_renew``,
+``lease_release``): an in-process database answers inline, a remote
+one on the management client's loop, bounded by ``timeout``.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional
 
-from repro.errors import ProtocolError, ReproError
-from repro.mgmt.client import ManagementClient
+from repro.errors import ConnectionLostError, ProtocolError, ReproError
+from repro.mgmt.client import LEASE_ANSWERS, ManagementClient
 from repro.mgmt.database import Database
 from repro.mgmt.monitor import MonitorSpec, TableUpdates
 from repro.net.reactor import Reactor
@@ -34,6 +40,17 @@ from repro.p4runtime.api import DeviceService, TableWrite
 #: :meth:`NerpaController.drain` — they indicate a controller bug, not
 #: a flaky peer.
 TRANSPORT_ERRORS = (ProtocolError, OSError)
+
+
+def _call_inline(fn, args: list, callback) -> None:
+    """Answer a non-blocking call at once: ``callback`` gets what ``fn``
+    returns or raises."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - handed to the callback
+        callback(None, exc)
+    else:
+        callback(result, None)
 
 
 class LocalMgmt:
@@ -53,6 +70,10 @@ class LocalMgmt:
 
     def on_reconnect(self, hook) -> None:
         pass  # in-process databases do not disconnect
+
+    def call_async(self, method: str, args: list, callback, timeout=None):
+        """Answered inline, so there is no deadline to keep."""
+        _call_inline(getattr(self.db, method), args, callback)
 
     def health(self) -> Dict[str, object]:
         return {"peer": "local-db", "state": "connected", "transitions": []}
@@ -77,6 +98,22 @@ class RemoteMgmt:
     def on_reconnect(self, hook) -> None:
         self.client.on_reconnect(hook)
 
+    def call_async(
+        self, method: str, args: list, callback, timeout: Optional[float]
+    ) -> None:
+        """``callback`` runs on the client's own loop."""
+        read = LEASE_ANSWERS[method]
+
+        def answered(result, error) -> None:
+            if error is None:
+                try:
+                    result = read(result)
+                except Exception as exc:  # noqa: BLE001 - a malformed answer
+                    result, error = None, exc
+            callback(result, error)
+
+        self.client.conn.call_async(method, args, answered, timeout=timeout)
+
     def health(self) -> Dict[str, object]:
         return self.client.health()
 
@@ -86,9 +123,12 @@ class LocalDevice:
     with what the service returns or raises — except ``read_table``,
     adapted to what a P4Runtime client's returns."""
 
-    #: No connection: never parked on a drain, no send buffer to report.
+    #: No connection: never parked on a drain, no send buffer to report,
+    #: never dialled.
     writable = True
     send_buffer_bytes = None
+    connected = True
+    timeout = 0.0
 
     def __init__(self, target):
         if isinstance(target, Simulator):
@@ -101,12 +141,7 @@ class LocalDevice:
         return getattr(self.service, name)
 
     def call_async(self, method: str, args: list, callback) -> None:
-        try:
-            result = getattr(self, method)(*args)
-        except Exception as exc:  # noqa: BLE001 - handed to the callback
-            callback(None, exc)
-        else:
-            callback(result, None)
+        _call_inline(getattr(self, method), args, callback)
 
     def apply_batch_async(
         self, updates, mcast=None, update_ids=None, callback=None,
@@ -176,8 +211,6 @@ class RemoteDevice:
         return self.client.writable
 
     def attach_digests(self, callback) -> None:
-        # Blocking, off the loop: a client still dialling is waited for,
-        # up to its call timeout (``start()`` relies on it).
         self.client.subscribe_digests(callback)
 
     def note_event(self, tag: str) -> None:
@@ -260,6 +293,33 @@ def wrap_mgmt(target):
     if isinstance(target, ManagementClient):
         return RemoteMgmt(target)
     raise TypeError(f"cannot use {target!r} as a management plane")
+
+
+def when_connected(
+    devices: List[ManagedDevice], reactor: Reactor, callback, poll=0.01
+) -> None:
+    """On ``reactor``'s loop: ``callback(None, error)`` once every one
+    of ``devices`` is connected — inline when all are, else from a
+    ``poll`` timer, so a client still dialling holds no loop.  A device
+    not connected within its client's call timeout fails it with
+    :class:`~repro.errors.ConnectionLostError`."""
+    deadline = time.monotonic() + max(
+        (device.io.timeout for device in devices), default=0.0
+    )
+
+    def check() -> None:
+        dialling = next((d for d in devices if not d.io.connected), None)
+        if dialling is None:
+            callback(None, None)
+        elif time.monotonic() >= deadline:
+            state = dialling.io.health()["state"]
+            callback(
+                None, ConnectionLostError(f"{dialling.name} is {state}")
+            )
+        else:
+            reactor.call_later(poll, check)
+
+    check()
 
 
 def shared_reactor(devices, reactor: Optional[Reactor]) -> Optional[Reactor]:

@@ -33,6 +33,15 @@ from repro.obs.trace import use_update_id
 
 _DEFAULT_TIMEOUT = 30.0
 
+#: What each lease method's answer holds for its caller (the blocking
+#: methods below, and ``call_async`` callers such as an HA replica).
+LEASE_ANSWERS: Dict[str, Callable[[dict], object]] = {
+    "lease_acquire": lambda answer: answer["lease"],
+    "lease_renew": lambda answer: bool(answer["renewed"]),
+    "lease_release": lambda answer: bool(answer["released"]),
+    "lease_get": lambda answer: answer["lease"],
+}
+
 
 class ManagementClient:
     """Connects to a :class:`~repro.mgmt.server.ManagementServer`."""
@@ -188,9 +197,16 @@ class ManagementClient:
         return monitor_id, self._decode_updates(result["initial"])
 
     def monitor_cancel(self, monitor_id: str) -> None:
+        """Stop ``monitor_id``'s callback at once and cancel it at the
+        server without waiting for the answer, so any thread may call
+        it, a loop's included (the server also drops a connection's
+        monitors when it closes)."""
         with self._dispatch_lock:
             self._monitor_callbacks.pop(monitor_id, None)
-        self.call("monitor_cancel", [monitor_id])
+        self.conn.call_async(
+            "monitor_cancel", [monitor_id], lambda _r, _e: None,
+            timeout=self.conn.policy.call_timeout,
+        )
 
     # -- leases (leader election; see repro.mgmt.lease) ---------------------
 
@@ -202,8 +218,7 @@ class ManagementClient:
         now: Optional[float] = None,
         steal: bool = False,
     ) -> Optional[dict]:
-        result = self.call("lease_acquire", [name, owner, ttl, now, steal])
-        return result["lease"]
+        return self._lease("lease_acquire", [name, owner, ttl, now, steal])
 
     def lease_renew(
         self,
@@ -213,16 +228,16 @@ class ManagementClient:
         ttl: float,
         now: Optional[float] = None,
     ) -> bool:
-        result = self.call("lease_renew", [name, owner, epoch, ttl, now])
-        return bool(result["renewed"])
+        return self._lease("lease_renew", [name, owner, epoch, ttl, now])
 
     def lease_release(self, name: str, owner: str) -> bool:
-        result = self.call("lease_release", [name, owner])
-        return bool(result["released"])
+        return self._lease("lease_release", [name, owner])
 
     def lease_get(self, name: str) -> Optional[dict]:
-        result = self.call("lease_get", [name])
-        return result["lease"]
+        return self._lease("lease_get", [name])
+
+    def _lease(self, method: str, params: list):
+        return LEASE_ANSWERS[method](self.call(method, params))
 
     def _decode_updates(self, wire: dict) -> TableUpdates:
         schema = self.get_schema()

@@ -12,10 +12,14 @@ reactor is exactly one thread.
 Loop discipline: every readiness, timer, submitted, notification or
 reconnect-hook callback runs on the reactor thread and must not block.
 That includes a controller's in-process device services, which answer
-its apply stage inline on its loop.  A controller's engine
-transactions and checkpoint saves are the long CPU-bound callbacks, and
-its management ``subscribe`` on reconnect the one blocking call
-(allowed: a ``ManagementClient`` always runs on a reactor of its own).
+its apply stage inline on its loop, and an HA replica's ticks, its
+promotion and its demotion: its lease calls are non-blocking (answered
+inline by an in-process database, over the management client's
+connection otherwise).  A controller's engine transactions and
+checkpoint saves are the long CPU-bound callbacks — a lease renew due
+behind one runs late — and its management ``subscribe`` on recovery
+or reconnect the one blocking call (allowed: a ``ManagementClient``
+always runs on a reactor of its own).
 ``submit`` and ``call_later`` are thread-safe.  Work scheduled *from*
 the loop thread costs no syscall (the loop re-reads its queue and timer
 heap before it sleeps), and cross-thread calls share one wake byte per

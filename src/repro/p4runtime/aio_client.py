@@ -324,8 +324,14 @@ class AioP4RuntimeClient:
     def subscribe_digests(
         self, callback: Callable[[str, Tuple[int, ...]], None]
     ) -> None:
+        """Send digests to ``callback`` (on the loop), without waiting
+        for the server's answer: the request goes out ahead of any call
+        made after it, on the loop before this returns, and a connection
+        not up yet subscribes as it comes up."""
         self._digest_callback = callback
-        self.call("subscribe_digests", [])
+        self.conn.call_async(
+            "subscribe_digests", [], lambda _r, _e: None, timeout=self.timeout
+        )
 
     def subscribe_packet_ins(
         self, callback: Callable[[int, bytes], None]

@@ -20,6 +20,7 @@ Four layers are covered:
   leader's writes are provably rejected by the fencing epoch.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -35,11 +36,12 @@ from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
 from repro.mgmt.server import ManagementServer
+from repro.net.faults import FaultInjector
 from repro.net.reactor import Reactor
 from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import DeviceService, FencedWriteError, TableWrite
 from repro.p4runtime.farm import DeviceFarm
-from tests.test_fanout import FAST
+from tests.test_fanout import FAST, free_port
 
 LEASE = "test-lease"
 
@@ -593,7 +595,6 @@ class TestHAController:
                 assert b.wait_for_role("leader", 15.0)
                 assert b.epoch == 2
                 # a wakes, fails its renew, and demotes itself.
-                a._role_events["standby"].clear()
                 a.poke()
                 assert a.wait_for_role("standby", 15.0)
                 assert a.lost_leaderships == 1
@@ -602,6 +603,340 @@ class TestHAController:
                 b.stop()
         finally:
             a.stop()
+
+
+class TestHAOnTheLoop:
+    """Races between a replica's own lease calls, its promotion and a
+    stop: each is a callback on the replica's loop, and a stop leaves
+    nothing running and no lease held."""
+
+    def test_stop_racing_a_won_acquire_releases_the_lease(self, tmp_path):
+        """The acquire commits, and stop() lands before its answer has
+        come back (the proxy delays each direction): the replica must
+        not promote, and must give back the lease it turns out to hold
+        instead of sitting on it for a full TTL."""
+        project = build_snvs()
+        db = Database(project.schema)
+        switch = project.new_simulator(n_ports=8)
+        server = ManagementServer(db).start()
+        proxy = FaultInjector(*server.address).start()
+        proxy.set_latency(0.3)
+        client = ManagementClient(*proxy.address, policy=FAST)
+        a = _ha(project, client, [switch], tmp_path, "a", FakeClock())
+        try:
+            a.start()
+            wait_for(
+                lambda: (db.lease_get(LEASE) or {}).get("owner") == "a",
+                what="the acquire to commit",
+            )
+            a.stop()  # its answer is still in the proxy
+            assert db.lease_get(LEASE)["expires"] == 0.0
+            assert a.controller is None
+            assert a.takeovers == 0
+            assert not a.is_leader
+        finally:
+            a.stop()
+            client.close()
+            proxy.stop()
+            server.stop()
+
+    def test_stop_during_a_promotion_leaves_nothing_running(self, tmp_path):
+        """stop() while the promotion's recovery waits on a device that
+        does not answer (for longer than any stop could wait): no
+        controller is left running or led, the lease is released and no
+        follower is left open."""
+        project = build_snvs()
+        db = Database(project.schema)
+        farm = DeviceFarm(1).start()
+        proxy = FaultInjector(*farm.address).start()
+        reactor = Reactor("t-ha-held").start()
+        client = AioP4RuntimeClient(
+            *proxy.address,
+            reactor,
+            policy=dataclasses.replace(FAST, call_timeout=60.0),
+            device_hint=0,
+        )
+        a = _ha(project, db, [client], tmp_path, "a", FakeClock())
+        try:
+            assert client.conn.wait_connected(5.0)
+            proxy.set_blackhole(True)  # the takeover's device calls hang
+            a.start()
+            wait_for(lambda: a.epoch == 1, what="the acquisition")
+            assert not a.is_leader  # its recovery is still waiting
+            a.stop()
+            assert a.controller is None
+            assert a.follower is None
+            assert not a.is_leader
+            assert db.lease_get(LEASE)["expires"] == 0.0
+            assert a.takeovers == 0
+        finally:
+            a.stop()
+            client.close()
+            proxy.stop()
+            farm.stop()
+            reactor.stop()
+
+    def test_unanswered_renew_demotes_within_the_lease(self, tmp_path):
+        """A frozen management proxy: the leader's renew gets no answer.
+        Its deadline is the time left on the lease, so the leader steps
+        down before a standby could take over — not after the client's
+        call timeout."""
+        project = build_snvs()
+        db = Database(project.schema)
+        switch = project.new_simulator(n_ports=8)
+        server = ManagementServer(db).start()
+        proxy = FaultInjector(*server.address).start()
+        client = ManagementClient(*proxy.address, policy=FAST)
+        ttl, renew_interval = 0.6, 0.2
+        a = HAController(
+            project,
+            client,
+            [switch],
+            str(tmp_path),
+            lease_name=LEASE,
+            owner="a",
+            ttl=ttl,
+            renew_interval=renew_interval,
+            poll_interval=0.05,
+        )
+        try:
+            a.start()
+            assert a.wait_for_role("leader", 15.0)
+            renewals = a.renewals
+            wait_for(lambda: a.renewals > renewals, what="a renewal")
+            proxy.set_stall(True)
+            frozen = time.monotonic()
+            assert a.wait_for_role("standby", ttl + renew_interval + 5.0)
+            assert time.monotonic() - frozen <= ttl + renew_interval
+            assert a.lost_leaderships == 1
+            # The demotion stopped the controller on the shared loop
+            # without waiting on the frozen server.
+            probe = threading.Event()
+            a.reactor.submit(probe.set)
+            assert probe.wait(0.2)
+        finally:
+            proxy.set_stall(False)
+            a.stop()
+            client.close()
+            proxy.stop()
+            server.stop()
+
+
+    def test_a_promotion_waits_for_a_device_still_dialling(self, tmp_path):
+        """The device's proxy comes up only after the replica has won
+        the lease, and the test never waits for the dial itself: the
+        promotion waits for it without holding the loop, then syncs the
+        device, which ends up holding the state."""
+        project = build_snvs()
+        db = Database(project.schema)
+        _snvs_config(db, (0, 1))
+        farm = DeviceFarm(1).start()
+        port = free_port()
+        reactor = Reactor("t-ha-dial").start()
+        client = AioP4RuntimeClient(
+            "127.0.0.1", port, reactor, policy=FAST, device_hint=0
+        )
+        a = _ha(project, db, [client], tmp_path, "a", FakeClock())
+        proxy = FaultInjector(*farm.address, port=port)
+        try:
+            a.start()
+            wait_for(lambda: a.epoch == 1, what="the acquisition")
+            time.sleep(0.3)
+            assert not a.is_leader  # still waiting for the dial
+            proxy.start()
+            assert a.wait_for_role("leader", 15.0)
+            snapshot = farm.devices[0].table_snapshot()
+            assert len(snapshot.get("in_vlan", {})) == 2
+            assert a.controller.devices[0].syncs_missed == 0
+            assert reactor.last_callback_error is None
+        finally:
+            a.stop()
+            client.close()
+            proxy.stop()
+            farm.stop()
+            reactor.stop()
+
+    @pytest.mark.parametrize("plane", ["local", "remote"])
+    def test_a_late_renew_still_holds_the_lease(self, tmp_path, plane):
+        """A long loop callback holds the leader's renew past the lease's
+        expiry.  The renew still goes out and, with no rival, the
+        server's (owner, epoch) guard grants it: both planes agree."""
+        project = build_snvs()
+        db = Database(project.schema)
+        switch = project.new_simulator(n_ports=8)
+        server = client = None
+        mgmt = db
+        if plane == "remote":
+            server = ManagementServer(db).start()
+            mgmt = client = ManagementClient(*server.address, policy=FAST)
+        ttl = 0.3
+        a = HAController(
+            project,
+            mgmt,
+            [switch],
+            str(tmp_path),
+            lease_name=LEASE,
+            owner="a",
+            ttl=ttl,
+            renew_interval=0.1,
+            poll_interval=0.05,
+        )
+        try:
+            a.start()
+            assert a.wait_for_role("leader", 15.0)
+            stalled = {}
+
+            def stall():
+                stalled["renewals"] = a.renewals
+                time.sleep(2 * ttl)
+
+            a.reactor.submit(stall)
+            wait_for(
+                lambda: a.renewals > stalled.get("renewals", a.renewals),
+                what="a renewal after the stall",
+            )
+            assert a.renew_lateness_max >= ttl
+            assert a.lost_leaderships == 0
+            assert a.is_leader
+        finally:
+            a.stop()
+            if client is not None:
+                client.close()
+                server.stop()
+
+    def test_a_management_blip_inside_the_lease_does_not_demote(
+        self, tmp_path
+    ):
+        """The management proxy goes away for a third of the TTL and
+        comes back on the same port.  Renewals that find the connection
+        re-dialling are tried again while the lease lasts, so the leader
+        keeps its leadership, as a blocking renew that waited out the
+        reconnect did."""
+        project = build_snvs()
+        db = Database(project.schema)
+        switch = project.new_simulator(n_ports=8)
+        server = ManagementServer(db).start()
+        port = free_port()
+        proxy = FaultInjector(*server.address, port=port).start()
+        client = ManagementClient("127.0.0.1", port, policy=FAST)
+        a = HAController(
+            project,
+            client,
+            [switch],
+            str(tmp_path),
+            lease_name=LEASE,
+            owner="a",
+            ttl=1.5,
+            renew_interval=0.1,
+            poll_interval=0.05,
+        )
+        try:
+            a.start()
+            assert a.wait_for_role("leader", 15.0)
+            proxy.stop()
+            time.sleep(0.5)
+            proxy = FaultInjector(*server.address, port=port).start()
+            wait_for(lambda: client.conn.connected, what="the reconnect")
+            renewals = a.renewals
+            wait_for(lambda: a.renewals > renewals, what="a renewal")
+            assert a.lost_leaderships == 0
+            assert a.is_leader
+        finally:
+            a.stop()
+            client.close()
+            proxy.stop()
+            server.stop()
+
+
+class TestHARemotePair:
+    def test_takeovers_over_remote_planes_run_on_reactors_only(
+        self, tmp_path
+    ):
+        """Both replicas talk to a management server and a device farm
+        through their own clients.  A killed leader is replaced once its
+        lease runs out, a stopped one at once; meanwhile every thread
+        the pair added is a reactor loop, and no loop callback failed
+        (a blocking call on a loop raises there)."""
+        before = set(threading.enumerate())
+        project = build_snvs()
+        db = Database(project.schema)
+        server = ManagementServer(db).start()
+        farm = DeviceFarm(1).start()
+        device = farm.devices[0]
+        reactors, clients = [], []
+
+        def replica(owner):
+            reactor = Reactor(f"t-ha-{owner}").start()
+            mclient = ManagementClient(*server.address, policy=FAST)
+            dclient = AioP4RuntimeClient(
+                *farm.address, reactor, policy=FAST, device_hint=0
+            )
+            reactors.extend([reactor, mclient.conn.reactor])
+            clients.extend([dclient, mclient])
+            assert dclient.conn.wait_connected(5.0)
+            return HAController(
+                project,
+                mclient,
+                [dclient],
+                str(tmp_path),
+                lease_name=LEASE,
+                owner=owner,
+                ttl=1.0,
+                renew_interval=0.1,
+                poll_interval=0.05,
+            )
+
+        def vlan_entries():
+            return len(device.table_snapshot().get("in_vlan", {}))
+
+        a, b = replica("a"), replica("b")
+        try:
+            a.start()
+            assert a.wait_for_role("leader", 15.0)
+            _snvs_config(db, (0, 1))
+            wait_for(lambda: vlan_entries() == 2, what="two ports")
+            a.controller.drain()
+            a.controller.save_checkpoint()
+            b.start()
+            wait_for(
+                lambda: b.metrics()["follower"]["ready"], what="b following"
+            )
+
+            a.kill()  # crash: b waits out the TTL
+            assert b.wait_for_role("leader", 15.0)
+            assert b.epoch == 2
+            assert b.controller.warm_skips == 1
+            _add_port(db, 2)
+            wait_for(lambda: vlan_entries() == 3, what="b's first port")
+            b.controller.drain()
+            b.controller.save_checkpoint()
+
+            a.start()  # back as a standby
+            wait_for(
+                lambda: a.metrics()["follower"]["ready"], what="a following"
+            )
+            b.stop()  # graceful: the release hands over
+            assert a.wait_for_role("leader", 15.0)
+            assert a.epoch == 3
+            _del_port(db, 0)
+            wait_for(lambda: vlan_entries() == 2, what="a's first delete")
+
+            added = [
+                t.name
+                for t in threading.enumerate()
+                if t not in before and not t.name.endswith("-reactor")
+            ]
+            assert added == []
+            assert [r.last_callback_error for r in reactors] == [None] * 4
+        finally:
+            a.stop()
+            b.stop()
+            for client in clients:
+                client.close()
+            for reactor in reactors:
+                reactor.stop()
+            farm.stop()
+            server.stop()
 
 
 # -- failover correctness ----------------------------------------------------
@@ -983,8 +1318,8 @@ class TestStopOrdering:
 
     def test_stop_from_a_remote_monitor_callback_completes(self):
         """The twin over a management client: its monitor callbacks run
-        on the client's loop, where the blocking ``monitor_cancel`` of
-        ``stop()`` raises.  Teardown must still run to the end."""
+        on the client's loop, where ``stop()`` must not wait for its
+        ``monitor_cancel``.  Teardown must still run to the end."""
         project = build_snvs()
         db = Database(project.schema)
         switch = project.new_simulator(n_ports=8)
