@@ -13,6 +13,12 @@ derives every walk, and ``Hop`` rows removed per flap.  The gate is
 box-independent: on the same flaps, an incremental transaction must be
 at least 8x faster than ``recursive_mode="recompute"`` (the full
 fixpoint per transaction), and both must end in the same state.
+
+A separate pass over the same flaps, under the detail obs tier (each
+``Graph.run`` records a ``profile=`` sample per dataflow node), reports
+where a transaction goes: ms per transaction and share of operator time
+for the SCC, the two ``min`` aggregates and the ``Dist ⋈ Hop`` join.
+These are reported figures, not gates.
 """
 
 import random
@@ -21,6 +27,7 @@ import time
 
 from benchmarks.conftest import emit, report
 from benchmarks.e2e.workloads import fat_tree_links
+from repro import obs
 from repro.dlog import compile_program
 
 #: The e2e ``reroute`` program's rules without the P4 ``Route`` head;
@@ -43,6 +50,8 @@ N_FLAPS = 60
 #: Flaps the recompute ablation runs (a full fixpoint per flap).
 N_RECOMPUTE = 6
 GATE_X = 8.0
+#: Operator kinds the attribution reports, by dataflow node name.
+KINDS = {"scc": "scc(", "aggregate": "aggregate(", "join": ":join("}
 
 
 def _rows(link, ids):
@@ -90,6 +99,26 @@ def run(mode, cold, txns):
     return cold_s, seconds, removed, runtime
 
 
+def attribute(cold, txns):
+    """Per operator kind: ``(ms per transaction, share of operator
+    time)`` over ``txns``, from the detail tier's per-node samples."""
+    runtime = compile_program(PROGRAM).start()
+    runtime.transaction(inserts={"Link": cold})
+    with obs.enabled_scope(detail=True):
+        try:
+            for txn in txns:
+                runtime.transaction(**txn)
+        finally:
+            obs.reset()
+    seconds = {name: stats["seconds"] for name, stats in runtime.operator_totals.items()}
+    total = sum(seconds.values())
+    out = {}
+    for kind, marker in KINDS.items():
+        spent = sum(s for name, s in seconds.items() if marker in name)
+        out[kind] = (spent * 1e3 / len(txns), spent / total)
+    return out
+
+
 def _ms(values, q):
     return statistics.quantiles(values, n=100)[q - 1] * 1e3
 
@@ -109,6 +138,7 @@ def test_a4_reroute_engine(benchmark, bench_seed):
 
     p50, p90 = _ms(seconds, 50), _ms(seconds, 90)
     hop_removes = statistics.mean(removed)
+    shares = attribute(cold, txns)
     report(
         f"A4: reroute engine, k={K} fat-tree, {N_FLAPS} rolling flaps",
         [
@@ -118,6 +148,11 @@ def test_a4_reroute_engine(benchmark, bench_seed):
             ("Hop removes/flap", f"{hop_removes:.1f}", ""),
             (f"recompute/incremental ({N_RECOMPUTE} flaps)",
              f"{ratio:.1f}x", f"gate: >= {GATE_X:.0f}x"),
+            *(
+                (f"{kind} ms/txn (share)", f"{ms:.2f} ({share:.0%})",
+                 "detail tier, reported")
+                for kind, (ms, share) in shares.items()
+            ),
         ],
         ["metric", "measured", "reference"],
     )
@@ -128,4 +163,6 @@ def test_a4_reroute_engine(benchmark, bench_seed):
         "a4", "recompute_vs_incremental", "ratio_x", round(ratio, 1),
         threshold=GATE_X,
     )
+    for kind, (ms, share) in shares.items():
+        emit("a4", f"{kind}_ms_per_txn", "ms", round(ms, 3), share=round(share, 3))
     assert ratio >= GATE_X

@@ -7,7 +7,10 @@ the standard incremental update rules:
 * **join**:      ``δ(L ⋈ R) = δL ⋈ R' + L ⋈ δR``  (R' is R after δR)
 * **antijoin**:  recomputed exactly per affected key from pre/post state
 * **distinct**:  emits ±1 on support transitions of the running count
-* **aggregate**: re-aggregates only groups whose key appears in the delta
+* **aggregate**: keeps each group's value and updates only groups whose
+  key appears in the delta: ``min``/``max`` from the inserted arguments
+  (refolding the distinct arguments only when the extreme's last copy
+  leaves), any other aggregate by one fold after the delta
 
 The update rules are the entire point of the system: a transaction that
 touches *k* records costs time proportional to *k* (times the matching
@@ -310,14 +313,22 @@ class AntiJoinNode(Node):
 
 
 class AggregateNode(Node):
-    """Group-by aggregation, incrementally maintained per group.
+    """Group-by aggregation that keeps each group's value.
 
     ``key_fn(record)`` extracts the group key (a tuple of group-by
     variable values); ``args_fn(record)`` evaluates the aggregate's
-    argument expressions.  On each delta, only the groups whose key
-    occurs in the delta are re-aggregated; the old aggregate row
-    ``key + (value,)`` is retracted and the new one inserted, each
-    through ``step(row, ±1, out)``.
+    argument expressions.  ``groups`` holds each group's argument tuples
+    with their multiplicities, and ``values`` each non-empty group's
+    current value.  On each delta, only the groups whose key occurs in
+    the delta change.  With a ``select`` (``min``/``max``, see
+    :class:`repro.dlog.stdlib.Aggregate`) the cached value is updated
+    from the arguments the delta inserts, and the group is refolded over
+    its *distinct* arguments only when the cached extreme's last copy
+    leaves; any other aggregate folds the group once, after the delta.
+    When a group's value changes, the old row ``key + (value,)`` is
+    retracted and the new one inserted, each through ``step(row, ±1,
+    out)``.  A delta that drives an argument's multiplicity negative
+    raises ``ValueError``.
     """
 
     def __init__(
@@ -327,50 +338,78 @@ class AggregateNode(Node):
         fold: Callable[[List[tuple]], object],
         step: Step,
         name: str = "",
+        select: Optional[Callable[..., object]] = None,
     ):
         super().__init__(name)
         self.key_fn = key_fn
         self.args_fn = args_fn
         self.fold = fold
+        self.select = select
         self.step = step
         self.groups = Arrangement()  # key -> {args_tuple -> count}
+        self.values: Dict[object, object] = {}  # key -> current value
 
-    def _aggregate(self, group: Dict[object, int]) -> Optional[object]:
-        if not group:
-            return None
+    def restore(self, groups: Arrangement) -> None:
+        """Take ``groups`` (a checkpoint's arrangement) as the state and
+        derive each group's value from it."""
+        self.groups = groups
+        self.values = {key: self._fold(group) for key, group in groups.items()}
+
+    def _fold(self, group: Dict[object, int]) -> object:
+        """The value of a non-empty group with positive multiplicities."""
+        if self.select is not None:
+            return self.select(args[0] for args in group)
         rows: List[tuple] = []
         for args, count in group.items():
-            if count < 0:
-                raise ValueError(
-                    f"{self.name}: negative multiplicity in aggregate group"
-                )
             rows.extend([args] * count)
-        if not rows:
-            return None
         return self.fold(rows)
 
     def process(self, deltas):
         delta = _port(deltas, 0)
-        key_fn, args_fn = self.key_fn, self.args_fn
-        pre: Dict[object, Optional[object]] = {}
-        keyed: List[Tuple[object, object, int]] = []
+        key_fn, args_fn, add = self.key_fn, self.args_fn, self.groups.add
+        arrived: Dict[object, List[tuple]] = {}  # touched key -> inserted args
+        left: List[Tuple[object, tuple]] = []
         for record, weight in delta.items():
             key = key_fn(record)
-            if key not in pre:
-                pre[key] = self._aggregate(self.groups.group(key))
-            keyed.append((key, args_fn(record), weight))
-        for key, args, weight in keyed:
-            self.groups.add(key, args, weight)
-        step = self.step
+            args = args_fn(record)
+            add(key, args, weight)
+            inserted = arrived.get(key)
+            if inserted is None:
+                inserted = arrived[key] = []
+            if weight > 0:
+                inserted.append(args)
+            else:
+                left.append((key, args))
+        group_of = self.groups.group
+        for key, args in left:
+            if group_of(key).get(args, 0) < 0:
+                raise ValueError(
+                    f"{self.name}: negative multiplicity in aggregate group"
+                )
+        values, select, step = self.values, self.select, self.step
         out: Dict[object, int] = {}
-        for key, old_value in pre.items():
-            new_value = self._aggregate(self.groups.group(key))
-            if old_value == new_value:
+        for key, inserted in arrived.items():
+            old = values.get(key)
+            group = group_of(key)
+            if not group:
+                new = None
+            elif select is None or old is None or (old,) not in group:
+                new = self._fold(group)
+            elif inserted:
+                new = select(old, *[args[0] for args in inserted])
+                if (new,) not in group:  # its insert was cancelled out
+                    new = self._fold(group)
+            else:
+                continue  # the extreme stays; only other copies left
+            if old == new:
                 continue
-            if old_value is not None:
-                step(key + (old_value,), -1, out)
-            if new_value is not None:
-                step(key + (new_value,), 1, out)
+            if old is not None:
+                step(key + (old,), -1, out)
+            if new is None:
+                del values[key]
+            else:
+                values[key] = new
+                step(key + (new,), 1, out)
         return ZSet(out)
 
     def state_size(self) -> int:

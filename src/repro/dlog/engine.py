@@ -728,7 +728,7 @@ class Runtime:
                 node.left = _arrangement_from(left)
                 node.right_counts = dict(counts)
             elif kind == "aggregate":
-                node.groups = _arrangement_from(state)
+                node.restore(_arrangement_from(state))
         for scc_idx, rels in sccs.items():
             self.scc_evaluators[scc_idx].state.restore(rels)
         self.txn_count = data.get("txn_count", 0)

@@ -617,11 +617,13 @@ class Planner:
         slots = Slots([*item.group_by, item.var])
         width = len(slots)
         step, out_record = self._stretch(slots, linear, head, width)
+        agg = AGGREGATES[item.func]
         node = AggregateNode(
             key_fn,
             args_fn,
-            AGGREGATES[item.func].fn,
+            agg.fn,
             _framed(step, len(slots) - width),
             name=f"aggregate({item.func})",
+            select=agg.select,
         )
         return node, out_record

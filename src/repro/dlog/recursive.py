@@ -41,7 +41,9 @@ Each rule is compiled once per evaluation order (one per seed body
 item, one top-down) into a chain of closures over a flat slot frame
 (:mod:`repro.dlog.interp` compiles its expressions and patterns).  The
 binding order is static, so each pattern variable compiles to a bind
-or to a compare, and a top-down chain returns at its first derivation.
+or to a compare, each join or negation to a probe of the
+:class:`IndexStore` resolved then, and a top-down chain returns at its
+first derivation.
 
 The SCC is wrapped in a :class:`SccNode` so it composes with the
 delta-dataflow graph: external relations (lower strata) feed its input
@@ -82,78 +84,88 @@ _INVERSE = {"+": "-", "-": "+"}
 
 
 class IndexStore:
-    """Rows per relation, each mapped to its rank, with lazily built,
-    incrementally maintained hash indexes on position subsets.
+    """Rows per relation, each mapped to its rank, with incrementally
+    maintained hash indexes on position subsets.
 
     The row map is the relation: ``rows[rel][row]`` is the row's rank
     (0 for external rows), so a rank costs no second hash table.  A key
     on every column is a membership test on the row map, never an index
-    (it would be a second copy of the relation)."""
+    (it would be a second copy of the relation).  Compiled steps resolve
+    their probe once, at compile time (:meth:`probe`), and hold the row
+    map or index dict it reads; :meth:`add`/:meth:`remove` key each
+    registered index with a compiled getter, and :meth:`restore` refills
+    both in place."""
 
     def __init__(self):
         self.rows: Dict[str, Dict[tuple, int]] = {}
         self.arity: Dict[str, int] = {}
-        # relation -> positions -> key -> rows
-        self.indexes: Dict[str, Dict[Tuple[int, ...], Dict[tuple, Set[tuple]]]] = {}
+        # relation -> positions -> (key getter, key -> rows)
+        self.indexes: Dict[
+            str, Dict[Tuple[int, ...], Tuple[Callable, Dict[tuple, Set[tuple]]]]
+        ] = {}
 
     def ensure(self, rel: str, arity: int) -> None:
         self.rows.setdefault(rel, {})
         self.indexes.setdefault(rel, {})
         self.arity[rel] = arity
 
+    def probe(self, rel: str, positions: Tuple[int, ...]) -> Callable:
+        """``probe(key, default)`` for an :meth:`ensure`-d relation,
+        with ``dict.get``'s signature: the rows whose ``positions`` hold
+        ``key``, or ``default`` if there are none.  A full key is a
+        membership test, no key the row map itself, and any other key
+        the ``get`` of an index registered here (and filled from the
+        current rows) on first use."""
+        rows = self.rows[rel]
+        if not positions:
+            return lambda key, default: rows
+        if len(positions) == self.arity[rel]:
+            # Planned positions are ascending, so the key is the row.
+            return lambda key, default: (key,) if key in rows else default
+        by_positions = self.indexes[rel]
+        if positions not in by_positions:
+            key_of = _tuple_getter(positions)
+            by_positions[positions] = (key_of, _indexed(key_of, rows, {}))
+        return by_positions[positions][1].get
+
     def restore(self, rows: Dict[str, Dict[tuple, int]]) -> None:
         """Replace every relation's rows with ``rows`` (relation -> row
         -> rank; a checkpoint of the same program, so the same
-        relations).  Each relation's row map is refilled in place —
-        compiled rules hold those maps — and the indexes are dropped, to
-        be rebuilt on the next lookup."""
+        relations).  Each row map and registered index is refilled in
+        place: compiled steps hold them."""
         for rel, ranks in self.rows.items():
             ranks.clear()
             ranks.update(rows.get(rel, ()))
-        for by_positions in self.indexes.values():
-            by_positions.clear()
+            for key_of, index in self.indexes[rel].values():
+                index.clear()
+                _indexed(key_of, ranks, index)
 
     def add(self, rel: str, row: tuple, rank: int = 0) -> bool:
-        rows = self.rows.setdefault(rel, {})
+        rows = self.rows[rel]
         if row in rows:
             return False
         rows[row] = rank
-        for positions, index in self.indexes.get(rel, {}).items():
-            key = tuple(row[p] for p in positions)
-            index.setdefault(key, set()).add(row)
+        for key_of, index in self.indexes[rel].values():
+            key = key_of(row)
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = {row}
+            else:
+                bucket.add(row)
         return True
 
     def remove(self, rel: str, row: tuple) -> bool:
-        rows = self.rows.get(rel)
-        if rows is None or row not in rows:
+        rows = self.rows[rel]
+        if row not in rows:
             return False
         del rows[row]
-        for positions, index in self.indexes.get(rel, {}).items():
-            key = tuple(row[p] for p in positions)
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.discard(row)
-                if not bucket:
-                    del index[key]
+        for key_of, index in self.indexes[rel].values():
+            key = key_of(row)
+            bucket = index[key]
+            bucket.discard(row)
+            if not bucket:
+                del index[key]
         return True
-
-    def lookup(self, rel: str, positions: Tuple[int, ...], key: tuple) -> Iterable[tuple]:
-        """Rows of an :meth:`ensure`-d relation whose ``positions`` hold
-        ``key``."""
-        index = self.indexes[rel].get(positions)
-        if index is not None:
-            return index.get(key, ())
-        rows = self.rows[rel]
-        if not positions:
-            return rows
-        if len(positions) == self.arity[rel]:
-            # Planned positions are ascending, so the key is the row.
-            return (key,) if key in rows else ()
-        index = self.indexes[rel][positions] = {}
-        for row in rows:
-            k = tuple(row[p] for p in positions)
-            index.setdefault(k, set()).add(row)
-        return index.get(key, ())
 
     def total_rows(self) -> int:
         return sum(len(rows) for rows in self.rows.values())
@@ -162,9 +174,16 @@ class IndexStore:
         return sum(
             len(bucket)
             for by_positions in self.indexes.values()
-            for index in by_positions.values()
+            for _, index in by_positions.values()
             for bucket in index.values()
         )
+
+
+def _indexed(key_of: Callable, rows: Iterable[tuple], index: Dict[tuple, Set[tuple]]):
+    """``index``, empty on entry, with ``rows`` added under ``key_of``."""
+    for row in rows:
+        index.setdefault(key_of(row), set()).add(row)
+    return index
 
 
 # -- compiled rules --------------------------------------------------------------
@@ -508,21 +527,20 @@ class SccEvaluator:
         checks), member rows at or above the check's ceiling are
         skipped and recorded as capped."""
         keys, residual = classify_args(atom.args, slots.bound())
-        positions = tuple(pos for pos, _ in keys)
         key_of = self.evaluator.compile_tuple([e for _, e in keys], slots)
         bind = (
             compile_row_match(self.evaluator, atom.args, residual, slots)
             if residual else None
         )
         rel = atom.relation
-        store = self.state
-        ranks = store.rows[rel] if rel in self.member_set else None
+        probe = self.state.probe(rel, tuple(pos for pos, _ in keys))
+        ranks = self.state.rows[rel] if rel in self.member_set else None
 
         def link(nxt):
             if ranks is None:
 
                 def join(frame, rank, ctx):
-                    for row in store.lookup(rel, positions, key_of(frame)):
+                    for row in probe(key_of(frame), ()):
                         if bind is None or bind(row, frame):
                             found = nxt(frame, rank, ctx)
                             if found is not None:
@@ -532,7 +550,7 @@ class SccEvaluator:
             elif not ranked:
 
                 def join(frame, rank, ctx):
-                    for row in store.lookup(rel, positions, key_of(frame)):
+                    for row in probe(key_of(frame), ()):
                         if bind is None or bind(row, frame):
                             row_rank = ranks[row]
                             found = nxt(frame, rank if rank > row_rank else row_rank, ctx)
@@ -544,7 +562,7 @@ class SccEvaluator:
 
                 def join(frame, rank, check):
                     ceiling = check.ceiling
-                    for row in store.lookup(rel, positions, key_of(frame)):
+                    for row in probe(key_of(frame), ()):
                         row_rank = ranks[row]
                         if row_rank >= ceiling:
                             check.capped = True
@@ -572,18 +590,16 @@ class SccEvaluator:
                     "wildcards in one argument; rewrite as "
                     "separate conditions"
                 )
-        positions = tuple(pos for pos, _ in keys)
         key_of = self.evaluator.compile_tuple([e for _, e in keys], slots)
         checks = [
             (pos, self.evaluator.compile_pattern(atom.args[pos], slots))
             for pos in residual
         ]
-        rel = atom.relation
-        store = self.state
+        probe = self.state.probe(atom.relation, tuple(pos for pos, _ in keys))
 
         def link(nxt):
             def negation(frame, rank, ctx):
-                for row in store.lookup(rel, positions, key_of(frame)):
+                for row in probe(key_of(frame), ()):
                     for pos, check in checks:
                         if not check(row[pos], frame):
                             break

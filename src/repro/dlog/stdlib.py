@@ -376,15 +376,21 @@ class Aggregate:
 
     ``fn`` receives a list of evaluated argument tuples (one per row in
     the group, respecting multiplicity) and returns the aggregate value.
+    ``select`` is set for an aggregate whose value is one of its single
+    argument's values: it is the builtin ``min`` or ``max``, called on
+    an iterable of values or on several values, so an operator can
+    update a cached value from the arguments that arrive instead of
+    refolding the group.
     """
 
-    __slots__ = ("name", "nargs", "sig", "fn")
+    __slots__ = ("name", "nargs", "sig", "fn", "select")
 
-    def __init__(self, name, nargs, sig, fn):
+    def __init__(self, name, nargs, sig, fn, select=None):
         self.name = name
         self.nargs = nargs
         self.sig = sig
         self.fn = fn
+        self.select = select
 
 
 def _agg_sig_count(arg_types):
@@ -434,17 +440,23 @@ def _agg_avg(rows):
     return float(total) / len(rows)
 
 
+def _selector(name, select):
+    return Aggregate(
+        name,
+        1,
+        _agg_sig_ordered(name),
+        lambda rows: select(r[0] for r in rows),
+        select,
+    )
+
+
 AGGREGATES: Dict[str, Aggregate] = {
     "count": Aggregate("count", 0, _agg_sig_count, lambda rows: len(rows)),
     "sum": Aggregate(
         "sum", 1, _agg_sig_same_numeric("sum"), lambda rows: sum(r[0] for r in rows)
     ),
-    "min": Aggregate(
-        "min", 1, _agg_sig_ordered("min"), lambda rows: min(r[0] for r in rows)
-    ),
-    "max": Aggregate(
-        "max", 1, _agg_sig_ordered("max"), lambda rows: max(r[0] for r in rows)
-    ),
+    "min": _selector("min", min),
+    "max": _selector("max", max),
     "avg": Aggregate("avg", 1, _agg_sig_avg, _agg_avg),
     "group_to_vec": Aggregate(
         "group_to_vec",

@@ -39,7 +39,7 @@ from repro.dlog.engine import compile_program
 from repro.errors import ReproError
 from repro.mgmt.database import Database
 from repro.mgmt.persist import Persister, restore
-from tests.test_dlog_properties import LINEAR_PROG
+from tests.test_dlog_properties import HOP_PROG, LINEAR_PROG
 
 # A join plus a negation: both arrangement kinds and distinct counts
 # carry state across the checkpoint.
@@ -174,6 +174,51 @@ class TestEngineCheckpointDifferential:
             assert _canonical(got) == _canonical(want)
         for rel in ("J", "G", "N", "C"):
             assert restored.dump(rel) == reference.dump(rel)
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(batches=_batches(("A", "B")), data=st.data())
+    def test_hop_recursion_and_min_deltas_identical(self, batches, data):
+        """The recursive store's row maps and indexes (which compiled
+        probes hold) and each ``min`` group's cached value survive the
+        round trip: recursion through ``n + 1`` feeds a ``min``."""
+        cut = data.draw(st.integers(0, len(batches)), label="cut")
+        reference = compile_program(HOP_PROG).start()
+        subject = compile_program(HOP_PROG).start()
+        for batch in batches[:cut]:
+            changes = _changes(batch, ("A", "B"))
+            reference.transaction(**changes)
+            subject.transaction(**changes)
+        snapshot = pickle.loads(pickle.dumps(subject.checkpoint()))
+        restored = compile_program(HOP_PROG).start(checkpoint=snapshot)
+        assert restored.restored
+        for batch in batches[cut:]:
+            changes = _changes(batch, ("A", "B"))
+            want = reference.transaction(**changes)
+            got = restored.transaction(**changes)
+            assert _canonical(got) == _canonical(want)
+        for rel in ("H", "Best", "Tag"):
+            assert restored.dump(rel) == reference.dump(rel)
+
+    def test_checkpoint_then_delete_last_support_of_a_minimum(self):
+        """Deterministic regression: ``Best(0, 2)`` is 1 through
+        ``A(0, 2)`` alone and 2 through ``A(0, 1), A(1, 2)``; deleting
+        ``A(0, 2)`` after a restore must move the minimum to 2."""
+        runtime = compile_program(HOP_PROG).start()
+        runtime.transaction(inserts={"A": [(0, 1), (1, 2), (0, 2)]})
+        restored = compile_program(HOP_PROG).start(
+            checkpoint=runtime.checkpoint()
+        )
+        assert restored.restored
+        want = runtime.transaction(deletes={"A": [(0, 2)]})
+        got = restored.transaction(deletes={"A": [(0, 2)]})
+        assert _canonical(got) == _canonical(want)
+        assert got.deleted("Best") == [(0, 2, 1)]
+        assert got.inserted("Best") == [(0, 2, 2)]
+        assert restored.dump("Best") == runtime.dump("Best")
 
     def test_checkpoint_then_delete_inside_cycle(self):
         """Deterministic regression: break a cycle after restoring —
