@@ -18,8 +18,10 @@ transaction that fans a commit out runs there already), no completion
 hop after the ack, and no per-call deadline timer (a connection arms
 one, at its earliest pending deadline).  The counts are deterministic,
 so they are the gates: ``call_later`` per batch ≤ 0.01 and ``submit``
-per batch ≤ 0.05.  What remains is the engine's one wake per commit
-(1/64 of a submit per batch).  The CPU figure is reported, not gated.
+per batch ≤ 0.05.  What remains is three submits per commit (3/64 per
+batch): the commit's hop from the committing thread onto the loop, the
+engine's wake, and the bench's ``drain()``, itself one loop callback.
+The CPU figure is reported, not gated.
 """
 
 import threading

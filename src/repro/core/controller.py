@@ -1,51 +1,36 @@
 """The Nerpa controller: state synchronization across the three planes.
 
 The controller owns the runtime loop the paper describes in §3, run as
-a **staged pipeline** (see ``docs/ARCHITECTURE.md``):
+a **staged pipeline** on one reactor, ``controller.reactor`` (the
+stages in detail: ``docs/ARCHITECTURE.md``):
 
-* **ingest** (stage 1, notification callbacks — on the loop that read
-  the update or digest, or a local database's committing thread) —
-  each committed management transaction becomes a
-  :class:`~repro.core.pipeline.Changeset`; data plane **digests** (e.g.
-  MAC learning) become digest changesets — the feedback loop.
-  Changesets land on an unbounded coalescing queue, so a burst of
-  transactions collapses into one net changeset while the engine is
-  busy (modify = delete+insert pairs cancel, last writer wins per row
-  key).  The put never blocks: a remote device's digest is put by the
-  very loop that consumes the queue;
-* **evaluate** (stage 2, callbacks on the one reactor thread that
-  stage 3, the device clients' reconnect hooks and checkpoint saves
-  share) — one engine transaction per changeset per loop turn; the
-  control program's *output deltas* fan out as one
-  :class:`~repro.core.pipeline.DeviceBatch` per device.  Rows of the
-  reserved ``MulticastGroup(group, port)`` output relation are folded
-  into per-group port lists and ride the same batch;
+* **ingest** (stage 1) — each committed management transaction becomes
+  a :class:`~repro.core.pipeline.Changeset`, each data-plane digest a
+  digest changeset (the feedback loop), on an unbounded coalescing
+  queue: a burst collapses into one net changeset while the engine is
+  busy.  A notification delivered on any other thread hops onto the
+  loop through ``reactor.submit``, so the loop is the only thread that
+  touches a pipeline queue, and no put ever blocks;
+* **evaluate** (stage 2) — one engine transaction per changeset per
+  loop turn; its *output deltas* fan out as one
+  :class:`~repro.core.pipeline.DeviceBatch`, shared by every device
+  (``MulticastGroup(group, port)`` rows fold into per-group port lists
+  on the same batch);
 * **apply** (stage 3, :mod:`repro.core.fanout`) — batches merge on
-  each device's own coalescing queue and go out as a single batched
-  P4Runtime write (deletes before inserts, atomic per batch, in
-  engine-transaction order).  Device I/O holds **no** controller-wide
-  lock, so a slow or broken device backs up only its own queue — never
-  the engine or its peers.  It runs on the same loop, as non-blocking
-  calls: an in-process device's service is a loop callback.
+  each device's own queue and go out as one batched P4Runtime write
+  (deletes before inserts, in engine-transaction order), through
+  non-blocking calls: a slow or broken device backs up only its own
+  queue, never the engine or its peers.
 
-:class:`NerpaController` is the wiring of those three stages plus
-their lifecycle.  The decisions around them live beside it, one owner
-each (``docs/ARCHITECTURE.md`` has the module map): which kind of peer
-is being talked to (:mod:`repro.core.planes`), what a checkpoint chain
-means (:mod:`repro.core.warmstate`), how a neighbour is diffed against
-the engine and repaired (:mod:`repro.core.reconcile`), how rows become
-entries (:mod:`repro.core.codegen`), what the reports look like
-(:mod:`repro.core.metrics`).
-
-:meth:`NerpaController.drain` waits for end-to-end quiescence and
-surfaces semantic errors (``WriteError`` etc.) deferred by the
-pipeline's later stages; ``start()`` and ``stop()`` drain internally, so
-synchronous callers keep their old contract.
-
-**Fault tolerance.**  Every failure is recovered by *rebuilding from
-the engine* — as pipeline work items (engine tasks, tasks on a device's
-own channel queue), never under a global lock; the cases and the diffs
-behind them are :mod:`repro.core.reconcile`'s.
+:class:`NerpaController` is the wiring of those stages plus their
+lifecycle; the decisions around them live beside it, one owner each
+(:mod:`~repro.core.planes`, :mod:`~repro.core.warmstate`,
+:mod:`~repro.core.reconcile`, :mod:`~repro.core.codegen`,
+:mod:`~repro.core.metrics`).  :meth:`NerpaController.drain` waits for
+end-to-end quiescence and raises the semantic errors (``WriteError``
+etc.) the later stages deferred.  Every failure is recovered by
+*rebuilding from the engine*, as pipeline work items (engine tasks,
+tasks on a device's own queue), never under a global lock.
 
 Per-sync latency — the interval the paper measures in §4.3 between the
 controller *reading* a change and the data-plane entry being written —
@@ -57,7 +42,6 @@ device's ``latencies``.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 import uuid
 from functools import partial
@@ -208,7 +192,7 @@ class NerpaController:
         self.channels: List = []
         self._fanout_plane: Optional[FanoutPlane] = None
         self._errors: List[BaseException] = []
-        self._stats_lock = threading.Lock()
+        self._drains: List[Task] = []  # parked until nothing is in flight
 
         # Config epochs: every fanned-out batch carries an update-id
         # stamp; when tracing is off none is minted upstream, so the
@@ -286,6 +270,8 @@ class NerpaController:
             self._fanout_plane.channel(device, applier, name=device.name)
             for device in self.devices
         ]
+        for queue in self._queues():
+            queue.on_idle = self._settle_drains
         steps = self._start_steps(started_at)
         if self.reactor.in_loop():
             reconcile.drive(steps, self._run_start_hooks)
@@ -383,31 +369,50 @@ class NerpaController:
         resync machinery own those).  Raises
         :class:`~repro.core.pipeline.PipelineStalledError` when
         ``timeout`` passes first (``ReproError`` on the reactor).
+
+        The wait is one loop callback, behind every event already handed
+        to the loop, that parks until no queue has work in flight.
         """
         self._refuse_on_loop("drain()")
-        deadline = time.monotonic() + timeout
-        queues = [channel.queue for channel in self.channels]
-        if self.engine_queue is not None:
-            queues.insert(0, self.engine_queue)
-        while True:
-            for queue in queues:
-                queue.join(deadline)
-            error: Optional[BaseException] = None
-            with self._stats_lock:
-                if self._errors:
-                    error = self._errors[0]
-                    self._errors.clear()
-            if error is not None:
-                raise error
-            # A digest arriving mid-drain (or a stage handing work to
-            # the next) re-fills an earlier queue — loop until a full
-            # pass sees everything quiet.
-            if all(queue.unfinished == 0 for queue in queues):
-                return self
-            if time.monotonic() >= deadline:
-                raise PipelineStalledError(
-                    "pipeline did not quiesce before the drain deadline"
-                )
+        quiet = Task(None)
+        if self.engine_queue is None or not self.reactor.submit(
+            self._settle_drains, quiet
+        ):
+            return self  # never started, or the loop is gone
+        if not quiet.event.wait(timeout):
+            self.reactor.submit(self._unpark_drain, quiet)
+            raise PipelineStalledError(
+                "pipeline did not quiesce before the drain deadline"
+            )
+        if quiet.error is not None:
+            raise quiet.error
+        return self
+
+    def _queues(self) -> List[CoalescingQueue]:
+        return [self.engine_queue, *(c.queue for c in self.channels)]
+
+    def _settle_drains(self, quiet: Optional[Task] = None) -> None:
+        """drain()'s callback, which parks ``quiet``, and every queue's
+        ``on_idle``: once no queue has work in flight, finish the parked
+        drains — the first with the first deferred error."""
+        if quiet is not None:
+            self._drains.append(quiet)
+        if not self._drains or any(q.unfinished for q in self._queues()):
+            return
+        drains, self._drains = self._drains, []
+        error = self._errors[0] if self._errors else None
+        self._errors.clear()
+        for drain in drains:
+            drain.finish(None, error)
+            error = None
+
+    def _unpark_drain(self, quiet: Task) -> None:
+        # drain() gave up at its deadline: forget its task or, if it was
+        # finished meanwhile, keep its error for the next drain.
+        if quiet in self._drains:
+            self._drains.remove(quiet)
+        elif quiet.error is not None:
+            self._errors.insert(0, quiet.error)
 
     def stop(self) -> None:
         """Drain best-effort, then shut the pipeline down.
@@ -442,15 +447,17 @@ class NerpaController:
         except (ReproError, OSError):
             pass
         self._started = False
-        if self.engine_queue is not None:
-            self.engine_queue.close()
-        for channel in self.channels:
-            channel.queue.close()
         if self._fanout_plane is not None:
-            if not on_loop:  # the runtime must not close mid-transaction
-                idle = threading.Event()
-                if self.reactor.submit(idle.set):
-                    idle.wait(2.0)
+
+            def close_queues() -> None:  # a parked drain then returns
+                for queue in self._queues():
+                    queue.close()
+                self._settle_drains()
+
+            try:  # on the loop: no transaction is mid-way when the runtime closes
+                self._wait_on_loop(close_queues, "closing the queues", 2.0)
+            except ReproError:
+                pass
             self._fanout_plane = None
         self.runtime.close()
 
@@ -526,9 +533,21 @@ class NerpaController:
 
     # -- stage 1: ingest ---------------------------------------------------------
 
+    def _hop(self, fn, *args) -> bool:
+        """The pipeline's one door from another thread: hand ``fn(*args)``
+        to the loop under the update-id and trace span bound here.
+        False if the loop is gone."""
+        parent = obs.TRACER.active() if obs.enabled() else None
+        return self.reactor.submit(
+            _rebound, current_update_id(), parent, fn, args
+        )
+
     def _on_updates(self, updates: TableUpdates) -> None:
-        """Monitor delivery → changeset → engine queue (notification
-        callback: must not block)."""
+        """Monitor delivery → changeset → engine queue (a notification
+        callback on any thread: it hops onto the loop)."""
+        if not self.reactor.in_loop():
+            self._hop(self._on_updates, updates)
+            return
         started = time.perf_counter()
         changeset = Changeset("mgmt")
         changeset.txns = 1
@@ -561,10 +580,10 @@ class NerpaController:
         span = obs.NULL_SPAN
         if obs.enabled():
             # Inherit the transact's update-id (bound by the mgmt plane
-            # around this callback); a peer that binds none (tracing
+            # around the delivery); a peer that binds none (tracing
             # off on its side) gets a fresh one.  The parent span
-            # (``mgmt.transact``) is captured so the evaluation can
-            # nest under it across the hop to the reactor.
+            # (``mgmt.transact``) is kept so the evaluation can nest
+            # under it a loop turn later.
             uid = current_update_id() or obs.mint_update_id()
             changeset.update_ids.append(uid)
             changeset.parent = obs.TRACER.active()
@@ -572,14 +591,18 @@ class NerpaController:
                 "pipeline.ingest", update_id=uid, rows=changeset.row_count()
             )
         with span:
-            self._enqueue(changeset)
-        with self._stats_lock:
-            metrics.append_sample(
-                self._stage_seconds["ingest"], time.perf_counter() - started
-            )
+            self.engine_queue.put(changeset)
+            self.engine_queue.gauge_depth()
+        metrics.append_sample(
+            self._stage_seconds["ingest"], time.perf_counter() - started
+        )
 
     def _on_digest(self, name: str, values: Tuple[int, ...]) -> None:
-        """Data-plane feedback → digest changeset → engine queue."""
+        """Data-plane feedback → digest changeset → engine queue (a
+        notification callback on any thread: it hops onto the loop)."""
+        if not self.reactor.in_loop():
+            self._hop(self._on_digest, name, values)
+            return
         relation = self.bindings.digest_relations.get(name)
         if relation is None:
             return
@@ -592,19 +615,13 @@ class NerpaController:
         changeset.link = current_update_id()
         row = tuple(values)
         changeset.record_insert(relation, (relation, row), row)
-        self._enqueue(changeset)
-
-    def _enqueue(self, changeset: Changeset) -> None:
-        queue = self.engine_queue
-        if queue is None:
-            raise ReproError("controller not started")
-        queue.put(changeset)
-        queue.gauge_depth()
+        self.engine_queue.put(changeset)
+        self.engine_queue.gauge_depth()
 
     # -- stage 2: evaluate -------------------------------------------------------
 
     def _wake_engine(self) -> None:
-        """``engine_queue.on_ready`` (any thread): schedule the pump."""
+        """``engine_queue.on_ready``: schedule the pump."""
         if not self._engine_due:
             self._engine_due = True
             self.reactor.submit(self._engine_pump)
@@ -634,13 +651,26 @@ class NerpaController:
         """Run ``fn`` as an engine task (it owns runtime + mcast): its
         result, or with ``wait=False`` the queued :class:`Task`."""
         queue = self.engine_queue
-        if queue is None or queue.closed:
+        if queue is None:
             raise ReproError("controller not started")
         if wait:
             self._refuse_on_loop("waiting for an engine task")
         task = Task(fn)
-        queue.put(task)
+        if self.reactor.in_loop():
+            queue.put(task)
+        elif not self._hop(queue.put, task):
+            task.abandon()
         return task.wait("engine task") if wait else task
+
+    def _wait_on_loop(self, fn, what: str, timeout: float = 30.0):
+        """``fn()``'s result, computed on the loop: inline there (or
+        once the loop is gone), else handed to it and waited for."""
+        if self.reactor.in_loop():
+            return fn()
+        task = Task(fn)
+        if not self.reactor.submit(task.run):
+            return fn()  # nothing runs on the loop any more
+        return task.wait(what, timeout)
 
     def _refuse_on_loop(self, what: str) -> None:
         if self.reactor is not None and self.reactor.in_loop():
@@ -701,10 +731,9 @@ class NerpaController:
         if result.deltas or not is_digest:
             self.sync_count += 1
             self.last_result = result
-        with self._stats_lock:
-            metrics.append_sample(
-                self._stage_seconds["evaluate"], time.perf_counter() - started
-            )
+        metrics.append_sample(
+            self._stage_seconds["evaluate"], time.perf_counter() - started
+        )
 
     def _fan_out(
         self,
@@ -764,12 +793,11 @@ class NerpaController:
         (ingest enqueue → applied), ``io_latency`` the wire round trip
         alone — a slow peer shows up in both, fleet-wide queue pressure
         only in the former."""
-        with self._stats_lock:
-            self.entries_written += n_writes
-            metrics.append_sample(self.sync_latencies, latency)
-            metrics.append_sample(device.latencies, latency)
-            metrics.append_sample(device.io_latencies, io_latency)
-            metrics.append_sample(self._stage_seconds["apply"], apply_seconds)
+        self.entries_written += n_writes
+        metrics.append_sample(self.sync_latencies, latency)
+        metrics.append_sample(device.latencies, latency)
+        metrics.append_sample(device.io_latencies, io_latency)
+        metrics.append_sample(self._stage_seconds["apply"], apply_seconds)
 
     # -- recovery ----------------------------------------------------------------
 
@@ -937,9 +965,8 @@ class NerpaController:
         return f"ep-{self._run_id}-{next(self._epoch_counter):08d}"
 
     def _defer_error(self, exc: BaseException) -> None:
-        with self._stats_lock:
-            if len(self._errors) < 64:
-                self._errors.append(exc)
+        if len(self._errors) < 64:
+            self._errors.append(exc)
 
     # -- introspection -----------------------------------------------------------
 
@@ -956,37 +983,15 @@ class NerpaController:
         }
 
     def metrics(self) -> Dict[str, object]:
-        with self._stats_lock:
-            latencies = metrics.window(self.sync_latencies)
-            stage_seconds = {
-                stage: metrics.window(samples)
-                for stage, samples in self._stage_seconds.items()
-            }
-        out = {
-            "syncs": self.sync_count,
-            "entries_written": self.entries_written,
-            "digests_processed": self.digests_processed,
-            "mgmt_reconciles": self.mgmt_reconciles,
-            "device_resyncs": self.device_resyncs,
-            **metrics.latency_report(latencies),
-            "restart": {
-                "mode": self.restart_mode,
-                "warm_skips": self.warm_skips,
-                "start_seconds": self.start_seconds,
-                "checkpoint_bytes": self.checkpoint_bytes,
-                "checkpoint_seconds": self.checkpoint_seconds,
-                "auto_checkpoints": self.auto_checkpoints,
-                "fencing_epoch": self.fencing_epoch,
-            },
-            "engine": self.runtime.profile(),
-            "pipeline": metrics.pipeline_report(
-                self.engine_queue,
-                self.channels,
-                self.devices,
-                stage_seconds,
-                self._fanout_plane,
-            ),
-        }
-        if obs.enabled():
-            out["registry"] = obs.REGISTRY.snapshot()
-        return out
+        """Counters, latencies and the pipeline report, read on the
+        controller's loop: from any other thread while the pipeline
+        runs, this waits for that loop callback."""
+        report = partial(metrics.report, self)
+        return self._wait_on_loop(report, "metrics()") if self._started else report()
+
+
+def _rebound(uid: Optional[str], parent, fn, args) -> None:
+    """``fn(*args)`` under the update-id and parent span of the thread
+    that handed it to the loop."""
+    with obs.TRACER.adopt(parent), use_update_id(uid):
+        fn(*args)

@@ -107,10 +107,10 @@ class FanoutPlane:
 class DeviceChannel:
     """One device's queue→reactor bridge.
 
-    A state machine the reactor runs on demand — a ``queue.put`` on the
-    loop pumps it in place, one from another thread submits the pump,
-    so there is nothing to start; the controller's drain/resync/health
-    code reaches it through ``.queue`` and ``.device``.
+    A state machine the reactor runs on demand — every ``queue.put`` is
+    on the loop and pumps it in place, so there is nothing to start;
+    the controller's drain/resync/health code reaches it through
+    ``.queue`` and ``.device``.
 
     ``runner(channel, item, done)`` starts one queue item on the loop;
     it must arrange for ``done(exc_or_none)`` to be called once, on the
@@ -127,14 +127,7 @@ class DeviceChannel:
         self._busy = False
         #: The runner is on the stack: a completion now must not pump.
         self._pumping = False
-        self.queue = CoalescingQueue(name=name, on_ready=self._notify)
-
-    def _notify(self) -> None:
-        reactor = self.plane.reactor
-        if reactor.in_loop():
-            self._pump()
-        else:
-            reactor.submit(self._pump)
+        self.queue = CoalescingQueue(name=name, on_ready=self._pump)
 
     # -- loop thread ---------------------------------------------------------
 
@@ -188,9 +181,11 @@ class DeviceChannel:
     def _finish(self, exc: Optional[BaseException]) -> None:
         self._busy = False
         self.plane._inflight_delta(-1)
-        self.queue.task_done()
+        # The error first: the task_done that empties the pipeline
+        # finishes a waiting drain, which raises it.
         if exc is not None and self.plane.on_error is not None:
             self.plane.on_error(exc)
+        self.queue.task_done()
         self._pump()
 
 

@@ -1,20 +1,18 @@
 """What :meth:`NerpaController.metrics` reports, and the bounded sample
 series behind it.
 
-The controller owns the counters and the lock; this module owns how a
-series is kept (a sliding window, so a long-running controller's
-bookkeeping cannot grow without limit) and the shape of the reports
-built from them.
+The controller owns the counters, and only its loop touches them; this
+module owns how a series is kept (a sliding window, so a long-running
+controller's bookkeeping cannot grow without limit) and the shape of
+the report built from them, which :func:`report` reads on that loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from repro import obs
 from repro.analysis.stats import percentile
-from repro.core.fanout import FanoutPlane
-from repro.core.pipeline.queues import CoalescingQueue
-from repro.core.planes import ManagedDevice
 
 #: Samples retained per latency/stage-timing series.
 STATS_WINDOW = 8192
@@ -23,7 +21,7 @@ _SLACK = STATS_WINDOW // 8
 
 
 def append_sample(samples: List[float], value: float) -> None:
-    """Append to a bounded series (caller holds the stats lock).
+    """Append to a bounded series (on the controller's loop).
 
     The series is cut back to the last ``STATS_WINDOW`` samples once
     every ``_SLACK`` appends: dropping the oldest sample on every append
@@ -49,27 +47,44 @@ def summarize(samples: List[float]) -> Dict[str, float]:
     }
 
 
-def latency_report(latencies: List[float]) -> Dict[str, float]:
-    """The end-to-end (ingest enqueue → device apply) latency keys."""
-    if not latencies:
-        latencies = [0.0]
-    return {
+def report(controller) -> Dict[str, object]:
+    """``controller.metrics()``: counters, end-to-end (ingest enqueue →
+    device apply) latency keys, restart figures, the engine profile and
+    :func:`pipeline_report`."""
+    c = controller
+    latencies = window(c.sync_latencies) or [0.0]
+    out: Dict[str, object] = {
+        "syncs": c.sync_count,
+        "entries_written": c.entries_written,
+        "digests_processed": c.digests_processed,
+        "mgmt_reconciles": c.mgmt_reconciles,
+        "device_resyncs": c.device_resyncs,
         "mean_sync_latency": sum(latencies) / len(latencies),
         "last_sync_latency": latencies[-1],
         "sync_latency_p50": percentile(latencies, 50),
         "sync_latency_p95": percentile(latencies, 95),
+        "restart": {
+            "mode": c.restart_mode,
+            "warm_skips": c.warm_skips,
+            "start_seconds": c.start_seconds,
+            "checkpoint_bytes": c.checkpoint_bytes,
+            "checkpoint_seconds": c.checkpoint_seconds,
+            "auto_checkpoints": c.auto_checkpoints,
+            "fencing_epoch": c.fencing_epoch,
+        },
+        "engine": c.runtime.profile(),
+        "pipeline": pipeline_report(c),
     }
+    if obs.enabled():
+        out["registry"] = obs.REGISTRY.snapshot()
+    return out
 
 
-def pipeline_report(
-    engine_queue: Optional[CoalescingQueue],
-    channels: list,
-    devices: List[ManagedDevice],
-    stage_seconds: Dict[str, List[float]],
-    plane: Optional[FanoutPlane],
-) -> Dict[str, object]:
+def pipeline_report(controller) -> Dict[str, object]:
     """Queue depths, coalesce counts, per-stage timings and — while
     the pipeline runs — the fan-out plane's channel states."""
+    engine_queue, channels = controller.engine_queue, controller.channels
+    devices, plane = controller.devices, controller._fanout_plane
     started = engine_queue is not None
     out: Dict[str, object] = {
         "engine_queue_depth": len(engine_queue) if started else 0,
@@ -80,8 +95,8 @@ def pipeline_report(
         },
         "device_writes_issued": {d.name: d.writes_issued for d in devices},
         "stage_seconds": {
-            stage: summarize(samples)
-            for stage, samples in stage_seconds.items()
+            stage: summarize(window(samples))
+            for stage, samples in controller._stage_seconds.items()
         },
     }
     if plane is not None:

@@ -11,14 +11,16 @@ A :class:`CoalescingQueue` is a FIFO with two twists:
   the single pending tail item, which is where the pipeline's batching
   win comes from: a slow device accumulates *one* merged batch, not an
   unbounded backlog;
-* **join accounting** — ``queue.Queue``-style ``task_done``/``join``
-  so :meth:`NerpaController.drain` can wait for quiescence stage by
-  stage.
+* **in-flight accounting** — ``unfinished`` counts the items put and
+  not yet ``task_done``; ``on_idle`` fires when it falls to 0, which is
+  how :meth:`NerpaController.drain` learns the stages are quiet.
 
-A put never blocks.  Consumers are reactor callbacks that
-``pop_nowait``, and producers include callbacks on that same loop, so
-a bound would park the loop on itself; a backlog sits here, where it
-merges, and not in some queue further upstream, where it does not.
+Every put, pop and ``task_done`` runs on the controller's loop (a
+producer on another thread hops onto it), so a queue has no lock.  A
+put never blocks: consumers are reactor callbacks that ``pop_nowait``,
+and producers are callbacks on that same loop, so a bound would park
+the loop on itself; a backlog sits here, where it merges, and not in
+some queue further upstream, where it does not.
 
 Control items (:class:`Task` — engine tasks, device syncs) have no
 ``coalesce`` and act as barriers: later write batches never merge
@@ -28,7 +30,6 @@ across them, preserving order.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Callable, Optional
 
@@ -41,10 +42,11 @@ class PipelineStalledError(ReproError):
 
 
 class Task:
-    """A control item: the engine pump :meth:`run`\\ s it on the loop
-    (``fn()`` returns the result).  Any thread off the reactor may wait
-    for its result; a callback on the loop has :meth:`then` call it
-    back instead."""
+    """A piece of work finished on the loop: an engine task the engine
+    pump :meth:`run`\\ s (``fn()`` returns the result), or a callback
+    handed to the loop that :meth:`finish`\\ es it.  A caller on
+    another thread :meth:`wait`\\ s for its result; a callback on the
+    loop has :meth:`then` call it back instead."""
 
     __slots__ = ("fn", "event", "result", "error", "_then")
 
@@ -126,7 +128,7 @@ class SyncTask(Task):
 
 
 class CoalescingQueue:
-    """FIFO with tail coalescing and join accounting."""
+    """FIFO with tail coalescing and in-flight accounting (loop only)."""
 
     def __init__(
         self,
@@ -134,19 +136,15 @@ class CoalescingQueue:
         on_ready: Optional[Callable[[], None]] = None,
     ):
         self.name = name
-        #: Called (outside the queue lock) after a put appends a new
-        #: distinct item: it wakes the consumer.  A device's state
-        #: machine runs in place when the put is on its loop; the engine
-        #: pump, and any consumer woken from another thread, is
-        #: submitted to the reactor.  A merge into the queued tail does
-        #: not notify: the tail's own append already did, and its
-        #: consumer has not popped it yet.
+        #: Called after a put appends a new distinct item: it wakes the
+        #: consumer (a device's state machine runs in place, the engine
+        #: pump is submitted).  A merge into the queued tail does not
+        #: notify: the tail's own append already did, and its consumer
+        #: has not popped it yet.
         self.on_ready = on_ready
+        #: Called when a ``task_done`` brings ``unfinished`` to 0.
+        self.on_idle: Optional[Callable[[], None]] = None
         self._items: deque = deque()
-        self._lock = threading.Lock()
-        self._all_done = threading.Condition(self._lock)
-        #: Threads inside :meth:`join`: only they need a notify.
-        self._joiners = 0
         self._unfinished = 0
         self._closed = False
         #: Number of puts absorbed by a queued tail item (coalescing
@@ -167,87 +165,60 @@ class CoalescingQueue:
     def unfinished(self) -> int:
         return self._unfinished
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def put(self, item, supersedes: Optional[Callable] = None) -> None:
         """Enqueue ``item``, merging into the tail when possible.
 
         ``supersedes`` (a predicate over queued items) drops every
         pending item it matches before enqueueing — used by resync
         tasks, whose full-sync subsumes any queued incremental batches.
-        Puts on a closed queue are dropped (shutdown is best-effort).
+        Puts on a closed queue are dropped (shutdown is best-effort); a
+        dropped :class:`Task` is abandoned, so its waiter hears of it.
         """
-        with self._lock:
-            if self._closed:
+        if self._closed:
+            if isinstance(item, Task):
+                item.abandon()
+            return
+        if supersedes is not None:
+            kept = deque()
+            for queued in self._items:
+                if supersedes(queued):
+                    self._unfinished -= 1
+                else:
+                    kept.append(queued)
+            self._items = kept
+        if self._items:
+            fold = getattr(self._items[-1], "coalesce", None)
+            merged = fold(item) if fold is not None else None
+            if merged is not None:
+                self._items[-1] = merged
+                self.coalesced += 1
                 return
-            if supersedes is not None:
-                kept = deque()
-                for queued in self._items:
-                    if supersedes(queued):
-                        self._unfinished -= 1
-                    else:
-                        kept.append(queued)
-                self._items = kept
-            if self._items:
-                fold = getattr(self._items[-1], "coalesce", None)
-                merged = fold(item) if fold is not None else None
-                if merged is not None:
-                    self._items[-1] = merged
-                    self.coalesced += 1
-                    return
-            self._items.append(item)
-            self._unfinished += 1
+        self._items.append(item)
+        self._unfinished += 1
         ready = self.on_ready
         if ready is not None:
             ready()
 
     def pop_nowait(self):
         """Dequeue the head without blocking; ``None`` when empty."""
-        with self._lock:
-            if not self._items:
-                return None
-            return self._items.popleft()
+        return self._items.popleft() if self._items else None
 
     def task_done(self) -> None:
-        with self._lock:
-            if self._closed:
-                # close() already wrote off the item still in its
-                # consumer's hands; counting it again would go negative.
-                return
-            self._unfinished -= 1
-            if self._unfinished <= 0 and self._joiners:
-                self._all_done.notify_all()
-
-    def join(self, deadline: float) -> None:
-        """Wait until every item ever put has been processed.
-
-        ``deadline`` is an absolute ``time.monotonic`` instant; raises
-        :class:`PipelineStalledError` when it passes first.
-        """
-        with self._lock:
-            self._joiners += 1
-            try:
-                while self._unfinished > 0:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise PipelineStalledError(
-                            f"pipeline queue {self.name!r} did not drain "
-                            f"({self._unfinished} item(s) in flight)"
-                        )
-                    self._all_done.wait(remaining)
-            finally:
-                self._joiners -= 1
+        if self._closed:
+            # close() already wrote off the item still in its
+            # consumer's hands; counting it again would go negative.
+            return
+        self._unfinished -= 1
+        if self._unfinished == 0 and self.on_idle is not None:
+            self.on_idle()
 
     def close(self) -> None:
-        """Wake all waiters; pending items are abandoned (a pending
-        :class:`Task`'s waiter gets a ``ReproError``, not its timeout)."""
-        with self._lock:
-            self._closed = True
-            abandoned, self._items = self._items, deque()
-            self._unfinished = 0
-            self._all_done.notify_all()
+        """Drop the pending items: nothing is in flight afterwards, and
+        a pending :class:`Task`'s waiter gets a ``ReproError``, not its
+        timeout."""
+        self._closed = True
+        abandoned, self._items = self._items, deque()
+        self._unfinished = 0
         for item in abandoned:
             if isinstance(item, Task):
                 item.abandon()

@@ -136,7 +136,7 @@ class ManagementClient:
         """Run ``hook`` on the client's loop after each reconnect
         (monitors already cleared); use it to re-subscribe and
         reconcile.  It must not block — hand the blocking work to
-        another thread, as the controller's engine task does."""
+        another loop, as the controller queues its reconcile on its own."""
         self.conn.on_reconnect(hook)
 
     def health(self) -> Dict[str, object]:
@@ -168,7 +168,8 @@ class ManagementClient:
         must not block: a blocking call back into this client raises
         :class:`~repro.errors.ReproError` (counted as a callback error;
         the next update is still delivered).  Hand such work to another
-        thread.  Updates the server streamed between
+        loop, as the controller does (``reactor.submit`` onto its own).
+        Updates the server streamed between
         registering the monitor and this call returning reach
         ``callback`` in arrival order (those dispatched while the call
         was in flight are replayed here, before the snapshot is

@@ -150,9 +150,10 @@ class Database:
                 results = execute_operations(self, staged, operations)
                 self._check_constraints(staged)
                 updates = self._commit(staged)
+                monitors = list(self._monitors)
                 self._notify_lock.acquire()
             try:
-                self._notify(updates)
+                self._notify(updates, monitors)
             finally:
                 self._notify_lock.release()
             return results
@@ -169,11 +170,12 @@ class Database:
                 results = execute_operations(self, staged, operations)
                 self._check_constraints(staged)
                 updates = self._commit(staged)
+                monitors = list(self._monitors)
                 self._notify_lock.acquire()
             try:
                 span.set(changed_rows=sum(len(rows) for _, rows in updates))
                 with obs.use_update_id(uid):
-                    self._notify(updates)
+                    self._notify(updates, monitors)
             finally:
                 self._notify_lock.release()
         obs.REGISTRY.counter("mgmt_txns_total").inc()
@@ -309,10 +311,12 @@ class Database:
             if monitor in self._monitors:
                 self._monitors.remove(monitor)
 
-    def _notify(self, updates: TableUpdates) -> None:
+    def _notify(self, updates: TableUpdates, monitors: List[Monitor]) -> None:
+        # ``monitors`` were registered when the commit was: one added
+        # since holds the commit in its snapshot already.
         if not updates:
             return
-        for monitor in list(self._monitors):
+        for monitor in monitors:
             filtered = TableUpdates()
             for table, rows in updates:
                 if not monitor.spec.watches(table):

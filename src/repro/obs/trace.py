@@ -185,12 +185,13 @@ NULL_SPAN = _NullSpan()
 class _AdoptScope:
     """Make a span opened on another thread the current parent here.
 
-    The staged pipeline hops threads between stages (transact thread →
-    the controller's reactor → a pool thread for an in-process device);
-    contextvars don't follow, so each stage re-adopts the span its work
-    should nest under.  The adopted span is *not* re-recorded on exit —
-    it was (or will be) recorded by the thread that opened it.
-    ``adopt(None)`` explicitly clears any inherited parent.
+    The staged pipeline hops threads (a committing thread or a
+    management client's loop → the controller's reactor) and loop turns
+    between stages; contextvars don't follow, so each stage re-adopts
+    the span its work should nest under.  The adopted span is *not*
+    re-recorded on exit — it was (or will be) recorded by the thread
+    that opened it.  ``adopt(None)`` explicitly clears any inherited
+    parent.
     """
 
     __slots__ = ("_tracer", "_span", "_token")

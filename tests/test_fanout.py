@@ -845,6 +845,21 @@ class _Op:
         self.n = n
 
 
+def put_on_loop(reactor, queue, items) -> None:
+    """Put ``items`` from one callback on the channel's loop — where the
+    controller's every put happens — and wait until the queue's
+    ``on_idle`` says all of them are done."""
+    idle = threading.Event()
+
+    def put_all():
+        queue.on_idle = idle.set
+        for item in items:
+            queue.put(item)
+
+    reactor.submit(put_all)
+    assert idle.wait(10.0), "the channel never went idle"
+
+
 class TestDeviceChannel:
     """Runners complete from loop timers, as a device's ack would."""
 
@@ -872,9 +887,7 @@ class TestDeviceChannel:
             reactor.call_later(0.002, ack)
 
         channel = plane.channel(None, runner, name="dev")
-        for n in range(20):
-            channel.queue.put(_Op(n))
-        channel.queue.join(time.monotonic() + 10.0)
+        put_on_loop(reactor, channel.queue, [_Op(n) for n in range(20)])
         assert order == list(range(20))
         assert max(concurrent) == 1  # FIFO's mechanism, verified
         assert plane.inflight == 0
@@ -892,9 +905,7 @@ class TestDeviceChannel:
             reactor.call_later(0.001, done)
 
         channel = plane.channel(None, runner, name="dev")
-        channel.queue.put(_Op(0))
-        channel.queue.put(_Op(1))
-        channel.queue.join(time.monotonic() + 10.0)
+        put_on_loop(reactor, channel.queue, [_Op(0), _Op(1)])
         assert seen == [1]
         assert len(errors) == 1
         assert "injected" in str(errors[0])
@@ -913,9 +924,7 @@ class TestDeviceChannel:
             reactor.call_later(0.001, ack)
 
         channel = plane.channel(None, runner, name="dev")
-        channel.queue.put(_Op(0))
-        channel.queue.put(_Op(1))
-        channel.queue.join(time.monotonic() + 10.0)
+        put_on_loop(reactor, channel.queue, [_Op(0), _Op(1)])
         assert runs == [0, 1]
         assert plane.inflight == 0
         assert channel.queue.unfinished == 0

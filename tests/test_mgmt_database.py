@@ -1,6 +1,8 @@
 """Unit tests for the management-plane database (schema, transactions,
 monitors)."""
 
+import threading
+
 import pytest
 
 from repro.errors import SchemaError, TransactionError
@@ -521,6 +523,41 @@ class TestMonitors:
         db.remove_monitor(monitor)
         db.transact([{"op": "insert", "table": "Port", "row": {"name": "p"}}])
         assert received == []
+
+    def test_a_monitor_added_between_commit_and_notify_misses_that_commit(self):
+        """A monitor registered while a commit is between releasing the
+        database lock and notifying has the commit's row in its snapshot,
+        so its stream must not carry the row again: streamed updates
+        always post-date the snapshot."""
+        db = make_db()
+        inner_notify = db._notify
+        paused, resume = threading.Event(), threading.Event()
+
+        def notify_after_a_pause(*args):
+            paused.set()
+            assert resume.wait(5.0)
+            inner_notify(*args)
+
+        db._notify = notify_after_a_pause
+        committer = threading.Thread(
+            target=db.transact,
+            args=([{"op": "insert", "table": "Port", "row": {"name": "a"}}],),
+        )
+        committer.start()
+        try:
+            assert paused.wait(5.0), "the commit never reached its notify"
+            received = []
+            _, initial = db.add_monitor(
+                MonitorSpec.all_tables(db.schema), received.append
+            )
+        finally:
+            resume.set()
+            committer.join(5.0)
+        assert not committer.is_alive()
+        assert [u.new["name"] for u in initial.table("Port").values()] == ["a"]
+        assert received == []
+        state = replay(initial, received)
+        assert [row["name"] for row in state["Port"].values()] == ["a"]
 
     def test_replay_reconstructs_database(self):
         db = make_db()

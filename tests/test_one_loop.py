@@ -15,7 +15,12 @@ reactor is one thread.
   promptly and no save runs after it;
 * reconnect hooks run on the connection's loop, one after another: one
   that raises or blocks is counted and the next still runs — on a bare
-  connection and through either client.
+  connection and through either client;
+* every put on the engine queue and on a device channel's queue runs
+  on the loop, whichever thread produced the work: an in-process
+  database's committing thread, a management client's own loop, a
+  thread injecting a packet into an in-process switch, a caller of
+  ``resync_device`` or ``save_checkpoint``.
 """
 
 import socket
@@ -24,11 +29,13 @@ import time
 
 import pytest
 
+from repro.apps.snvs.network import SnvsNetwork
 from repro.core.controller import NerpaController
 from repro.core.pipeline import nerpa_build
 from repro.errors import ReproError
 from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
+from repro.mgmt.server import ManagementServer
 from repro.net.aio import AioConnection, Reactor
 from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import DeviceService
@@ -311,3 +318,93 @@ def test_a_raising_client_hook_does_not_stop_the_next(connect):
     finally:
         client.close()
         listener.close()
+
+
+# -- every put on the loop -----------------------------------------------------
+
+
+def watch_puts(controller):
+    """``(queue name, on the loop?)`` for every later put on the engine
+    queue and on each device channel's queue."""
+    seen = []
+    queues = [controller.engine_queue, *(c.queue for c in controller.channels)]
+    for queue in queues:
+
+        def put(item, supersedes=None, inner=queue.put, name=queue.name):
+            seen.append((name, controller.reactor.in_loop()))
+            inner(item, supersedes)
+
+        queue.put = put
+    return seen
+
+
+def assert_all_on_loop(seen, *queues):
+    assert {name for name, _ in seen} >= set(queues), seen
+    assert [put for put in seen if not put[1]] == []
+
+
+def test_an_in_process_commit_on_a_foreign_thread_is_put_on_the_loop():
+    project = nerpa_build(SCHEMA, RULES, P4)
+    db = Database(project.schema)
+    switch = project.new_simulator(n_ports=16)
+    controller = NerpaController(project, db, [switch]).start()
+    try:
+        seen = watch_puts(controller)
+        committer = threading.Thread(target=add_port, args=(db, 1, 5))
+        committer.start()
+        committer.join(10.0)
+        controller.drain()
+        assert switch.table("patch").lookup([1]) == ("forward", (5,), True)
+        assert_all_on_loop(seen, "engine", "device-0")
+    finally:
+        controller.stop()
+
+
+def test_a_remote_management_client_update_is_put_on_the_loop():
+    project = nerpa_build(SCHEMA, RULES, P4)
+    db = Database(project.schema)
+    switch = project.new_simulator(n_ports=16)
+    server = ManagementServer(db).start()
+    client = ManagementClient(*server.address, policy=FAST)
+    controller = NerpaController(project, client, [switch]).start()
+    try:
+        seen = watch_puts(controller)
+        add_port(db, 2, 6)
+        wait_for(lambda: len(switch.table("patch")) == 1, what="the entry")
+        controller.drain()
+        assert_all_on_loop(seen, "engine", "device-0")
+    finally:
+        controller.stop()
+        client.close()
+        server.stop()
+
+
+def test_a_digest_injected_from_the_test_thread_is_put_on_the_loop():
+    net = SnvsNetwork(n_ports=8)
+    try:
+        net.add_vlan(10)
+        net.add_access_port(0, vlan=10)
+        net.add_access_port(1, vlan=10)
+        seen = watch_puts(net.controller)
+        learned = net.fwd_entries()
+        net.send(0, "aa:00:00:00:00:0b", "aa:00:00:00:00:0a")
+        assert net.controller.digests_processed == 1
+        assert net.fwd_entries() == learned + 1
+        assert_all_on_loop(seen, "engine", "device-0")
+    finally:
+        net.controller.stop()
+
+
+def test_resync_and_checkpoint_called_off_the_loop_put_on_the_loop(tmp_path):
+    controller = _controller(state_dir=str(tmp_path)).start()
+    try:
+        add_port(controller.mgmt.db, 3, 7)
+        controller.drain()
+        seen = watch_puts(controller)
+        controller.resync_device(0)
+        controller.save_checkpoint()
+        assert controller.last_checkpoint_mode == "full"
+        assert [name for name, _ in seen] == ["engine", "device-0", "engine"]
+        assert_all_on_loop(seen, "engine", "device-0")
+    finally:
+        controller.stop()

@@ -10,7 +10,7 @@ decomposition of the controller:
 * the **ordering invariant**: per-device writes apply deltas in
   engine-transaction order, deletes before inserts within a batch;
 * :class:`CoalescingQueue` semantics (tail merge, barriers,
-  supersession, join deadlines, close);
+  supersession, in-flight accounting, close) and drain deadlines;
 * the OVSDB ``modify`` path, where ``old`` carries only the changed
   columns;
 * a management-plane reconnect-reconcile racing a concurrent monitor
@@ -22,7 +22,6 @@ decomposition of the controller:
 import inspect
 import json
 import os
-import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -306,26 +305,44 @@ class TestCoalescingQueue:
         # Join accounting followed the drop: 2 items remain unfinished.
         assert q.unfinished == 2
 
-    def test_join_raises_on_deadline(self):
+    def test_on_idle_waits_for_the_last_task_done(self):
         q = CoalescingQueue(name="stuck")
+        idle = []
+        q.on_idle = lambda: idle.append(q.unfinished)
         q.put(_Barrier())
-        with pytest.raises(PipelineStalledError):
-            q.join(time.monotonic() + 0.05)
-
-    def test_join_completes_after_task_done(self):
-        q = CoalescingQueue()
         q.put(_Barrier())
-        done = threading.Event()
+        q.pop_nowait()
+        q.task_done()
+        assert idle == [] and q.unfinished == 1
+        q.pop_nowait()
+        q.task_done()
+        assert idle == [0]
 
-        def consume():
-            q.pop_nowait()
-            q.task_done()
-            done.set()
+    def test_a_consumer_on_the_loop_brings_the_queue_idle(self):
+        """Producer and consumer both on one reactor: the put wakes the
+        consumer, whose task_done fires on_idle on that same loop."""
+        reactor = Reactor("t-queue").start()
+        try:
+            seen = []
+            idle = threading.Event()
 
-        threading.Thread(target=consume, daemon=True).start()
-        q.join(time.monotonic() + 5.0)
-        assert done.is_set()
-        assert q.unfinished == 0
+            def consume():
+                seen.append(q.pop_nowait())
+                q.task_done()
+
+            q = CoalescingQueue(on_ready=lambda: reactor.submit(consume))
+
+            def on_idle():
+                assert reactor.in_loop()
+                idle.set()
+
+            q.on_idle = on_idle
+            barrier = _Barrier()
+            reactor.submit(q.put, barrier)
+            assert idle.wait(5.0)
+            assert seen == [barrier] and q.unfinished == 0
+        finally:
+            reactor.stop()
 
     def test_close_releases_the_waiters_of_abandoned_tasks(self):
         q = CoalescingQueue()
@@ -466,23 +483,144 @@ class TestDrainDeadline:
         controller.drain(timeout=1.0)
 
     def test_drain_honours_its_deadline_when_nothing_blocks(self):
-        """join() returning at once with work still counted in flight
-        must end in PipelineStalledError, not a busy loop."""
+        """A device holding its batch's ack keeps work in flight without
+        blocking the loop: drain() raises PipelineStalledError at its
+        deadline, and a later drain still sees the batch through."""
+        project, db, _ = build()
+        with slow_device(0.6) as (slow, device):
+            controller = NerpaController(project, db, [slow]).start()
+            try:
+                add_port(db, 1, 5)
+                started = time.monotonic()
+                with pytest.raises(PipelineStalledError):
+                    controller.drain(timeout=0.05)
+                assert time.monotonic() - started < 0.5
+                controller.drain()
+                assert patch_actions(device) == {1: [5]}
+            finally:
+                controller.stop()
 
-        class NeverQuiet:
-            unfinished = 1
+    def test_a_parked_drain_is_woken_by_the_last_ack(self):
+        """drain() from another thread parks on the loop while a batch
+        is in flight, and the ack that empties the pipeline wakes it."""
+        project, db, _ = build()
+        with slow_device(0.2) as (slow, device):
+            controller = NerpaController(project, db, [slow]).start()
+            try:
+                add_port(db, 1, 5)
+                drained = threading.Event()
+                waiter = threading.Thread(
+                    target=lambda: (controller.drain(), drained.set())
+                )
+                waiter.start()
+                assert not drained.wait(0.05)
+                assert drained.wait(5.0)
+                waiter.join(5.0)
+                assert patch_actions(device) == {1: [5]}
+                assert controller._drains == []
+            finally:
+                controller.stop()
 
-            def join(self, deadline):
-                pass
+    def test_drains_on_several_threads_all_return(self):
+        """Drains from several threads while batches complete: each is
+        finished by the task_done that empties the pipeline, none runs
+        into its deadline."""
+        project, db, _ = build()
+        failures = []
 
-        project, db, switch = build()
-        controller = NerpaController(project, db, [switch])
-        controller.engine_queue = NeverQuiet()
+        def drain():
+            try:
+                controller.drain(timeout=10.0)
+            except ReproError as exc:
+                failures.append(exc)
+
+        with slow_device(0.02) as (slow, device):
+            controller = NerpaController(project, db, [slow]).start()
+            try:
+                for round_ in range(5):
+                    for port in range(4):
+                        add_port(db, 4 * round_ + port, port + 1)
+                    drains = [threading.Thread(target=drain) for _ in range(4)]
+                    for thread in drains:
+                        thread.start()
+                    for thread in drains:
+                        thread.join(15.0)
+                        assert not thread.is_alive()
+                assert failures == []
+                assert len(patch_actions(device)) == 20
+            finally:
+                controller.stop()
+
+    def test_a_digest_arriving_mid_drain_is_waited_for(self, monkeypatch):
+        """A digest put on the engine queue while a drain is parked
+        behind a commit: the drain returns only once the digest's
+        transaction is on the device too.  The loop is held until the
+        drain's callback is queued, so the commit is still in flight
+        when that callback runs."""
+        from repro.apps.snvs.network import SnvsNetwork
+        from repro.p4.headers import ethernet
+
+        mac_a, mac_b = "aa:00:00:00:00:0a", "aa:00:00:00:00:0b"
+        net = SnvsNetwork(n_ports=8)
         try:
-            with pytest.raises(PipelineStalledError):
-                controller.drain(timeout=0.05)
+            net.add_vlan(10)
+            net.add_access_port(0, vlan=10)
+            net.add_access_port(1, vlan=10)
+            controller, reactor = net.controller, net.controller.reactor
+            learned_before = net.fwd_entries()
+            parked = []
+            inner_settle = controller._settle_drains
+
+            def park_then_learn(quiet=None):
+                inner_settle(quiet)
+                if quiet is not None:  # drain()'s own callback
+                    parked.append(not quiet.event.is_set())
+                    # A frame from an unknown source: its digest is
+                    # ingested inline, here on the loop, behind the
+                    # parked drain.
+                    net.switch.inject(0, ethernet(mac_b, mac_a))
+
+            controller._settle_drains = park_then_learn
+            held, release = threading.Event(), threading.Event()
+            inner_submit = reactor.submit
+
+            def submit(fn, *args):
+                queued = inner_submit(fn, *args)
+                if fn == park_then_learn:
+                    release.set()
+                return queued
+
+            monkeypatch.setattr(reactor, "submit", submit)
+            reactor.submit(lambda: (held.set(), release.wait(10.0)))
+            assert held.wait(5.0)
+            net.db.transact([{
+                "op": "insert",
+                "table": "Port",
+                "row": {"name": "port2", "port_num": 2,
+                        "vlan_mode": "access", "tag": 10},
+            }])
+            controller.drain()
+            assert parked == [True]  # the commit was still in flight
+            assert controller.digests_processed == 1
+            assert net.fwd_entries() == learned_before + 1
         finally:
-            controller.runtime.close()
+            net.controller.stop()
+
+    def test_an_error_handed_to_a_drain_that_gave_up_goes_to_the_next(self):
+        """A drain finished with a deferred error just after its caller
+        hit the deadline: the error is kept, and the next drain raises
+        it — once."""
+        project, db, switch = build()
+        controller = NerpaController(project, db, [switch]).start()
+        try:
+            late = Task(None)
+            late.finish(None, ReproError("rejected write"))
+            controller._submit_engine(lambda: controller._unpark_drain(late))
+            with pytest.raises(ReproError, match="rejected write"):
+                controller.drain()
+            controller.drain()
+        finally:
+            controller.stop()
 
 
 class TestOvsdbModifyPath:
@@ -840,18 +978,11 @@ class TestQueueBarrierSupersedeJoin:
         assert q.unfinished == 3
         q.put(_Barrier(), supersedes=lambda item: isinstance(item, _Item))
         assert q.unfinished == 2
-        done = threading.Event()
-
-        def consume():
-            while q.pop_nowait() is not None:
-                q.task_done()
-                if q.unfinished == 0:
-                    break
-            done.set()
-
-        threading.Thread(target=consume, daemon=True).start()
-        q.join(time.monotonic() + 5.0)
-        assert done.wait(5.0)
+        idle = []
+        q.on_idle = lambda: idle.append(len(q))
+        while q.pop_nowait() is not None:
+            q.task_done()
+        assert idle == [0]  # once, when the second survivor was done
         assert q.unfinished == 0
 
     def test_supersede_exposes_mergeable_tail(self):
@@ -868,68 +999,20 @@ class TestQueueBarrierSupersedeJoin:
         assert q.unfinished == 1
 
     def test_barrier_blocks_merge_but_join_sees_all_three(self):
+        """The in-flight count a drain waits on covers all three items:
+        the queue goes idle only at the third task_done."""
         q = CoalescingQueue()
+        idle = []
+        q.on_idle = lambda: idle.append(q.unfinished)
         q.put(_Item(0))
         q.put(_Barrier())
         q.put(_Item(1))
-        assert len(q) == 3
-        for _ in range(3):
+        assert len(q) == 3 and q.unfinished == 3
+        for n in range(3):
+            assert idle == []
             q.pop_nowait()
             q.task_done()
-        q.join(time.monotonic() + 1.0)
-
-    def test_a_join_waiting_on_another_thread_is_woken(self):
-        q = CoalescingQueue("q")
-        q.put(Task(lambda: None))
-        joined = threading.Event()
-
-        def join():
-            q.join(time.monotonic() + 5.0)
-            joined.set()
-
-        waiter = threading.Thread(target=join)
-        waiter.start()
-        time.sleep(0.05)
-        assert not joined.is_set()
-        q.pop_nowait()
-        q.task_done()
-        assert joined.wait(5.0)
-        waiter.join(5.0)
-        assert not waiter.is_alive()
-
-    def test_joins_racing_completions_all_return(self):
-        """Joiners on several threads while items complete: a completion
-        skips the notify only when no thread waits, so no join misses
-        its wake-up (it would run into its deadline instead)."""
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        failures = []
-
-        def join(q):
-            try:
-                q.join(time.monotonic() + 10.0)
-            except PipelineStalledError as exc:
-                failures.append(exc)
-
-        try:
-            for _ in range(50):
-                q = CoalescingQueue("q")
-                for _ in range(4):
-                    q.put(Task(lambda: None))
-                joiners = [
-                    threading.Thread(target=join, args=(q,)) for _ in range(4)
-                ]
-                for joiner in joiners:
-                    joiner.start()
-                for _ in range(4):
-                    q.pop_nowait()
-                    q.task_done()
-                for joiner in joiners:
-                    joiner.join(15.0)
-                    assert not joiner.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert failures == []
+        assert idle == [0]
 
 
 def test_a_sample_series_keeps_exactly_its_window():
