@@ -9,10 +9,14 @@ directions) and restores the previous one, in seeded shuffled passes
 over the fabric, exactly like the e2e workload's commits.
 
 It reports ms per transaction (p50/p90), the cold transaction that
-derives every walk, and ``Hop`` rows removed per flap.  The gate is
-box-independent: on the same flaps, an incremental transaction must be
+derives every walk, and ``Hop`` rows removed per flap.  Both gates are
+box-independent.  On the same flaps, an incremental transaction must be
 at least 8x faster than ``recursive_mode="recompute"`` (the full
-fixpoint per transaction), and both must end in the same state.
+fixpoint per transaction), and both must end in the same state.  And a
+flap may make at most 9,000 Python-level calls (``sys.setprofile``
+``"call"`` events over the flaps after the cold transaction): rule
+bodies run as generated functions, one call per variant and row, where
+a chain of closures made 18.7k calls per flap.
 
 A separate pass over the same flaps, under the detail obs tier (each
 ``Graph.run`` records a ``profile=`` sample per dataflow node), reports
@@ -23,6 +27,7 @@ These are reported figures, not gates.
 
 import random
 import statistics
+import sys
 import time
 
 from benchmarks.conftest import emit, report
@@ -50,6 +55,8 @@ N_FLAPS = 60
 #: Flaps the recompute ablation runs (a full fixpoint per flap).
 N_RECOMPUTE = 6
 GATE_X = 8.0
+#: Python-level calls per flap (half the 18.7k of step-chain closures).
+GATE_CALLS = 9000
 #: Operator kinds the attribution reports, by dataflow node name.
 KINDS = {"scc": "scc(", "aggregate": "aggregate(", "join": ":join("}
 
@@ -99,6 +106,28 @@ def run(mode, cold, txns):
     return cold_s, seconds, removed, runtime
 
 
+def calls_per_flap(cold, txns):
+    """Python-level function calls per transaction over ``txns``, after
+    the cold one (C functions are not counted)."""
+    runtime = compile_program(PROGRAM).start()
+    runtime.transaction(inserts={"Link": cold})
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for txn in txns:
+            runtime.transaction(**txn)
+    finally:
+        sys.setprofile(previous)
+    return calls / len(txns)
+
+
 def attribute(cold, txns):
     """Per operator kind: ``(ms per transaction, share of operator
     time)`` over ``txns``, from the detail tier's per-node samples."""
@@ -138,6 +167,7 @@ def test_a4_reroute_engine(benchmark, bench_seed):
 
     p50, p90 = _ms(seconds, 50), _ms(seconds, 90)
     hop_removes = statistics.mean(removed)
+    calls = calls_per_flap(cold, txns)
     shares = attribute(cold, txns)
     report(
         f"A4: reroute engine, k={K} fat-tree, {N_FLAPS} rolling flaps",
@@ -148,6 +178,7 @@ def test_a4_reroute_engine(benchmark, bench_seed):
             ("Hop removes/flap", f"{hop_removes:.1f}", ""),
             (f"recompute/incremental ({N_RECOMPUTE} flaps)",
              f"{ratio:.1f}x", f"gate: >= {GATE_X:.0f}x"),
+            ("Python calls/flap", f"{calls:,.0f}", f"gate: <= {GATE_CALLS:,}"),
             *(
                 (f"{kind} ms/txn (share)", f"{ms:.2f} ({share:.0%})",
                  "detail tier, reported")
@@ -163,6 +194,8 @@ def test_a4_reroute_engine(benchmark, bench_seed):
         "a4", "recompute_vs_incremental", "ratio_x", round(ratio, 1),
         threshold=GATE_X,
     )
+    emit("a4", "python_calls_per_flap", "calls", round(calls), threshold=GATE_CALLS)
     for kind, (ms, share) in shares.items():
         emit("a4", f"{kind}_ms_per_txn", "ms", round(ms, 3), share=round(share, 3))
     assert ratio >= GATE_X
+    assert calls <= GATE_CALLS

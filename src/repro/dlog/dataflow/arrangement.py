@@ -30,28 +30,31 @@ class Arrangement:
         self.records: int = 0
 
     def add(self, key, record, weight: int) -> None:
-        if weight == 0:
-            return
-        group = self.data.get(key)
-        if group is None:
-            group = {}
-            self.data[key] = group
-        new = group.get(record, 0) + weight
-        if new == 0:
-            del group[record]
-            self.records -= 1
-            if not group:
-                del self.data[key]
-        else:
-            if record not in group:
-                self.records += 1
-            group[record] = new
+        self.add_all([(key, record, weight)])
+
+    def add_all(self, entries) -> None:
+        """Add each ``(key, record, weight)`` of ``entries``."""
+        data = self.data
+        for key, record, weight in entries:
+            if not weight:
+                continue
+            group = data.get(key)
+            if group is None:
+                group = data[key] = {}
+            new = group.get(record, 0) + weight
+            if new == 0:
+                del group[record]
+                self.records -= 1
+                if not group:
+                    del data[key]
+            else:
+                if record not in group:
+                    self.records += 1
+                group[record] = new
 
     def update(self, delta: ZSet, key_fn) -> None:
         """Apply a keyed delta: each record is indexed under ``key_fn(record)``."""
-        add = self.add
-        for record, weight in delta.data.items():
-            add(key_fn(record), record, weight)
+        self.add_all([(key_fn(record), record, w) for record, w in delta.data.items()])
 
     def group(self, key) -> Dict[object, int]:
         """The records under ``key`` (empty mapping if none). Do not mutate."""

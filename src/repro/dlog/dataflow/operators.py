@@ -358,7 +358,7 @@ class AggregateNode(Node):
     def _fold(self, group: Dict[object, int]) -> object:
         """The value of a non-empty group with positive multiplicities."""
         if self.select is not None:
-            return self.select(args[0] for args in group)
+            return self.select([args[0] for args in group])
         rows: List[tuple] = []
         for args, count in group.items():
             rows.extend([args] * count)
@@ -366,13 +366,12 @@ class AggregateNode(Node):
 
     def process(self, deltas):
         delta = _port(deltas, 0)
-        key_fn, args_fn, add = self.key_fn, self.args_fn, self.groups.add
+        key_fn, args_fn = self.key_fn, self.args_fn
+        entries = [(key_fn(r), args_fn(r), w) for r, w in delta.data.items()]
+        self.groups.add_all(entries)
         arrived: Dict[object, List[tuple]] = {}  # touched key -> inserted args
         left: List[Tuple[object, tuple]] = []
-        for record, weight in delta.items():
-            key = key_fn(record)
-            args = args_fn(record)
-            add(key, args, weight)
+        for key, args, weight in entries:
             inserted = arrived.get(key)
             if inserted is None:
                 inserted = arrived[key] = []
@@ -380,9 +379,10 @@ class AggregateNode(Node):
                 inserted.append(args)
             else:
                 left.append((key, args))
-        group_of = self.groups.group
+        group_of = self.groups.data.get
         for key, args in left:
-            if group_of(key).get(args, 0) < 0:
+            group = group_of(key)
+            if group is not None and group.get(args, 0) < 0:
                 raise ValueError(
                     f"{self.name}: negative multiplicity in aggregate group"
                 )

@@ -1,13 +1,12 @@
 """Compilation of rules into incremental dataflow.
 
-Every body item compiles to code over a *frame* — a flat sequence
-holding the rule's variables at the slot indices a :class:`Slots` fixes
-in binding order (:mod:`repro.dlog.interp`) — and the code runs as a
-*step chain*: a step ``step(frame, rank, ctx)`` calls the next one once
-per way its item holds (:func:`compile_row_match` for an atom's
-pattern, :func:`compile_body_step` for a guard, assignment or FlatMap).
-A non-``None`` return stops a chain early and is passed back up; the
-recursive-stratum evaluator uses that to stop at a first derivation.
+Every body item is generated into the Python function of the stretch
+or variant that runs it (:mod:`repro.dlog.interp`): the rule's
+variables are locals, and the rest of the rule runs once per way the
+item holds — a test for a guard or a pattern, a ``for`` for a FlatMap
+(:func:`open_body_item`), binds and tests for an atom's pattern
+(:func:`open_row_match`).  The recursive-stratum evaluator builds its
+variants from the same pieces.
 
 A rule that runs as dataflow is its *stateful* items, each a node,
 joined by *linear stretches* — the items between them — that run
@@ -31,14 +30,15 @@ head                     the last node's stretch, which adds head rows
                          to the head relation's Distinct node
 =======================  ==============================================
 
-For dataflow, a chain's ``rank`` is the Z-set weight and ``ctx`` the
-node's output dict; its last step adds the head row, or the record the
-next node reads (the variables bound so far), to that dict.  Where a
-scan's arguments or a join's residual ones are plain distinct variables
-(so the match cannot fail) the frame is the row itself, or the left
-record followed by the right row, with no match step; a stretch that
-would only copy its frame adds the frame itself.  Body-less rules
-(facts) run the same chains once, at plan time.
+A stretch is one generated function ``step(record, weight, out)`` (a
+join's takes both sides: ``step(left, right, weight, out)``) that ends
+by adding ``weight`` to the head row, or to the record the next node
+reads (the variables bound so far), in the node's output dict ``out``.
+Where a scan's arguments or a join's residual ones are plain distinct
+variables (so the match cannot fail) the row unpacks straight into
+locals, with no tests; a stretch whose output is its input record adds
+the record itself, and one with no items is :func:`emit`.  Body-less
+rules (facts) run their generated stretch once, at plan time.
 
 The classification helpers (:func:`pattern_vars`, :func:`classify_args`)
 are shared with the recursive-stratum evaluator, which plans the same
@@ -51,7 +51,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.dlog import ast as A
-from repro.dlog.interp import Evaluator, Slots
+from repro.dlog.interp import Code, Evaluator, Slots, slot, tuple_text
 from repro.dlog.typecheck import CheckedProgram, pattern_to_expr
 from repro.dlog.dataflow.operators import (
     AggregateNode,
@@ -63,115 +63,63 @@ from repro.dlog.dataflow.operators import (
 )
 from repro.dlog.stdlib import AGGREGATES
 from repro.errors import TypeCheckError
-from repro.dlog.values import MapValue
 
 
 def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """A compiled ``row -> (row[p0], row[p1], ...)`` selector."""
+    """A ``row -> (row[p0], row[p1], ...)`` selector, in C: fewer than
+    two positions select a slice of the row (a tuple)."""
     if not positions:
-        return lambda row: ()
+        return itemgetter(slice(0, 0))
     if len(positions) == 1:
-        p = positions[0]
-        return lambda row: (row[p],)
+        return itemgetter(slice(positions[0], positions[0] + 1))
     return itemgetter(*positions)
 
 
-def compile_row_match(
+def open_row_match(
     evaluator: Evaluator,
+    code: Code,
     args: Sequence[A.Pattern],
     positions: Sequence[int],
     slots: Slots,
-) -> Callable[[tuple, List[object]], bool]:
-    """``fn(row, frame) -> bool`` matching ``row[p]`` against ``args[p]``
-    for each of ``positions`` in order, binding new variables into the
-    frame (a variable bound earlier — in ``slots`` or at an earlier
-    position — is compared).  When every argument is a fresh, distinct
-    plain variable the match cannot fail and is one slice assignment."""
-    pats = [(p, args[p]) for p in positions if not isinstance(args[p], A.PWildcard)]
-    names = {
-        pat.name
-        for _, pat in pats
-        if isinstance(pat, A.PVar) and pat.name not in slots
-    }
-    if len(names) == len(pats):
-        start = len(slots)
-        for _, pat in pats:
-            slots.bind(pat.name)
-        if len(pats) == 1:
-            ((p, _),) = pats
-
-            def bind_one(row, frame):
-                frame[start] = row[p]
-                return True
-
-            return bind_one
-        stop = len(slots)
-        get = _tuple_getter([p for p, _ in pats])
-
-        def bind(row, frame):
-            frame[start:stop] = get(row)
-            return True
-
-        return bind
-    tests = [(p, evaluator.compile_pattern(pat, slots)) for p, pat in pats]
-
-    def match(row, frame):
-        for p, test in tests:
-            if not test(row[p], frame):
-                return False
-        return True
-
-    return match
+    row: str,
+) -> None:
+    """Match ``row[p]`` (``row`` a local of ``code``) against
+    ``args[p]`` for each of ``positions`` in order, as statements: a
+    variable bound earlier — in ``slots`` or at an earlier position — is
+    compared, a new one binds its slot, and the rest of the rule runs
+    only where every test holds (:meth:`Code.require`)."""
+    for p in positions:
+        code.match(evaluator.pattern(code, args[p], slots, f"{row}[{p}]"))
 
 
-def compile_body_step(evaluator: Evaluator, item: A.BodyItem, slots: Slots):
-    """Compile a guard, assignment or FlatMap over ``slots`` (binding
-    the variables it introduces) into a step-chain link: ``link(next)``
-    returns the step, which runs ``next`` once per way the item holds
-    and returns the first non-``None`` result of ``next``."""
-    value = evaluator.compile_expr(item.expr, slots)
+def open_body_item(
+    evaluator: Evaluator, code: Code, item: A.BodyItem, slots: Slots
+) -> None:
+    """A guard, assignment or FlatMap over ``slots`` as statements in
+    ``code``, binding the variables it introduces: the rest of the rule
+    runs once per way the item holds."""
+    value = evaluator.expr(code, item.expr, slots)
     if isinstance(item, A.Guard):
-
-        def link_guard(nxt):
-            def guard(frame, rank, ctx):
-                if value(frame):
-                    return nxt(frame, rank, ctx)
-                return None
-
-            return guard
-
-        return link_guard
+        code.require(value)
+        return
     if isinstance(item, A.Assignment):
-        test = evaluator.compile_pattern(item.pattern, slots)
-
-        def link_assign(nxt):
-            def assign(frame, rank, ctx):
-                if test(value(frame), frame):
-                    return nxt(frame, rank, ctx)
-                return None
-
-            return assign
-
-        return link_assign
+        code.match(evaluator.pattern(code, item.pattern, slots, value))
+        return
     # A FlatMap: a variable bound already (a head variable, top-down) is
     # an equality constraint, like any pattern variable.
-    test = evaluator.compile_pattern(A.PVar(item.var), slots)
+    elems, elem = code.temp(), code.temp()
+    code.line(f"{elems} = {value}")
+    code.open(
+        f"for {elem} in ({elems}.pairs if isinstance({elems}, _MapValue) else {elems}):",
+        loop=True,
+    )
+    code.match(evaluator.pattern(code, A.PVar(item.var), slots, elem))
 
-    def link_flatmap(nxt):
-        def flatmap(frame, rank, ctx):
-            elems = value(frame)
-            if isinstance(elems, MapValue):
-                elems = elems.pairs
-            for elem in elems:
-                if test(elem, frame):
-                    found = nxt(frame, rank, ctx)
-                    if found is not None:
-                        return found
-            return None
 
-        return flatmap
-
-    return link_flatmap
+def unpack(code: Code, start: int, stop: int, row: str) -> None:
+    """Assign the columns of ``row`` to slots ``start..stop-1``."""
+    if stop > start:
+        code.line(f"{', '.join(slot(i) for i in range(start, stop))}, = {row}")
 
 
 def _simple_pvar_positions(args: Sequence[A.Pattern]) -> Optional[List[int]]:
@@ -361,22 +309,6 @@ def _bind_row(slots: Slots, args: Sequence[A.Pattern], bound) -> None:
             slots.bind(f"{_COLUMN}{len(slots)}")
 
 
-def _frame_of(pad: int):
-    """``fn(record) -> frame``: a list holding the record followed by
-    ``pad`` free slots, for the variables the code after it binds."""
-    fill = [None] * pad
-    return lambda record: [*record, *fill]
-
-
-def _framed(step, pad: int):
-    """``fn(record, weight, out)`` running ``step`` on the record's
-    frame with ``pad`` free slots (on the record itself with none)."""
-    if not pad:
-        return step
-    frame_of = _frame_of(pad)
-    return lambda record, weight, out: step(frame_of(record), weight, out)
-
-
 class Planner:
     """Compiles the rules of a checked program that run as dataflow.
 
@@ -384,21 +316,22 @@ class Planner:
     stretches*: each relation atom after the first is a
     :class:`JoinNode`, each negated atom an :class:`AntiJoinNode`, each
     aggregate an :class:`AggregateNode`, and the linear items after one
-    of them — with the head after the last — run inside it as a compiled
-    step (see :mod:`repro.dlog.dataflow.operators`).  The first atom's
-    stretch, and a negated atom's key projection, read a relation
-    directly: a :class:`ScanNode`, or no node at all when it passes the
-    relation's rows through unchanged.  Records between stages hold the
-    variables bound so far, in binding order."""
+    of them — with the head after the last — run inside it as a
+    generated step (see :mod:`repro.dlog.dataflow.operators`).  The
+    first atom's stretch, and a negated atom's key projection, read a
+    relation directly: a :class:`ScanNode`, or no node at all when it
+    passes the relation's rows through unchanged.  Records between
+    stages hold the variables bound so far, in binding order."""
 
     def __init__(self, checked: CheckedProgram, evaluator: Optional[Evaluator] = None):
         self.checked = checked
         self.evaluator = evaluator or Evaluator(checked)
 
     def fact_rows(self, rule: A.Rule) -> Optional[Dict[tuple, int]]:
-        """A rule without body atoms (a fact), evaluated now as a step
-        chain ending in its head: its rows, each with the number of
-        ways the body holds; ``None`` for a rule with a body atom."""
+        """A rule without body atoms (a fact), evaluated now as a
+        generated stretch ending in its head: its rows, each with the
+        number of ways the body holds; ``None`` for a rule with a body
+        atom."""
         if any(isinstance(item, A.AtomItem) for item in rule.body):
             return None
         for item in rule.body:
@@ -407,10 +340,10 @@ class Planner:
                     f"rule {rule.name}: {type(item).__name__} requires at "
                     "least one preceding relation atom"
                 )
-        slots = Slots()
-        step, _ = self._stretch(slots, rule.body, self._head(rule), None)
+        code = rule_code(rule, "fact")
+        step, _ = self._stretch(code, Slots(), rule.body, self._head(rule), ("weight", "out"))
         rows: Dict[tuple, int] = {}
-        step([None] * len(slots), 1, rows)
+        step(1, rows)
         return rows
 
     def plan_rule(
@@ -448,18 +381,19 @@ class Planner:
     def _head(self, rule: A.Rule) -> List[A.Expr]:
         return self.checked.head_exprs[id(rule)]
 
-    def _stretch(self, slots: Slots, items, head, width: Optional[int]):
-        """Compile the linear ``items`` over ``slots`` (the stage's
-        input already bound) into ``(step, record)``.
+    def _stretch(self, code: Code, slots: Slots, items, head, params, width=None):
+        """Generate the linear ``items`` over ``slots`` (the stage's
+        input already bound in ``code``) as ``(step, record)``.
 
-        ``step(frame, weight, out)`` runs the items and then adds to
-        ``out`` the head row (``head``, its expressions) or, with
-        ``head`` None, the record of every variable bound so far —
-        ``record`` names them.  When the frame is the stage's input
-        tuple as it stands (``width`` is its length, ``None`` if the
-        stage always builds a list) and would be added unchanged, the
-        terminal is :func:`emit` — and with no items, so is the step."""
-        links = [compile_body_step(self.evaluator, item, slots) for item in items]
+        ``step(*params)`` runs the items and then adds ``weight`` to
+        ``out`` for the head row (``head``, its expressions) or, with
+        ``head`` None, for the record of every variable bound so far —
+        ``record`` names them.  ``width`` is the length of the input
+        record when slots ``0..width-1`` hold it, as the step's first
+        parameter: a row that is that record as it stands is added
+        itself, and with no items the step is :func:`emit`."""
+        for item in items:
+            open_body_item(self.evaluator, code, item, slots)
         record = None
         if head is None:
             record = [
@@ -468,100 +402,83 @@ class Planner:
                 if not name.startswith(_COLUMN)
             ]
             head = [A.Var(name) for name in record]
-        project = self.evaluator.compile_tuple(head, slots)
         if width == len(slots) and [
             slots.index.get(e.name) if isinstance(e, A.Var) else None
             for e in head
         ] == list(range(width)):
-            step = emit
+            if not items:
+                return emit, record
+            row = params[0]
         else:
+            row = self.evaluator.tuple_expr(code, head, slots)
+        _add_row(code, row)
+        return code.function("step", params), record
 
-            def step(frame, weight, out):
-                row = project(frame)
-                new = out.get(row, 0) + weight
-                if new:
-                    out[row] = new
-                else:
-                    del out[row]
-
-        for link in reversed(links):
-            step = link(step)
-        return step, record
-
-    def _record_fn(self, exprs: Sequence[A.Expr], record: Sequence[str]):
+    def _record_fn(self, rule, variant: str, exprs: Sequence[A.Expr], record: Sequence[str]):
         """``fn(record) -> tuple`` of ``exprs`` over a record holding
-        the ``record`` variables — copied into a bigger frame only when
-        the code needs one (match-arm bindings)."""
+        the ``record`` variables: a plain selection when every
+        expression is one of them."""
         slots = Slots(record)
-        fn = self.evaluator.compile_tuple(exprs, slots)
-        if len(slots) == len(record):
-            return fn
-        frame_of = _frame_of(len(slots) - len(record))
-        return lambda row: fn(frame_of(row))
+        idx = [
+            slots.index.get(e.name) if isinstance(e, A.Var) else None
+            for e in exprs
+        ]
+        if None not in idx:
+            return _tuple_getter(idx)
+        code = rule_code(rule, variant)
+        row = self.evaluator.tuple_expr(code, exprs, slots)
+        code.load("record", len(record))
+        code.line(f"return {row}")
+        return code.function("record", ["record"])
 
     def _plan_scan(self, rule, atom: A.Atom, linear, head, relations, nodes):
         """The first atom's stretch, read from its relation: no node
         when it passes every row through unchanged."""
         relation = relations[atom.relation]
         slots = Slots()
+        code = rule_code(rule, f"scan({atom.relation})")
+        width = None
         if _simple_pvar_positions(atom.args) is None:
             # Literals, repeated variables, structured patterns: the
-            # match can fail and binds into a list frame.
-            match = compile_row_match(
-                self.evaluator, atom.args, range(len(atom.args)), slots
+            # match can fail.
+            open_row_match(
+                self.evaluator, code, atom.args, range(len(atom.args)), slots, "record"
             )
-            step, record = self._stretch(slots, linear, head, None)
-            frame_of = _frame_of(len(slots))
-
-            def scan(row, weight, out):
-                frame = frame_of(())
-                if match(row, frame):
-                    step(frame, weight, out)
-
         else:
-            # The row is the frame.
             _bind_row(slots, atom.args, ())
             width = len(slots)
-            step, record = self._stretch(slots, linear, head, width)
-            if step is emit:
-                return relation, record
-            scan = _framed(step, len(slots) - width)
-        node = ScanNode(scan, name=f"{rule.name}:scan({atom.relation})")
+            unpack(code, 0, width, "record")
+        step, record = self._stretch(
+            code, slots, linear, head, ("record", "weight", "out"), width
+        )
+        if step is emit:
+            return relation, record
+        node = ScanNode(step, name=f"{rule.name}:scan({atom.relation})")
         relation.connect_to(node, 0)
         nodes.append(node)
         return node, record
 
     def _plan_join(self, rule, atom: A.Atom, record, linear, head):
         keys, residual = classify_args(atom.args, set(record))
-        left_key = self._record_fn([e for _, e in keys], record)
+        variant = f"join({atom.relation})"
+        left_key = self._record_fn(rule, f"{variant} key", [e for _, e in keys], record)
         right_key = _tuple_getter([pos for pos, _ in keys])
         slots = Slots(record)
+        code = rule_code(rule, variant)
+        unpack(code, 0, len(record), "left")
         # Key equality already covers the keyable positions, so only
         # the residual ones are matched.  When they are fresh, distinct
-        # plain variables the match cannot fail: the frame is the left
-        # record followed by the right one.
+        # plain variables the match cannot fail: the right row unpacks.
         if _simple_pvar_positions([atom.args[p] for p in residual]) is None:
-            match = compile_row_match(self.evaluator, atom.args, residual, slots)
-            step, out_record = self._stretch(slots, linear, head, None)
-            frame_of = _frame_of(len(slots) - len(record))
-
-            def pair(left, right, weight, out):
-                frame = frame_of(left)
-                if match(right, frame):
-                    step(frame, weight, out)
-
+            open_row_match(self.evaluator, code, atom.args, residual, slots, "right")
         else:
+            start = len(slots)
             _bind_row(slots, atom.args, set(record))
-            width = len(slots)
-            step, out_record = self._stretch(slots, linear, head, width)
-            step = _framed(step, len(slots) - width)
-
-            def pair(left, right, weight, out):
-                step(left + right, weight, out)
-
-        node = JoinNode(
-            left_key, right_key, pair, name=f"{rule.name}:join({atom.relation})"
+            unpack(code, start, len(slots), "right")
+        pair, out_record = self._stretch(
+            code, slots, linear, head, ("left", "right", "weight", "out")
         )
+        node = JoinNode(left_key, right_key, pair, name=f"{rule.name}:{variant}")
         return node, out_record
 
     def _plan_antijoin(self, rule, atom: A.Atom, record, linear, head, relations, nodes):
@@ -577,53 +494,71 @@ class Planner:
                     "rewrite the argument as separate conditions"
                 )
         positions = [pos for pos, _ in keys]
-        key_of = _tuple_getter(positions)
         relation = relations[atom.relation]
-        if residual:
-            slots = Slots()
-            match = compile_row_match(self.evaluator, atom.args, residual, slots)
-            frame_of = _frame_of(len(slots))
-
-            def key_step(row, weight, out):
-                if match(row, frame_of(())):
-                    emit(key_of(row), weight, out)
-
-        elif positions != list(range(len(atom.args))):
-
-            def key_step(row, weight, out):
-                emit(key_of(row), weight, out)
-
-        else:
-            key_step = None  # the key is the whole row
-        if key_step is not None:
-            projector = ScanNode(key_step, name=f"{rule.name}:negkey({atom.relation})")
+        if residual or positions != list(range(len(atom.args))):
+            # The negated relation projected to the key.
+            code = rule_code(rule, f"negkey({atom.relation})")
+            open_row_match(self.evaluator, code, atom.args, residual, Slots(), "record")
+            _add_row(code, tuple_text([f"record[{p}]" for p in positions]))
+            projector = ScanNode(
+                code.function("negkey", ("record", "weight", "out")),
+                name=f"{rule.name}:negkey({atom.relation})",
+            )
             relation.connect_to(projector, 0)
             nodes.append(projector)
             relation = projector
-        left_key = self._record_fn([e for _, e in keys], record)
+        variant = f"antijoin({atom.relation})"
+        left_key = self._record_fn(rule, f"{variant} key", [e for _, e in keys], record)
         slots = Slots(record)
-        step, out_record = self._stretch(slots, linear, head, len(record))
-        node = AntiJoinNode(
-            left_key,
-            _framed(step, len(slots) - len(record)),
-            name=f"{rule.name}:antijoin({atom.relation})",
+        code = rule_code(rule, variant)
+        unpack(code, 0, len(record), "record")
+        step, out_record = self._stretch(
+            code, slots, linear, head, ("record", "weight", "out"), len(record)
         )
+        node = AntiJoinNode(left_key, step, name=f"{rule.name}:{variant}")
         relation.connect_to(node, 1)
         return node, out_record
 
     def _plan_aggregate(self, rule, item: A.AggregateItem, record, linear, head):
         key_fn = _tuple_getter([record.index(k) for k in item.group_by])
-        args_fn = self._record_fn(item.args, record)
+        args_fn = self._record_fn(rule, f"aggregate({item.func}) args", item.args, record)
         slots = Slots([*item.group_by, item.var])
         width = len(slots)
-        step, out_record = self._stretch(slots, linear, head, width)
+        code = rule_code(rule, f"aggregate({item.func})")
+        unpack(code, 0, width, "record")
+        step, out_record = self._stretch(
+            code, slots, linear, head, ("record", "weight", "out"), width
+        )
         agg = AGGREGATES[item.func]
         node = AggregateNode(
             key_fn,
             args_fn,
             agg.fn,
-            _framed(step, len(slots) - width),
+            step,
             name=f"aggregate({item.func})",
             select=agg.select,
         )
         return node, out_record
+
+
+def rule_code(rule: A.Rule, variant: str) -> Code:
+    """A function of ``rule``'s, filed as ``<dlog rule NAME: VARIANT>``."""
+    return Code(f"<dlog rule {rule.name}: {variant}>")
+
+
+def _add_row(code: Code, row: str) -> None:
+    """End a step: add ``weight`` to the row ``row`` (an expression) in
+    ``out``, dropping the entry when the sum is zero (:func:`emit`,
+    inline)."""
+    if not row.isidentifier():
+        local = code.temp()
+        code.line(f"{local} = {row}")
+        row = local
+    new = code.temp()
+    code.line(f"{new} = out.get({row}, 0) + weight")
+    code.open(f"if {new}:")
+    code.line(f"out[{row}] = {new}")
+    code.close()
+    code.open("else:")
+    code.line(f"del out[{row}]")
+    code.close()

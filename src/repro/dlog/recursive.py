@@ -37,13 +37,14 @@ A fact derived in phase 3 or 4 ranks 1 + the highest member rank of
 the derivation that produced it.  Ranks need not be minimal; only the
 invariant matters.
 
-Each rule is compiled once per evaluation order (one per seed body
-item, one top-down) into a chain of closures over a flat slot frame
-(:mod:`repro.dlog.interp` compiles its expressions and patterns).  The
-binding order is static, so each pattern variable compiles to a bind
-or to a compare, each join or negation to a probe of the
-:class:`IndexStore` resolved then, and a top-down chain returns at its
-first derivation.
+Each rule is generated once per evaluation order (one per seed body
+item, one top-down) as one Python function (:mod:`repro.dlog.interp`
+generates its expressions and patterns, :mod:`repro.dlog.plan` its
+guards, assignments and FlatMaps).  The binding order is static, so
+each pattern variable becomes a bind or a compare, each join a ``for``
+over a probe of the :class:`IndexStore` resolved then, each negation an
+``if not`` or a ``for``/``else`` over one, and a top-down variant
+returns at its first derivation.
 
 The SCC is wrapped in a :class:`SccNode` so it composes with the
 delta-dataflow graph: external relations (lower strata) feed its input
@@ -60,20 +61,24 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.dlog import ast as A
 from repro.dlog import types as T
 from repro.dlog.dataflow.operators import Node
 from repro.dlog.dataflow.zset import ZSet
-from repro.dlog.interp import Evaluator, Slots
+from repro.dlog.interp import Code, Evaluator, Slots, condition, slot, tuple_text
 from repro.dlog.plan import (
+    _bind_row,
     _pattern_free_vars,
-    _tuple_getter,
+    _simple_pvar_positions,
     classify_args,
-    compile_body_step,
-    compile_row_match,
     expr_vars,
+    open_body_item,
+    open_row_match,
+    rule_code,
+    unpack,
 )
 from repro.dlog.typecheck import CheckedProgram
 from repro.errors import StratificationError
@@ -90,10 +95,10 @@ class IndexStore:
     The row map is the relation: ``rows[rel][row]`` is the row's rank
     (0 for external rows), so a rank costs no second hash table.  A key
     on every column is a membership test on the row map, never an index
-    (it would be a second copy of the relation).  Compiled steps resolve
-    their probe once, at compile time (:meth:`probe`), and hold the row
-    map or index dict it reads; :meth:`add`/:meth:`remove` key each
-    registered index with a compiled getter, and :meth:`restore` refills
+    (it would be a second copy of the relation).  Generated variants
+    resolve their probe once, at compile time (:meth:`probe`), and hold
+    the row map or index dict it reads; :meth:`add`/:meth:`remove` key
+    each registered index with an ``itemgetter``, and :meth:`restore` refills
     both in place."""
 
     def __init__(self):
@@ -111,20 +116,20 @@ class IndexStore:
 
     def probe(self, rel: str, positions: Tuple[int, ...]) -> Callable:
         """``probe(key, default)`` for an :meth:`ensure`-d relation,
-        with ``dict.get``'s signature: the rows whose ``positions`` hold
-        ``key``, or ``default`` if there are none.  A full key is a
-        membership test, no key the row map itself, and any other key
-        the ``get`` of an index registered here (and filled from the
-        current rows) on first use."""
+        with ``dict.get``'s signature: the rows whose ``positions`` (a
+        proper subset of the columns; a full key is a membership test
+        on the row map) hold ``key``, or ``default`` if there are none.
+        No key probes the row map itself, and any other key the ``get``
+        of an index registered here (and filled from the current rows)
+        on first use.  The key is the tuple of the positions' values,
+        except for an index on one position: what
+        ``itemgetter(*positions)`` returns, the value itself."""
         rows = self.rows[rel]
         if not positions:
             return lambda key, default: rows
-        if len(positions) == self.arity[rel]:
-            # Planned positions are ascending, so the key is the row.
-            return lambda key, default: (key,) if key in rows else default
         by_positions = self.indexes[rel]
         if positions not in by_positions:
-            key_of = _tuple_getter(positions)
+            key_of = itemgetter(*positions)
             by_positions[positions] = (key_of, _indexed(key_of, rows, {}))
         return by_positions[positions][1].get
 
@@ -200,25 +205,18 @@ class _Check:
         self.capped = False
 
 
-def _found(frame, rank, check):
-    """End of a top-down chain: the derivation's rank."""
-    return rank + 1
-
-
 class _CompiledRule:
-    """One rule compiled once per evaluation order, into an entry
-    function over a chain of steps (see :mod:`repro.dlog.plan`: each
-    step is ``step(frame, rank, ctx)``, with ``rank`` the highest member
-    rank used so far).  ``variants[v]`` for seed ``v``:
+    """One rule generated once per evaluation order, each a function in
+    which ``rank`` is the highest member rank a derivation uses so far.
+    ``variants[v]`` for seed ``v``:
 
     * an integer — the body index of the seed atom, whose rows come from
       a delta: ``variants[i](rows, heads)`` matches each row against
       that atom first, runs the rest of the body, and maps each head it
-      derives to the lowest rank a derivation gives it (``heads`` is the
-      chain's ``ctx``);
+      derives to the lowest rank a derivation gives it;
     * ``"head"`` — top-down: ``variants["head"](row, check)`` returns
       the rank of a derivation of the head ``row`` within the
-      :class:`_Check`'s ceiling (the ``ctx``), or ``None``;
+      :class:`_Check`'s ceiling, or ``None``;
     * ``None`` — no seed, ``variants[None](heads)`` (only the recompute
       ablation, which compiles nothing else).
     """
@@ -310,7 +308,7 @@ class SccEvaluator:
                     (compiled, idx, "negative")
                 )
         # Every relation the rule reads has its row map now, so the
-        # compiled chains can hold them.
+        # generated variants can hold them.
         if self.mode == "recompute":
             compiled.variants[None] = self._compile_full(compiled)
         else:
@@ -325,127 +323,119 @@ class SccEvaluator:
         item = compiled.rule.body[idx]
         atom = item.atom
         slots = Slots()
-        match = compile_row_match(
-            self.evaluator, atom.args, range(len(atom.args)), slots
-        )
+        code = rule_code(compiled.rule, f"seed {idx}")
+        code.open("for row in rows:", loop=True)
+        if _simple_pvar_positions(atom.args) is None:
+            open_row_match(
+                self.evaluator, code, atom.args, range(len(atom.args)), slots, "row"
+            )
+        else:
+            _bind_row(slots, atom.args, ())
+            unpack(code, 0, len(slots), "row")
+        rank = "0"
+        if atom.relation in self.member_set:
+            rank = "rank"
+            code.line(f"rank = {code.const(self.state.rows[atom.relation])}[row]")
         # A negated atom's variables are bound by other atoms; matching
         # the seed row pre-binds them, but the negation itself must
         # still be (re-)checked against the current state, so it stays
-        # in the chain.
+        # in the body.
         skip = idx if isinstance(item, A.AtomItem) else None
-        chain = self._compile_chain(compiled, skip, slots, self._emit(compiled))
-        size = len(slots)
-        ranks = self.state.rows[atom.relation] if atom.relation in self.member_set else None
-
-        def seed(rows, heads):
-            frame = [None] * size
-            for row in rows:
-                if match(row, frame):
-                    chain(frame, 0 if ranks is None else ranks[row], heads)
-
-        return seed
+        rank = self._compile_body(compiled, skip, slots, code, rank)
+        self._add_head(compiled, slots, code, rank)
+        return code.function("seed", ["rows", "heads"])
 
     def _compile_full(self, compiled: _CompiledRule) -> Callable:
         slots = Slots()
-        chain = self._compile_chain(compiled, None, slots, self._emit(compiled))
-        size = len(slots)
-        return lambda heads: chain([None] * size, 0, heads)
+        code = rule_code(compiled.rule, "recompute")
+        rank = self._compile_body(compiled, None, slots, code, "0")
+        self._add_head(compiled, slots, code, rank)
+        return code.function("recompute", ["heads"])
 
-    def _emit(self, compiled: _CompiledRule):
-        """End of a seeded chain: record the head under the lowest rank
+    def _add_head(self, compiled: _CompiledRule, slots: Slots, code: Code, rank: str):
+        """End a seeded variant: record the head under the lowest rank
         a derivation gives it."""
-
-        def terminal(slots):
-            head_of = self.evaluator.compile_tuple(compiled.head_exprs, slots)
-
-            def emit(frame, rank, heads):
-                head = head_of(frame)
-                rank += 1
-                best = heads.get(head)
-                if best is None or rank < best:
-                    heads[head] = rank
-
-            return emit
-
-        return terminal
+        head, new, best = code.temp(), code.temp(), code.temp()
+        code.line(f"{head} = {self.evaluator.tuple_expr(code, compiled.head_exprs, slots)}")
+        code.line(f"{new} = {rank} + 1")
+        code.line(f"{best} = heads.get({head})")
+        code.open(f"if {best} is None or {new} < {best}:")
+        code.line(f"heads[{head}] = {new}")
 
     def _compile_head(self, compiled: _CompiledRule) -> Callable:
         """The top-down order: every head column is bound up front.
 
-        A repeated head variable is checked on the row before the chain
+        A repeated head variable is checked on the row before the body
         runs.  A computed column ``e`` bound to ``$i`` becomes the guard
         ``e == $i``, scheduled as soon as the body binds ``e``'s
         variables.  A bigint ``v ± literal`` column whose ``v`` is bound
-        nowhere else is also solved for ``v`` before the body, so that
-        the body's joins can be keyed on ``v`` (the guard stays).  Only
-        bigint: the inverse is computed without wrapping, which is exact
-        only where the arithmetic cannot wrap.  Member rows are checked
-        against the :class:`_Check`'s ceiling.
+        nowhere else is instead solved for ``v`` before the body, so that
+        the body's joins can be keyed on ``v``; its guard would always
+        hold.  Only bigint: the inverse is computed without wrapping,
+        which is exact only where the arithmetic cannot wrap.  Member
+        rows are checked against the :class:`_Check`'s ceiling.
         """
         slots = Slots()
-        stores: List[int] = []
-        same: List[Tuple[int, int]] = []
+        code = rule_code(compiled.rule, "head")
+        for pos, const in compiled.head_consts:
+            code.open(f"if row[{pos}] != {code.const(const)}:")
+            code.line("return None")
+            code.close()
         first: Dict[str, int] = {}
         for pos, name in compiled.head_binds:
             if name in first:
-                same.append((pos, first[name]))
+                # A repeated head variable: unequal values derive nothing.
+                code.open(f"if row[{pos}] != row[{first[name]}]:")
+                code.line("return None")
+                code.close()
             else:
                 first[name] = pos
                 slots.bind(name)
-                stores.append(pos)
-        solved = []
+        if list(first.values()) == list(range(len(compiled.head_exprs))):
+            unpack(code, 0, len(first), "row")
+        else:
+            for i, pos in enumerate(first.values()):
+                code.line(f"{slot(i)} = row[{pos}]")
+        code.line("ceiling = check.ceiling")
         guards: List[A.Guard] = []
         for pos, name in compiled.head_binds:
             expr = compiled.head_exprs[pos]
             if isinstance(expr, A.Var):
                 continue
             value = A.Var(name)
-            guards.append(A.Guard(A.BinOp("==", expr, value)))
-            if not (
+            if (
                 isinstance(expr, A.BinOp)
                 and expr.op in _INVERSE
                 and isinstance(self.checked.type_of(expr), T.TBigInt)
             ):
-                continue
-            var, lit = expr.left, expr.right
-            if expr.op == "+" and isinstance(var, A.Lit):
-                var, lit = lit, var
-            if isinstance(var, A.Var) and isinstance(lit, A.Lit) and var.name not in slots:
-                inverse = A.BinOp(_INVERSE[expr.op], value, lit)
-                solved.append(compile_body_step(
-                    self.evaluator, A.Assignment(A.PVar(var.name), inverse), slots
-                ))
-        chain = self._compile_chain(
-            compiled, None, slots, lambda _: _found, guards, True, solved
-        )
-        get = _tuple_getter(stores)
-        pad = [None] * (len(slots) - len(stores))
-        consts = compiled.head_consts
+                var, lit = expr.left, expr.right
+                if expr.op == "+" and isinstance(var, A.Lit):
+                    var, lit = lit, var
+                if isinstance(var, A.Var) and isinstance(lit, A.Lit) and var.name not in slots:
+                    inverse = A.BinOp(_INVERSE[expr.op], value, lit)
+                    open_body_item(
+                        self.evaluator, code, A.Assignment(A.PVar(var.name), inverse), slots
+                    )
+                    continue  # exact on bigints: ``e == $i`` would always hold
+            guards.append(A.Guard(A.BinOp("==", expr, value)))
+        rank = self._compile_body(compiled, None, slots, code, "0", guards, True)
+        code.line(f"return {rank} + 1")
+        return code.function("head", ["row", "check"])
 
-        def derive(row, check):
-            for pos, const in consts:
-                if row[pos] != const:
-                    return None
-            for pos, other in same:
-                if row[pos] != row[other]:
-                    return None  # a repeated head variable, unequal values
-            return chain([*get(row), *pad], 0, check)
-
-        return derive
-
-    def _compile_chain(
+    def _compile_body(
         self,
         compiled: _CompiledRule,
         skip_idx: Optional[int],
         slots: Slots,
-        terminal,
+        code: Code,
+        rank: str,
         extra: Sequence[A.Guard] = (),
         ranked: bool = False,
-        links: Sequence[Callable] = (),
-    ) -> Callable:
-        """Compile one evaluation order into a step chain after
-        ``links``, ending in ``terminal(slots)``; greedily
-        most-bound-first.
+    ) -> str:
+        """Generate one evaluation order of the body (all but item
+        ``skip_idx``) into ``code``, greedily most-bound-first; returns
+        the local (or ``"0"``) holding the highest member rank the
+        derivation uses, ``rank`` being the highest one so far.
 
         Body items are conjunctive, so reordering is semantics-
         preserving; choosing the next atom by how many of its argument
@@ -455,10 +445,9 @@ class SccEvaluator:
         ones), assignments, FlatMaps, and negations are emitted as soon
         as their variables are available, preserving their relative
         order.  The binding order is static, so each pattern variable
-        is compiled either to bind its slot or to compare with it.
+        is generated either to bind its slot or to compare with it.
         """
         rule = compiled.rule
-        links = list(links)
         remaining: List[Tuple[int, object]] = [
             (idx, item)
             for idx, item in enumerate(rule.body)
@@ -466,7 +455,7 @@ class SccEvaluator:
         ]
         remaining.extend((None, guard) for guard in extra)
         while remaining:
-            if self._link_ready_non_atom(rule, remaining, slots, links):
+            if self._open_ready_non_atom(rule, remaining, slots, code):
                 continue
             atom_choices = [
                 (i, idx, item.atom)
@@ -494,20 +483,17 @@ class SccEvaluator:
                 ),
             )
             i, _, atom = best
-            links.append(self._join(atom, slots, ranked))
+            rank = self._join(atom, slots, code, rank, ranked)
             del remaining[i]
-        step = terminal(slots)
-        for link in reversed(links):
-            step = link(step)
-        return step
+        return rank
 
-    def _link_ready_non_atom(self, rule, remaining, slots, links) -> bool:
-        """Compile the first non-atom item whose variables are bound."""
+    def _open_ready_non_atom(self, rule, remaining, slots, code) -> bool:
+        """Generate the first non-atom item whose variables are bound."""
         bound = slots.bound()
         for i, (_, item) in enumerate(remaining):
             if isinstance(item, (A.Guard, A.Assignment, A.FlatMapItem)):
                 if expr_vars(item.expr) <= bound:
-                    links.append(compile_body_step(self.evaluator, item, slots))
+                    open_body_item(self.evaluator, code, item, slots)
                     del remaining[i]
                     return True
             elif isinstance(item, A.NegAtom):
@@ -515,70 +501,62 @@ class SccEvaluator:
                 for arg in item.atom.args:
                     deps.update(_pattern_free_vars(arg))
                 if deps <= bound:
-                    links.append(self._negation(rule, item.atom, slots))
+                    self._negation(rule, item.atom, slots, code)
                     del remaining[i]
                     return True
         return False
 
-    def _join(self, atom: A.Atom, slots: Slots, ranked: bool) -> Callable:
-        """A join step: probe ``atom``'s relation on its bound positions
-        and bind the rest (key positions are not re-matched).  A member
-        row's rank raises the chain's rank; with ``ranked`` (top-down
-        checks), member rows at or above the check's ceiling are
-        skipped and recorded as capped."""
+    def _join(self, atom: A.Atom, slots: Slots, code: Code, rank: str, ranked: bool) -> str:
+        """A join: a ``for`` over the probe of ``atom``'s relation on
+        its bound positions, binding the rest (key positions are not
+        re-matched).  A member row's rank raises the derivation's rank
+        (the local returned); when ``ranked`` (top-down checks), member
+        rows at or above the check's ceiling are skipped and recorded
+        as capped."""
         keys, residual = classify_args(atom.args, slots.bound())
-        key_of = self.evaluator.compile_tuple([e for _, e in keys], slots)
-        bind = (
-            compile_row_match(self.evaluator, atom.args, residual, slots)
-            if residual else None
-        )
         rel = atom.relation
-        probe = self.state.probe(rel, tuple(pos for pos, _ in keys))
-        ranks = self.state.rows[rel] if rel in self.member_set else None
-
-        def link(nxt):
-            if ranks is None:
-
-                def join(frame, rank, ctx):
-                    for row in probe(key_of(frame), ()):
-                        if bind is None or bind(row, frame):
-                            found = nxt(frame, rank, ctx)
-                            if found is not None:
-                                return found
-                    return None
-
-            elif not ranked:
-
-                def join(frame, rank, ctx):
-                    for row in probe(key_of(frame), ()):
-                        if bind is None or bind(row, frame):
-                            row_rank = ranks[row]
-                            found = nxt(frame, rank if rank > row_rank else row_rank, ctx)
-                            if found is not None:
-                                return found
-                    return None
-
+        rows = code.const(self.state.rows[rel])
+        probe, key = self._probe(rel, keys, slots, code)
+        row = code.temp()
+        if probe is None:
+            code.line(f"{row} = {key}")
+            code.require(f"{row} in {rows}")
+        else:
+            code.open(f"for {row} in {probe}({key}, ()):", loop=True)
+        if rel in self.member_set:
+            row_rank = code.temp()
+            code.line(f"{row_rank} = {rows}[{row}]")
+            if ranked:
+                code.open(f"if {row_rank} >= ceiling:")
+                code.line("check.capped = True")
+                code.line(code.fail())
+                code.close()
+            if rank == "0":
+                rank = row_rank
             else:
+                higher = code.temp()
+                code.line(f"{higher} = {rank} if {rank} > {row_rank} else {row_rank}")
+                rank = higher
+        open_row_match(self.evaluator, code, atom.args, residual, slots, row)
+        return rank
 
-                def join(frame, rank, check):
-                    ceiling = check.ceiling
-                    for row in probe(key_of(frame), ()):
-                        row_rank = ranks[row]
-                        if row_rank >= ceiling:
-                            check.capped = True
-                            continue
-                        if bind is None or bind(row, frame):
-                            found = nxt(frame, rank if rank > row_rank else row_rank, check)
-                            if found is not None:
-                                return found
-                    return None
+    def _probe(self, rel: str, keys, slots: Slots, code: Code):
+        """The probe of ``rel`` on the ``keys`` positions, resolved
+        now, and the key it takes, as texts of ``code``; no probe for a
+        key on every column, which is the row itself (a membership test
+        on the row map)."""
+        positions = tuple(pos for pos, _ in keys)
+        values = [self.evaluator.expr(code, e, slots) for _, e in keys]
+        if len(positions) == self.state.arity[rel]:
+            # Planned positions are ascending, so the key is the row.
+            return None, tuple_text(values)
+        probe = code.const(self.state.probe(rel, positions))
+        if len(positions) == 1:
+            return probe, values[0]
+        return probe, tuple_text(values)
 
-            return join
-
-        return link
-
-    def _negation(self, rule: A.Rule, atom: A.Atom, slots: Slots) -> Callable:
-        """A negation step: the chain goes on only if no row of
+    def _negation(self, rule: A.Rule, atom: A.Atom, slots: Slots, code: Code) -> None:
+        """A negation: the rest of the body runs only if no row of
         ``atom``'s relation matches its bound positions and its closed
         residual patterns."""
         keys, residual = classify_args(atom.args, slots.bound())
@@ -590,39 +568,23 @@ class SccEvaluator:
                     "wildcards in one argument; rewrite as "
                     "separate conditions"
                 )
-        key_of = self.evaluator.compile_tuple([e for _, e in keys], slots)
-        checks = [
-            (pos, self.evaluator.compile_pattern(atom.args[pos], slots))
-            for pos in residual
-        ]
-        probe = self.state.probe(atom.relation, tuple(pos for pos, _ in keys))
-
-        def link(nxt):
-            def negation(frame, rank, ctx):
-                for row in probe(key_of(frame), ()):
-                    for pos, check in checks:
-                        if not check(row[pos], frame):
-                            break
-                    else:
-                        return None  # a matching row blocks the chain
-                return nxt(frame, rank, ctx)
-
-            return negation
-
-        return link
-
-    def _heads_from_seed(
-        self, compiled: _CompiledRule, seed_idx: int, seed_rows: Iterable[tuple]
-    ) -> Dict[tuple, int]:
-        """Evaluate a rule with body atom ``seed_idx`` restricted to rows;
-        map each head to the lowest rank a derivation gives it.
-
-        The heads are collected before the caller adds any: a rule may
-        read the relation it writes, and a bucket must not change while
-        it is being scanned."""
-        heads: Dict[tuple, int] = {}
-        compiled.variants[seed_idx](seed_rows, heads)
-        return heads
+        probe, key = self._probe(atom.relation, keys, slots, code)
+        if probe is None:
+            code.require(f"{key} not in {code.const(self.state.rows[atom.relation])}")
+            return
+        if not residual:
+            code.require(f"not {probe}({key}, ())")
+            return
+        row = code.temp()
+        parts = []
+        for pos in residual:
+            parts += self.evaluator.pattern(code, atom.args[pos], slots, f"{row}[{pos}]")
+        code.open(f"for {row} in {probe}({key}, ()):", loop=True)
+        code.open(f"if {condition(parts)}:")
+        code.line("break")  # a matching row blocks the derivation
+        code.close()
+        code.close()
+        code.open("else:")
 
     # -- transaction processing -------------------------------------------------------
 
@@ -661,22 +623,22 @@ class SccEvaluator:
         # so the heap only grows upward.
         deleted: Dict[str, Set[tuple]] = {m: set() for m in self.members}
         recheck: List[Tuple[str, tuple]] = []
+        check = _Check()
         while order:
             rank = heapq.heappop(order)
             for member, row in suspects.pop(rank):
-                check = _Check(rank)
-                if any(
-                    compiled.variants["head"](row, check) is not None
-                    for compiled in self.rules_by_head[member]
-                ):
-                    continue
-                if check.capped:
-                    recheck.append((member, row))
-                for compiled, idx in self.member_watch[member]:
-                    self._suspect_from(compiled, idx, (row,), rank, suspects, order)
-                self.state.remove(member, row)
-                out[member].add(row, -1)
-                deleted[member].add(row)
+                check.ceiling, check.capped = rank, False
+                for compiled in self.rules_by_head[member]:
+                    if compiled.variants["head"](row, check) is not None:
+                        break
+                else:
+                    if check.capped:
+                        recheck.append((member, row))
+                    for compiled, idx in self.member_watch[member]:
+                        self._suspect_from(compiled, idx, (row,), rank, suspects, order)
+                    self.state.remove(member, row)
+                    out[member].add(row, -1)
+                    deleted[member].add(row)
 
         # Phase 3: rederive.  Only a fact whose check was capped may
         # still have a derivation over the settled state; a worklist
@@ -697,7 +659,9 @@ class SccEvaluator:
             member, row = worklist.pop()
             for compiled, idx in self.member_watch[member]:
                 head_rel = compiled.head_rel
-                for head, rank in self._heads_from_seed(compiled, idx, [row]).items():
+                heads: Dict[tuple, int] = {}
+                compiled.variants[idx]((row,), heads)
+                for head, rank in heads.items():
                     if head in deleted[head_rel]:
                         deleted[head_rel].discard(head)
                         self.state.add(head_rel, head, rank)
@@ -735,7 +699,9 @@ class SccEvaluator:
         item ``idx``, if they are members ranked above the lost facts."""
         member = compiled.head_rel
         ranks = self.state.rows[member]
-        for head in self._heads_from_seed(compiled, idx, rows):
+        heads: Dict[tuple, int] = {}
+        compiled.variants[idx](rows, heads)
+        for head in heads:
             rank = ranks.get(head)
             if rank is None or rank <= lost_rank:
                 continue
@@ -746,8 +712,15 @@ class SccEvaluator:
             bucket.add((member, head))
 
     def _insert_from(self, compiled, idx, rows, out, delta) -> None:
+        """Add the heads ``rows`` derive by rule ``compiled`` through
+        body item ``idx``, each under the lowest rank a derivation gives
+        it.  The heads are collected before any is added: a rule may
+        read the relation it writes, and a bucket must not change while
+        it is being scanned."""
         member = compiled.head_rel
-        for head, rank in self._heads_from_seed(compiled, idx, rows).items():
+        heads: Dict[tuple, int] = {}
+        compiled.variants[idx](rows, heads)
+        for head, rank in heads.items():
             if self.state.add(member, head, rank):
                 out[member].add(head, 1)
                 delta[member].add(head)

@@ -132,6 +132,38 @@ C(y) :- A(_, y).
 C(y) :- B(y, 1).
 """
 
+# Every expression and pattern kind of the generated rule code, once in
+# a dataflow rule (``D``) and once in a recursive one (``R``): ``bit<8>``
+# and ``signed<8>`` arithmetic that wraps, C-style ``/`` and ``%`` on
+# negative operands, a ``match`` whose arms bind variables shadowing
+# outer ones, struct and tuple patterns and field access, a FlatMap over
+# a Map, a recursive user function, and a computed head column
+# ``n + 1`` (solved top-down in ``R``).
+KINDS_PROG = """
+typedef pt_t = Pt{a: bigint, b: bigint}
+function tri(n: bigint): bigint { if (n <= 0) { 0 } else { n + tri(n - 1) } }
+input relation A(x: bigint, y: bigint)
+input relation B(y: bigint, z: bigint)
+relation M(y: bigint, m: Map<bigint, bigint>)
+M(y, m) :- B(y, z), var m = Aggregate((y), group_to_map(z, y - z)).
+output relation D(x: bigint, w: bit<8>, s: signed<8>, q: bigint, r: bigint,
+                  h: bigint, f: bigint, n: bigint)
+D(x, w, s, q, r, h, tri(b), n + 1) :-
+    A(x, y), var p = Pt{x, y}, var Pt{a, b} = p, var (c, n) = (p.b, (a, b).0),
+    M(y, m), var kv = FlatMap(m), var (k, v) = kv,
+    var w = ((a * 60) as bit<8>) + ((v * 70) as bit<8>),
+    var s = ((c * 40) as signed<8>) + 100,
+    var q = (v - 2) / (k + 1), var r = (v - 2) % (k + 1),
+    var h = match ((k, v)) { (x, 0) -> x * 10, (k, v) -> k + v + x }.
+output relation R(x: bigint, v: bit<8>, s: signed<8>, p: pt_t, n: bigint)
+R(x, (y * 90) as bit<8>, (y * 60) as signed<8>, Pt{x, y}, 0) :- A(x, y).
+R(z, v + 100, s + 100, Pt{q, r}, n + 1) :-
+    R(x, v, s, p, n), n < 3, var Pt{a, _} = p, var b = p.b,
+    M(x, m), var kv = FlatMap(m), var (k, e) = kv,
+    var z = match ((k, e)) { (x, 0) -> x, (_, x) -> x + k } % 5,
+    var q = (a - 3) / (k + 1), var r = (e - tri(b)) % (kv.0 + 2).
+"""
+
 PROGRAMS = {
     "join": JOIN_PROG,
     "negation": NEG_PROG,
@@ -141,6 +173,7 @@ PROGRAMS = {
     "nonlinear_mutual": NONLINEAR_PROG,
     "compiled_steps": STEPS_PROG,
     "linear_stretches": LINEAR_PROG,
+    "expression_kinds": KINDS_PROG,
 }
 
 pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -191,7 +224,7 @@ def run_script(program_text, script, **compile_kwargs):
 
 
 class TestIncrementalEqualsFromScratch:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=45, deadline=None)
     @given(script=scripts, program_name=st.sampled_from(sorted(PROGRAMS)))
     def test_final_state_matches_fresh_run(self, script, program_name):
         text = PROGRAMS[program_name]
@@ -206,7 +239,7 @@ class TestIncrementalEqualsFromScratch:
                 f"{program_name}/{rel}: incremental diverged from scratch"
             )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=45, deadline=None)
     @given(script=scripts, program_name=st.sampled_from(sorted(PROGRAMS)))
     def test_summed_deltas_equal_final_contents(self, script, program_name):
         text = PROGRAMS[program_name]
@@ -219,10 +252,12 @@ class TestIncrementalEqualsFromScratch:
             )
             assert set(acc) == rt.dump(rel)
 
-    @settings(max_examples=35, deadline=None)
+    @settings(max_examples=44, deadline=None)
     @given(
         script=scripts,
-        text=st.sampled_from([REACH_PROG, HOP_PROG, NONLINEAR_PROG, STEPS_PROG]),
+        text=st.sampled_from(
+            [REACH_PROG, HOP_PROG, NONLINEAR_PROG, STEPS_PROG, KINDS_PROG]
+        ),
     )
     def test_dred_equals_recompute_mode(self, script, text):
         rt_dred, _, _, _ = run_script(text, script)
@@ -245,7 +280,7 @@ class TestLinearStretches:
         assert result.deltas["C"].data == {(1,): -1}
 
     def test_fact_body_holding_twice_counts_twice(self):
-        """A fact runs the same step chain, once, at plan time."""
+        """A fact runs the same generated stretch, once, at plan time."""
         rt = compile_program("""
         output relation F(n: bigint)
         F(n) :- var n = FlatMap([1, 2, 2]), n > 1.
