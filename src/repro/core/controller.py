@@ -8,9 +8,9 @@ stages in detail: ``docs/ARCHITECTURE.md``):
   a :class:`~repro.core.pipeline.Changeset`, each data-plane digest a
   digest changeset (the feedback loop), on an unbounded coalescing
   queue: a burst collapses into one net changeset while the engine is
-  busy.  A notification delivered on any other thread hops onto the
-  loop through ``reactor.submit``, so the loop is the only thread that
-  touches a pipeline queue, and no put ever blocks;
+  busy.  Another thread builds its changeset and hands the put to the
+  loop (``reactor.submit``; untraced puts merge while they wait), so
+  only the loop touches a pipeline queue, and no put ever blocks;
 * **evaluate** (stage 2) — one engine transaction per changeset per
   loop turn; its *output deltas* fan out as one
   :class:`~repro.core.pipeline.DeviceBatch`, shared by every device
@@ -534,20 +534,15 @@ class NerpaController:
     # -- stage 1: ingest ---------------------------------------------------------
 
     def _hop(self, fn, *args) -> bool:
-        """The pipeline's one door from another thread: hand ``fn(*args)``
-        to the loop under the update-id and trace span bound here.
-        False if the loop is gone."""
+        """Hand ``fn(*args)`` to the loop under the update-id and trace
+        span bound on this thread; False if the loop is gone."""
         parent = obs.TRACER.active() if obs.enabled() else None
-        return self.reactor.submit(
-            _rebound, current_update_id(), parent, fn, args
-        )
+        return self.reactor.submit(_rebound, current_update_id(), parent, fn, args)
 
     def _on_updates(self, updates: TableUpdates) -> None:
         """Monitor delivery → changeset → engine queue (a notification
-        callback on any thread: it hops onto the loop)."""
-        if not self.reactor.in_loop():
-            self._hop(self._on_updates, updates)
-            return
+        callback on any thread, which builds the changeset: only the put
+        hops to the loop, untraced merged into one waiting there)."""
         started = time.perf_counter()
         changeset = Changeset("mgmt")
         changeset.txns = 1
@@ -577,13 +572,20 @@ class NerpaController:
                     )
         if not changeset.ops:
             return
+        if self.reactor.in_loop():
+            self._ingest(changeset, started)
+        elif obs.enabled() or current_update_id() is not None:
+            self._hop(self._ingest, changeset)  # its own ingest span
+        else:
+            self.reactor.submit_merging(self._ingest, changeset)
+
+    def _ingest(self, changeset: Changeset, started: Optional[float] = None):
+        """Enqueue on the loop; ingest time counts from the build, if here."""
+        started = started or time.perf_counter()
         span = obs.NULL_SPAN
         if obs.enabled():
-            # Inherit the transact's update-id (bound by the mgmt plane
-            # around the delivery); a peer that binds none (tracing
-            # off on its side) gets a fresh one.  The parent span
-            # (``mgmt.transact``) is kept so the evaluation can nest
-            # under it a loop turn later.
+            # The delivery's update-id (a fresh one if its peer bound
+            # none) and parent span, for the evaluation to nest under.
             uid = current_update_id() or obs.mint_update_id()
             changeset.update_ids.append(uid)
             changeset.parent = obs.TRACER.active()
@@ -591,6 +593,7 @@ class NerpaController:
                 "pipeline.ingest", update_id=uid, rows=changeset.row_count()
             )
         with span:
+            self.engine_queue.coalesced += changeset.txns - 1  # merged waiting
             self.engine_queue.put(changeset)
             self.engine_queue.gauge_depth()
         metrics.append_sample(
@@ -609,9 +612,8 @@ class NerpaController:
         changeset = Changeset("digest")
         changeset.digests = 1
         changeset.digest_name = name
-        # The delivery path bound the update-id of the config change
-        # whose entries produced this digest; the feedback transaction
-        # gets a fresh id linked back (minted at evaluation).
+        # The update-id of the config change whose entries produced the
+        # digest: the feedback transaction's fresh id links back to it.
         changeset.link = current_update_id()
         row = tuple(values)
         changeset.record_insert(relation, (relation, row), row)

@@ -83,6 +83,8 @@ class Reactor:
         )
         self._recv_buffer = memoryview(bytearray(1 << 18))
         self._pending: deque = deque()  # (fn, args, enqueued_at)
+        #: The ``_pending`` entry ``submit_merging`` appended last.
+        self._merging: Optional[tuple] = None
         self._lock = threading.Lock()
         #: A wake byte is in the socket pair and the loop has not yet
         #: drained it: further cross-thread work rides on that wake.
@@ -153,6 +155,29 @@ class Reactor:
             if self._closed:
                 return False
             self._pending.append((fn, args, time.perf_counter()))
+            wake = self._needs_wake()
+        if wake:
+            self._wakeup()
+        return True
+
+    def submit_merging(self, fn: Callable, item) -> bool:
+        """``submit(fn, item)``, unless the newest call waiting is ``fn``
+        on an item that absorbs this one (``waiting.coalesce(item)``
+        returns the merge, not ``None``): then it merges there, on the
+        caller's thread.  A producer that outruns the loop so hands it
+        one call per turn, however many items it sent, and pays for the
+        merging itself: the loop cannot fall behind it for good."""
+        with self._lock:
+            if self._closed:
+                return False
+            tail = self._merging
+            if tail is not None and tail is self._pending[-1] and tail[0] == fn:
+                merged = tail[1][0].coalesce(item)
+                if merged is not None:
+                    tail[1][0] = merged
+                    return True
+            self._merging = (fn, [item], time.perf_counter())
+            self._pending.append(self._merging)
             wake = self._needs_wake()
         if wake:
             self._wakeup()
@@ -304,6 +329,7 @@ class Reactor:
         with self._lock:
             batch = list(self._pending)
             self._pending.clear()
+            self._merging = None
         record = obs.enabled()
         started = time.perf_counter()
         for fn, args, enqueued in batch:

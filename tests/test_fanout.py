@@ -284,6 +284,41 @@ class TestReactor:
         timer = reactor.call_later(0.0, lambda: None)
         assert timer.cancelled
 
+    def test_submit_merging_folds_into_the_newest_waiting_call(self):
+        """An item merges into the call waiting last, if that call is the
+        same ``fn`` and its item absorbs it; any other submit between
+        them is a barrier, and an item refused stays a call of its own."""
+
+        class Bag:
+            def __init__(self, *xs):
+                self.xs = list(xs)
+
+            def coalesce(self, other):
+                if "solo" in other.xs or "solo" in self.xs:
+                    return None
+                self.xs += other.xs
+                return self
+
+        reactor = Reactor("t-merging").start()
+        try:
+            gate, done = threading.Event(), threading.Event()
+            ran = []
+            reactor.submit(gate.wait, 10.0)
+            for x in ("a", "b"):
+                assert reactor.submit_merging(ran.append, Bag(x))
+            reactor.submit(ran.append, "barrier")
+            for x in ("c", "solo", "d", "e"):
+                assert reactor.submit_merging(ran.append, Bag(x))
+            reactor.submit(done.set)
+            gate.set()
+            assert done.wait(5.0)
+            assert [getattr(r, "xs", r) for r in ran] == [
+                ["a", "b"], "barrier", ["c"], ["solo"], ["d", "e"]
+            ]
+        finally:
+            reactor.stop()
+        assert reactor.submit_merging(ran.append, Bag("late")) is False
+
     def test_callback_error_does_not_kill_loop(self):
         reactor = Reactor("t-survive").start()
         try:

@@ -454,6 +454,37 @@ class TestEndToEndOrdering:
             finally:
                 controller.stop()
 
+    @pytest.mark.parametrize("merging", [True, False])
+    def test_commits_waiting_for_a_busy_loop_merge_into_one_put(
+        self, monkeypatch, merging
+    ):
+        """Another thread's commits build their changesets there, and
+        untraced puts merge while they wait for the loop: a producer
+        faster than the loop hands it one ingest per loop turn, not one
+        per commit, so it cannot bury the loop (an engine task behind
+        the backlog would wait without end)."""
+        if not merging:
+            uncoalesce(monkeypatch)
+        project, db, switch = build()
+        controller = NerpaController(project, db, [switch]).start()
+
+        def ingests():
+            stages = controller.metrics()["pipeline"]["stage_seconds"]
+            return stages["ingest"]["count"]
+
+        try:
+            before = ingests()
+            gate = threading.Event()
+            controller.reactor.submit(gate.wait, 10.0)
+            for port in range(20):
+                add_port(db, port, port + 1)
+            gate.set()
+            controller.drain()
+            assert ingests() - before == (1 if merging else 20)
+            assert len(switch.table("patch")) == 20
+        finally:
+            controller.stop()
+
     def test_unbatched_mode_issues_one_write_per_transaction(self, monkeypatch):
         uncoalesce(monkeypatch)
         project, db, switch = build()
