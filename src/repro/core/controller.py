@@ -74,7 +74,6 @@ from repro.errors import ReproError
 from repro.mgmt.monitor import TableUpdates
 from repro.net.reactor import Reactor
 from repro.obs.trace import current_update_id, use_update_id
-from repro.p4runtime.api import RowWrite
 
 
 class NerpaController:
@@ -239,12 +238,15 @@ class NerpaController:
           entries deleted, missing ones inserted, correct ones left
           untouched;
         * the engine was **restored** (a checkpoint chain under
-          ``state_dir``, or a standby's hand-off): a device still
-          reporting the epoch it was checkpointed with provably holds
-          the checkpointed state and is skipped, any other is repaired
-          to it; only then does the management delta accumulated since
-          the checkpoint — inserts *and* deletes — run through the
-          pipeline, queued behind those syncs.
+          ``state_dir``, or a standby's hand-off): every device's sync
+          is queued first, then the management delta accumulated since
+          the checkpoint — inserts *and* deletes — runs through the
+          pipeline, its batches queued behind those syncs.  A device
+          still reporting the epoch it was checkpointed with provably
+          holds the checkpointed state: its sync is skipped and the
+          batches bring it forward.  Any other is repaired to the
+          engine's state when its sync runs, which supersedes the
+          batches behind it.
 
         Blocks until the initial state is applied; semantic write
         failures are raised here.  Called on the controller's own
@@ -339,22 +341,22 @@ class NerpaController:
 
     def _recover(self) -> List[SyncTask]:
         """Engine task behind :meth:`start`; returns the per-device sync
-        tasks.  One task on purpose: nothing can fan out between the
-        snapshot the syncs repair to and the syncs being queued.
+        tasks.  One task on purpose: the subscription is ordered before
+        every monitor update, and the syncs before every fan-out.
 
         Order matters for a restored engine: the syncs are enqueued
         *before* the post-checkpoint delta fans out, so each channel's
         FIFO queue sees (1) the sync decision against exactly the
         checkpointed state, then (2) the delta batches.  A fresh engine
         has no such state on any device, so it evaluates first and
-        syncs to the result.
+        syncs to the result — a blank device then costs one write.
         """
         inserts, deletes = self._mgmt_delta()
         if self._restored is None:
             self._fold_mcast(self.runtime.initial_result)
             self._replay(inserts, deletes, fan_out=False)
             return self._queue_full_syncs(self.channels)
-        tasks = self._queue_full_syncs(self.channels, expected=self._restored)
+        tasks = self._queue_full_syncs(self.channels, self._restored, resync=True)
         self._replay(inserts, deletes)
         return tasks
 
@@ -843,16 +845,15 @@ class NerpaController:
 
         ``device`` may be a :class:`~repro.core.planes.ManagedDevice` or
         an index into :attr:`devices`.  The engine is authoritative: a
-        consistent snapshot of the desired writes is taken as an engine
-        task, then a resync task on the device's *own* channel queue
-        performs the read-diff repair — superseding any queued
-        incremental batches, holding no controller-wide lock, and never
-        blocking other devices or the engine.  Clears quarantine on
-        success.
+        resync task on the device's *own* channel queue supersedes its
+        queued incremental batches and performs the read-diff repair
+        against a snapshot it takes when it runs — holding no
+        controller-wide lock, and never blocking other devices or the
+        engine.  Clears quarantine on success.
 
-        ``wait=False`` only enqueues the snapshot task and returns — what
-        a reconnect hook and any callback on the controller's reactor
-        must use (waiting there would wait on the loop itself).
+        ``wait=False`` only queues the task, on the loop, and returns —
+        what a reconnect hook and any callback on the controller's
+        reactor must use (waiting there would wait on the loop itself).
         """
         if isinstance(device, int):
             device = self.devices[device]
@@ -863,77 +864,68 @@ class NerpaController:
         )
         if channel is None:
             raise ReproError(f"unknown device {device.name}")
-        queued = self._submit_engine(
-            lambda: self._queue_full_syncs([channel], supersede=True),
-            wait=wait,
-        )
+        queue = partial(self._queue_full_syncs, [channel], resync=True)
         if wait:
-            queued[0].wait(f"resync of {device.name}")
+            self._refuse_on_loop("waiting for a resync")
+            task = self._wait_on_loop(queue, "queueing a resync")[0]
+            task.wait(f"resync of {device.name}")
+        elif self.reactor.in_loop():
+            queue()
+        else:
+            self.reactor.submit(queue)
 
     def _queue_full_syncs(
         self,
         channels,
         expected: Optional[Dict[str, Optional[str]]] = None,
-        supersede: bool = False,
+        resync: bool = False,
     ) -> List[SyncTask]:
-        """Snapshot the desired state and queue one full-sync task per
-        channel.  On the loop, outside an engine transaction (an engine
-        task, or a channel task's callback): fan-out only ever happens
-        inside one, so taking the snapshot and (for a resync)
-        superseding the queued batches in one callback is atomic w.r.t.
-        fan-out — no batch can land on a channel queue after the
-        snapshot yet be dropped by the supersede without its changes
-        being in the snapshot.
+        """Queue one full-sync task per channel, on the loop.
 
-        ``expected`` maps device names to the epochs a restored engine's
-        state was checkpointed with.  Those syncs carry no desired
-        state — a device reporting its own needs none, which keeps
-        takeover latency independent of the derived-state size; any
-        other comes back ``STALE`` and is resynced.
+        A sync takes the desired state only if its device's reported
+        epoch does not prove it — ``expected`` maps device names to the
+        epochs a restored engine's state was checkpointed with — so a
+        restart whose devices all match never dumps it.  It takes it in
+        its channel's callback, outside an engine transaction: fan-out
+        only ever happens inside one, so taking the snapshot and
+        dropping the batches queued behind the sync is atomic w.r.t.
+        fan-out — every dropped batch's changes are in the snapshot,
+        and every later batch queues behind it.  The syncs share one
+        snapshot until the next fan-out, and it dies with them.  A sync
+        that always takes one (no expected epoch) supersedes the
+        batches queued ahead of it too.
+
+        ``resync``: a repair, counted as one — not a fresh engine's
+        initial push of state this controller never put there.
         """
-        desired = (
-            reconcile.desired_writes(self.bindings, self.runtime)
-            if expected is None
-            else None
-        )
-        mcast = self._mcast.snapshot()
-        epoch = self._mint_epoch()
-        # A fresh engine's first sync is the initial push, not a repair
-        # of state this controller (or its checkpoint) had put there.
-        resync = supersede or expected is not None
-        # A resync subsumes every queued incremental batch.
-        supersedes = (
-            (lambda item: isinstance(item, DeviceBatch)) if supersede else None
-        )
+        taken: list = [None, None]  # (fan-out seq, snapshot)
+
+        def snapshot(queue: CoalescingQueue):
+            if taken[0] != self._seq:
+                desired = reconcile.desired_writes(self.bindings, self.runtime)
+                snap = (desired, self._mcast.snapshot(), self._mint_epoch())
+                taken[:] = self._seq, snap
+            queue.drop(_is_batch)
+            return taken[1]
+
         tasks = []
         for channel in channels:
             task = SyncTask(
                 self._sync_device(
-                    channel,
+                    channel.device,
                     (expected or {}).get(channel.device.name),
-                    desired,
-                    mcast,
-                    epoch,
+                    partial(snapshot, channel.queue),
                     resync,
                 )
             )
-            channel.queue.put(task, supersedes=supersedes)
+            channel.queue.put(task, supersedes=None if expected else _is_batch)
             tasks.append(task)
         return tasks
 
-    def _sync_device(
-        self,
-        channel,
-        expected: Optional[str],
-        desired: Optional[List[RowWrite]],
-        mcast: Dict[int, List[int]],
-        epoch: str,
-        resync: bool,
-    ):
+    def _sync_device(self, device, expected: Optional[str], snapshot, resync):
         """The steps of a full device sync, plus its counters."""
-        device = channel.device
         fixed = yield from reconcile.full_sync(
-            device, self.bindings, expected, desired, mcast, epoch,
+            device, self.bindings, expected, snapshot,
             self.fencing_epoch, self.breaker_threshold,
         )
         if fixed is reconcile.MATCHED:
@@ -942,15 +934,6 @@ class NerpaController:
                 obs.REGISTRY.counter(
                     "controller_warm_resync_skips_total", device=device.name
                 ).inc()
-        elif fixed is reconcile.STALE:
-            # A restored engine's sync carried no desired state, and the
-            # device did not report its checkpointed epoch.  The
-            # resync's fresh snapshot — by now including the replayed
-            # delta — supersedes the delta batches queued behind this
-            # task, cut against a state the device does not hold.
-            # Queued before this task completes, so the channel cannot
-            # pop one of them first.
-            self._queue_full_syncs([channel], supersede=True)
         elif fixed is not None:
             if resync:
                 device.recover()
@@ -990,6 +973,10 @@ class NerpaController:
         runs, this waits for that loop callback."""
         report = partial(metrics.report, self)
         return self._wait_on_loop(report, "metrics()") if self._started else report()
+
+
+def _is_batch(item) -> bool:
+    return isinstance(item, DeviceBatch)
 
 
 def _rebound(uid: Optional[str], parent, fn, args) -> None:

@@ -168,8 +168,8 @@ class CoalescingQueue:
     def put(self, item, supersedes: Optional[Callable] = None) -> None:
         """Enqueue ``item``, merging into the tail when possible.
 
-        ``supersedes`` (a predicate over queued items) drops every
-        pending item it matches before enqueueing — used by resync
+        ``supersedes`` (a predicate over queued items) :meth:`drop`\\ s
+        every pending item it matches before enqueueing — used by resync
         tasks, whose full-sync subsumes any queued incremental batches.
         Puts on a closed queue are dropped (shutdown is best-effort); a
         dropped :class:`Task` is abandoned, so its waiter hears of it.
@@ -179,13 +179,7 @@ class CoalescingQueue:
                 item.abandon()
             return
         if supersedes is not None:
-            kept = deque()
-            for queued in self._items:
-                if supersedes(queued):
-                    self._unfinished -= 1
-                else:
-                    kept.append(queued)
-            self._items = kept
+            self.drop(supersedes)
         if self._items:
             fold = getattr(self._items[-1], "coalesce", None)
             merged = fold(item) if fold is not None else None
@@ -198,6 +192,14 @@ class CoalescingQueue:
         ready = self.on_ready
         if ready is not None:
             ready()
+
+    def drop(self, predicate: Callable) -> None:
+        """Remove every pending item ``predicate`` matches; each counts
+        as finished.  ``on_idle`` does not fire: both callers hold an
+        item in flight (the one being put, or the running sync)."""
+        kept = deque(item for item in self._items if not predicate(item))
+        self._unfinished -= len(self._items) - len(kept)
+        self._items = kept
 
     def pop_nowait(self):
         """Dequeue the head without blocking; ``None`` when empty."""

@@ -13,10 +13,9 @@ repaired by *diffing a neighbour against the engine*:
   epoch naming exactly the state it now holds.  What the device
   reports decides what is read: its checkpointed epoch proves it holds
   the checkpointed state (no sync at all), no epoch proves it is
-  blank (nothing to read), anything else is read and diffed.  A
-  restored engine sends its syncs no desired state at all, so a
-  restart whose devices all match never dumps it; a device that
-  moved comes back :data:`STALE` and is resynced.
+  blank (nothing to read), anything else is read and diffed.  The
+  desired state is taken only when the report does not prove it, so a
+  restart whose devices all match never dumps it.
 
 These are plain functions over a runtime, the generated bindings and
 :class:`~repro.core.planes.ManagedDevice` objects; *when* they run (an
@@ -63,9 +62,10 @@ def mgmt_delta(
 def desired_writes(bindings: GeneratedBindings, runtime) -> List[RowWrite]:
     """The engine's current output relations replayed as inserts — the
     authoritative desired state of every device table.  O(derived
-    state); an engine task only.  The rows are converted only by the
-    device that needs them: to the wire for a blank remote device, to
-    entries for a read-diff or an in-process device."""
+    state); on the loop, outside an engine transaction.  The rows are
+    converted only by the device that needs them: to the wire for a
+    blank remote device, to entries for a read-diff or an in-process
+    device."""
     return [
         RowWrite("INSERT", binding, row)
         for relation, binding in bindings.table_relations.items()
@@ -101,38 +101,38 @@ def compute_fixes(
     return fixes
 
 
-#: :func:`full_sync` outcomes that are not a repair count.
-MATCHED = "matched"  # the expected epoch was reported: nothing read or written
-STALE = "stale"  # it was not, and no desired state was supplied to repair to
+#: The :func:`full_sync` outcome that is not a repair count: the
+#: expected epoch was reported, so nothing was read or written.
+MATCHED = "matched"
 
 
 def full_sync(
     device: ManagedDevice,
     bindings: GeneratedBindings,
     expected: Optional[str],
-    desired: Optional[List[RowWrite]],
-    mcast: Dict[int, List[int]],
-    epoch: str,
+    snapshot: Callable[[], tuple],
     fence: Optional[int],
     breaker_threshold: int,
 ) -> Generator[Callable, object, Union[int, str, None]]:
-    """Bring ``device`` to ``desired`` + ``mcast``, reading only what
+    """Bring ``device`` to what ``snapshot()`` returns — ``(desired
+    writes, multicast groups, epoch)`` — taking and reading only what
     its reported config epoch does not already prove:
 
     * it reports ``expected`` (the epoch a restored engine's state was
       checkpointed with): its tables provably hold that state —
-      :data:`MATCHED`, no table read, no write;
+      :data:`MATCHED`, no snapshot, no table read, no write;
     * it reports no epoch at all: nothing was ever written to it
-      through this stack, so its tables are empty and ``desired`` goes
-      out as is, unread;
+      through this stack, so its tables are empty and the desired
+      writes go out as is, unread;
     * anything else: read-diff (:func:`compute_fixes`).
 
-    The repairs, the multicast config and ``epoch`` travel as **one**
-    atomic batch — the device never reports an epoch naming a state it
-    does not hold, whichever call fails.  With nothing to repair the
-    device keeps the epoch it reported.  Returns the number of repairs
-    written, :data:`MATCHED`, :data:`STALE` (mismatch, ``desired`` is
-    ``None``), or ``None`` on a transport failure (charged to the
+    ``snapshot()`` is called once, on the loop, between the epoch's
+    answer and the first read or write.  The repairs, the multicast
+    config and the snapshot's epoch travel as **one** atomic batch —
+    the device never reports an epoch naming a state it does not hold,
+    whichever call fails.  With nothing to repair the device keeps the
+    epoch it reported.  Returns the number of repairs written,
+    :data:`MATCHED`, or ``None`` on a transport failure (charged to the
     device's breaker; racing a second failure is normal — the next
     successful reconnect triggers the resync again).
 
@@ -143,18 +143,19 @@ def full_sync(
     try:
         reported = yield partial(io.call_async, "get_config_epoch", [])
         matched = expected is not None and reported == expected
-        if matched:
-            fixes, mcast = [], {}  # nothing to send, whatever was passed
-        elif desired is None:
-            return STALE
-        elif reported is None:
-            fixes = desired
-        else:
-            held = {}
-            for binding in bindings.table_relations.values():
-                table = binding.info.name
-                held[table] = yield partial(io.call_async, "read_table", [table])
-            fixes = compute_fixes(held.__getitem__, bindings, desired)
+        fixes, mcast = [], {}
+        if not matched:
+            desired, mcast, epoch = snapshot()
+            if reported is None:
+                fixes = desired
+            else:
+                held = {}
+                for binding in bindings.table_relations.values():
+                    table = binding.info.name
+                    held[table] = yield partial(
+                        io.call_async, "read_table", [table]
+                    )
+                fixes = compute_fixes(held.__getitem__, bindings, desired)
         if fixes or mcast:
             yield lambda done: io.apply_batch_async(
                 fixes, mcast, [epoch], done, fence=fence

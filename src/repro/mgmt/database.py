@@ -144,7 +144,17 @@ class Database:
         """
         from repro.mgmt.transact import execute_operations
 
-        if not obs.enabled():
+        # Traced, mint the update-id that names this config change
+        # end-to-end; _notify runs inside its scope so every downstream
+        # plane (controller sync, engine delta, device writes) inherits
+        # it.  Untraced, no id is minted and no span opened.
+        uid = obs.mint_update_id() if obs.enabled() else None
+        span = obs.NULL_SPAN
+        if uid is not None:
+            span = obs.TRACER.span(
+                "mgmt.transact", update_id=uid, ops=len(operations)
+            )
+        with span:
             with self._lock:
                 staged = _Staged(self)
                 results = execute_operations(self, staged, operations)
@@ -153,32 +163,16 @@ class Database:
                 monitors = list(self._monitors)
                 self._notify_lock.acquire()
             try:
-                self._notify(updates, monitors)
-            finally:
-                self._notify_lock.release()
-            return results
-
-        # Mint the update-id that names this config change end-to-end;
-        # _notify runs inside its scope so every downstream plane
-        # (controller sync, engine delta, device writes) inherits it.
-        uid = obs.mint_update_id()
-        with obs.TRACER.span(
-            "mgmt.transact", update_id=uid, ops=len(operations)
-        ) as span:
-            with self._lock:
-                staged = _Staged(self)
-                results = execute_operations(self, staged, operations)
-                self._check_constraints(staged)
-                updates = self._commit(staged)
-                monitors = list(self._monitors)
-                self._notify_lock.acquire()
-            try:
-                span.set(changed_rows=sum(len(rows) for _, rows in updates))
-                with obs.use_update_id(uid):
+                if uid is None:
                     self._notify(updates, monitors)
+                else:
+                    span.set(changed_rows=sum(len(rows) for _, rows in updates))
+                    with obs.use_update_id(uid):
+                        self._notify(updates, monitors)
             finally:
                 self._notify_lock.release()
-        obs.REGISTRY.counter("mgmt_txns_total").inc()
+        if uid is not None:
+            obs.REGISTRY.counter("mgmt_txns_total").inc()
         return results
 
     def new_uuid(self) -> str:

@@ -215,10 +215,11 @@ def test_bare_start_converges(project, tmp_path, chain, device, mgmt):
         if device == "blank" or matched:
             # What the device reports already proves what it holds.
             assert calls["read_table"] == 0
+        # One epoch read decides the sync, whatever it reports.
+        assert calls["get_config_epoch"] == 1
         if device == "blank" and not restored:
             # The old blind insert cost one write; so does this, plus
             # the epoch read that made it safe.
-            assert calls["get_config_epoch"] == 1
             assert calls["apply_batch"] == 1
         if matched and mgmt == "unchanged":
             assert calls["apply_batch"] == 0
@@ -229,6 +230,51 @@ def test_bare_start_converges(project, tmp_path, chain, device, mgmt):
     finally:
         second.stop()
         reference.stop()
+
+
+def test_warm_start_against_foreign_devices_dumps_the_engine_once(
+    project, tmp_path, monkeypatch
+):
+    """Devices that all moved since the checkpoint share one
+    desired-state snapshot, and each is asked for its epoch once."""
+    n_devices = 4
+    db = Database(project.schema)
+    switches = [project.new_simulator(n_ports=8) for _ in range(n_devices)]
+    first = NerpaController(
+        project, db, switches, state_dir=str(tmp_path)
+    ).start()
+    _configure(db, (0, 1, 2))
+    first.drain()
+    first.save_checkpoint()
+    first.stop()
+    for switch in switches:
+        _corrupt(switch)
+    _add_port(db, 3)
+
+    dumps = []
+    inner = reconcile.desired_writes
+    monkeypatch.setattr(
+        reconcile,
+        "desired_writes",
+        lambda *args: dumps.append(1) or inner(*args),
+    )
+    services = [_CountingService(switch) for switch in switches]
+    second = NerpaController(
+        project, db, services, state_dir=str(tmp_path)
+    ).start()
+    try:
+        second.drain()
+        assert len(dumps) == 1
+        assert [s.calls["get_config_epoch"] for s in services] == [1] * n_devices
+        assert second.restart_mode == "warm"
+        assert second.warm_skips == 0
+        assert second.device_resyncs == n_devices
+    finally:
+        second.stop()
+    reference_switch = project.new_simulator(n_ports=8)
+    NerpaController(project, db, [reference_switch]).start().stop()
+    for switch in switches:
+        assert _device_state(switch) == _device_state(reference_switch)
 
 
 @pytest.mark.parametrize("when", ("before", "after"))
