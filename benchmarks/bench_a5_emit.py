@@ -22,10 +22,24 @@ the wire carries anyway), both timed in the same rounds:
   update's JSON text itself (``TableBinding.wire``) and the encoder
   joins those texts, so the rows cost less than encoding the finished
   dicts would.
+
+Two more gates are counts, so they hold on any box:
+
+* Python-level calls per output row over the whole path
+  (``sys.setprofile`` ``"call"`` events, as A4 counts them per flap):
+  at most 2.5.  It was 5.3 when the fan-out folded every row into a
+  cell and the list held a ``RowWrite`` per row; the batch now holds
+  the engine's deltas and a run of rows is one ``wire_run`` call;
+* net GC-tracked objects allocated per output row while the batch and
+  its write list are held, as they are while a device has the batch in
+  flight (``gc.get_count()[0]`` before and after, collector off): at
+  most 1.0.  It was 2.7 with a ``[dead, live]`` cell, a ``(binding,
+  key)`` tuple and a ``RowWrite`` per row.
 """
 
 import gc
 import statistics
+import sys
 import time
 from types import SimpleNamespace
 
@@ -43,6 +57,8 @@ from repro.p4runtime.aio_client import _encode_batch
 ROUNDS = 200
 GATE_X = 2.2
 TEXT_GATE_X = 1.0
+GATE_CALLS_PER_ROW = 2.5
+GATE_ALLOCS_PER_ROW = 1.0
 
 
 def _snapshot(db, tables):
@@ -94,7 +110,8 @@ class _Capture:
 
 
 def emit_path(bindings, result):
-    """Output delta → shared batch → write list → request params."""
+    """Output delta → shared batch → write list → request params;
+    returns all three."""
     queue = _Capture()
     fan = SimpleNamespace(
         _seq=0,
@@ -110,13 +127,50 @@ def emit_path(bindings, result):
         writes, batch.mcast, batch.update_ids, None,
         (batch.seq, batch.last_seq),
     )
-    return writes, params
+    return batch, writes, params
+
+
+def calls_per_pass(bindings, result):
+    """Python-level function calls of one pass over the path (C
+    functions are not counted)."""
+    emit_path(bindings, result)  # nothing first-time in the count
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        emit_path(bindings, result)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def allocations_held(bindings, result):
+    """Net GC-tracked objects one pass leaves allocated while its
+    batch, write list and params are still held."""
+    emit_path(bindings, result)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        held = emit_path(bindings, result)
+        allocated = gc.get_count()[0] - before
+        del held
+    finally:
+        if enabled:
+            gc.enable()
+    return allocated
 
 
 def measure(bindings, result, rounds):
     """Per-round seconds of the emit path and of the plain ``dumps``,
     interleaved so both see the same box."""
-    writes, _ = emit_path(bindings, result)
+    _, writes, _ = emit_path(bindings, result)
     finished = [write.to_wire() for write in writes]
     path, plain = [], []
     gc.collect()
@@ -139,6 +193,8 @@ def test_a5_emit_encode(benchmark, bench_seed):
     path_s, plain_s = statistics.median(path), statistics.median(plain)
     us_per_row = path_s / rows * 1e6
     ratio = path_s / plain_s
+    calls = calls_per_pass(bindings, result) / rows
+    allocs = allocations_held(bindings, result) / rows
     report(
         f"A5: lb_replace emit + encode, {rows} output rows, "
         f"{n_writes} writes, {ROUNDS} rounds",
@@ -150,6 +206,10 @@ def test_a5_emit_encode(benchmark, bench_seed):
                 "path / dumps", f"{ratio:.2f}x",
                 f"gates: <= {GATE_X}x, <= {TEXT_GATE_X}x",
             ),
+            ("Python calls per output row", f"{calls:.2f}",
+             f"gate: <= {GATE_CALLS_PER_ROW}"),
+            ("GC objects held per output row", f"{allocs:.2f}",
+             f"gate: <= {GATE_ALLOCS_PER_ROW}"),
         ],
         ["metric", "measured", "reference"],
     )
@@ -158,5 +218,11 @@ def test_a5_emit_encode(benchmark, bench_seed):
     emit("a5", "path_vs_dumps", "ratio_x", round(ratio, 2), threshold=GATE_X)
     emit("a5", "path_vs_dumps_text", "ratio_x", round(ratio, 2),
          threshold=TEXT_GATE_X)
+    emit("a5", "python_calls_per_output_row", "calls", round(calls, 2),
+         threshold=GATE_CALLS_PER_ROW)
+    emit("a5", "gc_objects_held_per_output_row", "objects",
+         round(allocs, 2), threshold=GATE_ALLOCS_PER_ROW)
     assert ratio <= GATE_X
     assert ratio <= TEXT_GATE_X
+    assert calls <= GATE_CALLS_PER_ROW
+    assert allocs <= GATE_ALLOCS_PER_ROW

@@ -68,12 +68,18 @@ class TableBinding:
       names and the key layout; a row whose key, parameter and priority
       values are all exactly ``int`` is that format filled in, and any
       other value is encoded field by field;
+    * ``wire_run(kind, rows)`` — the texts of a run of updates of one
+      kind, comma-joined: what joining ``wire(kind, row)`` of each row
+      gives, in one call.  A row whose action is a known constructor
+      of the right arity and whose values are all exactly ``int`` is
+      its format filled in, inline; any other row is ``wire``'s, text
+      and errors alike;
     * ``entry_for(row)`` — the :class:`~repro.p4.tables.TableEntry` it
       denotes, for in-process devices and read-diffs.
 
-    ``wire`` and ``entry_for`` type-check the key and action columns
-    and raise :class:`~repro.errors.TypeCheckError` for an ill-typed
-    row.
+    ``wire``, ``wire_run`` and ``entry_for`` type-check the key and
+    action columns and raise :class:`~repro.errors.TypeCheckError` for
+    an ill-typed row.
     """
 
     def __init__(
@@ -89,7 +95,9 @@ class TableBinding:
         self.key_columns = TB.table_key_columns(info)
         # constructor name -> (action name, param count)
         self.actions_by_constructor = actions_by_constructor
-        self.key_of, self.wire, self.entry_for = self._converters()
+        self.key_of, self.wire, self.wire_run, self.entry_for = (
+            self._converters()
+        )
 
     def _converters(self):
         table, relation = self.info.name, self.relation
@@ -185,6 +193,42 @@ class TableBinding:
             fmt = formats.get(key) or self._update_format(*key)
             return fmt % tuple(map(dumps_text, values))
 
+        # kind -> constructor -> (format, its ``(action, param count)``),
+        # for wire_run; a constructor counts only while ``actions``
+        # still maps it to that same pair.
+        by_constructor = {
+            kind: {
+                ctor: (formats[(kind, *resolved)], resolved)
+                for ctor, resolved in actions.items()
+            }
+            for kind in _KINDS
+        }
+        exact_only = not any(pairs)
+
+        def wire_run(kind: str, rows) -> str:
+            known = by_constructor.get(kind, {})
+            texts = []
+            for row in rows:
+                action = row[n_keys]
+                if type(action) is StructValue:
+                    ctor = action.constructor
+                    fmt = known.get(ctor)
+                    if (
+                        fmt is not None
+                        and actions.get(ctor) is fmt[1]
+                        and len(action.fields) == fmt[1][1]
+                    ):
+                        keys = row[:n_keys] if exact_only else pair_values(row)
+                        if keys is not None:
+                            values = keys + action.fields
+                            if priority_at is not None:
+                                values += (row[priority_at],)
+                            if _ALL_INT(map(type, values)):
+                                texts.append(fmt[0] % values)
+                                continue
+                texts.append(wire(kind, row))
+            return ",".join(texts)
+
         def entry_for(row: tuple) -> TableEntry:
             matches = [
                 FieldMatch(match_kind, payload(value))
@@ -196,7 +240,7 @@ class TableBinding:
             priority = 0 if priority_at is None else row[priority_at]
             return TableEntry(matches, name, params, priority)
 
-        return key_of, wire, entry_for
+        return key_of, wire, wire_run, entry_for
 
     def _update_format(self, kind: str, name: str, param_count: int) -> str:
         """The ``%``-format of one (kind, action) pair's update text:

@@ -764,12 +764,7 @@ class NerpaController:
         for relation, delta in result.deltas.items():
             binding = self.bindings.table_relations.get(relation)
             if binding is not None:
-                key_of = binding.key_of
-                for row, weight in delta.items():
-                    if weight > 0:
-                        template.record_insert(binding, key_of(row), row)
-                    else:
-                        template.record_delete(binding, key_of(row), row)
+                template.add_delta(binding, delta)
             elif relation == MULTICAST_RELATION:
                 template.mcast.update(self._mcast.fold(delta))
         if template.is_empty():

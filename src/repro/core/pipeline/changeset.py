@@ -182,15 +182,20 @@ class Changeset:
 class DeviceBatch:
     """Stage-3 IR: the net table writes of >= 1 engine transactions.
 
-    ``ops`` maps ``(binding, key) -> [delete_row, insert_row]``: the
-    engine's output rows themselves, under their table's
+    A fan-out's batch holds the engine's output deltas as they came —
+    ``(binding, delta)`` per output relation, the delta itself, not a
+    copy (an emitted delta is never written again) — with nothing
+    converted and nothing keyed: :meth:`emit_writes` reads its rows
+    straight from the deltas.  Only when a later batch merges into it
+    (:meth:`coalesce`), or a row is recorded into it, are they folded
+    into ``ops``, which maps ``(binding, key) -> [delete_row,
+    insert_row]``: the rows under their table's
     :class:`~repro.core.codegen.TableBinding` and the device identity
-    ``binding.key_of(row)`` — nothing is converted until a device needs
-    it (:meth:`emit_writes`); ``mcast`` maps
-    ``group -> port list`` (``None`` = delete the group), last writer
-    wins.  ``seq``/``last_seq`` are the engine-transaction range the
-    batch covers — merge only ever extends it forward, which is what
-    keeps per-device application in engine-transaction order.
+    ``binding.key_of(row)``.  ``mcast`` maps ``group -> port list``
+    (``None`` = delete the group), last writer wins.  ``seq``/
+    ``last_seq`` are the engine-transaction range the batch covers —
+    merge only ever extends it forward, which is what keeps per-device
+    application in engine-transaction order.
 
     A fan-out puts *one* batch object on every device's queue and marks
     it ``shared``: nothing may change it any more, and a queue that
@@ -213,6 +218,7 @@ class DeviceBatch:
         "txns",
         "first_enqueued",
         "shared",
+        "_deltas",
         "_writes",
         "_merges",
         "__weakref__",  # a batch's lifetime can be watched
@@ -229,18 +235,46 @@ class DeviceBatch:
         self.first_enqueued = time.perf_counter()
         #: More than one queue holds this object: copy before merging.
         self.shared = False
+        #: ``[(binding, delta)]`` not folded into ``ops`` yet.
+        self._deltas: list = []
         self._writes = None  # emit_writes() memo; any record drops it
         #: ``shared tail -> its merge with this batch`` while this
         #: batch is being fanned out; the fan-out drops it after.
         self._merges = None
 
+    def add_delta(self, binding, delta) -> None:
+        """One output relation's delta (``row -> weight``) for
+        ``binding``'s table, held as it is until something folds it."""
+        if delta:
+            if self.ops:
+                _fold_delta(self.ops, binding, delta)
+            else:
+                self._deltas.append((binding, delta))
+            self._writes = None
+
+    def _folded(self) -> Dict[Tuple[object, Hashable], list]:
+        """The cells: ``ops``, or with deltas held (``ops`` is empty
+        then) a new dict they are folded into."""
+        if not self._deltas:
+            return self.ops
+        cells: Dict[Tuple[object, Hashable], list] = {}
+        for binding, delta in self._deltas:
+            _fold_delta(cells, binding, delta)
+        return cells
+
+    def _cells(self) -> Dict[Tuple[object, Hashable], list]:
+        """``ops``, with the held deltas folded in first."""
+        if self._deltas:
+            self.ops, self._deltas = self._folded(), []
+        return self.ops
+
     def record_insert(self, binding, key: Hashable, row: tuple) -> None:
-        cell = self.ops.setdefault((binding, key), [None, None])
+        cell = self._cells().setdefault((binding, key), [None, None])
         _record_insert(cell, row)
         self._writes = None
 
     def record_delete(self, binding, key: Hashable, row: tuple) -> None:
-        cell = self.ops.setdefault((binding, key), [None, None])
+        cell = self._cells().setdefault((binding, key), [None, None])
         _record_delete(cell, row)
         self._writes = None
 
@@ -252,6 +286,7 @@ class DeviceBatch:
         clone = DeviceBatch(self.seq)
         clone.last_seq = self.last_seq
         clone.ops = {key: cell[:] for key, cell in self.ops.items()}
+        clone._deltas = list(self._deltas)  # the deltas are only read
         clone.mcast = dict(self.mcast)
         clone.update_ids = list(self.update_ids)
         clone.parent = self.parent
@@ -260,35 +295,32 @@ class DeviceBatch:
         return clone
 
     def emit_writes(self) -> list:
-        """The batch as one write list of
-        :class:`~repro.p4runtime.api.RowWrite`: deletes first, then
-        inserts.
+        """The batch as one :class:`~repro.p4runtime.api.WriteList`:
+        runs of rows per (kind, table), every delete run before any
+        insert run.
 
         A row deleted and re-inserted unchanged is a round trip and is
         dropped (rows carry interned action values, so equal rows mean
         the same action, params and priority).  The list is built once
         per batch state, so every device of a shared batch gets the
-        same :class:`~repro.p4runtime.api.WriteList`.
+        same list, and it makes a
+        :class:`~repro.p4runtime.api.RowWrite` per row only for code
+        that reads its items.
         """
-        from repro.p4runtime.api import RowWrite, WriteList
+        from repro.p4runtime.api import WriteList
 
-        if self._writes is not None:
-            return self._writes
-        deletes = WriteList()
-        inserts = []
-        for (binding, _), (dead, live) in self.ops.items():
-            if dead is not None:
-                if dead == live:
-                    continue
-                deletes.append(RowWrite("DELETE", binding, dead))
-            if live is not None:
-                inserts.append(RowWrite("INSERT", binding, live))
-        deletes.extend(inserts)
-        self._writes = deletes
-        return deletes
+        if self._writes is None:
+            runs = _delta_runs(self._deltas) if self._deltas else None
+            if runs is None:
+                # Folded, or two rows of one kind under one key: the
+                # cells decide which one stands (in a copy: a shared
+                # batch does not change).
+                runs = _cell_runs(self._folded())
+            self._writes = WriteList.of_runs(runs)
+        return self._writes
 
     def is_empty(self) -> bool:
-        return not self.mcast and all(
+        return not self.mcast and not self._deltas and all(
             cell[0] is None and cell[1] is None for cell in self.ops.values()
         )
 
@@ -321,11 +353,16 @@ class DeviceBatch:
                 merged.shared = True  # a second queue holds it now
                 return merged
         merged = self._private_copy() if self.shared else self
-        for (binding, key), (dead, live) in other.ops.items():
+        ops = merged._cells()
+        for binding, delta in other._deltas:
+            _fold_delta(ops, binding, delta)
+        for key, (dead, live) in other.ops.items():
+            cell = ops.setdefault(key, [None, None])
             if dead is not None:
-                merged.record_delete(binding, key, dead)
+                _record_delete(cell, dead)
             if live is not None:
-                merged.record_insert(binding, key, live)
+                _record_insert(cell, live)
+        merged._writes = None
         merged.mcast.update(other.mcast)
         _merge_update_ids(merged.update_ids, other.update_ids)
         if other.parent is not None:
@@ -335,6 +372,61 @@ class DeviceBatch:
         if memo is not None:
             memo[self] = merged
         return merged
+
+
+def _fold_delta(ops: dict, binding, delta) -> None:
+    """Fold one held delta (one engine transaction's) into ``ops``' cells
+    the way the delta's own cells would merge into them: per key its
+    first delete — a cell keeps the oldest — then its inserts (an
+    engine delta lists a relation's deletes before its inserts)."""
+    key_of = binding.key_of
+    deleted = set()
+    for row, weight in delta.items():
+        if weight < 0:
+            key = key_of(row)
+            if key not in deleted:
+                deleted.add(key)
+                _record_delete(ops.setdefault((binding, key), [None, None]), row)
+    for row, weight in delta.items():
+        if weight > 0:
+            _record_insert(ops.setdefault((binding, key_of(row)), [None, None]), row)
+
+
+def _delta_runs(deltas: list) -> Optional[list]:
+    """``[(kind, binding, rows)]`` read straight from held deltas, or
+    ``None`` when two rows of one kind share a key (one delta cannot
+    delete and re-insert the same row, so there is no round trip to
+    elide)."""
+    deletes, inserts = [], []
+    for binding, delta in deltas:
+        dead = [row for row, weight in delta.items() if weight < 0]
+        live = [row for row, weight in delta.items() if weight > 0]
+        key_of = binding.key_of
+        if len(set(map(key_of, dead))) < len(dead) or len(
+            set(map(key_of, live))
+        ) < len(live):
+            return None
+        if dead:
+            deletes.append(("DELETE", binding, dead))
+        if live:
+            inserts.append(("INSERT", binding, live))
+    return deletes + inserts
+
+
+def _cell_runs(ops: dict) -> list:
+    """``[(kind, binding, rows)]`` of folded cells, round trips dropped."""
+    deletes: Dict[object, list] = {}
+    inserts: Dict[object, list] = {}
+    for (binding, _), (dead, live) in ops.items():
+        if dead is not None:
+            if dead == live:
+                continue
+            deletes.setdefault(binding, []).append(dead)
+        if live is not None:
+            inserts.setdefault(binding, []).append(live)
+    return [("DELETE", b, rows) for b, rows in deletes.items()] + [
+        ("INSERT", b, rows) for b, rows in inserts.items()
+    ]
 
 
 class MulticastState:

@@ -125,6 +125,8 @@ _HELPERS = {
     "_divide": _divide,
     "_wrap_signed": V.wrap_signed,
     "_StructValue": V.StructValue,
+    "_interned": V._struct_intern.get,
+    "_NoneType": type(None),
     "_MapValue": V.MapValue,
     "_call_builtin": _call_builtin,
     "_field": _field,
@@ -520,8 +522,15 @@ class Evaluator:
         return self.tuple_expr(code, expr.elems, slots)
 
     def _g_struct(self, code, expr: A.StructExpr, slots):
+        # The intern table's reference, called, is the value when it is
+        # already interned (an absent key calls ``NoneType()``): only a
+        # new value costs a call of the constructor.
         fields = self.tuple_expr(code, [e for _, e in expr.fields], slots)
-        return f"_StructValue({code.const(expr.ctor)}, {fields})"
+        key = code.temp()
+        return (
+            f"((_interned({key} := ({code.const(expr.ctor)}, {fields}))"
+            f" or _NoneType)() or _StructValue(*{key}))"
+        )
 
     def _g_if(self, code, expr: A.IfExpr, slots):
         cond = self.expr(code, expr.cond, slots)

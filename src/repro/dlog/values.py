@@ -38,21 +38,40 @@ per-process weak intern table, so within one process
 
 The table holds the values weakly: an interned value is dropped as
 soon as the last relation row referencing it dies, so interning never
-pins memory.  Pickling round-trips through the constructor
-(:meth:`~StructValue.__reduce__`), so values crossing a shard-worker
-pipe re-intern on arrival.  Both depend on the instances being deeply
-immutable — never bypass the ``__setattr__`` guard on an interned
-value, and never pass a field/value that can mutate after
+pins memory.  It is a plain ``dict`` of weak references (a
+:class:`weakref.KeyedRef` whose callback drops its own entry), not a
+``WeakValueDictionary``, so looking up a value that is already
+interned is a C-level ``dict.get`` and a reference call: generated rule
+bodies do that themselves (:mod:`repro.dlog.interp`) and call the
+constructor only for a new value.  Pickling round-trips through the
+constructor (:meth:`~StructValue.__reduce__`), so values crossing a
+shard-worker pipe re-intern on arrival.  Both depend on the instances
+being deeply immutable — never bypass the ``__setattr__`` guard on an
+interned value, and never pass a field/value that can mutate after
 construction.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Tuple
+from weakref import KeyedRef
 
-_struct_intern: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-_map_intern: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+from _weakref import _remove_dead_weakref
+
+#: ``key -> KeyedRef(value)``; an entry goes when its value dies.
+_struct_intern: Dict[tuple, KeyedRef] = {}
+_map_intern: Dict[tuple, KeyedRef] = {}
+
+
+def _drop_struct(ref, _remove=_remove_dead_weakref, _table=_struct_intern):
+    # Only if the entry is still this dead reference: a value made
+    # again under the same key may already have replaced it.  Bound as
+    # defaults, as values die during interpreter shutdown too.
+    _remove(_table, ref.key)
+
+
+def _drop_map(ref, _remove=_remove_dead_weakref, _table=_map_intern):
+    _remove(_table, ref.key)
 
 
 class StructValue:
@@ -70,15 +89,17 @@ class StructValue:
         fields = tuple(fields)
         key = (constructor, fields)
         if cls is StructValue:
-            cached = _struct_intern.get(key)
-            if cached is not None:
-                return cached
+            ref = _struct_intern.get(key)
+            if ref is not None:
+                cached = ref()
+                if cached is not None:
+                    return cached
         self = object.__new__(cls)
         object.__setattr__(self, "constructor", constructor)
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "_hash", hash(key))
         if cls is StructValue:
-            _struct_intern[key] = self
+            _struct_intern[key] = KeyedRef(self, _drop_struct, key)
         return self
 
     def __setattr__(self, name, value):
@@ -124,15 +145,17 @@ class MapValue:
         index = dict(pairs)
         ordered = tuple(sorted(index.items(), key=_sort_key))
         if cls is MapValue:
-            cached = _map_intern.get(ordered)
-            if cached is not None:
-                return cached
+            ref = _map_intern.get(ordered)
+            if ref is not None:
+                cached = ref()
+                if cached is not None:
+                    return cached
         self = object.__new__(cls)
         object.__setattr__(self, "pairs", ordered)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_hash", hash(ordered))
         if cls is MapValue:
-            _map_intern[ordered] = self
+            _map_intern[ordered] = KeyedRef(self, _drop_map, ordered)
         return self
 
     def __setattr__(self, name, value):

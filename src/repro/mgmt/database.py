@@ -73,6 +73,44 @@ class _Staged:
             if row is not None and uuid not in base:
                 yield uuid, row
 
+    def find(self, table: str, column: str, value) -> Optional[Dict[str, dict]]:
+        """The rows :meth:`items` yields whose ``column`` equals
+        ``value``, in the same order, read from the database's equality
+        index on ``column`` (``None`` for a map column, which has
+        none).  The index holds committed rows only: a row this
+        transaction changed is judged by its staged version, at the
+        position the committed row holds, and rows it inserted come
+        last."""
+        index = self.db._index(table, column)
+        if index is None:
+            return None
+        base = self.db._tables[table]
+        bucket = index.buckets.get(value, {})
+        staged = self.changes.get(table)
+        if not staged:
+            return {uuid: base[uuid] for uuid in sorted(bucket, key=bucket.get)}
+        hits = [
+            (position, uuid)
+            for uuid, position in bucket.items()
+            if uuid not in staged
+        ]
+        inserted = []
+        for uuid, row in staged.items():
+            if row is None or row[column] != value:
+                continue
+            old = base.get(uuid)
+            if old is None:
+                inserted.append((uuid, row))
+            else:
+                hits.append((index.buckets[old[column]][uuid], uuid))
+        hits.sort()
+        found = {
+            uuid: staged[uuid] if uuid in staged else base[uuid]
+            for _, uuid in hits
+        }
+        found.update(inserted)
+        return found
+
     def get(self, table: str, uuid: str) -> Optional[dict]:
         staged = self.changes.get(table, {})
         if uuid in staged:
@@ -86,8 +124,45 @@ class _Staged:
         self.changes.setdefault(table, {})[uuid] = None
 
 
+class _EqualityIndex:
+    """One (table, column)'s committed rows by value: ``buckets`` maps
+    ``value -> {uuid: position}``, where positions follow the table's
+    own row order, so a lookup can give rows in the order a scan
+    would."""
+
+    __slots__ = ("column", "buckets", "next")
+
+    def __init__(self, column: str, rows: Dict[str, dict]):
+        self.column = column
+        self.buckets: Dict[object, Dict[str, int]] = {}
+        for position, (uuid, row) in enumerate(rows.items()):
+            self.buckets.setdefault(row[column], {})[uuid] = position
+        self.next = len(rows)
+
+    def move(self, uuid: str, old: Optional[dict], new: Optional[dict]) -> None:
+        """A committed row went from ``old`` to ``new`` (``None``: absent)."""
+        column = self.column
+        if old is None:
+            position = self.next
+            self.next += 1
+        elif new is not None and new[column] == old[column]:
+            return
+        else:
+            bucket = self.buckets[old[column]]
+            position = bucket.pop(uuid)
+            if not bucket:
+                del self.buckets[old[column]]
+        if new is not None:
+            self.buckets.setdefault(new[column], {})[uuid] = position
+
+
 class Database:
-    """An in-memory, monitorable, transactional database."""
+    """An in-memory, monitorable, transactional database.
+
+    A ``where`` of one ``[column, "==", value]`` clause reads an
+    equality index on (table, column), built on the first such lookup
+    and kept current by each commit — a failed transaction never
+    reaches it — at a cost in the rows the commit changed."""
 
     def __init__(
         self,
@@ -102,6 +177,8 @@ class Database:
         self._tables: Dict[str, Dict[str, dict]] = {
             name: {} for name in schema.tables
         }
+        #: ``table -> column -> index``; see :meth:`_index`.
+        self._indexes: Dict[str, Dict[str, _EqualityIndex]] = {}
         self._monitors: List[Monitor] = []
         self._uuid_factory = uuid_factory or (lambda: uuidlib.uuid4().hex)
         self._lock = threading.RLock()
@@ -221,12 +298,27 @@ class Database:
                         )
                     seen[key] = uuid
 
+    def _index(self, table: str, column: str) -> Optional[_EqualityIndex]:
+        """The equality index on ``table.column``, built on first use;
+        ``None`` for a map column (its values are not hashable)."""
+        indexes = self._indexes.setdefault(table, {})
+        index = indexes.get(column)
+        if index is None:
+            if self.schema.table(table).column(column).type.value is not None:
+                return None
+            index = indexes[column] = _EqualityIndex(column, self._tables[table])
+        return index
+
     def _commit(self, staged: _Staged) -> TableUpdates:
         updates = TableUpdates()
         for table, changes in staged.changes.items():
             store = self._tables[table]
+            indexes = self._indexes.get(table)
             for uuid, row in changes.items():
                 old = store.get(uuid)
+                if indexes:
+                    for index in indexes.values():
+                        index.move(uuid, old, row)
                 if row is None:
                     if old is not None:
                         del store[uuid]

@@ -196,4 +196,6 @@ def restore(directory: str, schema: Optional[DatabaseSchema] = None) -> Database
                                 row_from_wire(tschema, entry["new"])
                             )
                             store[uuid] = merged
+    # The rows were written around transact: no index may predate them.
+    db._indexes.clear()
     return db

@@ -52,6 +52,13 @@ def _table_schema(db, op) -> TableSchema:
     return db.schema.table(table)
 
 
+#: Value types a ``where`` equality reads from an index: ``==`` on
+#: them agrees with hashing against any stored column value.
+_INDEXED = (int, str, bool)
+#: Whether a row's values hold no ``named-uuid`` reference to resolve.
+_ALL_SCALAR = {int, float, str, bool, type(None)}.issuperset
+
+
 def _resolve_uuid_refs(staged, value):
     """Resolve ``["named-uuid", name]`` references to real uuids."""
     if (
@@ -157,9 +164,14 @@ def _compile_where(tschema: TableSchema, where) -> Callable[[str, dict], bool]:
 
 def _select_rows(db, staged, op) -> Dict[str, dict]:
     tschema = _table_schema(db, op)
-    matches = _compile_where(
-        tschema, _resolve_uuid_refs(staged, op.get("where"))
-    )
+    where = _resolve_uuid_refs(staged, op.get("where"))
+    matches = _compile_where(tschema, where)
+    if len(where or ()) == 1:
+        column, func, value = where[0]
+        if func == "==" and column != "_uuid" and type(value) in _INDEXED:
+            found = staged.find(tschema.name, column, value)
+            if found is not None:
+                return found
     return {
         uuid: row
         for uuid, row in staged.items(tschema.name)
@@ -169,7 +181,9 @@ def _select_rows(db, staged, op) -> Dict[str, dict]:
 
 def _op_insert(db, staged, op) -> dict:
     tschema = _table_schema(db, op)
-    raw = _resolve_uuid_refs(staged, op.get("row", {}))
+    raw = op.get("row", {})
+    if not (isinstance(raw, dict) and _ALL_SCALAR(map(type, raw.values()))):
+        raw = _resolve_uuid_refs(staged, raw)
     row = db.validate_row(tschema.name, raw)
     uuid = db.new_uuid()
     staged.put(tschema.name, uuid, row)

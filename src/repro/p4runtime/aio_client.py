@@ -58,8 +58,15 @@ _RESULTS: Dict[str, Callable] = {
 
 
 def _updates_json(updates) -> bytes:
-    """The JSON array of ``updates``: their ``to_json()`` texts, joined."""
-    return b"[%s]" % ",".join([u.to_json() for u in updates]).encode()
+    """The JSON array of ``updates``: their ``to_json()`` texts, joined
+    — or for a :class:`~repro.p4runtime.api.WriteList` of row runs,
+    each run's text from one ``wire_run`` of its table's binding."""
+    runs = updates.runs if isinstance(updates, WriteList) else None
+    if runs is None:
+        texts = [u.to_json() for u in updates]
+    else:
+        texts = [binding.wire_run(kind, rows) for kind, binding, rows in runs]
+    return b"[%s]" % ",".join(texts).encode()
 
 
 def _encode_batch(updates, mcast, update_ids, fence, seq=None) -> bytes:
@@ -67,7 +74,8 @@ def _encode_batch(updates, mcast, update_ids, fence, seq=None) -> bytes:
 
     The updates go in as the text each one's ``to_json()`` writes (for
     a :class:`~repro.p4runtime.api.RowWrite`, its table's generated
-    converter), joined; only the rest of the envelope goes through
+    converter; for a device batch's runs of rows, one ``wire_run`` per
+    run), joined; only the rest of the envelope goes through
     ``dumps``, once.  Nothing in the parameters is per device, so a
     :class:`~repro.p4runtime.api.WriteList` — the one list a fan-out
     hands every device's client — keeps what it was last encoded to:

@@ -157,14 +157,53 @@ class WriteList(list):
     """The table writes of one batch, with room for the
     request parameters they serialise to: a batch fanned out to a
     fleet — one list object handed to every device's client — is
-    encoded by the first client (each write's ``to_json()`` text,
-    joined) and spliced into the others' frames
+    encoded by the first client and spliced into the others' frames
     (:meth:`AioP4RuntimeClient.apply_batch_async`).  Treat as frozen
-    once handed to a client."""
+    once handed to a client.
+
+    A list made by :meth:`of_runs` (a device batch's) holds output
+    rows, not writes: ``runs`` is ``[(kind, binding, rows)]``, and the
+    encoder turns a run into text with one ``binding.wire_run(kind,
+    rows)``.  Its length is the number of writes, and the first read of
+    an item — iterating or indexing it, as an in-process device does —
+    replaces the rows by a :class:`RowWrite` each."""
 
     #: ``(key, params)`` of the last ``apply_batch`` encoded from this
     #: list — private to :mod:`repro.p4runtime.aio_client`.
     encoded = None
+    #: ``[(kind, binding, rows)]`` of a list made by :meth:`of_runs`.
+    runs = None
+    _rows = False  # the items are still ``runs``' rows
+
+    @classmethod
+    def of_runs(cls, runs: list) -> "WriteList":
+        writes = cls()
+        for _, _, rows in runs:
+            writes += rows
+        writes.runs = runs
+        writes._rows = True
+        return writes
+
+    def _as_writes(self) -> None:
+        if self._rows:
+            self._rows = False
+            self[:] = [
+                RowWrite(kind, binding, row)
+                for kind, binding, rows in self.runs
+                for row in rows
+            ]
+
+    def __iter__(self):
+        self._as_writes()
+        return list.__iter__(self)
+
+    def __reversed__(self):
+        self._as_writes()
+        return list.__reversed__(self)
+
+    def __getitem__(self, index):
+        self._as_writes()
+        return list.__getitem__(self, index)
 
 
 def _match_to_wire(match: FieldMatch) -> dict:

@@ -54,6 +54,55 @@ class TestStructInterning:
 
         assert _struct_intern.get(key) is None
 
+    def test_a_dropped_value_is_made_again_and_interned_anew(self):
+        from repro.dlog.values import _struct_intern
+
+        key = ("Again", (id(object()),))
+        first = StructValue(*key)
+        del first
+        gc.collect()
+        assert key not in _struct_intern
+        again = StructValue(*key)
+        assert _struct_intern[key]() is again
+        assert StructValue(*key) is again
+        # A map's table drops its entries the same way.
+        from repro.dlog.values import _map_intern
+
+        pairs = ((id(object()), "x"),)
+        value = MapValue(pairs)
+        assert _map_intern[pairs]() is value
+        del value
+        gc.collect()
+        assert pairs not in _map_intern
+
+    def test_rule_bodies_build_the_interned_values(self):
+        """Generated rule code looks an interned value up itself and
+        calls the constructor only for a new one: what it builds is the
+        very object a direct construction returns, also after the value
+        was dropped and made again."""
+        from repro.dlog import compile_program
+
+        runtime = compile_program(
+            "input relation In(x: bigint)\n"
+            "typedef box_t = Box{v: bigint}\n"
+            "output relation Out(b: box_t)\n"
+            "Out(Box{x}) :- In(x).\n"
+        ).start()
+        try:
+            marker = id(object())
+            held = StructValue("Box", (marker,))
+            result = runtime.transaction(inserts={"In": [(marker,)]})
+            (row,) = result.inserted("Out")
+            assert row[0] is held
+            runtime.transaction(deletes={"In": [(marker,)]})
+            del held, row, result
+            gc.collect()
+            result = runtime.transaction(inserts={"In": [(marker,)]})
+            (row,) = result.inserted("Out")
+            assert row[0] is StructValue("Box", (marker,))
+        finally:
+            runtime.close()
+
     def test_immutability_guard(self):
         value = StructValue("P", (1,))
         try:

@@ -378,6 +378,13 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
             counts["to_json"] += 1
             return real_to_json(self)
 
+        def counting_wire_run(wire_run):
+            def counted(kind, rows):
+                counts["to_json"] += len(rows)  # a run's rows, one text each
+                return wire_run(kind, rows)
+
+            return counted
+
         def dumps(*args, **kwargs):
             if threading.current_thread().name == "t-counts-reactor":
                 counts["dumps"] += 1
@@ -388,6 +395,10 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
             real_wakeup()
 
         monkeypatch.setattr(RowWrite, "to_json", to_json)
+        for binding in controller.bindings.table_relations.values():
+            monkeypatch.setattr(
+                binding, "wire_run", counting_wire_run(binding.wire_run)
+            )
         monkeypatch.setattr(json, "dumps", dumps)
         monkeypatch.setattr(reactor, "_wakeup", wakeup)
         before = [device.batches_applied for device in farm.devices]

@@ -453,10 +453,11 @@ def test_a_converter_error_in_a_parked_send_completes_the_batch():
         )
         wait_for(lambda: not client.writable, what="the high watermark")
 
-        def broken(kind, row):
+        def broken(kind, rows):
             raise TypeCheckError("converter refused the row")
 
-        generated, binding.wire = binding.wire, broken
+        # A device batch's rows reach the wire through ``wire_run``.
+        generated, binding.wire_run = binding.wire_run, broken
         insert(db, "Cfg", port=1, vlan=1, out=1)
         channel = controller.channels[0]
         wait_for(lambda: channel.state == IN_FLIGHT, what="the parked batch")
@@ -469,7 +470,7 @@ def test_a_converter_error_in_a_parked_send_completes_the_batch():
             controller.drain(timeout=5.0)
         assert time.monotonic() - released < 1.0
 
-        binding.wire = generated
+        binding.wire_run = generated
         insert(db, "Cfg", port=2, vlan=2, out=2)
         controller.drain(timeout=5.0)
         assert [e.action_params for e in sim.table("exact_t").entries()] == [

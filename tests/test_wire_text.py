@@ -277,3 +277,99 @@ def test_a_row_converts_without_json_dumps(monkeypatch):
         '{"lpm":[10,8]},{"ternary":[3,255]}],'
         '"action":{"name":"set","params":[5,6]},"priority":7}'
     )
+
+
+# ---------------------------------------------------------------------------
+# Runs.
+# ---------------------------------------------------------------------------
+
+
+def run_outcome(binding, kind, rows):
+    try:
+        return binding.wire_run(kind, rows)
+    except (TypeCheckError, TypeError) as exc:
+        return (type(exc), str(exc))
+
+
+def joined_outcome(binding, kind, rows):
+    """``wire``'s texts of ``rows`` joined, or the error of the first
+    row it refuses."""
+    texts = []
+    for row in rows:
+        outcome = wire_outcome(binding, kind, row)
+        if isinstance(outcome, tuple):
+            return outcome
+        texts.append(outcome)
+    return ",".join(texts)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), kind=st.sampled_from(KINDS + ("BOGUS",)))
+def test_a_run_gives_the_joined_row_texts_or_the_first_rows_error(data, kind):
+    """``wire_run`` over rows of any match kinds and priorities, with
+    ``bool`` and out-of-range values, strings, unknown constructors and
+    wrong arities mixed in: the text ``wire`` gives row by row, or the
+    error ``wire`` raises for the first row it refuses."""
+    binding = data.draw(bindings())
+    rows_ = data.draw(
+        st.lists(st.one_of(rows(binding), loose_rows(binding)), max_size=6)
+    )
+    assert run_outcome(binding, kind, rows_) == joined_outcome(
+        binding, kind, rows_
+    )
+
+
+@settings(max_examples=100)
+@given(data=st.data(), envelope=_envelopes)
+def test_a_list_of_runs_encodes_to_the_bytes_of_its_row_writes(data, envelope):
+    """A device batch's list holds runs of rows; encoded, it is byte for
+    byte what the same writes as one ``RowWrite`` each encode to, and
+    reading its items gives those writes."""
+    binding = data.draw(bindings())
+    runs = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(KINDS),
+                st.lists(rows(binding), min_size=1, max_size=4),
+            ),
+            max_size=4,
+        )
+    )
+    writes = WriteList.of_runs(
+        [(kind, binding, list(batch)) for kind, batch in runs]
+    )
+    flat = [(kind, row) for kind, batch in runs for row in batch]
+    reference = WriteList(RowWrite(kind, binding, row) for kind, row in flat)
+    assert len(writes) == len(flat)
+    assert bool(writes) == bool(flat)
+    assert aio_client._encode_batch(writes, *envelope) == (
+        aio_client._encode_batch(reference, *envelope)
+    )
+    assert [(w.kind, w.row) for w in writes] == flat
+    assert [(w.kind, w.row) for w in reversed(writes)] == flat[::-1]
+    if flat:
+        assert (writes[-1].kind, writes[-1].row) == flat[-1]
+
+
+def test_a_run_refuses_each_row_wire_refuses():
+    """Rows whose values are all ints but whose action is unknown, of
+    the wrong arity or no constructor at all, and a ``str`` or ``bool``
+    value: a run of a good row and the bad one gives ``wire``'s text
+    or raises ``wire``'s error."""
+    binding = _acl_binding()
+    good = (1, (10, 8), (3, 255), StructValue("AclActionSet", (5, 6)), 7)
+    for bad in (
+        (1, (10, 8), (3, 255), StructValue("AclActionSet", (5,)), 7),
+        (1, (10, 8), (3, 255), StructValue("AclActionSet", (5, 6, 7)), 7),
+        (1, (10, 8), (3, 255), StructValue("AclActionDrop", (5,)), 7),
+        (1, (10, 8), (3, 255), StructValue("NoSuchAction", ()), 7),
+        (1, (10, 8), (3, 255), 4, 7),
+        ("1", (10, 8), (3, 255), StructValue("AclActionDrop", ()), 7),
+        (True, (10, 8), (3, 255), StructValue("AclActionDrop", ()), 7),
+        (1, 10, (3, 255), StructValue("AclActionDrop", ()), 7),
+    ):
+        for kind in KINDS:
+            outcome = run_outcome(binding, kind, [good, bad])
+            assert outcome == joined_outcome(binding, kind, [good, bad])
+            if bad[0] is not True:
+                assert isinstance(outcome, tuple), bad  # refused
