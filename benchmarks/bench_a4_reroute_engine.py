@@ -13,14 +13,19 @@ derives every walk, and ``Hop`` rows removed per flap.  Both gates are
 box-independent.  On the same flaps, an incremental transaction must be
 at least 8x faster than ``recursive_mode="recompute"`` (the full
 fixpoint per transaction), and both must end in the same state.  The
-two runtimes are timed interleaved, flap by flap — each flap runs on
-the ablation, then on the incremental runtime — and the ratio is that
-of their medians, over all the flaps, so a box that slows down part-way
-slows both.  And a
-flap may make at most 9,000 Python-level calls (``sys.setprofile``
-``"call"`` events over the flaps after the cold transaction): rule
-bodies run as generated functions, one call per variant and row, where
-a chain of closures made 18.7k calls per flap.
+two runtimes take turns over the flaps in blocks of ten — the ablation
+runs a block, then the incremental runtime runs the same block — and
+the ratio is that of their medians over all the flaps, so a box that
+slows down part-way slows both.  Blocks, not single flaps: a flap timed
+right after a recompute fixpoint starts with the CPU caches full of the
+other runtime's derivation, which slowed every incremental flap by
+about a fifth when the two alternated flap by flap.  The collector is
+off while a block is timed and collects before each, so neither
+runtime pays for the other's garbage.  And a flap may make at most
+9,000 Python-level calls (``sys.setprofile`` ``"call"`` events over the
+flaps after the cold transaction): rule bodies run as generated
+functions, one call per variant and row, where a chain of closures made
+18.7k calls per flap.
 
 A separate pass over the same flaps, under the detail obs tier (each
 ``Graph.run`` records a ``profile=`` sample per dataflow node), reports
@@ -29,6 +34,7 @@ for the SCC, the two ``min`` aggregates and the ``Dist ⋈ Hop`` join.
 These are reported figures, not gates.
 """
 
+import gc
 import random
 import statistics
 import sys
@@ -57,6 +63,8 @@ NextHop(a, c, f) :- Dist(a, c, d), Hop(a, c, h, d),
 K = 6
 N_FLAPS = 60
 GATE_X = 8.0
+#: Flaps one runtime runs before the other takes its turn.
+BLOCK = 10
 #: Python-level calls per flap (half the 18.7k of step-chain closures).
 GATE_CALLS = 9000
 #: Operator kinds the attribution reports, by dataflow node name.
@@ -110,20 +118,28 @@ def run(mode, cold, txns):
 
 def interleaved(cold, txns):
     """Per-flap seconds of the recompute ablation and of the
-    incremental runtime over the same ``txns``, each flap run on both
-    before the next; returns ``(full, incremental, full runtime,
-    incremental runtime)``."""
+    incremental runtime over the same ``txns``, in alternating blocks
+    of :data:`BLOCK` flaps, the collector off while timing; returns
+    ``(full, incremental, full runtime, incremental runtime)``."""
     runtimes = []
     for mode in ("recompute", "dred"):
         runtime = compile_program(PROGRAM, recursive_mode=mode).start()
         runtime.transaction(inserts={"Link": cold})
         runtimes.append(runtime)
     seconds = ([], [])
-    for txn in txns:
-        for runtime, out in zip(runtimes, seconds):
-            started = time.perf_counter()
-            runtime.transaction(**txn)
-            out.append(time.perf_counter() - started)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for start in range(0, len(txns), BLOCK):
+            for runtime, out in zip(runtimes, seconds):
+                gc.collect()
+                for txn in txns[start:start + BLOCK]:
+                    started = time.perf_counter()
+                    runtime.transaction(**txn)
+                    out.append(time.perf_counter() - started)
+    finally:
+        if enabled:
+            gc.enable()
     return (*seconds, *runtimes)
 
 
@@ -196,7 +212,7 @@ def test_a4_reroute_engine(benchmark, bench_seed):
             ("ms/txn p90", f"{p90:.2f}", ""),
             ("cold txn", f"{cold_s * 1e3:.1f} ms", ""),
             ("Hop removes/flap", f"{hop_removes:.1f}", ""),
-            (f"recompute/incremental ({N_FLAPS} flaps, interleaved)",
+            (f"recompute/incremental ({N_FLAPS} flaps, blocks of {BLOCK})",
              f"{ratio:.1f}x", f"gate: >= {GATE_X:.0f}x"),
             ("Python calls/flap", f"{calls:,.0f}", f"gate: <= {GATE_CALLS:,}"),
             *(

@@ -60,24 +60,21 @@ class TableBinding:
 
     * ``key_of(row)`` — the row's identity on the device: its key
       columns, plus the priority column of a ternary table;
-    * ``wire(kind, row)`` — the JSON text of the P4Runtime update
-      writing the row: byte for byte what ``dumps`` makes of the dict
+    * ``wire_run(kind, rows)`` — the JSON texts of the P4Runtime
+      updates writing a run of rows of one kind, comma-joined: each
+      byte for byte what ``dumps`` makes of the dict
       :meth:`~repro.p4runtime.api.TableWrite.to_wire` builds for the
       same entry.  Each (kind, action) pair has a ``%``-format made
       when the binding is generated, holding the table's and action's
-      names and the key layout; a row whose key, parameter and priority
-      values are all exactly ``int`` is that format filled in, and any
-      other value is encoded field by field;
-    * ``wire_run(kind, rows)`` — the texts of a run of updates of one
-      kind, comma-joined: what joining ``wire(kind, row)`` of each row
-      gives, in one call.  A row whose action is a known constructor
-      of the right arity and whose values are all exactly ``int`` is
-      its format filled in, inline; any other row is ``wire``'s, text
-      and errors alike;
+      names and the key layout; a row whose action is a known
+      constructor of the right arity and whose key, parameter and
+      priority values are all exactly ``int`` is that format filled
+      in, and any other row is encoded field by field;
+    * ``wire(kind, row)`` — one row's text: ``wire_run`` of that row;
     * ``entry_for(row)`` — the :class:`~repro.p4.tables.TableEntry` it
       denotes, for in-process devices and read-diffs.
 
-    ``wire``, ``wire_run`` and ``entry_for`` type-check the key and
+    ``wire_run``, ``wire`` and ``entry_for`` type-check the key and
     action columns and raise :class:`~repro.errors.TypeCheckError` for
     an ill-typed row.
     """
@@ -157,26 +154,9 @@ class TableBinding:
                     return None
             return keys
 
-        key_values = (
-            pair_values if any(pairs)
-            else operator.itemgetter(slice(0, n_keys))
-        )
-
-        def wire(kind: str, row: tuple) -> str:
-            keys = key_values(row)
-            action = row[n_keys]
-            if keys is not None and isinstance(action, StructValue):
-                values = keys + action.fields
-                if priority_at is not None:
-                    values += (row[priority_at],)
-                if _ALL_INT(map(type, values)):
-                    # Every key value is an int, so the key columns
-                    # pass and ``action_of`` raises what the per-field
-                    # path below would.
-                    name, params = action_of(action)
-                    fmt = formats.get((kind, name, len(params)))
-                    if fmt is not None:
-                        return fmt % values
+        def encode_fields(kind: str, row: tuple) -> str:
+            """The row's update text, each value through ``dumps_text``:
+            for a row the fast path of ``wire_run`` does not cover."""
             values = []
             for (match_kind, payload), value in zip(fields, row):
                 if match_kind == "exact":
@@ -193,9 +173,9 @@ class TableBinding:
             fmt = formats.get(key) or self._update_format(*key)
             return fmt % tuple(map(dumps_text, values))
 
-        # kind -> constructor -> (format, its ``(action, param count)``),
-        # for wire_run; a constructor counts only while ``actions``
-        # still maps it to that same pair.
+        # kind -> constructor -> (format, its ``(action, param count)``);
+        # a constructor counts only while ``actions`` still maps it to
+        # that same pair.
         by_constructor = {
             kind: {
                 ctor: (formats[(kind, *resolved)], resolved)
@@ -223,11 +203,16 @@ class TableBinding:
                             values = keys + action.fields
                             if priority_at is not None:
                                 values += (row[priority_at],)
+                            # Every value an int: the format filled in
+                            # is the text the per-field path makes.
                             if _ALL_INT(map(type, values)):
                                 texts.append(fmt[0] % values)
                                 continue
-                texts.append(wire(kind, row))
+                texts.append(encode_fields(kind, row))
             return ",".join(texts)
+
+        def wire(kind: str, row: tuple) -> str:
+            return wire_run(kind, (row,))
 
         def entry_for(row: tuple) -> TableEntry:
             matches = [

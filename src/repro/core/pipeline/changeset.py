@@ -187,11 +187,13 @@ class DeviceBatch:
     copy (an emitted delta is never written again) — with nothing
     converted and nothing keyed: :meth:`emit_writes` reads its rows
     straight from the deltas.  Only when a later batch merges into it
-    (:meth:`coalesce`), or a row is recorded into it, are they folded
-    into ``ops``, which maps ``(binding, key) -> [delete_row,
-    insert_row]``: the rows under their table's
-    :class:`~repro.core.codegen.TableBinding` and the device identity
-    ``binding.key_of(row)``.  ``mcast`` maps ``group -> port list``
+    (:meth:`coalesce`) are they folded into ``ops``, which maps
+    ``(binding, key) -> [delete_row, insert_row]``: the rows under their
+    table's :class:`~repro.core.codegen.TableBinding` and the device
+    identity ``binding.key_of(row)``.  A batch holds deltas or cells,
+    never both: deltas go only into a fan-out's fresh batch, and
+    :meth:`record_insert`/:meth:`record_delete` only into a batch built
+    row by row.  ``mcast`` maps ``group -> port list``
     (``None`` = delete the group), last writer wins.  ``seq``/
     ``last_seq`` are the engine-transaction range the batch covers —
     merge only ever extends it forward, which is what keeps per-device
@@ -244,17 +246,15 @@ class DeviceBatch:
 
     def add_delta(self, binding, delta) -> None:
         """One output relation's delta (``row -> weight``) for
-        ``binding``'s table, held as it is until something folds it."""
+        ``binding``'s table, held as it is until a merge folds it."""
+        assert not self.ops, "a batch holds deltas or cells, not both"
         if delta:
-            if self.ops:
-                _fold_delta(self.ops, binding, delta)
-            else:
-                self._deltas.append((binding, delta))
+            self._deltas.append((binding, delta))
             self._writes = None
 
     def _folded(self) -> Dict[Tuple[object, Hashable], list]:
-        """The cells: ``ops``, or with deltas held (``ops`` is empty
-        then) a new dict they are folded into."""
+        """The cells: ``ops``, or with deltas held a new dict they are
+        folded into."""
         if not self._deltas:
             return self.ops
         cells: Dict[Tuple[object, Hashable], list] = {}
@@ -269,13 +269,13 @@ class DeviceBatch:
         return self.ops
 
     def record_insert(self, binding, key: Hashable, row: tuple) -> None:
-        cell = self._cells().setdefault((binding, key), [None, None])
-        _record_insert(cell, row)
+        assert not self._deltas, "a batch holds deltas or cells, not both"
+        _record_insert(self.ops.setdefault((binding, key), [None, None]), row)
         self._writes = None
 
     def record_delete(self, binding, key: Hashable, row: tuple) -> None:
-        cell = self._cells().setdefault((binding, key), [None, None])
-        _record_delete(cell, row)
+        assert not self._deltas, "a batch holds deltas or cells, not both"
+        _record_delete(self.ops.setdefault((binding, key), [None, None]), row)
         self._writes = None
 
     @property

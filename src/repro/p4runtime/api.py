@@ -164,9 +164,11 @@ class WriteList(list):
     A list made by :meth:`of_runs` (a device batch's) holds output
     rows, not writes: ``runs`` is ``[(kind, binding, rows)]``, and the
     encoder turns a run into text with one ``binding.wire_run(kind,
-    rows)``.  Its length is the number of writes, and the first read of
-    an item — iterating or indexing it, as an in-process device does —
-    replaces the rows by a :class:`RowWrite` each."""
+    rows)``.  Its length and truth are the writes', and every other
+    reading of it — iterating, indexing, comparing, ``in``, ``copy``,
+    ``repr``, pickling — first replaces the rows by a
+    :class:`RowWrite` each.  Only a C-level reader that bypasses the
+    list's methods (``json.dumps`` of the list) sees the raw rows."""
 
     #: ``(key, params)`` of the last ``apply_batch`` encoded from this
     #: list — private to :mod:`repro.p4runtime.aio_client`.
@@ -193,17 +195,28 @@ class WriteList(list):
                 for row in rows
             ]
 
-    def __iter__(self):
-        self._as_writes()
-        return list.__iter__(self)
 
-    def __reversed__(self):
-        self._as_writes()
-        return list.__reversed__(self)
+def _reading(name: str):
+    """``list``'s method ``name`` for a :class:`WriteList`, on its
+    writes."""
+    method = getattr(list, name)
 
-    def __getitem__(self, index):
+    def on_writes(self, *args, **kwargs):
         self._as_writes()
-        return list.__getitem__(self, index)
+        return method(self, *args, **kwargs)
+
+    on_writes.__name__ = name
+    return on_writes
+
+
+for _name in (
+    "__iter__", "__reversed__", "__getitem__", "__contains__",
+    "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__",
+    "__add__", "__mul__", "__rmul__", "__repr__", "__reduce_ex__",
+    "copy", "count", "index",
+):
+    setattr(WriteList, _name, _reading(_name))
+del _name
 
 
 def _match_to_wire(match: FieldMatch) -> dict:
