@@ -26,10 +26,9 @@ per commit after the wave's second (14/16) and encodes twice per wave
 same waves cost 4.0 copies and 4.06 encodes per commit (64 per wave).
 """
 
-import os
 from contextlib import contextmanager
 
-from benchmarks.bench_a6_apply_hops import P4, POLICY, RULES, SCHEMA
+from benchmarks.bench_a6_apply_hops import P4, POLICY, RULES, SCHEMA, one_cpu
 from benchmarks.conftest import emit, report
 from repro.core import NerpaController, nerpa_build
 from repro.core.pipeline.changeset import DeviceBatch
@@ -50,20 +49,6 @@ PORTS = 8
 ACK_DELAY_S = 0.25
 COPIES_GATE = 1.0
 ENCODES_GATE = 0.5
-
-
-@contextmanager
-def one_cpu():
-    """Pin the process to one CPU for the run, then restore the mask."""
-    if not hasattr(os, "sched_setaffinity"):
-        yield
-        return
-    mask = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(mask)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, mask)
 
 
 @contextmanager

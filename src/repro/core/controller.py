@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core import metrics, reconcile, warmstate
-from repro.core.fanout import BatchApplier, FanoutPlane
+from repro.core.fanout import FanoutPlane
 from repro.core.pipeline import MULTICAST_RELATION, NerpaProject
 from repro.core.pipeline.changeset import (
     Changeset,
@@ -59,6 +59,7 @@ from repro.core.pipeline.changeset import (
 from repro.core.pipeline.queues import (
     CoalescingQueue,
     PipelineStalledError,
+    QueueGroup,
     SyncTask,
     Task,
     when_all,
@@ -190,6 +191,8 @@ class NerpaController:
         #: One `DeviceChannel` per device, in ``devices`` order.
         self.channels: List = []
         self._fanout_plane: Optional[FanoutPlane] = None
+        #: Every pipeline queue; the last to go idle settles the drains.
+        self._queue_group = QueueGroup(self._settle_drains)
         self._errors: List[BaseException] = []
         self._drains: List[Task] = []  # parked until nothing is in flight
 
@@ -259,21 +262,22 @@ class NerpaController:
         started_at = time.perf_counter()
         self._started = True
         self._fanout_plane = FanoutPlane(
-            reactor=self.reactor, on_error=self._defer_error
+            reactor=self.reactor,
+            on_error=self._defer_error,
+            breaker_threshold=self.breaker_threshold,
+            fence=self.fencing_epoch,
+            on_applied=self._record_apply,
         )
         self.reactor = self._fanout_plane.reactor
         self.engine_queue = CoalescingQueue(
             name="engine", on_ready=self._wake_engine
         )
-        applier = BatchApplier(
-            self.breaker_threshold, self.fencing_epoch, self._record_apply
-        )
         self.channels = [
-            self._fanout_plane.channel(device, applier, name=device.name)
+            self._fanout_plane.channel(device, name=device.name)
             for device in self.devices
         ]
         for queue in self._queues():
-            queue.on_idle = self._settle_drains
+            queue.group = self._queue_group
         steps = self._start_steps(started_at)
         if self.reactor.in_loop():
             reconcile.drive(steps, self._run_start_hooks)
@@ -394,12 +398,12 @@ class NerpaController:
         return [self.engine_queue, *(c.queue for c in self.channels)]
 
     def _settle_drains(self, quiet: Optional[Task] = None) -> None:
-        """drain()'s callback, which parks ``quiet``, and every queue's
-        ``on_idle``: once no queue has work in flight, finish the parked
-        drains — the first with the first deferred error."""
+        """drain()'s callback, which parks ``quiet``, and the queue
+        group's ``on_idle``: once no queue has work in flight, finish
+        the parked drains — the first with the first deferred error."""
         if quiet is not None:
             self._drains.append(quiet)
-        if not self._drains or any(q.unfinished for q in self._queues()):
+        if not self._drains or self._queue_group.busy:
             return
         drains, self._drains = self._drains, []
         error = self._errors[0] if self._errors else None
@@ -770,15 +774,17 @@ class NerpaController:
         if template.is_empty():
             return
         template.shared = True
+        gauge = obs.enabled()
         try:
             for channel in self.channels:
                 channel.queue.put(template)
-                channel.queue.gauge_depth()
+                if gauge:
+                    channel.queue.gauge_depth()
         finally:
             template._merges = None  # queues that merged hold their batch
 
     # -- stage 3: apply ----------------------------------------------------------
-    # (the per-batch work is repro.core.fanout.BatchApplier's)
+    # (the per-batch work is repro.core.fanout.DeviceChannel's)
 
     def _record_apply(
         self,
@@ -793,10 +799,20 @@ class NerpaController:
         alone — a slow peer shows up in both, fleet-wide queue pressure
         only in the former."""
         self.entries_written += n_writes
-        metrics.append_sample(self.sync_latencies, latency)
-        metrics.append_sample(device.latencies, latency)
-        metrics.append_sample(device.io_latencies, io_latency)
-        metrics.append_sample(self._stage_seconds["apply"], apply_seconds)
+        # metrics.append_sample, inline (once per batch): a pair of
+        # series grows in step, so one length check cuts both.
+        fleet, stage = self.sync_latencies, self._stage_seconds["apply"]
+        fleet.append(latency)
+        stage.append(apply_seconds)
+        if len(fleet) > metrics.STATS_LIMIT:
+            del fleet[: -metrics.STATS_WINDOW]
+            del stage[: -metrics.STATS_WINDOW]
+        e2e, io = device.latencies, device.io_latencies
+        e2e.append(latency)
+        io.append(io_latency)
+        if len(e2e) > metrics.STATS_LIMIT:
+            del e2e[: -metrics.STATS_WINDOW]
+            del io[: -metrics.STATS_WINDOW]
 
     # -- recovery ----------------------------------------------------------------
 

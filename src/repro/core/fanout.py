@@ -16,7 +16,9 @@ without a thread or a blocking socket per device, on:
 A batch costs its ``send`` and its ack read and no loop bookkeeping
 beyond them: a ``put`` on the loop pumps the channel in place, the ack
 finishes the item and pops the next in place, and the connection's one
-deadline timer is not touched (:mod:`repro.net.aio`).
+deadline timer is not touched (:mod:`repro.net.aio`).  Nothing is
+allocated per batch to find it again: the channel holds the item in
+flight, and its own bound method is the ack's callback.
 
 One execution path per channel: every item runs on the loop through
 the device's non-blocking calls (:mod:`repro.core.planes`).  A batch
@@ -35,10 +37,9 @@ fell behind together merge the next fan-out into one shared copy of
 their common tail, so a backlog, too, is built and encoded once per
 distinct queue state rather than once per device.
 
-:class:`FanoutPlane` and :class:`DeviceChannel` are the machinery;
-:class:`BatchApplier` is the runner the controller plugs into every
-channel — the breaker gate in front of the device and the per-device
-bookkeeping behind it.
+:class:`FanoutPlane` holds what every channel shares — the loop, the
+breaker threshold, the fencing epoch and the controller's hooks —
+and :class:`DeviceChannel` is the per-device machine.
 
 Obs: ``fanout_inflight`` (operations between pop and completion),
 ``fanout_send_buffer_bytes{device=}`` (a channel's outbound backlog),
@@ -52,7 +53,6 @@ from functools import partial
 from typing import Callable, List, Optional
 
 from repro import obs
-from repro.core.pipeline.changeset import DeviceBatch
 from repro.core.pipeline.queues import CoalescingQueue, SyncTask
 from repro.core.planes import TRANSPORT_ERRORS, ManagedDevice
 from repro.core.reconcile import drive
@@ -66,40 +66,42 @@ AWAITING_ACK = "awaiting-ack"
 
 
 class FanoutPlane:
-    """The shared machinery behind every :class:`DeviceChannel`.
+    """What every :class:`DeviceChannel` shares.
 
     ``reactor`` is the one the channels' device clients
     (:class:`~repro.p4runtime.aio_client.AioP4RuntimeClient`) run on —
     it *must* be the same so channel callbacks and connection callbacks
     never race; ``None`` (no remote devices) uses the process-wide
     :func:`~repro.net.reactor.default_reactor`.  The plane never stops it.
+
+    ``fence`` is the fencing epoch stamped on every write, and a device
+    is quarantined after ``breaker_threshold`` transport failures in a
+    row.  ``on_applied(device, n_writes, latency, io_latency,
+    apply_seconds)`` receives every acknowledged batch; ``on_error``
+    the semantic failures (a rejected write, an ill-typed row), which
+    the controller defers to ``drain()``.
     """
 
     def __init__(
         self,
         reactor: Optional[Reactor] = None,
         on_error: Optional[Callable[[BaseException], None]] = None,
+        breaker_threshold: int = 3,
+        fence: Optional[int] = None,
+        on_applied: Optional[Callable] = None,
     ):
         self.reactor = reactor if reactor is not None else default_reactor()
-        #: Receives exceptions a runner reported through ``done(exc)``
-        #: (the controller defers them to ``drain()``).
         self.on_error = on_error
+        self.breaker_threshold = breaker_threshold
+        self.fence = fence
+        self.on_applied = on_applied
         self.reactor.start()
         self.channels: List["DeviceChannel"] = []
-        self._inflight = 0
+        #: Operations currently between pop and completion.
+        self.inflight = 0
 
-    @property
-    def inflight(self) -> int:
-        """Operations currently between pop and completion."""
-        return self._inflight
-
-    def _inflight_delta(self, delta: int) -> None:
-        self._inflight += delta
-        if obs.enabled():
-            obs.REGISTRY.gauge("fanout_inflight").set(self._inflight)
-
-    def channel(self, device, runner: Callable, name: str) -> "DeviceChannel":
-        chan = DeviceChannel(self, device, runner, name)
+    def channel(self, device: ManagedDevice, name: str) -> "DeviceChannel":
+        chan = DeviceChannel(self, device, name)
         self.channels.append(chan)
         return chan
 
@@ -112,139 +114,95 @@ class DeviceChannel:
     the controller's drain/resync/health code reaches it through
     ``.queue`` and ``.device``.
 
-    ``runner(channel, item, done)`` starts one queue item on the loop;
-    it must arrange for ``done(exc_or_none)`` to be called once, on the
-    loop, when the item completes (a non-``None`` ``exc`` is deferred to
-    ``drain()``; later calls are ignored).  The channel never pops a
-    second item until the first completes — that is per-device FIFO.
+    The channel pops an item only once the one before it has completed
+    — that is per-device FIFO — and holds it until then.  A
+    :class:`SyncTask` is driven step by step
+    (:func:`~repro.core.reconcile.drive`); a batch goes through the
+    circuit breaker to the device's ``apply_batch_async``, with the
+    channel's :meth:`_on_ack` as the callback.  The device calls it
+    once per batch (a connection resolves each call once: response,
+    deadline or teardown; an in-process device answers inline), and an
+    ack with no batch awaiting it is ignored.
     """
 
-    def __init__(self, plane: FanoutPlane, device, runner: Callable, name: str):
+    def __init__(self, plane: FanoutPlane, device: ManagedDevice, name: str):
         self.plane = plane
         self.device = device
-        self._runner = runner
         self.state = IDLE
+        #: The item between pop and completion; ``None`` once completed.
+        self._item = None
+        #: Popped and not finished yet (outlives ``_item`` while an
+        #: inline completion waits for its loop turn).
         self._busy = False
-        #: The runner is on the stack: a completion now must not pump.
+        #: The item is being started: a completion now must not pump.
         self._pumping = False
+        # The batch in flight: when it was popped and sent, its write
+        # count and its span.
+        self._started = self._issued_at = 0.0
+        self._n_writes = 0
+        self._span = obs.NULL_SPAN
+        #: Every batch's ack callback, bound once.
+        self._ack = self._on_ack
         self.queue = CoalescingQueue(name=name, on_ready=self._pump)
 
     # -- loop thread ---------------------------------------------------------
 
     def _pump(self) -> None:
-        """Pop-and-start the next item unless one is in flight; how it
-        finishes is :meth:`_completion`'s."""
+        """Pop-and-start the next item unless one is in flight."""
         if self._busy:
             return
         item = self.queue.pop_nowait()
+        plane = self.plane
         if item is None:
             self.state = IDLE
+            if obs.enabled():
+                obs.REGISTRY.gauge("fanout_inflight").set(plane.inflight)
             return
         self._busy = True
+        self._item = item
         self.state = IN_FLIGHT
-        self.plane._inflight_delta(1)
-        done = self._completion()
+        self._started = time.perf_counter()
+        plane.inflight += 1
         self._pumping = True
         try:
-            self._runner(self, item, done)
+            if isinstance(item, SyncTask):
+                if obs.enabled():
+                    self.queue.gauge_depth()
+                    obs.REGISTRY.gauge("fanout_inflight").set(plane.inflight)
+                drive(item.steps, partial(self._on_synced, item))
+            elif self.device.io.writable:
+                self._send(item)
+            else:
+                # Past its high watermark: park instead of buffering
+                # without bound — the queue coalesces the backlog
+                # meanwhile.
+                self.device.io.on_drain(self._on_drained)
         except Exception as exc:  # noqa: BLE001 - surfaced at drain()
-            done(exc)
+            self._complete(item, exc)
         finally:
             self._pumping = False
 
-    def mark_awaiting_ack(self) -> None:
-        """Runner hook: the batch is with the device; we hold only the
-        pending ack."""
-        self.state = AWAITING_ACK
+    def _on_drained(self) -> None:
+        """The parked batch's connection drained (or died)."""
+        if self._item is not None:
+            self._send(self._item)
 
-    def _completion(self) -> Callable:
-        """The item's ``done``.  Completion mutates channel state and
-        pops the next item: in place when called from I/O (an ack, a
-        deadline, a teardown — the runner has long returned), one loop
-        turn later when the runner completes inside :meth:`_pump` (an
-        in-process device, an empty batch), so that a burst of those
-        never recurses through it."""
-        completed = False
+    def _on_synced(self, task: SyncTask, result, error) -> None:
+        if task is not self._item:
+            return  # the steps answered twice
+        try:
+            task.finish(result, error)  # runs its then() callback
+        finally:
+            self._complete(task)
 
-        def done(exc: Optional[BaseException] = None) -> None:
-            nonlocal completed
-            if completed:
-                return  # a second call for the same item
-            completed = True
-            if not self._pumping or not self.plane.reactor.submit(
-                self._finish, exc
-            ):
-                self._finish(exc)  # from I/O, or the reactor stopped
-
-        return done
-
-    def _finish(self, exc: Optional[BaseException]) -> None:
-        self._busy = False
-        self.plane._inflight_delta(-1)
-        # The error first: the task_done that empties the pipeline
-        # finishes a waiting drain, which raises it.
-        if exc is not None and self.plane.on_error is not None:
-            self.plane.on_error(exc)
-        self.queue.task_done()
-        self._pump()
-
-
-class BatchApplier:
-    """The channel runner of the controller's apply stage: one queue
-    item → one device, through the circuit breaker.
-
-    ``fence`` is the fencing epoch stamped on every write;
-    ``on_applied(device, n_writes, latency, io_latency, apply_seconds)``
-    receives every successful batch for the controller's own
-    statistics.  Everything here runs on the loop with no
-    controller-wide lock held — device I/O never blocks the engine or a
-    device's peers.
-    """
-
-    def __init__(
-        self,
-        breaker_threshold: int,
-        fence: Optional[int],
-        on_applied: Callable,
-    ):
-        self.breaker_threshold = breaker_threshold
-        self._fence = fence
-        self._on_applied = on_applied
-
-    def __call__(self, channel: DeviceChannel, item, done) -> None:
-        """Start one queue item (loop thread): a :class:`SyncTask` by
-        driving its steps, a batch through the device's
-        ``apply_batch_async``.  Either way the channel holds its slot
-        until the item completes."""
-        channel.queue.gauge_depth()
-        if isinstance(item, SyncTask):
-
-            def finish(result, error) -> None:
-                try:
-                    item.finish(result, error)  # runs its then() callback
-                finally:
-                    done(None)
-
-            drive(item.steps, finish)
-            return
-        send = partial(self._send, channel, item, time.perf_counter(), done)
-        if channel.device.io.writable:
-            send()
-        else:
-            # Past its high watermark: park instead of buffering without
-            # bound — the device's queue coalesces the backlog meanwhile.
-            channel.device.io.on_drain(send)
-
-    def _send(
-        self, channel: DeviceChannel, batch: DeviceBatch, started, done
-    ) -> None:
+    def _send(self, batch) -> None:
         """Gate one (possibly merged) batch through the breaker — after
         any drain wait, as it may have tripped meanwhile — and send it;
         its ack completes the item."""
-        device = channel.device
+        device = self.device
         writes = batch.emit_writes()
         if not writes and not batch.mcast:
-            done(None)  # coalesced away to nothing
+            self._complete(batch)  # coalesced away to nothing
             return
         if device.quarantined:
             device.syncs_missed += 1
@@ -252,87 +210,126 @@ class BatchApplier:
                 obs.REGISTRY.counter(
                     "controller_syncs_skipped_total", device=device.name
                 ).inc()
-            done(None)
+            self._complete(batch)
             return
-        channel.mark_awaiting_ack()
-        issued_at = time.perf_counter()
-        _gauge_send_buffer(device)
-        span = obs.span(
-            "device.write",
-            update_id=batch.update_id,
-            device=device.name,
-            writes=len(writes),
-            txns=batch.txns,
-        )
-
-        def on_ack(applied, error) -> None:
+        self.state = AWAITING_ACK
+        self._n_writes = len(writes)
+        self._issued_at = time.perf_counter()
+        span = obs.NULL_SPAN
+        if obs.enabled():
+            self.queue.gauge_depth()
+            obs.REGISTRY.gauge("fanout_inflight").set(self.plane.inflight)
             _gauge_send_buffer(device)
-            if error is None:
-                if span is not obs.NULL_SPAN:
-                    # A remote device acks after the span was recorded at
-                    # the send: its duration becomes the send→ack interval.
-                    span.set(applied=True, ack=True)
-                    span.duration = time.perf_counter() - issued_at
-                device.record_success()
-                device.writes_issued += 1
-                if writes:
-                    # Mirror the device side exactly: only table writes
-                    # advance the on-device epoch (a multicast-only batch
-                    # never reaches ``DeviceService.write``), and warm
-                    # start's skip decision relies on the two staying equal.
-                    device.config_epoch = batch.update_id
-                now = time.perf_counter()
-                self._on_applied(
-                    device,
-                    len(writes),
-                    now - batch.first_enqueued,
-                    now - issued_at,
-                    now - started,
-                )
-                done(None)
-            elif isinstance(error, TRANSPORT_ERRORS):
-                tripped = device.record_failure(error, self.breaker_threshold)
-                device.syncs_missed += 1
-                if obs.enabled():
-                    obs.REGISTRY.counter(
-                        "controller_breaker_failures_total", device=device.name
-                    ).inc()
-                    if tripped:
-                        obs.REGISTRY.counter(
-                            "controller_breaker_trips_total", device=device.name
-                        ).inc()
-                done(None)
-            else:
-                # Semantic rejection — a controller bug, not a flaky
-                # peer: surfaced at drain().
-                done(error)
-
-        send = partial(
-            device.io.apply_batch_async,
-            writes,
-            batch.mcast,
-            batch.update_ids,
-            on_ack,
-            seq=(batch.seq, batch.last_seq),
-            fence=self._fence,
-        )
+            span = obs.TRACER.span(
+                "device.write",
+                update_id=batch.update_id,
+                device=device.name,
+                writes=len(writes),
+                txns=batch.txns,
+            )
+        self._span = span
         try:
             if span is obs.NULL_SPAN:
-                send()  # tracing off: no span to open, no parent to adopt
+                device.io.apply_batch_async(
+                    writes, batch.mcast, batch.update_ids, self._ack,
+                    seq=(batch.seq, batch.last_seq), fence=self.plane.fence,
+                )
             else:
                 # Open across the send, so an in-process device's
                 # ``device.apply`` nests under it.
                 with obs.TRACER.adopt(batch.parent), span:
-                    send()
+                    device.io.apply_batch_async(
+                        writes, batch.mcast, batch.update_ids, self._ack,
+                        seq=(batch.seq, batch.last_seq),
+                        fence=self.plane.fence,
+                    )
         except Exception as exc:  # noqa: BLE001 - surfaced at drain()
             # Raised while the batch was encoded (an ill-typed row's
             # TypeCheckError); parked on ``on_drain`` this is a bare loop
             # callback, and the item must still complete.
-            done(exc)
+            self._complete(batch, exc)
+
+    def _on_ack(self, applied, error) -> None:
+        """The device's answer to the batch in flight."""
+        batch = self._item
+        if batch is None or self.state != AWAITING_ACK:
+            return
+        device = self.device
+        span = self._span
+        if span is not obs.NULL_SPAN:
+            _gauge_send_buffer(device)
+        if error is None:
+            now = time.perf_counter()
+            if span is not obs.NULL_SPAN:
+                # A remote device acks after the span was recorded at
+                # the send: its duration becomes the send→ack interval.
+                span.set(applied=True, ack=True)
+                span.duration = now - self._issued_at
+            device.consecutive_failures = 0  # record_success(), inline
+            device.writes_issued += 1
+            if self._n_writes:
+                # Mirror the device side exactly: only table writes
+                # advance the on-device epoch (a multicast-only batch
+                # never reaches ``DeviceService.write``), and warm
+                # start's skip decision relies on the two staying equal.
+                ids = batch.update_ids
+                device.config_epoch = ids[-1] if ids else None
+            on_applied = self.plane.on_applied
+            if on_applied is not None:
+                on_applied(
+                    device,
+                    self._n_writes,
+                    now - batch.first_enqueued,
+                    now - self._issued_at,
+                    now - self._started,
+                )
+            self._complete(batch)
+        elif isinstance(error, TRANSPORT_ERRORS):
+            tripped = device.record_failure(error, self.plane.breaker_threshold)
+            device.syncs_missed += 1
+            if obs.enabled():
+                obs.REGISTRY.counter(
+                    "controller_breaker_failures_total", device=device.name
+                ).inc()
+                if tripped:
+                    obs.REGISTRY.counter(
+                        "controller_breaker_trips_total", device=device.name
+                    ).inc()
+            self._complete(batch)
+        else:
+            # Semantic rejection — a controller bug, not a flaky peer:
+            # surfaced at drain().
+            self._complete(batch, error)
+
+    def _complete(self, item, exc: Optional[BaseException] = None) -> None:
+        """``item`` is done; a second completion of it is ignored.
+        Finishing mutates channel state and pops the next item: in
+        place when called from I/O (an ack, a deadline, a teardown —
+        :meth:`_pump` has long returned), one loop turn later when the
+        item completes inside :meth:`_pump` (an in-process device, an
+        empty batch), so that a burst of those never recurses."""
+        if item is not self._item:
+            return
+        self._item = None
+        if not self._pumping or not self.plane.reactor.submit(
+            self._finish, exc
+        ):
+            self._finish(exc)  # from I/O, or the reactor stopped
+
+    def _finish(self, exc: Optional[BaseException]) -> None:
+        self._busy = False
+        plane = self.plane
+        plane.inflight -= 1
+        # The error first: the task_done that empties the pipeline
+        # finishes a waiting drain, which raises it.
+        if exc is not None and plane.on_error is not None:
+            plane.on_error(exc)
+        self.queue.task_done()
+        self._pump()
 
 
 def _gauge_send_buffer(device: ManagedDevice) -> None:
-    if obs.enabled() and device.io.send_buffer_bytes is not None:
+    if device.io.send_buffer_bytes is not None:
         obs.REGISTRY.gauge(
             "fanout_send_buffer_bytes", device=device.name
         ).set(device.io.send_buffer_bytes)

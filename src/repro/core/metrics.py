@@ -16,19 +16,19 @@ from repro.analysis.stats import percentile
 
 #: Samples retained per latency/stage-timing series.
 STATS_WINDOW = 8192
-#: Samples a series may hold past its window before it is cut back.
-_SLACK = STATS_WINDOW // 8
+#: Samples a series may hold before it is cut back to its window.
+STATS_LIMIT = STATS_WINDOW + STATS_WINDOW // 8
 
 
 def append_sample(samples: List[float], value: float) -> None:
     """Append to a bounded series (on the controller's loop).
 
     The series is cut back to the last ``STATS_WINDOW`` samples once
-    every ``_SLACK`` appends: dropping the oldest sample on every append
+    it holds more than ``STATS_LIMIT``: dropping the oldest sample on every append
     moves the whole window, a cost every device batch would pay.
     Reports read :func:`window`."""
     samples.append(value)
-    if len(samples) > STATS_WINDOW + _SLACK:
+    if len(samples) > STATS_LIMIT:
         del samples[:-STATS_WINDOW]
 
 

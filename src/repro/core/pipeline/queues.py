@@ -12,8 +12,10 @@ A :class:`CoalescingQueue` is a FIFO with two twists:
   win comes from: a slow device accumulates *one* merged batch, not an
   unbounded backlog;
 * **in-flight accounting** — ``unfinished`` counts the items put and
-  not yet ``task_done``; ``on_idle`` fires when it falls to 0, which is
-  how :meth:`NerpaController.drain` learns the stages are quiet.
+  not yet ``task_done``; the queues of one pipeline share a
+  :class:`QueueGroup`, whose ``on_idle`` fires when the last of them
+  falls to 0 — how :meth:`NerpaController.drain` learns, at O(1) per
+  item, that the stages are quiet.
 
 Every put, pop and ``task_done`` runs on the controller's loop (a
 producer on another thread hops onto it), so a queue has no lock.  A
@@ -127,6 +129,18 @@ class SyncTask(Task):
         self.steps = steps
 
 
+class QueueGroup:
+    """The queues of one pipeline, as one in-flight count: ``busy`` is
+    how many of them have work in flight, and ``on_idle`` runs each
+    time the last of them goes idle (loop only)."""
+
+    __slots__ = ("busy", "on_idle")
+
+    def __init__(self, on_idle: Optional[Callable[[], None]] = None):
+        self.busy = 0
+        self.on_idle = on_idle
+
+
 class CoalescingQueue:
     """FIFO with tail coalescing and in-flight accounting (loop only)."""
 
@@ -134,6 +148,7 @@ class CoalescingQueue:
         self,
         name: str = "queue",
         on_ready: Optional[Callable[[], None]] = None,
+        group: Optional[QueueGroup] = None,
     ):
         self.name = name
         #: Called after a put appends a new distinct item: it wakes the
@@ -142,8 +157,9 @@ class CoalescingQueue:
         #: notify: the tail's own append already did, and its consumer
         #: has not popped it yet.
         self.on_ready = on_ready
-        #: Called when a ``task_done`` brings ``unfinished`` to 0.
-        self.on_idle: Optional[Callable[[], None]] = None
+        #: The group this queue's in-flight work counts in (set before
+        #: the first put); it hears when ``unfinished`` falls to 0.
+        self.group = group
         self._items: deque = deque()
         self._unfinished = 0
         self._closed = False
@@ -188,6 +204,8 @@ class CoalescingQueue:
                 self.coalesced += 1
                 return
         self._items.append(item)
+        if not self._unfinished and self.group is not None:
+            self.group.busy += 1
         self._unfinished += 1
         ready = self.on_ready
         if ready is not None:
@@ -195,11 +213,14 @@ class CoalescingQueue:
 
     def drop(self, predicate: Callable) -> None:
         """Remove every pending item ``predicate`` matches; each counts
-        as finished.  ``on_idle`` does not fire: both callers hold an
-        item in flight (the one being put, or the running sync)."""
+        as finished.  The group's ``on_idle`` does not fire: both callers
+        hold an item in flight (the one being put, or the running sync)."""
         kept = deque(item for item in self._items if not predicate(item))
+        was = self._unfinished
         self._unfinished -= len(self._items) - len(kept)
         self._items = kept
+        if was and not self._unfinished and self.group is not None:
+            self.group.busy -= 1
 
     def pop_nowait(self):
         """Dequeue the head without blocking; ``None`` when empty."""
@@ -211,8 +232,11 @@ class CoalescingQueue:
             # consumer's hands; counting it again would go negative.
             return
         self._unfinished -= 1
-        if self._unfinished == 0 and self.on_idle is not None:
-            self.on_idle()
+        group = self.group
+        if not self._unfinished and group is not None:
+            group.busy -= 1
+            if not group.busy and group.on_idle is not None:
+                group.on_idle()
 
     def close(self) -> None:
         """Drop the pending items: nothing is in flight afterwards, and
@@ -220,6 +244,8 @@ class CoalescingQueue:
         timeout."""
         self._closed = True
         abandoned, self._items = self._items, deque()
+        if self._unfinished and self.group is not None:
+            self.group.busy -= 1
         self._unfinished = 0
         for item in abandoned:
             if isinstance(item, Task):

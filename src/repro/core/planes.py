@@ -208,7 +208,8 @@ class RemoteDevice:
 
     @property
     def writable(self) -> bool:
-        return self.client.writable
+        # Every batch asks: straight to the connection.
+        return self.client.conn.writable
 
     def attach_digests(self, callback) -> None:
         self.client.subscribe_digests(callback)

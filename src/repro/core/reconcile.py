@@ -172,7 +172,7 @@ def full_sync(
         device.record_failure(exc, breaker_threshold)
         return None
     device.record_success()
-    # Only table writes advance the on-device epoch (see BatchApplier).
+    # Only table writes advance the on-device epoch (see DeviceChannel).
     device.config_epoch = epoch if fixes else reported
     return MATCHED if matched else len(fixes)
 

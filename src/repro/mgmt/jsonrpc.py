@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Tuple
 
 from repro.errors import ProtocolError
@@ -29,20 +30,31 @@ _HEADER = struct.Struct(">I")
 _scan_once = json.JSONDecoder().scan_once
 
 
+#: The C encoder of ``json.dumps(value, separators=(",", ":"))``, built
+#: once: that call builds a ``JSONEncoder``, and it a C encoder, each
+#: time.  Without circular-reference checks (a message is a tree; a
+#: cycle recurses until ``RecursionError``).
+_encode = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None,
+    ":", ",", False, False, True,
+)
+
+
+def dumps_text(value) -> str:
+    """:func:`dumps` as text, for a value written into a larger document
+    (an update of a write batch): the same characters, all ASCII."""
+    return "".join(_encode(value, 0))
+
+
 def dumps(value) -> bytes:
-    """The wire serialisation of one JSON value (compact, UTF-8)."""
-    return json.dumps(value, separators=(",", ":")).encode("utf-8")
-
-
-#: :func:`dumps` as text, for a value written into a larger document
-#: (an update of a write batch): the same encoder settings, so the same
-#: characters — all ASCII.
-dumps_text = json.JSONEncoder(separators=(",", ":")).encode
+    """The wire serialisation of one JSON value (compact, UTF-8):
+    byte for byte ``json.dumps(value, separators=(",", ":"))``."""
+    return "".join(_encode(value, 0)).encode("utf-8")
 
 
 def encode_frame(message: dict) -> bytes:
     """Serialize a message into one wire frame."""
-    payload = dumps(message)
+    payload = "".join(_encode(message, 0)).encode("utf-8")
     if len(payload) > MAX_FRAME:
         raise ProtocolError(f"frame too large ({len(payload)} bytes)")
     return _HEADER.pack(len(payload)) + payload
@@ -66,20 +78,6 @@ def frame_request(method: str, params: bytes, request_id: int) -> bytes:
     return b"".join((_HEADER.pack(length), head, params, tail))
 
 
-def _loads(text: str):
-    """``json.loads(text)`` without its Python-level wrappers for what
-    :func:`dumps` writes — one value, nothing around it.  Anything else
-    (surrounding whitespace, malformed JSON) goes through
-    ``json.loads``, which accepts or rejects it as it always did."""
-    try:
-        value, end = _scan_once(text, 0)
-    except StopIteration:
-        end = -1
-    if end == len(text):
-        return value
-    return json.loads(text)
-
-
 def decode_frames(buffer: bytes) -> Tuple[list, bytes]:
     """Extract all complete frames from ``buffer``.
 
@@ -96,12 +94,20 @@ def decode_frames(buffer: bytes) -> Tuple[list, bytes]:
         if n - offset - _HEADER.size < length:
             break
         start = offset + _HEADER.size
-        payload = buffer[start : start + length]
+        offset = start + length
+        # ``json.loads`` without its Python-level wrappers for what
+        # :func:`dumps` writes — one value, nothing around it.  Anything
+        # else (surrounding whitespace, malformed JSON) goes through
+        # ``json.loads``, which accepts or rejects it as it always did.
         try:
-            messages.append(_loads(payload.decode("utf-8")))
+            text = buffer[start:offset].decode("utf-8")
+            try:
+                value, end = _scan_once(text, 0)
+            except StopIteration:
+                end = -1
+            messages.append(value if end == len(text) else json.loads(text))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"bad JSON frame: {exc}") from exc
-        offset = start + length
     return messages, buffer[offset:]
 
 

@@ -44,11 +44,11 @@ import selectors
 import socket
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import ConnectionLostError, ProtocolError, ReproError
-from repro.mgmt.jsonrpc import classify, decode_frames, dumps, frame_request
+from repro.mgmt.jsonrpc import decode_frames, dumps, frame_request
 from repro.net.reactor import Reactor, Timer
 from repro.net.retry import RetryPolicy
 
@@ -102,15 +102,14 @@ class SocketWriter:
         self._buf = bytearray()
         self._paused = False
         self._drain_cbs: List[Callable[[], None]] = []
+        #: Fewer than ``high`` bytes are buffered (kept up to date by
+        #: :meth:`send` and :meth:`flush`, the only writers of the buffer).
+        self.writable = True
 
     @property
     def pending(self) -> int:
         """Bytes accepted by :meth:`send` and not yet by the kernel."""
         return len(self._buf)
-
-    @property
-    def writable(self) -> bool:
-        return len(self._buf) < self.high
 
     def send(self, data: bytes) -> None:
         if self._buf:
@@ -133,6 +132,7 @@ class SocketWriter:
             )
         if len(self._buf) >= self.high:
             self._paused = True
+            self.writable = False
 
     def flush(self) -> None:
         """The socket is writable again: push the remainder."""
@@ -145,6 +145,7 @@ class SocketWriter:
                 self._on_error(exc)
                 return
             del self._buf[:sent]
+            self.writable = len(self._buf) < self.high
         if not self._buf:
             self._reactor.modify(
                 self._sock, selectors.EVENT_READ, self._on_io
@@ -173,16 +174,6 @@ class SocketWriter:
                 callback()
             except Exception as exc:  # noqa: BLE001 - one producer's bug
                 self._reactor.note_callback_error(exc)
-
-
-class _AsyncCall:
-    __slots__ = ("method", "callback", "deadline")
-
-    def __init__(self, method: str, callback, deadline: Optional[float]):
-        self.method = method
-        self.callback = callback
-        #: Absolute ``time.monotonic`` instant, or ``None``: no timeout.
-        self.deadline = deadline
 
 
 class AioConnection:
@@ -238,7 +229,9 @@ class AioConnection:
         self._inbuf = b""
         #: The connected socket's sender (``None`` while not connected).
         self._writer: Optional[SocketWriter] = None
-        self._pending: Dict[int, _AsyncCall] = {}
+        #: Request id → ``(method, callback, deadline)``; the deadline
+        #: is an absolute ``time.monotonic`` instant, or ``None``.
+        self._pending: Dict[int, Tuple[str, Callable, Optional[float]]] = {}
         #: The one deadline timer, armed for the instant ``_deadline_at``
         #: (``None``: none armed).  A resolved call leaves it be.
         self._deadline_timer: Optional[Timer] = None
@@ -475,7 +468,7 @@ class AioConnection:
         if timeout is not None:
             deadline = time.monotonic() + timeout
             self._arm_deadline(deadline)
-        self._pending[request_id] = _AsyncCall(method, callback, deadline)
+        self._pending[request_id] = (method, callback, deadline)
         self._writer.send(frame)
 
     def _arm_deadline(self, deadline: float) -> None:
@@ -496,46 +489,36 @@ class AioConnection:
         self._deadline_timer = self._deadline_at = None
         now = time.monotonic()
         expired = sorted(
-            (call.deadline, request_id)
-            for request_id, call in self._pending.items()
-            if call.deadline is not None and call.deadline <= now
+            (deadline, request_id)
+            for request_id, (_, _, deadline) in self._pending.items()
+            if deadline is not None and deadline <= now
         )
         for _, request_id in expired:
             # A callback may have torn the connection down, failing the
             # rest as lost instead.
             call = self._pending.pop(request_id, None)
             if call is not None:
-                call.callback(
+                method, callback, _ = call
+                callback(
                     None,
-                    ProtocolError(
-                        f"timeout waiting for {call.method} response"
-                    ),
+                    ProtocolError(f"timeout waiting for {method} response"),
                 )
         earliest = min(
-            (c.deadline for c in self._pending.values()
-             if c.deadline is not None),
+            (deadline for _, _, deadline in self._pending.values()
+             if deadline is not None),
             default=None,
         )
         if earliest is not None:
             self._arm_deadline(earliest)
 
-    def _resolve_call(self, request_id, result, error) -> None:
-        call = self._pending.pop(request_id, None)
-        if call is None:
-            return
-        if error is not None:
-            call.callback(None, self.error_type(str(error)))
-        else:
-            call.callback(result, None)
-
     def _fail_pending(self, why: str) -> None:
-        pending = list(self._pending.items())
+        pending = list(self._pending.values())
         self._pending.clear()
-        for _, call in pending:
-            call.callback(
+        for method, callback, _ in pending:
+            callback(
                 None,
                 ConnectionLostError(
-                    f"connection lost awaiting {call.method} response: {why}"
+                    f"connection lost awaiting {method} response: {why}"
                 ),
             )
 
@@ -651,18 +634,26 @@ class AioConnection:
         except ProtocolError as exc:
             self._transport_error(exc)
             return
+        pending = self._pending
         for message in messages:
-            try:
-                kind = classify(message)
-            except ProtocolError:
+            # jsonrpc.classify, inline: this runs once per frame.  A
+            # request from the server, or junk, is skipped.
+            if not isinstance(message, dict):
                 continue
-            if kind == "response":
-                self._resolve_call(
-                    message["id"],
-                    message.get("result"),
-                    message.get("error"),
-                )
-            elif kind == "notification" and self._on_notification is not None:
+            if "method" not in message:
+                call = pending.pop(message.get("id"), None)
+                if call is None:
+                    continue  # junk, or an answer to a call given up on
+                _, callback, _ = call
+                error = message.get("error")
+                if error is not None:
+                    callback(None, self.error_type(str(error)))
+                else:
+                    callback(message.get("result"), None)
+            elif (
+                message.get("id") is None
+                and self._on_notification is not None
+            ):
                 # Inline, in wire order; a callback that raises is
                 # counted and the frames behind it are still delivered.
                 try:

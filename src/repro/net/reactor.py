@@ -100,6 +100,9 @@ class Reactor:
         self._thread = threading.Thread(
             target=self._run, name=f"{name}-reactor", daemon=True
         )
+        #: The loop thread's ident while :meth:`_run` runs, else ``None``
+        #: (an exited thread's ident may be reused).
+        self._ident: Optional[int] = None
         #: Loop iterations served (coarse liveness counter for tests).
         self.loops = 0
         #: Last exception raised by a readiness/timer/submitted or
@@ -122,7 +125,8 @@ class Reactor:
         return self._closed
 
     def in_loop(self) -> bool:
-        return threading.current_thread() is self._thread
+        """Whether the caller runs on the loop thread."""
+        return threading.get_ident() == self._ident
 
     def stop(self) -> None:
         """Stop the loop; idempotent."""
@@ -254,6 +258,8 @@ class Reactor:
             self._waking = False
 
     def _next_timeout(self) -> Optional[float]:
+        if self._pending:  # unlocked: only the loop ever takes from it
+            return 0.0
         with self._lock:
             if self._pending:
                 return 0.0
@@ -282,6 +288,7 @@ class Reactor:
             self._cancelled_timers += 1
 
     def _run(self) -> None:
+        self._ident = threading.get_ident()
         while not self._closed:
             timeout = self._next_timeout()
             try:
@@ -296,13 +303,19 @@ class Reactor:
                     key.data(mask)
                 except Exception as exc:  # noqa: BLE001 - loop must survive
                     self.note_callback_error(exc)
-            self._run_timers()
-            self._run_pending()
+            # Unlocked peeks skip the lock on a turn with nothing due:
+            # what another thread adds meanwhile wakes the next select.
+            timers = self._timers
+            if timers and timers[0][0] <= time.monotonic():
+                self._run_timers()
+            if self._pending:
+                self._run_pending()
         # ``submit`` refuses work once ``_closed`` is set, so this last
         # pass is bounded: callbacks accepted before ``stop()`` (above
         # all connection closes) still run and close their sockets
         # instead of leaving them to the garbage collector.
         self._run_pending()
+        self._ident = None
 
     def _run_timers(self) -> None:
         now = time.monotonic()

@@ -29,13 +29,7 @@ import threading
 from typing import List, Optional, Tuple
 
 from repro.errors import ProtocolError, ReproError
-from repro.mgmt.jsonrpc import (
-    classify,
-    decode_frames,
-    encode_frame,
-    make_error,
-    make_response,
-)
+from repro.mgmt.jsonrpc import decode_frames, encode_frame, make_error
 from repro.net.aio import SocketWriter
 from repro.net.reactor import Reactor
 
@@ -279,17 +273,22 @@ class RpcServer(Server):
         conn.send(message)
 
     def serve(self, conn: RpcConnection, message: dict) -> None:
-        try:
-            if classify(message) != "request":
-                return  # servers send but never await notifications
-        except ProtocolError:
+        # jsonrpc.classify, inline: this runs once per frame.  Servers
+        # send but never await notifications, so only a request is
+        # answered, and only junk closes the connection.
+        if not isinstance(message, dict) or (
+            "method" not in message and "id" not in message
+        ):
             conn.close()
             return
-        request_id = message["id"]
+        request_id = message.get("id")
+        if request_id is None or "method" not in message:
+            return
         try:
             result = self.handle(conn, message["method"],
                                  message.get("params", []))
-            reply = make_response(result, request_id)
+            # jsonrpc.make_response, inline.
+            reply = {"result": result, "error": None, "id": request_id}
         except ReproError as exc:
             reply = make_error({"error": str(exc)}, request_id)
         except Exception as exc:  # noqa: BLE001 - report, don't kill conn

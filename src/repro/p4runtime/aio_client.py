@@ -34,6 +34,7 @@ a response only the loop can read.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RuntimeApiError
@@ -81,9 +82,9 @@ def _encode_batch(updates, mcast, update_ids, fence, seq=None) -> bytes:
     hands every device's client — keeps what it was last encoded to:
     the fleet's first client pays the conversion and JSON, the rest
     splice the same bytes into their own frame.  The other arguments
-    are compared by value, so a caller that re-uses a list with
-    different ones simply encodes again."""
-    mcast, update_ids = dict(mcast or ()), list(update_ids or ())
+    are compared by value — with the copies the memo keeps, so a hit
+    copies nothing — and a caller that re-uses a list with different
+    ones simply encodes again."""
     key = (mcast, update_ids, fence, seq)
     memo = isinstance(updates, WriteList)
     if memo and updates.encoded is not None and updates.encoded[0] == key:
@@ -91,9 +92,9 @@ def _encode_batch(updates, mcast, update_ids, fence, seq=None) -> bytes:
     rest = {
         "mcast": [
             [group, list(ports) if ports is not None else None]
-            for group, ports in sorted(mcast.items())
+            for group, ports in sorted((mcast or {}).items())
         ],
-        "update_ids": update_ids,
+        "update_ids": list(update_ids or ()),
     }
     if fence is not None:
         rest["fence"] = fence
@@ -103,6 +104,7 @@ def _encode_batch(updates, mcast, update_ids, fence, seq=None) -> bytes:
     # envelope's keys in the order the receivers have always seen.
     params = b'[{"updates":%s,%s]' % (_updates_json(updates), dumps(rest)[1:])
     if memo:
+        key = (copy.copy(mcast), copy.copy(update_ids), fence, seq)
         updates.encoded = (key, params)
     return params
 

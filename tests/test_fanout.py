@@ -35,6 +35,9 @@ import pytest
 from repro.core.controller import NerpaController
 from repro.core.fanout import AWAITING_ACK, IDLE, FanoutPlane
 from repro.core.pipeline import nerpa_build
+from repro.core.pipeline.changeset import DeviceBatch
+from repro.core.pipeline.queues import QueueGroup, SyncTask
+from repro.core.planes import ManagedDevice, wrap_device
 from repro.errors import ConnectionLostError, ProtocolError, ReproError
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
@@ -47,6 +50,7 @@ from repro.p4runtime.api import DeviceService, TableWrite
 from repro.p4runtime.farm import DeviceFarm, FarmDevice
 from repro.p4runtime.server import P4RuntimeServer
 from tests.doubles import uncoalesce
+from tests.test_pipeline import record
 
 FAST = RetryPolicy(
     connect_timeout=2.0,
@@ -873,21 +877,57 @@ class TestAioConnection:
 # ---------------------------------------------------------------------------
 
 
-class _Op:
-    """Distinct (non-mergeable) queue item."""
+def _batch(n):
+    """A device batch of its own engine transaction ``n``: one
+    multicast group, no table write."""
+    batch = DeviceBatch(n)
+    batch.mcast = {n: [n]}
+    return batch
 
-    def __init__(self, n):
-        self.n = n
+
+class _TimedDevice:
+    """A device double answering each batch from a loop timer after
+    ``delay`` seconds (``0``: inline, as an in-process device does).
+    ``on_send(seq)`` runs as the batch is sent; what it raises, the send
+    raises."""
+
+    writable = True
+    send_buffer_bytes = None
+
+    def __init__(self, reactor, delay=0.002, on_send=None, acks=1):
+        self.reactor = reactor
+        self.delay = delay
+        self.on_send = on_send
+        self.acks = acks
+
+    def apply_batch_async(self, writes, mcast, update_ids, callback,
+                          seq=None, fence=None):
+        if self.on_send is not None:
+            self.on_send(seq[0])
+
+        def ack():
+            for _ in range(self.acks):
+                callback(1, None)
+
+        if self.delay:
+            self.reactor.call_later(self.delay, ack)
+        else:
+            ack()
+
+
+def timed_channel(plane, reactor, **kwargs):
+    device = ManagedDevice(_TimedDevice(reactor, **kwargs), "dev")
+    return plane.channel(device, name="dev")
 
 
 def put_on_loop(reactor, queue, items) -> None:
     """Put ``items`` from one callback on the channel's loop — where the
-    controller's every put happens — and wait until the queue's
-    ``on_idle`` says all of them are done."""
+    controller's every put happens — and wait until the queue's group
+    says all of them are done."""
     idle = threading.Event()
 
     def put_all():
-        queue.on_idle = idle.set
+        queue.group = QueueGroup(idle.set)
         for item in items:
             queue.put(item)
 
@@ -896,7 +936,8 @@ def put_on_loop(reactor, queue, items) -> None:
 
 
 class TestDeviceChannel:
-    """Runners complete from loop timers, as a device's ack would."""
+    """Devices answer from loop timers, as a remote device's ack would,
+    or inline, as an in-process device does."""
 
     @pytest.fixture
     def reactor(self):
@@ -904,103 +945,115 @@ class TestDeviceChannel:
         yield reactor
         reactor.stop()
 
-    def test_fifo_with_at_most_one_in_flight(self, reactor):
+    def test_fifo_with_at_most_one_in_flight(self, reactor, monkeypatch):
+        uncoalesce(monkeypatch)
         plane = FanoutPlane(reactor)
         order = []
         concurrent = []
         active = [0]
 
-        def runner(channel, item, done):
+        def on_send(n):
             active[0] += 1
             concurrent.append(active[0])
 
-            def ack():
-                order.append(item.n)
+            def acked():
+                order.append(n)
                 active[0] -= 1
-                done(None)
 
-            reactor.call_later(0.002, ack)
+            # Runs before the ack: both are timers of the same delay.
+            reactor.call_later(0.002, acked)
 
-        channel = plane.channel(None, runner, name="dev")
-        put_on_loop(reactor, channel.queue, [_Op(n) for n in range(20)])
+        channel = timed_channel(plane, reactor, on_send=on_send)
+        put_on_loop(reactor, channel.queue, [_batch(n) for n in range(20)])
         assert order == list(range(20))
         assert max(concurrent) == 1  # FIFO's mechanism, verified
         assert plane.inflight == 0
         wait_for(lambda: channel.state == IDLE, what="idle state")
 
-    def test_runner_error_deferred_and_channel_continues(self, reactor):
+    def test_runner_error_deferred_and_channel_continues(
+        self, reactor, monkeypatch
+    ):
+        uncoalesce(monkeypatch)
         errors = []
         plane = FanoutPlane(reactor, on_error=errors.append)
         seen = []
 
-        def runner(channel, item, done):
-            if item.n == 0:
-                raise RuntimeError("injected runner failure")
-            seen.append(item.n)
-            reactor.call_later(0.001, done)
+        def on_send(n):
+            if n == 0:
+                raise RuntimeError("injected send failure")
+            seen.append(n)
 
-        channel = plane.channel(None, runner, name="dev")
-        put_on_loop(reactor, channel.queue, [_Op(0), _Op(1)])
+        channel = timed_channel(plane, reactor, delay=0.001, on_send=on_send)
+        put_on_loop(reactor, channel.queue, [_batch(0), _batch(1)])
         assert seen == [1]
         assert len(errors) == 1
         assert "injected" in str(errors[0])
 
     def test_completion_is_idempotent(self, reactor):
+        """A sync step that answers twice: its task completes once."""
         plane = FanoutPlane(reactor)
         runs = []
 
-        def runner(channel, item, done):
-            runs.append(item.n)
+        def steps(n):
+            runs.append(n)
 
-            def ack():
-                done(None)
-                done(RuntimeError("second call must be ignored"))
+            def answer_twice(callback):
+                def ack():
+                    callback(None, None)
+                    callback(None, RuntimeError("second call must be ignored"))
 
-            reactor.call_later(0.001, ack)
+                reactor.call_later(0.001, ack)
 
-        channel = plane.channel(None, runner, name="dev")
-        put_on_loop(reactor, channel.queue, [_Op(0), _Op(1)])
+            yield answer_twice
+
+        channel = timed_channel(plane, reactor)
+        put_on_loop(
+            reactor, channel.queue, [SyncTask(steps(0)), SyncTask(steps(1))]
+        )
         assert runs == [0, 1]
         assert plane.inflight == 0
         assert channel.queue.unfinished == 0
 
     def test_a_remote_ack_finishes_its_batch_in_the_same_loop_turn(self):
-        """Put on the loop, sent by the runner, acked by a farm device:
+        """Put on the loop, sent by the channel, acked by a farm device:
         the channel is idle again before the ack's callback returns, and
         nothing along the way was submitted or timed."""
         reactor = _CountingReactor("t-ack-turn").start()
         farm = DeviceFarm(1).start()
-        client = AioP4RuntimeClient(
-            *farm.address, reactor, policy=FAST, device_hint=0
-        )
-        try:
-            assert client.conn.wait_connected(5.0)
-            plane = FanoutPlane(reactor)
-            box = {}
-            finished = threading.Event()
+        box = {}
+        finished = threading.Event()
 
-            def runner(channel, item, done):
+        class Client(AioP4RuntimeClient):
+            def apply_batch_async(self, updates, mcast=None, update_ids=None,
+                                  callback=None, seq=None, timeout=None,
+                                  fence=None):
                 def on_ack(applied, error):
                     box["ack_turn"] = reactor.loops
-                    done(error)
+                    callback(applied, error)
                     box["idle_at_return"] = (
                         channel.state == IDLE and channel.queue.unfinished == 0
                     )
                     box["counts"] = (reactor.submits, reactor.call_laters)
                     finished.set()
 
-                client.apply_batch_async(
-                    [TableWrite.insert("patch", entry(item.n, 5))],
-                    update_ids=["epoch-1"],
-                    callback=on_ack,
+                super().apply_batch_async(
+                    updates, mcast, update_ids, on_ack, seq=seq, fence=fence
                 )
 
-            channel = plane.channel(None, runner, name="dev")
+        client = Client(*farm.address, reactor, policy=FAST, device_hint=0)
+        try:
+            assert client.conn.wait_connected(5.0)
+            plane = FanoutPlane(reactor)
+            channel = plane.channel(
+                ManagedDevice(wrap_device(client), "dev"), name="dev"
+            )
+            batch = DeviceBatch(1)
+            record(batch, "insert", 1, 5)
 
             def put_on_loop():
                 reactor.submits = reactor.call_laters = 0
                 box["put_turn"] = reactor.loops
-                channel.queue.put(_Op(1))
+                channel.queue.put(batch)
 
             reactor.submit(put_on_loop)
             assert finished.wait(5.0)
@@ -1013,17 +1066,15 @@ class TestDeviceChannel:
             farm.stop()
             reactor.stop()
 
-    def test_a_long_run_of_inline_completions_does_not_recurse(self, reactor):
+    def test_a_long_run_of_inline_completions_does_not_recurse(
+        self, reactor, monkeypatch
+    ):
+        uncoalesce(monkeypatch)
         plane = FanoutPlane(reactor)
         order = []
-
-        def runner(channel, item, done):
-            order.append(item.n)
-            done(None)
-
-        channel = plane.channel(None, runner, name="dev")
+        channel = timed_channel(plane, reactor, delay=0, on_send=order.append)
         reactor.submit(
-            lambda: [channel.queue.put(_Op(n)) for n in range(5000)]
+            lambda: [channel.queue.put(_batch(n)) for n in range(5000)]
         )
         wait_for(lambda: channel.queue.unfinished == 0 and len(order) == 5000,
                  what="5,000 items to drain")

@@ -12,7 +12,7 @@
   that merges into it (or supersedes it) must leave every other
   device's batch, the cells and the update-ids untouched;
 * **counts** — fanning one changeset to N devices converts each update
-  to its JSON text once and runs ``json.dumps`` once, and a whole commit costs the
+  to its JSON text once and encodes the envelope once, and a whole commit costs the
   controller's reactor one wake byte (the ingest's: evaluation and
   fan-out run on the loop itself).  Counts, not timings: they repeat
   exactly;
@@ -370,7 +370,7 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
         controller.drain()  # connections, bindings and start syncs done
 
         counts = {"to_json": 0, "dumps": 0, "wakes": 0}
-        real_to_json, real_dumps = RowWrite.to_json, json.dumps
+        real_to_json, real_dumps = RowWrite.to_json, aio_client.dumps
         reactor = controller.reactor
         real_wakeup = reactor._wakeup
 
@@ -399,7 +399,9 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
             monkeypatch.setattr(
                 binding, "wire_run", counting_wire_run(binding.wire_run)
             )
-        monkeypatch.setattr(json, "dumps", dumps)
+        # The envelope's encoder (``jsonrpc.dumps`` builds on one shared
+        # ``JSONEncoder``, not on ``json.dumps``).
+        monkeypatch.setattr(aio_client, "dumps", dumps)
         monkeypatch.setattr(reactor, "_wakeup", wakeup)
         before = [device.batches_applied for device in farm.devices]
         set_out_port(db, 1, 202)  # one delete + one insert per device

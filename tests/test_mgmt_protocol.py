@@ -1,10 +1,13 @@
 """Tests for the management wire protocol: framing, server/client,
 monitors over TCP, and persistence."""
 
+import json
 import socket
+import struct
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -16,13 +19,20 @@ from repro.mgmt.database import Database
 from repro.mgmt.jsonrpc import (
     classify,
     decode_frames,
+    dumps,
+    dumps_text,
     encode_frame,
+    frame_request,
+    make_error,
+    make_notification,
     make_request,
+    make_response,
 )
 from repro.mgmt.monitor import MonitorSpec
 from repro.mgmt.persist import Persister, restore
 from repro.mgmt.schema import simple_schema
 from repro.mgmt.server import ManagementServer
+from repro.net.server import RpcServer
 
 
 def wait_for(predicate, timeout=10.0, what="condition"):
@@ -128,6 +138,127 @@ class TestFraming:
         assert classify({"result": 1, "error": None, "id": 1}) == "response"
         with pytest.raises(ProtocolError):
             classify({"nonsense": True})
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=24,
+)
+
+#: What goes over the wire, one of each kind the stack sends: an
+#: ``apply_batch`` request, its answer, a rejection, a monitor update
+#: and a digest notification, a transact and its answer.
+STACK_MESSAGES = [
+    make_request("apply_batch", [{
+        "updates": [{"type": "INSERT", "table": "patch",
+                     "match": [{"exact": 1}, {"lpm": [10, 8]},
+                               {"ternary": [3, 255]}],
+                     "action": {"name": "forward", "params": [5]},
+                     "priority": 7}],
+        "mcast": [[1, [2, 3]], [4, None]],
+        "update_ids": ["ep-1a2b3c4d-00000001"],
+        "fence": 3,
+        "seq": [17, 19],
+    }], 41),
+    make_response({"applied": 1}, 41),
+    make_error({"error": "update 0: duplicate entry in patch"}, 42),
+    make_notification("update", ["monitor-1", {"Port": {
+        "0b5e1c1e-8a3f-4c6e-9d55-2f1f4b7e9a10": {
+            "new": {"name": "port\u00e9 \"1\"", "port_num": 2,
+                    "tag": None, "trunks": ["set", [1, 2]], "up": True},
+            "old": None,
+        }}}]),
+    make_notification("digest", ["learn", [170, 3], "u-12"]),
+    make_request("transact", ["net", {"op": "update", "table": "Port",
+                                      "where": [["name", "==", "p0"]],
+                                      "row": {"tag": 10}}], 7),
+    make_response([{"count": 1}, {"uuid": ["uuid", "0b5e"]}], 7),
+    {"result": None, "error": None, "id": 8},
+]
+
+
+class TestEncoding:
+    """``dumps`` builds no ``JSONEncoder`` per call (``json.dumps`` with
+    a ``separators`` argument does) and writes the same bytes."""
+
+    @pytest.mark.parametrize("message", STACK_MESSAGES)
+    def test_the_stack_s_messages_encode_as_json_dumps_does(self, message):
+        expected = json.dumps(message, separators=(",", ":")).encode("utf-8")
+        assert dumps(message) == expected
+        assert dumps_text(message) == expected.decode("ascii")
+        assert encode_frame(message) == (
+            struct.pack(">I", len(expected)) + expected
+        )
+        assert decode_frames(encode_frame(message)) == ([message], b"")
+
+    @given(_JSON)
+    def test_any_json_value_encodes_as_json_dumps_does(self, value):
+        expected = json.dumps(value, separators=(",", ":")).encode("utf-8")
+        assert dumps(value) == expected
+
+    def test_no_encoder_is_built_per_call(self, monkeypatch):
+        built = []
+        real_init = json.JSONEncoder.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(kwargs)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONEncoder, "__init__", init)
+        for message in STACK_MESSAGES:
+            dumps(message)
+            encode_frame(message)
+            frame_request("echo", dumps(message), 1)
+        assert built == []
+
+    def test_an_unencodable_value_raises_as_json_dumps_does(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dumps({"x": object()})
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        {"method": "echo", "params": [1], "id": 3},
+        {"method": "update", "params": [], "id": None},
+        {"method": "update", "params": []},
+        {"result": 1, "error": None, "id": 3},
+        {"id": None},
+        {"nonsense": True},
+        [1, 2],
+        "text",
+    ],
+)
+def test_a_server_dispatches_a_frame_as_classify_reads_it(message):
+    """``RpcServer.serve`` classifies inline (once per frame): it answers
+    exactly the requests and closes on exactly the junk ``classify``
+    rejects."""
+    handled, closed, replies = [], [], []
+
+    class Server(RpcServer):
+        def handle(self, conn, method, params):
+            handled.append(method)
+            return "ok"
+
+        def reply(self, conn, message):
+            replies.append(message)
+
+    conn = SimpleNamespace(close=lambda: closed.append(True))
+    Server().serve(conn, message)
+    try:
+        kind = classify(message)
+    except ProtocolError:
+        kind = "junk"
+    assert bool(handled) == (kind == "request")
+    assert bool(closed) == (kind == "junk")
+    if handled:
+        assert replies == [make_response("ok", 3)]
 
 
 @pytest.fixture()

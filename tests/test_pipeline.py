@@ -36,7 +36,7 @@ from repro.core.pipeline import (
     PipelineStalledError,
     nerpa_build,
 )
-from repro.core.pipeline.queues import Task
+from repro.core.pipeline.queues import QueueGroup, Task
 from repro.dlog.values import StructValue
 from repro.errors import ReproError
 from repro.mgmt.client import ManagementClient
@@ -306,9 +306,10 @@ class TestCoalescingQueue:
         assert q.unfinished == 2
 
     def test_on_idle_waits_for_the_last_task_done(self):
-        q = CoalescingQueue(name="stuck")
         idle = []
-        q.on_idle = lambda: idle.append(q.unfinished)
+        q = CoalescingQueue(
+            name="stuck", group=QueueGroup(lambda: idle.append(q.unfinished))
+        )
         q.put(_Barrier())
         q.put(_Barrier())
         q.pop_nowait()
@@ -336,7 +337,7 @@ class TestCoalescingQueue:
                 assert reactor.in_loop()
                 idle.set()
 
-            q.on_idle = on_idle
+            q.group = QueueGroup(on_idle)
             barrier = _Barrier()
             reactor.submit(q.put, barrier)
             assert idle.wait(5.0)
@@ -1002,15 +1003,14 @@ class TestQueueBarrierSupersedeJoin:
     def test_supersede_keeps_barriers_and_join_accounting(self):
         """Dropping superseded items must decrement unfinished exactly
         once per drop, so a later join sees only surviving work."""
-        q = CoalescingQueue()
+        idle = []
+        q = CoalescingQueue(group=QueueGroup(lambda: idle.append(len(q))))
         q.put(_Item(0))
         q.put(_Barrier())
         q.put(_Item(1))
         assert q.unfinished == 3
         q.put(_Barrier(), supersedes=lambda item: isinstance(item, _Item))
         assert q.unfinished == 2
-        idle = []
-        q.on_idle = lambda: idle.append(len(q))
         while q.pop_nowait() is not None:
             q.task_done()
         assert idle == [0]  # once, when the second survivor was done
@@ -1032,9 +1032,8 @@ class TestQueueBarrierSupersedeJoin:
     def test_barrier_blocks_merge_but_join_sees_all_three(self):
         """The in-flight count a drain waits on covers all three items:
         the queue goes idle only at the third task_done."""
-        q = CoalescingQueue()
         idle = []
-        q.on_idle = lambda: idle.append(q.unfinished)
+        q = CoalescingQueue(group=QueueGroup(lambda: idle.append(q.unfinished)))
         q.put(_Item(0))
         q.put(_Barrier())
         q.put(_Item(1))
