@@ -34,8 +34,16 @@ of the submits is three per commit (3/64 per batch): the commit's hop
 from the committing thread onto the loop, the engine's wake, and the
 bench's ``drain()``, itself one loop callback.  The CPU figure is
 reported, not gated.
+
+The bench also reads, from the test thread after a drain, the bytes a
+device's latency telemetry holds (``sys.getsizeof`` over what its
+``latencies`` and ``io_latencies`` reach) at commit 150 and at commit
+300, and gates that they did not grow: a device's series are
+fixed-bucket histograms (they grew by 9.4 KB per device over those 150
+commits when they kept every sample, up to a 9,216-sample window).
 """
 
+import gc
 import os
 import sys
 import threading
@@ -93,6 +101,21 @@ POLICY = RetryPolicy(
     base_delay=0.01,
     max_delay=0.1,
 )
+
+
+def telemetry_bytes(controller):
+    """Mean bytes per device held by its latency series:
+    ``sys.getsizeof`` over every object they reach (types aside)."""
+    seen, total = set(), 0
+    stack = [s for d in controller.devices for s in (d.latencies, d.io_latencies)]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total / len(controller.devices)
 
 
 class CountingReactor(Reactor):
@@ -183,7 +206,10 @@ def run_fleet(n_devices=N_DEVICES, commits=COMMITS, counted=COUNTED):
         before = loop_snapshot(reactor)
         for n in range(commits):
             commit(n)
+            if n + 1 == commits // 2:
+                telemetry_half = telemetry_bytes(controller)
         after = loop_snapshot(reactor)
+        telemetry_full = telemetry_bytes(controller)
         calls = 0
 
         def count(frame, event, arg):
@@ -221,6 +247,8 @@ def run_fleet(n_devices=N_DEVICES, commits=COMMITS, counted=COUNTED):
         "loop_turns_per_batch": loops / measured,
         "loop_cpu_us_per_batch": cpu / measured * 1e6,
         "calls_per_batch": calls / (counted * n_devices),
+        "telemetry_bytes_half": telemetry_half,
+        "telemetry_bytes_full": telemetry_full,
     }
 
 
@@ -241,6 +269,11 @@ def test_a6_apply_hops(benchmark):
              f"gate: <= {CALLS_GATE}"),
             ("loop CPU / batch", f"{result['loop_cpu_us_per_batch']:.1f} us",
              "reported"),
+            (f"telemetry bytes / device, commit {COMMITS // 2}",
+             f"{result['telemetry_bytes_half']:.0f}", ""),
+            (f"telemetry bytes / device, commit {COMMITS}",
+             f"{result['telemetry_bytes_full']:.0f}",
+             f"gate: <= commit {COMMITS // 2}'s"),
         ],
         ["metric", "measured", "reference"],
     )
@@ -256,6 +289,11 @@ def test_a6_apply_hops(benchmark):
     emit("a6", "loop_cpu_us_per_batch", "us",
          round(result["loop_cpu_us_per_batch"], 2),
          devices=N_DEVICES, commits=COMMITS)
+    emit("a6", "telemetry_bytes_per_device", "bytes",
+         round(result["telemetry_bytes_full"]),
+         at_half=round(result["telemetry_bytes_half"]),
+         threshold=round(result["telemetry_bytes_half"]))
     assert result["call_later_per_batch"] <= CALL_LATER_GATE
     assert result["submit_per_batch"] <= SUBMIT_GATE
     assert result["calls_per_batch"] <= CALLS_GATE
+    assert result["telemetry_bytes_full"] <= result["telemetry_bytes_half"]

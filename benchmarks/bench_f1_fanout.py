@@ -26,6 +26,11 @@ doesn't serialize what real parallel switches would not):
     fleet without it, while the slow device's own p99 exceeds its ack
     delay.  A head-of-line leak (one 250 ms ack stalling the loop)
     fails both.
+
+Latency percentiles come from the devices' histograms
+(:class:`repro.obs.Histogram`) merged over the healthy devices, so they
+are at bucket resolution: within one bucket, at most 9 % wide, of the
+exact percentile.
 """
 
 import json
@@ -33,13 +38,13 @@ import threading
 import time
 
 from benchmarks.conftest import emit, report
-from repro.analysis.stats import percentile
 from repro.core.controller import NerpaController
 from repro.core.pipeline import nerpa_build
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
 from repro.net import RetryPolicy
 from repro.net.aio import Reactor
+from repro.obs import Histogram
 from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.farm import DeviceFarm
 from repro.workloads.churn import robotron_churn
@@ -167,15 +172,17 @@ class Fleet:
             peak_threads = max(peak_threads, threading.active_count())
         wall = time.perf_counter() - started
 
-        healthy_e2e, healthy_io = [], []
-        slow_e2e, slow_io = [], []
+        # Each device's latencies are a histogram: merged over the
+        # healthy devices, its percentiles are at bucket resolution.
+        healthy_e2e, healthy_io = Histogram(), Histogram()
+        slow_e2e, slow_io = Histogram(), Histogram()
         for i, device in enumerate(self.controller.devices):
-            if i == self.slow:
-                slow_e2e += device.latencies
-                slow_io += device.io_latencies
-            else:
-                healthy_e2e += device.latencies
-                healthy_io += device.io_latencies
+            e2e, io = (
+                (slow_e2e, slow_io) if i == self.slow
+                else (healthy_e2e, healthy_io)
+            )
+            e2e.merge(device.latencies)
+            io.merge(device.io_latencies)
         states = {
             json.dumps(d.table_snapshot(), sort_keys=True)
             for d in self.farm.devices
@@ -191,11 +198,11 @@ class Fleet:
             "fifo_violations": self.farm.total_fifo_violations(),
             "converged": len(states) == 1,
             "nonempty": bool(self.farm.devices[0].tables),
-            "healthy_p50": percentile(healthy_e2e, 50),
-            "healthy_p99": percentile(healthy_e2e, 99),
-            "healthy_io_p99": percentile(healthy_io, 99),
-            "slow_p99": percentile(slow_e2e, 99) if slow_e2e else 0.0,
-            "slow_io_p99": percentile(slow_io, 99) if slow_io else 0.0,
+            "healthy_p50": healthy_e2e.quantile(50),
+            "healthy_p99": healthy_e2e.quantile(99),
+            "healthy_io_p99": healthy_io.quantile(99),
+            "slow_p99": slow_e2e.quantile(99),
+            "slow_io_p99": slow_io.quantile(99),
         }
 
     def close(self) -> None:

@@ -26,6 +26,7 @@ from repro.core.pipeline import nerpa_build
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
 from repro.net.reactor import Reactor
+from repro.obs import Histogram
 from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.farm import DeviceFarm
 from repro.workloads.churn import robotron_churn
@@ -123,11 +124,11 @@ def run_churn(slow: bool):
         controller.stop()
         for close in closers:
             close()
-    healthy = [
-        lat for dev in controller.devices[:2] for lat in dev.latencies
-    ]
+    healthy = Histogram()
+    for dev in controller.devices[:2]:
+        healthy.merge(dev.latencies)
     return (
-        sum(healthy) / len(healthy),
+        healthy.total / healthy.count,
         elapsed,
         controller.metrics()["pipeline"],
     )

@@ -35,8 +35,10 @@ tasks on a device's own queue), never under a global lock.
 Per-sync latency — the interval the paper measures in §4.3 between the
 controller *reading* a change and the data-plane entry being written —
 is recorded end-to-end (ingest enqueue → device apply) in
-:attr:`NerpaController.sync_latencies`, and per device in each managed
-device's ``latencies``.
+:attr:`NerpaController.sync_latencies` (the fleet's last batches, in
+order), and per device in ``latencies``/``io_latencies``: fixed-bucket
+:class:`repro.obs.Histogram` objects, like the stage timings, that do
+not grow with the number of batches.
 """
 
 from __future__ import annotations
@@ -220,10 +222,10 @@ class NerpaController:
         #: Wall-clock seconds from :meth:`start` to the end of its
         #: recovery (every device's initial sync done).
         self.start_seconds = 0.0
-        self._stage_seconds: Dict[str, List[float]] = {
-            "ingest": [],
-            "evaluate": [],
-            "apply": [],
+        self._stage_seconds: Dict[str, obs.Histogram] = {
+            "ingest": obs.Histogram(),
+            "evaluate": obs.Histogram(),
+            "apply": obs.Histogram(),
         }
         self._ovsdb_tables = list(self.bindings.relation_for_ovsdb)
 
@@ -266,7 +268,7 @@ class NerpaController:
             on_error=self._defer_error,
             breaker_threshold=self.breaker_threshold,
             fence=self.fencing_epoch,
-            on_applied=self._record_apply,
+            on_applied=partial(metrics.record_apply, self),
         )
         self.reactor = self._fanout_plane.reactor
         self.engine_queue = CoalescingQueue(
@@ -602,9 +604,7 @@ class NerpaController:
             self.engine_queue.coalesced += changeset.txns - 1  # merged waiting
             self.engine_queue.put(changeset)
             self.engine_queue.gauge_depth()
-        metrics.append_sample(
-            self._stage_seconds["ingest"], time.perf_counter() - started
-        )
+        self._stage_seconds["ingest"].observe(time.perf_counter() - started)
 
     def _on_digest(self, name: str, values: Tuple[int, ...]) -> None:
         """Data-plane feedback → digest changeset → engine queue (a
@@ -739,9 +739,7 @@ class NerpaController:
         if result.deltas or not is_digest:
             self.sync_count += 1
             self.last_result = result
-        metrics.append_sample(
-            self._stage_seconds["evaluate"], time.perf_counter() - started
-        )
+        self._stage_seconds["evaluate"].observe(time.perf_counter() - started)
 
     def _fan_out(
         self,
@@ -784,35 +782,8 @@ class NerpaController:
             template._merges = None  # queues that merged hold their batch
 
     # -- stage 3: apply ----------------------------------------------------------
-    # (the per-batch work is repro.core.fanout.DeviceChannel's)
-
-    def _record_apply(
-        self,
-        device: ManagedDevice,
-        n_writes: int,
-        latency: float,
-        io_latency: float,
-        apply_seconds: float,
-    ) -> None:
-        """One batch reached its device: ``latency`` is end to end
-        (ingest enqueue → applied), ``io_latency`` the wire round trip
-        alone — a slow peer shows up in both, fleet-wide queue pressure
-        only in the former."""
-        self.entries_written += n_writes
-        # metrics.append_sample, inline (once per batch): a pair of
-        # series grows in step, so one length check cuts both.
-        fleet, stage = self.sync_latencies, self._stage_seconds["apply"]
-        fleet.append(latency)
-        stage.append(apply_seconds)
-        if len(fleet) > metrics.STATS_LIMIT:
-            del fleet[: -metrics.STATS_WINDOW]
-            del stage[: -metrics.STATS_WINDOW]
-        e2e, io = device.latencies, device.io_latencies
-        e2e.append(latency)
-        io.append(io_latency)
-        if len(e2e) > metrics.STATS_LIMIT:
-            del e2e[: -metrics.STATS_WINDOW]
-            del io[: -metrics.STATS_WINDOW]
+    # (the per-batch work is repro.core.fanout.DeviceChannel's, and what
+    # a batch records is repro.core.metrics.record_apply)
 
     # -- recovery ----------------------------------------------------------------
 

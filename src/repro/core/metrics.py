@@ -2,34 +2,29 @@
 series behind it.
 
 The controller owns the counters, and only its loop touches them; this
-module owns how a series is kept (a sliding window, so a long-running
-controller's bookkeeping cannot grow without limit) and the shape of
-the report built from them, which :func:`report` reads on that loop.
+module owns how the ordered fleet-wide latency series is kept (a
+sliding window, so a long-running controller's bookkeeping cannot grow
+without limit) and the shape of the report built from them, which
+:func:`report` reads on that loop.  Per-device latencies and stage
+timings are :class:`repro.obs.Histogram` objects: fixed buckets, so
+they do not grow with the number of batches either.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List
 
 from repro import obs
 from repro.analysis.stats import percentile
+from repro.obs.metrics import BOUNDS
 
-#: Samples retained per latency/stage-timing series.
+#: Samples the fleet-wide latency series reports on.
 STATS_WINDOW = 8192
-#: Samples a series may hold before it is cut back to its window.
+#: Samples it may hold before it is cut back to its window: dropping
+#: the oldest sample on every append would move the whole window, a
+#: cost every device batch would pay.
 STATS_LIMIT = STATS_WINDOW + STATS_WINDOW // 8
-
-
-def append_sample(samples: List[float], value: float) -> None:
-    """Append to a bounded series (on the controller's loop).
-
-    The series is cut back to the last ``STATS_WINDOW`` samples once
-    it holds more than ``STATS_LIMIT``: dropping the oldest sample on every append
-    moves the whole window, a cost every device batch would pay.
-    Reports read :func:`window`."""
-    samples.append(value)
-    if len(samples) > STATS_LIMIT:
-        del samples[:-STATS_WINDOW]
 
 
 def window(samples: List[float]) -> List[float]:
@@ -37,13 +32,57 @@ def window(samples: List[float]) -> List[float]:
     return samples[-STATS_WINDOW:]
 
 
-def summarize(samples: List[float]) -> Dict[str, float]:
-    if not samples:
+def record_apply(
+    controller,
+    device,
+    n_writes: int,
+    latency: float,
+    io_latency: float,
+    apply_seconds: float,
+) -> None:
+    """One batch reached its device (the fan-out plane's ``on_applied``,
+    on the controller's loop): ``latency`` is end to end (ingest
+    enqueue → applied), ``io_latency`` the wire round trip alone — a
+    slow peer shows up in both, fleet-wide queue pressure only in the
+    former — and ``apply_seconds`` the batch's time in stage 3."""
+    controller.entries_written += n_writes
+    fleet = controller.sync_latencies
+    fleet.append(latency)
+    if len(fleet) > STATS_LIMIT:
+        del fleet[:-STATS_WINDOW]
+    # Histogram.observe, inline and unrolled: this runs once per device
+    # batch, and only this loop writes these three histograms.
+    hist, value = controller._stage_seconds["apply"], apply_seconds
+    hist.counts[bisect_left(BOUNDS, value)] += 1
+    hist.total += value
+    if value < hist.min:
+        hist.min = value
+    if value > hist.max:
+        hist.max = value
+    hist, value = device.latencies, latency
+    hist.counts[bisect_left(BOUNDS, value)] += 1
+    hist.total += value
+    if value < hist.min:
+        hist.min = value
+    if value > hist.max:
+        hist.max = value
+    hist, value = device.io_latencies, io_latency
+    hist.counts[bisect_left(BOUNDS, value)] += 1
+    hist.total += value
+    if value < hist.min:
+        hist.min = value
+    if value > hist.max:
+        hist.max = value
+
+
+def summarize(histogram: obs.Histogram) -> Dict[str, float]:
+    count = histogram.count
+    if not count:
         return {"count": 0, "mean": 0.0, "p95": 0.0}
     return {
-        "count": len(samples),
-        "mean": sum(samples) / len(samples),
-        "p95": percentile(samples, 95),
+        "count": count,
+        "mean": histogram.total / count,
+        "p95": histogram.quantile(95),
     }
 
 
@@ -95,8 +134,8 @@ def pipeline_report(controller) -> Dict[str, object]:
         },
         "device_writes_issued": {d.name: d.writes_issued for d in devices},
         "stage_seconds": {
-            stage: summarize(window(samples))
-            for stage, samples in controller._stage_seconds.items()
+            stage: summarize(histogram)
+            for stage, histogram in controller._stage_seconds.items()
         },
     }
     if plane is not None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
+from repro import obs
 from repro.errors import ConnectionLostError, ProtocolError, ReproError
 from repro.mgmt.client import LEASE_ANSWERS, ManagementClient
 from repro.mgmt.database import Database
@@ -232,13 +233,14 @@ class ManagedDevice:
         #: Round trips issued by this device's writer (a coalesced
         #: batch counts once — the batching win is visible here).
         self.writes_issued = 0
-        #: End-to-end latencies (ingest enqueue → applied) per batch.
-        self.latencies: List[float] = []
+        #: End-to-end latencies (ingest enqueue → applied) per batch,
+        #: written inline by the controller's loop.
+        self.latencies = obs.Histogram()
         #: Wire round-trip latencies (issue → ack) per batch — the
         #: device's own service time, excluding queue wait.  A slow
         #: peer shows up here *and* in ``latencies``; fleet-wide queue
         #: pressure only in ``latencies``.
-        self.io_latencies: List[float] = []
+        self.io_latencies = obs.Histogram()
         #: The update-id of the last batch/resync this controller saw
         #: applied to the device — the device's config epoch as the
         #: controller believes it.  Checkpointed for warm restarts.

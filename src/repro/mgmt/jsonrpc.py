@@ -84,31 +84,76 @@ def decode_frames(buffer: bytes) -> Tuple[list, bytes]:
     Returns ``(messages, remainder)``; the remainder is the trailing
     partial frame (possibly empty) to be prepended to the next read.
     """
-    messages = []
-    offset = 0
-    n = len(buffer)
-    while n - offset >= _HEADER.size:
-        (length,) = _HEADER.unpack_from(buffer, offset)
-        if length > MAX_FRAME:
-            raise ProtocolError(f"frame length {length} exceeds maximum")
-        if n - offset - _HEADER.size < length:
-            break
-        start = offset + _HEADER.size
-        offset = start + length
-        # ``json.loads`` without its Python-level wrappers for what
-        # :func:`dumps` writes — one value, nothing around it.  Anything
-        # else (surrounding whitespace, malformed JSON) goes through
-        # ``json.loads``, which accepts or rejects it as it always did.
-        try:
-            text = buffer[start:offset].decode("utf-8")
+    reader = FrameReader()
+    messages = reader.feed(buffer)
+    return messages, bytes(reader.partial)
+
+
+class FrameReader:
+    """A connection's inbound byte stream → the messages in it.
+
+    :meth:`feed` takes each read as it comes.  A frame that spans reads
+    accumulates in place in :attr:`partial`, and is decoded once, when
+    the length its header gives has arrived: concatenating the
+    remainder with every read would copy a large frame again per read.
+    """
+
+    __slots__ = ("partial", "_need")
+
+    def __init__(self) -> None:
+        #: The bytes of a frame still arriving (empty between frames).
+        self.partial = bytearray()
+        #: Bytes ``partial`` must hold before a frame can be decoded.
+        self._need = _HEADER.size
+
+    def feed(self, data: bytes) -> list:
+        """The messages completed by ``data``, in order; raises
+        :class:`ProtocolError` on a bad length or bad JSON."""
+        partial = self.partial
+        if partial:
+            partial += data
+            if len(partial) < self._need:
+                return []
+            data = partial
+        messages = []
+        offset = 0
+        n = len(data)
+        while n - offset >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(data, offset)
+            if length > MAX_FRAME:
+                raise ProtocolError(f"frame length {length} exceeds maximum")
+            start = offset + _HEADER.size
+            if n - start < length:
+                break
+            offset = start + length
+            # ``json.loads`` without its Python-level wrappers for what
+            # :func:`dumps` writes — one value, nothing around it.
+            # Anything else (surrounding whitespace, malformed JSON)
+            # goes through ``json.loads``, which accepts or rejects it
+            # as it always did.
             try:
-                value, end = _scan_once(text, 0)
-            except StopIteration:
-                end = -1
-            messages.append(value if end == len(text) else json.loads(text))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"bad JSON frame: {exc}") from exc
-    return messages, buffer[offset:]
+                text = data[start:offset].decode("utf-8")
+                try:
+                    value, end = _scan_once(text, 0)
+                except StopIteration:
+                    end = -1
+                messages.append(
+                    value if end == len(text) else json.loads(text)
+                )
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ProtocolError(f"bad JSON frame: {exc}") from exc
+        if data is partial:
+            del partial[:offset]
+        elif offset < n:
+            partial += memoryview(data)[offset:]
+        else:
+            return messages
+        self._need = (
+            _HEADER.size + _HEADER.unpack_from(partial)[0]
+            if len(partial) >= _HEADER.size
+            else _HEADER.size
+        )
+        return messages
 
 
 def make_request(method: str, params, request_id: int) -> dict:

@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import ConnectionLostError, ProtocolError, ReproError
-from repro.mgmt.jsonrpc import decode_frames, dumps, frame_request
+from repro.mgmt.jsonrpc import FrameReader, dumps, frame_request
 from repro.net.reactor import Reactor, Timer
 from repro.net.retry import RetryPolicy
 
@@ -226,7 +226,7 @@ class AioConnection:
         self._sock: Optional[socket.socket] = None
         self._connecting = False
         self._connect_timer: Optional[Timer] = None
-        self._inbuf = b""
+        self._frames = FrameReader()
         #: The connected socket's sender (``None`` while not connected).
         self._writer: Optional[SocketWriter] = None
         #: Request id → ``(method, callback, deadline)``; the deadline
@@ -630,7 +630,7 @@ class AioConnection:
             )
             return
         try:
-            messages, self._inbuf = decode_frames(self._inbuf + data)
+            messages = self._frames.feed(data)
         except ProtocolError as exc:
             self._transport_error(exc)
             return
@@ -685,7 +685,7 @@ class AioConnection:
         self._connecting = False
         sock, self._sock = self._sock, None
         writer, self._writer = self._writer, None
-        self._inbuf = b""
+        self._frames = FrameReader()
         if sock is not None:
             self.reactor.unregister(sock)
             try:

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import selectors
+import select
 import socket
 import threading
 import time
 from collections import deque
-from typing import Callable, List, Optional
+from selectors import EVENT_READ, EVENT_WRITE
+from typing import Callable, Dict, List, Optional
 
 from repro import obs
 
@@ -43,6 +44,22 @@ from repro import obs
 #: Below this many cancelled timers the heap is never rebuilt
 #: (asyncio's ``_MIN_SCHEDULED_TIMER_HANDLES``).
 _MIN_CANCELLED_TIMERS = 100
+
+# The OS poller the loop calls directly: epoll on Linux; ``poll`` (its
+# timeout in milliseconds) where there is no epoll — macOS and the
+# BSDs.  Windows has neither, and the reactor does not run there.
+if hasattr(select, "epoll"):
+    _poller, _TIMEOUT_SCALE = select.epoll, 1.0
+else:
+    _poller, _TIMEOUT_SCALE = select.poll, 1000.0
+_IN, _OUT = select.POLLIN, select.POLLOUT  # EPOLLIN, EPOLLOUT on Linux
+
+
+def _native(events: int) -> int:
+    """``selectors`` interest bits → the poller's."""
+    return (_IN if events & EVENT_READ else 0) | (
+        _OUT if events & EVENT_WRITE else 0
+    )
 
 
 class Timer:
@@ -63,7 +80,7 @@ class Timer:
 
 
 class Reactor:
-    """A selector event loop on one thread.
+    """An event loop on one thread, around the OS poller.
 
     One reactor serves any number of connections and fan-out channels,
     and every callback it runs shares that thread.  It records the
@@ -74,13 +91,13 @@ class Reactor:
 
     def __init__(self, name: str = "aio"):
         self.name = name
-        self._selector = selectors.DefaultSelector()
+        self._poller = _poller()
+        #: fd → readiness callback of every registered socket.
+        self._fds: Dict[int, Callable[[int], None]] = {}
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
-        self._selector.register(
-            self._wake_r, selectors.EVENT_READ, self._drain_wakeup
-        )
+        self.register(self._wake_r, EVENT_READ, self._drain_wakeup)
         self._recv_buffer = memoryview(bytearray(1 << 18))
         self._pending: deque = deque()  # (fn, args, enqueued_at)
         #: The ``_pending`` entry ``submit_merging`` appended last.
@@ -137,10 +154,8 @@ class Reactor:
         self._wakeup()
         if self._started and not self.in_loop():
             self._thread.join(timeout=5.0)
-        try:
-            self._selector.close()
-        except OSError:
-            pass
+        if hasattr(self._poller, "close"):  # a poll object holds no fd
+            self._poller.close()
         for sock in (self._wake_r, self._wake_w):
             try:
                 sock.close()
@@ -203,17 +218,31 @@ class Reactor:
         return timer
 
     # -- fd registration (loop thread only) ----------------------------------
+    # ``events`` are ``selectors.EVENT_READ``/``EVENT_WRITE`` bits, and a
+    # callback gets them as ``selectors`` reports them (an error or hang-up
+    # reads as both).
 
     def register(self, sock, events: int, callback) -> None:
-        self._selector.register(sock, events, callback)
+        fd = sock.fileno()
+        if fd in self._fds:
+            raise KeyError(f"fd {fd} is already registered")
+        self._poller.register(fd, _native(events))
+        self._fds[fd] = callback
 
     def modify(self, sock, events: int, callback) -> None:
-        self._selector.modify(sock, events, callback)
+        fd = sock.fileno()
+        self._poller.modify(fd, _native(events))
+        self._fds[fd] = callback
 
     def unregister(self, sock) -> None:
+        """Forget ``sock`` (a no-op if it is not registered); before it
+        is closed, which frees its fd for reuse."""
+        fd = sock.fileno()
+        if self._fds.pop(fd, None) is None:
+            return
         try:
-            self._selector.unregister(sock)
-        except (KeyError, ValueError):
+            self._poller.unregister(fd)
+        except (OSError, ValueError):  # the poller was closed by stop()
             pass
 
     def recv(self, sock) -> Optional[bytes]:
@@ -258,8 +287,21 @@ class Reactor:
             self._waking = False
 
     def _next_timeout(self) -> Optional[float]:
+        """Seconds the next poll may sleep (``None``: until woken).
+        Unlocked while the heap's head is live: only the loop pops or
+        rebuilds the heap, and a push from another thread that moves
+        the head earlier writes a wake byte."""
         if self._pending:  # unlocked: only the loop ever takes from it
             return 0.0
+        timers = self._timers
+        if not timers:
+            return None
+        head = timers[0]
+        if (
+            not head[2].cancelled
+            and self._cancelled_timers <= _MIN_CANCELLED_TIMERS
+        ):
+            return max(0.0, head[0] - time.monotonic())
         with self._lock:
             if self._pending:
                 return 0.0
@@ -289,22 +331,35 @@ class Reactor:
 
     def _run(self) -> None:
         self._ident = threading.get_ident()
+        poll, fds = self._poller.poll, self._fds
         while not self._closed:
             timeout = self._next_timeout()
+            if timeout is not None:
+                timeout *= _TIMEOUT_SCALE
             try:
-                events = self._selector.select(timeout)
+                events = poll(timeout)
             except OSError:
                 continue
             self.loops += 1
             if self._closed:
                 break
-            for key, mask in events:
+            for fd, bits in events:
+                # Looked up per event, not per poll: a callback earlier
+                # in the turn may have unregistered this fd.
+                callback = fds.get(fd)
+                if callback is None:
+                    continue
                 try:
-                    key.data(mask)
+                    # selectors' mapping: anything but POLLOUT reads as
+                    # readable, anything but POLLIN as writable.
+                    callback(
+                        (EVENT_READ if bits & ~_OUT else 0)
+                        | (EVENT_WRITE if bits & ~_IN else 0)
+                    )
                 except Exception as exc:  # noqa: BLE001 - loop must survive
                     self.note_callback_error(exc)
             # Unlocked peeks skip the lock on a turn with nothing due:
-            # what another thread adds meanwhile wakes the next select.
+            # what another thread adds meanwhile wakes the next poll.
             timers = self._timers
             if timers and timers[0][0] <= time.monotonic():
                 self._run_timers()

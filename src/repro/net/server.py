@@ -11,7 +11,7 @@ proxy is such a server.
 :class:`RpcServer` is the JSON-RPC one, and the management server, the
 P4Runtime device server and the device farm are its method tables::
 
-    listen → accept → Reactor.recv → decode_frames
+    listen → accept → Reactor.recv → FrameReader.feed
            → handle(conn, method, params) → SocketWriter
 
 A protocol implements :meth:`RpcServer.handle` and, if it holds
@@ -29,7 +29,7 @@ import threading
 from typing import List, Optional, Tuple
 
 from repro.errors import ProtocolError, ReproError
-from repro.mgmt.jsonrpc import decode_frames, encode_frame, make_error
+from repro.mgmt.jsonrpc import FrameReader, encode_frame, make_error
 from repro.net.aio import SocketWriter
 from repro.net.reactor import Reactor
 
@@ -179,7 +179,7 @@ class RpcConnection:
         #: bound device, subscriptions); ``None`` until it sets one.
         self.session = None
         self.closed = False
-        self._inbuf = b""
+        self._frames = FrameReader()
         self._writer = SocketWriter(
             reactor, sock, self._on_io, lambda _exc: self.close()
         )
@@ -211,7 +211,7 @@ class RpcConnection:
             self.close()
             return
         try:
-            messages, self._inbuf = decode_frames(self._inbuf + data)
+            messages = self._frames.feed(data)
         except ProtocolError:
             self.close()
             return

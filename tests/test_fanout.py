@@ -25,6 +25,7 @@ Covers the multiplexed stage-3 plane:
 import gc
 import json
 import os
+import selectors
 import socket
 import threading
 import time
@@ -280,6 +281,55 @@ class TestReactor:
             assert not guard.cancelled
         finally:
             reactor.stop()
+
+    def test_a_sooner_timer_from_another_thread_wakes_a_sleeping_loop(self):
+        """The loop reads its next deadline without the lock; a timer
+        pushed from another thread, sooner than the one the loop sleeps
+        on (or with none), still fires on time: its push wakes the loop."""
+        reactor = Reactor("t-timer-wake").start()
+        try:
+            for far in (None, 30.0):
+                if far is not None:
+                    reactor.call_later(far, lambda: None)
+                time.sleep(0.05)  # the loop is asleep in its poll
+                fired = threading.Event()
+                started = time.monotonic()
+                reactor.call_later(0.02, fired.set)
+                assert fired.wait(5.0)
+                assert time.monotonic() - started < 1.0
+        finally:
+            reactor.stop()
+
+    def test_a_peer_unregistered_earlier_in_the_turn_is_not_dispatched(self):
+        """Two sockets are readable in one poll; whichever callback runs
+        first unregisters the other, whose event is then dropped."""
+        reactor = Reactor("t-unregister").start()
+        pairs = [socket.socketpair() for _ in range(2)]
+        ran, done = [], threading.Event()
+
+        def callback(mine, other):
+            def on_io(mask):
+                ran.append((mine, mask))
+                pairs[mine][0].recv(1)
+                reactor.unregister(pairs[other][0])
+                done.set()
+            return on_io
+
+        def arm():
+            for i, (a, b) in enumerate(pairs):
+                reactor.register(a, selectors.EVENT_READ, callback(i, 1 - i))
+                b.send(b"x")  # both readable before the loop polls
+
+        try:
+            assert reactor.submit(arm)
+            assert done.wait(5.0)
+            time.sleep(0.05)
+            assert len(ran) == 1 and ran[0][1] == selectors.EVENT_READ
+        finally:
+            reactor.stop()
+            for a, b in pairs:
+                a.close()
+                b.close()
 
     def test_submit_after_stop_returns_false(self):
         reactor = Reactor("t-stopped").start()

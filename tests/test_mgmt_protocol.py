@@ -132,6 +132,55 @@ class TestFraming:
             got.extend(m["id"] for m in messages)
         assert got == ids
 
+    def test_a_frame_in_64k_chunks_is_decoded_once(self, monkeypatch):
+        """A 1.2 MB frame read in 64 KiB chunks accumulates in place and
+        is scanned once, when its last byte arrives: the same message
+        as decoding the whole frame, and the frame behind it intact."""
+        from repro.mgmt import jsonrpc
+
+        message = make_request(
+            "apply_batch",
+            [{"table": "t", "key": [n, n * 7], "action": "a" * 20}
+             for n in range(20_000)],
+            3,
+        )
+        stream = encode_frame(message) + encode_frame({"id": 4})
+        assert len(stream) > 1_200_000
+        scans = []
+        real_scan = jsonrpc._scan_once
+
+        def counting_scan(text, index):
+            scans.append(len(text))
+            return real_scan(text, index)
+
+        monkeypatch.setattr(jsonrpc, "_scan_once", counting_scan)
+        reader = jsonrpc.FrameReader()
+        chunk = 64 * 1024
+        got = [reader.feed(stream[i : i + chunk])
+               for i in range(0, len(stream), chunk)]
+        assert all(messages == [] for messages in got[:-1])
+        assert got[-1] == [message, {"id": 4}]
+        assert len(scans) == 2 and reader.partial == b""
+        monkeypatch.setattr(jsonrpc, "_scan_once", real_scan)
+        assert decode_frames(stream) == ([message, {"id": 4}], b"")
+
+    @pytest.mark.parametrize("cut", [1, 3, 4, 5])
+    def test_split_bad_frames_fail_as_whole_ones_do(self, cut):
+        """A bad length or bad JSON raises the same error whether the
+        frame arrives whole or in two reads."""
+        from repro.mgmt.jsonrpc import FrameReader
+
+        for frame, match in (
+            (struct.pack(">I", 1 << 31) + b"xyzw", "exceeds maximum"),
+            (struct.pack(">I", 8) + b"not json", "bad JSON frame"),
+        ):
+            with pytest.raises(ProtocolError, match=match):
+                decode_frames(frame)
+            reader = FrameReader()
+            with pytest.raises(ProtocolError, match=match):
+                reader.feed(frame[:cut])
+                reader.feed(frame[cut:])
+
     def test_classify(self):
         assert classify({"method": "m", "params": [], "id": 1}) == "request"
         assert classify({"method": "m", "params": [], "id": None}) == "notification"

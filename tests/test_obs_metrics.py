@@ -3,13 +3,20 @@ basic metric semantics, exporters, and correctness under concurrency —
 a multi-thread counter hammer and a reconnect storm driven through the
 fault-injecting proxy."""
 
+import math
 import socket
+import sys
 import threading
 import time
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.analysis.stats import percentile
+from repro.obs.metrics import BOUNDS, N_BUCKETS
 from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
@@ -107,13 +114,21 @@ class TestRegistryBasics:
         assert summary["p50"] <= summary["p90"] <= summary["p99"]
 
     def test_histogram_window_bounds_memory(self):
+        """Fixed buckets: the same memory after 100 values and after
+        10,000, and the totals stay exact."""
         reg = obs.MetricsRegistry()
-        h = reg.histogram("lat", window=16)
-        for i in range(1000):
-            h.observe(float(i))
+        h = reg.histogram("lat")
+        sizes = []
+        for n in (100, 10_000):
+            while h.count < n:
+                h.observe(h.count * 1e-4)
+            sizes.append(sys.getsizeof(h) + sys.getsizeof(h.counts))
+        assert sizes[0] == sizes[1] < 4096
         summary = h.summary()
-        assert summary["count"] == 1000  # exact totals survive
-        assert summary["p50"] >= 984.0  # percentiles cover the window
+        assert summary["count"] == 10_000
+        assert summary["sum"] == pytest.approx(1e-4 * 9_999 * 10_000 / 2)
+        assert summary["min"] == 0.0 and summary["max"] == 0.9999
+        assert summary["p50"] == pytest.approx(0.5, rel=0.1)
 
     def test_snapshot_and_json(self):
         reg = obs.MetricsRegistry()
@@ -279,3 +294,108 @@ class TestConcurrency:
             finally:
                 client.close()
                 injector.stop()
+
+
+#: Seconds on a 2**-24 grid (so every partial sum of a few hundred of
+#: them is exact) from below the first bucket bound to past the last.
+GRID = st.integers(0, 2**35).map(lambda k: k * 2.0**-24)
+#: Any positive seconds, spanning every bucket and both edges.
+SECONDS = st.floats(1e-9, 4096.0, allow_nan=False, allow_infinity=False)
+
+
+def _histogram(values):
+    h = obs.Histogram()
+    for v in values:
+        h.observe(v)
+    return h
+
+
+def _span(h, value):
+    """The bucket of ``value`` as the histogram interpolates in it:
+    its bounds cut to the observed ``[min, max]``."""
+    i = bisect_left(BOUNDS, value)
+    low = max(BOUNDS[i - 1], h.min) if i else h.min
+    high = min(BOUNDS[i], h.max) if i < len(BOUNDS) else h.max
+    return low, high
+
+
+class TestHistogramBuckets:
+    def test_bounds_are_log_scale_and_fixed(self):
+        assert len(BOUNDS) + 1 == N_BUCKETS
+        assert BOUNDS[0] == 2.0**-20 and BOUNDS[-1] == 2.0**10
+        ratios = {round(b / a, 12) for a, b in zip(BOUNDS, BOUNDS[1:])}
+        assert ratios == {round(2 ** (1 / 8), 12)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(SECONDS, min_size=1, max_size=300),
+        st.floats(0, 100, allow_nan=False),
+    )
+    def test_quantile_within_one_bucket_of_the_exact_percentile(
+        self, values, pct
+    ):
+        """The estimate and the exact percentile both lie between the
+        two values ranked around ``pct``: each estimate is off by at
+        most the width of those values' buckets."""
+        h = _histogram(values)
+        est, exact = h.quantile(pct), percentile(values, pct)
+        ordered = sorted(values)
+        rank = pct / 100 * (len(values) - 1)
+        below, above = ordered[math.floor(rank)], ordered[math.ceil(rank)]
+        low = _span(h, below)[0]
+        high = _span(h, above)[1]
+        assert low <= est <= high
+        width = max(
+            hi - lo for lo, hi in (_span(h, below), _span(h, above))
+        )
+        assert abs(est - exact) <= width * (1 + 1e-9) + 1e-300
+        if _span(h, below) == _span(h, above):
+            assert bisect_left(BOUNDS, est) == bisect_left(BOUNDS, exact)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SECONDS, max_size=200), st.lists(SECONDS, max_size=200))
+    def test_merge_equals_the_histogram_of_both_lists(self, a, b):
+        merged = _histogram(a).merge(_histogram(b))
+        both = _histogram(a + b)
+        assert list(merged.counts) == list(both.counts)
+        assert merged.count == both.count == len(a) + len(b)
+        assert (merged.min, merged.max) == (both.min, both.max)
+        assert merged.total == pytest.approx(both.total, rel=1e-12)
+        assert merged.summary().keys() == both.summary().keys()
+        for pct in (0, 50, 90, 99, 100):
+            assert merged.quantile(pct) == pytest.approx(
+                both.quantile(pct), rel=1e-9
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(GRID, max_size=300))
+    def test_count_and_sum_are_exact(self, values):
+        h = _histogram(values)
+        summary = h.summary()
+        assert h.count == summary["count"] == len(values)
+        assert h.total == summary["sum"] == sum(values)
+        if values:
+            assert (summary["min"], summary["max"]) == (
+                min(values), max(values)
+            )
+        else:
+            assert summary["min"] is None and "p50" not in summary
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(0, 2.0**-20, allow_nan=False), max_size=50),
+        st.lists(
+            st.floats(2.0**10, 1e12, exclude_min=True, allow_nan=False),
+            max_size=50,
+        ),
+    )
+    def test_values_beyond_the_bounds_land_in_the_edge_buckets(
+        self, small, large
+    ):
+        h = _histogram(small + large)
+        assert h.counts[0] == len(small)
+        assert h.counts[N_BUCKETS - 1] == len(large)
+        assert sum(h.counts[1:-1]) == 0
+        if small and large:
+            assert h.quantile(0) == min(small)
+            assert h.quantile(100) == max(large)

@@ -1046,14 +1046,63 @@ class TestQueueBarrierSupersedeJoin:
 
 
 def test_a_sample_series_keeps_exactly_its_window():
+    """The fleet-wide latency series, written once per device batch,
+    is cut back in blocks and reports its last ``STATS_WINDOW``
+    samples in order; the device's histograms count every batch."""
     from repro.core import metrics
 
-    series, total = [], 3 * metrics.STATS_WINDOW + 7
+    project, db, switch = build()
+    controller = NerpaController(project, db, [switch])
+    device = controller.devices[0]
+    series, total = controller.sync_latencies, 3 * metrics.STATS_WINDOW + 7
     for n in range(total):
-        metrics.append_sample(series, float(n))
-        assert len(series) <= metrics.STATS_WINDOW + metrics.STATS_WINDOW // 8
+        metrics.record_apply(controller, device, 1, float(n), 0.5, 0.25)
+        assert len(series) <= metrics.STATS_LIMIT
         if n == 9:
             assert metrics.window(series) == [float(i) for i in range(10)]
     assert metrics.window(series) == [
         float(i) for i in range(total - metrics.STATS_WINDOW, total)
     ]
+    assert device.latencies.count == device.io_latencies.count == total
+    assert device.latencies.total == sum(range(total))
+    assert controller._stage_seconds["apply"].total == total * 0.25
+
+
+def test_a_devices_retained_telemetry_does_not_grow_with_its_batches():
+    """What a device's latency series hold (tracemalloc: the bytes
+    freed when they are dropped) is the same after 2,000 batches and
+    after 20,000 — fixed buckets, not samples."""
+    import random
+    import sys
+    import tracemalloc
+
+    from repro.core import metrics
+
+    project, db, _ = build()
+    rng = random.Random(7)
+    tracemalloc.start()
+    try:
+        controller = NerpaController(
+            project, db, [project.new_simulator(n_ports=4) for _ in range(3)]
+        )
+        retained = []  # the first reading only warms the measurement up
+        for device, batches in zip(controller.devices, (0, 2_000, 20_000)):
+            for _ in range(batches):
+                latency = rng.lognormvariate(-7.0, 1.0)
+                metrics.record_apply(
+                    controller, device, 1, latency, latency / 2, latency / 4
+                )
+            # Empty the float free list (``hold`` takes its floats): a
+            # histogram's own floats (total, min, max) then go back to
+            # it, unseen by tracemalloc, after either run alike.  The
+            # int ``before`` is allocated after its own reading.
+            hold = [n + 0.5 for n in range(1_000)]
+            before = tracemalloc.get_traced_memory()[0]
+            device.latencies = device.io_latencies = None
+            after = tracemalloc.get_traced_memory()[0]
+            retained.append(before - after + sys.getsizeof(before))
+            del hold
+    finally:
+        tracemalloc.stop()
+    assert retained[1] == retained[2]
+    assert 0 < retained[1] < 8 * 1024
