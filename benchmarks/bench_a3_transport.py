@@ -14,7 +14,7 @@ from repro.core.controller import NerpaController
 from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
 from repro.mgmt.server import ManagementServer
-from repro.p4runtime import P4RuntimeClient
+from repro.p4runtime import AioP4RuntimeClient
 from repro.p4runtime.server import P4RuntimeServer
 
 N_PORTS = 200
@@ -35,7 +35,7 @@ def run_over_tcp():
     sim = project.new_simulator(n_ports=1024)
     with ManagementServer(db) as mgmt_srv, P4RuntimeServer(sim) as dev_srv:
         mgmt_client = ManagementClient(*mgmt_srv.address)
-        dev_client = P4RuntimeClient(*dev_srv.address)
+        dev_client = AioP4RuntimeClient(*dev_srv.address)
         controller = NerpaController(project, mgmt_client, [dev_client]).start()
         try:
             mgmt_client.transact(

@@ -197,7 +197,7 @@ class Fleet:
             "batches": self.farm.total_batches(),
             "fifo_violations": self.farm.total_fifo_violations(),
             "converged": len(states) == 1,
-            "nonempty": bool(self.farm.devices[0].tables),
+            "nonempty": bool(self.farm.devices[0].sim.tables),
             "healthy_p50": healthy_e2e.quantile(50),
             "healthy_p99": healthy_e2e.quantile(99),
             "healthy_io_p99": healthy_io.quantile(99),

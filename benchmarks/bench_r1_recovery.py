@@ -24,7 +24,7 @@ from repro.mgmt.schema import simple_schema
 from repro.mgmt.server import ManagementServer
 from repro.net import RetryPolicy
 from repro.p4runtime.api import DeviceService
-from repro.p4runtime import P4RuntimeClient
+from repro.p4runtime import AioP4RuntimeClient
 from repro.p4runtime.server import P4RuntimeServer
 
 N_ROWS = 100
@@ -158,7 +158,7 @@ def measure_device_recovery(expected: str) -> float:
     sim = project.new_simulator(n_ports=256)
     port = free_port()
     server = P4RuntimeServer(sim, port=port).start()
-    device = P4RuntimeClient("127.0.0.1", port, policy=FAST)
+    device = AioP4RuntimeClient("127.0.0.1", port, policy=FAST)
     controller = NerpaController(project, db, [device], breaker_threshold=1)
     controller.start()
     try:

@@ -91,7 +91,7 @@ def census(stack, baseline):
     owners = [
         ("interned dlog values", interned),
         ("engine runtime", [stack.controller.runtime]),
-        ("FarmDevice.tables", [d.tables for d in stack.farm.devices]),
+        ("FarmDevice stores", [d.sim for d in stack.farm.devices]),
         ("mgmt Database", [stack.db]),
         ("controller + its clients", [
             stack.controller, stack.controller_client, stack.device_clients,
@@ -123,7 +123,7 @@ def promotion_owners(stack, young):
     more (in flight, or waiting for an ack)."""
     controller = stack.controller
     return [
-        ("farm tables", [d.tables for d in stack.farm.devices]),
+        ("farm tables", [d.sim for d in stack.farm.devices]),
         ("engine", [controller.runtime] + _interned()),
         ("fan-out", [channel.queue for channel in controller.channels]
          + [o for o in young if isinstance(o, _FANOUT_TYPES)]

@@ -44,8 +44,3 @@ def count_loc(text: str, kind: str = "python") -> int:
             continue
         count += 1
     return count
-
-
-def count_file_loc(path: str, kind: str = "python") -> int:
-    with open(path, encoding="utf-8") as f:
-        return count_loc(f.read(), kind)

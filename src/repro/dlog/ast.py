@@ -481,12 +481,3 @@ class Program(Node):
             if r.name == name:
                 return r
         raise KeyError(name)
-
-    def merged_with(self, other: "Program") -> "Program":
-        """Concatenate two programs (used by Nerpa codegen)."""
-        return Program(
-            self.typedefs + other.typedefs,
-            self.functions + other.functions,
-            self.relations + other.relations,
-            self.rules + other.rules,
-        )

@@ -114,19 +114,8 @@ class ShardPlan:
     def status(self, relation: str) -> Status:
         return self.statuses.get(relation, _REPL)
 
-    def partition_column(self, relation: str) -> Optional[int]:
-        kind, col = self.status(relation)
-        return col if kind == PARTITIONED else None
-
     def is_replicated(self, relation: str) -> bool:
         return self.status(relation)[0] == REPLICATED
-
-    def partitioned_inputs(self) -> List[str]:
-        return [
-            rel
-            for rel in self.input_relations
-            if self.status(rel)[0] == PARTITIONED
-        ]
 
     def route(self, relation: str, row: tuple, shards: int) -> Optional[int]:
         """Owner shard of an input row, or ``None`` for broadcast."""

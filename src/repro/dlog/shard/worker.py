@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-from typing import Dict, Optional, Tuple
-
-from repro.dlog.dataflow.zset import ZSet
+from typing import Optional, Tuple
 
 
 class ShardWorkerError(RuntimeError):
@@ -35,10 +33,6 @@ def _serialize_result(result) -> dict:
         "warnings": list(result.warnings),
         "duration": result.duration,
     }
-
-
-def deserialize_deltas(deltas: Dict[str, Dict[tuple, int]]) -> Dict[str, ZSet]:
-    return {rel: ZSet(dict(rows)) for rel, rows in deltas.items()}
 
 
 class InlineWorker:

@@ -13,7 +13,7 @@ group operators, not expressions, and live in :data:`AGGREGATES`.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 from repro.dlog import types as T
 from repro.dlog import values as V
@@ -34,24 +34,6 @@ class Builtin:
         self.name = name
         self.sig = sig
         self.fn = fn
-
-
-def _fixed(params: Sequence[T.Type], result: T.Type):
-    """Signature helper for monomorphic builtins."""
-
-    def sig(args: List[T.Type]) -> T.Type:
-        if len(args) != len(params):
-            raise TypeCheckError(
-                f"expected {len(params)} argument(s), got {len(args)}"
-            )
-        for i, (got, want) in enumerate(zip(args, params)):
-            if got != want:
-                raise TypeCheckError(
-                    f"argument {i + 1}: expected {want}, got {got}"
-                )
-        return result
-
-    return sig
 
 
 def _arity(n: int):

@@ -229,11 +229,6 @@ def is_some(value) -> bool:
     return isinstance(value, StructValue) and value.constructor == "Some"
 
 
-def wrap_bit(value: int, width: int) -> int:
-    """Truncate ``value`` into the unsigned range of ``bit<width>``."""
-    return value & ((1 << width) - 1)
-
-
 def wrap_signed(value: int, width: int) -> int:
     """Truncate ``value`` into the two's-complement range of ``signed<width>``."""
     mask = (1 << width) - 1

@@ -111,12 +111,6 @@ class HeaderDecl:
                 return f
         raise KeyError(name)
 
-    @property
-    def bit_width(self) -> int:
-        return sum(
-            f.type.width for f in self.fields if isinstance(f.type, BitType)
-        )
-
 
 class StructDecl:
     __slots__ = ("name", "fields", "pos")

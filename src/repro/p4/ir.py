@@ -76,12 +76,6 @@ class Pipeline:
         self.egress_binding = egress_binding
         self.p4info = p4info
 
-    def header_decl(self, name: str) -> P.HeaderDecl:
-        try:
-            return self.program.headers[name]
-        except KeyError:
-            raise DataPlaneError(f"unknown header type {name!r}") from None
-
 
 def _err(pos, message) -> DataPlaneError:
     return DataPlaneError(f"{pos}: {message}")

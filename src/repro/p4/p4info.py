@@ -120,7 +120,6 @@ class P4Info:
         self.tables: Dict[str, TableInfo] = {}
         self.actions: Dict[str, ActionInfo] = {}
         self.digests: Dict[str, DigestInfo] = {}
-        self._tables_by_id: Dict[int, TableInfo] = {}
         self._next_id = 1
 
     def _fresh_id(self) -> int:
@@ -155,7 +154,6 @@ class P4Info:
             default_params,
         )
         self.tables[name] = info
-        self._tables_by_id[info.id] = info
         return info
 
     def add_digest(self, name: str, fields: List[ActionParam]) -> DigestInfo:
@@ -170,12 +168,6 @@ class P4Info:
             return self.tables[name]
         except KeyError:
             raise DataPlaneError(f"unknown table {name!r}") from None
-
-    def table_by_id(self, table_id: int) -> TableInfo:
-        try:
-            return self._tables_by_id[table_id]
-        except KeyError:
-            raise DataPlaneError(f"unknown table id {table_id}") from None
 
     def action(self, name: str) -> ActionInfo:
         try:

@@ -45,15 +45,6 @@ class BitReader:
         self.bit_pos = pos
         return value
 
-    def read_bytes(self, count: int) -> bytes:
-        if self.bit_pos % 8 != 0:
-            raise DataPlaneError("byte read at non-byte boundary")
-        start = self.bit_pos // 8
-        if start + count > len(self.data):
-            raise DataPlaneError("packet too short for byte read")
-        self.bit_pos += count * 8
-        return self.data[start : start + count]
-
     def rest(self) -> bytes:
         if self.bit_pos % 8 != 0:
             raise DataPlaneError("payload starts at non-byte boundary")

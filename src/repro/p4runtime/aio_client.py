@@ -365,7 +365,3 @@ class AioP4RuntimeClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-#: The historical name of the blocking client — the same class.
-P4RuntimeClient = AioP4RuntimeClient

@@ -7,11 +7,17 @@ per device would melt the bench machine before the plane under test
 broke a sweat.  :class:`DeviceFarm` is the same reactor-hosted server
 (:mod:`repro.net.server`) with one listener, a small pool of loops
 (``n_reactors`` — real switches are parallel hardware, so fleet-scale
-benches shouldn't serialize on a single simulated farm loop), and a
-method table over N dict-table devices that speaks enough of the
-P4Runtime wire protocol for the controller's hot path
-(``apply_batch``, ``write``, ``read_table``, config epochs, multicast)
-plus verification hooks:
+benches shouldn't serialize on a single simulated farm loop), and N
+devices.
+
+Each :class:`FarmDevice` is a :class:`~repro.p4runtime.api.DeviceService`
+over a :class:`TableStore` — dict tables with no pipeline to look
+packets up in — so a farm device has exactly the batch semantics a
+simulator-backed device has (atomic rollback, duplicate/missing-key
+rejections, config epochs, multicast, the fence check), and the farm
+serves it with the server's own method table
+(:data:`~repro.p4runtime.server.DEVICE_METHODS`).  The farm adds only
+what belongs to a fleet and its verification:
 
 * clients address a device with ``bind_device [index]`` (the
   :class:`~repro.p4runtime.aio_client.AioP4RuntimeClient`'s
@@ -22,15 +28,9 @@ plus verification hooks:
   starts at or before the previous batch's end arrived out of order
   (supersedes legitimately skip ranges; they never rewind them), and
   is counted in ``fifo_violations``;
-* :meth:`set_ack_delay` makes one device slow by *deferring its acks*
-  with a reactor timer — the farm never blocks, so a slow device
-  exercises the plane's isolation, not the farm's.
-
-Table state is per-device ``{table: {match_key: wire_update}}``, keyed
-like P4Runtime by the match fields plus a nonzero priority, with
-the real service's batch semantics (atomic: a failing update rolls the
-batch back; INSERT of a present key and MODIFY/DELETE of a missing key
-are rejections).
+* :meth:`DeviceFarm.set_ack_delay` makes one device slow by
+  *deferring its acks* with a reactor timer — the farm never blocks,
+  so a slow device exercises the plane's isolation, not the farm's.
 """
 
 from __future__ import annotations
@@ -38,106 +38,87 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, RuntimeApiError
 from repro.net.server import RpcConnection, RpcServer
+from repro.p4.tables import TableEntry
+from repro.p4runtime.api import DeviceService, TableWrite
+from repro.p4runtime.server import DEVICE_METHODS
 
 
-def _match_key(update: dict) -> str:
-    key = json.dumps(update.get("match", []), sort_keys=True)
-    priority = update.get("priority", 0)
-    return f"{key}#{priority}" if priority else key
+class StoreTable(dict):
+    """One table of a :class:`TableStore`: ``match_key -> TableEntry``,
+    with :class:`~repro.p4.tables.TableState`'s write methods and
+    rejections (no validation against a P4Info: the store has none)."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def insert(self, entry: TableEntry) -> None:
+        key = entry.match_key()
+        if key in self:
+            raise RuntimeApiError(
+                f"table {self.name}: duplicate entry {entry!r}"
+            )
+        self[key] = entry
+
+    def modify(self, entry: TableEntry) -> None:
+        key = entry.match_key()
+        if key not in self:
+            raise RuntimeApiError(
+                f"table {self.name}: no entry to modify for {entry!r}"
+            )
+        self[key] = entry
+
+    def delete(self, entry: TableEntry) -> None:
+        if self.pop(entry.match_key(), None) is None:
+            raise RuntimeApiError(
+                f"table {self.name}: no entry to delete for {entry!r}"
+            )
+
+    def entries(self) -> List[TableEntry]:
+        return list(self.values())
 
 
-class FarmDevice:
-    """One device's tables plus its verification counters."""
+class TableStore:
+    """What a :class:`~repro.p4runtime.api.DeviceService` reads of a
+    simulator, without the pipeline: tables made on first use,
+    multicast groups and the config and fencing epochs."""
 
-    __slots__ = (
-        "index",
-        "tables",
-        "mcast",
-        "epoch",
-        "fence",
-        "last_seq",
-        "fifo_violations",
-        "fenced_rejections",
-        "batches_applied",
-        "updates_applied",
-        "ack_delay",
-    )
+    def __init__(self):
+        self.tables: Dict[str, StoreTable] = {}
+        self.multicast_groups: Dict[int, List[int]] = {}
+        self.config_epoch: Optional[str] = None
+        self.fencing_epoch: Optional[int] = None
+
+    def table(self, name: str) -> StoreTable:
+        table = self.tables.get(name)
+        if table is None:
+            table = self.tables[name] = StoreTable(name)
+        return table
+
+    def set_multicast_group(self, group_id: int, ports: List[int]) -> None:
+        self.multicast_groups[group_id] = list(ports)
+
+    def delete_multicast_group(self, group_id: int) -> None:
+        self.multicast_groups.pop(group_id, None)
+
+
+class FarmDevice(DeviceService):
+    """One simulated device (its store is ``sim``) plus the farm's
+    verification counters."""
 
     def __init__(self, index: int):
+        super().__init__(TableStore(), f"device-{index}")
         self.index = index
-        self.tables: Dict[str, Dict[str, dict]] = {}
-        self.mcast: Dict[int, List[int]] = {}
-        self.epoch: Optional[str] = None
-        self.fence: Optional[int] = None
         self.last_seq: Optional[int] = None
         self.fifo_violations = 0
-        self.fenced_rejections = 0
         self.batches_applied = 0
-        self.updates_applied = 0
         #: Seconds each response to this device is deferred (reactor
         #: timer — simulates a slow device without blocking the farm).
         self.ack_delay = 0.0
-
-    def check_fence(self, fence: Optional[int]) -> None:
-        """Reject writes stamped with a deposed leader's fencing epoch
-        (mirrors :class:`repro.p4runtime.api.DeviceService`'s check; the
-        farm's loop serializes access, so no lock)."""
-        if fence is None:
-            return
-        if self.fence is not None and fence < self.fence:
-            self.fenced_rejections += 1
-            raise ProtocolError(
-                f"write fenced: epoch {fence} deposed by epoch {self.fence}"
-            )
-        self.fence = fence
-
-    # -- write semantics -----------------------------------------------------
-
-    def apply_updates(self, updates: List[dict]) -> int:
-        """Atomic batch: failure reverts the applied prefix."""
-        undo = []
-        try:
-            for i, update in enumerate(updates):
-                table = self.tables.setdefault(update["table"], {})
-                key = _match_key(update)
-                kind = update["type"]
-                old = table.get(key)
-                if kind == "INSERT":
-                    if old is not None:
-                        raise ProtocolError(
-                            f"update {i}: duplicate entry in "
-                            f"{update['table']}"
-                        )
-                    table[key] = update
-                elif kind == "MODIFY":
-                    if old is None:
-                        raise ProtocolError(
-                            f"update {i}: no entry to modify in "
-                            f"{update['table']}"
-                        )
-                    table[key] = update
-                elif kind == "DELETE":
-                    if old is None:
-                        raise ProtocolError(
-                            f"update {i}: no entry to delete in "
-                            f"{update['table']}"
-                        )
-                    del table[key]
-                else:
-                    raise ProtocolError(f"update {i}: bad type {kind!r}")
-                undo.append((update["table"], key, old))
-        except ProtocolError:
-            for table_name, key, old in reversed(undo):
-                table = self.tables.setdefault(table_name, {})
-                if old is None:
-                    table.pop(key, None)
-                else:
-                    table[key] = old
-            raise
-        self.updates_applied += len(updates)
-        return len(updates)
 
     def note_seq(self, seq) -> None:
         if not seq:
@@ -148,11 +129,22 @@ class FarmDevice:
         self.last_seq = max(self.last_seq or 0, last)
 
     def table_snapshot(self) -> Dict[str, Dict[str, dict]]:
-        return {name: dict(entries) for name, entries in self.tables.items()}
+        """``{table: {key: INSERT wire update}}``, keyed like P4Runtime
+        by the match fields' JSON plus a nonzero priority."""
+        snapshot = {}
+        for name, table in self.sim.tables.items():
+            entries = snapshot[name] = {}
+            for entry in table.values():
+                update = TableWrite.insert(name, entry).to_wire()
+                key = json.dumps(update["match"], sort_keys=True)
+                if entry.priority:
+                    key = f"{key}#{entry.priority}"
+                entries[key] = update
+        return snapshot
 
 
 class DeviceFarm(RpcServer):
-    """N lightweight P4Runtime-ish devices behind one listener.
+    """N lightweight P4Runtime devices behind one listener.
 
     ``n_reactors`` spreads accepted connections round-robin over that
     many loops.  Real switches are parallel hardware; a fleet-scale
@@ -205,46 +197,13 @@ class DeviceFarm(RpcServer):
             conn.session = int(index)
             return {}
         device = self.devices[conn.session or 0]
-        if method == "echo":
-            return params
-        if method == "apply_batch":
-            (envelope,) = params
-            device.check_fence(envelope.get("fence"))
-            for group, ports in envelope.get("mcast", []):
-                if ports:
-                    device.mcast[int(group)] = list(ports)
-                else:
-                    device.mcast.pop(int(group), None)
-            updates = envelope.get("updates", [])
-            applied = device.apply_updates(updates) if updates else 0
-            update_ids = envelope.get("update_ids") or []
-            if updates and update_ids:
-                device.epoch = update_ids[-1]
-            device.note_seq(envelope.get("seq"))
-            device.batches_applied += 1
-            return {"applied": applied}
-        if method == "write":
-            return {"applied": device.apply_updates(list(params))}
-        if method == "read_table":
-            (table,) = params
-            return {
-                "entries": list(device.tables.get(table, {}).values())
-            }
-        if method == "get_config_epoch":
-            return {"epoch": device.epoch}
-        if method == "set_config_epoch":
-            epoch = params[0]
-            device.check_fence(params[1] if len(params) > 1 else None)
-            device.epoch = epoch
-            return {}
-        if method == "set_multicast_group":
-            group_id, ports = params
-            device.mcast[int(group_id)] = list(ports)
-            return {}
-        if method == "delete_multicast_group":
-            (group_id,) = params
-            device.mcast.pop(int(group_id), None)
-            return {}
+        serve = DEVICE_METHODS.get(method)
+        if serve is not None:
+            result = serve(device, params)
+            if method == "apply_batch":
+                device.note_seq(params[0].get("seq"))
+                device.batches_applied += 1
+            return result
         if method == "subscribe_digests":
-            return {}
+            return {}  # a store emits no digests
         raise ProtocolError(f"unknown method {method!r}")

@@ -19,6 +19,10 @@ Methods:
 * ``subscribe_packet_ins []`` / ``packet_out [port, hex]`` — the CPU
   punt path: packets the pipeline sends to the CPU port arrive as
   ``{"method": "packet_in", "params": [ingress_port, hex]}``.
+
+:data:`DEVICE_METHODS` holds the methods that only need a
+:class:`~repro.p4runtime.api.DeviceService`; the simulated-device farm
+(:mod:`repro.p4runtime.farm`) serves its devices with the same table.
 """
 
 from __future__ import annotations
@@ -29,6 +33,65 @@ from repro.net.server import RpcConnection, RpcServer
 from repro.obs.trace import use_update_id
 from repro.p4.simulator import DigestMessage, Simulator
 from repro.p4runtime.api import DeviceService, TableWrite
+
+
+def _apply_batch(service: DeviceService, params):
+    # One coalesced pipeline batch: multicast config + atomic table
+    # writes + the update-ids of every merged transaction (the newest
+    # becomes the config epoch).
+    (envelope,) = params
+    mcast = envelope.get("mcast")
+    if mcast:
+        mcast = {int(group): ports for group, ports in mcast}
+    update_ids = envelope.get("update_ids")
+    with use_update_id(update_ids[-1] if update_ids else None):
+        applied = service.apply_batch(
+            envelope.get("updates"), mcast, envelope.get("fence"), wire=True
+        )
+    return {"applied": applied}
+
+
+def _set_config_epoch(service: DeviceService, params):
+    # A second param (fenced form) carries the writer's fencing epoch;
+    # a deposed leader's resync must not stamp devices.
+    service.set_config_epoch(params[0], params[1] if len(params) > 1 else None)
+    return {}
+
+
+def _read_table(service: DeviceService, params):
+    (table,) = params
+    return {
+        "entries": [
+            TableWrite("INSERT", table, e).to_wire()
+            for e in service.read_table(table)
+        ]
+    }
+
+
+def _set_multicast_group(service: DeviceService, params):
+    group_id, ports = params
+    service.set_multicast_group(group_id, ports)
+    return {}
+
+
+def _delete_multicast_group(service: DeviceService, params):
+    (group_id,) = params
+    service.delete_multicast_group(group_id)
+    return {}
+
+
+#: ``method -> handler(service, params)`` for every method a
+#: :class:`DeviceService` answers on its own.
+DEVICE_METHODS = {
+    "echo": lambda service, params: params,
+    "write": lambda service, params: {"applied": service.apply_updates(params)},
+    "apply_batch": _apply_batch,
+    "get_config_epoch": lambda service, _: {"epoch": service.get_config_epoch()},
+    "set_config_epoch": _set_config_epoch,
+    "read_table": _read_table,
+    "set_multicast_group": _set_multicast_group,
+    "delete_multicast_group": _delete_multicast_group,
+}
 
 
 class P4RuntimeServer(RpcServer):
@@ -70,55 +133,14 @@ class P4RuntimeServer(RpcServer):
 
     def handle(self, conn: RpcConnection, method: str, params):
         service = self.service
-        if method == "echo":
-            return params
+        serve = DEVICE_METHODS.get(method)
+        if serve is not None:
+            return serve(service, params)
         if method == "get_p4info":
             return service.p4info()
-        if method == "write":
-            updates = [TableWrite.from_wire(u) for u in params]
-            return {"applied": service.write(updates)}
-        if method == "apply_batch":
-            # One coalesced pipeline batch: multicast config + atomic
-            # table writes + the update-ids of every merged
-            # transaction (the newest becomes the config epoch).
-            (envelope,) = params
-            updates = [TableWrite.from_wire(u) for u in envelope["updates"]]
-            mcast = {
-                int(group): ports
-                for group, ports in envelope.get("mcast", [])
-            }
-            update_ids = envelope.get("update_ids") or []
-            fence = envelope.get("fence")
-            with use_update_id(update_ids[-1] if update_ids else None):
-                return {"applied": service.apply_batch(updates, mcast, fence)}
-        if method == "get_config_epoch":
-            return {"epoch": service.get_config_epoch()}
-        if method == "set_config_epoch":
-            # A second param (fenced form) carries the writer's fencing
-            # epoch; a deposed leader's resync must not stamp devices.
-            epoch = params[0]
-            fence = params[1] if len(params) > 1 else None
-            service.set_config_epoch(epoch, fence)
-            return {}
-        if method == "read_table":
-            (table,) = params
-            return {
-                "entries": [
-                    TableWrite("INSERT", table, e).to_wire()
-                    for e in service.read_table(table)
-                ]
-            }
         if method == "set_default_action":
             table, action, action_params = params
             service.set_default_action(table, action, action_params)
-            return {}
-        if method == "set_multicast_group":
-            group_id, ports = params
-            service.set_multicast_group(group_id, ports)
-            return {}
-        if method == "delete_multicast_group":
-            (group_id,) = params
-            service.delete_multicast_group(group_id)
             return {}
         if method == "inject":
             port, hex_data = params

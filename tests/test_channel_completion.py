@@ -70,7 +70,7 @@ def count_completions(monkeypatch):
 
 def tables(farm):
     return [
-        {name: sorted(entries) for name, entries in d.tables.items()}
+        {name: sorted(entries) for name, entries in d.table_snapshot().items()}
         for d in farm.devices
     ]
 

@@ -1261,7 +1261,7 @@ class TestControllerAioPlane:
                 add_port(db, port, port + 1)
             controller.resync_device(0)
             controller.drain()
-            assert len(farm.devices[0].tables["patch"]) == 6
+            assert len(farm.devices[0].read_table("patch")) == 6
             assert controller.device_resyncs >= 1
         finally:
             controller.stop()
@@ -1409,11 +1409,11 @@ class TestDeviceFarm:
 
         device.apply_updates([write("INSERT", 10), write("INSERT", 20)])
         device.apply_updates([write("DELETE", 10)])
-        (left,) = device.tables["acl"].values()
-        assert left["priority"] == 20
+        (left,) = device.read_table("acl")
+        assert left.priority == 20
         device.apply_updates([write("INSERT", 0)])
         match = json.dumps(write("INSERT", 0)["match"], sort_keys=True)
-        assert device.tables["acl"][match]["priority"] == 0
+        assert device.table_snapshot()["acl"][match]["priority"] == 0
 
     def test_bind_routes_calls_to_the_hinted_device(self):
         reactor = Reactor("t-farm").start()
@@ -1431,15 +1431,15 @@ class TestDeviceFarm:
             assert applied == 1
             assert farm.devices[2].updates_applied == 1
             assert farm.devices[0].updates_applied == 0
-            assert farm.devices[2].epoch == "epoch-1"
+            assert farm.devices[2].get_config_epoch() == "epoch-1"
             assert client.get_config_epoch() == "epoch-1"
             entries = client.read_table("patch")
             assert len(entries) == 1
             assert list(entries[0].entry.action_params) == [5]
             client.set_multicast_group(7, [1, 2])
-            assert farm.devices[2].mcast[7] == [1, 2]
+            assert farm.devices[2].sim.multicast_groups[7] == [1, 2]
             client.delete_multicast_group(7)
-            assert 7 not in farm.devices[2].mcast
+            assert 7 not in farm.devices[2].sim.multicast_groups
             client.close()
         finally:
             farm.stop()
@@ -1539,7 +1539,7 @@ class TestControllerAgainstFarm:
                 for d in farm.devices
             }
             assert len(states) == 1  # every device saw the same world
-            assert farm.devices[0].tables["patch"]  # and it is non-empty
+            assert farm.devices[0].read_table("patch")  # and it is non-empty
             assert farm.total_fifo_violations() == 0
             assert farm.total_batches() >= n_devices
             fanout = controller.metrics()["pipeline"]["fanout"]

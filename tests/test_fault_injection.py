@@ -33,7 +33,7 @@ from repro.mgmt.schema import simple_schema
 from repro.mgmt.server import ManagementServer
 from repro.net import RetryPolicy
 from repro.p4runtime.api import DeviceService
-from repro.p4runtime import P4RuntimeClient
+from repro.p4runtime import AioP4RuntimeClient
 from repro.p4runtime.server import P4RuntimeServer
 from repro.workloads.churn import robotron_churn
 
@@ -247,7 +247,7 @@ class TestDevicePlaneRestart:
         sim = project.new_simulator(n_ports=64)
         port = free_port()
         server = P4RuntimeServer(sim, port=port).start()
-        device = P4RuntimeClient("127.0.0.1", port, policy=FAST)
+        device = AioP4RuntimeClient("127.0.0.1", port, policy=FAST)
         controller = NerpaController(
             project, db, [device], breaker_threshold=2
         )
@@ -308,7 +308,7 @@ class TestDevicePlaneRestart:
         sim = project.new_simulator(n_ports=64)
         port = free_port()
         server = P4RuntimeServer(sim, port=port).start()
-        device = P4RuntimeClient("127.0.0.1", port, policy=FAST)
+        device = AioP4RuntimeClient("127.0.0.1", port, policy=FAST)
         controller = NerpaController(project, db, [device]).start()
         try:
             seed_model(db.transact)
@@ -354,7 +354,7 @@ class TestDevicePlaneRestart:
             base_delay=0.01,
             max_delay=0.1,
         )
-        device = P4RuntimeClient("127.0.0.1", port, policy=patient)
+        device = AioP4RuntimeClient("127.0.0.1", port, policy=patient)
         servers = []
         late = threading.Timer(
             3.0, lambda: servers.append(P4RuntimeServer(sim, port=port).start())
@@ -393,7 +393,7 @@ class TestDevicePlaneRestart:
         sim = project.new_simulator(n_ports=64)
         port = free_port()
         server = P4RuntimeServer(sim, port=port).start()
-        device = P4RuntimeClient("127.0.0.1", port, policy=FAST)
+        device = AioP4RuntimeClient("127.0.0.1", port, policy=FAST)
         controller = NerpaController(
             project, db, [device], breaker_threshold=1
         )
@@ -450,7 +450,7 @@ class TestQuarantineIsolation:
         flaky_sim = project.new_simulator(n_ports=64)
         port = free_port()
         server = P4RuntimeServer(flaky_sim, port=port).start()
-        flaky = P4RuntimeClient("127.0.0.1", port, policy=FAST)
+        flaky = AioP4RuntimeClient("127.0.0.1", port, policy=FAST)
         controller = NerpaController(
             project, db, [healthy_sim, flaky], breaker_threshold=1
         )

@@ -1181,7 +1181,7 @@ class TestFailoverOracle:
             try:
                 successor.drain()
                 assert successor.warm_skips == 1
-                assert device.fence == 2
+                assert device.fencing_epoch() == 2
                 assert device.batches_applied == batches
                 assert device.table_snapshot() == state
                 with pytest.raises(ReproError, match="fenced"):

@@ -21,7 +21,7 @@ from repro.mgmt.database import Database
 from repro.mgmt.server import ManagementServer
 from repro.net import RetryPolicy
 from repro.p4.headers import ethernet
-from repro.p4runtime import P4RuntimeClient
+from repro.p4runtime import AioP4RuntimeClient
 from repro.p4runtime.server import P4RuntimeServer
 
 pytestmark = pytest.mark.serial  # resets the global obs registry
@@ -244,7 +244,7 @@ class TestRemoteTracePath:
         db = Database(project.schema)
         sim = project.new_simulator(n_ports=8)
         p4_srv = P4RuntimeServer(sim, port=0).start()
-        device = P4RuntimeClient(*p4_srv.address, policy=FAST)
+        device = AioP4RuntimeClient(*p4_srv.address, policy=FAST)
         controller = NerpaController(project, db, [device]).start()
 
         def write_span():
@@ -310,7 +310,7 @@ class TestRemoteTracePath:
         mgmt_srv = ManagementServer(db, port=0).start()
         p4_srv = P4RuntimeServer(sim, port=0).start()
         mgmt = ManagementClient(*mgmt_srv.address, policy=FAST)
-        device = P4RuntimeClient(*p4_srv.address, policy=FAST)
+        device = AioP4RuntimeClient(*p4_srv.address, policy=FAST)
         controller = NerpaController(project, mgmt, [device])
         # Observe the digest crossing back into the controller before
         # it enters the pipeline; installed pre-start so the device

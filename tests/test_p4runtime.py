@@ -11,7 +11,7 @@ from repro.p4.headers import ethernet, mac_to_int
 from repro.p4.ir import compile_p4
 from repro.p4.simulator import Simulator
 from repro.p4.tables import FieldMatch, TableEntry
-from repro.p4runtime import P4RuntimeClient
+from repro.p4runtime import AioP4RuntimeClient
 from repro.p4runtime.api import DeviceService, TableWrite, WriteError
 from repro.p4runtime.server import P4RuntimeServer
 
@@ -123,7 +123,7 @@ def rt_server(sim):
 @pytest.fixture()
 def rt_client(rt_server):
     host, port = rt_server.address
-    with P4RuntimeClient(host, port) as client:
+    with AioP4RuntimeClient(host, port) as client:
         yield client
 
 
@@ -247,7 +247,7 @@ class TestPacketIO:
     def test_remote_packet_in_and_out(self):
         sim = Simulator(compile_p4(self.PUNT_P4), n_ports=8, cpu_port=510)
         with P4RuntimeServer(sim) as server:
-            with P4RuntimeClient(*server.address) as client:
+            with AioP4RuntimeClient(*server.address) as client:
                 received = []
                 event = threading.Event()
                 client.subscribe_packet_ins(
@@ -281,7 +281,7 @@ class TestPacketIO:
         server = P4RuntimeServer(sim).start()
         port = server.address[1]
         event = threading.Event()
-        with P4RuntimeClient("127.0.0.1", port, policy=FAST_TEST_POLICY) as c:
+        with AioP4RuntimeClient("127.0.0.1", port, policy=FAST_TEST_POLICY) as c:
             getattr(c, f"subscribe_{kind}s")(lambda *args: event.set())
             server.stop()
             server = P4RuntimeServer(sim, port=port).start()

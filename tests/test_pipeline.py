@@ -400,7 +400,7 @@ def patch_actions(device):
     """A farm device's ``patch`` table as ``{port: action params}``."""
     return {
         update["match"][0]["exact"]: update["action"]["params"]
-        for update in device.tables.get("patch", {}).values()
+        for update in device.table_snapshot().get("patch", {}).values()
     }
 
 
