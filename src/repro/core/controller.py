@@ -320,7 +320,7 @@ class NerpaController:
                 self.reactor, self.checkpoint_interval_s, self.save_checkpoint
             )
         self.start_seconds = time.perf_counter() - started_at
-        if obs.enabled():
+        if obs.ENABLED:
             obs.REGISTRY.counter(
                 "controller_restart_total", mode=self.restart_mode
             ).inc()
@@ -544,7 +544,7 @@ class NerpaController:
     def _hop(self, fn, *args) -> bool:
         """Hand ``fn(*args)`` to the loop under the update-id and trace
         span bound on this thread; False if the loop is gone."""
-        parent = obs.TRACER.active() if obs.enabled() else None
+        parent = obs.TRACER.active() if obs.ENABLED else None
         return self.reactor.submit(_rebound, current_update_id(), parent, fn, args)
 
     def _on_updates(self, updates: TableUpdates) -> None:
@@ -582,7 +582,7 @@ class NerpaController:
             return
         if self.reactor.in_loop():
             self._ingest(changeset, started)
-        elif obs.enabled() or current_update_id() is not None:
+        elif obs.ENABLED or current_update_id() is not None:
             self._hop(self._ingest, changeset)  # its own ingest span
         else:
             self.reactor.submit_merging(self._ingest, changeset)
@@ -591,7 +591,7 @@ class NerpaController:
         """Enqueue on the loop; ingest time counts from the build, if here."""
         started = started or time.perf_counter()
         span = obs.NULL_SPAN
-        if obs.enabled():
+        if obs.ENABLED:
             # The delivery's update-id (a fresh one if its peer bound
             # none) and parent span, for the evaluation to nest under.
             uid = current_update_id() or obs.mint_update_id()
@@ -694,7 +694,7 @@ class NerpaController:
             return  # burst coalesced away to nothing
         is_digest = changeset.source == "digest"
         uid, update_ids, parent, span = None, [], None, obs.NULL_SPAN
-        if obs.enabled():
+        if obs.ENABLED:
             if is_digest:
                 uid = obs.mint_update_id()
                 span = obs.TRACER.span(
@@ -772,7 +772,7 @@ class NerpaController:
         if template.is_empty():
             return
         template.shared = True
-        gauge = obs.enabled()
+        gauge = obs.ENABLED
         try:
             for channel in self.channels:
                 channel.queue.put(template)
@@ -912,7 +912,7 @@ class NerpaController:
         )
         if fixed is reconcile.MATCHED:
             self.warm_skips += 1
-            if obs.enabled():
+            if obs.ENABLED:
                 obs.REGISTRY.counter(
                     "controller_warm_resync_skips_total", device=device.name
                 ).inc()

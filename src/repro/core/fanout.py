@@ -155,7 +155,7 @@ class DeviceChannel:
         plane = self.plane
         if item is None:
             self.state = IDLE
-            if obs.enabled():
+            if obs.ENABLED:
                 obs.REGISTRY.gauge("fanout_inflight").set(plane.inflight)
             return
         self._busy = True
@@ -166,7 +166,7 @@ class DeviceChannel:
         self._pumping = True
         try:
             if isinstance(item, SyncTask):
-                if obs.enabled():
+                if obs.ENABLED:
                     self.queue.gauge_depth()
                     obs.REGISTRY.gauge("fanout_inflight").set(plane.inflight)
                 drive(item.steps, partial(self._on_synced, item))
@@ -206,7 +206,7 @@ class DeviceChannel:
             return
         if device.quarantined:
             device.syncs_missed += 1
-            if obs.enabled():
+            if obs.ENABLED:
                 obs.REGISTRY.counter(
                     "controller_syncs_skipped_total", device=device.name
                 ).inc()
@@ -216,7 +216,7 @@ class DeviceChannel:
         self._n_writes = len(writes)
         self._issued_at = time.perf_counter()
         span = obs.NULL_SPAN
-        if obs.enabled():
+        if obs.ENABLED:
             self.queue.gauge_depth()
             obs.REGISTRY.gauge("fanout_inflight").set(self.plane.inflight)
             _gauge_send_buffer(device)
@@ -287,7 +287,7 @@ class DeviceChannel:
         elif isinstance(error, TRANSPORT_ERRORS):
             tripped = device.record_failure(error, self.plane.breaker_threshold)
             device.syncs_missed += 1
-            if obs.enabled():
+            if obs.ENABLED:
                 obs.REGISTRY.counter(
                     "controller_breaker_failures_total", device=device.name
                 ).inc()

@@ -143,7 +143,7 @@ class CheckpointFollower:
         self.warm_state = warm
         self._full_sig = sig
         self.full_reloads += 1
-        if obs.enabled():
+        if obs.ENABLED:
             obs.REGISTRY.counter("ha_follower_full_reloads_total").inc()
         return True
 
@@ -156,7 +156,7 @@ class CheckpointFollower:
         )
         self.segments_replayed += len(segments)
         warmstate.absorb_meta(self.warm_state, segments)
-        if obs.enabled():
+        if obs.ENABLED:
             obs.REGISTRY.counter("ha_follower_segments_total").inc(
                 len(segments)
             )
@@ -440,7 +440,7 @@ class HAController:
         self.controller = controller
         self.takeovers += 1
         self.takeover_seconds = time.perf_counter() - started
-        if obs.enabled():
+        if obs.ENABLED:
             obs.REGISTRY.counter("ha_takeovers_total").inc()
             obs.REGISTRY.histogram("ha_takeover_seconds").observe(
                 self.takeover_seconds
@@ -462,7 +462,7 @@ class HAController:
         sent = time.monotonic()
         lateness = max(0.0, sent - self._renew_due)
         self.renew_lateness_max = max(self.renew_lateness_max, lateness)
-        if obs.enabled():
+        if obs.ENABLED:
             obs.REGISTRY.histogram("ha_renew_lateness_seconds").observe(
                 lateness
             )
@@ -479,7 +479,7 @@ class HAController:
         if error is None and renewed:
             self._expires = expires
             self.renewals += 1
-            if obs.enabled():
+            if obs.ENABLED:
                 obs.REGISTRY.counter("ha_lease_renewals_total").inc()
             self._arm_renew()
         elif (
@@ -499,7 +499,7 @@ class HAController:
         the moment the successor acquired, so even in-flight batches
         cannot corrupt device state."""
         self.lost_leaderships += 1
-        if obs.enabled():
+        if obs.ENABLED:
             obs.REGISTRY.counter("ha_lease_losses_total").inc()
             obs.REGISTRY.gauge("ha_is_leader", owner=self.owner).set(0)
         self._step_down()

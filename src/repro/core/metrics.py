@@ -114,7 +114,7 @@ def report(controller) -> Dict[str, object]:
         "engine": c.runtime.profile(),
         "pipeline": pipeline_report(c),
     }
-    if obs.enabled():
+    if obs.ENABLED:
         out["registry"] = obs.REGISTRY.snapshot()
     return out
 

@@ -172,7 +172,7 @@ class CoalescingQueue:
 
     def gauge_depth(self) -> None:
         """Publish the current depth as ``pipeline_queue_depth{queue=}``."""
-        if obs.enabled():
+        if obs.ENABLED:
             obs.REGISTRY.gauge("pipeline_queue_depth", queue=self.name).set(
                 len(self._items)
             )

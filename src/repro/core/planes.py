@@ -31,7 +31,7 @@ from repro.mgmt.client import LEASE_ANSWERS, ManagementClient
 from repro.mgmt.database import Database
 from repro.mgmt.monitor import MonitorSpec, TableUpdates
 from repro.net.reactor import Reactor
-from repro.obs.trace import use_update_id
+from repro.obs.trace import UPDATE_ID, use_update_id
 from repro.p4.simulator import Simulator
 from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import DeviceService, TableWrite
@@ -150,8 +150,11 @@ class LocalDevice:
     ) -> None:
         # Bound as P4RuntimeServer binds it: the newest merged update-id
         # is the config epoch the service stamps.
-        with use_update_id(update_ids[-1] if update_ids else None):
+        token = UPDATE_ID.set(update_ids[-1] if update_ids else None)
+        try:
             self.call_async("apply_batch", [updates, mcast, fence], callback)
+        finally:
+            UPDATE_ID.reset(token)
 
     def read_table(self, table: str) -> List[TableWrite]:
         """What a P4Runtime client's ``read_table`` returns."""

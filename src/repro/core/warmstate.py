@@ -168,7 +168,7 @@ class Checkpointer:
         self.bytes = size
         self.seconds = time.perf_counter() - started
         self.last_mode = mode
-        if obs.enabled():
+        if obs.ENABLED:
             obs.REGISTRY.gauge(
                 "controller_checkpoint_bytes", mode=mode
             ).set(size)
@@ -194,7 +194,7 @@ class Checkpointer:
                 reactor.note_callback_error(exc)
             else:
                 self.auto_saves += 1
-                if obs.enabled():
+                if obs.ENABLED:
                     obs.REGISTRY.counter(
                         "controller_auto_checkpoints_total"
                     ).inc()

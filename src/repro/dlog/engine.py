@@ -438,7 +438,7 @@ class Runtime:
         return self._apply({"inserts": inserts or {}, "deletes": deletes or {}})
 
     def _apply(self, changes, initial: bool = False) -> TxnResult:
-        if not obs.enabled():
+        if not obs.ENABLED:
             return self._apply_inner(changes, initial, None)
         # Per-operator profiling (detail tier) costs on the order of the
         # transaction itself for tiny incremental updates, so the

@@ -199,7 +199,7 @@ class ShardedRuntime:
         duration = time.perf_counter() - started
         self.txn_count += 1
         self.total_txn_time += duration
-        if obs.enabled():
+        if obs.ENABLED:
             self._observe(
                 active,
                 routed,

@@ -225,7 +225,7 @@ class Database:
         # end-to-end; _notify runs inside its scope so every downstream
         # plane (controller sync, engine delta, device writes) inherits
         # it.  Untraced, no id is minted and no span opened.
-        uid = obs.mint_update_id() if obs.enabled() else None
+        uid = obs.mint_update_id() if obs.ENABLED else None
         span = obs.NULL_SPAN
         if uid is not None:
             span = obs.TRACER.span(

@@ -336,7 +336,7 @@ class AioConnection:
             self._state = state
             self.transitions.append(state)
             self._cond.notify_all()
-        if obs.enabled():
+        if obs.ENABLED:
             obs.REGISTRY.counter(
                 "net_transitions_total", conn=self.name, state=state
             ).inc()
@@ -368,7 +368,7 @@ class AioConnection:
         any other thread encodes here and hops to the loop."""
         if not isinstance(params, bytes):
             params = dumps(params)
-        if self.reactor.in_loop():
+        if threading.get_ident() == self.reactor.ident:
             self._start_call_on_loop(method, params, callback, timeout)
         else:
             self.reactor.submit(
@@ -391,7 +391,7 @@ class AioConnection:
 
         Off-loop threads only: the loop thread is the one that reads
         the response, so blocking it here could never return."""
-        if self.reactor.in_loop():
+        if threading.get_ident() == self.reactor.ident:
             raise ReproError(
                 f"blocking call to {method} from the reactor loop thread "
                 "(use call_async)"
@@ -575,7 +575,7 @@ class AioConnection:
         self._ever_connected = True
         if was_reconnect:
             self.reconnects += 1
-            if obs.enabled():
+            if obs.ENABLED:
                 obs.REGISTRY.counter(
                     "net_reconnects_total", conn=self.name
                 ).inc()

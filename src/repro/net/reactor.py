@@ -119,7 +119,7 @@ class Reactor:
         )
         #: The loop thread's ident while :meth:`_run` runs, else ``None``
         #: (an exited thread's ident may be reused).
-        self._ident: Optional[int] = None
+        self.ident: Optional[int] = None
         #: Loop iterations served (coarse liveness counter for tests).
         self.loops = 0
         #: Last exception raised by a readiness/timer/submitted or
@@ -143,7 +143,7 @@ class Reactor:
 
     def in_loop(self) -> bool:
         """Whether the caller runs on the loop thread."""
-        return threading.get_ident() == self._ident
+        return threading.get_ident() == self.ident
 
     def stop(self) -> None:
         """Stop the loop; idempotent."""
@@ -330,7 +330,7 @@ class Reactor:
             self._cancelled_timers += 1
 
     def _run(self) -> None:
-        self._ident = threading.get_ident()
+        self.ident = threading.get_ident()
         poll, fds = self._poller.poll, self._fds
         while not self._closed:
             timeout = self._next_timeout()
@@ -370,7 +370,7 @@ class Reactor:
         # all connection closes) still run and close their sockets
         # instead of leaving them to the garbage collector.
         self._run_pending()
-        self._ident = None
+        self.ident = None
 
     def _run_timers(self) -> None:
         now = time.monotonic()
@@ -382,7 +382,7 @@ class Reactor:
                     self._cancelled_timers -= 1
                 else:
                     due.append(timer)
-        record = obs.enabled()
+        record = obs.ENABLED
         for timer in due:
             if record:
                 obs.REGISTRY.histogram("reactor_loop_lag_seconds").observe(
@@ -398,7 +398,7 @@ class Reactor:
             batch = list(self._pending)
             self._pending.clear()
             self._merging = None
-        record = obs.enabled()
+        record = obs.ENABLED
         started = time.perf_counter()
         for fn, args, enqueued in batch:
             if record:
@@ -413,7 +413,7 @@ class Reactor:
     def note_callback_error(self, exc: BaseException) -> None:
         """Count a loop callback that raised; code running several
         callbacks in one loop turn reports each failure here."""
-        if obs.enabled():
+        if obs.ENABLED:
             obs.REGISTRY.counter(
                 "reactor_callback_errors_total", reactor=self.name
             ).inc()

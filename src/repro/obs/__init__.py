@@ -2,8 +2,8 @@
 
 One module-level switch gates everything: metrics and tracing are
 **disabled by default** and every instrumentation site in the stack
-checks :func:`enabled` (one global read) before doing any work, so the
-disabled path costs essentially nothing.  When enabled:
+reads :data:`ENABLED` before doing any work, so the disabled path costs
+essentially nothing.  When enabled:
 
 * :data:`REGISTRY` collects counters/gauges/histograms from all planes;
 * :data:`TRACER` collects causal spans keyed by the per-transaction
@@ -62,7 +62,7 @@ __all__ = [
     "TRACER",
     "enable",
     "disable",
-    "enabled",
+    "ENABLED",
     "detail_enabled",
     "enabled_scope",
     "reset",
@@ -77,12 +77,10 @@ __all__ = [
 REGISTRY = MetricsRegistry()
 TRACER = Tracer()
 
-_enabled = False
+#: The switch.  Read it as ``obs.ENABLED``; importing the name would
+#: copy its value at import time, and :func:`enable` rebinds it.
+ENABLED = False
 _detail = False
-
-
-def enabled() -> bool:
-    return _enabled
 
 
 def detail_enabled() -> bool:
@@ -91,14 +89,14 @@ def detail_enabled() -> bool:
 
 
 def enable(detail: bool = False) -> None:
-    global _enabled, _detail
-    _enabled = True
+    global ENABLED, _detail
+    ENABLED = True
     _detail = detail
 
 
 def disable() -> None:
-    global _enabled, _detail
-    _enabled = False
+    global ENABLED, _detail
+    ENABLED = False
     _detail = False
 
 
@@ -111,19 +109,19 @@ def reset() -> None:
 @contextmanager
 def enabled_scope(detail: bool = False):
     """Enable observability for the duration of a ``with`` block."""
-    global _enabled, _detail
-    previous = (_enabled, _detail)
-    _enabled = True
+    global ENABLED, _detail
+    previous = (ENABLED, _detail)
+    ENABLED = True
     _detail = detail
     try:
         yield
     finally:
-        _enabled, _detail = previous
+        ENABLED, _detail = previous
 
 
 def span(name: str, update_id: Optional[str] = None, **attrs):
     """Open a trace span, or a shared no-op span when disabled."""
-    if not _enabled:
+    if not ENABLED:
         return NULL_SPAN
     return TRACER.span(name, update_id=update_id, **attrs)
 

@@ -31,7 +31,9 @@ from typing import Deque, Dict, List, Optional
 
 _update_counter = itertools.count(1)
 
-_current_update: ContextVar[Optional[str]] = ContextVar(
+#: The current update-id; a per-batch site binds it with a bare
+#: ``set``/``reset`` pair, not the :func:`use_update_id` scope object.
+UPDATE_ID: ContextVar[Optional[str]] = ContextVar(
     "repro_obs_update_id", default=None
 )
 
@@ -46,7 +48,7 @@ def mint_update_id() -> str:
 
 
 def current_update_id() -> Optional[str]:
-    return _current_update.get()
+    return UPDATE_ID.get()
 
 
 class _UpdateIdScope:
@@ -56,11 +58,11 @@ class _UpdateIdScope:
         self.uid = uid
 
     def __enter__(self) -> Optional[str]:
-        self._token = _current_update.set(self.uid)
+        self._token = UPDATE_ID.set(self.uid)
         return self.uid
 
     def __exit__(self, *exc) -> bool:
-        _current_update.reset(self._token)
+        UPDATE_ID.reset(self._token)
         return False
 
 
@@ -134,7 +136,7 @@ class Span:
             if parent is not None and parent.update_id is not None:
                 self.update_id = parent.update_id
             else:
-                self.update_id = _current_update.get()
+                self.update_id = UPDATE_ID.get()
         self._token = tracer._current.set(self)
         self.start = time.perf_counter()
         return self

@@ -146,7 +146,7 @@ class Simulator:
         if not 0 <= port < self.n_ports:
             raise DataPlaneError(f"no port {port}")
         self.rx_count[port] = self.rx_count.get(port, 0) + 1
-        if obs.enabled():
+        if obs.ENABLED:
             obs.REGISTRY.counter("dataplane_packets_total").inc()
 
         ctx = self._parse(port, data)
@@ -319,7 +319,7 @@ class Simulator:
                     stmt.struct_name, values, update_id=self.config_epoch
                 )
                 self.digests.append(message)
-                if obs.enabled():
+                if obs.ENABLED:
                     obs.REGISTRY.counter(
                         "dataplane_digests_total", digest=stmt.struct_name
                     ).inc()

@@ -87,6 +87,13 @@ class TableEntry:
         self.action_params = tuple(action_params)
         self.priority = priority
 
+    @classmethod
+    def from_key(cls, key: tuple, value: tuple) -> "TableEntry":
+        """The entry a table holds as ``key`` → ``value``: its
+        :meth:`match_key` and ``(action, *params)``."""
+        matches = [FieldMatch(*key[i:i + 3]) for i in range(1, len(key), 3)]
+        return cls(matches, value[0], value[1:], key[0])
+
     def match_key(self) -> tuple:
         """Identity of the entry (match fields + priority), per P4Runtime:
         ``(priority, kind, value, arg, kind, value, arg, ...)``.  One
@@ -198,40 +205,47 @@ class TableState:
                 f"table {info.name}: priority is only valid for ternary tables"
             )
 
-    def insert(self, entry: TableEntry) -> None:
-        self.validate_entry(entry)
-        key = entry.match_key()
-        if key in self._entries:
-            raise RuntimeApiError(
-                f"table {self.info.name}: duplicate entry {entry!r}"
-            )
-        if len(self._entries) >= self.info.size:
+    def write(self, kind: str, key: tuple, value) -> Optional[TableEntry]:
+        """Apply one decoded update (see
+        :func:`~repro.p4runtime.api.decode_update`; ``value`` may be the
+        entry itself); returns what :meth:`restore` takes to undo it: the
+        entry it replaced or removed, or ``None``."""
+        old = self._entries.get(key)
+        if kind != "DELETE":
+            entry = value if type(value) is TableEntry else TableEntry.from_key(key, value)
+            self.validate_entry(entry)
+        if (old is None) != (kind == "INSERT"):
+            raise write_rejection(self.info.name, kind, key, value)
+        if old is not None:
+            self._index_remove(old)
+        elif len(self._entries) >= self.info.size:
             raise RuntimeApiError(
                 f"table {self.info.name}: full ({self.info.size} entries)"
             )
-        self._entries[key] = entry
-        self._index_add(entry)
+        if kind == "DELETE":
+            del self._entries[key]
+        else:
+            self._entries[key] = entry
+            self._index_add(entry)
+        return old
+
+    def restore(self, key: tuple, old: Optional[TableEntry]) -> None:
+        """Undo the last :meth:`write` of ``key``, which returned ``old``."""
+        current = self._entries.pop(key, None)
+        if current is not None:
+            self._index_remove(current)
+        if old is not None:
+            self._entries[key] = old
+            self._index_add(old)
+
+    def insert(self, entry: TableEntry) -> None:
+        self.write("INSERT", entry.match_key(), entry)
 
     def modify(self, entry: TableEntry) -> None:
-        self.validate_entry(entry)
-        key = entry.match_key()
-        old = self._entries.get(key)
-        if old is None:
-            raise RuntimeApiError(
-                f"table {self.info.name}: no entry to modify for {entry!r}"
-            )
-        self._index_remove(old)
-        self._entries[key] = entry
-        self._index_add(entry)
+        self.write("MODIFY", entry.match_key(), entry)
 
     def delete(self, entry: TableEntry) -> None:
-        key = entry.match_key()
-        old = self._entries.pop(key, None)
-        if old is None:
-            raise RuntimeApiError(
-                f"table {self.info.name}: no entry to delete for {entry!r}"
-            )
-        self._index_remove(old)
+        self.write("DELETE", entry.match_key(), entry)
 
     def set_default(self, action: str, params: Sequence[int]) -> None:
         if action not in self.info.action_names:
@@ -243,10 +257,6 @@ class TableState:
 
     def entries(self) -> List[TableEntry]:
         return list(self._entries.values())
-
-    def get(self, match_key: tuple) -> Optional[TableEntry]:
-        """The entry with this exact match key, or ``None``."""
-        return self._entries.get(match_key)
 
     def __len__(self):
         return len(self._entries)
@@ -330,6 +340,14 @@ class TableState:
             ):
                 return entry
         return None
+
+
+def write_rejection(table: str, kind: str, key: tuple, value) -> RuntimeApiError:
+    """Why ``table`` refuses a ``kind`` write of ``key`` → ``value``: an
+    insert needs a key the table lacks, a modify or delete one it holds."""
+    entry = value if type(value) is TableEntry else TableEntry.from_key(key, value)
+    why = "duplicate entry" if kind == "INSERT" else f"no entry to {kind.lower()} for"
+    return RuntimeApiError(f"table {table}: {why} {entry!r}")
 
 
 def _prefix_bits(value: int, prefix_len: int, width: int) -> int:

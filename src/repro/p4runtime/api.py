@@ -16,6 +16,8 @@ Table write update::
 Writes are *batched and atomic*: a failed update rolls the whole batch
 back (P4Runtime's error semantics), which the Nerpa controller relies
 on to keep data-plane state transactional like the rest of the stack.
+A device applies each update as ``(kind, table, key, value)``
+(:func:`decode_update`), in one loop for every device (:class:`DeviceService`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.errors import ReproError, RuntimeApiError
 from repro.mgmt.jsonrpc import dumps_text
-from repro.obs.trace import current_update_id
+from repro.obs.trace import UPDATE_ID
 from repro.p4.simulator import Simulator
 from repro.p4.tables import FieldMatch, TableEntry
 
@@ -99,18 +101,8 @@ class TableWrite:
 
     @classmethod
     def from_wire(cls, data: dict) -> "TableWrite":
-        try:
-            matches = [_match_from_wire(m) for m in data.get("match", [])]
-            action = data.get("action", {})
-            entry = TableEntry(
-                matches,
-                action.get("name", "NoAction"),
-                action.get("params", []),
-                data.get("priority", 0),
-            )
-            return cls(data["type"], data["table"], entry)
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise RuntimeApiError(f"bad table write {data!r}: {exc}") from exc
+        kind, table, key, value = decode_update(data)
+        return cls(kind, table, TableEntry.from_key(key, value))
 
     def __repr__(self):
         return f"TableWrite({self.kind} {self.table} {self.entry!r})"
@@ -226,16 +218,41 @@ def _match_to_wire(match: FieldMatch) -> dict:
     return {"ternary": [match.value, match.arg]}
 
 
-def _match_from_wire(data: dict) -> FieldMatch:
-    if "exact" in data:
-        return FieldMatch("exact", data["exact"])
-    if "lpm" in data:
-        value, prefix_len = data["lpm"]
-        return FieldMatch("lpm", value, prefix_len)
-    if "ternary" in data:
-        value, mask = data["ternary"]
-        return FieldMatch("ternary", value, mask)
-    raise RuntimeApiError(f"bad match field {data!r}")
+def decode_update(data: dict) -> tuple:
+    """A wire update as ``(kind, table, key, value)``, what a device's
+    tables apply: ``key`` is the entry's :meth:`TableEntry.match_key`,
+    ``value`` its ``(action, *params)`` — tuples of atoms, so a table
+    holding them gives the collector nothing to track.  Raises
+    :class:`RuntimeApiError` for an update no device can decode."""
+    try:
+        kind = data["type"]
+        if kind not in ("INSERT", "MODIFY", "DELETE"):
+            raise RuntimeApiError(f"bad write type {kind!r}")
+        key = (data.get("priority", 0),)
+        for match in data.get("match", ()):
+            if "exact" in match:
+                key += ("exact", match["exact"], None)
+            elif "lpm" in match:
+                value, prefix_len = match["lpm"]
+                key += ("lpm", value, prefix_len)
+            elif "ternary" in match:
+                value, mask = match["ternary"]
+                key += ("ternary", value, mask)
+            else:
+                raise RuntimeApiError(f"bad match field {match!r}")
+        action = data.get("action", {})
+        value = (action.get("name", "NoAction"), *action.get("params", ()))
+        return kind, data["table"], key, value
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise RuntimeApiError(f"bad table write {data!r}: {exc}") from exc
+
+
+def _decoded(write) -> tuple:
+    """A :class:`TableWrite` or :class:`RowWrite`, decoded, with its own
+    entry as the value for a simulator's table to keep (H1's cold restart
+    ran 35 % slower when each of its 100k stored entries was a copy)."""
+    entry = write.entry
+    return write.kind, write.table, entry.match_key(), entry
 
 
 class DeviceService:
@@ -243,11 +260,14 @@ class DeviceService:
 
     This is the device-local half: the remote server delegates here,
     and in-process deployments (a Nerpa "local control plane") call it
-    directly.  ``simulator`` needs only what the writes read: ``table(name)``
-    (``insert``/``modify``/``delete``/``get``/``entries``, keyed by
-    :meth:`TableEntry.match_key`), the multicast setters and the
+    directly.  ``simulator`` needs only what the writes read:
+    ``table(name)``, the multicast setters and the
     ``config_epoch``/``fencing_epoch`` attributes — a
-    :class:`~repro.p4runtime.farm.TableStore` is enough.
+    :class:`~repro.p4runtime.farm.TableStore` is enough.  A table
+    needs ``write(kind, key, value)`` of a decoded update (an
+    in-process write's value is its :class:`TableEntry`), returning
+    what ``restore(key, old)`` takes to undo it (and raising
+    :func:`~repro.p4.tables.write_rejection`'s error), and ``entries()``.
     """
 
     def __init__(self, simulator: Simulator, device_id: str = "device-0"):
@@ -260,38 +280,18 @@ class DeviceService:
 
     def write(self, updates: Iterable[TableWrite]) -> int:
         """Apply a batch atomically; returns the number of updates.
-        ``updates`` is iterated once, so it may decode as it goes.
+        ``updates`` is iterated once, so it may build them as it goes.
 
         On failure the already-applied prefix is rolled back and a
         :class:`WriteError` is raised.
         """
-        uid = current_update_id()
-        if obs.enabled():
-            with obs.span(
-                "device.apply", update_id=uid, device=self.device_id
-            ) as span:
-                count = self._apply_batch(updates)
-                span.set(writes=count)
-            obs.REGISTRY.counter(
-                "device_writes_total", device=self.device_id
-            ).inc(count)
-        else:
-            count = self._apply_batch(updates)
-        self.updates_applied += count
-        if uid is not None:
-            # Remember which config change last touched this device
-            # (once it holds: a rolled-back batch stamps nothing);
-            # digests emitted by matching packets carry it back so the
-            # feedback loop links to its originating trace.
-            self.sim.config_epoch = uid
-        return count
+        return self._write(map(_decoded, updates))
 
     def apply_updates(self, wire_updates: Sequence[dict]) -> int:
-        """Decode wire-form updates and :meth:`write` them: the step
-        every remote batch's table writes go through.  Each is decoded
-        as it is applied, so a large batch never holds a second, decoded
-        copy of itself for the collector to count."""
-        return self.write(map(TableWrite.from_wire, wire_updates))
+        """:meth:`write` for wire-form updates, each decoded
+        (:func:`decode_update`) as it is applied: the step every remote
+        batch's table writes go through."""
+        return self._write(map(decode_update, wire_updates))
 
     def apply_batch(
         self,
@@ -353,52 +353,54 @@ class DeviceService:
         deposed leader — reject it before it touches any state."""
         current = self.fencing_epoch()
         if current is not None and fence < current:
-            if obs.enabled():
+            if obs.ENABLED:
                 obs.REGISTRY.counter(
                     "device_fenced_writes_total", device=self.device_id
                 ).inc()
             raise FencedWriteError(fence, current)
         self.sim.fencing_epoch = fence
 
-    def _apply_batch(self, updates: Iterable[TableWrite]) -> int:
+    def _write(self, updates: Iterable[tuple]) -> int:
+        uid = UPDATE_ID.get()
+        if obs.ENABLED:
+            with obs.span(
+                "device.apply", update_id=uid, device=self.device_id
+            ) as span:
+                count = self._apply_batch(updates)
+                span.set(writes=count)
+            obs.REGISTRY.counter(
+                "device_writes_total", device=self.device_id
+            ).inc(count)
+        else:
+            count = self._apply_batch(updates)
+        self.updates_applied += count
+        if uid is not None:
+            # Remember which config change last touched this device
+            # (once it holds: a rolled-back batch stamps nothing);
+            # digests emitted by matching packets carry it back so the
+            # feedback loop links to its originating trace.
+            self.sim.config_epoch = uid
+        return count
+
+    def _apply_batch(self, updates: Iterable[tuple]) -> int:
         table_of = self.sim.table
-        # Per applied update, what reverts it: table, kind, and the
-        # inserted entry or the pre-image of a modify or delete — flat,
-        # so a large batch keeps no tuple per update for the collector
-        # to count.
+        # Per applied update, what reverts it: table, key and what the
+        # table's write returned — flat, so a large batch keeps no
+        # tuple per update for the collector to count.
         undo: list = []
-        # The rollback scope spans the iteration too: ``updates`` may
-        # decode as it goes, and a malformed update must undo the prefix
-        # like a rejected one.  Its index is the count applied so far.
+        # The rollback scope spans the iteration too: ``updates`` decode
+        # as they go, and a malformed update (or a key no table can hold:
+        # a list is unhashable) must undo the prefix like a rejected one.
+        # Its index is the count applied so far.
         try:
-            for update in updates:
-                kind, entry = update.kind, update.entry
-                table = table_of(update.table)
-                if kind == "INSERT":
-                    table.insert(entry)
-                else:
-                    # Tables key their entries by match key, so the
-                    # pre-image needed for rollback is an O(1) lookup —
-                    # a linear scan here turns a batch of modifies
-                    # against a large table into O(batch * table) and
-                    # dominates failover resync time.
-                    old = table.get(entry.match_key())
-                    if kind == "MODIFY":
-                        table.modify(entry)
-                    else:
-                        table.delete(entry)
-                    entry = old
-                undo += (table, kind, entry)
-        except ReproError as exc:
+            for kind, name, key, value in updates:
+                table = table_of(name)
+                undo += (table, key, table.write(kind, key, value))
+        except (ReproError, TypeError) as exc:
             index = len(undo) // 3
             while undo:
-                entry, kind, table = undo.pop(), undo.pop(), undo.pop()
-                if kind == "INSERT":
-                    table.delete(entry)
-                elif kind == "MODIFY":
-                    table.modify(entry)
-                else:
-                    table.insert(entry)
+                old, key, table = undo.pop(), undo.pop(), undo.pop()
+                table.restore(key, old)
             raise WriteError(index, str(exc)) from exc
         return len(undo) // 3
 

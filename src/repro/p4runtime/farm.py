@@ -12,10 +12,12 @@ devices.
 
 Each :class:`FarmDevice` is a :class:`~repro.p4runtime.api.DeviceService`
 over a :class:`TableStore` — dict tables with no pipeline to look
-packets up in — so a farm device has exactly the batch semantics a
-simulator-backed device has (atomic rollback, duplicate/missing-key
-rejections, config epochs, multicast, the fence check), and the farm
-serves it with the server's own method table
+packets up in, holding each entry as the match key and value a wire
+update decodes to (tuples of atoms the collector never tracks) — so a
+farm device has exactly the batch semantics a simulator-backed device
+has (atomic rollback, duplicate/missing-key rejections with the same
+text, config epochs, multicast, the fence check), and the farm serves
+it with the server's own method table
 (:data:`~repro.p4runtime.server.DEVICE_METHODS`).  The farm adds only
 what belongs to a fleet and its verification:
 
@@ -38,17 +40,20 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.errors import ProtocolError, RuntimeApiError
+from repro.errors import ProtocolError
 from repro.net.server import RpcConnection, RpcServer
-from repro.p4.tables import TableEntry
+from repro.p4.tables import TableEntry, write_rejection
 from repro.p4runtime.api import DeviceService, TableWrite
 from repro.p4runtime.server import DEVICE_METHODS
 
 
 class StoreTable(dict):
-    """One table of a :class:`TableStore`: ``match_key -> TableEntry``,
-    with :class:`~repro.p4.tables.TableState`'s write methods and
-    rejections (no validation against a P4Info: the store has none)."""
+    """One table of a :class:`TableStore`: ``match key -> value``, both
+    tuples of atoms as :func:`~repro.p4runtime.api.decode_update` gives
+    them (so the collector tracks none of its entries), with
+    :class:`~repro.p4.tables.TableState`'s write protocol and
+    rejections (no validation against a P4Info: the store has none).
+    Its :class:`TableEntry` objects are built only when read."""
 
     __slots__ = ("name",)
 
@@ -56,30 +61,26 @@ class StoreTable(dict):
         super().__init__()
         self.name = name
 
-    def insert(self, entry: TableEntry) -> None:
-        key = entry.match_key()
-        if key in self:
-            raise RuntimeApiError(
-                f"table {self.name}: duplicate entry {entry!r}"
-            )
-        self[key] = entry
+    def write(self, kind: str, key: tuple, value) -> Optional[tuple]:
+        if type(value) is TableEntry:  # an in-process write's own entry
+            value = (value.action, *value.action_params)
+        old = self.get(key)
+        if (old is None) != (kind == "INSERT"):
+            raise write_rejection(self.name, kind, key, value)
+        if kind == "DELETE":
+            del self[key]
+        else:
+            self[key] = value
+        return old
 
-    def modify(self, entry: TableEntry) -> None:
-        key = entry.match_key()
-        if key not in self:
-            raise RuntimeApiError(
-                f"table {self.name}: no entry to modify for {entry!r}"
-            )
-        self[key] = entry
-
-    def delete(self, entry: TableEntry) -> None:
-        if self.pop(entry.match_key(), None) is None:
-            raise RuntimeApiError(
-                f"table {self.name}: no entry to delete for {entry!r}"
-            )
+    def restore(self, key: tuple, old: Optional[tuple]) -> None:
+        if old is None:
+            del self[key]
+        else:
+            self[key] = old
 
     def entries(self) -> List[TableEntry]:
-        return list(self.values())
+        return [TableEntry.from_key(key, value) for key, value in self.items()]
 
 
 class TableStore:
@@ -134,7 +135,7 @@ class FarmDevice(DeviceService):
         snapshot = {}
         for name, table in self.sim.tables.items():
             entries = snapshot[name] = {}
-            for entry in table.values():
+            for entry in table.entries():
                 update = TableWrite.insert(name, entry).to_wire()
                 key = json.dumps(update["match"], sort_keys=True)
                 if entry.priority:

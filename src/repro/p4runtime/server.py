@@ -30,7 +30,7 @@ from __future__ import annotations
 from repro.errors import ProtocolError
 from repro.mgmt.jsonrpc import make_notification
 from repro.net.server import RpcConnection, RpcServer
-from repro.obs.trace import use_update_id
+from repro.obs.trace import UPDATE_ID
 from repro.p4.simulator import DigestMessage, Simulator
 from repro.p4runtime.api import DeviceService, TableWrite
 
@@ -44,10 +44,13 @@ def _apply_batch(service: DeviceService, params):
     if mcast:
         mcast = {int(group): ports for group, ports in mcast}
     update_ids = envelope.get("update_ids")
-    with use_update_id(update_ids[-1] if update_ids else None):
+    token = UPDATE_ID.set(update_ids[-1] if update_ids else None)
+    try:
         applied = service.apply_batch(
             envelope.get("updates"), mcast, envelope.get("fence"), wire=True
         )
+    finally:
+        UPDATE_ID.reset(token)
     return {"applied": applied}
 
 

@@ -17,9 +17,11 @@ ternary values, a priority exactly where the table needs one): the
 store does not validate entries against a P4Info, so only the
 rejections a valid entry can meet — a duplicate, a missing key, a stale
 fence — are compared, plus the updates no device can decode (a bad
-type, no table, a bad match field, not an object), which both reject
-while decoding.
+type, no table, a bad match field, not an object) or hold (a list as a
+match value), which both reject.
 """
+
+import gc
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,8 @@ from hypothesis import strategies as st
 
 from repro.p4.ir import compile_p4
 from repro.p4.simulator import Simulator
+from repro.p4.tables import FieldMatch, TableEntry
+from repro.p4runtime.api import TableWrite
 from repro.p4runtime.farm import DeviceFarm
 from repro.p4runtime.server import P4RuntimeServer
 
@@ -88,12 +92,13 @@ def _ternary(draw):
     return {"ternary": [draw(_small) * 0x11 & mask, mask]}
 
 
-# Updates that fail to decode, wherever they sit in a batch.
+# Updates that fail to decode or to apply, wherever they sit in a batch.
 MALFORMED = [
     {"type": "UPSERT", "table": "exact_t", "match": [{"exact": 0}]},
     {"type": "INSERT", "match": [{"exact": 0}]},
     {"type": "INSERT", "table": "exact_t", "match": [{"range": [0, 1]}]},
     "INSERT exact_t",
+    {"type": "INSERT", "table": "exact_t", "match": [{"exact": [0]}]},
 ]
 
 
@@ -256,3 +261,38 @@ def test_a_malformed_update_rolls_its_batch_back(make, method, bad):
     assert outcome[:1] == ("WriteError",) and outcome[2] == 1
     assert (_tables(service), service.get_config_epoch()) == before
 
+
+
+def test_the_collector_tracks_nothing_a_farm_table_holds():
+    """A farm table keeps each entry as a match key and a value that
+    are tuples of atoms, so after one collection the collector has
+    untracked them all: a large table adds nothing to its passes."""
+    handle, device = _farm_handle()
+    updates = [
+        {"type": "INSERT", "table": "exact_t", "match": [{"exact": a}],
+         "action": {"name": "forward", "params": [a]}, "priority": 0}
+        for a in range(4)
+    ] + [
+        {"type": "INSERT", "table": "lpm_t",
+         "match": [{"exact": a}, {"lpm": [0xF0, 4]}],
+         "action": {"name": "drop", "params": []}, "priority": 0}
+        for a in range(4)
+    ] + [
+        {"type": "INSERT", "table": "acl_t",
+         "match": [{"ternary": [a * 0x11 & 0x0F, 0x0F]}],
+         "action": {"name": "forward", "params": [a]}, "priority": a + 1}
+        for a in range(4)
+    ]
+    assert handle(_Conn(), "write", updates) == {"applied": 12}
+    # An in-process write hands its table its own entry.
+    entry = TableEntry([FieldMatch.exact(9)], "drop", [])
+    assert device.write([TableWrite.insert("exact_t", entry)]) == 1
+    gc.collect()
+    held = [
+        item
+        for table in device.sim.tables.values()
+        for pair in table.items()
+        for item in pair
+    ]
+    assert len(held) == 26
+    assert [item for item in held if gc.is_tracked(item)] == []

@@ -161,7 +161,7 @@ class TestRegistryBasics:
 
 class TestEnableDisable:
     def test_disabled_by_default(self):
-        assert not obs.enabled()
+        assert not obs.ENABLED
 
     def test_span_is_noop_when_disabled(self):
         before = len(obs.TRACER.spans())
@@ -170,18 +170,18 @@ class TestEnableDisable:
         assert len(obs.TRACER.spans()) == before
 
     def test_enabled_scope_restores(self):
-        assert not obs.enabled()
+        assert not obs.ENABLED
         with obs.enabled_scope():
-            assert obs.enabled()
-        assert not obs.enabled()
+            assert obs.ENABLED
+        assert not obs.ENABLED
 
     def test_detail_tier(self):
         obs.enable()
-        assert obs.enabled() and not obs.detail_enabled()
+        assert obs.ENABLED and not obs.detail_enabled()
         obs.enable(detail=True)
         assert obs.detail_enabled()
         obs.disable()
-        assert not obs.enabled() and not obs.detail_enabled()
+        assert not obs.ENABLED and not obs.detail_enabled()
 
     def test_registry_generation_advances_on_reset(self):
         reg = obs.MetricsRegistry()

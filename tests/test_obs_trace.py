@@ -178,7 +178,7 @@ class TestLocalTracePath:
 
     def test_disabled_stack_records_nothing(self):
         obs.reset()
-        assert not obs.enabled()
+        assert not obs.ENABLED
         net = SnvsNetwork(n_ports=8)
         net.add_vlan(10)
         net.add_access_port(0, vlan=10)
