@@ -140,8 +140,8 @@ def churn(db) -> None:
 def table_state(sim) -> tuple:
     return tuple(
         sorted(
-            (entry.match_key(), entry.action, entry.action_params)
-            for entry in DeviceService(sim).read_table("nat")
+            (key, value[0], value[1:])
+            for key, value in DeviceService(sim).read_table("nat")
         )
     )
 

@@ -74,13 +74,13 @@ def free_port() -> int:
 def table_state(sim) -> str:
     service = DeviceService(sim)
     entries = []
-    for entry in service.read_table("patch"):
+    for key, value in service.read_table("patch"):
         entries.append(
             {
-                "matches": [list(m.key()) for m in entry.matches],
-                "action": entry.action,
-                "params": list(entry.action_params),
-                "priority": entry.priority,
+                "matches": [list(key[i:i + 3]) for i in range(1, len(key), 3)],
+                "action": value[0],
+                "params": list(value[1:]),
+                "priority": key[0],
             }
         )
     entries.sort(key=lambda e: json.dumps(e, sort_keys=True, default=str))

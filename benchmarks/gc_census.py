@@ -23,7 +23,7 @@ generation-1 collection it takes the objects resident in generation 1 —
 those a gen-1 pass promotes to generation 2 if they survive — and
 attributes them to an owner: the farm devices' ``tables``, the engine
 (runtime and interned values), the fan-out (channel queues, device
-batches and their write lists, the device clients holding in-flight
+batches and their write batches, the device clients holding in-flight
 batches), management (``Database``, server, the controller's client),
 or the rest (other objects, and garbage the pass frees).  It reports
 those per commit, with the collections per commit of each generation,
@@ -47,7 +47,7 @@ from benchmarks.e2e import workloads
 from benchmarks.e2e.stack import Stack
 from repro.core.pipeline.changeset import DeviceBatch
 from repro.dlog import values
-from repro.p4runtime.api import RowWrite, WriteList
+from repro.p4runtime.api import WriteBatch
 
 #: Never walked into: shared by the whole process, owned by no one.
 _OPAQUE = (type, types.ModuleType, types.FunctionType, types.CodeType,
@@ -114,12 +114,12 @@ def _interned():
 
 #: The owners of promoted objects, in claiming order.
 OWNERS = ("farm tables", "engine", "fan-out", "mgmt", "rest")
-_FANOUT_TYPES = (DeviceBatch, WriteList, RowWrite)
+_FANOUT_TYPES = (DeviceBatch, WriteBatch)
 
 
 def promotion_owners(stack, young):
     """``(owner, roots)`` for :func:`promotions`; ``young`` supplies
-    the fan-out's batches, lists and writes that no queue holds any
+    the fan-out's device batches and write batches that no queue holds any
     more (in flight, or waiting for an ack)."""
     controller = stack.controller
     return [

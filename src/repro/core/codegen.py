@@ -36,6 +36,7 @@ Shapes generated:
 
 from __future__ import annotations
 
+import json
 import operator
 from typing import Dict, List, Optional, Tuple
 
@@ -45,11 +46,19 @@ from repro.errors import TypeCheckError
 from repro.mgmt.jsonrpc import dumps_text
 from repro.mgmt.schema import ColumnSchema, DatabaseSchema
 from repro.p4.p4info import DigestInfo, P4Info, TableInfo
-from repro.p4.tables import FieldMatch, TableEntry
 
 _KINDS = ("INSERT", "MODIFY", "DELETE")
+#: The atoms of a match key besides a row's values: the match kinds and
+#: an exact field's ``None``.
+_KEY_ATOMS = ("exact", "lpm", "ternary", None)
 #: Whether every type of an iterable of types is exactly ``int``.
 _ALL_INT = {int}.issuperset
+
+
+def _json_value(value):
+    """``value`` as its JSON text reads back (a tuple as a list, say);
+    ``TypeError`` for a value JSON has no form for."""
+    return value if type(value) is int else json.loads(dumps_text(value))
 
 
 class TableBinding:
@@ -62,21 +71,26 @@ class TableBinding:
       columns, plus the priority column of a ternary table;
     * ``wire_run(kind, rows)`` — the JSON texts of the P4Runtime
       updates writing a run of rows of one kind, comma-joined: each
-      byte for byte what ``dumps`` makes of the dict
-      :meth:`~repro.p4runtime.api.TableWrite.to_wire` builds for the
-      same entry.  Each (kind, action) pair has a ``%``-format made
-      when the binding is generated, holding the table's and action's
-      names and the key layout; a row whose action is a known
-      constructor of the right arity and whose key, parameter and
-      priority values are all exactly ``int`` is that format filled
-      in, and any other row is encoded field by field;
-    * ``wire(kind, row)`` — one row's text: ``wire_run`` of that row;
-    * ``entry_for(row)`` — the :class:`~repro.p4.tables.TableEntry` it
-      denotes, for in-process devices and read-diffs.
+      byte for byte what ``dumps`` makes of
+      :func:`~repro.p4runtime.api.encode_update` of the row's decoded
+      form.  Each (kind, action) pair has a ``%``-format made when the
+      binding is generated, holding the table's and action's names
+      and the key layout; a row whose action is a known constructor of
+      the right arity and whose key, parameter and priority values are
+      all exactly ``int`` is that format filled in, and any other row
+      is encoded field by field;
+    * ``decoded_run(kind, rows)`` — yields, row by row, the ``(kind,
+      table, key, value)`` that
+      :func:`~repro.p4runtime.api.decode_update` reads from the row's
+      text: what an in-process device applies and a read-diff
+      compares.  The same rows take the fast path: their key is picked
+      by one ``itemgetter`` made with the binding.
 
-    ``wire_run``, ``wire`` and ``entry_for`` type-check the key and
-    action columns and raise :class:`~repro.errors.TypeCheckError` for
-    an ill-typed row.
+    Both type-check the key and action columns and raise
+    :class:`~repro.errors.TypeCheckError` for an ill-typed row (or
+    ``TypeError`` for a value JSON has no form for), ``decoded_run``
+    when it reaches that row.  With the two, the binding is the codec
+    of a :class:`~repro.p4runtime.api.WriteBatch`'s runs of rows.
     """
 
     def __init__(
@@ -92,9 +106,7 @@ class TableBinding:
         self.key_columns = TB.table_key_columns(info)
         # constructor name -> (action name, param count)
         self.actions_by_constructor = actions_by_constructor
-        self.key_of, self.wire, self.wire_run, self.entry_for = (
-            self._converters()
-        )
+        self.key_of, self.wire_run, self.decoded_run = self._converters()
 
     def _converters(self):
         table, relation = self.info.name, self.relation
@@ -211,21 +223,45 @@ class TableBinding:
                 texts.append(encode_fields(kind, row))
             return ",".join(texts)
 
-        def wire(kind: str, row: tuple) -> str:
-            return wire_run(kind, (row,))
+        # A decoded key, ``(priority, kind, value, arg, ...)``, is picked
+        # from a row's flattened key values, its priority and _KEY_ATOMS.
+        n_flat = n_keys + sum(pairs)
+        atom_at = {atom: n_flat + 1 + i for i, atom in enumerate(_KEY_ATOMS)}
+        layout, at = [n_flat], 0
+        for (match_kind, _), is_pair in zip(fields, pairs):
+            layout += (atom_at[match_kind], at, at + 1 if is_pair else atom_at[None])
+            at += 1 + is_pair
+        pick_key = operator.itemgetter(*layout) if n_keys else lambda values: values[:1]
 
-        def entry_for(row: tuple) -> TableEntry:
-            matches = [
-                FieldMatch(match_kind, payload(value))
-                if match_kind == "exact"
-                else FieldMatch(match_kind, *payload(value))
-                for (match_kind, payload), value in zip(fields, row)
-            ]
+        def decode_fields(row: tuple) -> tuple:
+            """``(flattened key values + (priority,), action name,
+            params)`` of a row the fast path does not cover, checked as
+            ``encode_fields`` checks it, each value as its text reads
+            back."""
+            keys = []
+            for (_, payload), value in zip(fields, row):
+                match = payload(value)
+                keys += match if type(match) is list else (match,)
             name, params = action_of(row[n_keys])
             priority = 0 if priority_at is None else row[priority_at]
-            return TableEntry(matches, name, params, priority)
+            values = tuple(map(_json_value, (*keys, *params, priority)))
+            return values[:n_flat] + values[-1:], name, values[n_flat:-1]
 
-        return key_of, wire, wire_run, entry_for
+        def decoded_run(kind: str, rows):
+            for row in rows:
+                action, keys = row[n_keys], None
+                if type(action) is StructValue:
+                    resolved = actions.get(action.constructor)
+                    if resolved is not None and len(action.fields) == resolved[1]:
+                        keys = row[:n_keys] if exact_only else pair_values(row)
+                if keys is not None:
+                    keys += (0 if priority_at is None else row[priority_at],)
+                    name, params = resolved[0], action.fields
+                if keys is None or not _ALL_INT(map(type, keys + params)):
+                    keys, name, params = decode_fields(row)
+                yield kind, table, pick_key(keys + _KEY_ATOMS), (name, *params)
+
+        return key_of, wire_run, decoded_run
 
     def _update_format(self, kind: str, name: str, param_count: int) -> str:
         """The ``%``-format of one (kind, action) pair's update text:

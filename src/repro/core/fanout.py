@@ -30,7 +30,7 @@ that must not block; when the response arrives for a remote one.  A
 full sync (a :class:`~repro.core.pipeline.queues.SyncTask`) is a chain
 of the same calls (:func:`repro.core.reconcile.full_sync`).  Thousands of
 devices cost zero threads.  A fan-out's devices all pop the *same*
-batch object, so its write list is built and encoded once and each
+batch object, so its write batch is built and encoded once and each
 device pays one frame splice and one ``send``
 (``docs/ARCHITECTURE.md``, "One encode per changeset").  Devices that
 fell behind together merge the next fan-out into one shared copy of
@@ -201,7 +201,8 @@ class DeviceChannel:
         its ack completes the item."""
         device = self.device
         writes = batch.emit_writes()
-        if not writes and not batch.mcast:
+        n_writes = len(writes)
+        if not n_writes and not batch.mcast:
             self._complete(batch)  # coalesced away to nothing
             return
         if device.quarantined:
@@ -213,7 +214,7 @@ class DeviceChannel:
             self._complete(batch)
             return
         self.state = AWAITING_ACK
-        self._n_writes = len(writes)
+        self._n_writes = n_writes
         self._issued_at = time.perf_counter()
         span = obs.NULL_SPAN
         if obs.ENABLED:
@@ -224,7 +225,7 @@ class DeviceChannel:
                 "device.write",
                 update_id=batch.update_id,
                 device=device.name,
-                writes=len(writes),
+                writes=n_writes,
                 txns=batch.txns,
             )
         self._span = span

@@ -205,7 +205,7 @@ class DeviceBatch:
     Devices that fell behind together hold the same shared tail, and
     they share its merge too: the fanned-out batch records, for the
     length of its fan-out, the merge of each shared tail it met.  What
-    every device has in common — the write list, and through it the
+    every device has in common — the write batch, and through it the
     encoded request — is thereby computed once per distinct queue
     state, not once per device.
     """
@@ -294,20 +294,18 @@ class DeviceBatch:
         clone.first_enqueued = self.first_enqueued
         return clone
 
-    def emit_writes(self) -> list:
-        """The batch as one :class:`~repro.p4runtime.api.WriteList`:
-        runs of rows per (kind, table), every delete run before any
-        insert run.
+    def emit_writes(self):
+        """The batch as one :class:`~repro.p4runtime.api.WriteBatch`:
+        runs of rows per (kind, table) under the table's binding, every
+        delete run before any insert run.
 
         A row deleted and re-inserted unchanged is a round trip and is
         dropped (rows carry interned action values, so equal rows mean
-        the same action, params and priority).  The list is built once
-        per batch state, so every device of a shared batch gets the
-        same list, and it makes a
-        :class:`~repro.p4runtime.api.RowWrite` per row only for code
-        that reads its items.
+        the same action, params and priority).  The write batch is
+        built once per batch state, so every device of a shared batch
+        gets the same one.
         """
-        from repro.p4runtime.api import WriteList
+        from repro.p4runtime.api import WriteBatch
 
         if self._writes is None:
             runs = _delta_runs(self._deltas) if self._deltas else None
@@ -316,7 +314,7 @@ class DeviceBatch:
                 # cells decide which one stands (in a copy: a shared
                 # batch does not change).
                 runs = _cell_runs(self._folded())
-            self._writes = WriteList.of_runs(runs)
+            self._writes = WriteBatch(runs)
         return self._writes
 
     def is_empty(self) -> bool:

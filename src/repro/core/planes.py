@@ -34,7 +34,7 @@ from repro.net.reactor import Reactor
 from repro.obs.trace import UPDATE_ID, use_update_id
 from repro.p4.simulator import Simulator
 from repro.p4runtime.aio_client import AioP4RuntimeClient
-from repro.p4runtime.api import DeviceService, TableWrite
+from repro.p4runtime.api import DeviceService
 
 #: Exceptions treated as *transport* failures by the circuit breaker.
 #: Semantic rejections (``WriteError`` etc.) are deferred to
@@ -121,8 +121,7 @@ class RemoteMgmt:
 
 class LocalDevice:
     """An in-process device: every call answers inline, on the loop,
-    with what the service returns or raises — except ``read_table``,
-    adapted to what a P4Runtime client's returns."""
+    with what the service returns or raises."""
 
     #: No connection: never parked on a drain, no send buffer to report,
     #: never dialled.
@@ -155,13 +154,6 @@ class LocalDevice:
             self.call_async("apply_batch", [updates, mcast, fence], callback)
         finally:
             UPDATE_ID.reset(token)
-
-    def read_table(self, table: str) -> List[TableWrite]:
-        """What a P4Runtime client's ``read_table`` returns."""
-        return [
-            TableWrite("INSERT", table, e)
-            for e in self.service.read_table(table)
-        ]
 
     def attach_digests(self, callback) -> None:
         sim = self.service.sim

@@ -32,7 +32,7 @@ from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 from repro.core.codegen import GeneratedBindings
 from repro.core.planes import TRANSPORT_ERRORS, ManagedDevice
 from repro.mgmt.monitor import TableUpdates
-from repro.p4runtime.api import RowWrite, TableWrite
+from repro.p4runtime.api import PairCodec, WriteBatch
 
 
 def mgmt_delta(
@@ -59,46 +59,45 @@ def mgmt_delta(
     return inserts, deletes
 
 
-def desired_writes(bindings: GeneratedBindings, runtime) -> List[RowWrite]:
+def desired_writes(bindings: GeneratedBindings, runtime) -> WriteBatch:
     """The engine's current output relations replayed as inserts — the
-    authoritative desired state of every device table.  O(derived
-    state); on the loop, outside an engine transaction.  The rows are
-    converted only by the device that needs them: to the wire for a
-    blank remote device, to entries for a read-diff or an in-process
-    device."""
-    return [
-        RowWrite("INSERT", binding, row)
+    authoritative desired state of every device table, one run of rows
+    per table.  O(derived state); on the loop, outside an engine
+    transaction.  The rows are converted only by the device that needs
+    them: to the wire for a blank remote device, decoded for a
+    read-diff or an in-process device."""
+    return WriteBatch([
+        ("INSERT", binding, runtime.dump(relation))
         for relation, binding in bindings.table_relations.items()
-        for row in runtime.dump(relation)
-    ]
+    ])
 
 
 def compute_fixes(
-    read_table, bindings: GeneratedBindings, desired: List[RowWrite]
-) -> list:
+    read_table, bindings: GeneratedBindings, desired: WriteBatch
+) -> WriteBatch:
     """Read-diff one device — ``read_table(table)`` returns what a
-    P4Runtime client's does — against the desired entry set: deletes for
-    stale entries, modifies for wrong actions, inserts for missing
-    ones — deletes first."""
-    wanted: Dict[str, Dict[tuple, RowWrite]] = {}
-    for write in desired:
-        wanted.setdefault(write.table, {})[write.entry.match_key()] = write
-    fixes: list = []
+    P4Runtime client's does, ``(key, value)`` pairs — against the
+    desired entries: deletes for stale entries, modifies for wrong
+    actions, inserts for missing ones — deletes first."""
+    wanted: Dict[str, Dict[tuple, tuple]] = {}
+    for _, table, key, value in desired.decoded():
+        wanted.setdefault(table, {})[key] = value
+    deletes, repairs = [], []
     for binding in bindings.table_relations.values():
         table = binding.info.name
         want = wanted.get(table, {})
-        for existing in read_table(table):
-            target = want.pop(existing.entry.match_key(), None)
+        stale, wrong = [], []
+        for key, value in read_table(table):
+            target = want.pop(key, None)
             if target is None:
-                fixes.append(TableWrite.delete(table, existing.entry))
-            elif (
-                target.entry.action != existing.entry.action
-                or target.entry.action_params != existing.entry.action_params
-            ):
-                fixes.append(TableWrite.modify(table, target.entry))
-        fixes.extend(want.values())  # still-missing entries
-    fixes.sort(key=lambda w: 0 if w.kind == "DELETE" else 1)
-    return fixes
+                stale.append((key, value))
+            elif target != value:
+                wrong.append((key, target))
+        codec = PairCodec(table)
+        deletes.append(("DELETE", codec, stale))
+        # Modifies, then the entries still missing.
+        repairs += [("MODIFY", codec, wrong), ("INSERT", codec, list(want.items()))]
+    return WriteBatch(deletes + repairs)
 
 
 #: The :func:`full_sync` outcome that is not a repair count: the

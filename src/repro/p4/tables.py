@@ -49,9 +49,6 @@ class FieldMatch:
     def ternary(cls, value: int, mask: int) -> "FieldMatch":
         return cls("ternary", value, mask)
 
-    def key(self) -> tuple:
-        return (self.kind, self.value, self.arg)
-
     def matches(self, packet_value: int, width: int) -> bool:
         if self.kind == "exact":
             return packet_value == self.value
@@ -127,8 +124,10 @@ class TableState:
         # lpm mode: exact part -> prefix_len -> {masked prefix -> entry}
         self._lpm_index: Dict[tuple, Dict[int, Dict[int, TableEntry]]] = {}
         self._lpm_pos = self.kinds.index("lpm") if "lpm" in self.kinds else -1
-        # ternary mode: (-priority, seq, entry), kept sorted by bisect
+        # ternary mode: (-priority, seq, entry), kept sorted by bisect,
+        # and each entry's seq by its match key
         self._scan_list: List[Tuple[int, int, TableEntry]] = []
+        self._scan_seqs: Dict[tuple, int] = {}
         self._scan_seq = 0
 
     def _pick_mode(self) -> str:
@@ -205,19 +204,19 @@ class TableState:
                 f"table {info.name}: priority is only valid for ternary tables"
             )
 
-    def write(self, kind: str, key: tuple, value) -> Optional[TableEntry]:
+    def write(self, kind: str, key: tuple, value: tuple) -> Optional[TableEntry]:
         """Apply one decoded update (see
-        :func:`~repro.p4runtime.api.decode_update`; ``value`` may be the
-        entry itself); returns what :meth:`restore` takes to undo it: the
-        entry it replaced or removed, or ``None``."""
+        :func:`~repro.p4runtime.api.decode_update`); returns what
+        :meth:`restore` takes to undo it: the entry it replaced or
+        removed, or ``None``."""
         old = self._entries.get(key)
         if kind != "DELETE":
-            entry = value if type(value) is TableEntry else TableEntry.from_key(key, value)
+            entry = TableEntry.from_key(key, value)
             self.validate_entry(entry)
         if (old is None) != (kind == "INSERT"):
             raise write_rejection(self.info.name, kind, key, value)
         if old is not None:
-            self._index_remove(old)
+            self._index_remove(key, old)
         elif len(self._entries) >= self.info.size:
             raise RuntimeApiError(
                 f"table {self.info.name}: full ({self.info.size} entries)"
@@ -226,26 +225,29 @@ class TableState:
             del self._entries[key]
         else:
             self._entries[key] = entry
-            self._index_add(entry)
+            self._index_add(key, entry)
         return old
 
     def restore(self, key: tuple, old: Optional[TableEntry]) -> None:
         """Undo the last :meth:`write` of ``key``, which returned ``old``."""
         current = self._entries.pop(key, None)
         if current is not None:
-            self._index_remove(current)
+            self._index_remove(key, current)
         if old is not None:
             self._entries[key] = old
-            self._index_add(old)
+            self._index_add(key, old)
+
+    def _write_entry(self, kind: str, entry: TableEntry) -> None:
+        self.write(kind, entry.match_key(), (entry.action, *entry.action_params))
 
     def insert(self, entry: TableEntry) -> None:
-        self.write("INSERT", entry.match_key(), entry)
+        self._write_entry("INSERT", entry)
 
     def modify(self, entry: TableEntry) -> None:
-        self.write("MODIFY", entry.match_key(), entry)
+        self._write_entry("MODIFY", entry)
 
     def delete(self, entry: TableEntry) -> None:
-        self.write("DELETE", entry.match_key(), entry)
+        self._write_entry("DELETE", entry)
 
     def set_default(self, action: str, params: Sequence[int]) -> None:
         if action not in self.info.action_names:
@@ -258,6 +260,13 @@ class TableState:
     def entries(self) -> List[TableEntry]:
         return list(self._entries.values())
 
+    def items(self) -> List[Tuple[tuple, tuple]]:
+        """The entries as decoded ``(key, (action, *params))`` pairs."""
+        return [
+            (key, (entry.action, *entry.action_params))
+            for key, entry in self._entries.items()
+        ]
+
     def __len__(self):
         return len(self._entries)
 
@@ -268,7 +277,7 @@ class TableState:
             m.value for m, k in zip(entry.matches, self.kinds) if k == "exact"
         )
 
-    def _index_add(self, entry: TableEntry) -> None:
+    def _index_add(self, key: tuple, entry: TableEntry) -> None:
         if self._mode == "exact":
             self._exact_index[self._exact_key(entry)] = entry
         elif self._mode == "lpm":
@@ -280,11 +289,12 @@ class TableState:
             by_len.setdefault(prefix_len, {})[prefix] = entry
         else:
             self._scan_seq += 1
+            self._scan_seqs[key] = self._scan_seq
             bisect.insort(
                 self._scan_list, (-entry.priority, self._scan_seq, entry)
             )
 
-    def _index_remove(self, entry: TableEntry) -> None:
+    def _index_remove(self, key: tuple, entry: TableEntry) -> None:
         if self._mode == "exact":
             self._exact_index.pop(self._exact_key(entry), None)
         elif self._mode == "lpm":
@@ -299,10 +309,12 @@ class TableState:
                 if not bucket:
                     del by_len[prefix_len]
         else:
-            key = entry.match_key()
-            self._scan_list = [
-                item for item in self._scan_list if item[2].match_key() != key
-            ]
+            # (-priority, seq) sorts just before its own item: seqs are
+            # unique, so no entry is ever compared.
+            at = bisect.bisect_left(
+                self._scan_list, (-entry.priority, self._scan_seqs.pop(key))
+            )
+            del self._scan_list[at]
 
     # -- lookup --------------------------------------------------------------------
 
@@ -345,7 +357,7 @@ class TableState:
 def write_rejection(table: str, kind: str, key: tuple, value) -> RuntimeApiError:
     """Why ``table`` refuses a ``kind`` write of ``key`` → ``value``: an
     insert needs a key the table lacks, a modify or delete one it holds."""
-    entry = value if type(value) is TableEntry else TableEntry.from_key(key, value)
+    entry = TableEntry.from_key(key, value)
     why = "duplicate entry" if kind == "INSERT" else f"no entry to {kind.lower()} for"
     return RuntimeApiError(f"table {table}: {why} {entry!r}")
 

@@ -20,7 +20,7 @@ Two call surfaces on the same object:
   the :class:`~repro.p4runtime.farm.DeviceFarm` uses it to verify
   per-device FIFO at fleet scale.  Nothing in the request but its id
   is per device: clients handed the same
-  :class:`~repro.p4runtime.api.WriteList` share one encoding of it.
+  :class:`~repro.p4runtime.api.WriteBatch` share one encoding of it.
 
 Digest and packet-in subscriptions are session state on the server:
 every (re)connect re-issues them as the first frames on the fresh
@@ -43,7 +43,7 @@ from repro.net.aio import AioConnection
 from repro.net.reactor import Reactor, default_reactor
 from repro.net.retry import RetryPolicy
 from repro.obs.trace import use_update_id
-from repro.p4runtime.api import TableWrite, WriteList
+from repro.p4runtime.api import TableWrite, WriteBatch, decode_update
 
 _DEFAULT_TIMEOUT = 30.0
 
@@ -53,32 +53,34 @@ _RESULTS: Dict[str, Callable] = {
     "get_config_epoch": lambda result: result["epoch"],
     "set_config_epoch": lambda result: None,
     "read_table": lambda result: [
-        TableWrite.from_wire(e) for e in result["entries"]
+        decode_update(e)[2:] for e in result["entries"]
     ],
 }
 
 
 def _updates_json(updates) -> bytes:
-    """The JSON array of ``updates``: their ``to_json()`` texts, joined
-    — or for a :class:`~repro.p4runtime.api.WriteList` of row runs,
-    each run's text from one ``wire_run`` of its table's binding."""
-    runs = updates.runs if isinstance(updates, WriteList) else None
-    if runs is None:
-        texts = [u.to_json() for u in updates]
+    """The JSON array of ``updates``: for a
+    :class:`~repro.p4runtime.api.WriteBatch`, each run's texts from one
+    ``wire_run`` of its codec — else the ``to_json()`` text of each
+    :class:`~repro.p4runtime.api.TableWrite` — joined."""
+    if isinstance(updates, WriteBatch):
+        texts = [
+            codec.wire_run(kind, items) for kind, codec, items in updates.runs
+        ]
     else:
-        texts = [binding.wire_run(kind, rows) for kind, binding, rows in runs]
-    return b"[%s]" % ",".join(texts).encode()
+        texts = [u.to_json() for u in updates]
+    # An empty run's text is empty: no update, and no comma either.
+    return b"[%s]" % ",".join(filter(None, texts)).encode()
 
 
 def _encode_batch(updates, mcast, update_ids, fence, seq=None) -> bytes:
     """The serialised parameters of one ``apply_batch`` request.
 
-    The updates go in as the text each one's ``to_json()`` writes (for
-    a :class:`~repro.p4runtime.api.RowWrite`, its table's generated
-    converter; for a device batch's runs of rows, one ``wire_run`` per
-    run), joined; only the rest of the envelope goes through
-    ``dumps``, once.  Nothing in the parameters is per device, so a
-    :class:`~repro.p4runtime.api.WriteList` — the one list a fan-out
+    The updates go in as text (:func:`_updates_json`: for a batch of
+    engine rows, one generated ``wire_run`` per run), joined; only the
+    rest of the envelope goes through ``dumps``, once.  Nothing in the
+    parameters is per device, so a
+    :class:`~repro.p4runtime.api.WriteBatch` — the one batch a fan-out
     hands every device's client — keeps what it was last encoded to:
     the fleet's first client pays the conversion and JSON, the rest
     splice the same bytes into their own frame.  The other arguments
@@ -86,7 +88,7 @@ def _encode_batch(updates, mcast, update_ids, fence, seq=None) -> bytes:
     copies nothing — and a caller that re-uses a list with different
     ones simply encodes again."""
     key = (mcast, update_ids, fence, seq)
-    memo = isinstance(updates, WriteList)
+    memo = isinstance(updates, WriteBatch)
     if memo and updates.encoded is not None and updates.encoded[0] == key:
         return updates.encoded[1]
     rest = {
@@ -231,7 +233,7 @@ class AioP4RuntimeClient:
 
     def apply_batch_async(
         self,
-        updates: Sequence[TableWrite],
+        updates: WriteBatch | Sequence[TableWrite],
         mcast: Optional[Dict[int, Optional[List[int]]]] = None,
         update_ids: Optional[Sequence[str]] = None,
         callback: Optional[Callable] = None,
@@ -317,7 +319,9 @@ class AioP4RuntimeClient:
         params = [epoch] if fence is None else [epoch, fence]
         self._converted("set_config_epoch", params)
 
-    def read_table(self, table: str) -> List[TableWrite]:
+    def read_table(self, table: str) -> List[Tuple[tuple, tuple]]:
+        """The table's entries as ``(key, value)`` pairs
+        (:func:`~repro.p4runtime.api.decode_update`)."""
         return self._converted("read_table", [table], retryable=True)
 
     def set_default_action(

@@ -16,22 +16,29 @@ Table write update::
 Writes are *batched and atomic*: a failed update rolls the whole batch
 back (P4Runtime's error semantics), which the Nerpa controller relies
 on to keep data-plane state transactional like the rest of the stack.
-A device applies each update as ``(kind, table, key, value)``
-(:func:`decode_update`), in one loop for every device (:class:`DeviceService`).
+
+Between the engine's rows and a table, an update has one form,
+``(kind, table, key, value)`` (:func:`decode_update`; its inverse is
+:func:`encode_update`): ``key`` is the entry's match key, ``value`` its
+``(action, *params)``.  A device applies that form, in one loop for
+every device (:class:`DeviceService`), and answers a ``read_table``
+with ``(key, value)`` pairs.  A :class:`WriteBatch` holds a batch's
+updates as runs of rows (or of repaired pairs) that one codec call
+turns into that form or into the updates' wire text.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ReproError, RuntimeApiError
 from repro.mgmt.jsonrpc import dumps_text
 from repro.obs.trace import UPDATE_ID
 from repro.p4.simulator import Simulator
-from repro.p4.tables import FieldMatch, TableEntry
+from repro.p4.tables import TableEntry
 
 
 class WriteError(RuntimeApiError):
@@ -60,7 +67,10 @@ class FencedWriteError(RuntimeApiError):
 
 
 class TableWrite:
-    """One update of a write batch."""
+    """One update of a write batch, as an entry: what a script or test
+    hands the blocking :meth:`AioP4RuntimeClient.write
+    <repro.p4runtime.aio_client.AioP4RuntimeClient.write>`, and the
+    read-only item a :class:`WriteBatch` yields when iterated."""
 
     __slots__ = ("kind", "table", "entry")
 
@@ -71,29 +81,12 @@ class TableWrite:
         self.table = table
         self.entry = entry
 
-    @classmethod
-    def insert(cls, table: str, entry: TableEntry) -> "TableWrite":
-        return cls("INSERT", table, entry)
-
-    @classmethod
-    def delete(cls, table: str, entry: TableEntry) -> "TableWrite":
-        return cls("DELETE", table, entry)
-
-    @classmethod
-    def modify(cls, table: str, entry: TableEntry) -> "TableWrite":
-        return cls("MODIFY", table, entry)
-
     def to_wire(self) -> dict:
-        return {
-            "type": self.kind,
-            "table": self.table,
-            "match": [_match_to_wire(m) for m in self.entry.matches],
-            "action": {
-                "name": self.entry.action,
-                "params": list(self.entry.action_params),
-            },
-            "priority": self.entry.priority,
-        }
+        entry = self.entry
+        return encode_update(
+            self.kind, self.table, entry.match_key(),
+            (entry.action, *entry.action_params),
+        )
 
     def to_json(self) -> str:
         """The update's JSON text, as it goes into a request."""
@@ -108,114 +101,64 @@ class TableWrite:
         return f"TableWrite({self.kind} {self.table} {self.entry!r})"
 
 
-class RowWrite:
-    """One update of a write batch, kept as the control-plane output row
-    it writes: ``binding`` (a :class:`~repro.core.codegen.TableBinding`)
-    converts the row only when asked — ``to_json()`` straight to the
-    update's JSON text (the table's generated ``binding.wire``, byte
-    for byte what :meth:`TableWrite.to_json` gives for the same entry),
-    ``entry`` (built once, for in-process devices and read-diffs) to a
-    :class:`TableEntry`.  Interchangeable with a :class:`TableWrite`
-    wherever writes are applied or encoded; ``to_wire()``, the dict
-    form, is read back from the text."""
+class WriteBatch:
+    """The table writes of one batch, as runs ``(kind, codec, items)``
+    of one kind each.  A codec turns a run of its items into the
+    updates' JSON texts, comma-joined (``codec.wire_run(kind, items)``),
+    or into the ``(kind, table, key, value)`` each text decodes to
+    (``codec.decoded_run(kind, items)``): engine rows under their
+    table's :class:`~repro.core.codegen.TableBinding`, a read-diff's
+    repairs under a :class:`PairCodec`.  Its length is its update
+    count; iterating it yields a read-only :class:`TableWrite` each.
 
-    __slots__ = ("kind", "table", "row", "binding", "_entry")
+    ``encoded`` keeps the request parameters the batch was last encoded
+    to, so a batch fanned out to a fleet is encoded by the first client
+    and spliced into the others' frames.  Treat as frozen once handed
+    to a client."""
 
-    def __init__(self, kind: str, binding, row: tuple):
-        self.kind = kind
-        self.table = binding.info.name
-        self.row = row
-        self.binding = binding
-        self._entry: Optional[TableEntry] = None
+    __slots__ = ("runs", "encoded", "_count")
 
-    @property
-    def entry(self) -> TableEntry:
-        if self._entry is None:
-            self._entry = self.binding.entry_for(self.row)
-        return self._entry
+    def __init__(self, runs: list):
+        self.runs = runs
+        #: ``(key, params)`` of the last ``apply_batch`` encoded from
+        #: this batch — private to :mod:`repro.p4runtime.aio_client`.
+        self.encoded = None
+        self._count = sum(len(items) for _, _, items in runs)
 
-    def to_json(self) -> str:
-        return self.binding.wire(self.kind, self.row)
+    def __len__(self) -> int:
+        return self._count
 
-    def to_wire(self) -> dict:
-        return json.loads(self.to_json())
+    def decoded(self) -> Iterator[tuple]:
+        """Every update as ``(kind, table, key, value)``, decoded as it
+        is reached: an ill-typed row raises when its turn comes."""
+        return chain.from_iterable(
+            codec.decoded_run(kind, items) for kind, codec, items in self.runs
+        )
 
-    def __repr__(self):
-        return f"RowWrite({self.kind} {self.table} {self.row!r})"
-
-
-class WriteList(list):
-    """The table writes of one batch, with room for the
-    request parameters they serialise to: a batch fanned out to a
-    fleet — one list object handed to every device's client — is
-    encoded by the first client and spliced into the others' frames
-    (:meth:`AioP4RuntimeClient.apply_batch_async`).  Treat as frozen
-    once handed to a client.
-
-    A list made by :meth:`of_runs` (a device batch's) holds output
-    rows, not writes: ``runs`` is ``[(kind, binding, rows)]``, and the
-    encoder turns a run into text with one ``binding.wire_run(kind,
-    rows)``.  Its length and truth are the writes', and every other
-    reading of it — iterating, indexing, comparing, ``in``, ``copy``,
-    ``repr``, pickling — first replaces the rows by a
-    :class:`RowWrite` each.  Only a C-level reader that bypasses the
-    list's methods (``json.dumps`` of the list) sees the raw rows."""
-
-    #: ``(key, params)`` of the last ``apply_batch`` encoded from this
-    #: list — private to :mod:`repro.p4runtime.aio_client`.
-    encoded = None
-    #: ``[(kind, binding, rows)]`` of a list made by :meth:`of_runs`.
-    runs = None
-    _rows = False  # the items are still ``runs``' rows
-
-    @classmethod
-    def of_runs(cls, runs: list) -> "WriteList":
-        writes = cls()
-        for _, _, rows in runs:
-            writes += rows
-        writes.runs = runs
-        writes._rows = True
-        return writes
-
-    def _as_writes(self) -> None:
-        if self._rows:
-            self._rows = False
-            self[:] = [
-                RowWrite(kind, binding, row)
-                for kind, binding, rows in self.runs
-                for row in rows
-            ]
+    def __iter__(self) -> Iterator[TableWrite]:
+        for kind, table, key, value in self.decoded():
+            yield TableWrite(kind, table, TableEntry.from_key(key, value))
 
 
-def _reading(name: str):
-    """``list``'s method ``name`` for a :class:`WriteList`, on its
-    writes."""
-    method = getattr(list, name)
+class PairCodec:
+    """The codec of runs of one table's ``(key, value)`` pairs, already
+    in the form :func:`decode_update` gives: a read-diff's repairs."""
 
-    def on_writes(self, *args, **kwargs):
-        self._as_writes()
-        return method(self, *args, **kwargs)
+    __slots__ = ("table",)
 
-    on_writes.__name__ = name
-    return on_writes
+    def __init__(self, table: str):
+        self.table = table
 
+    def decoded_run(self, kind: str, pairs) -> List[tuple]:
+        table = self.table
+        return [(kind, table, key, value) for key, value in pairs]
 
-for _name in (
-    "__iter__", "__reversed__", "__getitem__", "__contains__",
-    "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__",
-    "__add__", "__mul__", "__rmul__", "__repr__", "__reduce_ex__",
-    "copy", "count", "index",
-):
-    setattr(WriteList, _name, _reading(_name))
-del _name
-
-
-def _match_to_wire(match: FieldMatch) -> dict:
-    if match.kind == "exact":
-        return {"exact": match.value}
-    if match.kind == "lpm":
-        return {"lpm": [match.value, match.arg]}
-    return {"ternary": [match.value, match.arg]}
+    def wire_run(self, kind: str, pairs) -> str:
+        table = self.table
+        return ",".join(
+            dumps_text(encode_update(kind, table, key, value))
+            for key, value in pairs
+        )
 
 
 def decode_update(data: dict) -> tuple:
@@ -247,12 +190,22 @@ def decode_update(data: dict) -> tuple:
         raise RuntimeApiError(f"bad table write {data!r}: {exc}") from exc
 
 
-def _decoded(write) -> tuple:
-    """A :class:`TableWrite` or :class:`RowWrite`, decoded, with its own
-    entry as the value for a simulator's table to keep (H1's cold restart
-    ran 35 % slower when each of its 100k stored entries was a copy)."""
-    entry = write.entry
-    return write.kind, write.table, entry.match_key(), entry
+def encode_update(kind: str, table: str, key: tuple, value: tuple) -> dict:
+    """The wire update :func:`decode_update` reads as ``(kind, table,
+    key, value)``."""
+    match = []
+    for at in range(1, len(key), 3):
+        match_kind, field, arg = key[at:at + 3]
+        match.append(
+            {match_kind: field if match_kind == "exact" else [field, arg]}
+        )
+    return {
+        "type": kind,
+        "table": table,
+        "match": match,
+        "action": {"name": value[0], "params": list(value[1:])},
+        "priority": key[0],
+    }
 
 
 class DeviceService:
@@ -264,10 +217,10 @@ class DeviceService:
     ``table(name)``, the multicast setters and the
     ``config_epoch``/``fencing_epoch`` attributes — a
     :class:`~repro.p4runtime.farm.TableStore` is enough.  A table
-    needs ``write(kind, key, value)`` of a decoded update (an
-    in-process write's value is its :class:`TableEntry`), returning
+    needs ``write(kind, key, value)`` of a decoded update, returning
     what ``restore(key, old)`` takes to undo it (and raising
-    :func:`~repro.p4.tables.write_rejection`'s error), and ``entries()``.
+    :func:`~repro.p4.tables.write_rejection`'s error), and ``items()``,
+    its ``(key, value)`` pairs.
     """
 
     def __init__(self, simulator: Simulator, device_id: str = "device-0"):
@@ -278,33 +231,32 @@ class DeviceService:
 
     # -- writes ------------------------------------------------------------
 
-    def write(self, updates: Iterable[TableWrite]) -> int:
-        """Apply a batch atomically; returns the number of updates.
-        ``updates`` is iterated once, so it may build them as it goes.
+    def apply_updates(self, wire_updates: Iterable[dict]) -> int:
+        """Apply a batch of wire-form updates atomically, each decoded
+        (:func:`decode_update`) as it is applied; returns the number of
+        updates.  ``wire_updates`` is iterated once, so it may build
+        them as it goes.
 
         On failure the already-applied prefix is rolled back and a
         :class:`WriteError` is raised.
         """
-        return self._write(map(_decoded, updates))
-
-    def apply_updates(self, wire_updates: Sequence[dict]) -> int:
-        """:meth:`write` for wire-form updates, each decoded
-        (:func:`decode_update`) as it is applied: the step every remote
-        batch's table writes go through."""
         return self._write(map(decode_update, wire_updates))
+
+    def write(self, updates: Iterable[TableWrite]) -> int:
+        """:meth:`apply_updates` of the wire forms of ``updates``, for
+        scripts and tests."""
+        return self.apply_updates(map(TableWrite.to_wire, updates))
 
     def apply_batch(
         self,
         updates: Sequence,
         mcast: Optional[dict] = None,
         fence: Optional[int] = None,
-        wire: bool = False,
     ) -> int:
         """One round trip for a coalesced pipeline batch: multicast
         group config (``group -> ports``, ``None`` deletes the group)
-        plus an atomic table-write batch, behind the ``fence`` check.
-        ``wire``: the updates are wire dicts, applied through
-        :meth:`apply_updates`.
+        plus an atomic table-write batch — a :class:`WriteBatch`, or a
+        remote batch's list of wire dicts — behind the ``fence`` check.
 
         Multicast config is applied first (so a flood entry never
         references a group that does not exist yet) and is idempotent;
@@ -313,7 +265,7 @@ class DeviceService:
         if fence is not None:
             with self._fence_lock():
                 self._advance_fence(fence)
-                return self.apply_batch(updates, mcast, None, wire)
+                return self.apply_batch(updates, mcast, None)
         if mcast:
             for group_id in sorted(mcast):
                 ports = mcast[group_id]
@@ -323,7 +275,9 @@ class DeviceService:
                     self.sim.delete_multicast_group(group_id)
         if not updates:
             return 0
-        return self.apply_updates(updates) if wire else self.write(updates)
+        if isinstance(updates, WriteBatch):
+            return self._write(updates.decoded())
+        return self.apply_updates(updates)
 
     # -- write fencing ------------------------------------------------------
 
@@ -425,8 +379,9 @@ class DeviceService:
                 return self.set_config_epoch(epoch)
         self.sim.config_epoch = epoch
 
-    def read_table(self, table: str) -> List[TableEntry]:
-        return self.sim.table(table).entries()
+    def read_table(self, table: str) -> List[Tuple[tuple, tuple]]:
+        """The table's entries as ``(key, value)`` pairs."""
+        return list(self.sim.table(table).items())
 
     def set_default_action(self, table: str, action: str, params: Sequence[int]) -> None:
         self.sim.table(table).set_default(action, params)

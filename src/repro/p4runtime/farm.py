@@ -42,8 +42,8 @@ from typing import Dict, List, Optional
 
 from repro.errors import ProtocolError
 from repro.net.server import RpcConnection, RpcServer
-from repro.p4.tables import TableEntry, write_rejection
-from repro.p4runtime.api import DeviceService, TableWrite
+from repro.p4.tables import write_rejection
+from repro.p4runtime.api import DeviceService, encode_update
 from repro.p4runtime.server import DEVICE_METHODS
 
 
@@ -52,8 +52,7 @@ class StoreTable(dict):
     tuples of atoms as :func:`~repro.p4runtime.api.decode_update` gives
     them (so the collector tracks none of its entries), with
     :class:`~repro.p4.tables.TableState`'s write protocol and
-    rejections (no validation against a P4Info: the store has none).
-    Its :class:`TableEntry` objects are built only when read."""
+    rejections (no validation against a P4Info: the store has none)."""
 
     __slots__ = ("name",)
 
@@ -61,9 +60,7 @@ class StoreTable(dict):
         super().__init__()
         self.name = name
 
-    def write(self, kind: str, key: tuple, value) -> Optional[tuple]:
-        if type(value) is TableEntry:  # an in-process write's own entry
-            value = (value.action, *value.action_params)
+    def write(self, kind: str, key: tuple, value: tuple) -> Optional[tuple]:
         old = self.get(key)
         if (old is None) != (kind == "INSERT"):
             raise write_rejection(self.name, kind, key, value)
@@ -78,9 +75,6 @@ class StoreTable(dict):
             del self[key]
         else:
             self[key] = old
-
-    def entries(self) -> List[TableEntry]:
-        return [TableEntry.from_key(key, value) for key, value in self.items()]
 
 
 class TableStore:
@@ -135,12 +129,12 @@ class FarmDevice(DeviceService):
         snapshot = {}
         for name, table in self.sim.tables.items():
             entries = snapshot[name] = {}
-            for entry in table.entries():
-                update = TableWrite.insert(name, entry).to_wire()
-                key = json.dumps(update["match"], sort_keys=True)
-                if entry.priority:
-                    key = f"{key}#{entry.priority}"
-                entries[key] = update
+            for key, value in table.items():
+                update = encode_update("INSERT", name, key, value)
+                text = json.dumps(update["match"], sort_keys=True)
+                if key[0]:
+                    text = f"{text}#{key[0]}"
+                entries[text] = update
         return snapshot
 
 

@@ -32,7 +32,7 @@ from repro.mgmt.jsonrpc import make_notification
 from repro.net.server import RpcConnection, RpcServer
 from repro.obs.trace import UPDATE_ID
 from repro.p4.simulator import DigestMessage, Simulator
-from repro.p4runtime.api import DeviceService, TableWrite
+from repro.p4runtime.api import DeviceService, encode_update
 
 
 def _apply_batch(service: DeviceService, params):
@@ -47,7 +47,7 @@ def _apply_batch(service: DeviceService, params):
     token = UPDATE_ID.set(update_ids[-1] if update_ids else None)
     try:
         applied = service.apply_batch(
-            envelope.get("updates"), mcast, envelope.get("fence"), wire=True
+            envelope.get("updates"), mcast, envelope.get("fence")
         )
     finally:
         UPDATE_ID.reset(token)
@@ -65,8 +65,8 @@ def _read_table(service: DeviceService, params):
     (table,) = params
     return {
         "entries": [
-            TableWrite("INSERT", table, e).to_wire()
-            for e in service.read_table(table)
+            encode_update("INSERT", table, key, value)
+            for key, value in service.read_table(table)
         ]
     }
 

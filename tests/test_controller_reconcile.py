@@ -4,7 +4,9 @@ A controller that crashes and restarts faces a device that already
 holds entries from its previous life — possibly stale ones.  ``start()``
 sees that from the config epoch the device reports and must converge it
 to exactly the state the current configuration derives, without
-duplicate-insert failures and without touching correct entries.
+duplicate-insert failures and without touching correct entries.  The
+read-diff cases run against the simulator in-process and through a
+:class:`P4RuntimeServer` on it: one diff for both transports.
 """
 
 import pytest
@@ -12,9 +14,15 @@ import pytest
 from repro.core import reconcile
 from repro.core.controller import NerpaController
 from repro.core.pipeline import nerpa_build
+from repro.core.planes import LocalDevice
+from repro.dlog.values import StructValue
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
 from repro.p4.tables import FieldMatch, TableEntry
+from repro.p4runtime.aio_client import AioP4RuntimeClient
+from repro.p4runtime.api import WriteBatch, WriteError
+from repro.p4runtime.server import P4RuntimeServer
+from tests.test_fanout import FAST
 
 SCHEMA = simple_schema(
     "net", {"PortCfg": {"port": "integer", "out_port": "integer"}}
@@ -63,6 +71,26 @@ def add_port(db, port, out_port):
     )
 
 
+@pytest.fixture(params=["in-process", "remote"])
+def connect(request):
+    """``connect(switch)``: the device a restarted controller drives —
+    the simulator itself, or a client of a P4Runtime server on it."""
+    servers, clients = [], []
+
+    def connect(switch):
+        if request.param == "in-process":
+            return switch
+        servers.append(P4RuntimeServer(switch).start())
+        clients.append(AioP4RuntimeClient(*servers[-1].address, policy=FAST))
+        return clients[-1]
+
+    yield connect
+    for client in clients:
+        client.close()
+    for server in servers:
+        server.stop()
+
+
 class TestReconcile:
     def test_fresh_start_against_populated_device_converges(self):
         project, db, switch = build()
@@ -96,7 +124,7 @@ class TestReconcile:
         # Nothing needed fixing: no reconciliation writes.
         assert controller.entries_written == 0
 
-    def test_reconcile_removes_stale_entries(self):
+    def test_reconcile_removes_stale_entries(self, connect):
         project, db, switch = build()
         add_port(db, 1, 5)
         NerpaController(project, db, [switch]).start().stop()
@@ -107,12 +135,14 @@ class TestReconcile:
 
         db2 = Database(project.schema)
         add_port(db2, 1, 5)
-        NerpaController(project, db2, [switch]).start()
+        controller = NerpaController(project, db2, [connect(switch)]).start()
+        controller.stop()
+        assert controller.entries_written == 1
         assert len(switch.table("patch")) == 1
         # Port 9 falls back to the default action (miss).
         assert switch.table("patch").lookup([9])[2] is False
 
-    def test_reconcile_fixes_wrong_action_params(self):
+    def test_reconcile_fixes_wrong_action_params(self, connect):
         project, db, switch = build()
         add_port(db, 1, 5)
         NerpaController(project, db, [switch]).start().stop()
@@ -120,16 +150,64 @@ class TestReconcile:
         # New config says port 1 -> 7; the device still says -> 5.
         db2 = Database(project.schema)
         add_port(db2, 1, 7)
-        NerpaController(project, db2, [switch]).start()
+        controller = NerpaController(project, db2, [connect(switch)]).start()
+        controller.stop()
+        assert controller.entries_written == 1
         assert switch.table("patch").lookup([1]) == ("forward", (7,), True)
         assert len(switch.table("patch")) == 1
 
-    def test_reconcile_inserts_missing_entries(self):
+    def test_reconcile_inserts_missing_entries(self, connect):
+        project, db, switch = build()
+        add_port(db, 1, 5)
+        NerpaController(project, db, [switch]).start().stop()
+        # A populated device missing an entry the config derives.
+        switch.table("patch").delete(switch.table("patch").entries()[0])
+
+        db2 = Database(project.schema)
+        add_port(db2, 1, 5)
+        add_port(db2, 3, 4)
+        controller = NerpaController(project, db2, [connect(switch)]).start()
+        controller.stop()
+        assert controller.entries_written == 2
+        assert switch.table("patch").lookup([1]) == ("forward", (5,), True)
+        assert switch.table("patch").lookup([3]) == ("forward", (4,), True)
+
+    def test_a_blank_device_is_sent_the_state_unread(self):
         project, db, switch = build()  # device starts empty
         add_port(db, 3, 4)
         controller = NerpaController(project, db, [switch])
         controller.start()
         assert switch.table("patch").lookup([3]) == ("forward", (4,), True)
+
+    def test_an_ill_typed_row_rolls_an_in_process_batch_back(self):
+        """The row at index 2 fails its type check as the batch is
+        applied: a ``WriteError`` at that index, the rows before it
+        undone, and the config epoch the device had."""
+        project, db, switch = build()
+        add_port(db, 1, 5)
+        NerpaController(project, db, [switch]).start().stop()
+        entries = switch.table("patch").items()
+        epoch = switch.config_epoch
+
+        binding = project.bindings.table_relations["Patch"]
+        forward = "PatchActionForward"
+        batch = WriteBatch([
+            ("DELETE", binding, [(1, StructValue(forward, (5,)))]),
+            ("INSERT", binding, [
+                (2, StructValue(forward, (6,))),
+                (3, StructValue(forward, ())),  # one parameter short
+            ]),
+        ])
+        outcome = []
+        LocalDevice(switch).apply_batch_async(
+            batch, update_ids=["u-bad"],
+            callback=lambda *answer: outcome.append(answer),
+        )
+        ((applied, error),) = outcome
+        assert applied is None and isinstance(error, WriteError)
+        assert error.index == 2 and "expects 1 parameter" in str(error)
+        assert switch.table("patch").items() == entries
+        assert switch.config_epoch == epoch
 
     def test_reconciled_controller_stays_incremental(self):
         project, db, switch = build()

@@ -149,13 +149,13 @@ def table_state(sim) -> str:
     """Canonical dump of a simulator's ``patch`` table."""
     service = DeviceService(sim)
     entries = []
-    for e in service.read_table("patch"):
+    for key, value in service.read_table("patch"):
         entries.append(
             {
-                "matches": [list(m.key()) for m in e.matches],
-                "action": e.action,
-                "params": list(e.action_params),
-                "priority": e.priority,
+                "matches": [list(key[i:i + 3]) for i in range(1, len(key), 3)],
+                "action": value[0],
+                "params": list(value[1:]),
+                "priority": key[0],
             }
         )
     entries.sort(key=lambda e: json.dumps(e, sort_keys=True, default=str))
@@ -1409,8 +1409,8 @@ class TestDeviceFarm:
 
         device.apply_updates([write("INSERT", 10), write("INSERT", 20)])
         device.apply_updates([write("DELETE", 10)])
-        (left,) = device.read_table("acl")
-        assert left.priority == 20
+        ((key, _),) = device.read_table("acl")
+        assert key[0] == 20
         device.apply_updates([write("INSERT", 0)])
         match = json.dumps(write("INSERT", 0)["match"], sort_keys=True)
         assert device.table_snapshot()["acl"][match]["priority"] == 0
@@ -1425,7 +1425,7 @@ class TestDeviceFarm:
             )
             assert client.conn.wait_connected(5.0)
             applied = client.apply_batch(
-                [TableWrite.insert("patch", entry(1, 5))],
+                [TableWrite("INSERT", "patch", entry(1, 5))],
                 update_ids=["epoch-1"],
             )
             assert applied == 1
@@ -1435,7 +1435,7 @@ class TestDeviceFarm:
             assert client.get_config_epoch() == "epoch-1"
             entries = client.read_table("patch")
             assert len(entries) == 1
-            assert list(entries[0].entry.action_params) == [5]
+            assert entries[0][1][1:] == (5,)
             client.set_multicast_group(7, [1, 2])
             assert farm.devices[2].sim.multicast_groups[7] == [1, 2]
             client.delete_multicast_group(7)
@@ -1492,12 +1492,12 @@ class TestDeviceFarm:
             slow_done = threading.Event()
             started = time.monotonic()
             slow.apply_batch_async(
-                [TableWrite.insert("patch", entry(1, 5))],
+                [TableWrite("INSERT", "patch", entry(1, 5))],
                 callback=lambda *_: slow_done.set(),
             )
             # A call to the healthy device completes while the slow
             # device's ack is still parked on a farm timer.
-            fast.apply_batch([TableWrite.insert("patch", entry(1, 6))])
+            fast.apply_batch([TableWrite("INSERT", "patch", entry(1, 6))])
             fast_elapsed = time.monotonic() - started
             assert fast_elapsed < 0.3
             assert slow_done.wait(5.0)

@@ -17,7 +17,7 @@
   fan-out run on the loop itself).  Counts, not timings: they repeat
   exactly;
 * **merging behind together** — queues whose tails are the same shared
-  batch share one merge of the next fan-out (one copy, one write list,
+  batch share one merge of the next fan-out (one copy, one write batch,
   one encode for all of them), queues with different tails do not, the
   record of that merge dies with the fan-out, and any schedule of
   fan-outs, barriers and pops gives every device exactly what it would
@@ -45,7 +45,7 @@ from repro.net.aio import Reactor
 from repro.p4.tables import FieldMatch, TableEntry
 from repro.p4runtime import aio_client, api
 from repro.p4runtime.aio_client import AioP4RuntimeClient
-from repro.p4runtime.api import RowWrite, TableWrite, WriteList
+from repro.p4runtime.api import PairCodec, TableWrite, WriteBatch
 from repro.p4runtime.farm import DeviceFarm
 from repro.p4runtime.server import P4RuntimeServer
 from tests.test_fanout import (
@@ -95,6 +95,19 @@ def spliced_request(updates, mcast, update_ids, fence, seq, request_id):
     return message
 
 
+def write_batch(writes):
+    """``writes`` as one shareable batch: a run of one decoded pair
+    each."""
+    return WriteBatch([
+        (
+            w.kind,
+            PairCodec(w.table),
+            [(w.entry.match_key(), (w.entry.action, *w.entry.action_params))],
+        )
+        for w in writes
+    ])
+
+
 def fixture_cases():
     for case in json.loads(FIXTURE.read_text()):
         yield (
@@ -114,8 +127,8 @@ def test_recorded_parent_frames_match_reference_and_spliced_frames():
     for *args, recorded in cases:
         assert reference_request(*args) == recorded
         assert spliced_request(*args) == recorded
-        # ... and from the memo a shared write list keeps.
-        shared = WriteList(args[0])
+        # ... and from the memo a shared write batch keeps.
+        shared = write_batch(args[0])
         assert spliced_request(shared, *args[1:]) == recorded
         assert shared.encoded is not None
         assert spliced_request(shared, *args[1:]) == recorded
@@ -171,7 +184,7 @@ def test_spliced_frame_equals_the_dict_built_request(
         updates, mcast, update_ids, fence, seq, request_id
     )
     if shared:
-        updates = WriteList(updates)
+        updates = write_batch(updates)
         # A list encoded before under other arguments encodes again.
         aio_client._encode_batch(updates, {9: [9]}, ["other"], 1, (1, 1))
     for _ in range(2):  # the second pass is served from the memo
@@ -215,7 +228,7 @@ def test_both_receivers_decode_the_spliced_frames(monkeypatch):
         cases = list(fixture_cases())
         acked = {name: [] for name in clients}
         for updates, mcast, update_ids, fence, seq, _id, _ in cases:
-            shared = WriteList(updates)  # one encode, both receivers
+            shared = write_batch(updates)  # one encode, both receivers
             for name, client in clients.items():
                 assert client.conn.wait_connected(5.0)
                 client.apply_batch_async(
@@ -370,7 +383,7 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
         controller.drain()  # connections, bindings and start syncs done
 
         counts = {"to_json": 0, "dumps": 0, "wakes": 0}
-        real_to_json, real_dumps = RowWrite.to_json, aio_client.dumps
+        real_to_json, real_dumps = TableWrite.to_json, aio_client.dumps
         reactor = controller.reactor
         real_wakeup = reactor._wakeup
 
@@ -394,7 +407,7 @@ def test_one_changeset_to_32_devices_encodes_once_and_wakes_once(monkeypatch):
             counts["wakes"] += 1
             real_wakeup()
 
-        monkeypatch.setattr(RowWrite, "to_json", to_json)
+        monkeypatch.setattr(TableWrite, "to_json", to_json)
         for binding in controller.bindings.table_relations.values():
             monkeypatch.setattr(
                 binding, "wire_run", counting_wire_run(binding.wire_run)
@@ -444,7 +457,7 @@ def fan_out(queues, batch):
 
 
 class Counting:
-    """Counts private copies, write-list builds and JSON encodes."""
+    """Counts private copies, write-batch builds and JSON encodes."""
 
     def __init__(self, monkeypatch):
         self.copies = self.lists = self.encodes = 0
@@ -455,7 +468,9 @@ class Counting:
             counts.copies += 1
             return real_copy(batch)
 
-        class CountedWriteList(WriteList):
+        class CountedWriteBatch(WriteBatch):
+            __slots__ = ()
+
             def __init__(self, *args):
                 counts.lists += 1
                 super().__init__(*args)
@@ -465,13 +480,13 @@ class Counting:
             return real_dumps(value)
 
         monkeypatch.setattr(DeviceBatch, "_private_copy", private_copy)
-        monkeypatch.setattr(api, "WriteList", CountedWriteList)
+        monkeypatch.setattr(api, "WriteBatch", CountedWriteBatch)
         monkeypatch.setattr(aio_client, "dumps", dumps)
 
 
 def encode_for_device(batch, request_id):
     """A device's ``apply_batch`` request for ``batch``, as its client
-    builds it (shared write list, spliced frame), decoded back."""
+    builds it (shared write batch, spliced frame), decoded back."""
     seq = (batch.seq, batch.last_seq)
     return spliced_request(
         batch.emit_writes(), batch.mcast, batch.update_ids, None, seq,
@@ -503,7 +518,9 @@ def test_a_fleet_behind_together_merges_once_and_encodes_once(monkeypatch):
     assert counts.lists == 1
     assert counts.encodes == 1  # one JSON encode, 64 spliced frames
     writes = merged.emit_writes()
-    assert [(w.kind, w.row[0]) for w in writes] == [("INSERT", 1)]
+    assert [
+        (kind, row[0]) for kind, _, rows in writes.runs for row in rows
+    ] == [("INSERT", 1)]
     for i, request in enumerate(requests):
         assert request == reference_request(
             writes, merged.mcast, merged.update_ids, None, (1, 2), i + 1
@@ -622,7 +639,11 @@ def popped_snapshot(item):
     if isinstance(item, Task):
         return ("task", item.fn)
     return snapshot(item) + (
-        [(w.kind, w.binding.info.name, w.row) for w in item.emit_writes()],
+        [
+            (kind, binding.info.name, row)
+            for kind, binding, rows in item.emit_writes().runs
+            for row in rows
+        ],
     )
 
 

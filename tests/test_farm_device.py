@@ -159,8 +159,8 @@ def _apply(handle, envelope):
 def _tables(service):
     return {
         table: sorted(
-            (e.match_key(), e.action, e.action_params)
-            for e in service.read_table(table)
+            (key, value[0], value[1:])
+            for key, value in service.read_table(table)
         )
         for table in TABLES
     }
@@ -284,9 +284,9 @@ def test_the_collector_tracks_nothing_a_farm_table_holds():
         for a in range(4)
     ]
     assert handle(_Conn(), "write", updates) == {"applied": 12}
-    # An in-process write hands its table its own entry.
+    # An in-process write goes to its table in the decoded form too.
     entry = TableEntry([FieldMatch.exact(9)], "drop", [])
-    assert device.write([TableWrite.insert("exact_t", entry)]) == 1
+    assert device.write([TableWrite("INSERT", "exact_t", entry)]) == 1
     gc.collect()
     held = [
         item

@@ -39,7 +39,11 @@ from repro.mgmt.server import ManagementServer
 from repro.net.faults import FaultInjector
 from repro.net.reactor import Reactor
 from repro.p4runtime.aio_client import AioP4RuntimeClient
-from repro.p4runtime.api import DeviceService, FencedWriteError, TableWrite
+from repro.p4runtime.api import (
+    DeviceService,
+    FencedWriteError,
+    encode_update,
+)
 from repro.p4runtime.farm import DeviceFarm
 from tests.test_fanout import FAST, free_port
 
@@ -1225,8 +1229,10 @@ class TestFailoverOracle:
             # entry and advances the device's config epoch.
             monkeypatch.setattr(reconcile, "full_sync", inner)
             service = DeviceService(switch)
-            entry = service.read_table("in_vlan")[0]
-            service.write([TableWrite.delete("in_vlan", entry)])
+            key, value = service.read_table("in_vlan")[0]
+            service.apply_updates(
+                [encode_update("DELETE", "in_vlan", key, value)]
+            )
             service.set_config_epoch("rogue-write")
             return inner(device, *args)
 

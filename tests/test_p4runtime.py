@@ -140,7 +140,7 @@ class TestRemote:
         rt_client.write([vlan_write(3, vid=77)])
         entries = rt_client.read_table("in_vlan")
         assert len(entries) == 1
-        assert entries[0].entry.action_params == (77,)
+        assert entries[0][1][1:] == (77,)
 
     def test_write_error_propagates(self, rt_client):
         rt_client.write([vlan_write(3)])
@@ -264,7 +264,8 @@ class TestPacketIO:
                 # packet_out with a concrete route: egresses normally.
                 client.write(
                     [
-                        TableWrite.insert(
+                        TableWrite(
+                            "INSERT",
                             "fwd",
                             TableEntry([FieldMatch.exact(2)], "forward", [3]),
                         )

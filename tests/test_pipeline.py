@@ -206,7 +206,7 @@ class TestDeviceBatchOrdering:
         batch = DeviceBatch(1)
         record(batch, "insert", 2, 7)
         record(batch, "delete", 1, 5)
-        writes = batch.emit_writes()
+        writes = list(batch.emit_writes())
         kinds = [w.kind for w in writes]
         assert kinds == ["DELETE", "INSERT"]
 
@@ -214,13 +214,13 @@ class TestDeviceBatchOrdering:
         batch = DeviceBatch(1)
         record(batch, "delete", 1, 5)
         record(batch, "insert", 1, 5)
-        assert batch.emit_writes() == []
+        assert len(batch.emit_writes()) == 0
 
     def test_changed_entry_is_delete_then_insert(self):
         batch = DeviceBatch(1)
         record(batch, "delete", 1, 5)
         record(batch, "insert", 1, 7)
-        writes = batch.emit_writes()
+        writes = list(batch.emit_writes())
         assert [w.kind for w in writes] == ["DELETE", "INSERT"]
         assert writes[0].entry.action_params == (5,)
         assert writes[1].entry.action_params == (7,)
@@ -242,7 +242,7 @@ class TestDeviceBatchOrdering:
         record(second, "delete", 1, 5)
         record(second, "insert", 1, 7)
         assert first.coalesce(second)
-        writes = first.emit_writes()
+        writes = list(first.emit_writes())
         # insert(5); delete(5)+insert(7) => net insert(7) only
         assert [w.kind for w in writes] == ["INSERT"]
         assert writes[0].entry.action_params == (7,)
@@ -985,7 +985,7 @@ Out(k, v) :- R(k, v).
     def test_device_batch_modify_of_missing_entry_is_plain_insert(self):
         batch = DeviceBatch(seq=1)
         record(batch, "insert", 5, 7)
-        writes = batch.emit_writes()
+        writes = list(batch.emit_writes())
         assert [w.kind for w in writes] == ["INSERT"]
 
     def test_device_batch_delete_then_modify_emits_delete_first(self):
@@ -993,7 +993,7 @@ Out(k, v) :- R(k, v).
         record(batch, "delete", 5, 7)
         record(batch, "delete", 5, 8)
         record(batch, "insert", 5, 9)
-        writes = batch.emit_writes()
+        writes = list(batch.emit_writes())
         assert [w.kind for w in writes] == ["DELETE", "INSERT"]
         assert tuple(writes[0].entry.action_params) == (7,)  # oldest pinned
         assert tuple(writes[1].entry.action_params) == (9,)

@@ -3,12 +3,13 @@
 A fan-out records the engine's output rows themselves in the device
 batch, and each table's generated converters
 (:class:`~repro.core.codegen.TableBinding`) turn a row into the
-update's JSON text or the table entry only when a device needs it.  These tests pin
-what that path must keep:
+update's JSON text or its decoded ``(kind, table, key, value)`` only
+when a device needs it.  These tests pin what that path must keep:
 
 * **bytes** — for exact, lpm and ternary (with priority) tables, the
   ``apply_batch`` params encoded from rows equal, byte for byte, the
-  ones encoded from ``TableWrite(kind, table, binding.entry_for(row))``;
+  ones encoded from the :class:`TableWrite` of each row's decoded
+  form, and each run's decoded form is its wire text decoded;
 * **algebra** — a row deleted and re-inserted unchanged is elided, a
   changed action or priority is not;
 * **devices** — an in-process simulator and a farm device driven by one
@@ -39,7 +40,12 @@ from repro.net.aio import Reactor
 from repro.p4.tables import FieldMatch, TableEntry
 from repro.p4runtime import aio_client
 from repro.p4runtime.aio_client import AioP4RuntimeClient
-from repro.p4runtime.api import DeviceService, TableWrite
+from repro.p4runtime.api import (
+    DeviceService,
+    TableWrite,
+    decode_update,
+    encode_update,
+)
 from repro.p4runtime.farm import DeviceFarm
 from repro.p4runtime.server import P4RuntimeServer
 from tests.test_fanout import FAST, wait_for
@@ -205,37 +211,41 @@ def test_rows_encode_to_the_bytes_of_their_table_entries(ops, fence):
     batch.update_ids = ["u-1", "u-2"]
     writes = batch.emit_writes()
     reference = [
-        TableWrite(w.kind, w.table, w.binding.entry_for(w.row))
-        for w in writes
+        TableWrite(kind, table, TableEntry.from_key(key, value))
+        for kind, table, key, value in writes.decoded()
     ]
     args = ({7: [1, 2]}, batch.update_ids, fence, (3, 4))
     assert aio_client._encode_batch(writes, *args) == (
         aio_client._encode_batch(reference, *args)
     )
-    for write, ref in zip(writes, reference):
-        assert write.entry.match_key() == ref.entry.match_key()
+    for kind, binding, rows in writes.runs:
+        assert list(binding.decoded_run(kind, rows)) == [
+            decode_update(update)
+            for update in json.loads("[%s]" % binding.wire_run(kind, rows))
+        ]
 
 
 def test_every_match_kind_and_the_priority_reach_the_wire():
     exact, lpm, acl = (_BINDINGS[r] for r in ("ExactT", "LpmT", "AclT"))
-    assert json.loads(exact.wire("INSERT", (1, 2, forward("ExactT", 3)))) == {
+    row = (1, 2, forward("ExactT", 3))
+    assert json.loads(exact.wire_run("INSERT", [row])) == {
         "type": "INSERT", "table": "exact_t",
         "match": [{"exact": 1}, {"exact": 2}],
         "action": {"name": "forward", "params": [3]}, "priority": 0,
     }
     assert json.loads(
-        lpm.wire("DELETE", (1, (0x0A000000, 8), forward("LpmT", 2)))
+        lpm.wire_run("DELETE", [(1, (0x0A000000, 8), forward("LpmT", 2))])
     )["match"] == [{"exact": 1}, {"lpm": [0x0A000000, 8]}]
     row = (1, (5, 7), StructValue("AclTActionDrop", ()), 9)
-    wired = json.loads(acl.wire("INSERT", row))
+    wired = json.loads(acl.wire_run("INSERT", [row]))
     assert wired["match"] == [{"exact": 1}, {"ternary": [5, 7]}]
     assert (wired["action"], wired["priority"]) == (
         {"name": "drop", "params": []}, 9
     )
     assert acl.key_of(row) == (1, (5, 7), 9)
-    assert acl.entry_for(row).match_key() == (
-        9, "exact", 1, None, "ternary", 5, 7
-    )
+    assert list(acl.decoded_run("INSERT", [row])) == [(
+        "INSERT", "acl_t", (9, "exact", 1, None, "ternary", 5, 7), ("drop",)
+    )]
 
 
 @pytest.mark.parametrize(
@@ -255,9 +265,9 @@ def test_every_match_kind_and_the_priority_reach_the_wire():
 def test_ill_typed_rows_raise_from_both_converters(relation, row, message):
     binding = _BINDINGS[relation]
     with pytest.raises(TypeCheckError, match=message):
-        binding.wire("INSERT", row)
+        binding.wire_run("INSERT", [row])
     with pytest.raises(TypeCheckError, match=message):
-        binding.entry_for(row)
+        list(binding.decoded_run("INSERT", [row]))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +280,11 @@ def _batch(*ops):
     for op, relation, row in ops:
         binding = _BINDINGS[relation]
         getattr(batch, f"record_{op}")(binding, binding.key_of(row), row)
-    return [(w.kind, w.row) for w in batch.emit_writes()]
+    return [
+        (kind, row)
+        for kind, _, rows in batch.emit_writes().runs
+        for row in rows
+    ]
 
 
 def test_delete_and_reinsert_of_the_same_row_is_elided():
@@ -313,8 +327,8 @@ def _entries(wire_updates):
 
 def _sim_entries(sim, table):
     return _entries(
-        TableWrite("INSERT", table, entry).to_wire()
-        for entry in DeviceService(sim).read_table(table)
+        encode_update("INSERT", table, key, value)
+        for key, value in DeviceService(sim).read_table(table)
     )
 
 

@@ -1,21 +1,25 @@
-"""Updates go to the wire as text.
+"""Updates go to the wire as text, and to in-process tables decoded.
 
-Each P4 table's generated converter (``TableBinding.wire``) writes an
-update's JSON text itself, from a ``%``-format made for each of the
+Each P4 table's generated converter (``TableBinding.wire_run``) writes
+an update's JSON text itself, from a ``%``-format made for each of the
 table's (kind, action) pairs, and ``_encode_batch`` joins those texts
 into the request.  These properties hold it to the path that shares
-none of that code: ``binding.entry_for(row)`` → a
-:class:`~repro.p4runtime.api.TableWrite` → its ``to_wire()`` dict →
-``json.dumps``.  Tables are drawn over every match kind, with and
-without a priority column, with actions of 0 to 3 parameters; values
-over the whole range a row can hold (0 to 2**128, negatives, ``bool``)
-and, for the error cases, values a row must not hold.
+none of that code: the row's decoded form
+(``binding.decoded_run(kind, rows)``, what an in-process device
+applies) → :func:`~repro.p4runtime.api.encode_update`'s dict →
+``json.dumps``.  And they hold the decoded form to the text: it is what
+:func:`~repro.p4runtime.api.decode_update` reads back from it.  Tables
+are drawn over every match kind, with and without a priority column,
+with actions of 0 to 3 parameters; values over the whole range a row
+can hold (0 to 2**128, negatives, ``bool``) and, for the error cases,
+values a row must not hold.
 
 * **requests** — the ``apply_batch`` params of rows equal, byte for
-  byte, those of the dicts, and a list mixing rows and table writes
-  encodes the same;
+  byte, those of the dicts, and a batch mixing runs of rows and of
+  decoded pairs encodes the same;
 * **rows** — every row, well-typed or not, gives the reference text or
-  raises what the reference raises, with the same message.
+  raises what the reference raises, with the same message, and every
+  run decodes to its text decoded or raises the text's error.
 """
 
 import json
@@ -29,7 +33,12 @@ from repro.errors import TypeCheckError
 from repro.mgmt.jsonrpc import dumps
 from repro.p4.p4info import ActionParam, MatchField, P4Info
 from repro.p4runtime import aio_client
-from repro.p4runtime.api import RowWrite, TableWrite, WriteList
+from repro.p4runtime.api import (
+    PairCodec,
+    WriteBatch,
+    decode_update,
+    encode_update,
+)
 
 KINDS = ("INSERT", "MODIFY", "DELETE")
 
@@ -115,14 +124,22 @@ def loose_rows(draw, binding):
     return tuple(row)
 
 
-def reference_write(binding, kind, row) -> TableWrite:
-    return TableWrite(kind, binding.info.name, binding.entry_for(row))
+def decoded(binding, kind, row) -> tuple:
+    """``row``'s ``(kind, table, key, value)``."""
+    (update,) = binding.decoded_run(kind, [row])
+    return update
+
+
+def reference_update(binding, kind, row) -> dict:
+    """``row``'s update dict, built from its decoded form."""
+    return encode_update(*decoded(binding, kind, row))
 
 
 def reference_params(updates, mcast, update_ids, fence, seq) -> bytes:
-    """The ``apply_batch`` params as one ``dumps`` of the dict envelope."""
+    """The ``apply_batch`` params as one ``dumps`` of the dict envelope
+    around the update dicts ``updates``."""
     envelope = {
-        "updates": [u.to_wire() for u in updates],
+        "updates": list(updates),
         "mcast": [
             [group, list(ports) if ports is not None else None]
             for group, ports in sorted((mcast or {}).items())
@@ -163,17 +180,19 @@ def test_rows_encode_to_the_bytes_of_the_dict_envelope(data, envelope):
     batch = data.draw(
         st.lists(st.tuples(st.sampled_from(KINDS), rows(binding)), max_size=6)
     )
-    writes = WriteList(RowWrite(kind, binding, row) for kind, row in batch)
-    reference = [reference_write(binding, kind, row) for kind, row in batch]
+    writes = WriteBatch([(kind, binding, [row]) for kind, row in batch])
+    reference = [reference_update(binding, kind, row) for kind, row in batch]
     expected = reference_params(reference, *envelope)
     assert aio_client._encode_batch(writes, *envelope) == expected
-    assert aio_client._encode_batch(reference, *envelope) == expected
-    assert [w.to_wire() for w in writes] == [r.to_wire() for r in reference]
+    assert [w.to_wire() for w in writes] == reference
 
 
 @settings(max_examples=100)
 @given(data=st.data(), envelope=_envelopes)
 def test_a_list_mixing_rows_and_table_writes_encodes_the_same(data, envelope):
+    """A batch whose runs are rows under their binding or, as a
+    read-diff's repairs are, decoded ``(key, value)`` pairs under a
+    :class:`PairCodec`."""
     binding = data.draw(bindings())
     batch = data.draw(
         st.lists(
@@ -181,20 +200,19 @@ def test_a_list_mixing_rows_and_table_writes_encodes_the_same(data, envelope):
             max_size=6,
         )
     )
-    mixed = WriteList(
-        reference_write(binding, kind, row)
-        if as_table_write
-        else RowWrite(kind, binding, row)
-        for kind, row, as_table_write in batch
-    )
-    reference = [reference_write(binding, kind, row) for kind, row, _ in batch]
+    codec = PairCodec(binding.info.name)
+    mixed = WriteBatch([
+        (kind, codec, [decoded(binding, kind, row)[2:]])
+        if as_pair
+        else (kind, binding, [row])
+        for kind, row, as_pair in batch
+    ])
+    reference = [reference_update(binding, kind, row) for kind, row, _ in batch]
     assert aio_client._encode_batch(mixed, *envelope) == reference_params(
         reference, *envelope
     )
     # The blocking ``write`` sends the same array of updates.
-    assert aio_client._updates_json(mixed) == dumps(
-        [r.to_wire() for r in reference]
-    )
+    assert aio_client._updates_json(mixed) == dumps(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +221,18 @@ def test_a_list_mixing_rows_and_table_writes_encodes_the_same(data, envelope):
 
 
 def reference_outcome(binding, kind, row):
-    """The update text the entry path gives for ``row``, or the type
+    """The update text the decoded path gives for ``row``, or the type
     and message of what it raises (a ``TypeCheckError`` from the type
-    checks, a ``TypeError`` from ``dumps`` for a value JSON has no
-    form for)."""
+    checks, a ``TypeError`` for a value JSON has no form for)."""
     try:
-        return dumps(reference_write(binding, kind, row).to_wire()).decode()
+        return dumps(reference_update(binding, kind, row)).decode()
     except (TypeCheckError, TypeError) as exc:
         return (type(exc), str(exc))
 
 
 def wire_outcome(binding, kind, row):
     try:
-        return binding.wire(kind, row)
+        return binding.wire_run(kind, [row])
     except (TypeCheckError, TypeError) as exc:
         return (type(exc), str(exc))
 
@@ -270,9 +287,9 @@ def test_a_row_converts_without_json_dumps(monkeypatch):
         (True, (10, 8), (3, 255), set_ab, 7),  # a bool: field by field
     ):
         for kind in KINDS:
-            binding.wire(kind, row)
+            binding.wire_run(kind, [row])
     assert calls == []
-    assert binding.wire("INSERT", (1, (10, 8), (3, 255), set_ab, 7)) == (
+    assert binding.wire_run("INSERT", [(1, (10, 8), (3, 255), set_ab, 7)]) == (
         '{"type":"INSERT","table":"acl","match":[{"exact":1},'
         '{"lpm":[10,8]},{"ternary":[3,255]}],'
         '"action":{"name":"set","params":[5,6]},"priority":7}'
@@ -291,9 +308,25 @@ def run_outcome(binding, kind, rows):
         return (type(exc), str(exc))
 
 
+def decoded_run_outcome(binding, kind, rows):
+    try:
+        return list(binding.decoded_run(kind, rows))
+    except (TypeCheckError, TypeError) as exc:
+        return (type(exc), str(exc))
+
+
+def wire_decoded_outcome(binding, kind, rows):
+    """``wire_run``'s text of ``rows`` read back by ``decode_update``,
+    or what ``wire_run`` raises."""
+    text = run_outcome(binding, kind, rows)
+    if isinstance(text, tuple):
+        return text
+    return [decode_update(u) for u in json.loads("[%s]" % text)]
+
+
 def joined_outcome(binding, kind, rows):
     """The reference texts of ``rows`` joined, or the error of the first
-    row the entry path refuses."""
+    row the decoded path refuses."""
     texts = []
     for row in rows:
         outcome = reference_outcome(binding, kind, row)
@@ -308,8 +341,9 @@ def joined_outcome(binding, kind, rows):
 def test_a_run_gives_the_joined_row_texts_or_the_first_rows_error(data, kind):
     """``wire_run`` over rows of any match kinds and priorities, with
     ``bool`` and out-of-range values, strings, unknown constructors and
-    wrong arities mixed in: the entry path's texts joined, or the error
-    it raises for the first row it refuses."""
+    wrong arities mixed in: the decoded path's texts joined, or the
+    error it raises for the first row it refuses.  And ``decoded_run``
+    of the rows is their text decoded, or raises the text's error."""
     binding = data.draw(bindings())
     rows_ = data.draw(
         st.lists(st.one_of(rows(binding), loose_rows(binding)), max_size=6)
@@ -317,14 +351,17 @@ def test_a_run_gives_the_joined_row_texts_or_the_first_rows_error(data, kind):
     assert run_outcome(binding, kind, rows_) == joined_outcome(
         binding, kind, rows_
     )
+    assert decoded_run_outcome(binding, kind, rows_) == wire_decoded_outcome(
+        binding, kind, rows_
+    )
 
 
 @settings(max_examples=100)
 @given(data=st.data(), envelope=_envelopes)
 def test_a_list_of_runs_encodes_to_the_bytes_of_its_row_writes(data, envelope):
-    """A device batch's list holds runs of rows; encoded, it is byte for
-    byte what the same writes as one ``RowWrite`` each encode to, and
-    reading its items gives those writes."""
+    """A device batch holds runs of rows; encoded, it is byte for byte
+    the dict envelope of the rows' decoded forms, and iterating it
+    gives those updates."""
     binding = data.draw(bindings())
     runs = data.draw(
         st.lists(
@@ -335,56 +372,25 @@ def test_a_list_of_runs_encodes_to_the_bytes_of_its_row_writes(data, envelope):
             max_size=4,
         )
     )
-    writes = WriteList.of_runs(
-        [(kind, binding, list(batch)) for kind, batch in runs]
-    )
+    writes = WriteBatch([(kind, binding, list(batch)) for kind, batch in runs])
     flat = [(kind, row) for kind, batch in runs for row in batch]
-    reference = WriteList(RowWrite(kind, binding, row) for kind, row in flat)
+    reference = [reference_update(binding, kind, row) for kind, row in flat]
     assert len(writes) == len(flat)
     assert bool(writes) == bool(flat)
     assert aio_client._encode_batch(writes, *envelope) == (
-        aio_client._encode_batch(reference, *envelope)
+        reference_params(reference, *envelope)
     )
-    assert [(w.kind, w.row) for w in writes] == flat
-    assert [(w.kind, w.row) for w in reversed(writes)] == flat[::-1]
-    if flat:
-        assert (writes[-1].kind, writes[-1].row) == flat[-1]
-
-
-def test_every_read_of_a_runs_list_sees_row_writes():
-    """A list of runs stores rows in its slots; comparing, ``in``,
-    ``index``, ``count``, ``copy``, ``+`` and ``repr`` all see its
-    ``RowWrite`` items, never a raw row."""
-    binding = _acl_binding()
-    good = (1, (10, 8), (3, 255), StructValue("AclActionSet", (5, 6)), 7)
-    other = (2, (10, 8), (3, 255), StructValue("AclActionDrop", ()), 7)
-
-    def fresh():
-        return WriteList.of_runs(
-            [("DELETE", binding, [good]), ("INSERT", binding, [other])]
-        )
-
-    assert fresh() != [good, other]
-    assert good not in fresh()
-    assert fresh().count(good) == 0
-    assert repr(fresh()).startswith("[RowWrite(DELETE acl ")
-    for items in (fresh().copy(), fresh() + [], fresh() * 1):
-        assert [(w.kind, w.row) for w in items] == [
-            ("DELETE", good), ("INSERT", other)
-        ]
-    writes = fresh()
-    first = list.__getitem__(writes, 0)
-    assert first is good  # still the raw row in its slot
-    assert writes == [writes[0], writes[1]]
-    assert writes.index(writes[1]) == 1
-    assert writes[0] in writes and writes[0].row is good
+    assert [w.to_wire() for w in writes] == reference
+    assert list(writes.decoded()) == [
+        decoded(binding, kind, row) for kind, row in flat
+    ]
 
 
 def test_a_run_refuses_each_row_wire_refuses():
     """Rows whose values are all ints but whose action is unknown, of
     the wrong arity or no constructor at all, and a ``str`` or ``bool``
-    value: a run of a good row and the bad one gives ``wire``'s text
-    or raises ``wire``'s error."""
+    value: a run of a good row and the bad one gives the rows' own
+    texts joined, or raises the bad row's error, encoded or decoded."""
     binding = _acl_binding()
     good = (1, (10, 8), (3, 255), StructValue("AclActionSet", (5, 6)), 7)
     for bad in (
@@ -400,5 +406,8 @@ def test_a_run_refuses_each_row_wire_refuses():
         for kind in KINDS:
             outcome = run_outcome(binding, kind, [good, bad])
             assert outcome == joined_outcome(binding, kind, [good, bad])
+            assert decoded_run_outcome(
+                binding, kind, [good, bad]
+            ) == wire_decoded_outcome(binding, kind, [good, bad])
             if bad[0] is not True:
                 assert isinstance(outcome, tuple), bad  # refused
