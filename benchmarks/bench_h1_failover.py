@@ -40,9 +40,13 @@ one loop callback (snapshot, pickle, write, fsync), so this is what a
 100k-entry full save costs every other callback on that loop.  Also the
 leader's worst renew lateness before the kill: how late its lease tick
 ran against its due time.  Both replicas here share one loop (the
-process default), so the standby's checkpoint polls count too.
+process default), so the standby's checkpoint polls count too.  And
+the cyclic collector's passes during the seed transaction and during
+the cold restart: their total time, count and the longest one (any
+thread's, through ``gc.callbacks``).
 """
 
+import gc
 import os
 import threading
 import time
@@ -191,6 +195,47 @@ def longest_loop_stall(reactor, fn) -> float:
     return max(later - earlier for earlier, later in zip(ran, ran[1:]))
 
 
+class CollectorPasses:
+    """The cyclic collector's passes while in the ``with`` block: how
+    many, their total seconds and the longest one."""
+
+    def __init__(self):
+        self.count = 0
+        self.seconds = 0.0
+        self.longest = 0.0
+        self._started = 0.0
+
+    def _on_pass(self, phase, _info) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        took = time.perf_counter() - self._started
+        self.count += 1
+        self.seconds += took
+        self.longest = max(self.longest, took)
+
+    def __enter__(self) -> "CollectorPasses":
+        gc.callbacks.append(self._on_pass)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._on_pass)
+
+    def row(self, what: str) -> tuple:
+        return (
+            f"collector during {what}",
+            f"{self.seconds * 1e3:.1f} ms in {self.count} passes, "
+            f"longest {self.longest * 1e3:.1f} ms",
+            "reported",
+        )
+
+    def emit(self, name: str) -> None:
+        emit(
+            "h1", name, "seconds", round(self.seconds, 4),
+            passes=self.count, longest_pass_seconds=round(self.longest, 4),
+        )
+
+
 def _segments_on_disk(state_dir: str) -> int:
     return sum(
         1 for name in os.listdir(state_dir) if ".delta-" in name
@@ -207,8 +252,9 @@ def test_h1_failover_vs_cold_restart(benchmark, tmp_path):
     a = _replica(project, db, sim, state_dir, "a")
     a.start()
     wait_until(lambda: a.is_leader, what="initial leader election")
-    seed(db)
-    a.controller.drain()
+    with CollectorPasses() as seed_passes:
+        seed(db)
+        a.controller.drain()
     assert len(sim.table("nat")) == N_VIPS * N_SWITCHES
     save_stall = longest_loop_stall(
         a.controller.reactor, a.controller.save_checkpoint
@@ -266,11 +312,12 @@ def test_h1_failover_vs_cold_restart(benchmark, tmp_path):
 
     # Cold baseline: a fresh replacement controller with no checkpoint
     # and no warm engine — compile, recompute, reconcile the device.
-    cold_started = time.perf_counter()
-    cold_project = nerpa_build(SCHEMA, RULES, P4)
-    cold = NerpaController(cold_project, db, [sim]).start()
-    cold.drain()
-    cold_seconds = time.perf_counter() - cold_started
+    with CollectorPasses() as cold_passes:
+        cold_started = time.perf_counter()
+        cold_project = nerpa_build(SCHEMA, RULES, P4)
+        cold = NerpaController(cold_project, db, [sim]).start()
+        cold.drain()
+        cold_seconds = time.perf_counter() - cold_started
     assert table_state(sim) == expected
     cold.stop()
 
@@ -291,6 +338,8 @@ def test_h1_failover_vs_cold_restart(benchmark, tmp_path):
              f"{renew_lateness * 1e3:.1f} ms", "reported"),
             ("longest loop stall, full save",
              f"{save_stall * 1e3:.1f} ms", "reported"),
+            seed_passes.row("the seed transaction"),
+            cold_passes.row("the cold restart"),
         ],
         ["metric", "measured", "reference"],
     )
@@ -306,5 +355,7 @@ def test_h1_failover_vs_cold_restart(benchmark, tmp_path):
     emit("h1", "cold_restart", "seconds", round(cold_seconds, 4))
     emit("h1", "full_save_loop_stall", "seconds", round(save_stall, 4))
     emit("h1", "leader_renew_lateness_max", "seconds", round(renew_lateness, 4))
+    seed_passes.emit("seed_collector")
+    cold_passes.emit("cold_restart_collector")
     assert speedup >= SPEEDUP_GATE
     assert failover_seconds <= FAILOVER_BOUND

@@ -17,17 +17,24 @@ and, after its cold-start commit:
    commits, how many tracked objects the collector walks again (those
    outside the frozen set) and how long a full collection takes.
 
-With ``--promotions`` it measures what the collector promotes instead.
-It runs the workload's commits (no freeze), and at the start of every
+The controller freezes the heap once its recovery ends
+(``repro.core.collector``), and ``gc.get_objects()`` does not list
+frozen objects, so this mode unfreezes first and counts them all.
+
+With ``--promotions`` it measures what the collector promotes instead,
+under the policy the controller holds (its thresholds and freeze, both
+printed).  It runs the workload's commits, and at the start of every
 generation-1 collection it takes the objects resident in generation 1 —
 those a gen-1 pass promotes to generation 2 if they survive — and
 attributes them to an owner: the farm devices' ``tables``, the engine
 (runtime and interned values), the fan-out (channel queues, device
 batches and their write batches, the device clients holding in-flight
 batches), management (``Database``, server, the controller's client),
-or the rest (other objects, and garbage the pass frees).  It reports
-those per commit, with the collections per commit of each generation,
-and writes them as JSON to ``--json``:
+or the rest (other objects, and garbage the pass frees), which it also
+breaks down by type.  It reports those per commit, with the passes and
+milliseconds per commit of each generation, overall and by the thread
+whose allocation triggered the pass, and writes them as JSON to
+``--json``:
 
     PYTHONPATH=src python3 -m benchmarks.gc_census --promotions \
         --commits 60 --json gc_census.json
@@ -40,8 +47,10 @@ import gc
 import json
 import os
 import sys
+import threading
 import time
 import types
+from collections import Counter
 
 from benchmarks.e2e import workloads
 from benchmarks.e2e.stack import Stack
@@ -132,30 +141,44 @@ def promotion_owners(stack, young):
     ]
 
 
+#: Types of the rest listed by ``--promotions``, most numerous first.
+REST_TYPES = 15
+
+
 def promotions(stack, commits):
     """Per commit: generation-1 residents at each gen-1 collection by
-    owner, and collections per generation."""
+    owner (the rest by type), and passes and milliseconds per
+    generation, overall and by triggering thread."""
     stop = {id(m.__dict__) for m in list(sys.modules.values())
             if m is not None}
     resident = dict.fromkeys(OWNERS, 0)
-    collections = [0, 0, 0]
+    rest_types = Counter()
+    passes = {}  # (thread name, generation) -> [count, seconds]
+    started = [0.0]
 
     def on_collection(phase, info):
-        if phase != "start":
-            return
         generation = info["generation"]
-        collections[generation] += 1
-        if generation != 1:
+        if phase == "stop":
+            key = (threading.current_thread().name, generation)
+            entry = passes.setdefault(key, [0, 0.0])
+            entry[0] += 1
+            entry[1] += time.perf_counter() - started[0]
             return
-        young = gc.get_objects(generation=1)
-        within = {id(o) for o in young}
-        claimed = {id(young), id(within)}
-        counted = 0
-        for name, roots in promotion_owners(stack, young):
-            n = reach(roots, claimed, stop | claimed, within)
-            resident[name] += n
-            counted += n
-        resident["rest"] += len(within) - counted
+        if generation == 1:
+            young = gc.get_objects(generation=1)
+            within = {id(o) for o in young}
+            claimed = {id(young), id(within)}
+            counted = 0
+            for name, roots in promotion_owners(stack, young):
+                n = reach(roots, claimed, stop | claimed, within)
+                resident[name] += n
+                counted += n
+            resident["rest"] += len(within) - counted
+            rest_types.update(
+                type(o).__qualname__ for o in young if id(o) not in claimed
+            )
+            del young, within, claimed
+        started[0] = time.perf_counter()  # the census is not the pass
 
     gc.collect()
     gc.callbacks.append(on_collection)
@@ -167,15 +190,41 @@ def promotions(stack, commits):
     finally:
         gc.callbacks.remove(on_collection)
     n = len(commits)
+
+    def per_commit(rows):
+        return {
+            f"gen{g}": {
+                "passes": round(sum(c for (_, gen), (c, _) in rows if gen == g)
+                                / n, 3),
+                "ms": round(sum(t for (_, gen), (_, t) in rows if gen == g)
+                            * 1e3 / n, 3),
+            }
+            for g in range(3)
+        }
+
+    rows = list(passes.items())
+    threads = sorted({thread for thread, _ in passes})
     return {
         "commits": n,
         "gen1_residents_per_commit": {
             name: round(count / n, 1) for name, count in resident.items()
         },
-        "collections_per_commit": {
-            f"gen{g}": round(count / n, 3) for g, count in enumerate(collections)
+        "rest_by_type_per_commit": {
+            name: round(count / n, 1)
+            for name, count in rest_types.most_common(REST_TYPES)
+        },
+        "passes_per_commit": per_commit(rows),
+        "passes_per_commit_by_thread": {
+            thread: per_commit([r for r in rows if r[0][0] == thread])
+            for thread in threads
         },
     }
+
+
+def policy():
+    """The collector policy in effect: thresholds and frozen objects."""
+    return {"thresholds": list(gc.get_threshold()),
+            "freeze_count": gc.get_freeze_count()}
 
 
 def full_collection_ms(repeat=3):
@@ -200,11 +249,13 @@ def main(argv=None):
     baseline = len(gc.get_objects())
     stack = Stack(workload)
     if args.promotions:
+        in_effect = policy()
         try:
             result = promotions(stack, workload.commits[: args.commits])
         finally:
             stack.close()
-        result = {"workload": "lb_replace", "seed": args.seed, **result}
+        result = {"workload": "lb_replace", "seed": args.seed,
+                  "policy": in_effect, **result}
         print(json.dumps(result, indent=2))
         if args.json:
             os.makedirs(os.path.dirname(args.json) or ".", exist_ok=True)
@@ -212,6 +263,11 @@ def main(argv=None):
                 json.dump(result, out, indent=2)
         return
     try:
+        in_effect = policy()
+        print(f"# collector policy after set-up: thresholds "
+              f"{tuple(in_effect['thresholds'])}, "
+              f"{in_effect['freeze_count']} objects frozen (unfrozen to count)")
+        gc.unfreeze()
         rows = census(stack, baseline)
         total = sum(n for _, n in rows)
         print(f"# GC-tracked objects after set-up: {total}")

@@ -50,7 +50,7 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.core import metrics, reconcile, warmstate
+from repro.core import collector, metrics, reconcile, warmstate
 from repro.core.fanout import FanoutPlane
 from repro.core.pipeline import MULTICAST_RELATION, NerpaProject
 from repro.core.pipeline.changeset import (
@@ -185,6 +185,9 @@ class NerpaController:
         ]
         self.breaker_threshold = breaker_threshold
         self._started = False
+        #: This controller's hold on the process's collector policy
+        #: (:mod:`~repro.core.collector`), from start() to stop().
+        self._collector_hold: Optional[object] = None
 
         # Pipeline plumbing (built in start()).
         self.engine_queue: Optional[CoalescingQueue] = None
@@ -263,6 +266,15 @@ class NerpaController:
             raise ReproError("controller already started")
         started_at = time.perf_counter()
         self._started = True
+        self._collector_hold = collector.hold()
+        try:
+            return self._begin(started_at)
+        except BaseException:
+            collector.release(self._collector_hold)
+            raise
+
+    def _begin(self, started_at: float) -> "NerpaController":
+        """:meth:`start` once it holds the collector policy."""
         self._fanout_plane = FanoutPlane(
             reactor=self.reactor,
             on_error=self._defer_error,
@@ -314,6 +326,7 @@ class NerpaController:
         yield partial(when_all, syncs)
         if not self._started:
             raise ReproError("controller stopped before its initial sync")
+        collector.freeze(self._collector_hold)
         self.mgmt.on_reconnect(self._on_mgmt_reconnect)
         if self.state_dir is not None and self.checkpoint_interval_s:
             self.checkpoints.start_timer(
@@ -441,8 +454,11 @@ class NerpaController:
         itself.  Unsubscribing never waits (a remote monitor's cancel is
         sent, not awaited), so no loop is held, a management client's
         own included.  Stopping a stack whose management plane is
-        already down must not raise out of teardown either.
+        already down must not raise out of teardown either.  The hold
+        on the collector policy goes first, so no teardown step can
+        keep it.
         """
+        collector.release(self._collector_hold)
         self.checkpoints.stop_timer()
         on_loop = self.reactor is not None and self.reactor.in_loop()
         if self._started and not on_loop:

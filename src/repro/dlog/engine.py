@@ -290,11 +290,7 @@ class Runtime:
             name: set() for name in program.input_relations
         }
         self._validators = {
-            rel.name: _row_validator(rel, self.checked.tenv)
-            for rel in self.checked.ast.relations
-        }
-        self._batch_validators = {
-            rel.name: _batch_row_validator(rel, self._validators[rel.name])
+            rel.name: rows_validator(rel, self.checked.tenv)
             for rel in self.checked.ast.relations
         }
         self._journal: Optional[List[dict]] = None
@@ -502,6 +498,8 @@ class Runtime:
                     raise TransactionError(
                         f"{rel_name} is not an input relation"
                     )
+            deletes = checked_rows(self._validators, deletes)
+            inserts = checked_rows(self._validators, inserts)
             for rel_name, rows in deletes.items():
                 delta = self._normalize(
                     rel_name, rows, insert=False, warnings=warnings
@@ -582,24 +580,20 @@ class Runtime:
         return operators, strata
 
     def _normalize(
-        self, rel_name: str, rows, insert: bool, warnings: List[str]
+        self, rel_name: str, rows: List[tuple], insert: bool,
+        warnings: List[str],
     ) -> ZSet:
+        """``rows`` (checked) as a delta against the input state, which
+        it updates: duplicate inserts and absent deletes are dropped
+        with a warning."""
         state = self._input_state[rel_name]
-        validate = self._validators[rel_name]
-        if insert and not state:
-            # First rows of this relation: one column-wise validation
-            # sweep and a wholesale set/dict build.  Falls through to
-            # the per-row loop when the batch has internal duplicates
-            # so the warnings match it exactly.
-            rows = [row if type(row) is tuple else tuple(row) for row in rows]
-            self._batch_validators[rel_name](rows)
-            if len(set(rows)) == len(rows):
-                state.update(rows)
-                return ZSet(dict.fromkeys(rows, 1))
+        if insert and not state and len(set(rows)) == len(rows):
+            # First rows of this relation, none repeated: a wholesale
+            # set/dict build.
+            state.update(rows)
+            return ZSet(dict.fromkeys(rows, 1))
         delta = ZSet()
-        for raw in rows:
-            row = tuple(raw) if not isinstance(raw, tuple) else raw
-            validate(row)
+        for row in rows:
             if insert:
                 if row in state or delta.weight(row) > 0:
                     warnings.append(f"{rel_name}: duplicate insert {row!r}")
@@ -807,6 +801,19 @@ def _node_state(node: Node, kind: str) -> object:
     return _arrangement_data(node.groups)
 
 
+def checked_rows(validators, changes) -> Dict[str, List[tuple]]:
+    """``{relation: rows}`` with every row a tuple that its relation's
+    validator (:func:`rows_validator`) accepts, all checked before the
+    caller touches any state: an ill-typed row raises (the first, in
+    order) and leaves the transaction unapplied."""
+    checked = {}
+    for rel_name, rows in changes.items():
+        rows = list(map(tuple, rows))  # a tuple stays the same object
+        validators[rel_name](rows)
+        checked[rel_name] = rows
+    return checked
+
+
 def _row_validator(decl: A.RelationDecl, tenv: T.TypeEnv):
     """Build a shallow row validator for one relation."""
     col_types = decl.column_types()
@@ -855,25 +862,34 @@ def _exact_type(ty: T.Type) -> Optional[type]:
     return None
 
 
-def _batch_row_validator(decl: A.RelationDecl, validate):
-    """Batch validator: a column-wise fast sweep with per-row fallback.
+def rows_validator(decl: A.RelationDecl, tenv: T.TypeEnv):
+    """A relation's validator for a list of rows: a sweep of exact
+    types with a per-row fallback (:func:`_row_validator`).
 
-    Raises exactly what the per-row ``validate`` would raise on the
-    first offending row (in batch order); accepts everything it would
-    accept.
+    Raises exactly what the per-row check would raise on the first
+    offending row (in batch order); accepts everything it would accept.
+    Plain loops, so a batch of any size is one Python-level call.
     """
-    arities = {decl.arity}
+    validate = _row_validator(decl, tenv)
+    arity = decl.arity
     columns = [
-        (i, {exact})
+        (i, exact)
         for i, exact in enumerate(_exact_type(ty) for ty in decl.column_types())
         if exact is not None
     ]
 
     def validate_rows(rows: List[tuple]) -> None:
-        if {len(row) for row in rows} <= arities and all(
-            {type(row[i]) for row in rows} <= exact for i, exact in columns
-        ):
-            return
+        for row in rows:
+            if len(row) != arity:
+                break
+            for i, exact in columns:
+                if type(row[i]) is not exact:
+                    break
+            else:
+                continue
+            break
+        else:
+            return  # every row passed
         for row in rows:
             validate(row)
 

@@ -39,6 +39,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 from repro import obs
 from repro.dlog.checkpoint import CHECKPOINT_FORMAT
 from repro.dlog.dataflow.zset import ZSet
+from repro.dlog.engine import checked_rows, rows_validator
 from repro.dlog.shard.analyze import PARTITIONED, ShardPlan, analyze
 from repro.dlog.shard.worker import make_worker
 from repro.errors import TransactionError
@@ -104,7 +105,9 @@ class ShardedRuntime:
             if kind == PARTITIONED
         }
         self._validators = {
-            name: _validator(program, name)
+            name: rows_validator(
+                program.checked.relation(name), program.checked.tenv
+            )
             for name in program.input_relations
         }
         self.txn_count = 0
@@ -222,6 +225,8 @@ class ShardedRuntime:
         for rel_name in set(inserts) | set(deletes):
             if rel_name not in self._input_state:
                 raise TransactionError(f"{rel_name} is not an input relation")
+        deletes = checked_rows(self._validators, deletes)
+        inserts = checked_rows(self._validators, inserts)
         per_shard: List[Optional[dict]] = [None] * self.shards
         routed = broadcast = 0
         journal = self._journal
@@ -251,18 +256,13 @@ class ShardedRuntime:
         # warning: byte-for-byte the single engine's normalization.
         for rel_name, rows in deletes.items():
             state = self._input_state[rel_name]
-            validate = self._validators[rel_name]
-            removed = set()
-            for raw in rows:
-                row = tuple(raw) if not isinstance(raw, tuple) else raw
-                validate(row)
+            for row in rows:
                 if row not in state:
                     warnings.append(
                         f"{rel_name}: delete of absent row {row!r}"
                     )
                     continue
                 state.discard(row)
-                removed.add(row)
                 if entry is not None:
                     entry["deletes"].setdefault(rel_name, []).append(row)
                 keyed = dispatch(rel_name, row, "deletes")
@@ -270,11 +270,8 @@ class ShardedRuntime:
                 broadcast += (1 - keyed) * self.shards
         for rel_name, rows in inserts.items():
             state = self._input_state[rel_name]
-            validate = self._validators[rel_name]
             added = set()
-            for raw in rows:
-                row = tuple(raw) if not isinstance(raw, tuple) else raw
-                validate(row)
+            for row in rows:
                 if row in state or row in added:
                     warnings.append(
                         f"{rel_name}: duplicate insert {row!r}"
@@ -478,11 +475,3 @@ class ShardedRuntime:
         for worker in self._workers:
             worker.close()
         self._workers = []
-
-
-def _validator(program, relation: str):
-    from repro.dlog.engine import _row_validator
-
-    return _row_validator(
-        program.checked.relation(relation), program.checked.tenv
-    )

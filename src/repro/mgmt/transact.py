@@ -166,12 +166,21 @@ def _select_rows(db, staged, op) -> Dict[str, dict]:
     tschema = _table_schema(db, op)
     where = _resolve_uuid_refs(staged, op.get("where"))
     matches = _compile_where(tschema, where)
-    if len(where or ()) == 1:
-        column, func, value = where[0]
-        if func == "==" and column != "_uuid" and type(value) in _INDEXED:
-            found = staged.find(tschema.name, column, value)
-            if found is not None:
-                return found
+    # The first indexed ``==`` clause reads its index, and the whole
+    # predicate filters what it finds.  Only ``==`` clauses may precede
+    # it: they never raise, so testing fewer rows hides no error that a
+    # scan would raise.
+    for column, func, value in where or ():
+        if func != "==":
+            break
+        if column == "_uuid" or type(value) not in _INDEXED:
+            continue
+        found = staged.find(tschema.name, column, value)
+        if found is None:
+            continue  # a map column has no index
+        if len(where) == 1:
+            return found
+        return {uuid: row for uuid, row in found.items() if matches(uuid, row)}
     return {
         uuid: row
         for uuid, row in staged.items(tschema.name)

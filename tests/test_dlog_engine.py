@@ -72,6 +72,63 @@ class TestBasicRules:
             rt.transaction(inserts={"In": [(1, 2)]})
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+class TestIllTypedRowLeavesNoTrace:
+    """A transaction with an ill-typed row raises and applies nothing:
+    not the rows before it, not the relations normalized before it.
+    Otherwise a retry of the good rows is dropped as a duplicate insert
+    (or an absent delete) and never reaches the dataflow."""
+
+    PROG = """
+    input relation Q(a: bigint)
+    input relation R(a: bigint, b: bigint)
+    output relation P(a: bigint)
+    output relation S(a: bigint, b: bigint)
+    P(a) :- Q(a).
+    S(a, b) :- R(a, b).
+    """
+
+    def start(self, shards):
+        program = compile_program(self.PROG)
+        if shards == 1:
+            return program.start()
+        return program.start(shards=shards, shard_workers="inline")
+
+    def test_a_failed_insert_leaves_no_row_behind(self, shards):
+        rt = self.start(shards)
+        try:
+            rt.transaction(inserts={"R": [(1, 1)]})
+            with pytest.raises(TransactionError, match="expects bigint"):
+                rt.transaction(
+                    inserts={"Q": [(7,)], "R": [(2, 2), (3, "x"), (4, 4)]}
+                )
+            result = rt.transaction(inserts={"Q": [(7,)], "R": [(2, 2)]})
+            assert result.warnings == []
+            assert result.inserted("P") == [(7,)]
+            assert result.inserted("S") == [(2, 2)]
+            assert sorted(rows(rt, "S")) == [(1, 1), (2, 2)]
+        finally:
+            rt.close()
+
+    def test_a_failed_delete_leaves_every_row_in_place(self, shards):
+        rt = self.start(shards)
+        try:
+            rt.transaction(inserts={"Q": [(7,)], "R": [(1, 1), (2, 2)]})
+            with pytest.raises(TransactionError, match="expects bigint"):
+                rt.transaction(deletes={"Q": [(7,)], "R": [(1, 1), (3, "x")]})
+            with pytest.raises(TransactionError, match="expects bigint"):
+                rt.transaction(
+                    deletes={"R": [(2, 2)]}, inserts={"Q": [("y",)]}
+                )
+            result = rt.transaction(deletes={"Q": [(7,)], "R": [(1, 1), (2, 2)]})
+            assert result.warnings == []
+            assert result.deleted("P") == [(7,)]
+            assert sorted(result.deleted("S")) == [(1, 1), (2, 2)]
+            assert rows(rt, "S") == set()
+        finally:
+            rt.close()
+
+
 class TestJoins:
     PROG = """
     input relation Person(name: string, city: string)

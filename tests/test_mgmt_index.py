@@ -1,7 +1,8 @@
 """The management database's equality index against a table scan.
 
-A ``where`` of one ``[column, "==", value]`` clause reads the index on
-(table, column) instead of scanning the table.  It must select exactly
+A ``where`` whose clauses start with ``[column, "==", value]`` reads the
+index on the first such indexed column instead of scanning the table,
+and filters what it finds by every clause.  It must select exactly
 the rows the scan would, in the same order — the order decides the
 order of a transaction's changes, and so of every monitor update — and
 see this transaction's own staged rows: inserts, updates that move a
@@ -118,6 +119,59 @@ def test_a_failed_transaction_leaves_the_index_alone(checked_find):
     assert db._index("T", "k").buckets == before
 
 
+def test_a_where_of_several_clauses_reads_one_index_and_filters(
+    checked_find,
+):
+    db = new_db()
+    db.transact([
+        {"op": "insert", "table": "T", "row": {"k": k % 3, "name": "ab"[k % 2]}}
+        for k in range(9)
+    ])
+    results = db.transact([
+        # k == 0 is u0000 (a), u0003 (b), u0006 (a) committed; u0003
+        # moves into name == "a", u0006 out of it ...
+        {"op": "update", "table": "T", "where": [["_uuid", "==", "u0003"]],
+         "row": {"name": "a"}},
+        {"op": "update", "table": "T", "where": [["_uuid", "==", "u0006"]],
+         "row": {"name": "b"}},
+        # ... and this transaction inserts one row on each side.
+        {"op": "insert", "table": "T", "row": {"k": 0, "name": "a"}},
+        {"op": "insert", "table": "T", "row": {"k": 0, "name": "b"}},
+        {"op": "select", "table": "T",
+         "where": [["k", "==", 0], ["name", "==", "a"]],
+         "columns": ["_uuid"]},
+        {"op": "update", "table": "T",
+         "where": [["name", "==", "a"], ["k", "==", 0], ["flag", "==", False]],
+         "row": {"flag": True}},
+        {"op": "delete", "table": "T",
+         "where": [["k", "==", 0], ["flag", "!=", False]]},
+    ])
+    assert [row["_uuid"] for row in results[4]["rows"]] == [
+        "u0000", "u0003", "u0009",
+    ]
+    assert results[5] == {"count": 3}
+    assert results[6] == {"count": 3}
+    assert sorted(db._tables["T"]) == [
+        "u0001", "u0002", "u0004", "u0005", "u0006", "u0007", "u0008",
+        "u0010",
+    ]
+    assert checked_find == ["k", "name", "k"]
+
+
+def test_a_clause_before_the_index_that_can_raise_keeps_the_scan(
+    checked_find,
+):
+    """A scan tests a leading ``<`` on every row and raises on a row it
+    cannot compare; an index read would test only the rows it found
+    (none here) and raise nothing."""
+    db = new_db()
+    db.transact([{"op": "insert", "table": "T", "row": {"k": 1}}])
+    with pytest.raises(TransactionError, match="cannot compare"):
+        db.transact([{"op": "select", "table": "T",
+                      "where": [["name", "<", 3], ["k", "==", 5]]}])
+    assert checked_find == []
+
+
 def test_map_columns_and_other_clauses_still_scan(checked_find):
     db = new_db()
     db.transact([
@@ -127,7 +181,8 @@ def test_map_columns_and_other_clauses_still_scan(checked_find):
         ([["ids", "==", {"a": "b"}]], 1),
         ([["ids", "==", 1]], 0),  # a map column has no index
         ([["k", "!=", 2]], 1),
-        ([["k", "==", 1], ["name", "==", ""]], 1),
+        ([["k", "!=", 2], ["k", "==", 1]], 1),
+        ([["ids", "==", 1], ["k", "!=", 2]], 0),
         ([["_uuid", "==", "u0000"]], 1),
         ([["k", "==", 1.0]], 1),
     ):
@@ -168,6 +223,24 @@ _COLUMNS = sorted(_VALUES) + ["ref"]
 
 @st.composite
 def _where(draw, names):
+    """One equality, then up to two more clauses: equalities (which the
+    index reads or filters by), or orderings (which filter, or keep the
+    scan when they come first), in any order."""
+    where = [draw(_equality(names))]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            where.append(draw(_equality(names)))
+        else:
+            where.append([
+                draw(st.sampled_from(["k", "name"])),
+                draw(st.sampled_from(["!=", "<", ">="])),
+                draw(_VALUES["k"] | _VALUES["name"]),
+            ])
+    return draw(st.permutations(where))
+
+
+@st.composite
+def _equality(draw, names):
     column = draw(st.sampled_from(_COLUMNS))
     if column == "ref":
         choices = [st.sampled_from([f"u{n:04d}" for n in range(6)])]
@@ -178,10 +251,7 @@ def _where(draw, names):
         value = draw(st.one_of(choices))
     else:
         value = draw(_VALUES[column])
-    where = [[column, "==", value]]
-    if draw(st.integers(0, 5)) == 0:
-        where.append(["flag", "==", draw(st.booleans())])  # scanned
-    return where
+    return [column, "==", value]
 
 
 @st.composite
@@ -248,8 +318,9 @@ def _watch(db):
 )
 def test_the_index_selects_what_a_scan_selects(txns, restore_at):
     """The indexed database and a scan-only one (``find`` answers
-    ``None``) give the same results and the same monitor updates, in
-    the same order, over any op sequence — aborts, named-uuid refs,
+    ``None``) give the same results and errors and the same monitor
+    updates, in the same order, over any op sequence — wheres of one
+    or more clauses, aborts, named-uuid refs,
     rows inserted and changed by the same transaction, updates that
     move a row between values, and a restore from the journal part-way.
     Each index lookup is also checked against a scan of its own view."""
