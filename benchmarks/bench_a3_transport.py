@@ -21,11 +21,11 @@ N_PORTS = 200
 
 
 def run_in_process():
-    net = SnvsNetwork(n_ports=1024)
-    net.add_vlan(1)
-    for port in range(N_PORTS):
-        net.add_access_port(port, vlan=1)
-    latencies = net.controller.sync_latencies[-N_PORTS:]
+    with SnvsNetwork(n_ports=1024) as net:
+        net.add_vlan(1)
+        for port in range(N_PORTS):
+            net.add_access_port(port, vlan=1)
+        latencies = net.controller.sync_latencies[-N_PORTS:]
     return sum(latencies) / len(latencies)
 
 

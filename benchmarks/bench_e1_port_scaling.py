@@ -31,6 +31,7 @@ def run_port_scaling():
 
 def test_e1_port_scaling(benchmark):
     net = benchmark.pedantic(run_port_scaling, rounds=1, iterations=1)
+    net.close()
 
     # The last N_PORTS syncs are the port adds (earlier ones are the
     # learning-config and VLAN setup transactions).
@@ -70,12 +71,12 @@ def test_e1_port_scaling(benchmark):
 
 def test_e1_entries_written_scale_with_ports(benchmark):
     def run():
-        net = SnvsNetwork(n_ports=512)
-        net.add_vlan(1)
-        baseline = net.controller.entries_written
-        for port in range(100):
-            net.add_access_port(port, vlan=1)
-        return net.controller.entries_written - baseline
+        with SnvsNetwork(n_ports=512) as net:
+            net.add_vlan(1)
+            baseline = net.controller.entries_written
+            for port in range(100):
+                net.add_access_port(port, vlan=1)
+            return net.controller.entries_written - baseline
 
     written = benchmark.pedantic(run, rounds=1, iterations=1)
     # Each port: 1 in_vlan + 1 out_tag entry (multicast is separate

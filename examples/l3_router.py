@@ -177,6 +177,7 @@ def main():
     ((port, _),) = send(router, "10.1.2.9")
     print(f"  10.1.2.9 now follows the /16 -> port {port}")
     assert port == 2
+    controller.stop()
 
 
 if __name__ == "__main__":

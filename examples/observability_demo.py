@@ -23,32 +23,31 @@ def main():
     obs.enable(detail=True)
     try:
         print("Standing up snvs with observability enabled (detail tier)...")
-        net = SnvsNetwork(n_ports=8)
+        with SnvsNetwork(n_ports=8) as net:
+            print("Configuring VLAN 10 with two access ports...\n")
+            net.add_vlan(10)
+            net.add_access_port(0, vlan=10)
+            net.add_access_port(1, vlan=10)
 
-        print("Configuring VLAN 10 with two access ports...\n")
-        net.add_vlan(10)
-        net.add_access_port(0, vlan=10)
-        net.add_access_port(1, vlan=10)
+            uid = obs.TRACER.latest_update_id(name="mgmt.transact")
+            print(f"Trace of the last config change (update-id {uid}):")
+            print(obs.TRACER.render(uid))
 
-        uid = obs.TRACER.latest_update_id(name="mgmt.transact")
-        print(f"Trace of the last config change (update-id {uid}):")
-        print(obs.TRACER.render(uid))
+            print("\nB (port 1) sends to A: the switch emits a learning digest")
+            net.send(1, A, B)
+            digest_span = [
+                s for s in obs.TRACER.spans() if s.name == "controller.digest"
+            ][-1]
+            print(
+                f"  digest '{digest_span.attrs['digest']}' processed as "
+                f"{digest_span.update_id}, links back to config change "
+                f"{digest_span.attrs['link']}"
+            )
+            print("  feedback trace:")
+            print(obs.TRACER.render(digest_span.update_id))
 
-        print("\nB (port 1) sends to A: the switch emits a learning digest")
-        net.send(1, A, B)
-        digest_span = [
-            s for s in obs.TRACER.spans() if s.name == "controller.digest"
-        ][-1]
-        print(
-            f"  digest '{digest_span.attrs['digest']}' processed as "
-            f"{digest_span.update_id}, links back to config change "
-            f"{digest_span.attrs['link']}"
-        )
-        print("  feedback trace:")
-        print(obs.TRACER.render(digest_span.update_id))
-
-        print("\nMetrics registry (Prometheus-style):")
-        print(obs.REGISTRY.to_text())
+            print("\nMetrics registry (Prometheus-style):")
+            print(obs.REGISTRY.to_text())
     finally:
         obs.disable()
         obs.reset()

@@ -20,7 +20,11 @@ from repro.p4.simulator import Simulator
 
 
 class SnvsNetwork:
-    """One virtual switch managed through the full Nerpa stack."""
+    """One virtual switch managed through the full Nerpa stack.
+
+    It starts its controller; :meth:`close` (or leaving a ``with``
+    block) stops it.
+    """
 
     def __init__(self, n_ports: int = 64, learning: bool = True,
                  recursive_mode: str = "dred"):
@@ -32,6 +36,16 @@ class SnvsNetwork:
         )
         self.controller.start()
         self.set_learning(learning)
+
+    def close(self) -> None:
+        """Stop the controller (again: a no-op)."""
+        self.controller.stop()
+
+    def __enter__(self) -> "SnvsNetwork":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- management operations (what an admin would do) ---------------------
 

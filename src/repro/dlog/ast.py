@@ -26,21 +26,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.dlog import types as T
-
-
-class Pos:
-    """Source position (name, 1-based line/column)."""
-
-    __slots__ = ("source", "line", "column")
-
-    def __init__(self, source: str = "<input>", line: int = 0, column: int = 0):
-        self.source = source
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"{self.source}:{self.line}:{self.column}"
-
+from repro.syntax import Pos
 
 NOPOS = Pos()
 

@@ -1,14 +1,17 @@
-"""Hand-written lexer for the control-plane language.
+"""The control-plane language's dialect of :mod:`repro.syntax`.
 
-The token stream is a list of :class:`Token`; the parser indexes into
-it.  Comments (``//`` and ``/* */``) and whitespace are skipped.
+Beyond the shared tokens: the sized literal (``32'd5``, ``8'hFF``),
+floats, strings with escapes, and ``_`` as an operator (the wildcard).
+``tokenize(text, source)`` returns a list of tokens ending in ``eof``;
+the parser indexes into it.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
-from repro.errors import LexError
+from repro.syntax import Scan, tokenizer
 
 KEYWORDS = {
     "input",
@@ -34,7 +37,6 @@ KEYWORDS = {
     "float",
 }
 
-# Multi-character operators, longest first so maximal munch works.
 OPERATORS = [
     ":-",
     "==",
@@ -74,190 +76,71 @@ OPERATORS = [
 ]
 
 
-class Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind: str, value, line: int, column: int):
-        self.kind = kind  # 'ident' | 'keyword' | 'int' | 'float' | 'string' | 'op' | 'eof'
-        self.value = value
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.value!r} @{self.line}:{self.column})"
+_BASES = {"d": 10, "h": 16, "x": 16, "b": 2, "o": 8}
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "0": "\0"}
+_STRING_RUN = re.compile(r'[^"\\]*')
 
 
-class Lexer:
-    def __init__(self, text: str, source: str = "<input>"):
-        self.text = text
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def error(self, message: str) -> LexError:
-        return LexError(message, self.source, self.line, self.column)
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.pos += 1
-
-    def tokens(self) -> List[Token]:
-        out: List[Token] = []
-        while True:
-            tok = self._next_token()
-            out.append(tok)
-            if tok.kind == "eof":
-                return out
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.text) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.text):
-                    raise self.error("unterminated block comment")
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        line, column = self.line, self.column
-        if self.pos >= len(self.text):
-            return Token("eof", None, line, column)
-        ch = self._peek()
-
-        if ch.isdigit():
-            return self._lex_number(line, column)
-        if ch.isalpha() or ch == "_" and (self._peek(1).isalnum() or self._peek(1) == "_"):
-            return self._lex_word(line, column)
-        if ch == '"':
-            return self._lex_string(line, column)
-        for op in OPERATORS:
-            if self.text.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token("op", op, line, column)
-        raise self.error(f"unexpected character {ch!r}")
-
-    def _lex_word(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.text) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        word = self.text[start : self.pos]
-        if word == "_":
-            return Token("op", "_", line, column)
-        kind = "keyword" if word in KEYWORDS else "ident"
-        return Token(kind, word, line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        text = self.text
-        if text.startswith("0x", self.pos) or text.startswith("0X", self.pos):
-            self._advance(2)
-            while self.pos < len(text) and (self._peek() in "0123456789abcdefABCDEF_"):
-                self._advance()
-            raw = text[start : self.pos].replace("_", "")
-            return Token("int", (int(raw, 16), None), line, column)
-        if text.startswith("0b", self.pos) or text.startswith("0B", self.pos):
-            self._advance(2)
-            while self.pos < len(text) and self._peek() in "01_":
-                self._advance()
-            raw = text[start : self.pos].replace("_", "")
-            return Token("int", (int(raw, 2), None), line, column)
-
-        while self.pos < len(text) and (self._peek().isdigit() or self._peek() == "_"):
-            self._advance()
-
+def _literal(scan: Scan, ch: str):
+    if ch == '"':
+        return "string", _string(scan)
+    if not ch.isdigit():
+        return None
+    start = scan.pos
+    value, base = scan.integer()
+    if base != 10:
+        return "int", (value, None)
+    nxt = scan.peek()
+    if nxt == "'":
         # Width-annotated literal: 32'd5, 8'hFF, 4'b1010.
-        if self._peek() == "'":
-            width = int(text[start : self.pos].replace("_", ""))
-            self._advance()
-            base_char = self._peek()
-            bases = {"d": 10, "h": 16, "x": 16, "b": 2, "o": 8}
-            if base_char not in bases:
-                raise self.error(f"bad base character {base_char!r} in sized literal")
-            self._advance()
-            digits_start = self.pos
-            while self.pos < len(text) and (self._peek().isalnum() or self._peek() == "_"):
-                self._advance()
-            raw = text[digits_start : self.pos].replace("_", "")
-            if not raw:
-                raise self.error("sized literal missing digits")
-            try:
-                value = int(raw, bases[base_char])
-            except ValueError:
-                raise self.error(f"bad digits {raw!r} for base {bases[base_char]}")
-            return Token("int", (value, width), line, column)
-
-        # Float?
-        if self._peek() == "." and self._peek(1).isdigit():
-            self._advance()
-            while self.pos < len(text) and self._peek().isdigit():
-                self._advance()
-            if self._peek() in "eE":
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while self.pos < len(text) and self._peek().isdigit():
-                    self._advance()
-            return Token("float", float(text[start : self.pos]), line, column)
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit() or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self.pos < len(text) and self._peek().isdigit():
-                self._advance()
-            return Token("float", float(text[start : self.pos]), line, column)
-
-        raw = text[start : self.pos].replace("_", "")
-        return Token("int", (int(raw), None), line, column)
-
-    _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "0": "\0"}
-
-    def _lex_string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated string literal")
-            ch = self._peek()
-            if ch == '"':
-                self._advance()
-                return Token("string", "".join(chars), line, column)
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                if esc not in self._ESCAPES:
-                    raise self.error(f"bad escape \\{esc}")
-                chars.append(self._ESCAPES[esc])
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
+        scan.pos += 1
+        radix = _BASES.get(scan.peek())
+        if radix is None:
+            raise scan.error(f"bad base character {scan.peek()!r} in sized literal")
+        scan.pos += 1
+        raw = scan.word().replace("_", "")
+        if not raw:
+            raise scan.error("sized literal missing digits")
+        try:
+            return "int", (int(raw, radix), value)
+        except ValueError:
+            raise scan.error(f"bad digits {raw!r} for base {radix}")
+    after = scan.peek(1)
+    if nxt == "." and after.isdigit():
+        scan.pos += 1
+        scan.skip(str.isdigit)
+    elif not (
+        nxt in ("e", "E")
+        and (after.isdigit() or after in ("+", "-") and scan.peek(2).isdigit())
+    ):
+        return "int", (value, None)
+    if scan.peek() in ("e", "E"):
+        scan.pos += 1
+        if scan.peek() in ("+", "-"):
+            scan.pos += 1
+        scan.skip(str.isdigit)
+    return "float", float(scan.text[start : scan.pos])
 
 
-def tokenize(text: str, source: str = "<input>") -> List[Token]:
-    """Tokenize ``text``; the last token is always ``eof``."""
-    return Lexer(text, source).tokens()
+def _string(scan: Scan) -> str:
+    text = scan.text
+    chars: List[str] = []
+    pos = scan.pos + 1  # past the opening quote
+    while True:
+        end = _STRING_RUN.match(text, pos).end()
+        chars.append(text[pos:end])
+        if end == len(text):
+            scan.move(end)
+            raise scan.error("unterminated string literal")
+        if text[end] == '"':
+            scan.move(end + 1)
+            return "".join(chars)
+        esc = text[end + 1 : end + 2]
+        if esc not in _ESCAPES:
+            scan.move(end + 1)
+            raise scan.error(f"bad escape \\{esc}")
+        chars.append(_ESCAPES[esc])
+        pos = end + 2
+
+
+tokenize = tokenizer(KEYWORDS, OPERATORS, _literal, "<input>")

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro import syntax
 from repro.dlog import ast as A
 from repro.dlog import types as T
-from repro.dlog.lexer import Token, tokenize
+from repro.dlog.lexer import tokenize
 from repro.errors import ParseError
+from repro.syntax import Token, describe, precedence
 
 AGGREGATE_FUNCS = {
     "count",
@@ -40,73 +42,42 @@ AGGREGATE_FUNCS = {
 }
 
 
-class Parser:
+# Binary operators, loosest first.  ``not`` binds between the two
+# tables: ``not a == b`` is ``not (a == b)``.
+_LOGIC = precedence(("left", "or"), ("left", "and"))
+_ARITH = precedence(
+    ("none", "==", "!=", "<=", ">=", "<", ">"),
+    ("left", "|"),
+    ("left", "^"),
+    ("left", "&"),
+    ("left", "<<", ">>"),
+    ("left", "++"),
+    ("left", "+", "-"),
+    ("left", "*", "/", "%"),
+)
+
+
+class Parser(syntax.Parser):
     def __init__(self, text: str, source: str = "<input>"):
-        self.source = source
-        self.toks: List[Token] = tokenize(text, source)
-        self.i = 0
+        super().__init__(tokenize(text, source), source)
 
-    # -- token helpers ---------------------------------------------------
-
-    def peek(self, offset: int = 0) -> Token:
-        i = min(self.i + offset, len(self.toks) - 1)
-        return self.toks[i]
-
-    def next(self) -> Token:
-        tok = self.toks[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
-
-    def at_op(self, op: str) -> bool:
+    def expect(self, kind: str, value=None, what: Optional[str] = None) -> Token:
         tok = self.peek()
-        return tok.kind == "op" and tok.value == op
-
-    def at_keyword(self, kw: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "keyword" and tok.value == kw
-
-    def accept_op(self, op: str) -> bool:
-        if self.at_op(op):
-            self.next()
-            return True
-        return False
-
-    def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if op == ">" and tok.kind == "op" and tok.value == ">>":
+        if value == ">" and tok.kind == "op" and tok.value == ">>":
             # Split `>>` so nested generics like Map<string, bit<32>> close.
             tok.value = ">"
             return Token("op", ">", tok.line, tok.column)
-        if not self.at_op(op):
-            raise self.error(f"expected {op!r}, found {self._describe(tok)}")
-        return self.next()
+        return super().expect(kind, value, what)
 
-    def expect_keyword(self, kw: str) -> Token:
-        tok = self.peek()
-        if not self.at_keyword(kw):
-            raise self.error(f"expected {kw!r}, found {self._describe(tok)}")
-        return self.next()
-
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected {what}, found {self._describe(tok)}")
-        return self.next()
-
-    @staticmethod
-    def _describe(tok: Token) -> str:
-        if tok.kind == "eof":
-            return "end of input"
-        return repr(tok.value)
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, self.source, tok.line, tok.column)
-
-    def pos(self) -> A.Pos:
-        tok = self.peek()
-        return A.Pos(self.source, tok.line, tok.column)
+    def _listed(self, item, close: str) -> list:
+        """``item()``s separated by ``,``, possibly none, then ``close``."""
+        items = []
+        if not self.at("op", close):
+            items.append(item())
+            while self.accept("op", ","):
+                items.append(item())
+        self.expect("op", close)
+        return items
 
     # -- program ----------------------------------------------------------
 
@@ -116,14 +87,14 @@ class Parser:
         relations: List[A.RelationDecl] = []
         rules: List[A.Rule] = []
         while self.peek().kind != "eof":
-            if self.at_keyword("typedef"):
+            if self.at("keyword", "typedef"):
                 typedefs.append(self.parse_typedef())
-            elif self.at_keyword("function"):
+            elif self.at("keyword", "function"):
                 functions.append(self.parse_function())
             elif (
-                self.at_keyword("input")
-                or self.at_keyword("output")
-                or self.at_keyword("relation")
+                self.at("keyword", "input")
+                or self.at("keyword", "output")
+                or self.at("keyword", "relation")
             ):
                 relations.append(self.parse_relation_decl())
             else:
@@ -133,17 +104,17 @@ class Parser:
     # -- declarations ------------------------------------------------------
 
     def parse_typedef(self) -> T.TypeDef:
-        self.expect_keyword("typedef")
-        name = self.expect_ident("typedef name").value
+        self.expect("keyword", "typedef")
+        name = self.expect("ident", what="typedef name").value
         params: List[str] = []
-        if self.accept_op("<"):
-            params.append(self.expect_ident("type parameter").value)
-            while self.accept_op(","):
-                params.append(self.expect_ident("type parameter").value)
-            self.expect_op(">")
-        self.expect_op("=")
+        if self.accept("op", "<"):
+            params.append(self.expect("ident", what="type parameter").value)
+            while self.accept("op", ","):
+                params.append(self.expect("ident", what="type parameter").value)
+            self.expect("op", ">")
+        self.expect("op", "=")
         ctors = [self.parse_constructor()]
-        while self.accept_op("|"):
+        while self.accept("op", "|"):
             ctors.append(self.parse_constructor())
         # A "typedef name = type" alias form: single anonymous constructor
         # is not supported; a struct with the typedef's name is the common
@@ -151,62 +122,48 @@ class Parser:
         return T.TypeDef(name, params, ctors)
 
     def parse_constructor(self) -> T.Constructor:
-        name = self.expect_ident("constructor name").value
+        name = self.expect("ident", what="constructor name").value
         fields: List[T.Field] = []
-        if self.accept_op("{"):
-            if not self.at_op("}"):
-                fields.append(self.parse_field())
-                while self.accept_op(","):
-                    fields.append(self.parse_field())
-            self.expect_op("}")
+        if self.accept("op", "{"):
+            fields = self._listed(self.parse_field, "}")
         return T.Constructor(name, fields)
 
     def parse_field(self) -> T.Field:
-        name = self.expect_ident("field name").value
-        self.expect_op(":")
+        name = self.expect("ident", what="field name").value
+        self.expect("op", ":")
         return T.Field(name, self.parse_type())
 
     def parse_function(self) -> A.FunctionDecl:
         pos = self.pos()
-        self.expect_keyword("function")
-        name = self.expect_ident("function name").value
-        self.expect_op("(")
-        params: List[Tuple[str, T.Type]] = []
-        if not self.at_op(")"):
-            params.append(self._parse_param())
-            while self.accept_op(","):
-                params.append(self._parse_param())
-        self.expect_op(")")
-        self.expect_op(":")
+        self.expect("keyword", "function")
+        name = self.expect("ident", what="function name").value
+        self.expect("op", "(")
+        params: List[Tuple[str, T.Type]] = self._listed(self._parse_param, ")")
+        self.expect("op", ":")
         ret = self.parse_type()
-        self.expect_op("{")
+        self.expect("op", "{")
         body = self.parse_expr()
-        self.expect_op("}")
+        self.expect("op", "}")
         return A.FunctionDecl(name, params, ret, body, pos)
 
     def _parse_param(self) -> Tuple[str, T.Type]:
-        name = self.expect_ident("parameter name").value
-        self.expect_op(":")
+        name = self.expect("ident", what="parameter name").value
+        self.expect("op", ":")
         return name, self.parse_type()
 
     def parse_relation_decl(self) -> A.RelationDecl:
         pos = self.pos()
         role = "internal"
-        if self.at_keyword("input"):
+        if self.at("keyword", "input"):
             self.next()
             role = "input"
-        elif self.at_keyword("output"):
+        elif self.at("keyword", "output"):
             self.next()
             role = "output"
-        self.expect_keyword("relation")
-        name = self.expect_ident("relation name").value
-        self.expect_op("(")
-        columns: List[Tuple[str, T.Type]] = []
-        if not self.at_op(")"):
-            columns.append(self._parse_param())
-            while self.accept_op(","):
-                columns.append(self._parse_param())
-        self.expect_op(")")
+        self.expect("keyword", "relation")
+        name = self.expect("ident", what="relation name").value
+        self.expect("op", "(")
+        columns: List[Tuple[str, T.Type]] = self._listed(self._parse_param, ")")
         return A.RelationDecl(name, columns, role, pos)
 
     # -- types --------------------------------------------------------------
@@ -228,29 +185,29 @@ class Parser:
                 return T.FLOAT
             if tok.value in ("bit", "signed"):
                 self.next()
-                self.expect_op("<")
+                self.expect("op", "<")
                 width_tok = self.peek()
                 if width_tok.kind != "int":
                     raise self.error("expected integer width")
                 self.next()
                 width = width_tok.value[0]
-                self.expect_op(">")
+                self.expect("op", ">")
                 return T.TBit(width) if tok.value == "bit" else T.TSigned(width)
             raise self.error(f"unexpected keyword {tok.value!r} in type")
-        if self.accept_op("("):
+        if self.accept("op", "("):
             elems = [self.parse_type()]
-            while self.accept_op(","):
+            while self.accept("op", ","):
                 elems.append(self.parse_type())
-            self.expect_op(")")
+            self.expect("op", ")")
             return elems[0] if len(elems) == 1 else T.TTuple(elems)
         if tok.kind == "ident":
             name = self.next().value
             args: List[T.Type] = []
-            if self.accept_op("<"):
+            if self.accept("op", "<"):
                 args.append(self.parse_type())
-                while self.accept_op(","):
+                while self.accept("op", ","):
                     args.append(self.parse_type())
-                self.expect_op(">")
+                self.expect("op", ">")
             if name == "Vec":
                 if len(args) != 1:
                     raise self.error("Vec takes exactly one type parameter")
@@ -260,7 +217,7 @@ class Parser:
                     raise self.error("Map takes exactly two type parameters")
                 return T.TMap(args[0], args[1])
             return T.TUser(name, args)
-        raise self.error(f"expected type, found {self._describe(tok)}")
+        raise self.error(f"expected type, found {describe(tok)}")
 
     # -- rules ---------------------------------------------------------------
 
@@ -268,28 +225,23 @@ class Parser:
         pos = self.pos()
         head = self.parse_atom()
         body: List[A.BodyItem] = []
-        if self.accept_op(":-"):
+        if self.accept("op", ":-"):
             body.append(self.parse_body_item())
-            while self.accept_op(","):
+            while self.accept("op", ","):
                 body.append(self.parse_body_item())
-        self.expect_op(".")
+        self.expect("op", ".")
         return A.Rule(head, body, pos)
 
     def parse_atom(self) -> A.Atom:
         pos = self.pos()
-        name_tok = self.expect_ident("relation name")
-        self.expect_op("(")
-        args: List[A.Pattern] = []
-        if not self.at_op(")"):
-            args.append(self.parse_arg())
-            while self.accept_op(","):
-                args.append(self.parse_arg())
-        self.expect_op(")")
+        name_tok = self.expect("ident", what="relation name")
+        self.expect("op", "(")
+        args: List[A.Pattern] = self._listed(self.parse_arg, ")")
         return A.Atom(name_tok.value, args, pos)
 
     def parse_body_item(self) -> A.BodyItem:
         pos = self.pos()
-        if self.at_keyword("not"):
+        if self.at("keyword", "not"):
             # Negated atom (`not R(...)`) or a boolean guard (`not expr`).
             mark = self.i
             self.next()
@@ -297,7 +249,7 @@ class Parser:
                 return A.NegAtom(self.parse_atom(), pos)
             self.i = mark
             return A.Guard(self.parse_expr(), pos)
-        if self.at_keyword("var"):
+        if self.at("keyword", "var"):
             return self._parse_var_item(pos)
         if self._looks_like_atom():
             return A.AtomItem(self.parse_atom(), pos)
@@ -315,47 +267,39 @@ class Parser:
         )
 
     def _parse_var_item(self, pos: A.Pos) -> A.BodyItem:
-        self.expect_keyword("var")
+        self.expect("keyword", "var")
         # Assignment LHS may be a pattern (tuple destructuring), but
         # FlatMap/Aggregate require a simple variable.
         lhs_pattern = self.parse_pattern()
-        self.expect_op("=")
+        self.expect("op", "=")
         tok = self.peek()
         if tok.kind == "ident" and tok.value == "FlatMap":
             if not isinstance(lhs_pattern, A.PVar):
                 raise self.error("FlatMap binds a single variable")
             self.next()
-            self.expect_op("(")
+            self.expect("op", "(")
             expr = self.parse_expr()
-            self.expect_op(")")
+            self.expect("op", ")")
             return A.FlatMapItem(lhs_pattern.name, expr, pos)
         if tok.kind == "ident" and tok.value == "Aggregate":
             if not isinstance(lhs_pattern, A.PVar):
                 raise self.error("Aggregate binds a single variable")
             self.next()
-            self.expect_op("(")
-            self.expect_op("(")
-            keys: List[str] = []
-            if not self.at_op(")"):
-                keys.append(self.expect_ident("group-by variable").value)
-                while self.accept_op(","):
-                    keys.append(self.expect_ident("group-by variable").value)
-            self.expect_op(")")
-            self.expect_op(",")
-            func = self.expect_ident("aggregate function").value
+            self.expect("op", "(")
+            self.expect("op", "(")
+            keys: List[str] = self._listed(
+                lambda: self.expect("ident", what="group-by variable").value, ")"
+            )
+            self.expect("op", ",")
+            func = self.expect("ident", what="aggregate function").value
             if func not in AGGREGATE_FUNCS:
                 raise self.error(
                     f"unknown aggregate function {func!r}; "
                     f"expected one of {sorted(AGGREGATE_FUNCS)}"
                 )
-            self.expect_op("(")
-            args: List[A.Expr] = []
-            if not self.at_op(")"):
-                args.append(self.parse_expr())
-                while self.accept_op(","):
-                    args.append(self.parse_expr())
-            self.expect_op(")")
-            self.expect_op(")")
+            self.expect("op", "(")
+            args: List[A.Expr] = self._listed(self.parse_expr, ")")
+            self.expect("op", ")")
             return A.AggregateItem(lhs_pattern.name, keys, func, args, pos)
         return A.Assignment(lhs_pattern, self.parse_expr(), pos)
 
@@ -364,7 +308,7 @@ class Parser:
         mark = self.i
         try:
             pat = self.parse_pattern()
-            if self.at_op(",") or self.at_op(")"):
+            if self.at("op", ",") or self.at("op", ")"):
                 return pat
         except ParseError:
             pass
@@ -393,11 +337,11 @@ class Parser:
             self.next()
             value_tok = self.next()
             return A.PLit(-value_tok.value[0], pos)
-        if self.accept_op("("):
+        if self.accept("op", "("):
             elems = [self.parse_pattern()]
-            while self.accept_op(","):
+            while self.accept("op", ","):
                 elems.append(self.parse_pattern())
-            self.expect_op(")")
+            self.expect("op", ")")
             if len(elems) == 1:
                 return elems[0]
             return A.PTuple(elems, pos)
@@ -405,18 +349,17 @@ class Parser:
             name = self.next().value
             if name[:1].isupper():
                 fields: List[Tuple[Optional[str], A.Pattern]] = []
-                if self.accept_op("{"):
-                    if not self.at_op("}"):
-                        fields.append(self._parse_struct_pattern_field())
-                        while self.accept_op(","):
-                            fields.append(self._parse_struct_pattern_field())
-                    self.expect_op("}")
+                if self.accept("op", "{"):
+                    fields = self._listed(
+                        lambda: self._parse_struct_field(self.parse_pattern), "}"
+                    )
                 return A.PStruct(name, fields, pos)
             return A.PVar(name, pos)
-        raise self.error(f"expected pattern, found {self._describe(tok)}")
+        raise self.error(f"expected pattern, found {describe(tok)}")
 
-    def _parse_struct_pattern_field(self) -> Tuple[Optional[str], A.Pattern]:
-        # Named form `field: pat`, or positional `pat`.
+    def _parse_struct_field(self, parse) -> Tuple[Optional[str], A.Node]:
+        """A struct field, named (``field: x``) or positional (``x``);
+        ``parse`` reads the ``x``, a pattern or an expression."""
         tok = self.peek()
         if (
             tok.kind == "ident"
@@ -425,115 +368,32 @@ class Parser:
         ):
             name = self.next().value
             self.next()  # ':'
-            return name, self.parse_pattern()
-        return None, self.parse_pattern()
+            return name, parse()
+        return None, parse()
 
     # -- expressions ------------------------------------------------------------
 
     def parse_expr(self) -> A.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> A.Expr:
-        left = self._parse_and()
-        while self.at_keyword("or"):
-            pos = self.pos()
-            self.next()
-            left = A.BinOp("or", left, self._parse_and(), pos)
-        return left
-
-    def _parse_and(self) -> A.Expr:
-        left = self._parse_not()
-        while self.at_keyword("and"):
-            pos = self.pos()
-            self.next()
-            left = A.BinOp("and", left, self._parse_not(), pos)
-        return left
+        return self.binary(_LOGIC, self._parse_not, A.BinOp)
 
     def _parse_not(self) -> A.Expr:
-        if self.at_keyword("not"):
+        if self.at("keyword", "not"):
             pos = self.pos()
             self.next()
             return A.UnaryOp("not", self._parse_not(), pos)
-        return self._parse_comparison()
-
-    _COMPARISONS = ("==", "!=", "<=", ">=", "<", ">")
-
-    def _parse_comparison(self) -> A.Expr:
-        left = self._parse_bitor()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value in self._COMPARISONS:
-            pos = self.pos()
-            op = self.next().value
-            return A.BinOp(op, left, self._parse_bitor(), pos)
-        return left
-
-    def _parse_bitor(self) -> A.Expr:
-        left = self._parse_bitxor()
-        while self.at_op("|"):
-            pos = self.pos()
-            self.next()
-            left = A.BinOp("|", left, self._parse_bitxor(), pos)
-        return left
-
-    def _parse_bitxor(self) -> A.Expr:
-        left = self._parse_bitand()
-        while self.at_op("^"):
-            pos = self.pos()
-            self.next()
-            left = A.BinOp("^", left, self._parse_bitand(), pos)
-        return left
-
-    def _parse_bitand(self) -> A.Expr:
-        left = self._parse_shift()
-        while self.at_op("&"):
-            pos = self.pos()
-            self.next()
-            left = A.BinOp("&", left, self._parse_shift(), pos)
-        return left
-
-    def _parse_shift(self) -> A.Expr:
-        left = self._parse_concat()
-        while self.at_op("<<") or self.at_op(">>"):
-            pos = self.pos()
-            op = self.next().value
-            left = A.BinOp(op, left, self._parse_concat(), pos)
-        return left
-
-    def _parse_concat(self) -> A.Expr:
-        left = self._parse_additive()
-        while self.at_op("++"):
-            pos = self.pos()
-            self.next()
-            left = A.BinOp("++", left, self._parse_additive(), pos)
-        return left
-
-    def _parse_additive(self) -> A.Expr:
-        left = self._parse_multiplicative()
-        while self.at_op("+") or self.at_op("-"):
-            pos = self.pos()
-            op = self.next().value
-            left = A.BinOp(op, left, self._parse_multiplicative(), pos)
-        return left
-
-    def _parse_multiplicative(self) -> A.Expr:
-        left = self._parse_unary()
-        while self.at_op("*") or self.at_op("/") or self.at_op("%"):
-            pos = self.pos()
-            op = self.next().value
-            left = A.BinOp(op, left, self._parse_unary(), pos)
-        return left
+        return self.binary(_ARITH, self._parse_unary, A.BinOp)
 
     def _parse_unary(self) -> A.Expr:
         pos = self.pos()
-        if self.accept_op("-"):
+        if self.accept("op", "-"):
             return A.UnaryOp("-", self._parse_unary(), pos)
-        if self.accept_op("~"):
+        if self.accept("op", "~"):
             return A.UnaryOp("~", self._parse_unary(), pos)
         return self._parse_cast()
 
     def _parse_cast(self) -> A.Expr:
         expr = self._parse_postfix()
-        while self.at_keyword("as"):
+        while self.at("keyword", "as"):
             pos = self.pos()
             self.next()
             expr = A.Cast(expr, self.parse_type(), pos)
@@ -553,7 +413,7 @@ class Parser:
 
     def _parse_postfix(self) -> A.Expr:
         expr = self._parse_primary()
-        while self.at_op(".") and self._is_field_access_ahead():
+        while self.at("op", ".") and self._is_field_access_ahead():
             pos = self.pos()
             self.next()
             tok = self.peek()
@@ -561,15 +421,9 @@ class Parser:
                 self.next()
                 expr = A.Field(expr, str(tok.value[0]), pos)
                 continue
-            name = self.expect_ident("field or method name").value
-            if self.accept_op("("):
-                args = [expr]
-                if not self.at_op(")"):
-                    args.append(self.parse_expr())
-                    while self.accept_op(","):
-                        args.append(self.parse_expr())
-                self.expect_op(")")
-                expr = A.Call(name, args, pos)
+            name = self.expect("ident", what="field or method name").value
+            if self.accept("op", "("):
+                expr = A.Call(name, [expr] + self._listed(self.parse_expr, ")"), pos)
             else:
                 expr = A.Field(expr, name, pos)
         return expr
@@ -599,31 +453,21 @@ class Parser:
             if tok.value == "match":
                 return self._parse_match(pos)
             raise self.error(f"unexpected keyword {tok.value!r} in expression")
-        if self.accept_op("("):
+        if self.accept("op", "("):
             elems = [self.parse_expr()]
-            while self.accept_op(","):
+            while self.accept("op", ","):
                 elems.append(self.parse_expr())
-            self.expect_op(")")
+            self.expect("op", ")")
             return elems[0] if len(elems) == 1 else A.TupleExpr(elems, pos)
-        if self.accept_op("["):
-            elems: List[A.Expr] = []
-            if not self.at_op("]"):
-                elems.append(self.parse_expr())
-                while self.accept_op(","):
-                    elems.append(self.parse_expr())
-            self.expect_op("]")
+        if self.accept("op", "["):
+            elems: List[A.Expr] = self._listed(self.parse_expr, "]")
             return A.VecExpr(elems, pos)
         if tok.kind == "ident":
             name = self.next().value
-            if self.at_op("{") and name[:1].isupper():
+            if self.at("op", "{") and name[:1].isupper():
                 return self._parse_struct_expr(name, pos)
-            if self.accept_op("("):
-                args: List[A.Expr] = []
-                if not self.at_op(")"):
-                    args.append(self.parse_expr())
-                    while self.accept_op(","):
-                        args.append(self.parse_expr())
-                self.expect_op(")")
+            if self.accept("op", "("):
+                args: List[A.Expr] = self._listed(self.parse_expr, ")")
                 if name[:1].isupper():
                     return A.StructExpr(name, [(None, a) for a in args], pos)
                 return A.Call(name, args, pos)
@@ -631,64 +475,49 @@ class Parser:
                 # Nullary constructor reference, e.g. `None`.
                 return A.StructExpr(name, [], pos)
             return A.Var(name, pos)
-        raise self.error(f"expected expression, found {self._describe(tok)}")
+        raise self.error(f"expected expression, found {describe(tok)}")
 
     def _parse_struct_expr(self, name: str, pos: A.Pos) -> A.Expr:
-        self.expect_op("{")
-        fields: List[Tuple[Optional[str], A.Expr]] = []
-        if not self.at_op("}"):
-            fields.append(self._parse_struct_expr_field())
-            while self.accept_op(","):
-                fields.append(self._parse_struct_expr_field())
-        self.expect_op("}")
+        self.expect("op", "{")
+        fields: List[Tuple[Optional[str], A.Expr]] = self._listed(
+            lambda: self._parse_struct_field(self.parse_expr), "}"
+        )
         return A.StructExpr(name, fields, pos)
 
-    def _parse_struct_expr_field(self) -> Tuple[Optional[str], A.Expr]:
-        tok = self.peek()
-        if (
-            tok.kind == "ident"
-            and self.peek(1).kind == "op"
-            and self.peek(1).value == ":"
-        ):
-            name = self.next().value
-            self.next()  # ':'
-            return name, self.parse_expr()
-        return None, self.parse_expr()
-
     def _parse_if(self, pos: A.Pos) -> A.Expr:
-        self.expect_keyword("if")
-        self.expect_op("(")
+        self.expect("keyword", "if")
+        self.expect("op", "(")
         cond = self.parse_expr()
-        self.expect_op(")")
+        self.expect("op", ")")
         then = self._parse_braced_or_expr()
-        self.expect_keyword("else")
-        if self.at_keyword("if"):
+        self.expect("keyword", "else")
+        if self.at("keyword", "if"):
             els = self._parse_if(self.pos())
         else:
             els = self._parse_braced_or_expr()
         return A.IfExpr(cond, then, els, pos)
 
     def _parse_braced_or_expr(self) -> A.Expr:
-        if self.accept_op("{"):
+        if self.accept("op", "{"):
             expr = self.parse_expr()
-            self.expect_op("}")
+            self.expect("op", "}")
             return expr
         return self.parse_expr()
 
     def _parse_match(self, pos: A.Pos) -> A.Expr:
-        self.expect_keyword("match")
-        self.expect_op("(")
+        self.expect("keyword", "match")
+        self.expect("op", "(")
         subject = self.parse_expr()
-        self.expect_op(")")
-        self.expect_op("{")
+        self.expect("op", ")")
+        self.expect("op", "{")
         arms: List[Tuple[A.Pattern, A.Expr]] = []
-        while not self.at_op("}"):
+        while not self.at("op", "}"):
             pat = self.parse_pattern()
-            self.expect_op("->")
+            self.expect("op", "->")
             arms.append((pat, self.parse_expr()))
-            if not self.accept_op(","):
+            if not self.accept("op", ","):
                 break
-        self.expect_op("}")
+        self.expect("op", "}")
         if not arms:
             raise self.error("match expression needs at least one arm")
         return A.MatchExpr(subject, arms, pos)

@@ -12,20 +12,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.syntax import Pos
 
-class Pos:
-    __slots__ = ("source", "line", "column")
-
-    def __init__(self, source="<p4>", line=0, column=0):
-        self.source = source
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"{self.source}:{self.line}:{self.column}"
-
-
-NOPOS = Pos()
+NOPOS = Pos("<p4>")
 
 
 # -- types -------------------------------------------------------------------

@@ -34,52 +34,105 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.errors import ParseError
 from repro.p4 import ast as P
-from repro.p4.lexer import Token, tokenize
+from repro.syntax import Parser, Scan, describe, precedence, tokenizer
+
+KEYWORDS = {
+    "header",
+    "struct",
+    "parser",
+    "control",
+    "state",
+    "transition",
+    "select",
+    "default",
+    "action",
+    "table",
+    "key",
+    "actions",
+    "default_action",
+    "size",
+    "apply",
+    "if",
+    "else",
+    "bit",
+    "bool",
+    "true",
+    "false",
+    "const",
+    "exact",
+    "lpm",
+    "ternary",
+    "in",
+    "out",
+    "inout",
+}
+
+OPERATORS = [
+    "&&&",
+    "&&",
+    "||",
+    "==",
+    "!=",
+    "<=",
+    ">=",
+    "<<",
+    ">>",
+    "(",
+    ")",
+    "{",
+    "}",
+    "<",
+    ">",
+    ";",
+    ":",
+    ",",
+    ".",
+    "=",
+    "!",
+    "&",
+    "|",
+    "^",
+    "~",
+    "+",
+    "-",
+    "*",
+    "/",
+    "%",
+]
 
 
-class P4Parser:
+def _literal(scan: Scan, ch: str):
+    """An integer, or a width literal: ``8w255``, ``16w0xFFFF``."""
+    if not ch.isdigit():
+        return None
+    value, base = scan.integer()
+    if base != 10 or scan.peek() != "w":
+        return "int", (value, None)
+    scan.pos += 1
+    return "int", (scan.integer(binary=False)[0], value)
+
+
+tokenize = tokenizer(KEYWORDS, OPERATORS, _literal, "<p4>")
+
+# Binary operators, loosest first.
+_BINARY = precedence(
+    ("left", "||"),
+    ("left", "&&"),
+    ("left", "==", "!="),
+    ("none", "<", "<=", ">", ">="),
+    ("left", "|"),
+    ("left", "^"),
+    ("left", "&"),
+    ("left", "<<", ">>"),
+    ("left", "+", "-"),
+    ("left", "*", "/", "%"),
+)
+
+
+class P4Parser(Parser):
     def __init__(self, text: str, source: str = "<p4>"):
-        self.source = source
-        self.toks = tokenize(text, source)
-        self.i = 0
-
-    # -- machinery -----------------------------------------------------------
-
-    def peek(self, offset=0) -> Token:
-        return self.toks[min(self.i + offset, len(self.toks) - 1)]
-
-    def next(self) -> Token:
-        tok = self.toks[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
-
-    def at(self, kind, value=None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (value is None or tok.value == value)
-
-    def accept(self, kind, value=None) -> bool:
-        if self.at(kind, value):
-            self.next()
-            return True
-        return False
-
-    def expect(self, kind, value=None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, value):
-            want = value if value is not None else kind
-            raise self.error(f"expected {want!r}, found {tok.value!r}")
-        return self.next()
-
-    def error(self, message) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, self.source, tok.line, tok.column)
-
-    def pos(self) -> P.Pos:
-        tok = self.peek()
-        return P.Pos(self.source, tok.line, tok.column)
+        super().__init__(tokenize(text, source), source)
 
     # -- program -----------------------------------------------------------------
 
@@ -100,7 +153,7 @@ class P4Parser:
                 constants[name] = value
             else:
                 raise self.error(
-                    f"expected declaration, found {self.peek().value!r}"
+                    f"expected declaration, found {describe(self.peek())}"
                 )
         return P.P4Program(headers, structs, parsers, controls, constants)
 
@@ -236,7 +289,7 @@ class P4Parser:
         tok = self.peek()
         if tok.kind in ("ident",):
             return self.next().value
-        raise self.error(f"expected state name, found {tok.value!r}")
+        raise self.error(f"expected state name, found {describe(tok)}")
 
     # -- control decl ----------------------------------------------------------------------
 
@@ -258,7 +311,7 @@ class P4Parser:
                 apply_block = self._parse_block()
             else:
                 raise self.error(
-                    f"expected action/table/apply, found {self.peek().value!r}"
+                    f"expected action/table/apply, found {describe(self.peek())}"
                 )
         if apply_block is None:
             raise self.error(f"control {name} has no apply block")
@@ -305,7 +358,7 @@ class P4Parser:
                         self.next()
                     else:
                         raise self.error(
-                            f"expected match kind, found {kind_tok.value!r}"
+                            f"expected match kind, found {describe(kind_tok)}"
                         )
                     self.expect("op", ";")
                     keys.append(P.KeyElement(path, kind_tok.value))
@@ -351,7 +404,7 @@ class P4Parser:
             return self._parse_if()
         tok = self.peek()
         if tok.kind != "ident":
-            raise self.error(f"expected statement, found {tok.value!r}")
+            raise self.error(f"expected statement, found {describe(tok)}")
         # Look ahead to classify.
         if tok.value == "mark_to_drop":
             self.next()
@@ -465,88 +518,7 @@ class P4Parser:
     # -- expressions ---------------------------------------------------------------------------
 
     def _parse_expr(self) -> P.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> P.Expr:
-        left = self._parse_and()
-        while self.at("op", "||"):
-            pos = self.pos()
-            self.next()
-            left = P.BinaryExpr("||", left, self._parse_and(), pos)
-        return left
-
-    def _parse_and(self) -> P.Expr:
-        left = self._parse_equality()
-        while self.at("op", "&&"):
-            pos = self.pos()
-            self.next()
-            left = P.BinaryExpr("&&", left, self._parse_equality(), pos)
-        return left
-
-    def _parse_equality(self) -> P.Expr:
-        left = self._parse_relational()
-        while self.at("op", "==") or self.at("op", "!="):
-            pos = self.pos()
-            op = self.next().value
-            left = P.BinaryExpr(op, left, self._parse_relational(), pos)
-        return left
-
-    def _parse_relational(self) -> P.Expr:
-        left = self._parse_bitor()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value in ("<", "<=", ">", ">="):
-            pos = self.pos()
-            op = self.next().value
-            return P.BinaryExpr(op, left, self._parse_bitor(), pos)
-        return left
-
-    def _parse_bitor(self) -> P.Expr:
-        left = self._parse_bitxor()
-        while self.at("op", "|"):
-            pos = self.pos()
-            self.next()
-            left = P.BinaryExpr("|", left, self._parse_bitxor(), pos)
-        return left
-
-    def _parse_bitxor(self) -> P.Expr:
-        left = self._parse_bitand()
-        while self.at("op", "^"):
-            pos = self.pos()
-            self.next()
-            left = P.BinaryExpr("^", left, self._parse_bitand(), pos)
-        return left
-
-    def _parse_bitand(self) -> P.Expr:
-        left = self._parse_shift()
-        while self.at("op", "&") and not self.at("op", "&&"):
-            pos = self.pos()
-            self.next()
-            left = P.BinaryExpr("&", left, self._parse_shift(), pos)
-        return left
-
-    def _parse_shift(self) -> P.Expr:
-        left = self._parse_additive()
-        while self.at("op", "<<") or self.at("op", ">>"):
-            pos = self.pos()
-            op = self.next().value
-            left = P.BinaryExpr(op, left, self._parse_additive(), pos)
-        return left
-
-    def _parse_additive(self) -> P.Expr:
-        left = self._parse_multiplicative()
-        while self.at("op", "+") or self.at("op", "-"):
-            pos = self.pos()
-            op = self.next().value
-            left = P.BinaryExpr(op, left, self._parse_multiplicative(), pos)
-        return left
-
-    def _parse_multiplicative(self) -> P.Expr:
-        left = self._parse_unary()
-        while self.at("op", "*") or self.at("op", "/") or self.at("op", "%"):
-            pos = self.pos()
-            op = self.next().value
-            left = P.BinaryExpr(op, left, self._parse_unary(), pos)
-        return left
+        return self.binary(_BINARY, self._parse_unary, P.BinaryExpr)
 
     def _parse_unary(self) -> P.Expr:
         pos = self.pos()
@@ -575,7 +547,7 @@ class P4Parser:
         if tok.kind == "ident":
             result = self._parse_path()
             return result  # Path or IsValidExpr
-        raise self.error(f"expected expression, found {tok.value!r}")
+        raise self.error(f"expected expression, found {describe(tok)}")
 
 
 def parse_p4(text: str, source: str = "<p4>") -> P.P4Program:

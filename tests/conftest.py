@@ -16,11 +16,18 @@ Two profiles, selected by ``HYPOTHESIS_PROFILE`` (default ``local``):
 
 See docs/TESTING.md for the differential-oracle methodology and the
 failure-reproduction workflow.
+
+Every test also stops the controllers it started: a started controller
+holds the process's collector policy (``repro.core.collector``), so one
+left running changes the collector under every later test.
 """
 
 import os
 
+import pytest
 from hypothesis import settings
+
+from repro.core import collector
 
 settings.register_profile(
     "ci",
@@ -33,3 +40,14 @@ settings.register_profile(
     deadline=None,
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "local"))
+
+
+@pytest.fixture(autouse=True)
+def controllers_stopped():
+    """Fail a test that ends with a collector hold outstanding, and give
+    the hold back so the next test starts clean."""
+    yield
+    left = list(collector._holds)
+    for token in left:
+        collector.release(token)
+    assert not left, f"{len(left)} started controller(s) left running"

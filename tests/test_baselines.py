@@ -186,19 +186,19 @@ class TestImperativeSnvs:
         declarative snvs rules derive for the same configuration."""
         from repro.apps.snvs import SnvsNetwork
 
-        net = SnvsNetwork(n_ports=8)
-        snvs = ImperativeSnvs()
-        for vid in (10, 20):
-            net.add_vlan(vid)
-            snvs.engine.insert("Vlan", (vid,))
-        net.add_access_port(0, vlan=10)
-        snvs.engine.insert("Port", (0, "access", 10, ()))
-        net.add_trunk_port(1, native_vlan=10, trunks=[20])
-        snvs.engine.insert("Port", (1, "trunk", 10, (20,)))
-        declared = {
-            g: set(ports) for g, ports in net.switch.multicast_groups.items()
-        }
-        assert declared == {g: set(p) for g, p in snvs.mcast.items()}
+        with SnvsNetwork(n_ports=8) as net:
+            snvs = ImperativeSnvs()
+            for vid in (10, 20):
+                net.add_vlan(vid)
+                snvs.engine.insert("Vlan", (vid,))
+            net.add_access_port(0, vlan=10)
+            snvs.engine.insert("Port", (0, "access", 10, ()))
+            net.add_trunk_port(1, native_vlan=10, trunks=[20])
+            snvs.engine.insert("Port", (1, "trunk", 10, (20,)))
+            declared = {
+                g: set(ports) for g, ports in net.switch.multicast_groups.items()
+            }
+            assert declared == {g: set(p) for g, p in snvs.mcast.items()}
 
 
 class TestLbBaseline:

@@ -29,20 +29,15 @@ def project():
 
 @pytest.fixture(autouse=True)
 def sole_holder():
-    """Each test starts with the default thresholds, nothing frozen and
-    no hold — a controller another test left started keeps one — and
+    """Each test starts with the default thresholds and nothing frozen
+    (no other test leaves a hold: ``conftest`` fails one that does), and
     the process gets its own state back afterwards."""
-    others, saved = set(collector._holds), collector._saved
     threshold, frozen = gc.get_threshold(), gc.get_freeze_count()
-    collector._holds.clear()
     gc.unfreeze()
     gc.set_threshold(700, 10, 10)
     try:
         yield
     finally:
-        collector._holds.clear()
-        collector._holds.update(others)
-        collector._saved = saved
         gc.unfreeze()
         gc.set_threshold(*threshold)
         if frozen:

@@ -117,12 +117,11 @@ class TestReconcile:
         db2 = Database(project.schema)
         add_port(db2, 1, 5)
         add_port(db2, 2, 6)
-        controller = NerpaController(project, db2, [switch])
-        controller.start()
-        assert len(switch.table("patch")) == 2
-        assert switch.table("patch").lookup([1]) == ("forward", (5,), True)
-        # Nothing needed fixing: no reconciliation writes.
-        assert controller.entries_written == 0
+        with NerpaController(project, db2, [switch]) as controller:
+            assert len(switch.table("patch")) == 2
+            assert switch.table("patch").lookup([1]) == ("forward", (5,), True)
+            # Nothing needed fixing: no reconciliation writes.
+            assert controller.entries_written == 0
 
     def test_reconcile_removes_stale_entries(self, connect):
         project, db, switch = build()
@@ -175,9 +174,8 @@ class TestReconcile:
     def test_a_blank_device_is_sent_the_state_unread(self):
         project, db, switch = build()  # device starts empty
         add_port(db, 3, 4)
-        controller = NerpaController(project, db, [switch])
-        controller.start()
-        assert switch.table("patch").lookup([3]) == ("forward", (4,), True)
+        with NerpaController(project, db, [switch]):
+            assert switch.table("patch").lookup([3]) == ("forward", (4,), True)
 
     def test_an_ill_typed_row_rolls_an_in_process_batch_back(self):
         """The row at index 2 fails its type check as the batch is
@@ -216,11 +214,10 @@ class TestReconcile:
 
         db2 = Database(project.schema)
         add_port(db2, 1, 5)
-        controller = NerpaController(project, db2, [switch])
-        controller.start()
-        add_port(db2, 2, 6)  # post-restart change flows normally
-        controller.drain()
-        assert switch.table("patch").lookup([2]) == ("forward", (6,), True)
+        with NerpaController(project, db2, [switch]) as controller:
+            add_port(db2, 2, 6)  # post-restart change flows normally
+            controller.drain()
+            assert switch.table("patch").lookup([2]) == ("forward", (6,), True)
 
 
 class TestDrive:

@@ -185,10 +185,9 @@ class TestPersistedRestart:
 
         db2 = restore(str(tmp_path))
         assert db2.count("Port") == 1
-        controller2 = NerpaController(project, db2, [switch])
-        controller2.start()
-        assert len(switch.table("in_vlan")) == entries_before
-        assert controller2.entries_written == 0  # nothing was stale
+        with NerpaController(project, db2, [switch]) as controller2:
+            assert len(switch.table("in_vlan")) == entries_before
+            assert controller2.entries_written == 0  # nothing was stale
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,17 @@
-"""Unit tests for the control-plane language lexer."""
+"""Unit tests for the two tokenizers: the control-plane language's
+(``repro.dlog.lexer``) and P4's (``repro.p4.parser``).
+
+The cases both dialects share live in the uncollected base classes
+(``BasicTokens``, ``Integers``, ``Comments``, ``Positions``,
+``Operators``); each dialect's ``Test*`` class runs them through its own
+``tokenize`` and adds the cases that belong to it alone.
+"""
 
 import pytest
 
 from repro.dlog.lexer import tokenize
 from repro.errors import LexError
+from repro.p4.parser import tokenize as p4_tokenize
 
 
 def kinds(text):
@@ -14,12 +22,27 @@ def values(text):
     return [t.value for t in tokenize(text)[:-1]]
 
 
-class TestBasicTokens:
+class Dialect:
+    tokenize = staticmethod(tokenize)
+
+    def values(self, text):
+        return [t.value for t in self.tokenize(text)[:-1]]
+
+    def position(self, text):
+        """Where lexing ``text`` fails, as (line, column)."""
+        with pytest.raises(LexError) as caught:
+            self.tokenize(text)
+        return caught.value.line, caught.value.column
+
+
+class BasicTokens(Dialect):
     def test_empty_input_yields_eof(self):
-        toks = tokenize("")
+        toks = self.tokenize("")
         assert len(toks) == 1
         assert toks[0].kind == "eof"
 
+
+class TestBasicTokens(BasicTokens):
     def test_identifiers_and_keywords(self):
         toks = tokenize("input relation Port port_id")
         assert [t.kind for t in toks[:-1]] == ["keyword", "keyword", "ident", "ident"]
@@ -57,21 +80,25 @@ class TestBasicTokens:
         ]
 
 
-class TestNumbers:
+class Integers(Dialect):
     def test_decimal(self):
-        toks = tokenize("42")
+        toks = self.tokenize("42")
         assert toks[0].kind == "int"
         assert toks[0].value == (42, None)
 
     def test_decimal_with_underscores(self):
-        assert tokenize("1_000_000")[0].value == (1000000, None)
+        assert self.tokenize("1_000_000")[0].value == (1000000, None)
 
     def test_hex(self):
-        assert tokenize("0xFF")[0].value == (255, None)
+        assert self.tokenize("0xFF")[0].value == (255, None)
+        assert self.tokenize("0XdE_aD")[0].value == (0xDEAD, None)
 
     def test_binary(self):
-        assert tokenize("0b1010")[0].value == (10, None)
+        assert self.tokenize("0b1010")[0].value == (10, None)
+        assert self.tokenize("0B1_0")[0].value == (2, None)
 
+
+class TestNumbers(Integers):
     def test_sized_decimal(self):
         assert tokenize("32'd5")[0].value == (5, 32)
 
@@ -122,37 +149,98 @@ class TestStrings:
             tokenize(r'"\q"')
 
 
-class TestComments:
+class Comments(Dialect):
     def test_line_comment(self):
-        assert values("a // comment\n b") == ["a", "b"]
+        assert self.values("a // comment\n b") == ["a", "b"]
 
     def test_block_comment(self):
-        assert values("a /* x\ny */ b") == ["a", "b"]
+        assert self.values("a /* x\ny */ b") == ["a", "b"]
 
     def test_unterminated_block_comment(self):
-        with pytest.raises(LexError):
-            tokenize("/* oops")
+        # Reported where the input ends, not where the comment opened.
+        assert self.position("a /* oops\n  x") == (2, 4)
+
+    def test_slash_star_slash_does_not_close(self):
+        assert self.position("/*/ a") == (1, 6)
+        assert self.values("/**/ a") == ["a"]
 
 
-class TestPositions:
+class TestComments(Comments):
+    pass
+
+
+class Positions(Dialect):
     def test_line_and_column_tracking(self):
-        toks = tokenize("a\n  b")
+        toks = self.tokenize("a\n  b")
         assert (toks[0].line, toks[0].column) == (1, 1)
         assert (toks[1].line, toks[1].column) == (2, 3)
 
     def test_lex_error_position(self):
-        try:
-            tokenize("abc\n   $")
-        except LexError as e:
-            assert e.line == 2
-            assert e.column == 4
-        else:  # pragma: no cover
-            raise AssertionError("expected LexError")
+        assert self.position("abc\n   $") == (2, 4)
+
+    def test_position_after_a_multi_line_comment(self):
+        toks = self.tokenize("a /* one\ntwo\n  three */ b\n\tc")
+        assert [(t.line, t.column) for t in toks] == [(1, 1), (3, 12), (4, 2), (4, 3)]
 
 
-class TestOperators:
+class TestPositions(Positions):
+    def test_position_after_a_multi_line_string(self):
+        toks = tokenize('x "one\ntwo" y')
+        assert [(t.line, t.column) for t in toks] == [(1, 1), (1, 3), (2, 6), (2, 7)]
+
+    def test_string_error_positions(self):
+        assert self.position('"ab\ncd') == (2, 3)
+        assert self.position('"a\n b\\q"') == (2, 4)
+
+
+class Operators(Dialect):
     def test_maximal_munch(self):
-        assert values("a<<b <= c << d") == ["a", "<<", "b", "<=", "c", "<<", "d"]
+        assert self.values("a<<b <= c << d") == ["a", "<<", "b", "<=", "c", "<<", "d"]
 
+
+class TestOperators(Operators):
     def test_concat_vs_plus(self):
         assert values("a ++ b + c") == ["a", "++", "b", "+", "c"]
+
+
+class TestP4BasicTokens(BasicTokens):
+    tokenize = staticmethod(p4_tokenize)
+
+    def test_underscore_is_an_identifier(self):
+        assert [(t.kind, t.value) for t in p4_tokenize("_ _x")[:-1]] == [
+            ("ident", "_"),
+            ("ident", "_x"),
+        ]
+
+    def test_keywords(self):
+        assert kinds("header hdr") == ["ident", "ident", "eof"]
+        assert [t.kind for t in p4_tokenize("header hdr")] == ["keyword", "ident", "eof"]
+
+
+class TestP4Numbers(Integers):
+    tokenize = staticmethod(p4_tokenize)
+
+    def test_width_literal(self):
+        assert p4_tokenize("8w255")[0].value == (255, 8)
+
+    def test_width_literal_in_hex(self):
+        assert p4_tokenize("16w0xFFFF")[0].value == (0xFFFF, 16)
+
+    def test_no_float_and_no_sized_literal(self):
+        assert [t.kind for t in p4_tokenize("1.5")] == ["int", "op", "int", "eof"]
+        assert self.position("8'd5") == (1, 2)
+
+
+class TestP4Comments(Comments):
+    tokenize = staticmethod(p4_tokenize)
+
+
+class TestP4Positions(Positions):
+    tokenize = staticmethod(p4_tokenize)
+
+
+class TestP4Operators(Operators):
+    tokenize = staticmethod(p4_tokenize)
+
+    def test_ternary_mask(self):
+        assert self.values("a &&& b && c & d") == ["a", "&&&", "b", "&&", "c", "&", "d"]

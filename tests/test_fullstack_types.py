@@ -74,8 +74,8 @@ def stack():
     project = nerpa_build(SCHEMA, RULES, P4)
     db = Database(project.schema)
     switch = project.new_simulator(n_ports=8)
-    controller = NerpaController(project, db, [switch]).start()
-    return db, switch, controller
+    with NerpaController(project, db, [switch]) as controller:
+        yield db, switch, controller
 
 
 def add_iface(stack, port, qos=None, flags=(), external_ids=None):

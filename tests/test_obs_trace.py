@@ -56,13 +56,19 @@ def obs_on():
     obs.reset()
 
 
+@pytest.fixture
+def net(obs_on):
+    """An snvs network built with tracing on, closed after the test."""
+    with SnvsNetwork(n_ports=8) as network:
+        yield network
+
+
 def span_names(uid):
     return {s.name for s in obs.TRACER.spans(uid)}
 
 
 class TestLocalTracePath:
-    def test_transact_uid_reaches_device_write(self, obs_on):
-        net = SnvsNetwork(n_ports=8)
+    def test_transact_uid_reaches_device_write(self, net):
         net.add_vlan(10)
         net.add_access_port(0, vlan=10)
         uid = obs.TRACER.latest_update_id(name="mgmt.transact")
@@ -78,8 +84,7 @@ class TestLocalTracePath:
         for span in obs.TRACER.spans(uid):
             assert span.duration >= 0.0
 
-    def test_engine_span_carries_operator_stats(self, obs_on):
-        net = SnvsNetwork(n_ports=8)
+    def test_engine_span_carries_operator_stats(self, net):
         net.add_vlan(10)
         net.add_access_port(0, vlan=10)
         uid = obs.TRACER.latest_update_id(name="mgmt.transact")
@@ -98,8 +103,7 @@ class TestLocalTracePath:
         assert engine_span.attrs["stratum_seconds"]
         assert engine_span.attrs["deltas"]
 
-    def test_spans_nest_under_controller_sync(self, obs_on):
-        net = SnvsNetwork(n_ports=8)
+    def test_spans_nest_under_controller_sync(self, net):
         net.add_vlan(10)
         net.add_access_port(0, vlan=10)
         uid = obs.TRACER.latest_update_id(name="mgmt.transact")
@@ -112,8 +116,7 @@ class TestLocalTracePath:
         # and the sync itself is a child of the transact
         assert by_id[sync.parent_id].name == "mgmt.transact"
 
-    def test_digest_feedback_links_to_originating_trace(self, obs_on):
-        net = SnvsNetwork(n_ports=8)
+    def test_digest_feedback_links_to_originating_trace(self, net):
         net.add_vlan(10)
         net.add_access_port(0, vlan=10)
         net.add_access_port(1, vlan=10)
@@ -132,8 +135,7 @@ class TestLocalTracePath:
         # and the feedback's own writes are traced under the new id.
         assert "device.write" in span_names(digest_span.update_id)
 
-    def test_render_prints_full_pipeline(self, obs_on):
-        net = SnvsNetwork(n_ports=8)
+    def test_render_prints_full_pipeline(self, net):
         net.add_vlan(10)
         net.add_access_port(0, vlan=10)
         uid = obs.TRACER.latest_update_id(name="mgmt.transact")
@@ -155,23 +157,23 @@ class TestLocalTracePath:
         obs.reset()
         obs.enable()
         try:
-            net = SnvsNetwork(n_ports=8)
-            net.add_vlan(10)
-            net.add_access_port(0, vlan=10)
-            uid = obs.TRACER.latest_update_id(name="mgmt.transact")
-            assert {
-                "mgmt.transact",
-                "controller.sync",
-                "engine.transaction",
-                "device.write",
-            } <= span_names(uid)
-            (engine_span,) = [
-                s
-                for s in obs.TRACER.spans(uid)
-                if s.name == "engine.transaction"
-            ]
-            assert "operators" not in engine_span.attrs
-            assert obs.REGISTRY.histogram("engine_txn_seconds").count >= 1
+            with SnvsNetwork(n_ports=8) as net:
+                net.add_vlan(10)
+                net.add_access_port(0, vlan=10)
+                uid = obs.TRACER.latest_update_id(name="mgmt.transact")
+                assert {
+                    "mgmt.transact",
+                    "controller.sync",
+                    "engine.transaction",
+                    "device.write",
+                } <= span_names(uid)
+                (engine_span,) = [
+                    s
+                    for s in obs.TRACER.spans(uid)
+                    if s.name == "engine.transaction"
+                ]
+                assert "operators" not in engine_span.attrs
+                assert obs.REGISTRY.histogram("engine_txn_seconds").count >= 1
         finally:
             obs.disable()
             obs.reset()
@@ -179,15 +181,14 @@ class TestLocalTracePath:
     def test_disabled_stack_records_nothing(self):
         obs.reset()
         assert not obs.ENABLED
-        net = SnvsNetwork(n_ports=8)
-        net.add_vlan(10)
-        net.add_access_port(0, vlan=10)
-        net.send(0, B, A)
-        assert obs.TRACER.spans() == []
-        assert obs.REGISTRY.snapshot()["counters"] == {}
+        with SnvsNetwork(n_ports=8) as net:
+            net.add_vlan(10)
+            net.add_access_port(0, vlan=10)
+            net.send(0, B, A)
+            assert obs.TRACER.spans() == []
+            assert obs.REGISTRY.snapshot()["counters"] == {}
 
-    def test_registry_folds_all_planes(self, obs_on):
-        net = SnvsNetwork(n_ports=8)
+    def test_registry_folds_all_planes(self, net):
         net.add_vlan(10)
         net.add_access_port(0, vlan=10)
         net.send(0, B, A)

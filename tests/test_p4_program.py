@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dlog.parser import parse_program
 from repro.errors import DataPlaneError, ParseError, RuntimeApiError
 from repro.p4.headers import ethernet, mac_to_int
 from repro.p4.ir import compile_p4
@@ -157,6 +158,24 @@ class TestParsing:
                 }
                 """
             )
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_p4, "header h { bit<8> a; ", "expected 'ident', found end of input"),
+            (parse_p4, "const bit<8> X = 3", "expected ';', found end of input"),
+            (parse_p4, "control C() { apply { if (", "expected expression, found end of input"),
+            (parse_program, "input relation R(x: bit<8>", "expected ')', found end of input"),
+        ],
+        ids=["p4-field", "p4-const", "p4-expression", "dlog"],
+    )
+    def test_a_parse_error_at_end_of_input_names_it(self, parse, text, message):
+        """Both languages word it alike (P4 used to print the eof
+        token's value, None)."""
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert caught.value.message == message
+        assert caught.value.column == len(text) + 1
 
     def test_missing_apply_rejected(self):
         with pytest.raises(ParseError, match="apply"):

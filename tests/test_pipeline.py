@@ -475,8 +475,17 @@ class TestEndToEndOrdering:
 
         try:
             before = ingests()
-            gate = threading.Event()
-            controller.reactor.submit(gate.wait, 10.0)
+            gate, entered = threading.Event(), threading.Event()
+
+            def hold_the_loop():
+                entered.set()
+                gate.wait(10.0)
+
+            # The loop must be inside the held callback before the first
+            # commit: a merge submitted ahead of it would run in the same
+            # turn, and the commits after it would start a second merge.
+            controller.reactor.submit(hold_the_loop)
+            assert entered.wait(10.0)
             for port in range(20):
                 add_port(db, port, port + 1)
             gate.set()

@@ -22,14 +22,14 @@ def built_project():
 
 @pytest.fixture()
 def net():
-    network = SnvsNetwork(n_ports=16)
-    network.add_vlan(10, "tenants")
-    network.add_vlan(20, "storage")
-    for port in range(4):
-        network.add_access_port(port, vlan=10)
-    for port in range(4, 6):
-        network.add_access_port(port, vlan=20)
-    return network
+    with SnvsNetwork(n_ports=16) as network:
+        network.add_vlan(10, "tenants")
+        network.add_vlan(20, "storage")
+        for port in range(4):
+            network.add_access_port(port, vlan=10)
+        for port in range(4, 6):
+            network.add_access_port(port, vlan=20)
+        yield network
 
 
 class TestBuild:
@@ -102,24 +102,24 @@ class TestForwardingAndLearning:
         assert sorted(p for p, _ in outputs) == [5]
 
     def test_learning_disabled_blocks_feedback(self):
-        network = SnvsNetwork(n_ports=8, learning=False)
-        network.add_vlan(10)
-        network.add_access_port(0, vlan=10)
-        network.add_access_port(1, vlan=10)
-        network.send(0, B, A)
-        assert network.fwd_entries() == 0
-        outputs = network.send(1, A, B)
-        assert [p for p, _ in outputs] == [0]  # still floods (only member)
+        with SnvsNetwork(n_ports=8, learning=False) as network:
+            network.add_vlan(10)
+            network.add_access_port(0, vlan=10)
+            network.add_access_port(1, vlan=10)
+            network.send(0, B, A)
+            assert network.fwd_entries() == 0
+            outputs = network.send(1, A, B)
+            assert [p for p, _ in outputs] == [0]  # still floods (only member)
 
     def test_enabling_learning_later_applies_retroactively(self):
-        network = SnvsNetwork(n_ports=8, learning=False)
-        network.add_vlan(10)
-        network.add_access_port(0, vlan=10)
-        network.add_access_port(1, vlan=10)
-        network.send(0, B, A)  # digest recorded, rule gated off
-        network.set_learning(True)
-        # The previously received digest now derives entries.
-        assert network.fwd_entries() == 1
+        with SnvsNetwork(n_ports=8, learning=False) as network:
+            network.add_vlan(10)
+            network.add_access_port(0, vlan=10)
+            network.add_access_port(1, vlan=10)
+            network.send(0, B, A)  # digest recorded, rule gated off
+            network.set_learning(True)
+            # The previously received digest now derives entries.
+            assert network.fwd_entries() == 1
 
     def test_digest_suppressed_once_learned(self, net):
         net.send(0, B, A)
