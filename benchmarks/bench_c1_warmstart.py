@@ -36,6 +36,7 @@ from repro.dlog import compile_program
 from repro.dlog.checkpoint import (
     CheckpointStore,
     load_checkpoint,
+    replay_segments,
     save_checkpoint,
 )
 from repro.workloads.loadbalancer import LB_DLOG_PROGRAM, LoadBalancerWorkload
@@ -171,10 +172,9 @@ def test_c1_delta_checkpoint_cost_tracks_churn(benchmark, tmp_path):
 
     # The chain round-trips: full + segment restores the live state.
     full, segments = store.load_chain(lambda f: f["txn_count"])
-    restored = program.start(
-        checkpoint={"delta_chain": True, "full": full, "segments": segments}
-    )
+    restored = program.start(checkpoint=full)
     assert restored.restored
+    replay_segments(restored, segments, program.program_hash)
     assert restored.dump("NatEntry") == runtime.dump("NatEntry")
     assert restored.txn_count == runtime.txn_count
 

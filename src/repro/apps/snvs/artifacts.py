@@ -304,7 +304,7 @@ OutTag(p as bit<16>, OutTagActionOutUntagged) :- Port(_, _, p, "access", _, _).
 """
 
 
-def build_snvs(recursive_mode: str = "dred") -> NerpaProject:
+def build_snvs() -> NerpaProject:
     """Compile the snvs stack into a :class:`NerpaProject`."""
     return nerpa_build(
         SNVS_SCHEMA,
@@ -312,5 +312,4 @@ def build_snvs(recursive_mode: str = "dred") -> NerpaProject:
         SNVS_P4,
         dlog_name="snvs.dl",
         p4_name="snvs.p4",
-        recursive_mode=recursive_mode,
     )

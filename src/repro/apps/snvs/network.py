@@ -26,9 +26,8 @@ class SnvsNetwork:
     block) stops it.
     """
 
-    def __init__(self, n_ports: int = 64, learning: bool = True,
-                 recursive_mode: str = "dred"):
-        self.project = build_snvs(recursive_mode=recursive_mode)
+    def __init__(self, n_ports: int = 64, learning: bool = True):
+        self.project = build_snvs()
         self.db = Database(self.project.schema)
         self.switch: Simulator = self.project.new_simulator(n_ports=n_ports)
         self.controller = NerpaController(

@@ -81,7 +81,6 @@ def nerpa_build(
     p4_source: str,
     dlog_name: str = "<rules>",
     p4_name: str = "<p4>",
-    recursive_mode: str = "dred",
 ) -> NerpaProject:
     """Compile a full-stack program.
 
@@ -96,9 +95,7 @@ def nerpa_build(
     generated, bindings = generate_declarations(ovsdb_schema, pipeline.p4info)
 
     full_source = generated + "\n" + dlog_source
-    program = compile_program(
-        full_source, source=dlog_name, recursive_mode=recursive_mode
-    )
+    program = compile_program(full_source, source=dlog_name)
 
     _check_outputs_covered(program, bindings)
     return NerpaProject(

@@ -69,18 +69,15 @@ def restore(
         return None, None
     if full is None:
         return None, None
-    engine_ckpt = full.get("engine")
-    if segments:
-        engine_ckpt = {
-            "delta_chain": True,
-            "full": engine_ckpt,
-            "segments": segments,
-        }
     runtime = program.start(
-        checkpoint=engine_ckpt, shards=shards, shard_workers=shard_workers
+        checkpoint=full.get("engine"),
+        shards=shards,
+        shard_workers=shard_workers,
     )
     if not runtime.restored:
+        # Segments replay only onto the state they were cut against.
         return runtime, None
+    ckpt.replay_segments(runtime, segments, program.program_hash)
     warm = {key: full[key] for key in _WARM_KEYS if key in full}
     absorb_meta(warm, segments)
     return runtime, warm

@@ -124,33 +124,15 @@ class CompiledProgram:
         :meth:`Runtime.checkpoint`), restore its state in O(state)
         instead of recomputing.  A checkpoint whose program hash does
         not match this program falls back to a cold start; check
-        ``Runtime.restored`` to see which path was taken.
-
-        ``checkpoint`` may also be a delta chain bundle
-        (``{"delta_chain": True, "full": <snapshot-or-None>,
-        "segments": [...]}``, see :mod:`repro.dlog.checkpoint`): the
-        full snapshot is restored first and the journaled segments are
-        replayed on top.
+        ``Runtime.restored`` to see which path was taken.  A delta
+        chain restores its full snapshot here, then replays its
+        segments (:func:`repro.dlog.checkpoint.replay_segments`).
 
         ``shards > 1`` returns a :class:`~repro.dlog.shard.ShardedRuntime`
         — the same API over N per-shard engines (``shard_workers`` picks
         ``"process"`` or ``"inline"`` evaluation); checkpoints are then
         sharded bundles, incompatible across shard counts.
         """
-        if isinstance(checkpoint, dict) and checkpoint.get("delta_chain"):
-            from repro.dlog.checkpoint import replay_segments
-
-            segments = checkpoint.get("segments") or []
-            full = checkpoint.get("full")
-            runtime = self.start(
-                checkpoint=full, shards=shards, shard_workers=shard_workers
-            )
-            # Only replay on top of the state the segments were cut
-            # against; if the full snapshot fell back to a cold start,
-            # replaying deltas would corrupt it.
-            if full is None or runtime.restored:
-                replay_segments(runtime, segments, self.program_hash)
-            return runtime
         if shards > 1:
             from repro.dlog.shard.runtime import ShardedRuntime
 
@@ -275,6 +257,124 @@ class TxnResult:
         return f"TxnResult(changed=[{changed}], warnings={len(self.warnings)})"
 
 
+class Inputs:
+    """A runtime's input relations: their rows, the one door every
+    transaction's input changes go through (:meth:`take`), the journal
+    of what went through, and the ``"inputs"`` part of a checkpoint.
+    :class:`Runtime` and the sharded facade each own one, so both treat
+    every transaction's inputs alike, warnings included."""
+
+    def __init__(self, program: CompiledProgram):
+        self.rows: Dict[str, Set[tuple]] = {
+            name: set() for name in program.input_relations
+        }
+        self._validators = {
+            name: rows_validator(program.relation_decl(name))
+            for name in program.input_relations
+        }
+        self._journal: Optional[List[dict]] = None
+
+    def take(
+        self,
+        inserts: Mapping[str, Iterable[Sequence]],
+        deletes: Mapping[str, Iterable[Sequence]],
+        warnings: List[str],
+    ) -> dict:
+        """Apply one transaction's input changes to the rows; returns
+        the changes that happened, ``{"inserts": {rel: [row, ...]},
+        "deletes": {...}}`` with empty relations left out.
+
+        An unknown relation or an ill-typed row raises before any row
+        moves.  Deletes go first; duplicate inserts and deletes of
+        absent rows are dropped with a warning (input relations are
+        sets)."""
+        deletes = self._checked(deletes)
+        inserts = self._checked(inserts)
+        taken: dict = {"inserts": {}, "deletes": {}}
+        for rel_name, rows in deletes.items():
+            state = self.rows[rel_name]
+            kept = []
+            for row in rows:
+                if row not in state:
+                    warnings.append(f"{rel_name}: delete of absent row {row!r}")
+                    continue
+                state.remove(row)
+                kept.append(row)
+            if kept:
+                taken["deletes"][rel_name] = kept
+        for rel_name, rows in inserts.items():
+            state = self.rows[rel_name]
+            if not state and len(set(rows)) == len(rows):
+                # First rows of this relation, none repeated: a
+                # wholesale set build.
+                state.update(rows)
+                kept = rows
+            else:
+                kept = []
+                for row in rows:
+                    if row in state:
+                        warnings.append(f"{rel_name}: duplicate insert {row!r}")
+                        continue
+                    state.add(row)
+                    kept.append(row)
+            if kept:
+                taken["inserts"][rel_name] = kept
+        return taken
+
+    def _checked(self, changes) -> Dict[str, List[tuple]]:
+        """``{relation: rows}`` with every row a tuple its relation's
+        validator (:func:`rows_validator`) accepts: an unknown relation
+        or an ill-typed row raises (the first, in order)."""
+        checked = {}
+        for rel_name, rows in changes.items():
+            validate = self._validators.get(rel_name)
+            if validate is None:
+                raise TransactionError(f"{rel_name} is not an input relation")
+            rows = list(map(tuple, rows))  # a tuple stays the same object
+            validate(rows)
+            checked[rel_name] = rows
+        return checked
+
+    # -- journaling ------------------------------------------------------------
+
+    def enable_journal(self) -> None:
+        """Start recording each transaction's changes as :meth:`take`
+        returned them, for delta checkpointing; see
+        :class:`repro.dlog.checkpoint.CheckpointStore`."""
+        if self._journal is None:
+            self._journal = []
+
+    def record(self, taken: dict) -> None:
+        """Journal one transaction's changes once its evaluation has
+        returned; a transaction that changed no input leaves none."""
+        if self._journal is not None and (taken["inserts"] or taken["deletes"]):
+            self._journal.append(taken)
+
+    def drain_journal(self) -> List[dict]:
+        """Return and clear the entries since the last drain (or
+        :meth:`enable_journal`); replaying them in order through
+        ``transaction`` reproduces the input rows' trajectory at any
+        shard count."""
+        if self._journal is None:
+            return []
+        drained, self._journal = self._journal, []
+        return drained
+
+    # -- checkpointing ---------------------------------------------------------
+
+    def checkpoint(self) -> Dict[str, Set[tuple]]:
+        """The ``"inputs"`` part of a checkpoint (copies)."""
+        return {name: set(rows) for name, rows in self.rows.items()}
+
+    def restore(self, saved) -> bool:
+        """Load a checkpoint's ``"inputs"`` part; ``False``, leaving the
+        rows as they were, when it names other relations."""
+        if not isinstance(saved, dict) or set(saved) != set(self.rows):
+            return False
+        self.rows = {name: set(rows) for name, rows in saved.items()}
+        return True
+
+
 class Runtime:
     """A running instance of a compiled program."""
 
@@ -286,14 +386,7 @@ class Runtime:
         self.graph = Graph()
         self.relation_nodes: Dict[str, Node] = {}
         self.scc_evaluators: Dict[int, SccEvaluator] = {}
-        self._input_state: Dict[str, Set[tuple]] = {
-            name: set() for name in program.input_relations
-        }
-        self._validators = {
-            rel.name: rows_validator(rel, self.checked.tenv)
-            for rel in self.checked.ast.relations
-        }
-        self._journal: Optional[List[dict]] = None
+        self.inputs = Inputs(program)
         self._static_rows: Dict[str, ZSet] = {}
         self._node_stratum: Dict[int, int] = {}
         self.operator_totals: Dict[str, Dict[str, float]] = {}
@@ -481,48 +574,25 @@ class Runtime:
         warnings: List[str] = []
         source_deltas: Dict[int, ZSet] = {}
 
-        journal = self._journal
-        entry: Optional[dict] = None
-        if journal is not None and not initial:
-            entry = {"inserts": {}, "deletes": {}}
-
         if initial:
+            taken = None
             for rel_name, delta in self._static_rows.items():
                 node = self.relation_nodes[rel_name]
                 source_deltas.setdefault(id(node), ZSet()).merge(delta)
         else:
-            inserts = changes["inserts"]
-            deletes = changes["deletes"]
-            for rel_name in set(inserts) | set(deletes):
-                if rel_name not in self._input_state:
-                    raise TransactionError(
-                        f"{rel_name} is not an input relation"
+            taken = self.inputs.take(
+                changes["inserts"], changes["deletes"], warnings
+            )
+            for key, weight in (("deletes", -1), ("inserts", 1)):
+                for rel_name, rows in taken[key].items():
+                    node = self.relation_nodes[rel_name]
+                    source_deltas.setdefault(id(node), ZSet()).merge(
+                        ZSet(dict.fromkeys(rows, weight))
                     )
-            deletes = checked_rows(self._validators, deletes)
-            inserts = checked_rows(self._validators, inserts)
-            for rel_name, rows in deletes.items():
-                delta = self._normalize(
-                    rel_name, rows, insert=False, warnings=warnings
-                )
-                if delta:
-                    node = self.relation_nodes[rel_name]
-                    source_deltas.setdefault(id(node), ZSet()).merge(delta)
-                    if entry is not None:
-                        entry["deletes"][rel_name] = list(delta.data)
-            for rel_name, rows in inserts.items():
-                delta = self._normalize(
-                    rel_name, rows, insert=True, warnings=warnings
-                )
-                if delta:
-                    node = self.relation_nodes[rel_name]
-                    source_deltas.setdefault(id(node), ZSet()).merge(delta)
-                    if entry is not None:
-                        entry["inserts"][rel_name] = list(delta.data)
 
         outputs = self.graph.run(source_deltas, profile=profile)
-
-        if entry is not None and (entry["inserts"] or entry["deletes"]):
-            journal.append(entry)
+        if taken is not None:
+            self.inputs.record(taken)
 
         deltas: Dict[str, ZSet] = {}
         for rel_name, node in self.relation_nodes.items():
@@ -579,54 +649,15 @@ class Runtime:
             obs.REGISTRY.counter("engine_arrangement_probes_total").inc(probes)
         return operators, strata
 
-    def _normalize(
-        self, rel_name: str, rows: List[tuple], insert: bool,
-        warnings: List[str],
-    ) -> ZSet:
-        """``rows`` (checked) as a delta against the input state, which
-        it updates: duplicate inserts and absent deletes are dropped
-        with a warning."""
-        state = self._input_state[rel_name]
-        if insert and not state and len(set(rows)) == len(rows):
-            # First rows of this relation, none repeated: a wholesale
-            # set/dict build.
-            state.update(rows)
-            return ZSet(dict.fromkeys(rows, 1))
-        delta = ZSet()
-        for row in rows:
-            if insert:
-                if row in state or delta.weight(row) > 0:
-                    warnings.append(f"{rel_name}: duplicate insert {row!r}")
-                    continue
-                state.add(row)
-                delta.add(row, 1)
-            else:
-                if row not in state:
-                    warnings.append(f"{rel_name}: delete of absent row {row!r}")
-                    continue
-                state.discard(row)
-                delta.add(row, -1)
-        return delta
-
     # -- journaling --------------------------------------------------------------------
 
     def enable_journal(self) -> None:
-        """Start recording each transaction's *normalized* input delta
-        (duplicates and absent-row deletes already filtered) for delta
-        checkpointing; see :class:`repro.dlog.checkpoint.CheckpointStore`."""
-        if self._journal is None:
-            self._journal = []
+        """See :meth:`Inputs.enable_journal`."""
+        self.inputs.enable_journal()
 
     def drain_journal(self) -> List[dict]:
-        """Return and clear the journaled transactions since the last
-        drain (or :meth:`enable_journal`).  Each entry is
-        ``{"inserts": {rel: [row, ...]}, "deletes": {...}}``; replaying
-        them in order through :meth:`transaction` reproduces the exact
-        input-state trajectory."""
-        if self._journal is None:
-            return []
-        drained, self._journal = self._journal, []
-        return drained
+        """See :meth:`Inputs.drain_journal`."""
+        return self.inputs.drain_journal()
 
     # -- checkpointing -----------------------------------------------------------------
 
@@ -663,9 +694,7 @@ class Runtime:
         return {
             "format": CHECKPOINT_FORMAT,
             "program_hash": phash,
-            "inputs": {
-                name: set(rows) for name, rows in self._input_state.items()
-            },
+            "inputs": self.inputs.checkpoint(),
             "nodes": nodes,
             "sccs": sccs,
             "txn_count": self.txn_count,
@@ -701,15 +730,12 @@ class Runtime:
             if _node_kind(node) != kind:
                 return False
             staged.append((node, kind, state))
-        inputs = data.get("inputs", {})
-        if set(inputs) != set(self._input_state):
-            return False
         sccs = data.get("sccs", {})
         if set(sccs) != set(self.scc_evaluators):
             return False
-        # Validation passed; copy the state in.
-        for name, rows in inputs.items():
-            self._input_state[name] = set(rows)
+        # The input part goes last: it loads as it validates.
+        if not self.inputs.restore(data.get("inputs", {})):
+            return False
         for node, kind, state in staged:
             if kind == "distinct":
                 node.counts = ZSet(dict(state))
@@ -733,8 +759,8 @@ class Runtime:
 
     def dump(self, relation: str) -> Set[tuple]:
         """Current contents of any relation (input or derived)."""
-        if relation in self._input_state:
-            return set(self._input_state[relation])
+        if relation in self.inputs.rows:
+            return set(self.inputs.rows[relation])
         strat = self.program.stratification
         scc_idx = strat.scc_of.get(relation)
         if scc_idx is not None and strat.recursive[scc_idx]:
@@ -751,7 +777,7 @@ class Runtime:
     def state_size(self) -> int:
         """Total records held by all stateful operators (memory proxy)."""
         return self.graph.total_state() + sum(
-            len(s) for s in self._input_state.values()
+            map(len, self.inputs.rows.values())
         )
 
     def profile(self) -> Dict[str, object]:
@@ -801,49 +827,15 @@ def _node_state(node: Node, kind: str) -> object:
     return _arrangement_data(node.groups)
 
 
-def checked_rows(validators, changes) -> Dict[str, List[tuple]]:
-    """``{relation: rows}`` with every row a tuple that its relation's
-    validator (:func:`rows_validator`) accepts, all checked before the
-    caller touches any state: an ill-typed row raises (the first, in
-    order) and leaves the transaction unapplied."""
-    checked = {}
-    for rel_name, rows in changes.items():
-        rows = list(map(tuple, rows))  # a tuple stays the same object
-        validators[rel_name](rows)
-        checked[rel_name] = rows
-    return checked
-
-
-def _row_validator(decl: A.RelationDecl, tenv: T.TypeEnv):
-    """Build a shallow row validator for one relation."""
-    col_types = decl.column_types()
-    arity = decl.arity
-    name = decl.name
-
-    def validate(row: tuple) -> None:
-        if len(row) != arity:
-            raise TransactionError(
-                f"{name}: row {row!r} has {len(row)} column(s), expected {arity}"
-            )
-        for i, (value, ty) in enumerate(zip(row, col_types)):
-            if not _shallow_check(value, ty):
-                raise TransactionError(
-                    f"{name}: column {decl.columns[i][0]} expects {ty}, "
-                    f"got {value!r}"
-                )
-
-    return validate
-
-
 def _exact_type(ty: T.Type) -> Optional[type]:
-    """The Python type whose exact instances pass :func:`_shallow_check`
-    for ``ty``, or None when any value does.
+    """The Python type of a ``ty`` column's values, or None when any
+    value fits.
 
-    ``type(v) is X`` is strictly stronger than the isinstance chain (it
-    also rejects subclasses, e.g. bool-as-int), so a batch passing the
-    exact-type sweep needs no per-row revalidation; a batch failing it
-    is re-run through the precise per-row validator to either accept
-    the subclass case or raise the exact error.
+    ``type(v) is X`` is strictly stronger than :func:`_shallow_check`
+    (it also rejects subclasses, e.g. bool-as-int), so a batch passing
+    the exact-type sweep needs no per-row revalidation; a batch failing
+    it is re-run through the per-row check to either accept the
+    subclass case or raise the exact error.
     """
     if isinstance(ty, T.TBool):
         return bool
@@ -862,21 +854,31 @@ def _exact_type(ty: T.Type) -> Optional[type]:
     return None
 
 
-def rows_validator(decl: A.RelationDecl, tenv: T.TypeEnv):
+def rows_validator(decl: A.RelationDecl):
     """A relation's validator for a list of rows: a sweep of exact
-    types with a per-row fallback (:func:`_row_validator`).
+    types (:func:`_exact_type`) with a per-row fallback.
 
     Raises exactly what the per-row check would raise on the first
     offending row (in batch order); accepts everything it would accept.
     Plain loops, so a batch of any size is one Python-level call.
     """
-    validate = _row_validator(decl, tenv)
+    col_types = decl.column_types()
+    exacts = [_exact_type(ty) for ty in col_types]
+    columns = [(i, exact) for i, exact in enumerate(exacts) if exact is not None]
     arity = decl.arity
-    columns = [
-        (i, exact)
-        for i, exact in enumerate(_exact_type(ty) for ty in decl.column_types())
-        if exact is not None
-    ]
+    name = decl.name
+
+    def validate(row: tuple) -> None:
+        if len(row) != arity:
+            raise TransactionError(
+                f"{name}: row {row!r} has {len(row)} column(s), expected {arity}"
+            )
+        for i, (value, exact) in enumerate(zip(row, exacts)):
+            if not _shallow_check(value, exact):
+                raise TransactionError(
+                    f"{name}: column {decl.columns[i][0]} expects "
+                    f"{col_types[i]}, got {value!r}"
+                )
 
     def validate_rows(rows: List[tuple]) -> None:
         for row in rows:
@@ -896,19 +898,12 @@ def rows_validator(decl: A.RelationDecl, tenv: T.TypeEnv):
     return validate_rows
 
 
-def _shallow_check(value, ty: T.Type) -> bool:
-    if isinstance(ty, T.TBool):
-        return isinstance(value, bool)
-    if isinstance(ty, (T.TBit, T.TSigned, T.TBigInt)):
-        return isinstance(value, int) and not isinstance(value, bool)
-    if isinstance(ty, T.TFloat):
-        return isinstance(value, float)
-    if isinstance(ty, T.TString):
-        return isinstance(value, str)
-    if isinstance(ty, (T.TTuple, T.TVec)):
-        return isinstance(value, tuple)
-    if isinstance(ty, T.TMap):
-        return isinstance(value, MapValue)
-    if isinstance(ty, T.TUser):
-        return isinstance(value, StructValue)
-    return True
+def _shallow_check(value, exact: Optional[type]) -> bool:
+    """Whether ``value`` fits a column whose :func:`_exact_type` is
+    ``exact``: any instance of it, subclasses included, except a bool
+    where an int is due."""
+    if exact is None:
+        return True
+    return isinstance(value, exact) and not (
+        exact is int and isinstance(value, bool)
+    )

@@ -84,7 +84,7 @@ _STRING_RUN = re.compile(r'[^"\\]*')
 def _literal(scan: Scan, ch: str):
     if ch == '"':
         return "string", _string(scan)
-    if not ch.isdigit():
+    if not ch.isdecimal():
         return None
     start = scan.pos
     value, base = scan.integer()
@@ -106,20 +106,23 @@ def _literal(scan: Scan, ch: str):
         except ValueError:
             raise scan.error(f"bad digits {raw!r} for base {radix}")
     after = scan.peek(1)
-    if nxt == "." and after.isdigit():
+    if nxt == "." and after.isdecimal():
         scan.pos += 1
-        scan.skip(str.isdigit)
+        scan.skip(str.isdecimal)
     elif not (
         nxt in ("e", "E")
-        and (after.isdigit() or after in ("+", "-") and scan.peek(2).isdigit())
+        and (after.isdecimal() or after in ("+", "-") and scan.peek(2).isdecimal())
     ):
         return "int", (value, None)
     if scan.peek() in ("e", "E"):
         scan.pos += 1
         if scan.peek() in ("+", "-"):
             scan.pos += 1
-        scan.skip(str.isdigit)
-    return "float", float(scan.text[start : scan.pos])
+        if not scan.peek().isdecimal():
+            raise scan.error("float exponent missing digits")
+        scan.skip(str.isdecimal)
+    # The integer part may hold `_` separators, as integers do.
+    return "float", float(scan.text[start : scan.pos].replace("_", ""))
 
 
 def _string(scan: Scan) -> str:

@@ -2,13 +2,15 @@
 
 The facade owns the three jobs that make shard count unobservable:
 
-* **Routing** (the exchange step).  Input rows are validated and
-  set-normalized here — mirroring :meth:`Runtime._normalize` exactly,
-  warnings included — then partitioned rows go to their key's owner
-  shard and replicated rows to every shard.  Because normalization
-  happens before dispatch, per-shard engines never see a duplicate
-  insert or an absent delete, so their own input states stay mutually
-  consistent across transactions and checkpoints.
+* **Routing** (the exchange step).  The facade's
+  :class:`~repro.dlog.engine.Inputs` — the same transaction front a
+  single :class:`~repro.dlog.engine.Runtime` has, warnings and journal
+  included — checks and set-normalizes the input changes; then
+  partitioned rows go to their key's owner shard and replicated rows to
+  every shard.  Because normalization happens before dispatch,
+  per-shard engines never see a duplicate insert or an absent delete,
+  so their own input states stay mutually consistent across
+  transactions and checkpoints.
 
 * **Merging** (global deduplication).  Each relation keeps a
   cross-shard reference count per row: how many shards currently derive
@@ -21,7 +23,7 @@ The facade owns the three jobs that make shard count unobservable:
 
 * **Checkpointing.**  ``checkpoint()`` nests one ordinary engine
   checkpoint per shard (each stamped with the program hash and keyed by
-  shard id and shard count) plus the facade's own input state and
+  shard id and shard count) plus the facade's own input part and
   reference counts.  Restore validates the whole bundle and falls back
   to a cold start on any mismatch, matching ``Runtime.restored``
   semantics so the controller's warm-start path works untouched.
@@ -39,10 +41,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 from repro import obs
 from repro.dlog.checkpoint import CHECKPOINT_FORMAT
 from repro.dlog.dataflow.zset import ZSet
-from repro.dlog.engine import checked_rows, rows_validator
+from repro.dlog.engine import Inputs, TxnResult
 from repro.dlog.shard.analyze import PARTITIONED, ShardPlan, analyze
 from repro.dlog.shard.worker import make_worker
-from repro.errors import TransactionError
 
 
 def _deletes_first(delta: ZSet) -> None:
@@ -87,11 +88,8 @@ class ShardedRuntime:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.program = program
         self.shards = shards
-        self._journal: Optional[List[dict]] = None
         self.plan = plan if plan is not None else analyze(program)
-        self._input_state: Dict[str, Set[tuple]] = {
-            name: set() for name in program.input_relations
-        }
+        self.inputs = Inputs(program)
         # Cross-shard reference counts: relation -> row -> #shards
         # currently deriving/holding the row.  Only relations that can
         # be multiply derived need them; a relation the plan proves
@@ -104,12 +102,6 @@ class ShardedRuntime:
             for rel, (kind, _) in self.plan.statuses.items()
             if kind == PARTITIONED
         }
-        self._validators = {
-            name: rows_validator(
-                program.checked.relation(name), program.checked.tenv
-            )
-            for name in program.input_relations
-        }
         self.txn_count = 0
         self.total_txn_time = 0.0
         self._obs_gen = -1
@@ -118,26 +110,28 @@ class ShardedRuntime:
         self.worker_kind = workers
 
         shard_ckpts = self._extract_checkpoints(checkpoint)
-        self.restored = shard_ckpts is not None
-        if self.restored:
+        self.restored = False
+        if shard_ckpts is not None:
             self._start_workers(workers, shard_ckpts)
-            if not all(w.ready["restored"] for w in self._workers):
+            if all(
+                w.ready["restored"] for w in self._workers
+            ) and self.inputs.restore(checkpoint.get("inputs", {})):
+                self.restored = True
+                self._counts = {
+                    rel: dict(rows)
+                    for rel, rows in checkpoint.get("counts", {}).items()
+                }
+                self.txn_count = checkpoint.get("txn_count", 0)
+                self.total_txn_time = checkpoint.get("total_txn_time", 0.0)
+            else:
                 # Partial restore would leave shards inconsistent with
                 # the facade's counts; abandon and start cold.
                 self.close()
-                self.restored = False
         if not self.restored:
-            self._counts = {}
-            for state in self._input_state.values():
-                state.clear()
-            self.txn_count = 0
-            self.total_txn_time = 0.0
             self._start_workers(workers, [None] * shards)
         merged, warnings = self._merge(
             [w.ready["result"] for w in self._workers]
         )
-        from repro.dlog.engine import TxnResult
-
         self.initial_result = TxnResult(
             {} if self.restored else merged,
             program.output_relations,
@@ -155,34 +149,23 @@ class ShardedRuntime:
     # -- transactions ----------------------------------------------------------
 
     def enable_journal(self) -> None:
-        """Record normalized facade-level input deltas per transaction
-        (same format as :meth:`Runtime.enable_journal`); the journal
-        captures the global rows, so replay through a facade of *any*
-        shard count reproduces the same state."""
-        if self._journal is None:
-            self._journal = []
+        """Journal the facade's input changes (:meth:`Inputs.enable_journal`);
+        the journal holds the global rows, so replay through a facade of
+        *any* shard count reproduces the same state."""
+        self.inputs.enable_journal()
 
     def drain_journal(self) -> List[dict]:
-        if self._journal is None:
-            return []
-        drained, self._journal = self._journal, []
-        return drained
+        return self.inputs.drain_journal()
 
     def transaction(
         self,
         inserts: Optional[Mapping[str, Iterable[Sequence]]] = None,
         deletes: Optional[Mapping[str, Iterable[Sequence]]] = None,
-        initial: bool = False,
     ):
-        # ``initial`` is accepted for Runtime API parity; per-shard
-        # engines detect the cold-load case from their own empty state.
-        from repro.dlog.engine import TxnResult
-
         started = time.perf_counter()
         warnings: List[str] = []
-        per_shard, routed, broadcast = self._route(
-            inserts or {}, deletes or {}, warnings
-        )
+        taken = self.inputs.take(inserts or {}, deletes or {}, warnings)
+        per_shard, routed, broadcast = self._route(taken)
         t_routed = time.perf_counter()
 
         active = [
@@ -195,6 +178,7 @@ class ShardedRuntime:
                 "txn", changes["inserts"], changes["deletes"]
             )
         results = [self._workers[idx].result() for idx, _ in active]
+        self.inputs.record(taken)
         t_evaluated = time.perf_counter()
 
         merged, shard_warnings = self._merge(results)
@@ -215,24 +199,16 @@ class ShardedRuntime:
             merged, self.program.output_relations, warnings, duration
         )
 
-    def _route(self, inserts, deletes, warnings):
-        """Normalize inputs and split them per shard.
+    def _route(self, taken: dict):
+        """Split one transaction's input changes (as
+        :meth:`Inputs.take` returned them) per shard.
 
         Returns ``(per_shard, routed, broadcast)`` where ``per_shard[i]``
         is ``None`` for untouched shards, and the two counters tally
         keyed rows sent to a single owner vs. rows sent everywhere.
         """
-        for rel_name in set(inserts) | set(deletes):
-            if rel_name not in self._input_state:
-                raise TransactionError(f"{rel_name} is not an input relation")
-        deletes = checked_rows(self._validators, deletes)
-        inserts = checked_rows(self._validators, inserts)
         per_shard: List[Optional[dict]] = [None] * self.shards
         routed = broadcast = 0
-        journal = self._journal
-        entry: Optional[dict] = (
-            {"inserts": {}, "deletes": {}} if journal is not None else None
-        )
 
         def bucket(shard_id: int, key: str, rel: str) -> List[tuple]:
             changes = per_shard[shard_id]
@@ -243,49 +219,17 @@ class ShardedRuntime:
                 }
             return changes[key].setdefault(rel, [])
 
-        def dispatch(rel: str, row: tuple, key: str) -> int:
-            owner = self.plan.route(rel, row, self.shards)
-            if owner is None:
-                for shard_id in range(self.shards):
-                    bucket(shard_id, key, rel).append(row)
-                return 0
-            bucket(owner, key, rel).append(row)
-            return 1
-
-        # Deletes before inserts, duplicate/absent rows skipped with a
-        # warning: byte-for-byte the single engine's normalization.
-        for rel_name, rows in deletes.items():
-            state = self._input_state[rel_name]
-            for row in rows:
-                if row not in state:
-                    warnings.append(
-                        f"{rel_name}: delete of absent row {row!r}"
-                    )
-                    continue
-                state.discard(row)
-                if entry is not None:
-                    entry["deletes"].setdefault(rel_name, []).append(row)
-                keyed = dispatch(rel_name, row, "deletes")
-                routed += keyed
-                broadcast += (1 - keyed) * self.shards
-        for rel_name, rows in inserts.items():
-            state = self._input_state[rel_name]
-            added = set()
-            for row in rows:
-                if row in state or row in added:
-                    warnings.append(
-                        f"{rel_name}: duplicate insert {row!r}"
-                    )
-                    continue
-                state.add(row)
-                added.add(row)
-                if entry is not None:
-                    entry["inserts"].setdefault(rel_name, []).append(row)
-                keyed = dispatch(rel_name, row, "inserts")
-                routed += keyed
-                broadcast += (1 - keyed) * self.shards
-        if entry is not None and (entry["inserts"] or entry["deletes"]):
-            journal.append(entry)
+        for key in ("deletes", "inserts"):
+            for rel_name, rows in taken[key].items():
+                for row in rows:
+                    owner = self.plan.route(rel_name, row, self.shards)
+                    if owner is None:
+                        for shard_id in range(self.shards):
+                            bucket(shard_id, key, rel_name).append(row)
+                        broadcast += self.shards
+                    else:
+                        bucket(owner, key, rel_name).append(row)
+                        routed += 1
         return per_shard, routed, broadcast
 
     def _merge(self, results: Sequence[dict]):
@@ -386,9 +330,7 @@ class ShardedRuntime:
             "sharded": True,
             "program_hash": self.program.program_hash,
             "shard_count": self.shards,
-            "inputs": {
-                name: set(rows) for name, rows in self._input_state.items()
-            },
+            "inputs": self.inputs.checkpoint(),
             "counts": {
                 rel: dict(rows) for rel, rows in self._counts.items()
             },
@@ -398,8 +340,9 @@ class ShardedRuntime:
         }
 
     def _extract_checkpoints(self, data) -> Optional[List[dict]]:
-        """Validate a sharded checkpoint against this configuration;
-        ``None`` (→ cold start) on any mismatch."""
+        """Validate a sharded checkpoint's envelope against this
+        configuration: the per-shard engine checkpoints, or ``None``
+        (→ cold start) on any mismatch."""
         if not isinstance(data, dict) or not data.get("sharded"):
             return None
         if data.get("format") != CHECKPOINT_FORMAT:
@@ -426,25 +369,14 @@ class ShardedRuntime:
             ):
                 return None
             engines.append(entry.get("engine"))
-        inputs = data.get("inputs", {})
-        if set(inputs) != set(self._input_state):
-            return None
-        for name, rows in inputs.items():
-            self._input_state[name] = set(rows)
-        self._counts = {
-            rel: dict(rows)
-            for rel, rows in data.get("counts", {}).items()
-        }
-        self.txn_count = data.get("txn_count", 0)
-        self.total_txn_time = data.get("total_txn_time", 0.0)
         return engines
 
     # -- inspection ------------------------------------------------------------
 
     def dump(self, relation: str) -> Set[tuple]:
         """Current global contents of any relation."""
-        if relation in self._input_state:
-            return set(self._input_state[relation])
+        if relation in self.inputs.rows:
+            return set(self.inputs.rows[relation])
         if relation not in self.program.checked.relations:
             raise KeyError(f"unknown relation {relation!r}")
         for worker in self._workers:

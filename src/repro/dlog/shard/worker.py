@@ -35,6 +35,26 @@ def _serialize_result(result) -> dict:
     }
 
 
+def _ready(runtime) -> dict:
+    """A started shard's first reply: how it started, and its initial
+    transaction."""
+    return {
+        "restored": runtime.restored,
+        "result": _serialize_result(runtime.initial_result),
+    }
+
+
+def _serve(runtime, op: str, args: tuple):
+    """Run one request on a shard's runtime; the reply's payload.  An
+    op is the runtime method of its name; ``txn`` is ``transaction(
+    inserts, deletes)``, its result in wire form."""
+    if op == "txn":
+        return _serialize_result(runtime.transaction(*args))
+    if op in ("checkpoint", "dump", "profile", "state_size"):
+        return getattr(runtime, op)(*args)
+    raise ShardWorkerError(f"unknown op {op!r}")
+
+
 class InlineWorker:
     """A shard evaluated in the calling process (``shard_workers="inline"``).
 
@@ -54,10 +74,7 @@ class InlineWorker:
         self.shard_id = shard_id
         self._runtime = program.start(checkpoint=checkpoint)
         self._pending = None
-        self.ready = {
-            "restored": self._runtime.restored,
-            "result": _serialize_result(self._runtime.initial_result),
-        }
+        self.ready = _ready(self._runtime)
 
     def submit(self, op: str, *args) -> None:
         assert self._pending is None, "worker already has a request in flight"
@@ -66,21 +83,7 @@ class InlineWorker:
     def result(self):
         op, args = self._pending
         self._pending = None
-        runtime = self._runtime
-        if op == "txn":
-            inserts, deletes = args
-            return _serialize_result(
-                runtime.transaction(inserts=inserts, deletes=deletes)
-            )
-        if op == "checkpoint":
-            return runtime.checkpoint()
-        if op == "dump":
-            return runtime.dump(args[0])
-        if op == "profile":
-            return runtime.profile()
-        if op == "state_size":
-            return runtime.state_size()
-        raise ShardWorkerError(f"unknown op {op!r}")
+        return _serve(self._runtime, op, args)
 
     def close(self) -> None:
         self._pending = None
@@ -94,15 +97,7 @@ def _worker_main(conn, source_text, recursive_mode, checkpoint) -> None:
         runtime = compile_program(
             source_text, recursive_mode=recursive_mode
         ).start(checkpoint=checkpoint)
-        conn.send(
-            (
-                "ready",
-                {
-                    "restored": runtime.restored,
-                    "result": _serialize_result(runtime.initial_result),
-                },
-            )
-        )
+        conn.send(("ready", _ready(runtime)))
     except BaseException as exc:  # noqa: BLE001 — forwarded to parent
         _send_error(conn, exc)
         conn.close()
@@ -116,22 +111,7 @@ def _worker_main(conn, source_text, recursive_mode, checkpoint) -> None:
             conn.send(("ok", None))
             break
         try:
-            if op == "txn":
-                inserts, deletes = args
-                payload = _serialize_result(
-                    runtime.transaction(inserts=inserts, deletes=deletes)
-                )
-            elif op == "checkpoint":
-                payload = runtime.checkpoint()
-            elif op == "dump":
-                payload = runtime.dump(args[0])
-            elif op == "profile":
-                payload = runtime.profile()
-            elif op == "state_size":
-                payload = runtime.state_size()
-            else:
-                raise ShardWorkerError(f"unknown op {op!r}")
-            conn.send(("ok", payload))
+            conn.send(("ok", _serve(runtime, op, args)))
         except BaseException as exc:  # noqa: BLE001 — forwarded to parent
             _send_error(conn, exc)
     conn.close()

@@ -103,14 +103,15 @@ OPERATORS = [
 
 
 def _literal(scan: Scan, ch: str):
-    """An integer, or a width literal: ``8w255``, ``16w0xFFFF``."""
-    if not ch.isdigit():
+    """An integer, or a width literal: ``8w255``, ``16w0xFFFF``,
+    ``8w0b101``."""
+    if not ch.isdecimal():
         return None
     value, base = scan.integer()
     if base != 10 or scan.peek() != "w":
         return "int", (value, None)
     scan.pos += 1
-    return "int", (scan.integer(binary=False)[0], value)
+    return "int", (scan.integer()[0], value)
 
 
 tokenize = tokenizer(KEYWORDS, OPERATORS, _literal, "<p4>")

@@ -99,29 +99,34 @@ class Scan:
         self.pos = match.end()
         return match.group()
 
-    def integer(self, binary: bool = True) -> Tuple[int, int]:
-        """Read an integer: ``0x`` hex, ``0b`` binary (where ``binary``)
-        or decimal, each with ``_`` separators.  Returns the value and
-        its base."""
-        start = self.pos
-        prefix = self.text[start : start + 2]
+    def integer(self) -> Tuple[int, int]:
+        """Read an integer: ``0x`` hex, ``0b`` binary or decimal, each
+        with ``_`` separators.  Returns the value and its base; raises
+        :class:`LexError` where the digits should start if there are
+        none."""
+        prefix = self.text[self.pos : self.pos + 2]
         if prefix in ("0x", "0X"):
             base, digit = 16, _HEX_DIGITS.__contains__
-        elif binary and prefix in ("0b", "0B"):
+        elif prefix in ("0b", "0B"):
             base, digit = 2, _BINARY_DIGITS.__contains__
         else:
             base, digit = 10, _decimal_digit
         if base != 10:
             self.pos += 2
+        start = self.pos
         self.skip(digit)
-        return int(self.text[start : self.pos].replace("_", ""), base), base
+        digits = self.text[start : self.pos].replace("_", "")
+        if not digits:
+            self.pos = start
+            raise self.error("integer literal missing digits")
+        return int(digits, base), base
 
     def error(self, message: str) -> LexError:
         return LexError(message, self.source, self.line, self.pos - self.bol + 1)
 
 
 def _decimal_digit(ch: str) -> bool:
-    return ch.isdigit() or ch == "_"
+    return ch.isdecimal() or ch == "_"
 
 
 #: A dialect's literal reader: called at the start of every token with

@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.snvs import build_snvs
+from repro.core import warmstate
 from repro.core.controller import NerpaController
 from repro.dlog.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -253,21 +254,37 @@ class TestCheckpointValidation:
             checkpoint=snapshot
         ).restored
 
-    def test_format_3_checkpoint_cold_starts(self):
+    def test_format_3_checkpoint_cold_starts(self, tmp_path):
         """Format 3 keyed operator state by the index of a graph with a
         node per linear item; those indices now name other nodes (here
         the antijoin moved from 7 to 6), so a v3 snapshot — bare or as a
         chain's anchor — must cold-start, not restore."""
-        runtime = compile_program(JOIN_NEG_PROGRAM).start()
+        program = compile_program(JOIN_NEG_PROGRAM)
+        runtime = program.start()
         runtime.transaction(inserts={"R": [(1, 2), (3, 4)], "S": [(2, 5)]})
+        runtime.enable_journal()
         snapshot = runtime.checkpoint()
         snapshot["format"] = 3
-        for checkpoint in (
-            snapshot,
-            {"delta_chain": True, "full": snapshot, "segments": []},
-        ):
-            cold = compile_program(JOIN_NEG_PROGRAM).start(checkpoint=checkpoint)
+        store = warmstate.open_store(str(tmp_path), program.program_hash)
+        full = {
+            "format": CHECKPOINT_FORMAT,
+            "engine_txns": runtime.txn_count,
+            "engine": snapshot,
+        }
+        store.save_full(full, runtime.txn_count)
+        runtime.transaction(inserts={"R": [(7, 8)]})
+        store.save_delta(runtime.drain_journal(), runtime.txn_count)
+        assert len(store.load_chain(lambda f: f["engine_txns"])[1]) == 1
+
+        def anchored():
+            cold, warm = warmstate.restore(store, program, 1, "inline")
+            assert warm is None
+            return cold
+
+        for start in (lambda: program.start(checkpoint=snapshot), anchored):
+            cold = start()
             assert not cold.restored
+            # Nothing replayed: the segment's (7, 8) is not there either.
             assert cold.dump("R") == cold.dump("J") == set()
             cold.transaction(inserts={"R": [(1, 2)], "S": [(2, 5)]})
             assert cold.dump("J") == {(1, 2, 5)}

@@ -774,7 +774,7 @@ class TestColdVsPrimedOracle:
 # -> transact must be byte-identical to an uninterrupted engine.
 # ---------------------------------------------------------------------------
 
-from repro.dlog.checkpoint import CheckpointStore  # noqa: E402
+from repro.dlog.checkpoint import CheckpointStore, replay_segments  # noqa: E402
 
 
 class TestDeltaCheckpointOracle:
@@ -857,12 +857,11 @@ def _chain_restore(program, changes_list, relations, shards, data, directory):
 
     full, segments = store.load_chain(lambda f: f["txn_count"])
     restored = program.start(
-        checkpoint={"delta_chain": True, "full": full, "segments": segments},
-        shards=shards,
-        shard_workers="inline",
+        checkpoint=full, shards=shards, shard_workers="inline"
     )
     try:
         assert restored.restored
+        replay_segments(restored, segments, program.program_hash)
         # Runtime and ShardedRuntime count their initial static-load
         # transactions differently, so compare against the subject's
         # own counter at the cut point, not the reference's.

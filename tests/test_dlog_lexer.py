@@ -8,9 +8,13 @@ The cases both dialects share live in the uncollected base classes
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.dlog.lexer import tokenize
-from repro.errors import LexError
+from repro.dlog.parser import parse_program
+from repro.errors import LexError, ReproError
+from repro.p4.parser import parse_p4
 from repro.p4.parser import tokenize as p4_tokenize
 
 
@@ -97,8 +101,18 @@ class Integers(Dialect):
         assert self.tokenize("0b1010")[0].value == (10, None)
         assert self.tokenize("0B1_0")[0].value == (2, None)
 
+    #: Literals whose digits are missing, each with where the error is
+    #: reported: where the digits should start.
+    NO_DIGITS = {"0x": (1, 3), "0b": (1, 3), "x 0X_": (1, 5), "0b2": (1, 3)}
+
+    def test_literal_with_no_digits_is_a_lex_error(self):
+        for text, where in self.NO_DIGITS.items():
+            assert self.position(text) == where, text
+
 
 class TestNumbers(Integers):
+    NO_DIGITS = {**Integers.NO_DIGITS, "1.5e": (1, 5), "1.5e+": (1, 6)}
+
     def test_sized_decimal(self):
         assert tokenize("32'd5")[0].value == (5, 32)
 
@@ -219,12 +233,17 @@ class TestP4BasicTokens(BasicTokens):
 
 class TestP4Numbers(Integers):
     tokenize = staticmethod(p4_tokenize)
+    NO_DIGITS = {**Integers.NO_DIGITS, "8w": (1, 3), "8w0x": (1, 5)}
 
     def test_width_literal(self):
         assert p4_tokenize("8w255")[0].value == (255, 8)
 
     def test_width_literal_in_hex(self):
         assert p4_tokenize("16w0xFFFF")[0].value == (0xFFFF, 16)
+
+    def test_width_literal_in_binary(self):
+        assert self.values("8w0b101 8w0B1_1") == [(5, 8), (3, 8)]
+        assert parse_p4("const bit<8> X = 8w0b101;").constants == {"X": 5}
 
     def test_no_float_and_no_sized_literal(self):
         assert [t.kind for t in p4_tokenize("1.5")] == ["int", "op", "int", "eof"]
@@ -244,3 +263,34 @@ class TestP4Operators(Operators):
 
     def test_ternary_mask(self):
         assert self.values("a &&& b && c & d") == ["a", "&&&", "b", "&&", "c", "&", "d"]
+
+
+#: What a fuzzed source is glued from: literal prefixes and suffixes,
+#: digits, a little punctuation, and short runs of any text.
+_FRAGMENTS = st.one_of(
+    st.sampled_from(
+        ["0", "7", "0x", "0b", "_", "e", "+", ".", "w", "'", "d", "h", "R",
+         " ", "\n", "(", ")", ";", ",", "<", ">", '"', "//", "/*", "*/"]
+    ),
+    st.text(max_size=3),
+)
+
+
+def _texts():
+    return st.lists(_FRAGMENTS, max_size=12).map("".join)
+
+
+@given(_texts())
+def test_any_text_parses_or_raises_a_repro_error(text):
+    try:
+        parse_program(text)
+    except ReproError:
+        pass
+
+
+@given(_texts())
+def test_any_p4_text_parses_or_raises_a_repro_error(text):
+    try:
+        parse_p4(text)
+    except ReproError:
+        pass

@@ -150,18 +150,37 @@ class TestShardedRuntimeFacade:
             sharded.close()
 
     def test_duplicate_and_absent_warnings_match_single_engine(self):
+        """Both runtimes take their inputs through one front: the same
+        warnings, the same journal entries, the same input rows."""
         program = compile_program(JOIN_SRC)
         single = program.start()
         sharded = ShardedRuntime(program, shards=3, workers="inline")
-        changes = {
-            "inserts": {"Port": [(1, 10), (1, 10)]},
-            "deletes": {"Trunk": [(99, 99)]},
-        }
+        transactions = [
+            {
+                "inserts": {"Port": [(1, 10), (1, 10)]},
+                "deletes": {"Trunk": [(99, 99)]},
+            },
+            {
+                "inserts": {"Port": [(2, 10), (1, 10)], "Trunk": [(10, 7)]},
+                "deletes": {"Port": [(1, 10), (1, 10)]},
+            },
+            {"inserts": {"Port": [(2, 10)]}},
+        ]
         try:
-            expect = single.transaction(**changes)
-            got = sharded.transaction(**changes)
-            assert expect.warnings == got.warnings
-            assert len(got.warnings) == 2
+            single.enable_journal()
+            sharded.enable_journal()
+            warned = []
+            for changes in transactions:
+                expect = single.transaction(**changes)
+                got = sharded.transaction(**changes)
+                assert expect.warnings == got.warnings
+                warned.append(len(got.warnings))
+            assert warned == [2, 1, 1]
+            journal = single.drain_journal()
+            assert journal == sharded.drain_journal()
+            assert len(journal) == 2
+            for rel in program.input_relations:
+                assert single.dump(rel) == sharded.dump(rel)
         finally:
             sharded.close()
 
