@@ -174,7 +174,7 @@ def test_c1_delta_checkpoint_cost_tracks_churn(benchmark, tmp_path):
     full, segments = store.load_chain(lambda f: f["txn_count"])
     restored = program.start(checkpoint=full)
     assert restored.restored
-    replay_segments(restored, segments, program.program_hash)
+    replay_segments(restored, segments)
     assert restored.dump("NatEntry") == runtime.dump("NatEntry")
     assert restored.txn_count == runtime.txn_count
 

@@ -151,9 +151,7 @@ class CheckpointFollower:
         segments = self.store.tail()
         if not segments:
             return False
-        ckpt.replay_segments(
-            self.runtime, segments, self.store.program_hash
-        )
+        ckpt.replay_segments(self.runtime, segments)
         self.segments_replayed += len(segments)
         warmstate.absorb_meta(self.warm_state, segments)
         if obs.ENABLED:
@@ -204,11 +202,11 @@ class HAController:
     re-dialling is tried again while the lease lasts.
 
     ``mgmt`` is a :class:`~repro.mgmt.database.Database` or
-    :class:`~repro.mgmt.client.ManagementClient` — both expose the
-    ``lease_*`` operations and a lease-table monitor, and both are
-    accepted by ``NerpaController`` directly.  Lease calls go through
+    :class:`~repro.mgmt.client.ManagementClient`, as ``NerpaController``
+    accepts.  Lease calls (:data:`repro.mgmt.lease.METHODS`) go through
     the plane adapter's non-blocking ``call_async``: inline on an
-    in-process database, over the client's connection otherwise.
+    in-process database, over the client's connection otherwise; the
+    lease table is watched with a plain monitor.
     """
 
     def __init__(

@@ -27,7 +27,8 @@ from typing import Dict, List, Optional
 
 from repro import obs
 from repro.errors import ConnectionLostError, ProtocolError, ReproError
-from repro.mgmt.client import LEASE_ANSWERS, ManagementClient
+from repro.mgmt import lease
+from repro.mgmt.client import ManagementClient
 from repro.mgmt.database import Database
 from repro.mgmt.monitor import MonitorSpec, TableUpdates
 from repro.net.reactor import Reactor
@@ -74,7 +75,8 @@ class LocalMgmt:
 
     def call_async(self, method: str, args: list, callback, timeout=None):
         """Answered inline, so there is no deadline to keep."""
-        _call_inline(getattr(self.db, method), args, callback)
+        fn, _key = lease.METHODS[method]
+        _call_inline(fn, [self.db.transact, *args], callback)
 
     def health(self) -> Dict[str, object]:
         return {"peer": "local-db", "state": "connected", "transitions": []}
@@ -102,18 +104,13 @@ class RemoteMgmt:
     def call_async(
         self, method: str, args: list, callback, timeout: Optional[float]
     ) -> None:
-        """``callback`` runs on the client's own loop."""
-        read = LEASE_ANSWERS[method]
-
-        def answered(result, error) -> None:
-            if error is None:
-                try:
-                    result = read(result)
-                except Exception as exc:  # noqa: BLE001 - a malformed answer
-                    result, error = None, exc
-            callback(result, error)
-
-        self.client.conn.call_async(method, args, answered, timeout=timeout)
+        """``callback`` runs on the client's own loop; an answer without
+        the method's key fails the call."""
+        _fn, key = lease.METHODS[method]
+        self.client.conn.call_async(
+            method, args, callback, timeout=timeout,
+            read=lambda answer: answer[key],
+        )
 
     def health(self) -> Dict[str, object]:
         return self.client.health()

@@ -77,7 +77,7 @@ def restore(
     if not runtime.restored:
         # Segments replay only onto the state they were cut against.
         return runtime, None
-    ckpt.replay_segments(runtime, segments, program.program_hash)
+    ckpt.replay_segments(runtime, segments)
     warm = {key: full[key] for key in _WARM_KEYS if key in full}
     absorb_meta(warm, segments)
     return runtime, warm

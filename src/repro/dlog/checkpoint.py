@@ -323,21 +323,19 @@ class CheckpointStore:
         return data if isinstance(data, dict) else None
 
 
-def replay_segments(runtime, segments: List[dict], phash: Optional[str]) -> int:
-    """Replay a validated segment chain through ``runtime.transaction``.
+def replay_segments(runtime, segments: List[dict]) -> int:
+    """Replay a segment chain through ``runtime.transaction``.
 
-    Works on any runtime with the engine transaction API (single
-    :class:`~repro.dlog.engine.Runtime` or sharded facade).  Segments
-    whose hash does not match ``phash`` stop the replay — the
-    prefix already applied is still consistent state.  Returns the
-    number of transactions replayed and pins the runtime's transaction
-    counter to the chain's end (journals skip empty transactions, so
-    the raw replay count may undercount).
+    The segments are :meth:`CheckpointStore.load_segments`' (or
+    :meth:`~CheckpointStore.tail`'s): already checked against the
+    store's program hash.  Works on any runtime with the engine
+    transaction API (single :class:`~repro.dlog.engine.Runtime` or
+    sharded facade).  Returns the number of transactions replayed and
+    pins the runtime's transaction counter to the chain's end (journals
+    skip empty transactions, so the raw replay count may undercount).
     """
     replayed = 0
     for segment in segments:
-        if phash is not None and segment.get("program_hash") != phash:
-            break
         for txn in segment.get("txns", ()):
             runtime.transaction(
                 inserts=txn.get("inserts") or {},

@@ -19,28 +19,17 @@ hook to re-subscribe and reconcile (see
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.errors import TransactionError
-from repro.mgmt.monitor import RowUpdate, TableUpdates
+from repro.mgmt.monitor import TableUpdates, updates_from_wire
 from repro.mgmt.schema import DatabaseSchema
-from repro.mgmt.values import row_from_wire
 from repro.net.aio import AioConnection
 from repro.net.reactor import Reactor
 from repro.net.retry import RetryPolicy
 from repro.obs.trace import use_update_id
 
 _DEFAULT_TIMEOUT = 30.0
-
-#: What each lease method's answer holds for its caller (the blocking
-#: methods below, and ``call_async`` callers such as an HA replica).
-LEASE_ANSWERS: Dict[str, Callable[[dict], object]] = {
-    "lease_acquire": lambda answer: answer["lease"],
-    "lease_renew": lambda answer: bool(answer["renewed"]),
-    "lease_release": lambda answer: bool(answer["released"]),
-    "lease_get": lambda answer: answer["lease"],
-}
 
 
 class ManagementClient:
@@ -63,16 +52,6 @@ class ManagementClient:
             )
         self.timeout = policy.call_timeout
         self._monitor_callbacks: Dict[str, Callable[[TableUpdates], None]] = {}
-        # Guards callback registration/dispatch: the server starts
-        # streaming a monitor's updates the instant it registers it, so
-        # a notification can reach the loop thread before monitor()
-        # has seen the response and stored the callback.  Updates for
-        # unknown monitor ids are buffered while a subscribe is in
-        # flight and replayed on registration — dropping them would
-        # lose rows that are in neither the snapshot nor the stream.
-        self._dispatch_lock = threading.RLock()
-        self._pending_subscribes = 0
-        self._undelivered: Dict[str, List[Tuple[dict, Optional[str]]]] = {}
         self._schema: Optional[DatabaseSchema] = None
         # A loop of its own, not the fleet's: decoding a 100-row monitor
         # update must not sit between a device batch and its send, and
@@ -103,34 +82,20 @@ class ManagementClient:
         # update-id; rebind it so the monitor callback's downstream work
         # stays in the originating trace.
         uid = params[2] if len(params) > 2 else None
-        with self._dispatch_lock:
-            callback = self._monitor_callbacks.get(monitor_id)
-            if callback is None:
-                if self._pending_subscribes:
-                    self._undelivered.setdefault(monitor_id, []).append(
-                        (wire_updates, uid)
-                    )
-                return
-            self._dispatch(callback, wire_updates, uid)
-
-    def _dispatch(
-        self,
-        callback: Callable[[TableUpdates], None],
-        wire_updates: dict,
-        uid: Optional[str],
-    ) -> None:
+        callback = self._monitor_callbacks.get(monitor_id)
+        if callback is None:
+            return  # cancelled, or subscribed before a reconnect
+        updates = updates_from_wire(self._schema, wire_updates)
         if uid is not None:
             with use_update_id(uid):
-                callback(self._decode_updates(wire_updates))
+                callback(updates)
         else:
-            callback(self._decode_updates(wire_updates))
+            callback(updates)
 
     def _forget_monitors(self) -> None:
         # Server-side monitor state died with the old connection; a
         # restarted server may not even share our schema cache.
-        with self._dispatch_lock:
-            self._monitor_callbacks.clear()
-            self._undelivered.clear()
+        self._monitor_callbacks.clear()
 
     def on_reconnect(self, hook: Callable[[], None]) -> None:
         """Run ``hook`` on the client's loop after each reconnect
@@ -169,95 +134,32 @@ class ManagementClient:
         :class:`~repro.errors.ReproError` (counted as a callback error;
         the next update is still delivered).  Hand such work to another
         loop, as the controller does (``reactor.submit`` onto its own).
-        Updates the server streamed between
-        registering the monitor and this call returning reach
-        ``callback`` in arrival order (those dispatched while the call
-        was in flight are replayed here, before the snapshot is
-        returned); they always post-date it.
+        The server answers a monitor before its first update, and
+        ``callback`` is registered on the loop as the answer is read, so
+        every update behind the snapshot reaches it.
         """
         self.get_schema()  # cache now: dispatch must not block on the wire
-        with self._dispatch_lock:
-            self._pending_subscribes += 1
-        try:
-            result = self.call("monitor", [tables])
-        except BaseException:
-            with self._dispatch_lock:
-                self._pending_subscribes -= 1
-                if not self._pending_subscribes:
-                    self._undelivered.clear()
-            raise
-        monitor_id = result["monitor_id"]
-        with self._dispatch_lock:
-            self._pending_subscribes -= 1
-            self._monitor_callbacks[monitor_id] = callback
-            backlog = self._undelivered.pop(monitor_id, ())
-            if not self._pending_subscribes:
-                self._undelivered.clear()
-            for wire_updates, uid in backlog:
-                self._dispatch(callback, wire_updates, uid)
-        return monitor_id, self._decode_updates(result["initial"])
+
+        def subscribed(answer: dict) -> dict:
+            self._monitor_callbacks[answer["monitor_id"]] = callback
+            return answer
+
+        answer = self.conn.call("monitor", [tables], read=subscribed)
+        initial = updates_from_wire(self._schema, answer["initial"])
+        return answer["monitor_id"], initial
 
     def monitor_cancel(self, monitor_id: str) -> None:
-        """Stop ``monitor_id``'s callback at once and cancel it at the
-        server without waiting for the answer, so any thread may call
-        it, a loop's included (the server also drops a connection's
-        monitors when it closes)."""
-        with self._dispatch_lock:
-            self._monitor_callbacks.pop(monitor_id, None)
+        """Drop ``monitor_id``'s callback at once (no update read after
+        this returns reaches it; one already being delivered on the
+        loop may finish) and cancel it at the server without waiting
+        for the answer, so any thread may call it, a loop's included
+        (the server also drops a connection's monitors when it
+        closes)."""
+        self._monitor_callbacks.pop(monitor_id, None)
         self.conn.call_async(
             "monitor_cancel", [monitor_id], lambda _r, _e: None,
             timeout=self.conn.policy.call_timeout,
         )
-
-    # -- leases (leader election; see repro.mgmt.lease) ---------------------
-
-    def lease_acquire(
-        self,
-        name: str,
-        owner: str,
-        ttl: float,
-        now: Optional[float] = None,
-        steal: bool = False,
-    ) -> Optional[dict]:
-        return self._lease("lease_acquire", [name, owner, ttl, now, steal])
-
-    def lease_renew(
-        self,
-        name: str,
-        owner: str,
-        epoch: int,
-        ttl: float,
-        now: Optional[float] = None,
-    ) -> bool:
-        return self._lease("lease_renew", [name, owner, epoch, ttl, now])
-
-    def lease_release(self, name: str, owner: str) -> bool:
-        return self._lease("lease_release", [name, owner])
-
-    def lease_get(self, name: str) -> Optional[dict]:
-        return self._lease("lease_get", [name])
-
-    def _lease(self, method: str, params: list):
-        return LEASE_ANSWERS[method](self.call(method, params))
-
-    def _decode_updates(self, wire: dict) -> TableUpdates:
-        schema = self.get_schema()
-        updates = TableUpdates()
-        for table, rows in wire.items():
-            tschema = schema.table(table)
-            for uuid, entry in rows.items():
-                old = (
-                    row_from_wire(tschema, entry["old"])
-                    if "old" in entry
-                    else None
-                )
-                new = (
-                    row_from_wire(tschema, entry["new"])
-                    if "new" in entry
-                    else None
-                )
-                updates.add(table, uuid, RowUpdate(old, new))
-        return updates
 
     def close(self) -> None:
         self.conn.close()

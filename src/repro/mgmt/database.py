@@ -339,34 +339,6 @@ class Database:
             self.txn_counter += 1
         return updates
 
-    # -- leases (leader election; see repro.mgmt.lease) -----------------------------
-
-    def lease_acquire(
-        self,
-        name: str,
-        owner: str,
-        ttl: float,
-        now: Optional[float] = None,
-        steal: bool = False,
-    ) -> Optional[dict]:
-        return leaselib.acquire(self.transact, name, owner, ttl, now, steal)
-
-    def lease_renew(
-        self,
-        name: str,
-        owner: str,
-        epoch: int,
-        ttl: float,
-        now: Optional[float] = None,
-    ) -> bool:
-        return leaselib.renew(self.transact, name, owner, epoch, ttl, now)
-
-    def lease_release(self, name: str, owner: str) -> bool:
-        return leaselib.release(self.transact, name, owner)
-
-    def lease_get(self, name: str) -> Optional[dict]:
-        return leaselib.peek(self.transact, name)
-
     # -- monitors --------------------------------------------------------------------
 
     def add_monitor(

@@ -232,3 +232,14 @@ def peek(
     results = transact([_select_op(name)])
     rows = results[0].get("rows", [])
     return _row_to_lease(rows[0]) if rows else None
+
+
+#: The lease methods a management plane answers, by name: the function
+#: above (called with the database's ``transact`` ahead of the params)
+#: and the key that holds its result in a server's answer.
+METHODS = {
+    "lease_acquire": (acquire, "lease"),
+    "lease_renew": (renew, "renewed"),
+    "lease_release": (release, "released"),
+    "lease_get": (peek, "lease"),
+}

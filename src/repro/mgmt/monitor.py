@@ -5,11 +5,18 @@ columns).  It receives one :class:`TableUpdates` for the initial
 database contents and then one per committed transaction, mirroring
 OVSDB's ``monitor`` / ``update`` flow — the mechanism the Nerpa
 controller uses to learn about configuration changes.
+
+A batch has one wire form (:func:`updates_to_wire`,
+:func:`updates_from_wire`): the server's answers and pushes, the
+client and the :mod:`~repro.mgmt.persist` journal all read and write
+it, and :func:`fold` is the one way a stream becomes table contents.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
+
+from repro.mgmt.values import row_from_wire, row_to_wire
 
 
 class RowUpdate:
@@ -103,6 +110,51 @@ class Monitor:
             self.callback(updates)
 
 
+def updates_to_wire(schema, updates: TableUpdates) -> dict:
+    """A monitor-stream batch as the wire (and the journal) carries it:
+    ``{table: {uuid: {"old": row?, "new": row?}}}``."""
+    out: Dict[str, Dict[str, dict]] = {}
+    for table, rows in updates:
+        tschema = schema.table(table)
+        tout = out.setdefault(table, {})
+        for uuid, update in rows.items():
+            entry = {}
+            if update.old is not None:
+                entry["old"] = row_to_wire(tschema, update.old)
+            if update.new is not None:
+                entry["new"] = row_to_wire(tschema, update.new)
+            tout[uuid] = entry
+    return out
+
+
+def updates_from_wire(schema, wire: dict) -> TableUpdates:
+    """The inverse of :func:`updates_to_wire`."""
+    updates = TableUpdates()
+    for table, rows in wire.items():
+        tschema = schema.table(table)
+        for uuid, entry in rows.items():
+            old = entry.get("old")
+            new = entry.get("new")
+            updates.add(table, uuid, RowUpdate(
+                row_from_wire(tschema, old) if old is not None else None,
+                row_from_wire(tschema, new) if new is not None else None,
+            ))
+    return updates
+
+
+def fold(state: Dict[str, Dict[str, dict]], updates: TableUpdates) -> None:
+    """Apply one batch of a monitor stream to ``{table: {uuid: row}}``."""
+    for table, rows in updates:
+        tstate = state.setdefault(table, {})
+        for uuid, update in rows.items():
+            if update.new is None:
+                tstate.pop(uuid, None)
+            else:
+                merged = dict(tstate.get(uuid, {}))
+                merged.update(update.new)
+                tstate[uuid] = merged
+
+
 def replay(initial: TableUpdates, updates: List[TableUpdates]) -> Dict[str, Dict[str, dict]]:
     """Reconstruct table contents from a monitor stream (test helper).
 
@@ -111,13 +163,5 @@ def replay(initial: TableUpdates, updates: List[TableUpdates]) -> Dict[str, Dict
     """
     state: Dict[str, Dict[str, dict]] = {}
     for batch in [initial] + updates:
-        for table, rows in batch:
-            tstate = state.setdefault(table, {})
-            for uuid, update in rows.items():
-                if update.new is None:
-                    tstate.pop(uuid, None)
-                else:
-                    merged = dict(tstate.get(uuid, {}))
-                    merged.update(update.new)
-                    tstate[uuid] = merged
+        fold(state, batch)
     return state

@@ -6,9 +6,11 @@ plus an append-only journal of committed transactions.  ``restore``
 replays snapshot + journal; ``compact`` folds the journal back into the
 snapshot.
 
-The journal format reuses the wire encoding of monitor updates, so a
-journal is literally a recorded monitor stream — the same bytes a
-controller would have consumed live.
+A journal line is the wire encoding of one monitor update
+(:func:`~repro.mgmt.monitor.updates_to_wire`), so a journal is literally
+a recorded monitor stream — the ``update`` params a controller would
+have consumed live — and ``restore`` folds it as
+:func:`~repro.mgmt.monitor.replay` folds a live one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from typing import Optional
 
 from repro.errors import SchemaError
 from repro.mgmt.database import Database
-from repro.mgmt.monitor import MonitorSpec, TableUpdates
+from repro.mgmt.monitor import (
+    MonitorSpec,
+    TableUpdates,
+    fold,
+    updates_from_wire,
+    updates_to_wire,
+)
 from repro.mgmt.schema import DatabaseSchema
 from repro.mgmt.values import row_from_wire, row_to_wire
 
@@ -46,17 +54,7 @@ class Persister:
         )
 
     def _append(self, updates: TableUpdates) -> None:
-        record = {}
-        for table, rows in updates:
-            tschema = self.db.schema.table(table)
-            tout = record.setdefault(table, {})
-            for uuid, update in rows.items():
-                entry = {}
-                if update.old is not None:
-                    entry["old"] = row_to_wire(tschema, update.old)
-                if update.new is not None:
-                    entry["new"] = row_to_wire(tschema, update.new)
-                tout[uuid] = entry
+        record = updates_to_wire(self.db.schema, updates)
         self._journal.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._journal.flush()
 
@@ -184,18 +182,7 @@ def restore(directory: str, schema: Optional[DatabaseSchema] = None) -> Database
                     # complete record before it is still good.  Nothing
                     # can follow a torn write, so stop replaying here.
                     break
-                for table, rows in record.items():
-                    tschema = db.schema.table(table)
-                    store = db._tables[table]
-                    for uuid, entry in rows.items():
-                        if "new" not in entry:
-                            store.pop(uuid, None)
-                        else:
-                            merged = dict(store.get(uuid, {}))
-                            merged.update(
-                                row_from_wire(tschema, entry["new"])
-                            )
-                            store[uuid] = merged
+                fold(db._tables, updates_from_wire(db.schema, record))
     # The rows were written around transact: no index may predate them.
     db._indexes.clear()
     return db

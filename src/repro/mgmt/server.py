@@ -8,10 +8,18 @@ Methods (mirroring OVSDB's protocol surface):
 * ``monitor [{table: columns-or-null, ...}]`` — returns the initial
   snapshot and subscribes the connection to ``update`` notifications;
 * ``monitor_cancel [monitor-id]``;
+* ``lease_acquire [name, owner, ttl, now, steal]``, ``lease_renew
+  [name, owner, epoch, ttl, now]``, ``lease_release [name, owner]``,
+  ``lease_get [name]`` — leader election, answered as
+  :data:`repro.mgmt.lease.METHODS` says;
 * ``echo [...]`` — returns its params (keepalive).
 
 Update notifications: ``{"method": "update", "params": [monitor_id,
-{table: {uuid: {"old": {...}?, "new": {...}?}}}], "id": null}``.
+{table: {uuid: {"old": {...}?, "new": {...}?}}}], "id": null}``.  A
+monitor's answer reaches the peer before its first update: the monitor
+is registered and answered while the database holds its commits and
+their notifications, so every later commit notifies with the id the
+peer has already read.
 
 Accepting, framing and teardown are :mod:`repro.net.server`'s, on the
 server's own reactor; this module is the method table and the monitor
@@ -20,30 +28,13 @@ subscriptions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
 from repro.errors import ProtocolError
+from repro.mgmt import lease
 from repro.mgmt.database import Database
 from repro.mgmt.jsonrpc import make_notification
-from repro.mgmt.monitor import MonitorSpec, TableUpdates
-from repro.mgmt.values import row_to_wire
+from repro.mgmt.monitor import MonitorSpec, TableUpdates, updates_to_wire
 from repro.net.server import RpcConnection, RpcServer
 from repro.obs.trace import current_update_id
-
-
-def updates_to_wire(db: Database, updates: TableUpdates) -> dict:
-    out: Dict[str, Dict[str, dict]] = {}
-    for table, rows in updates:
-        tschema = db.schema.table(table)
-        tout = out.setdefault(table, {})
-        for uuid, update in rows.items():
-            entry = {}
-            if update.old is not None:
-                entry["old"] = row_to_wire(tschema, update.old)
-            if update.new is not None:
-                entry["new"] = row_to_wire(tschema, update.new)
-            tout[uuid] = entry
-    return out
 
 
 class ManagementServer(RpcServer):
@@ -60,6 +51,16 @@ class ManagementServer(RpcServer):
         for monitor in (conn.session or {}).values():
             self.db.remove_monitor(monitor)
 
+    def serve(self, conn: RpcConnection, message: dict) -> None:
+        if isinstance(message, dict) and message.get("method") == "monitor":
+            # Registered and answered with commits and their
+            # notifications held, in transact's lock order: no update
+            # for the monitor can be sent before its answer.
+            with self.db._lock, self.db._notify_lock:
+                super().serve(conn, message)
+        else:
+            super().serve(conn, message)
+
     def handle(self, conn: RpcConnection, method: str, params):
         db = self.db
         if method == "echo":
@@ -71,22 +72,17 @@ class ManagementServer(RpcServer):
         if method == "monitor":
             if len(params) != 1 or not isinstance(params[0], dict):
                 raise ProtocolError("monitor expects [spec]")
-            spec = MonitorSpec(
-                {t: cols for t, cols in params[0].items()}
-            )
-            # The monitor id is only known after registration; the
-            # notification closure reads it through a cell.
-            id_cell: List[Optional[str]] = [None]
+            # Bound before any commit can notify it: serve holds them.
             monitor, initial = db.add_monitor(
-                spec, self._push_updates_factory(conn, id_cell)
+                MonitorSpec(params[0]),
+                lambda updates: self._push(conn, monitor, updates),
             )
-            id_cell[0] = monitor.monitor_id
             if conn.session is None:
                 conn.session = {}
             conn.session[monitor.monitor_id] = monitor
             return {
                 "monitor_id": monitor.monitor_id,
-                "initial": updates_to_wire(db, initial),
+                "initial": updates_to_wire(db.schema, initial),
             }
         if method == "monitor_cancel":
             (monitor_id,) = params
@@ -94,37 +90,20 @@ class ManagementServer(RpcServer):
             if monitor is not None:
                 db.remove_monitor(monitor)
             return {}
-        # Lease methods (RFC 7047's lock/steal/unlock shape): thin
-        # wrappers over the database's transact-based lease ops, so a
-        # remote standby needs no knowledge of the op-list encoding.
-        if method == "lease_acquire":
-            name, owner, ttl, now, steal = params
-            return {"lease": db.lease_acquire(name, owner, ttl, now, steal)}
-        if method == "lease_renew":
-            name, owner, epoch, ttl, now = params
-            return {"renewed": db.lease_renew(name, owner, epoch, ttl, now)}
-        if method == "lease_release":
-            name, owner = params
-            return {"released": db.lease_release(name, owner)}
-        if method == "lease_get":
-            (name,) = params
-            return {"lease": db.lease_get(name)}
+        if method in lease.METHODS:
+            fn, key = lease.METHODS[method]
+            return {key: fn(db.transact, *params)}
         raise ProtocolError(f"unknown method {method!r}")
 
-    def _push_updates_factory(
-        self, conn: RpcConnection, id_cell: List[Optional[str]]
-    ):
-        def push(updates: TableUpdates) -> None:
-            if conn.closed:
-                return
-            params = [id_cell[0], updates_to_wire(self.db, updates)]
-            # push runs inside Database._notify, i.e. inside the
-            # transact's update-id scope; forward the id on the wire so
-            # remote controllers keep the trace.
-            uid = current_update_id()
-            if uid is not None:
-                params.append(uid)
-            # On whichever thread committed: commit order is send order.
-            conn.send(make_notification("update", params))
-
-        return push
+    def _push(self, conn: RpcConnection, monitor, updates: TableUpdates) -> None:
+        if conn.closed:
+            return
+        params = [monitor.monitor_id, updates_to_wire(self.db.schema, updates)]
+        # push runs inside Database._notify, i.e. inside the transact's
+        # update-id scope; forward the id on the wire so remote
+        # controllers keep the trace.
+        uid = current_update_id()
+        if uid is not None:
+            params.append(uid)
+        # On whichever thread committed: commit order is send order.
+        conn.send(make_notification("update", params))

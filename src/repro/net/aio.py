@@ -176,6 +176,20 @@ class SocketWriter:
                 self._reactor.note_callback_error(exc)
 
 
+def _reading(callback: Callable, read: Callable) -> Callable:
+    """``callback`` given what ``read`` makes of an answer."""
+
+    def answered(result, error) -> None:
+        if error is None:
+            try:
+                result = read(result)
+            except Exception as exc:  # noqa: BLE001 - a malformed answer
+                result, error = None, exc
+        callback(result, error)
+
+    return answered
+
+
 class AioConnection:
     """A reconnecting framed JSON-RPC peer on a :class:`Reactor`.
 
@@ -352,6 +366,7 @@ class AioConnection:
         params,
         callback: Callable,
         timeout: Optional[float] = None,
+        read: Optional[Callable] = None,
     ) -> None:
         """Issue a request; ``callback(result, error)`` fires on the
         loop thread when the response, a per-call deadline, or a
@@ -359,6 +374,9 @@ class AioConnection:
         usable fails the call immediately with
         :class:`ConnectionLostError` — backpressure-aware callers park
         on :meth:`wait_connected` or a reconnect hook instead.
+        ``read(answer)``, if given, runs on the loop as the answer is
+        read, before any frame behind it: what it returns is the
+        call's result, and what it raises the call's error.
 
         ``params`` is a JSON-able value or, as ``bytes``, its
         serialisation (:func:`~repro.mgmt.jsonrpc.dumps`) — a payload
@@ -368,6 +386,8 @@ class AioConnection:
         any other thread encodes here and hops to the loop."""
         if not isinstance(params, bytes):
             params = dumps(params)
+        if read is not None:
+            callback = _reading(callback, read)
         if threading.get_ident() == self.reactor.ident:
             self._start_call_on_loop(method, params, callback, timeout)
         else:
@@ -381,6 +401,7 @@ class AioConnection:
         params,
         retryable: bool = False,
         timeout: Optional[float] = None,
+        read: Optional[Callable] = None,
     ) -> object:
         """Blocking wrapper over :meth:`call_async`: waits out
         reconnects up to the call timeout and re-issues ``retryable``
@@ -416,7 +437,9 @@ class AioConnection:
                 done.set()
 
             remaining = max(0.001, deadline - time.monotonic())
-            self.call_async(method, params, resolve, timeout=remaining)
+            self.call_async(
+                method, params, resolve, timeout=remaining, read=read
+            )
             # The reactor owns the per-call deadline; the grace margin
             # only covers a stopped reactor.
             if not done.wait(remaining + 2.0):

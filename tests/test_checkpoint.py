@@ -447,12 +447,11 @@ class TestCheckpointStore:
         runtime = compile_program(JOIN_NEG_PROGRAM).start()
         segments = [
             {
-                "program_hash": None,
                 "txns": [{"inserts": {"R": [(1, 2)]}, "deletes": {}}],
                 "txn_count": 7,
             }
         ]
-        assert replay_segments(runtime, segments, None) == 1
+        assert replay_segments(runtime, segments) == 1
         assert runtime.txn_count == 7
         assert runtime.dump("R") == {(1, 2)}
 

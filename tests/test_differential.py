@@ -861,7 +861,7 @@ def _chain_restore(program, changes_list, relations, shards, data, directory):
     )
     try:
         assert restored.restored
-        replay_segments(restored, segments, program.program_hash)
+        replay_segments(restored, segments)
         # Runtime and ShardedRuntime count their initial static-load
         # transactions differently, so compare against the subject's
         # own counter at the cut point, not the reference's.

@@ -30,6 +30,7 @@ from repro.apps.snvs import build_snvs
 from repro.core import reconcile, warmstate
 from repro.core.controller import NerpaController
 from repro.core.ha import CheckpointFollower, HAController
+from repro.core.planes import RemoteMgmt
 from repro.errors import ReproError, TransactionError
 from repro.mgmt import lease as leaselib
 from repro.mgmt.client import ManagementClient
@@ -92,7 +93,7 @@ def wait_for(predicate, timeout=10.0, what="condition"):
 class TestLease:
     def test_first_acquire_creates_row_at_epoch_one(self):
         db = make_db()
-        got = db.lease_acquire(LEASE, "a", ttl=10.0, now=100.0)
+        got = leaselib.acquire(db.transact, LEASE, "a", ttl=10.0, now=100.0)
         assert got == {
             "name": LEASE,
             "owner": "a",
@@ -102,66 +103,66 @@ class TestLease:
 
     def test_live_lease_is_refused(self):
         db = make_db()
-        db.lease_acquire(LEASE, "a", ttl=10.0, now=100.0)
-        assert db.lease_acquire(LEASE, "b", ttl=10.0, now=105.0) is None
+        leaselib.acquire(db.transact, LEASE, "a", ttl=10.0, now=100.0)
+        assert leaselib.acquire(db.transact, LEASE, "b", ttl=10.0, now=105.0) is None
         # The holder is unchanged.
-        assert db.lease_get(LEASE)["owner"] == "a"
+        assert leaselib.peek(db.transact, LEASE)["owner"] == "a"
 
     def test_expired_lease_taken_with_epoch_bump(self):
         db = make_db()
-        db.lease_acquire(LEASE, "a", ttl=10.0, now=100.0)
-        got = db.lease_acquire(LEASE, "b", ttl=10.0, now=111.0)
+        leaselib.acquire(db.transact, LEASE, "a", ttl=10.0, now=100.0)
+        got = leaselib.acquire(db.transact, LEASE, "b", ttl=10.0, now=111.0)
         assert got["owner"] == "b"
         assert got["epoch"] == 2
 
     def test_steal_ignores_expiry_but_still_bumps_epoch(self):
         db = make_db()
-        db.lease_acquire(LEASE, "a", ttl=10.0, now=100.0)
-        got = db.lease_acquire(LEASE, "b", ttl=10.0, now=101.0, steal=True)
+        leaselib.acquire(db.transact, LEASE, "a", ttl=10.0, now=100.0)
+        got = leaselib.acquire(db.transact, LEASE, "b", ttl=10.0, now=101.0, steal=True)
         assert got["owner"] == "b"
         assert got["epoch"] == 2
 
     def test_release_expires_but_keeps_row_and_epoch(self):
         db = make_db()
-        db.lease_acquire(LEASE, "a", ttl=10.0, now=100.0)
-        assert db.lease_release(LEASE, "a")
-        row = db.lease_get(LEASE)
+        leaselib.acquire(db.transact, LEASE, "a", ttl=10.0, now=100.0)
+        assert leaselib.release(db.transact, LEASE, "a")
+        row = leaselib.peek(db.transact, LEASE)
         assert row["epoch"] == 1
         assert row["expires"] == 0.0
         # Next acquire needs no TTL wait and the epoch keeps counting.
-        got = db.lease_acquire(LEASE, "b", ttl=10.0, now=100.0)
+        got = leaselib.acquire(db.transact, LEASE, "b", ttl=10.0, now=100.0)
         assert got["epoch"] == 2
 
     def test_release_by_non_owner_is_a_noop(self):
         db = make_db()
-        db.lease_acquire(LEASE, "a", ttl=10.0, now=100.0)
-        assert not db.lease_release(LEASE, "b")
-        assert db.lease_get(LEASE)["expires"] == 110.0
+        leaselib.acquire(db.transact, LEASE, "a", ttl=10.0, now=100.0)
+        assert not leaselib.release(db.transact, LEASE, "b")
+        assert leaselib.peek(db.transact, LEASE)["expires"] == 110.0
 
     def test_epochs_strictly_increase_across_leaderships(self):
         db = make_db()
         epochs = []
         for i in range(6):
             owner = "a" if i % 2 == 0 else "b"
-            got = db.lease_acquire(LEASE, owner, ttl=10.0, now=100.0)
+            got = leaselib.acquire(db.transact, LEASE, owner, ttl=10.0, now=100.0)
             epochs.append(got["epoch"])
-            db.lease_release(LEASE, owner)
+            leaselib.release(db.transact, LEASE, owner)
         assert epochs == [1, 2, 3, 4, 5, 6]
 
     def test_renew_extends_only_while_owner_and_epoch_match(self):
         db = make_db()
-        got = db.lease_acquire(LEASE, "a", ttl=10.0, now=100.0)
-        assert db.lease_renew(LEASE, "a", got["epoch"], ttl=10.0, now=105.0)
-        assert db.lease_get(LEASE)["expires"] == 115.0
+        got = leaselib.acquire(db.transact, LEASE, "a", ttl=10.0, now=100.0)
+        assert leaselib.renew(db.transact, LEASE, "a", got["epoch"], ttl=10.0, now=105.0)
+        assert leaselib.peek(db.transact, LEASE)["expires"] == 115.0
         # Wrong epoch (a stale leader from a previous leadership).
-        assert not db.lease_renew(LEASE, "a", got["epoch"] - 1, 10.0, now=106.0)
+        assert not leaselib.renew(db.transact, LEASE, "a", got["epoch"] - 1, 10.0, now=106.0)
         # Wrong owner (a deposed leader after a takeover).
-        assert not db.lease_renew(LEASE, "b", got["epoch"], 10.0, now=106.0)
-        assert db.lease_get(LEASE)["expires"] == 115.0
+        assert not leaselib.renew(db.transact, LEASE, "b", got["epoch"], 10.0, now=106.0)
+        assert leaselib.peek(db.transact, LEASE)["expires"] == 115.0
 
     def test_fence_ops_abort_deposed_leaders_transactions(self):
         db = make_db()
-        got = db.lease_acquire(LEASE, "a", ttl=10.0, now=100.0)
+        got = leaselib.acquire(db.transact, LEASE, "a", ttl=10.0, now=100.0)
         fence = leaselib.fence_ops(LEASE, "a", got["epoch"])
         insert = {"op": "insert", "table": "Port", "row": {"name": "p", "vlan": 1}}
         # While the lease is held, the guarded commit goes through.
@@ -169,13 +170,13 @@ class TestLease:
         assert db.count("Port") == 1
         # Another replica takes over; the old guard now aborts the whole
         # transaction atomically — nothing commits.
-        db.lease_acquire(LEASE, "b", ttl=10.0, now=111.0)
+        leaselib.acquire(db.transact, LEASE, "b", ttl=10.0, now=111.0)
         with pytest.raises(TransactionError):
             db.transact(fence + [insert])
         assert db.count("Port") == 1
 
     def test_peek_without_row(self):
-        assert make_db().lease_get(LEASE) is None
+        assert leaselib.peek(make_db().transact, LEASE) is None
 
 
 class TestLeaseRemote:
@@ -194,15 +195,39 @@ class TestLeaseRemote:
             yield c
 
     def test_round_trip(self, server, client):
-        got = client.lease_acquire(LEASE, "a", 10.0, now=100.0)
-        assert got["epoch"] == 1
-        assert client.lease_renew(LEASE, "a", 1, 10.0, now=105.0)
-        assert client.lease_get(LEASE)["expires"] == 115.0
-        assert client.lease_release(LEASE, "a")
+        got = client.call("lease_acquire", [LEASE, "a", 10.0, 100.0, False])
+        assert got["lease"]["epoch"] == 1
+        assert client.call("lease_renew", [LEASE, "a", 1, 10.0, 105.0]) == {
+            "renewed": True
+        }
+        assert client.call("lease_get", [LEASE])["lease"]["expires"] == 115.0
+        assert client.call("lease_release", [LEASE, "a"]) == {"released": True}
         # Epochs are shared state: a different client sees the bump.
         host, port = server.address
         with ManagementClient(host, port) as other:
-            assert other.lease_acquire(LEASE, "b", 10.0, now=100.0)["epoch"] == 2
+            got = other.call("lease_acquire", [LEASE, "b", 10.0, 100.0, False])
+            assert got["lease"]["epoch"] == 2
+
+    def test_an_answer_without_its_key_fails_the_call(self, server, client):
+        """The plane adapter reads each method's answer key on the
+        client's loop: a malformed answer is the call's error, not an
+        exception on the loop."""
+        server.handle = lambda conn, method, params: {"wrong": 1}
+        assert client.conn.wait_connected(5.0)
+        answers = []
+        done = threading.Event()
+
+        def callback(result, error):
+            answers.append((result, error))
+            done.set()
+
+        RemoteMgmt(client).call_async(
+            "lease_renew", [LEASE, "a", 1, 10.0, 105.0], callback, 5.0
+        )
+        assert done.wait(5.0)
+        ((result, error),) = answers
+        assert result is None and isinstance(error, KeyError)
+        assert client.conn.reactor.last_callback_error is None
 
 
 # -- device-side fencing -----------------------------------------------------
@@ -513,7 +538,7 @@ class TestHAController:
         finally:
             a.stop()
         # Graceful stop released the lease (expired, row kept).
-        row = db.lease_get(LEASE)
+        row = leaselib.peek(db.transact, LEASE)
         assert row["expires"] == 0.0
         assert row["epoch"] == 1
 
@@ -536,7 +561,7 @@ class TestHAController:
             assert not b.wait_for_role("leader", 0.3)
 
             a.kill()  # crash: no release
-            assert db.lease_get(LEASE)["expires"] > 0.0
+            assert leaselib.peek(db.transact, LEASE)["expires"] > 0.0
             assert not b.wait_for_role("leader", 0.3)
 
             clock.advance(61.0)  # TTL runs out
@@ -630,11 +655,11 @@ class TestHAOnTheLoop:
         try:
             a.start()
             wait_for(
-                lambda: (db.lease_get(LEASE) or {}).get("owner") == "a",
+                lambda: (leaselib.peek(db.transact, LEASE) or {}).get("owner") == "a",
                 what="the acquire to commit",
             )
             a.stop()  # its answer is still in the proxy
-            assert db.lease_get(LEASE)["expires"] == 0.0
+            assert leaselib.peek(db.transact, LEASE)["expires"] == 0.0
             assert a.controller is None
             assert a.takeovers == 0
             assert not a.is_leader
@@ -671,7 +696,7 @@ class TestHAOnTheLoop:
             assert a.controller is None
             assert a.follower is None
             assert not a.is_leader
-            assert db.lease_get(LEASE)["expires"] == 0.0
+            assert leaselib.peek(db.transact, LEASE)["expires"] == 0.0
             assert a.takeovers == 0
         finally:
             a.stop()
@@ -1290,7 +1315,7 @@ class TestStopOrdering:
         finally:
             stop_churn.set()
             churner.join(10.0)
-        assert db.lease_get(LEASE)["expires"] == 0.0
+        assert leaselib.peek(db.transact, LEASE)["expires"] == 0.0
 
     def test_stop_from_monitor_callback_does_not_deadlock(self):
         """A monitor callback runs on the transacting thread while the

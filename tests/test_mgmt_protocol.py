@@ -28,7 +28,7 @@ from repro.mgmt.jsonrpc import (
     make_request,
     make_response,
 )
-from repro.mgmt.monitor import MonitorSpec
+from repro.mgmt.monitor import MonitorSpec, replay
 from repro.mgmt.persist import Persister, restore
 from repro.mgmt.schema import simple_schema
 from repro.mgmt.server import ManagementServer
@@ -460,6 +460,40 @@ class TestClientServer:
         wait_for(lambda: len(seen) == 90, what="all 90 updates")
         assert seen == committed
 
+    def test_a_commit_racing_a_monitor_registration_is_streamed_once(
+        self, server, client
+    ):
+        """A commit on another thread just after the server registered a
+        monitor, before it answered, is in the stream: the answer goes
+        out first, and the update carries the id the client has read."""
+        db = server.db
+        register = db.add_monitor
+        racers = []
+
+        def add_monitor(spec, callback):
+            registered = register(spec, callback)
+            racer = threading.Thread(
+                target=db.transact, args=([insert_port_op("racer")],)
+            )
+            racer.start()
+            # Bounded: with the fix, the racer's commit waits for the
+            # answer, which waits for this wrapper to return.
+            racer.join(0.5)
+            racers.append(racer)
+            return registered
+
+        db.add_monitor = add_monitor
+        seen = []
+        _, initial = client.monitor(
+            {"Port": None}, lambda u: seen.extend(port_names(u))
+        )
+        (racer,) = racers
+        racer.join(10.0)
+        assert not racer.is_alive()
+        db.transact([insert_port_op("after")])
+        wait_for(lambda: "after" in seen, what="the later update")
+        assert sorted(port_names(initial) + seen) == ["after", "racer"]
+
     def test_server_threads_do_not_grow_with_clients(self, server):
         """One loop serves every peer: 32 connected clients cost the
         server no more threads than one."""
@@ -571,3 +605,93 @@ class TestPersistence:
 
         with pytest.raises(SchemaError):
             restore(str(tmp_path))
+
+
+def rich_db():
+    return Database(
+        simple_schema(
+            "net",
+            {
+                "Port": {
+                    "name": "string",
+                    "vlan": "integer",
+                    "trunks": "*integer",
+                    "opts": "map<string,string>",
+                    "peer": "?string",
+                },
+                "Switch": {"name": "string"},
+            },
+        )
+    )
+
+
+#: Inserts, a multi-table commit, a modify and a delete.
+STREAM_TXNS = [
+    [{"op": "insert", "table": "Port",
+      "row": {"name": "p1", "vlan": 1, "trunks": [3, 4], "opts": {"a": "b"}}}],
+    [insert_port_op("p2"),
+     {"op": "insert", "table": "Switch", "row": {"name": "s1"}}],
+    [{"op": "update", "table": "Port", "where": [["name", "==", "p1"]],
+      "row": {"vlan": 7, "peer": "p2", "opts": {}}}],
+    [{"op": "delete", "table": "Port", "where": [["name", "==", "p2"]]}],
+]
+
+
+def read_messages(sock, count):
+    messages, buf = [], b""
+    sock.settimeout(5.0)
+    while len(messages) < count:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed the connection"
+        decoded, buf = decode_frames(buf + chunk)
+        messages += decoded
+    return messages
+
+
+class TestJournalIsTheMonitorStream:
+    def test_a_journal_line_is_the_update_params_the_server_pushed(
+        self, tmp_path
+    ):
+        db = rich_db()
+        persister = Persister(db, str(tmp_path))
+        db.transact(STREAM_TXNS[0])
+        with ManagementServer(db) as server:
+            with socket.create_connection(server.address) as sock:
+                spec = {table: None for table in db.schema.tables}
+                sock.sendall(encode_frame(make_request("monitor", [spec], 1)))
+                (answer,) = read_messages(sock, 1)
+                assert answer["id"] == 1
+                for ops in STREAM_TXNS[1:]:
+                    db.transact(ops)
+                pushed = read_messages(sock, len(STREAM_TXNS) - 1)
+        persister.close()
+        journal = (tmp_path / "journal.ndjson").read_text().splitlines()
+        assert [m["method"] for m in pushed] == ["update"] * 3
+        assert journal[1:] == [
+            json.dumps(m["params"][1], separators=(",", ":")) for m in pushed
+        ]
+
+    def test_restore_folds_the_journal_as_replay_folds_a_stream(
+        self, tmp_path
+    ):
+        db = rich_db()
+        persister = Persister(db, str(tmp_path))
+        db.transact(STREAM_TXNS[0])
+        received = []
+        with ManagementServer(db) as server:
+            with ManagementClient(*server.address) as client:
+                spec = {table: None for table in db.schema.tables}
+                _, initial = client.monitor(spec, received.append)
+                db.transact(STREAM_TXNS[1])
+                persister.compact()  # the rest restore from the journal
+                for ops in STREAM_TXNS[2:]:
+                    db.transact(ops)
+                wait_for(lambda: len(received) == 3, what="the stream")
+        persister.close()
+        streamed = replay(initial, received)
+        restored = restore(str(tmp_path))
+        assert {
+            table: {row.uuid: row.values for row in restored.rows(table)}
+            for table in streamed
+        } == streamed
+        assert restored.count("Port") == 1 and restored.count("Switch") == 1

@@ -291,15 +291,19 @@ class TestReconnect:
 
 
 class _EagerServer(ManagementServer):
-    """Commits two rows between registering a monitor and answering
-    the ``monitor`` request, so their updates precede the response on
-    the wire."""
+    """Commits two rows on another thread between registering a monitor
+    and answering the ``monitor`` request.  The server holds commits
+    until its answer is out, so the writer's join is bounded."""
 
     def handle(self, conn, method, params):
         result = super().handle(conn, method, params)
         if method == "monitor":
-            insert_port(self.db, "early-1")
-            insert_port(self.db, "early-2")
+            writer = threading.Thread(
+                target=lambda: [insert_port(self.db, f"early-{i}") for i in (1, 2)]
+            )
+            writer.start()
+            writer.join(0.2)
+            self.writers.append(writer)
         return result
 
 
@@ -423,18 +427,22 @@ class TestClientOnItsLoop:
             obs.disable()
             obs.reset()
 
-    def test_updates_ahead_of_the_monitor_reply_are_replayed_in_order(self):
+    def test_commits_racing_the_monitor_reply_follow_it(self):
+        """Commits made between the server registering a monitor and
+        answering it reach the callback, in commit order, after the
+        snapshot they post-date: the answer precedes them on the wire."""
         db = make_db()
         insert_port(db, "snapshot")
         with _EagerServer(db) as srv:
+            srv.writers = []
             client = ManagementClient(*srv.address, policy=FAST)
             seen = []
             _, initial = client.monitor(
                 {"Port": None}, lambda updates: seen.extend(port_names(updates))
             )
-            # Neither lost for want of a registered callback nor part
-            # of the snapshot they post-date.
             assert port_names(initial) == ["snapshot"]
+            (writer,) = srv.writers
+            writer.join(10.0)
             insert_port(db, "late")
             wait_for(lambda: len(seen) == 3, what="the live stream")
             assert seen == ["early-1", "early-2", "late"]
