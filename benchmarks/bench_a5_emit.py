@@ -23,7 +23,7 @@ the wire carries anyway), both timed in the same rounds:
   joins those texts, so the rows cost less than encoding the finished
   dicts would.
 
-Two more gates are counts, so they hold on any box:
+Three more gates are counts, so they hold on any box:
 
 * Python-level calls per output row over the whole path
   (``sys.setprofile`` ``"call"`` events, as A4 counts them per flap):
@@ -34,7 +34,14 @@ Two more gates are counts, so they hold on any box:
   its write list are held, as they are while a device has the batch in
   flight (``gc.get_count()[0]`` before and after, collector off): at
   most 1.0.  It was 2.7 with a ``[dead, live]`` cell, a ``(binding,
-  key)`` tuple and a ``RowWrite`` per row.
+  key)`` tuple and a ``RowWrite`` per row;
+* wire bytes per output row, the request params' length over the
+  rows: at most 113.32, the figure of this commit (920 rows, 401
+  DELETEs and 401 INSERTs, 104,249 bytes) with every DELETE its match
+  key and priority alone.  It was 133.36 when each DELETE also carried
+  the action and params of the entry it removes (151.9 bytes per
+  DELETE where its key is 105.9), so an action creeping back into
+  DELETE text fails it.
 """
 
 import gc
@@ -59,6 +66,7 @@ GATE_X = 2.2
 TEXT_GATE_X = 1.0
 GATE_CALLS_PER_ROW = 2.5
 GATE_ALLOCS_PER_ROW = 1.0
+GATE_WIRE_BYTES_PER_ROW = 113.32
 
 
 def _snapshot(db, tables):
@@ -195,6 +203,7 @@ def test_a5_emit_encode(benchmark, bench_seed):
     ratio = path_s / plain_s
     calls = calls_per_pass(bindings, result) / rows
     allocs = allocations_held(bindings, result) / rows
+    wire_bytes = len(emit_path(bindings, result)[2]) / rows
     report(
         f"A5: lb_replace emit + encode, {rows} output rows, "
         f"{n_writes} writes, {ROUNDS} rounds",
@@ -210,6 +219,8 @@ def test_a5_emit_encode(benchmark, bench_seed):
              f"gate: <= {GATE_CALLS_PER_ROW}"),
             ("GC objects held per output row", f"{allocs:.2f}",
              f"gate: <= {GATE_ALLOCS_PER_ROW}"),
+            ("wire bytes per output row", f"{wire_bytes:.2f}",
+             f"gate: <= {GATE_WIRE_BYTES_PER_ROW}"),
         ],
         ["metric", "measured", "reference"],
     )
@@ -222,7 +233,10 @@ def test_a5_emit_encode(benchmark, bench_seed):
          threshold=GATE_CALLS_PER_ROW)
     emit("a5", "gc_objects_held_per_output_row", "objects",
          round(allocs, 2), threshold=GATE_ALLOCS_PER_ROW)
+    emit("a5", "wire_bytes_per_output_row", "bytes", round(wire_bytes, 2),
+         threshold=GATE_WIRE_BYTES_PER_ROW)
     assert ratio <= GATE_X
     assert ratio <= TEXT_GATE_X
     assert calls <= GATE_CALLS_PER_ROW
     assert allocs <= GATE_ALLOCS_PER_ROW
+    assert wire_bytes <= GATE_WIRE_BYTES_PER_ROW

@@ -46,8 +46,11 @@ from repro.errors import TypeCheckError
 from repro.mgmt.jsonrpc import dumps_text
 from repro.mgmt.schema import ColumnSchema, DatabaseSchema
 from repro.p4.p4info import DigestInfo, P4Info, TableInfo
+from repro.p4runtime.api import NO_ACTION
 
-_KINDS = ("INSERT", "MODIFY", "DELETE")
+#: The kinds whose update carries an action; a DELETE's carries its key
+#: alone.
+_ACTION_KINDS = ("INSERT", "MODIFY")
 #: The atoms of a match key besides a row's values: the match kinds and
 #: an exact field's ``None``.
 _KEY_ATOMS = ("exact", "lpm", "ternary", None)
@@ -73,24 +76,28 @@ class TableBinding:
       updates writing a run of rows of one kind, comma-joined: each
       byte for byte what ``dumps`` makes of
       :func:`~repro.p4runtime.api.encode_update` of the row's decoded
-      form.  Each (kind, action) pair has a ``%``-format made when the
-      binding is generated, holding the table's and action's names
-      and the key layout; a row whose action is a known constructor of
-      the right arity and whose key, parameter and priority values are
-      all exactly ``int`` is that format filled in, and any other row
-      is encoded field by field;
+      form.  Each (kind, action) pair of an INSERT or MODIFY has a
+      ``%``-format made when the binding is generated, holding the
+      table's and action's names and the key layout, and so does the
+      table's DELETE, which names no action; a row whose action is a
+      known constructor of the right arity (a DELETE's action is not
+      read) and whose key, parameter and priority values are all
+      exactly ``int`` is that format filled in, and any other row is
+      encoded field by field;
     * ``decoded_run(kind, rows)`` — yields, row by row, the ``(kind,
       table, key, value)`` that
       :func:`~repro.p4runtime.api.decode_update` reads from the row's
-      text: what an in-process device applies and a read-diff
-      compares.  The same rows take the fast path: their key is picked
-      by one ``itemgetter`` made with the binding.
+      text (a DELETE's value is ``("NoAction",)``): what an in-process
+      device applies and a read-diff compares.  The same rows take the
+      fast path: their key is picked by one ``itemgetter`` made with
+      the binding.
 
-    Both type-check the key and action columns and raise
-    :class:`~repro.errors.TypeCheckError` for an ill-typed row (or
-    ``TypeError`` for a value JSON has no form for), ``decoded_run``
-    when it reaches that row.  With the two, the binding is the codec
-    of a :class:`~repro.p4runtime.api.WriteBatch`'s runs of rows.
+    Both type-check the key columns, and the action column of an
+    INSERT or MODIFY, and raise :class:`~repro.errors.TypeCheckError`
+    for an ill-typed row (or ``TypeError`` for a value JSON has no
+    form for), ``decoded_run`` when it reaches that row.  With the
+    two, the binding is the codec of a
+    :class:`~repro.p4runtime.api.WriteBatch`'s runs of rows.
     """
 
     def __init__(
@@ -148,9 +155,10 @@ class TableBinding:
             (kind, name, param_count): self._update_format(
                 kind, name, param_count
             )
-            for kind in _KINDS
+            for kind in _ACTION_KINDS
             for name, param_count in actions.values()
         }
+        delete_format = self._update_format("DELETE")
         pairs = [kind != "exact" for kind, _ in fields]
 
         def pair_values(row: tuple) -> Optional[tuple]:
@@ -175,14 +183,17 @@ class TableBinding:
                     values.append(payload(value))
                 else:
                     values.extend(payload(value))
-            name, params = action_of(row[n_keys])
-            values.extend(params)
+            if kind == "DELETE":
+                fmt = delete_format
+            else:
+                name, params = action_of(row[n_keys])
+                values.extend(params)
+                key = (kind, name, len(params))
+                # A format is made here only for an action added to
+                # ``actions_by_constructor`` after the binding was.
+                fmt = formats.get(key) or self._update_format(*key)
             if priority_at is not None:
                 values.append(row[priority_at])
-            key = (kind, name, len(params))
-            # A format is made here only for an action added to
-            # ``actions_by_constructor`` after the binding was.
-            fmt = formats.get(key) or self._update_format(*key)
             return fmt % tuple(map(dumps_text, values))
 
         # kind -> constructor -> (format, its ``(action, param count)``);
@@ -193,13 +204,24 @@ class TableBinding:
                 ctor: (formats[(kind, *resolved)], resolved)
                 for ctor, resolved in actions.items()
             }
-            for kind in _KINDS
+            for kind in _ACTION_KINDS
         }
         exact_only = not any(pairs)
 
         def wire_run(kind: str, rows) -> str:
-            known = by_constructor.get(kind, {})
             texts = []
+            if kind == "DELETE":
+                for row in rows:
+                    keys = row[:n_keys] if exact_only else pair_values(row)
+                    if keys is not None:
+                        if priority_at is not None:
+                            keys += (row[priority_at],)
+                        if _ALL_INT(map(type, keys)):
+                            texts.append(delete_format % keys)
+                            continue
+                    texts.append(encode_fields(kind, row))
+                return ",".join(texts)
+            known = by_constructor.get(kind, {})
             for row in rows:
                 action = row[n_keys]
                 if type(action) is StructValue:
@@ -233,7 +255,7 @@ class TableBinding:
             at += 1 + is_pair
         pick_key = operator.itemgetter(*layout) if n_keys else lambda values: values[:1]
 
-        def decode_fields(row: tuple) -> tuple:
+        def decode_fields(kind: str, row: tuple) -> tuple:
             """``(flattened key values + (priority,), action name,
             params)`` of a row the fast path does not cover, checked as
             ``encode_fields`` checks it, each value as its text reads
@@ -242,12 +264,24 @@ class TableBinding:
             for (_, payload), value in zip(fields, row):
                 match = payload(value)
                 keys += match if type(match) is list else (match,)
-            name, params = action_of(row[n_keys])
+            # A DELETE's action is not read: its text names none.
+            name, params = (
+                (None, ()) if kind == "DELETE" else action_of(row[n_keys])
+            )
             priority = 0 if priority_at is None else row[priority_at]
             values = tuple(map(_json_value, (*keys, *params, priority)))
             return values[:n_flat] + values[-1:], name, values[n_flat:-1]
 
         def decoded_run(kind: str, rows):
+            if kind == "DELETE":
+                for row in rows:
+                    keys = row[:n_keys] if exact_only else pair_values(row)
+                    if keys is not None:
+                        keys += (0 if priority_at is None else row[priority_at],)
+                    if keys is None or not _ALL_INT(map(type, keys)):
+                        keys = decode_fields(kind, row)[0]
+                    yield kind, table, pick_key(keys + _KEY_ATOMS), NO_ACTION
+                return
             for row in rows:
                 action, keys = row[n_keys], None
                 if type(action) is StructValue:
@@ -258,15 +292,18 @@ class TableBinding:
                     keys += (0 if priority_at is None else row[priority_at],)
                     name, params = resolved[0], action.fields
                 if keys is None or not _ALL_INT(map(type, keys + params)):
-                    keys, name, params = decode_fields(row)
+                    keys, name, params = decode_fields(kind, row)
                 yield kind, table, pick_key(keys + _KEY_ATOMS), (name, *params)
 
         return key_of, wire_run, decoded_run
 
-    def _update_format(self, kind: str, name: str, param_count: int) -> str:
+    def _update_format(
+        self, kind: str, name: Optional[str] = None, param_count: int = 0
+    ) -> str:
         """The ``%``-format of one (kind, action) pair's update text:
         one ``%s`` per key value (two for an lpm or ternary pair), per
-        action parameter, and for the priority of a ternary table."""
+        action parameter, and for the priority of a ternary table.  A
+        DELETE's names no action: its key is the entry."""
 
         def literal(value) -> str:
             return dumps_text(value).replace("%", "%%")
@@ -277,17 +314,18 @@ class TableBinding:
                "%s" if field.match_kind == "exact" else "[%s,%s]")
             for _, field in self.key_columns
         )
-        return (
-            '{"type":%s,"table":%s,"match":[%s],'
-            '"action":{"name":%s,"params":[%s]},"priority":%s}'
-            % (
-                literal(kind),
-                literal(self.info.name),
-                match,
-                literal(name),
-                ",".join(["%s"] * param_count),
-                "%s" if self.has_priority else "0",
-            )
+        action = (
+            ""
+            if kind == "DELETE"
+            else '"action":{"name":%s,"params":[%s]},'
+            % (literal(name), ",".join(["%s"] * param_count))
+        )
+        return '{"type":%s,"table":%s,"match":[%s],%s"priority":%s}' % (
+            literal(kind),
+            literal(self.info.name),
+            match,
+            action,
+            "%s" if self.has_priority else "0",
         )
 
 

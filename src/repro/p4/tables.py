@@ -208,7 +208,8 @@ class TableState:
         """Apply one decoded update (see
         :func:`~repro.p4runtime.api.decode_update`); returns what
         :meth:`restore` takes to undo it: the entry it replaced or
-        removed, or ``None``."""
+        removed, or ``None``.  A DELETE's ``value`` is not read: its
+        wire form names no action."""
         old = self._entries.get(key)
         if kind != "DELETE":
             entry = TableEntry.from_key(key, value)
@@ -356,9 +357,19 @@ class TableState:
 
 def write_rejection(table: str, kind: str, key: tuple, value) -> RuntimeApiError:
     """Why ``table`` refuses a ``kind`` write of ``key`` → ``value``: an
-    insert needs a key the table lacks, a modify or delete one it holds."""
+    insert needs a key the table lacks, a modify or delete one it holds.
+    A delete is named by its key alone, as it comes: it carries no
+    action."""
+    if kind == "DELETE":
+        matches = ", ".join(
+            repr(FieldMatch(*key[i:i + 3])) for i in range(1, len(key), 3)
+        )
+        return RuntimeApiError(
+            f"table {table}: no entry to delete for key [{matches}] "
+            f"prio={key[0]}"
+        )
     entry = TableEntry.from_key(key, value)
-    why = "duplicate entry" if kind == "INSERT" else f"no entry to {kind.lower()} for"
+    why = "duplicate entry" if kind == "INSERT" else "no entry to modify for"
     return RuntimeApiError(f"table {table}: {why} {entry!r}")
 
 

@@ -5,13 +5,20 @@ stack needs:
 
 Table write update::
 
-    {"type": "INSERT" | "MODIFY" | "DELETE",
+    {"type": "INSERT" | "MODIFY",
      "table": "fwd",
-     "match": [{"field": "meta.vlan", "exact": 10},
-               {"field": "hdr.eth.dst", "ternary": [5, 255]},
-               {"field": "ip.dst", "lpm": [167772160, 8]}],
+     "match": [{"exact": 10}, {"ternary": [5, 255]}, {"lpm": [167772160, 8]}],
      "action": {"name": "forward", "params": [2]},
-     "priority": 0}
+     "priority": 3}
+
+    {"type": "DELETE",
+     "table": "fwd",
+     "match": [{"exact": 10}, {"ternary": [5, 255]}, {"lpm": [167772160, 8]}],
+     "priority": 3}
+
+A DELETE names its entry by the match key and priority alone, as in
+P4Runtime: every encoder sends it without an action, and a receiver
+ignores an action a DELETE carries.
 
 Writes are *batched and atomic*: a failed update rolls the whole batch
 back (P4Runtime's error semantics), which the Nerpa controller relies
@@ -142,7 +149,8 @@ class WriteBatch:
 
 class PairCodec:
     """The codec of runs of one table's ``(key, value)`` pairs, already
-    in the form :func:`decode_update` gives: a read-diff's repairs."""
+    in the form :func:`decode_update` gives: a read-diff's repairs.  A
+    DELETE pair's value goes nowhere: its text has no action."""
 
     __slots__ = ("table",)
 
@@ -151,6 +159,8 @@ class PairCodec:
 
     def decoded_run(self, kind: str, pairs) -> List[tuple]:
         table = self.table
+        if kind == "DELETE":
+            return [(kind, table, key, NO_ACTION) for key, _ in pairs]
         return [(kind, table, key, value) for key, value in pairs]
 
     def wire_run(self, kind: str, pairs) -> str:
@@ -161,11 +171,16 @@ class PairCodec:
         )
 
 
+#: The value of a decoded DELETE, whose text names no action.
+NO_ACTION = ("NoAction",)
+
+
 def decode_update(data: dict) -> tuple:
     """A wire update as ``(kind, table, key, value)``, what a device's
     tables apply: ``key`` is the entry's :meth:`TableEntry.match_key`,
     ``value`` its ``(action, *params)`` — tuples of atoms, so a table
-    holding them gives the collector nothing to track.  Raises
+    holding them gives the collector nothing to track.  A DELETE's
+    value is :data:`NO_ACTION`, whatever action it carries.  Raises
     :class:`RuntimeApiError` for an update no device can decode."""
     try:
         kind = data["type"]
@@ -183,6 +198,8 @@ def decode_update(data: dict) -> tuple:
                 key += ("ternary", value, mask)
             else:
                 raise RuntimeApiError(f"bad match field {match!r}")
+        if kind == "DELETE":
+            return kind, data["table"], key, NO_ACTION
         action = data.get("action", {})
         value = (action.get("name", "NoAction"), *action.get("params", ()))
         return kind, data["table"], key, value
@@ -192,13 +209,16 @@ def decode_update(data: dict) -> tuple:
 
 def encode_update(kind: str, table: str, key: tuple, value: tuple) -> dict:
     """The wire update :func:`decode_update` reads as ``(kind, table,
-    key, value)``."""
+    key, value)``; a DELETE's has no action, so its ``value`` is not
+    read."""
     match = []
     for at in range(1, len(key), 3):
         match_kind, field, arg = key[at:at + 3]
         match.append(
             {match_kind: field if match_kind == "exact" else [field, arg]}
         )
+    if kind == "DELETE":
+        return {"type": kind, "table": table, "match": match, "priority": key[0]}
     return {
         "type": kind,
         "table": table,

@@ -52,7 +52,8 @@ class StoreTable(dict):
     tuples of atoms as :func:`~repro.p4runtime.api.decode_update` gives
     them (so the collector tracks none of its entries), with
     :class:`~repro.p4.tables.TableState`'s write protocol and
-    rejections (no validation against a P4Info: the store has none)."""
+    rejections (no validation against a P4Info: the store has none).
+    A DELETE's ``value`` is not read."""
 
     __slots__ = ("name",)
 

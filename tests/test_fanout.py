@@ -50,7 +50,7 @@ from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import DeviceService, TableWrite
 from repro.p4runtime.farm import DeviceFarm, FarmDevice
 from repro.p4runtime.server import P4RuntimeServer
-from tests.doubles import uncoalesce
+from tests.doubles import RecordingService, uncoalesce
 from tests.test_pipeline import record
 
 FAST = RetryPolicy(
@@ -1280,20 +1280,6 @@ with open(
     GOLDEN = json.load(_golden_file)
 
 
-class _RecordingService(DeviceService):
-    """Device that records the order writes arrive in."""
-
-    def __init__(self, sim):
-        super().__init__(sim)
-        self.log = []
-
-    def apply_batch(self, updates, mcast=None, fence=None):
-        self.log.append(
-            [(u.kind, tuple(u.entry.action_params)) for u in updates]
-        )
-        return super().apply_batch(updates, mcast, fence)
-
-
 class _FlakyService(DeviceService):
     """Raises transport errors until told to heal."""
 
@@ -1328,7 +1314,7 @@ class TestDifferentialPlanes:
         project = nerpa_build(SCHEMA, RULES, P4)
         db = Database(project.schema)
         sims = [project.new_simulator(n_ports=16) for _ in range(2)]
-        services = [_RecordingService(sim) for sim in sims]
+        services = [RecordingService(sim) for sim in sims]
         controller = NerpaController(project, db, services).start()
         try:
             churn(db)

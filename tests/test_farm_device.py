@@ -18,7 +18,9 @@ store does not validate entries against a P4Info, so only the
 rejections a valid entry can meet — a duplicate, a missing key, a stale
 fence — are compared, plus the updates no device can decode (a bad
 type, no table, a bad match field, not an object) or hold (a list as a
-match value), which both reject.
+match value), which both reject.  A DELETE comes as the encoders send
+it, its match key and priority alone, or with an action, which both
+ignore; a DELETE of an absent key is rejected by its key on both.
 """
 
 import gc
@@ -119,8 +121,13 @@ def _update(draw):
         action = {"name": "forward", "params": [draw(_small)]}
     else:
         action = {"name": "drop", "params": []}
+    kind = draw(st.sampled_from(["INSERT", "INSERT", "MODIFY", "DELETE"]))
+    if kind == "DELETE" and draw(st.booleans()):
+        # Key-only, as every encoder sends it.
+        return {"type": kind, "table": table, "match": match,
+                "priority": priority}
     return {
-        "type": draw(st.sampled_from(["INSERT", "INSERT", "MODIFY", "DELETE"])),
+        "type": kind,
         "table": table,
         "match": match,
         "action": action,
@@ -261,6 +268,43 @@ def test_a_malformed_update_rolls_its_batch_back(make, method, bad):
     assert outcome[:1] == ("WriteError",) and outcome[2] == 1
     assert (_tables(service), service.get_config_epoch()) == before
 
+
+@pytest.mark.parametrize("method", ["write", "apply_batch"])
+def test_a_delete_of_an_absent_key_names_the_key_and_rolls_back(method):
+    """A key-only DELETE of a key the table lacks, in the middle of a
+    batch: both backends refuse it at its index with the same text,
+    which names the table and the key (not an entry the DELETE never
+    carried), and undo the batch's prefix."""
+    acl_insert = {
+        "type": "INSERT", "table": "acl_t",
+        "match": [{"ternary": [0x10, 0xF0]}],
+        "action": {"name": "forward", "params": [2]}, "priority": 2,
+    }
+    updates = [
+        dict(_INSERT, type="DELETE"),
+        dict(_INSERT, match=[{"exact": 2}]),
+        acl_insert,
+        {"type": "DELETE", "table": "lpm_t",
+         "match": [{"exact": 3}, {"lpm": [0xF0, 4]}], "priority": 0},
+        dict(_INSERT, match=[{"exact": 3}]),
+    ]
+    params = (
+        updates if method == "write"
+        else [{"updates": updates, "update_ids": ["u2"]}]
+    )
+    outcomes = []
+    for make in (_farm_handle, _server_handle):
+        handle, service = make()
+        handle(_Conn(), "write", [_INSERT])
+        before = (_tables(service), service.get_config_epoch())
+        outcomes.append(_outcome(handle, method, params))
+        assert (_tables(service), service.get_config_epoch()) == before
+    farm, server = outcomes
+    assert farm == server == (
+        "WriteError",
+        "update 3: table lpm_t: no entry to delete for key [=3, 240/4] prio=0",
+        3,
+    )
 
 
 def test_the_collector_tracks_nothing_a_farm_table_holds():

@@ -46,9 +46,8 @@ from repro.mgmt.server import ManagementServer
 from repro.net import RetryPolicy
 from repro.net.reactor import Reactor
 from repro.p4runtime.aio_client import AioP4RuntimeClient
-from repro.p4runtime.api import DeviceService
 from repro.p4runtime.farm import DeviceFarm
-from tests.doubles import uncoalesce
+from tests.doubles import RecordingService, uncoalesce
 
 SCHEMA = simple_schema(
     "net", {"PortCfg": {"port": "integer", "out_port": "integer"}}
@@ -141,6 +140,16 @@ def record(batch, op, port, out_port):
     getattr(batch, f"record_{op}")(PATCH, PATCH.key_of(row), row)
 
 
+def out_ports(batch):
+    """``(kind, out port)`` of each ``Patch`` row a batch writes, read
+    from its runs of rows: a decoded DELETE carries no action."""
+    return [
+        (kind, row[1].fields[0])
+        for kind, _, rows in batch.emit_writes().runs
+        for row in rows
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Coalescing algebra (the IR level).
 # ---------------------------------------------------------------------------
@@ -220,10 +229,7 @@ class TestDeviceBatchOrdering:
         batch = DeviceBatch(1)
         record(batch, "delete", 1, 5)
         record(batch, "insert", 1, 7)
-        writes = list(batch.emit_writes())
-        assert [w.kind for w in writes] == ["DELETE", "INSERT"]
-        assert writes[0].entry.action_params == (5,)
-        assert writes[1].entry.action_params == (7,)
+        assert out_ports(batch) == [("DELETE", 5), ("INSERT", 7)]
 
     def test_merge_only_moves_forward(self):
         batch = DeviceBatch(5)
@@ -363,19 +369,6 @@ class TestCoalescingQueue:
 # ---------------------------------------------------------------------------
 
 
-class _RecordingService(DeviceService):
-    """Device that records the order writes arrive in."""
-
-    def __init__(self, sim):
-        super().__init__(sim)
-        self.log = []
-
-    def apply_batch(self, updates, mcast=None, fence=None):
-        self.log.append([(u.kind, tuple(u.entry.action_params))
-                         for u in updates])
-        return super().apply_batch(updates, mcast, fence)
-
-
 @contextmanager
 def slow_device(delay):
     """A remote device whose every ack lags ``delay`` seconds (a
@@ -407,7 +400,7 @@ def patch_actions(device):
 class TestEndToEndOrdering:
     def test_writes_apply_in_transaction_order_deletes_first(self):
         project, db, switch = build()
-        service = _RecordingService(switch)
+        service = RecordingService(switch)
         controller = NerpaController(project, db, [service]).start()
         try:
             add_port(db, 1, 5)
@@ -1002,10 +995,8 @@ Out(k, v) :- R(k, v).
         record(batch, "delete", 5, 7)
         record(batch, "delete", 5, 8)
         record(batch, "insert", 5, 9)
-        writes = list(batch.emit_writes())
-        assert [w.kind for w in writes] == ["DELETE", "INSERT"]
-        assert tuple(writes[0].entry.action_params) == (7,)  # oldest pinned
-        assert tuple(writes[1].entry.action_params) == (9,)
+        # The oldest value pinned.
+        assert out_ports(batch) == [("DELETE", 7), ("INSERT", 9)]
 
 
 class TestQueueBarrierSupersedeJoin:

@@ -19,7 +19,11 @@ values a row must not hold.
   decoded pairs encodes the same;
 * **rows** — every row, well-typed or not, gives the reference text or
   raises what the reference raises, with the same message, and every
-  run decodes to its text decoded or raises the text's error.
+  run decodes to its text decoded or raises the text's error;
+* **deletes** — a DELETE is its match key and priority: its text has
+  no ``action`` and decodes to ``("NoAction",)``, and its action
+  column is not read, so an ill-typed action there raises nothing
+  while an ill-typed key value still raises, alike on both paths.
 """
 
 import json
@@ -390,24 +394,63 @@ def test_a_run_refuses_each_row_wire_refuses():
     """Rows whose values are all ints but whose action is unknown, of
     the wrong arity or no constructor at all, and a ``str`` or ``bool``
     value: a run of a good row and the bad one gives the rows' own
-    texts joined, or raises the bad row's error, encoded or decoded."""
+    texts joined, or raises the bad row's error, encoded or decoded.
+    A DELETE reads no action, so only its ill-typed keys are refused."""
     binding = _acl_binding()
     good = (1, (10, 8), (3, 255), StructValue("AclActionSet", (5, 6)), 7)
-    for bad in (
+    bad_actions = [
         (1, (10, 8), (3, 255), StructValue("AclActionSet", (5,)), 7),
         (1, (10, 8), (3, 255), StructValue("AclActionSet", (5, 6, 7)), 7),
         (1, (10, 8), (3, 255), StructValue("AclActionDrop", (5,)), 7),
         (1, (10, 8), (3, 255), StructValue("NoSuchAction", ()), 7),
         (1, (10, 8), (3, 255), 4, 7),
+    ]
+    bad_keys = [
         ("1", (10, 8), (3, 255), StructValue("AclActionDrop", ()), 7),
-        (True, (10, 8), (3, 255), StructValue("AclActionDrop", ()), 7),
         (1, 10, (3, 255), StructValue("AclActionDrop", ()), 7),
-    ):
+    ]
+    a_bool = (True, (10, 8), (3, 255), StructValue("AclActionDrop", ()), 7)
+    for bad in bad_actions + bad_keys + [a_bool]:
         for kind in KINDS:
             outcome = run_outcome(binding, kind, [good, bad])
             assert outcome == joined_outcome(binding, kind, [good, bad])
             assert decoded_run_outcome(
                 binding, kind, [good, bad]
             ) == wire_decoded_outcome(binding, kind, [good, bad])
-            if bad[0] is not True:
-                assert isinstance(outcome, tuple), bad  # refused
+            refused = any(bad is b for b in bad_keys) or (
+                kind != "DELETE" and any(bad is b for b in bad_actions)
+            )
+            assert isinstance(outcome, tuple) == refused, (kind, bad)
+    # A DELETE's text is the good row's whatever its action column holds.
+    for bad in bad_actions:
+        assert binding.wire_run("DELETE", [bad]) == binding.wire_run(
+            "DELETE", [good]
+        )
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_a_delete_is_its_match_key(data):
+    """For every match kind, priority and action arity, the reference
+    path gives a DELETE with no ``action``, ``wire_run`` gives its
+    text, and both decode it to ``("NoAction",)``; a row with any other
+    action column, well-typed or not, gives the same text and the same
+    decoded update."""
+    binding = data.draw(bindings())
+    row = data.draw(rows(binding))
+    reference = reference_update(binding, "DELETE", row)
+    assert list(reference) == ["type", "table", "match", "priority"]
+    text = binding.wire_run("DELETE", [row])
+    assert text == dumps(reference).decode()
+    n_keys = len(binding.key_columns)
+    other = row[:n_keys] + (data.draw(_strays),) + row[n_keys + 1:]
+    assert binding.wire_run("DELETE", [other]) == text
+    update = decode_update(json.loads(text))
+    assert update[3] == ("NoAction",)
+    assert decoded(binding, "DELETE", other) == update
+    assert decoded(binding, "DELETE", row) == update
+    # A read-diff's DELETE pair encodes and decodes the same way.
+    pair = update[2], (data.draw(st.sampled_from(["act_0", "x"])), 1)
+    codec = PairCodec(binding.info.name)
+    assert codec.wire_run("DELETE", [pair]) == text
+    assert codec.decoded_run("DELETE", [pair]) == [update]
