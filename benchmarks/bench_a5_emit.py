@@ -19,7 +19,7 @@ the wire carries anyway), both timed in the same rounds:
   when each row still became an update dict that ``dumps`` then walked
   (1.88x then);
 * and at most 1.0x it: each table's generated converter writes the
-  update's JSON text itself (``TableBinding.wire``) and the encoder
+  updates' JSON text itself (``TableBinding.wire_run``) and the encoder
   joins those texts, so the rows cost less than encoding the finished
   dicts would.
 
@@ -36,12 +36,20 @@ Three more gates are counts, so they hold on any box:
   most 1.0.  It was 2.7 with a ``[dead, live]`` cell, a ``(binding,
   key)`` tuple and a ``RowWrite`` per row;
 * wire bytes per output row, the request params' length over the
-  rows: at most 113.32, the figure of this commit (920 rows, 401
-  DELETEs and 401 INSERTs, 104,249 bytes) with every DELETE its match
-  key and priority alone.  It was 133.36 when each DELETE also carried
-  the action and params of the entry it removes (151.9 bytes per
-  DELETE where its key is 105.9), so an action creeping back into
-  DELETE text fails it.
+  rows: at most 75.88, the figure of this commit (920 rows, 401
+  DELETEs and 401 INSERTs, 69,803 bytes: 75.87 per row) rounded up,
+  in the one wire form: every DELETE its match key alone, every exact
+  field its bare value in ``match``, and no ``priority`` on a table
+  without a ternary field.  It was 113.31
+  when each exact field was tagged ``{"exact": v}`` and each update
+  carried ``"priority":0``, and 133.36 when each DELETE also carried
+  the action and params of the entry it removes, so a tag, a zero
+  priority or an action creeping back into the text fails it.
+
+Since the updates shrank, the reference ``dumps`` of the finished
+update list walks smaller dicts and got cheaper too; the path keeps
+under it because ``wire_run`` type-checks a run once and fills the
+run's formats with one ``%``.
 """
 
 import gc
@@ -66,7 +74,7 @@ GATE_X = 2.2
 TEXT_GATE_X = 1.0
 GATE_CALLS_PER_ROW = 2.5
 GATE_ALLOCS_PER_ROW = 1.0
-GATE_WIRE_BYTES_PER_ROW = 113.32
+GATE_WIRE_BYTES_PER_ROW = 75.88
 
 
 def _snapshot(db, tables):

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import operator
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import typebridge as TB
@@ -73,24 +74,30 @@ class TableBinding:
     * ``key_of(row)`` — the row's identity on the device: its key
       columns, plus the priority column of a ternary table;
     * ``wire_run(kind, rows)`` — the JSON texts of the P4Runtime
-      updates writing a run of rows of one kind, comma-joined: each
-      byte for byte what ``dumps`` makes of
+      updates writing a run (a list) of rows of one kind, comma-joined:
+      each byte for byte what ``dumps`` makes of
       :func:`~repro.p4runtime.api.encode_update` of the row's decoded
-      form.  Each (kind, action) pair of an INSERT or MODIFY has a
-      ``%``-format made when the binding is generated, holding the
-      table's and action's names and the key layout, and so does the
-      table's DELETE, which names no action; a row whose action is a
-      known constructor of the right arity (a DELETE's action is not
-      read) and whose key, parameter and priority values are all
-      exactly ``int`` is that format filled in, and any other row is
-      encoded field by field;
+      form.  That is the one wire form of an update: each exact field
+      is its bare value in ``match``, an lpm or ternary field its
+      one-key object, and ``priority`` is sent on a table with a
+      ternary field (its priority column) and left out on any other,
+      where it is always 0.  Each (kind, action) pair of an INSERT or
+      MODIFY has a ``%``-format made when the binding is generated,
+      holding the table's and action's names and the key layout, and
+      so does the table's DELETE, which names no action.  A run whose
+      rows all have a known constructor of the right arity as their
+      action (a DELETE's action is not read) is the formats filled in
+      with one ``%`` when one check finds every key, parameter and
+      priority value of the run exactly ``int``; any other run is
+      encoded row by row, field by field;
     * ``decoded_run(kind, rows)`` — yields, row by row, the ``(kind,
       table, key, value)`` that
       :func:`~repro.p4runtime.api.decode_update` reads from the row's
       text (a DELETE's value is ``("NoAction",)``): what an in-process
-      device applies and a read-diff compares.  The same rows take the
-      fast path: their key is picked by one ``itemgetter`` made with
-      the binding.
+      device applies and a read-diff compares.  A row with a known
+      constructor of the right arity and every value exactly ``int``
+      takes a fast path: its key is picked by one ``itemgetter`` made
+      with the binding.
 
     Both type-check the key columns, and the action column of an
     INSERT or MODIFY, and raise :class:`~repro.errors.TypeCheckError`
@@ -176,7 +183,7 @@ class TableBinding:
 
         def encode_fields(kind: str, row: tuple) -> str:
             """The row's update text, each value through ``dumps_text``:
-            for a row the fast path of ``wire_run`` does not cover."""
+            for each row of a run the fast path of ``wire_run`` refused."""
             values = []
             for (match_kind, payload), value in zip(fields, row):
                 if match_kind == "exact":
@@ -207,43 +214,59 @@ class TableBinding:
             for kind in _ACTION_KINDS
         }
         exact_only = not any(pairs)
+        # An exact-only table's DELETE values are its rows' key columns.
+        key_values = operator.itemgetter(slice(0, n_keys))
 
-        def wire_run(kind: str, rows) -> str:
-            texts = []
+        def fill(kind: str, rows) -> Tuple[Optional[list], Optional[list]]:
+            """The formats of a run's updates and, flattened, the values
+            they take — or ``None`` formats for a run holding a row whose
+            action (a DELETE's is not read) or key shape no format
+            covers.  The values' types are not checked here."""
             if kind == "DELETE":
+                if exact_only and priority_at is None:
+                    return [delete_format] * len(rows), list(
+                        chain.from_iterable(map(key_values, rows))
+                    )
+                values = []
                 for row in rows:
                     keys = row[:n_keys] if exact_only else pair_values(row)
-                    if keys is not None:
-                        if priority_at is not None:
-                            keys += (row[priority_at],)
-                        if _ALL_INT(map(type, keys)):
-                            texts.append(delete_format % keys)
-                            continue
-                    texts.append(encode_fields(kind, row))
-                return ",".join(texts)
+                    if keys is None:
+                        return None, None
+                    values += keys
+                    if priority_at is not None:
+                        values.append(row[priority_at])
+                return [delete_format] * len(rows), values
             known = by_constructor.get(kind, {})
+            fmts, values = [], []
             for row in rows:
                 action = row[n_keys]
-                if type(action) is StructValue:
-                    ctor = action.constructor
-                    fmt = known.get(ctor)
-                    if (
-                        fmt is not None
-                        and actions.get(ctor) is fmt[1]
-                        and len(action.fields) == fmt[1][1]
-                    ):
-                        keys = row[:n_keys] if exact_only else pair_values(row)
-                        if keys is not None:
-                            values = keys + action.fields
-                            if priority_at is not None:
-                                values += (row[priority_at],)
-                            # Every value an int: the format filled in
-                            # is the text the per-field path makes.
-                            if _ALL_INT(map(type, values)):
-                                texts.append(fmt[0] % values)
-                                continue
-                texts.append(encode_fields(kind, row))
-            return ",".join(texts)
+                if type(action) is not StructValue:
+                    return None, None
+                ctor = action.constructor
+                fmt = known.get(ctor)
+                if (
+                    fmt is None
+                    or actions.get(ctor) is not fmt[1]
+                    or len(action.fields) != fmt[1][1]
+                ):
+                    return None, None
+                keys = row[:n_keys] if exact_only else pair_values(row)
+                if keys is None:
+                    return None, None
+                fmts.append(fmt[0])
+                values += keys
+                values += action.fields
+                if priority_at is not None:
+                    values.append(row[priority_at])
+            return fmts, values
+
+        def wire_run(kind: str, rows) -> str:
+            fmts, values = fill(kind, rows)
+            # One type check for the run: every value an int, and the
+            # formats filled in are the texts the per-field path makes.
+            if fmts is not None and _ALL_INT(map(type, values)):
+                return ",".join(fmts) % tuple(values)
+            return ",".join([encode_fields(kind, row) for row in rows])
 
         # A decoded key, ``(priority, kind, value, arg, ...)``, is picked
         # from a row's flattened key values, its priority and _KEY_ATOMS.
@@ -301,31 +324,33 @@ class TableBinding:
         self, kind: str, name: Optional[str] = None, param_count: int = 0
     ) -> str:
         """The ``%``-format of one (kind, action) pair's update text:
-        one ``%s`` per key value (two for an lpm or ternary pair), per
-        action parameter, and for the priority of a ternary table.  A
-        DELETE's names no action: its key is the entry."""
+        one ``%s`` per key value (an exact field's is its bare value,
+        an lpm or ternary field's two are in their one-key object), per
+        action parameter, and for the priority of a table with a
+        ternary field; any other table's priority is 0 and not sent.
+        A DELETE's names no action: its key is the entry."""
 
         def literal(value) -> str:
             return dumps_text(value).replace("%", "%%")
 
         match = ",".join(
-            "{%s:%s}"
-            % (literal(field.match_kind),
-               "%s" if field.match_kind == "exact" else "[%s,%s]")
+            "%s"
+            if field.match_kind == "exact"
+            else "{%s:[%%s,%%s]}" % literal(field.match_kind)
             for _, field in self.key_columns
         )
         action = (
             ""
             if kind == "DELETE"
-            else '"action":{"name":%s,"params":[%s]},'
+            else ',"action":{"name":%s,"params":[%s]}'
             % (literal(name), ",".join(["%s"] * param_count))
         )
-        return '{"type":%s,"table":%s,"match":[%s],%s"priority":%s}' % (
+        return '{"type":%s,"table":%s,"match":[%s]%s%s}' % (
             literal(kind),
             literal(self.info.name),
             match,
             action,
-            "%s" if self.has_priority else "0",
+            ',"priority":%s' if self.has_priority else "",
         )
 
 

@@ -7,14 +7,22 @@ Table write update::
 
     {"type": "INSERT" | "MODIFY",
      "table": "fwd",
-     "match": [{"exact": 10}, {"ternary": [5, 255]}, {"lpm": [167772160, 8]}],
+     "match": [10, {"ternary": [5, 255]}, {"lpm": [167772160, 8]}],
      "action": {"name": "forward", "params": [2]},
      "priority": 3}
 
     {"type": "DELETE",
-     "table": "fwd",
-     "match": [{"exact": 10}, {"ternary": [5, 255]}, {"lpm": [167772160, 8]}],
-     "priority": 3}
+     "table": "nat",
+     "match": [1, 167772161]}
+
+An exact field is its bare value in ``match``; an lpm or ternary field
+is a one-key object, ``{"lpm": [value, prefix_len]}`` or
+``{"ternary": [value, mask]}``.  ``priority`` is left out when it is 0
+on a table without a ternary field, as P4Runtime leaves it unset there
+(a receiver reads a missing one as 0), and is always sent on a table
+with one.  That is the one form every encoder writes and
+:func:`decode_update` reads: a tagged ``{"exact": v}`` is a bad match
+field.
 
 A DELETE names its entry by the match key and priority alone, as in
 P4Runtime: every encoder sends it without an action, and a receiver
@@ -179,17 +187,19 @@ def decode_update(data: dict) -> tuple:
     """A wire update as ``(kind, table, key, value)``, what a device's
     tables apply: ``key`` is the entry's :meth:`TableEntry.match_key`,
     ``value`` its ``(action, *params)`` — tuples of atoms, so a table
-    holding them gives the collector nothing to track.  A DELETE's
-    value is :data:`NO_ACTION`, whatever action it carries.  Raises
-    :class:`RuntimeApiError` for an update no device can decode."""
+    holding them gives the collector nothing to track.  A match field
+    that is not an object is an exact field's value; a missing
+    ``priority`` is 0.  A DELETE's value is :data:`NO_ACTION`, whatever
+    action it carries.  Raises :class:`RuntimeApiError` for an update
+    no device can decode."""
     try:
         kind = data["type"]
         if kind not in ("INSERT", "MODIFY", "DELETE"):
             raise RuntimeApiError(f"bad write type {kind!r}")
         key = (data.get("priority", 0),)
         for match in data.get("match", ()):
-            if "exact" in match:
-                key += ("exact", match["exact"], None)
+            if type(match) is not dict:
+                key += ("exact", match, None)
             elif "lpm" in match:
                 value, prefix_len = match["lpm"]
                 key += ("lpm", value, prefix_len)
@@ -209,23 +219,24 @@ def decode_update(data: dict) -> tuple:
 
 def encode_update(kind: str, table: str, key: tuple, value: tuple) -> dict:
     """The wire update :func:`decode_update` reads as ``(kind, table,
-    key, value)``; a DELETE's has no action, so its ``value`` is not
-    read."""
+    key, value)``: each exact field its bare value, and ``priority``
+    only when it is nonzero or the key has a ternary field.  A
+    DELETE's has no action, so its ``value`` is not read."""
     match = []
+    ternary = False
     for at in range(1, len(key), 3):
         match_kind, field, arg = key[at:at + 3]
-        match.append(
-            {match_kind: field if match_kind == "exact" else [field, arg]}
-        )
-    if kind == "DELETE":
-        return {"type": kind, "table": table, "match": match, "priority": key[0]}
-    return {
-        "type": kind,
-        "table": table,
-        "match": match,
-        "action": {"name": value[0], "params": list(value[1:])},
-        "priority": key[0],
-    }
+        if match_kind == "exact":
+            match.append(field)
+        else:
+            match.append({match_kind: [field, arg]})
+            ternary = ternary or match_kind == "ternary"
+    update = {"type": kind, "table": table, "match": match}
+    if kind != "DELETE":
+        update["action"] = {"name": value[0], "params": list(value[1:])}
+    if ternary or key[0] != 0:
+        update["priority"] = key[0]
+    return update
 
 
 class DeviceService:

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional
 from repro.errors import ProtocolError
 from repro.net.server import RpcConnection, RpcServer
 from repro.p4.tables import write_rejection
-from repro.p4runtime.api import DeviceService, encode_update
+from repro.p4runtime.api import DeviceService
 from repro.p4runtime.server import DEVICE_METHODS
 
 
@@ -125,17 +125,33 @@ class FarmDevice(DeviceService):
         self.last_seq = max(self.last_seq or 0, last)
 
     def table_snapshot(self) -> Dict[str, Dict[str, dict]]:
-        """``{table: {key: INSERT wire update}}``, keyed like P4Runtime
-        by the match fields' JSON plus a nonzero priority."""
+        """``{table: {key: INSERT update}}``, keyed like P4Runtime by the
+        match fields' JSON plus a nonzero priority.
+
+        A verification form, not the wire's: benchmarks digest it, so
+        it keeps one rendering whatever the wire form — every exact
+        field tagged ``{"exact": v}`` and every entry's ``priority``
+        present, rendered here from the decoded key and value."""
         snapshot = {}
         for name, table in self.sim.tables.items():
             entries = snapshot[name] = {}
             for key, value in table.items():
-                update = encode_update("INSERT", name, key, value)
-                text = json.dumps(update["match"], sort_keys=True)
+                match = [
+                    {kind: field if kind == "exact" else [field, arg]}
+                    for kind, field, arg in zip(
+                        key[1::3], key[2::3], key[3::3]
+                    )
+                ]
+                text = json.dumps(match, sort_keys=True)
                 if key[0]:
                     text = f"{text}#{key[0]}"
-                entries[text] = update
+                entries[text] = {
+                    "type": "INSERT",
+                    "table": name,
+                    "match": match,
+                    "action": {"name": value[0], "params": list(value[1:])},
+                    "priority": key[0],
+                }
         return snapshot
 
 

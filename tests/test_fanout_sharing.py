@@ -4,10 +4,13 @@
   and a request id decodes to exactly the request the dict-building
   path produced before it was deleted.  ``fixtures/
   apply_batch_frames.json`` holds that path's output, recorded at
-  17d8fed; :func:`reference_request` is its body, kept as the oracle
-  for generated batches, and is itself checked against the recording.
-  The same frames are decoded by the two receivers the stack has
-  (:class:`P4RuntimeServer`, :class:`DeviceFarm`) over real sockets;
+  17d8fed, its updates since rewritten in the one wire form (key-only
+  DELETEs, bare exact values, no zero priority on a table without a
+  ternary field); :func:`reference_request` is its body, kept as the
+  oracle for generated batches, and is itself checked against the
+  recording.  The same frames are decoded by the two receivers the
+  stack has (:class:`P4RuntimeServer`, :class:`DeviceFarm`) over real
+  sockets;
 * **aliasing** — one batch object sits on every device queue; a queue
   that merges into it (or supersedes it) must leave every other
   device's batch, the cells and the update-ids untouched;

@@ -96,11 +96,13 @@ def _ternary(draw):
 
 # Updates that fail to decode or to apply, wherever they sit in a batch.
 MALFORMED = [
-    {"type": "UPSERT", "table": "exact_t", "match": [{"exact": 0}]},
-    {"type": "INSERT", "match": [{"exact": 0}]},
+    {"type": "UPSERT", "table": "exact_t", "match": [0]},
+    {"type": "INSERT", "match": [0]},
     {"type": "INSERT", "table": "exact_t", "match": [{"range": [0, 1]}]},
     "INSERT exact_t",
-    {"type": "INSERT", "table": "exact_t", "match": [{"exact": [0]}]},
+    {"type": "INSERT", "table": "exact_t", "match": [[0]]},
+    # An exact field is its bare value: the tagged form is refused.
+    {"type": "INSERT", "table": "exact_t", "match": [{"exact": 0}]},
 ]
 
 
@@ -109,14 +111,15 @@ def _update(draw):
     if draw(st.integers(0, 19)) == 0:
         return draw(st.sampled_from(MALFORMED))
     table = draw(st.sampled_from(TABLES))
-    priority = 0
+    # A priority only on the ternary table, as every encoder sends it.
+    priority = {}
     if table == "exact_t":
-        match = [{"exact": draw(_small)}]
+        match = [draw(_small)]
     elif table == "lpm_t":
-        match = [{"exact": draw(_small)}, draw(_lpm())]
+        match = [draw(_small), draw(_lpm())]
     else:
         match = [draw(_ternary())]
-        priority = draw(st.integers(1, 2))
+        priority = {"priority": draw(st.integers(1, 2))}
     if draw(st.booleans()):
         action = {"name": "forward", "params": [draw(_small)]}
     else:
@@ -124,14 +127,13 @@ def _update(draw):
     kind = draw(st.sampled_from(["INSERT", "INSERT", "MODIFY", "DELETE"]))
     if kind == "DELETE" and draw(st.booleans()):
         # Key-only, as every encoder sends it.
-        return {"type": kind, "table": table, "match": match,
-                "priority": priority}
+        return {"type": kind, "table": table, "match": match, **priority}
     return {
         "type": kind,
         "table": table,
         "match": match,
         "action": action,
-        "priority": priority,
+        **priority,
     }
 
 
@@ -215,14 +217,14 @@ def test_a_stale_fence_changes_nothing():
     farm = DeviceFarm(1)
     device = farm.devices[0]
     insert = {
-        "type": "INSERT", "table": "exact_t", "match": [{"exact": 1}],
-        "action": {"name": "drop", "params": []}, "priority": 0,
+        "type": "INSERT", "table": "exact_t", "match": [1],
+        "action": {"name": "drop", "params": []},
     }
     current = {"updates": [insert], "update_ids": ["u1"], "fence": 2}
     assert farm.handle(_Conn(), "apply_batch", [current]) == {"applied": 1}
     before = _state(device)
     stale = {
-        "updates": [dict(insert, match=[{"exact": 2}])],
+        "updates": [dict(insert, match=[2])],
         "mcast": [[1, [1, 2]]], "update_ids": ["u2"], "fence": 1,
     }
     outcome = _apply(farm.handle, stale)
@@ -232,8 +234,8 @@ def test_a_stale_fence_changes_nothing():
 
 
 _INSERT = {
-    "type": "INSERT", "table": "exact_t", "match": [{"exact": 1}],
-    "action": {"name": "drop", "params": []}, "priority": 0,
+    "type": "INSERT", "table": "exact_t", "match": [1],
+    "action": {"name": "drop", "params": []},
 }
 
 
@@ -258,7 +260,7 @@ def test_a_malformed_update_rolls_its_batch_back(make, method, bad):
     handle(_Conn(), "write", [_INSERT])
     before = (_tables(service), service.get_config_epoch())
     delete = dict(_INSERT, type="DELETE")
-    insert = dict(_INSERT, match=[{"exact": 2}])
+    insert = dict(_INSERT, match=[2])
     updates = [delete, bad, insert]
     params = (
         updates if method == "write"
@@ -282,11 +284,10 @@ def test_a_delete_of_an_absent_key_names_the_key_and_rolls_back(method):
     }
     updates = [
         dict(_INSERT, type="DELETE"),
-        dict(_INSERT, match=[{"exact": 2}]),
+        dict(_INSERT, match=[2]),
         acl_insert,
-        {"type": "DELETE", "table": "lpm_t",
-         "match": [{"exact": 3}, {"lpm": [0xF0, 4]}], "priority": 0},
-        dict(_INSERT, match=[{"exact": 3}]),
+        {"type": "DELETE", "table": "lpm_t", "match": [3, {"lpm": [0xF0, 4]}]},
+        dict(_INSERT, match=[3]),
     ]
     params = (
         updates if method == "write"
@@ -313,13 +314,13 @@ def test_the_collector_tracks_nothing_a_farm_table_holds():
     untracked them all: a large table adds nothing to its passes."""
     handle, device = _farm_handle()
     updates = [
-        {"type": "INSERT", "table": "exact_t", "match": [{"exact": a}],
-         "action": {"name": "forward", "params": [a]}, "priority": 0}
+        {"type": "INSERT", "table": "exact_t", "match": [a],
+         "action": {"name": "forward", "params": [a]}}
         for a in range(4)
     ] + [
         {"type": "INSERT", "table": "lpm_t",
-         "match": [{"exact": a}, {"lpm": [0xF0, 4]}],
-         "action": {"name": "drop", "params": []}, "priority": 0}
+         "match": [a, {"lpm": [0xF0, 4]}],
+         "action": {"name": "drop", "params": []}}
         for a in range(4)
     ] + [
         {"type": "INSERT", "table": "acl_t",
@@ -340,3 +341,44 @@ def test_the_collector_tracks_nothing_a_farm_table_holds():
     ]
     assert len(held) == 26
     assert [item for item in held if gc.is_tracked(item)] == []
+
+
+def test_a_table_snapshot_keeps_the_tagged_verification_form():
+    """``table_snapshot`` is what the benchmarks digest to compare
+    device tables across versions, so it keeps one rendering whatever
+    the wire form: every exact field tagged, every entry's priority
+    present, keyed by the match fields' JSON and a nonzero priority."""
+    handle, device = _farm_handle()
+    updates = [
+        {"type": "INSERT", "table": "exact_t", "match": [1],
+         "action": {"name": "forward", "params": [2]}},
+        {"type": "INSERT", "table": "lpm_t", "match": [3, {"lpm": [0xF0, 4]}],
+         "action": {"name": "drop", "params": []}},
+        {"type": "INSERT", "table": "acl_t",
+         "match": [{"ternary": [0x10, 0xF0]}],
+         "action": {"name": "forward", "params": [5]}, "priority": 2},
+    ]
+    assert handle(_Conn(), "write", updates) == {"applied": 3}
+    assert device.table_snapshot() == {
+        "exact_t": {
+            '[{"exact": 1}]': {
+                "type": "INSERT", "table": "exact_t",
+                "match": [{"exact": 1}],
+                "action": {"name": "forward", "params": [2]}, "priority": 0,
+            },
+        },
+        "lpm_t": {
+            '[{"exact": 3}, {"lpm": [240, 4]}]': {
+                "type": "INSERT", "table": "lpm_t",
+                "match": [{"exact": 3}, {"lpm": [240, 4]}],
+                "action": {"name": "drop", "params": []}, "priority": 0,
+            },
+        },
+        "acl_t": {
+            '[{"ternary": [16, 240]}]#2': {
+                "type": "INSERT", "table": "acl_t",
+                "match": [{"ternary": [16, 240]}],
+                "action": {"name": "forward", "params": [5]}, "priority": 2,
+            },
+        },
+    }

@@ -206,8 +206,7 @@ _JSON = st.recursive(
 STACK_MESSAGES = [
     make_request("apply_batch", [{
         "updates": [{"type": "INSERT", "table": "patch",
-                     "match": [{"exact": 1}, {"lpm": [10, 8]},
-                               {"ternary": [3, 255]}],
+                     "match": [1, {"lpm": [10, 8]}, {"ternary": [3, 255]}],
                      "action": {"name": "forward", "params": [5]},
                      "priority": 7}],
         "mcast": [[1, [2, 3]], [4, None]],

@@ -391,10 +391,8 @@ def slow_device(delay):
 
 def patch_actions(device):
     """A farm device's ``patch`` table as ``{port: action params}``."""
-    return {
-        update["match"][0]["exact"]: update["action"]["params"]
-        for update in device.table_snapshot().get("patch", {}).values()
-    }
+    table = device.sim.tables.get("patch", {})
+    return {key[2]: list(value[1:]) for key, value in table.items()}
 
 
 class TestEndToEndOrdering:

@@ -230,15 +230,15 @@ def test_every_match_kind_and_the_priority_reach_the_wire():
     row = (1, 2, forward("ExactT", 3))
     assert json.loads(exact.wire_run("INSERT", [row])) == {
         "type": "INSERT", "table": "exact_t",
-        "match": [{"exact": 1}, {"exact": 2}],
-        "action": {"name": "forward", "params": [3]}, "priority": 0,
+        "match": [1, 2],
+        "action": {"name": "forward", "params": [3]},
     }
     assert json.loads(
         lpm.wire_run("DELETE", [(1, (0x0A000000, 8), forward("LpmT", 2))])
-    )["match"] == [{"exact": 1}, {"lpm": [0x0A000000, 8]}]
+    )["match"] == [1, {"lpm": [0x0A000000, 8]}]
     row = (1, (5, 7), StructValue("AclTActionDrop", ()), 9)
     wired = json.loads(acl.wire_run("INSERT", [row]))
-    assert wired["match"] == [{"exact": 1}, {"ternary": [5, 7]}]
+    assert wired["match"] == [1, {"ternary": [5, 7]}]
     assert (wired["action"], wired["priority"]) == (
         {"name": "drop", "params": []}, 9
     )
@@ -325,11 +325,15 @@ def _entries(wire_updates):
     )
 
 
-def _sim_entries(sim, table):
+def _device_entries(service, table):
     return _entries(
         encode_update("INSERT", table, key, value)
-        for key, value in DeviceService(sim).read_table(table)
+        for key, value in service.read_table(table)
     )
+
+
+def _sim_entries(sim, table):
+    return _device_entries(DeviceService(sim), table)
 
 
 class _Fleet:
@@ -348,9 +352,7 @@ class _Fleet:
         ).start()
 
     def farm_entries(self, table):
-        return _entries(
-            self.farm.devices[0].table_snapshot().get(table, {}).values()
-        )
+        return _device_entries(self.farm.devices[0], table)
 
     def close(self):
         self.controller.stop()

@@ -23,26 +23,38 @@ values a row must not hold.
 * **deletes** — a DELETE is its match key and priority: its text has
   no ``action`` and decodes to ``("NoAction",)``, and its action
   column is not read, so an ill-typed action there raises nothing
-  while an ill-typed key value still raises, alike on both paths.
+  while an ill-typed key value still raises, alike on both paths;
+* **one form** — an exact field is its bare value in ``match`` and
+  ``priority`` is sent exactly when the table has a ternary field or
+  the priority is nonzero, whichever encoder wrote the update (a
+  table's formats, ``encode_update``, a ``read_table`` answer); a run
+  is type-checked once, and one mixing ``int`` and other values gives
+  the texts its rows give one by one; ``decode_update`` refuses the
+  tagged ``{"exact": v}``.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.codegen import generate_declarations
 from repro.dlog.values import StructValue
-from repro.errors import TypeCheckError
+from repro.errors import RuntimeApiError, TypeCheckError
+from repro.p4.simulator import Simulator
 from repro.mgmt.jsonrpc import dumps
 from repro.p4.p4info import ActionParam, MatchField, P4Info
 from repro.p4runtime import aio_client
+from repro.p4runtime.aio_client import AioP4RuntimeClient
 from repro.p4runtime.api import (
     PairCodec,
     WriteBatch,
     decode_update,
     encode_update,
 )
+from repro.p4runtime.server import P4RuntimeServer
+from tests.test_farm_device import PIPELINE
 
 KINDS = ("INSERT", "MODIFY", "DELETE")
 
@@ -294,7 +306,7 @@ def test_a_row_converts_without_json_dumps(monkeypatch):
             binding.wire_run(kind, [row])
     assert calls == []
     assert binding.wire_run("INSERT", [(1, (10, 8), (3, 255), set_ab, 7)]) == (
-        '{"type":"INSERT","table":"acl","match":[{"exact":1},'
+        '{"type":"INSERT","table":"acl","match":[1,'
         '{"lpm":[10,8]},{"ternary":[3,255]}],'
         '"action":{"name":"set","params":[5,6]},"priority":7}'
     )
@@ -439,7 +451,9 @@ def test_a_delete_is_its_match_key(data):
     binding = data.draw(bindings())
     row = data.draw(rows(binding))
     reference = reference_update(binding, "DELETE", row)
-    assert list(reference) == ["type", "table", "match", "priority"]
+    assert list(reference) == ["type", "table", "match"] + (
+        ["priority"] if binding.has_priority else []
+    )
     text = binding.wire_run("DELETE", [row])
     assert text == dumps(reference).decode()
     n_keys = len(binding.key_columns)
@@ -454,3 +468,154 @@ def test_a_delete_is_its_match_key(data):
     codec = PairCodec(binding.info.name)
     assert codec.wire_run("DELETE", [pair]) == text
     assert codec.decoded_run("DELETE", [pair]) == [update]
+
+
+# ---------------------------------------------------------------------------
+# One form.
+# ---------------------------------------------------------------------------
+
+
+def _has_ternary(binding) -> bool:
+    return any(f.match_kind == "ternary" for _, f in binding.key_columns)
+
+
+def _int_rows(binding):
+    """Well-typed rows whose every value is exactly ``int``."""
+    ints = st.integers(0, 2**64)
+    keys = st.tuples(*(
+        ints if field.match_kind == "exact" else st.tuples(ints, ints)
+        for _, field in binding.key_columns
+    ))
+    actions = st.sampled_from(
+        sorted(binding.actions_by_constructor.items())
+    ).flatmap(
+        lambda item: st.lists(
+            ints, min_size=item[1][1], max_size=item[1][1]
+        ).map(lambda params: StructValue(item[0], tuple(params)))
+    )
+    priority = st.tuples(ints) if binding.has_priority else st.just(())
+    return st.builds(
+        lambda k, a, p: k + (a,) + p, keys, actions, priority
+    )
+
+
+@settings(max_examples=200)
+@given(data=st.data(), kind=st.sampled_from(KINDS))
+def test_a_run_is_the_one_form_of_its_decoded_updates(data, kind):
+    """Over every mix of match kinds, with and without a priority
+    column, every kind and action arity: a run's text is byte for byte
+    ``dumps`` of ``encode_update`` of each decoded update, it reads
+    back as what ``decoded_run`` yields, no field is tagged exact, and
+    ``priority`` is there exactly when the table has a ternary field."""
+    binding = data.draw(bindings())
+    rows_ = data.draw(st.lists(rows(binding), max_size=6))
+    updates = list(binding.decoded_run(kind, rows_))
+    text = binding.wire_run(kind, rows_)
+    assert text == ",".join(dumps(encode_update(*u)).decode() for u in updates)
+    wired = json.loads("[%s]" % text)
+    assert [decode_update(u) for u in wired] == updates
+    for update, (_, _, key, _) in zip(wired, updates):
+        assert ("priority" in update) == _has_ternary(binding)
+        exact = [v for m, v in zip(key[1::3], key[2::3]) if m == "exact"]
+        assert [m for m in update["match"] if type(m) is not dict] == exact
+        assert all("exact" not in m for m in update["match"] if type(m) is dict)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), kind=st.sampled_from(KINDS))
+def test_priority_is_sent_for_a_ternary_field_or_a_nonzero_priority(
+    data, kind
+):
+    """A read-diff's pairs carry any priority: ``encode_update`` (and so
+    a :class:`PairCodec` run) sends it when it is nonzero or the key has
+    a ternary field, and a missing one decodes as 0."""
+    binding = data.draw(bindings())
+    _, table, key, value = decoded(binding, kind, data.draw(rows(binding)))
+    priority = data.draw(st.sampled_from([0, 0, 1, 7, -3]))
+    key = (priority,) + key[1:]
+    update = encode_update(kind, table, key, value)
+    assert ("priority" in update) == (_has_ternary(binding) or priority != 0)
+    text = PairCodec(table).wire_run(kind, [(key, value)])
+    assert text == dumps(update).decode()
+    assert decode_update(json.loads(text))[2] == key
+
+
+@settings(max_examples=200)
+@given(data=st.data(), kind=st.sampled_from(KINDS))
+def test_a_run_mixing_int_and_other_rows_gives_its_rows_texts(data, kind):
+    """The run's one type check refuses a run holding a ``bool`` (or a
+    value out of any row's check): such a run is encoded row by row,
+    and its text is still each row's own text, joined."""
+    binding = data.draw(bindings())
+    rows_ = data.draw(
+        st.lists(st.one_of(_int_rows(binding), rows(binding)), max_size=6)
+    )
+    assert binding.wire_run(kind, rows_) == ",".join(
+        binding.wire_run(kind, [row]) for row in rows_
+    )
+
+
+def test_a_run_with_one_bool_row_is_encoded_row_by_row():
+    binding = _acl_binding()
+    set_ab = StructValue("AclActionSet", (5, 6))
+    ints = (1, (10, 8), (3, 255), set_ab, 7)
+    a_bool = (True, (10, 8), (3, 255), set_ab, 0)
+    for kind in KINDS:
+        text = binding.wire_run(kind, [ints, a_bool, ints])
+        one, other = binding.wire_run(kind, [ints]), binding.wire_run(
+            kind, [a_bool]
+        )
+        assert text == ",".join([one, other, one])
+        assert other.startswith(
+            '{"type":"%s","table":"acl","match":[true,' % kind
+        )
+        assert other.endswith('"priority":0}')
+
+
+@pytest.mark.parametrize(
+    "match", [[{"exact": 5}], [3, {"exact": 5}], [{"exact": [5]}]]
+)
+def test_a_tagged_exact_field_is_a_bad_match_field(match):
+    update = {
+        "type": "INSERT", "table": "t", "match": match,
+        "action": {"name": "a", "params": []},
+    }
+    with pytest.raises(RuntimeApiError) as refused:
+        decode_update(update)
+    assert "bad match field" in str(refused.value)
+    assert repr(match[-1]) in str(refused.value)
+
+
+def test_read_table_answers_in_the_one_form():
+    """A ``read_table`` through a :class:`P4RuntimeServer` and the aio
+    client: the server answers each entry in the one form, and the
+    client reads back the ``(key, value)`` pairs the device holds."""
+    sim = Simulator(PIPELINE, n_ports=8)
+    entries = {
+        "exact_t": [((0, "exact", 1, None), ("forward", 2))],
+        "lpm_t": [((0, "exact", 3, None, "lpm", 0xF0, 4), ("drop",))],
+        "acl_t": [
+            ((2, "ternary", 0x10, 0xF0), ("forward", 5)),
+            ((1, "ternary", 0x01, 0x0F), ("drop",)),
+        ],
+    }
+    codec_runs = [
+        ("INSERT", PairCodec(table), pairs) for table, pairs in entries.items()
+    ]
+    with P4RuntimeServer(sim) as server:
+        with AioP4RuntimeClient(*server.address) as client:
+            assert client.write(WriteBatch(codec_runs)) == 4
+            for table, pairs in entries.items():
+                assert sorted(client.read_table(table)) == sorted(pairs)
+            answer = client.call("read_table", ["acl_t"])["entries"]
+            answer += client.call("read_table", ["lpm_t"])["entries"]
+    assert sorted(map(json.dumps, answer)) == sorted(map(json.dumps, [
+        {"type": "INSERT", "table": "acl_t",
+         "match": [{"ternary": [16, 240]}],
+         "action": {"name": "forward", "params": [5]}, "priority": 2},
+        {"type": "INSERT", "table": "acl_t",
+         "match": [{"ternary": [1, 15]}],
+         "action": {"name": "drop", "params": []}, "priority": 1},
+        {"type": "INSERT", "table": "lpm_t", "match": [3, {"lpm": [240, 4]}],
+         "action": {"name": "drop", "params": []}},
+    ]))
