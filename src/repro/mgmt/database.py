@@ -4,13 +4,18 @@ A :class:`Database` holds rows per table, keyed by UUID.  All writes go
 through :meth:`Database.transact`, which executes a list of operations
 atomically (all-or-nothing) against a staged copy, enforces schema
 constraints and unique indexes, commits, and notifies monitors with the
-transaction's net row changes.
+transaction's net row changes.  One lock orders it all: a commit holds
+it until every monitor has the commit, and one made inside a callback
+is queued behind it, so each monitor sees commit order (see
+:meth:`Database._deliver`).  Other modules take a cut by
+:meth:`Database.held`.
 """
 
 from __future__ import annotations
 
 import threading
 import uuid as uuidlib
+from contextlib import nullcontext
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -182,14 +187,9 @@ class Database:
         self._monitors: List[Monitor] = []
         self._uuid_factory = uuid_factory or (lambda: uuidlib.uuid4().hex)
         self._lock = threading.RLock()
-        # Hands monitor deliveries off in commit order: acquired while
-        # the commit still holds ``_lock``, released only after
-        # ``_notify`` returns.  Without it two concurrent transactions
-        # could notify out of commit order — fatal for consumers (the
-        # controller's coalescing pipeline) that fold the stream into
-        # net row effects.  RLock so a callback may itself transact.
-        self._notify_lock = threading.RLock()
-        self.txn_counter = 0
+        #: Commits not yet delivered: ``(updates, monitors, update id)``.
+        self._undelivered: List[tuple] = []
+        self._delivering = False
 
     # -- reads ---------------------------------------------------------------
 
@@ -210,6 +210,18 @@ class Database:
     def count(self, table: str) -> int:
         return len(self._tables[table])
 
+    def held(self) -> threading.RLock:
+        """``with db.held():`` — a consistent cut: no commit enters or
+        is delivered but by the block's own thread."""
+        return self._lock
+
+    def load(self, tables: Dict[str, Dict[str, dict]]) -> None:
+        """Replace the rows of each named table with ``{uuid: row}``,
+        around ``transact``: no monitor hears it (a restore's rows)."""
+        with self._lock:
+            self._tables.update(tables)
+            self._indexes.clear()
+
     # -- transactions -------------------------------------------------------------
 
     def transact(self, operations: Sequence[dict]) -> List[dict]:
@@ -217,12 +229,12 @@ class Database:
 
         Raises :class:`TransactionError` (nothing committed) on any
         failure, including an explicit ``abort`` op or an unsatisfied
-        ``wait``.
-        """
+        ``wait``; a monitor callback's error once its commit, kept, has
+        reached every monitor."""
         from repro.mgmt.transact import execute_operations
 
         # Traced, mint the update-id that names this config change
-        # end-to-end; _notify runs inside its scope so every downstream
+        # end-to-end; its delivery runs in its scope so every downstream
         # plane (controller sync, engine delta, device writes) inherits
         # it.  Untraced, no id is minted and no span opened.
         uid = obs.mint_update_id() if obs.ENABLED else None
@@ -231,23 +243,16 @@ class Database:
             span = obs.TRACER.span(
                 "mgmt.transact", update_id=uid, ops=len(operations)
             )
-        with span:
-            with self._lock:
-                staged = _Staged(self)
-                results = execute_operations(self, staged, operations)
-                self._check_constraints(staged)
-                updates = self._commit(staged)
-                monitors = list(self._monitors)
-                self._notify_lock.acquire()
-            try:
-                if uid is None:
-                    self._notify(updates, monitors)
-                else:
-                    span.set(changed_rows=sum(len(rows) for _, rows in updates))
-                    with obs.use_update_id(uid):
-                        self._notify(updates, monitors)
-            finally:
-                self._notify_lock.release()
+        with span, self._lock:
+            staged = _Staged(self)
+            results = execute_operations(self, staged, operations)
+            self._check_constraints(staged)
+            updates = self._commit(staged)
+            if uid is not None:
+                span.set(changed_rows=sum(len(rows) for _, rows in updates))
+            if updates:
+                self._undelivered.append((updates, list(self._monitors), uid))
+                self._deliver()
         if uid is not None:
             obs.REGISTRY.counter("mgmt_txns_total").inc()
         return results
@@ -335,8 +340,6 @@ class Database:
                         updates.add(
                             table, uuid, RowUpdate(changed_old, dict(row))
                         )
-        if updates:
-            self.txn_counter += 1
         return updates
 
     # -- monitors --------------------------------------------------------------------
@@ -369,31 +372,46 @@ class Database:
             if monitor in self._monitors:
                 self._monitors.remove(monitor)
 
-    def _notify(self, updates: TableUpdates, monitors: List[Monitor]) -> None:
-        # ``monitors`` were registered when the commit was: one added
-        # since holds the commit in its snapshot already.
-        if not updates:
+    def _deliver(self) -> None:
+        """Drain the undelivered commits in commit order, unless this
+        thread is draining already (a callback that transacts).  Each
+        commit reaches the monitors registered when it was made (one
+        added since holds it in its snapshot already), even when one
+        raises: the first error is raised once the queue is empty."""
+        if self._delivering:
             return
-        for monitor in monitors:
-            filtered = TableUpdates()
-            for table, rows in updates:
-                if not monitor.spec.watches(table):
-                    continue
-                for uuid, update in rows.items():
-                    old = (
-                        monitor.spec.project(table, update.old)
-                        if update.old is not None
-                        else None
-                    )
-                    new = (
-                        monitor.spec.project(table, update.new)
-                        if update.new is not None
-                        else None
-                    )
-                    if update.kind == "modify" and not old:
-                        continue  # no monitored column changed
-                    filtered.add(table, uuid, RowUpdate(old, new))
-            monitor.notify(filtered)
+        self._delivering = True
+        error = None
+        try:
+            while self._undelivered:
+                updates, monitors, uid = self._undelivered.pop(0)
+                with obs.use_update_id(uid) if uid else nullcontext():
+                    for monitor in monitors:
+                        try:
+                            filtered = _filtered(updates, monitor.spec)
+                            if filtered:
+                                monitor.callback(filtered)
+                        except Exception as exc:  # noqa: BLE001 - re-raised
+                            error = error or exc
+        finally:
+            self._delivering = False
+        if error is not None:
+            raise error
+
+
+def _filtered(updates: TableUpdates, spec: MonitorSpec) -> TableUpdates:
+    """The part of a commit's updates that ``spec`` watches."""
+    out = TableUpdates()
+    for table, rows in updates:
+        if not spec.watches(table):
+            continue
+        for uuid, update in rows.items():
+            old = spec.project(table, update.old) if update.old is not None else None
+            new = spec.project(table, update.new) if update.new is not None else None
+            if update.kind == "modify" and not old:
+                continue  # no monitored column changed
+            out.add(table, uuid, RowUpdate(old, new))
+    return out
 
 
 def _freeze(value):

@@ -55,17 +55,14 @@ def lease_table_schema() -> TableSchema:
     )
 
 
-def ensure_lease_table(schema: DatabaseSchema) -> bool:
+def ensure_lease_table(schema: DatabaseSchema) -> None:
     """Add the reserved lease table to ``schema`` (idempotent).
 
-    Returns True when the table was added.  The table rides the
-    schema's JSON round trip, so remote clients learn it from
-    ``get_schema`` like any application table.
+    The table rides the schema's JSON round trip, so remote clients
+    learn it from ``get_schema`` like any application table.
     """
-    if LEASE_TABLE in schema.tables:
-        return False
-    schema.tables[LEASE_TABLE] = lease_table_schema()
-    return True
+    if LEASE_TABLE not in schema.tables:
+        schema.tables[LEASE_TABLE] = lease_table_schema()
 
 
 def fence_ops(name: str, owner: str, epoch: int) -> List[dict]:

@@ -93,7 +93,8 @@ class MonitorSpec:
 
 
 class Monitor:
-    """A registered subscription; the database invokes :meth:`notify`."""
+    """A registered subscription; the database calls its ``callback``
+    with each commit's watched changes."""
 
     _next_id = 0
 
@@ -102,12 +103,6 @@ class Monitor:
         self.callback = callback
         Monitor._next_id += 1
         self.monitor_id = f"monitor-{Monitor._next_id}"
-        self.delivered = 0
-
-    def notify(self, updates: TableUpdates) -> None:
-        if updates:
-            self.delivered += 1
-            self.callback(updates)
 
 
 def updates_to_wire(schema, updates: TableUpdates) -> dict:

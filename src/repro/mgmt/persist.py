@@ -61,12 +61,12 @@ class Persister:
     def snapshot(self) -> None:
         """Write a full snapshot (does not truncate the journal).
 
-        The whole snapshot is built under the database's commit lock so
-        it is one consistent cut, not a per-table sequence of reads; the
+        The whole snapshot is built inside :meth:`Database.held`, so it
+        is one consistent cut, not a per-table sequence of reads; the
         temp file is fsynced before the rename so a crash mid-snapshot
         can never leave a torn (or silently empty) snapshot file.
         """
-        with self.db._lock:
+        with self.db.held():
             data = {
                 "schema": self.db.schema.to_json(),
                 "tables": {
@@ -90,22 +90,18 @@ class Persister:
         """Snapshot and truncate the journal, atomically with respect to
         commits.
 
-        Both database locks are held across snapshot + truncation, in
-        the same order ``transact`` acquires them (commit lock, then
-        notify lock).  A transaction therefore either commits *and*
-        notifies before the snapshot cut — it is in the snapshot and its
-        journal entry is dropped with the rest — or it does both after
-        the new journal is open and lands there.  Without this, a commit
-        between the snapshot write and the journal reopen was lost: too
-        late for the snapshot, erased by the truncation.
+        Both happen inside one :meth:`Database.held`.  A transaction
+        therefore either commits *and* is journaled before the cut — it
+        is in the snapshot and its journal entry is dropped with the
+        rest — or it does both after the new journal is open and lands
+        there.  Without this, a commit between the snapshot write and
+        the journal reopen was lost: too late for the snapshot, erased
+        by the truncation.
         """
-        with self.db._lock:
-            with self.db._notify_lock:
-                self.snapshot()
-                self._journal.close()
-                self._journal = open(
-                    self._journal_path, "w", encoding="utf-8"
-                )
+        with self.db.held():
+            self.snapshot()
+            self._journal.close()
+            self._journal = open(self._journal_path, "w", encoding="utf-8")
 
     def close(self) -> None:
         self.db.remove_monitor(self._monitor)
@@ -153,21 +149,17 @@ def restore(directory: str, schema: Optional[DatabaseSchema] = None) -> Database
     snapshot_path = os.path.join(directory, "snapshot.json")
     journal_path = os.path.join(directory, "journal.ndjson")
 
+    tables = {}
     if os.path.exists(snapshot_path):
         with open(snapshot_path, encoding="utf-8") as f:
             data = json.load(f)
         schema = DatabaseSchema.from_json(data["schema"])
-        db = Database(schema)
         for table, rows in data["tables"].items():
             tschema = schema.table(table)
-            for uuid, wire_row in rows.items():
-                db._tables[table][uuid] = row_from_wire(tschema, wire_row)
-    elif schema is not None:
-        db = Database(schema)
-    else:
-        raise SchemaError(
-            f"no snapshot in {directory!r} and no schema provided"
-        )
+            tables[table] = {u: row_from_wire(tschema, w) for u, w in rows.items()}
+    elif schema is None:
+        raise SchemaError(f"no snapshot in {directory!r} and no schema provided")
+    db = Database(schema)
 
     if os.path.exists(journal_path):
         with open(journal_path, encoding="utf-8") as f:
@@ -182,7 +174,6 @@ def restore(directory: str, schema: Optional[DatabaseSchema] = None) -> Database
                     # complete record before it is still good.  Nothing
                     # can follow a torn write, so stop replaying here.
                     break
-                fold(db._tables, updates_from_wire(db.schema, record))
-    # The rows were written around transact: no index may predate them.
-    db._indexes.clear()
+                fold(tables, updates_from_wire(schema, record))
+    db.load(tables)
     return db

@@ -14,7 +14,7 @@ Schemas round-trip to the JSON format used on the wire and on disk.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.errors import SchemaError
 
@@ -166,9 +166,6 @@ class TableSchema:
             raise SchemaError(
                 f"table {self.name} has no column {name!r}"
             ) from None
-
-    def column_names(self) -> List[str]:
-        return list(self.columns.keys())
 
     def to_json(self):
         out: Dict[str, object] = {

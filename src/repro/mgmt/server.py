@@ -17,9 +17,8 @@ Methods (mirroring OVSDB's protocol surface):
 Update notifications: ``{"method": "update", "params": [monitor_id,
 {table: {uuid: {"old": {...}?, "new": {...}?}}}], "id": null}``.  A
 monitor's answer reaches the peer before its first update: the monitor
-is registered and answered while the database holds its commits and
-their notifications, so every later commit notifies with the id the
-peer has already read.
+is registered and answered inside :meth:`Database.held`, so every later
+commit notifies with the id the peer has already read.
 
 Accepting, framing and teardown are :mod:`repro.net.server`'s, on the
 server's own reactor; this module is the method table and the monitor
@@ -53,10 +52,8 @@ class ManagementServer(RpcServer):
 
     def serve(self, conn: RpcConnection, message: dict) -> None:
         if isinstance(message, dict) and message.get("method") == "monitor":
-            # Registered and answered with commits and their
-            # notifications held, in transact's lock order: no update
-            # for the monitor can be sent before its answer.
-            with self.db._lock, self.db._notify_lock:
+            # No update for the monitor can be sent before its answer.
+            with self.db.held():
                 super().serve(conn, message)
         else:
             super().serve(conn, message)
@@ -72,7 +69,7 @@ class ManagementServer(RpcServer):
         if method == "monitor":
             if len(params) != 1 or not isinstance(params[0], dict):
                 raise ProtocolError("monitor expects [spec]")
-            # Bound before any commit can notify it: serve holds them.
+            # Bound before any commit can notify it: serve holds the cut.
             monitor, initial = db.add_monitor(
                 MonitorSpec(params[0]),
                 lambda updates: self._push(conn, monitor, updates),
@@ -99,11 +96,11 @@ class ManagementServer(RpcServer):
         if conn.closed:
             return
         params = [monitor.monitor_id, updates_to_wire(self.db.schema, updates)]
-        # push runs inside Database._notify, i.e. inside the transact's
+        # push runs inside the commit's delivery, i.e. inside its
         # update-id scope; forward the id on the wire so remote
         # controllers keep the trace.
         uid = current_update_id()
         if uid is not None:
             params.append(uid)
-        # On whichever thread committed: commit order is send order.
+        # On the thread that drains deliveries: commit order is send order.
         conn.send(make_notification("update", params))

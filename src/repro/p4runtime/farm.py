@@ -38,7 +38,7 @@ what belongs to a fleet and its verification:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.net.server import RpcConnection, RpcServer
@@ -80,7 +80,7 @@ class StoreTable(dict):
 
 class TableStore:
     """What a :class:`~repro.p4runtime.api.DeviceService` reads of a
-    simulator, without the pipeline: tables made on first use,
+    simulator, without the pipeline: tables made on first write,
     multicast groups and the config and fencing epochs."""
 
     def __init__(self):
@@ -115,6 +115,10 @@ class FarmDevice(DeviceService):
         #: Seconds each response to this device is deferred (reactor
         #: timer — simulates a slow device without blocking the farm).
         self.ack_delay = 0.0
+
+    def read_table(self, table: str) -> List[Tuple[tuple, tuple]]:
+        """A table no write has made reads empty, and stays unmade."""
+        return list(self.sim.tables.get(table, {}).items())
 
     def note_seq(self, seq) -> None:
         if not seq:

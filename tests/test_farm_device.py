@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import DataPlaneError
 from repro.p4.ir import compile_p4
 from repro.p4.simulator import Simulator
 from repro.p4.tables import FieldMatch, TableEntry
@@ -382,3 +383,18 @@ def test_a_table_snapshot_keeps_the_tagged_verification_form():
             },
         },
     }
+
+
+def test_a_read_of_an_unknown_table_leaves_the_device_unchanged():
+    """A farm device answers a read of a table it never held with no
+    entries and does not make the table, so a read cannot move the
+    device's digest; a write still makes its table, and a
+    simulator-backed device still refuses the unknown name."""
+    handle, device = _farm_handle()
+    assert handle(_Conn(), "read_table", ["no_such_table"]) == {"entries": []}
+    assert device.read_table("no_such_table") == []
+    assert device.table_snapshot() == {}
+    handle(_Conn(), "write", [_INSERT])
+    assert list(device.table_snapshot()) == ["exact_t"]
+    with pytest.raises(DataPlaneError, match="no table 'no_such_table'"):
+        _server_handle()[1].read_table("no_such_table")

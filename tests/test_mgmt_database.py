@@ -2,6 +2,7 @@
 monitors)."""
 
 import threading
+import uuid
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.mgmt.schema import (
 )
 
 
-def make_db():
+def make_db(uuid_factory=None):
     schema = DatabaseSchema(
         "net",
         [
@@ -48,7 +49,7 @@ def make_db():
             ),
         ],
     )
-    return Database(schema)
+    return Database(schema, uuid_factory)
 
 
 class TestSchema:
@@ -525,35 +526,40 @@ class TestMonitors:
         assert received == []
 
     def test_a_monitor_added_between_commit_and_notify_misses_that_commit(self):
-        """A monitor registered while a commit is between releasing the
-        database lock and notifying has the commit's row in its snapshot,
-        so its stream must not carry the row again: streamed updates
-        always post-date the snapshot."""
+        """A monitor added from another thread while a commit is being
+        delivered waits until the delivery is done.  Its snapshot then
+        has the commit's row, so its stream must not carry the row
+        again: streamed updates always post-date the snapshot."""
         db = make_db()
-        inner_notify = db._notify
         paused, resume = threading.Event(), threading.Event()
 
-        def notify_after_a_pause(*args):
+        def pause(updates):
             paused.set()
             assert resume.wait(5.0)
-            inner_notify(*args)
 
-        db._notify = notify_after_a_pause
+        db.add_monitor(MonitorSpec.all_tables(db.schema), pause)
         committer = threading.Thread(
             target=db.transact,
             args=([{"op": "insert", "table": "Port", "row": {"name": "a"}}],),
         )
+        received, added = [], []
+        adder = threading.Thread(target=lambda: added.append(db.add_monitor(
+            MonitorSpec.all_tables(db.schema), received.append
+        )))
         committer.start()
         try:
-            assert paused.wait(5.0), "the commit never reached its notify"
-            received = []
-            _, initial = db.add_monitor(
-                MonitorSpec.all_tables(db.schema), received.append
+            assert paused.wait(5.0), "the commit never reached its delivery"
+            adder.start()
+            adder.join(0.2)
+            assert adder.is_alive() and added == [], (
+                "add_monitor returned while a delivery was paused"
             )
         finally:
             resume.set()
             committer.join(5.0)
-        assert not committer.is_alive()
+            adder.join(5.0)
+        assert not committer.is_alive() and not adder.is_alive()
+        ((_, initial),) = added
         assert [u.new["name"] for u in initial.table("Port").values()] == ["a"]
         assert received == []
         state = replay(initial, received)
@@ -590,3 +596,127 @@ class TestMonitors:
         assert {u: dict(v) for u, v in state.get("Port", {}).items()} == {
             u: dict(v) for u, v in expected.items()
         }
+
+
+def _port_names(batches):
+    """Each batch's Port changes as ``(kind, name)`` pairs."""
+    return [
+        [
+            (u.kind, (u.new or u.old)["name"])
+            for u in batch.table("Port").values()
+        ]
+        for batch in batches
+    ]
+
+
+class TestDeliveryOrder:
+    """Every monitor gets every commit, in commit order, whichever
+    thread commits and whatever a callback does."""
+
+    def test_a_transacting_callback_and_a_second_committer_both_finish(self):
+        """A callback that transacts while another thread commits: the
+        other thread waits for the delivery instead of taking the
+        database halfway, so neither thread waits for the other."""
+        second_committing = threading.Event()
+        second = threading.Thread(
+            daemon=True,
+            target=lambda: db.transact(
+                [{"op": "insert", "table": "Switch", "row": {"name": "s2"}}]
+            ),
+        )
+
+        def uuids():
+            if threading.current_thread() is second:
+                second_committing.set()
+            return uuid.uuid4().hex
+
+        db = make_db(uuids)
+
+        def on_port(updates):
+            if _port_names([updates]) != [[("insert", "a")]]:
+                return
+            second.start()
+            # Only a database that lets a commit in during a delivery
+            # lets the second thread reach its first insert here.
+            second_committing.wait(0.5)
+            db.transact(
+                [{"op": "insert", "table": "Switch", "row": {"name": "s1"}}]
+            )
+
+        db.add_monitor(MonitorSpec({"Port": None}), on_port)
+        first = threading.Thread(
+            daemon=True,
+            target=lambda: db.transact(
+                [{"op": "insert", "table": "Port", "row": {"name": "a"}}]
+            ),
+        )
+        first.start()
+        first.join(5.0)
+        second.join(5.0)
+        assert not first.is_alive() and not second.is_alive(), "deadlock"
+        assert sorted(r["name"] for r in db.rows("Switch")) == ["s1", "s2"]
+
+    def test_a_commit_made_in_a_callback_reaches_every_monitor_after_the_outer(
+        self,
+    ):
+        db = make_db()
+        first, second = [], []
+
+        def commit_inner(updates):
+            first.append(updates)
+            if _port_names([updates]) == [[("insert", "outer")]]:
+                db.transact([
+                    {"op": "insert", "table": "Port", "row": {"name": "inner"}}
+                ])
+
+        db.add_monitor(MonitorSpec.all_tables(db.schema), commit_inner)
+        db.add_monitor(MonitorSpec.all_tables(db.schema), second.append)
+        db.transact([{"op": "insert", "table": "Port", "row": {"name": "outer"}}])
+        for batches in (first, second):
+            assert _port_names(batches) == [
+                [("insert", "outer")], [("insert", "inner")]
+            ]
+
+    def test_a_janitor_monitor_leaves_every_replay_equal_to_the_database(self):
+        """A monitor that deletes every row it sees inserted: a later
+        monitor gets the insert before the janitor's delete, so its
+        replay ends as empty as the database."""
+        db = make_db()
+
+        def janitor(updates):
+            for uuid_, update in updates.table("Port").items():
+                if update.kind == "insert":
+                    db.transact([{
+                        "op": "delete", "table": "Port",
+                        "where": [["_uuid", "==", uuid_]],
+                    }])
+
+        db.add_monitor(MonitorSpec({"Port": None}), janitor)
+        received = []
+        _, initial = db.add_monitor(
+            MonitorSpec({"Port": None}), received.append
+        )
+        db.transact([{"op": "insert", "table": "Port", "row": {"name": "a"}}])
+        assert db.count("Port") == 0
+        assert _port_names(received) == [[("insert", "a")], [("delete", "a")]]
+        assert replay(initial, received).get("Port", {}) == {}
+
+    def test_a_raising_callback_does_not_starve_the_monitors_after_it(self):
+        """A first monitor that raises (say, a journal write that fails)
+        leaves the commit applied and delivered to every other monitor;
+        ``transact`` then raises the error."""
+        db = make_db()
+
+        def failing_journal(updates):
+            raise OSError("disk full")
+
+        db.add_monitor(MonitorSpec.all_tables(db.schema), failing_journal)
+        received = []
+        db.add_monitor(MonitorSpec.all_tables(db.schema), received.append)
+        with pytest.raises(OSError, match="disk full"):
+            db.transact([{"op": "insert", "table": "Port", "row": {"name": "a"}}])
+        assert [r["name"] for r in db.rows("Port")] == ["a"]
+        assert _port_names(received) == [[("insert", "a")]]
+        with pytest.raises(OSError, match="disk full"):
+            db.transact([{"op": "insert", "table": "Port", "row": {"name": "b"}}])
+        assert _port_names(received) == [[("insert", "a")], [("insert", "b")]]
