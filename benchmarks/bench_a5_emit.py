@@ -134,7 +134,7 @@ def emit_path(bindings, result):
         bindings=bindings,
         _mcast=MulticastState(),
         _mint_epoch=lambda: "ep-bench-00000001",
-        channels=[SimpleNamespace(queue=queue)],
+        devices=[SimpleNamespace(queue=queue)],
     )
     NerpaController._fan_out(fan, result)
     batch = queue.batch

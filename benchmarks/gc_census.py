@@ -134,7 +134,7 @@ def promotion_owners(stack, young):
     return [
         ("farm tables", [d.sim for d in stack.farm.devices]),
         ("engine", [controller.runtime] + _interned()),
-        ("fan-out", [channel.queue for channel in controller.channels]
+        ("fan-out", [device.queue for device in controller.devices]
          + [o for o in young if isinstance(o, _FANOUT_TYPES)]
          + [stack.device_clients]),
         ("mgmt", [stack.db, stack.server, stack.controller_client]),

@@ -16,8 +16,10 @@ stages in detail: ``docs/ARCHITECTURE.md``):
   :class:`~repro.core.pipeline.DeviceBatch`, shared by every device
   (``MulticastGroup(group, port)`` rows fold into per-group port lists
   on the same batch);
-* **apply** (stage 3, :mod:`repro.core.fanout`) — batches merge on
-  each device's own queue and go out as one batched P4Runtime write
+* **apply** (stage 3, :mod:`repro.core.fanout`) — every device is one
+  :class:`~repro.core.fanout.DeviceChannel` (its connection, breaker,
+  config epoch, latencies and queue), built with the controller;
+  batches merge on its queue and go out as one batched P4Runtime write
   (deletes before inserts, in engine-transaction order), through
   non-blocking calls: a slow or broken device backs up only its own
   queue, never the engine or its peers.
@@ -51,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core import collector, metrics, reconcile, warmstate
-from repro.core.fanout import FanoutPlane
+from repro.core.fanout import DeviceChannel, FanoutPlane
 from repro.core.pipeline import MULTICAST_RELATION, NerpaProject
 from repro.core.pipeline.changeset import (
     Changeset,
@@ -67,7 +69,6 @@ from repro.core.pipeline.queues import (
     when_all,
 )
 from repro.core.planes import (
-    ManagedDevice,
     shared_reactor,
     when_connected,
     wrap_device,
@@ -179,11 +180,22 @@ class NerpaController:
         #: engine is fresh (no chain, no hand-off warm state).
         self._restored = epochs if warm is not None else None
         self.mgmt = wrap_mgmt(mgmt)
+        #: The apply stage's shared state; ``None`` once :meth:`stop`
+        #: has closed its queues.
+        self._fanout_plane: Optional[FanoutPlane] = FanoutPlane(
+            self.reactor,
+            on_error=self._defer_error,
+            breaker_threshold=breaker_threshold,
+            fence=fencing_epoch,
+            on_applied=partial(metrics.record_apply, self),
+        )
+        #: One :class:`~repro.core.fanout.DeviceChannel` per device, in
+        #: the order given: its connection, breaker, config epoch,
+        #: latencies and queue.
         self.devices = [
-            ManagedDevice(wrap_device(d), f"device-{i}")
+            DeviceChannel(self._fanout_plane, wrap_device(d), f"device-{i}")
             for i, d in enumerate(devices)
         ]
-        self.breaker_threshold = breaker_threshold
         self._started = False
         #: This controller's hold on the process's collector policy
         #: (:mod:`~repro.core.collector`), from start() to stop().
@@ -193,9 +205,6 @@ class NerpaController:
         self.engine_queue: Optional[CoalescingQueue] = None
         # A pump is submitted and not yet started (a spare one is harmless).
         self._engine_due = False
-        #: One `DeviceChannel` per device, in ``devices`` order.
-        self.channels: List = []
-        self._fanout_plane: Optional[FanoutPlane] = None
         #: Every pipeline queue; the last to go idle settles the drains.
         self._queue_group = QueueGroup(self._settle_drains)
         self._errors: List[BaseException] = []
@@ -275,21 +284,10 @@ class NerpaController:
 
     def _begin(self, started_at: float) -> "NerpaController":
         """:meth:`start` once it holds the collector policy."""
-        self._fanout_plane = FanoutPlane(
-            reactor=self.reactor,
-            on_error=self._defer_error,
-            breaker_threshold=self.breaker_threshold,
-            fence=self.fencing_epoch,
-            on_applied=partial(metrics.record_apply, self),
-        )
-        self.reactor = self._fanout_plane.reactor
+        self.reactor = self._fanout_plane.start()
         self.engine_queue = CoalescingQueue(
             name="engine", on_ready=self._wake_engine
         )
-        self.channels = [
-            self._fanout_plane.channel(device, name=device.name)
-            for device in self.devices
-        ]
         for queue in self._queues():
             queue.group = self._queue_group
         steps = self._start_steps(started_at)
@@ -374,8 +372,8 @@ class NerpaController:
         if self._restored is None:
             self._fold_mcast(self.runtime.initial_result)
             self._replay(inserts, deletes, fan_out=False)
-            return self._queue_full_syncs(self.channels)
-        tasks = self._queue_full_syncs(self.channels, self._restored, resync=True)
+            return self._queue_full_syncs(self.devices)
+        tasks = self._queue_full_syncs(self.devices, self._restored, resync=True)
         self._replay(inserts, deletes)
         return tasks
 
@@ -410,7 +408,7 @@ class NerpaController:
         return self
 
     def _queues(self) -> List[CoalescingQueue]:
-        return [self.engine_queue, *(c.queue for c in self.channels)]
+        return [self.engine_queue, *(d.queue for d in self.devices)]
 
     def _settle_drains(self, quiet: Optional[Task] = None) -> None:
         """drain()'s callback, which parks ``quiet``, and the queue
@@ -471,7 +469,7 @@ class NerpaController:
         except (ReproError, OSError):
             pass
         self._started = False
-        if self._fanout_plane is not None:
+        if self.engine_queue is not None and self._fanout_plane is not None:
 
             def close_queues() -> None:  # a parked drain then returns
                 for queue in self._queues():
@@ -790,10 +788,10 @@ class NerpaController:
         template.shared = True
         gauge = obs.ENABLED
         try:
-            for channel in self.channels:
-                channel.queue.put(template)
+            for device in self.devices:
+                device.queue.put(template)
                 if gauge:
-                    channel.queue.gauge_depth()
+                    device.queue.gauge_depth()
         finally:
             template._merges = None  # queues that merged hold their batch
 
@@ -841,28 +839,27 @@ class NerpaController:
     def resync_device(self, device, wait: bool = True) -> None:
         """Full-sync one device from the engine's output relations.
 
-        ``device`` may be a :class:`~repro.core.planes.ManagedDevice` or
-        an index into :attr:`devices`.  The engine is authoritative: a
-        resync task on the device's *own* channel queue supersedes its
-        queued incremental batches and performs the read-diff repair
-        against a snapshot it takes when it runs — holding no
-        controller-wide lock, and never blocking other devices or the
-        engine.  Clears quarantine on success.
+        ``device`` is one of :attr:`devices` or an index into it; any
+        other is refused.  The engine is authoritative: a resync task on
+        the device's *own* queue supersedes its queued incremental
+        batches and performs the read-diff repair against a snapshot it
+        takes when it runs — holding no controller-wide lock, and never
+        blocking other devices or the engine.  Clears quarantine on
+        success.
 
         ``wait=False`` only queues the task, on the loop, and returns —
         what a reconnect hook and any callback on the controller's
         reactor must use (waiting there would wait on the loop itself).
         """
         if isinstance(device, int):
+            if not 0 <= device < len(self.devices):
+                raise ReproError(f"unknown device {device}")
             device = self.devices[device]
+        elif device not in self.devices:
+            raise ReproError(f"unknown device {device.name}")
         if not self._started:
             return
-        channel = next(
-            (c for c in self.channels if c.device is device), None
-        )
-        if channel is None:
-            raise ReproError(f"unknown device {device.name}")
-        queue = partial(self._queue_full_syncs, [channel], resync=True)
+        queue = partial(self._queue_full_syncs, [device], resync=True)
         if wait:
             self._refuse_on_loop("waiting for a resync")
             task = self._wait_on_loop(queue, "queueing a resync")[0]
@@ -874,11 +871,11 @@ class NerpaController:
 
     def _queue_full_syncs(
         self,
-        channels,
+        devices,
         expected: Optional[Dict[str, Optional[str]]] = None,
         resync: bool = False,
     ) -> List[SyncTask]:
-        """Queue one full-sync task per channel, on the loop.
+        """Queue one full-sync task on each of ``devices``, on the loop.
 
         A sync takes the desired state only if its device's reported
         epoch does not prove it — ``expected`` maps device names to the
@@ -907,24 +904,23 @@ class NerpaController:
             return taken[1]
 
         tasks = []
-        for channel in channels:
+        for device in devices:
             task = SyncTask(
                 self._sync_device(
-                    channel.device,
-                    (expected or {}).get(channel.device.name),
-                    partial(snapshot, channel.queue),
+                    device,
+                    (expected or {}).get(device.name),
+                    partial(snapshot, device.queue),
                     resync,
                 )
             )
-            channel.queue.put(task, supersedes=None if expected else _is_batch)
+            device.queue.put(task, supersedes=None if expected else _is_batch)
             tasks.append(task)
         return tasks
 
     def _sync_device(self, device, expected: Optional[str], snapshot, resync):
         """The steps of a full device sync, plus its counters."""
         fixed = yield from reconcile.full_sync(
-            device, self.bindings, expected, snapshot,
-            self.fencing_epoch, self.breaker_threshold,
+            device, self.bindings, expected, snapshot
         )
         if fixed is reconcile.MATCHED:
             self.warm_skips += 1
@@ -955,12 +951,9 @@ class NerpaController:
 
     def health(self) -> Dict[str, object]:
         """Per-peer connection state, retry counters, and transitions."""
-        devices = [device.health() for device in self.devices]
-        for report, channel in zip(devices, self.channels):
-            report["queue_depth"] = len(channel.queue)
         return {
             "mgmt": self.mgmt.health(),
-            "devices": devices,
+            "devices": [device.health() for device in self.devices],
             "mgmt_reconciles": self.mgmt_reconciles,
             "device_resyncs": self.device_resyncs,
         }

@@ -9,7 +9,9 @@ without a thread or a blocking socket per device, on:
   connection — the controller's one loop, which runs stage 2's engine
   transactions too, so every batch and sync task is queued from the
   loop and channel queues have no bound to wait on — and
-* one :class:`DeviceChannel` per device — a lightweight state machine
+* one :class:`DeviceChannel` per device — the one object the
+  controller keeps about it (its connection, circuit breaker, config
+  epoch, latencies and queue) and a lightweight state machine
   (``idle → batch-in-flight → awaiting-ack``, with the breaker's
   quarantine visible alongside) driven by the queue's ``on_ready``.
 
@@ -39,7 +41,9 @@ distinct queue state rather than once per device.
 
 :class:`FanoutPlane` holds what every channel shares — the loop, the
 breaker threshold, the fencing epoch and the controller's hooks —
-and :class:`DeviceChannel` is the per-device machine.
+and :class:`DeviceChannel` is everything kept per device.  The
+controller builds both with itself, so a device reports the same shape
+before and after ``start()``, which picks and starts the loop.
 
 Obs: ``fanout_inflight`` (operations between pop and completion),
 ``fanout_send_buffer_bytes{device=}`` (a channel's outbound backlog),
@@ -50,11 +54,11 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from typing import Callable, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro import obs
 from repro.core.pipeline.queues import CoalescingQueue, SyncTask
-from repro.core.planes import TRANSPORT_ERRORS, ManagedDevice
+from repro.core.planes import TRANSPORT_ERRORS
 from repro.core.reconcile import drive
 from repro.net.reactor import Reactor, default_reactor
 
@@ -71,8 +75,9 @@ class FanoutPlane:
     ``reactor`` is the one the channels' device clients
     (:class:`~repro.p4runtime.aio_client.AioP4RuntimeClient`) run on —
     it *must* be the same so channel callbacks and connection callbacks
-    never race; ``None`` (no remote devices) uses the process-wide
-    :func:`~repro.net.reactor.default_reactor`.  The plane never stops it.
+    never race; ``None`` (no remote devices) has :meth:`start` take the
+    process-wide :func:`~repro.net.reactor.default_reactor`.  The plane
+    never stops it.
 
     ``fence`` is the fencing epoch stamped on every write, and a device
     is quarantined after ``breaker_threshold`` transport failures in a
@@ -90,29 +95,31 @@ class FanoutPlane:
         fence: Optional[int] = None,
         on_applied: Optional[Callable] = None,
     ):
-        self.reactor = reactor if reactor is not None else default_reactor()
+        self.reactor = reactor
         self.on_error = on_error
         self.breaker_threshold = breaker_threshold
         self.fence = fence
         self.on_applied = on_applied
-        self.reactor.start()
-        self.channels: List["DeviceChannel"] = []
         #: Operations currently between pop and completion.
         self.inflight = 0
 
-    def channel(self, device: ManagedDevice, name: str) -> "DeviceChannel":
-        chan = DeviceChannel(self, device, name)
-        self.channels.append(chan)
-        return chan
+    def start(self) -> Reactor:
+        """Pick the loop (the default one if none was given), start it
+        and return it."""
+        if self.reactor is None:
+            self.reactor = default_reactor()
+        return self.reactor.start()
 
 
 class DeviceChannel:
-    """One device's queue→reactor bridge.
+    """One device: its connection ``io`` (:mod:`repro.core.planes`),
+    circuit breaker, config epoch and latencies, and its
+    queue→reactor bridge.
 
     A state machine the reactor runs on demand — every ``queue.put`` is
     on the loop and pumps it in place, so there is nothing to start;
-    the controller's drain/resync/health code reaches it through
-    ``.queue`` and ``.device``.
+    the controller's drain/resync/health code reaches the device's
+    work through ``.queue``.
 
     The channel pops an item only once the one before it has completed
     — that is per-device FIFO — and holds it until then.  A
@@ -125,9 +132,30 @@ class DeviceChannel:
     ack with no batch awaiting it is ignored.
     """
 
-    def __init__(self, plane: FanoutPlane, device: ManagedDevice, name: str):
+    def __init__(self, plane: FanoutPlane, io, name: str):
         self.plane = plane
-        self.device = device
+        self.io = io
+        self.name = name
+        self.consecutive_failures = 0
+        self.quarantined = False
+        self.syncs_missed = 0
+        self.resyncs = 0
+        self.last_error: Optional[str] = None
+        #: Round trips issued by this device's writer (a coalesced
+        #: batch counts once — the batching win is visible here).
+        self.writes_issued = 0
+        #: End-to-end latencies (ingest enqueue → applied) per batch,
+        #: written inline by the controller's loop.
+        self.latencies = obs.Histogram()
+        #: Wire round-trip latencies (issue → ack) per batch — the
+        #: device's own service time, excluding queue wait.  A slow
+        #: peer shows up here *and* in ``latencies``; fleet-wide queue
+        #: pressure only in ``latencies``.
+        self.io_latencies = obs.Histogram()
+        #: The update-id of the last batch/resync this controller saw
+        #: applied to the device — the device's config epoch as the
+        #: controller believes it.  Checkpointed for warm restarts.
+        self.config_epoch: Optional[str] = None
         self.state = IDLE
         #: The item between pop and completion; ``None`` once completed.
         self._item = None
@@ -144,6 +172,45 @@ class DeviceChannel:
         #: Every batch's ack callback, bound once.
         self._ack = self._on_ack
         self.queue = CoalescingQueue(name=name, on_ready=self._pump)
+
+    # -- circuit breaker -----------------------------------------------------
+
+    def record_success(self) -> None:
+        self.consecutive_failures = 0
+
+    def record_failure(self, exc: BaseException) -> bool:
+        """Returns True if this failure tripped the breaker."""
+        self.consecutive_failures += 1
+        self.last_error = str(exc) or type(exc).__name__
+        if (
+            not self.quarantined
+            and self.consecutive_failures >= self.plane.breaker_threshold
+        ):
+            self.quarantined = True
+            self.io.note_event("quarantined")
+            return True
+        return False
+
+    def recover(self) -> None:
+        if self.quarantined:
+            self.io.note_event("recovered")
+        self.quarantined = False
+        self.consecutive_failures = 0
+        self.resyncs += 1
+
+    def health(self) -> Dict[str, object]:
+        report = dict(
+            self.io.health(),
+            name=self.name,
+            quarantined=self.quarantined,
+            consecutive_failures=self.consecutive_failures,
+            syncs_missed=self.syncs_missed,
+            resyncs=self.resyncs,
+        )
+        if self.last_error is not None:
+            report["last_device_error"] = self.last_error
+        report["queue_depth"] = len(self.queue)
+        return report
 
     # -- loop thread ---------------------------------------------------------
 
@@ -170,13 +237,13 @@ class DeviceChannel:
                     self.queue.gauge_depth()
                     obs.REGISTRY.gauge("fanout_inflight").set(plane.inflight)
                 drive(item.steps, partial(self._on_synced, item))
-            elif self.device.io.writable:
+            elif self.io.writable:
                 self._send(item)
             else:
                 # Past its high watermark: park instead of buffering
                 # without bound — the queue coalesces the backlog
                 # meanwhile.
-                self.device.io.on_drain(self._on_drained)
+                self.io.on_drain(self._on_drained)
         except Exception as exc:  # noqa: BLE001 - surfaced at drain()
             self._complete(item, exc)
         finally:
@@ -199,17 +266,16 @@ class DeviceChannel:
         """Gate one (possibly merged) batch through the breaker — after
         any drain wait, as it may have tripped meanwhile — and send it;
         its ack completes the item."""
-        device = self.device
         writes = batch.emit_writes()
         n_writes = len(writes)
         if not n_writes and not batch.mcast:
             self._complete(batch)  # coalesced away to nothing
             return
-        if device.quarantined:
-            device.syncs_missed += 1
+        if self.quarantined:
+            self.syncs_missed += 1
             if obs.ENABLED:
                 obs.REGISTRY.counter(
-                    "controller_syncs_skipped_total", device=device.name
+                    "controller_syncs_skipped_total", device=self.name
                 ).inc()
             self._complete(batch)
             return
@@ -220,18 +286,18 @@ class DeviceChannel:
         if obs.ENABLED:
             self.queue.gauge_depth()
             obs.REGISTRY.gauge("fanout_inflight").set(self.plane.inflight)
-            _gauge_send_buffer(device)
+            _gauge_send_buffer(self)
             span = obs.TRACER.span(
                 "device.write",
                 update_id=batch.update_id,
-                device=device.name,
+                device=self.name,
                 writes=n_writes,
                 txns=batch.txns,
             )
         self._span = span
         try:
             if span is obs.NULL_SPAN:
-                device.io.apply_batch_async(
+                self.io.apply_batch_async(
                     writes, batch.mcast, batch.update_ids, self._ack,
                     seq=(batch.seq, batch.last_seq), fence=self.plane.fence,
                 )
@@ -239,7 +305,7 @@ class DeviceChannel:
                 # Open across the send, so an in-process device's
                 # ``device.apply`` nests under it.
                 with obs.TRACER.adopt(batch.parent), span:
-                    device.io.apply_batch_async(
+                    self.io.apply_batch_async(
                         writes, batch.mcast, batch.update_ids, self._ack,
                         seq=(batch.seq, batch.last_seq),
                         fence=self.plane.fence,
@@ -255,10 +321,9 @@ class DeviceChannel:
         batch = self._item
         if batch is None or self.state != AWAITING_ACK:
             return
-        device = self.device
         span = self._span
         if span is not obs.NULL_SPAN:
-            _gauge_send_buffer(device)
+            _gauge_send_buffer(self)
         if error is None:
             now = time.perf_counter()
             if span is not obs.NULL_SPAN:
@@ -266,19 +331,19 @@ class DeviceChannel:
                 # the send: its duration becomes the send→ack interval.
                 span.set(applied=True, ack=True)
                 span.duration = now - self._issued_at
-            device.consecutive_failures = 0  # record_success(), inline
-            device.writes_issued += 1
+            self.consecutive_failures = 0  # record_success(), inline
+            self.writes_issued += 1
             if self._n_writes:
                 # Mirror the device side exactly: only table writes
                 # advance the on-device epoch (a multicast-only batch
                 # never reaches ``DeviceService.write``), and warm
                 # start's skip decision relies on the two staying equal.
                 ids = batch.update_ids
-                device.config_epoch = ids[-1] if ids else None
+                self.config_epoch = ids[-1] if ids else None
             on_applied = self.plane.on_applied
             if on_applied is not None:
                 on_applied(
-                    device,
+                    self,
                     self._n_writes,
                     now - batch.first_enqueued,
                     now - self._issued_at,
@@ -286,15 +351,15 @@ class DeviceChannel:
                 )
             self._complete(batch)
         elif isinstance(error, TRANSPORT_ERRORS):
-            tripped = device.record_failure(error, self.plane.breaker_threshold)
-            device.syncs_missed += 1
+            tripped = self.record_failure(error)
+            self.syncs_missed += 1
             if obs.ENABLED:
                 obs.REGISTRY.counter(
-                    "controller_breaker_failures_total", device=device.name
+                    "controller_breaker_failures_total", device=self.name
                 ).inc()
                 if tripped:
                     obs.REGISTRY.counter(
-                        "controller_breaker_trips_total", device=device.name
+                        "controller_breaker_trips_total", device=self.name
                     ).inc()
             self._complete(batch)
         else:
@@ -329,7 +394,7 @@ class DeviceChannel:
         self._pump()
 
 
-def _gauge_send_buffer(device: ManagedDevice) -> None:
+def _gauge_send_buffer(device: DeviceChannel) -> None:
     if device.io.send_buffer_bytes is not None:
         obs.REGISTRY.gauge(
             "fanout_send_buffer_bytes", device=device.name

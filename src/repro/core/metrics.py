@@ -120,18 +120,16 @@ def report(controller) -> Dict[str, object]:
 
 
 def pipeline_report(controller) -> Dict[str, object]:
-    """Queue depths, coalesce counts, per-stage timings and — while
-    the pipeline runs — the fan-out plane's channel states."""
-    engine_queue, channels = controller.engine_queue, controller.channels
-    devices, plane = controller.devices, controller._fanout_plane
+    """Queue depths, coalesce counts, per-stage timings and — until
+    the controller stops — the fan-out plane's channel states."""
+    engine_queue, devices = controller.engine_queue, controller.devices
+    plane = controller._fanout_plane
     started = engine_queue is not None
     out: Dict[str, object] = {
         "engine_queue_depth": len(engine_queue) if started else 0,
         "engine_coalesced": engine_queue.coalesced if started else 0,
-        "device_queue_depths": {c.device.name: len(c.queue) for c in channels},
-        "device_coalesced": {
-            c.device.name: c.queue.coalesced for c in channels
-        },
+        "device_queue_depths": {d.name: len(d.queue) for d in devices},
+        "device_coalesced": {d.name: d.queue.coalesced for d in devices},
         "device_writes_issued": {d.name: d.writes_issued for d in devices},
         "stage_seconds": {
             stage: summarize(histogram)
@@ -140,8 +138,8 @@ def pipeline_report(controller) -> Dict[str, object]:
     }
     if plane is not None:
         states: Dict[str, int] = {}
-        for chan in plane.channels:
-            states[chan.state] = states.get(chan.state, 0) + 1
+        for device in devices:
+            states[device.state] = states.get(device.state, 0) + 1
         out["fanout"] = {
             "inflight": plane.inflight,
             "channel_states": states,

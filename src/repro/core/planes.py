@@ -3,8 +3,10 @@
 The controller talks to a management plane and to devices; each comes
 in an in-process and a remote flavour.  This module decides which is
 which (:func:`wrap_mgmt`, :func:`wrap_device`) and gives the pipeline
-one surface per plane, plus :class:`ManagedDevice` — a device together
-with the circuit-breaker state and latency series kept about it.
+one surface per plane.  What the controller keeps about a device (its
+breaker, config epoch, latencies and queue) is the device's
+:class:`~repro.core.fanout.DeviceChannel`, which holds its surface as
+``io``.
 
 The device surface the apply stage uses is non-blocking on both
 flavours, and is the P4Runtime client's: ``apply_batch_async`` and
@@ -25,7 +27,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-from repro import obs
 from repro.errors import ConnectionLostError, ProtocolError, ReproError
 from repro.mgmt import lease
 from repro.mgmt.client import ManagementClient
@@ -211,69 +212,6 @@ class RemoteDevice:
         self.client.conn.note_event(tag)
 
 
-class ManagedDevice:
-    """A device plus its circuit-breaker state."""
-
-    def __init__(self, io, name: str):
-        self.io = io
-        self.name = name
-        self.consecutive_failures = 0
-        self.quarantined = False
-        self.syncs_missed = 0
-        self.resyncs = 0
-        self.last_error: Optional[str] = None
-        #: Round trips issued by this device's writer (a coalesced
-        #: batch counts once — the batching win is visible here).
-        self.writes_issued = 0
-        #: End-to-end latencies (ingest enqueue → applied) per batch,
-        #: written inline by the controller's loop.
-        self.latencies = obs.Histogram()
-        #: Wire round-trip latencies (issue → ack) per batch — the
-        #: device's own service time, excluding queue wait.  A slow
-        #: peer shows up here *and* in ``latencies``; fleet-wide queue
-        #: pressure only in ``latencies``.
-        self.io_latencies = obs.Histogram()
-        #: The update-id of the last batch/resync this controller saw
-        #: applied to the device — the device's config epoch as the
-        #: controller believes it.  Checkpointed for warm restarts.
-        self.config_epoch: Optional[str] = None
-
-    def record_success(self) -> None:
-        self.consecutive_failures = 0
-
-    def record_failure(self, exc: BaseException, threshold: int) -> bool:
-        """Returns True if this failure tripped the breaker."""
-        self.consecutive_failures += 1
-        self.last_error = str(exc) or type(exc).__name__
-        if not self.quarantined and self.consecutive_failures >= threshold:
-            self.quarantined = True
-            self.io.note_event("quarantined")
-            return True
-        return False
-
-    def recover(self) -> None:
-        if self.quarantined:
-            self.io.note_event("recovered")
-        self.quarantined = False
-        self.consecutive_failures = 0
-        self.resyncs += 1
-
-    def health(self) -> Dict[str, object]:
-        report = dict(self.io.health())
-        report.update(
-            {
-                "name": self.name,
-                "quarantined": self.quarantined,
-                "consecutive_failures": self.consecutive_failures,
-                "syncs_missed": self.syncs_missed,
-                "resyncs": self.resyncs,
-            }
-        )
-        if self.last_error is not None:
-            report["last_device_error"] = self.last_error
-        return report
-
-
 def wrap_device(target):
     if isinstance(target, AioP4RuntimeClient):
         return RemoteDevice(target)
@@ -290,11 +228,10 @@ def wrap_mgmt(target):
     raise TypeError(f"cannot use {target!r} as a management plane")
 
 
-def when_connected(
-    devices: List[ManagedDevice], reactor: Reactor, callback, poll=0.01
-) -> None:
+def when_connected(devices: list, reactor: Reactor, callback, poll=0.01) -> None:
     """On ``reactor``'s loop: ``callback(None, error)`` once every one
-    of ``devices`` is connected — inline when all are, else from a
+    of ``devices`` (channels, each with its ``io`` and ``name``) is
+    connected — inline when all are, else from a
     ``poll`` timer, so a client still dialling holds no loop.  A device
     not connected within its client's call timeout fails it with
     :class:`~repro.errors.ConnectionLostError`."""

@@ -18,10 +18,10 @@ repaired by *diffing a neighbour against the engine*:
   restart whose devices all match never dumps it.
 
 These are plain functions over a runtime, the generated bindings and
-:class:`~repro.core.planes.ManagedDevice` objects; *when* they run (an
-engine task on the controller's reactor, or — for everything that does
-device I/O — a task on the device's own channel queue) and what is
-counted is the controller's business.
+the devices' :class:`~repro.core.fanout.DeviceChannel` objects; *when*
+they run (an engine task on the controller's reactor, or — for
+everything that does device I/O — a task on the device's own channel
+queue) and what is counted is the controller's business.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.core.codegen import GeneratedBindings
-from repro.core.planes import TRANSPORT_ERRORS, ManagedDevice
+from repro.core.planes import TRANSPORT_ERRORS
 from repro.mgmt.monitor import TableUpdates
 from repro.p4runtime.api import PairCodec, WriteBatch
 
@@ -106,16 +106,16 @@ MATCHED = "matched"
 
 
 def full_sync(
-    device: ManagedDevice,
+    device,
     bindings: GeneratedBindings,
     expected: Optional[str],
     snapshot: Callable[[], tuple],
-    fence: Optional[int],
-    breaker_threshold: int,
 ) -> Generator[Callable, object, Union[int, str, None]]:
-    """Bring ``device`` to what ``snapshot()`` returns — ``(desired
-    writes, multicast groups, epoch)`` — taking and reading only what
-    its reported config epoch does not already prove:
+    """Bring ``device`` (a :class:`~repro.core.fanout.DeviceChannel`,
+    whose plane gives the fencing epoch and breaker threshold) to what
+    ``snapshot()`` returns — ``(desired writes, multicast groups,
+    epoch)`` — taking and reading only what its reported config epoch
+    does not already prove:
 
     * it reports ``expected`` (the epoch a restored engine's state was
       checkpointed with): its tables provably hold that state —
@@ -138,7 +138,7 @@ def full_sync(
     A generator for :func:`drive`: each ``yield`` is one of the device's
     non-blocking calls, so a sync holds no thread — it runs as a task
     on the device's own channel, on the loop."""
-    io = device.io
+    io, fence = device.io, device.plane.fence
     try:
         reported = yield partial(io.call_async, "get_config_epoch", [])
         matched = expected is not None and reported == expected
@@ -168,7 +168,7 @@ def full_sync(
                 io.call_async, "set_config_epoch", [reported, fence]
             )
     except TRANSPORT_ERRORS as exc:
-        device.record_failure(exc, breaker_threshold)
+        device.record_failure(exc)
         return None
     device.record_success()
     # Only table writes advance the on-device epoch (see DeviceChannel).

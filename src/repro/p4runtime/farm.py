@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, RuntimeApiError
 from repro.net.server import RpcConnection, RpcServer
 from repro.p4.tables import write_rejection
 from repro.p4runtime.api import DeviceService
@@ -119,6 +119,11 @@ class FarmDevice(DeviceService):
     def read_table(self, table: str) -> List[Tuple[tuple, tuple]]:
         """A table no write has made reads empty, and stays unmade."""
         return list(self.sim.tables.get(table, {}).items())
+
+    def set_default_action(self, table: str, action: str, params) -> None:
+        """Refused before the store is touched: a farm device has no
+        pipeline, so no table has a default action to set."""
+        raise RuntimeApiError(f"{self.device_id} has no pipeline to set a default on")
 
     def note_seq(self, seq) -> None:
         if not seq:

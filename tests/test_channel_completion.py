@@ -97,7 +97,7 @@ def test_every_item_finishes_once_across_acks_expiries_teardowns_and_trips(
     ).start()
     try:
         # Counted from here: start() has drained, nothing is in flight.
-        for channel in controller.channels:
+        for channel in controller.devices:
             watch(channel)
         started = dict(finished)
         ports = list(range(6))
@@ -146,7 +146,7 @@ def test_every_item_finishes_once_across_acks_expiries_teardowns_and_trips(
                 break
             assert time.monotonic() < deadline, "the fleet never healed"
 
-        for channel in controller.channels:
+        for channel in controller.devices:
             name = channel.queue.name
             done = finished.get(name, 0) - started.get(name, 0)
             assert popped.get(name, 0) == done, name

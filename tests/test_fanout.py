@@ -34,11 +34,11 @@ import warnings
 import pytest
 
 from repro.core.controller import NerpaController
-from repro.core.fanout import AWAITING_ACK, IDLE, FanoutPlane
+from repro.core.fanout import AWAITING_ACK, IDLE, DeviceChannel, FanoutPlane
 from repro.core.pipeline import nerpa_build
 from repro.core.pipeline.changeset import DeviceBatch
 from repro.core.pipeline.queues import QueueGroup, SyncTask
-from repro.core.planes import ManagedDevice, wrap_device
+from repro.core.planes import wrap_device
 from repro.errors import ConnectionLostError, ProtocolError, ReproError
 from repro.mgmt.database import Database
 from repro.mgmt.schema import simple_schema
@@ -966,8 +966,7 @@ class _TimedDevice:
 
 
 def timed_channel(plane, reactor, **kwargs):
-    device = ManagedDevice(_TimedDevice(reactor, **kwargs), "dev")
-    return plane.channel(device, name="dev")
+    return DeviceChannel(plane, _TimedDevice(reactor, **kwargs), "dev")
 
 
 def put_on_loop(reactor, queue, items) -> None:
@@ -1094,9 +1093,7 @@ class TestDeviceChannel:
         try:
             assert client.conn.wait_connected(5.0)
             plane = FanoutPlane(reactor)
-            channel = plane.channel(
-                ManagedDevice(wrap_device(client), "dev"), name="dev"
-            )
+            channel = DeviceChannel(plane, wrap_device(client), "dev")
             batch = DeviceBatch(1)
             record(batch, "insert", 1, 5)
 
@@ -1151,7 +1148,7 @@ class TestDeviceChannel:
         ).start()
         try:
             controller.drain()
-            channel, device = controller.channels[0], controller.devices[0]
+            channel = device = controller.devices[0]
             issued = device.writes_issued
             farm.set_ack_delay(0, 4.0)
             for port in range(queued + 1):

@@ -368,7 +368,7 @@ def test_one_slow_device_coalesces_alone_and_the_fleet_converges():
         batches = [device.batches_applied for device in farm.devices]
         # The slow device merged (fewer round trips); nobody else paid.
         assert batches[2] < min(batches[:2] + batches[3:])
-        assert controller.channels[2].queue.coalesced > 0
+        assert controller.devices[2].queue.coalesced > 0
     finally:
         close()
 
@@ -574,7 +574,7 @@ def test_a_merge_dies_with_the_queues_that_held_it():
     try:
         add_port(db, 1, 101)
         controller.drain()
-        queues = [channel.queue for channel in controller.channels]
+        queues = [device.queue for device in controller.devices]
         for i in range(3):
             farm.set_ack_delay(i, 0.5)
         set_out_port(db, 1, 102)

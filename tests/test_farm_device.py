@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DataPlaneError
+from repro.errors import DataPlaneError, RuntimeApiError
 from repro.p4.ir import compile_p4
 from repro.p4.simulator import Simulator
 from repro.p4.tables import FieldMatch, TableEntry
@@ -398,3 +398,18 @@ def test_a_read_of_an_unknown_table_leaves_the_device_unchanged():
     assert list(device.table_snapshot()) == ["exact_t"]
     with pytest.raises(DataPlaneError, match="no table 'no_such_table'"):
         _server_handle()[1].read_table("no_such_table")
+
+
+def test_a_default_action_is_refused_before_the_store_is_touched():
+    """A farm device has no pipeline to hold a default action: the call
+    is refused, and neither an unknown nor a written table appears or
+    changes in the snapshot."""
+    handle, device = _farm_handle()
+    with pytest.raises(RuntimeApiError, match="no pipeline"):
+        device.set_default_action("exact_t", "drop", [])
+    assert device.table_snapshot() == {}
+    handle(_Conn(), "write", [_INSERT])
+    before = device.table_snapshot()
+    with pytest.raises(RuntimeApiError, match="no pipeline"):
+        device.set_default_action("exact_t", "drop", [])
+    assert device.table_snapshot() == before

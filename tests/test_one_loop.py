@@ -327,7 +327,7 @@ def watch_puts(controller):
     """``(queue name, on the loop?)`` for every later put on the engine
     queue and on each device channel's queue."""
     seen = []
-    queues = [controller.engine_queue, *(c.queue for c in controller.channels)]
+    queues = [controller.engine_queue, *(d.queue for d in controller.devices)]
     for queue in queues:
 
         def put(item, supersedes=None, inner=queue.put, name=queue.name):

@@ -440,7 +440,7 @@ class TestEndToEndOrdering:
                 assert issued < 12
                 merged = (
                     controller.engine_queue.coalesced
-                    + controller.channels[0].queue.coalesced
+                    + controller.devices[0].queue.coalesced
                 )
                 assert merged > 0
             finally:
@@ -711,7 +711,7 @@ class TestSlowDeviceIsolation:
                 healthy_latency = time.time() - started
                 assert healthy_latency < 0.2  # under one slow round trip
                 # Its first batch has not been acked yet.
-                assert controller.channels[1].queue.unfinished > 0
+                assert controller.devices[1].queue.unfinished > 0
                 controller.drain()
                 assert len(patch_actions(device)) == 6
                 # The backlog merged: far fewer round trips than txns.
@@ -907,6 +907,60 @@ def controller_surface(state_dir):
             if key.startswith(("controller_", "pipeline_", "fanout_"))
         ),
     }
+
+
+class TestOneObjectPerDevice:
+    """A device is one object, built with the controller: its reports
+    have one shape before and after ``start()``, and a resync names a
+    device that exists."""
+
+    @pytest.fixture
+    def two_devices(self):
+        project, db, switch = build()
+        controller = NerpaController(
+            project, db, [switch, project.new_simulator(n_ports=16)]
+        )
+        yield controller
+        controller.stop()
+
+    def test_a_device_reports_one_shape_before_and_after_start(
+        self, two_devices
+    ):
+        controller = two_devices
+        names = ["device-0", "device-1"]
+
+        def shapes():
+            health, pipeline = controller.health(), controller.metrics()["pipeline"]
+            per_device = {
+                key: sorted(pipeline[key])
+                for key in (
+                    "device_queue_depths",
+                    "device_coalesced",
+                    "device_writes_issued",
+                )
+            }
+            return [sorted(d) for d in health["devices"]], per_device, health
+
+        before, per_device, health = shapes()
+        assert [d["queue_depth"] for d in health["devices"]] == [0, 0]
+        assert per_device == dict.fromkeys(per_device, names)
+        controller.start()
+        after, per_device_after, _ = shapes()
+        assert before == after
+        assert per_device_after == per_device
+
+    def test_a_resync_past_the_last_device_is_refused(self, two_devices):
+        controller = two_devices.start()
+        with pytest.raises(ReproError, match="unknown device"):
+            controller.resync_device(5)
+
+    def test_a_negative_resync_index_is_refused(self, two_devices):
+        controller = two_devices.start()
+        resyncs = controller.device_resyncs
+        with pytest.raises(ReproError, match="unknown device"):
+            controller.resync_device(-1)
+        assert controller.device_resyncs == resyncs
+        assert [d.resyncs for d in controller.devices] == [0, 0]
 
 
 # ---------------------------------------------------------------------------

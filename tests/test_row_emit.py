@@ -483,7 +483,7 @@ def test_a_converter_error_in_a_parked_send_completes_the_batch():
         # A device batch's rows reach the wire through ``wire_run``.
         generated, binding.wire_run = binding.wire_run, broken
         insert(db, "Cfg", port=1, vlan=1, out=1)
-        channel = controller.channels[0]
+        channel = controller.devices[0]
         wait_for(lambda: channel.state == IN_FLIGHT, what="the parked batch")
         time.sleep(0.05)
         assert not client.writable  # still parked
