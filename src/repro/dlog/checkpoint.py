@@ -48,7 +48,7 @@ import hashlib
 import os
 import pickle
 import tempfile
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 #: 2: operator state is keyed by graph node index, and the planner no
 #: longer emits a node for identity scans — older snapshots would misalign.
@@ -64,17 +64,27 @@ class CheckpointError(Exception):
     """A checkpoint could not be read or does not fit this program."""
 
 
-def program_hash(source_text: str, recursive_mode: str) -> str:
+def program_hash(
+    source_text: str,
+    recursive_mode: str,
+    layered: Optional[Mapping[str, Sequence[int]]] = None,
+) -> str:
     """Identity of a compiled program for checkpoint compatibility.
 
-    Two programs with the same source and recursive mode build the same
-    dataflow graph in the same node order, so operator state keyed by
-    node index transfers between them.
+    Two programs with the same source, recursive mode and plan build the
+    same dataflow graph in the same node order, so operator state keyed
+    by node index transfers between them.  The plan is ``layered``: each
+    recursive relation unrolled into layers, with its layers' counter
+    values (:mod:`repro.dlog.layers`).  A program with none hashes its
+    source and mode alone, so a snapshot of its recursive evaluator's
+    state never restores into layers.
     """
     digest = hashlib.sha256()
     digest.update(recursive_mode.encode("utf-8"))
     digest.update(b"\x00")
     digest.update(source_text.encode("utf-8"))
+    for relation, values in sorted((layered or {}).items()):
+        digest.update(f"\x00layered {relation}: {list(values)}".encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -1,10 +1,11 @@
 """The incremental Datalog engine: compilation and transactions.
 
 ``compile_program`` turns source text into a :class:`CompiledProgram`:
-parse → typecheck → stratify → plan.  ``CompiledProgram.start()``
-creates a :class:`Runtime` whose :meth:`~Runtime.transaction` applies a
-batch of input inserts/deletes and returns only the resulting *changes*
-of every derived relation — the paper's key control-plane property.
+parse → typecheck → unroll bounded recursion → stratify → plan.
+``CompiledProgram.start()`` creates a :class:`Runtime` whose
+:meth:`~Runtime.transaction` applies a batch of input inserts/deletes
+and returns only the resulting *changes* of every derived relation —
+the paper's key control-plane property.
 
 Architecture
 ------------
@@ -23,7 +24,18 @@ One dataflow graph covers the whole program:
   are planned as ordinary dataflow feeding a synthetic ``__base_<rel>``
   relation that enters the SCC like any other external input.  Every
   relation node, synthetic ones included, exists before any rule is
-  planned.
+  planned;
+* a recursive SCC whose depth a counter column provably bounds never
+  gets that far: :mod:`repro.dlog.layers` rewrites it, before
+  stratification, into one non-recursive relation per counter value
+  (``R@1`` … ``R@K``) and a union into ``R``, so it is ordinary
+  dataflow, maintained exactly by counting, with no over-delete and
+  rederive.  Only an SCC with no such proof reaches the recursive
+  evaluator (or, with ``recursive_mode="recompute"``, every recursive
+  SCC does: that ablation is not rewritten).
+
+No transaction result reports a relation the engine made up (a base
+relation or a layer).
 
 Facts (rules with no body atoms) are evaluated at compile time and
 injected as an initial transaction by :meth:`CompiledProgram.start`.
@@ -54,6 +66,7 @@ from repro.dlog.dataflow.operators import (
 )
 from repro.dlog.dataflow.zset import ZSet
 from repro.dlog.interp import Evaluator
+from repro.dlog.layers import LAYER_MARK, unroll_bounded
 from repro.dlog.parser import parse_program
 from repro.dlog.plan import Planner
 from repro.dlog.recursive import SccEvaluator, SccNode
@@ -89,10 +102,14 @@ class CompiledProgram:
         checked: CheckedProgram,
         recursive_mode: str = "dred",
         source_text: Optional[str] = None,
+        layered: Optional[Mapping[str, Tuple[int, ...]]] = None,
     ):
         self.checked = checked
         self.recursive_mode = recursive_mode
         self.source_text = source_text
+        #: Relation → counter values of its layers, for every recursive
+        #: SCC :mod:`repro.dlog.layers` unrolled into ``checked``.
+        self.layered: Dict[str, Tuple[int, ...]] = dict(layered or {})
         self.evaluator = Evaluator(checked)
         self.planner = Planner(checked, self.evaluator)
         self.stratification: Stratification = stratify(
@@ -112,7 +129,7 @@ class CompiledProgram:
         was built without source text (checkpoints then unavailable)."""
         if self.source_text is None:
             return None
-        return program_hash(self.source_text, self.recursive_mode)
+        return program_hash(self.source_text, self.recursive_mode, self.layered)
 
     def start(
         self,
@@ -159,15 +176,21 @@ class CompiledProgram:
 
     def explain(self) -> str:
         """Human-readable description of the compiled evaluation plan:
-        strata in execution order, which are recursive, and the rules
-        deriving each relation."""
+        strata in execution order, which are recursive, which are
+        bounded recursion unrolled into layers (with their depth), and
+        the rules deriving each relation."""
         strat = self.stratification
         rules_by_head: Dict[str, List[A.Rule]] = {}
         for rule in self.checked.ast.rules:
             rules_by_head.setdefault(rule.head.relation, []).append(rule)
         lines = []
         for idx, scc in enumerate(strat.order):
-            kind = "recursive (DRed)" if strat.recursive[idx] else "dataflow"
+            if strat.recursive[idx]:
+                kind = "recursive (DRed)"
+            elif scc[0] in self.layered:
+                kind = f"layered, depth {len(self.layered[scc[0]])}"
+            else:
+                kind = "dataflow"
             lines.append(f"stratum {idx} [{kind}]: {', '.join(scc)}")
             for rel in scc:
                 decl = self.checked.relations.get(rel)
@@ -203,11 +226,16 @@ def compile_program(
     ``recursive_mode`` selects how recursive SCCs handle deletions:
     ``"dred"`` (default, incremental rank-checked deletion — see
     :mod:`repro.dlog.recursive`) or ``"recompute"`` (full fixpoint per
-    transaction; kept as an ablation baseline).
+    transaction; kept as an ablation baseline).  Under ``"dred"`` a
+    recursive SCC with a counter-bounded depth is first rewritten into
+    non-recursive layers (:mod:`repro.dlog.layers`), which need neither.
     """
     ast = parse_program(text, source)
     checked = check_program(ast)
-    return CompiledProgram(checked, recursive_mode, source_text=text)
+    layered: Dict[str, Tuple[int, ...]] = {}
+    if recursive_mode == "dred":
+        checked, layered = unroll_bounded(checked)
+    return CompiledProgram(checked, recursive_mode, source_text=text, layered=layered)
 
 
 class TxnResult:
@@ -494,6 +522,14 @@ class Runtime:
                     self.relation_nodes[member], 0, out_key=member
                 )
 
+        # A transaction reports the relations of the source, not the
+        # ones the engine made up (base relations and layers).
+        self._reported = [
+            (name, node)
+            for name, node in self.relation_nodes.items()
+            if not name.startswith(BASE_PREFIX) and LAYER_MARK not in name
+        ]
+
     def _plan_into(self, rule: A.Rule, target_relation: str) -> None:
         planner = self.program.planner
         rows = planner.fact_rows(rule)
@@ -595,9 +631,7 @@ class Runtime:
             self.inputs.record(taken)
 
         deltas: Dict[str, ZSet] = {}
-        for rel_name, node in self.relation_nodes.items():
-            if rel_name.startswith(BASE_PREFIX):
-                continue
+        for rel_name, node in self._reported:
             out = outputs.get(id(node))
             if isinstance(out, ZSet) and out:
                 deltas[rel_name] = out

@@ -40,7 +40,7 @@ from repro.dlog.engine import compile_program
 from repro.errors import ReproError
 from repro.mgmt.database import Database
 from repro.mgmt.persist import Persister, restore
-from tests.test_dlog_properties import HOP_PROG, LINEAR_PROG
+from tests.test_dlog_properties import HOP_PROG, LINEAR_PROG, dred_twin
 
 # A join plus a negation: both arrangement kinds and distinct counts
 # carry state across the checkpoint.
@@ -185,41 +185,46 @@ class TestEngineCheckpointDifferential:
     def test_hop_recursion_and_min_deltas_identical(self, batches, data):
         """The recursive store's row maps and indexes (which compiled
         probes hold) and each ``min`` group's cached value survive the
-        round trip: recursion through ``n + 1`` feeds a ``min``."""
+        round trip: recursion through ``n + 1`` feeds a ``min``.  Its
+        literal bound unrolls ``H`` into layers (distinct counts then
+        carry it); the DRed twin keeps it recursive."""
         cut = data.draw(st.integers(0, len(batches)), label="cut")
-        reference = compile_program(HOP_PROG).start()
-        subject = compile_program(HOP_PROG).start()
-        for batch in batches[:cut]:
-            changes = _changes(batch, ("A", "B"))
-            reference.transaction(**changes)
-            subject.transaction(**changes)
-        snapshot = pickle.loads(pickle.dumps(subject.checkpoint()))
-        restored = compile_program(HOP_PROG).start(checkpoint=snapshot)
-        assert restored.restored
-        for batch in batches[cut:]:
-            changes = _changes(batch, ("A", "B"))
-            want = reference.transaction(**changes)
-            got = restored.transaction(**changes)
-            assert _canonical(got) == _canonical(want)
-        for rel in ("H", "Best", "Tag"):
-            assert restored.dump(rel) == reference.dump(rel)
+        for text in (HOP_PROG, dred_twin(HOP_PROG)):
+            reference = compile_program(text).start()
+            subject = compile_program(text).start()
+            for batch in batches[:cut]:
+                changes = _changes(batch, ("A", "B"))
+                reference.transaction(**changes)
+                subject.transaction(**changes)
+            snapshot = pickle.loads(pickle.dumps(subject.checkpoint()))
+            restored = compile_program(text).start(checkpoint=snapshot)
+            assert restored.restored
+            for batch in batches[cut:]:
+                changes = _changes(batch, ("A", "B"))
+                want = reference.transaction(**changes)
+                got = restored.transaction(**changes)
+                assert _canonical(got) == _canonical(want)
+            for rel in ("H", "Best", "Tag"):
+                assert restored.dump(rel) == reference.dump(rel)
 
     def test_checkpoint_then_delete_last_support_of_a_minimum(self):
         """Deterministic regression: ``Best(0, 2)`` is 1 through
         ``A(0, 2)`` alone and 2 through ``A(0, 1), A(1, 2)``; deleting
-        ``A(0, 2)`` after a restore must move the minimum to 2."""
-        runtime = compile_program(HOP_PROG).start()
-        runtime.transaction(inserts={"A": [(0, 1), (1, 2), (0, 2)]})
-        restored = compile_program(HOP_PROG).start(
-            checkpoint=runtime.checkpoint()
-        )
-        assert restored.restored
-        want = runtime.transaction(deletes={"A": [(0, 2)]})
-        got = restored.transaction(deletes={"A": [(0, 2)]})
-        assert _canonical(got) == _canonical(want)
-        assert got.deleted("Best") == [(0, 2, 1)]
-        assert got.inserted("Best") == [(0, 2, 2)]
-        assert restored.dump("Best") == runtime.dump("Best")
+        ``A(0, 2)`` after a restore must move the minimum to 2 (in
+        layers and under DRed)."""
+        for text in (HOP_PROG, dred_twin(HOP_PROG)):
+            runtime = compile_program(text).start()
+            runtime.transaction(inserts={"A": [(0, 1), (1, 2), (0, 2)]})
+            restored = compile_program(text).start(
+                checkpoint=runtime.checkpoint()
+            )
+            assert restored.restored
+            want = runtime.transaction(deletes={"A": [(0, 2)]})
+            got = restored.transaction(deletes={"A": [(0, 2)]})
+            assert _canonical(got) == _canonical(want)
+            assert got.deleted("Best") == [(0, 2, 1)]
+            assert got.inserted("Best") == [(0, 2, 2)]
+            assert restored.dump("Best") == runtime.dump("Best")
 
     def test_checkpoint_then_delete_inside_cycle(self):
         """Deterministic regression: break a cycle after restoring —
@@ -325,6 +330,84 @@ class TestCheckpointValidation:
         path.write_bytes(full[: len(full) // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
+
+
+class TestLayeredCheckpoints:
+    """A program whose bounded recursion unrolls into layers: its state
+    is distinct counts and arrangements like any dataflow program's."""
+
+    BATCHES = [
+        {"inserts": {"A": [(0, 1), (1, 2), (2, 3), (3, 0)], "B": [(2, 0)]}},
+        {"deletes": {"A": [(1, 2)]}, "inserts": {"A": [(1, 3)]}},
+        {"inserts": {"A": [(1, 2), (3, 4)], "B": [(3, 3)]}},
+        {"deletes": {"A": [(0, 1)], "B": [(2, 0)]}},
+    ]
+    RELATIONS = ("A", "B", "H", "Best", "Tag", "H@1", "H@2", "H@3")
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_chain_restores_with_equal_dumps(self, tmp_path, shards):
+        program = compile_program(HOP_PROG)
+        assert program.layered == {"H": (1, 2, 3)}
+        reference = program.start(shards=shards, shard_workers="inline")
+        runtime = program.start(shards=shards, shard_workers="inline")
+        for batch in self.BATCHES[:2]:
+            reference.transaction(**batch)
+            runtime.transaction(**batch)
+        runtime.enable_journal()
+        store = warmstate.open_store(str(tmp_path), program.program_hash)
+        store.save_full(
+            {
+                "format": CHECKPOINT_FORMAT,
+                "engine_txns": runtime.txn_count,
+                "engine": runtime.checkpoint(),
+            },
+            runtime.txn_count,
+        )
+        for batch in self.BATCHES[2:3]:
+            reference.transaction(**batch)
+            runtime.transaction(**batch)
+        store.save_delta(runtime.drain_journal(), runtime.txn_count)
+        runtime.close()
+        restored, warm = warmstate.restore(store, program, shards, "inline")
+        try:
+            assert warm is not None and restored.restored
+            for rel in self.RELATIONS:
+                assert restored.dump(rel) == reference.dump(rel), rel
+            for batch in self.BATCHES[3:]:
+                want = reference.transaction(**batch)
+                got = restored.transaction(**batch)
+                assert _canonical(got) == _canonical(want)
+            for rel in self.RELATIONS:
+                assert restored.dump(rel) == reference.dump(rel), rel
+        finally:
+            restored.close()
+            reference.close()
+
+    def test_checkpoint_under_the_source_only_hash_cold_starts(self):
+        """Before layers, a program's hash covered its source and mode
+        alone, and its recursion ran under DRed: a snapshot stamped so
+        holds recursive-evaluator state, which must not restore into
+        layers."""
+        runtime = compile_program(HOP_PROG).start()
+        runtime.transaction(**self.BATCHES[0])
+        snapshot = runtime.checkpoint()
+        snapshot["program_hash"] = program_hash(HOP_PROG, "dred")
+        cold = compile_program(HOP_PROG).start(checkpoint=snapshot)
+        assert cold.restored is False
+        assert cold.dump("H") == set()
+
+    def test_hash_covers_the_plan_only_when_something_unrolls(self):
+        unrolled = compile_program(HOP_PROG)
+        assert unrolled.program_hash != program_hash(HOP_PROG, "dred")
+        for text, mode in (
+            (HOP_PROG, "recompute"),
+            (dred_twin(HOP_PROG), "dred"),
+            (REACH_PROGRAM, "dred"),
+            (JOIN_NEG_PROGRAM, "dred"),
+        ):
+            program = compile_program(text, recursive_mode=mode)
+            assert program.layered == {}
+            assert program.program_hash == program_hash(text, mode)
 
 
 class TestCheckpointStore:

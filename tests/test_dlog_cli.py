@@ -25,6 +25,19 @@ class TestExplain:
         assert "Label" in text
         assert "aggregate(count)" in text
 
+    def test_explain_names_layered_recursion(self):
+        text = compile_program(
+            "input relation Link(a: bigint, b: bigint)\n"
+            "output relation Hop(a: bigint, b: bigint, n: bigint)\n"
+            "Hop(a, b, 1) :- Link(a, b).\n"
+            "Hop(a, c, n + 1) :- Hop(a, b, n), n < 4, Link(b, c)."
+        ).explain()
+        assert "[layered, depth 4]: Hop\n" in text
+        assert "recursive (DRed)" not in text
+        for k in (1, 2, 3, 4):
+            assert f"[dataflow]: Hop@{k}\n" in text
+        assert "    :- Hop@3, guard, Link\n" in text
+
     def test_explain_shows_rule_shapes(self):
         text = compile_program(
             "input relation A(x: bigint)\n"

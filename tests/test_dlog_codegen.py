@@ -22,6 +22,7 @@ from repro.dlog.interp import Evaluator, Slots
 from repro.dlog.parser import parse_program
 from repro.dlog.typecheck import check_program
 from repro.errors import EvalError
+from tests.test_dlog_properties import dred_twin
 
 #: Every generated name a variable could collide with: Python keywords
 #: and builtins, the generator's parameters and locals (``row``, ``out``,
@@ -45,7 +46,14 @@ Walk(rank, ceiling, n + 1) :- Walk(rank, check, n), n < 3,
 
 
 def test_identifiers_and_literals_are_never_spliced_into_source():
-    rt = compile_program(NAMES_PROG).start()
+    # ``Walk`` unrolls into layers; its DRed twin runs the recursive
+    # evaluator's generated steps under the same names.
+    for text in (NAMES_PROG, dred_twin(NAMES_PROG)):
+        _check_names(text)
+
+
+def _check_names(text):
+    rt = compile_program(text).start()
     rt.transaction(inserts={
         "In": [(2, 5, "x"), (7, 1, "y")],
         "Edge": [(1, 2), (2, 3), (3, 1), (20, 7)],
@@ -101,16 +109,20 @@ def test_a_division_by_zero_names_its_rule_in_the_traceback():
     assert "_int_div(" in frame.line
 
 
+#: The bound is read from a one-row input, so ``Hop`` stays recursive:
+#: a literal bound would unroll it into layers, with no SCC evaluator.
 HOPS_PROG = """
 input relation Link(a: bigint, b: bigint)
 output relation Hop(a: bigint, b: bigint, n: bigint)
 Hop(a, b, 1) :- Link(a, b).
-Hop(a, c, n + 1) :- Hop(a, b, n), n < 4, Link(b, c).
+Hop(a, c, n + 1) :- Hop(a, b, n), MaxHops(k), n < k, Link(b, c).
+input relation MaxHops(k: bigint)
 """
 
 
 def test_getsource_of_a_compiled_variant_is_its_generated_text():
     rt = compile_program(HOPS_PROG).start()
+    rt.transaction(inserts={"MaxHops": [(4,)]})
     (scc,) = rt.scc_evaluators.values()
     (walk,) = [c for c in scc.rules if c.rule.name == "rule@5"]
     for variant, signature in [("head", "head(row, check)"), (0, "seed(rows, heads)")]:

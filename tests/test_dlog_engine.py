@@ -580,27 +580,41 @@ class TestRecursion:
         assert rows(rt, "R") == {(1,), (2,)}
 
     def test_rule_reading_its_own_head_relation(self):
-        # The new H(1, 1, 3) lands in the very H bucket the join is
-        # scanning for B(1, 1).
-        prog = """
-        input relation A(x: bigint, y: bigint)
-        input relation B(y: bigint, z: bigint)
-        output relation H(x: bigint, z: bigint, n: bigint)
-        H(x, y, 1) :- A(x, y).
-        H(x, x, n + 2) :- H(x, y, n), n < 2, B(y, x).
-        """
-        rt = compile_program(prog).start()
-        rt.transaction(inserts={"A": [(1, 1)]})
-        result = rt.transaction(inserts={"B": [(1, 1)]})
-        assert result.inserted("H") == [(1, 1, 3)]
-        result = rt.transaction(deletes={"B": [(1, 1)]})
-        assert result.deleted("H") == [(1, 1, 3)]
+        # Under DRed the new H(1, 1, 3) lands in the very H bucket the
+        # join is scanning for B(1, 1).  A bound read through a function
+        # keeps H recursive; a literal one unrolls it into layers.
+        for bound, sccs in (("cap(2)", 1), ("2", 0)):
+            prog = f"""
+            function cap(k: bigint): bigint {{ k }}
+            input relation A(x: bigint, y: bigint)
+            input relation B(y: bigint, z: bigint)
+            output relation H(x: bigint, z: bigint, n: bigint)
+            H(x, y, 1) :- A(x, y).
+            H(x, x, n + 2) :- H(x, y, n), n < {bound}, B(y, x).
+            """
+            rt = compile_program(prog).start()
+            assert len(rt.scc_evaluators) == sccs
+            rt.transaction(inserts={"A": [(1, 1)]})
+            result = rt.transaction(inserts={"B": [(1, 1)]})
+            assert result.inserted("H") == [(1, 1, 3)]
+            result = rt.transaction(deletes={"B": [(1, 1)]})
+            assert result.deleted("H") == [(1, 1, 3)]
 
     HOPS = """
     input relation Link(id: bigint, src: bigint, dst: bigint)
     output relation Hop(src: bigint, dst: bigint, first: bigint, n: bigint)
     Hop(a, b, b, 1) :- Link(_, a, b).
     Hop(a, c, f, n + 1) :- Hop(a, b, f, n), n < 4, Link(_, b, c), a != c.
+    """
+    #: ``HOPS`` with its bound read from a one-row input: no literal
+    #: bounds the counter, so ``Hop`` stays recursive (DRed).
+    HOPS_DRED = """
+    input relation Link(id: bigint, src: bigint, dst: bigint)
+    input relation MaxHops(k: bigint)
+    output relation Hop(src: bigint, dst: bigint, first: bigint, n: bigint)
+    Hop(a, b, b, 1) :- Link(_, a, b).
+    Hop(a, c, f, n + 1) :- Hop(a, b, f, n), MaxHops(k), n < k,
+        Link(_, b, c), a != c.
     """
 
     def test_link_flap_rederives_without_scanning(self, monkeypatch):
@@ -609,6 +623,7 @@ class TestRecursion:
         a whole relation — and a link failure removes exactly the
         ``Hop`` rows it deletes, none that a check puts back."""
         links = [(i, a, b) for i, (a, b) in enumerate(fat_tree(4))]
+        max_hops = {"MaxHops": [(4,)]}
         unkeyed = []
         removed = []
         probe = IndexStore.probe
@@ -616,7 +631,9 @@ class TestRecursion:
 
         def counting_probe(store, rel, positions):
             get = probe(store, rel, positions)
-            if positions:
+            # The one-row bound has no key to probe by: every rule
+            # reading it reads it whole.
+            if positions or rel == "MaxHops":
                 return get
 
             def unkeyed_get(key, default):
@@ -633,8 +650,9 @@ class TestRecursion:
 
         # Probes are resolved when the rules compile.
         monkeypatch.setattr(IndexStore, "probe", counting_probe)
-        rt = compile_program(self.HOPS).start()
-        rt.transaction(inserts={"Link": links})
+        rt = compile_program(self.HOPS_DRED).start()
+        assert len(rt.scc_evaluators) == 1
+        rt.transaction(inserts={"Link": links, **max_hops})
         unkeyed.clear()
         monkeypatch.setattr(IndexStore, "remove", counting_remove)
         a, b = links[0][1:], links[1][1:]
@@ -644,9 +662,33 @@ class TestRecursion:
         up = rt.transaction(inserts={"Link": links[:2]})
         assert unkeyed == []
         assert down.deleted("Hop") and up.inserted("Hop")
-        full = compile_program(self.HOPS, recursive_mode="recompute").start()
-        full.transaction(inserts={"Link": links})
+        full = compile_program(self.HOPS_DRED, recursive_mode="recompute").start()
+        full.transaction(inserts={"Link": links, **max_hops})
         assert rows(rt, "Hop") == rows(full, "Hop")
+
+    def test_link_flap_in_layers_deletes_what_recompute_does(self):
+        """The literal bound unrolls ``Hop`` into layers: no SCC
+        evaluator, and a link failure deletes exactly the ``Hop`` rows
+        that the full fixpoint loses, and its repair inserts them back."""
+        links = [(i, a, b) for i, (a, b) in enumerate(fat_tree(4))]
+        program = compile_program(self.HOPS)
+        assert program.layered == {"Hop": (1, 2, 3, 4)}
+        rt = program.start()
+        assert rt.scc_evaluators == {}
+        full = compile_program(self.HOPS, recursive_mode="recompute").start()
+        for runtime in (rt, full):
+            runtime.transaction(inserts={"Link": links})
+        before = rows(full, "Hop")
+        down = rt.transaction(deletes={"Link": links[:2]})
+        full.transaction(deletes={"Link": links[:2]})
+        lost = before - rows(full, "Hop")
+        assert lost and sorted(down.deleted("Hop")) == sorted(lost)
+        assert not down.inserted("Hop")
+        assert "Hop@1" not in down.deltas
+        up = rt.transaction(inserts={"Link": links[:2]})
+        full.transaction(inserts={"Link": links[:2]})
+        assert sorted(up.inserted("Hop")) == sorted(lost)
+        assert rows(rt, "Hop") == rows(full, "Hop") == before
 
     def test_unstratified_negation_rejected(self):
         prog = """

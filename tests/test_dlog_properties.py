@@ -8,10 +8,23 @@ representative programs (joins, negation, aggregation, recursion) with
 random edit scripts and check both.
 """
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dlog import compile_program
+
+
+def dred_twin(text):
+    """``text`` with every literal counter bound (``n < 3``) read through
+    a function instead (``n < bound(3)``): the same relations, but no
+    literal bounds the counter, so :mod:`repro.dlog.layers` leaves the
+    recursion to the recursive evaluator (DRed)."""
+    return "function bound(k: bigint): bigint { k }\n" + re.sub(
+        r"\bn < (\d+)", r"n < bound(\1)", text
+    )
+
 
 JOIN_PROG = """
 input relation A(x: bigint, y: bigint)
@@ -170,10 +183,12 @@ PROGRAMS = {
     "aggregation": AGG_PROG,
     "recursion": REACH_PROG,
     "bounded_hops": HOP_PROG,
+    "bounded_hops_dred": dred_twin(HOP_PROG),
     "nonlinear_mutual": NONLINEAR_PROG,
     "compiled_steps": STEPS_PROG,
     "linear_stretches": LINEAR_PROG,
     "expression_kinds": KINDS_PROG,
+    "expression_kinds_dred": dred_twin(KINDS_PROG),
 }
 
 pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -256,7 +271,8 @@ class TestIncrementalEqualsFromScratch:
     @given(
         script=scripts,
         text=st.sampled_from(
-            [REACH_PROG, HOP_PROG, NONLINEAR_PROG, STEPS_PROG, KINDS_PROG]
+            [REACH_PROG, HOP_PROG, NONLINEAR_PROG, STEPS_PROG, KINDS_PROG,
+             dred_twin(HOP_PROG), dred_twin(KINDS_PROG)]
         ),
     )
     def test_dred_equals_recompute_mode(self, script, text):
