@@ -1,7 +1,7 @@
 """The incremental Datalog engine: compilation and transactions.
 
 ``compile_program`` turns source text into a :class:`CompiledProgram`:
-parse → typecheck → unroll bounded recursion → stratify → plan.
+parse → typecheck → stratify → unroll bounded recursion → plan.
 ``CompiledProgram.start()`` creates a :class:`Runtime` whose
 :meth:`~Runtime.transaction` applies a batch of input inserts/deletes
 and returns only the resulting *changes* of every derived relation —
@@ -27,7 +27,7 @@ One dataflow graph covers the whole program:
   planned;
 * a recursive SCC whose depth a counter column provably bounds never
   gets that far: :mod:`repro.dlog.layers` rewrites it, before
-  stratification, into one non-recursive relation per counter value
+  planning, into one non-recursive relation per counter value
   (``R@1`` … ``R@K``) and a union into ``R``, so it is ordinary
   dataflow, maintained exactly by counting, with no over-delete and
   rederive.  Only an SCC with no such proof reaches the recursive
@@ -102,19 +102,21 @@ class CompiledProgram:
         checked: CheckedProgram,
         recursive_mode: str = "dred",
         source_text: Optional[str] = None,
-        layered: Optional[Mapping[str, Tuple[int, ...]]] = None,
     ):
+        strat = stratify([r.name for r in checked.ast.relations], checked.ast.rules)
+        #: Relation → counter values of its layers, for every recursive
+        #: SCC :mod:`repro.dlog.layers` unrolled into ``checked``.
+        self.layered: Dict[str, Tuple[int, ...]] = {}
+        if recursive_mode == "dred":
+            checked, self.layered = unroll_bounded(checked, strat)
+            if self.layered:
+                strat = stratify([r.name for r in checked.ast.relations], checked.ast.rules)
         self.checked = checked
         self.recursive_mode = recursive_mode
         self.source_text = source_text
-        #: Relation → counter values of its layers, for every recursive
-        #: SCC :mod:`repro.dlog.layers` unrolled into ``checked``.
-        self.layered: Dict[str, Tuple[int, ...]] = dict(layered or {})
         self.evaluator = Evaluator(checked)
         self.planner = Planner(checked, self.evaluator)
-        self.stratification: Stratification = stratify(
-            [r.name for r in checked.ast.relations], checked.ast.rules
-        )
+        self.stratification: Stratification = strat
         self.input_relations: List[str] = [
             r.name for r in checked.ast.relations if r.role == "input"
         ]
@@ -232,10 +234,7 @@ def compile_program(
     """
     ast = parse_program(text, source)
     checked = check_program(ast)
-    layered: Dict[str, Tuple[int, ...]] = {}
-    if recursive_mode == "dred":
-        checked, layered = unroll_bounded(checked)
-    return CompiledProgram(checked, recursive_mode, source_text=text, layered=layered)
+    return CompiledProgram(checked, recursive_mode, source_text=text)
 
 
 class TxnResult:

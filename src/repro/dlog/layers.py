@@ -45,13 +45,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dlog import ast as A
 from repro.dlog import types as T
-from repro.dlog.stratify import stratify
+from repro.dlog.stratify import Stratification
 from repro.dlog.typecheck import CheckedProgram, check_program
 
 #: What marks a layer's name: ``R@k`` is ``R``'s layer ``k``.
 LAYER_MARK = "@"
 
-#: The most counter values (layers) one SCC may unroll into.
+#: The most counter values (layers) one SCC may unroll into.  Measured
+#: on A4's rules over fat-tree links at bounds 4 to 64 (k=4) and 4 to 32
+#: (k=6): a link flap ran 1.2x to 2.0x faster in layers than under DRed
+#: at every bound, at equal peak memory; compile and start grew to about
+#: 20 ms at 64 layers.  No deeper bound has been measured.
 MAX_LAYERS = 64
 
 #: ``(counter column, reachable counter values in ascending order)``.
@@ -214,15 +218,15 @@ def _union_rule(relation: str, arity: int, value: int) -> A.Rule:
 
 
 def unroll_bounded(
-    checked: CheckedProgram,
+    checked: CheckedProgram, strat: Stratification
 ) -> Tuple[CheckedProgram, Dict[str, Tuple[int, ...]]]:
-    """Rewrite every recursive SCC with a proved bound into layers.
+    """Rewrite every recursive SCC of ``strat`` (``checked``'s
+    stratification) with a proved bound into layers.
 
     Returns the typechecked rewritten program and, per unrolled
     relation, its layers' counter values in ascending order; with no
     proof anywhere, ``checked`` itself and ``{}``."""
     ast = checked.ast
-    strat = stratify([r.name for r in ast.relations], ast.rules)
     rules_of: Dict[str, List[A.Rule]] = {}
     for rule in ast.rules:
         rules_of.setdefault(rule.head.relation, []).append(rule)

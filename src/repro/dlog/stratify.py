@@ -5,11 +5,11 @@ with head ``H`` and body atom ``B``).  Strongly connected components of
 that graph are *strata*; a nontrivial SCC is a recursive rule set and
 is evaluated by :mod:`repro.dlog.recursive`, everything else by the
 delta-dataflow operators.  Under the default ``recursive_mode`` the
-program stratified is the one :mod:`repro.dlog.layers` rewrote: a
-recursive SCC whose counter column is provably bounded arrives here
-already unrolled into non-recursive layers, one stratum each, so it is
-not recursive at all.  :mod:`repro.dlog.layers` stratifies the source
-program first, to find the SCCs it may rewrite.
+compiler hands this stratification of the source to
+:mod:`repro.dlog.layers`, which rewrites each recursive SCC whose
+counter column is provably bounded into non-recursive layers; only when
+some SCC was rewritten is the rewritten program stratified again, and
+there the unrolled relation is not recursive at all.
 
 Stratified semantics require that negation and aggregation never occur
 *inside* an SCC: a rule may negate or aggregate only relations computed

@@ -7,6 +7,7 @@ from repro.dlog.recursive import IndexStore
 from repro.dlog.values import MapValue, StructValue
 from repro.errors import StratificationError, TransactionError, TypeCheckError
 from repro.workloads.topology import fat_tree
+from tests.test_dlog_properties import dred_twin
 
 
 def rows(runtime, relation):
@@ -581,18 +582,17 @@ class TestRecursion:
 
     def test_rule_reading_its_own_head_relation(self):
         # Under DRed the new H(1, 1, 3) lands in the very H bucket the
-        # join is scanning for B(1, 1).  A bound read through a function
-        # keeps H recursive; a literal one unrolls it into layers.
-        for bound, sccs in (("cap(2)", 1), ("2", 0)):
-            prog = f"""
-            function cap(k: bigint): bigint {{ k }}
-            input relation A(x: bigint, y: bigint)
-            input relation B(y: bigint, z: bigint)
-            output relation H(x: bigint, z: bigint, n: bigint)
-            H(x, y, 1) :- A(x, y).
-            H(x, x, n + 2) :- H(x, y, n), n < {bound}, B(y, x).
-            """
-            rt = compile_program(prog).start()
+        # join is scanning for B(1, 1).  The literal bound unrolls H into
+        # layers; its DRed twin keeps H recursive.
+        prog = """
+        input relation A(x: bigint, y: bigint)
+        input relation B(y: bigint, z: bigint)
+        output relation H(x: bigint, z: bigint, n: bigint)
+        H(x, y, 1) :- A(x, y).
+        H(x, x, n + 2) :- H(x, y, n), n < 2, B(y, x).
+        """
+        for text, sccs in ((prog, 0), (dred_twin(prog), 1)):
+            rt = compile_program(text).start()
             assert len(rt.scc_evaluators) == sccs
             rt.transaction(inserts={"A": [(1, 1)]})
             result = rt.transaction(inserts={"B": [(1, 1)]})
